@@ -47,36 +47,57 @@ impl GaussSeidelParams {
 }
 
 /// A generated system `Ax = b` (row-major `a`, strongly diagonally
-/// dominant, entries in `[-1, 1)` off the diagonal).
+/// dominant, entries in `[-1, 1)` off the diagonal), or a band of its rows.
 pub struct System {
     /// Dimension.
     pub n: usize,
-    /// Row-major coefficients.
+    /// Index of the first row held; 0 for a whole system.
+    pub first_row: usize,
+    /// Row-major coefficients of the rows held.
     pub a: Vec<f64>,
-    /// Right-hand side.
+    /// Right-hand side of the rows held.
     pub b: Vec<f64>,
 }
 
 /// Deterministically generate the system for `params`.
 pub fn generate(params: &GaussSeidelParams) -> System {
+    generate_rows(params, 0, params.n)
+}
+
+/// Rows `[lo, hi)` of the system [`generate`] returns. The generator's
+/// stream is consumed in full, so the values are identical; only the rows
+/// a rank sweeps are stored (a whole 400×400 system is 1.28 MB, and the
+/// allocator caches that much again in every rank thread's arena).
+pub fn generate_rows(params: &GaussSeidelParams, lo: usize, hi: usize) -> System {
     let n = params.n;
     let mut rng = StdRng::seed_from_u64(params.seed ^ n as u64);
-    let mut a = vec![0.0f64; n * n];
-    let mut b = vec![0.0f64; n];
+    let mut a = vec![0.0f64; (hi - lo) * n];
+    let mut b = vec![0.0f64; hi - lo];
     for i in 0..n {
+        let held = (lo..hi).contains(&i);
         let mut row_sum = 0.0;
         for j in 0..n {
             if i != j {
                 let v: f64 = rng.gen_range(-1.0..1.0);
-                a[i * n + j] = v;
                 row_sum += v.abs();
+                if held {
+                    a[(i - lo) * n + j] = v;
+                }
             }
         }
-        // Strong dominance: block-hybrid sweeps converge like the pure one.
-        a[i * n + i] = 2.0 * row_sum + 1.0;
-        b[i] = rng.gen_range(-10.0..10.0);
+        let rhs = rng.gen_range(-10.0..10.0);
+        if held {
+            // Strong dominance: block-hybrid sweeps converge like the pure one.
+            a[(i - lo) * n + i] = 2.0 * row_sum + 1.0;
+            b[i - lo] = rhs;
+        }
     }
-    System { n, a, b }
+    System {
+        n,
+        first_row: lo,
+        a,
+        b,
+    }
 }
 
 /// Result of a solve.
@@ -90,13 +111,15 @@ pub struct Solution {
     pub delta: f64,
 }
 
-/// Sweep rows `[lo, hi)` once in place; returns the local max update.
-fn sweep_rows(sys: &System, x: &mut [f64], lo: usize, hi: usize) -> f64 {
+/// Sweep rows `[lo, hi)` (which `sys` must hold) once in place; returns
+/// the local max update.
+pub(crate) fn sweep_rows(sys: &System, x: &mut [f64], lo: usize, hi: usize) -> f64 {
     let n = sys.n;
     let mut delta: f64 = 0.0;
     for i in lo..hi {
-        let mut sum = sys.b[i];
-        let row = &sys.a[i * n..(i + 1) * n];
+        let r = i - sys.first_row;
+        let mut sum = sys.b[r];
+        let row = &sys.a[r * n..(r + 1) * n];
         for (j, (&a, &xj)) in row.iter().zip(x.iter()).enumerate() {
             if j != i {
                 sum -= a * xj;
@@ -122,13 +145,14 @@ pub fn solve_sequential(params: &GaussSeidelParams) -> Solution {
     Solution { x, iters, delta }
 }
 
-/// Residual max-norm `||Ax - b||_inf` (verification helper).
+/// Residual max-norm `||Ax - b||_inf` over the rows `sys` holds
+/// (verification helper).
 pub fn residual(sys: &System, x: &[f64]) -> f64 {
     let n = sys.n;
     let mut r: f64 = 0.0;
-    for i in 0..n {
-        let mut s = -sys.b[i];
-        let row = &sys.a[i * n..(i + 1) * n];
+    for (k, &b) in sys.b.iter().enumerate() {
+        let mut s = -b;
+        let row = &sys.a[k * n..(k + 1) * n];
         for (&a, &xj) in row.iter().zip(x.iter()) {
             s += a * xj;
         }
@@ -189,11 +213,11 @@ pub fn body_with<A: ParallelApi>(
     params: &GaussSeidelParams,
     mode: RefreshMode,
 ) -> Option<Solution> {
-    let sys = generate(params);
-    let n = sys.n;
+    let n = params.n;
     let p = ctx.nprocs();
     let rank = ctx.rank() as usize;
     let (lo, hi) = rows_of(n, p, rank);
+    let sys = generate_rows(params, lo, hi);
     // The shared solution vector: blocked over nodes so each rank's slice
     // is homed locally (GmArray aligns home chunks to element boundaries
     // with the same ceil(n/p) rule as rows_of).
@@ -321,6 +345,25 @@ mod tests {
         let b = generate(&p);
         assert_eq!(a.a, b.a);
         assert_eq!(a.b, b.b);
+    }
+
+    #[test]
+    fn a_band_holds_the_whole_systems_rows() {
+        let p = GaussSeidelParams::paper(23);
+        let whole = generate(&p);
+        let n = p.n;
+        for rank in 0..4 {
+            let (lo, hi) = rows_of(n, 4, rank);
+            let band = generate_rows(&p, lo, hi);
+            assert_eq!(band.first_row, lo);
+            assert_eq!(band.a, whole.a[lo * n..hi * n]);
+            assert_eq!(band.b, whole.b[lo..hi]);
+            // Sweeping the band's rows is sweeping the same rows of the whole.
+            let (mut x, mut y) = (vec![1.0; n], vec![1.0; n]);
+            let d = sweep_rows(&band, &mut x, lo, hi);
+            assert_eq!(d.to_bits(), sweep_rows(&whole, &mut y, lo, hi).to_bits());
+            assert_eq!(x, y);
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 use dse_api::{DseCtx, DseProgram, RunResult, Work};
 
 use crate::common::Capture;
-use crate::gauss_seidel::{generate, rows_of, GaussSeidelParams, Solution, CHECK_EVERY};
+use crate::gauss_seidel::{
+    generate_rows, rows_of, sweep_rows, GaussSeidelParams, Solution, CHECK_EVERY,
+};
 
 /// Tag space: slice exchanges use the iteration number; control messages
 /// live above these bases.
@@ -44,33 +46,13 @@ fn row_work(n: usize) -> Work {
     Work::flops(2 * n as u64 + 10) + Work::mem_bytes(8 * n as u64)
 }
 
-fn sweep_rows(sys: &crate::gauss_seidel::System, x: &mut [f64], lo: usize, hi: usize) -> f64 {
-    // Same arithmetic as the DSM solver (kept in gauss_seidel; reproduced
-    // here through the public data to avoid exposing internals).
-    let n = sys.n;
-    let mut delta: f64 = 0.0;
-    for i in lo..hi {
-        let mut sum = sys.b[i];
-        let row = &sys.a[i * n..(i + 1) * n];
-        for (j, (&a, &xj)) in row.iter().zip(x.iter()).enumerate() {
-            if j != i {
-                sum -= a * xj;
-            }
-        }
-        let new = sum / row[i];
-        delta = delta.max((new - x[i]).abs());
-        x[i] = new;
-    }
-    delta
-}
-
 /// The SPMD body in message-passing style; rank 0 returns the solution.
 pub fn body_mp(ctx: &mut DseCtx<'_>, params: &GaussSeidelParams) -> Option<Solution> {
-    let sys = generate(params);
-    let n = sys.n;
+    let n = params.n;
     let p = ctx.nprocs();
     let rank = ctx.rank() as usize;
     let (lo, hi) = rows_of(n, p, rank);
+    let sys = generate_rows(params, lo, hi);
     // Make sure every rank is registered before the first send.
     ctx.barrier();
     let mut x = vec![0.0f64; n];
@@ -167,7 +149,7 @@ pub fn solve_parallel_mp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gauss_seidel::{residual, solve_parallel, solve_sequential};
+    use crate::gauss_seidel::{generate, residual, solve_parallel, solve_sequential};
     use dse_api::Platform;
 
     #[test]

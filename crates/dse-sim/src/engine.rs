@@ -1,9 +1,9 @@
 //! The direct-execution discrete-event engine.
 //!
 //! Each simulated process runs its *real* Rust code on a dedicated OS thread,
-//! but exactly one thread executes at any instant: the engine resumes the
-//! runnable entity with the lowest virtual time, waits for it to yield (every
-//! blocking context-API call yields), and only then proceeds. Virtual time
+//! but exactly one thread executes at any instant: the runnable entity with
+//! the lowest virtual time runs until it yields (every blocking context-API
+//! call yields), and only then does the next one proceed. Virtual time
 //! advances solely through the context API, so event handling is totally
 //! ordered by `(time, sequence)` and a run is bit-for-bit deterministic.
 //!
@@ -15,35 +15,67 @@
 //!
 //! ## The shared scheduler core
 //!
-//! The mutable scheduler state (event heap, resource queues, statistics,
-//! trace) lives in a [`Core`] shared between the engine thread and every
-//! process context. Because exactly one process runs at a time and the
-//! engine only acts while all processes are parked, the mutex is never
-//! contended and the interleaving of core operations is deterministic.
+//! All scheduler state — event heap, per-process slots (state, epoch, inbox,
+//! a one-slot resume mailbox, the thread handle), resource queues,
+//! statistics, trace — lives in one [`Core`] behind one mutex, shared by
+//! every process context and the thread inside [`Simulator::run`]. Because
+//! exactly one thread runs at a time the mutex is never contended and the
+//! interleaving of core operations is deterministic.
 //!
-//! Sharing the core lets the hot context calls avoid the engine round-trip
-//! (two context switches each) entirely:
+//! There is no engine thread. The scheduler is a *baton*: whichever process
+//! is running holds it, and a process that blocks dispatches the next event
+//! itself.
 //!
-//! - [`ProcCtx::send`] appends the delivery event to the heap itself; the
-//!   engine thread is not woken at all.
+//! - [`ProcCtx::send`] and [`ProcCtx::spawn`] only append to the core, and
+//!   [`ProcCtx::recv`] on a non-empty inbox only pops from it: no context
+//!   switch.
 //! - [`ProcCtx::sleep`] and [`ProcCtx::use_resource`] complete inline when
 //!   the resulting wake would be the very next event popped (no earlier
 //!   event is queued, and nothing can be queued before it while the caller
-//!   is the running process). Otherwise they fall back to parking on the
-//!   engine, which preserves global virtual-time order — in particular FCFS
-//!   resource handover between processes.
+//!   is the running process): no context switch
+//!   ([`SimStats::inline_wakes`]).
+//! - Every other blocking call — `recv` on an empty inbox, a sleep or hold
+//!   whose wake is not next, the end of the process function — records the
+//!   caller's own yield under the core lock and then runs the
+//!   pop-and-dispatch loop on the caller's thread. Deliveries are handled in
+//!   place. A wake for the caller itself returns inline: no context switch.
+//!   A wake for another process fills that process's mailbox, unlocks,
+//!   unparks it and parks the caller: one context switch
+//!   ([`SimStats::handoffs`]), where a scheduler thread in the middle would
+//!   cost two.
 //!
-//! Either way the logical event sequence — counters, virtual times, FCFS
-//! grants, and the determinism hash — is identical to the fully-parked
-//! schedule; only the number of OS context switches changes.
+//! The thread inside [`Simulator::run`] only dispatches until the first
+//! process starts, sleeps until a dispatcher finds the heap empty (or a
+//! process panics), and then drains: every process still blocked is released
+//! with a shutdown indication, one at a time, and joined.
+//!
+//! Whichever thread pops an event does exactly the bookkeeping any other
+//! would, so the logical event sequence — counters, virtual times, FCFS
+//! grants, trace order and the determinism hash — does not depend on who
+//! carried the baton; only the number of OS context switches does.
+//!
+//! Two rules of the hand-off are measured, not stylistic:
+//!
+//! - **Unpark after unlock.** The next thread is unparked only once the
+//!   core lock is released ([`pass`]). Unparking while holding it lets the
+//!   woken thread preempt the waker and immediately block on the mutex,
+//!   which puts the second context switch back (3.4 µs per hand-off against
+//!   0.9 µs pinned to one CPU).
+//! - **Join before proceeding.** A process that ends leaves its join handle
+//!   in the core, and the next baton holder joins it before doing anything
+//!   else ([`await_resume`]), so a finished thread's stack and allocator
+//!   arena are released before the next thread allocates. Leaving the joins
+//!   to the end of the run changes the order glibc recycles arenas and cost
+//!   12 MB of peak RSS on a 5-application run (38 → 50 MB).
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle, Thread};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::envelope::{Envelope, RecvResult};
 use crate::ids::{ProcId, ResourceId};
@@ -53,7 +85,7 @@ use crate::trace::{TraceEvent, TraceKind, TraceRecords};
 
 type ProcFn<M> = Box<dyn FnOnce(&mut ProcCtx<M>) + Send + 'static>;
 
-/// What the engine hands a process when resuming it.
+/// What a process finds in its mailbox when it is resumed.
 enum ResumePayload<M: Send + 'static> {
     /// Plain wakeup (wait expired, start).
     None,
@@ -61,8 +93,6 @@ enum ResumePayload<M: Send + 'static> {
     Msg(Envelope<M>),
     /// A `recv` deadline expired with no message.
     Timeout,
-    /// A spawned child's id.
-    Spawned(ProcId),
     /// The simulation is over; unblock and clean up.
     Shutdown,
 }
@@ -72,32 +102,21 @@ struct Resume<M: Send + 'static> {
     payload: ResumePayload<M>,
 }
 
-/// What a process asks of the engine when yielding. Sends and uncontended
-/// sleeps/resource holds never yield — they go straight to the shared core.
-enum YieldReason<M: Send + 'static> {
-    /// Park until the given instant (sleep, or a resource hold that must
-    /// respect earlier queued events). All timing bookkeeping was already
-    /// done by the caller; the engine only schedules the wake.
-    Wait { until: SimTime },
-    /// Wait for a message (optionally until a deadline).
-    Recv { deadline: Option<SimTime> },
-    /// Create a new process starting now.
-    Spawn { name: String, f: ProcFn<M> },
-    /// The process function returned.
-    Exit,
-}
-
-struct YieldMsg<M: Send + 'static> {
-    time: SimTime,
-    reason: YieldReason<M>,
-}
-
 /// Heap event actions.
 enum Action<M: Send + 'static> {
     /// Resume process if its epoch still matches.
     Wake(ProcId, u64, ResumePayload<M>),
     /// Deposit a message at its destination.
     Deliver(ProcId, Envelope<M>),
+}
+
+/// How a pop-and-dispatch loop ended.
+enum Baton<M: Send + 'static> {
+    /// The dispatcher's own wake came up: it keeps running, no switch.
+    Kept(Resume<M>),
+    /// Another thread runs next: a process whose mailbox was just filled,
+    /// or the run thread because the heap is empty. Hand over with [`pass`].
+    Passed(Thread),
 }
 
 /// Bits of the packed heap key reserved for the slab slot index; the rest
@@ -111,9 +130,9 @@ const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 enum ProcState {
     /// Has a pending wake event in the heap.
     Scheduled,
-    /// Blocked in `recv` with no pending wake.
+    /// Blocked in `recv` (a deadline wake may be pending).
     Blocked,
-    /// Currently executing (engine is waiting on its yield channel).
+    /// Currently executing: it holds the baton.
     Running,
     /// Finished.
     Done,
@@ -129,10 +148,13 @@ struct ProcSlot<M: Send + 'static> {
     blocked_since: Option<SimTime>,
     /// Whether the first scheduling was traced.
     started: bool,
-    resume_tx: Sender<Resume<M>>,
-    yield_rx: Receiver<YieldMsg<M>>,
-    thread: Option<JoinHandle<()>>,
     inbox: VecDeque<Envelope<M>>,
+    /// One-slot resume mailbox: filled under the core lock by whoever
+    /// dispatches this process's wake (or tears the run down), emptied by
+    /// the process once it has been unparked.
+    mailbox: Option<Resume<M>>,
+    /// The process's OS thread, until someone takes it to join it.
+    thread: Option<JoinHandle<()>>,
 }
 
 struct ResourceState {
@@ -143,9 +165,9 @@ struct ResourceState {
     acquisitions: u64,
 }
 
-/// The mutable scheduler state shared between the engine thread and every
-/// [`ProcCtx`]. See the module docs for why the mutex is uncontended and
-/// the operation order deterministic.
+/// The mutable scheduler state shared between every [`ProcCtx`] and the
+/// thread inside [`Simulator::run`]. See the module docs for why the mutex
+/// is uncontended and the operation order deterministic.
 struct Core<M: Send + 'static> {
     /// Min-heap of `(time, seq << SLOT_BITS | slot)` keys. Ordering is by
     /// `(time, seq)` — the sequence is globally unique, so the slot bits
@@ -163,6 +185,18 @@ struct Core<M: Send + 'static> {
     hasher: TraceHasher,
     tracing: Option<Vec<TraceEvent>>,
     resources: Vec<ResourceState>,
+    procs: Vec<ProcSlot<M>>,
+    /// The thread inside [`Simulator::run`], parked while processes run.
+    runner: Option<Thread>,
+    /// A dispatcher found the heap empty: the run thread should drain.
+    finished: bool,
+    /// The run is being torn down; a process that ends just ends.
+    shutting_down: bool,
+    /// `(name, message)` of the first process that panicked.
+    panic: Option<(String, String)>,
+    /// The thread of the process that ended last, for the next baton holder
+    /// to join (module docs, "Join before proceeding").
+    reap: Option<JoinHandle<()>>,
 }
 
 impl<M: Send + 'static> Core<M> {
@@ -177,6 +211,12 @@ impl<M: Send + 'static> Core<M> {
             hasher: TraceHasher::new(),
             tracing: None,
             resources: Vec::new(),
+            procs: Vec::new(),
+            runner: None,
+            finished: false,
+            shutting_down: false,
+            panic: None,
+            reap: None,
         }
     }
 
@@ -210,14 +250,8 @@ impl<M: Send + 'static> Core<M> {
     }
 
     /// Schedule a wake for `p` at `time`, invalidating older pending wakes.
-    fn push_wake(
-        &mut self,
-        procs: &mut [ProcSlot<M>],
-        time: SimTime,
-        p: ProcId,
-        payload: ResumePayload<M>,
-    ) {
-        let slot = &mut procs[p.index()];
+    fn push_wake(&mut self, time: SimTime, p: ProcId, payload: ResumePayload<M>) {
+        let slot = &mut self.procs[p.index()];
         slot.epoch += 1;
         let epoch = slot.epoch;
         slot.state = ProcState::Scheduled;
@@ -246,9 +280,224 @@ impl<M: Send + 'static> Core<M> {
         self.stats.events += 1;
         self.stats.inline_wakes += 1;
         self.now = t;
+        self.hash_wake(p, t);
+    }
+
+    /// Fold a wake of `p` at `t` into the determinism hash.
+    #[inline]
+    fn hash_wake(&mut self, p: ProcId, t: SimTime) {
         self.hasher.mix(t.as_nanos());
         self.hasher.mix(p.0 as u64);
     }
+
+    /// Pop and handle events in `(time, sequence)` order until one of them
+    /// makes a process runnable. `me` is the process dispatching (it has
+    /// already recorded its own yield), or `None` on the run thread.
+    fn dispatch(&mut self, me: Option<ProcId>) -> Baton<M> {
+        loop {
+            let Some(Reverse((time, packed))) = self.heap.pop() else {
+                self.finished = true;
+                let runner = self.runner.clone();
+                return Baton::Passed(runner.expect("events are dispatched only inside run"));
+            };
+            let slot = (packed & SLOT_MASK) as usize;
+            let action = self.slab[slot].take().expect("popped key with empty slot");
+            self.free.push(slot as u32);
+            self.stats.events += 1;
+            debug_assert!(time >= self.now, "event heap out of order");
+            self.now = time;
+            match action {
+                Action::Deliver(to, env) => self.deliver(to, env, time),
+                Action::Wake(p, epoch, payload) => {
+                    let i = p.index();
+                    if self.procs[i].epoch != epoch {
+                        continue; // stale wake (e.g. timeout raced a message)
+                    }
+                    self.hash_wake(p, time);
+                    if self.tracing.is_some() {
+                        if !self.procs[i].started {
+                            self.procs[i].started = true;
+                            self.trace(p, TraceKind::Start { at: time });
+                        }
+                        if let Some(from) = self.procs[i].blocked_since.take() {
+                            self.trace(p, TraceKind::RecvWait { from, until: time });
+                        }
+                    }
+                    let slot = &mut self.procs[i];
+                    slot.state = ProcState::Running;
+                    slot.time = time;
+                    let resume = Resume { time, payload };
+                    if me == Some(p) {
+                        return Baton::Kept(resume);
+                    }
+                    slot.mailbox = Some(resume);
+                    if me.is_some() {
+                        self.stats.handoffs += 1;
+                    }
+                    let thread = slot.thread.as_ref().expect("woken process has a thread");
+                    return Baton::Passed(thread.thread().clone());
+                }
+            }
+        }
+    }
+
+    fn deliver(&mut self, to: ProcId, env: Envelope<M>, now: SimTime) {
+        self.hasher.mix(env.delivered_at.as_nanos());
+        self.hasher.mix(0x00de_11fe ^ to.0 as u64);
+        let slot = &mut self.procs[to.index()];
+        match slot.state {
+            ProcState::Done => {
+                self.stats.dropped += 1;
+            }
+            ProcState::Blocked => {
+                self.stats.delivers += 1;
+                // Wake the receiver at the later of its local time and now.
+                let t = slot.time.max(now);
+                self.push_wake(t, to, ResumePayload::Msg(env));
+            }
+            _ => {
+                self.stats.delivers += 1;
+                slot.inbox.push_back(env);
+            }
+        }
+    }
+}
+
+/// Hand the baton to `next`: release the core lock, *then* unpark (module
+/// docs, "Unpark after unlock").
+fn pass<M: Send + 'static>(core: MutexGuard<'_, Core<M>>, next: Thread) {
+    drop(core);
+    next.unpark();
+}
+
+/// Park until this process's mailbox is filled. The mailbox is re-checked
+/// under the lock on every return from `park`, which may be spurious. A
+/// process that ended since this one last ran is joined before returning.
+fn await_resume<M: Send + 'static>(shared: &Mutex<Core<M>>, me: ProcId) -> Resume<M> {
+    loop {
+        thread::park();
+        let mut core = shared.lock();
+        if let Some(resume) = core.procs[me.index()].mailbox.take() {
+            let ended = core.reap.take();
+            drop(core);
+            if let Some(thread) = ended {
+                // It caught its own panic, if any, and reported it.
+                let _ = thread.join();
+            }
+            return resume;
+        }
+    }
+}
+
+/// With `me`'s yield recorded in `core`, dispatch events on this thread
+/// until a wake resumes `me` — inline, or after handing the baton on.
+fn carry_baton<M: Send + 'static>(
+    shared: &Mutex<Core<M>>,
+    mut core: MutexGuard<'_, Core<M>>,
+    me: ProcId,
+) -> Resume<M> {
+    match core.dispatch(Some(me)) {
+        Baton::Kept(resume) => resume,
+        Baton::Passed(next) => {
+            pass(core, next);
+            await_resume(shared, me)
+        }
+    }
+}
+
+/// Suspend `me` (whose clock reads `now`) until `until`. All timing
+/// bookkeeping was done by the caller; this only completes the wake, inline
+/// when it is the next event.
+fn wait_until<M: Send + 'static>(
+    shared: &Mutex<Core<M>>,
+    mut core: MutexGuard<'_, Core<M>>,
+    me: ProcId,
+    now: SimTime,
+    until: SimTime,
+) -> Resume<M> {
+    if core.wake_is_next(until) {
+        core.account_inline_wake(me, until);
+        return Resume {
+            time: until,
+            payload: ResumePayload::None,
+        };
+    }
+    core.procs[me.index()].time = now;
+    core.push_wake(until, me, ResumePayload::None);
+    carry_baton(shared, core, me)
+}
+
+/// Create process `name` with its thread and schedule its first wake at
+/// `at`. The core lock is held across thread creation so the slot exists
+/// before the new thread can look for it; the thread parks before it first
+/// takes the lock, so it does not contend.
+fn spawn_proc<M: Send + 'static>(
+    shared: &Arc<Mutex<Core<M>>>,
+    name: &str,
+    f: ProcFn<M>,
+    at: SimTime,
+) -> ProcId {
+    let mut core = shared.lock();
+    let id = ProcId(core.procs.len() as u32);
+    let thread = thread::Builder::new()
+        .name(format!("sim-{name}"))
+        .spawn({
+            let shared = Arc::clone(shared);
+            move || proc_main(shared, id, f)
+        })
+        .expect("failed to spawn simulation thread");
+    core.procs.push(ProcSlot {
+        name: name.to_string(),
+        state: ProcState::Scheduled,
+        epoch: 0,
+        time: SimTime::ZERO,
+        blocked_since: None,
+        started: false,
+        inbox: VecDeque::new(),
+        mailbox: None,
+        thread: Some(thread),
+    });
+    core.stats.spawns += 1;
+    core.push_wake(at, id, ResumePayload::None);
+    id
+}
+
+/// Body of a process thread: wait for the first wake, run `f`, end. A panic
+/// anywhere in it is recorded for [`Simulator::run`] to re-raise.
+fn proc_main<M: Send + 'static>(shared: Arc<Mutex<Core<M>>>, id: ProcId, f: ProcFn<M>) {
+    let mut ctx = ProcCtx {
+        id,
+        now: SimTime::ZERO,
+        core: shared,
+        dead: false,
+    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let start = await_resume(&ctx.core, id);
+        if let ResumePayload::Shutdown = ctx.resumed(start) {
+            return; // torn down before it ever ran
+        }
+        f(&mut ctx);
+        ctx.exit();
+    }));
+    if let Err(payload) = outcome {
+        let mut core = ctx.core.lock();
+        let name = core.procs[id.index()].name.clone();
+        core.panic
+            .get_or_insert((name, panic_message(payload.as_ref())));
+        let runner = core.runner.clone();
+        drop(core);
+        if let Some(runner) = runner {
+            runner.unpark();
+        }
+    }
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "<non-string panic>".into())
 }
 
 /// The simulation engine. Type parameter `M` is the message payload type
@@ -273,9 +522,7 @@ impl<M: Send + 'static> Core<M> {
 /// assert_eq!(report.stats.sends, 2);
 /// ```
 pub struct Simulator<M: Send + 'static> {
-    procs: Vec<ProcSlot<M>>,
     core: Arc<Mutex<Core<M>>>,
-    shutting_down: bool,
 }
 
 impl<M: Send + 'static> Default for Simulator<M> {
@@ -288,9 +535,7 @@ impl<M: Send + 'static> Simulator<M> {
     /// Create an empty simulator.
     pub fn new() -> Self {
         Simulator {
-            procs: Vec::new(),
             core: Arc::new(Mutex::new(Core::new())),
-            shutting_down: false,
         }
     }
 
@@ -320,287 +565,57 @@ impl<M: Send + 'static> Simulator<M> {
     where
         F: FnOnce(&mut ProcCtx<M>) + Send + 'static,
     {
-        let id = self.add_proc(name, Box::new(f));
-        let mut core = self.core.lock();
-        core.push_wake(&mut self.procs, SimTime::ZERO, id, ResumePayload::None);
-        id
-    }
-
-    fn add_proc(&mut self, name: &str, f: ProcFn<M>) -> ProcId {
-        let id = ProcId(self.procs.len() as u32);
-        let (resume_tx, resume_rx) = channel::<Resume<M>>();
-        let (yield_tx, yield_rx) = channel::<YieldMsg<M>>();
-        let core = Arc::clone(&self.core);
-        let thread_name = format!("sim-{name}");
-        let thread = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                let mut ctx = ProcCtx {
-                    id,
-                    now: SimTime::ZERO,
-                    core,
-                    resume_rx,
-                    yield_tx,
-                    dead: false,
-                };
-                // Wait for the engine's start signal.
-                match ctx.resume_rx.recv() {
-                    Ok(r) => ctx.now = r.time,
-                    Err(_) => return, // engine torn down before start
-                }
-                f(&mut ctx);
-                // Best-effort exit notification; the engine may already be gone.
-                let _ = ctx.yield_tx.send(YieldMsg {
-                    time: ctx.now,
-                    reason: YieldReason::Exit,
-                });
-            })
-            .expect("failed to spawn simulation thread");
-        self.procs.push(ProcSlot {
-            name: name.to_string(),
-            state: ProcState::Scheduled,
-            epoch: 0,
-            time: SimTime::ZERO,
-            blocked_since: None,
-            started: false,
-            resume_tx,
-            yield_rx,
-            thread: Some(thread),
-            inbox: VecDeque::new(),
-        });
-        self.core.lock().stats.spawns += 1;
-        id
+        spawn_proc(&self.core, name, Box::new(f), SimTime::ZERO)
     }
 
     /// Run the simulation to completion and return the report.
     ///
     /// The run ends when the event heap drains; any process still blocked in
     /// `recv` at that point (typically server loops) is resumed with a
-    /// shutdown indication and reported in `blocked_at_end`.
+    /// shutdown indication and reported in `blocked_at_end` if it does not
+    /// finish.
     ///
-    /// Panics raised inside process threads are propagated to the caller.
-    pub fn run(mut self) -> SimReport {
-        loop {
-            // All processes are parked here, so the lock is free and the
-            // heap cannot change between the pop and the dispatch.
-            let (time, action) = {
-                let mut core = self.core.lock();
-                match core.heap.pop() {
-                    Some(Reverse((time, packed))) => {
-                        let slot = (packed & SLOT_MASK) as usize;
-                        let action = core.slab[slot].take().expect("popped key with empty slot");
-                        core.free.push(slot as u32);
-                        core.stats.events += 1;
-                        debug_assert!(time >= core.now, "event heap out of order");
-                        core.now = time;
-                        (time, action)
-                    }
-                    None => break,
-                }
-            };
-            match action {
-                Action::Deliver(to, env) => self.deliver(to, env, time),
-                Action::Wake(p, epoch, payload) => {
-                    if self.procs[p.index()].epoch != epoch {
-                        continue; // stale wake (e.g. timeout raced a message)
-                    }
-                    {
-                        let mut core = self.core.lock();
-                        core.hasher.mix(time.as_nanos());
-                        core.hasher.mix(p.0 as u64);
-                    }
-                    self.run_proc(p, time, payload);
-                }
-            }
-        }
-        self.shutdown()
-    }
-
-    fn deliver(&mut self, to: ProcId, env: Envelope<M>, now: SimTime) {
-        let mut core = self.core.lock();
-        core.hasher.mix(env.delivered_at.as_nanos());
-        core.hasher.mix(0x00de_11fe ^ to.0 as u64);
-        let slot = &mut self.procs[to.index()];
-        match slot.state {
-            ProcState::Done => {
-                core.stats.dropped += 1;
-            }
-            ProcState::Blocked => {
-                core.stats.delivers += 1;
-                // Wake the receiver at the later of its local time and now.
-                let t = slot.time.max(now);
-                core.push_wake(&mut self.procs, t, to, ResumePayload::Msg(env));
-            }
-            _ => {
-                core.stats.delivers += 1;
-                slot.inbox.push_back(env);
-            }
-        }
-    }
-
-    /// Resume process `p` at time `t` and service its yields until it blocks.
-    fn run_proc(&mut self, p: ProcId, t: SimTime, payload: ResumePayload<M>) {
-        let i = p.index();
+    /// A panic raised inside a process is propagated to the caller, after
+    /// every other process thread has been released and joined.
+    pub fn run(self) -> SimReport {
         {
             let mut core = self.core.lock();
-            if core.tracing.is_some() {
-                if !self.procs[i].started {
-                    self.procs[i].started = true;
-                    core.trace(p, TraceKind::Start { at: t });
-                }
-                if let Some(from) = self.procs[i].blocked_since.take() {
-                    core.trace(p, TraceKind::RecvWait { from, until: t });
-                }
+            core.runner = Some(thread::current());
+            match core.dispatch(None) {
+                Baton::Passed(first) => pass(core, first),
+                Baton::Kept(_) => unreachable!("the run thread is not a process"),
             }
-        }
-        self.procs[i].state = ProcState::Running;
-        self.procs[i].time = t;
-        if self.procs[i]
-            .resume_tx
-            .send(Resume { time: t, payload })
-            .is_err()
-        {
-            self.harvest_panic(p);
         }
         loop {
-            let y = match self.procs[i].yield_rx.recv() {
-                Ok(y) => y,
-                Err(_) => {
-                    self.harvest_panic(p);
-                    return;
-                }
-            };
-            let yt = y.time;
-            self.procs[i].time = yt;
-            match y.reason {
-                YieldReason::Wait { until } => {
-                    let mut core = self.core.lock();
-                    core.push_wake(&mut self.procs, until.max(yt), p, ResumePayload::None);
-                    return;
-                }
-                YieldReason::Recv { deadline } => {
-                    if let Some(env) = self.procs[i].inbox.pop_front() {
-                        let t2 = yt.max(env.delivered_at);
-                        self.procs[i].time = t2;
-                        if !self.resume_in_place(p, t2, ResumePayload::Msg(env)) {
-                            return;
-                        }
-                    } else if self.shutting_down {
-                        if !self.resume_in_place(p, yt, ResumePayload::Shutdown) {
-                            return;
-                        }
-                    } else {
-                        self.procs[i].state = ProcState::Blocked;
-                        self.procs[i].blocked_since = Some(yt);
-                        if let Some(d) = deadline {
-                            // Leave state Blocked but schedule the timeout wake;
-                            // push_wake flips state to Scheduled, so set it back.
-                            let mut core = self.core.lock();
-                            core.push_wake(&mut self.procs, d.max(yt), p, ResumePayload::Timeout);
-                            self.procs[i].state = ProcState::Blocked;
-                        }
-                        return;
-                    }
-                }
-                YieldReason::Spawn { name, f } => {
-                    let child = self.add_proc(&name, f);
-                    let mut core = self.core.lock();
-                    core.push_wake(&mut self.procs, yt, child, ResumePayload::None);
-                    drop(core);
-                    if !self.resume_in_place(p, yt, ResumePayload::Spawned(child)) {
-                        return;
-                    }
-                }
-                YieldReason::Exit => {
-                    self.core.lock().trace(p, TraceKind::Exit { at: yt });
-                    self.procs[i].state = ProcState::Done;
-                    if let Some(h) = self.procs[i].thread.take() {
-                        let _ = h.join();
-                    }
-                    return;
-                }
+            let core = self.core.lock();
+            if core.finished || core.panic.is_some() {
+                break;
             }
+            drop(core);
+            thread::park();
         }
-    }
-
-    /// Resume a process that yielded a non-blocking request. Returns false if
-    /// the process vanished (panic), which `harvest_panic` escalates anyway.
-    fn resume_in_place(&mut self, p: ProcId, t: SimTime, payload: ResumePayload<M>) -> bool {
-        if self.procs[p.index()]
-            .resume_tx
-            .send(Resume { time: t, payload })
-            .is_err()
-        {
-            self.harvest_panic(p);
-            return false;
-        }
-        true
-    }
-
-    /// A process's channel disconnected: join it and propagate its panic.
-    fn harvest_panic(&mut self, p: ProcId) {
-        let slot = &mut self.procs[p.index()];
-        let name = slot.name.clone();
-        if let Some(h) = slot.thread.take() {
-            if let Err(payload) = h.join() {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "<non-string panic>".into());
-                panic!("simulated process '{name}' panicked: {msg}");
-            }
-        }
-        panic!("simulated process '{name}' disconnected without exiting");
-    }
-
-    /// Drain blocked processes once the heap is empty and build the report.
-    fn shutdown(mut self) -> SimReport {
-        self.shutting_down = true;
-        for i in 0..self.procs.len() {
-            if self.procs[i].state == ProcState::Blocked {
-                let p = ProcId(i as u32);
-                let t = self.procs[i].time;
-                // Unblock with Shutdown; the process may yield a few more
-                // times while unwinding its loops. Time is frozen.
-                self.procs[i].state = ProcState::Running;
-                if self.procs[i]
-                    .resume_tx
-                    .send(Resume {
-                        time: t,
-                        payload: ResumePayload::Shutdown,
-                    })
-                    .is_err()
-                {
-                    self.harvest_panic(p);
-                }
-                self.drain_until_exit(p);
-            }
+        self.teardown();
+        let mut core = self.core.lock();
+        if let Some((name, msg)) = core.panic.take() {
+            drop(core);
+            panic!("simulated process '{name}' panicked: {msg}");
         }
         let mut completed = Vec::new();
         let mut blocked = Vec::new();
-        for slot in &mut self.procs {
+        for slot in &core.procs {
             match slot.state {
                 ProcState::Done => completed.push(slot.name.clone()),
                 _ => blocked.push(slot.name.clone()),
             }
-            if let Some(h) = slot.thread.take() {
-                let _ = h.join();
-            }
         }
-        // Every process thread has been joined, so their Arc clones are
-        // gone and the core can be taken apart without copying.
-        let core = match Arc::try_unwrap(self.core) {
-            Ok(m) => m.into_inner(),
-            Err(_) => unreachable!("process thread still holds the core after join"),
-        };
-        let trace = core.tracing.map(|events| TraceRecords {
-            events,
-            proc_names: self.procs.iter().map(|s| s.name.clone()).collect(),
-        });
+        let proc_names = core.procs.iter().map(|s| s.name.clone()).collect();
+        let trace = core
+            .tracing
+            .take()
+            .map(|events| TraceRecords { events, proc_names });
         SimReport {
             end_time: core.now,
-            stats: core.stats,
+            stats: std::mem::take(&mut core.stats),
             trace,
             resources: core
                 .resources
@@ -618,45 +633,42 @@ impl<M: Send + 'static> Simulator<M> {
         }
     }
 
-    /// During shutdown: serve a process's remaining yields with frozen time
-    /// until it exits. The context API short-circuits on a dead context, so
-    /// in practice only the final Exit arrives; the other arms are defensive.
-    fn drain_until_exit(&mut self, p: ProcId) {
-        let i = p.index();
-        loop {
-            let y = match self.procs[i].yield_rx.recv() {
-                Ok(y) => y,
-                Err(_) => {
-                    self.harvest_panic(p);
-                    return;
-                }
-            };
-            let t = self.procs[i].time;
-            match y.reason {
-                YieldReason::Exit => {
-                    self.core.lock().trace(p, TraceKind::Exit { at: t });
-                    self.procs[i].state = ProcState::Done;
-                    if let Some(h) = self.procs[i].thread.take() {
-                        let _ = h.join();
-                    }
-                    return;
-                }
-                YieldReason::Recv { .. } => {
-                    if !self.resume_in_place(p, t, ResumePayload::Shutdown) {
-                        return;
-                    }
-                }
-                YieldReason::Spawn { .. } => {
-                    panic!("process '{}' spawned during shutdown", self.procs[i].name);
-                }
-                YieldReason::Wait { .. } => {
-                    // Waits complete immediately; time stays frozen.
-                    if !self.resume_in_place(p, t, ResumePayload::None) {
-                        return;
-                    }
-                }
-            }
+    /// Release every process thread that is still parked with `Shutdown`
+    /// and join it, one at a time in id order, so the bodies unwind their
+    /// loops one after another and their `Exit` trace events keep that
+    /// order. Time is frozen: a released context short-circuits every call.
+    /// Idempotent; called with no process running.
+    fn teardown(&self) {
+        let (ended, nprocs) = {
+            let mut core = self.core.lock();
+            core.shutting_down = true;
+            (core.reap.take(), core.procs.len())
+        };
+        if let Some(thread) = ended {
+            let _ = thread.join();
         }
+        for i in 0..nprocs {
+            let mut core = self.core.lock();
+            let slot = &mut core.procs[i];
+            let Some(thread) = slot.thread.take() else {
+                continue; // ended and joined during the run
+            };
+            slot.mailbox = Some(Resume {
+                time: slot.time,
+                payload: ResumePayload::Shutdown,
+            });
+            pass(core, thread.thread().clone());
+            // A panic in the body was caught on its thread and recorded.
+            let _ = thread.join();
+        }
+    }
+}
+
+impl<M: Send + 'static> Drop for Simulator<M> {
+    /// A simulator dropped without [`Simulator::run`] (or unwinding out of
+    /// it) still releases and joins its process threads.
+    fn drop(&mut self) {
+        self.teardown();
     }
 }
 
@@ -666,8 +678,6 @@ pub struct ProcCtx<M: Send + 'static> {
     id: ProcId,
     now: SimTime,
     core: Arc<Mutex<Core<M>>>,
-    resume_rx: Receiver<Resume<M>>,
-    yield_tx: Sender<YieldMsg<M>>,
     dead: bool,
 }
 
@@ -690,33 +700,29 @@ impl<M: Send + 'static> ProcCtx<M> {
         self.dead
     }
 
-    fn call(&mut self, reason: YieldReason<M>) -> ResumePayload<M> {
-        if self.dead {
-            return ResumePayload::Shutdown;
-        }
-        if self
-            .yield_tx
-            .send(YieldMsg {
-                time: self.now,
-                reason,
-            })
-            .is_err()
-        {
+    /// Adopt the time and payload this process was resumed with.
+    fn resumed(&mut self, resume: Resume<M>) -> ResumePayload<M> {
+        self.now = resume.time;
+        if let ResumePayload::Shutdown = resume.payload {
             self.dead = true;
-            return ResumePayload::Shutdown;
         }
-        match self.resume_rx.recv() {
-            Ok(r) => {
-                self.now = r.time;
-                if matches!(r.payload, ResumePayload::Shutdown) {
-                    self.dead = true;
-                }
-                r.payload
-            }
-            Err(_) => {
-                self.dead = true;
-                ResumePayload::Shutdown
-            }
+        resume.payload
+    }
+
+    /// The process function returned: record it and dispatch what follows.
+    fn exit(&mut self) {
+        let i = self.id.index();
+        let mut core = self.core.lock();
+        core.trace(self.id, TraceKind::Exit { at: self.now });
+        core.procs[i].state = ProcState::Done;
+        if core.shutting_down {
+            return; // released by teardown, which is joining this thread
+        }
+        debug_assert!(core.reap.is_none(), "an ended thread was never joined");
+        core.reap = core.procs[i].thread.take();
+        match core.dispatch(Some(self.id)) {
+            Baton::Passed(next) => pass(core, next),
+            Baton::Kept(_) => unreachable!("a finished process has no pending wake"),
         }
     }
 
@@ -733,8 +739,7 @@ impl<M: Send + 'static> ProcCtx<M> {
             return;
         }
         let until = t.max(self.now);
-        let core = Arc::clone(&self.core);
-        let mut core = core.lock();
+        let mut core = self.core.lock();
         core.trace(
             self.id,
             TraceKind::Sleep {
@@ -742,30 +747,22 @@ impl<M: Send + 'static> ProcCtx<M> {
                 until,
             },
         );
-        if core.wake_is_next(until) {
-            core.account_inline_wake(self.id, until);
-            drop(core);
-            self.now = until;
-        } else {
-            drop(core);
-            self.call(YieldReason::Wait { until });
-        }
+        let resume = wait_until(&self.core, core, self.id, self.now, until);
+        self.resumed(resume);
     }
 
     /// Queue FCFS on `res` and hold it for `dur`; returns once the hold
     /// completes. This is how CPU computation is charged.
     ///
     /// The grant order is the order in which running processes reach this
-    /// call (virtual-time execution order), exactly as when the engine
-    /// served the request; only the wake-up is short-circuited when no
-    /// earlier event is pending.
+    /// call (virtual-time execution order); the wake-up is short-circuited
+    /// when no earlier event is pending.
     pub fn use_resource(&mut self, res: ResourceId, dur: SimDuration) {
         if dur.is_zero() || self.dead {
             return;
         }
         let yt = self.now;
-        let core = Arc::clone(&self.core);
-        let mut core = core.lock();
+        let mut core = self.core.lock();
         let r = &mut core.resources[res.index()];
         let start = r.available_at.max(yt);
         r.stats_waited += start - yt;
@@ -793,20 +790,13 @@ impl<M: Send + 'static> ProcCtx<M> {
                 },
             );
         }
-        if core.wake_is_next(done) {
-            core.account_inline_wake(self.id, done);
-            drop(core);
-            self.now = done;
-        } else {
-            drop(core);
-            self.call(YieldReason::Wait { until: done });
-        }
+        let resume = wait_until(&self.core, core, self.id, yt, done);
+        self.resumed(resume);
     }
 
-    /// Send `msg` to `to`, arriving after `latency`. Non-blocking and
-    /// engine-free: the delivery event goes straight onto the shared heap,
-    /// so a send costs no context switch at all. Virtual time does not
-    /// advance.
+    /// Send `msg` to `to`, arriving after `latency`. Non-blocking: the
+    /// delivery event goes straight onto the shared heap, so a send costs
+    /// no context switch. Virtual time does not advance.
     pub fn send(&mut self, to: ProcId, latency: SimDuration, msg: M) {
         if self.dead {
             return;
@@ -818,28 +808,50 @@ impl<M: Send + 'static> ProcCtx<M> {
             delivered_at,
             msg,
         };
-        let core = Arc::clone(&self.core);
-        let mut core = core.lock();
+        let mut core = self.core.lock();
         core.stats.sends += 1;
         core.trace(self.id, TraceKind::Sent { at: self.now, to });
         core.push_event(delivered_at, Action::Deliver(to, env));
     }
 
+    /// Take the next message, blocking (optionally until `deadline`) when
+    /// the inbox is empty.
+    fn recv_until(&mut self, deadline: Option<SimTime>) -> ResumePayload<M> {
+        if self.dead {
+            return ResumePayload::Shutdown;
+        }
+        let i = self.id.index();
+        let mut core = self.core.lock();
+        if let Some(env) = core.procs[i].inbox.pop_front() {
+            drop(core);
+            self.now = self.now.max(env.delivered_at);
+            return ResumePayload::Msg(env);
+        }
+        let slot = &mut core.procs[i];
+        slot.time = self.now;
+        slot.blocked_since = Some(self.now);
+        if let Some(d) = deadline {
+            core.push_wake(d.max(self.now), self.id, ResumePayload::Timeout);
+        }
+        // With or without a timeout wake pending, deliveries must find the
+        // process blocked (push_wake marked it scheduled).
+        core.procs[i].state = ProcState::Blocked;
+        let resume = carry_baton(&self.core, core, self.id);
+        self.resumed(resume)
+    }
+
     /// Block until a message arrives. Returns `None` when the simulation is
     /// shutting down and no further messages can arrive.
     pub fn recv(&mut self) -> Option<Envelope<M>> {
-        match self.call(YieldReason::Recv { deadline: None }) {
+        match self.recv_until(None) {
             ResumePayload::Msg(env) => Some(env),
-            ResumePayload::Shutdown => None,
             _ => None,
         }
     }
 
     /// Block until a message arrives or `deadline` passes.
     pub fn recv_deadline(&mut self, deadline: SimTime) -> RecvResult<M> {
-        match self.call(YieldReason::Recv {
-            deadline: Some(deadline),
-        }) {
+        match self.recv_until(Some(deadline)) {
             ResumePayload::Msg(env) => RecvResult::Msg(env),
             ResumePayload::Timeout => RecvResult::Timeout,
             _ => RecvResult::Shutdown,
@@ -854,17 +866,13 @@ impl<M: Send + 'static> ProcCtx<M> {
     }
 
     /// Spawn a new process starting at the current time; returns its id.
+    /// Non-blocking: the child's first wake is queued like any other event.
     pub fn spawn<F>(&mut self, name: &str, f: F) -> ProcId
     where
         F: FnOnce(&mut ProcCtx<M>) + Send + 'static,
     {
-        match self.call(YieldReason::Spawn {
-            name: name.to_string(),
-            f: Box::new(f),
-        }) {
-            ResumePayload::Spawned(id) => id,
-            _ => panic!("spawn failed: simulation shutting down"),
-        }
+        assert!(!self.dead, "spawn failed: simulation shutting down");
+        spawn_proc(&self.core, name, Box::new(f), self.now)
     }
 }
 
@@ -1068,15 +1076,124 @@ mod tests {
         // 1 start wake + 200 inline wakes.
         assert_eq!(report.stats.events, 201);
         assert_eq!(report.stats.inline_wakes, 200);
+        assert_eq!(report.stats.handoffs, 0);
         assert_eq!(report.end_time.as_nanos(), 100 * 5_000);
     }
 
     #[test]
-    #[should_panic(expected = "panicked")]
+    #[should_panic(expected = "simulated process 'bad' panicked: boom")]
     fn process_panic_propagates() {
         let mut sim: Simulator<()> = Simulator::new();
         sim.spawn("bad", |_ctx| panic!("boom"));
         sim.run();
+    }
+
+    /// Counts how many of its instances were dropped.
+    struct DropGuard(Arc<AtomicU64>);
+    impl Drop for DropGuard {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn panic_releases_and_joins_the_other_processes() {
+        let drops = Arc::new(AtomicU64::new(0));
+        let shut_down = Arc::new(AtomicU64::new(0));
+        let mut sim: Simulator<()> = Simulator::new();
+        // One process parked in `recv`, one parked on a wake still queued.
+        for (name, sleeps) in [("server", false), ("sleeper", true)] {
+            let guard = DropGuard(drops.clone());
+            let shut_down = shut_down.clone();
+            sim.spawn(name, move |ctx| {
+                let _in_body = guard;
+                if sleeps {
+                    ctx.sleep(SimDuration::from_secs(1));
+                } else {
+                    while ctx.recv().is_some() {}
+                }
+                shut_down.fetch_add(ctx.is_shutdown() as u64, Ordering::SeqCst);
+            });
+        }
+        sim.spawn("bad", |ctx| {
+            ctx.sleep(SimDuration::from_millis(1));
+            panic!("boom at {}", ctx.now().as_nanos());
+        });
+        let err = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run must panic");
+        assert_eq!(
+            panic_message(err.as_ref()),
+            "simulated process 'bad' panicked: boom at 1000000"
+        );
+        // Joined, not detached: both bodies have unwound by the time `run`
+        // re-raises.
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+        assert_eq!(shut_down.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn drop_without_run_leaves_no_thread_parked() {
+        let drops = Arc::new(AtomicU64::new(0));
+        let mut sim: Simulator<()> = Simulator::new();
+        for i in 0..3 {
+            let guard = DropGuard(drops.clone());
+            sim.spawn(&format!("p{i}"), move |_ctx| {
+                let _captured = guard;
+                unreachable!("never started");
+            });
+        }
+        drop(sim);
+        // Every thread returned (dropping its closure) and was joined.
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn ping_pong_hands_off_twice_per_round_trip() {
+        const ROUNDS: u64 = 50;
+        let tick = SimDuration::from_nanos(10);
+        let mut sim: Simulator<u64> = Simulator::new();
+        let echo = sim.spawn("echo", move |ctx| {
+            while let Some(env) = ctx.recv() {
+                ctx.send(env.from, tick, env.msg);
+            }
+        });
+        sim.spawn("ping", move |ctx| {
+            for i in 0..ROUNDS {
+                ctx.send(echo, tick, i);
+                assert_eq!(ctx.recv().expect("echo").msg, i);
+            }
+        });
+        let report = sim.run();
+        // echo blocks first and starts ping (1); each round trip is ping →
+        // echo → ping (2). The run thread starting echo and releasing it at
+        // the end are not process-to-process hand-offs.
+        assert_eq!(report.stats.handoffs, 1 + 2 * ROUNDS);
+        assert_eq!(report.stats.inline_wakes, 0);
+        // 2 starts + per round trip 2 deliveries and 2 message wakes.
+        assert_eq!(report.stats.events, 2 + 4 * ROUNDS);
+    }
+
+    #[test]
+    fn recv_on_a_filled_inbox_never_switches() {
+        const N: u64 = 100;
+        let mut sim: Simulator<u64> = Simulator::new();
+        sim.spawn("solo", |ctx| {
+            let me = ctx.id();
+            for i in 0..N {
+                ctx.send(me, SimDuration::from_nanos(1), i);
+            }
+            // The deliveries are earlier than this wake, so it is not
+            // inline: the process dispatches them, and then its own wake,
+            // itself.
+            ctx.sleep(SimDuration::from_nanos(5));
+            for i in 0..N {
+                assert_eq!(ctx.recv().expect("queued").msg, i);
+            }
+        });
+        let report = sim.run();
+        assert_eq!(report.stats.handoffs, 0);
+        assert_eq!(report.stats.inline_wakes, 0);
+        assert_eq!(report.stats.delivers, N);
+        assert_eq!(report.stats.events, 1 + N + 1);
     }
 
     #[test]

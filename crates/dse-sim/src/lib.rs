@@ -9,9 +9,24 @@
 //! Design rules that make runs bit-for-bit reproducible:
 //!
 //! * virtual time is integer nanoseconds ([`SimTime`]/[`SimDuration`]);
-//! * a process's clock only advances at yield points, so the engine always
-//!   services requests in global `(time, sequence)` order;
+//! * a process's clock only advances at yield points, so events are always
+//!   handled in global `(time, sequence)` order;
 //! * all randomness flows through the seeded [`SimRng`].
+//!
+//! There is no scheduler thread. The scheduler state sits behind one lock
+//! and is a baton: the process that blocks pops and dispatches the next
+//! events itself, on its own thread, and either finds its own wake (no
+//! context switch) or fills the next process's mailbox, unparks it and
+//! parks (one switch, [`SimStats::handoffs`]). `send`, `spawn`, `recv` on a
+//! non-empty inbox, and a sleep or resource hold whose wake is the next
+//! event ([`SimStats::inline_wakes`]) never leave the calling thread. The
+//! thread inside [`Simulator::run`] only starts the first process, sleeps
+//! until the event heap is empty, and releases and joins what is left.
+//! Which thread pops an event never shows in the results: counters,
+//! virtual times, trace order and `trace_hash` are those of a single
+//! scheduler loop. Two measured rules of the hand-off — unpark only after
+//! the lock is released, and join a finished thread before proceeding —
+//! are explained in the engine module's header.
 //!
 //! The typical setup (done by `dse-kernel`) is one simulated process per DSE
 //! node kernel plus one per parallel application process, a CPU resource per

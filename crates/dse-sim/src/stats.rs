@@ -12,6 +12,11 @@ pub struct SimStats {
     /// Of `events`: wakes that completed inline on the yielding process
     /// thread because no earlier event was queued (no engine round-trip).
     pub inline_wakes: u64,
+    /// Wakes dispatched on one process's thread that resumed another
+    /// process's thread: one OS context switch each. Every other event was
+    /// handled without a switch. (The run thread starting the first process
+    /// and releasing blocked ones at shutdown is not counted.)
+    pub handoffs: u64,
     /// Messages sent between processes.
     pub sends: u64,
     /// Messages delivered into inboxes (or directly to blocked receivers).

@@ -1,0 +1,157 @@
+//! Golden schedules: three fixed programs whose logical event sequence was
+//! recorded under the engine-thread scheduler (the commit before the
+//! baton-passing rewrite) and must never move. Every figure and the
+//! cross-engine suite rest on the scheduler producing exactly this
+//! sequence; which OS thread pops an event is not allowed to show.
+
+use dse_sim::{ProcCtx, RecvResult, SimDuration, SimReport, SimTime, Simulator};
+
+/// Everything about a run that must repeat exactly:
+/// `(events, inline_wakes, sends, delivers, end_time_ns, trace_hash,
+/// digest of the TraceEvent sequence)`.
+type Fingerprint = (u64, u64, u64, u64, u64, u64, u64);
+
+fn fingerprint(report: &SimReport) -> Fingerprint {
+    // FNV-1a over the Debug rendering of every trace event, in order.
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let trace = report.trace.as_ref().expect("tracing enabled");
+    for ev in &trace.events {
+        for b in format!("{ev:?}").bytes() {
+            digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (
+        report.stats.events,
+        report.stats.inline_wakes,
+        report.stats.sends,
+        report.stats.delivers,
+        report.end_time.as_nanos(),
+        report.trace_hash,
+        digest,
+    )
+}
+
+fn ns(n: u64) -> SimDuration {
+    SimDuration::from_nanos(n)
+}
+
+/// An echo server and three clients that all compute on one shared CPU.
+fn echo_with_shared_resource() -> SimReport {
+    let mut sim: Simulator<u64> = Simulator::new();
+    sim.enable_tracing();
+    let cpu = sim.add_resource("cpu");
+    let echo = sim.spawn("echo", move |ctx| {
+        while let Some(env) = ctx.recv() {
+            ctx.use_resource(cpu, ns(300 + env.msg * 7));
+            ctx.send(env.from, ns(3_000), env.msg * 2);
+        }
+    });
+    for i in 0..3u64 {
+        sim.spawn(&format!("client{i}"), move |ctx| {
+            for k in 0..20u64 {
+                ctx.use_resource(cpu, ns(500 + 100 * i));
+                ctx.send(echo, ns(2_000 + 10 * i), k + i);
+                let reply = ctx.recv().expect("echo reply");
+                ctx.sleep(ns(reply.msg * 13 % 700));
+            }
+        });
+    }
+    sim.run()
+}
+
+/// A receiver whose deadlines fall before, on and after message arrivals,
+/// so stale timeout wakes and exact ties are both in the sequence.
+fn deadline_racing_messages() -> SimReport {
+    let mut sim: Simulator<u64> = Simulator::new();
+    sim.enable_tracing();
+    let rx = sim.spawn("rx", |ctx| {
+        let mut got = 0;
+        let mut round = 0u64;
+        while got < 30 {
+            let deadline = ctx.now() + ns(400 + (round * 37) % 900);
+            match ctx.recv_deadline(deadline) {
+                RecvResult::Msg(_) => got += 1,
+                RecvResult::Timeout => ctx.sleep(ns(round % 5 * 20)),
+                RecvResult::Shutdown => panic!("rx shut down after {got} messages"),
+            }
+            round += 1;
+        }
+    });
+    for t in 0..2u64 {
+        sim.spawn(&format!("tx{t}"), move |ctx| {
+            for k in 0..15u64 {
+                ctx.sleep(ns(250 + t * 150 + (k * 61) % 500));
+                ctx.send(rx, ns(100 + (k * 29 + t * 7) % 300), k);
+            }
+        });
+    }
+    sim.run()
+}
+
+/// A spawn chain: each link spawns the next, reports to the root after a
+/// delay that shrinks with depth, and the root collects every report.
+fn dynamic_spawn_chain() -> SimReport {
+    const DEPTH: u64 = 12;
+    fn link(ctx: &mut ProcCtx<u64>, depth: u64, root: dse_sim::ProcId) {
+        if depth < DEPTH {
+            ctx.spawn(&format!("link{}", depth + 1), move |c| {
+                link(c, depth + 1, root)
+            });
+        }
+        ctx.sleep(ns((DEPTH - depth) * 100));
+        ctx.send(root, ns(50 + depth * 5), depth);
+    }
+    let mut sim: Simulator<u64> = Simulator::new();
+    sim.enable_tracing();
+    sim.spawn("root", |ctx| {
+        let root = ctx.id();
+        ctx.spawn("link1", move |c| link(c, 1, root));
+        let mut sum = 0;
+        for _ in 0..DEPTH {
+            sum += ctx.recv().expect("report").msg;
+        }
+        assert_eq!(sum, DEPTH * (DEPTH + 1) / 2);
+        ctx.sleep_until(SimTime::from_nanos(5_000));
+    });
+    sim.run()
+}
+
+#[test]
+fn golden_fingerprints_are_verbatim() {
+    assert_eq!(
+        fingerprint(&echo_with_shared_resource()),
+        (
+            411,
+            109,
+            120,
+            120,
+            129_090,
+            10420655771447748291,
+            14650702719721910930
+        )
+    );
+    assert_eq!(
+        fingerprint(&deadline_racing_messages()),
+        (
+            129,
+            2,
+            30,
+            30,
+            10_186,
+            16189783924862362001,
+            11086140740517880914
+        )
+    );
+    assert_eq!(
+        fingerprint(&dynamic_spawn_chain()),
+        (
+            50,
+            2,
+            12,
+            12,
+            5_000,
+            9333605721861327002,
+            8418373785180150637
+        )
+    );
+}
