@@ -10,14 +10,15 @@ use dse_kernel::Distribution;
 use dse_msg::RegionId;
 use dse_platform::Work;
 
-use crate::ctx::GmHandle;
+use crate::gm_client::{GmHandle, HandleInner};
 
 /// The operations every DSE execution engine provides to applications.
 ///
 /// The split-phase entry points (`gm_read_nb`, `gm_write_nb`, `gm_wait`,
 /// `gm_wait_all`) have defaults that degrade to the blocking operations, so
-/// an engine without request pipelining (the live engine, test doubles)
-/// stays correct without extra code: its handles are born complete.
+/// an engine without request pipelining (a test double) stays correct
+/// without extra code: its handles are born complete. Both real engines
+/// override them with the shared [`crate::GmClient`].
 pub trait ParallelApi {
     /// This process's rank in `0..nprocs`.
     fn rank(&self) -> u32;
@@ -52,8 +53,8 @@ pub trait ParallelApi {
     /// writes.
     fn gm_wait(&mut self, handle: GmHandle) -> Option<Vec<u8>> {
         match handle.0 {
-            crate::ctx::HandleInner::Ready(data) => data,
-            crate::ctx::HandleInner::Queued(_) => {
+            HandleInner::Ready(data) => data,
+            HandleInner::Queued(_) => {
                 unreachable!("queued handle on an engine without pipelining")
             }
         }

@@ -5,137 +5,28 @@
 //! the own-node fast path or request/response messages to home-node
 //! kernels), barriers and locks (coordinated by node 0), point-to-point
 //! user messages, and computation charging.
+//!
+//! Global memory is the shared [`GmClient`]; this file is its simulator
+//! driver: [`SimPort`] charges virtual time, sends through the network
+//! model and keeps the `SpanTable` spans, and the synchronization
+//! primitives wait on the same port.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use dse_kernel::cache::{blocks_inside, CACHE_BLOCK};
 use dse_kernel::kernel::{barrier_enter, lock_acquire, lock_release};
 use dse_kernel::netpath::{charge_local, charge_recv, send_msg};
-use dse_kernel::{ClusterShared, Distribution, GmMode, Party, SimMsg};
-use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen};
+use dse_kernel::{ClusterShared, Distribution, GlobalStore, GmMode, Party, SimMsg};
+use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen};
 use dse_obs::{MetricKey, SpanKind};
 use dse_platform::Work;
-use dse_sim::{ProcCtx, SimDuration, SimTime};
+use dse_sim::{ProcCtx, ProcId, SimDuration, SimTime};
+
+use crate::gm_client::{GmClient, GmCount, GmHandle, GmPort, GmProtocolError};
 
 /// Barrier ids above this are reserved for the auto-sequenced
 /// [`DseCtx::barrier`]; named barriers must stay below.
 pub const AUTO_BARRIER_BASE: u32 = 0x4000_0000;
-
-/// Handle to a split-phase global-memory operation.
-///
-/// Returned by `gm_read_nb`/`gm_write_nb`; redeem it with `gm_wait` (which
-/// consumes the handle, so a double wait is impossible at compile time).
-/// Reads yield `Some(bytes)`, writes yield `None`.
-#[derive(Debug)]
-pub struct GmHandle(pub(crate) HandleInner);
-
-#[derive(Debug)]
-pub(crate) enum HandleInner {
-    /// Queued in a `DseCtx`'s staging machinery under this id.
-    Queued(u64),
-    /// Completed at issue time (local fast path, cache hit, or an engine
-    /// without split-phase pipelining).
-    Ready(Option<Vec<u8>>),
-}
-
-impl GmHandle {
-    /// A handle that is already complete (engines without real pipelining
-    /// return these from the non-blocking entry points).
-    pub fn ready(data: Option<Vec<u8>>) -> GmHandle {
-        GmHandle(HandleInner::Ready(data))
-    }
-
-    /// A handle referring to operation `id` queued in the issuing engine.
-    /// For engines (like the live message-passing engine) that implement
-    /// their own split-phase staging outside `DseCtx`.
-    pub fn queued(id: u64) -> GmHandle {
-        GmHandle(HandleInner::Queued(id))
-    }
-
-    /// The queued operation id, or `None` if the handle was born ready.
-    pub fn queued_id(&self) -> Option<u64> {
-        match self.0 {
-            HandleInner::Queued(id) => Some(id),
-            HandleInner::Ready(_) => None,
-        }
-    }
-
-    /// Consume a ready handle, yielding its data (`Some` for reads, `None`
-    /// for writes). Panics on a queued handle — the owning engine must
-    /// resolve those through its own wait path.
-    pub fn into_ready(self) -> Option<Vec<u8>> {
-        match self.0 {
-            HandleInner::Ready(data) => data,
-            HandleInner::Queued(id) => panic!("handle {id} is still queued, not ready"),
-        }
-    }
-}
-
-/// Where a completed read segment's bytes land: `len` bytes at absolute
-/// region offset `abs_off` copy into `handle`'s buffer at `buf_off`.
-#[derive(Clone, Copy)]
-struct ReadDest {
-    handle: u64,
-    buf_off: usize,
-    abs_off: u64,
-    len: usize,
-}
-
-/// Bookkeeping for one read request on the wire (plain or inside a batch).
-struct ReadCtl {
-    region: RegionId,
-    offset: u64,
-    len: usize,
-    /// Cache blocks (absolute ids) to install from the response.
-    install: Vec<u64>,
-    dests: Vec<ReadDest>,
-}
-
-/// Bookkeeping for one write request on the wire: the handles it completes.
-struct WriteCtl {
-    writers: Vec<u64>,
-}
-
-/// One staged (not yet sent) split-phase segment.
-struct StagedSeg {
-    home: NodeId,
-    region: RegionId,
-    offset: u64,
-    kind: SegKind,
-}
-
-enum SegKind {
-    Read {
-        len: usize,
-        install: Vec<u64>,
-        dests: Vec<ReadDest>,
-    },
-    Write {
-        data: Vec<u8>,
-        writers: Vec<u64>,
-    },
-}
-
-/// An issued request awaiting its response, keyed by correlation id.
-enum InflightReq {
-    Read(ReadCtl),
-    Write(WriteCtl),
-    Batch(Vec<InflightOp>),
-}
-
-enum InflightOp {
-    Read(ReadCtl),
-    Write(WriteCtl),
-}
-
-/// A split-phase handle's outstanding work.
-struct HandleState {
-    /// Segments (staged or in flight) still owed to this handle.
-    remaining: usize,
-    /// Read destination buffer (`None` for writes).
-    buf: Option<Vec<u8>>,
-}
 
 /// A received user message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,411 +39,95 @@ pub struct UserMsg {
     pub data: Vec<u8>,
 }
 
-/// The per-process API context handed to application bodies.
-pub struct DseCtx<'a> {
+/// The simulator behind [`GmPort`]: the process's simulation context, the
+/// cluster's shared state, and the messages that arrived while the process
+/// was waiting for something else.
+struct SimPort<'a> {
     ctx: &'a mut ProcCtx<SimMsg>,
     shared: Arc<ClusterShared>,
-    rank: u32,
-    pid: GlobalPid,
     node: NodeId,
-    reqs: ReqIdGen,
-    barrier_seq: u32,
-    alloc_seq: usize,
-    /// Messages that arrived while awaiting something else (user data).
-    stash: VecDeque<(NodeId, Message)>,
-    /// Split-phase machinery: handle ids, outstanding handles, redeemed
-    /// results, staged (coalescable) segments, and requests on the wire.
-    next_handle: u64,
-    handles: HashMap<u64, HandleState>,
-    completed: HashMap<u64, Option<Vec<u8>>>,
-    staged: Vec<StagedSeg>,
-    inflight: HashMap<u64, InflightReq>,
-    /// Reusable scratch for element-wise `GmArray` accessors.
-    scratch: Vec<u8>,
+    stash: VecDeque<Message>,
 }
 
-impl<'a> DseCtx<'a> {
-    /// Wrap a simulation process context. Called by the program harness.
-    pub fn new(
-        ctx: &'a mut ProcCtx<SimMsg>,
-        shared: Arc<ClusterShared>,
-        rank: u32,
-        pid: GlobalPid,
-    ) -> DseCtx<'a> {
-        let node = pid.node();
-        DseCtx {
-            ctx,
-            shared,
-            rank,
-            pid,
-            node,
-            reqs: ReqIdGen::new(),
-            barrier_seq: 0,
-            alloc_seq: 0,
-            stash: VecDeque::new(),
-            next_handle: 0,
-            handles: HashMap::new(),
-            completed: HashMap::new(),
-            staged: Vec::new(),
-            inflight: HashMap::new(),
-            scratch: Vec::new(),
-        }
+impl SimPort<'_> {
+    fn pe(&self) -> u32 {
+        self.node.0 as u32
     }
 
-    /// This process's rank in `0..nprocs`.
-    pub fn rank(&self) -> u32 {
-        self.rank
+    fn now_ns(&self) -> u64 {
+        self.ctx.now().as_nanos()
     }
 
-    /// Number of parallel processes in the program.
-    pub fn nprocs(&self) -> usize {
-        self.shared.nnodes()
+    /// Send `msg` to simulation process `to_proc` on `to_node`, replies
+    /// addressed to this process. Returns the delivery latency.
+    fn send(&mut self, to_node: NodeId, to_proc: ProcId, msg: &Message) -> SimDuration {
+        let me = self.ctx.id();
+        send_msg(self.ctx, &self.shared, self.node, to_node, to_proc, me, msg)
     }
 
-    /// This process's cluster-wide pid.
-    pub fn pid(&self) -> GlobalPid {
-        self.pid
+    /// Send `msg` to `node`'s kernel.
+    fn send_kernel(&mut self, node: NodeId, msg: &Message) -> SimDuration {
+        let kproc = self.shared.kernel_of(node);
+        self.send(node, kproc, msg)
     }
 
-    /// The node (processor element) this process runs on.
-    pub fn node(&self) -> NodeId {
-        self.node
+    /// Receive one runtime message, charging the receive-side software cost.
+    fn recv_runtime(&mut self) -> Message {
+        let env = self
+            .ctx
+            .recv()
+            .expect("simulation shut down while a process was waiting");
+        let sm = env.msg;
+        charge_recv(self.ctx, &self.shared, self.node, sm.bytes.len());
+        Message::decode(&sm.bytes).expect("undecodable runtime message")
     }
 
-    /// The pid of another rank (node == rank, local slot 1, in the standard
-    /// harness placement).
-    pub fn pid_of_rank(&self, rank: u32) -> GlobalPid {
-        GlobalPid::new(NodeId(rank as u16), 1)
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.ctx.now()
-    }
-
-    /// Shared cluster state (for tooling layers such as the SSI crate).
-    pub fn shared(&self) -> &Arc<ClusterShared> {
-        &self.shared
-    }
-
-    /// True if someone requested this process terminate (cooperative, like
-    /// a UNIX signal checked at safe points).
-    pub fn termination_requested(&self) -> bool {
-        self.shared.is_terminated(self.pid)
-    }
-
-    /// Charge `work` of computation to this node's CPU (FCFS with every
-    /// co-resident kernel and process on the same physical machine).
-    ///
-    /// The charge is sliced at the async-I/O preemption quantum: a SIGIO
-    /// for an arriving remote request interrupts application computation
-    /// almost immediately on a real UNIX, so long compute bursts must not
-    /// block the co-resident kernel's short service times in the model.
-    pub fn compute(&mut self, work: Work) {
-        const SLICE: SimDuration = SimDuration::from_millis(5);
-        let mut remaining = self.shared.cost(self.node).compute(work);
-        let cpu = self.shared.cpu_of(self.node);
-        while remaining > SLICE {
-            self.ctx.use_resource(cpu, SLICE);
-            remaining = remaining - SLICE;
-        }
-        self.ctx.use_resource(cpu, remaining);
-    }
-
-    // ----- global memory ---------------------------------------------------
-
-    /// Collectively allocate a zero-initialized global-memory region. Every
-    /// rank must call with identical arguments and in the same order.
-    pub fn gm_alloc(&mut self, len: usize, dist: Distribution) -> RegionId {
-        self.gm_fence();
-        let seq = self.alloc_seq;
-        self.alloc_seq += 1;
-        charge_local(self.ctx, &self.shared, self.node, 0);
-        let store = &self.shared.store;
+    fn open_span(&mut self, kind: SpanKind, seq: u64, bytes: u64) {
         self.shared
-            .collective_alloc(seq, len, || store.alloc(len, dist))
+            .spans
+            .open(kind, self.pe(), seq, self.now_ns(), bytes);
     }
 
-    /// Read `len` bytes at `offset` from a region. Own-node ranges take the
-    /// linked-library fast path; remote ranges become pipelined
-    /// request/response exchanges with the home kernels.
-    ///
-    /// Implemented as issue-plus-wait over the split-phase machinery (see
-    /// [`DseCtx::gm_read_nb`]), so the blocking and non-blocking paths share
-    /// one code path and produce identical bytes.
-    pub fn gm_read(&mut self, region: RegionId, offset: u64, len: usize) -> Vec<u8> {
-        let h = self.issue_read(region, offset, len, true);
-        self.gm_wait(h).expect("gm_read handle carries data")
+    /// Send a span's request to `node`'s kernel, noting its wire time.
+    fn send_spanned(&mut self, node: NodeId, msg: &Message, kind: SpanKind, seq: u64) {
+        let wire = self.send_kernel(node, msg);
+        self.shared
+            .spans
+            .note_wire(kind, self.pe(), seq, wire.as_nanos());
     }
 
-    /// Read `out.len()` bytes at `offset` straight into a caller-provided
-    /// buffer. An entirely own-node range copies without any intermediate
-    /// allocation; anything else falls back to [`DseCtx::gm_read`].
-    pub fn gm_read_into(&mut self, region: RegionId, offset: u64, out: &mut [u8]) {
-        let runs = self
-            .shared
-            .store
-            .split_by_home(region, offset, out.len())
-            .unwrap_or_else(|e| panic!("rank {}: gm_read failed: {e}", self.rank));
-        if runs.len() == 1 && runs[0].0 == self.node {
-            charge_local(self.ctx, &self.shared, self.node, out.len());
-            self.shared.store.read_into(region, offset, out).unwrap();
-            self.shared.stats.update(self.node, |s| {
-                s.gm_local_reads += 1;
-                s.gm_bytes_read += out.len() as u64;
-            });
-            return;
-        }
-        let data = self.gm_read(region, offset, out.len());
-        out.copy_from_slice(&data);
-    }
-
-    /// Begin a split-phase read: returns immediately with a [`GmHandle`];
-    /// redeem it with [`DseCtx::gm_wait`]. Remote segments are *staged*, and
-    /// adjacent or overlapping stages to the same home coalesce into one
-    /// request; staged work reaches the wire when the pipelining window
-    /// fills, a handle is waited on, or a synchronization point fences.
-    pub fn gm_read_nb(&mut self, region: RegionId, offset: u64, len: usize) -> GmHandle {
-        self.issue_read(region, offset, len, false)
-    }
-
-    /// Take the context's reusable scratch buffer (element accessors use
-    /// this to avoid a per-call allocation). Return it with
-    /// [`DseCtx::put_scratch`].
-    pub fn take_scratch(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.scratch)
-    }
-
-    /// Return the scratch buffer taken with [`DseCtx::take_scratch`].
-    pub fn put_scratch(&mut self, buf: Vec<u8>) {
-        self.scratch = buf;
-    }
-
-    /// Issue a read. `eager` sends every staged segment as soon as it is
-    /// staged — the blocking compatibility mode, which keeps the wire
-    /// schedule identical to the historical blocking implementation.
-    ///
-    /// The handle is registered (buffer included) *before* any segment is
-    /// staged, because window backpressure may drain completions for this
-    /// very handle mid-issue; an issuance token in `remaining` keeps it
-    /// from completing until every segment is staged.
-    fn issue_read(&mut self, region: RegionId, offset: u64, len: usize, eager: bool) -> GmHandle {
-        let runs = self
-            .shared
-            .store
-            .split_by_home(region, offset, len)
-            .unwrap_or_else(|e| panic!("rank {}: gm_read failed: {e}", self.rank));
-        let cache_on = self.shared.config.gm_cache;
-        let handle = self.new_handle();
-        self.handles.insert(
-            handle,
-            HandleState {
-                remaining: 1, // issuance token, released below
-                buf: Some(vec![0u8; len]),
-            },
-        );
-        for (home, off, rlen) in runs {
-            let buf_off = (off - offset) as usize;
-            if home == self.node {
-                charge_local(self.ctx, &self.shared, self.node, rlen);
-                {
-                    let buf = self.handles.get_mut(&handle).unwrap().buf.as_mut().unwrap();
-                    self.shared
-                        .store
-                        .read_into(region, off, &mut buf[buf_off..buf_off + rlen])
-                        .unwrap();
-                }
-                self.shared.stats.update(self.node, |s| {
-                    s.gm_local_reads += 1;
-                    s.gm_bytes_read += rlen as u64;
-                });
-                continue;
-            }
-            if !cache_on {
-                self.handles.get_mut(&handle).unwrap().remaining += 1;
-                self.stage_read(home, region, off, rlen, Vec::new(), handle, buf_off, eager);
-                continue;
-            }
-            // Cached remote read: serve full blocks from the local cache
-            // where possible; merge the misses and the unaligned edge
-            // fragments into as few fetches as possible.
-            let end = off + rlen as u64;
-            let full = blocks_inside(off, rlen);
-            let bsz = CACHE_BLOCK as u64;
-            struct Fetch {
-                off: u64,
-                len: usize,
-                install: Vec<u64>,
-            }
-            let mut fetches: Vec<Fetch> = Vec::new();
-            let mut cur: Option<Fetch> = None;
-            let add_fetch = |cur: &mut Option<Fetch>, s: u64, e: u64, blk: Option<u64>| match cur {
-                Some(f) => {
-                    f.len += (e - s) as usize;
-                    if let Some(b) = blk {
-                        f.install.push(b);
-                    }
-                }
-                None => {
-                    *cur = Some(Fetch {
-                        off: s,
-                        len: (e - s) as usize,
-                        install: blk.into_iter().collect(),
-                    })
-                }
-            };
-            if full.is_empty() {
-                // A sub-block read (e.g. a single-element `get`) is still
-                // served from a replica installed by an earlier
-                // block-covering read, as long as it lies inside one block.
-                let b = off / bsz;
-                let served = end <= (b + 1) * bsz
-                    && match self.shared.cache.get(self.node, region, b) {
-                        Some(data) => {
-                            charge_local(self.ctx, &self.shared, self.node, rlen);
-                            self.shared.stats.update(self.node, |s| {
-                                s.cache_hits += 1;
-                                s.dir_hits += 1;
-                            });
-                            let s0 = (off - b * bsz) as usize;
-                            let buf = self.handles.get_mut(&handle).unwrap().buf.as_mut().unwrap();
-                            buf[buf_off..buf_off + rlen].copy_from_slice(&data[s0..s0 + rlen]);
-                            true
-                        }
-                        None => false,
-                    };
-                if !served {
-                    add_fetch(&mut cur, off, end, None);
-                }
-            } else {
-                if off < full.start * bsz {
-                    add_fetch(&mut cur, off, full.start * bsz, None);
-                }
-                for b in full.clone() {
-                    if let Some(data) = self.shared.cache.get(self.node, region, b) {
-                        // Hit: a library call plus a block copy, no wire.
-                        charge_local(self.ctx, &self.shared, self.node, CACHE_BLOCK);
-                        self.shared.stats.update(self.node, |s| {
-                            s.cache_hits += 1;
-                            s.dir_hits += 1;
-                        });
-                        let bo = (b * bsz - offset) as usize;
-                        let buf = self.handles.get_mut(&handle).unwrap().buf.as_mut().unwrap();
-                        buf[bo..bo + CACHE_BLOCK].copy_from_slice(&data);
-                        if let Some(f) = cur.take() {
-                            fetches.push(f);
-                        }
-                    } else {
-                        self.shared.stats.update(self.node, |s| {
-                            s.cache_misses += 1;
-                            s.dir_misses += 1;
-                        });
-                        add_fetch(&mut cur, b * bsz, (b + 1) * bsz, Some(b));
-                    }
-                }
-                if full.end * bsz < end {
-                    add_fetch(&mut cur, full.end * bsz, end, None);
-                }
-            }
-            if let Some(f) = cur.take() {
-                fetches.push(f);
-            }
-            for f in fetches {
-                self.handles.get_mut(&handle).unwrap().remaining += 1;
-                let bo = (f.off - offset) as usize;
-                self.stage_read(home, region, f.off, f.len, f.install, handle, bo, eager);
-            }
-        }
-        self.release_issuance_token(handle)
-    }
-
-    /// Release the token [`DseCtx::issue_read`]/[`DseCtx::issue_write`]
-    /// hold while staging: if every segment already completed (or none was
-    /// needed), the handle is born ready.
-    fn release_issuance_token(&mut self, handle: u64) -> GmHandle {
-        let st = self.handles.get_mut(&handle).unwrap();
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            let st = self.handles.remove(&handle).unwrap();
-            GmHandle(HandleInner::Ready(st.buf))
-        } else {
-            GmHandle(HandleInner::Queued(handle))
-        }
-    }
-
-    /// Stage one remote read segment, coalescing with the most recently
-    /// staged segment when both target the same home and region and their
-    /// ranges touch or overlap (so a merged segment is always contiguous and
-    /// program order among staged operations is preserved).
-    #[allow(clippy::too_many_arguments)]
-    fn stage_read(
+    /// Close a span and record its total under `subsystem/metric`.
+    fn close_span(
         &mut self,
-        home: NodeId,
-        region: RegionId,
-        off: u64,
-        len: usize,
-        install: Vec<u64>,
-        handle: u64,
-        buf_off: usize,
-        eager: bool,
+        kind: SpanKind,
+        seq: u64,
+        subsystem: &'static str,
+        metric: &'static str,
     ) {
-        let end = off + len as u64;
-        let dest = ReadDest {
-            handle,
-            buf_off,
-            abs_off: off,
-            len,
-        };
-        let mut merged = false;
-        if let Some(seg) = self.staged.last_mut() {
-            if seg.home == home && seg.region == region {
-                if let SegKind::Read {
-                    len: slen,
-                    install: sinstall,
-                    dests,
-                } = &mut seg.kind
-                {
-                    let seg_end = seg.offset + *slen as u64;
-                    if off <= seg_end && end >= seg.offset {
-                        let new_start = seg.offset.min(off);
-                        let new_end = seg_end.max(end);
-                        seg.offset = new_start;
-                        *slen = (new_end - new_start) as usize;
-                        for &b in &install {
-                            if !sinstall.contains(&b) {
-                                sinstall.push(b);
-                            }
-                        }
-                        dests.push(dest);
-                        merged = true;
-                    }
-                }
-            }
-        }
-        if merged {
-            self.shared.stats.update(self.node, |s| s.gm_coalesced += 1);
-        } else {
-            self.staged.push(StagedSeg {
-                home,
-                region,
-                offset: off,
-                kind: SegKind::Read {
-                    len,
-                    install,
-                    dests: vec![dest],
-                },
-            });
-        }
-        if eager {
-            self.flush_staged();
+        let pe = self.pe();
+        if let Some(rec) = self.shared.spans.close(kind, pe, seq, self.now_ns()) {
+            self.shared
+                .metrics
+                .record(MetricKey::pe(subsystem, metric, pe), rec.total_ns());
+            self.shared.flight.span(&rec);
         }
     }
 
     /// Coherence action before an own-node store mutation: write-invalidate
     /// runs the synchronous invalidation round; release consistency leaves
     /// the sharers' leases alone (they self-invalidate at their next
-    /// acquire point) and only counts the deferral.
-    fn coherent_local_write(&mut self, region: RegionId, offset: u64, len: usize) {
+    /// acquire point) and only counts the deferral. No-op with the cache
+    /// off.
+    fn coherent_local_write(
+        &mut self,
+        reqs: &mut ReqIdGen,
+        region: RegionId,
+        offset: u64,
+        len: usize,
+    ) {
+        if !self.shared.config.gm_cache {
+            return;
+        }
         if self.shared.config.gm_mode == GmMode::ReleaseConsistency {
             let deferred = self
                 .shared
@@ -565,16 +140,20 @@ impl<'a> DseCtx<'a> {
             }
             return;
         }
-        self.invalidate_for_local_write(region, offset, len);
+        self.invalidate_for_local_write(reqs.next(), region, offset, len);
     }
 
     /// Invalidate every other node's cached copies of a range and wait for
     /// their acknowledgements (the local-write half of the write-invalidate
     /// protocol; remote writes are handled by the home kernel).
-    fn invalidate_for_local_write(&mut self, region: RegionId, offset: u64, len: usize) {
-        let txn = self.reqs.next();
-        let me = self.ctx.id();
-        charge_local(self.ctx, &self.shared, self.node, 0);
+    fn invalidate_for_local_write(
+        &mut self,
+        txn: ReqId,
+        region: RegionId,
+        offset: u64,
+        len: usize,
+    ) {
+        self.charge_local(0);
         let holders = self
             .shared
             .cache
@@ -592,22 +171,302 @@ impl<'a> DseCtx<'a> {
             offset,
             len: len as u32,
         };
-        let mut awaiting = 0;
-        for h in holders {
+        for &h in &holders {
             self.shared
                 .stats
                 .update(self.node, |s| s.cache_invalidations += 1);
-            let kproc = self.shared.kernel_of(h);
-            send_msg(self.ctx, &self.shared, self.node, h, kproc, me, &inv);
-            awaiting += 1;
+            self.send_kernel(h, &inv);
         }
-        while awaiting > 0 {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::GmInvalidateAck { req } if req == txn => awaiting -= 1,
-                other => self.stash.push_back((from, other)),
+        for _ in &holders {
+            self.await_msg(|m| matches!(m, Message::GmInvalidateAck { req } if *req == txn));
+        }
+    }
+}
+
+impl GmPort for SimPort<'_> {
+    type Meta = ();
+
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn store(&self) -> &GlobalStore {
+        &self.shared.store
+    }
+
+    fn caching(&self) -> bool {
+        self.shared.config.gm_cache
+    }
+
+    fn charge_local(&mut self, bytes: usize) {
+        charge_local(self.ctx, &self.shared, self.node, bytes);
+    }
+
+    fn count(&mut self, what: GmCount) {
+        self.shared.stats.update(self.node, |s| match what {
+            GmCount::LocalRead(bytes) => {
+                s.gm_local_reads += 1;
+                s.gm_bytes_read += bytes as u64;
             }
+            GmCount::ReplicaHit => {
+                s.cache_hits += 1;
+                s.dir_hits += 1;
+            }
+            GmCount::ReplicaMiss => {
+                s.cache_misses += 1;
+                s.dir_misses += 1;
+            }
+            GmCount::Coalesced => s.gm_coalesced += 1,
+        });
+    }
+
+    fn send_request(
+        &mut self,
+        home: NodeId,
+        req: ReqId,
+        msg: Message,
+        kind: SpanKind,
+        bytes: u64,
+        inflight: usize,
+    ) {
+        self.open_span(kind, req.0, bytes);
+        self.send_spanned(home, &msg, kind, req.0);
+        self.shared
+            .stats
+            .update(self.node, |s| s.gm_request_msgs += 1);
+        let machine = self.shared.machine_of(self.node) as u32;
+        self.shared.metrics.gauge_max(
+            MetricKey::pe("kernel", "gm_inflight", self.pe()).on_machine(machine),
+            inflight as u64,
+        );
+    }
+
+    fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, ()) {
+        if let Some(idx) = self.stash.iter().position(&mut pred) {
+            return (self.stash.remove(idx).unwrap(), ());
         }
+        loop {
+            let msg = self.recv_runtime();
+            if pred(&msg) {
+                return (msg, ());
+            }
+            self.stash.push_back(msg);
+        }
+    }
+
+    fn request_done(&mut self, req: ReqId, kind: SpanKind, _meta: ()) {
+        let metric = match kind {
+            SpanKind::GmRead => "remote_read_ns",
+            SpanKind::GmWrite => "remote_write_ns",
+            _ => "batch_ns",
+        };
+        self.close_span(kind, req.0, "gm", metric);
+    }
+
+    fn protocol_error(&mut self, err: GmProtocolError) -> ! {
+        // Every peer is this simulator's own kernel: a bad response is a
+        // simulator bug, not input.
+        panic!("rank {}: {err}", self.node.0)
+    }
+
+    fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {
+        self.shared.cache.get(self.node, region, block)
+    }
+
+    fn replica_install<'d>(
+        &mut self,
+        _req: ReqId,
+        region: RegionId,
+        blocks: impl Iterator<Item = (u64, &'d [u8])>,
+    ) {
+        for (b, data) in blocks {
+            self.shared
+                .cache
+                .install(self.node, region, b, data.to_vec());
+        }
+    }
+
+    fn replica_drop(&mut self, region: RegionId, offset: u64, len: usize) {
+        self.shared.cache.drop_range(self.node, region, offset, len);
+    }
+
+    fn replica_purge(&mut self) {
+        if self.shared.config.gm_cache && self.shared.config.gm_mode == GmMode::ReleaseConsistency {
+            self.charge_local(0);
+            self.shared.cache.purge_node(self.node);
+            self.shared.stats.update(self.node, |s| s.rc_acquires += 1);
+        }
+    }
+
+    /// The invalidation round runs inline, *before* the store write, so no
+    /// acknowledgement is left to gate the handle.
+    fn own_node_write(
+        &mut self,
+        reqs: &mut ReqIdGen,
+        region: RegionId,
+        offset: u64,
+        data: &[u8],
+    ) -> Vec<ReqId> {
+        self.coherent_local_write(reqs, region, offset, data.len());
+        self.charge_local(data.len());
+        self.shared.store.write(region, offset, data).unwrap();
+        self.shared.stats.update(self.node, |s| {
+            s.gm_local_writes += 1;
+            s.gm_bytes_written += data.len() as u64;
+        });
+        Vec::new()
+    }
+}
+
+/// The per-process API context handed to application bodies.
+pub struct DseCtx<'a> {
+    port: SimPort<'a>,
+    /// The split-phase global-memory machinery.
+    gm: GmClient,
+    rank: u32,
+    pid: GlobalPid,
+    barrier_seq: u32,
+    alloc_seq: usize,
+    /// Reusable scratch for element-wise `GmArray` accessors.
+    scratch: Vec<u8>,
+}
+
+impl<'a> DseCtx<'a> {
+    /// Wrap a simulation process context. Called by the program harness.
+    pub fn new(
+        ctx: &'a mut ProcCtx<SimMsg>,
+        shared: Arc<ClusterShared>,
+        rank: u32,
+        pid: GlobalPid,
+    ) -> DseCtx<'a> {
+        let gm = GmClient::new(shared.config.gm_window);
+        DseCtx {
+            port: SimPort {
+                ctx,
+                shared,
+                node: pid.node(),
+                stash: VecDeque::new(),
+            },
+            gm,
+            rank,
+            pid,
+            barrier_seq: 0,
+            alloc_seq: 0,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// This process's rank in `0..nprocs`.
+    pub fn rank(&self) -> u32 {
+        self.rank
+    }
+
+    /// Number of parallel processes in the program.
+    pub fn nprocs(&self) -> usize {
+        self.port.shared.nnodes()
+    }
+
+    /// This process's cluster-wide pid.
+    pub fn pid(&self) -> GlobalPid {
+        self.pid
+    }
+
+    /// The node (processor element) this process runs on.
+    pub fn node(&self) -> NodeId {
+        self.port.node
+    }
+
+    /// The pid of another rank (node == rank, local slot 1, in the standard
+    /// harness placement).
+    pub fn pid_of_rank(&self, rank: u32) -> GlobalPid {
+        GlobalPid::new(NodeId(rank as u16), 1)
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.port.ctx.now()
+    }
+
+    /// Shared cluster state (for tooling layers such as the SSI crate).
+    pub fn shared(&self) -> &Arc<ClusterShared> {
+        &self.port.shared
+    }
+
+    /// True if someone requested this process terminate (cooperative, like
+    /// a UNIX signal checked at safe points).
+    pub fn termination_requested(&self) -> bool {
+        self.port.shared.is_terminated(self.pid)
+    }
+
+    /// Charge `work` of computation to this node's CPU (FCFS with every
+    /// co-resident kernel and process on the same physical machine).
+    ///
+    /// The charge is sliced at the async-I/O preemption quantum: a SIGIO
+    /// for an arriving remote request interrupts application computation
+    /// almost immediately on a real UNIX, so long compute bursts must not
+    /// block the co-resident kernel's short service times in the model.
+    pub fn compute(&mut self, work: Work) {
+        const SLICE: SimDuration = SimDuration::from_millis(5);
+        let node = self.port.node;
+        let mut remaining = self.port.shared.cost(node).compute(work);
+        let cpu = self.port.shared.cpu_of(node);
+        while remaining > SLICE {
+            self.port.ctx.use_resource(cpu, SLICE);
+            remaining = remaining - SLICE;
+        }
+        self.port.ctx.use_resource(cpu, remaining);
+    }
+
+    // ----- global memory ---------------------------------------------------
+
+    /// Collectively allocate a zero-initialized global-memory region. Every
+    /// rank must call with identical arguments and in the same order.
+    pub fn gm_alloc(&mut self, len: usize, dist: Distribution) -> RegionId {
+        self.gm_fence();
+        let seq = self.alloc_seq;
+        self.alloc_seq += 1;
+        self.port.charge_local(0);
+        let shared = &self.port.shared;
+        shared.collective_alloc(seq, len, || shared.store.alloc(len, dist))
+    }
+
+    /// Read `len` bytes at `offset` from a region. Own-node ranges take the
+    /// linked-library fast path; remote ranges become pipelined
+    /// request/response exchanges with the home kernels.
+    ///
+    /// Implemented as issue-plus-wait over the split-phase machinery (see
+    /// [`DseCtx::gm_read_nb`]), so the blocking and non-blocking paths share
+    /// one code path and produce identical bytes.
+    pub fn gm_read(&mut self, region: RegionId, offset: u64, len: usize) -> Vec<u8> {
+        self.gm.read(&mut self.port, region, offset, len)
+    }
+
+    /// Read `out.len()` bytes at `offset` straight into a caller-provided
+    /// buffer. An entirely own-node range copies without any intermediate
+    /// allocation; anything else falls back to [`DseCtx::gm_read`].
+    pub fn gm_read_into(&mut self, region: RegionId, offset: u64, out: &mut [u8]) {
+        self.gm.read_into(&mut self.port, region, offset, out)
+    }
+
+    /// Begin a split-phase read: returns immediately with a [`GmHandle`];
+    /// redeem it with [`DseCtx::gm_wait`]. Remote segments are *staged*, and
+    /// adjacent or overlapping stages to the same home coalesce into one
+    /// request; staged work reaches the wire when the pipelining window
+    /// fills, a handle is waited on, or a synchronization point fences.
+    pub fn gm_read_nb(&mut self, region: RegionId, offset: u64, len: usize) -> GmHandle {
+        self.gm.read_nb(&mut self.port, region, offset, len)
+    }
+
+    /// Take the context's reusable scratch buffer (element accessors use
+    /// this to avoid a per-call allocation). Return it with
+    /// [`DseCtx::put_scratch`].
+    pub fn take_scratch(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.scratch)
+    }
+
+    /// Return the scratch buffer taken with [`DseCtx::take_scratch`].
+    pub fn put_scratch(&mut self, buf: Vec<u8>) {
+        self.scratch = buf;
     }
 
     /// Write bytes at `offset` into a region (pipelined per home node).
@@ -615,8 +474,7 @@ impl<'a> DseCtx<'a> {
     /// Like [`DseCtx::gm_read`], this is issue-plus-wait over the
     /// split-phase machinery shared with [`DseCtx::gm_write_nb`].
     pub fn gm_write(&mut self, region: RegionId, offset: u64, data: &[u8]) {
-        let h = self.issue_write(region, offset, data, true);
-        self.gm_wait(h);
+        self.gm.write(&mut self.port, region, offset, data)
     }
 
     /// Begin a split-phase write: returns immediately with a [`GmHandle`].
@@ -624,105 +482,7 @@ impl<'a> DseCtx<'a> {
     /// coalesce into one request (later bytes win on overlap), and staged
     /// operations bound for the same home travel as one batched message.
     pub fn gm_write_nb(&mut self, region: RegionId, offset: u64, data: &[u8]) -> GmHandle {
-        self.issue_write(region, offset, data, false)
-    }
-
-    fn issue_write(&mut self, region: RegionId, offset: u64, data: &[u8], eager: bool) -> GmHandle {
-        let runs = self
-            .shared
-            .store
-            .split_by_home(region, offset, data.len())
-            .unwrap_or_else(|e| panic!("rank {}: gm_write failed: {e}", self.rank));
-        let cache_on = self.shared.config.gm_cache;
-        if cache_on {
-            // A writer's own copies of the written range go stale too.
-            self.shared
-                .cache
-                .drop_range(self.node, region, offset, data.len());
-        }
-        let handle = self.new_handle();
-        self.handles.insert(
-            handle,
-            HandleState {
-                remaining: 1, // issuance token, released below
-                buf: None,
-            },
-        );
-        for (home, off, rlen) in runs {
-            let buf_off = (off - offset) as usize;
-            let chunk = &data[buf_off..buf_off + rlen];
-            if home == self.node {
-                if cache_on {
-                    self.coherent_local_write(region, off, rlen);
-                }
-                charge_local(self.ctx, &self.shared, self.node, rlen);
-                self.shared.store.write(region, off, chunk).unwrap();
-                self.shared.stats.update(self.node, |s| {
-                    s.gm_local_writes += 1;
-                    s.gm_bytes_written += rlen as u64;
-                });
-            } else {
-                self.handles.get_mut(&handle).unwrap().remaining += 1;
-                self.stage_write(home, region, off, chunk.to_vec(), handle, eager);
-            }
-        }
-        self.release_issuance_token(handle)
-    }
-
-    /// Stage one remote write segment; coalesces with the most recently
-    /// staged segment under the same conditions as [`DseCtx::stage_read`].
-    /// On overlap the later write's bytes win, preserving program order.
-    fn stage_write(
-        &mut self,
-        home: NodeId,
-        region: RegionId,
-        off: u64,
-        data: Vec<u8>,
-        handle: u64,
-        eager: bool,
-    ) {
-        let end = off + data.len() as u64;
-        let mut merged = false;
-        if let Some(seg) = self.staged.last_mut() {
-            if seg.home == home && seg.region == region {
-                if let SegKind::Write {
-                    data: sdata,
-                    writers,
-                } = &mut seg.kind
-                {
-                    let seg_end = seg.offset + sdata.len() as u64;
-                    if off <= seg_end && end >= seg.offset {
-                        let new_start = seg.offset.min(off);
-                        let new_end = seg_end.max(end);
-                        let mut union = vec![0u8; (new_end - new_start) as usize];
-                        let old_at = (seg.offset - new_start) as usize;
-                        union[old_at..old_at + sdata.len()].copy_from_slice(sdata);
-                        let new_at = (off - new_start) as usize;
-                        union[new_at..new_at + data.len()].copy_from_slice(&data);
-                        *sdata = union;
-                        seg.offset = new_start;
-                        writers.push(handle);
-                        merged = true;
-                    }
-                }
-            }
-        }
-        if merged {
-            self.shared.stats.update(self.node, |s| s.gm_coalesced += 1);
-        } else {
-            self.staged.push(StagedSeg {
-                home,
-                region,
-                offset: off,
-                kind: SegKind::Write {
-                    data,
-                    writers: vec![handle],
-                },
-            });
-        }
-        if eager {
-            self.flush_staged();
-        }
+        self.gm.write_nb(&mut self.port, region, offset, data)
     }
 
     /// Redeem a split-phase handle: flushes any staged work, then drains
@@ -734,23 +494,7 @@ impl<'a> DseCtx<'a> {
     /// Panics on a handle whose result was already discarded by
     /// [`DseCtx::gm_wait_all`].
     pub fn gm_wait(&mut self, handle: GmHandle) -> Option<Vec<u8>> {
-        let id = match handle.0 {
-            HandleInner::Ready(data) => return data,
-            HandleInner::Queued(id) => id,
-        };
-        if let Some(data) = self.completed.remove(&id) {
-            return data;
-        }
-        assert!(
-            self.handles.contains_key(&id),
-            "rank {}: gm_wait on a stale handle (result discarded by gm_wait_all)",
-            self.rank
-        );
-        self.flush_staged();
-        while !self.completed.contains_key(&id) {
-            self.drain_one();
-        }
-        self.completed.remove(&id).unwrap()
+        self.gm.wait(&mut self.port, handle)
     }
 
     /// Complete every outstanding split-phase operation and *discard* any
@@ -758,8 +502,7 @@ impl<'a> DseCtx<'a> {
     /// on such a handle panics). Use it as a fence after a burst of
     /// `gm_write_nb` calls whose handles are not individually interesting.
     pub fn gm_wait_all(&mut self) {
-        self.gm_fence();
-        self.completed.clear();
+        self.gm.wait_all(&mut self.port)
     }
 
     /// Release-consistency *release*: flush and complete all split-phase GM
@@ -777,19 +520,7 @@ impl<'a> DseCtx<'a> {
     /// release. Barriers and `lock` already imply it. Under
     /// write-invalidate (or with the cache off) this is just a fence.
     pub fn gm_acquire(&mut self) {
-        self.gm_fence();
-        self.acquire_replicas();
-    }
-
-    /// The acquire-side self-invalidation of release consistency: purge
-    /// this rank's replica cache and directory leases. No-op outside the
-    /// RC cache mode.
-    fn acquire_replicas(&mut self) {
-        if self.shared.config.gm_cache && self.shared.config.gm_mode == GmMode::ReleaseConsistency {
-            charge_local(self.ctx, &self.shared, self.node, 0);
-            self.shared.cache.purge_node(self.node);
-            self.shared.stats.update(self.node, |s| s.rc_acquires += 1);
-        }
+        self.gm.acquire(&mut self.port)
     }
 
     /// Complete all staged and in-flight split-phase work, keeping redeemed
@@ -798,351 +529,43 @@ impl<'a> DseCtx<'a> {
     /// before barriers, locks, atomics and sends; with nothing outstanding
     /// this is free.
     fn gm_fence(&mut self) {
-        self.flush_staged();
-        while !self.inflight.is_empty() {
-            self.drain_one();
-        }
-    }
-
-    fn new_handle(&mut self) -> u64 {
-        self.next_handle += 1;
-        self.next_handle
-    }
-
-    /// Send every staged segment: one plain request per singleton home
-    /// group, one batched request per multi-segment home group (preserving
-    /// staging order within the batch).
-    fn flush_staged(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let staged = std::mem::take(&mut self.staged);
-        // Group by home node, preserving first-appearance order.
-        let mut groups: Vec<(NodeId, Vec<StagedSeg>)> = Vec::new();
-        for seg in staged {
-            match groups.iter_mut().find(|(h, _)| *h == seg.home) {
-                Some((_, v)) => v.push(seg),
-                None => groups.push((seg.home, vec![seg])),
-            }
-        }
-        for (home, mut segs) in groups {
-            if segs.len() == 1 {
-                self.send_plain(home, segs.pop().unwrap());
-            } else {
-                self.send_batch(home, segs);
-            }
-        }
-    }
-
-    fn send_plain(&mut self, home: NodeId, seg: StagedSeg) {
-        self.window_backpressure();
-        let req = self.reqs.next();
-        let (msg, kind, bytes, ctl) = match seg.kind {
-            SegKind::Read {
-                len,
-                install,
-                dests,
-            } => (
-                Message::GmReadReq {
-                    req,
-                    region: seg.region,
-                    offset: seg.offset,
-                    len: len as u32,
-                },
-                SpanKind::GmRead,
-                len as u64,
-                InflightReq::Read(ReadCtl {
-                    region: seg.region,
-                    offset: seg.offset,
-                    len,
-                    install,
-                    dests,
-                }),
-            ),
-            SegKind::Write { data, writers } => {
-                let blen = data.len() as u64;
-                (
-                    Message::GmWriteReq {
-                        req,
-                        region: seg.region,
-                        offset: seg.offset,
-                        data: data.into(),
-                    },
-                    SpanKind::GmWrite,
-                    blen,
-                    InflightReq::Write(WriteCtl { writers }),
-                )
-            }
-        };
-        self.dispatch(home, req, msg, kind, bytes, ctl);
-    }
-
-    fn send_batch(&mut self, home: NodeId, segs: Vec<StagedSeg>) {
-        self.window_backpressure();
-        let req = self.reqs.next();
-        let mut ops = Vec::with_capacity(segs.len());
-        let mut ctls = Vec::with_capacity(segs.len());
-        let mut bytes = 0u64;
-        for seg in segs {
-            match seg.kind {
-                SegKind::Read {
-                    len,
-                    install,
-                    dests,
-                } => {
-                    bytes += len as u64;
-                    ops.push(GmOp::Read {
-                        region: seg.region,
-                        offset: seg.offset,
-                        len: len as u32,
-                    });
-                    ctls.push(InflightOp::Read(ReadCtl {
-                        region: seg.region,
-                        offset: seg.offset,
-                        len,
-                        install,
-                        dests,
-                    }));
-                }
-                SegKind::Write { data, writers } => {
-                    bytes += data.len() as u64;
-                    ctls.push(InflightOp::Write(WriteCtl { writers }));
-                    ops.push(GmOp::Write {
-                        region: seg.region,
-                        offset: seg.offset,
-                        data: data.into(),
-                    });
-                }
-            }
-        }
-        let msg = Message::GmBatchReq { req, ops };
-        self.dispatch(
-            home,
-            req,
-            msg,
-            SpanKind::GmBatch,
-            bytes,
-            InflightReq::Batch(ctls),
-        );
-    }
-
-    /// Open the span, send the request, and account for it in the in-flight
-    /// window (`kernel/gm_request_msgs` counter, `kernel/gm_inflight`
-    /// high-water gauge).
-    fn dispatch(
-        &mut self,
-        home: NodeId,
-        req: ReqId,
-        msg: Message,
-        kind: SpanKind,
-        bytes: u64,
-        ctl: InflightReq,
-    ) {
-        let pe = self.node.0 as u32;
-        let kproc = self.shared.kernel_of(home);
-        let reply = self.ctx.id();
-        self.shared
-            .spans
-            .open(kind, pe, req.0, self.ctx.now().as_nanos(), bytes);
-        let wire = send_msg(self.ctx, &self.shared, self.node, home, kproc, reply, &msg);
-        self.shared
-            .spans
-            .note_wire(kind, pe, req.0, wire.as_nanos());
-        self.shared
-            .stats
-            .update(self.node, |s| s.gm_request_msgs += 1);
-        self.inflight.insert(req.0, ctl);
-        let machine = self.shared.machine_of(self.node) as u32;
-        self.shared.metrics.gauge_max(
-            MetricKey::pe("kernel", "gm_inflight", pe).on_machine(machine),
-            self.inflight.len() as u64,
-        );
-    }
-
-    /// Block until another request would fit in the pipelining window.
-    fn window_backpressure(&mut self) {
-        while self.inflight.len() >= self.shared.config.gm_window {
-            self.drain_one();
-        }
-    }
-
-    /// Consume exactly one GM completion — from the stash if an earlier
-    /// drain parked one there, otherwise from the wire (stashing unrelated
-    /// messages for their own waiters).
-    fn drain_one(&mut self) {
-        if let Some(idx) = self.stash.iter().position(|(_, m)| {
-            matches!(
-                m,
-                Message::GmReadResp { .. }
-                    | Message::GmWriteAck { .. }
-                    | Message::GmBatchResp { .. }
-            )
-        }) {
-            let (_, msg) = self.stash.remove(idx).unwrap();
-            self.process_completion(msg);
-            return;
-        }
-        loop {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::GmReadResp { .. }
-                | Message::GmWriteAck { .. }
-                | Message::GmBatchResp { .. } => {
-                    self.process_completion(msg);
-                    return;
-                }
-                other => self.stash.push_back((from, other)),
-            }
-        }
-    }
-
-    fn process_completion(&mut self, msg: Message) {
-        let pe = self.node.0 as u32;
-        let now = self.ctx.now().as_nanos();
-        match msg {
-            Message::GmReadResp { req, data } => {
-                self.close_gm_span(SpanKind::GmRead, pe, req.0, now, "remote_read_ns");
-                let ctl = match self.inflight.remove(&req.0) {
-                    Some(InflightReq::Read(c)) => c,
-                    _ => panic!("unmatched GmReadResp correlation id"),
-                };
-                self.complete_read(ctl, &data);
-            }
-            Message::GmWriteAck { req } => {
-                self.close_gm_span(SpanKind::GmWrite, pe, req.0, now, "remote_write_ns");
-                let ctl = match self.inflight.remove(&req.0) {
-                    Some(InflightReq::Write(c)) => c,
-                    _ => panic!("unmatched GmWriteAck correlation id"),
-                };
-                self.complete_write(ctl);
-            }
-            Message::GmBatchResp { req, reads } => {
-                self.close_gm_span(SpanKind::GmBatch, pe, req.0, now, "batch_ns");
-                let ops = match self.inflight.remove(&req.0) {
-                    Some(InflightReq::Batch(o)) => o,
-                    _ => panic!("unmatched GmBatchResp correlation id"),
-                };
-                let mut it = reads.into_iter();
-                for op in ops {
-                    match op {
-                        InflightOp::Read(c) => {
-                            let data = it.next().expect("missing batched read result");
-                            self.complete_read(c, &data);
-                        }
-                        InflightOp::Write(c) => self.complete_write(c),
-                    }
-                }
-            }
-            _ => unreachable!("process_completion on a non-GM message"),
-        }
-    }
-
-    fn close_gm_span(&mut self, kind: SpanKind, pe: u32, seq: u64, now: u64, metric: &'static str) {
-        if let Some(rec) = self.shared.spans.close(kind, pe, seq, now) {
-            self.shared
-                .metrics
-                .record(MetricKey::pe("gm", metric, pe), rec.total_ns());
-            self.shared.flight.span(&rec);
-        }
-    }
-
-    /// Distribute one completed read request's bytes to every destination
-    /// handle, installing any cache blocks the request fetched.
-    fn complete_read(&mut self, ctl: ReadCtl, data: &[u8]) {
-        assert_eq!(data.len(), ctl.len, "short remote read");
-        for &b in &ctl.install {
-            let lo = (b * CACHE_BLOCK as u64 - ctl.offset) as usize;
-            let chunk = data[lo..lo + CACHE_BLOCK].to_vec();
-            self.shared.cache.install(self.node, ctl.region, b, chunk);
-        }
-        for d in ctl.dests {
-            let h = self
-                .handles
-                .get_mut(&d.handle)
-                .expect("read completion for an unknown handle");
-            let buf = h.buf.as_mut().expect("read handle without a buffer");
-            let src = (d.abs_off - ctl.offset) as usize;
-            buf[d.buf_off..d.buf_off + d.len].copy_from_slice(&data[src..src + d.len]);
-            h.remaining -= 1;
-            if h.remaining == 0 {
-                let st = self.handles.remove(&d.handle).unwrap();
-                self.completed.insert(d.handle, st.buf);
-            }
-        }
-    }
-
-    fn complete_write(&mut self, ctl: WriteCtl) {
-        for w in ctl.writers {
-            let h = self
-                .handles
-                .get_mut(&w)
-                .expect("write completion for an unknown handle");
-            h.remaining -= 1;
-            if h.remaining == 0 {
-                self.handles.remove(&w);
-                self.completed.insert(w, None);
-            }
-        }
+        self.gm.fence(&mut self.port)
     }
 
     /// Atomic fetch-and-add on an aligned 8-byte cell; returns the previous
     /// value. The cell's home kernel serializes concurrent updates.
     pub fn gm_fetch_add(&mut self, region: RegionId, offset: u64, delta: i64) -> i64 {
         self.gm_fence();
-        let home = self
+        let port = &mut self.port;
+        let home = port
             .shared
             .store
             .home_of(region, offset)
             .unwrap_or_else(|e| panic!("rank {}: fetch_add failed: {e}", self.rank));
-        if home == self.node {
-            if self.shared.config.gm_cache {
-                self.shared.cache.drop_range(self.node, region, offset, 8);
-                self.coherent_local_write(region, offset, 8);
+        if home == port.node {
+            if port.caching() {
+                port.replica_drop(region, offset, 8);
             }
-            charge_local(self.ctx, &self.shared, self.node, 8);
-            self.shared.stats.update(self.node, |s| s.fetch_adds += 1);
-            return self.shared.store.fetch_add(region, offset, delta).unwrap();
+            port.coherent_local_write(self.gm.req_ids(), region, offset, 8);
+            port.charge_local(8);
+            port.shared.stats.update(port.node, |s| s.fetch_adds += 1);
+            return port.shared.store.fetch_add(region, offset, delta).unwrap();
         }
-        let req = self.reqs.next();
+        let req = self.gm.req_ids().next();
         let msg = Message::GmFetchAddReq {
             req,
             region,
             offset,
             delta,
         };
-        let kproc = self.shared.kernel_of(home);
-        let me = self.ctx.id();
-        let pe = self.node.0 as u32;
-        self.shared.spans.open(
-            SpanKind::GmFetchAdd,
-            pe,
-            req.0,
-            self.ctx.now().as_nanos(),
-            8,
-        );
-        let wire = send_msg(self.ctx, &self.shared, self.node, home, kproc, me, &msg);
-        self.shared
-            .spans
-            .note_wire(SpanKind::GmFetchAdd, pe, req.0, wire.as_nanos());
-        loop {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::GmFetchAddResp { req: r, prev } if r == req => {
-                    if let Some(rec) = self.shared.spans.close(
-                        SpanKind::GmFetchAdd,
-                        pe,
-                        req.0,
-                        self.ctx.now().as_nanos(),
-                    ) {
-                        self.shared
-                            .metrics
-                            .record(MetricKey::pe("gm", "fetch_add_ns", pe), rec.total_ns());
-                        self.shared.flight.span(&rec);
-                    }
-                    return prev;
-                }
-                other => self.stash.push_back((from, other)),
-            }
+        port.open_span(SpanKind::GmFetchAdd, req.0, 8);
+        port.send_spanned(home, &msg, SpanKind::GmFetchAdd, req.0);
+        let (resp, ()) =
+            port.await_msg(|m| matches!(m, Message::GmFetchAddResp { req: r, .. } if *r == req));
+        port.close_span(SpanKind::GmFetchAdd, req.0, "gm", "fetch_add_ns");
+        match resp {
+            Message::GmFetchAddResp { prev, .. } => prev,
+            _ => unreachable!(),
         }
     }
 
@@ -1164,136 +587,79 @@ impl<'a> DseCtx<'a> {
 
     fn barrier_at(&mut self, id: u32) {
         self.gm_fence();
-        let party = Party {
-            pid: self.pid,
-            node: self.node,
-            reply_to: self.ctx.id(),
-            req: ReqId(0),
-        };
-        let pe = self.node.0 as u32;
-        self.shared.spans.open(
-            SpanKind::Barrier,
-            pe,
-            id as u64,
-            self.ctx.now().as_nanos(),
-            0,
-        );
-        if self.node == NodeId(0) {
+        let port = &mut self.port;
+        port.open_span(SpanKind::Barrier, id as u64, 0);
+        let mut released = false;
+        if port.node == NodeId(0) {
             // Own-node path into the coordination state.
-            charge_local(self.ctx, &self.shared, self.node, 16);
-            if barrier_enter(self.ctx, &self.shared, NodeId(0), id, party).is_some() {
-                self.finish_barrier_span(pe, id);
-                self.acquire_replicas();
-                return;
-            }
+            let party = Party {
+                pid: self.pid,
+                node: port.node,
+                reply_to: port.ctx.id(),
+                req: ReqId(0),
+            };
+            port.charge_local(16);
+            released = barrier_enter(port.ctx, &port.shared, NodeId(0), id, party).is_some();
         } else {
             let msg = Message::BarrierEnter {
                 barrier: id,
                 pid: self.pid,
             };
-            let k0 = self.shared.kernel_of(NodeId(0));
-            let me = self.ctx.id();
-            let wire = send_msg(self.ctx, &self.shared, self.node, NodeId(0), k0, me, &msg);
-            self.shared
-                .spans
-                .note_wire(SpanKind::Barrier, pe, id as u64, wire.as_nanos());
+            port.send_spanned(NodeId(0), &msg, SpanKind::Barrier, id as u64);
         }
-        loop {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::BarrierRelease { barrier, .. } if barrier == id => {
-                    self.finish_barrier_span(pe, id);
-                    self.acquire_replicas();
-                    return;
-                }
-                other => self.stash.push_back((from, other)),
-            }
+        if !released {
+            port.await_msg(
+                |m| matches!(m, Message::BarrierRelease { barrier, .. } if *barrier == id),
+            );
         }
-    }
-
-    /// Close this rank's span for barrier `id` and record the wait time.
-    fn finish_barrier_span(&mut self, pe: u32, id: u32) {
-        if let Some(rec) =
-            self.shared
-                .spans
-                .close(SpanKind::Barrier, pe, id as u64, self.ctx.now().as_nanos())
-        {
-            self.shared
-                .metrics
-                .record(MetricKey::pe("sync", "barrier_wait_ns", pe), rec.total_ns());
-            self.shared.flight.span(&rec);
-        }
+        port.close_span(SpanKind::Barrier, id as u64, "sync", "barrier_wait_ns");
+        // Completing a barrier is an acquire point.
+        port.replica_purge();
     }
 
     /// Acquire a cluster-wide lock (FIFO).
     pub fn lock(&mut self, id: u32) {
         self.gm_fence();
-        let req = self.reqs.next();
-        let party = Party {
-            pid: self.pid,
-            node: self.node,
-            reply_to: self.ctx.id(),
-            req,
-        };
-        let pe = self.node.0 as u32;
-        self.shared
-            .spans
-            .open(SpanKind::Lock, pe, req.0, self.ctx.now().as_nanos(), 0);
-        if self.node == NodeId(0) {
-            charge_local(self.ctx, &self.shared, self.node, 16);
-            lock_acquire(self.ctx, &self.shared, NodeId(0), id, party);
+        let req = self.gm.req_ids().next();
+        let port = &mut self.port;
+        port.open_span(SpanKind::Lock, req.0, 0);
+        if port.node == NodeId(0) {
+            let party = Party {
+                pid: self.pid,
+                node: port.node,
+                reply_to: port.ctx.id(),
+                req,
+            };
+            port.charge_local(16);
+            lock_acquire(port.ctx, &port.shared, NodeId(0), id, party);
         } else {
             let msg = Message::LockReq {
                 req,
                 lock: id,
                 pid: self.pid,
             };
-            let k0 = self.shared.kernel_of(NodeId(0));
-            let me = self.ctx.id();
-            let wire = send_msg(self.ctx, &self.shared, self.node, NodeId(0), k0, me, &msg);
-            self.shared
-                .spans
-                .note_wire(SpanKind::Lock, pe, req.0, wire.as_nanos());
+            port.send_spanned(NodeId(0), &msg, SpanKind::Lock, req.0);
         }
-        loop {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::LockGrant { req: r, .. } if r == req => {
-                    if let Some(rec) = self.shared.spans.close(
-                        SpanKind::Lock,
-                        pe,
-                        req.0,
-                        self.ctx.now().as_nanos(),
-                    ) {
-                        self.shared
-                            .metrics
-                            .record(MetricKey::pe("sync", "lock_wait_ns", pe), rec.total_ns());
-                        self.shared.flight.span(&rec);
-                    }
-                    // A lock grant is an acquire point: the holder must see
-                    // everything released by the previous holder's unlock.
-                    self.acquire_replicas();
-                    return;
-                }
-                other => self.stash.push_back((from, other)),
-            }
-        }
+        port.await_msg(|m| matches!(m, Message::LockGrant { req: r, .. } if *r == req));
+        port.close_span(SpanKind::Lock, req.0, "sync", "lock_wait_ns");
+        // A lock grant is an acquire point: the holder must see
+        // everything released by the previous holder's unlock.
+        port.replica_purge();
     }
 
     /// Release a cluster-wide lock this process holds.
     pub fn unlock(&mut self, id: u32) {
         self.gm_fence();
-        if self.node == NodeId(0) {
-            charge_local(self.ctx, &self.shared, self.node, 16);
-            lock_release(self.ctx, &self.shared, NodeId(0), id, self.pid);
+        let port = &mut self.port;
+        if port.node == NodeId(0) {
+            port.charge_local(16);
+            lock_release(port.ctx, &port.shared, NodeId(0), id, self.pid);
         } else {
             let msg = Message::UnlockReq {
                 lock: id,
                 pid: self.pid,
             };
-            let k0 = self.shared.kernel_of(NodeId(0));
-            let me = self.ctx.id();
-            send_msg(self.ctx, &self.shared, self.node, NodeId(0), k0, me, &msg);
+            port.send_kernel(NodeId(0), &msg);
         }
     }
 
@@ -1303,19 +669,11 @@ impl<'a> DseCtx<'a> {
     /// like a UNIX signal). Blocks until the kernel acknowledges.
     pub fn terminate(&mut self, pid: GlobalPid) {
         self.gm_fence();
-        let req = self.reqs.next();
-        let msg = Message::TerminateReq { req, pid };
-        let target = pid.node();
-        let kproc = self.shared.kernel_of(target);
-        let me = self.ctx.id();
-        send_msg(self.ctx, &self.shared, self.node, target, kproc, me, &msg);
-        loop {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::TerminateAck { req: r } if r == req => return,
-                other => self.stash.push_back((from, other)),
-            }
-        }
+        let req = self.gm.req_ids().next();
+        self.port
+            .send_kernel(pid.node(), &Message::TerminateReq { req, pid });
+        self.port
+            .await_msg(|m| matches!(m, Message::TerminateAck { req: r } if *r == req));
     }
 
     // ----- point-to-point messages ------------------------------------------
@@ -1323,74 +681,41 @@ impl<'a> DseCtx<'a> {
     /// Send tagged bytes to another rank's process.
     pub fn send_to(&mut self, to: GlobalPid, tag: u32, data: Vec<u8>) {
         self.gm_fence();
-        let dest = self
-            .shared
-            .app_proc(to)
-            .unwrap_or_else(|| panic!("send_to: unknown pid {to} (synchronize before sending)"));
+        let dest =
+            self.port.shared.app_proc(to).unwrap_or_else(|| {
+                panic!("send_to: unknown pid {to} (synchronize before sending)")
+            });
         let msg = Message::UserData {
             from: self.pid,
             tag,
             data,
         };
-        let me = self.ctx.id();
-        send_msg(self.ctx, &self.shared, self.node, to.node(), dest, me, &msg);
+        self.port.send(to.node(), dest, &msg);
     }
 
     /// Receive the next user message, optionally filtered by tag.
     pub fn recv_user(&mut self, want_tag: Option<u32>) -> UserMsg {
-        // Serve from the stash first.
-        if let Some(idx) = self.stash.iter().position(|(_, m)| match m {
+        let (msg, ()) = self.port.await_msg(|m| match m {
             Message::UserData { tag, .. } => want_tag.is_none_or(|t| t == *tag),
             _ => false,
-        }) {
-            if let (_, Message::UserData { from, tag, data }) = self.stash.remove(idx).unwrap() {
-                return UserMsg { from, tag, data };
-            }
-            unreachable!()
-        }
-        loop {
-            let (from_node, msg) = self.recv_runtime();
-            match msg {
-                Message::UserData { from, tag, data } if want_tag.is_none_or(|t| t == tag) => {
-                    return UserMsg { from, tag, data }
-                }
-                other => self.stash.push_back((from_node, other)),
-            }
+        });
+        match msg {
+            Message::UserData { from, tag, data } => UserMsg { from, tag, data },
+            _ => unreachable!(),
         }
     }
 
     // ----- internals --------------------------------------------------------
 
-    /// Receive one runtime message, charging the receive-side software cost.
-    fn recv_runtime(&mut self) -> (NodeId, Message) {
-        let env = self
-            .ctx
-            .recv()
-            .expect("simulation shut down while a process was waiting");
-        let sm = env.msg;
-        charge_recv(self.ctx, &self.shared, self.node, sm.bytes.len());
-        let msg = Message::decode(&sm.bytes).expect("undecodable runtime message");
-        (sm.from_node, msg)
-    }
-
     /// Called by the harness after the body returns: notify the launcher.
     pub fn finish(&mut self) {
         self.gm_fence();
-        self.shared.mark_exited(self.pid);
+        self.port.shared.mark_exited(self.pid);
         let msg = Message::ExitNotice {
             pid: self.pid,
             status: 0,
         };
-        let launcher = self.shared.launcher();
-        let me = self.ctx.id();
-        send_msg(
-            self.ctx,
-            &self.shared,
-            self.node,
-            NodeId(0),
-            launcher,
-            me,
-            &msg,
-        );
+        let launcher = self.port.shared.launcher();
+        self.port.send(NodeId(0), launcher, &msg);
     }
 }

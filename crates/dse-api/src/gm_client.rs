@@ -1,0 +1,1091 @@
+//! `GmClient` — the requester side of global memory, defined once.
+//!
+//! This is the paper's "global-memory access request message creation
+//! module" and "response message analysis module": the part of the
+//! Parallel API library that turns a byte range into per-home segments,
+//! stages and coalesces them, batches them per home, keeps the in-flight
+//! window, matches responses to requests and fills the waiting handles.
+//! It links unchanged into both engines: nothing in here knows a clock, a
+//! transport, the simulator or a thread. Everything engine-specific —
+//! charging virtual time, putting a request on the wire, blocking for the
+//! next message, spans, retransmission, the replica cache — goes through
+//! one [`GmPort`], taken as a generic parameter so every call is
+//! statically dispatched.
+//!
+//! The split-phase rules (see DESIGN.md §5d, §5m):
+//!
+//! * an access splits into per-home runs; own-node runs complete at issue;
+//! * a remote run is *staged*; a new segment merges into the **last**
+//!   staged one iff same home, region and kind and the ranges touch or
+//!   overlap (later write bytes win), so program order is preserved;
+//! * staged segments leave at a wait, a fence, or at once in the blocking
+//!   (*eager*) mode: one plain request per single-segment home, one
+//!   `GmBatchReq` per multi-segment home, in staging order;
+//! * at most `window` requests are in flight; issuing past it drains
+//!   completions first (backpressure, never failure);
+//! * a handle holds an *issuance token* while its segments are staged, so
+//!   backpressure draining completions mid-issue cannot finish it early.
+
+use std::collections::HashMap;
+use std::fmt;
+
+use dse_kernel::cache::{blocks_inside, CACHE_BLOCK};
+use dse_kernel::GlobalStore;
+use dse_msg::{GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen};
+use dse_obs::SpanKind;
+
+/// Handle to a split-phase global-memory operation.
+///
+/// Returned by `gm_read_nb`/`gm_write_nb`; redeem it with `gm_wait` (which
+/// consumes the handle, so a double wait is impossible at compile time).
+/// Reads yield `Some(bytes)`, writes yield `None`.
+#[derive(Debug)]
+pub struct GmHandle(pub(crate) HandleInner);
+
+#[derive(Debug)]
+pub(crate) enum HandleInner {
+    /// Queued in the issuing [`GmClient`] under this id.
+    Queued(u64),
+    /// Completed at issue time (own-node fast path, replica hit, or an
+    /// engine without split-phase pipelining).
+    Ready(Option<Vec<u8>>),
+}
+
+impl GmHandle {
+    /// A handle that is already complete (engines without real pipelining
+    /// return these from the non-blocking entry points).
+    pub fn ready(data: Option<Vec<u8>>) -> GmHandle {
+        GmHandle(HandleInner::Ready(data))
+    }
+
+    /// A handle referring to operation `id` queued in the issuing engine.
+    /// For engines (like the live message-passing engine) that implement
+    /// their own split-phase staging outside `DseCtx`.
+    pub fn queued(id: u64) -> GmHandle {
+        GmHandle(HandleInner::Queued(id))
+    }
+
+    /// The queued operation id, or `None` if the handle was born ready.
+    pub fn queued_id(&self) -> Option<u64> {
+        match self.0 {
+            HandleInner::Queued(id) => Some(id),
+            HandleInner::Ready(_) => None,
+        }
+    }
+
+    /// Consume a ready handle, yielding its data (`Some` for reads, `None`
+    /// for writes). Panics on a queued handle — the owning engine must
+    /// resolve those through its own wait path.
+    pub fn into_ready(self) -> Option<Vec<u8>> {
+        match self.0 {
+            HandleInner::Ready(data) => data,
+            HandleInner::Queued(id) => panic!("handle {id} is still queued, not ready"),
+        }
+    }
+}
+
+/// A counter the client bumps through [`GmPort::count`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GmCount {
+    /// An own-node read of this many bytes.
+    LocalRead(usize),
+    /// A read (or part of one) served from an installed replica.
+    ReplicaHit,
+    /// A cacheable block that had to be fetched from its home.
+    ReplicaMiss,
+    /// A segment merged into an already staged one instead of becoming a
+    /// request of its own.
+    Coalesced,
+}
+
+/// A response a peer sent that does not fit the request it answers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GmProtocolError {
+    /// Correlation id of the request the response claims to answer.
+    pub req: u64,
+    /// What the request was waiting for.
+    pub expected: String,
+    /// What arrived.
+    pub got: String,
+}
+
+impl fmt::Display for GmProtocolError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "GM request {}: expected {}, got {}",
+            self.req, self.expected, self.got
+        )
+    }
+}
+
+impl std::error::Error for GmProtocolError {}
+
+/// Everything engine-specific a [`GmClient`] needs.
+///
+/// The two implementors are the simulator's port (virtual-time charging,
+/// `SpanTable` spans) and the live engine's (transport, retransmission,
+/// causal spans). The observation hooks default to no-ops.
+pub trait GmPort {
+    /// What the engine knows about a received message beyond its bytes
+    /// (live: the wire trace context and the arrival time).
+    type Meta;
+
+    /// The node this client runs on.
+    fn node(&self) -> NodeId;
+    /// The home-partitioned store: address arithmetic and own-node reads.
+    fn store(&self) -> &GlobalStore;
+    /// Whether the read-replica cache is on for this run.
+    fn caching(&self) -> bool;
+
+    /// Charge an own-node (linked-library) access touching `bytes`.
+    fn charge_local(&mut self, bytes: usize);
+    /// Bump a GM counter.
+    fn count(&mut self, what: GmCount);
+
+    /// Put request `req` for `home` on the wire and account for it
+    /// (`inflight` is the in-flight count including this request).
+    fn send_request(
+        &mut self,
+        home: NodeId,
+        req: ReqId,
+        msg: Message,
+        kind: SpanKind,
+        bytes: u64,
+        inflight: usize,
+    );
+    /// Block for the next message `pred` accepts: serve it from the stash
+    /// of earlier arrivals if one is there, else receive, stashing what
+    /// `pred` rejects for its own waiter.
+    fn await_msg(&mut self, pred: impl FnMut(&Message) -> bool) -> (Message, Self::Meta);
+    /// Request `req` was answered and its result applied.
+    fn request_done(&mut self, req: ReqId, kind: SpanKind, meta: Self::Meta);
+    /// A peer's response did not fit its request: fail the run.
+    fn protocol_error(&mut self, err: GmProtocolError) -> !;
+
+    /// An opaque time stamp handed back to [`GmPort::handle_done`] and
+    /// [`GmPort::blocked`].
+    fn stamp(&self) -> u64 {
+        0
+    }
+    /// A handle issued at `issued` finished; `remote` tells whether any of
+    /// its segments left the node.
+    fn handle_done(&mut self, _issued: u64, _is_read: bool, _remote: bool) {}
+    /// The caller blocked on GM completions since `since` (`seq` is the
+    /// handle waited on, 0 for a fence or window backpressure).
+    fn blocked(&mut self, _since: u64, _seq: u64) {}
+
+    /// This node's replica of `block`, if it holds one.
+    fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>>;
+    /// Install the blocks request `req` fetched (block id, block bytes).
+    fn replica_install<'d>(
+        &mut self,
+        req: ReqId,
+        region: RegionId,
+        blocks: impl Iterator<Item = (u64, &'d [u8])>,
+    );
+    /// Drop this node's replicas of every block the range touches.
+    fn replica_drop(&mut self, region: RegionId, offset: u64, len: usize);
+    /// Acquire point: drop every replica this node holds (a no-op outside
+    /// the release-consistency mode).
+    fn replica_purge(&mut self);
+
+    /// Apply a write to this node's own partition, with the engine's
+    /// coherence round around it. Returns the ids of the requests whose
+    /// acknowledgements gate the writing handle (none when the round
+    /// already completed inline).
+    fn own_node_write(
+        &mut self,
+        reqs: &mut ReqIdGen,
+        region: RegionId,
+        offset: u64,
+        data: &[u8],
+    ) -> Vec<ReqId>;
+}
+
+/// Where a completed read segment's bytes land: `len` bytes at absolute
+/// region offset `abs_off` copy into `handle`'s buffer at `buf_off`.
+#[derive(Clone, Copy)]
+struct ReadDest {
+    handle: u64,
+    buf_off: usize,
+    abs_off: u64,
+    len: usize,
+}
+
+/// Bookkeeping for one read request on the wire (plain or inside a batch).
+struct ReadCtl {
+    region: RegionId,
+    offset: u64,
+    len: usize,
+    /// Cache blocks (absolute ids) to install from the response.
+    install: Vec<u64>,
+    dests: Vec<ReadDest>,
+}
+
+/// Bookkeeping for one write request on the wire: the handles it completes.
+struct WriteCtl {
+    writers: Vec<u64>,
+}
+
+/// One staged (not yet sent) split-phase segment.
+struct StagedSeg {
+    home: NodeId,
+    region: RegionId,
+    offset: u64,
+    kind: SegKind,
+}
+
+enum SegKind {
+    Read {
+        len: usize,
+        install: Vec<u64>,
+        dests: Vec<ReadDest>,
+    },
+    Write {
+        data: Vec<u8>,
+        writers: Vec<u64>,
+    },
+}
+
+/// An issued request awaiting its response, keyed by correlation id.
+enum InflightReq {
+    Read(ReadCtl),
+    Write(WriteCtl),
+    Batch(Vec<InflightOp>),
+}
+
+enum InflightOp {
+    Read(ReadCtl),
+    Write(WriteCtl),
+}
+
+impl InflightReq {
+    fn expects(&self) -> &'static str {
+        match self {
+            InflightReq::Read(_) => "a read response",
+            InflightReq::Write(_) => "a write or invalidation acknowledgement",
+            InflightReq::Batch(_) => "a batch response",
+        }
+    }
+}
+
+/// A split-phase handle's outstanding work.
+struct HandleState {
+    /// Segments (staged or in flight) still owed to this handle, plus the
+    /// issuance token while it is being issued.
+    remaining: usize,
+    /// Read destination buffer (`None` for writes).
+    buf: Option<Vec<u8>>,
+    /// [`GmPort::stamp`] at issue.
+    issued: u64,
+    /// Whether any segment left the node.
+    remote: bool,
+}
+
+/// One contiguous span a cached read still has to fetch.
+struct Fetch {
+    off: u64,
+    len: usize,
+    /// Fully covered blocks that missed, to install from the response.
+    install: Vec<u64>,
+}
+
+impl Fetch {
+    /// Extend `cur` by `[s, e)` (which continues it), or start it there.
+    fn grow(cur: &mut Option<Fetch>, s: u64, e: u64, block: Option<u64>) {
+        let f = cur.get_or_insert(Fetch {
+            off: s,
+            len: 0,
+            install: Vec::new(),
+        });
+        f.len += (e - s) as usize;
+        f.install.extend(block);
+    }
+}
+
+/// True for the messages that complete a request in flight.
+fn is_completion(msg: &Message) -> bool {
+    matches!(
+        msg,
+        Message::GmReadResp { .. }
+            | Message::GmWriteAck { .. }
+            | Message::GmBatchResp { .. }
+            | Message::GmInvalidateAck { .. }
+    )
+}
+
+/// The split-phase global-memory state machine of one process.
+pub struct GmClient {
+    reqs: ReqIdGen,
+    /// Bound on requests in flight before an issue blocks.
+    window: usize,
+    next_handle: u64,
+    /// Handles with segments still staged or in flight.
+    handles: HashMap<u64, HandleState>,
+    /// Finished handles not yet claimed with [`GmClient::wait`].
+    completed: HashMap<u64, Option<Vec<u8>>>,
+    /// Staged (coalescable) segments, in program order.
+    staged: Vec<StagedSeg>,
+    /// Requests on the wire, by correlation id.
+    inflight: HashMap<u64, InflightReq>,
+}
+
+impl GmClient {
+    /// A client that keeps at most `window` requests in flight.
+    pub fn new(window: usize) -> GmClient {
+        GmClient {
+            reqs: ReqIdGen::new(),
+            window: window.max(1),
+            next_handle: 0,
+            handles: HashMap::new(),
+            completed: HashMap::new(),
+            staged: Vec::new(),
+            inflight: HashMap::new(),
+        }
+    }
+
+    /// The process's request-id generator (the engine's own requests —
+    /// atomics, locks, invalidations — draw from the same sequence).
+    pub fn req_ids(&mut self) -> &mut ReqIdGen {
+        &mut self.reqs
+    }
+
+    /// Requests currently on the wire.
+    pub fn inflight(&self) -> usize {
+        self.inflight.len()
+    }
+
+    // ----- entry points ------------------------------------------------------
+
+    /// Blocking read: issue in eager mode (every segment leaves as soon as
+    /// it is staged, the wire schedule of the historical blocking
+    /// implementation), then wait.
+    pub fn read<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        region: RegionId,
+        offset: u64,
+        len: usize,
+    ) -> Vec<u8> {
+        let h = self.issue_read(port, region, offset, len, true);
+        self.wait(port, h).expect("a read handle carries data")
+    }
+
+    /// Blocking read into a caller-provided buffer. An entirely own-node
+    /// range copies without a handle or an intermediate allocation.
+    pub fn read_into<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        region: RegionId,
+        offset: u64,
+        out: &mut [u8],
+    ) {
+        let runs = split(port, "gm_read", region, offset, out.len());
+        if runs.len() == 1 && runs[0].0 == port.node() {
+            let issued = port.stamp();
+            port.charge_local(out.len());
+            port.store().read_into(region, offset, out).unwrap();
+            port.count(GmCount::LocalRead(out.len()));
+            port.handle_done(issued, true, false);
+            return;
+        }
+        let data = self.read(port, region, offset, out.len());
+        out.copy_from_slice(&data);
+    }
+
+    /// Begin a split-phase read; redeem the handle with [`GmClient::wait`].
+    pub fn read_nb<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        region: RegionId,
+        offset: u64,
+        len: usize,
+    ) -> GmHandle {
+        self.issue_read(port, region, offset, len, false)
+    }
+
+    /// Blocking write (eager issue, then wait).
+    pub fn write<P: GmPort>(&mut self, port: &mut P, region: RegionId, offset: u64, data: &[u8]) {
+        let h = self.issue_write(port, region, offset, data, true);
+        self.wait(port, h);
+    }
+
+    /// Begin a split-phase write; the handle completes when the write is
+    /// globally visible.
+    pub fn write_nb<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        region: RegionId,
+        offset: u64,
+        data: &[u8],
+    ) -> GmHandle {
+        self.issue_write(port, region, offset, data, false)
+    }
+
+    /// Redeem a handle: flush staged work, then drain completions until
+    /// its operation is done. Reads return `Some(bytes)`, writes `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a handle whose result [`GmClient::wait_all`] discarded.
+    pub fn wait<P: GmPort>(&mut self, port: &mut P, handle: GmHandle) -> Option<Vec<u8>> {
+        let id = match handle.0 {
+            HandleInner::Ready(data) => return data,
+            HandleInner::Queued(id) => id,
+        };
+        if let Some(data) = self.completed.remove(&id) {
+            return data;
+        }
+        assert!(
+            self.handles.contains_key(&id),
+            "rank {}: gm_wait on a stale handle (result discarded by gm_wait_all)",
+            port.node().0
+        );
+        self.flush_staged(port);
+        if !self.completed.contains_key(&id) {
+            let since = port.stamp();
+            while !self.completed.contains_key(&id) {
+                self.drain_one(port);
+            }
+            port.blocked(since, id);
+        }
+        self.completed.remove(&id).unwrap()
+    }
+
+    /// Complete everything outstanding and *discard* results not yet
+    /// claimed (a later [`GmClient::wait`] on such a handle panics).
+    pub fn wait_all<P: GmPort>(&mut self, port: &mut P) {
+        self.fence(port);
+        self.completed.clear();
+    }
+
+    /// Complete all staged and in-flight work, keeping finished results
+    /// claimable. With nothing outstanding this is free.
+    pub fn fence<P: GmPort>(&mut self, port: &mut P) {
+        self.flush_staged(port);
+        if self.inflight.is_empty() {
+            return;
+        }
+        let since = port.stamp();
+        while !self.inflight.is_empty() {
+            self.drain_one(port);
+        }
+        port.blocked(since, 0);
+    }
+
+    /// Release-consistency acquire: fence, then drop this node's replicas.
+    pub fn acquire<P: GmPort>(&mut self, port: &mut P) {
+        self.fence(port);
+        port.replica_purge();
+    }
+
+    // ----- issue -------------------------------------------------------------
+
+    /// Register a handle holding its issuance token. The buffer is in
+    /// place *before* any segment is staged because window backpressure
+    /// may deliver completions for this very handle mid-issue.
+    fn new_handle<P: GmPort>(&mut self, port: &P, buf: Option<Vec<u8>>) -> u64 {
+        self.next_handle += 1;
+        self.handles.insert(
+            self.next_handle,
+            HandleState {
+                remaining: 1,
+                buf,
+                issued: port.stamp(),
+                remote: false,
+            },
+        );
+        self.next_handle
+    }
+
+    /// The read buffer of a handle under issue.
+    fn buf_mut(&mut self, handle: u64) -> &mut [u8] {
+        let st = self.handles.get_mut(&handle).unwrap();
+        st.buf.as_mut().expect("read handle without a buffer")
+    }
+
+    fn issue_read<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        region: RegionId,
+        offset: u64,
+        len: usize,
+        eager: bool,
+    ) -> GmHandle {
+        let runs = split(port, "gm_read", region, offset, len);
+        let caching = port.caching();
+        let handle = self.new_handle(port, Some(vec![0u8; len]));
+        for (home, off, rlen) in runs {
+            let at = (off - offset) as usize;
+            if home == port.node() {
+                port.charge_local(rlen);
+                let out = &mut self.buf_mut(handle)[at..at + rlen];
+                port.store().read_into(region, off, out).unwrap();
+                port.count(GmCount::LocalRead(rlen));
+            } else if !caching {
+                self.stage_read(port, home, region, off, rlen, Vec::new(), handle, at, eager);
+            } else {
+                for f in self.plan_cached_read(port, handle, region, offset, off, rlen) {
+                    let at = (f.off - offset) as usize;
+                    self.stage_read(
+                        port, home, region, f.off, f.len, f.install, handle, at, eager,
+                    );
+                }
+            }
+        }
+        self.release_issuance_token(port, handle)
+    }
+
+    /// One remote run of a read at `base` with the replica cache on: serve
+    /// what the installed replicas cover, and merge the missed blocks and
+    /// the unaligned edge fragments into as few fetches as possible.
+    fn plan_cached_read<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        handle: u64,
+        region: RegionId,
+        base: u64,
+        off: u64,
+        rlen: usize,
+    ) -> Vec<Fetch> {
+        let bsz = CACHE_BLOCK as u64;
+        let end = off + rlen as u64;
+        let full = blocks_inside(off, rlen);
+        let mut fetches = Vec::new();
+        let mut cur: Option<Fetch> = None;
+        if full.is_empty() {
+            // A sub-block read (e.g. a single-element `get`) is still
+            // served from a replica installed by an earlier block-covering
+            // read, as long as it lies inside one block.
+            let b = off / bsz;
+            let replica = (end <= (b + 1) * bsz)
+                .then(|| port.replica_get(region, b))
+                .flatten();
+            match replica {
+                Some(data) => {
+                    let s = (off - b * bsz) as usize;
+                    self.replica_hit(port, handle, (off - base) as usize, &data[s..s + rlen]);
+                }
+                None => Fetch::grow(&mut cur, off, end, None),
+            }
+        } else {
+            if off < full.start * bsz {
+                Fetch::grow(&mut cur, off, full.start * bsz, None);
+            }
+            for b in full.clone() {
+                match port.replica_get(region, b) {
+                    Some(data) => {
+                        self.replica_hit(port, handle, (b * bsz - base) as usize, &data);
+                        fetches.extend(cur.take());
+                    }
+                    None => {
+                        port.count(GmCount::ReplicaMiss);
+                        Fetch::grow(&mut cur, b * bsz, (b + 1) * bsz, Some(b));
+                    }
+                }
+            }
+            if full.end * bsz < end {
+                Fetch::grow(&mut cur, full.end * bsz, end, None);
+            }
+        }
+        fetches.extend(cur);
+        fetches
+    }
+
+    /// A replica hit: a library call plus a copy, no wire.
+    fn replica_hit<P: GmPort>(&mut self, port: &mut P, handle: u64, at: usize, bytes: &[u8]) {
+        port.charge_local(bytes.len());
+        port.count(GmCount::ReplicaHit);
+        self.buf_mut(handle)[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    fn issue_write<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        region: RegionId,
+        offset: u64,
+        data: &[u8],
+        eager: bool,
+    ) -> GmHandle {
+        let runs = split(port, "gm_write", region, offset, data.len());
+        if port.caching() {
+            // A writer's own copies of the written range go stale too.
+            port.replica_drop(region, offset, data.len());
+        }
+        let handle = self.new_handle(port, None);
+        for (home, off, rlen) in runs {
+            let at = (off - offset) as usize;
+            let chunk = &data[at..at + rlen];
+            if home == port.node() {
+                for req in port.own_node_write(&mut self.reqs, region, off, chunk) {
+                    self.owe_segment(handle);
+                    let gate = WriteCtl {
+                        writers: vec![handle],
+                    };
+                    self.inflight.insert(req.0, InflightReq::Write(gate));
+                }
+            } else {
+                self.stage_write(port, home, region, off, chunk.to_vec(), handle, eager);
+            }
+        }
+        self.release_issuance_token(port, handle)
+    }
+
+    /// One more segment that leaves the node is owed to `handle`.
+    fn owe_segment(&mut self, handle: u64) {
+        let st = self.handles.get_mut(&handle).unwrap();
+        st.remaining += 1;
+        st.remote = true;
+    }
+
+    /// Release the token held while staging: if every segment already
+    /// completed (or none was needed), the handle is born ready.
+    fn release_issuance_token<P: GmPort>(&mut self, port: &mut P, handle: u64) -> GmHandle {
+        match self.segment_done(port, handle) {
+            Some(buf) => GmHandle(HandleInner::Ready(buf)),
+            None => GmHandle(HandleInner::Queued(handle)),
+        }
+    }
+
+    /// One unit owed to `handle` is done; yields its result if that was
+    /// the last one.
+    fn segment_done<P: GmPort>(&mut self, port: &mut P, handle: u64) -> Option<Option<Vec<u8>>> {
+        let st = self
+            .handles
+            .get_mut(&handle)
+            .expect("completion for an unknown handle");
+        st.remaining -= 1;
+        if st.remaining > 0 {
+            return None;
+        }
+        let st = self.handles.remove(&handle).unwrap();
+        port.handle_done(st.issued, st.buf.is_some(), st.remote);
+        Some(st.buf)
+    }
+
+    // ----- stage / flush -------------------------------------------------------
+
+    /// The last staged segment, if a segment for `[off, end)` of `region`
+    /// at `home` may merge into it (same home and region, ranges touching
+    /// or overlapping — so a merged segment stays contiguous and program
+    /// order among staged operations is preserved).
+    fn mergeable(
+        &mut self,
+        home: NodeId,
+        region: RegionId,
+        off: u64,
+        end: u64,
+    ) -> Option<&mut StagedSeg> {
+        let seg = self.staged.last_mut()?;
+        let seg_len = match &seg.kind {
+            SegKind::Read { len, .. } => *len,
+            SegKind::Write { data, .. } => data.len(),
+        };
+        let touches = off <= seg.offset + seg_len as u64 && end >= seg.offset;
+        (seg.home == home && seg.region == region && touches).then_some(seg)
+    }
+
+    /// Stage one remote read segment, coalescing with the last staged
+    /// segment when that is a mergeable read.
+    #[allow(clippy::too_many_arguments)]
+    fn stage_read<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        home: NodeId,
+        region: RegionId,
+        off: u64,
+        len: usize,
+        install: Vec<u64>,
+        handle: u64,
+        buf_off: usize,
+        eager: bool,
+    ) {
+        self.owe_segment(handle);
+        let end = off + len as u64;
+        let dest = ReadDest {
+            handle,
+            buf_off,
+            abs_off: off,
+            len,
+        };
+        match self.mergeable(home, region, off, end) {
+            Some(StagedSeg {
+                offset,
+                kind:
+                    SegKind::Read {
+                        len: slen,
+                        install: sinstall,
+                        dests,
+                    },
+                ..
+            }) => {
+                let new_end = (*offset + *slen as u64).max(end);
+                *offset = (*offset).min(off);
+                *slen = (new_end - *offset) as usize;
+                for b in install {
+                    if !sinstall.contains(&b) {
+                        sinstall.push(b);
+                    }
+                }
+                dests.push(dest);
+                port.count(GmCount::Coalesced);
+            }
+            _ => self.staged.push(StagedSeg {
+                home,
+                region,
+                offset: off,
+                kind: SegKind::Read {
+                    len,
+                    install,
+                    dests: vec![dest],
+                },
+            }),
+        }
+        if eager {
+            self.flush_staged(port);
+        }
+    }
+
+    /// Stage one remote write segment; coalesces like [`Self::stage_read`].
+    /// On overlap the later write's bytes win, preserving program order.
+    #[allow(clippy::too_many_arguments)]
+    fn stage_write<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        home: NodeId,
+        region: RegionId,
+        off: u64,
+        data: Vec<u8>,
+        handle: u64,
+        eager: bool,
+    ) {
+        self.owe_segment(handle);
+        let end = off + data.len() as u64;
+        match self.mergeable(home, region, off, end) {
+            Some(StagedSeg {
+                offset,
+                kind:
+                    SegKind::Write {
+                        data: sdata,
+                        writers,
+                    },
+                ..
+            }) => {
+                let new_start = (*offset).min(off);
+                let new_end = (*offset + sdata.len() as u64).max(end);
+                let mut union = vec![0u8; (new_end - new_start) as usize];
+                let old_at = (*offset - new_start) as usize;
+                union[old_at..old_at + sdata.len()].copy_from_slice(sdata);
+                let new_at = (off - new_start) as usize;
+                union[new_at..new_at + data.len()].copy_from_slice(&data);
+                *sdata = union;
+                *offset = new_start;
+                writers.push(handle);
+                port.count(GmCount::Coalesced);
+            }
+            _ => self.staged.push(StagedSeg {
+                home,
+                region,
+                offset: off,
+                kind: SegKind::Write {
+                    data,
+                    writers: vec![handle],
+                },
+            }),
+        }
+        if eager {
+            self.flush_staged(port);
+        }
+    }
+
+    /// Send every staged segment: one plain request per singleton home
+    /// group, one batched request per multi-segment home group (preserving
+    /// staging order within the batch).
+    fn flush_staged<P: GmPort>(&mut self, port: &mut P) {
+        if self.staged.is_empty() {
+            return;
+        }
+        // Group by home node, preserving first-appearance order.
+        let mut groups: Vec<(NodeId, Vec<StagedSeg>)> = Vec::new();
+        for seg in std::mem::take(&mut self.staged) {
+            match groups.iter_mut().find(|(h, _)| *h == seg.home) {
+                Some((_, v)) => v.push(seg),
+                None => groups.push((seg.home, vec![seg])),
+            }
+        }
+        for (home, mut segs) in groups {
+            if segs.len() == 1 {
+                self.send_plain(port, home, segs.pop().unwrap());
+            } else {
+                self.send_batch(port, home, segs);
+            }
+        }
+    }
+
+    fn send_plain<P: GmPort>(&mut self, port: &mut P, home: NodeId, seg: StagedSeg) {
+        self.window_backpressure(port);
+        let req = self.reqs.next();
+        let StagedSeg {
+            region,
+            offset,
+            kind,
+            ..
+        } = seg;
+        let (msg, kind, bytes, ctl) = match kind {
+            SegKind::Read {
+                len,
+                install,
+                dests,
+            } => (
+                Message::GmReadReq {
+                    req,
+                    region,
+                    offset,
+                    len: len as u32,
+                },
+                SpanKind::GmRead,
+                len,
+                InflightReq::Read(ReadCtl {
+                    region,
+                    offset,
+                    len,
+                    install,
+                    dests,
+                }),
+            ),
+            SegKind::Write { data, writers } => {
+                let len = data.len();
+                (
+                    Message::GmWriteReq {
+                        req,
+                        region,
+                        offset,
+                        data: data.into(),
+                    },
+                    SpanKind::GmWrite,
+                    len,
+                    InflightReq::Write(WriteCtl { writers }),
+                )
+            }
+        };
+        self.dispatch(port, home, req, msg, kind, bytes, ctl);
+    }
+
+    fn send_batch<P: GmPort>(&mut self, port: &mut P, home: NodeId, segs: Vec<StagedSeg>) {
+        self.window_backpressure(port);
+        let req = self.reqs.next();
+        let mut ops = Vec::with_capacity(segs.len());
+        let mut ctls = Vec::with_capacity(segs.len());
+        let mut bytes = 0;
+        for seg in segs {
+            let StagedSeg {
+                region,
+                offset,
+                kind,
+                ..
+            } = seg;
+            match kind {
+                SegKind::Read {
+                    len,
+                    install,
+                    dests,
+                } => {
+                    bytes += len;
+                    ops.push(GmOp::Read {
+                        region,
+                        offset,
+                        len: len as u32,
+                    });
+                    ctls.push(InflightOp::Read(ReadCtl {
+                        region,
+                        offset,
+                        len,
+                        install,
+                        dests,
+                    }));
+                }
+                SegKind::Write { data, writers } => {
+                    bytes += data.len();
+                    ctls.push(InflightOp::Write(WriteCtl { writers }));
+                    ops.push(GmOp::Write {
+                        region,
+                        offset,
+                        data: data.into(),
+                    });
+                }
+            }
+        }
+        let msg = Message::GmBatchReq { req, ops };
+        let ctl = InflightReq::Batch(ctls);
+        self.dispatch(port, home, req, msg, SpanKind::GmBatch, bytes, ctl);
+    }
+
+    /// Put one request on the wire and enter it in the in-flight window.
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        home: NodeId,
+        req: ReqId,
+        msg: Message,
+        kind: SpanKind,
+        bytes: usize,
+        ctl: InflightReq,
+    ) {
+        port.send_request(home, req, msg, kind, bytes as u64, self.inflight.len() + 1);
+        self.inflight.insert(req.0, ctl);
+    }
+
+    /// Block until another request fits in the pipelining window.
+    fn window_backpressure<P: GmPort>(&mut self, port: &mut P) {
+        if self.inflight.len() < self.window {
+            return;
+        }
+        let since = port.stamp();
+        while self.inflight.len() >= self.window {
+            self.drain_one(port);
+        }
+        port.blocked(since, 0);
+    }
+
+    // ----- completion ----------------------------------------------------------
+
+    /// Consume exactly one GM completion.
+    fn drain_one<P: GmPort>(&mut self, port: &mut P) {
+        let (msg, meta) = port.await_msg(is_completion);
+        if let Err(e) = self.complete(port, msg, meta) {
+            port.protocol_error(e);
+        }
+    }
+
+    /// Apply one GM completion (`GmReadResp`, `GmWriteAck`, `GmBatchResp`,
+    /// `GmInvalidateAck`) to the request it answers.
+    ///
+    /// A response whose correlation id is not in flight is a duplicate
+    /// delivery (fault injection, or a retransmit crossing the original
+    /// response) and is ignored. A response of the wrong kind, a payload of
+    /// the wrong length or a batch response short of read results is an
+    /// error: those are bytes a peer sent, not a bug in this process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msg` is not one of the four completion messages.
+    pub fn complete<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        msg: Message,
+        meta: P::Meta,
+    ) -> Result<(), GmProtocolError> {
+        let (req, kind) = match &msg {
+            Message::GmReadResp { req, .. } => (*req, SpanKind::GmRead),
+            Message::GmWriteAck { req } | Message::GmInvalidateAck { req } => {
+                (*req, SpanKind::GmWrite)
+            }
+            Message::GmBatchResp { req, .. } => (*req, SpanKind::GmBatch),
+            other => panic!("{} is not a GM completion", other.label()),
+        };
+        let Some(ctl) = self.inflight.remove(&req.0) else {
+            return Ok(());
+        };
+        match (ctl, msg) {
+            (InflightReq::Read(c), Message::GmReadResp { data, .. }) => {
+                self.complete_read(port, req, c, &data)?
+            }
+            (
+                InflightReq::Write(c),
+                Message::GmWriteAck { .. } | Message::GmInvalidateAck { .. },
+            ) => self.complete_write(port, c),
+            (InflightReq::Batch(ops), Message::GmBatchResp { reads, .. }) => {
+                let want = ops
+                    .iter()
+                    .filter(|op| matches!(op, InflightOp::Read(_)))
+                    .count();
+                if reads.len() < want {
+                    return Err(GmProtocolError {
+                        req: req.0,
+                        expected: format!("{want} batched read results"),
+                        got: reads.len().to_string(),
+                    });
+                }
+                let mut reads = reads.into_iter();
+                for op in ops {
+                    match op {
+                        InflightOp::Read(c) => {
+                            self.complete_read(port, req, c, &reads.next().unwrap())?
+                        }
+                        InflightOp::Write(c) => self.complete_write(port, c),
+                    }
+                }
+            }
+            (ctl, other) => {
+                return Err(GmProtocolError {
+                    req: req.0,
+                    expected: ctl.expects().to_string(),
+                    got: other.label().to_string(),
+                })
+            }
+        }
+        port.request_done(req, kind, meta);
+        Ok(())
+    }
+
+    /// Distribute one completed read request's bytes to every destination
+    /// handle, installing any cache blocks the request fetched.
+    fn complete_read<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        req: ReqId,
+        ctl: ReadCtl,
+        data: &[u8],
+    ) -> Result<(), GmProtocolError> {
+        if data.len() != ctl.len {
+            return Err(GmProtocolError {
+                req: req.0,
+                expected: format!("{} bytes", ctl.len),
+                got: format!("{} bytes", data.len()),
+            });
+        }
+        if !ctl.install.is_empty() {
+            let blocks = ctl.install.iter().map(|&b| {
+                let lo = (b * CACHE_BLOCK as u64 - ctl.offset) as usize;
+                (b, &data[lo..lo + CACHE_BLOCK])
+            });
+            port.replica_install(req, ctl.region, blocks);
+        }
+        for d in ctl.dests {
+            let src = (d.abs_off - ctl.offset) as usize;
+            let st = self
+                .handles
+                .get_mut(&d.handle)
+                .expect("read completion for an unknown handle");
+            let buf = st.buf.as_mut().expect("read handle without a buffer");
+            buf[d.buf_off..d.buf_off + d.len].copy_from_slice(&data[src..src + d.len]);
+            if let Some(buf) = self.segment_done(port, d.handle) {
+                self.completed.insert(d.handle, buf);
+            }
+        }
+        Ok(())
+    }
+
+    fn complete_write<P: GmPort>(&mut self, port: &mut P, ctl: WriteCtl) {
+        for w in ctl.writers {
+            if let Some(result) = self.segment_done(port, w) {
+                self.completed.insert(w, result);
+            }
+        }
+    }
+}
+
+/// Split `[offset, offset + len)` of `region` into per-home runs.
+fn split<P: GmPort>(
+    port: &P,
+    what: &str,
+    region: RegionId,
+    offset: u64,
+    len: usize,
+) -> Vec<(NodeId, u64, usize)> {
+    port.store()
+        .split_by_home(region, offset, len)
+        .unwrap_or_else(|e| panic!("rank {}: {what} failed: {e}", port.node().0))
+}

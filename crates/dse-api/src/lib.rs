@@ -28,11 +28,13 @@
 mod api;
 pub mod collective;
 mod ctx;
+mod gm_client;
 mod program;
 mod region;
 
 pub use api::ParallelApi;
-pub use ctx::{DseCtx, GmHandle, UserMsg, AUTO_BARRIER_BASE};
+pub use ctx::{DseCtx, UserMsg, AUTO_BARRIER_BASE};
+pub use gm_client::{GmClient, GmCount, GmHandle, GmPort, GmProtocolError};
 pub use program::{DseProgram, RunResult, TelemetrySummary};
 pub use region::{GmArray, GmCounter, GmElem};
 
