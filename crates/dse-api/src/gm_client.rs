@@ -109,6 +109,16 @@ pub struct GmProtocolError {
     pub got: String,
 }
 
+impl GmProtocolError {
+    fn new(req: ReqId, expected: impl Into<String>, got: impl Into<String>) -> GmProtocolError {
+        GmProtocolError {
+            req: req.0,
+            expected: expected.into(),
+            got: got.into(),
+        }
+    }
+}
+
 impl fmt::Display for GmProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -213,7 +223,8 @@ struct ReadDest {
     len: usize,
 }
 
-/// Bookkeeping for one read request on the wire (plain or inside a batch).
+/// Bookkeeping for one read segment: staged (and grown by coalescing)
+/// first, then riding a request, plain or inside a batch.
 struct ReadCtl {
     region: RegionId,
     offset: u64,
@@ -223,41 +234,34 @@ struct ReadCtl {
     dests: Vec<ReadDest>,
 }
 
-/// Bookkeeping for one write request on the wire: the handles it completes.
-struct WriteCtl {
-    writers: Vec<u64>,
-}
-
 /// One staged (not yet sent) split-phase segment.
 struct StagedSeg {
     home: NodeId,
-    region: RegionId,
-    offset: u64,
-    kind: SegKind,
+    op: StagedOp,
 }
 
-enum SegKind {
-    Read {
-        len: usize,
-        install: Vec<u64>,
-        dests: Vec<ReadDest>,
-    },
+enum StagedOp {
+    Read(ReadCtl),
     Write {
+        region: RegionId,
+        offset: u64,
         data: Vec<u8>,
+        /// The handles this write completes.
         writers: Vec<u64>,
     },
 }
 
 /// An issued request awaiting its response, keyed by correlation id.
+/// A write is remembered by the handles it completes.
 enum InflightReq {
     Read(ReadCtl),
-    Write(WriteCtl),
+    Write(Vec<u64>),
     Batch(Vec<InflightOp>),
 }
 
 enum InflightOp {
     Read(ReadCtl),
-    Write(WriteCtl),
+    Write(Vec<u64>),
 }
 
 impl InflightReq {
@@ -620,10 +624,8 @@ impl GmClient {
             if home == port.node() {
                 for req in port.own_node_write(&mut self.reqs, region, off, chunk) {
                     self.owe_segment(handle);
-                    let gate = WriteCtl {
-                        writers: vec![handle],
-                    };
-                    self.inflight.insert(req.0, InflightReq::Write(gate));
+                    self.inflight
+                        .insert(req.0, InflightReq::Write(vec![handle]));
                 }
             } else {
                 self.stage_write(port, home, region, off, chunk.to_vec(), handle, eager);
@@ -666,7 +668,7 @@ impl GmClient {
 
     // ----- stage / flush -------------------------------------------------------
 
-    /// The last staged segment, if a segment for `[off, end)` of `region`
+    /// The last staged operation, if a segment for `[off, end)` of `region`
     /// at `home` may merge into it (same home and region, ranges touching
     /// or overlapping — so a merged segment stays contiguous and program
     /// order among staged operations is preserved).
@@ -676,14 +678,19 @@ impl GmClient {
         region: RegionId,
         off: u64,
         end: u64,
-    ) -> Option<&mut StagedSeg> {
+    ) -> Option<&mut StagedOp> {
         let seg = self.staged.last_mut()?;
-        let seg_len = match &seg.kind {
-            SegKind::Read { len, .. } => *len,
-            SegKind::Write { data, .. } => data.len(),
+        let (sregion, soff, slen) = match &seg.op {
+            StagedOp::Read(c) => (c.region, c.offset, c.len),
+            StagedOp::Write {
+                region,
+                offset,
+                data,
+                ..
+            } => (*region, *offset, data.len()),
         };
-        let touches = off <= seg.offset + seg_len as u64 && end >= seg.offset;
-        (seg.home == home && seg.region == region && touches).then_some(seg)
+        let touches = off <= soff + slen as u64 && end >= soff;
+        (seg.home == home && sregion == region && touches).then_some(&mut seg.op)
     }
 
     /// Stage one remote read segment, coalescing with the last staged
@@ -710,37 +717,29 @@ impl GmClient {
             len,
         };
         match self.mergeable(home, region, off, end) {
-            Some(StagedSeg {
-                offset,
-                kind:
-                    SegKind::Read {
-                        len: slen,
-                        install: sinstall,
-                        dests,
-                    },
-                ..
-            }) => {
-                let new_end = (*offset + *slen as u64).max(end);
-                *offset = (*offset).min(off);
-                *slen = (new_end - *offset) as usize;
+            Some(StagedOp::Read(c)) => {
+                let new_end = (c.offset + c.len as u64).max(end);
+                c.offset = c.offset.min(off);
+                c.len = (new_end - c.offset) as usize;
                 for b in install {
-                    if !sinstall.contains(&b) {
-                        sinstall.push(b);
+                    if !c.install.contains(&b) {
+                        c.install.push(b);
                     }
                 }
-                dests.push(dest);
+                c.dests.push(dest);
                 port.count(GmCount::Coalesced);
             }
-            _ => self.staged.push(StagedSeg {
-                home,
-                region,
-                offset: off,
-                kind: SegKind::Read {
+            _ => {
+                let dests = vec![dest];
+                let op = StagedOp::Read(ReadCtl {
+                    region,
+                    offset: off,
                     len,
                     install,
-                    dests: vec![dest],
-                },
-            }),
+                    dests,
+                });
+                self.staged.push(StagedSeg { home, op });
+            }
         }
         if eager {
             self.flush_staged(port);
@@ -763,13 +762,10 @@ impl GmClient {
         self.owe_segment(handle);
         let end = off + data.len() as u64;
         match self.mergeable(home, region, off, end) {
-            Some(StagedSeg {
+            Some(StagedOp::Write {
                 offset,
-                kind:
-                    SegKind::Write {
-                        data: sdata,
-                        writers,
-                    },
+                data: sdata,
+                writers,
                 ..
             }) => {
                 let new_start = (*offset).min(off);
@@ -784,15 +780,16 @@ impl GmClient {
                 writers.push(handle);
                 port.count(GmCount::Coalesced);
             }
-            _ => self.staged.push(StagedSeg {
-                home,
-                region,
-                offset: off,
-                kind: SegKind::Write {
+            _ => {
+                let writers = vec![handle];
+                let op = StagedOp::Write {
+                    region,
+                    offset: off,
                     data,
-                    writers: vec![handle],
-                },
-            }),
+                    writers,
+                };
+                self.staged.push(StagedSeg { home, op });
+            }
         }
         if eager {
             self.flush_staged(port);
@@ -807,107 +804,79 @@ impl GmClient {
             return;
         }
         // Group by home node, preserving first-appearance order.
-        let mut groups: Vec<(NodeId, Vec<StagedSeg>)> = Vec::new();
+        let mut groups: Vec<(NodeId, Vec<StagedOp>)> = Vec::new();
         for seg in std::mem::take(&mut self.staged) {
             match groups.iter_mut().find(|(h, _)| *h == seg.home) {
-                Some((_, v)) => v.push(seg),
-                None => groups.push((seg.home, vec![seg])),
+                Some((_, v)) => v.push(seg.op),
+                None => groups.push((seg.home, vec![seg.op])),
             }
         }
-        for (home, mut segs) in groups {
-            if segs.len() == 1 {
-                self.send_plain(port, home, segs.pop().unwrap());
+        for (home, mut ops) in groups {
+            if ops.len() == 1 {
+                self.send_plain(port, home, ops.pop().unwrap());
             } else {
-                self.send_batch(port, home, segs);
+                self.send_batch(port, home, ops);
             }
         }
     }
 
-    fn send_plain<P: GmPort>(&mut self, port: &mut P, home: NodeId, seg: StagedSeg) {
+    fn send_plain<P: GmPort>(&mut self, port: &mut P, home: NodeId, op: StagedOp) {
         self.window_backpressure(port);
         let req = self.reqs.next();
-        let StagedSeg {
-            region,
-            offset,
-            kind,
-            ..
-        } = seg;
-        let (msg, kind, bytes, ctl) = match kind {
-            SegKind::Read {
-                len,
-                install,
-                dests,
-            } => (
-                Message::GmReadReq {
+        let (msg, kind, bytes, ctl) = match op {
+            StagedOp::Read(c) => {
+                let msg = Message::GmReadReq {
+                    req,
+                    region: c.region,
+                    offset: c.offset,
+                    len: c.len as u32,
+                };
+                (msg, SpanKind::GmRead, c.len, InflightReq::Read(c))
+            }
+            StagedOp::Write {
+                region,
+                offset,
+                data,
+                writers,
+            } => {
+                let len = data.len();
+                let msg = Message::GmWriteReq {
                     req,
                     region,
                     offset,
-                    len: len as u32,
-                },
-                SpanKind::GmRead,
-                len,
-                InflightReq::Read(ReadCtl {
-                    region,
-                    offset,
-                    len,
-                    install,
-                    dests,
-                }),
-            ),
-            SegKind::Write { data, writers } => {
-                let len = data.len();
-                (
-                    Message::GmWriteReq {
-                        req,
-                        region,
-                        offset,
-                        data: data.into(),
-                    },
-                    SpanKind::GmWrite,
-                    len,
-                    InflightReq::Write(WriteCtl { writers }),
-                )
+                    data: data.into(),
+                };
+                (msg, SpanKind::GmWrite, len, InflightReq::Write(writers))
             }
         };
         self.dispatch(port, home, req, msg, kind, bytes, ctl);
     }
 
-    fn send_batch<P: GmPort>(&mut self, port: &mut P, home: NodeId, segs: Vec<StagedSeg>) {
+    fn send_batch<P: GmPort>(&mut self, port: &mut P, home: NodeId, staged: Vec<StagedOp>) {
         self.window_backpressure(port);
         let req = self.reqs.next();
-        let mut ops = Vec::with_capacity(segs.len());
-        let mut ctls = Vec::with_capacity(segs.len());
+        let mut ops = Vec::with_capacity(staged.len());
+        let mut ctls = Vec::with_capacity(staged.len());
         let mut bytes = 0;
-        for seg in segs {
-            let StagedSeg {
-                region,
-                offset,
-                kind,
-                ..
-            } = seg;
-            match kind {
-                SegKind::Read {
-                    len,
-                    install,
-                    dests,
-                } => {
-                    bytes += len;
+        for op in staged {
+            match op {
+                StagedOp::Read(c) => {
+                    bytes += c.len;
                     ops.push(GmOp::Read {
-                        region,
-                        offset,
-                        len: len as u32,
+                        region: c.region,
+                        offset: c.offset,
+                        len: c.len as u32,
                     });
-                    ctls.push(InflightOp::Read(ReadCtl {
-                        region,
-                        offset,
-                        len,
-                        install,
-                        dests,
-                    }));
+                    ctls.push(InflightOp::Read(c));
                 }
-                SegKind::Write { data, writers } => {
+                StagedOp::Write {
+                    region,
+                    offset,
+                    data,
+                    writers,
+                } => {
                     bytes += data.len();
-                    ctls.push(InflightOp::Write(WriteCtl { writers }));
+                    ctls.push(InflightOp::Write(writers));
                     ops.push(GmOp::Write {
                         region,
                         offset,
@@ -993,38 +962,26 @@ impl GmClient {
                 self.complete_read(port, req, c, &data)?
             }
             (
-                InflightReq::Write(c),
+                InflightReq::Write(w),
                 Message::GmWriteAck { .. } | Message::GmInvalidateAck { .. },
-            ) => self.complete_write(port, c),
+            ) => self.complete_write(port, w),
             (InflightReq::Batch(ops), Message::GmBatchResp { reads, .. }) => {
-                let want = ops
-                    .iter()
-                    .filter(|op| matches!(op, InflightOp::Read(_)))
-                    .count();
-                if reads.len() < want {
-                    return Err(GmProtocolError {
-                        req: req.0,
-                        expected: format!("{want} batched read results"),
-                        got: reads.len().to_string(),
-                    });
-                }
+                let got = reads.len();
                 let mut reads = reads.into_iter();
                 for op in ops {
                     match op {
                         InflightOp::Read(c) => {
-                            self.complete_read(port, req, c, &reads.next().unwrap())?
+                            let data = reads.next().ok_or_else(|| {
+                                let got = format!("{got} results");
+                                GmProtocolError::new(req, "a result per batched read", got)
+                            })?;
+                            self.complete_read(port, req, c, &data)?
                         }
                         InflightOp::Write(c) => self.complete_write(port, c),
                     }
                 }
             }
-            (ctl, other) => {
-                return Err(GmProtocolError {
-                    req: req.0,
-                    expected: ctl.expects().to_string(),
-                    got: other.label().to_string(),
-                })
-            }
+            (ctl, other) => return Err(GmProtocolError::new(req, ctl.expects(), other.label())),
         }
         port.request_done(req, kind, meta);
         Ok(())
@@ -1040,11 +997,11 @@ impl GmClient {
         data: &[u8],
     ) -> Result<(), GmProtocolError> {
         if data.len() != ctl.len {
-            return Err(GmProtocolError {
-                req: req.0,
-                expected: format!("{} bytes", ctl.len),
-                got: format!("{} bytes", data.len()),
-            });
+            let (want, got) = (
+                format!("{} bytes", ctl.len),
+                format!("{} bytes", data.len()),
+            );
+            return Err(GmProtocolError::new(req, want, got));
         }
         if !ctl.install.is_empty() {
             let blocks = ctl.install.iter().map(|&b| {
@@ -1068,8 +1025,8 @@ impl GmClient {
         Ok(())
     }
 
-    fn complete_write<P: GmPort>(&mut self, port: &mut P, ctl: WriteCtl) {
-        for w in ctl.writers {
+    fn complete_write<P: GmPort>(&mut self, port: &mut P, writers: Vec<u64>) {
+        for w in writers {
             if let Some(result) = self.segment_done(port, w) {
                 self.completed.insert(w, result);
             }

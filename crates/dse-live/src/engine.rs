@@ -31,12 +31,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use dse_api::{GmHandle, ParallelApi};
-use dse_kernel::cache::{blocks_inside, blocks_touching};
+use dse_api::{GmClient, GmCount, GmHandle, GmPort, GmProtocolError, ParallelApi};
 use dse_kernel::gmem::GlobalStore;
 use dse_kernel::task::{is_app_bound, KernelEnv, KernelEvent, KernelTask, Outbound, Progress};
-use dse_kernel::{CacheStore, Distribution, GmMode, SchedulerKind, CACHE_BLOCK};
-use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
+use dse_kernel::{CacheStore, Distribution, GmMode, SchedulerKind, DEFAULT_GM_WINDOW};
+use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
 use dse_obs::{
     ClusterAggregator, DeltaTracker, FlightEventKind, FlightRecorder, MetricKey, MetricsSnapshot,
     Registry, SpanKind, TelemetryDelta, TraceRecorder, TraceRole, TraceSpanKind, TraceSpanRec,
@@ -626,53 +625,6 @@ fn live_kernel(
 // Application thread: LiveCtx, the ParallelApi over the wire.
 // ---------------------------------------------------------------------------
 
-/// Where a completed read segment's bytes land.
-#[derive(Clone, Copy)]
-struct ReadDest {
-    handle: u64,
-    buf_off: usize,
-    abs_off: u64,
-    len: usize,
-}
-
-/// Bookkeeping for one read request on the wire (plain or batched).
-struct ReadCtl {
-    offset: u64,
-    len: usize,
-    dests: Vec<ReadDest>,
-    /// Region the segment reads (for replica installs on cached runs).
-    region: RegionId,
-    /// Fully-contained blocks to install on completion (empty when the
-    /// replica cache is off).
-    install: std::ops::Range<u64>,
-    /// Install-epoch snapshot taken at dispatch: a mismatch at completion
-    /// means an invalidation raced the fetch, so the install is skipped.
-    epoch: u64,
-}
-
-/// Bookkeeping for one write request on the wire: the handles it completes.
-struct WriteCtl {
-    writers: Vec<u64>,
-}
-
-/// One staged (not yet sent) split-phase segment.
-struct StagedSeg {
-    home: u32,
-    region: RegionId,
-    offset: u64,
-    kind: SegKind,
-}
-
-enum SegKind {
-    Read { len: usize, dests: Vec<ReadDest> },
-    Write { data: Vec<u8>, writers: Vec<u64> },
-}
-
-/// Unwind payload of an app thread stopped by the cluster abort: carried
-/// via `resume_unwind` (so the panic hook stays silent) and swallowed by
-/// the harness when joining, unlike a genuine application panic.
-struct AbortUnwind;
-
 /// Retransmission bookkeeping for one outstanding GM request.
 struct RetryState {
     /// Home PE the request is addressed to.
@@ -690,6 +642,9 @@ struct RetryState {
     /// Trace context of the original send; retransmits carry the same one
     /// so the home kernel's dedup replay stays in the same causal chain.
     ctx: Option<TraceCtx>,
+    /// Install-epoch snapshot taken at dispatch: a mismatch at completion
+    /// means an invalidation raced the fetch, so the install is skipped.
+    epoch: u64,
 }
 
 /// Requester-side trace bookkeeping for one outstanding GM request: the
@@ -716,59 +671,30 @@ fn span_kind_of(msg: &Message) -> SpanKind {
     }
 }
 
-/// An issued request awaiting its response, keyed by correlation id.
-enum InflightReq {
-    Read(ReadCtl),
-    Write(WriteCtl),
-    Batch(Vec<InflightOp>),
+/// What the live engine knows about a message handed to its waiter.
+struct Arrival {
+    /// Trace context the message carried on the wire.
+    ctx: Option<TraceCtx>,
+    /// When the waiter got it, engine clock.
+    at_ns: u64,
+    /// Its encoded size.
+    wire_bytes: u64,
 }
 
-enum InflightOp {
-    Read(ReadCtl),
-    Write(WriteCtl),
-}
-
-/// A split-phase handle's outstanding work.
-struct HandleState {
-    /// Segments (staged or in flight) still owed to this handle.
-    remaining: usize,
-    /// Read destination buffer (`None` for writes).
-    buf: Option<Vec<u8>>,
-    /// Issue time, for the completion latency histogram.
-    started: Instant,
-    is_read: bool,
-    /// Whether any segment left the node (decides the latency histogram:
-    /// `remote_*_ns` vs `local_*_ns`, matching the simulator's names).
-    remote: bool,
-}
-
-/// Per-process context of the live engine: implements [`ParallelApi`] by
-/// splitting each access across home nodes — own-node ranges go straight to
-/// the store (the linked-library fast path), remote ranges become staged
-/// request messages that coalesce per home and travel as real wire traffic.
-pub struct LiveCtx {
+/// The live engine behind [`GmPort`]: the transport endpoint and app inbox,
+/// the messages that arrived while the app was waiting for something else,
+/// retransmission state, and the causal span recorder.
+struct LivePort {
     rank: u32,
-    pid: GlobalPid,
     cluster: Arc<LiveCluster>,
     transport: Arc<dyn Transport>,
     app_rx: AppInbox,
-    reqs: ReqIdGen,
-    barrier_seq: u32,
-    alloc_seq: usize,
     /// Messages (with their wire trace context) that arrived while
     /// awaiting something else.
     stash: VecDeque<(Message, Option<TraceCtx>)>,
-    /// Split-phase machinery (mirrors the simulator's `DseCtx`).
-    next_handle: u64,
-    handles: HashMap<u64, HandleState>,
-    completed: HashMap<u64, Option<Vec<u8>>>,
-    staged: Vec<StagedSeg>,
-    inflight: HashMap<u64, InflightReq>,
-    /// Retransmission state for outstanding requests, keyed like
-    /// `inflight`; entries are dropped when the response arrives.
+    /// Retransmission state for outstanding requests, keyed by request
+    /// id; entries are dropped when the response arrives.
     retry: HashMap<u64, RetryState>,
-    /// Reusable scratch for element-wise `GmArray` accessors.
-    scratch: Vec<u8>,
     /// Causal span recorder for this app thread.
     rec: TraceRecorder,
     /// This PE's trace id (= the app root span's id).
@@ -781,67 +707,44 @@ pub struct LiveCtx {
     req_spans: HashMap<u64, ReqSpan>,
 }
 
-impl LiveCtx {
-    fn new(rank: u32, cluster: Arc<LiveCluster>, transport: Arc<dyn Transport>) -> LiveCtx {
-        let app_rx = Arc::clone(&cluster.app_inboxes[rank as usize]);
-        let mut rec = if cluster.tracing {
-            TraceRecorder::new(rank, TraceRole::App)
-        } else {
-            TraceRecorder::disabled(rank, TraceRole::App)
-        };
-        // The app root span doubles as this PE's trace id: every causal
-        // chain the PE originates shares it.
-        let app_span = rec.next_id();
-        let app_start_ns = cluster.now_ns();
-        LiveCtx {
-            rank,
-            pid: GlobalPid::new(NodeId(rank as u16), 1),
-            cluster,
-            transport,
-            app_rx,
-            reqs: ReqIdGen::new(),
-            barrier_seq: 0,
-            alloc_seq: 0,
-            stash: VecDeque::new(),
-            next_handle: 0,
-            handles: HashMap::new(),
-            completed: HashMap::new(),
-            staged: Vec::new(),
-            inflight: HashMap::new(),
-            retry: HashMap::new(),
-            scratch: Vec::new(),
-            rec,
-            trace: app_span,
-            app_span,
-            app_start_ns,
-            req_spans: HashMap::new(),
-        }
-    }
-
+impl LivePort {
     /// True when this run records causal spans.
     fn tracing(&self) -> bool {
         self.cluster.tracing
+    }
+
+    fn me(&self) -> NodeId {
+        NodeId(self.rank as u16)
+    }
+
+    /// A span of this PE's trace, `[start_ns, now]`, parented to `parent`.
+    fn span(&self, kind: TraceSpanKind, span: u64, parent: u64, start_ns: u64) -> TraceSpanRec {
+        let end = self.cluster.now_ns();
+        TraceSpanRec::new(kind, self.trace, span, parent, self.rank, start_ns, end)
     }
 
     /// Close the app root span (called once, when the body is done or the
     /// thread is unwinding) so the blame table has the PE's wall clock.
     fn close_app_span(&mut self) {
         if self.tracing() {
-            let span = TraceSpanRec::new(
-                TraceSpanKind::App,
-                self.trace,
-                self.app_span,
-                0,
-                self.rank,
-                self.app_start_ns,
-                self.cluster.now_ns(),
-            );
+            let span = self.span(TraceSpanKind::App, self.app_span, 0, self.app_start_ns);
             self.rec.push(span);
         }
     }
 
     fn metrics(&self) -> &Registry {
         &self.cluster.metrics
+    }
+
+    fn incr(&self, subsystem: &'static str, name: &'static str) {
+        self.metrics()
+            .incr(MetricKey::pe(subsystem, name, self.rank));
+    }
+
+    /// Count one application-level GM operation.
+    fn count_op(&self, name: &'static str) {
+        self.incr("gm", name);
+        self.incr("kernel", "gm_ops");
     }
 
     /// Record a first-hand app failure (if it is the first observation),
@@ -961,8 +864,7 @@ impl LiveCtx {
                     // the retry shows up under its own metric. The same
                     // trace context rides again so the home's dedup replay
                     // stays in the original causal chain.
-                    self.metrics()
-                        .incr(MetricKey::pe("kernel", "gm_retries", self.rank));
+                    self.incr("kernel", "gm_retries");
                     if let Some(rs) = self.req_spans.get_mut(&key) {
                         rs.retries += 1;
                         // The backoff that just elapsed is attributable
@@ -984,8 +886,7 @@ impl LiveCtx {
                     self.send_traced(home, &msg, ctx);
                 }
                 None => {
-                    self.metrics()
-                        .incr(MetricKey::pe("kernel", "gm_deadline_trips", self.rank));
+                    self.incr("kernel", "gm_deadline_trips");
                     let (trace, span) = self
                         .req_spans
                         .get(&key)
@@ -1012,8 +913,21 @@ impl LiveCtx {
         }
     }
 
-    /// Arm retransmission for a just-sent request.
-    fn arm_retry(&mut self, req: ReqId, home: u32, msg: Message, ctx: Option<TraceCtx>) {
+    /// This PE's install epoch now (0 on uncached runs, which install
+    /// nothing).
+    fn install_epoch(&self) -> u64 {
+        match self.cluster.cache {
+            Some(_) => *self.cluster.install_guards[self.rank as usize].lock(),
+            None => 0,
+        }
+    }
+
+    /// Send a request to `home` and arm its retransmission. The install
+    /// epoch is snapshotted *before* the send, so an invalidation the home
+    /// issues after serving it is seen as a mismatch at completion.
+    fn send_armed(&mut self, req: ReqId, home: u32, msg: Message, ctx: Option<TraceCtx>) {
+        let epoch = self.install_epoch();
+        self.send_traced(home, &msg, ctx);
         let policy = self.cluster.retry;
         let now = Instant::now();
         self.retry.insert(
@@ -1026,6 +940,7 @@ impl LiveCtx {
                 next_retry: now + policy.base_delay,
                 sent_at: now,
                 ctx,
+                epoch,
             },
         );
     }
@@ -1055,26 +970,18 @@ impl LiveCtx {
     /// Close the root `gm_req` span for a completed request and emit the
     /// redemption span linking this PE back to the home kernel's serve
     /// (when the response carried trace context).
-    fn close_req_span(&mut self, req: u64, resp_ctx: Option<TraceCtx>, bytes: u64, t_in_ns: u64) {
+    fn close_req_span(&mut self, req: u64, at: Arrival) {
         let Some(rs) = self.req_spans.remove(&req) else {
             return;
         };
-        let end = self.cluster.now_ns();
-        let mut root = TraceSpanRec::new(
-            TraceSpanKind::GmReq,
-            self.trace,
-            rs.span,
-            self.app_span,
-            self.rank,
-            rs.start_ns,
-            end,
-        );
+        let mut root = self.span(TraceSpanKind::GmReq, rs.span, self.app_span, rs.start_ns);
         root.peer = rs.home;
-        root.bytes = bytes;
+        root.bytes = at.wire_bytes;
         root.seq = req;
         root.retries = rs.retries;
+        let end = root.end_ns;
         self.rec.push(root);
-        if let Some(c) = resp_ctx {
+        if let Some(c) = at.ctx {
             // Parent = the serve span id the home kernel stamped on the
             // response: the cross-PE link that makes the chain
             // requester → home → requester.
@@ -1084,281 +991,157 @@ impl LiveCtx {
                 self.rec.next_id(),
                 c.parent,
                 self.rank,
-                t_in_ns,
+                at.at_ns,
                 end,
             );
             redeem.peer = rs.home;
-            redeem.bytes = bytes;
+            redeem.bytes = at.wire_bytes;
             redeem.seq = req;
             self.rec.push(redeem);
         }
     }
 
-    fn new_handle(&mut self) -> u64 {
-        self.next_handle += 1;
-        self.next_handle
-    }
-
-    fn home_of(&self, region: RegionId, offset: u64) -> u32 {
-        self.cluster
-            .store
-            .home_of(region, offset)
-            .unwrap_or_else(|e| panic!("live rank {}: bad GM address: {e}", self.rank))
-            .0 as u32
-    }
-
-    // ----- split-phase issue/stage/flush -----------------------------------
-
-    fn issue_read(&mut self, region: RegionId, offset: u64, len: usize, eager: bool) -> GmHandle {
-        self.metrics().incr(MetricKey::pe("gm", "reads", self.rank));
-        self.metrics()
-            .incr(MetricKey::pe("kernel", "gm_ops", self.rank));
-        let runs = self
-            .cluster
-            .store
-            .split_by_home(region, offset, len)
-            .unwrap_or_else(|e| panic!("live rank {}: gm_read failed: {e}", self.rank));
-        let handle = self.new_handle();
-        self.handles.insert(
-            handle,
-            HandleState {
-                remaining: 1, // issuance token, released below
-                buf: Some(vec![0u8; len]),
-                started: Instant::now(),
-                is_read: true,
-                remote: false,
-            },
-        );
-        for (home, off, rlen) in runs {
-            let buf_off = (off - offset) as usize;
-            if home.0 as u32 == self.rank {
-                // Own-node fast path: straight into the store.
-                let buf = self.handles.get_mut(&handle).unwrap().buf.as_mut().unwrap();
-                self.cluster
-                    .store
-                    .read_into(region, off, &mut buf[buf_off..buf_off + rlen])
-                    .unwrap();
-                continue;
-            }
-            if self.cluster.cache.is_some() {
-                self.stage_read_cached(home.0 as u32, region, offset, off, rlen, handle, eager);
-                continue;
-            }
-            let st = self.handles.get_mut(&handle).unwrap();
-            st.remaining += 1;
-            st.remote = true;
-            self.stage_read(home.0 as u32, region, off, rlen, handle, buf_off, eager);
-        }
-        self.release_issuance_token(handle)
-    }
-
-    /// One remote read run with the replica cache on: serve fully cached
-    /// blocks straight out of the local replica store, and stage only the
-    /// misses and edge fragments (coalesced into minimal spans) as wire
-    /// fetches.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_read_cached(
-        &mut self,
-        home: u32,
-        region: RegionId,
-        base: u64,
-        off: u64,
-        rlen: usize,
-        handle: u64,
-        eager: bool,
-    ) {
-        let cluster = Arc::clone(&self.cluster);
-        let cs = cluster.cache.as_ref().unwrap();
-        let me = NodeId(self.rank as u16);
-        let end = off + rlen as u64;
-        let full = blocks_inside(off, rlen);
-        // Contiguous span still needing a fetch, grown block by block.
-        let mut pend: Option<(u64, u64)> = None;
-        let mut segs: Vec<(u64, usize)> = Vec::new();
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for b in blocks_touching(off, rlen) {
-            let bs = b * CACHE_BLOCK as u64;
-            let s = bs.max(off);
-            let e = (bs + CACHE_BLOCK as u64).min(end);
-            let cached = full.contains(&b).then(|| cs.get(me, region, b)).flatten();
-            match cached {
-                Some(data) => {
-                    hits += 1;
-                    let st = self.handles.get_mut(&handle).unwrap();
-                    let buf = st.buf.as_mut().unwrap();
-                    let at = (s - base) as usize;
-                    let src = (s - bs) as usize;
-                    let n = (e - s) as usize;
-                    buf[at..at + n].copy_from_slice(&data[src..src + n]);
-                    if let Some((ps, pe)) = pend.take() {
-                        segs.push((ps, (pe - ps) as usize));
-                    }
-                }
-                None => {
-                    if full.contains(&b) {
-                        misses += 1;
-                    }
-                    match &mut pend {
-                        Some((_, stop)) => *stop = e,
-                        None => pend = Some((s, e)),
-                    }
-                }
-            }
-        }
-        if let Some((ps, pe)) = pend {
-            segs.push((ps, (pe - ps) as usize));
-        }
-        if hits > 0 {
-            self.metrics()
-                .add(MetricKey::pe("kernel", "cache_hits", self.rank), hits);
-            self.metrics()
-                .add(MetricKey::pe("kernel", "dir_hits", self.rank), hits);
-        }
-        if misses > 0 {
-            self.metrics()
-                .add(MetricKey::pe("kernel", "cache_misses", self.rank), misses);
-            self.metrics()
-                .add(MetricKey::pe("kernel", "dir_misses", self.rank), misses);
-        }
-        for (s, l) in segs {
-            let st = self.handles.get_mut(&handle).unwrap();
-            st.remaining += 1;
-            st.remote = true;
-            self.stage_read(home, region, s, l, handle, (s - base) as usize, false);
-        }
-        if eager {
-            self.flush_staged();
-        }
-    }
-
-    fn issue_write(&mut self, region: RegionId, offset: u64, data: &[u8], eager: bool) -> GmHandle {
-        self.metrics()
-            .incr(MetricKey::pe("gm", "writes", self.rank));
-        self.metrics()
-            .incr(MetricKey::pe("kernel", "gm_ops", self.rank));
-        let runs = self
-            .cluster
-            .store
-            .split_by_home(region, offset, data.len())
-            .unwrap_or_else(|e| panic!("live rank {}: gm_write failed: {e}", self.rank));
-        let handle = self.new_handle();
-        self.handles.insert(
-            handle,
-            HandleState {
-                remaining: 1, // issuance token, released below
-                buf: None,
-                started: Instant::now(),
-                is_read: false,
-                remote: false,
-            },
-        );
-        for (home, off, rlen) in runs {
-            let buf_off = (off - offset) as usize;
-            let chunk = &data[buf_off..buf_off + rlen];
-            if home.0 as u32 == self.rank {
-                self.cluster.store.write(region, off, chunk).unwrap();
-                self.own_write_coherence(region, off, rlen, Some(handle));
-                continue;
-            }
-            if let Some(cs) = self.cluster.cache.as_ref() {
-                // Our own replicas of the written range are stale the
-                // moment the home applies the write; the home's take
-                // excludes us, so we drop them here.
-                cs.drop_range(NodeId(self.rank as u16), region, off, rlen);
-            }
-            let st = self.handles.get_mut(&handle).unwrap();
-            st.remaining += 1;
-            st.remote = true;
-            self.stage_write(home.0 as u32, region, off, chunk.to_vec(), handle, eager);
-        }
-        self.release_issuance_token(handle)
-    }
-
     /// Coherence actions for a write applied directly to this PE's own
-    /// home partition. Write-invalidate sends `GmInvalidate` to every
-    /// other holder and ties the acks into `handle`'s completion (or waits
-    /// inline when `handle` is `None`, the fetch-add path). Release
-    /// consistency counts the deferral and leaves the replicas to die at
-    /// their holders' next acquire.
+    /// home partition. Write-invalidate sends a retry-armed `GmInvalidate`
+    /// to every other holder and returns the ids whose acks the caller
+    /// must collect. Release consistency counts the deferral and leaves
+    /// the replicas to die at their holders' next acquire.
     fn own_write_coherence(
         &mut self,
+        reqs: &mut ReqIdGen,
         region: RegionId,
         offset: u64,
         len: usize,
-        handle: Option<u64>,
-    ) {
+    ) -> Vec<ReqId> {
         let cluster = Arc::clone(&self.cluster);
         let Some(cs) = cluster.cache.as_ref() else {
-            return;
+            return Vec::new();
         };
-        let me = NodeId(self.rank as u16);
         if cluster.gm_mode == GmMode::ReleaseConsistency {
-            if !cs.peek_holders(region, offset, len, me).is_empty() {
-                self.metrics()
-                    .incr(MetricKey::pe("kernel", "rc_deferred_invals", self.rank));
+            if !cs.peek_holders(region, offset, len, self.me()).is_empty() {
+                self.incr("kernel", "rc_deferred_invals");
             }
-            return;
+            return Vec::new();
         }
-        let holders = cs.take_holders(region, offset, len, me);
+        let holders = cs.take_holders(region, offset, len, self.me());
         if holders.is_empty() {
-            return;
+            return Vec::new();
         }
-        self.metrics()
-            .incr(MetricKey::pe("kernel", "invalidation_rounds", self.rank));
+        self.incr("kernel", "invalidation_rounds");
         self.metrics().add(
             MetricKey::pe("kernel", "cache_invalidations", self.rank),
             holders.len() as u64,
         );
-        let mut inline: Vec<u64> = Vec::new();
-        for h in holders {
-            let req = self.reqs.next();
-            let msg = Message::GmInvalidate {
-                req,
-                region,
-                offset,
-                len: len as u32,
-            };
-            self.send(h.0 as u32, &msg);
-            self.arm_retry(req, h.0 as u32, msg, None);
-            match handle {
-                Some(hd) => {
-                    let st = self.handles.get_mut(&hd).unwrap();
-                    st.remaining += 1;
-                    st.remote = true;
-                    self.inflight
-                        .insert(req.0, InflightReq::Write(WriteCtl { writers: vec![hd] }));
-                }
-                None => inline.push(req.0),
-            }
-        }
-        while !inline.is_empty() {
-            match self.recv_app(Some(self.retry_tick())) {
-                None => self.service_retries(),
-                Some((Message::GmInvalidateAck { req }, _)) if inline.contains(&req.0) => {
-                    self.retry.remove(&req.0);
-                    inline.retain(|&r| r != req.0);
-                }
-                Some(other) => self.stash.push_back(other),
-            }
+        holders
+            .into_iter()
+            .map(|h| {
+                let req = reqs.next();
+                let msg = Message::GmInvalidate {
+                    req,
+                    region,
+                    offset,
+                    len: len as u32,
+                };
+                self.send_armed(req, h.0 as u32, msg, None);
+                req
+            })
+            .collect()
+    }
+}
+
+impl GmPort for LivePort {
+    type Meta = Arrival;
+
+    fn node(&self) -> NodeId {
+        self.me()
+    }
+
+    fn store(&self) -> &GlobalStore {
+        &self.cluster.store
+    }
+
+    fn caching(&self) -> bool {
+        self.cluster.cache.is_some()
+    }
+
+    fn charge_local(&mut self, _bytes: usize) {
+        // The access already ran for real; nothing to account.
+    }
+
+    fn count(&mut self, what: GmCount) {
+        let names: &[&'static str] = match what {
+            // Own-node reads show up as `gm/local_read_ns` samples.
+            GmCount::LocalRead(_) => &[],
+            GmCount::ReplicaHit => &["cache_hits", "dir_hits"],
+            GmCount::ReplicaMiss => &["cache_misses", "dir_misses"],
+            GmCount::Coalesced => &["gm_coalesced"],
+        };
+        for name in names {
+            self.incr("kernel", name);
         }
     }
 
-    /// Release the issuance token: if every segment was served locally, the
-    /// handle is born ready (and its latency recorded now).
-    fn release_issuance_token(&mut self, handle: u64) -> GmHandle {
-        let st = self.handles.get_mut(&handle).unwrap();
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            let st = self.handles.remove(&handle).unwrap();
-            self.record_handle_latency(&st);
-            GmHandle::ready(st.buf)
-        } else {
-            GmHandle::queued(handle)
-        }
+    fn send_request(
+        &mut self,
+        home: NodeId,
+        req: ReqId,
+        msg: Message,
+        _kind: SpanKind,
+        _bytes: u64,
+        inflight: usize,
+    ) {
+        let home = home.0 as u32;
+        self.incr("kernel", "gm_request_msgs");
+        let ctx = self.open_req_span(req, home);
+        self.send_armed(req, home, msg, ctx);
+        self.metrics().gauge_max(
+            MetricKey::pe("kernel", "gm_inflight", self.rank),
+            inflight as u64,
+        );
     }
 
-    fn record_handle_latency(&self, st: &HandleState) {
-        let name = match (st.is_read, st.remote) {
+    fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, Arrival) {
+        let (msg, ctx) = match self.stash.iter().position(|(m, _)| pred(m)) {
+            Some(idx) => self.stash.remove(idx).unwrap(),
+            None => loop {
+                // With nothing to retransmit (barrier and lock traffic is
+                // never retried: it is not idempotent and the fault plan
+                // leaves control messages unharmed) the wait may block: an
+                // abort wakes it via the forwarded frame.
+                let tick = (!self.retry.is_empty()).then(|| self.retry_tick());
+                match self.recv_app(tick) {
+                    None => self.service_retries(),
+                    Some(got) if pred(&got.0) => break got,
+                    Some(other) => self.stash.push_back(other),
+                }
+            },
+        };
+        let arrival = Arrival {
+            ctx,
+            at_ns: self.cluster.now_ns(),
+            wire_bytes: msg.wire_len() as u64,
+        };
+        (msg, arrival)
+    }
+
+    fn request_done(&mut self, req: ReqId, _kind: SpanKind, at: Arrival) {
+        self.retry.remove(&req.0);
+        self.close_req_span(req.0, at);
+    }
+
+    fn protocol_error(&mut self, err: GmProtocolError) -> ! {
+        self.die(FailureKind::Protocol {
+            req: err.req,
+            detail: format!("expected {}, got {}", err.expected, err.got),
+        })
+    }
+
+    fn stamp(&self) -> u64 {
+        self.cluster.now_ns()
+    }
+
+    fn handle_done(&mut self, issued: u64, is_read: bool, remote: bool) {
+        let name = match (is_read, remote) {
             (true, true) => "remote_read_ns",
             (true, false) => "local_read_ns",
             (false, true) => "remote_write_ns",
@@ -1366,413 +1149,134 @@ impl LiveCtx {
         };
         self.metrics().record(
             MetricKey::pe("gm", name, self.rank),
-            st.started.elapsed().as_nanos() as u64,
+            self.cluster.now_ns().saturating_sub(issued),
         );
     }
 
-    /// Stage one remote read segment, coalescing with the most recently
-    /// staged segment when both target the same home and region and their
-    /// ranges touch or overlap.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_read(
-        &mut self,
-        home: u32,
-        region: RegionId,
-        off: u64,
-        len: usize,
-        handle: u64,
-        buf_off: usize,
-        eager: bool,
-    ) {
-        let end = off + len as u64;
-        let dest = ReadDest {
-            handle,
-            buf_off,
-            abs_off: off,
-            len,
-        };
-        let mut merged = false;
-        if let Some(seg) = self.staged.last_mut() {
-            if seg.home == home && seg.region == region {
-                if let SegKind::Read { len: slen, dests } = &mut seg.kind {
-                    let seg_end = seg.offset + *slen as u64;
-                    if off <= seg_end && end >= seg.offset {
-                        let new_start = seg.offset.min(off);
-                        let new_end = seg_end.max(end);
-                        seg.offset = new_start;
-                        *slen = (new_end - new_start) as usize;
-                        dests.push(dest);
-                        merged = true;
-                        self.cluster.metrics.incr(MetricKey::pe(
-                            "kernel",
-                            "gm_coalesced",
-                            self.rank,
-                        ));
-                    }
-                }
-            }
-        }
-        if !merged {
-            self.staged.push(StagedSeg {
-                home,
-                region,
-                offset: off,
-                kind: SegKind::Read {
-                    len,
-                    dests: vec![dest],
-                },
-            });
-        }
-        if eager {
-            self.flush_staged();
-        }
-    }
-
-    /// Stage one remote write segment; on overlap the later write's bytes
-    /// win, preserving program order.
-    fn stage_write(
-        &mut self,
-        home: u32,
-        region: RegionId,
-        off: u64,
-        data: Vec<u8>,
-        handle: u64,
-        eager: bool,
-    ) {
-        let end = off + data.len() as u64;
-        let mut merged = false;
-        if let Some(seg) = self.staged.last_mut() {
-            if seg.home == home && seg.region == region {
-                if let SegKind::Write {
-                    data: sdata,
-                    writers,
-                } = &mut seg.kind
-                {
-                    let seg_end = seg.offset + sdata.len() as u64;
-                    if off <= seg_end && end >= seg.offset {
-                        let new_start = seg.offset.min(off);
-                        let new_end = seg_end.max(end);
-                        let mut union = vec![0u8; (new_end - new_start) as usize];
-                        let old_at = (seg.offset - new_start) as usize;
-                        union[old_at..old_at + sdata.len()].copy_from_slice(sdata);
-                        let new_at = (off - new_start) as usize;
-                        union[new_at..new_at + data.len()].copy_from_slice(&data);
-                        *sdata = union;
-                        seg.offset = new_start;
-                        writers.push(handle);
-                        merged = true;
-                        self.cluster.metrics.incr(MetricKey::pe(
-                            "kernel",
-                            "gm_coalesced",
-                            self.rank,
-                        ));
-                    }
-                }
-            }
-        }
-        if !merged {
-            self.staged.push(StagedSeg {
-                home,
-                region,
-                offset: off,
-                kind: SegKind::Write {
-                    data,
-                    writers: vec![handle],
-                },
-            });
-        }
-        if eager {
-            self.flush_staged();
-        }
-    }
-
-    /// Send every staged segment: one plain request per singleton home
-    /// group, one batched request per multi-segment home group.
-    fn flush_staged(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let staged = std::mem::take(&mut self.staged);
-        let mut groups: Vec<(u32, Vec<StagedSeg>)> = Vec::new();
-        for seg in staged {
-            match groups.iter_mut().find(|(h, _)| *h == seg.home) {
-                Some((_, v)) => v.push(seg),
-                None => groups.push((seg.home, vec![seg])),
-            }
-        }
-        for (home, mut segs) in groups {
-            if segs.len() == 1 {
-                self.send_plain(home, segs.pop().unwrap());
-            } else {
-                self.send_batch(home, segs);
-            }
-        }
-    }
-
-    /// Build one read segment's completion bookkeeping, snapshotting the
-    /// install epoch at dispatch for cached runs.
-    fn read_ctl(&self, region: RegionId, offset: u64, len: usize, dests: Vec<ReadDest>) -> ReadCtl {
-        let (install, epoch) = if self.cluster.cache.is_some() {
-            (
-                blocks_inside(offset, len),
-                *self.cluster.install_guards[self.rank as usize].lock(),
-            )
-        } else {
-            (0..0, 0)
-        };
-        ReadCtl {
-            offset,
-            len,
-            dests,
-            region,
-            install,
-            epoch,
-        }
-    }
-
-    fn send_plain(&mut self, home: u32, seg: StagedSeg) {
-        let req = self.reqs.next();
-        let (msg, ctl) = match seg.kind {
-            SegKind::Read { len, dests } => (
-                Message::GmReadReq {
-                    req,
-                    region: seg.region,
-                    offset: seg.offset,
-                    len: len as u32,
-                },
-                InflightReq::Read(self.read_ctl(seg.region, seg.offset, len, dests)),
-            ),
-            SegKind::Write { data, writers } => (
-                Message::GmWriteReq {
-                    req,
-                    region: seg.region,
-                    offset: seg.offset,
-                    data: data.into(),
-                },
-                InflightReq::Write(WriteCtl { writers }),
-            ),
-        };
-        self.dispatch(home, req, msg, ctl);
-    }
-
-    fn send_batch(&mut self, home: u32, segs: Vec<StagedSeg>) {
-        let req = self.reqs.next();
-        let mut ops = Vec::with_capacity(segs.len());
-        let mut ctls = Vec::with_capacity(segs.len());
-        for seg in segs {
-            match seg.kind {
-                SegKind::Read { len, dests } => {
-                    ops.push(GmOp::Read {
-                        region: seg.region,
-                        offset: seg.offset,
-                        len: len as u32,
-                    });
-                    ctls.push(InflightOp::Read(
-                        self.read_ctl(seg.region, seg.offset, len, dests),
-                    ));
-                }
-                SegKind::Write { data, writers } => {
-                    ctls.push(InflightOp::Write(WriteCtl { writers }));
-                    ops.push(GmOp::Write {
-                        region: seg.region,
-                        offset: seg.offset,
-                        data: data.into(),
-                    });
-                }
-            }
-        }
-        let msg = Message::GmBatchReq { req, ops };
-        self.dispatch(home, req, msg, InflightReq::Batch(ctls));
-    }
-
-    fn dispatch(&mut self, home: u32, req: ReqId, msg: Message, ctl: InflightReq) {
-        self.metrics()
-            .incr(MetricKey::pe("kernel", "gm_request_msgs", self.rank));
-        let ctx = self.open_req_span(req, home);
-        self.send_traced(home, &msg, ctx);
-        self.arm_retry(req, home, msg, ctx);
-        self.inflight.insert(req.0, ctl);
-        self.metrics().gauge_max(
-            MetricKey::pe("kernel", "gm_inflight", self.rank),
-            self.inflight.len() as u64,
-        );
-    }
-
-    // ----- completion ------------------------------------------------------
-
-    /// Consume exactly one GM completion — from the stash if an earlier
-    /// drain parked one there, otherwise off the kernel's forwarding
-    /// channel.
-    fn drain_one(&mut self) {
-        if let Some(idx) = self.stash.iter().position(|(m, _)| {
-            matches!(
-                m,
-                Message::GmReadResp { .. }
-                    | Message::GmWriteAck { .. }
-                    | Message::GmBatchResp { .. }
-                    | Message::GmInvalidateAck { .. }
-            )
-        }) {
-            let (msg, ctx) = self.stash.remove(idx).unwrap();
-            self.process_completion(msg, ctx);
-            return;
-        }
-        loop {
-            match self.recv_app(Some(self.retry_tick())) {
-                None => self.service_retries(),
-                Some((
-                    msg @ (Message::GmReadResp { .. }
-                    | Message::GmWriteAck { .. }
-                    | Message::GmBatchResp { .. }
-                    | Message::GmInvalidateAck { .. }),
-                    ctx,
-                )) => {
-                    self.process_completion(msg, ctx);
-                    return;
-                }
-                Some(other) => self.stash.push_back(other),
-            }
-        }
-    }
-
-    /// Apply one GM completion. A response whose correlation id is no
-    /// longer in flight is a duplicate delivery (fault injection or a
-    /// retransmit crossing the original response on the wire) and is
-    /// dropped; a response of the *wrong kind* for a live id is a protocol
-    /// bug and still panics.
-    fn process_completion(&mut self, msg: Message, ctx: Option<TraceCtx>) {
-        let t_in_ns = self.cluster.now_ns();
-        let bytes = msg.wire_len() as u64;
-        match msg {
-            Message::GmReadResp { req, data } => match self.inflight.remove(&req.0) {
-                Some(InflightReq::Read(c)) => {
-                    self.retry.remove(&req.0);
-                    self.complete_read(c, &data);
-                    self.close_req_span(req.0, ctx, bytes, t_in_ns);
-                }
-                Some(_) => panic!("live rank {}: GmReadResp for a non-read request", self.rank),
-                None => {}
-            },
-            Message::GmWriteAck { req } => match self.inflight.remove(&req.0) {
-                Some(InflightReq::Write(c)) => {
-                    self.retry.remove(&req.0);
-                    self.complete_write(c);
-                    self.close_req_span(req.0, ctx, bytes, t_in_ns);
-                }
-                Some(_) => panic!(
-                    "live rank {}: GmWriteAck for a non-write request",
-                    self.rank
-                ),
-                None => {}
-            },
-            Message::GmBatchResp { req, reads } => match self.inflight.remove(&req.0) {
-                Some(InflightReq::Batch(ops)) => {
-                    self.retry.remove(&req.0);
-                    let mut it = reads.into_iter();
-                    for op in ops {
-                        match op {
-                            InflightOp::Read(c) => {
-                                let data = it.next().expect("missing batched read result");
-                                self.complete_read(c, &data);
-                            }
-                            InflightOp::Write(c) => self.complete_write(c),
-                        }
-                    }
-                    self.close_req_span(req.0, ctx, bytes, t_in_ns);
-                }
-                Some(_) => panic!(
-                    "live rank {}: GmBatchResp for a non-batch request",
-                    self.rank
-                ),
-                None => {}
-            },
-            Message::GmInvalidateAck { req } => match self.inflight.remove(&req.0) {
-                // Own-node write invalidation round: the ack completes the
-                // writing handle exactly like a remote write ack would.
-                Some(InflightReq::Write(c)) => {
-                    self.retry.remove(&req.0);
-                    self.complete_write(c);
-                }
-                Some(_) => panic!(
-                    "live rank {}: GmInvalidateAck for a non-invalidation request",
-                    self.rank
-                ),
-                None => {}
-            },
-            _ => unreachable!("process_completion on a non-GM message"),
-        }
-    }
-
-    fn complete_read(&mut self, ctl: ReadCtl, data: &[u8]) {
-        assert_eq!(data.len(), ctl.len, "short remote read");
-        if !ctl.install.is_empty() {
-            if let Some(cs) = self.cluster.cache.as_ref() {
-                // Requester-side half of the lease the home granted at
-                // serve time: install the fully fetched blocks, unless an
-                // invalidation has landed since dispatch (epoch mismatch)
-                // — then the bytes may already be stale and the lease
-                // stays data-less.
-                let guard = self.cluster.install_guards[self.rank as usize].lock();
-                if *guard == ctl.epoch {
-                    for b in ctl.install.clone() {
-                        let at = (b * CACHE_BLOCK as u64 - ctl.offset) as usize;
-                        cs.install_data(
-                            NodeId(self.rank as u16),
-                            ctl.region,
-                            b,
-                            data[at..at + CACHE_BLOCK].to_vec(),
-                        );
-                    }
-                }
-            }
-        }
-        for d in ctl.dests {
-            let h = self
-                .handles
-                .get_mut(&d.handle)
-                .expect("read completion for an unknown handle");
-            let buf = h.buf.as_mut().expect("read handle without a buffer");
-            let src = (d.abs_off - ctl.offset) as usize;
-            buf[d.buf_off..d.buf_off + d.len].copy_from_slice(&data[src..src + d.len]);
-            h.remaining -= 1;
-            if h.remaining == 0 {
-                let st = self.handles.remove(&d.handle).unwrap();
-                self.record_handle_latency(&st);
-                self.completed.insert(d.handle, st.buf);
-            }
-        }
-    }
-
-    fn complete_write(&mut self, ctl: WriteCtl) {
-        for w in ctl.writers {
-            let h = self
-                .handles
-                .get_mut(&w)
-                .expect("write completion for an unknown handle");
-            h.remaining -= 1;
-            if h.remaining == 0 {
-                let st = self.handles.remove(&w).unwrap();
-                self.record_handle_latency(&st);
-                self.completed.insert(w, None);
-            }
-        }
-    }
-
-    /// Emit a `gm_block` span covering a completed blocking wait on GM
-    /// completions (`seq` = the request or handle waited on, 0 = fence).
-    fn push_block_span(&mut self, start_ns: u64, seq: u64) {
+    fn blocked(&mut self, since: u64, seq: u64) {
         if self.tracing() {
-            let mut span = TraceSpanRec::new(
-                TraceSpanKind::GmBlock,
-                self.trace,
-                self.rec.next_id(),
-                self.app_span,
-                self.rank,
-                start_ns,
-                self.cluster.now_ns(),
-            );
+            let id = self.rec.next_id();
+            let mut span = self.span(TraceSpanKind::GmBlock, id, self.app_span, since);
             span.seq = seq;
             self.rec.push(span);
+        }
+    }
+
+    fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {
+        self.cluster.cache.as_ref()?.get(self.me(), region, block)
+    }
+
+    /// Requester-side half of the lease the home granted at serve time:
+    /// install the fully fetched blocks, unless an invalidation has landed
+    /// since dispatch (epoch mismatch) — then the bytes may already be
+    /// stale and the lease stays data-less.
+    fn replica_install<'d>(
+        &mut self,
+        req: ReqId,
+        region: RegionId,
+        blocks: impl Iterator<Item = (u64, &'d [u8])>,
+    ) {
+        let Some(cs) = self.cluster.cache.as_ref() else {
+            return;
+        };
+        let dispatched = self.retry.get(&req.0).map(|s| s.epoch);
+        let guard = self.cluster.install_guards[self.rank as usize].lock();
+        if Some(*guard) == dispatched {
+            for (b, data) in blocks {
+                cs.install_data(self.me(), region, b, data.to_vec());
+            }
+        }
+    }
+
+    fn replica_drop(&mut self, region: RegionId, offset: u64, len: usize) {
+        if let Some(cs) = self.cluster.cache.as_ref() {
+            cs.drop_range(self.me(), region, offset, len);
+        }
+    }
+
+    /// Self-invalidation costs zero wire traffic — the whole point of
+    /// deferring the write-side invalidations. No-op under
+    /// write-invalidate, where the protocol keeps replicas exact.
+    fn replica_purge(&mut self) {
+        if let Some(cs) = self.cluster.cache.as_ref() {
+            if self.cluster.gm_mode == GmMode::ReleaseConsistency {
+                let mut epoch = self.cluster.install_guards[self.rank as usize].lock();
+                *epoch += 1;
+                cs.purge_node(self.me());
+                drop(epoch);
+                self.incr("kernel", "rc_acquires");
+            }
+        }
+    }
+
+    /// The store write comes *first*: any replica leased after it already
+    /// holds the new bytes, and every lease granted before it is in the
+    /// holder set the round invalidates. The acks gate the writing handle.
+    fn own_node_write(
+        &mut self,
+        reqs: &mut ReqIdGen,
+        region: RegionId,
+        offset: u64,
+        data: &[u8],
+    ) -> Vec<ReqId> {
+        self.cluster.store.write(region, offset, data).unwrap();
+        self.own_write_coherence(reqs, region, offset, data.len())
+    }
+}
+
+/// Per-process context of the live engine: implements [`ParallelApi`] by
+/// driving the shared [`GmClient`] through a [`LivePort`] — own-node ranges
+/// go straight to the store (the linked-library fast path), remote ranges
+/// become staged request messages that coalesce per home and travel as
+/// real wire traffic.
+pub struct LiveCtx {
+    rank: u32,
+    pid: GlobalPid,
+    port: LivePort,
+    /// The split-phase global-memory machinery.
+    gm: GmClient,
+    barrier_seq: u32,
+    alloc_seq: usize,
+    /// Reusable scratch for element-wise `GmArray` accessors.
+    scratch: Vec<u8>,
+}
+
+impl LiveCtx {
+    pub(super) fn new(
+        rank: u32,
+        cluster: Arc<LiveCluster>,
+        transport: Arc<dyn Transport>,
+    ) -> LiveCtx {
+        let app_rx = Arc::clone(&cluster.app_inboxes[rank as usize]);
+        let mut rec = if cluster.tracing {
+            TraceRecorder::new(rank, TraceRole::App)
+        } else {
+            TraceRecorder::disabled(rank, TraceRole::App)
+        };
+        // The app root span doubles as this PE's trace id: every causal
+        // chain the PE originates shares it.
+        let app_span = rec.next_id();
+        let app_start_ns = cluster.now_ns();
+        LiveCtx {
+            rank,
+            pid: GlobalPid::new(NodeId(rank as u16), 1),
+            port: LivePort {
+                rank,
+                cluster,
+                transport,
+                app_rx,
+                stash: VecDeque::new(),
+                retry: HashMap::new(),
+                rec,
+                trace: app_span,
+                app_span,
+                app_start_ns,
+                req_spans: HashMap::new(),
+            },
+            gm: GmClient::new(DEFAULT_GM_WINDOW),
+            barrier_seq: 0,
+            alloc_seq: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -1780,47 +1284,62 @@ impl LiveCtx {
     /// synchronization primitive fences first, so split-phase operations are
     /// always ordered before barriers, locks and atomics.
     fn gm_fence(&mut self) {
-        self.flush_staged();
-        if self.inflight.is_empty() {
-            return;
-        }
-        let t0 = self.cluster.now_ns();
-        while !self.inflight.is_empty() {
-            self.drain_one();
-        }
-        self.push_block_span(t0, 0);
+        self.gm.fence(&mut self.port);
     }
 
-    /// Release-consistency acquire: purge this rank's replicas (and their
-    /// directory leases) so subsequent reads re-fetch from the homes.
-    /// Self-invalidation costs zero wire traffic — the whole point of
-    /// deferring the write-side invalidations. No-op under
-    /// write-invalidate, where the protocol keeps replicas exact.
-    fn acquire_replicas(&mut self) {
-        let cluster = Arc::clone(&self.cluster);
-        if let Some(cs) = cluster.cache.as_ref() {
-            if cluster.gm_mode == GmMode::ReleaseConsistency {
-                let mut epoch = cluster.install_guards[self.rank as usize].lock();
-                *epoch += 1;
-                cs.purge_node(NodeId(self.rank as u16));
-                drop(epoch);
-                self.metrics()
-                    .incr(MetricKey::pe("kernel", "rc_acquires", self.rank));
-            }
+    /// One round trip to the coordinator on PE 0: send `enter`, block until
+    /// `granted` accepts the answer, and record the wait as a `kind` span
+    /// and a `sync/<metric>` sample. The answer is an acquire point.
+    fn coordinate(
+        &mut self,
+        enter: Message,
+        granted: impl FnMut(&Message) -> bool,
+        kind: TraceSpanKind,
+        seq: u64,
+        metric: &'static str,
+    ) {
+        let port = &mut self.port;
+        let t0 = port.cluster.now_ns();
+        let wait_span = port.rec.next_id();
+        let ctx = port.tracing().then_some(TraceCtx {
+            trace: port.trace,
+            parent: wait_span,
+        });
+        port.send_traced(0, &enter, ctx);
+        port.await_msg(granted);
+        if port.tracing() {
+            let mut s = port.span(kind, wait_span, port.app_span, t0);
+            s.peer = 0;
+            s.seq = seq;
+            port.rec.push(s);
         }
+        port.metrics().record(
+            MetricKey::pe("sync", metric, port.rank),
+            port.cluster.now_ns().saturating_sub(t0),
+        );
+        port.replica_purge();
     }
 
     /// Called by the harness after the body returns: fence, then notify the
     /// coordinator so it can shut the kernels down once everyone is out.
-    fn finish(&mut self) {
+    pub(super) fn finish(&mut self) {
         self.gm_fence();
-        self.send(
+        self.port.send(
             0,
             &Message::ExitNotice {
                 pid: self.pid,
                 status: 0,
             },
         );
+    }
+
+    /// Called by the harness however the body ended: close the app root
+    /// span and park this thread's causal spans in the cluster sink, so an
+    /// aborted run still yields a usable partial trace.
+    pub(super) fn flush_trace(&mut self) {
+        self.port.close_app_span();
+        let spans = self.port.rec.take();
+        self.port.cluster.flush_trace(self.rank, 0, spans);
     }
 }
 
@@ -1830,7 +1349,7 @@ impl ParallelApi for LiveCtx {
     }
 
     fn nprocs(&self) -> usize {
-        self.cluster.nprocs
+        self.port.cluster.nprocs
     }
 
     fn compute(&mut self, _work: Work) {
@@ -1841,67 +1360,49 @@ impl ParallelApi for LiveCtx {
         self.gm_fence();
         let seq = self.alloc_seq;
         self.alloc_seq += 1;
-        let mut table = self.cluster.allocs.lock();
+        let cluster = &self.port.cluster;
+        let mut table = cluster.allocs.lock();
         if let Some(&(id, existing)) = table.get(seq) {
             assert_eq!(existing, len, "collective allocation #{seq} size mismatch");
             return id;
         }
         assert_eq!(table.len(), seq, "collective allocations out of order");
-        let id = self.cluster.store.alloc(len, dist);
+        let id = cluster.store.alloc(len, dist);
         table.push((id, len));
         id
     }
 
     fn gm_read(&mut self, region: RegionId, offset: u64, len: usize) -> Vec<u8> {
-        let h = self.issue_read(region, offset, len, true);
-        self.gm_wait(h).expect("gm_read handle carries data")
+        self.port.count_op("reads");
+        self.gm.read(&mut self.port, region, offset, len)
     }
 
     fn gm_write(&mut self, region: RegionId, offset: u64, data: &[u8]) {
-        let h = self.issue_write(region, offset, data, true);
-        self.gm_wait(h);
+        self.port.count_op("writes");
+        self.gm.write(&mut self.port, region, offset, data)
     }
 
     fn gm_read_into(&mut self, region: RegionId, offset: u64, out: &mut [u8]) {
-        let data = self.gm_read(region, offset, out.len());
-        out.copy_from_slice(&data);
+        self.port.count_op("reads");
+        self.gm.read_into(&mut self.port, region, offset, out)
     }
 
     fn gm_read_nb(&mut self, region: RegionId, offset: u64, len: usize) -> GmHandle {
-        self.issue_read(region, offset, len, false)
+        self.port.count_op("reads");
+        self.gm.read_nb(&mut self.port, region, offset, len)
     }
 
     fn gm_write_nb(&mut self, region: RegionId, offset: u64, data: &[u8]) -> GmHandle {
-        self.issue_write(region, offset, data, false)
+        self.port.count_op("writes");
+        self.gm.write_nb(&mut self.port, region, offset, data)
     }
 
     fn gm_wait(&mut self, handle: GmHandle) -> Option<Vec<u8>> {
-        let id = match handle.queued_id() {
-            None => return handle.into_ready(),
-            Some(id) => id,
-        };
-        if let Some(data) = self.completed.remove(&id) {
-            return data;
-        }
-        assert!(
-            self.handles.contains_key(&id),
-            "live rank {}: gm_wait on a stale handle (result discarded by gm_wait_all)",
-            self.rank
-        );
-        self.flush_staged();
-        if !self.completed.contains_key(&id) {
-            let t0 = self.cluster.now_ns();
-            while !self.completed.contains_key(&id) {
-                self.drain_one();
-            }
-            self.push_block_span(t0, id);
-        }
-        self.completed.remove(&id).unwrap()
+        self.gm.wait(&mut self.port, handle)
     }
 
     fn gm_wait_all(&mut self) {
-        self.gm_fence();
-        self.completed.clear();
+        self.gm.wait_all(&mut self.port)
     }
 
     fn take_scratch(&mut self) -> Vec<u8> {
@@ -1914,55 +1415,55 @@ impl ParallelApi for LiveCtx {
 
     fn gm_fetch_add(&mut self, region: RegionId, offset: u64, delta: i64) -> i64 {
         self.gm_fence();
-        self.metrics()
-            .incr(MetricKey::pe("gm", "fetch_adds", self.rank));
-        self.metrics()
-            .incr(MetricKey::pe("kernel", "gm_ops", self.rank));
-        let start = Instant::now();
-        let home = self.home_of(region, offset);
-        let prev = if home == self.rank {
-            let prev = self
-                .cluster
-                .store
+        let port = &mut self.port;
+        port.count_op("fetch_adds");
+        let start = port.cluster.now_ns();
+        let store = &port.cluster.store;
+        let home = store
+            .home_of(region, offset)
+            .unwrap_or_else(|e| panic!("live rank {}: bad GM address: {e}", self.rank));
+        let prev = if home == port.me() {
+            let prev = store
                 .fetch_add(region, offset, delta)
                 .unwrap_or_else(|e| panic!("live rank {}: fetch_add failed: {e}", self.rank));
-            self.own_write_coherence(region, offset, 8, None);
+            // The invalidation round completes inline: collect every ack.
+            let mut pending = port.own_write_coherence(self.gm.req_ids(), region, offset, 8);
+            while !pending.is_empty() {
+                let (ack, _) = port.await_msg(
+                    |m| matches!(m, Message::GmInvalidateAck { req } if pending.contains(req)),
+                );
+                if let Message::GmInvalidateAck { req } = ack {
+                    port.retry.remove(&req.0);
+                    pending.retain(|r| *r != req);
+                }
+            }
             prev
         } else {
-            if let Some(cs) = self.cluster.cache.as_ref() {
-                cs.drop_range(NodeId(self.rank as u16), region, offset, 8);
-            }
-            let req = self.reqs.next();
-            self.metrics()
-                .incr(MetricKey::pe("kernel", "gm_request_msgs", self.rank));
+            port.replica_drop(region, offset, 8);
+            let req = self.gm.req_ids().next();
+            port.incr("kernel", "gm_request_msgs");
             let msg = Message::GmFetchAddReq {
                 req,
                 region,
                 offset,
                 delta,
             };
-            let ctx = self.open_req_span(req, home);
-            self.send_traced(home, &msg, ctx);
-            self.arm_retry(req, home, msg, ctx);
-            let t_block = self.cluster.now_ns();
-            let prev = loop {
-                match self.recv_app(Some(self.retry_tick())) {
-                    None => self.service_retries(),
-                    Some((Message::GmFetchAddResp { req: r, prev }, rctx)) if r == req => {
-                        self.retry.remove(&req.0);
-                        let bytes = Message::GmFetchAddResp { req: r, prev }.wire_len() as u64;
-                        self.close_req_span(req.0, rctx, bytes, self.cluster.now_ns());
-                        break prev;
-                    }
-                    Some(other) => self.stash.push_back(other),
-                }
-            };
-            self.push_block_span(t_block, req.0);
-            prev
+            let home = home.0 as u32;
+            let ctx = port.open_req_span(req, home);
+            port.send_armed(req, home, msg, ctx);
+            let t_block = port.cluster.now_ns();
+            let (resp, at) = port
+                .await_msg(|m| matches!(m, Message::GmFetchAddResp { req: r, .. } if *r == req));
+            port.request_done(req, SpanKind::GmFetchAdd, at);
+            port.blocked(t_block, req.0);
+            match resp {
+                Message::GmFetchAddResp { prev, .. } => prev,
+                _ => unreachable!(),
+            }
         };
-        self.metrics().record(
+        port.metrics().record(
             MetricKey::pe("gm", "fetch_add_ns", self.rank),
-            start.elapsed().as_nanos() as u64,
+            port.cluster.now_ns().saturating_sub(start),
         );
         prev
     }
@@ -1971,102 +1472,39 @@ impl ParallelApi for LiveCtx {
         let id = AUTO_BARRIER_BASE + self.barrier_seq;
         self.barrier_seq += 1;
         self.gm_fence();
-        let start = Instant::now();
-        let t0 = self.cluster.now_ns();
-        let wait_span = self.rec.next_id();
-        let ctx = self.tracing().then_some(TraceCtx {
-            trace: self.trace,
-            parent: wait_span,
-        });
-        self.send_traced(
-            0,
-            &Message::BarrierEnter {
-                barrier: id,
-                pid: self.pid,
-            },
-            ctx,
+        let enter = Message::BarrierEnter {
+            barrier: id,
+            pid: self.pid,
+        };
+        self.coordinate(
+            enter,
+            |m| matches!(m, Message::BarrierRelease { barrier, .. } if *barrier == id),
+            TraceSpanKind::BarrierWait,
+            id as u64,
+            "barrier_wait_ns",
         );
-        loop {
-            // Barrier traffic is never retried (it is not idempotent and
-            // the fault plan leaves control messages unharmed), so this
-            // wait may block: an abort wakes it via the forwarded frame.
-            match self.recv_app(None).unwrap() {
-                (Message::BarrierRelease { barrier, .. }, _) if barrier == id => break,
-                other => self.stash.push_back(other),
-            }
-        }
-        if self.tracing() {
-            let mut s = TraceSpanRec::new(
-                TraceSpanKind::BarrierWait,
-                self.trace,
-                wait_span,
-                self.app_span,
-                self.rank,
-                t0,
-                self.cluster.now_ns(),
-            );
-            s.peer = 0;
-            s.seq = id as u64;
-            self.rec.push(s);
-        }
-        self.metrics().record(
-            MetricKey::pe("sync", "barrier_wait_ns", self.rank),
-            start.elapsed().as_nanos() as u64,
-        );
-        // Completing a barrier is an acquire point.
-        self.acquire_replicas();
     }
 
     fn lock(&mut self, id: u32) {
         self.gm_fence();
-        let start = Instant::now();
-        let t0 = self.cluster.now_ns();
-        let req = self.reqs.next();
-        let wait_span = self.rec.next_id();
-        let ctx = self.tracing().then_some(TraceCtx {
-            trace: self.trace,
-            parent: wait_span,
-        });
-        self.send_traced(
-            0,
-            &Message::LockReq {
-                req,
-                lock: id,
-                pid: self.pid,
-            },
-            ctx,
+        let req = self.gm.req_ids().next();
+        let enter = Message::LockReq {
+            req,
+            lock: id,
+            pid: self.pid,
+        };
+        self.coordinate(
+            enter,
+            |m| matches!(m, Message::LockGrant { req: r, .. } if *r == req),
+            TraceSpanKind::LockWait,
+            req.0,
+            "lock_wait_ns",
         );
-        loop {
-            match self.recv_app(None).unwrap() {
-                (Message::LockGrant { req: r, .. }, _) if r == req => break,
-                other => self.stash.push_back(other),
-            }
-        }
-        if self.tracing() {
-            let mut s = TraceSpanRec::new(
-                TraceSpanKind::LockWait,
-                self.trace,
-                wait_span,
-                self.app_span,
-                self.rank,
-                t0,
-                self.cluster.now_ns(),
-            );
-            s.peer = 0;
-            s.seq = req.0;
-            self.rec.push(s);
-        }
-        self.metrics().record(
-            MetricKey::pe("sync", "lock_wait_ns", self.rank),
-            start.elapsed().as_nanos() as u64,
-        );
-        // A lock grant is an acquire point.
-        self.acquire_replicas();
     }
 
     fn unlock(&mut self, id: u32) {
         self.gm_fence();
-        self.send(
+        self.port.send(
             0,
             &Message::UnlockReq {
                 lock: id,
@@ -2082,14 +1520,18 @@ impl ParallelApi for LiveCtx {
     }
 
     fn gm_acquire(&mut self) {
-        self.gm_fence();
-        self.acquire_replicas();
+        self.gm.acquire(&mut self.port);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Harness.
 // ---------------------------------------------------------------------------
+
+/// Unwind payload of an app thread stopped by the cluster abort: carried
+/// via `resume_unwind` (so the panic hook stays silent) and swallowed by
+/// the harness when joining, unlike a genuine application panic.
+struct AbortUnwind;
 
 /// Result of a live run.
 #[derive(Debug, Clone)]
@@ -2290,6 +1732,7 @@ where
     let rollup = std::thread::scope(|scope| {
         let mut kernel_inputs: Vec<sched::KernelInput> = Vec::with_capacity(nprocs);
         let mut app_handles = Vec::with_capacity(nprocs);
+        let abort = &cluster.abort;
         for (pe, transport) in transports.iter().enumerate() {
             let app_cluster = Arc::clone(&cluster);
             let app_transport = Arc::clone(transport);
@@ -2301,18 +1744,14 @@ where
                     body(&mut ctx);
                     ctx.finish();
                 }));
-                // Flush this PE's app-side spans however the body ended:
-                // an aborted run still yields a usable partial trace.
-                ctx.close_app_span();
-                let spans = ctx.rec.take();
-                ctx.cluster.flush_trace(pe as u32, 0, spans);
+                ctx.flush_trace();
                 if let Err(p) = out {
                     // A genuine app panic aborts the cluster so the
                     // kernels drain out instead of waiting for an
                     // ExitNotice that will never come; the payload still
                     // propagates through the harness join below.
                     if !p.is::<AbortUnwind>() {
-                        ctx.cluster.abort.store(true, Ordering::Release);
+                        abort.store(true, Ordering::Release);
                     }
                     resume_unwind(p);
                 }

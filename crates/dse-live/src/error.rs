@@ -44,6 +44,14 @@ pub enum FailureKind {
         /// Send attempts made (initial send plus retransmits).
         attempts: u32,
     },
+    /// A peer answered a GM request with a response that does not fit it
+    /// (wrong kind, wrong payload length, missing batched result).
+    Protocol {
+        /// Correlation id of the request the response claimed to answer.
+        req: u64,
+        /// What was expected and what arrived.
+        detail: String,
+    },
     /// The co-resident kernel thread went away while the app still needed it.
     KernelGone,
     /// The transport mesh could not be constructed at startup.
@@ -62,6 +70,9 @@ impl fmt::Display for FailureKind {
                 f,
                 "GM request {req} to home PE {home} unanswered after {attempts} attempts"
             ),
+            FailureKind::Protocol { req, detail } => {
+                write!(f, "GM request {req} got a malformed response: {detail}")
+            }
             FailureKind::KernelGone => write!(f, "kernel thread exited while the app was waiting"),
             FailureKind::Mesh(e) => write!(f, "transport mesh construction failed: {e}"),
         }
