@@ -1,0 +1,1273 @@
+//! The application-thread half of the live engine: [`LiveCtx`], the
+//! [`ParallelApi`] over the wire.
+//!
+//! Global memory is the shared [`GmClient`] of `dse-api`; this module is its
+//! live driver. [`LivePort`] is what the engine puts behind [`GmPort`]: the
+//! transport endpoint and app inbox, retransmission of unanswered requests,
+//! the requester-side causal spans, and the replica cache's install-epoch
+//! guard. Barriers, locks and atomics wait on the same port.
+
+use std::collections::{HashMap, VecDeque};
+use std::panic::resume_unwind;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use dse_api::{GmClient, GmCount, GmHandle, GmPort, GmProtocolError, ParallelApi};
+use dse_kernel::gmem::GlobalStore;
+use dse_kernel::{Distribution, GmMode, DEFAULT_GM_WINDOW};
+use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
+use dse_obs::{
+    FlightEventKind, MetricKey, Registry, SpanKind, TraceRecorder, TraceRole, TraceSpanKind,
+    TraceSpanRec,
+};
+use dse_platform::Work;
+use dse_transport::{Pop, Transport};
+
+use super::{AbortUnwind, AppInbox, LiveCluster, AUTO_BARRIER_BASE};
+use crate::error::FailureKind;
+
+/// Retransmission bookkeeping for one outstanding GM request.
+struct RetryState {
+    /// Home PE the request is addressed to.
+    home: u32,
+    /// The encoded-identical request, kept for retransmission.
+    msg: Message,
+    /// Send attempts so far (initial send counts as the first).
+    attempts: u32,
+    /// Current backoff step (doubles per retry, capped by the policy).
+    backoff: Duration,
+    /// When the next retransmit is due.
+    next_retry: Instant,
+    /// When the original send happened (for the deadline report).
+    sent_at: Instant,
+    /// Trace context of the original send; retransmits carry the same one
+    /// so the home kernel's dedup replay stays in the same causal chain.
+    ctx: Option<TraceCtx>,
+    /// Install-epoch snapshot taken at dispatch: a mismatch at completion
+    /// means an invalidation raced the fetch, so the install is skipped.
+    epoch: u64,
+}
+
+/// Requester-side trace bookkeeping for one outstanding GM request: the
+/// root `gm_req` span opened at dispatch and closed at completion.
+struct ReqSpan {
+    /// The root span id (the wire ctx's `parent`).
+    span: u64,
+    /// Dispatch time on the engine clock.
+    start_ns: u64,
+    /// Home PE the request went to.
+    home: u32,
+    /// Retransmits sent so far.
+    retries: u32,
+}
+
+/// The span kind a retransmitted request would have opened (for the
+/// flight-recorder stall event on a deadline trip).
+fn span_kind_of(msg: &Message) -> SpanKind {
+    match msg {
+        Message::GmWriteReq { .. } => SpanKind::GmWrite,
+        Message::GmFetchAddReq { .. } => SpanKind::GmFetchAdd,
+        Message::GmBatchReq { .. } => SpanKind::GmBatch,
+        _ => SpanKind::GmRead,
+    }
+}
+
+/// What the live engine knows about a message handed to its waiter.
+struct Arrival {
+    /// Trace context the message carried on the wire.
+    ctx: Option<TraceCtx>,
+    /// When the waiter got it, engine clock.
+    at_ns: u64,
+    /// Its encoded size.
+    wire_bytes: u64,
+}
+
+/// The live engine behind [`GmPort`]: the transport endpoint and app inbox,
+/// the messages that arrived while the app was waiting for something else,
+/// retransmission state, and the causal span recorder.
+struct LivePort {
+    rank: u32,
+    cluster: Arc<LiveCluster>,
+    transport: Arc<dyn Transport>,
+    app_rx: AppInbox,
+    /// Messages (with their wire trace context) that arrived while
+    /// awaiting something else.
+    stash: VecDeque<(Message, Option<TraceCtx>)>,
+    /// Retransmission state for outstanding requests, keyed by request
+    /// id; entries are dropped when the response arrives.
+    retry: HashMap<u64, RetryState>,
+    /// Causal span recorder for this app thread.
+    rec: TraceRecorder,
+    /// This PE's trace id (= the app root span's id).
+    trace: u64,
+    /// The app root span every top-level span parents to.
+    app_span: u64,
+    /// When the app thread started, engine clock.
+    app_start_ns: u64,
+    /// Open `gm_req` root spans keyed by request id.
+    req_spans: HashMap<u64, ReqSpan>,
+}
+
+impl LivePort {
+    /// True when this run records causal spans.
+    fn tracing(&self) -> bool {
+        self.cluster.tracing
+    }
+
+    fn me(&self) -> NodeId {
+        NodeId(self.rank as u16)
+    }
+
+    /// A span of this PE's trace, `[start_ns, now]`, parented to `parent`.
+    fn span(&self, kind: TraceSpanKind, span: u64, parent: u64, start_ns: u64) -> TraceSpanRec {
+        let end = self.cluster.now_ns();
+        TraceSpanRec::new(kind, self.trace, span, parent, self.rank, start_ns, end)
+    }
+
+    /// Close the app root span (called once, when the body is done or the
+    /// thread is unwinding) so the blame table has the PE's wall clock.
+    fn close_app_span(&mut self) {
+        if self.tracing() {
+            let span = self.span(TraceSpanKind::App, self.app_span, 0, self.app_start_ns);
+            self.rec.push(span);
+        }
+    }
+
+    fn metrics(&self) -> &Registry {
+        &self.cluster.metrics
+    }
+
+    fn incr(&self, subsystem: &'static str, name: &'static str) {
+        self.metrics()
+            .incr(MetricKey::pe(subsystem, name, self.rank));
+    }
+
+    /// Count one application-level GM operation.
+    fn count_op(&self, name: &'static str) {
+        self.incr("gm", name);
+        self.incr("kernel", "gm_ops");
+    }
+
+    /// Record a first-hand app failure (if it is the first observation),
+    /// latch the cluster abort, and unwind this app thread without
+    /// tripping the panic hook.
+    fn die(&self, kind: FailureKind) -> ! {
+        self.cluster.note_app_failure(self.rank, kind);
+        resume_unwind(Box::new(AbortUnwind))
+    }
+
+    fn send(&self, to: u32, msg: &Message) {
+        self.send_traced(to, msg, None);
+    }
+
+    fn send_traced(&self, to: u32, msg: &Message, ctx: Option<TraceCtx>) {
+        self.cluster.flight.record(
+            self.cluster.now_ns(),
+            self.rank,
+            FlightEventKind::Bus {
+                label: msg.label(),
+                to_pe: to,
+                bytes: msg.wire_len() as u64,
+            },
+        );
+        let sent = match ctx {
+            Some(c) => self.transport.send_ctx(to, msg, c),
+            None => self.transport.send(to, msg),
+        };
+        if let Err(e) = sent {
+            self.die(FailureKind::Transport(e));
+        }
+    }
+
+    /// Receive the next message from our app inbox (fed by the local
+    /// kernel and, on direct-delivery transports, by remote kernels).
+    ///
+    /// A `None` timeout blocks until a message arrives — safe only where
+    /// an eventual wakeup is guaranteed (the kernel pushes the `Abort`
+    /// frame and then closes the inbox when the run dies). A `Some`
+    /// timeout returns `None` on expiry so the caller can service
+    /// retransmission deadlines.
+    fn recv_app(&mut self, timeout: Option<Duration>) -> Option<(Message, Option<TraceCtx>)> {
+        let got = match self.app_rx.pop(timeout) {
+            Pop::Item(m) => m,
+            Pop::TimedOut => return None,
+            Pop::Closed => self.die(FailureKind::KernelGone),
+        };
+        if matches!(got.0, Message::Abort { .. }) {
+            // The run is aborting; this thread is a casualty, not a
+            // cause — unwind without recording a failure.
+            resume_unwind(Box::new(AbortUnwind));
+        }
+        Some(got)
+    }
+
+    /// How long a completion wait may block before retransmission
+    /// deadlines need servicing.
+    fn retry_tick(&self) -> Duration {
+        let now = Instant::now();
+        self.retry
+            .values()
+            .map(|s| s.next_retry.saturating_duration_since(now))
+            .min()
+            .unwrap_or(Duration::from_millis(100))
+            .clamp(Duration::from_millis(1), Duration::from_millis(100))
+    }
+
+    /// Retransmit overdue GM requests; trip the deadline once one has
+    /// exhausted its attempt budget. Called whenever a completion wait
+    /// times out.
+    fn service_retries(&mut self) {
+        if self.retry.is_empty() {
+            return;
+        }
+        let now = Instant::now();
+        let due: Vec<u64> = self
+            .retry
+            .iter()
+            .filter(|(_, s)| s.next_retry <= now)
+            .map(|(k, _)| *k)
+            .collect();
+        for key in due {
+            let policy = self.cluster.retry;
+            let (home, attempts, kind, waited_ns, elapsed_backoff, ctx, msg) = {
+                let st = self.retry.get_mut(&key).unwrap();
+                let waited_ns = st.sent_at.elapsed().as_nanos() as u64;
+                if st.attempts >= policy.max_attempts {
+                    (
+                        st.home,
+                        st.attempts,
+                        span_kind_of(&st.msg),
+                        waited_ns,
+                        st.backoff,
+                        st.ctx,
+                        None,
+                    )
+                } else {
+                    let elapsed_backoff = st.backoff;
+                    st.attempts += 1;
+                    st.backoff = (st.backoff * 2).min(policy.max_delay);
+                    st.next_retry = now + st.backoff;
+                    (
+                        st.home,
+                        st.attempts,
+                        span_kind_of(&st.msg),
+                        waited_ns,
+                        elapsed_backoff,
+                        st.ctx,
+                        Some(st.msg.clone()),
+                    )
+                }
+            };
+            match msg {
+                Some(msg) => {
+                    // A retransmit, not a new request: `gm_request_msgs`
+                    // stays put (wire accounting keeps its exact counts);
+                    // the retry shows up under its own metric. The same
+                    // trace context rides again so the home's dedup replay
+                    // stays in the original causal chain.
+                    self.incr("kernel", "gm_retries");
+                    if let Some(rs) = self.req_spans.get_mut(&key) {
+                        rs.retries += 1;
+                        // The backoff that just elapsed is attributable
+                        // dead time inside the request's wall clock.
+                        let end = self.cluster.now_ns();
+                        let mut span = TraceSpanRec::new(
+                            TraceSpanKind::RetryBackoff,
+                            self.trace,
+                            self.rec.next_id(),
+                            rs.span,
+                            self.rank,
+                            end.saturating_sub(elapsed_backoff.as_nanos() as u64),
+                            end,
+                        );
+                        span.peer = home;
+                        span.seq = key;
+                        self.rec.push(span);
+                    }
+                    self.send_traced(home, &msg, ctx);
+                }
+                None => {
+                    self.incr("kernel", "gm_deadline_trips");
+                    let (trace, span) = self
+                        .req_spans
+                        .get(&key)
+                        .map(|rs| (self.trace, rs.span))
+                        .unwrap_or((0, 0));
+                    self.cluster.flight.record_traced(
+                        self.cluster.now_ns(),
+                        self.rank,
+                        trace,
+                        span,
+                        FlightEventKind::Stall {
+                            kind,
+                            seq: key,
+                            waited_ns,
+                        },
+                    );
+                    self.die(FailureKind::GmDeadline {
+                        req: key,
+                        home,
+                        attempts,
+                    });
+                }
+            }
+        }
+    }
+
+    /// This PE's install epoch now (0 on uncached runs, which install
+    /// nothing).
+    fn install_epoch(&self) -> u64 {
+        match self.cluster.cache {
+            Some(_) => *self.cluster.install_guards[self.rank as usize].lock(),
+            None => 0,
+        }
+    }
+
+    /// Send a request to `home` and arm its retransmission. The install
+    /// epoch is snapshotted *before* the send, so an invalidation the home
+    /// issues after serving it is seen as a mismatch at completion.
+    fn send_armed(&mut self, req: ReqId, home: u32, msg: Message, ctx: Option<TraceCtx>) {
+        let epoch = self.install_epoch();
+        self.send_traced(home, &msg, ctx);
+        let policy = self.cluster.retry;
+        let now = Instant::now();
+        self.retry.insert(
+            req.0,
+            RetryState {
+                home,
+                msg,
+                attempts: 1,
+                backoff: policy.base_delay,
+                next_retry: now + policy.base_delay,
+                sent_at: now,
+                ctx,
+                epoch,
+            },
+        );
+    }
+
+    /// Open the root `gm_req` span for a request about to go to `home`,
+    /// returning the wire trace context to send with it.
+    fn open_req_span(&mut self, req: ReqId, home: u32) -> Option<TraceCtx> {
+        if !self.tracing() {
+            return None;
+        }
+        let span = self.rec.next_id();
+        self.req_spans.insert(
+            req.0,
+            ReqSpan {
+                span,
+                start_ns: self.cluster.now_ns(),
+                home,
+                retries: 0,
+            },
+        );
+        Some(TraceCtx {
+            trace: self.trace,
+            parent: span,
+        })
+    }
+
+    /// Close the root `gm_req` span for a completed request and emit the
+    /// redemption span linking this PE back to the home kernel's serve
+    /// (when the response carried trace context).
+    fn close_req_span(&mut self, req: u64, at: Arrival) {
+        let Some(rs) = self.req_spans.remove(&req) else {
+            return;
+        };
+        let mut root = self.span(TraceSpanKind::GmReq, rs.span, self.app_span, rs.start_ns);
+        root.peer = rs.home;
+        root.bytes = at.wire_bytes;
+        root.seq = req;
+        root.retries = rs.retries;
+        let end = root.end_ns;
+        self.rec.push(root);
+        if let Some(c) = at.ctx {
+            // Parent = the serve span id the home kernel stamped on the
+            // response: the cross-PE link that makes the chain
+            // requester → home → requester.
+            let mut redeem = TraceSpanRec::new(
+                TraceSpanKind::Redeem,
+                self.trace,
+                self.rec.next_id(),
+                c.parent,
+                self.rank,
+                at.at_ns,
+                end,
+            );
+            redeem.peer = rs.home;
+            redeem.bytes = at.wire_bytes;
+            redeem.seq = req;
+            self.rec.push(redeem);
+        }
+    }
+
+    /// Coherence actions for a write applied directly to this PE's own
+    /// home partition. Write-invalidate sends a retry-armed `GmInvalidate`
+    /// to every other holder and returns the ids whose acks the caller
+    /// must collect. Release consistency counts the deferral and leaves
+    /// the replicas to die at their holders' next acquire.
+    fn own_write_coherence(
+        &mut self,
+        reqs: &mut ReqIdGen,
+        region: RegionId,
+        offset: u64,
+        len: usize,
+    ) -> Vec<ReqId> {
+        let cluster = Arc::clone(&self.cluster);
+        let Some(cs) = cluster.cache.as_ref() else {
+            return Vec::new();
+        };
+        if cluster.gm_mode == GmMode::ReleaseConsistency {
+            if !cs.peek_holders(region, offset, len, self.me()).is_empty() {
+                self.incr("kernel", "rc_deferred_invals");
+            }
+            return Vec::new();
+        }
+        let holders = cs.take_holders(region, offset, len, self.me());
+        if holders.is_empty() {
+            return Vec::new();
+        }
+        self.incr("kernel", "invalidation_rounds");
+        self.metrics().add(
+            MetricKey::pe("kernel", "cache_invalidations", self.rank),
+            holders.len() as u64,
+        );
+        holders
+            .into_iter()
+            .map(|h| {
+                let req = reqs.next();
+                let msg = Message::GmInvalidate {
+                    req,
+                    region,
+                    offset,
+                    len: len as u32,
+                };
+                self.send_armed(req, h.0 as u32, msg, None);
+                req
+            })
+            .collect()
+    }
+}
+
+impl GmPort for LivePort {
+    type Meta = Arrival;
+
+    fn node(&self) -> NodeId {
+        self.me()
+    }
+
+    fn store(&self) -> &GlobalStore {
+        &self.cluster.store
+    }
+
+    fn caching(&self) -> bool {
+        self.cluster.cache.is_some()
+    }
+
+    fn charge_local(&mut self, _bytes: usize) {
+        // The access already ran for real; nothing to account.
+    }
+
+    fn count(&mut self, what: GmCount) {
+        let names: &[&'static str] = match what {
+            // Own-node reads show up as `gm/local_read_ns` samples.
+            GmCount::LocalRead(_) => &[],
+            GmCount::ReplicaHit => &["cache_hits", "dir_hits"],
+            GmCount::ReplicaMiss => &["cache_misses", "dir_misses"],
+            GmCount::Coalesced => &["gm_coalesced"],
+        };
+        for name in names {
+            self.incr("kernel", name);
+        }
+    }
+
+    fn send_request(
+        &mut self,
+        home: NodeId,
+        req: ReqId,
+        msg: Message,
+        _kind: SpanKind,
+        _bytes: u64,
+        inflight: usize,
+    ) {
+        let home = home.0 as u32;
+        self.incr("kernel", "gm_request_msgs");
+        let ctx = self.open_req_span(req, home);
+        self.send_armed(req, home, msg, ctx);
+        self.metrics().gauge_max(
+            MetricKey::pe("kernel", "gm_inflight", self.rank),
+            inflight as u64,
+        );
+    }
+
+    fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, Arrival) {
+        let (msg, ctx) = match self.stash.iter().position(|(m, _)| pred(m)) {
+            Some(idx) => self.stash.remove(idx).unwrap(),
+            None => loop {
+                // With nothing to retransmit (barrier and lock traffic is
+                // never retried: it is not idempotent and the fault plan
+                // leaves control messages unharmed) the wait may block: an
+                // abort wakes it via the forwarded frame.
+                let tick = (!self.retry.is_empty()).then(|| self.retry_tick());
+                match self.recv_app(tick) {
+                    None => self.service_retries(),
+                    Some(got) if pred(&got.0) => break got,
+                    Some(other) => self.stash.push_back(other),
+                }
+            },
+        };
+        let arrival = Arrival {
+            ctx,
+            at_ns: self.cluster.now_ns(),
+            wire_bytes: msg.wire_len() as u64,
+        };
+        (msg, arrival)
+    }
+
+    fn request_done(&mut self, req: ReqId, _kind: SpanKind, at: Arrival) {
+        self.retry.remove(&req.0);
+        self.close_req_span(req.0, at);
+    }
+
+    fn protocol_error(&mut self, err: GmProtocolError) -> ! {
+        self.die(FailureKind::Protocol {
+            req: err.req,
+            detail: format!("expected {}, got {}", err.expected, err.got),
+        })
+    }
+
+    fn stamp(&self) -> u64 {
+        self.cluster.now_ns()
+    }
+
+    fn handle_done(&mut self, issued: u64, is_read: bool, remote: bool) {
+        let name = match (is_read, remote) {
+            (true, true) => "remote_read_ns",
+            (true, false) => "local_read_ns",
+            (false, true) => "remote_write_ns",
+            (false, false) => "local_write_ns",
+        };
+        self.metrics().record(
+            MetricKey::pe("gm", name, self.rank),
+            self.cluster.now_ns().saturating_sub(issued),
+        );
+    }
+
+    fn blocked(&mut self, since: u64, seq: u64) {
+        if self.tracing() {
+            let id = self.rec.next_id();
+            let mut span = self.span(TraceSpanKind::GmBlock, id, self.app_span, since);
+            span.seq = seq;
+            self.rec.push(span);
+        }
+    }
+
+    fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {
+        self.cluster.cache.as_ref()?.get(self.me(), region, block)
+    }
+
+    /// Requester-side half of the lease the home granted at serve time:
+    /// install the fully fetched blocks, unless an invalidation has landed
+    /// since dispatch (epoch mismatch) — then the bytes may already be
+    /// stale and the lease stays data-less.
+    fn replica_install<'d>(
+        &mut self,
+        req: ReqId,
+        region: RegionId,
+        blocks: impl Iterator<Item = (u64, &'d [u8])>,
+    ) {
+        let Some(cs) = self.cluster.cache.as_ref() else {
+            return;
+        };
+        let dispatched = self.retry.get(&req.0).map(|s| s.epoch);
+        let guard = self.cluster.install_guards[self.rank as usize].lock();
+        if Some(*guard) == dispatched {
+            for (b, data) in blocks {
+                cs.install_data(self.me(), region, b, data.to_vec());
+            }
+        }
+    }
+
+    fn replica_drop(&mut self, region: RegionId, offset: u64, len: usize) {
+        if let Some(cs) = self.cluster.cache.as_ref() {
+            cs.drop_range(self.me(), region, offset, len);
+        }
+    }
+
+    /// Self-invalidation costs zero wire traffic — the whole point of
+    /// deferring the write-side invalidations. No-op under
+    /// write-invalidate, where the protocol keeps replicas exact.
+    fn replica_purge(&mut self) {
+        if let Some(cs) = self.cluster.cache.as_ref() {
+            if self.cluster.gm_mode == GmMode::ReleaseConsistency {
+                let mut epoch = self.cluster.install_guards[self.rank as usize].lock();
+                *epoch += 1;
+                cs.purge_node(self.me());
+                drop(epoch);
+                self.incr("kernel", "rc_acquires");
+            }
+        }
+    }
+
+    /// The store write comes *first*: any replica leased after it already
+    /// holds the new bytes, and every lease granted before it is in the
+    /// holder set the round invalidates. The acks gate the writing handle.
+    fn own_node_write(
+        &mut self,
+        reqs: &mut ReqIdGen,
+        region: RegionId,
+        offset: u64,
+        data: &[u8],
+    ) -> Vec<ReqId> {
+        self.cluster.store.write(region, offset, data).unwrap();
+        self.own_write_coherence(reqs, region, offset, data.len())
+    }
+}
+
+/// Per-process context of the live engine: implements [`ParallelApi`] by
+/// driving the shared [`GmClient`] through a [`LivePort`] — own-node ranges
+/// go straight to the store (the linked-library fast path), remote ranges
+/// become staged request messages that coalesce per home and travel as
+/// real wire traffic.
+pub struct LiveCtx {
+    rank: u32,
+    pid: GlobalPid,
+    port: LivePort,
+    /// The split-phase global-memory machinery.
+    gm: GmClient,
+    barrier_seq: u32,
+    alloc_seq: usize,
+    /// Reusable scratch for element-wise `GmArray` accessors.
+    scratch: Vec<u8>,
+}
+
+impl LiveCtx {
+    pub(super) fn new(
+        rank: u32,
+        cluster: Arc<LiveCluster>,
+        transport: Arc<dyn Transport>,
+    ) -> LiveCtx {
+        let app_rx = Arc::clone(&cluster.app_inboxes[rank as usize]);
+        let mut rec = if cluster.tracing {
+            TraceRecorder::new(rank, TraceRole::App)
+        } else {
+            TraceRecorder::disabled(rank, TraceRole::App)
+        };
+        // The app root span doubles as this PE's trace id: every causal
+        // chain the PE originates shares it.
+        let app_span = rec.next_id();
+        let app_start_ns = cluster.now_ns();
+        LiveCtx {
+            rank,
+            pid: GlobalPid::new(NodeId(rank as u16), 1),
+            port: LivePort {
+                rank,
+                cluster,
+                transport,
+                app_rx,
+                stash: VecDeque::new(),
+                retry: HashMap::new(),
+                rec,
+                trace: app_span,
+                app_span,
+                app_start_ns,
+                req_spans: HashMap::new(),
+            },
+            gm: GmClient::new(DEFAULT_GM_WINDOW),
+            barrier_seq: 0,
+            alloc_seq: 0,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Complete all staged and in-flight split-phase work. Every blocking
+    /// synchronization primitive fences first, so split-phase operations are
+    /// always ordered before barriers, locks and atomics.
+    fn gm_fence(&mut self) {
+        self.gm.fence(&mut self.port);
+    }
+
+    /// One round trip to the coordinator on PE 0: send `enter`, block until
+    /// `granted` accepts the answer, and record the wait as a `kind` span
+    /// and a `sync/<metric>` sample. The answer is an acquire point.
+    fn coordinate(
+        &mut self,
+        enter: Message,
+        granted: impl FnMut(&Message) -> bool,
+        kind: TraceSpanKind,
+        seq: u64,
+        metric: &'static str,
+    ) {
+        let port = &mut self.port;
+        let t0 = port.cluster.now_ns();
+        let wait_span = port.rec.next_id();
+        let ctx = port.tracing().then_some(TraceCtx {
+            trace: port.trace,
+            parent: wait_span,
+        });
+        port.send_traced(0, &enter, ctx);
+        port.await_msg(granted);
+        if port.tracing() {
+            let mut s = port.span(kind, wait_span, port.app_span, t0);
+            s.peer = 0;
+            s.seq = seq;
+            port.rec.push(s);
+        }
+        port.metrics().record(
+            MetricKey::pe("sync", metric, port.rank),
+            port.cluster.now_ns().saturating_sub(t0),
+        );
+        port.replica_purge();
+    }
+
+    /// Called by the harness after the body returns: fence, then notify the
+    /// coordinator so it can shut the kernels down once everyone is out.
+    pub(super) fn finish(&mut self) {
+        self.gm_fence();
+        self.port.send(
+            0,
+            &Message::ExitNotice {
+                pid: self.pid,
+                status: 0,
+            },
+        );
+    }
+
+    /// Called by the harness however the body ended: close the app root
+    /// span and park this thread's causal spans in the cluster sink, so an
+    /// aborted run still yields a usable partial trace.
+    pub(super) fn flush_trace(&mut self) {
+        self.port.close_app_span();
+        let spans = self.port.rec.take();
+        self.port.cluster.flush_trace(self.rank, 0, spans);
+    }
+}
+
+impl ParallelApi for LiveCtx {
+    fn rank(&self) -> u32 {
+        self.rank
+    }
+
+    fn nprocs(&self) -> usize {
+        self.port.cluster.nprocs
+    }
+
+    fn compute(&mut self, _work: Work) {
+        // The computation already ran for real; nothing to account.
+    }
+
+    fn gm_alloc(&mut self, len: usize, dist: Distribution) -> RegionId {
+        self.gm_fence();
+        let seq = self.alloc_seq;
+        self.alloc_seq += 1;
+        let cluster = &self.port.cluster;
+        let mut table = cluster.allocs.lock();
+        if let Some(&(id, existing)) = table.get(seq) {
+            assert_eq!(existing, len, "collective allocation #{seq} size mismatch");
+            return id;
+        }
+        assert_eq!(table.len(), seq, "collective allocations out of order");
+        let id = cluster.store.alloc(len, dist);
+        table.push((id, len));
+        id
+    }
+
+    fn gm_read(&mut self, region: RegionId, offset: u64, len: usize) -> Vec<u8> {
+        self.port.count_op("reads");
+        self.gm.read(&mut self.port, region, offset, len)
+    }
+
+    fn gm_write(&mut self, region: RegionId, offset: u64, data: &[u8]) {
+        self.port.count_op("writes");
+        self.gm.write(&mut self.port, region, offset, data)
+    }
+
+    fn gm_read_into(&mut self, region: RegionId, offset: u64, out: &mut [u8]) {
+        self.port.count_op("reads");
+        self.gm.read_into(&mut self.port, region, offset, out)
+    }
+
+    fn gm_read_nb(&mut self, region: RegionId, offset: u64, len: usize) -> GmHandle {
+        self.port.count_op("reads");
+        self.gm.read_nb(&mut self.port, region, offset, len)
+    }
+
+    fn gm_write_nb(&mut self, region: RegionId, offset: u64, data: &[u8]) -> GmHandle {
+        self.port.count_op("writes");
+        self.gm.write_nb(&mut self.port, region, offset, data)
+    }
+
+    fn gm_wait(&mut self, handle: GmHandle) -> Option<Vec<u8>> {
+        self.gm.wait(&mut self.port, handle)
+    }
+
+    fn gm_wait_all(&mut self) {
+        self.gm.wait_all(&mut self.port)
+    }
+
+    fn take_scratch(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.scratch)
+    }
+
+    fn put_scratch(&mut self, buf: Vec<u8>) {
+        self.scratch = buf;
+    }
+
+    fn gm_fetch_add(&mut self, region: RegionId, offset: u64, delta: i64) -> i64 {
+        self.gm_fence();
+        let port = &mut self.port;
+        port.count_op("fetch_adds");
+        let start = port.cluster.now_ns();
+        let store = &port.cluster.store;
+        let home = store
+            .home_of(region, offset)
+            .unwrap_or_else(|e| panic!("live rank {}: bad GM address: {e}", self.rank));
+        let prev = if home == port.me() {
+            let prev = store
+                .fetch_add(region, offset, delta)
+                .unwrap_or_else(|e| panic!("live rank {}: fetch_add failed: {e}", self.rank));
+            // The invalidation round completes inline: collect every ack.
+            let mut pending = port.own_write_coherence(self.gm.req_ids(), region, offset, 8);
+            while !pending.is_empty() {
+                let (ack, _) = port.await_msg(
+                    |m| matches!(m, Message::GmInvalidateAck { req } if pending.contains(req)),
+                );
+                if let Message::GmInvalidateAck { req } = ack {
+                    port.retry.remove(&req.0);
+                    pending.retain(|r| *r != req);
+                }
+            }
+            prev
+        } else {
+            port.replica_drop(region, offset, 8);
+            let req = self.gm.req_ids().next();
+            port.incr("kernel", "gm_request_msgs");
+            let msg = Message::GmFetchAddReq {
+                req,
+                region,
+                offset,
+                delta,
+            };
+            let home = home.0 as u32;
+            let ctx = port.open_req_span(req, home);
+            port.send_armed(req, home, msg, ctx);
+            let t_block = port.cluster.now_ns();
+            let (resp, at) = port
+                .await_msg(|m| matches!(m, Message::GmFetchAddResp { req: r, .. } if *r == req));
+            port.request_done(req, SpanKind::GmFetchAdd, at);
+            port.blocked(t_block, req.0);
+            match resp {
+                Message::GmFetchAddResp { prev, .. } => prev,
+                _ => unreachable!(),
+            }
+        };
+        port.metrics().record(
+            MetricKey::pe("gm", "fetch_add_ns", self.rank),
+            port.cluster.now_ns().saturating_sub(start),
+        );
+        prev
+    }
+
+    fn barrier(&mut self) {
+        let id = AUTO_BARRIER_BASE + self.barrier_seq;
+        self.barrier_seq += 1;
+        self.gm_fence();
+        let enter = Message::BarrierEnter {
+            barrier: id,
+            pid: self.pid,
+        };
+        self.coordinate(
+            enter,
+            |m| matches!(m, Message::BarrierRelease { barrier, .. } if *barrier == id),
+            TraceSpanKind::BarrierWait,
+            id as u64,
+            "barrier_wait_ns",
+        );
+    }
+
+    fn lock(&mut self, id: u32) {
+        self.gm_fence();
+        let req = self.gm.req_ids().next();
+        let enter = Message::LockReq {
+            req,
+            lock: id,
+            pid: self.pid,
+        };
+        self.coordinate(
+            enter,
+            |m| matches!(m, Message::LockGrant { req: r, .. } if *r == req),
+            TraceSpanKind::LockWait,
+            req.0,
+            "lock_wait_ns",
+        );
+    }
+
+    fn unlock(&mut self, id: u32) {
+        self.gm_fence();
+        self.port.send(
+            0,
+            &Message::UnlockReq {
+                lock: id,
+                pid: self.pid,
+            },
+        );
+    }
+
+    fn gm_release(&mut self) {
+        // Making prior writes globally visible is exactly the fence: every
+        // write ack (gated on its invalidations under WI) has landed.
+        self.gm_fence();
+    }
+
+    fn gm_acquire(&mut self) {
+        self.gm.acquire(&mut self.port);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FaultPlan, LiveRunConfig, LiveRunner, RetryPolicy};
+    use dse_api::{GmArray, GmCounter};
+
+    #[test]
+    fn transient_drops_are_absorbed_by_retry() {
+        // Deterministically drop and duplicate some GM traffic: the retry
+        // layer (app retransmits, kernel dedups) must still produce the
+        // exact fault-free answer.
+        let cfg = LiveRunConfig {
+            fault_plan: Some(FaultPlan::parse("seed=11,drop=150,dup=80").unwrap()),
+            ..LiveRunConfig::default()
+        };
+        let r = LiveRunner::new(3)
+            .config(cfg)
+            .try_run(|ctx| {
+                let arr = GmArray::<u64>::alloc(ctx, 12, Distribution::Blocked);
+                for i in 0..12 {
+                    if i % 3 == ctx.rank() as usize {
+                        arr.set(ctx, i, (i * 7) as u64);
+                    }
+                }
+                ctx.barrier();
+                let all = arr.read(ctx, 0, 12);
+                assert_eq!(all, (0..12u64).map(|i| i * 7).collect::<Vec<_>>());
+            })
+            .expect("drops and dups are recoverable faults");
+        assert_eq!(r.nprocs, 3);
+    }
+
+    #[test]
+    fn gm_deadline_trips_when_home_pe_never_answers() {
+        // Drop *everything* recoverable: every GM request vanishes, so the
+        // issuing app must exhaust its retries and trip the deadline.
+        let cfg = LiveRunConfig {
+            fault_plan: Some(FaultPlan::parse("seed=1,drop=1000").unwrap()),
+            gm_retry: RetryPolicy {
+                max_attempts: 3,
+                base_delay: Duration::from_millis(5),
+                max_delay: Duration::from_millis(20),
+            },
+            ..LiveRunConfig::default()
+        };
+        let err = LiveRunner::new(2)
+            .config(cfg)
+            .try_run(|ctx| {
+                let arr = GmArray::<u64>::alloc(ctx, 8, Distribution::Blocked);
+                // Rank 0 writes into rank 1's half: always a wire request.
+                if ctx.rank() == 0 {
+                    arr.set(ctx, 7, 42);
+                }
+                ctx.barrier();
+            })
+            .expect_err("an unanswerable GM request must trip the deadline");
+        assert!(
+            err.failures
+                .iter()
+                .any(|f| matches!(f.kind, FailureKind::GmDeadline { attempts: 3, .. })),
+            "deadline trip must be first-hand: {err}"
+        );
+    }
+
+    #[test]
+    fn split_phase_batches_on_the_wire() {
+        // Two non-adjacent writes to the same remote home must coalesce
+        // into one GmBatchReq: exactly one request message for both.
+        let r = LiveRunner::new(2).run(|ctx| {
+            let arr = GmArray::<u64>::alloc(ctx, 16, Distribution::Blocked);
+            if ctx.rank() == 0 {
+                // Elements 8..16 are homed on rank 1.
+                let h1 = ctx.gm_write_nb(arr.region(), 8 * 8, &7u64.to_le_bytes());
+                let h2 = ctx.gm_write_nb(arr.region(), 10 * 8, &9u64.to_le_bytes());
+                ctx.gm_wait(h1);
+                ctx.gm_wait(h2);
+            }
+            ctx.barrier();
+            if ctx.rank() == 1 {
+                assert_eq!(arr.get(ctx, 8), 7);
+                assert_eq!(arr.get(ctx, 10), 9);
+            }
+        });
+        assert_eq!(
+            r.metrics.counter("kernel", "gm_request_msgs", Some(0)),
+            Some(1),
+            "two staged writes to one home must travel as one batch"
+        );
+    }
+
+    #[test]
+    fn tracing_links_requester_serve_and_redeem_spans() {
+        use dse_obs::TraceSpanKind;
+        let cfg = LiveRunConfig {
+            tracing: true,
+            ..LiveRunConfig::default()
+        };
+        let r = LiveRunner::new(2)
+            .config(cfg)
+            .try_run(|ctx| {
+                let arr = GmArray::<u64>::alloc(ctx, 8, Distribution::Blocked);
+                arr.set(ctx, ctx.rank() as usize, ctx.rank() as u64 + 1);
+                ctx.barrier();
+                let all = arr.read(ctx, 0, 8);
+                assert_eq!(all[0], 1);
+                assert_eq!(all[1], 2);
+            })
+            .unwrap();
+        assert_eq!(r.trace_spans.len(), 2);
+        let all: Vec<_> = r.trace_spans.iter().flatten().collect();
+        // Every PE closes exactly one root app span.
+        assert_eq!(
+            all.iter()
+                .filter(|s| s.kind == TraceSpanKind::App && s.parent == 0)
+                .count(),
+            2
+        );
+        // Each GM request span must chain requester -> home serve ->
+        // requester redeem: the serve span's id is derived from the
+        // request span id on both endpoints independently.
+        let reqs: Vec<_> = all
+            .iter()
+            .filter(|s| s.kind == TraceSpanKind::GmReq)
+            .collect();
+        assert!(!reqs.is_empty(), "remote reads must open request spans");
+        for rq in &reqs {
+            let serve_id = dse_kernel::task::serve_span_id(rq.span, 0);
+            let serve = all
+                .iter()
+                .find(|s| s.kind == TraceSpanKind::Serve && s.span == serve_id)
+                .unwrap_or_else(|| panic!("request span {} has no serve span", rq.span));
+            assert_ne!(serve.pe, rq.pe, "serve happens at the home PE");
+            assert!(
+                all.iter()
+                    .any(|s| s.kind == TraceSpanKind::Redeem && s.parent == serve_id),
+                "serve span {serve_id} never redeemed at the requester"
+            );
+            assert_eq!(serve.trace, rq.trace, "one trace id end to end");
+        }
+        // Barrier rounds: each PE's wait span links to a release span
+        // carrying the same barrier id in `seq`.
+        let waits: Vec<_> = all
+            .iter()
+            .filter(|s| s.kind == TraceSpanKind::BarrierWait)
+            .collect();
+        assert!(!waits.is_empty(), "barrier rounds must record wait spans");
+        assert_eq!(waits.len() % 2, 0, "every round blocks both PEs");
+        for w in &waits {
+            assert!(
+                all.iter()
+                    .any(|s| s.kind == TraceSpanKind::BarrierRelease && s.seq == w.seq),
+                "barrier wait {} has no matching release",
+                w.seq
+            );
+        }
+    }
+
+    /// Shared-table workload for the coherence tests: every rank replicates
+    /// the whole array, then each rank writes one element homed on the
+    /// *next* rank (so a third rank always holds a stale replica), plus one
+    /// element of its own partition, then everyone re-reads everything.
+    fn coherence_body(ctx: &mut LiveCtx) {
+        // 384 u64 over 3 ranks: 128 elements (1024 bytes = 2 cache blocks)
+        // per home.
+        let arr = GmArray::<u64>::alloc(ctx, 384, Distribution::Blocked);
+        ctx.barrier();
+        let _ = arr.read(ctx, 0, 384); // replicate everything
+        ctx.barrier();
+        let me = ctx.rank() as usize;
+        let remote = 128 * ((me + 1) % 3) + 7;
+        let own = 128 * me + 11;
+        arr.set(ctx, remote, (1000 + me) as u64);
+        arr.set(ctx, own, (2000 + me) as u64);
+        ctx.barrier();
+        let all = arr.read(ctx, 0, 384);
+        for r in 0..3usize {
+            assert_eq!(all[128 * ((r + 1) % 3) + 7], (1000 + r) as u64);
+            assert_eq!(all[128 * r + 11], (2000 + r) as u64);
+        }
+    }
+
+    #[test]
+    fn cached_wi_invalidates_stale_replicas() {
+        // Write-invalidate: the stale third-party replicas must be killed
+        // over the wire (home-gated remote writes and app-driven own-node
+        // writes both), or the final reads above would observe stale data.
+        let r = LiveRunner::new(3).gm_cache(true).run(coherence_body);
+        let m = &r.metrics;
+        assert!(m.counter_sum_over_pes("kernel", "dir_leases") > 0, "leases");
+        assert!(m.counter_sum_over_pes("kernel", "dir_hits") > 0, "hits");
+        assert!(
+            m.counter_sum_over_pes("kernel", "cache_invalidations") > 0,
+            "writes with sharers must invalidate"
+        );
+        assert!(
+            m.counter_sum_over_pes("kernel", "dir_invals") > 0,
+            "holders must apply wire invalidations"
+        );
+        assert_eq!(m.counter_sum_over_pes("kernel", "rc_deferred_invals"), 0);
+    }
+
+    #[test]
+    fn cached_rc_is_correct_at_sync_points() {
+        // Release consistency: zero invalidation traffic; the barriers'
+        // implied acquires purge the replicas, so the final reads still
+        // observe every released write. (The replicate-read is itself
+        // followed by a barrier, so its leases are released again before
+        // the writes — deferral counting is covered by the flag-ordered
+        // test below.)
+        let r = LiveRunner::new(3)
+            .gm_cache(true)
+            .gm_mode(GmMode::ReleaseConsistency)
+            .run(coherence_body);
+        let m = &r.metrics;
+        assert_eq!(
+            m.counter_sum_over_pes("kernel", "cache_invalidations"),
+            0,
+            "RC must not send invalidations"
+        );
+        assert_eq!(m.counter_sum_over_pes("kernel", "invalidation_rounds"), 0);
+        assert!(
+            m.counter_sum_over_pes("kernel", "rc_acquires") > 0,
+            "barriers imply acquires"
+        );
+    }
+
+    #[test]
+    fn cached_read_mostly_serves_from_replicas() {
+        let r = LiveRunner::new(2).gm_cache(true).run(|ctx| {
+            let arr = GmArray::<u64>::alloc(ctx, 256, Distribution::Blocked);
+            ctx.barrier();
+            for _ in 0..5 {
+                let all = arr.read(ctx, 0, 256);
+                assert_eq!(all[0], 0);
+            }
+        });
+        let m = &r.metrics;
+        assert!(
+            m.counter_sum_over_pes("kernel", "dir_hits")
+                >= m.counter_sum_over_pes("kernel", "dir_misses"),
+            "repeat reads must be served from replicas"
+        );
+        // 5 full-array reads each, but only the first one fetches the
+        // remote half: the request count stays near the uncached cost of a
+        // single sweep.
+        assert!(
+            m.counter_sum_over_pes("kernel", "gm_request_msgs") <= 4,
+            "replica hits must keep requests off the wire, got {}",
+            m.counter_sum_over_pes("kernel", "gm_request_msgs")
+        );
+    }
+
+    #[test]
+    fn cached_rc_defers_invalidations_to_acquire() {
+        // A hand-rolled release/acquire pair (no barrier, so no implied
+        // purge between the lease and the write): the writer's update to a
+        // block rank 0 holds a replica of must be *deferred* (counted, not
+        // sent), and rank 0's explicit acquire must drop the stale replica
+        // — without the purge, the cached block would satisfy the read.
+        let r = LiveRunner::new(2)
+            .gm_cache(true)
+            .gm_mode(GmMode::ReleaseConsistency)
+            .run(|ctx| {
+                let arr = GmArray::<u64>::alloc(ctx, 256, Distribution::Blocked);
+                let flag = GmCounter::alloc(ctx);
+                ctx.barrier();
+                if ctx.rank() == 0 {
+                    let _ = arr.read(ctx, 128, 128); // replicate rank 1's half
+                    flag.next(ctx); // leases are on record: let the writer go
+                    while flag.load(ctx) < 2 {
+                        std::thread::yield_now();
+                    }
+                    ctx.gm_acquire();
+                    assert_eq!(arr.get(ctx, 200), 77, "acquire must drop the replica");
+                } else {
+                    while flag.load(ctx) < 1 {
+                        std::thread::yield_now();
+                    }
+                    arr.set(ctx, 200, 77); // own partition; rank 0 holds a lease
+                    ctx.gm_release();
+                    flag.next(ctx);
+                }
+            });
+        let m = &r.metrics;
+        assert!(
+            m.counter_sum_over_pes("kernel", "rc_deferred_invals") > 0,
+            "a write over a leased block must count a deferral"
+        );
+        assert_eq!(
+            m.counter_sum_over_pes("kernel", "cache_invalidations"),
+            0,
+            "RC must not send invalidations"
+        );
+        assert!(m.counter_sum_over_pes("kernel", "rc_acquires") > 0);
+    }
+
+    #[test]
+    fn tracing_off_records_nothing() {
+        let r = LiveRunner::new(2).run(|ctx| {
+            let arr = GmArray::<u64>::alloc(ctx, 4, Distribution::Blocked);
+            arr.set(ctx, ctx.rank() as usize, 1);
+            ctx.barrier();
+        });
+        assert!(r.trace_spans.iter().all(|v| v.is_empty()));
+    }
+
+    #[test]
+    fn gm_mode_without_cache_is_inert() {
+        // Setting a coherence protocol while the cache is off must not
+        // change behavior: no directory, no leases, no invalidations.
+        let r = LiveRunner::new(3)
+            .gm_mode(GmMode::ReleaseConsistency)
+            .run(|ctx| {
+                let arr = GmArray::<u64>::alloc(ctx, 6, Distribution::Blocked);
+                arr.set(ctx, ctx.rank() as usize, 5);
+                ctx.barrier();
+                let _ = arr.read(ctx, 0, 6);
+                ctx.gm_release();
+                ctx.gm_acquire();
+            });
+        assert_eq!(r.metrics.counter_sum_over_pes("kernel", "dir_leases"), 0);
+        assert_eq!(r.metrics.counter_sum_over_pes("kernel", "dir_invals"), 0);
+        assert_eq!(
+            r.metrics
+                .counter_sum_over_pes("kernel", "rc_deferred_invals"),
+            0
+        );
+    }
+
+    #[test]
+    fn cache_with_write_invalidate_and_rc_both_run_clean() {
+        // The two legal gm_mode/gm_cache combinations both complete and
+        // agree on program results.
+        for mode in [GmMode::WriteInvalidate, GmMode::ReleaseConsistency] {
+            let r = LiveRunner::new(2).gm_cache(true).gm_mode(mode).run(|ctx| {
+                let arr = GmArray::<u64>::alloc(ctx, 4, Distribution::Blocked);
+                arr.set(ctx, ctx.rank() as usize, 11);
+                ctx.barrier();
+                ctx.gm_acquire();
+                let sum: u64 = arr.read(ctx, 0, 4).iter().sum();
+                assert_eq!(sum, 22);
+            });
+            assert!(r.metrics.counter_sum_over_pes("kernel", "requests_served") > 0);
+        }
+    }
+}
