@@ -113,11 +113,13 @@ impl SimPort<'_> {
         }
     }
 
-    /// Coherence action before an own-node store mutation: write-invalidate
-    /// runs the synchronous invalidation round; release consistency leaves
-    /// the sharers' leases alone (they self-invalidate at their next
-    /// acquire point) and only counts the deferral. No-op with the cache
-    /// off.
+    /// Coherence action before an own-node store mutation (no-op with the
+    /// cache off). Release consistency leaves the sharers' leases alone
+    /// (they self-invalidate at their next acquire point) and only counts
+    /// the deferral. Write-invalidate invalidates every other node's cached
+    /// copies of the range and waits for their acknowledgements (the
+    /// local-write half of the protocol; remote writes are handled by the
+    /// home kernel).
     fn coherent_local_write(
         &mut self,
         reqs: &mut ReqIdGen,
@@ -128,31 +130,19 @@ impl SimPort<'_> {
         if !self.shared.config.gm_cache {
             return;
         }
+        let cache = &self.shared.cache;
         if self.shared.config.gm_mode == GmMode::ReleaseConsistency {
-            let deferred = self
-                .shared
-                .cache
-                .peek_holders(region, offset, len, self.node);
-            if !deferred.is_empty() {
+            if !cache
+                .peek_holders(region, offset, len, self.node)
+                .is_empty()
+            {
                 self.shared
                     .stats
                     .update(self.node, |s| s.rc_deferred_invals += 1);
             }
             return;
         }
-        self.invalidate_for_local_write(reqs.next(), region, offset, len);
-    }
-
-    /// Invalidate every other node's cached copies of a range and wait for
-    /// their acknowledgements (the local-write half of the write-invalidate
-    /// protocol; remote writes are handled by the home kernel).
-    fn invalidate_for_local_write(
-        &mut self,
-        txn: ReqId,
-        region: RegionId,
-        offset: u64,
-        len: usize,
-    ) {
+        let txn = reqs.next();
         self.charge_local(0);
         let holders = self
             .shared

@@ -1,30 +1,14 @@
 //! `GmClient` — the requester side of global memory, defined once.
 //!
 //! This is the paper's "global-memory access request message creation
-//! module" and "response message analysis module": the part of the
-//! Parallel API library that turns a byte range into per-home segments,
-//! stages and coalesces them, batches them per home, keeps the in-flight
-//! window, matches responses to requests and fills the waiting handles.
-//! It links unchanged into both engines: nothing in here knows a clock, a
-//! transport, the simulator or a thread. Everything engine-specific —
-//! charging virtual time, putting a request on the wire, blocking for the
-//! next message, spans, retransmission, the replica cache — goes through
-//! one [`GmPort`], taken as a generic parameter so every call is
-//! statically dispatched.
-//!
-//! The split-phase rules (see DESIGN.md §5d, §5m):
-//!
-//! * an access splits into per-home runs; own-node runs complete at issue;
-//! * a remote run is *staged*; a new segment merges into the **last**
-//!   staged one iff same home, region and kind and the ranges touch or
-//!   overlap (later write bytes win), so program order is preserved;
-//! * staged segments leave at a wait, a fence, or at once in the blocking
-//!   (*eager*) mode: one plain request per single-segment home, one
-//!   `GmBatchReq` per multi-segment home, in staging order;
-//! * at most `window` requests are in flight; issuing past it drains
-//!   completions first (backpressure, never failure);
-//! * a handle holds an *issuance token* while its segments are staged, so
-//!   backpressure draining completions mid-issue cannot finish it early.
+//! module" and "response message analysis module": it splits a byte range
+//! into per-home segments, stages and coalesces them, batches them per
+//! home, keeps the in-flight window, matches responses to requests and
+//! fills the waiting handles (the rules are DESIGN.md §5d). It links
+//! unchanged into both engines: nothing in here knows a clock, a transport,
+//! the simulator or a thread. Everything engine-specific goes through one
+//! [`GmPort`], a generic parameter, so every call is statically dispatched
+//! (§5m lists what each engine does behind it).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -57,31 +41,6 @@ impl GmHandle {
     pub fn ready(data: Option<Vec<u8>>) -> GmHandle {
         GmHandle(HandleInner::Ready(data))
     }
-
-    /// A handle referring to operation `id` queued in the issuing engine.
-    /// For engines (like the live message-passing engine) that implement
-    /// their own split-phase staging outside `DseCtx`.
-    pub fn queued(id: u64) -> GmHandle {
-        GmHandle(HandleInner::Queued(id))
-    }
-
-    /// The queued operation id, or `None` if the handle was born ready.
-    pub fn queued_id(&self) -> Option<u64> {
-        match self.0 {
-            HandleInner::Queued(id) => Some(id),
-            HandleInner::Ready(_) => None,
-        }
-    }
-
-    /// Consume a ready handle, yielding its data (`Some` for reads, `None`
-    /// for writes). Panics on a queued handle — the owning engine must
-    /// resolve those through its own wait path.
-    pub fn into_ready(self) -> Option<Vec<u8>> {
-        match self.0 {
-            HandleInner::Ready(data) => data,
-            HandleInner::Queued(id) => panic!("handle {id} is still queued, not ready"),
-        }
-    }
 }
 
 /// A counter the client bumps through [`GmPort::count`].
@@ -103,29 +62,20 @@ pub enum GmCount {
 pub struct GmProtocolError {
     /// Correlation id of the request the response claims to answer.
     pub req: u64,
-    /// What the request was waiting for.
-    pub expected: String,
-    /// What arrived.
-    pub got: String,
+    /// What the request was waiting for and what arrived instead.
+    pub detail: String,
 }
 
 impl GmProtocolError {
-    fn new(req: ReqId, expected: impl Into<String>, got: impl Into<String>) -> GmProtocolError {
-        GmProtocolError {
-            req: req.0,
-            expected: expected.into(),
-            got: got.into(),
-        }
+    fn new(req: ReqId, expected: impl fmt::Display, got: impl fmt::Display) -> GmProtocolError {
+        let detail = format!("expected {expected}, got {got}");
+        GmProtocolError { req: req.0, detail }
     }
 }
 
 impl fmt::Display for GmProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "GM request {}: expected {}, got {}",
-            self.req, self.expected, self.got
-        )
+        write!(f, "GM request {}: {}", self.req, self.detail)
     }
 }
 
@@ -923,7 +873,7 @@ impl GmClient {
     /// Consume exactly one GM completion.
     fn drain_one<P: GmPort>(&mut self, port: &mut P) {
         let (msg, meta) = port.await_msg(is_completion);
-        if let Err(e) = self.complete(port, msg, meta) {
+        if let Err(e) = self.process_completion(port, msg, meta) {
             port.protocol_error(e);
         }
     }
@@ -940,7 +890,7 @@ impl GmClient {
     /// # Panics
     ///
     /// Panics if `msg` is not one of the four completion messages.
-    pub fn complete<P: GmPort>(
+    pub fn process_completion<P: GmPort>(
         &mut self,
         port: &mut P,
         msg: Message,
@@ -1045,4 +995,279 @@ fn split<P: GmPort>(
     port.store()
         .split_by_home(region, offset, len)
         .unwrap_or_else(|e| panic!("rank {}: {what} failed: {e}", port.node().0))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fake_port::FakePort;
+
+    /// Four homes over 4 KiB: node 0 (the client's) homes `[0, 1024)`,
+    /// home `h` homes `[1024 h, 1024 (h + 1))`; byte `i` holds `i % 251`.
+    fn port() -> FakePort {
+        FakePort::new(4, 4096, |i| (i % 251) as u8)
+    }
+
+    fn expected(offset: usize, len: usize) -> Vec<u8> {
+        (offset..offset + len).map(|i| (i % 251) as u8).collect()
+    }
+
+    fn read_nb(c: &mut GmClient, p: &mut FakePort, offset: u64, len: usize) -> GmHandle {
+        let region = p.region;
+        c.read_nb(p, region, offset, len)
+    }
+
+    fn write_nb(c: &mut GmClient, p: &mut FakePort, offset: u64, data: &[u8]) -> GmHandle {
+        let region = p.region;
+        c.write_nb(p, region, offset, data)
+    }
+
+    #[test]
+    fn adjacent_and_overlapping_reads_coalesce_into_one_request() {
+        let (mut c, mut p) = (GmClient::new(32), port());
+        let a = read_nb(&mut c, &mut p, 1024, 8);
+        let b = read_nb(&mut c, &mut p, 1032, 8); // adjacent
+        let d = read_nb(&mut c, &mut p, 1028, 20); // overlapping both
+        assert!(p.sent.is_empty(), "non-blocking reads only stage");
+        assert_eq!(c.staged.len(), 1);
+        assert!(matches!(&c.staged[0].op, StagedOp::Read(r) if r.dests.len() == 3));
+        assert_eq!(c.wait(&mut p, b), Some(expected(1032, 8)));
+        assert_eq!(c.wait(&mut p, a), Some(expected(1024, 8)));
+        assert_eq!(c.wait(&mut p, d), Some(expected(1028, 20)));
+        assert_eq!(p.sent.len(), 1);
+        assert!(matches!(
+            p.sent[0],
+            (
+                NodeId(1),
+                Message::GmReadReq {
+                    offset: 1024,
+                    len: 24,
+                    ..
+                }
+            )
+        ));
+        assert_eq!(p.counts, [GmCount::Coalesced, GmCount::Coalesced]);
+        assert_eq!(p.done, [(0, SpanKind::GmRead)]);
+        assert_eq!(p.handles_done.len(), 3);
+    }
+
+    #[test]
+    fn overlapping_staged_writes_resolve_last_writer_wins() {
+        let (mut c, mut p) = (GmClient::new(32), port());
+        let a = write_nb(&mut c, &mut p, 2100, &[1; 16]);
+        let b = write_nb(&mut c, &mut p, 2108, &[2; 16]); // overlaps the tail
+        let d = write_nb(&mut c, &mut p, 2096, &[3; 8]); // overlaps the head
+        for h in [a, b, d] {
+            assert_eq!(c.wait(&mut p, h), None);
+        }
+        assert_eq!(p.sent.len(), 1, "three touching writes are one request");
+        let got = p.contents();
+        assert_eq!(got[2096..2104], [3; 8]);
+        assert_eq!(got[2104..2108], [1; 4]);
+        assert_eq!(got[2108..2124], [2; 16]);
+        assert_eq!(got[2124], expected(2124, 1)[0]);
+    }
+
+    #[test]
+    fn a_write_between_two_reads_starts_fresh_segments_in_one_batch() {
+        let (mut c, mut p) = (GmClient::new(32), port());
+        let r1 = read_nb(&mut c, &mut p, 3072, 8);
+        let w = write_nb(&mut c, &mut p, 3072, &[9; 8]);
+        let r2 = read_nb(&mut c, &mut p, 3072, 8);
+        assert_eq!(c.staged.len(), 3, "kinds differ: nothing merges");
+        c.fence(&mut p);
+        assert_eq!(p.sent.len(), 1);
+        match &p.sent[0] {
+            (NodeId(3), Message::GmBatchReq { ops, .. }) => assert!(matches!(
+                ops[..],
+                [GmOp::Read { .. }, GmOp::Write { .. }, GmOp::Read { .. }]
+            )),
+            other => panic!("expected one batch to home 3, got {other:?}"),
+        }
+        // Program order held: the first read saw the old bytes, the second
+        // the written ones; results survive the fence.
+        assert_eq!(c.wait(&mut p, r1), Some(expected(3072, 8)));
+        assert_eq!(c.wait(&mut p, w), None);
+        assert_eq!(c.wait(&mut p, r2), Some(vec![9; 8]));
+        assert_eq!(p.blocked, [0], "only the fence blocked");
+    }
+
+    #[test]
+    fn a_blocking_read_past_the_window_backpressures_and_keeps_its_token() {
+        // Window 2, three remote homes: the eager issue must drain a
+        // completion of this very handle before its third request fits.
+        let (mut c, mut p) = (GmClient::new(2), port());
+        let region = p.region;
+        assert_eq!(c.read(&mut p, region, 0, 4096), expected(0, 4096));
+        assert_eq!(p.sent.len(), 3);
+        assert_eq!(p.max_inflight, 2);
+        assert_eq!(
+            p.handles_done,
+            [(true, true, 3)],
+            "the handle finished once, after its last segment was issued"
+        );
+        assert_eq!(p.counts, [GmCount::LocalRead(1024)]);
+        assert_eq!((c.inflight(), p.unanswered()), (0, 0));
+    }
+
+    #[test]
+    fn completions_in_any_cross_home_order_fill_the_right_bytes() {
+        for seed in 0..32 {
+            let (mut c, mut p) = (GmClient::new(32), port());
+            p.seed = seed;
+            let handles: Vec<_> = [(1000, 2000), (3000, 900), (10, 4000), (2047, 2)]
+                .into_iter()
+                .map(|(off, len)| (off, len, read_nb(&mut c, &mut p, off as u64, len)))
+                .collect();
+            for (off, len, h) in handles.into_iter().rev() {
+                assert_eq!(c.wait(&mut p, h), Some(expected(off, len)), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_duplicate_completion_is_ignored() {
+        let (mut c, mut p) = (GmClient::new(32), port());
+        let h = read_nb(&mut c, &mut p, 1024, 8);
+        c.flush_staged(&mut p);
+        let request = p.pending[1].pop_front().unwrap();
+        let response = p.serve(request);
+        assert_eq!(c.process_completion(&mut p, response.clone(), ()), Ok(()));
+        assert_eq!(
+            c.process_completion(&mut p, response, ()),
+            Ok(()),
+            "duplicate"
+        );
+        assert_eq!(p.done.len(), 1, "the duplicate completed nothing");
+        assert_eq!(c.wait(&mut p, h), Some(expected(1024, 8)));
+    }
+
+    #[test]
+    fn malformed_responses_are_errors_not_panics() {
+        let (mut c, mut p) = (GmClient::new(32), port());
+        let _r = read_nb(&mut c, &mut p, 1024, 8);
+        c.flush_staged(&mut p);
+        let _w = write_nb(&mut c, &mut p, 1024, &[1; 8]);
+        c.flush_staged(&mut p);
+        let _short = read_nb(&mut c, &mut p, 2048, 8);
+        c.flush_staged(&mut p);
+        let _b1 = read_nb(&mut c, &mut p, 3072, 8);
+        let _b2 = read_nb(&mut c, &mut p, 3100, 8);
+        c.flush_staged(&mut p);
+
+        let wrong_kind = c.process_completion(&mut p, Message::GmWriteAck { req: ReqId(0) }, ());
+        let err = wrong_kind.unwrap_err();
+        assert_eq!(err.req, 0);
+        assert_eq!(err.detail, "expected a read response, got gm_write_ack");
+
+        let data = vec![0u8; 8].into();
+        let err = c
+            .process_completion(
+                &mut p,
+                Message::GmReadResp {
+                    req: ReqId(1),
+                    data,
+                },
+                (),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err.detail,
+            "expected a write or invalidation acknowledgement, got gm_read_resp"
+        );
+
+        let data = vec![0u8; 7].into();
+        let err = c
+            .process_completion(
+                &mut p,
+                Message::GmReadResp {
+                    req: ReqId(2),
+                    data,
+                },
+                (),
+            )
+            .unwrap_err();
+        assert_eq!(err.detail, "expected 8 bytes, got 7 bytes");
+
+        let reads = vec![vec![0u8; 8].into()];
+        let err = c
+            .process_completion(
+                &mut p,
+                Message::GmBatchResp {
+                    req: ReqId(3),
+                    reads,
+                },
+                (),
+            )
+            .unwrap_err();
+        assert_eq!(err.req, 3);
+        assert_eq!(
+            err.to_string(),
+            "GM request 3: expected a result per batched read, got 1 results"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stale handle")]
+    fn waiting_on_a_handle_wait_all_discarded_panics() {
+        let (mut c, mut p) = (GmClient::new(32), port());
+        let h = read_nb(&mut c, &mut p, 1024, 8);
+        c.wait_all(&mut p);
+        c.wait(&mut p, h);
+    }
+
+    #[test]
+    fn own_node_and_replica_hit_issues_are_born_ready_and_send_nothing() {
+        let (mut c, mut p) = (GmClient::new(32), port());
+        p.caching = true;
+        let region = p.region;
+        // Own node: ready at issue, through the handle and the direct path.
+        let h = read_nb(&mut c, &mut p, 100, 50);
+        assert!(matches!(h.0, HandleInner::Ready(_)));
+        assert_eq!(c.wait(&mut p, h), Some(expected(100, 50)));
+        let mut out = [0u8; 50];
+        c.read_into(&mut p, region, 100, &mut out);
+        assert_eq!(out[..], expected(100, 50)[..]);
+        let w = write_nb(&mut c, &mut p, 0, &[7; 4]);
+        assert!(matches!(w.0, HandleInner::Ready(None)));
+        assert!(p.sent.is_empty());
+        assert_eq!(p.handles_done.len(), 3);
+        assert!(p.handles_done.iter().all(|&(_, remote, _)| !remote));
+
+        // A block-covering remote read installs its block ...
+        assert_eq!(c.read(&mut p, region, 1024, 600), expected(1024, 600));
+        assert_eq!(p.sent.len(), 1);
+        assert!(p.replicas.contains_key(&(region, 2)));
+        // ... which then serves whole-block and sub-block reads alone.
+        let sent = p.sent.len();
+        let h = read_nb(&mut c, &mut p, 1024, 512);
+        assert!(matches!(h.0, HandleInner::Ready(_)));
+        assert_eq!(c.wait(&mut p, h), Some(expected(1024, 512)));
+        assert_eq!(c.read(&mut p, region, 1100, 8), expected(1100, 8));
+        assert_eq!(p.sent.len(), sent, "replica hits stay off the wire");
+        let hits = p.counts.iter().filter(|&&c| c == GmCount::ReplicaHit);
+        assert_eq!(hits.count(), 2);
+        // A write drops the writer's own replica of the range.
+        c.write(&mut p, region, 1030, &[1; 4]);
+        assert!(!p.replicas.contains_key(&(region, 2)));
+        c.acquire(&mut p);
+        assert_eq!(p.purges, 1);
+    }
+
+    #[test]
+    fn acks_returned_by_the_coherence_hook_gate_the_writing_handle() {
+        let (mut c, mut p) = (GmClient::new(32), port());
+        p.write_gates = 2;
+        let w = write_nb(&mut c, &mut p, 8, &[5; 8]);
+        assert!(matches!(w.0, HandleInner::Queued(_)));
+        assert_eq!(c.inflight(), 2);
+        assert_eq!(
+            p.contents()[8..16],
+            [5; 8],
+            "the store write is not deferred"
+        );
+        assert_eq!(c.wait(&mut p, w), None);
+        assert_eq!(p.handles_done, [(false, true, 0)]);
+        assert_eq!(c.inflight(), 0);
+    }
 }

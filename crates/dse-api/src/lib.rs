@@ -25,12 +25,21 @@
 
 #![warn(missing_docs)]
 
+// The fake port under `tests/support` names this crate the way the
+// integration tests do.
+#[cfg(test)]
+extern crate self as dse_api;
+
 mod api;
 pub mod collective;
 mod ctx;
 mod gm_client;
 mod program;
 mod region;
+
+#[cfg(test)]
+#[path = "../tests/support/fake_port.rs"]
+mod fake_port;
 
 pub use api::ParallelApi;
 pub use ctx::{DseCtx, UserMsg, AUTO_BARRIER_BASE};

@@ -26,7 +26,9 @@ use dse_transport::{Pop, Transport};
 use super::{AbortUnwind, AppInbox, LiveCluster, AUTO_BARRIER_BASE};
 use crate::error::FailureKind;
 
-/// Retransmission bookkeeping for one outstanding GM request.
+/// Bookkeeping for one outstanding GM request: retransmission, the
+/// install-epoch guard, and the root `gm_req` span opened at dispatch and
+/// closed at completion.
 struct RetryState {
     /// Home PE the request is addressed to.
     home: u32,
@@ -40,25 +42,16 @@ struct RetryState {
     next_retry: Instant,
     /// When the original send happened (for the deadline report).
     sent_at: Instant,
-    /// Trace context of the original send; retransmits carry the same one
-    /// so the home kernel's dedup replay stays in the same causal chain.
+    /// Trace context of the original send (`parent` is the root span's
+    /// id); retransmits carry the same one so the home kernel's dedup
+    /// replay stays in the same causal chain. `None` when untraced.
     ctx: Option<TraceCtx>,
+    /// Dispatch time on the engine clock, the root span's start (0 when
+    /// untraced).
+    start_ns: u64,
     /// Install-epoch snapshot taken at dispatch: a mismatch at completion
     /// means an invalidation raced the fetch, so the install is skipped.
     epoch: u64,
-}
-
-/// Requester-side trace bookkeeping for one outstanding GM request: the
-/// root `gm_req` span opened at dispatch and closed at completion.
-struct ReqSpan {
-    /// The root span id (the wire ctx's `parent`).
-    span: u64,
-    /// Dispatch time on the engine clock.
-    start_ns: u64,
-    /// Home PE the request went to.
-    home: u32,
-    /// Retransmits sent so far.
-    retries: u32,
 }
 
 /// The span kind a retransmitted request would have opened (for the
@@ -93,8 +86,8 @@ struct LivePort {
     /// Messages (with their wire trace context) that arrived while
     /// awaiting something else.
     stash: VecDeque<(Message, Option<TraceCtx>)>,
-    /// Retransmission state for outstanding requests, keyed by request
-    /// id; entries are dropped when the response arrives.
+    /// Outstanding requests, keyed by request id; entries are dropped
+    /// when the response arrives.
     retry: HashMap<u64, RetryState>,
     /// Causal span recorder for this app thread.
     rec: TraceRecorder,
@@ -104,8 +97,6 @@ struct LivePort {
     app_span: u64,
     /// When the app thread started, engine clock.
     app_start_ns: u64,
-    /// Open `gm_req` root spans keyed by request id.
-    req_spans: HashMap<u64, ReqSpan>,
 }
 
 impl LivePort {
@@ -122,15 +113,6 @@ impl LivePort {
     fn span(&self, kind: TraceSpanKind, span: u64, parent: u64, start_ns: u64) -> TraceSpanRec {
         let end = self.cluster.now_ns();
         TraceSpanRec::new(kind, self.trace, span, parent, self.rank, start_ns, end)
-    }
-
-    /// Close the app root span (called once, when the body is done or the
-    /// thread is unwinding) so the blame table has the PE's wall clock.
-    fn close_app_span(&mut self) {
-        if self.tracing() {
-            let span = self.span(TraceSpanKind::App, self.app_span, 0, self.app_start_ns);
-            self.rec.push(span);
-        }
     }
 
     fn metrics(&self) -> &Registry {
@@ -154,10 +136,6 @@ impl LivePort {
     fn die(&self, kind: FailureKind) -> ! {
         self.cluster.note_app_failure(self.rank, kind);
         resume_unwind(Box::new(AbortUnwind))
-    }
-
-    fn send(&self, to: u32, msg: &Message) {
-        self.send_traced(to, msg, None);
     }
 
     fn send_traced(&self, to: u32, msg: &Message, ctx: Option<TraceCtx>) {
@@ -217,10 +195,8 @@ impl LivePort {
     /// exhausted its attempt budget. Called whenever a completion wait
     /// times out.
     fn service_retries(&mut self) {
-        if self.retry.is_empty() {
-            return;
-        }
         let now = Instant::now();
+        let policy = self.cluster.retry;
         let due: Vec<u64> = self
             .retry
             .iter()
@@ -228,89 +204,55 @@ impl LivePort {
             .map(|(k, _)| *k)
             .collect();
         for key in due {
-            let policy = self.cluster.retry;
-            let (home, attempts, kind, waited_ns, elapsed_backoff, ctx, msg) = {
-                let st = self.retry.get_mut(&key).unwrap();
-                let waited_ns = st.sent_at.elapsed().as_nanos() as u64;
-                if st.attempts >= policy.max_attempts {
-                    (
-                        st.home,
-                        st.attempts,
-                        span_kind_of(&st.msg),
-                        waited_ns,
-                        st.backoff,
-                        st.ctx,
-                        None,
-                    )
-                } else {
-                    let elapsed_backoff = st.backoff;
-                    st.attempts += 1;
-                    st.backoff = (st.backoff * 2).min(policy.max_delay);
-                    st.next_retry = now + st.backoff;
-                    (
-                        st.home,
-                        st.attempts,
-                        span_kind_of(&st.msg),
-                        waited_ns,
-                        elapsed_backoff,
-                        st.ctx,
-                        Some(st.msg.clone()),
-                    )
-                }
-            };
-            match msg {
-                Some(msg) => {
-                    // A retransmit, not a new request: `gm_request_msgs`
-                    // stays put (wire accounting keeps its exact counts);
-                    // the retry shows up under its own metric. The same
-                    // trace context rides again so the home's dedup replay
-                    // stays in the original causal chain.
-                    self.incr("kernel", "gm_retries");
-                    if let Some(rs) = self.req_spans.get_mut(&key) {
-                        rs.retries += 1;
-                        // The backoff that just elapsed is attributable
-                        // dead time inside the request's wall clock.
-                        let end = self.cluster.now_ns();
-                        let mut span = TraceSpanRec::new(
-                            TraceSpanKind::RetryBackoff,
-                            self.trace,
-                            self.rec.next_id(),
-                            rs.span,
-                            self.rank,
-                            end.saturating_sub(elapsed_backoff.as_nanos() as u64),
-                            end,
-                        );
-                        span.peer = home;
-                        span.seq = key;
-                        self.rec.push(span);
-                    }
-                    self.send_traced(home, &msg, ctx);
-                }
-                None => {
-                    self.incr("kernel", "gm_deadline_trips");
-                    let (trace, span) = self
-                        .req_spans
-                        .get(&key)
-                        .map(|rs| (self.trace, rs.span))
-                        .unwrap_or((0, 0));
-                    self.cluster.flight.record_traced(
-                        self.cluster.now_ns(),
-                        self.rank,
-                        trace,
-                        span,
-                        FlightEventKind::Stall {
-                            kind,
-                            seq: key,
-                            waited_ns,
-                        },
-                    );
-                    self.die(FailureKind::GmDeadline {
-                        req: key,
-                        home,
-                        attempts,
-                    });
-                }
+            let st = self.retry.get_mut(&key).unwrap();
+            let (home, ctx) = (st.home, st.ctx);
+            if st.attempts >= policy.max_attempts {
+                let attempts = st.attempts;
+                let stall = FlightEventKind::Stall {
+                    kind: span_kind_of(&st.msg),
+                    seq: key,
+                    waited_ns: st.sent_at.elapsed().as_nanos() as u64,
+                };
+                self.incr("kernel", "gm_deadline_trips");
+                let (trace, span) = ctx.map_or((0, 0), |c| (c.trace, c.parent));
+                let now_ns = self.cluster.now_ns();
+                self.cluster
+                    .flight
+                    .record_traced(now_ns, self.rank, trace, span, stall);
+                self.die(FailureKind::GmDeadline {
+                    req: key,
+                    home,
+                    attempts,
+                });
             }
+            let elapsed_backoff = st.backoff.as_nanos() as u64;
+            st.attempts += 1;
+            st.backoff = (st.backoff * 2).min(policy.max_delay);
+            st.next_retry = now + st.backoff;
+            let msg = st.msg.clone();
+            // A retransmit, not a new request: `gm_request_msgs` stays put
+            // (wire accounting keeps its exact counts); the retry shows up
+            // under its own metric. The same trace context rides again so
+            // the home's dedup replay stays in the original causal chain.
+            self.incr("kernel", "gm_retries");
+            if let Some(c) = ctx {
+                // The backoff that just elapsed is attributable dead time
+                // inside the request's wall clock.
+                let end = self.cluster.now_ns();
+                let mut span = TraceSpanRec::new(
+                    TraceSpanKind::RetryBackoff,
+                    self.trace,
+                    self.rec.next_id(),
+                    c.parent,
+                    self.rank,
+                    end.saturating_sub(elapsed_backoff),
+                    end,
+                );
+                span.peer = home;
+                span.seq = key;
+                self.rec.push(span);
+            }
+            self.send_traced(home, &msg, ctx);
         }
     }
 
@@ -323,11 +265,22 @@ impl LivePort {
         }
     }
 
-    /// Send a request to `home` and arm its retransmission. The install
+    /// Send request `req` to `home` and arm its retransmission. A `traced`
+    /// request on a run that records spans opens its root `gm_req` span,
+    /// whose id rides the wire as the trace context's parent. The install
     /// epoch is snapshotted *before* the send, so an invalidation the home
     /// issues after serving it is seen as a mismatch at completion.
-    fn send_armed(&mut self, req: ReqId, home: u32, msg: Message, ctx: Option<TraceCtx>) {
+    fn send_armed(&mut self, req: ReqId, home: u32, msg: Message, traced: bool) {
         let epoch = self.install_epoch();
+        let (ctx, start_ns) = if traced && self.tracing() {
+            let ctx = TraceCtx {
+                trace: self.trace,
+                parent: self.rec.next_id(),
+            };
+            (Some(ctx), self.cluster.now_ns())
+        } else {
+            (None, 0)
+        };
         self.send_traced(home, &msg, ctx);
         let policy = self.cluster.retry;
         let now = Instant::now();
@@ -341,45 +294,32 @@ impl LivePort {
                 next_retry: now + policy.base_delay,
                 sent_at: now,
                 ctx,
+                start_ns,
                 epoch,
             },
         );
     }
 
-    /// Open the root `gm_req` span for a request about to go to `home`,
-    /// returning the wire trace context to send with it.
-    fn open_req_span(&mut self, req: ReqId, home: u32) -> Option<TraceCtx> {
-        if !self.tracing() {
-            return None;
-        }
-        let span = self.rec.next_id();
-        self.req_spans.insert(
-            req.0,
-            ReqSpan {
-                span,
-                start_ns: self.cluster.now_ns(),
-                home,
-                retries: 0,
-            },
-        );
-        Some(TraceCtx {
-            trace: self.trace,
-            parent: span,
-        })
-    }
-
-    /// Close the root `gm_req` span for a completed request and emit the
-    /// redemption span linking this PE back to the home kernel's serve
-    /// (when the response carried trace context).
-    fn close_req_span(&mut self, req: u64, at: Arrival) {
-        let Some(rs) = self.req_spans.remove(&req) else {
+    /// Request `req` was answered: disarm it, close its root `gm_req` span
+    /// and emit the redemption span linking this PE back to the home
+    /// kernel's serve (when the response carried trace context).
+    fn disarm(&mut self, req: ReqId, at: Arrival) {
+        let Some(st) = self.retry.remove(&req.0) else {
             return;
         };
-        let mut root = self.span(TraceSpanKind::GmReq, rs.span, self.app_span, rs.start_ns);
-        root.peer = rs.home;
+        let Some(sent) = st.ctx else {
+            return;
+        };
+        let mut root = self.span(
+            TraceSpanKind::GmReq,
+            sent.parent,
+            self.app_span,
+            st.start_ns,
+        );
+        root.peer = st.home;
         root.bytes = at.wire_bytes;
-        root.seq = req;
-        root.retries = rs.retries;
+        root.seq = req.0;
+        root.retries = st.attempts - 1;
         let end = root.end_ns;
         self.rec.push(root);
         if let Some(c) = at.ctx {
@@ -395,9 +335,9 @@ impl LivePort {
                 at.at_ns,
                 end,
             );
-            redeem.peer = rs.home;
+            redeem.peer = st.home;
             redeem.bytes = at.wire_bytes;
-            redeem.seq = req;
+            redeem.seq = req.0;
             self.rec.push(redeem);
         }
     }
@@ -443,7 +383,7 @@ impl LivePort {
                     offset,
                     len: len as u32,
                 };
-                self.send_armed(req, h.0 as u32, msg, None);
+                self.send_armed(req, h.0 as u32, msg, false);
                 req
             })
             .collect()
@@ -493,8 +433,7 @@ impl GmPort for LivePort {
     ) {
         let home = home.0 as u32;
         self.incr("kernel", "gm_request_msgs");
-        let ctx = self.open_req_span(req, home);
-        self.send_armed(req, home, msg, ctx);
+        self.send_armed(req, home, msg, true);
         self.metrics().gauge_max(
             MetricKey::pe("kernel", "gm_inflight", self.rank),
             inflight as u64,
@@ -526,14 +465,13 @@ impl GmPort for LivePort {
     }
 
     fn request_done(&mut self, req: ReqId, _kind: SpanKind, at: Arrival) {
-        self.retry.remove(&req.0);
-        self.close_req_span(req.0, at);
+        self.disarm(req, at);
     }
 
     fn protocol_error(&mut self, err: GmProtocolError) -> ! {
         self.die(FailureKind::Protocol {
             req: err.req,
-            detail: format!("expected {}, got {}", err.expected, err.got),
+            detail: err.detail,
         })
     }
 
@@ -672,7 +610,6 @@ impl LiveCtx {
                 trace: app_span,
                 app_span,
                 app_start_ns,
-                req_spans: HashMap::new(),
             },
             gm: GmClient::new(DEFAULT_GM_WINDOW),
             barrier_seq: 0,
@@ -725,22 +662,25 @@ impl LiveCtx {
     /// coordinator so it can shut the kernels down once everyone is out.
     pub(super) fn finish(&mut self) {
         self.gm_fence();
-        self.port.send(
-            0,
-            &Message::ExitNotice {
-                pid: self.pid,
-                status: 0,
-            },
-        );
+        let notice = Message::ExitNotice {
+            pid: self.pid,
+            status: 0,
+        };
+        self.port.send_traced(0, &notice, None);
     }
 
     /// Called by the harness however the body ended: close the app root
-    /// span and park this thread's causal spans in the cluster sink, so an
-    /// aborted run still yields a usable partial trace.
+    /// span (so the blame table has the PE's wall clock) and park this
+    /// thread's causal spans in the cluster sink — an aborted run still
+    /// yields a usable partial trace.
     pub(super) fn flush_trace(&mut self) {
-        self.port.close_app_span();
-        let spans = self.port.rec.take();
-        self.port.cluster.flush_trace(self.rank, 0, spans);
+        let port = &mut self.port;
+        if port.tracing() {
+            let app = port.span(TraceSpanKind::App, port.app_span, 0, port.app_start_ns);
+            port.rec.push(app);
+        }
+        let spans = port.rec.take();
+        port.cluster.flush_trace(self.rank, 0, spans);
     }
 }
 
@@ -849,9 +789,7 @@ impl ParallelApi for LiveCtx {
                 offset,
                 delta,
             };
-            let home = home.0 as u32;
-            let ctx = port.open_req_span(req, home);
-            port.send_armed(req, home, msg, ctx);
+            port.send_armed(req, home.0 as u32, msg, true);
             let t_block = port.cluster.now_ns();
             let (resp, at) = port
                 .await_msg(|m| matches!(m, Message::GmFetchAddResp { req: r, .. } if *r == req));
@@ -905,13 +843,11 @@ impl ParallelApi for LiveCtx {
 
     fn unlock(&mut self, id: u32) {
         self.gm_fence();
-        self.port.send(
-            0,
-            &Message::UnlockReq {
-                lock: id,
-                pid: self.pid,
-            },
-        );
+        let release = Message::UnlockReq {
+            lock: id,
+            pid: self.pid,
+        };
+        self.port.send_traced(0, &release, None);
     }
 
     fn gm_release(&mut self) {
@@ -928,7 +864,7 @@ impl ParallelApi for LiveCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultPlan, LiveRunConfig, LiveRunner, RetryPolicy};
+    use crate::{FaultPlan, LiveRunConfig, LiveRunner, RetryPolicy, SchedulerKind};
     use dse_api::{GmArray, GmCounter};
 
     #[test]
@@ -1012,6 +948,79 @@ mod tests {
             r.metrics.counter("kernel", "gm_request_msgs", Some(0)),
             Some(1),
             "two staged writes to one home must travel as one batch"
+        );
+    }
+
+    /// Rank 0 reads four elements from each of the other 40 homes before
+    /// its first wait: 40 staged segments to 40 distinct homes, so the
+    /// flush wants 40 requests in flight at once.
+    fn forty_homes_body(ctx: &mut LiveCtx) {
+        let arr = GmArray::<u64>::alloc(ctx, 41 * 4, Distribution::Blocked);
+        let me = ctx.rank() as usize;
+        for i in 0..4 {
+            arr.set(ctx, me * 4 + i, (me * 100 + i) as u64);
+        }
+        ctx.barrier();
+        if me == 0 {
+            let handles: Vec<_> = (1..41usize)
+                .map(|home| ctx.gm_read_nb(arr.region(), (home * 4 * 8) as u64, 4 * 8))
+                .collect();
+            for (home, h) in (1..41usize).zip(handles) {
+                let bytes = ctx.gm_wait(h).expect("a read handle carries data");
+                for (i, cell) in bytes.chunks_exact(8).enumerate() {
+                    let got = u64::from_le_bytes(cell.try_into().unwrap());
+                    assert_eq!(got, (home * 100 + i) as u64, "home {home} element {i}");
+                }
+            }
+        }
+        ctx.barrier();
+    }
+
+    #[test]
+    fn in_flight_requests_are_bounded_by_the_window() {
+        let r = LiveRunner::new(41)
+            .scheduler(SchedulerKind::Tasks)
+            .run(forty_homes_body);
+        let high_water = r.metrics.gauge("kernel", "gm_inflight", Some(0));
+        assert_eq!(
+            high_water,
+            Some(DEFAULT_GM_WINDOW as u64),
+            "40 requests wanted out, the window admits 32"
+        );
+        // Under loss the backpressure wait drains through the retry timer
+        // rather than deadlocking on the handle's issuance token.
+        let r = LiveRunner::new(41)
+            .scheduler(SchedulerKind::Tasks)
+            .fault_plan(FaultPlan::parse("seed=11,drop=150").unwrap())
+            .try_run(forty_homes_body)
+            .expect("drops are recoverable under backpressure too");
+        let high_water = r.metrics.gauge("kernel", "gm_inflight", Some(0));
+        assert!(high_water <= Some(DEFAULT_GM_WINDOW as u64));
+    }
+
+    #[test]
+    fn malformed_response_fails_the_run_with_a_protocol_error() {
+        let err = LiveRunner::new(2)
+            .try_run(|ctx| {
+                let arr = GmArray::<u64>::alloc(ctx, 8, Distribution::Blocked);
+                ctx.barrier();
+                if ctx.rank() == 0 {
+                    // A peer answers request 0 — the remote read below —
+                    // with a write acknowledgement.
+                    let forged = Message::GmWriteAck { req: ReqId(0) };
+                    ctx.port.cluster.app_push(0, forged, None);
+                    arr.get(ctx, 7);
+                }
+                ctx.barrier();
+            })
+            .expect_err("a response of the wrong kind must fail the run");
+        assert!(
+            err.failures.iter().any(|f| matches!(
+                &f.kind,
+                FailureKind::Protocol { req: 0, detail }
+                    if detail == "expected a read response, got gm_write_ack"
+            )),
+            "the requester must report it first-hand: {err}"
         );
     }
 

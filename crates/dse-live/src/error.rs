@@ -177,4 +177,16 @@ mod tests {
         assert!(rep.contains("3 post-mortem event(s)"));
         assert_eq!(format!("{err}").lines().count(), 4);
     }
+
+    #[test]
+    fn protocol_failure_names_the_request_and_the_mismatch() {
+        let kind = FailureKind::Protocol {
+            req: 7,
+            detail: "expected a read response, got gm_write_ack".to_string(),
+        };
+        assert_eq!(
+            kind.to_string(),
+            "GM request 7 got a malformed response: expected a read response, got gm_write_ack"
+        );
+    }
 }
