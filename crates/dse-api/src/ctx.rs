@@ -130,8 +130,8 @@ impl SimPort<'_> {
         if !self.shared.config.gm_cache {
             return;
         }
-        let cache = &self.shared.cache;
         if self.shared.config.gm_mode == GmMode::ReleaseConsistency {
+            let cache = &self.shared.cache;
             if !cache
                 .peek_holders(region, offset, len, self.node)
                 .is_empty()

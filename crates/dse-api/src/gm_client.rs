@@ -322,7 +322,8 @@ impl GmClient {
         offset: u64,
         len: usize,
     ) -> Vec<u8> {
-        let h = self.issue_read(port, region, offset, len, true);
+        let runs = split(port, "gm_read", region, offset, len);
+        let h = self.issue_read(port, runs, region, offset, len, true);
         self.wait(port, h).expect("a read handle carries data")
     }
 
@@ -338,14 +339,12 @@ impl GmClient {
         let runs = split(port, "gm_read", region, offset, out.len());
         if runs.len() == 1 && runs[0].0 == port.node() {
             let issued = port.stamp();
-            port.charge_local(out.len());
-            port.store().read_into(region, offset, out).unwrap();
-            port.count(GmCount::LocalRead(out.len()));
+            own_node_read(port, region, offset, out);
             port.handle_done(issued, true, false);
             return;
         }
-        let data = self.read(port, region, offset, out.len());
-        out.copy_from_slice(&data);
+        let h = self.issue_read(port, runs, region, offset, out.len(), true);
+        out.copy_from_slice(&self.wait(port, h).expect("a read handle carries data"));
     }
 
     /// Begin a split-phase read; redeem the handle with [`GmClient::wait`].
@@ -356,7 +355,8 @@ impl GmClient {
         offset: u64,
         len: usize,
     ) -> GmHandle {
-        self.issue_read(port, region, offset, len, false)
+        let runs = split(port, "gm_read", region, offset, len);
+        self.issue_read(port, runs, region, offset, len, false)
     }
 
     /// Blocking write (eager issue, then wait).
@@ -459,24 +459,23 @@ impl GmClient {
         st.buf.as_mut().expect("read handle without a buffer")
     }
 
+    /// Issue a read of `[offset, offset + len)`, already split into `runs`.
     fn issue_read<P: GmPort>(
         &mut self,
         port: &mut P,
+        runs: Vec<(NodeId, u64, usize)>,
         region: RegionId,
         offset: u64,
         len: usize,
         eager: bool,
     ) -> GmHandle {
-        let runs = split(port, "gm_read", region, offset, len);
         let caching = port.caching();
         let handle = self.new_handle(port, Some(vec![0u8; len]));
         for (home, off, rlen) in runs {
             let at = (off - offset) as usize;
             if home == port.node() {
-                port.charge_local(rlen);
                 let out = &mut self.buf_mut(handle)[at..at + rlen];
-                port.store().read_into(region, off, out).unwrap();
-                port.count(GmCount::LocalRead(rlen));
+                own_node_read(port, region, off, out);
             } else if !caching {
                 self.stage_read(port, home, region, off, rlen, Vec::new(), handle, at, eager);
             } else {
@@ -982,6 +981,13 @@ impl GmClient {
             }
         }
     }
+}
+
+/// The own-node fast path: a library call straight into the home partition.
+fn own_node_read<P: GmPort>(port: &mut P, region: RegionId, offset: u64, out: &mut [u8]) {
+    port.charge_local(out.len());
+    port.store().read_into(region, offset, out).unwrap();
+    port.count(GmCount::LocalRead(out.len()));
 }
 
 /// Split `[offset, offset + len)` of `region` into per-home runs.

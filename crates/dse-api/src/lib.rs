@@ -8,6 +8,9 @@
 //!   config) and [`DseProgram::run`] an SPMD body over `p` processors;
 //! * [`DseCtx`] — the per-process API: global-memory access, barriers,
 //!   locks, atomic counters, point-to-point messages, computation charging;
+//! * [`GmClient`] — the split-phase global-memory requester (staging,
+//!   coalescing, batching, the in-flight window, handles), defined once and
+//!   driven by both engines through a [`GmPort`];
 //! * [`GmArray`]/[`GmCounter`] — typed views over distributed regions;
 //! * [`collective`] — broadcast/gather/reduce conveniences built from the
 //!   same primitives an application would use by hand.

@@ -564,7 +564,7 @@ impl GmPort for LivePort {
 }
 
 /// Per-process context of the live engine: implements [`ParallelApi`] by
-/// driving the shared [`GmClient`] through a [`LivePort`] — own-node ranges
+/// driving the shared [`GmClient`] through a `LivePort` — own-node ranges
 /// go straight to the store (the linked-library fast path), remote ranges
 /// become staged request messages that coalesce per home and travel as
 /// real wire traffic.

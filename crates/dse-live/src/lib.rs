@@ -4,7 +4,9 @@
 //! same [`dse_api::ParallelApi`] application bodies on real OS threads with
 //! real synchronization and wall-clock timing. One application source, two
 //! engines — the portability the paper's design argues for, demonstrated
-//! mechanically by the cross-engine equivalence tests in `tests/`.
+//! mechanically by the cross-engine equivalence tests in `tests/`. Global
+//! memory is not reimplemented here: [`LiveCtx`] drives `dse-api`'s
+//! [`dse_api::GmClient`] through a port onto the transport.
 
 #![warn(missing_docs)]
 
