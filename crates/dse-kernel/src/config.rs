@@ -1,7 +1,5 @@
 //! Runtime configuration: software organization, protocol, network, cache.
 
-use std::time::Duration;
-
 use dse_net::Protocol;
 use dse_sim::SimDuration;
 
@@ -70,21 +68,23 @@ impl GmMode {
     }
 }
 
-/// How the live engine hosts its per-PE kernels.
+/// How many workers the live engine's kernel driver runs.
 ///
 /// The simulator is inherently event-driven (one virtual-time wheel drives
-/// every PE), so this axis only matters to the live engine: `Threads` is
-/// the reference implementation (one OS kernel thread per PE, blocking on
-/// its transport), `Tasks` multiplexes every PE's resumable
-/// [`crate::task::KernelTask`] on a small worker pool so one process can
-/// host thousands of PEs.
+/// every PE), so this axis only matters to the live engine. There one
+/// driver polls every PE's [`crate::task::KernelTask`] from a pool of
+/// workers, and this chooses the pool's size: a worker with one kernel
+/// waits in its transport, a worker with several sweeps them. Program
+/// results do not depend on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// One blocking kernel thread per PE (the reference implementation).
+    /// One worker per PE: every kernel has its own thread, blocked on its
+    /// transport until a message wakes it. Lowest latency; a thread per PE.
     #[default]
     Threads,
-    /// Event-driven kernel tasks polled by a worker pool sized to the
-    /// host's parallelism.
+    /// One worker per core (at most one per PE), each multiplexing its
+    /// share of the kernels, and small app-thread stacks — so one process
+    /// can host thousands of PEs.
     Tasks,
 }
 
@@ -201,15 +201,6 @@ pub struct DseConfig {
     /// Physical machines backing the cluster (`None` = the paper's
     /// machine count; the canonical home of `DseProgram::with_machines`).
     pub machines: Option<usize>,
-    /// How the live engine hosts its kernels (ignored by the simulator,
-    /// whose event wheel is already a scheduler).
-    pub scheduler: SchedulerKind,
-    /// Bound on a live kernel's idle wait between housekeeping ticks
-    /// (abort-latch checks, telemetry emission). `None` picks the
-    /// scheduler's default: 50 ms under `Threads`, 5 ms under `Tasks`,
-    /// where thousands of idle PEs would otherwise stretch shutdown by
-    /// seconds.
-    pub kernel_tick: Option<Duration>,
 }
 
 impl Default for DseConfig {
@@ -227,8 +218,6 @@ impl Default for DseConfig {
             gm_window: DEFAULT_GM_WINDOW,
             tracing: false,
             machines: None,
-            scheduler: SchedulerKind::Threads,
-            kernel_tick: None,
         }
     }
 }
@@ -303,18 +292,6 @@ impl DseConfig {
     /// Builder-style: set the physical machine count backing the cluster.
     pub fn with_machines(mut self, machines: usize) -> Self {
         self.machines = Some(machines);
-        self
-    }
-
-    /// Builder-style: choose the live engine's kernel scheduler.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Builder-style: bound the live kernels' idle housekeeping tick.
-    pub fn with_kernel_tick(mut self, tick: Duration) -> Self {
-        self.kernel_tick = Some(tick);
         self
     }
 }
@@ -392,18 +369,6 @@ mod tests {
         for k in [SchedulerKind::Threads, SchedulerKind::Tasks] {
             assert_eq!(SchedulerKind::parse(k.name()), Some(k));
         }
-    }
-
-    #[test]
-    fn scheduler_and_tick_default_and_compose() {
-        let c = DseConfig::default();
-        assert_eq!(c.scheduler, SchedulerKind::Threads);
-        assert_eq!(c.kernel_tick, None);
-        let c = DseConfig::paper()
-            .with_scheduler(SchedulerKind::Tasks)
-            .with_kernel_tick(Duration::from_millis(2));
-        assert_eq!(c.scheduler, SchedulerKind::Tasks);
-        assert_eq!(c.kernel_tick, Some(Duration::from_millis(2)));
     }
 
     #[test]

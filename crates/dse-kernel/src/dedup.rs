@@ -4,6 +4,12 @@
 //! A retransmit of an already-served request replays the cached response
 //! instead of re-executing it, which is what makes requester-side retries
 //! safe for non-idempotent operations (overlapping writes, fetch-add).
+//! The memory is kept per requester, so traffic from other PEs can never
+//! push out an answer a retransmit still needs: a requester blocked on an
+//! atomic or a fence issues nothing further, and answers on one edge
+//! arrive in order, so its unanswered requests are among its own last few.
+//! (The memory is still bounded: a requester that keeps issuing split-phase
+//! requests past a lost answer, never waiting on it, can outrun it.)
 //! The cache also counts how many times each entry replayed: the causal
 //! trace derives a distinct serve-span id per replay from that index, so
 //! a retransmitted request shows up in the assembled cluster trace as one
@@ -13,63 +19,66 @@ use std::collections::{HashMap, VecDeque};
 
 use dse_msg::Message;
 
-/// Bounded FIFO cache of served GM responses keyed by `(from, req)`.
-#[derive(Debug, Default)]
+/// The last few served GM responses of each requester, keyed by
+/// `(from, req)`.
+#[derive(Debug)]
 pub struct DedupCache {
-    map: HashMap<(u32, u64), CacheEntry>,
-    order: VecDeque<(u32, u64)>,
-    cap: usize,
+    /// Allocated on the requester's first served request.
+    peers: HashMap<u32, Peer>,
+    per_peer: usize,
+}
+
+#[derive(Debug, Default)]
+struct Peer {
+    /// Highest `req` answered so far. Request ids grow, so a fresh request
+    /// lies above it and is known to miss without a look at the answers.
+    newest: u64,
+    /// The most recent answers, oldest first.
+    answers: VecDeque<Answer>,
 }
 
 #[derive(Debug)]
-struct CacheEntry {
+struct Answer {
+    req: u64,
     resp: Message,
     replays: u32,
 }
 
 impl DedupCache {
-    /// A cache remembering the last `cap` served responses.
-    pub fn new(cap: usize) -> DedupCache {
+    /// A cache remembering the last `per_peer` responses to each requester.
+    pub fn new(per_peer: usize) -> DedupCache {
         DedupCache {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            cap,
+            peers: HashMap::new(),
+            per_peer,
         }
     }
 
     /// Look up a retransmitted request. On a hit, counts the replay and
     /// returns the cached response together with the replay index (1 for
     /// the first replay, 2 for the second, ...).
-    pub fn replay(&mut self, key: (u32, u64)) -> Option<(Message, u32)> {
-        let e = self.map.get_mut(&key)?;
-        e.replays += 1;
-        Some((e.resp.clone(), e.replays))
-    }
-
-    /// Remember the response to a freshly served request, evicting the
-    /// oldest entry once past capacity.
-    pub fn insert(&mut self, key: (u32, u64), resp: Message) {
-        if self
-            .map
-            .insert(key, CacheEntry { resp, replays: 0 })
-            .is_none()
-        {
-            self.order.push_back(key);
-            if self.order.len() > self.cap {
-                let evict = self.order.pop_front().unwrap();
-                self.map.remove(&evict);
-            }
+    pub fn replay(&mut self, (from, req): (u32, u64)) -> Option<(Message, u32)> {
+        let peer = self.peers.get_mut(&from)?;
+        if req > peer.newest {
+            return None;
         }
+        let a = peer.answers.iter_mut().rev().find(|a| a.req == req)?;
+        a.replays += 1;
+        Some((a.resp.clone(), a.replays))
     }
 
-    /// Number of cached responses.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    /// Remember the response to a freshly served request (one `replay`
+    /// just missed), evicting that requester's oldest once past capacity.
+    pub fn insert(&mut self, (from, req): (u32, u64), resp: Message) {
+        let peer = self.peers.entry(from).or_default();
+        peer.newest = peer.newest.max(req);
+        if peer.answers.len() == self.per_peer {
+            peer.answers.pop_front();
+        }
+        peer.answers.push_back(Answer {
+            req,
+            resp,
+            replays: 0,
+        });
     }
 }
 
@@ -106,14 +115,15 @@ mod tests {
     }
 
     #[test]
-    fn evicts_oldest_past_capacity() {
+    fn evicts_a_requesters_oldest_and_nobody_elses() {
         let mut c = DedupCache::new(2);
         c.insert((0, 1), ack(1));
+        c.insert((1, 1), ack(1));
         c.insert((0, 2), ack(2));
         c.insert((0, 3), ack(3));
-        assert_eq!(c.len(), 2);
-        assert!(c.replay((0, 1)).is_none(), "oldest entry evicted");
+        assert!(c.replay((0, 1)).is_none(), "requester 0's oldest evicted");
         assert!(c.replay((0, 3)).is_some());
+        assert!(c.replay((1, 1)).is_some(), "requester 1 is untouched");
     }
 
     #[test]

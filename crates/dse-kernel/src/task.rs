@@ -11,13 +11,13 @@
 //! failures), best-effort telemetry sends, and forwards to the co-resident
 //! application thread.
 //!
-//! Because the task never blocks, one OS thread can drive one task (the
-//! classic thread-per-PE engine) or a small worker pool can multiplex
-//! thousands of them — both drivers run the *same* protocol logic, which
-//! is what makes the two live schedulers bit-identical by construction.
-//! The old 50 ms recv tick and the watch-interval telemetry emission are
-//! re-expressed as timer state: [`KernelTask::timeout`] tells the driver
-//! how long it may wait before the task wants a [`KernelEvent::Tick`].
+//! Because the task never blocks, the live engine's one driver can give a
+//! task a worker of its own (thread-per-PE: the worker waits in its
+//! transport) or let a few workers multiplex thousands of them — the
+//! *same* protocol logic either way, which is why results do not depend on
+//! the pool's size. The recv tick and the watch-interval telemetry
+//! emission are timer state: [`KernelTask::timeout`] tells the driver how
+//! long it may wait before the task wants a [`KernelEvent::Tick`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
@@ -31,7 +31,7 @@ use dse_obs::{
 };
 
 use crate::cache::{blocks_inside, CacheStore};
-use crate::config::GmMode;
+use crate::config::{GmMode, DEFAULT_GM_WINDOW};
 use crate::dedup::{dedup_key, DedupCache};
 use crate::gmem::GlobalStore;
 use crate::service::{serve_gm, GmServiceHooks, Served};
@@ -112,8 +112,10 @@ fn lock_grant_trace(
 /// own-node invalidation round.
 pub const KERNEL_TXN_BASE: u64 = 1 << 63;
 
-/// Serving-side GM request dedup capacity (per kernel, across all peers).
-const DEDUP_CAP: usize = 64;
+/// Answers the serving side remembers per requester: everything one can
+/// have outstanding — a full split-phase window plus one blocking atomic —
+/// and one to spare.
+const DEDUP_PER_REQUESTER: usize = DEFAULT_GM_WINDOW + 2;
 
 /// What the app thread can receive from its kernel: responses to its own
 /// requests and coordination wakeups, forwarded off the transport.
@@ -316,7 +318,7 @@ impl KernelEnv<'_> {
 pub type WatchHook<'h> = &'h (dyn Fn(&ClusterAggregator, u64) + Send + Sync);
 
 /// One PE's kernel as a resumable state machine. See the module docs for
-/// the event/driver contract; see the live engine for the two drivers.
+/// the event/driver contract; see the live engine's `sched` for the driver.
 pub struct KernelTask<'a> {
     env: KernelEnv<'a>,
     /// Coordination state lives on PE 0 (reply tokens are PE ranks).
@@ -339,7 +341,7 @@ pub struct KernelTask<'a> {
     exited: usize,
     last_emit: Instant,
     watch: Option<(Duration, WatchHook<'a>)>,
-    /// Bound on the driver's wait between events (the old `IDLE_TICK`).
+    /// Bound on the driver's wait between events.
     tick: Duration,
     tracker: DeltaTracker,
     agg: Option<ClusterAggregator>,
@@ -361,7 +363,7 @@ impl<'a> KernelTask<'a> {
         KernelTask {
             barriers: BarrierCenter::new(env.nprocs),
             locks: LockCenter::new(),
-            served_cache: DedupCache::new(DEDUP_CAP),
+            served_cache: DedupCache::new(DEDUP_PER_REQUESTER),
             gates: HashMap::new(),
             inval_to_gate: HashMap::new(),
             pending_gated: HashSet::new(),
@@ -386,7 +388,7 @@ impl<'a> KernelTask<'a> {
 
     /// How long the driver may wait for the next event before the task
     /// wants a [`KernelEvent::Tick`] (telemetry emission and the idle
-    /// heartbeat, formerly the hardwired 50 ms recv tick).
+    /// heartbeat).
     pub fn timeout(&self) -> Duration {
         match &self.watch {
             Some((iv, _)) => iv.saturating_sub(self.last_emit.elapsed()).min(self.tick),
@@ -401,8 +403,8 @@ impl<'a> KernelTask<'a> {
     }
 
     /// Drain queued outputs in order. Dropping the iterator early (e.g. on
-    /// the first failed send) discards the rest, matching the blocking
-    /// loop's abort-on-first-error semantics.
+    /// the first failed send) discards the rest: the kernel aborts on its
+    /// first failed send.
     pub fn drain_outbox(&mut self) -> std::collections::vec_deque::Drain<'_, Outbound> {
         self.outbox.drain(..)
     }
@@ -840,8 +842,7 @@ impl<'a> KernelTask<'a> {
 
 /// Internal outcome of one message dispatch.
 enum Handled {
-    /// Dedup replay or gated retransmit: skip the emission check, exactly
-    /// like the blocking loop's `continue`.
+    /// Dedup replay or gated retransmit: skip the emission check.
     Swallowed,
     /// Handled; fall through to the emission check.
     Done,
@@ -999,5 +1000,51 @@ mod tests {
             .collect();
         assert_eq!(prevs, vec![0, 0], "dedup must replay the first answer");
         assert_eq!(fx.0.read(region, 0, 8).unwrap(), 1i64.to_le_bytes());
+    }
+
+    #[test]
+    fn other_requesters_cannot_evict_an_answer_a_retransmit_needs() {
+        let fx = env_fixture(66);
+        let cell = fx.0.alloc(8, Distribution::OnNode(NodeId(0)));
+        let mut t = task(0, 66, &fx);
+        let fetch_add = || KernelEvent::Message {
+            from: 1,
+            msg: Message::GmFetchAddReq {
+                req: ReqId(5),
+                region: cell,
+                offset: 0,
+                delta: 1,
+            },
+            ctx: None,
+        };
+        t.poll(fetch_add());
+        for pe in 2..66 {
+            t.poll(KernelEvent::Message {
+                from: pe,
+                msg: Message::GmReadReq {
+                    req: ReqId(0),
+                    region: cell,
+                    offset: 0,
+                    len: 8,
+                },
+                ctx: None,
+            });
+        }
+        t.poll(fetch_add()); // PE 1 never saw its answer and retransmits
+        let prevs: Vec<i64> = t
+            .drain_outbox()
+            .filter_map(|o| match o {
+                Outbound::Wire {
+                    to: 1,
+                    msg: Message::GmFetchAddResp { prev, .. },
+                    ..
+                } => Some(prev),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(prevs, vec![0, 0], "the retransmit must get the same answer");
+        assert_eq!(fx.0.read(cell, 0, 8).unwrap(), 1i64.to_le_bytes());
+        let snap = fx.1.snapshot();
+        assert_eq!(snap.counter("kernel", "gm_dup_requests", Some(0)), Some(1));
     }
 }

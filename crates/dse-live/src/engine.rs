@@ -3,19 +3,21 @@
 //!
 //! Where the simulator answers "how long would this have taken on a 1999
 //! cluster", the live engine *runs* the program — and it runs it the way
-//! the paper's Fig. 3 describes. Each processor element hosts two threads:
+//! the paper's Fig. 3 describes. Each processor element hosts:
 //!
 //! * an **application thread** executing the rank's body through
 //!   [`LiveCtx`], whose global-memory accesses take the own-node fast path
 //!   when the range is homed locally and otherwise become encoded
 //!   `GmReadReq`/`GmWriteReq`/`GmBatchReq` request messages to the home
 //!   PE's kernel;
-//! * a **kernel thread** — the linked-library DSE kernel's message loop —
-//!   the sole consumer of the PE's transport endpoint. It services incoming
-//!   GM requests against the global store, forwards responses to its own
+//! * a **kernel** — the linked-library DSE kernel's message loop, a
+//!   [`KernelTask`] driven by a worker of the pool in [`sched`] — the sole
+//!   consumer of the PE's transport endpoint. It services incoming GM
+//!   requests against the global store, forwards responses to its own
 //!   application thread, and (on PE 0) runs the cluster coordinator:
 //!   barriers, locks, exit collection, and the telemetry aggregator behind
-//!   `--watch`.
+//!   `--watch`. [`SchedulerKind`] sizes the pool: one worker per PE, or
+//!   one per core with many kernels sharing a worker.
 //!
 //! The transport is chosen per run ([`TransportKind`]): an in-process
 //! channel mesh, a framed TCP-over-loopback mesh, or Unix domain sockets —
@@ -31,7 +33,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use dse_kernel::gmem::GlobalStore;
-use dse_kernel::task::{is_app_bound, KernelEnv, KernelEvent, KernelTask, Outbound, Progress};
+use dse_kernel::task::{is_app_bound, KernelEnv, KernelTask, Outbound};
 use dse_kernel::{CacheStore, GmMode, SchedulerKind};
 use dse_msg::{Message, RegionId, TraceCtx};
 use dse_obs::{
@@ -115,15 +117,10 @@ pub struct LiveRunConfig {
     /// (writes defer; readers self-invalidate at acquire points). Ignored
     /// when `gm_cache` is off.
     pub gm_mode: GmMode,
-    /// Which engine drives the per-PE kernels: one OS thread per PE
-    /// (`Threads`, the reference implementation) or a small worker pool
-    /// multiplexing every PE's kernel task (`Tasks`, for many-PE runs).
+    /// How many workers drive the per-PE kernels: one per PE (`Threads`)
+    /// or one per core, each multiplexing its share of the kernels
+    /// (`Tasks`, for many-PE runs).
     pub scheduler: SchedulerKind,
-    /// Bound on a kernel's idle wait between events. `None` picks the
-    /// scheduler default: 50 ms under `Threads`, 5 ms under `Tasks`
-    /// (thousands of idle PEs sharing a few workers would otherwise stack
-    /// their waits into seconds of shutdown latency).
-    pub kernel_tick: Option<Duration>,
 }
 
 impl Default for LiveRunConfig {
@@ -137,17 +134,6 @@ impl Default for LiveRunConfig {
             gm_cache: false,
             gm_mode: GmMode::WriteInvalidate,
             scheduler: SchedulerKind::Threads,
-            kernel_tick: None,
-        }
-    }
-}
-
-impl LiveRunConfig {
-    /// Default configuration on an explicit transport.
-    pub fn on(kind: TransportKind) -> LiveRunConfig {
-        LiveRunConfig {
-            kind,
-            ..LiveRunConfig::default()
         }
     }
 }
@@ -256,10 +242,6 @@ pub struct LiveCluster {
     /// unchanged, so an invalidation racing a fetch can never be undone by
     /// a late install.
     install_guards: Vec<Mutex<u64>>,
-    /// Which engine drives the per-PE kernels.
-    scheduler: SchedulerKind,
-    /// Effective bound on a kernel's idle wait for this run.
-    kernel_tick: Duration,
     /// Per-PE application-thread inboxes. The co-resident kernel is the
     /// usual producer; on lossless in-process transports remote kernels
     /// push app-bound responses here directly, skipping the relay hop
@@ -271,11 +253,6 @@ pub struct LiveCluster {
 type AppInbox = Arc<BlockingQueue<(Message, Option<TraceCtx>)>>;
 
 impl LiveCluster {
-    /// Shared state for `nprocs` processing elements.
-    pub fn new(nprocs: usize) -> LiveCluster {
-        LiveCluster::with_config(nprocs, &LiveRunConfig::default())
-    }
-
     fn with_config(nprocs: usize, cfg: &LiveRunConfig) -> LiveCluster {
         LiveCluster {
             nprocs,
@@ -292,11 +269,6 @@ impl LiveCluster {
             cache: cfg.gm_cache.then(|| CacheStore::new(nprocs)),
             gm_mode: cfg.gm_mode,
             install_guards: (0..nprocs).map(|_| Mutex::new(0)).collect(),
-            scheduler: cfg.scheduler,
-            kernel_tick: cfg.kernel_tick.unwrap_or(match cfg.scheduler {
-                SchedulerKind::Threads => THREADS_TICK,
-                SchedulerKind::Tasks => TASKS_TICK,
-            }),
             app_inboxes: (0..nprocs)
                 .map(|_| Arc::new(BlockingQueue::default()))
                 .collect(),
@@ -366,34 +338,18 @@ impl LiveCluster {
     }
 }
 
-/// Matches [`dse_api::AUTO_BARRIER_BASE`]: auto-sequenced barrier ids live
-/// above this bound on both engines.
-const AUTO_BARRIER_BASE: u32 = 0x4000_0000;
-
 // ---------------------------------------------------------------------------
-// Kernel thread: the per-PE message loop.
+// Kernel side: the per-PE message loop.
 //
 // The protocol logic itself — GM service, directory coherence, barriers,
 // locks, exit collection, telemetry emission, causal spans — lives in
 // `dse_kernel::task::KernelTask`, a sans-IO state machine consuming one
-// event per `poll`. The live engine supplies the IO around it, twice: the
-// blocking per-PE driver below (`SchedulerKind::Threads`, the reference
-// implementation) and the worker-pool multiplexer in `crate::sched`
-// (`SchedulerKind::Tasks`). Both drivers feed the same state machine, so
-// their runs are bit-identical by construction.
+// event per `poll`. The one driver that supplies the IO around it is the
+// worker pool in `sched`; what follows here is what that driver calls to
+// put a task's outputs on the wire and to tear a kernel down.
 // ---------------------------------------------------------------------------
 
 type WatchSpec<'h> = (Duration, dse_kernel::task::WatchHook<'h>);
-
-/// Default bound on a kernel's idle wait under the threaded scheduler:
-/// even an unwatched, idle kernel wakes this often to notice the cluster
-/// abort latch (or a silently dead peer) instead of blocking forever.
-pub(crate) const THREADS_TICK: Duration = Duration::from_millis(50);
-
-/// Default tick under the task scheduler: thousands of idle PEs sharing a
-/// few workers would otherwise stack their 50 ms waits into seconds of
-/// shutdown latency.
-pub(crate) const TASKS_TICK: Duration = Duration::from_millis(5);
 
 impl LiveCluster {
     /// The shared-state view one PE's kernel task serves against.
@@ -443,9 +399,9 @@ fn ship_wire_batch(
 }
 
 /// Drain a task's outbox onto the wire / the app inboxes. A failed
-/// [`Outbound::Wire`] send stops the drain (discarding the rest, matching
-/// the blocking loop's abort-on-first-error semantics) and fails the
-/// kernel; best-effort items never fail.
+/// [`Outbound::Wire`] send stops the drain (discarding the rest: the kernel
+/// aborts on its first failed send) and fails the kernel; best-effort items
+/// never fail.
 ///
 /// Consecutive [`Outbound::Wire`] items for the same destination are
 /// grouped into one [`Transport::send_batch`] call, preserving order —
@@ -513,10 +469,10 @@ pub(crate) fn flush_outbox(
     })
 }
 
-/// Shared teardown of one PE's kernel, whichever driver ran it: flush the
-/// causal spans, convert a first-hand failure into an `Abort` relay
-/// (non-zero PEs report to PE 0, PE 0 broadcasts), wake the co-resident
-/// app thread, and release the transport endpoint.
+/// Teardown of one PE's kernel: flush the causal spans, convert a
+/// first-hand failure into an `Abort` relay (non-zero PEs report to PE 0,
+/// PE 0 broadcasts), wake the co-resident app thread, and release the
+/// transport endpoint.
 pub(crate) fn finish_kernel(
     pe: u32,
     cluster: &LiveCluster,
@@ -567,58 +523,6 @@ pub(crate) fn finish_kernel(
     // closure.
     cluster.app_inboxes[pe as usize].close();
     (tracker, agg)
-}
-
-/// One PE's kernel under the threaded scheduler: a dedicated OS thread
-/// blocking on the transport and feeding the events to a [`KernelTask`].
-///
-/// The task serves GM requests against the store (responses go back on the
-/// wire), forwards app-bound messages to the co-resident application
-/// thread, and on PE 0 additionally coordinates barriers, locks, exit
-/// collection and telemetry aggregation. Returns this PE's delta tracker
-/// (for the final absolute telemetry round) and, on a watched PE 0, the
-/// aggregator. Every blocking receive is bounded by the kernel tick so a
-/// silently dead peer or the cluster abort latch is noticed promptly.
-fn live_kernel(
-    pe: u32,
-    cluster: &LiveCluster,
-    transport: &Arc<dyn Transport>,
-    watch: Option<WatchSpec<'_>>,
-    start: Instant,
-) -> (DeltaTracker, Option<ClusterAggregator>) {
-    let mut task = KernelTask::new(
-        cluster.kernel_env(pe, start),
-        watch,
-        cluster.kernel_tick,
-        cluster.tracing,
-    );
-    let exit = loop {
-        if cluster.aborting() {
-            match task.poll(KernelEvent::AbortLatch) {
-                Progress::Aborted(frame) => break Ok(Some(frame)),
-                _ => unreachable!("abort latch poll is terminal"),
-            }
-        }
-        let event = match transport.recv(Some(task.timeout())) {
-            Ok(Some(env)) => KernelEvent::Message {
-                from: env.from,
-                msg: env.msg,
-                ctx: env.ctx,
-            },
-            Ok(None) => KernelEvent::Tick,
-            Err(e) => break Err(FailureKind::Transport(e)),
-        };
-        let prog = task.poll(event);
-        if let Err(e) = flush_outbox(&mut task, transport.as_ref(), cluster, pe) {
-            break Err(e);
-        }
-        match prog {
-            Progress::Pending => {}
-            Progress::Clean => break Ok(None),
-            Progress::Aborted(frame) => break Ok(Some(frame)),
-        }
-    };
-    finish_kernel(pe, cluster, transport.as_ref(), task, exit)
 }
 
 // ---------------------------------------------------------------------------
@@ -734,19 +638,11 @@ impl<'h> LiveRunner<'h> {
         self
     }
 
-    /// Which engine drives the per-PE kernels (see
-    /// [`LiveRunConfig::scheduler`]): `Threads` is the thread-per-PE
-    /// reference implementation, `Tasks` multiplexes every kernel on a
-    /// small worker pool so one process can run thousands of PEs.
+    /// Size of the kernel worker pool (see [`LiveRunConfig::scheduler`]):
+    /// `Threads` gives every PE's kernel its own worker, `Tasks` shares
+    /// one worker per core so one process can run thousands of PEs.
     pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
         self.cfg.scheduler = kind;
-        self
-    }
-
-    /// Bound on a kernel's idle wait between events (see
-    /// [`LiveRunConfig::kernel_tick`]).
-    pub fn kernel_tick(mut self, tick: Duration) -> Self {
-        self.cfg.kernel_tick = Some(tick);
         self
     }
 
@@ -827,13 +723,11 @@ where
             }
         };
     let rollup = std::thread::scope(|scope| {
-        let mut kernel_inputs: Vec<sched::KernelInput> = Vec::with_capacity(nprocs);
         let mut app_handles = Vec::with_capacity(nprocs);
         let abort = &cluster.abort;
         for (pe, transport) in transports.iter().enumerate() {
             let app_cluster = Arc::clone(&cluster);
             let app_transport = Arc::clone(transport);
-            kernel_inputs.push((pe as u32, Arc::clone(transport)));
             let body = &body;
             let app_thread = move || {
                 let mut ctx = LiveCtx::new(pe as u32, app_cluster, app_transport);
@@ -853,65 +747,34 @@ where
                     resume_unwind(p);
                 }
             };
-            app_handles.push(match cluster.scheduler {
-                SchedulerKind::Threads => scope.spawn(app_thread),
-                // App bodies are blocking closures, so they keep dedicated
-                // threads under both schedulers — but at many-PE scale the
-                // default ~8 MiB stacks would dominate memory, so the task
-                // scheduler shrinks them.
-                SchedulerKind::Tasks => std::thread::Builder::new()
-                    .stack_size(sched::APP_STACK)
+            // App bodies are blocking closures, so each keeps a dedicated
+            // thread whatever the kernel pool's size.
+            let mut builder = std::thread::Builder::new();
+            if let Some(stack) = sched::app_stack(cfg.scheduler) {
+                builder = builder.stack_size(stack);
+            }
+            app_handles.push(
+                builder
                     .spawn_scoped(scope, app_thread)
                     .expect("spawn app thread"),
-            });
+            );
         }
         // Kernels first: they stop only after a clean shutdown handshake
         // or a cluster abort, either of which also unblocks the apps.
         let mut trackers = Vec::with_capacity(nprocs);
         let mut agg = None;
         let mut propagate = None;
-        match cluster.scheduler {
-            SchedulerKind::Threads => {
-                let kernel_handles: Vec<_> = kernel_inputs
-                    .into_iter()
-                    .map(|(pe, transport)| {
-                        let kernel_cluster = Arc::clone(&cluster);
-                        scope.spawn(move || {
-                            live_kernel(pe, &kernel_cluster, &transport, watch, start)
-                        })
-                    })
-                    .collect();
-                for h in kernel_handles {
-                    match h.join() {
-                        Ok((tracker, a)) => {
-                            trackers.push(tracker);
-                            agg = agg.or(a);
-                        }
-                        Err(p) => {
-                            // A kernel *bug* (transport failures return
-                            // structured errors, they never unwind): latch
-                            // the abort so the rest of the cluster drains,
-                            // re-panic once every thread is down.
-                            cluster.abort.store(true, Ordering::Release);
-                            propagate.get_or_insert(p);
-                        }
-                    }
+        match sched::run_kernels(&cluster, cfg.scheduler, &transports, watch, start) {
+            Ok(results) => {
+                for (tracker, a) in results {
+                    trackers.push(tracker);
+                    agg = agg.or(a);
                 }
             }
-            SchedulerKind::Tasks => {
-                match sched::run_kernels(&cluster, kernel_inputs, watch, start) {
-                    Ok(results) => {
-                        for (tracker, a) in results {
-                            trackers.push(tracker);
-                            agg = agg.or(a);
-                        }
-                    }
-                    Err(p) => {
-                        cluster.abort.store(true, Ordering::Release);
-                        propagate.get_or_insert(p);
-                    }
-                }
-            }
+            // A kernel *bug* (transport failures return structured errors,
+            // they never unwind): the pool has latched the abort and
+            // drained; re-panic once the app threads are down too.
+            Err(p) => propagate = Some(p),
         }
         for h in app_handles {
             if let Err(p) = h.join() {
@@ -1094,12 +957,34 @@ mod tests {
         });
     }
 
+    const BOTH_POOLS: [SchedulerKind; 2] = [SchedulerKind::Threads, SchedulerKind::Tasks];
+
+    /// At least `min` PEs and more than the host has cores, so that under
+    /// `Tasks` some worker holds several kernels whatever machine runs the
+    /// test.
+    fn oversubscribed(min: usize) -> usize {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        min.max(cores + 1)
+    }
+
     #[test]
-    #[should_panic(expected = "release of unknown lock 9")]
     fn live_unlock_unheld_panics() {
-        LiveRunner::new(1).run(|ctx| {
-            ctx.unlock(9);
-        });
+        // A panic inside a kernel poll: the pool latches the abort, drains
+        // PE 0's neighbours and re-raises the kernel's own payload.
+        for kind in BOTH_POOLS {
+            let payload = catch_unwind(|| {
+                LiveRunner::new(oversubscribed(1))
+                    .scheduler(kind)
+                    .run(|ctx| {
+                        if ctx.rank() == 0 {
+                            ctx.unlock(9);
+                        }
+                    });
+            })
+            .expect_err("unlocking an unheld lock must panic");
+            let msg = payload.downcast_ref::<String>().expect("panic message");
+            assert!(msg.contains("release of unknown lock 9"), "{kind:?}: {msg}");
+        }
     }
 
     #[test]
@@ -1152,16 +1037,16 @@ mod tests {
     }
 
     #[test]
-    fn tasks_scheduler_runs_barriers_locks_and_gm() {
-        let total = AtomicU64::new(0);
-        LiveRunner::new(8)
-            .scheduler(SchedulerKind::Tasks)
-            .run(|ctx| {
-                let arr = GmArray::<u64>::alloc(ctx, 8, Distribution::Blocked);
+    fn each_scheduler_runs_barriers_locks_and_gm() {
+        for kind in BOTH_POOLS {
+            let total = AtomicU64::new(0);
+            let n = oversubscribed(8);
+            LiveRunner::new(n).scheduler(kind).run(|ctx| {
+                let arr = GmArray::<u64>::alloc(ctx, n, Distribution::Blocked);
                 arr.set(ctx, ctx.rank() as usize, ctx.rank() as u64 * 3);
                 ctx.barrier();
-                let all = arr.read(ctx, 0, 8);
-                assert_eq!(all, (0..8u64).map(|r| r * 3).collect::<Vec<_>>());
+                let all = arr.read(ctx, 0, n);
+                assert_eq!(all, (0..n as u64).map(|r| r * 3).collect::<Vec<_>>());
                 let c = GmCounter::alloc(ctx);
                 ctx.barrier();
                 loop {
@@ -1172,25 +1057,28 @@ mod tests {
                     total.fetch_add(j as u64, Ordering::Relaxed);
                 }
             });
-        assert_eq!(total.load(Ordering::Relaxed), (0..40u64).sum());
+            assert_eq!(total.load(Ordering::Relaxed), (0..40u64).sum(), "{kind:?}");
+        }
     }
 
     #[test]
-    fn tasks_scheduler_aborted_run_reports_failures() {
-        // Kill PE 1's endpoint mid-run under the task scheduler: the abort
-        // latch must drain the whole worker pool instead of hanging it.
-        let err = LiveRunner::new(3)
-            .scheduler(SchedulerKind::Tasks)
-            .fault_plan(FaultPlan::parse("seed=3,disconnect=1:8").unwrap())
-            .try_run(|ctx| {
-                let arr = GmArray::<u64>::alloc(ctx, 64, Distribution::Blocked);
-                for round in 0..200 {
-                    arr.set(ctx, (ctx.rank() as usize * 13 + round) % 64, round as u64);
-                    ctx.barrier();
-                }
-            })
-            .expect_err("a dead endpoint must fail the run");
-        assert!(!err.failures.is_empty());
+    fn each_scheduler_aborted_run_reports_failures() {
+        // Kill PE 1's endpoint mid-run: the abort latch must drain the
+        // whole worker pool, whatever its size, instead of hanging it.
+        for kind in BOTH_POOLS {
+            let err = LiveRunner::new(oversubscribed(3))
+                .scheduler(kind)
+                .fault_plan(FaultPlan::parse("seed=3,disconnect=1:8").unwrap())
+                .try_run(|ctx| {
+                    let arr = GmArray::<u64>::alloc(ctx, 64, Distribution::Blocked);
+                    for round in 0..200 {
+                        arr.set(ctx, (ctx.rank() as usize * 13 + round) % 64, round as u64);
+                        ctx.barrier();
+                    }
+                })
+                .expect_err("a dead endpoint must fail the run");
+            assert!(!err.failures.is_empty(), "{kind:?}");
+        }
     }
 
     // ----- LiveRunner builder edge cases -----
@@ -1213,7 +1101,6 @@ mod tests {
             .gm_cache(true)
             .gm_mode(GmMode::ReleaseConsistency)
             .scheduler(SchedulerKind::Tasks)
-            .kernel_tick(Duration::from_millis(7))
             .watch(Duration::from_millis(40), &hook);
         assert_eq!(r.cfg.kind, TransportKind::Tcp);
         assert_eq!(r.cfg.fault_plan, Some(plan));
@@ -1224,35 +1111,11 @@ mod tests {
         assert!(r.cfg.gm_cache);
         assert_eq!(r.cfg.gm_mode, GmMode::ReleaseConsistency);
         assert_eq!(r.cfg.scheduler, SchedulerKind::Tasks);
-        assert_eq!(r.cfg.kernel_tick, Some(Duration::from_millis(7)));
         assert!(r.watch.is_some());
         // `config` replaces the whole assembled configuration at once.
         let r = r.config(LiveRunConfig::default());
         assert_eq!(r.cfg.kind, TransportKind::Channel);
         assert_eq!(r.cfg.scheduler, SchedulerKind::Threads);
-        assert_eq!(r.cfg.kernel_tick, None);
-    }
-
-    #[test]
-    fn kernel_tick_defaults_per_scheduler_and_overrides() {
-        let threads = LiveCluster::with_config(2, &LiveRunConfig::default());
-        assert_eq!(threads.kernel_tick, THREADS_TICK);
-        let tasks = LiveCluster::with_config(
-            2,
-            &LiveRunConfig {
-                scheduler: SchedulerKind::Tasks,
-                ..LiveRunConfig::default()
-            },
-        );
-        assert_eq!(tasks.kernel_tick, TASKS_TICK);
-        let explicit = LiveCluster::with_config(
-            2,
-            &LiveRunConfig {
-                kernel_tick: Some(Duration::from_millis(2)),
-                ..LiveRunConfig::default()
-            },
-        );
-        assert_eq!(explicit.kernel_tick, Duration::from_millis(2));
     }
 
     #[test]

@@ -12,7 +12,9 @@ use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dse_api::{GmClient, GmCount, GmHandle, GmPort, GmProtocolError, ParallelApi};
+use dse_api::{
+    GmClient, GmCount, GmHandle, GmPort, GmProtocolError, ParallelApi, AUTO_BARRIER_BASE,
+};
 use dse_kernel::gmem::GlobalStore;
 use dse_kernel::{Distribution, GmMode, DEFAULT_GM_WINDOW};
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
@@ -23,7 +25,7 @@ use dse_obs::{
 use dse_platform::Work;
 use dse_transport::{Pop, Transport};
 
-use super::{AbortUnwind, AppInbox, LiveCluster, AUTO_BARRIER_BASE};
+use super::{AbortUnwind, AppInbox, LiveCluster};
 use crate::error::FailureKind;
 
 /// Bookkeeping for one outstanding GM request: retransmission, the

@@ -7,7 +7,8 @@
 //! response analyze modules, the telemetry plane — speaks [`Message`]s to
 //! a [`Transport`] and never cares what carries the bytes.
 //!
-//! Three backends ship here:
+//! Two backends ship here, carrying the live engine's three transports
+//! (channel, TCP, Unix sockets):
 //!
 //! * [`ChannelTransport`] — in-process queues carrying *encoded frames*.
 //!   Even between threads of one process, every message is encoded, framed,
@@ -16,12 +17,8 @@
 //!   sockets with connect retry under bounded exponential backoff, per-peer
 //!   reader threads, and a `Bye` clean-shutdown handshake (an EOF without
 //!   `Bye` is reported as a dropped peer).
-//! * [`SimBusTransport`] — the paper's shared-bus Ethernet in miniature: a
-//!   single mutex serializes the medium (one frame in flight at a time)
-//!   and own-node sends bypass the bus entirely, mirroring the
-//!   loopback/LAN split of the simulator's network path.
 //!
-//! All backends share frame format and discipline (see `dse_msg::frame`):
+//! Both backends share frame format and discipline (see `dse_msg::frame`):
 //! length-prefixed frames, per-(sender → receiver) sequence numbers
 //! verified on receipt, streaming reassembly via `FrameDecoder`.
 
@@ -31,7 +28,6 @@ mod channel;
 mod error;
 mod fault;
 mod mux;
-mod simbus;
 mod socket;
 
 use std::time::Duration;
@@ -43,7 +39,6 @@ pub use dse_msg::TraceCtx as MsgTraceCtx;
 pub use error::TransportError;
 pub use fault::{FaultPlan, FaultyTransport};
 pub use mux::{BlockingQueue, Pop};
-pub use simbus::{BusParams, BusStats, SimBusTransport};
 pub use socket::{RetryPolicy, SocketTransport};
 
 /// One received message with its provenance.
@@ -110,10 +105,10 @@ pub trait Transport: Send + Sync {
     fn recv(&self, timeout: Option<Duration>) -> Result<Option<Envelope>, TransportError>;
 
     /// Non-blocking receive: return an already-available message or
-    /// `Ok(None)` immediately, never waiting. This is the readiness path
-    /// the task scheduler sweeps — it must be cheap when idle and must
-    /// deliver any message a blocking [`recv`](Transport::recv) would have
-    /// found ready. The default delegates to a zero-timeout `recv`, which
+    /// `Ok(None)` immediately, never waiting. This is the readiness path a
+    /// worker holding several kernels sweeps — it must be cheap when idle
+    /// and must deliver any message a blocking [`recv`](Transport::recv)
+    /// would have found ready. The default delegates to a zero-timeout `recv`, which
     /// is correct for backends whose zero-timeout `recv` still pops an
     /// available item (backends where it does not must override this).
     fn poll_recv(&self) -> Result<Option<Envelope>, TransportError> {
@@ -134,6 +129,6 @@ pub trait Transport: Send + Sync {
         self.shutdown();
     }
 
-    /// Short backend name for diagnostics ("channel", "tcp", "uds", "bus").
+    /// Short backend name for diagnostics ("channel", "tcp", "uds").
     fn kind(&self) -> &'static str;
 }

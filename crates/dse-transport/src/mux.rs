@@ -1,8 +1,7 @@
-//! Shared plumbing for the in-process backends: a blocking frame queue per
-//! PE and a demultiplexer that reassembles/sequence-checks frames from each
-//! sender. Both [`crate::ChannelTransport`] and [`crate::SimBusTransport`]
-//! deliver *encoded frame bytes* into these queues, so the wire codec is
-//! exercised even when no socket is involved.
+//! Plumbing of the in-process backend: a blocking frame queue per PE and a
+//! demultiplexer that reassembles/sequence-checks frames from each sender.
+//! [`crate::ChannelTransport`] delivers *encoded frame bytes* into these
+//! queues, so the wire codec is exercised even when no socket is involved.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
