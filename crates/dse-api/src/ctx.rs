@@ -14,9 +14,11 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use dse_kernel::kernel::{barrier_enter, lock_acquire, lock_release};
 use dse_kernel::netpath::{charge_local, charge_recv, send_msg};
-use dse_kernel::{ClusterShared, Distribution, GlobalStore, GmMode, Party, SimMsg};
+use dse_kernel::protocol::{
+    barrier_enter, lock_acquire, lock_release, sharers_to_invalidate, KernelPort,
+};
+use dse_kernel::{ClusterShared, Distribution, GlobalStore, GmMode, Party, SimKernelPort, SimMsg};
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen};
 use dse_obs::{MetricKey, SpanKind};
 use dse_platform::Work;
@@ -56,6 +58,12 @@ impl SimPort<'_> {
 
     fn now_ns(&self) -> u64 {
         self.ctx.now().as_nanos()
+    }
+
+    /// This process acting as its node's kernel: an own-node call into the
+    /// linked library runs the kernel's own coordination functions.
+    fn kernel(&mut self) -> SimKernelPort<'_> {
+        SimKernelPort::new(self.ctx, &self.shared, self.node)
     }
 
     /// Send `msg` to simulation process `to_proc` on `to_node`, replies
@@ -114,12 +122,9 @@ impl SimPort<'_> {
     }
 
     /// Coherence action before an own-node store mutation (no-op with the
-    /// cache off). Release consistency leaves the sharers' leases alone
-    /// (they self-invalidate at their next acquire point) and only counts
-    /// the deferral. Write-invalidate invalidates every other node's cached
-    /// copies of the range and waits for their acknowledgements (the
-    /// local-write half of the protocol; remote writes are handled by the
-    /// home kernel).
+    /// cache off): the home's own directory step, then — the local-write
+    /// half of write-invalidate — a `GmInvalidate` to every sharer it
+    /// names, and a wait for their acknowledgements.
     fn coherent_local_write(
         &mut self,
         reqs: &mut ReqIdGen,
@@ -130,31 +135,16 @@ impl SimPort<'_> {
         if !self.shared.config.gm_cache {
             return;
         }
-        if self.shared.config.gm_mode == GmMode::ReleaseConsistency {
-            let cache = &self.shared.cache;
-            if !cache
-                .peek_holders(region, offset, len, self.node)
-                .is_empty()
-            {
-                self.shared
-                    .stats
-                    .update(self.node, |s| s.rc_deferred_invals += 1);
-            }
-            return;
+        let rc = self.shared.config.gm_mode == GmMode::ReleaseConsistency;
+        let mut txn = ReqId(0);
+        if !rc {
+            txn = reqs.next();
+            self.charge_local(0);
         }
-        let txn = reqs.next();
-        self.charge_local(0);
-        let holders = self
-            .shared
-            .cache
-            .take_holders(region, offset, len, self.node);
-        if !holders.is_empty() {
-            // Same accounting as the home kernel's `begin_invalidation`:
-            // one round per mutation that found sharers.
-            self.shared
-                .stats
-                .update(self.node, |s| s.invalidation_rounds += 1);
-        }
+        let (ctx, shared, node) = (&mut *self.ctx, &*self.shared, self.node);
+        let holders = sharers_to_invalidate(&shared.cache, rc, (region, offset, len), node, |c| {
+            SimKernelPort::new(ctx, shared, node).count(c)
+        });
         let inv = Message::GmInvalidate {
             req: txn,
             region,
@@ -162,9 +152,6 @@ impl SimPort<'_> {
             len: len as u32,
         };
         for &h in &holders {
-            self.shared
-                .stats
-                .update(self.node, |s| s.cache_invalidations += 1);
             self.send_kernel(h, &inv);
         }
         for _ in &holders {
@@ -589,7 +576,7 @@ impl<'a> DseCtx<'a> {
                 req: ReqId(0),
             };
             port.charge_local(16);
-            released = barrier_enter(port.ctx, &port.shared, NodeId(0), id, party).is_some();
+            released = barrier_enter(&mut port.kernel(), id, party).is_some();
         } else {
             let msg = Message::BarrierEnter {
                 barrier: id,
@@ -621,7 +608,7 @@ impl<'a> DseCtx<'a> {
                 req,
             };
             port.charge_local(16);
-            lock_acquire(port.ctx, &port.shared, NodeId(0), id, party);
+            lock_acquire(&mut port.kernel(), id, party);
         } else {
             let msg = Message::LockReq {
                 req,
@@ -643,7 +630,7 @@ impl<'a> DseCtx<'a> {
         let port = &mut self.port;
         if port.node == NodeId(0) {
             port.charge_local(16);
-            lock_release(port.ctx, &port.shared, NodeId(0), id, self.pid);
+            lock_release(&mut port.kernel(), id, self.pid);
         } else {
             let msg = Message::UnlockReq {
                 lock: id,

@@ -1,0 +1,54 @@
+//! The simulator's side of the one place the two kernel ports differ in
+//! what a program can observe (`KernelPort::lease`): the simulated home
+//! installs a leased block in the requester's replica cache when it
+//! *serves* the read, so a later overlapping read hits the replica even
+//! though the first one has not been waited on yet. (The live home only
+//! records the lease; the requester installs on completion, and the same
+//! second read misses there.)
+
+use dse_api::{Distribution, DseConfig, DseProgram, Platform, Work};
+use dse_obs::SpanKind;
+
+const BLOCK: usize = 512;
+
+#[test]
+fn a_second_overlapping_read_hits_before_the_first_is_waited_on() {
+    let config = DseConfig::paper().with_gm_cache(true);
+    let r = DseProgram::new(Platform::linux_pentium2())
+        .with_config(config)
+        .run(3, |ctx| {
+            let region = ctx.gm_alloc(3 * BLOCK, Distribution::BlockedBy { chunk: BLOCK });
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                // Two split-phase reads: eight bytes homed on node 1, then
+                // node 2's whole block.
+                let small = ctx.gm_read_nb(region, BLOCK as u64, 8);
+                let block = ctx.gm_read_nb(region, 2 * BLOCK as u64, BLOCK);
+                // Waiting on the small one puts both on the wire, and its
+                // answer is back first.
+                ctx.gm_wait(small);
+                // Long enough for node 2 to have served the block.
+                ctx.compute(Work::flops(50_000_000));
+                let open: Vec<_> = ctx
+                    .shared()
+                    .spans
+                    .open_spans()
+                    .into_iter()
+                    .filter(|s| s.pe == 0 && s.kind == SpanKind::GmRead)
+                    .collect();
+                assert_eq!(open.len(), 1, "the block's answer is still unread");
+                let before = ctx.shared().stats.snapshot_pe(0);
+                let again = ctx.gm_read_nb(region, 2 * BLOCK as u64 + 16, 64);
+                let after = ctx.shared().stats.snapshot_pe(0);
+                assert_eq!(
+                    (after.cache_hits, after.gm_request_msgs),
+                    (before.cache_hits + 1, before.gm_request_msgs),
+                    "served from the replica the home installed: no request"
+                );
+                assert_eq!(ctx.gm_wait(again), Some(vec![0; 64]));
+                assert_eq!(ctx.gm_wait(block), Some(vec![0; BLOCK]));
+            }
+            ctx.barrier();
+        });
+    assert_eq!(r.stats.cache_hits, 1);
+}

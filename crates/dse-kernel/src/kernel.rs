@@ -1,26 +1,27 @@
-//! The DSE kernel main loop (the parallel processing engine).
+//! The simulated DSE kernel: the simulator's driver of [`KernelProtocol`]
+//! and its [`KernelPort`].
 //!
 //! One kernel runs per node. Under the new organization it is a library
 //! linked into the application's process, woken by async-I/O signals when a
 //! remote request arrives; in the simulator it is its own scheduled entity
-//! whose service time is charged to the node's machine CPU — which is
-//! exactly the semantics of signal-driven interruption: kernel work steals
-//! CPU from the co-resident application process.
+//! whose service time is charged to the node's machine CPU — exactly the
+//! semantics of signal-driven interruption: kernel work steals CPU from the
+//! co-resident application. The protocol is the shared machine; this file
+//! owns the receive loop, process management and the telemetry plane.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use dse_msg::{GlobalPid, Message, NodeId, ReqId, ReqIdGen};
+use dse_msg::{GlobalPid, Message, NodeId, RegionId};
 use dse_obs::{DeltaTracker, FlightEventKind, MetricKey, SpanKind, TelemetryDelta};
 use dse_sim::{ProcCtx, ProcId, RecvResult};
 
-use crate::cache::blocks_inside;
+use crate::cache::CacheStore;
 use crate::config::GmMode;
 use crate::netpath::{charge_recv, send_msg};
-use crate::service::{serve_gm, GmServiceHooks, Served};
+use crate::protocol::{KernelCount, KernelPort, KernelProtocol};
 use crate::shared::ClusterShared;
 use crate::simmsg::SimMsg;
-use crate::sync::{BarrierOutcome, LockOutcome, Party, UnlockOutcome};
+use crate::sync::{BarrierCenter, LockCenter};
 use crate::watchdog::StallWatchdog;
 
 /// A ready-to-run application process body (built by the API layer).
@@ -30,268 +31,121 @@ pub type AppBody = Box<dyn FnOnce(&mut ProcCtx<SimMsg>) + Send>;
 /// by the program harness so the kernel stays independent of the API crate.
 pub type AppFactory = Arc<dyn Fn(u32, GlobalPid) -> AppBody + Send + Sync>;
 
-/// Handle a barrier entry on behalf of `party` and, if the barrier
-/// completed, send the releases to all *earlier* waiters. Returns the
-/// completed epoch (the caller decides whether `party` itself proceeds
-/// directly — the own-node path — or needs its own release message — the
-/// remote path). `acting_node` is the node whose CPU pays for the sends.
-pub fn barrier_enter(
-    ctx: &mut ProcCtx<SimMsg>,
-    shared: &ClusterShared,
-    acting_node: NodeId,
-    barrier: u32,
-    party: Party,
-) -> Option<u32> {
-    match shared.barriers.enter(barrier, party) {
-        BarrierOutcome::Wait => None,
-        BarrierOutcome::Complete { epoch, waiters } => {
-            shared.stats.update(acting_node, |s| s.barrier_epochs += 1);
-            let release = Message::BarrierRelease { barrier, epoch };
-            for w in waiters {
-                send_msg(
-                    ctx,
-                    shared,
-                    acting_node,
-                    w.node,
-                    w.reply_to,
-                    ctx.id(),
-                    &release,
-                );
-            }
-            Some(epoch)
-        }
-    }
-}
-
-/// Handle a lock request on behalf of `party`; sends the grant if the lock
-/// was free. `acting_node` pays for the grant send.
-pub fn lock_acquire(
-    ctx: &mut ProcCtx<SimMsg>,
-    shared: &ClusterShared,
-    acting_node: NodeId,
-    lock: u32,
-    party: Party,
-) {
-    match shared.locks.acquire(lock, party) {
-        LockOutcome::Granted => {
-            shared.stats.update(acting_node, |s| s.lock_grants += 1);
-            let grant = Message::LockGrant {
-                req: party.req,
-                lock,
-            };
-            send_msg(
-                ctx,
-                shared,
-                acting_node,
-                party.node,
-                party.reply_to,
-                ctx.id(),
-                &grant,
-            );
-        }
-        LockOutcome::Queued => {}
-    }
-}
-
-/// Handle a lock release; passes ownership to the next queued party if any.
-pub fn lock_release(
-    ctx: &mut ProcCtx<SimMsg>,
-    shared: &ClusterShared,
-    acting_node: NodeId,
-    lock: u32,
-    pid: GlobalPid,
-) {
-    match shared.locks.release(lock, pid) {
-        UnlockOutcome::Released => {}
-        UnlockOutcome::Granted(next) => {
-            shared.stats.update(acting_node, |s| s.lock_grants += 1);
-            let grant = Message::LockGrant {
-                req: next.req,
-                lock,
-            };
-            send_msg(
-                ctx,
-                shared,
-                acting_node,
-                next.node,
-                next.reply_to,
-                ctx.id(),
-                &grant,
-            );
-        }
-    }
-}
-
-/// The span identity of a GM request message (kind, correlation seq).
-fn gm_span_of(msg: &Message) -> (SpanKind, u64) {
-    match msg {
-        Message::GmReadReq { req, .. } => (SpanKind::GmRead, req.0),
-        Message::GmWriteReq { req, .. } => (SpanKind::GmWrite, req.0),
-        Message::GmFetchAddReq { req, .. } => (SpanKind::GmFetchAdd, req.0),
-        Message::GmBatchReq { req, .. } => (SpanKind::GmBatch, req.0),
-        other => unreachable!("not a GM request: {other:?}"),
-    }
-}
-
-/// The simulator's accounting around the engine-neutral GM service: every
-/// executed operation charges the serving node's CPU, updates the kernel
-/// stats cell, installs cache blocks for the requester, and starts
-/// write-invalidate rounds whose acks gate the response.
-struct SimGmHooks<'a> {
-    ctx: &'a mut ProcCtx<SimMsg>,
+/// The simulator behind [`KernelPort`]: a simulation process acting for
+/// `node` — its kernel, or an application process in an own-node call into
+/// the linked library. Charges land on the node's CPU and block the process
+/// for their duration; a send is charged, then booked on the wire.
+pub struct SimKernelPort<'a> {
+    /// The acting simulation process.
+    pub ctx: &'a mut ProcCtx<SimMsg>,
     shared: &'a ClusterShared,
     node: NodeId,
-    cache_on: bool,
-    /// Release consistency: defer invalidations to the readers' acquire
-    /// points instead of starting rounds on the write path.
-    rc: bool,
-    requester: NodeId,
-    txn_ids: &'a mut ReqIdGen,
-    acks_needed: usize,
-    txns: Vec<u64>,
+    /// The requester span (kind, seq) of the GM request served last.
+    serviced: Option<(SpanKind, u64)>,
 }
 
-impl GmServiceHooks for SimGmHooks<'_> {
-    fn read_executed(&mut self, region: dse_msg::RegionId, offset: u64, data: &[u8]) {
+impl<'a> SimKernelPort<'a> {
+    /// A port for the process behind `ctx`, acting for `node`.
+    pub fn new(
+        ctx: &'a mut ProcCtx<SimMsg>,
+        shared: &'a ClusterShared,
+        node: NodeId,
+    ) -> SimKernelPort<'a> {
+        SimKernelPort {
+            ctx,
+            shared,
+            node,
+            serviced: None,
+        }
+    }
+}
+
+impl KernelPort for SimKernelPort<'_> {
+    type Reply = ProcId;
+
+    fn barriers(&self) -> &BarrierCenter {
+        &self.shared.barriers
+    }
+
+    fn locks(&self) -> &LockCenter {
+        &self.shared.locks
+    }
+
+    fn charge_copy(&mut self, bytes: usize) {
         self.ctx.use_resource(
             self.shared.cpu_of(self.node),
-            self.shared.cost(self.node).mem_copy(data.len()),
+            self.shared.cost(self.node).mem_copy(bytes),
         );
-        self.shared.stats.update(self.node, |s| {
-            s.gm_remote_reads += 1;
-            s.gm_bytes_read += data.len() as u64;
-        });
-        if self.cache_on {
-            // The reader will install every block fully inside the
-            // response; record it as a holder of exactly those. A fresh
-            // directory registration is a lease grant, charged to this
-            // home.
-            for b in blocks_inside(offset, data.len()) {
-                let lo = (b as usize * crate::cache::CACHE_BLOCK) as u64 - offset;
-                let chunk = data[lo as usize..lo as usize + crate::cache::CACHE_BLOCK].to_vec();
-                if self.shared.cache.install(self.requester, region, b, chunk) {
-                    self.shared.stats.update(self.node, |s| s.dir_leases += 1);
-                }
+    }
+
+    fn count(&mut self, what: KernelCount) {
+        self.shared.stats.update(self.node, |s| match what {
+            KernelCount::RemoteRead(bytes) => {
+                s.gm_remote_reads += 1;
+                s.gm_bytes_read += bytes as u64;
             }
-        }
-    }
-
-    fn write_executed(&mut self, region: dse_msg::RegionId, offset: u64, len: usize) {
-        self.ctx.use_resource(
-            self.shared.cpu_of(self.node),
-            self.shared.cost(self.node).mem_copy(len),
-        );
-        self.shared.stats.update(self.node, |s| {
-            s.gm_remote_writes += 1;
-            s.gm_bytes_written += len as u64;
-        });
-        if self.cache_on {
-            self.coherence_write(region, offset, len);
-        }
-    }
-
-    fn fetch_add_executed(&mut self, region: dse_msg::RegionId, offset: u64) {
-        self.shared.stats.update(self.node, |s| s.fetch_adds += 1);
-        if self.cache_on {
-            self.coherence_write(region, offset, 8);
-        }
-    }
-
-    fn invalidated(&mut self, region: dse_msg::RegionId, offset: u64, len: usize) {
-        // The holder-side action: drop this node's stale replicas before
-        // the ack goes back to the writer's home.
-        self.shared.cache.drop_range(self.node, region, offset, len);
-        self.shared.stats.update(self.node, |s| s.dir_invals += 1);
-    }
-}
-
-impl SimGmHooks<'_> {
-    /// Coherence action for a served store mutation: under write-invalidate
-    /// start an ack-gated invalidation round; under release consistency
-    /// leave the sharers' leases alone (they self-invalidate at their next
-    /// acquire point) and only count what was deferred.
-    fn coherence_write(&mut self, region: dse_msg::RegionId, offset: u64, len: usize) {
-        if self.rc {
-            let deferred = self
-                .shared
-                .cache
-                .peek_holders(region, offset, len, self.requester);
-            if !deferred.is_empty() {
-                self.shared
-                    .stats
-                    .update(self.node, |s| s.rc_deferred_invals += 1);
+            KernelCount::RemoteWrite(bytes) => {
+                s.gm_remote_writes += 1;
+                s.gm_bytes_written += bytes as u64;
             }
-            return;
-        }
-        let txn = self.txn_ids.next();
-        let acks = begin_invalidation(
-            self.ctx,
-            self.shared,
-            self.node,
-            txn,
-            region,
-            offset,
-            len,
-            self.requester,
-        );
-        if acks > 0 {
-            self.acks_needed += acks;
-            self.txns.push(txn.0);
-        }
+            KernelCount::FetchAdd => s.fetch_adds += 1,
+            KernelCount::DirLeases(n) => s.dir_leases += n,
+            KernelCount::DirInval => s.dir_invals += 1,
+            KernelCount::RcDeferred => s.rc_deferred_invals += 1,
+            KernelCount::InvalidationRound(holders) => {
+                s.invalidation_rounds += 1;
+                s.cache_invalidations += holders as u64;
+            }
+            KernelCount::BarrierEpoch => s.barrier_epochs += 1,
+            KernelCount::LockGrant => s.lock_grants += 1,
+        });
+    }
+
+    /// The home installs the data in the requester's cache itself: one
+    /// address space, and the requester hits it from this moment on.
+    fn lease(
+        &mut self,
+        cache: &CacheStore,
+        holder: NodeId,
+        region: RegionId,
+        block: u64,
+        data: &[u8],
+    ) -> bool {
+        cache.install(holder, region, block, data.to_vec())
+    }
+
+    fn drop_replicas(&mut self, cache: &CacheStore, region: RegionId, offset: u64, len: usize) {
+        cache.drop_range(self.node, region, offset, len);
+    }
+
+    fn send(&mut self, node: NodeId, to: ProcId, msg: Message) {
+        let me = self.ctx.id();
+        send_msg(self.ctx, self.shared, self.node, node, to, me, &msg);
+    }
+
+    fn send_kernel(&mut self, node: NodeId, msg: Message) {
+        self.send(node, self.shared.kernel_of(node), msg);
+    }
+
+    fn served(&mut self, _to: ProcId, resp: &Message, _gated: bool) {
+        self.serviced = match resp {
+            Message::GmReadResp { req, .. } => Some((SpanKind::GmRead, req.0)),
+            Message::GmWriteAck { req } => Some((SpanKind::GmWrite, req.0)),
+            Message::GmFetchAddResp { req, .. } => Some((SpanKind::GmFetchAdd, req.0)),
+            Message::GmBatchResp { req, .. } => Some((SpanKind::GmBatch, req.0)),
+            _ => None,
+        };
+    }
+
+    fn protocol_error(&mut self, from: NodeId, label: &'static str, detail: &str) {
+        panic!("kernel {}: {label} from {from}: {detail}", self.node)
     }
 }
 
-/// A response gated on outstanding invalidation acknowledgements. A plain
-/// write or fetch-add gates on one invalidation round; a coalesced batch
-/// gates its single response on every round its merged writes started.
-struct ResponseGate {
-    remaining: usize,
-    response: Message,
-    to_node: NodeId,
-    to_proc: ProcId,
-}
-
-/// Start a write-invalidate transaction for a store mutation covering
-/// `[offset, offset+len)` of `region`: sends `GmInvalidate` to every other
-/// holder and returns the number of acks to await (0 = no holders).
-#[allow(clippy::too_many_arguments)]
-pub fn begin_invalidation(
-    ctx: &mut ProcCtx<SimMsg>,
-    shared: &ClusterShared,
-    acting_node: NodeId,
-    txn: ReqId,
-    region: dse_msg::RegionId,
-    offset: u64,
-    len: usize,
-    exclude: NodeId,
-) -> usize {
-    let holders = shared.cache.take_holders(region, offset, len, exclude);
-    if !holders.is_empty() {
-        // One round per merged request: a coalesced write that absorbed
-        // several `gm_write_nb` calls still counts a single round here.
-        shared
-            .stats
-            .update(acting_node, |s| s.invalidation_rounds += 1);
-    }
-    let inv = Message::GmInvalidate {
-        req: txn,
-        region,
-        offset,
-        len: len as u32,
-    };
-    for h in &holders {
-        shared
-            .stats
-            .update(acting_node, |s| s.cache_invalidations += 1);
-        let kproc = shared.kernel_of(*h);
-        let me = ctx.id();
-        send_msg(ctx, shared, acting_node, *h, kproc, me, &inv);
-    }
-    holders.len()
-}
-
-/// The kernel loop for `node`. Runs until a `KernelShutdown` arrives (or the
-/// simulation drains).
+/// The kernel loop for `node`: receive, decode, charge the receive path,
+/// hand the message to the shared [`KernelProtocol`]; process management
+/// and the telemetry plane are this driver's own. Runs until a
+/// `KernelShutdown` arrives (or the simulation drains).
 pub fn kernel_main(
     ctx: &mut ProcCtx<SimMsg>,
     node: NodeId,
@@ -299,11 +153,12 @@ pub fn kernel_main(
     factory: AppFactory,
 ) {
     let mut next_local_pid: u16 = 1;
-    let cache_on = shared.config.gm_cache;
-    let rc = cache_on && shared.config.gm_mode == GmMode::ReleaseConsistency;
-    let mut txn_ids = ReqIdGen::new();
-    let mut gates: HashMap<u64, ResponseGate> = HashMap::new();
-    let mut txn_to_gate: HashMap<u64, u64> = HashMap::new();
+    let mut protocol = KernelProtocol::new(
+        &shared.store,
+        shared.config.gm_cache.then_some(&shared.cache),
+        shared.config.gm_mode == GmMode::ReleaseConsistency,
+    );
+    let mut port = SimKernelPort::new(ctx, &shared, node);
     // Telemetry plane (all `None` when `config.telemetry` is off, leaving
     // the classic blocking-recv loop and zero extra traffic).
     let telemetry = shared.config.telemetry.clone();
@@ -317,24 +172,24 @@ pub fn kernel_main(
     } else {
         None
     };
-    let mut next_emit = telemetry.as_ref().map(|t| ctx.now() + t.interval);
+    let mut next_emit = telemetry.as_ref().map(|t| port.ctx.now() + t.interval);
     loop {
         let env = match next_emit {
-            Some(at) => match ctx.recv_deadline(at) {
+            Some(at) => match port.ctx.recv_deadline(at) {
                 RecvResult::Msg(env) => env,
                 RecvResult::Timeout => {
                     // Idle tick: ship this PE's metric delta in-band and
                     // (on node 0) poll the stall watchdog.
-                    emit_delta(ctx, &shared, node, tracker.as_mut().unwrap());
+                    emit_delta(port.ctx, &shared, node, tracker.as_mut().unwrap());
                     if let Some(wd) = watchdog.as_mut() {
-                        poll_watchdog(&shared, wd, ctx.now().as_nanos());
+                        poll_watchdog(&shared, wd, port.ctx.now().as_nanos());
                     }
-                    next_emit = Some(ctx.now() + telemetry.as_ref().unwrap().interval);
+                    next_emit = Some(port.ctx.now() + telemetry.as_ref().unwrap().interval);
                     continue;
                 }
                 RecvResult::Shutdown => break,
             },
-            None => match ctx.recv() {
+            None => match port.ctx.recv() {
                 Some(env) => env,
                 None => break,
             },
@@ -346,31 +201,29 @@ pub fn kernel_main(
             // rollup at the aggregator matches the direct end-of-run rollup
             // exactly even if incremental deltas were still in flight.
             if let Some(tr) = tracker.as_mut() {
-                final_flush(ctx.now().as_nanos(), &shared, node, tr);
+                final_flush(port.ctx.now().as_nanos(), &shared, node, tr);
             }
             break;
         }
         // Async-I/O receive path: signal delivery + protocol processing on
         // this node's CPU (stealing time from the co-resident app).
-        charge_recv(ctx, &shared, node, sm.bytes.len());
-        let service_start = ctx.now();
-        // Which requester span (kind, pe, seq) this iteration serviced, if
-        // the message was a remote GM request with an open span.
-        let mut serviced: Option<(SpanKind, u64)> = None;
+        charge_recv(port.ctx, &shared, node, sm.bytes.len());
+        let service_start = port.ctx.now();
         // Telemetry deltas are control-plane traffic: they pay the receive
         // cost like any message but are not "requests served".
         let mut in_band_telemetry = false;
-        match msg {
-            Message::Telemetry {
+        match protocol.handle(&mut port, sm.from_node, sm.reply_to, msg) {
+            None => {}
+            Some(Message::Telemetry {
                 pe: from_pe,
                 seq,
                 payload,
-            } => {
+            }) => {
                 debug_assert_eq!(node, NodeId(0), "telemetry must reach the aggregating node");
                 in_band_telemetry = true;
                 let delta = TelemetryDelta::decode(&payload)
                     .unwrap_or_else(|e| panic!("kernel {node}: bad telemetry payload: {e:?}"));
-                let now_ns = ctx.now().as_nanos();
+                let now_ns = port.ctx.now().as_nanos();
                 shared.flight.record(
                     now_ns,
                     from_pe,
@@ -394,194 +247,29 @@ pub fn kernel_main(
                     }
                 }
             }
-            msg @ (Message::GmReadReq { .. }
-            | Message::GmWriteReq { .. }
-            | Message::GmFetchAddReq { .. }
-            | Message::GmBatchReq { .. }) => {
-                serviced = Some(gm_span_of(&msg));
-                let is_batch = matches!(msg, Message::GmBatchReq { .. });
-                // The engine-neutral service executes the store operations;
-                // these hooks layer the simulator's accounting on top: CPU
-                // charges, kernel stats, cache installs, and invalidation
-                // rounds for the mutated ranges.
-                let mut hooks = SimGmHooks {
-                    ctx,
-                    shared: &shared,
-                    node,
-                    cache_on,
-                    rc,
-                    requester: sm.from_node,
-                    txn_ids: &mut txn_ids,
-                    acks_needed: 0,
-                    txns: Vec::new(),
-                };
-                let resp = match serve_gm(&shared.store, msg, &mut hooks) {
-                    Served::Response(r) => r,
-                    Served::NotGm(_) => unreachable!("matched GM request arm"),
-                };
-                let acks_needed = hooks.acks_needed;
-                let txns = std::mem::take(&mut hooks.txns);
-                drop(hooks);
-                if acks_needed > 0 {
-                    // Gate the response on the invalidation rounds. A plain
-                    // write/fetch-add reuses its single txn id as the gate;
-                    // a batch gets one gate covering every merged write.
-                    let gate_id = if is_batch { txn_ids.next().0 } else { txns[0] };
-                    for t in txns {
-                        txn_to_gate.insert(t, gate_id);
-                    }
-                    gates.insert(
-                        gate_id,
-                        ResponseGate {
-                            remaining: acks_needed,
-                            response: resp,
-                            to_node: sm.from_node,
-                            to_proc: sm.reply_to,
-                        },
-                    );
-                } else {
-                    send_msg(
-                        ctx,
-                        &shared,
-                        node,
-                        sm.from_node,
-                        sm.reply_to,
-                        ctx.id(),
-                        &resp,
-                    );
-                }
-            }
-            Message::InvokeReq { req, rank, .. } => {
+            Some(Message::InvokeReq { req, rank, .. }) => {
                 // Parallel process creation: fork-scale cost, then the new
                 // process begins on this node.
-                ctx.use_resource(shared.cpu_of(node), shared.cost(node).fork());
+                port.ctx
+                    .use_resource(shared.cpu_of(node), shared.cost(node).fork());
                 let pid = GlobalPid::new(node, next_local_pid);
                 next_local_pid += 1;
                 shared.stats.update(node, |s| s.invokes += 1);
                 let body = factory(rank, pid);
-                let app_proc = ctx.spawn(&format!("rank{rank}@{node}"), move |pctx| {
+                let app_proc = port.ctx.spawn(&format!("rank{rank}@{node}"), move |pctx| {
                     body(pctx);
                 });
                 shared.register_app(pid, app_proc);
-                let resp = Message::InvokeAck { req, pid };
-                send_msg(
-                    ctx,
-                    &shared,
-                    node,
-                    sm.from_node,
-                    sm.reply_to,
-                    ctx.id(),
-                    &resp,
-                );
+                port.send(sm.from_node, sm.reply_to, Message::InvokeAck { req, pid });
             }
-            Message::TerminateReq { req, pid } => {
+            Some(Message::TerminateReq { req, pid }) => {
                 shared.mark_terminated(pid);
-                let resp = Message::TerminateAck { req };
-                send_msg(
-                    ctx,
-                    &shared,
-                    node,
-                    sm.from_node,
-                    sm.reply_to,
-                    ctx.id(),
-                    &resp,
-                );
+                port.send(sm.from_node, sm.reply_to, Message::TerminateAck { req });
             }
-            Message::BarrierEnter { barrier, pid } => {
-                debug_assert_eq!(node, NodeId(0), "barrier traffic must reach node 0");
-                let party = Party {
-                    pid,
-                    node: sm.from_node,
-                    reply_to: sm.reply_to,
-                    req: ReqId(0),
-                };
-                if let Some(epoch) = barrier_enter(ctx, &shared, node, barrier, party) {
-                    // The remote completer is itself blocked awaiting a
-                    // release (unlike the own-node path, which proceeds
-                    // straight through the library call).
-                    let release = Message::BarrierRelease { barrier, epoch };
-                    send_msg(
-                        ctx,
-                        &shared,
-                        node,
-                        sm.from_node,
-                        sm.reply_to,
-                        ctx.id(),
-                        &release,
-                    );
-                }
-            }
-            Message::LockReq { req, lock, pid } => {
-                debug_assert_eq!(node, NodeId(0), "lock traffic must reach node 0");
-                let party = Party {
-                    pid,
-                    node: sm.from_node,
-                    reply_to: sm.reply_to,
-                    req,
-                };
-                lock_acquire(ctx, &shared, node, lock, party);
-            }
-            Message::UnlockReq { lock, pid } => {
-                debug_assert_eq!(node, NodeId(0), "lock traffic must reach node 0");
-                lock_release(ctx, &shared, node, lock, pid);
-            }
-            msg @ Message::GmInvalidate { .. } => {
-                // The holder-side half of an invalidation round goes
-                // through the engine-neutral service like every other GM
-                // message; the hook drops this node's stale copies.
-                let mut hooks = SimGmHooks {
-                    ctx,
-                    shared: &shared,
-                    node,
-                    cache_on,
-                    rc,
-                    requester: sm.from_node,
-                    txn_ids: &mut txn_ids,
-                    acks_needed: 0,
-                    txns: Vec::new(),
-                };
-                let ack = match serve_gm(&shared.store, msg, &mut hooks) {
-                    Served::Response(r) => r,
-                    Served::NotGm(_) => unreachable!("invalidate is a GM message"),
-                };
-                drop(hooks);
-                send_msg(
-                    ctx,
-                    &shared,
-                    node,
-                    sm.from_node,
-                    sm.reply_to,
-                    ctx.id(),
-                    &ack,
-                );
-            }
-            Message::GmInvalidateAck { req } => {
-                let gate_id = *txn_to_gate
-                    .get(&req.0)
-                    .unwrap_or_else(|| panic!("kernel {node}: stray invalidate ack {req:?}"));
-                let done = {
-                    let gate = gates.get_mut(&gate_id).expect("gate for pending txn");
-                    gate.remaining -= 1;
-                    gate.remaining == 0
-                };
-                if done {
-                    txn_to_gate.retain(|_, g| *g != gate_id);
-                    let gate = gates.remove(&gate_id).unwrap();
-                    send_msg(
-                        ctx,
-                        &shared,
-                        node,
-                        gate.to_node,
-                        gate.to_proc,
-                        ctx.id(),
-                        &gate.response,
-                    );
-                }
-            }
-            other => panic!("kernel {node}: unexpected message {other:?}"),
+            Some(other) => port.protocol_error(sm.from_node, other.label(), "unexpected message"),
         }
         if !in_band_telemetry {
-            let service_ns = (ctx.now() - service_start).as_nanos();
+            let service_ns = (port.ctx.now() - service_start).as_nanos();
             let pe = node.0 as u32;
             let machine = shared.machine_of(node) as u32;
             shared
@@ -591,7 +279,9 @@ pub fn kernel_main(
                 MetricKey::pe("kernel", "service_ns", pe).on_machine(machine),
                 service_ns,
             );
-            if let Some((kind, seq)) = serviced {
+            // The requester span this iteration serviced, if the message
+            // was a remote GM request.
+            if let Some((kind, seq)) = port.serviced.take() {
                 shared
                     .spans
                     .note_service(kind, sm.from_node.0 as u32, seq, service_ns);
@@ -601,12 +291,12 @@ pub fn kernel_main(
         // is idle, so a busy kernel checks the emission clock after each
         // serviced message.
         if let (Some(t), Some(at)) = (telemetry.as_ref(), next_emit) {
-            if ctx.now() >= at {
-                emit_delta(ctx, &shared, node, tracker.as_mut().unwrap());
+            if port.ctx.now() >= at {
+                emit_delta(port.ctx, &shared, node, tracker.as_mut().unwrap());
                 if let Some(wd) = watchdog.as_mut() {
-                    poll_watchdog(&shared, wd, ctx.now().as_nanos());
+                    poll_watchdog(&shared, wd, port.ctx.now().as_nanos());
                 }
-                next_emit = Some(ctx.now() + t.interval);
+                next_emit = Some(port.ctx.now() + t.interval);
             }
         }
     }

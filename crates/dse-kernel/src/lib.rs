@@ -4,8 +4,14 @@
 //! DSE kernel implemented as a library that the parallel application links
 //! against, comprising
 //!
-//! * the **parallel process management module** ([`kernel`] — invocation,
-//!   termination, exit collection),
+//! * the **serving-side protocol** ([`protocol`] — GM request service with
+//!   the home's directory step, response gates, barrier and lock fan-out:
+//!   one state machine behind a [`KernelPort`], driven by both engines'
+//!   kernels),
+//! * the **parallel process management module** and the simulated kernel's
+//!   loop ([`kernel`] — invocation, termination, telemetry; the simulator's
+//!   port), and the live engine's kernel ([`task`] — the sans-IO
+//!   `KernelTask` and the live port),
 //! * the **global memory management module** ([`gmem`] — home-partitioned
 //!   regions, reads/writes/atomics),
 //! * the **message exchange mechanism** ([`netpath`] + [`simmsg`] — own-node
@@ -30,6 +36,7 @@ pub mod directory;
 pub mod gmem;
 pub mod kernel;
 pub mod netpath;
+pub mod protocol;
 pub mod service;
 pub mod shared;
 pub mod simmsg;
@@ -47,13 +54,12 @@ pub use cost::CostModel;
 pub use dedup::{dedup_key, DedupCache};
 pub use directory::{Directory, Sharers};
 pub use gmem::{Distribution, GlobalStore, GmError};
-pub use kernel::{kernel_main, AppBody, AppFactory};
+pub use kernel::{kernel_main, AppBody, AppFactory, SimKernelPort};
+pub use protocol::{KernelCount, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 pub use service::{serve_gm, GmServiceHooks, NoHooks, Served};
 pub use shared::{ClusterShared, TelemetryHook};
 pub use simmsg::SimMsg;
 pub use stats::{KernelStats, StatsCell};
 pub use sync::{BarrierCenter, BarrierOutcome, LockCenter, LockOutcome, Party, UnlockOutcome};
-pub use task::{
-    is_app_bound, KernelEnv, KernelEvent, KernelTask, Outbound, Progress, KERNEL_TXN_BASE,
-};
+pub use task::{is_app_bound, KernelEnv, KernelEvent, KernelTask, Outbound, Progress};
 pub use watchdog::{StallReport, StallWatchdog};

@@ -11,6 +11,13 @@
 //! failures), best-effort telemetry sends, and forwards to the co-resident
 //! application thread.
 //!
+//! The protocol itself — GM service, the directory step, response gates,
+//! barriers and locks — is the shared [`KernelProtocol`], the same machine
+//! the simulator's kernel runs. This file is its live driver and its live
+//! port: the outbox, the metrics registry, and what only a lossy wire
+//! needs (replay of answered requests, causal spans, exit collection,
+//! abort relay, telemetry emission).
+//!
 //! Because the task never blocks, the live engine's one driver can give a
 //! task a worker of its own (thread-per-PE: the worker waits in its
 //! transport) or let a few workers multiplex thousands of them — the
@@ -19,23 +26,23 @@
 //! emission are timer state: [`KernelTask::timeout`] tells the driver how
 //! long it may wait before the task wants a [`KernelEvent::Tick`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use dse_msg::{Message, NodeId, RegionId, ReqId, TraceCtx};
+use dse_msg::{Message, NodeId, RegionId, TraceCtx};
 use dse_obs::{
     derived_span_id, ClusterAggregator, DeltaTracker, FlightEventKind, FlightRecorder, MetricKey,
     Registry, TelemetryDelta, TraceRecorder, TraceRole, TraceSpanKind, TraceSpanRec,
 };
 
-use crate::cache::{blocks_inside, CacheStore};
+use crate::cache::CacheStore;
 use crate::config::{GmMode, DEFAULT_GM_WINDOW};
 use crate::dedup::{dedup_key, DedupCache};
 use crate::gmem::GlobalStore;
-use crate::service::{serve_gm, GmServiceHooks, Served};
-use crate::sync::{BarrierCenter, BarrierOutcome, LockCenter, LockOutcome, Party, UnlockOutcome};
+use crate::protocol::{KernelCount, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
+use crate::sync::{BarrierCenter, LockCenter};
 
 /// `Abort` frame `code` values used by the kernel and the live engine.
 pub mod abort_code {
@@ -43,6 +50,8 @@ pub mod abort_code {
     pub const GENERIC: u32 = 0;
     /// A transport send/receive failed.
     pub const TRANSPORT: u32 = 1;
+    /// A peer sent the kernel a message its protocol has no place for.
+    pub const PROTOCOL: u32 = 2;
 }
 
 // ---------------------------------------------------------------------------
@@ -70,48 +79,6 @@ pub fn lock_span_id(owner: u32, req: u64) -> u64 {
     derived_span_id(((owner as u64) << 40) ^ req, 3)
 }
 
-/// Wire context and half-built grant span for a lock grant to `owner`
-/// (the caller stamps `end_ns` and `pe`). `start_ns` is when the request
-/// arrived at the coordinator, so the span covers the coordinator-side
-/// queueing time.
-fn lock_grant_trace(
-    ctx: Option<TraceCtx>,
-    owner: u32,
-    req: u64,
-    start_ns: u64,
-) -> (Option<TraceCtx>, Option<TraceSpanRec>) {
-    match ctx {
-        Some(c) => {
-            let span_id = lock_span_id(owner, req);
-            let mut span = TraceSpanRec::new(
-                TraceSpanKind::LockGrant,
-                c.trace,
-                span_id,
-                c.parent,
-                0,
-                start_ns,
-                start_ns,
-            );
-            span.peer = owner;
-            span.seq = req;
-            (
-                Some(TraceCtx {
-                    trace: c.trace,
-                    parent: span_id,
-                }),
-                Some(span),
-            )
-        }
-        None => (None, None),
-    }
-}
-
-/// Kernel transaction ids live above this bit so they can never collide
-/// with app-side `ReqIdGen` ids: a `GmInvalidateAck` whose id has the high
-/// bit belongs to a home kernel's write gate, anything else to an app's
-/// own-node invalidation round.
-pub const KERNEL_TXN_BASE: u64 = 1 << 63;
-
 /// Answers the serving side remembers per requester: everything one can
 /// have outstanding — a full split-phase window plus one blocking atomic —
 /// and one to spare.
@@ -129,95 +96,6 @@ pub fn is_app_bound(msg: &Message) -> bool {
             | Message::BarrierRelease { .. }
             | Message::LockGrant { .. }
     )
-}
-
-/// Kernel-side GM service accounting, using the same metric names the
-/// simulator's kernel emits so one `dse-top` view serves both engines.
-/// On cached runs the hooks also run the home side of the directory
-/// protocol: reads grant leases to the requester at serve time, writes are
-/// collected so the task can gate the response on invalidation acks, and a
-/// `GmInvalidate` addressed to this PE drops the local replicas.
-struct LiveGmHooks<'a> {
-    metrics: &'a Registry,
-    pe: u32,
-    /// The requesting PE of the message being served.
-    from: u32,
-    /// The run's replica cache (`None` on uncached runs).
-    cache: Option<&'a CacheStore>,
-    /// This PE's install guard, for holder-side invalidation application.
-    guard: &'a Mutex<u64>,
-    /// Written ranges of the request being served, in execution order —
-    /// the task consults the directory for these after the serve.
-    writes: Vec<(RegionId, u64, usize)>,
-}
-
-impl GmServiceHooks for LiveGmHooks<'_> {
-    fn read_executed(&mut self, region: RegionId, offset: u64, data: &[u8]) {
-        self.metrics.add(
-            MetricKey::pe("kernel", "gm_bytes_read", self.pe),
-            data.len() as u64,
-        );
-        if let Some(cs) = self.cache {
-            // Home-side half of the lease: record the requester as a
-            // sharer of every block its fetch fully covers. The data half
-            // installs at the requester on completion (epoch-guarded).
-            let mut fresh = 0u64;
-            for b in blocks_inside(offset, data.len()) {
-                if cs.grant(NodeId(self.from as u16), region, b) {
-                    fresh += 1;
-                }
-            }
-            if fresh > 0 {
-                self.metrics
-                    .add(MetricKey::pe("kernel", "dir_leases", self.pe), fresh);
-            }
-        }
-    }
-    fn write_executed(&mut self, region: RegionId, offset: u64, len: usize) {
-        self.metrics.add(
-            MetricKey::pe("kernel", "gm_bytes_written", self.pe),
-            len as u64,
-        );
-        if self.cache.is_some() {
-            self.writes.push((region, offset, len));
-        }
-    }
-    fn fetch_add_executed(&mut self, region: RegionId, offset: u64) {
-        if self.cache.is_some() {
-            self.writes.push((region, offset, 8));
-        }
-    }
-    fn invalidated(&mut self, region: RegionId, offset: u64, len: usize) {
-        if let Some(cs) = self.cache {
-            // Epoch first, then the drop, both under the guard: an app-side
-            // install that checked the epoch before this bump is either
-            // already in the map (the drop removes it) or will re-check and
-            // skip.
-            let mut epoch = self.guard.lock();
-            *epoch += 1;
-            cs.drop_range(NodeId(self.pe as u16), region, offset, len);
-            drop(epoch);
-            self.metrics
-                .incr(MetricKey::pe("kernel", "dir_invals", self.pe));
-        }
-    }
-}
-
-/// A served write (or atomic) whose response is withheld until every
-/// stale replica's invalidation ack has come back — the live engine's
-/// single-home transaction ordering.
-struct WriteGate {
-    /// Invalidation acks still outstanding.
-    remaining: usize,
-    /// The withheld response.
-    resp: Message,
-    /// The requester it goes back to.
-    to: u32,
-    /// Trace context the response rides with.
-    ctx: Option<TraceCtx>,
-    /// Dedup key of the gated request: inserted into the served cache only
-    /// when the response actually goes out.
-    key: Option<(u32, u64)>,
 }
 
 /// One input to [`KernelTask::poll`].
@@ -317,27 +195,248 @@ impl KernelEnv<'_> {
 /// Telemetry hook invoked on the aggregating PE's emission ticks.
 pub type WatchHook<'h> = &'h (dyn Fn(&ClusterAggregator, u64) + Send + Sync);
 
+/// Where a live kernel's answer goes: the requesting PE, and what its
+/// request brought — its dedup key if it is one a requester retries, the
+/// wire trace context, and the arrival time, which the answer's span
+/// starts from however long it was queued or gated.
+#[derive(Debug, Clone, Copy)]
+struct Requester {
+    pe: u32,
+    key: Option<(u32, u64)>,
+    ctx: Option<TraceCtx>,
+    at_ns: u64,
+}
+
+impl Requester {
+    /// The response rides with the serve span (the `replay`-th answer) as
+    /// its parent, so the requester's redemption links back to it.
+    fn response_ctx(&self, replay: u32) -> Option<TraceCtx> {
+        self.ctx.map(|c| TraceCtx {
+            trace: c.trace,
+            parent: serve_span_id(c.parent, replay),
+        })
+    }
+}
+
+/// A protocol counter in the live registry, under the metric names the
+/// simulator's kernel emits, so one `dse-top` view serves both engines.
+pub fn count_live(metrics: &Registry, pe: u32, what: KernelCount) {
+    let (name, n) = match what {
+        KernelCount::RemoteRead(bytes) => ("gm_bytes_read", bytes as u64),
+        KernelCount::RemoteWrite(bytes) => ("gm_bytes_written", bytes as u64),
+        KernelCount::DirLeases(n) => ("dir_leases", n),
+        KernelCount::DirInval => ("dir_invals", 1),
+        KernelCount::RcDeferred => ("rc_deferred_invals", 1),
+        KernelCount::InvalidationRound(holders) => {
+            metrics.incr(MetricKey::pe("kernel", "invalidation_rounds", pe));
+            ("cache_invalidations", holders as u64)
+        }
+        KernelCount::FetchAdd | KernelCount::BarrierEpoch | KernelCount::LockGrant => return,
+    };
+    metrics.add(MetricKey::pe("kernel", name, pe), n);
+}
+
+/// The live engine behind [`KernelPort`]: sends queue on the outbox,
+/// counters go to the metrics registry, nothing is charged. On top, what
+/// only a lossy wire needs: the memory of answered requests, the keys of
+/// gated ones, and the causal spans.
+struct LivePort<'a> {
+    env: KernelEnv<'a>,
+    /// Coordination state lives on PE 0.
+    barriers: BarrierCenter<Requester>,
+    locks: LockCenter<Requester>,
+    served_cache: DedupCache,
+    /// Dedup keys of requests whose response is gated (their retransmits
+    /// are dropped, not re-executed).
+    pending_gated: HashSet<(u32, u64)>,
+    /// Sender and trace context of the message being handled, and when
+    /// handling began.
+    from: u32,
+    ctx: Option<TraceCtx>,
+    began: Instant,
+    /// A peer's message the protocol rejected: the run aborts.
+    violation: Option<String>,
+    rec: TraceRecorder,
+    outbox: VecDeque<Outbound>,
+}
+
+impl LivePort<'_> {
+    fn wire(&mut self, to: u32, msg: Message, ctx: Option<TraceCtx>) {
+        self.env.flight.record(
+            self.env.now_ns(),
+            self.env.pe,
+            FlightEventKind::Bus {
+                label: msg.label(),
+                to_pe: to,
+                bytes: msg.wire_len() as u64,
+            },
+        );
+        if to == self.env.pe && is_app_bound(&msg) {
+            // A response addressed to our own application thread. Sending
+            // it over the transport would only loop it back to this very
+            // kernel (encode → own inbox → wake → decode → reclassify as
+            // app-bound) one poll later; hand it to the app directly
+            // instead. Kernel-bound self-traffic (e.g. invalidation acks)
+            // still rides the wire so its handling order is unchanged.
+            self.outbox.push_back(Outbound::App { msg, ctx });
+        } else {
+            self.outbox.push_back(Outbound::Wire { to, msg, ctx });
+        }
+    }
+
+    /// A span of `c`'s trace, `[start_ns, now]`, child of the span `c` names.
+    fn span(
+        &self,
+        kind: TraceSpanKind,
+        c: TraceCtx,
+        id: u64,
+        start_ns: u64,
+        peer: u32,
+        seq: u64,
+    ) -> TraceSpanRec {
+        let (pe, now) = (self.env.pe, self.env.now_ns());
+        let mut span = TraceSpanRec::new(kind, c.trace, id, c.parent, pe, start_ns, now);
+        (span.peer, span.seq) = (peer, seq);
+        span
+    }
+
+    /// Record the serve span of `resp`, the `replay`-th answer (0 = fresh)
+    /// to `to`'s request, from its arrival (nothing on an untraced run).
+    fn serve_span(&mut self, to: Requester, replay: u32, resp: &Message) {
+        if let Some(c) = to.ctx {
+            let (id, seq) = (serve_span_id(c.parent, replay), to.key.map_or(0, |k| k.1));
+            let mut span = self.span(TraceSpanKind::Serve, c, id, to.at_ns, to.pe, seq);
+            (span.bytes, span.dedup) = (resp.wire_len() as u64, replay > 0);
+            self.rec.push(span);
+        }
+    }
+}
+
+impl KernelPort for LivePort<'_> {
+    type Reply = Requester;
+
+    fn barriers(&self) -> &BarrierCenter<Requester> {
+        &self.barriers
+    }
+
+    fn locks(&self) -> &LockCenter<Requester> {
+        &self.locks
+    }
+
+    fn charge_copy(&mut self, _bytes: usize) {
+        // The copy already ran for real; nothing to account.
+    }
+
+    fn count(&mut self, what: KernelCount) {
+        count_live(self.env.metrics, self.env.pe, what);
+    }
+
+    /// Only the home-side half of the lease: the data travels in the
+    /// response and the requester installs it on completion, under its
+    /// install epoch.
+    fn lease(
+        &mut self,
+        cache: &CacheStore,
+        holder: NodeId,
+        region: RegionId,
+        block: u64,
+        _data: &[u8],
+    ) -> bool {
+        cache.grant(holder, region, block)
+    }
+
+    fn drop_replicas(&mut self, cache: &CacheStore, region: RegionId, offset: u64, len: usize) {
+        // Epoch first, then the drop, both under the guard: an app-side
+        // install that checked the epoch before this bump is either
+        // already in the map (the drop removes it) or will re-check and
+        // skip.
+        let mut epoch = self.env.install_guard.lock();
+        *epoch += 1;
+        cache.drop_range(NodeId(self.env.pe as u16), region, offset, len);
+    }
+
+    fn send(&mut self, _node: NodeId, to: Requester, msg: Message) {
+        let ctx = match msg {
+            // Every release of a round rides under the completing enter's
+            // trace, as a child of the round's one release span.
+            Message::BarrierRelease { barrier, epoch } => self.ctx.map(|c| TraceCtx {
+                trace: c.trace,
+                parent: barrier_span_id(barrier, epoch),
+            }),
+            // The grant span starts when the request reached the
+            // coordinator, so it covers the time spent queued.
+            Message::LockGrant { req, .. } => to.ctx.map(|c| {
+                let id = lock_span_id(to.pe, req.0);
+                let span = self.span(TraceSpanKind::LockGrant, c, id, to.at_ns, to.pe, req.0);
+                self.rec.push(span);
+                TraceCtx {
+                    trace: c.trace,
+                    parent: id,
+                }
+            }),
+            _ => {
+                // Only now — not while it was gated — does the answer to a
+                // retriable request become replayable for retransmits.
+                if let Some(key) = to.key {
+                    if !self.pending_gated.is_empty() {
+                        self.pending_gated.remove(&key);
+                    }
+                    self.served_cache.insert(key, msg.clone());
+                }
+                to.response_ctx(0)
+            }
+        };
+        self.wire(to.pe, msg, ctx);
+    }
+
+    fn send_kernel(&mut self, node: NodeId, msg: Message) {
+        self.wire(node.0 as u32, msg, None);
+    }
+
+    fn served(&mut self, to: Requester, resp: &Message, gated: bool) {
+        let pe = self.env.pe;
+        self.env
+            .metrics
+            .incr(MetricKey::pe("kernel", "requests_served", pe));
+        self.env.metrics.record(
+            MetricKey::pe("kernel", "service_ns", pe),
+            self.began.elapsed().as_nanos() as u64,
+        );
+        self.serve_span(to, 0, resp);
+        if let (true, Some(key)) = (gated, to.key) {
+            self.pending_gated.insert(key);
+        }
+    }
+
+    /// One release span covers the whole round, first enter to completion.
+    /// Its id is derived from (barrier, epoch) so both runs of a seed
+    /// agree; its parent is the completing enter's wait span.
+    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Requester) {
+        if let Some(c) = self.ctx {
+            let (id, seq) = (barrier_span_id(barrier, epoch), barrier as u64);
+            let span = self.span(
+                TraceSpanKind::BarrierRelease,
+                c,
+                id,
+                first.at_ns,
+                self.from,
+                seq,
+            );
+            self.rec.push(span);
+        }
+    }
+
+    fn protocol_error(&mut self, from: NodeId, label: &'static str, detail: &str) {
+        self.violation
+            .get_or_insert_with(|| format!("{label} from PE {}: {detail}", from.0));
+    }
+}
+
 /// One PE's kernel as a resumable state machine. See the module docs for
 /// the event/driver contract; see the live engine's `sched` for the driver.
 pub struct KernelTask<'a> {
-    env: KernelEnv<'a>,
-    /// Coordination state lives on PE 0 (reply tokens are PE ranks).
-    barriers: BarrierCenter<u32>,
-    locks: LockCenter<u32>,
-    served_cache: DedupCache,
-    // Directory coherence state (cached runs only): write gates awaiting
-    // invalidation acks, the inval-txn → gate index, and the dedup keys of
-    // requests currently gated (their retransmits are dropped, not
-    // re-executed).
-    gates: HashMap<u64, WriteGate>,
-    inval_to_gate: HashMap<u64, u64>,
-    pending_gated: HashSet<(u32, u64)>,
-    next_txn: u64,
-    // Trace context and arrival time of coordination requests still
-    // pending an answer: barrier rounds keyed by barrier id (first-enter
-    // time), lock requests keyed by (requester, req).
-    barrier_open: HashMap<u32, u64>,
-    lock_pend: HashMap<(u32, u64), (Option<TraceCtx>, u64)>,
+    port: LivePort<'a>,
+    protocol: KernelProtocol<'a, Requester>,
     exited: usize,
     last_emit: Instant,
     watch: Option<(Duration, WatchHook<'a>)>,
@@ -345,8 +444,6 @@ pub struct KernelTask<'a> {
     tick: Duration,
     tracker: DeltaTracker,
     agg: Option<ClusterAggregator>,
-    rec: TraceRecorder,
-    outbox: VecDeque<Outbound>,
 }
 
 impl<'a> KernelTask<'a> {
@@ -361,28 +458,34 @@ impl<'a> KernelTask<'a> {
     ) -> KernelTask<'a> {
         let pe = env.pe;
         KernelTask {
-            barriers: BarrierCenter::new(env.nprocs),
-            locks: LockCenter::new(),
-            served_cache: DedupCache::new(DEDUP_PER_REQUESTER),
-            gates: HashMap::new(),
-            inval_to_gate: HashMap::new(),
-            pending_gated: HashSet::new(),
-            next_txn: 0,
-            barrier_open: HashMap::new(),
-            lock_pend: HashMap::new(),
+            port: LivePort {
+                env,
+                barriers: BarrierCenter::new(env.nprocs),
+                locks: LockCenter::new(),
+                served_cache: DedupCache::new(DEDUP_PER_REQUESTER),
+                pending_gated: HashSet::new(),
+                from: pe,
+                ctx: None,
+                began: Instant::now(),
+                violation: None,
+                rec: if tracing {
+                    TraceRecorder::new(pe, TraceRole::Kernel)
+                } else {
+                    TraceRecorder::disabled(pe, TraceRole::Kernel)
+                },
+                outbox: VecDeque::new(),
+            },
+            protocol: KernelProtocol::new(
+                env.store,
+                env.cache,
+                env.gm_mode == GmMode::ReleaseConsistency,
+            ),
             exited: 0,
             last_emit: Instant::now(),
             watch,
             tick,
             tracker: DeltaTracker::new(pe, pe == 0),
             agg: (pe == 0 && watch.is_some()).then(|| ClusterAggregator::new(env.nprocs)),
-            rec: if tracing {
-                TraceRecorder::new(pe, TraceRole::Kernel)
-            } else {
-                TraceRecorder::disabled(pe, TraceRole::Kernel)
-            },
-            outbox: VecDeque::new(),
-            env,
         }
     }
 
@@ -406,77 +509,43 @@ impl<'a> KernelTask<'a> {
     /// the first failed send) discards the rest: the kernel aborts on its
     /// first failed send.
     pub fn drain_outbox(&mut self) -> std::collections::vec_deque::Drain<'_, Outbound> {
-        self.outbox.drain(..)
+        self.port.outbox.drain(..)
     }
 
     /// Tear down: the delta tracker (for the final absolute telemetry
     /// round), the aggregator (watched PE 0 only), and the recorded spans.
     pub fn finish(mut self) -> (DeltaTracker, Option<ClusterAggregator>, Vec<TraceSpanRec>) {
-        (self.tracker, self.agg, self.rec.take())
-    }
-
-    fn send(&mut self, to: u32, msg: Message, ctx: Option<TraceCtx>) {
-        self.env.flight.record(
-            self.env.now_ns(),
-            self.env.pe,
-            FlightEventKind::Bus {
-                label: msg.label(),
-                to_pe: to,
-                bytes: msg.wire_len() as u64,
-            },
-        );
-        if to == self.env.pe && is_app_bound(&msg) {
-            // A response addressed to our own application thread. Sending
-            // it over the transport would only loop it back to this very
-            // kernel (encode → own inbox → wake → decode → reclassify as
-            // app-bound) one poll later; hand it to the app directly
-            // instead. Kernel-bound self-traffic (e.g. invalidation acks)
-            // still rides the wire so its handling order is unchanged.
-            self.outbox.push_back(Outbound::App { msg, ctx });
-        } else {
-            self.outbox.push_back(Outbound::Wire { to, msg, ctx });
-        }
+        (self.tracker, self.agg, self.port.rec.take())
     }
 
     /// Consume one event. Drain the outbox after every call — including
     /// the terminal ones: the abort relay and shutdown fan-out ride it.
     pub fn poll(&mut self, event: KernelEvent) -> Progress {
-        let pe = self.env.pe;
-        let mut shutdown = false;
         match event {
-            KernelEvent::AbortLatch => {
-                return Progress::Aborted(Message::Abort {
-                    source: pe,
-                    code: abort_code::GENERIC,
-                    detail: b"cluster abort latch".to_vec(),
-                });
+            KernelEvent::AbortLatch => Progress::Aborted(Message::Abort {
+                source: self.port.env.pe,
+                code: abort_code::GENERIC,
+                detail: b"cluster abort latch".to_vec(),
+            }),
+            KernelEvent::Tick => {
+                self.emit_if_due();
+                Progress::Pending
             }
-            KernelEvent::Tick => {}
-            KernelEvent::Message { from, msg, ctx } => match self.handle_message(from, msg, ctx) {
-                Handled::Swallowed => return Progress::Pending,
-                Handled::Done => {}
-                Handled::Shutdown => shutdown = true,
-                Handled::Aborted(frame) => return Progress::Aborted(frame),
-            },
-        }
-        self.emit_if_due();
-        if shutdown {
-            Progress::Clean
-        } else {
-            Progress::Pending
+            KernelEvent::Message { from, msg, ctx } => self.handle_message(from, msg, ctx),
         }
     }
 
     fn emit_if_due(&mut self) {
-        let pe = self.env.pe;
+        let env = self.port.env;
+        let pe = env.pe;
         if let Some((interval, hook)) = self.watch {
             if self.last_emit.elapsed() >= interval {
                 self.last_emit = Instant::now();
-                let snap = self.env.metrics.snapshot();
+                let snap = env.metrics.snapshot();
                 // PE 0 forces an empty heartbeat so the aggregator's
                 // staleness clock keeps advancing on an idle cluster.
                 if let Some((seq, d)) = self.tracker.delta(&snap, &[], pe == 0) {
-                    self.outbox.push_back(Outbound::WireBestEffort {
+                    self.port.outbox.push_back(Outbound::WireBestEffort {
                         to: 0,
                         msg: Message::Telemetry {
                             pe,
@@ -486,377 +555,124 @@ impl<'a> KernelTask<'a> {
                     });
                 }
                 if let Some(agg) = self.agg.as_ref() {
-                    hook(agg, self.env.run_start.elapsed().as_nanos() as u64);
+                    hook(agg, env.run_start.elapsed().as_nanos() as u64);
                 }
             }
         }
     }
 
-    fn handle_message(&mut self, from: u32, msg: Message, ctx: Option<TraceCtx>) -> Handled {
-        let env = self.env;
+    fn handle_message(&mut self, from: u32, msg: Message, ctx: Option<TraceCtx>) -> Progress {
+        let env = self.port.env;
         let pe = env.pe;
-        let nprocs = env.nprocs;
-        let rc = env.gm_mode == GmMode::ReleaseConsistency;
-        let t0 = Instant::now();
-        let t_in_ns = env.now_ns();
+        let port = &mut self.port;
+        (port.from, port.ctx, port.began) = (from, ctx, Instant::now());
+        let who = Requester {
+            pe: from,
+            key: dedup_key(&msg, from),
+            ctx,
+            at_ns: env.now_ns(),
+        };
         env.metrics.incr(MetricKey::pe("kernel", "messages", pe));
-        let key = dedup_key(&msg, from);
-        if let Some(key) = key {
-            if let Some((resp, replay)) = self.served_cache.replay(key) {
+        if let Some(key) = who.key {
+            if let Some((resp, replay)) = port.served_cache.replay(key) {
                 // Retransmit of a request we already served: replay the
                 // cached response rather than re-executing it (a second
                 // fetch-add would change the answer). Not a fresh serve,
-                // so `requests_served` stays put.
+                // so `requests_served` stays put and neither does the
+                // emission clock get a look. The replay is its own serve
+                // span (dedup-flagged), derived from the same root as the
+                // original serve.
                 env.metrics
                     .incr(MetricKey::pe("kernel", "gm_dup_requests", pe));
-                // The replay is its own serve span (dedup-flagged),
-                // derived from the same root as the original serve.
-                let resp_ctx = ctx.map(|c| TraceCtx {
-                    trace: c.trace,
-                    parent: serve_span_id(c.parent, replay),
-                });
-                let bytes = resp.wire_len() as u64;
-                self.send(from, resp, resp_ctx);
-                if let Some(c) = ctx {
-                    let mut span = TraceSpanRec::new(
-                        TraceSpanKind::Serve,
-                        c.trace,
-                        serve_span_id(c.parent, replay),
-                        c.parent,
-                        pe,
-                        t_in_ns,
-                        env.now_ns(),
-                    );
-                    span.peer = from;
-                    span.bytes = bytes;
-                    span.seq = key.1;
-                    span.dedup = true;
-                    self.rec.push(span);
-                }
-                return Handled::Swallowed;
+                port.serve_span(who, replay, &resp);
+                port.wire(from, resp, who.response_ctx(replay));
+                return Progress::Pending;
             }
-            if self.pending_gated.contains(&key) {
+            if port.pending_gated.contains(&key) {
                 // Retransmit of a write still gated on invalidation acks:
                 // drop it. The response becomes replayable the moment the
                 // gate opens; re-executing now would leak an ungated ack
                 // past the coherence protocol.
-                return Handled::Swallowed;
+                return Progress::Pending;
             }
         }
-        let mut hooks = LiveGmHooks {
-            metrics: env.metrics,
-            pe,
-            from,
-            cache: env.cache,
-            guard: env.install_guard,
-            writes: Vec::new(),
+        // The app thread shares this kernel's inbox: the acks of its own
+        // invalidation rounds (ids below the kernel range) are its mail,
+        // like every response and wakeup, and the wire trace context
+        // travels along so it can link its redemption span to the remote
+        // serve. Delivery is best-effort.
+        let app_ack =
+            matches!(msg, Message::GmInvalidateAck { req } if req.0 & KERNEL_TXN_BASE == 0);
+        let rest = if app_ack || is_app_bound(&msg) {
+            port.outbox.push_back(Outbound::App { msg, ctx });
+            None
+        } else {
+            self.protocol.handle(port, NodeId(from as u16), who, msg)
         };
-        let gm_ctx = ctx;
-        match serve_gm(env.store, msg, &mut hooks) {
-            Served::Response(resp) => {
-                env.metrics
-                    .incr(MetricKey::pe("kernel", "requests_served", pe));
-                env.metrics.record(
-                    MetricKey::pe("kernel", "service_ns", pe),
-                    t0.elapsed().as_nanos() as u64,
-                );
-                // Fresh serve: child of the requester's root span, and
-                // the response carries the serve span as the parent so
-                // the requester's redemption links back to it.
-                let resp_ctx = gm_ctx.map(|c| TraceCtx {
-                    trace: c.trace,
-                    parent: serve_span_id(c.parent, 0),
-                });
-                if let Some(c) = gm_ctx {
-                    let mut span = TraceSpanRec::new(
-                        TraceSpanKind::Serve,
-                        c.trace,
-                        serve_span_id(c.parent, 0),
-                        c.parent,
-                        pe,
-                        t_in_ns,
-                        env.now_ns(),
-                    );
-                    span.peer = from;
-                    span.bytes = resp.wire_len() as u64;
-                    span.seq = key.map(|k| k.1).unwrap_or(0);
-                    self.rec.push(span);
-                }
-                // Directory coherence for the ranges this serve wrote:
-                // WI takes the sharers and gates the response on their
-                // acks; RC leaves the leases in place and counts the
-                // deferral (the replicas die at the holders' next
-                // acquire).
-                let mut invals: Vec<(NodeId, RegionId, u64, usize)> = Vec::new();
-                if let Some(cs) = env.cache {
-                    let writer = NodeId(from as u16);
-                    let writes = std::mem::take(&mut hooks.writes);
-                    for (region, offset, len) in writes {
-                        if rc {
-                            if !cs.peek_holders(region, offset, len, writer).is_empty() {
-                                env.metrics
-                                    .incr(MetricKey::pe("kernel", "rc_deferred_invals", pe));
-                            }
-                            continue;
-                        }
-                        let holders = cs.take_holders(region, offset, len, writer);
-                        if holders.is_empty() {
-                            continue;
-                        }
-                        env.metrics
-                            .incr(MetricKey::pe("kernel", "invalidation_rounds", pe));
-                        env.metrics.add(
-                            MetricKey::pe("kernel", "cache_invalidations", pe),
-                            holders.len() as u64,
-                        );
-                        for h in holders {
-                            if h.0 as u32 == pe {
-                                // Our own replica: apply the drop
-                                // in-place, no wire round needed.
-                                hooks.invalidated(region, offset, len);
-                            } else {
-                                invals.push((h, region, offset, len));
-                            }
-                        }
+        let mut shutdown = false;
+        match rest {
+            None => {}
+            Some(Message::ExitNotice { .. }) => {
+                self.exited += 1;
+                if self.exited == env.nprocs {
+                    for q in 0..env.nprocs as u32 {
+                        port.wire(q, Message::KernelShutdown, None);
                     }
-                }
-                if invals.is_empty() {
-                    if let Some(key) = key {
-                        self.served_cache.insert(key, resp.clone());
-                    }
-                    self.send(from, resp, resp_ctx);
-                } else {
-                    let gate_id = self.next_txn;
-                    let mut remaining = 0usize;
-                    for (h, region, offset, len) in invals {
-                        self.next_txn += 1;
-                        let txn = KERNEL_TXN_BASE | self.next_txn;
-                        self.inval_to_gate.insert(txn, gate_id);
-                        remaining += 1;
-                        self.send(
-                            h.0 as u32,
-                            Message::GmInvalidate {
-                                req: ReqId(txn),
-                                region,
-                                offset,
-                                len: len as u32,
-                            },
-                            None,
-                        );
-                    }
-                    if let Some(key) = key {
-                        self.pending_gated.insert(key);
-                    }
-                    self.gates.insert(
-                        gate_id,
-                        WriteGate {
-                            remaining,
-                            resp,
-                            to: from,
-                            ctx: resp_ctx,
-                            key,
-                        },
-                    );
                 }
             }
-            Served::NotGm(msg) if is_app_bound(&msg) => {
-                // Response or wakeup addressed to our application thread;
-                // delivery is best-effort. The wire trace context travels
-                // along so the app thread can link its redemption span to
-                // the remote serve.
-                self.outbox.push_back(Outbound::App { msg, ctx: gm_ctx });
-            }
-            Served::NotGm(msg) => match msg {
-                Message::GmInvalidateAck { req } => {
-                    if let Some(gate_id) = self.inval_to_gate.remove(&req.0) {
-                        // One of our write gates: the holder has dropped
-                        // its replica. Open the gate once the last ack
-                        // lands — only then does the writer see its ack
-                        // and only then does the response become
-                        // replayable for retransmits.
-                        let done = {
-                            let g = self
-                                .gates
-                                .get_mut(&gate_id)
-                                .expect("invalidation ack for an unknown gate");
-                            g.remaining -= 1;
-                            g.remaining == 0
-                        };
-                        if done {
-                            let g = self.gates.remove(&gate_id).unwrap();
-                            if let Some(key) = g.key {
-                                self.pending_gated.remove(&key);
-                                self.served_cache.insert(key, g.resp.clone());
-                            }
-                            self.send(g.to, g.resp, g.ctx);
-                        }
-                    } else {
-                        // An app-originated invalidation round (own-node
-                        // write): the ack belongs to our app thread.
-                        self.outbox.push_back(Outbound::App {
-                            msg: Message::GmInvalidateAck { req },
-                            ctx: gm_ctx,
-                        });
-                    }
-                }
-                Message::BarrierEnter { barrier, pid } => {
-                    let party = Party {
-                        pid,
-                        node: NodeId(from as u16),
-                        reply_to: from,
-                        req: ReqId(0),
-                    };
-                    self.barrier_open.entry(barrier).or_insert(t_in_ns);
-                    if let BarrierOutcome::Complete { epoch, waiters } =
-                        self.barriers.enter(barrier, party)
-                    {
-                        let release = Message::BarrierRelease { barrier, epoch };
-                        // One release span covers the whole round, first
-                        // enter to completion; its id is derived from
-                        // (barrier, epoch) so both runs of a seed agree.
-                        // Parent: the completing enter's wait span (the
-                        // enter that made the round whole).
-                        let span_id = barrier_span_id(barrier, epoch);
-                        let release_ctx = gm_ctx.map(|c| TraceCtx {
-                            trace: c.trace,
-                            parent: span_id,
-                        });
-                        for w in waiters {
-                            self.send(w.reply_to, release.clone(), release_ctx);
-                        }
-                        self.send(from, release, release_ctx);
-                        if let Some(c) = gm_ctx {
-                            let opened = self.barrier_open.remove(&barrier).unwrap_or(t_in_ns);
-                            let mut span = TraceSpanRec::new(
-                                TraceSpanKind::BarrierRelease,
-                                c.trace,
-                                span_id,
-                                c.parent,
-                                pe,
-                                opened,
-                                env.now_ns(),
+            Some(Message::Telemetry {
+                pe: src,
+                seq,
+                payload,
+            }) => {
+                if let Some(agg) = self.agg.as_mut() {
+                    let now_ns = env.run_start.elapsed().as_nanos() as u64;
+                    match TelemetryDelta::decode(&payload) {
+                        Ok(delta) => agg.apply(src, seq, now_ns, &delta),
+                        Err(e) => {
+                            // A corrupt delta is dropped and accounted
+                            // as a sequence gap — the telemetry plane
+                            // degrades, the run does not.
+                            eprintln!(
+                                "live kernel PE {pe}: dropping corrupt telemetry \
+                                 delta from PE {src} (seq {seq}): {e}"
                             );
-                            span.peer = from;
-                            span.seq = barrier as u64;
-                            self.rec.push(span);
-                        } else {
-                            self.barrier_open.remove(&barrier);
+                            env.metrics
+                                .incr(MetricKey::pe("kernel", "telemetry_corrupt", pe));
+                            agg.note_corrupt(src, seq, now_ns);
                         }
                     }
                 }
-                Message::LockReq { req, lock, pid } => {
-                    let party = Party {
-                        pid,
-                        node: NodeId(from as u16),
-                        reply_to: from,
-                        req,
-                    };
-                    match self.locks.acquire(lock, party) {
-                        LockOutcome::Granted => {
-                            let (ctx, grant) = lock_grant_trace(gm_ctx, from, req.0, t_in_ns);
-                            self.send(from, Message::LockGrant { req, lock }, ctx);
-                            if let Some(mut span) = grant {
-                                span.end_ns = env.now_ns();
-                                span.pe = pe;
-                                self.rec.push(span);
-                            }
-                        }
-                        LockOutcome::Queued => {
-                            self.lock_pend.insert((from, req.0), (gm_ctx, t_in_ns));
-                        }
-                    }
-                }
-                Message::UnlockReq { lock, pid } => {
-                    if let UnlockOutcome::Granted(next) = self.locks.release(lock, pid) {
-                        let (pend_ctx, queued_at) = self
-                            .lock_pend
-                            .remove(&(next.reply_to, next.req.0))
-                            .unwrap_or((None, t_in_ns));
-                        let (ctx, grant) =
-                            lock_grant_trace(pend_ctx, next.reply_to, next.req.0, queued_at);
-                        self.send(
-                            next.reply_to,
-                            Message::LockGrant {
-                                req: next.req,
-                                lock,
-                            },
-                            ctx,
-                        );
-                        if let Some(mut span) = grant {
-                            span.end_ns = env.now_ns();
-                            span.pe = pe;
-                            self.rec.push(span);
-                        }
-                    }
-                }
-                Message::ExitNotice { .. } => {
-                    self.exited += 1;
-                    if self.exited == nprocs {
-                        for q in 0..nprocs as u32 {
-                            self.send(q, Message::KernelShutdown, None);
-                        }
-                    }
-                }
-                Message::Telemetry {
-                    pe: src,
-                    seq,
-                    payload,
-                } => {
-                    if let Some(agg) = self.agg.as_mut() {
-                        let now_ns = env.run_start.elapsed().as_nanos() as u64;
-                        match TelemetryDelta::decode(&payload) {
-                            Ok(delta) => agg.apply(src, seq, now_ns, &delta),
-                            Err(e) => {
-                                // A corrupt delta is dropped and accounted
-                                // as a sequence gap — the telemetry plane
-                                // degrades, the run does not.
-                                eprintln!(
-                                    "live kernel PE {pe}: dropping corrupt telemetry \
-                                     delta from PE {src} (seq {seq}): {e}"
-                                );
-                                env.metrics
-                                    .incr(MetricKey::pe("kernel", "telemetry_corrupt", pe));
-                                agg.note_corrupt(src, seq, now_ns);
-                            }
-                        }
-                    }
-                }
-                Message::Abort {
-                    source,
-                    code,
-                    detail,
-                } => {
-                    return Handled::Aborted(Message::Abort {
-                        source,
-                        code,
-                        detail,
-                    });
-                }
-                Message::KernelShutdown => return Handled::Shutdown,
-                other => panic!("live kernel PE {pe}: unexpected message {other:?}"),
-            },
+            }
+            Some(frame @ Message::Abort { .. }) => return Progress::Aborted(frame),
+            Some(Message::KernelShutdown) => shutdown = true,
+            Some(other) => {
+                port.protocol_error(NodeId(from as u16), other.label(), "unexpected message")
+            }
         }
-        Handled::Done
+        if let Some(detail) = port.violation.take() {
+            // Peer input must not take the kernel down with a panic: the
+            // run aborts, and the driver reports this first-hand.
+            return Progress::Aborted(Message::Abort {
+                source: pe,
+                code: abort_code::PROTOCOL,
+                detail: detail.into_bytes(),
+            });
+        }
+        self.emit_if_due();
+        if shutdown {
+            Progress::Clean
+        } else {
+            Progress::Pending
+        }
     }
-}
-
-/// Internal outcome of one message dispatch.
-enum Handled {
-    /// Dedup replay or gated retransmit: skip the emission check.
-    Swallowed,
-    /// Handled; fall through to the emission check.
-    Done,
-    /// `KernelShutdown` seen: clean exit after the emission check.
-    Shutdown,
-    /// An `Abort` frame (to relay).
-    Aborted(Message),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gmem::Distribution;
-    use dse_msg::GlobalPid;
+    use dse_msg::{GlobalPid, ReqId};
 
     fn env_fixture(nprocs: usize) -> (GlobalStore, Registry, FlightRecorder, Mutex<u64>) {
         (
@@ -1046,5 +862,92 @@ mod tests {
         assert_eq!(fx.0.read(cell, 0, 8).unwrap(), 1i64.to_le_bytes());
         let snap = fx.1.snapshot();
         assert_eq!(snap.counter("kernel", "gm_dup_requests", Some(0)), Some(1));
+    }
+
+    /// Feed PE 0's kernel `msg` from PE 1 after a read has queued its
+    /// answer: the poll must end in a protocol abort, not a panic, and what
+    /// was queued must still drain.
+    fn assert_protocol_abort(msg: Message, names: &str) {
+        let fx = env_fixture(2);
+        let region = fx.0.alloc(8, Distribution::OnNode(NodeId(0)));
+        let mut t = task(0, 2, &fx);
+        t.poll(KernelEvent::Message {
+            from: 1,
+            msg: Message::GmReadReq {
+                req: ReqId(1),
+                region,
+                offset: 0,
+                len: 8,
+            },
+            ctx: None,
+        });
+        let prog = t.poll(KernelEvent::Message {
+            from: 1,
+            msg,
+            ctx: None,
+        });
+        match prog {
+            Progress::Aborted(Message::Abort {
+                source: 0,
+                code: abort_code::PROTOCOL,
+                detail,
+            }) => {
+                let detail = String::from_utf8(detail).unwrap();
+                assert!(
+                    detail.contains(names) && detail.contains("PE 1"),
+                    "{detail}"
+                );
+            }
+            _ => panic!("a message the protocol has no place for must abort the run"),
+        }
+        let out: Vec<_> = t.drain_outbox().collect();
+        assert!(
+            matches!(
+                out[..],
+                [Outbound::Wire {
+                    to: 1,
+                    msg: Message::GmReadResp { .. },
+                    ..
+                }]
+            ),
+            "the outbox stays drainable"
+        );
+    }
+
+    #[test]
+    fn an_unexpected_message_aborts_with_a_protocol_code() {
+        let ack = Message::InvokeAck {
+            req: ReqId(3),
+            pid: GlobalPid::new(NodeId(1), 1),
+        };
+        assert_protocol_abort(ack, "invoke_ack");
+    }
+
+    #[test]
+    fn an_ack_for_a_gate_never_opened_aborts_with_a_protocol_code() {
+        let ack = Message::GmInvalidateAck {
+            req: ReqId(KERNEL_TXN_BASE | 41),
+        };
+        assert_protocol_abort(ack, "gm_invalidate_ack");
+    }
+
+    #[test]
+    fn an_ack_below_the_kernel_range_is_the_apps() {
+        let fx = env_fixture(2);
+        let mut t = task(0, 2, &fx);
+        let prog = t.poll(KernelEvent::Message {
+            from: 1,
+            msg: Message::GmInvalidateAck { req: ReqId(41) },
+            ctx: None,
+        });
+        assert!(matches!(prog, Progress::Pending));
+        let out: Vec<_> = t.drain_outbox().collect();
+        assert!(matches!(
+            out[..],
+            [Outbound::App {
+                msg: Message::GmInvalidateAck { req: ReqId(41) },
+                ..
+            }]
+        ));
     }
 }

@@ -341,10 +341,11 @@ impl LiveCluster {
 // ---------------------------------------------------------------------------
 // Kernel side: the per-PE message loop.
 //
-// The protocol logic itself — GM service, directory coherence, barriers,
-// locks, exit collection, telemetry emission, causal spans — lives in
-// `dse_kernel::task::KernelTask`, a sans-IO state machine consuming one
-// event per `poll`. The one driver that supplies the IO around it is the
+// The protocol logic itself lives in `dse-kernel`: GM service, directory
+// coherence, barriers and locks in `KernelProtocol`, the machine the
+// simulator's kernel runs too; exit collection, telemetry emission and
+// causal spans in `task::KernelTask`, its sans-IO live driver consuming
+// one event per `poll`. The one driver that supplies the IO around it is the
 // worker pool in `sched`; what follows here is what that driver calls to
 // put a task's outputs on the wire and to tear a kernel down.
 // ---------------------------------------------------------------------------
@@ -490,6 +491,7 @@ pub(crate) fn finish_kernel(
         Err(kind) => {
             let code = match &kind {
                 FailureKind::Transport(_) => abort_code::TRANSPORT,
+                FailureKind::PeerProtocol { .. } => abort_code::PROTOCOL,
                 _ => abort_code::GENERIC,
             };
             let frame = Message::Abort {

@@ -16,6 +16,8 @@ use dse_api::{
     GmClient, GmCount, GmHandle, GmPort, GmProtocolError, ParallelApi, AUTO_BARRIER_BASE,
 };
 use dse_kernel::gmem::GlobalStore;
+use dse_kernel::protocol::sharers_to_invalidate;
+use dse_kernel::task::count_live;
 use dse_kernel::{Distribution, GmMode, DEFAULT_GM_WINDOW};
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
 use dse_obs::{
@@ -345,10 +347,9 @@ impl LivePort {
     }
 
     /// Coherence actions for a write applied directly to this PE's own
-    /// home partition. Write-invalidate sends a retry-armed `GmInvalidate`
-    /// to every other holder and returns the ids whose acks the caller
-    /// must collect. Release consistency counts the deferral and leaves
-    /// the replicas to die at their holders' next acquire.
+    /// home partition: the home's own directory step, then a retry-armed
+    /// `GmInvalidate` to every sharer it names. Returns the ids whose acks
+    /// the caller must collect.
     fn own_write_coherence(
         &mut self,
         reqs: &mut ReqIdGen,
@@ -360,21 +361,10 @@ impl LivePort {
         let Some(cs) = cluster.cache.as_ref() else {
             return Vec::new();
         };
-        if cluster.gm_mode == GmMode::ReleaseConsistency {
-            if !cs.peek_holders(region, offset, len, self.me()).is_empty() {
-                self.incr("kernel", "rc_deferred_invals");
-            }
-            return Vec::new();
-        }
-        let holders = cs.take_holders(region, offset, len, self.me());
-        if holders.is_empty() {
-            return Vec::new();
-        }
-        self.incr("kernel", "invalidation_rounds");
-        self.metrics().add(
-            MetricKey::pe("kernel", "cache_invalidations", self.rank),
-            holders.len() as u64,
-        );
+        let rc = cluster.gm_mode == GmMode::ReleaseConsistency;
+        let holders = sharers_to_invalidate(cs, rc, (region, offset, len), self.me(), |c| {
+            count_live(&cluster.metrics, self.rank, c)
+        });
         holders
             .into_iter()
             .map(|h| {
@@ -866,7 +856,7 @@ impl ParallelApi for LiveCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultPlan, LiveRunConfig, LiveRunner, RetryPolicy, SchedulerKind};
+    use crate::{FailureRole, FaultPlan, LiveRunConfig, LiveRunner, RetryPolicy, SchedulerKind};
     use dse_api::{GmArray, GmCounter};
 
     #[test]
@@ -1023,6 +1013,34 @@ mod tests {
                     if detail == "expected a read response, got gm_write_ack"
             )),
             "the requester must report it first-hand: {err}"
+        );
+    }
+
+    #[test]
+    fn a_message_no_kernel_expects_fails_the_run_instead_of_unwinding() {
+        let err = LiveRunner::new(2)
+            .try_run(|ctx| {
+                if ctx.rank() == 1 {
+                    // Kernels acknowledge invocations, they never receive
+                    // the acknowledgement.
+                    let stray = Message::InvokeAck {
+                        req: ReqId(9),
+                        pid: GlobalPid::new(NodeId(1), 1),
+                    };
+                    ctx.port.send_traced(0, &stray, None);
+                }
+                ctx.barrier();
+            })
+            .expect_err("the coordinator's kernel must abort the run");
+        assert!(
+            err.failures.iter().any(|f| f.pe == 0
+                && f.role == FailureRole::Kernel
+                && matches!(
+                    &f.kind,
+                    FailureKind::PeerProtocol { detail }
+                        if detail == "invoke_ack from PE 1: unexpected message"
+                )),
+            "PE 0's kernel must report it first-hand: {err}"
         );
     }
 

@@ -313,7 +313,19 @@ fn drive(cluster: &LiveCluster, slot: &mut Slot<'_>, event: KernelEvent) -> bool
             true
         }
         Progress::Aborted(frame) => {
-            slot.exit = Some(Ok(Some(frame)));
+            slot.exit = Some(match frame {
+                // First-hand: this kernel rejected a peer's message. Any
+                // other frame is relayed; its cause was reported where it
+                // was seen.
+                Message::Abort {
+                    source,
+                    code: abort_code::PROTOCOL,
+                    detail,
+                } if source == slot.pe => Err(FailureKind::PeerProtocol {
+                    detail: String::from_utf8_lossy(&detail).into_owned(),
+                }),
+                frame => Ok(Some(frame)),
+            });
             true
         }
     }

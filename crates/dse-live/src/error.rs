@@ -52,6 +52,12 @@ pub enum FailureKind {
         /// What was expected and what arrived.
         detail: String,
     },
+    /// A peer sent this PE's kernel a message its protocol has no place for
+    /// (a kind kernels never receive, an acknowledgement nothing waits on).
+    PeerProtocol {
+        /// The message's label, its sender and what was wrong with it.
+        detail: String,
+    },
     /// The co-resident kernel thread went away while the app still needed it.
     KernelGone,
     /// The transport mesh could not be constructed at startup.
@@ -72,6 +78,9 @@ impl fmt::Display for FailureKind {
             ),
             FailureKind::Protocol { req, detail } => {
                 write!(f, "GM request {req} got a malformed response: {detail}")
+            }
+            FailureKind::PeerProtocol { detail } => {
+                write!(f, "peer protocol violation: {detail}")
             }
             FailureKind::KernelGone => write!(f, "kernel thread exited while the app was waiting"),
             FailureKind::Mesh(e) => write!(f, "transport mesh construction failed: {e}"),
