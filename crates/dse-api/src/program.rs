@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dse_kernel::kernel::{kernel_main, AppFactory};
+use dse_kernel::kernel::{AppFactory, SimKernel};
 use dse_kernel::netpath::{charge_recv, send_msg};
 use dse_kernel::{ClusterShared, DseConfig, KernelStats, SimMsg, StallReport, TelemetryHook};
 use dse_msg::{Message, NodeId, ReqIdGen};
@@ -234,11 +234,9 @@ impl DseProgram {
 
         let kernel_ids = (0..nprocs)
             .map(|n| {
-                let shared = Arc::clone(&shared);
-                let factory = Arc::clone(&factory);
-                sim.spawn(&format!("kernel{n}"), move |kctx| {
-                    kernel_main(kctx, NodeId(n as u16), shared, factory)
-                })
+                let kernel =
+                    SimKernel::new(NodeId(n as u16), Arc::clone(&shared), Arc::clone(&factory));
+                sim.spawn_component(&format!("kernel{n}"), kernel)
             })
             .collect();
         shared.set_kernels(kernel_ids);

@@ -13,6 +13,25 @@ fn single_rank_runs() {
     assert!(r.secs() > 0.0);
 }
 
+/// The kernel is a library call, not a thread: a simulated PE costs one
+/// host thread (its application process), plus one launcher per run.
+#[test]
+fn an_n_pe_run_has_n_plus_one_process_threads() {
+    for n in [1, 4, 8] {
+        let r = DseProgram::new(Platform::sunos_sparc()).run(n, |ctx| ctx.barrier());
+        let stats = &r.report.stats;
+        assert_eq!(stats.threads, n as u64 + 1, "applications + launcher");
+        assert_eq!(
+            stats.spawns,
+            2 * n as u64 + 1,
+            "and a kernel component per PE"
+        );
+        for k in 0..n {
+            assert!(r.report.completed_named(&format!("kernel{k}")));
+        }
+    }
+}
+
 #[test]
 fn barrier_synchronizes_all_ranks() {
     let hits = Arc::new(AtomicU64::new(0));

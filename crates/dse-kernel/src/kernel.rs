@@ -1,24 +1,41 @@
 //! The simulated DSE kernel: the simulator's driver of [`KernelProtocol`]
 //! and its [`KernelPort`].
 //!
-//! One kernel runs per node. Under the new organization it is a library
-//! linked into the application's process, woken by async-I/O signals when a
-//! remote request arrives; in the simulator it is its own scheduled entity
-//! whose service time is charged to the node's machine CPU — exactly the
-//! semantics of signal-driven interruption: kernel work steals CPU from the
-//! co-resident application. The protocol is the shared machine; this file
-//! owns the receive loop, process management and the telemetry plane.
+//! One kernel serves per node. Under the new organization it is a library
+//! linked into the application's process, entered when async I/O signals a
+//! remote request — there is no kernel process to switch to. The simulator
+//! has the same shape: [`SimKernel`] is a passive `dse-sim` component, a
+//! process slot without a thread, resumed in place by whichever simulation
+//! thread pops its event, with its service time charged to the node's
+//! machine CPU — kernel work steals CPU from the co-resident application.
+//!
+//! **Record, then play back.** [`KernelProtocol::handle`] is straight-line
+//! code whose port calls used to block the kernel's own thread. The
+//! component instead runs `handle` once, at the instant the receive charge
+//! ends, against a recording [`SimKernelPort`]: every copy charge, counter
+//! and send becomes an `Op`, and the ops are played back one event at a
+//! time — each CPU booking and each wire booking made at the virtual
+//! instant, and in the `(time, sequence)` position, the blocking port made
+//! it (DESIGN §5n, charge-order rule). What does not go through the port's
+//! deferred calls takes effect when `handle` runs: the store operations of
+//! a request, a read's lease, a write's directory step, a barrier entry, a
+//! lock request. For a single-operation request whose first port call is
+//! its copy charge that is the instant they always took effect, except that
+//! a read's lease and a write's directory step no longer wait for the copy
+//! charge; the second and later operations of a batch move ahead of the
+//! earlier ones' copy charges.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dse_msg::{GlobalPid, Message, NodeId, RegionId};
 use dse_obs::{DeltaTracker, FlightEventKind, MetricKey, SpanKind, TelemetryDelta};
-use dse_sim::{ProcCtx, ProcId, RecvResult};
+use dse_sim::{CompCtx, Component, ProcCtx, ProcId, SimDuration, SimTime, Wait, Wakeup};
 
 use crate::cache::CacheStore;
 use crate::config::GmMode;
-use crate::netpath::{charge_recv, send_msg};
-use crate::protocol::{KernelCount, KernelPort, KernelProtocol};
+use crate::netpath::{begin_send, book_wire, send_msg};
+use crate::protocol::{Gates, KernelCount, KernelPort, KernelProtocol};
 use crate::shared::ClusterShared;
 use crate::simmsg::SimMsg;
 use crate::sync::{BarrierCenter, LockCenter};
@@ -31,13 +48,44 @@ pub type AppBody = Box<dyn FnOnce(&mut ProcCtx<SimMsg>) + Send>;
 /// by the program harness so the kernel stays independent of the API crate.
 pub type AppFactory = Arc<dyn Fn(u32, GlobalPid) -> AppBody + Send + Sync>;
 
-/// The simulator behind [`KernelPort`]: a simulation process acting for
-/// `node` — its kernel, or an application process in an own-node call into
-/// the linked library. Charges land on the node's CPU and block the process
-/// for their duration; a send is charged, then booked on the wire.
+/// One step of a kernel component's work, taken when its turn comes.
+enum Op {
+    /// Hold this node's CPU.
+    Charge(SimDuration),
+    /// The receive charge has ended: hand the message, sent by a process
+    /// on the node, to the protocol.
+    Serve(NodeId, ProcId, Message),
+    /// Bump a counter.
+    Count(KernelCount),
+    /// Send the message to a process on the node: the sender-side software
+    /// charge, then [`Op::Wire`].
+    Send(NodeId, ProcId, Message),
+    /// The send charge has ended: book the wire and dispatch the bytes.
+    Wire(NodeId, ProcId, Vec<u8>),
+    /// The fork charge has ended: start the rank as this process.
+    Spawn(u32, GlobalPid),
+    /// The message the node sent, taken up at the time, is served: record
+    /// the service, and the requester span it answered.
+    EndService(SimTime, NodeId, Option<(SpanKind, u64)>),
+    /// This tick's delta is on the wire: poll the watchdog and re-arm.
+    EndTick,
+}
+
+/// How a [`SimKernelPort`] carries out what takes virtual time.
+enum Exec<'a> {
+    /// On a process's own thread, blocking it for each charge.
+    Blocking(&'a mut ProcCtx<SimMsg>),
+    /// Recorded, for the kernel component to play back.
+    Recording(&'a mut VecDeque<Op>),
+}
+
+/// The simulator behind [`KernelPort`], acting for `node`: an application
+/// process in an own-node call into the linked library, whose charges land
+/// on the node's CPU and block the process for their duration and whose
+/// sends are charged, then booked on the wire; or the node's kernel
+/// component, for which the same calls are recorded (module docs).
 pub struct SimKernelPort<'a> {
-    /// The acting simulation process.
-    pub ctx: &'a mut ProcCtx<SimMsg>,
+    exec: Exec<'a>,
     shared: &'a ClusterShared,
     node: NodeId,
     /// The requester span (kind, seq) of the GM request served last.
@@ -52,12 +100,35 @@ impl<'a> SimKernelPort<'a> {
         node: NodeId,
     ) -> SimKernelPort<'a> {
         SimKernelPort {
-            ctx,
+            exec: Exec::Blocking(ctx),
             shared,
             node,
             serviced: None,
         }
     }
+}
+
+fn count(shared: &ClusterShared, node: NodeId, what: KernelCount) {
+    shared.stats.update(node, |s| match what {
+        KernelCount::RemoteRead(bytes) => {
+            s.gm_remote_reads += 1;
+            s.gm_bytes_read += bytes as u64;
+        }
+        KernelCount::RemoteWrite(bytes) => {
+            s.gm_remote_writes += 1;
+            s.gm_bytes_written += bytes as u64;
+        }
+        KernelCount::FetchAdd => s.fetch_adds += 1,
+        KernelCount::DirLeases(n) => s.dir_leases += n,
+        KernelCount::DirInval => s.dir_invals += 1,
+        KernelCount::RcDeferred => s.rc_deferred_invals += 1,
+        KernelCount::InvalidationRound(holders) => {
+            s.invalidation_rounds += 1;
+            s.cache_invalidations += holders as u64;
+        }
+        KernelCount::BarrierEpoch => s.barrier_epochs += 1,
+        KernelCount::LockGrant => s.lock_grants += 1,
+    });
 }
 
 impl KernelPort for SimKernelPort<'_> {
@@ -72,33 +143,18 @@ impl KernelPort for SimKernelPort<'_> {
     }
 
     fn charge_copy(&mut self, bytes: usize) {
-        self.ctx.use_resource(
-            self.shared.cpu_of(self.node),
-            self.shared.cost(self.node).mem_copy(bytes),
-        );
+        let dur = self.shared.cost(self.node).mem_copy(bytes);
+        match &mut self.exec {
+            Exec::Blocking(ctx) => ctx.use_resource(self.shared.cpu_of(self.node), dur),
+            Exec::Recording(ops) => ops.push_back(Op::Charge(dur)),
+        }
     }
 
     fn count(&mut self, what: KernelCount) {
-        self.shared.stats.update(self.node, |s| match what {
-            KernelCount::RemoteRead(bytes) => {
-                s.gm_remote_reads += 1;
-                s.gm_bytes_read += bytes as u64;
-            }
-            KernelCount::RemoteWrite(bytes) => {
-                s.gm_remote_writes += 1;
-                s.gm_bytes_written += bytes as u64;
-            }
-            KernelCount::FetchAdd => s.fetch_adds += 1,
-            KernelCount::DirLeases(n) => s.dir_leases += n,
-            KernelCount::DirInval => s.dir_invals += 1,
-            KernelCount::RcDeferred => s.rc_deferred_invals += 1,
-            KernelCount::InvalidationRound(holders) => {
-                s.invalidation_rounds += 1;
-                s.cache_invalidations += holders as u64;
-            }
-            KernelCount::BarrierEpoch => s.barrier_epochs += 1,
-            KernelCount::LockGrant => s.lock_grants += 1,
-        });
+        match &mut self.exec {
+            Exec::Blocking(_) => count(self.shared, self.node, what),
+            Exec::Recording(ops) => ops.push_back(Op::Count(what)),
+        }
     }
 
     /// The home installs the data in the requester's cache itself: one
@@ -119,8 +175,13 @@ impl KernelPort for SimKernelPort<'_> {
     }
 
     fn send(&mut self, node: NodeId, to: ProcId, msg: Message) {
-        let me = self.ctx.id();
-        send_msg(self.ctx, self.shared, self.node, node, to, me, &msg);
+        match &mut self.exec {
+            Exec::Blocking(ctx) => {
+                let me = ctx.id();
+                send_msg(ctx, self.shared, self.node, node, to, me, &msg);
+            }
+            Exec::Recording(ops) => ops.push_back(Op::Send(node, to, msg)),
+        }
     }
 
     fn send_kernel(&mut self, node: NodeId, msg: Message) {
@@ -142,88 +203,86 @@ impl KernelPort for SimKernelPort<'_> {
     }
 }
 
-/// The kernel loop for `node`: receive, decode, charge the receive path,
-/// hand the message to the shared [`KernelProtocol`]; process management
-/// and the telemetry plane are this driver's own. Runs until a
-/// `KernelShutdown` arrives (or the simulation drains).
-pub fn kernel_main(
-    ctx: &mut ProcCtx<SimMsg>,
+/// The telemetry plane of one kernel (`DseConfig::telemetry`).
+struct Telemetry {
+    interval: SimDuration,
+    tracker: DeltaTracker,
+    /// Node 0 only.
+    watchdog: Option<StallWatchdog>,
+}
+
+/// The kernel of `node` as a passive simulation component: receive,
+/// decode, charge the receive path, hand the message to the shared
+/// [`KernelProtocol`]; process management and the telemetry plane are this
+/// driver's own. Serves until a `KernelShutdown` arrives (or the simulation
+/// drains).
+pub struct SimKernel {
     node: NodeId,
     shared: Arc<ClusterShared>,
     factory: AppFactory,
-) {
-    let mut next_local_pid: u16 = 1;
-    let mut protocol = KernelProtocol::new(
-        &shared.store,
-        shared.config.gm_cache.then_some(&shared.cache),
-        shared.config.gm_mode == GmMode::ReleaseConsistency,
-    );
-    let mut port = SimKernelPort::new(ctx, &shared, node);
-    // Telemetry plane (all `None` when `config.telemetry` is off, leaving
-    // the classic blocking-recv loop and zero extra traffic).
-    let telemetry = shared.config.telemetry.clone();
-    let mut tracker = telemetry
-        .as_ref()
-        .map(|_| DeltaTracker::new(node.0 as u32, node == NodeId(0)));
-    let mut watchdog = if node == NodeId(0) {
-        telemetry.as_ref().map(|t| {
-            StallWatchdog::new(t.watchdog_deadline.as_nanos()).with_escalation(t.escalate_after)
-        })
-    } else {
-        None
-    };
-    let mut next_emit = telemetry.as_ref().map(|t| port.ctx.now() + t.interval);
-    loop {
-        let env = match next_emit {
-            Some(at) => match port.ctx.recv_deadline(at) {
-                RecvResult::Msg(env) => env,
-                RecvResult::Timeout => {
-                    // Idle tick: ship this PE's metric delta in-band and
-                    // (on node 0) poll the stall watchdog.
-                    emit_delta(port.ctx, &shared, node, tracker.as_mut().unwrap());
-                    if let Some(wd) = watchdog.as_mut() {
-                        poll_watchdog(&shared, wd, port.ctx.now().as_nanos());
-                    }
-                    next_emit = Some(port.ctx.now() + telemetry.as_ref().unwrap().interval);
-                    continue;
-                }
-                RecvResult::Shutdown => break,
-            },
-            None => match port.ctx.recv() {
-                Some(env) => env,
-                None => break,
-            },
-        };
-        let sm = env.msg;
-        let msg = Message::decode(&sm.bytes).expect("kernel received undecodable message");
-        if matches!(msg, Message::KernelShutdown) {
-            // Ship the final absolute state before exiting, so the cluster
-            // rollup at the aggregator matches the direct end-of-run rollup
-            // exactly even if incremental deltas were still in flight.
-            if let Some(tr) = tracker.as_mut() {
-                final_flush(port.ctx.now().as_nanos(), &shared, node, tr);
-            }
-            break;
+    gates: Gates<ProcId>,
+    next_local_pid: u16,
+    /// What is left of the message (or tick) in service, in order.
+    ops: VecDeque<Op>,
+    /// `None` when `config.telemetry` is off: no timer, zero extra traffic.
+    telemetry: Option<Telemetry>,
+}
+
+impl SimKernel {
+    /// The kernel of `node`; `factory` builds the processes it is asked to
+    /// invoke.
+    pub fn new(node: NodeId, shared: Arc<ClusterShared>, factory: AppFactory) -> SimKernel {
+        let telemetry = shared.config.telemetry.as_ref().map(|t| Telemetry {
+            interval: t.interval,
+            tracker: DeltaTracker::new(node.0 as u32, node == NodeId(0)),
+            watchdog: (node == NodeId(0)).then(|| {
+                StallWatchdog::new(t.watchdog_deadline.as_nanos()).with_escalation(t.escalate_after)
+            }),
+        });
+        SimKernel {
+            node,
+            shared,
+            factory,
+            gates: Gates::default(),
+            next_local_pid: 1,
+            ops: VecDeque::new(),
+            telemetry,
         }
-        // Async-I/O receive path: signal delivery + protocol processing on
-        // this node's CPU (stealing time from the co-resident app).
-        charge_recv(port.ctx, &shared, node, sm.bytes.len());
-        let service_start = port.ctx.now();
-        // Telemetry deltas are control-plane traffic: they pay the receive
-        // cost like any message but are not "requests served".
-        let mut in_band_telemetry = false;
-        match protocol.handle(&mut port, sm.from_node, sm.reply_to, msg) {
+    }
+
+    /// Run the protocol on `msg`, which `from` sent and whose receive
+    /// charge ended at `now`, recording what it asks of the port; then
+    /// record what is this driver's own.
+    fn serve(&mut self, now: SimTime, from: NodeId, reply: ProcId, msg: Message) {
+        let (shared, node) = (&*self.shared, self.node);
+        let mut protocol = KernelProtocol::resume(
+            &shared.store,
+            shared.config.gm_cache.then_some(&shared.cache),
+            shared.config.gm_mode == GmMode::ReleaseConsistency,
+            std::mem::take(&mut self.gates),
+        );
+        let mut port = SimKernelPort {
+            exec: Exec::Recording(&mut self.ops),
+            shared,
+            node,
+            serviced: None,
+        };
+        let handed_back = protocol.handle(&mut port, from, reply, msg);
+        let serviced = port.serviced;
+        self.gates = protocol.suspend();
+        match handed_back {
             None => {}
+            // Telemetry deltas are control-plane traffic: they pay the
+            // receive cost like any message but are not "requests served".
             Some(Message::Telemetry {
                 pe: from_pe,
                 seq,
                 payload,
             }) => {
                 debug_assert_eq!(node, NodeId(0), "telemetry must reach the aggregating node");
-                in_band_telemetry = true;
                 let delta = TelemetryDelta::decode(&payload)
                     .unwrap_or_else(|e| panic!("kernel {node}: bad telemetry payload: {e:?}"));
-                let now_ns = port.ctx.now().as_nanos();
+                let now_ns = now.as_nanos();
                 shared.flight.record(
                     now_ns,
                     from_pe,
@@ -246,59 +305,138 @@ pub fn kernel_main(
                         hook(&agg, now_ns);
                     }
                 }
+                return;
             }
             Some(Message::InvokeReq { req, rank, .. }) => {
                 // Parallel process creation: fork-scale cost, then the new
                 // process begins on this node.
-                port.ctx
-                    .use_resource(shared.cpu_of(node), shared.cost(node).fork());
-                let pid = GlobalPid::new(node, next_local_pid);
-                next_local_pid += 1;
-                shared.stats.update(node, |s| s.invokes += 1);
-                let body = factory(rank, pid);
-                let app_proc = port.ctx.spawn(&format!("rank{rank}@{node}"), move |pctx| {
-                    body(pctx);
-                });
-                shared.register_app(pid, app_proc);
-                port.send(sm.from_node, sm.reply_to, Message::InvokeAck { req, pid });
+                let pid = GlobalPid::new(node, self.next_local_pid);
+                self.next_local_pid += 1;
+                self.ops.push_back(Op::Charge(shared.cost(node).fork()));
+                self.ops.push_back(Op::Spawn(rank, pid));
+                let ack = Message::InvokeAck { req, pid };
+                self.ops.push_back(Op::Send(from, reply, ack));
             }
             Some(Message::TerminateReq { req, pid }) => {
                 shared.mark_terminated(pid);
-                port.send(sm.from_node, sm.reply_to, Message::TerminateAck { req });
+                let ack = Message::TerminateAck { req };
+                self.ops.push_back(Op::Send(from, reply, ack));
             }
-            Some(other) => port.protocol_error(sm.from_node, other.label(), "unexpected message"),
+            Some(other) => port.protocol_error(from, other.label(), "unexpected message"),
         }
-        if !in_band_telemetry {
-            let service_ns = (port.ctx.now() - service_start).as_nanos();
-            let pe = node.0 as u32;
-            let machine = shared.machine_of(node) as u32;
-            shared
-                .metrics
-                .incr(MetricKey::pe("kernel", "requests_served", pe).on_machine(machine));
-            shared.metrics.record(
-                MetricKey::pe("kernel", "service_ns", pe).on_machine(machine),
-                service_ns,
-            );
-            // The requester span this iteration serviced, if the message
-            // was a remote GM request.
-            if let Some((kind, seq)) = port.serviced.take() {
-                shared
-                    .spans
-                    .note_service(kind, sm.from_node.0 as u32, seq, service_ns);
-            }
+        self.ops.push_back(Op::EndService(now, from, serviced));
+    }
+
+    /// One telemetry tick: ship this PE's incremental metric delta in-band
+    /// to node 0's kernel; once it is on the wire ([`Op::EndTick`]), poll
+    /// the stall watchdog (node 0) and re-arm. Node 0 forces an emission even when
+    /// nothing changed — its own loopback delta is the heartbeat that
+    /// closes each aggregation epoch for the live view.
+    fn tick(&mut self) {
+        let (shared, node) = (&*self.shared, self.node);
+        let tracker = &mut self.telemetry.as_mut().expect("a tick is armed").tracker;
+        let snap = shared.metrics.snapshot();
+        let extra = synth_counters(shared, node);
+        if let Some((seq, d)) = tracker.delta(&snap, &extra, node == NodeId(0)) {
+            let msg = Message::Telemetry {
+                pe: tracker.pe(),
+                seq,
+                payload: d.encode(),
+            };
+            let to = shared.kernel_of(NodeId(0));
+            self.ops.push_back(Op::Send(NodeId(0), to, msg));
         }
-        // Catch-up emission: the recv timeout only fires when the mailbox
-        // is idle, so a busy kernel checks the emission clock after each
-        // serviced message.
-        if let (Some(t), Some(at)) = (telemetry.as_ref(), next_emit) {
-            if port.ctx.now() >= at {
-                emit_delta(port.ctx, &shared, node, tracker.as_mut().unwrap());
-                if let Some(wd) = watchdog.as_mut() {
-                    poll_watchdog(&shared, wd, port.ctx.now().as_nanos());
+        self.ops.push_back(Op::EndTick);
+    }
+}
+
+impl Component<SimMsg> for SimKernel {
+    fn resume(&mut self, ctx: &mut CompCtx<'_, SimMsg>, wakeup: Wakeup<SimMsg>) -> Wait {
+        let (node, now) = (self.node, ctx.now());
+        match wakeup {
+            Wakeup::Start => {
+                if let Some(t) = &self.telemetry {
+                    ctx.set_timer(now + t.interval);
                 }
-                next_emit = Some(port.ctx.now() + t.interval);
+            }
+            Wakeup::Resumed => {}
+            Wakeup::Timer => self.tick(),
+            Wakeup::Message(env) => {
+                let sm = env.msg;
+                let msg = Message::decode(&sm.bytes).expect("kernel received undecodable message");
+                if matches!(msg, Message::KernelShutdown) {
+                    // Ship the final absolute state before exiting, so the
+                    // cluster rollup at the aggregator matches the direct
+                    // end-of-run rollup exactly even if incremental deltas
+                    // were still in flight.
+                    if let Some(t) = self.telemetry.as_mut() {
+                        final_flush(now.as_nanos(), &self.shared, node, &mut t.tracker);
+                    }
+                    return Wait::Finished;
+                }
+                // Async-I/O receive path: signal delivery + protocol
+                // processing on this node's CPU (stealing time from the
+                // co-resident app), then the service proper.
+                let recv = self.shared.cost(node).msg_recv(sm.bytes.len());
+                self.ops.push_back(Op::Charge(recv));
+                self.ops
+                    .push_back(Op::Serve(sm.from_node, sm.reply_to, msg));
             }
         }
+        while let Some(op) = self.ops.pop_front() {
+            match op {
+                Op::Charge(dur) => return Wait::Hold(self.shared.cpu_of(node), dur),
+                Op::Serve(from, reply, msg) => self.serve(now, from, reply, msg),
+                Op::Count(what) => count(&self.shared, node, what),
+                Op::Send(to_node, to, msg) => {
+                    let (bytes, charge) = begin_send(&self.shared, now, node, to_node, &msg);
+                    self.ops.push_front(Op::Wire(to_node, to, bytes));
+                    return Wait::Hold(self.shared.cpu_of(node), charge);
+                }
+                Op::Wire(to_node, to, bytes) => {
+                    let latency = book_wire(&self.shared, now, node, to_node, bytes.len());
+                    let msg = SimMsg {
+                        from_node: node,
+                        reply_to: ctx.id(),
+                        bytes,
+                    };
+                    ctx.send(to, latency, msg);
+                }
+                Op::Spawn(rank, pid) => {
+                    self.shared.stats.update(node, |s| s.invokes += 1);
+                    let body = (self.factory)(rank, pid);
+                    let app = ctx.spawn(&format!("rank{rank}@{node}"), move |pctx| body(pctx));
+                    self.shared.register_app(pid, app);
+                }
+                Op::EndService(start, from, serviced) => {
+                    let service_ns = (now - start).as_nanos();
+                    let pe = node.0 as u32;
+                    let machine = self.shared.machine_of(node) as u32;
+                    self.shared
+                        .metrics
+                        .incr(MetricKey::pe("kernel", "requests_served", pe).on_machine(machine));
+                    self.shared.metrics.record(
+                        MetricKey::pe("kernel", "service_ns", pe).on_machine(machine),
+                        service_ns,
+                    );
+                    // The requester span this service answered, if the
+                    // message was a remote GM request.
+                    if let Some((kind, seq)) = serviced {
+                        self.shared
+                            .spans
+                            .note_service(kind, from.0 as u32, seq, service_ns);
+                    }
+                }
+                Op::EndTick => {
+                    let t = self.telemetry.as_mut().expect("a tick is armed");
+                    if let Some(wd) = t.watchdog.as_mut() {
+                        poll_watchdog(&self.shared, wd, now.as_nanos());
+                    }
+                    ctx.set_timer(now + t.interval);
+                }
+            }
+        }
+        Wait::Message
     }
 }
 
@@ -310,31 +448,6 @@ fn synth_counters(shared: &ClusterShared, node: NodeId) -> Vec<(MetricKey, u64)>
         .stats
         .snapshot_pe(node.index())
         .as_metric_counters(node.0 as u32, shared.machine_of(node) as u32)
-}
-
-/// Periodic telemetry emission: ship this PE's incremental metric delta
-/// in-band to node 0's kernel. Node 0 forces an emission even when nothing
-/// changed — its own loopback delta is the heartbeat that closes each
-/// aggregation epoch for the live view.
-fn emit_delta(
-    ctx: &mut ProcCtx<SimMsg>,
-    shared: &ClusterShared,
-    node: NodeId,
-    tracker: &mut DeltaTracker,
-) {
-    let snap = shared.metrics.snapshot();
-    let extra = synth_counters(shared, node);
-    let force = node == NodeId(0);
-    if let Some((seq, d)) = tracker.delta(&snap, &extra, force) {
-        let msg = Message::Telemetry {
-            pe: tracker.pe(),
-            seq,
-            payload: d.encode(),
-        };
-        let kproc = shared.kernel_of(NodeId(0));
-        let me = ctx.id();
-        send_msg(ctx, shared, node, NodeId(0), kproc, me, &msg);
-    }
 }
 
 /// Shutdown flush: apply this PE's absolute state straight to the

@@ -8,10 +8,11 @@
 //!   the home's directory step, response gates, barrier and lock fan-out:
 //!   one state machine behind a [`KernelPort`], driven by both engines'
 //!   kernels),
-//! * the **parallel process management module** and the simulated kernel's
-//!   loop ([`kernel`] — invocation, termination, telemetry; the simulator's
-//!   port), and the live engine's kernel ([`task`] — the sans-IO
-//!   `KernelTask` and the live port),
+//! * the **parallel process management module** and the simulated kernel
+//!   ([`kernel`] — a passive simulation component, no thread of its own:
+//!   invocation, termination, telemetry; the simulator's port), and the
+//!   live engine's kernel ([`task`] — the sans-IO `KernelTask` and the live
+//!   port),
 //! * the **global memory management module** ([`gmem`] — home-partitioned
 //!   regions, reads/writes/atomics),
 //! * the **message exchange mechanism** ([`netpath`] + [`simmsg`] — own-node
@@ -54,8 +55,8 @@ pub use cost::CostModel;
 pub use dedup::{dedup_key, DedupCache};
 pub use directory::{Directory, Sharers};
 pub use gmem::{Distribution, GlobalStore, GmError};
-pub use kernel::{kernel_main, AppBody, AppFactory, SimKernelPort};
-pub use protocol::{KernelCount, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
+pub use kernel::{AppBody, AppFactory, SimKernel, SimKernelPort};
+pub use protocol::{Gates, KernelCount, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 pub use service::{serve_gm, GmServiceHooks, NoHooks, Served};
 pub use shared::{ClusterShared, TelemetryHook};
 pub use simmsg::SimMsg;

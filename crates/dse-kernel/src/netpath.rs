@@ -16,7 +16,7 @@
 
 use dse_msg::{Message, NodeId};
 use dse_obs::MetricKey;
-use dse_sim::{ProcCtx, ProcId, SimDuration};
+use dse_sim::{ProcCtx, ProcId, SimDuration, SimTime};
 
 use crate::shared::ClusterShared;
 use crate::simmsg::SimMsg;
@@ -37,50 +37,9 @@ pub fn send_msg(
     reply_to: ProcId,
     msg: &Message,
 ) -> SimDuration {
-    let bytes = msg.encode();
-    shared.stats.update(from_node, |s| {
-        s.messages += 1;
-        s.message_bytes += bytes.len() as u64;
-    });
-    shared.flight.record(
-        ctx.now().as_nanos(),
-        from_node.0 as u32,
-        dse_obs::FlightEventKind::Bus {
-            label: msg.label(),
-            to_pe: to_node.0 as u32,
-            bytes: bytes.len() as u64,
-        },
-    );
-    // Sender software path (syscall + protocol + copy), on the sender CPU.
-    ctx.use_resource(
-        shared.cpu_of(from_node),
-        shared.cost(from_node).msg_send(bytes.len()),
-    );
-    let pe = from_node.0 as u32;
-    let machine = shared.machine_of(from_node) as u32;
-    let latency = if shared.same_machine(from_node, to_node) {
-        shared
-            .metrics
-            .incr(MetricKey::pe("net", "loopback_msgs", pe).on_machine(machine));
-        shared.cost(from_node).loopback_delay()
-    } else {
-        let now = ctx.now();
-        let timing = shared.network.lock().send_message(
-            now,
-            shared.machine_of(from_node),
-            shared.machine_of(to_node),
-            bytes.len(),
-        );
-        let latency = timing.delivered_at - now;
-        shared
-            .metrics
-            .incr(MetricKey::pe("net", "lan_msgs", pe).on_machine(machine));
-        shared.metrics.record(
-            MetricKey::pe("net", "wire_latency_ns", pe).on_machine(machine),
-            latency.as_nanos(),
-        );
-        latency
-    };
+    let (bytes, charge) = begin_send(shared, ctx.now(), from_node, to_node, msg);
+    ctx.use_resource(shared.cpu_of(from_node), charge);
+    let latency = book_wire(shared, ctx.now(), from_node, to_node, bytes.len());
     ctx.send(
         to_proc,
         latency,
@@ -89,6 +48,70 @@ pub fn send_msg(
             reply_to,
             bytes,
         },
+    );
+    latency
+}
+
+/// First half of a send, at the instant the sender starts it: encode
+/// `msg`, count it and note it in the flight recorder. Returns the wire
+/// bytes and the sender software path (syscall + protocol + copy) to charge
+/// to the sender's CPU before [`book_wire`].
+pub fn begin_send(
+    shared: &ClusterShared,
+    now: SimTime,
+    from_node: NodeId,
+    to_node: NodeId,
+    msg: &Message,
+) -> (Vec<u8>, SimDuration) {
+    let bytes = msg.encode();
+    shared.stats.update(from_node, |s| {
+        s.messages += 1;
+        s.message_bytes += bytes.len() as u64;
+    });
+    shared.flight.record(
+        now.as_nanos(),
+        from_node.0 as u32,
+        dse_obs::FlightEventKind::Bus {
+            label: msg.label(),
+            to_pe: to_node.0 as u32,
+            bytes: bytes.len() as u64,
+        },
+    );
+    let charge = shared.cost(from_node).msg_send(bytes.len());
+    (bytes, charge)
+}
+
+/// Second half of a send, at the instant the sender's software charge
+/// ends: book `wire_len` bytes on the LAN (or the loopback) and return the
+/// delivery latency.
+pub fn book_wire(
+    shared: &ClusterShared,
+    now: SimTime,
+    from_node: NodeId,
+    to_node: NodeId,
+    wire_len: usize,
+) -> SimDuration {
+    let pe = from_node.0 as u32;
+    let machine = shared.machine_of(from_node) as u32;
+    if shared.same_machine(from_node, to_node) {
+        shared
+            .metrics
+            .incr(MetricKey::pe("net", "loopback_msgs", pe).on_machine(machine));
+        return shared.cost(from_node).loopback_delay();
+    }
+    let timing = shared.network.lock().send_message(
+        now,
+        shared.machine_of(from_node),
+        shared.machine_of(to_node),
+        wire_len,
+    );
+    let latency = timing.delivered_at - now;
+    shared
+        .metrics
+        .incr(MetricKey::pe("net", "lan_msgs", pe).on_machine(machine));
+    shared.metrics.record(
+        MetricKey::pe("net", "wire_latency_ns", pe).on_machine(machine),
+        latency.as_nanos(),
     );
     latency
 }

@@ -130,6 +130,24 @@ struct ResponseGate<R> {
     to: R,
 }
 
+/// The part of a node's protocol state that outlives a borrow of the
+/// store: its open gates. A driver that cannot keep a [`KernelProtocol`]
+/// across calls (it owns what the protocol borrows) keeps this instead.
+pub struct Gates<R> {
+    /// Open gates by the transaction id their `GmInvalidate`s carry.
+    open: HashMap<u64, ResponseGate<R>>,
+    next_txn: u64,
+}
+
+impl<R> Default for Gates<R> {
+    fn default() -> Self {
+        Gates {
+            open: HashMap::new(),
+            next_txn: 0,
+        }
+    }
+}
+
 /// One node's serving-side protocol state.
 pub struct KernelProtocol<'a, R> {
     store: &'a GlobalStore,
@@ -137,22 +155,36 @@ pub struct KernelProtocol<'a, R> {
     cache: Option<&'a CacheStore>,
     /// Release consistency instead of write-invalidate.
     rc: bool,
-    /// Open gates by the transaction id their `GmInvalidate`s carry.
-    gates: HashMap<u64, ResponseGate<R>>,
-    next_txn: u64,
+    gates: Gates<R>,
 }
 
 impl<'a, R: Copy> KernelProtocol<'a, R> {
     /// The protocol of a node serving `store`, with `cache` when the run
     /// replicates reads and `rc` selecting release consistency.
     pub fn new(store: &'a GlobalStore, cache: Option<&'a CacheStore>, rc: bool) -> Self {
+        Self::resume(store, cache, rc, Gates::default())
+    }
+
+    /// [`KernelProtocol::new`], picking up the gates an earlier instance
+    /// left open.
+    pub fn resume(
+        store: &'a GlobalStore,
+        cache: Option<&'a CacheStore>,
+        rc: bool,
+        gates: Gates<R>,
+    ) -> Self {
         KernelProtocol {
             store,
             cache,
             rc,
-            gates: HashMap::new(),
-            next_txn: 0,
+            gates,
         }
+    }
+
+    /// Let go of the store, keeping the open gates for
+    /// [`KernelProtocol::resume`].
+    pub fn suspend(self) -> Gates<R> {
+        self.gates
     }
 
     /// Handle one message `from` sent (`reply` says where its answer
@@ -165,7 +197,7 @@ impl<'a, R: Copy> KernelProtocol<'a, R> {
         reply: R,
         msg: Message,
     ) -> Option<Message> {
-        let txn = KERNEL_TXN_BASE | self.next_txn;
+        let txn = KERNEL_TXN_BASE | self.gates.next_txn;
         let mut hooks = ServeHooks {
             port,
             cache: self.cache,
@@ -188,17 +220,17 @@ impl<'a, R: Copy> KernelProtocol<'a, R> {
                 if acks == 0 {
                     port.send(from, reply, resp);
                 } else {
-                    self.next_txn += 1;
+                    self.gates.next_txn += 1;
                     let gate = ResponseGate {
                         remaining: acks,
                         response: resp,
                         node: from,
                         to: reply,
                     };
-                    self.gates.insert(txn, gate);
+                    self.gates.open.insert(txn, gate);
                 }
             }
-            Served::NotGm(Message::GmInvalidateAck { req }) => match self.gates.entry(req.0) {
+            Served::NotGm(Message::GmInvalidateAck { req }) => match self.gates.open.entry(req.0) {
                 Entry::Occupied(mut gate) if gate.get().remaining > 1 => {
                     gate.get_mut().remaining -= 1;
                 }

@@ -1,11 +1,11 @@
-//! Integration tests driving `kernel_main` directly with scripted peer
-//! processes: request/response round trips, coherence transactions,
-//! shutdown, and failure injection.
+//! Integration tests driving the `SimKernel` component directly with
+//! scripted peer processes: request/response round trips, coherence
+//! transactions, shutdown, and failure injection.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dse_kernel::kernel::{kernel_main, AppFactory};
+use dse_kernel::kernel::{AppFactory, SimKernel};
 use dse_kernel::netpath::send_msg;
 use dse_kernel::{ClusterShared, Distribution, DseConfig, SimMsg};
 use dse_msg::{Message, NodeId, RegionId, ReqId};
@@ -23,11 +23,8 @@ fn cluster(config: DseConfig) -> (Simulator<SimMsg>, Arc<ClusterShared>) {
     let factory: AppFactory = Arc::new(|_, _| Box::new(|_ctx| {}));
     let kernels = (0..2)
         .map(|n| {
-            let shared = Arc::clone(&shared);
-            let factory = Arc::clone(&factory);
-            sim.spawn(&format!("kernel{n}"), move |kctx| {
-                kernel_main(kctx, NodeId(n as u16), shared, factory)
-            })
+            let kernel = SimKernel::new(NodeId(n), Arc::clone(&shared), Arc::clone(&factory));
+            sim.spawn_component(&format!("kernel{n}"), kernel)
         })
         .collect();
     shared.set_kernels(kernels);
@@ -309,11 +306,8 @@ fn invoke_spawns_and_acks() {
     });
     let kernels = (0..2)
         .map(|n| {
-            let shared = Arc::clone(&shared);
-            let factory = Arc::clone(&factory);
-            sim.spawn(&format!("kernel{n}"), move |kctx| {
-                kernel_main(kctx, NodeId(n as u16), shared, factory)
-            })
+            let kernel = SimKernel::new(NodeId(n), Arc::clone(&shared), Arc::clone(&factory));
+            sim.spawn_component(&format!("kernel{n}"), kernel)
         })
         .collect();
     shared.set_kernels(kernels);

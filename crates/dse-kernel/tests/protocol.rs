@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use dse_kernel::kernel::{kernel_main, AppFactory};
+use dse_kernel::kernel::{AppFactory, SimKernel};
 use dse_kernel::protocol::{lock_acquire, lock_release};
 use dse_kernel::{
     BarrierCenter, CacheStore, ClusterShared, Distribution, DseConfig, GlobalStore, GmMode,
@@ -610,8 +610,10 @@ fn sends_through_the_simulator(mode: GmMode) -> Vec<(u16, Message)> {
     let region = shared.store.alloc(4 * B, Distribution::OnNode(NodeId(0)));
     let log = Arc::new(Mutex::new(Vec::new()));
     let factory: AppFactory = Arc::new(|_, _| Box::new(|_ctx| {}));
-    let (s, f) = (Arc::clone(&shared), Arc::clone(&factory));
-    let kernel = sim.spawn("kernel0", move |ctx| kernel_main(ctx, NodeId(0), s, f));
+    let kernel = sim.spawn_component(
+        "kernel0",
+        SimKernel::new(NodeId(0), Arc::clone(&shared), factory),
+    );
     let mut procs = vec![kernel];
     for n in 1..3u16 {
         let log = Arc::clone(&log);
@@ -732,10 +734,10 @@ fn the_sim_kernel_serves_two_requesters_on_one_node_with_equal_req_ids() {
     let shared = Arc::new(ClusterShared::new(spec, DseConfig::paper(), cpus));
     let cell = shared.store.alloc(8, Distribution::OnNode(NodeId(1)));
     let factory: AppFactory = Arc::new(|_, _| Box::new(|_ctx| {}));
-    let s = Arc::clone(&shared);
-    let kernel = sim.spawn("kernel1", move |ctx| {
-        kernel_main(ctx, NodeId(1), s, factory)
-    });
+    let kernel = sim.spawn_component(
+        "kernel1",
+        SimKernel::new(NodeId(1), Arc::clone(&shared), factory),
+    );
     shared.set_kernels(vec![kernel, kernel]);
     let prevs = Arc::new(Mutex::new(Vec::new()));
     for name in ["a", "b"] {

@@ -43,6 +43,9 @@
 //!   unparks it and parks the caller: one context switch
 //!   ([`SimStats::handoffs`]), where a scheduler thread in the middle would
 //!   cost two.
+//! - A passive [`Component`] has a slot, an inbox and wakes like a process
+//!   but no thread: the dispatcher resumes it in place, under the core
+//!   lock, as a function call ([`component`]). No context switch, ever.
 //!
 //! The thread inside [`Simulator::run`] only dispatches until the first
 //! process starts, sleeps until a dispatcher finds the heap empty (or a
@@ -77,6 +80,10 @@ use std::thread::{self, JoinHandle, Thread};
 
 use parking_lot::{Mutex, MutexGuard};
 
+pub use component::{CompCtx, Component, Wait, Wakeup};
+
+mod component;
+
 use crate::envelope::{Envelope, RecvResult};
 use crate::ids::{ProcId, ResourceId};
 use crate::stats::{ResourceStats, SimReport, SimStats, TraceHasher};
@@ -108,6 +115,8 @@ enum Action<M: Send + 'static> {
     Wake(ProcId, u64, ResumePayload<M>),
     /// Deposit a message at its destination.
     Deliver(ProcId, Envelope<M>),
+    /// A component's timer, if its timer epoch still matches.
+    Timer(ProcId, u64),
 }
 
 /// How a pop-and-dispatch loop ended.
@@ -130,9 +139,11 @@ const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 enum ProcState {
     /// Has a pending wake event in the heap.
     Scheduled,
-    /// Blocked in `recv` (a deadline wake may be pending).
+    /// Blocked in `recv` (a deadline wake may be pending); a component
+    /// waiting for a message.
     Blocked,
-    /// Currently executing: it holds the baton.
+    /// Currently executing: it holds the baton, or it is a component being
+    /// resumed by the baton holder.
     Running,
     /// Finished.
     Done,
@@ -155,6 +166,32 @@ struct ProcSlot<M: Send + 'static> {
     mailbox: Option<Resume<M>>,
     /// The process's OS thread, until someone takes it to join it.
     thread: Option<JoinHandle<()>>,
+    /// A passive component's body (no thread), until it finishes; taken
+    /// out while it is being resumed.
+    component: Option<Box<dyn Component<M>>>,
+    /// The component's armed timer deadline and the epoch guarding its heap
+    /// event.
+    timer: Option<SimTime>,
+    timer_epoch: u64,
+}
+
+impl<M: Send + 'static> ProcSlot<M> {
+    fn new(name: &str) -> Self {
+        ProcSlot {
+            name: name.to_string(),
+            state: ProcState::Scheduled,
+            epoch: 0,
+            time: SimTime::ZERO,
+            blocked_since: None,
+            started: false,
+            inbox: VecDeque::new(),
+            mailbox: None,
+            thread: None,
+            component: None,
+            timer: None,
+            timer_epoch: 0,
+        }
+    }
 }
 
 struct ResourceState {
@@ -290,15 +327,86 @@ impl<M: Send + 'static> Core<M> {
         self.hasher.mix(p.0 as u64);
     }
 
+    /// `p` resumes at `time`: mark it running and trace its start and the
+    /// wait that just ended. Returns whether this is its first resume.
+    fn note_resumed(&mut self, p: ProcId, time: SimTime) -> bool {
+        let slot = &mut self.procs[p.index()];
+        slot.state = ProcState::Running;
+        slot.time = time;
+        let first = !std::mem::replace(&mut slot.started, true);
+        let waited = slot.blocked_since.take();
+        if self.tracing.is_some() {
+            if first {
+                self.trace(p, TraceKind::Start { at: time });
+            }
+            if let Some(from) = waited {
+                self.trace(p, TraceKind::RecvWait { from, until: time });
+            }
+        }
+        first
+    }
+
+    /// Queue `p` (whose clock reads `yt`) FCFS on `res` for `dur`; returns
+    /// when the hold ends. The grant order is the order of these calls.
+    fn book(&mut self, p: ProcId, res: ResourceId, yt: SimTime, dur: SimDuration) -> SimTime {
+        let r = &mut self.resources[res.index()];
+        let start = r.available_at.max(yt);
+        r.stats_waited += start - yt;
+        r.stats_busy += dur;
+        r.acquisitions += 1;
+        let done = start + dur;
+        r.available_at = done;
+        if self.tracing.is_some() {
+            if start > yt {
+                self.trace(
+                    p,
+                    TraceKind::ResourceWait {
+                        res,
+                        from: yt,
+                        until: start,
+                    },
+                );
+            }
+            self.trace(
+                p,
+                TraceKind::ResourceHold {
+                    res,
+                    from: start,
+                    until: done,
+                },
+            );
+        }
+        done
+    }
+
+    /// `from` (whose clock reads `now`) sends `msg` to `to`, arriving after
+    /// `latency`.
+    fn send(&mut self, from: ProcId, now: SimTime, to: ProcId, latency: SimDuration, msg: M) {
+        let delivered_at = now + latency;
+        let env = Envelope {
+            from,
+            sent_at: now,
+            delivered_at,
+            msg,
+        };
+        self.stats.sends += 1;
+        self.trace(from, TraceKind::Sent { at: now, to });
+        self.push_event(delivered_at, Action::Deliver(to, env));
+    }
+
     /// Pop and handle events in `(time, sequence)` order until one of them
-    /// makes a process runnable. `me` is the process dispatching (it has
-    /// already recorded its own yield), or `None` on the run thread.
-    fn dispatch(&mut self, me: Option<ProcId>) -> Baton<M> {
+    /// makes a process thread runnable; components are resumed in place.
+    /// `me` is the process dispatching (it has already recorded its own
+    /// yield), or `None` on the run thread.
+    fn dispatch(&mut self, shared: &Arc<Mutex<Core<M>>>, me: Option<ProcId>) -> Baton<M> {
         loop {
+            if self.panic.is_some() {
+                // A component panicked: the run thread tears the run down.
+                return self.to_runner();
+            }
             let Some(Reverse((time, packed))) = self.heap.pop() else {
                 self.finished = true;
-                let runner = self.runner.clone();
-                return Baton::Passed(runner.expect("events are dispatched only inside run"));
+                return self.to_runner();
             };
             let slot = (packed & SLOT_MASK) as usize;
             let action = self.slab[slot].take().expect("popped key with empty slot");
@@ -307,25 +415,36 @@ impl<M: Send + 'static> Core<M> {
             debug_assert!(time >= self.now, "event heap out of order");
             self.now = time;
             match action {
-                Action::Deliver(to, env) => self.deliver(to, env, time),
+                Action::Deliver(to, env) => {
+                    if let Some((at, env)) = self.deliver(to, env, time) {
+                        self.resume_component(shared, to, at, ResumePayload::Msg(env));
+                    }
+                }
+                Action::Timer(p, epoch) => {
+                    let slot = &mut self.procs[p.index()];
+                    // A timer that comes due mid-service is found when the
+                    // component next waits for a message.
+                    if slot.timer_epoch == epoch
+                        && slot.timer.is_some()
+                        && slot.state == ProcState::Blocked
+                    {
+                        slot.timer = None;
+                        self.hash_wake(p, time);
+                        self.resume_component(shared, p, time, ResumePayload::Timeout);
+                    }
+                }
                 Action::Wake(p, epoch, payload) => {
                     let i = p.index();
                     if self.procs[i].epoch != epoch {
                         continue; // stale wake (e.g. timeout raced a message)
                     }
                     self.hash_wake(p, time);
-                    if self.tracing.is_some() {
-                        if !self.procs[i].started {
-                            self.procs[i].started = true;
-                            self.trace(p, TraceKind::Start { at: time });
-                        }
-                        if let Some(from) = self.procs[i].blocked_since.take() {
-                            self.trace(p, TraceKind::RecvWait { from, until: time });
-                        }
+                    if self.procs[i].component.is_some() {
+                        self.resume_component(shared, p, time, payload);
+                        continue;
                     }
+                    self.note_resumed(p, time);
                     let slot = &mut self.procs[i];
-                    slot.state = ProcState::Running;
-                    slot.time = time;
                     let resume = Resume { time, payload };
                     if me == Some(p) {
                         return Baton::Kept(resume);
@@ -341,7 +460,22 @@ impl<M: Send + 'static> Core<M> {
         }
     }
 
-    fn deliver(&mut self, to: ProcId, env: Envelope<M>, now: SimTime) {
+    /// The baton goes back to the thread inside [`Simulator::run`].
+    fn to_runner(&self) -> Baton<M> {
+        let runner = self.runner.clone();
+        Baton::Passed(runner.expect("events are dispatched only inside run"))
+    }
+
+    /// Deposit `env` at `to`. A component waiting for a message whose wake
+    /// would be the very next event is not queued a wake: the wake is
+    /// accounted inline and the message handed back, with the time the
+    /// component resumes at, for the caller to resume it.
+    fn deliver(
+        &mut self,
+        to: ProcId,
+        env: Envelope<M>,
+        now: SimTime,
+    ) -> Option<(SimTime, Envelope<M>)> {
         self.hasher.mix(env.delivered_at.as_nanos());
         self.hasher.mix(0x00de_11fe ^ to.0 as u64);
         let slot = &mut self.procs[to.index()];
@@ -353,6 +487,10 @@ impl<M: Send + 'static> Core<M> {
                 self.stats.delivers += 1;
                 // Wake the receiver at the later of its local time and now.
                 let t = slot.time.max(now);
+                if slot.component.is_some() && self.wake_is_next(t) {
+                    self.account_inline_wake(to, t);
+                    return Some((t, env));
+                }
                 self.push_wake(t, to, ResumePayload::Msg(env));
             }
             _ => {
@@ -360,6 +498,7 @@ impl<M: Send + 'static> Core<M> {
                 slot.inbox.push_back(env);
             }
         }
+        None
     }
 }
 
@@ -392,11 +531,11 @@ fn await_resume<M: Send + 'static>(shared: &Mutex<Core<M>>, me: ProcId) -> Resum
 /// With `me`'s yield recorded in `core`, dispatch events on this thread
 /// until a wake resumes `me` — inline, or after handing the baton on.
 fn carry_baton<M: Send + 'static>(
-    shared: &Mutex<Core<M>>,
+    shared: &Arc<Mutex<Core<M>>>,
     mut core: MutexGuard<'_, Core<M>>,
     me: ProcId,
 ) -> Resume<M> {
-    match core.dispatch(Some(me)) {
+    match core.dispatch(shared, Some(me)) {
         Baton::Kept(resume) => resume,
         Baton::Passed(next) => {
             pass(core, next);
@@ -409,7 +548,7 @@ fn carry_baton<M: Send + 'static>(
 /// bookkeeping was done by the caller; this only completes the wake, inline
 /// when it is the next event.
 fn wait_until<M: Send + 'static>(
-    shared: &Mutex<Core<M>>,
+    shared: &Arc<Mutex<Core<M>>>,
     mut core: MutexGuard<'_, Core<M>>,
     me: ProcId,
     now: SimTime,
@@ -428,16 +567,16 @@ fn wait_until<M: Send + 'static>(
 }
 
 /// Create process `name` with its thread and schedule its first wake at
-/// `at`. The core lock is held across thread creation so the slot exists
-/// before the new thread can look for it; the thread parks before it first
-/// takes the lock, so it does not contend.
+/// `at`. The caller holds the core lock, so the slot exists before the new
+/// thread can look for it; the thread parks before it first takes the lock,
+/// so it does not contend.
 fn spawn_proc<M: Send + 'static>(
     shared: &Arc<Mutex<Core<M>>>,
+    core: &mut Core<M>,
     name: &str,
     f: ProcFn<M>,
     at: SimTime,
 ) -> ProcId {
-    let mut core = shared.lock();
     let id = ProcId(core.procs.len() as u32);
     let thread = thread::Builder::new()
         .name(format!("sim-{name}"))
@@ -446,18 +585,11 @@ fn spawn_proc<M: Send + 'static>(
             move || proc_main(shared, id, f)
         })
         .expect("failed to spawn simulation thread");
-    core.procs.push(ProcSlot {
-        name: name.to_string(),
-        state: ProcState::Scheduled,
-        epoch: 0,
-        time: SimTime::ZERO,
-        blocked_since: None,
-        started: false,
-        inbox: VecDeque::new(),
-        mailbox: None,
-        thread: Some(thread),
-    });
+    let mut slot = ProcSlot::new(name);
+    slot.thread = Some(thread);
+    core.procs.push(slot);
     core.stats.spawns += 1;
+    core.stats.threads += 1;
     core.push_wake(at, id, ResumePayload::None);
     id
 }
@@ -565,7 +697,14 @@ impl<M: Send + 'static> Simulator<M> {
     where
         F: FnOnce(&mut ProcCtx<M>) + Send + 'static,
     {
-        spawn_proc(&self.core, name, Box::new(f), SimTime::ZERO)
+        let core = &mut self.core.lock();
+        spawn_proc(&self.core, core, name, Box::new(f), SimTime::ZERO)
+    }
+
+    /// Register a passive component — a process without a thread, resumed
+    /// in place by whichever thread pops its events — to start at t = 0.
+    pub fn spawn_component(&mut self, name: &str, body: impl Component<M>) -> ProcId {
+        self.core.lock().spawn_component(name, Box::new(body))
     }
 
     /// Run the simulation to completion and return the report.
@@ -581,7 +720,7 @@ impl<M: Send + 'static> Simulator<M> {
         {
             let mut core = self.core.lock();
             core.runner = Some(thread::current());
-            match core.dispatch(None) {
+            match core.dispatch(&self.core, None) {
                 Baton::Passed(first) => pass(core, first),
                 Baton::Kept(_) => unreachable!("the run thread is not a process"),
             }
@@ -636,8 +775,9 @@ impl<M: Send + 'static> Simulator<M> {
     /// Release every process thread that is still parked with `Shutdown`
     /// and join it, one at a time in id order, so the bodies unwind their
     /// loops one after another and their `Exit` trace events keep that
-    /// order. Time is frozen: a released context short-circuits every call.
-    /// Idempotent; called with no process running.
+    /// order; a component still waiting ends where its slot comes up. Time
+    /// is frozen: a released context short-circuits every call. Idempotent;
+    /// called with no process running.
     fn teardown(&self) {
         let (ended, nprocs) = {
             let mut core = self.core.lock();
@@ -650,6 +790,14 @@ impl<M: Send + 'static> Simulator<M> {
         for i in 0..nprocs {
             let mut core = self.core.lock();
             let slot = &mut core.procs[i];
+            if let Some(body) = slot.component.take() {
+                let at = slot.time;
+                slot.state = ProcState::Done;
+                core.trace(ProcId(i as u32), TraceKind::Exit { at });
+                drop(core);
+                drop(body);
+                continue;
+            }
             let Some(thread) = slot.thread.take() else {
                 continue; // ended and joined during the run
             };
@@ -720,7 +868,7 @@ impl<M: Send + 'static> ProcCtx<M> {
         }
         debug_assert!(core.reap.is_none(), "an ended thread was never joined");
         core.reap = core.procs[i].thread.take();
-        match core.dispatch(Some(self.id)) {
+        match core.dispatch(&self.core, Some(self.id)) {
             Baton::Passed(next) => pass(core, next),
             Baton::Kept(_) => unreachable!("a finished process has no pending wake"),
         }
@@ -763,33 +911,7 @@ impl<M: Send + 'static> ProcCtx<M> {
         }
         let yt = self.now;
         let mut core = self.core.lock();
-        let r = &mut core.resources[res.index()];
-        let start = r.available_at.max(yt);
-        r.stats_waited += start - yt;
-        r.stats_busy += dur;
-        r.acquisitions += 1;
-        let done = start + dur;
-        r.available_at = done;
-        if core.tracing.is_some() {
-            if start > yt {
-                core.trace(
-                    self.id,
-                    TraceKind::ResourceWait {
-                        res,
-                        from: yt,
-                        until: start,
-                    },
-                );
-            }
-            core.trace(
-                self.id,
-                TraceKind::ResourceHold {
-                    res,
-                    from: start,
-                    until: done,
-                },
-            );
-        }
+        let done = core.book(self.id, res, yt, dur);
         let resume = wait_until(&self.core, core, self.id, yt, done);
         self.resumed(resume);
     }
@@ -801,17 +923,7 @@ impl<M: Send + 'static> ProcCtx<M> {
         if self.dead {
             return;
         }
-        let delivered_at = self.now + latency;
-        let env = Envelope {
-            from: self.id,
-            sent_at: self.now,
-            delivered_at,
-            msg,
-        };
-        let mut core = self.core.lock();
-        core.stats.sends += 1;
-        core.trace(self.id, TraceKind::Sent { at: self.now, to });
-        core.push_event(delivered_at, Action::Deliver(to, env));
+        self.core.lock().send(self.id, self.now, to, latency, msg);
     }
 
     /// Take the next message, blocking (optionally until `deadline`) when
@@ -872,7 +984,8 @@ impl<M: Send + 'static> ProcCtx<M> {
         F: FnOnce(&mut ProcCtx<M>) + Send + 'static,
     {
         assert!(!self.dead, "spawn failed: simulation shutting down");
-        spawn_proc(&self.core, name, Box::new(f), self.now)
+        let core = &mut self.core.lock();
+        spawn_proc(&self.core, core, name, Box::new(f), self.now)
     }
 }
 

@@ -2,7 +2,9 @@
 //!
 //! This crate is the timing substrate for the DSE reproduction. It simulates
 //! a set of *processes* (each running real Rust code on its own OS thread,
-//! interleaved one-at-a-time in virtual-time order), *messages* between them
+//! interleaved one-at-a-time in virtual-time order), passive *components*
+//! (processes without a thread: [`Component`] state machines resumed in
+//! place by whichever thread pops their event), *messages* between them
 //! (delivered after caller-computed latencies) and *FCFS resources* (machine
 //! CPUs, shared buses) that serialize and therefore stretch contended work.
 //!
@@ -19,7 +21,9 @@
 //! context switch) or fills the next process's mailbox, unparks it and
 //! parks (one switch, [`SimStats::handoffs`]). `send`, `spawn`, `recv` on a
 //! non-empty inbox, and a sleep or resource hold whose wake is the next
-//! event ([`SimStats::inline_wakes`]) never leave the calling thread. The
+//! event ([`SimStats::inline_wakes`]) never leave the calling thread, and
+//! neither does anything a component does: its wakes are function calls on
+//! the dispatching thread. The
 //! thread inside [`Simulator::run`] only starts the first process, sleeps
 //! until the event heap is empty, and releases and joins what is left.
 //! Which thread pops an event never shows in the results: counters,
@@ -28,9 +32,10 @@
 //! the lock is released, and join a finished thread before proceeding —
 //! are explained in the engine module's header.
 //!
-//! The typical setup (done by `dse-kernel`) is one simulated process per DSE
-//! node kernel plus one per parallel application process, a CPU resource per
-//! physical machine, and an Ethernet-bus process from `dse-net`.
+//! The typical setup (done by `dse-api`) is one component per DSE node
+//! kernel — the paper's kernel is a library linked into the application's
+//! process, not a process — plus one process per parallel application
+//! process and the launcher, and a CPU resource per physical machine.
 
 #![warn(missing_docs)]
 
@@ -42,7 +47,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use engine::{ProcCtx, Simulator};
+pub use engine::{CompCtx, Component, ProcCtx, Simulator, Wait, Wakeup};
 pub use envelope::{Envelope, RecvResult};
 pub use ids::{ProcId, ResourceId};
 pub use rng::SimRng;

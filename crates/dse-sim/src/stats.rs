@@ -9,8 +9,10 @@ pub struct SimStats {
     /// Events processed (wakeups + deliveries), including stale ones and
     /// wakes completed inline on the process thread.
     pub events: u64,
-    /// Of `events`: wakes that completed inline on the yielding process
-    /// thread because no earlier event was queued (no engine round-trip).
+    /// Of `events`: wakes that completed inline — on the yielding process
+    /// thread, or for a passive component on whichever thread was
+    /// dispatching — because no earlier event was queued, so they never
+    /// went through the heap.
     pub inline_wakes: u64,
     /// Wakes dispatched on one process's thread that resumed another
     /// process's thread: one OS context switch each. Every other event was
@@ -21,8 +23,12 @@ pub struct SimStats {
     pub sends: u64,
     /// Messages delivered into inboxes (or directly to blocked receivers).
     pub delivers: u64,
-    /// Processes spawned over the whole run (including pre-run spawns).
+    /// Processes spawned over the whole run (including pre-run spawns and
+    /// passive components).
     pub spawns: u64,
+    /// Of `spawns`: processes that got an OS thread (every one that is not
+    /// a passive component).
+    pub threads: u64,
     /// Messages dropped because the destination had already exited.
     pub dropped: u64,
 }

@@ -4,7 +4,10 @@
 //! cross-engine suite rest on the scheduler producing exactly this
 //! sequence; which OS thread pops an event is not allowed to show.
 
-use dse_sim::{ProcCtx, RecvResult, SimDuration, SimReport, SimTime, Simulator};
+use dse_sim::{
+    CompCtx, Component, Envelope, ProcCtx, RecvResult, ResourceId, SimDuration, SimReport, SimTime,
+    Simulator, Wait, Wakeup,
+};
 
 /// Everything about a run that must repeat exactly:
 /// `(events, inline_wakes, sends, delivers, end_time_ns, trace_hash,
@@ -35,17 +38,42 @@ fn ns(n: u64) -> SimDuration {
     SimDuration::from_nanos(n)
 }
 
-/// An echo server and three clients that all compute on one shared CPU.
-fn echo_with_shared_resource() -> SimReport {
+/// The echo server of [`echo_with_shared_resource`] as a passive component.
+struct PassiveEcho {
+    cpu: ResourceId,
+    serving: Option<Envelope<u64>>,
+}
+
+impl Component<u64> for PassiveEcho {
+    fn resume(&mut self, ctx: &mut CompCtx<'_, u64>, wakeup: Wakeup<u64>) -> Wait {
+        if let Wakeup::Message(env) = wakeup {
+            let hold = ns(300 + env.msg * 7);
+            self.serving = Some(env);
+            return Wait::Hold(self.cpu, hold);
+        }
+        if let Some(env) = self.serving.take() {
+            ctx.send(env.from, ns(3_000), env.msg * 2);
+        }
+        Wait::Message
+    }
+}
+
+/// An echo server — a process thread, or a passive component — and three
+/// clients that all compute on one shared CPU.
+fn echo_with_shared_resource(passive: bool) -> SimReport {
     let mut sim: Simulator<u64> = Simulator::new();
     sim.enable_tracing();
     let cpu = sim.add_resource("cpu");
-    let echo = sim.spawn("echo", move |ctx| {
-        while let Some(env) = ctx.recv() {
-            ctx.use_resource(cpu, ns(300 + env.msg * 7));
-            ctx.send(env.from, ns(3_000), env.msg * 2);
-        }
-    });
+    let echo = if passive {
+        sim.spawn_component("echo", PassiveEcho { cpu, serving: None })
+    } else {
+        sim.spawn("echo", move |ctx| {
+            while let Some(env) = ctx.recv() {
+                ctx.use_resource(cpu, ns(300 + env.msg * 7));
+                ctx.send(env.from, ns(3_000), env.msg * 2);
+            }
+        })
+    };
     for i in 0..3u64 {
         sim.spawn(&format!("client{i}"), move |ctx| {
             for k in 0..20u64 {
@@ -119,7 +147,7 @@ fn dynamic_spawn_chain() -> SimReport {
 #[test]
 fn golden_fingerprints_are_verbatim() {
     assert_eq!(
-        fingerprint(&echo_with_shared_resource()),
+        fingerprint(&echo_with_shared_resource(false)),
         (
             411,
             109,
@@ -154,4 +182,22 @@ fn golden_fingerprints_are_verbatim() {
             8418373785180150637
         )
     );
+}
+
+/// A process without a thread occupies the same slot in the schedule: the
+/// same events at the same times in the same order, down to the trace and
+/// the determinism hash. Only the number of wakes that skip the heap (and
+/// the number of context switches) may differ.
+#[test]
+fn a_passive_echo_server_leaves_the_golden_schedule_where_it_is() {
+    let threaded = echo_with_shared_resource(false);
+    let passive = echo_with_shared_resource(true);
+    let (t, p) = (fingerprint(&threaded), fingerprint(&passive));
+    assert_eq!(
+        (t.0, t.2, t.3, t.4, t.5, t.6),
+        (p.0, p.2, p.3, p.4, p.5, p.6)
+    );
+    assert!(p.1 >= t.1, "inline wakes {} -> {}", t.1, p.1);
+    assert!(passive.stats.handoffs < threaded.stats.handoffs);
+    assert_eq!(passive.stats.threads + 1, threaded.stats.threads);
 }

@@ -6,9 +6,13 @@
 //! are handed up as views into the reassembly buffer. This test installs a
 //! counting global allocator (its own binary, so no other test interferes),
 //! warms the pools, then asserts zero allocations across many round-trips.
+//! Only the test's own thread is counted: the harness's threads (the main
+//! thread collecting results, the output capture) allocate whenever they
+//! like, and everything under test runs on the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use dse_msg::{Message, RegionId, ReqId};
@@ -17,11 +21,21 @@ use dse_transport::{ChannelTransport, Transport};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Set on the one thread whose allocations count. Const-initialised
+    /// and without a destructor, so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counting() -> bool {
+    // A thread past its thread-local teardown is not the test thread.
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
@@ -32,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -146,11 +160,11 @@ fn steady_state_gm_round_trip_allocates_nothing() {
     }
 
     ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.set(true);
     for i in 0..256 {
         round_trip_counted(&a, &b, &data, 64 + i);
     }
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
 
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
