@@ -10,7 +10,7 @@ use dse_kernel::Distribution;
 use dse_msg::RegionId;
 use dse_platform::Work;
 
-use crate::gm_client::{GmHandle, HandleInner};
+use crate::gm_client::{GmHandle, HandleInner, ReadBuf};
 
 /// The operations every DSE execution engine provides to applications.
 ///
@@ -53,7 +53,7 @@ pub trait ParallelApi {
     /// writes.
     fn gm_wait(&mut self, handle: GmHandle) -> Option<Vec<u8>> {
         match handle.0 {
-            HandleInner::Ready(data) => data,
+            HandleInner::Ready(data) => data.map(ReadBuf::into_vec),
             HandleInner::Queued(_) => {
                 unreachable!("queued handle on an engine without pipelining")
             }

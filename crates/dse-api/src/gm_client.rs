@@ -15,7 +15,7 @@ use std::fmt;
 
 use dse_kernel::cache::{blocks_inside, CACHE_BLOCK};
 use dse_kernel::GlobalStore;
-use dse_msg::{GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen};
+use dse_msg::{is_bulk, Bytes, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen};
 use dse_obs::SpanKind;
 
 /// Handle to a split-phase global-memory operation.
@@ -32,14 +32,69 @@ pub(crate) enum HandleInner {
     Queued(u64),
     /// Completed at issue time (own-node fast path, replica hit, or an
     /// engine without split-phase pipelining).
-    Ready(Option<Vec<u8>>),
+    Ready(Option<ReadBuf>),
 }
 
 impl GmHandle {
     /// A handle that is already complete (engines without real pipelining
     /// return these from the non-blocking entry points).
     pub fn ready(data: Option<Vec<u8>>) -> GmHandle {
-        GmHandle(HandleInner::Ready(data))
+        GmHandle(HandleInner::Ready(data.map(ReadBuf::Owned)))
+    }
+}
+
+/// The bytes of a read handle, gathered so far or complete.
+#[derive(Debug)]
+pub(crate) enum ReadBuf {
+    /// Assembled segment by segment (several homes, replica hits, own-node
+    /// parts, or a result too small to keep a response alive for). Empty
+    /// and unallocated until the first segment lands; then the prefix
+    /// gathered so far, in a buffer of the handle's exact size.
+    Owned(Vec<u8>),
+    /// One bulk response segment covered the whole handle: the result *is*
+    /// that response's payload.
+    Shared(Bytes),
+}
+
+impl ReadBuf {
+    /// Copy `bytes` to offset `at` of a handle `total` bytes long. Segments
+    /// that arrive in address order are appended; zeroes are written only
+    /// into a gap a segment leaves behind it, for the later one that fills
+    /// it.
+    fn place(&mut self, total: usize, at: usize, bytes: &[u8]) {
+        let ReadBuf::Owned(buf) = self else {
+            unreachable!("a second segment for a handle one segment covered");
+        };
+        if buf.capacity() == 0 {
+            buf.reserve_exact(total);
+        }
+        let end = at + bytes.len();
+        if end <= buf.len() {
+            buf[at..end].copy_from_slice(bytes);
+        } else {
+            // A handle's segments are disjoint: one that ends past the
+            // gathered prefix starts at or past its end.
+            debug_assert!(buf.len() <= at);
+            buf.resize(at, 0);
+            buf.extend_from_slice(bytes);
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            ReadBuf::Owned(v) => v,
+            ReadBuf::Shared(b) => b,
+        }
+    }
+
+    /// The owned result. A view gives up its buffer without a copy only as
+    /// the last view of the whole of it; on the live engine the home's dedup
+    /// cache keeps every response for replay, so there a view is copied out.
+    pub(crate) fn into_vec(self) -> Vec<u8> {
+        match self {
+            ReadBuf::Owned(v) => v,
+            ReadBuf::Shared(b) => b.into_vec(),
+        }
     }
 }
 
@@ -229,8 +284,10 @@ struct HandleState {
     /// Segments (staged or in flight) still owed to this handle, plus the
     /// issuance token while it is being issued.
     remaining: usize,
-    /// Read destination buffer (`None` for writes).
-    buf: Option<Vec<u8>>,
+    /// Length of the range read (0 for writes).
+    len: usize,
+    /// Read result under assembly (`None` for writes).
+    buf: Option<ReadBuf>,
     /// [`GmPort::stamp`] at issue.
     issued: u64,
     /// Whether any segment left the node.
@@ -278,7 +335,7 @@ pub struct GmClient {
     /// Handles with segments still staged or in flight.
     handles: HashMap<u64, HandleState>,
     /// Finished handles not yet claimed with [`GmClient::wait`].
-    completed: HashMap<u64, Option<Vec<u8>>>,
+    completed: HashMap<u64, Option<ReadBuf>>,
     /// Staged (coalescable) segments, in program order.
     staged: Vec<StagedSeg>,
     /// Requests on the wire, by correlation id.
@@ -339,12 +396,15 @@ impl GmClient {
         let runs = split(port, "gm_read", region, offset, out.len());
         if runs.len() == 1 && runs[0].0 == port.node() {
             let issued = port.stamp();
-            own_node_read(port, region, offset, out);
+            own_node_read(port, region, offset, out.len(), |src| {
+                out.copy_from_slice(src)
+            });
             port.handle_done(issued, true, false);
             return;
         }
         let h = self.issue_read(port, runs, region, offset, out.len(), true);
-        out.copy_from_slice(&self.wait(port, h).expect("a read handle carries data"));
+        let got = self.redeem(port, h).expect("a read handle carries data");
+        out.copy_from_slice(got.as_slice());
     }
 
     /// Begin a split-phase read; redeem the handle with [`GmClient::wait`].
@@ -384,6 +444,11 @@ impl GmClient {
     ///
     /// Panics on a handle whose result [`GmClient::wait_all`] discarded.
     pub fn wait<P: GmPort>(&mut self, port: &mut P, handle: GmHandle) -> Option<Vec<u8>> {
+        self.redeem(port, handle).map(ReadBuf::into_vec)
+    }
+
+    /// [`GmClient::wait`], with a read's bytes as the handle holds them.
+    fn redeem<P: GmPort>(&mut self, port: &mut P, handle: GmHandle) -> Option<ReadBuf> {
         let id = match handle.0 {
             HandleInner::Ready(data) => return data,
             HandleInner::Queued(id) => id,
@@ -436,16 +501,18 @@ impl GmClient {
 
     // ----- issue -------------------------------------------------------------
 
-    /// Register a handle holding its issuance token. The buffer is in
-    /// place *before* any segment is staged because window backpressure
-    /// may deliver completions for this very handle mid-issue.
-    fn new_handle<P: GmPort>(&mut self, port: &P, buf: Option<Vec<u8>>) -> u64 {
+    /// Register a handle holding its issuance token: a read of `len` bytes,
+    /// or a write (`None`). It is in place *before* any segment is staged
+    /// because window backpressure may deliver completions for this very
+    /// handle mid-issue.
+    fn new_handle<P: GmPort>(&mut self, port: &P, read: Option<usize>) -> u64 {
         self.next_handle += 1;
         self.handles.insert(
             self.next_handle,
             HandleState {
                 remaining: 1,
-                buf,
+                len: read.unwrap_or(0),
+                buf: read.map(|_| ReadBuf::Owned(Vec::new())),
                 issued: port.stamp(),
                 remote: false,
             },
@@ -453,10 +520,14 @@ impl GmClient {
         self.next_handle
     }
 
-    /// The read buffer of a handle under issue.
-    fn buf_mut(&mut self, handle: u64) -> &mut [u8] {
-        let st = self.handles.get_mut(&handle).unwrap();
-        st.buf.as_mut().expect("read handle without a buffer")
+    /// Copy one segment's `bytes` to offset `at` of a read handle.
+    fn place(&mut self, handle: u64, at: usize, bytes: &[u8]) {
+        let st = self
+            .handles
+            .get_mut(&handle)
+            .expect("read bytes for an unknown handle");
+        let buf = st.buf.as_mut().expect("read bytes for a write handle");
+        buf.place(st.len, at, bytes);
     }
 
     /// Issue a read of `[offset, offset + len)`, already split into `runs`.
@@ -470,12 +541,11 @@ impl GmClient {
         eager: bool,
     ) -> GmHandle {
         let caching = port.caching();
-        let handle = self.new_handle(port, Some(vec![0u8; len]));
+        let handle = self.new_handle(port, Some(len));
         for (home, off, rlen) in runs {
             let at = (off - offset) as usize;
             if home == port.node() {
-                let out = &mut self.buf_mut(handle)[at..at + rlen];
-                own_node_read(port, region, off, out);
+                own_node_read(port, region, off, rlen, |src| self.place(handle, at, src));
             } else if !caching {
                 self.stage_read(port, home, region, off, rlen, Vec::new(), handle, at, eager);
             } else {
@@ -550,7 +620,7 @@ impl GmClient {
     fn replica_hit<P: GmPort>(&mut self, port: &mut P, handle: u64, at: usize, bytes: &[u8]) {
         port.charge_local(bytes.len());
         port.count(GmCount::ReplicaHit);
-        self.buf_mut(handle)[at..at + bytes.len()].copy_from_slice(bytes);
+        self.place(handle, at, bytes);
     }
 
     fn issue_write<P: GmPort>(
@@ -577,7 +647,7 @@ impl GmClient {
                         .insert(req.0, InflightReq::Write(vec![handle]));
                 }
             } else {
-                self.stage_write(port, home, region, off, chunk.to_vec(), handle, eager);
+                self.stage_write(port, home, region, off, chunk, handle, eager);
             }
         }
         self.release_issuance_token(port, handle)
@@ -601,7 +671,7 @@ impl GmClient {
 
     /// One unit owed to `handle` is done; yields its result if that was
     /// the last one.
-    fn segment_done<P: GmPort>(&mut self, port: &mut P, handle: u64) -> Option<Option<Vec<u8>>> {
+    fn segment_done<P: GmPort>(&mut self, port: &mut P, handle: u64) -> Option<Option<ReadBuf>> {
         let st = self
             .handles
             .get_mut(&handle)
@@ -611,6 +681,7 @@ impl GmClient {
             return None;
         }
         let st = self.handles.remove(&handle).unwrap();
+        debug_assert_eq!(st.buf.as_ref().map_or(0, |b| b.as_slice().len()), st.len);
         port.handle_done(st.issued, st.buf.is_some(), st.remote);
         Some(st.buf)
     }
@@ -697,6 +768,8 @@ impl GmClient {
 
     /// Stage one remote write segment; coalesces like [`Self::stage_read`].
     /// On overlap the later write's bytes win, preserving program order.
+    /// The staged copy is the one a write needs anyway: the request owns
+    /// its bytes until it is answered, for retransmission.
     #[allow(clippy::too_many_arguments)]
     fn stage_write<P: GmPort>(
         &mut self,
@@ -704,7 +777,7 @@ impl GmClient {
         home: NodeId,
         region: RegionId,
         off: u64,
-        data: Vec<u8>,
+        data: &[u8],
         handle: u64,
         eager: bool,
     ) {
@@ -717,15 +790,21 @@ impl GmClient {
                 writers,
                 ..
             }) => {
-                let new_start = (*offset).min(off);
-                let new_end = (*offset + sdata.len() as u64).max(end);
-                let mut union = vec![0u8; (new_end - new_start) as usize];
-                let old_at = (*offset - new_start) as usize;
-                union[old_at..old_at + sdata.len()].copy_from_slice(sdata);
-                let new_at = (off - new_start) as usize;
-                union[new_at..new_at + data.len()].copy_from_slice(&data);
-                *sdata = union;
-                *offset = new_start;
+                if off == *offset + sdata.len() as u64 {
+                    // The common run of adjacent writes grows in place: N
+                    // of them copy N segments, not N^2 / 2.
+                    sdata.extend_from_slice(data);
+                } else {
+                    let new_start = (*offset).min(off);
+                    let new_end = (*offset + sdata.len() as u64).max(end);
+                    let mut union = vec![0u8; (new_end - new_start) as usize];
+                    let old_at = (*offset - new_start) as usize;
+                    union[old_at..old_at + sdata.len()].copy_from_slice(sdata);
+                    let new_at = (off - new_start) as usize;
+                    union[new_at..new_at + data.len()].copy_from_slice(data);
+                    *sdata = union;
+                    *offset = new_start;
+                }
                 writers.push(handle);
                 port.count(GmCount::Coalesced);
             }
@@ -734,7 +813,7 @@ impl GmClient {
                 let op = StagedOp::Write {
                     region,
                     offset: off,
-                    data,
+                    data: data.to_vec(),
                     writers,
                 };
                 self.staged.push(StagedSeg { home, op });
@@ -908,7 +987,7 @@ impl GmClient {
         };
         match (ctl, msg) {
             (InflightReq::Read(c), Message::GmReadResp { data, .. }) => {
-                self.complete_read(port, req, c, &data)?
+                self.complete_read(port, req, c, data)?
             }
             (
                 InflightReq::Write(w),
@@ -924,7 +1003,7 @@ impl GmClient {
                                 let got = format!("{got} results");
                                 GmProtocolError::new(req, "a result per batched read", got)
                             })?;
-                            self.complete_read(port, req, c, &data)?
+                            self.complete_read(port, req, c, data)?
                         }
                         InflightOp::Write(c) => self.complete_write(port, c),
                     }
@@ -937,13 +1016,16 @@ impl GmClient {
     }
 
     /// Distribute one completed read request's bytes to every destination
-    /// handle, installing any cache blocks the request fetched.
+    /// handle, installing any cache blocks the request fetched. A handle
+    /// the response covers whole keeps a view of a bulk payload instead of
+    /// copying it; anything smaller is copied, so a few bytes never keep a
+    /// large response alive.
     fn complete_read<P: GmPort>(
         &mut self,
         port: &mut P,
         req: ReqId,
         ctl: ReadCtl,
-        data: &[u8],
+        data: Bytes,
     ) -> Result<(), GmProtocolError> {
         if data.len() != ctl.len {
             let (want, got) = (
@@ -965,8 +1047,12 @@ impl GmClient {
                 .handles
                 .get_mut(&d.handle)
                 .expect("read completion for an unknown handle");
-            let buf = st.buf.as_mut().expect("read handle without a buffer");
-            buf[d.buf_off..d.buf_off + d.len].copy_from_slice(&data[src..src + d.len]);
+            let buf = st.buf.as_mut().expect("read completion for a write handle");
+            if d.len == st.len && is_bulk(d.len) {
+                *buf = ReadBuf::Shared(data.slice(src, d.len));
+            } else {
+                buf.place(st.len, d.buf_off, &data[src..src + d.len]);
+            }
             if let Some(buf) = self.segment_done(port, d.handle) {
                 self.completed.insert(d.handle, buf);
             }
@@ -983,11 +1069,18 @@ impl GmClient {
     }
 }
 
-/// The own-node fast path: a library call straight into the home partition.
-fn own_node_read<P: GmPort>(port: &mut P, region: RegionId, offset: u64, out: &mut [u8]) {
-    port.charge_local(out.len());
-    port.store().read_into(region, offset, out).unwrap();
-    port.count(GmCount::LocalRead(out.len()));
+/// The own-node fast path: a library call straight into the home
+/// partition, whose bytes `sink` copies to where the caller wants them.
+fn own_node_read<P: GmPort>(
+    port: &mut P,
+    region: RegionId,
+    offset: u64,
+    len: usize,
+    sink: impl FnOnce(&[u8]),
+) {
+    port.charge_local(len);
+    port.store().read_with(region, offset, len, sink).unwrap();
+    port.count(GmCount::LocalRead(len));
 }
 
 /// Split `[offset, offset + len)` of `region` into per-home runs.
@@ -1062,16 +1155,83 @@ mod tests {
         let (mut c, mut p) = (GmClient::new(32), port());
         let a = write_nb(&mut c, &mut p, 2100, &[1; 16]);
         let b = write_nb(&mut c, &mut p, 2108, &[2; 16]); // overlaps the tail
+        let e = write_nb(&mut c, &mut p, 2124, &[4; 8]); // starts at the end
         let d = write_nb(&mut c, &mut p, 2096, &[3; 8]); // overlaps the head
-        for h in [a, b, d] {
+        for h in [a, b, e, d] {
             assert_eq!(c.wait(&mut p, h), None);
         }
-        assert_eq!(p.sent.len(), 1, "three touching writes are one request");
+        assert_eq!(p.sent.len(), 1, "four touching writes are one request");
         let got = p.contents();
         assert_eq!(got[2096..2104], [3; 8]);
         assert_eq!(got[2104..2108], [1; 4]);
         assert_eq!(got[2108..2124], [2; 16]);
-        assert_eq!(got[2124], expected(2124, 1)[0]);
+        assert_eq!(got[2124..2132], [4; 8]);
+        assert_eq!(got[2132], expected(2132, 1)[0]);
+    }
+
+    /// Sixteen homes of 16 KiB, so one home can answer a bulk read.
+    fn bulk_port() -> FakePort {
+        FakePort::new(16, 256 * 1024, |i| (i % 251) as u8)
+    }
+
+    #[test]
+    fn a_handle_one_bulk_response_covers_is_that_responses_payload() {
+        const K: usize = 1024;
+        let (mut c, mut p) = (GmClient::new(32), bulk_port());
+        let whole = read_nb(&mut c, &mut p, 16 * K as u64, 8 * K);
+        c.fence(&mut p);
+        // Two adjacent 4 KiB reads coalesce: each is a view of the one 8 KiB
+        // response, not a copy of its half.
+        let lo = read_nb(&mut c, &mut p, 32 * K as u64, 4 * K);
+        let hi = read_nb(&mut c, &mut p, 36 * K as u64, 4 * K);
+        c.fence(&mut p);
+        assert_eq!(p.sent.len(), 2);
+        let small = read_nb(&mut c, &mut p, 48 * K as u64, 4 * K - 1);
+        let split = read_nb(&mut c, &mut p, 60 * K as u64, 8 * K);
+        c.fence(&mut p);
+        let id = |h: &GmHandle| match h.0 {
+            HandleInner::Queued(id) => id,
+            HandleInner::Ready(_) => panic!("a remote read is queued"),
+        };
+        for (h, shared) in [
+            (&whole, true),
+            (&lo, true),
+            (&hi, true),
+            (&small, false),
+            (&split, false),
+        ] {
+            let got = c.completed[&id(h)].as_ref().expect("a read");
+            assert_eq!(matches!(got, ReadBuf::Shared(_)), shared);
+            if let ReadBuf::Owned(v) = got {
+                assert_eq!(v.capacity(), v.len(), "allocated once, at its size");
+            }
+        }
+        for (h, off, len) in [
+            (whole, 16 * K, 8 * K),
+            (lo, 32 * K, 4 * K),
+            (hi, 36 * K, 4 * K),
+            (small, 48 * K, 4 * K - 1),
+            (split, 60 * K, 8 * K),
+        ] {
+            assert_eq!(c.wait(&mut p, h), Some(expected(off, len)));
+        }
+        // The blocking forms agree, own-node parts and all.
+        let region = p.region;
+        let mut out = vec![0u8; 40 * K];
+        c.read_into(&mut p, region, 0, &mut out);
+        assert_eq!(out, expected(0, 40 * K));
+        assert_eq!(c.read(&mut p, region, 100, 8 * K), expected(100, 8 * K));
+    }
+
+    #[test]
+    fn segments_landing_out_of_address_order_assemble_the_same_bytes() {
+        let mut buf = ReadBuf::Owned(Vec::new());
+        let all: Vec<u8> = (0..=255).collect();
+        buf.place(256, 200, &all[200..256]); // leaves a gap behind it
+        buf.place(256, 0, &all[..50]); // inside the gap
+        buf.place(256, 50, &all[50..200]); // fills it exactly
+        assert_eq!(buf.as_slice(), &all[..]);
+        assert!(matches!(&buf, ReadBuf::Owned(v) if v.capacity() == 256));
     }
 
     #[test]

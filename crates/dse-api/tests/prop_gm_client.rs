@@ -2,7 +2,10 @@
 //! split-phase reads and writes, waits, fences and acquires, driven against
 //! the recording fake port with a randomly permuted (per-home FIFO)
 //! completion order, with the replica cache on and off and with windows
-//! small enough to backpressure, always equal a flat mirror.
+//! small enough to backpressure, always equal a flat mirror. Reads come in
+//! two sizes, so a handle may be a few bytes copied out of a response, a
+//! view of a bulk response that covers it, or assembled from several homes,
+//! the own node and replica hits: the bytes are the store's either way.
 
 use proptest::prelude::*;
 
@@ -12,14 +15,21 @@ use dse_api::{GmClient, GmHandle};
 mod fake_port;
 use fake_port::FakePort;
 
-const LEN: usize = 4096;
+/// Four homes of 16 KiB: one home can answer a bulk read whole, and a
+/// longer one crosses into the next (for ranks of home 0: the own node).
+const LEN: usize = 64 * 1024;
 
 #[derive(Debug, Clone)]
 enum Op {
     /// (offset, length): blocking read, checked at once.
     Read(u16, u16),
+    /// (offset, length): blocking read into a caller's buffer.
+    ReadInto(u16, u16),
     /// (offset, length): split-phase read, checked when redeemed.
     ReadNb(u16, u16),
+    /// (length): split-phase read starting where the last read ended, so
+    /// runs of them coalesce.
+    ReadNbNext(u16),
     /// (offset, length, byte): blocking write.
     Write(u16, u8, u8),
     /// (offset, length, byte): split-phase write.
@@ -30,11 +40,19 @@ enum Op {
     Acquire,
 }
 
+/// A read length: a few bytes to three cache blocks, or bulk — up to past
+/// a whole home.
+fn arb_len() -> impl Strategy<Value = u16> {
+    prop_oneof![1u16..1500, 4000u16..20_000]
+}
+
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            (any::<u16>(), 1u16..1500).prop_map(|(o, l)| Op::Read(o, l)),
-            (any::<u16>(), 1u16..1500).prop_map(|(o, l)| Op::ReadNb(o, l)),
+            (any::<u16>(), arb_len()).prop_map(|(o, l)| Op::Read(o, l)),
+            (any::<u16>(), arb_len()).prop_map(|(o, l)| Op::ReadInto(o, l)),
+            (any::<u16>(), arb_len()).prop_map(|(o, l)| Op::ReadNb(o, l)),
+            arb_len().prop_map(Op::ReadNbNext),
             (any::<u16>(), 1u8..200, any::<u8>()).prop_map(|(o, l, v)| Op::Write(o, l, v)),
             (any::<u16>(), 1u8..200, any::<u8>()).prop_map(|(o, l, v)| Op::WriteNb(o, l, v)),
             any::<u8>().prop_map(Op::Wait),
@@ -62,12 +80,28 @@ fn run_script(ops: Vec<Op>, seed: u64, window: usize, caching: bool, write_gates
     // Outstanding handles with what redeeming them must yield: a read sees
     // the mirror as of its issue (program order per home, one client).
     let mut outstanding: Vec<(GmHandle, Option<Vec<u8>>)> = Vec::new();
+    // Where the last scripted read ended.
+    let mut cursor = 0u16;
     for op in ops {
+        let op = match op {
+            Op::ReadNbNext(l) => Op::ReadNb(cursor, l),
+            op => op,
+        };
+        if let Op::Read(o, l) | Op::ReadInto(o, l) | Op::ReadNb(o, l) = op {
+            let (off, len) = span(o, l as usize);
+            cursor = ((off + len) % LEN) as u16;
+        }
         match op {
             Op::Read(o, l) => {
                 let (off, len) = span(o, l as usize);
                 let got = client.read(&mut port, region, off as u64, len);
                 assert_eq!(got, mirror[off..off + len], "blocking read at {off}+{len}");
+            }
+            Op::ReadInto(o, l) => {
+                let (off, len) = span(o, l as usize);
+                let mut got = vec![0xEE; len];
+                client.read_into(&mut port, region, off as u64, &mut got);
+                assert_eq!(got, mirror[off..off + len], "read_into at {off}+{len}");
             }
             Op::ReadNb(o, l) => {
                 let (off, len) = span(o, l as usize);
@@ -90,6 +124,7 @@ fn run_script(ops: Vec<Op>, seed: u64, window: usize, caching: bool, write_gates
                 assert_eq!(client.wait(&mut port, h), want, "redeemed handle");
             }
             Op::Wait(_) => {}
+            Op::ReadNbNext(_) => unreachable!("rewritten above"),
             Op::Fence => client.fence(&mut port),
             Op::Acquire => client.acquire(&mut port),
         }
@@ -126,5 +161,34 @@ proptest! {
         write_gates in 0usize..3,
     ) {
         run_script(ops, seed, window, caching, write_gates);
+    }
+
+    /// A home that answers a read with the wrong number of bytes fails the
+    /// request, whether the handle would have copied the payload or kept
+    /// it: the length is checked before either.
+    #[test]
+    fn a_read_response_of_the_wrong_length_is_a_protocol_error(
+        off in 0u64..8192,
+        len in arb_len(),
+        forged in arb_len(),
+    ) {
+        let (len, forged) = (len as usize % 8192 + 1, forged as usize % 8192 + 1);
+        let mut port = FakePort::new(4, LEN, |i| (i % 251) as u8);
+        port.forged_read_len = Some(forged);
+        let region = port.region;
+        let mut client = GmClient::new(4);
+        // Entirely inside home 1, so one request, one response.
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            client.read(&mut port, region, 16 * 1024 + off, len)
+        }));
+        if forged == len {
+            prop_assert_eq!(read.ok().map(|data| data.len()), Some(len));
+        } else {
+            // The fake port's `protocol_error` panics with the error.
+            let panic = read.expect_err("a forged length must not be accepted");
+            let text = panic.downcast_ref::<String>().expect("a formatted panic");
+            let want = format!("GM request 0: expected {len} bytes, got {forged} bytes");
+            prop_assert_eq!(text, &want);
+        }
     }
 }

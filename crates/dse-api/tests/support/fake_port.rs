@@ -26,6 +26,9 @@ pub struct FakePort {
     /// Acknowledgements that gate each own-node write (the live engine's
     /// shape of the coherence hook; 0 = the simulator's inline round).
     pub write_gates: usize,
+    /// A misbehaving home: every read is answered with this many bytes,
+    /// whatever was asked for.
+    pub forged_read_len: Option<usize>,
     /// Seed of the completion-order choice.
     pub seed: u64,
     /// Unanswered requests, per home, oldest first.
@@ -60,6 +63,7 @@ impl FakePort {
             region,
             caching: false,
             write_gates: 0,
+            forged_read_len: None,
             seed: 1,
             pending: (0..homes).map(|_| VecDeque::new()).collect(),
             sent: Vec::new(),
@@ -87,7 +91,13 @@ impl FakePort {
 
     /// What a home kernel answers to `request`, applying it to the store.
     pub fn serve(&self, request: Message) -> Message {
-        let read = |region, offset, len: u32| self.store.read(region, offset, len as usize);
+        let read = |region, offset, len: u32| {
+            let mut data = self.store.read(region, offset, len as usize);
+            if let (Ok(data), Some(forged)) = (&mut data, self.forged_read_len) {
+                data.resize(forged, 0);
+            }
+            data
+        };
         match request {
             Message::GmReadReq {
                 req,

@@ -179,20 +179,24 @@ impl GlobalStore {
         Ok(r)
     }
 
-    /// Copy `len` bytes out of a region.
-    pub fn read(&self, region: RegionId, offset: u64, len: usize) -> Result<Vec<u8>, GmError> {
-        let mut out = vec![0u8; len];
-        self.read_into(region, offset, &mut out)?;
-        Ok(out)
+    /// Run `f` over `len` bytes of a region, in place under the store's
+    /// lock: the one pass every read makes, whatever it copies into.
+    pub fn read_with<R>(
+        &self,
+        region: RegionId,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, GmError> {
+        let regions = self.regions.lock();
+        let r = Self::check(&regions, region, offset, len)?;
+        Ok(f(&r.data[offset as usize..offset as usize + len]))
     }
 
-    /// Copy `out.len()` bytes out of a region into a caller-owned buffer
-    /// (the allocation-free path behind `read`).
-    pub fn read_into(&self, region: RegionId, offset: u64, out: &mut [u8]) -> Result<(), GmError> {
-        let regions = self.regions.lock();
-        let r = Self::check(&regions, region, offset, out.len())?;
-        out.copy_from_slice(&r.data[offset as usize..offset as usize + out.len()]);
-        Ok(())
+    /// Copy `len` bytes out of a region into a buffer of exactly that
+    /// capacity.
+    pub fn read(&self, region: RegionId, offset: u64, len: usize) -> Result<Vec<u8>, GmError> {
+        self.read_with(region, offset, len, <[u8]>::to_vec)
     }
 
     /// Write bytes into a region.
@@ -320,18 +324,18 @@ mod tests {
     }
 
     #[test]
-    fn read_into_matches_read() {
+    fn read_with_sees_the_bytes_in_place_and_read_copies_them_exactly() {
         let gs = GlobalStore::new(2);
         let r = gs.alloc(32, Distribution::Blocked);
         gs.write(r, 4, &[9, 8, 7, 6]).unwrap();
         let mut buf = [0u8; 6];
-        gs.read_into(r, 3, &mut buf).unwrap();
-        assert_eq!(buf.to_vec(), gs.read(r, 3, 6).unwrap());
-        let mut over = [0u8; 4];
-        assert!(matches!(
-            gs.read_into(r, 30, &mut over),
-            Err(GmError::OutOfBounds { .. })
-        ));
+        gs.read_with(r, 3, 6, |src| buf.copy_from_slice(src))
+            .unwrap();
+        assert_eq!(buf, [0, 9, 8, 7, 6, 0]);
+        let copy = gs.read(r, 3, 6).unwrap();
+        assert_eq!((copy.as_slice(), copy.capacity()), (&buf[..], 6));
+        let ran = gs.read_with(r, 30, 4, |_| ());
+        assert!(matches!(ran, Err(GmError::OutOfBounds { .. })));
     }
 
     #[test]

@@ -484,7 +484,13 @@ impl GmPort for LivePort {
         );
     }
 
+    /// Every blocking wait is a `gm/blocked_ns` sample: what is left of an
+    /// operation's latency after it is the requester's own client time.
     fn blocked(&mut self, since: u64, seq: u64) {
+        self.metrics().record(
+            MetricKey::pe("gm", "blocked_ns", self.rank),
+            self.cluster.now_ns().saturating_sub(since),
+        );
         if self.tracing() {
             let id = self.rec.next_id();
             let mut span = self.span(TraceSpanKind::GmBlock, id, self.app_span, since);

@@ -20,6 +20,22 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
+/// Payloads and frames of at least this many bytes are *bulk*.
+const BULK_MIN: usize = 4096;
+
+/// Whether `len` bytes are worth handing over whole instead of copying.
+///
+/// Every layer that can either copy a buffer into storage it already owns
+/// or keep the buffer itself asks this one question: a frame encoder
+/// (pooled buffer or one of the exact size), [`crate::FrameDecoder`] (copy
+/// into the reassembly buffer or adopt the delivered one), a GM read handle
+/// (copy out of the response or keep a view of it). Below the threshold the
+/// copy is cheaper than the allocation it saves and a kept view would pin a
+/// large buffer for a few bytes; at or above it the copy is the cost.
+pub fn is_bulk(len: usize) -> bool {
+    len >= BULK_MIN
+}
+
 /// An immutable, cheaply cloneable view into shared byte storage.
 #[derive(Clone, Default)]
 pub struct Bytes {

@@ -43,7 +43,7 @@
 
 use std::sync::Arc;
 
-use crate::bytes::Bytes;
+use crate::bytes::{is_bulk, Bytes};
 use crate::codec::{CodecError, Reader, MAX_PAYLOAD};
 use crate::message::Message;
 
@@ -89,6 +89,12 @@ pub enum FrameEvent {
         /// Per-stream sequence number.
         seq: u64,
     },
+}
+
+/// Exact length of the frame [`encode_frame_ctx_into`] appends for `msg`.
+pub fn frame_len(msg: &Message, ctx: Option<TraceCtx>) -> usize {
+    let ext = if ctx.is_some() { 1 + TRACE_EXT_LEN } else { 0 };
+    FRAME_HEADER_LEN + ext + msg.wire_len()
 }
 
 /// Append one message frame with sequence number `seq` to `buf`.
@@ -203,6 +209,21 @@ impl FrameDecoder {
     /// decoded normally.
     pub fn dropped_trace_ctx(&self) -> u64 {
         self.dropped_trace_ctx
+    }
+
+    /// Append a received buffer the caller no longer needs. A bulk buffer
+    /// that arrives with nothing unconsumed in front of it *becomes* the
+    /// reassembly buffer — no copy; whatever it displaces is dropped, or
+    /// left to the payload views still pinning it. Anything else is copied
+    /// as by [`push`](FrameDecoder::push) and handed back for recycling.
+    pub fn push_owned(&mut self, bytes: Vec<u8>) -> Option<Vec<u8>> {
+        if is_bulk(bytes.len()) && self.buffered() == 0 {
+            self.buf = Arc::new(bytes);
+            self.start = 0;
+            return None;
+        }
+        self.push(&bytes);
+        Some(bytes)
     }
 
     /// Append newly received bytes.
@@ -498,6 +519,84 @@ mod tests {
         let _ = d.next_frame().unwrap();
         d.push(&[0u8]);
         assert_eq!(Arc::strong_count(&d.buf), 1);
+    }
+
+    fn write_of(len: usize) -> Message {
+        Message::GmWriteReq {
+            req: ReqId(1),
+            region: RegionId(0),
+            offset: 0,
+            data: vec![0xAB; len].into(),
+        }
+    }
+
+    #[test]
+    fn frame_len_is_what_the_encoder_appends() {
+        let ctx = Some(TraceCtx {
+            trace: 1,
+            parent: 2,
+        });
+        for msg in [sample_msg(1), write_of(5000)] {
+            assert_eq!(encode_frame(0, &msg).len(), frame_len(&msg, None));
+            assert_eq!(encode_frame_ctx(0, &msg, ctx).len(), frame_len(&msg, ctx));
+        }
+    }
+
+    #[test]
+    fn a_bulk_buffer_with_nothing_in_front_is_adopted_not_copied() {
+        let mut d = FrameDecoder::new();
+        // Small buffers are copied and come back for recycling.
+        let small = encode_frame(0, &sample_msg(0));
+        assert_eq!(d.push_owned(small.clone()), Some(small));
+        assert!(d.next_frame().unwrap().is_some());
+        // A bulk buffer behind a fully consumed one becomes the buffer.
+        let bulk = encode_frame(1, &write_of(2 * DECODER_HIGH_WATER));
+        let at = bulk.as_ptr();
+        assert_eq!(d.push_owned(bulk), None);
+        assert_eq!(d.buf.as_ptr(), at);
+        let held = d.next_frame().unwrap().expect("the adopted frame");
+        // Behind unconsumed bytes (half a frame) even a bulk buffer is copied.
+        let next = encode_frame(2, &sample_msg(2));
+        d.push(&next[..10]);
+        let mut rest = next[10..].to_vec();
+        rest.extend_from_slice(&encode_frame(3, &write_of(5000)));
+        assert!(d.push_owned(rest).is_some());
+        for seq in [2, 3] {
+            assert!(matches!(
+                d.next_frame().unwrap(),
+                Some(FrameEvent::Msg { seq: s, .. }) if s == seq
+            ));
+        }
+        // The held view kept the adopted buffer's bytes through all of it.
+        match held {
+            FrameEvent::Msg { msg, .. } => assert_eq!(msg, write_of(2 * DECODER_HIGH_WATER)),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn capacity_falls_back_once_an_adopted_buffers_views_drop() {
+        let mut d = FrameDecoder::new();
+        assert_eq!(
+            d.push_owned(encode_frame(0, &write_of(2 * DECODER_HIGH_WATER))),
+            None
+        );
+        let held = d.next_frame().unwrap();
+        assert!(d.buffer_capacity() > DECODER_HIGH_WATER);
+        // Pinned by the view: the next push starts a buffer of its own size.
+        d.push(&encode_frame(1, &sample_msg(1)));
+        assert!(d.buffer_capacity() <= DECODER_HIGH_WATER);
+        drop(held);
+        // Unpinned and fully consumed: the next push shrinks it in place.
+        let mut d = FrameDecoder::new();
+        d.push_owned(encode_frame(0, &write_of(2 * DECODER_HIGH_WATER)));
+        drop(d.next_frame().unwrap());
+        d.push(&encode_frame(1, &sample_msg(1)));
+        assert!(d.buffer_capacity() <= DECODER_HIGH_WATER);
+        assert!(matches!(
+            d.next_frame().unwrap(),
+            Some(FrameEvent::Msg { seq: 1, .. })
+        ));
     }
 
     // --- Trace-context extension (back-compat + degradation). -------------

@@ -24,12 +24,12 @@ mod frame;
 mod ids;
 mod message;
 
-pub use bytes::Bytes;
+pub use bytes::{is_bulk, Bytes};
 pub use codec::{CodecError, Reader, Writer, MAX_PAYLOAD};
 pub use frame::{
     encode_bye, encode_bye_into, encode_frame, encode_frame_ctx, encode_frame_ctx_into,
-    encode_frame_into, FrameDecoder, FrameEvent, TraceCtx, DECODER_HIGH_WATER, FRAME_BYE,
-    FRAME_HEADER_LEN, FRAME_MSG, FRAME_MSG_TRACED, TRACE_EXT_LEN, TRACE_EXT_VERSION,
+    encode_frame_into, frame_len, FrameDecoder, FrameEvent, TraceCtx, DECODER_HIGH_WATER,
+    FRAME_BYE, FRAME_HEADER_LEN, FRAME_MSG, FRAME_MSG_TRACED, TRACE_EXT_LEN, TRACE_EXT_VERSION,
 };
 pub use ids::{GlobalPid, NodeId, RegionId, ReqId, ReqIdGen};
 pub use message::{GmOp, Message};

@@ -123,6 +123,52 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// A write request whose payload is `seed` repeated out to one of three
+/// sizes: a few bytes, just past the bulk threshold, past the decoder's
+/// high-water mark.
+fn arb_sized_write() -> impl Strategy<Value = Message> {
+    let seed = proptest::collection::vec(any::<u8>(), 1..48);
+    (any::<u64>(), seed, 0usize..3).prop_map(|(r, seed, class)| {
+        let len = [seed.len(), 4096 + seed.len(), 70_000 + seed.len()][class];
+        Message::GmWriteReq {
+            req: ReqId(r),
+            region: RegionId(1),
+            offset: r,
+            data: seed
+                .iter()
+                .copied()
+                .cycle()
+                .take(len)
+                .collect::<Vec<u8>>()
+                .into(),
+        }
+    })
+}
+
+/// Everything a decoder says about `stream` cut at `cuts`: the events up
+/// to the first framing error, and that error. `feed` pushes one piece.
+fn decode_pieces(
+    stream: &[u8],
+    cuts: &[usize],
+    feed: impl Fn(&mut FrameDecoder, &[u8]),
+) -> (Vec<FrameEvent>, Option<dse_msg::CodecError>) {
+    let mut dec = FrameDecoder::new();
+    let mut events = Vec::new();
+    let mut at = 0;
+    for &cut in cuts.iter().chain([&stream.len()]) {
+        feed(&mut dec, &stream[at..cut]);
+        at = cut;
+        loop {
+            match dec.next_frame() {
+                Ok(Some(ev)) => events.push(ev),
+                Ok(None) => break,
+                Err(e) => return (events, Some(e)),
+            }
+        }
+    }
+    (events, None)
+}
+
 proptest! {
     #[test]
     fn roundtrip(msg in arb_message()) {
@@ -234,6 +280,41 @@ proptest! {
                 }
                 other => prop_assert!(false, "expected Msg frame, got {:?}", other),
             }
+        }
+    }
+
+    /// Adoption is invisible: one byte stream — small, bulk and oversized
+    /// frames, whole or cut anywhere, intact or with a corrupted byte — fed
+    /// through `push` and through `push_owned` yields the same events and
+    /// the same framing error. Events are held to the end, so adopted and
+    /// copied-into buffers alike stay pinned by their views.
+    #[test]
+    fn push_owned_decodes_like_push(
+        msgs in proptest::collection::vec(arb_sized_write(), 1..5),
+        cuts_in in proptest::collection::vec(any::<u32>(), 0..6),
+        corrupt in (any::<bool>(), any::<u32>(), 1u16..256),
+    ) {
+        let mut stream = Vec::new();
+        let mut cuts: Vec<usize> = Vec::new();
+        for (i, m) in msgs.iter().enumerate() {
+            stream.extend_from_slice(&encode_frame(i as u64, m));
+            // Most deliveries are whole frames, as on the channel transport.
+            cuts.push(stream.len());
+        }
+        cuts.extend(cuts_in.iter().map(|&c| c as usize % stream.len()));
+        cuts.sort_unstable();
+        if let (true, at, flip) = corrupt {
+            let at = at as usize % stream.len();
+            stream[at] ^= flip as u8;
+        }
+        let copied = decode_pieces(&stream, &cuts, |d, piece| d.push(piece));
+        let adopted = decode_pieces(&stream, &cuts, |d, piece| {
+            d.push_owned(piece.to_vec());
+        });
+        prop_assert_eq!(&adopted, &copied);
+        if !corrupt.0 {
+            prop_assert_eq!(adopted.1, None);
+            prop_assert_eq!(adopted.0.len(), msgs.len());
         }
     }
 

@@ -221,6 +221,10 @@ pub struct TopRow {
     pub p99_ns: Option<u64>,
     /// p99.9 of the same merged latency distribution (the SLO tail).
     pub p999_ns: Option<u64>,
+    /// p50 of the time this PE's application spent blocked per GM wait
+    /// (live engine): what a request's latency leaves over is the
+    /// requester's own client code. `None` until a wait was recorded.
+    pub blocked_p50_ns: Option<u64>,
     /// Last telemetry sequence number heard from this PE.
     pub last_seq: u32,
     /// Sequence gaps observed (lost telemetry deltas).
@@ -302,6 +306,9 @@ pub fn top_rows(agg: &ClusterAggregator, now_ns: u64) -> Vec<TopRow> {
                 p50_ns,
                 p99_ns,
                 p999_ns,
+                blocked_p50_ns: snap
+                    .histogram("gm", "blocked_ns", Some(pe))
+                    .map(LogHistogram::p50),
                 last_seq: ns.last_seq,
                 gaps: ns.gaps,
                 age_ns: ns.last_heard_ns.map(|t| now_ns.saturating_sub(t)),
@@ -322,7 +329,7 @@ fn fmt_us(v: Option<u64>) -> String {
 /// request-latency percentiles and telemetry health.
 pub fn render_top(agg: &ClusterAggregator, now_ns: u64) -> String {
     let mut out = String::from(
-        "NODE  MACHINE  MSGS      GM-BYTES    HIT%   DIR%   INVAL  INFLT  COAL   RETRY  TRIPS  P50(us)   P99(us)   P999(us)  SEQ    GAPS  AGE(ms)\n",
+        "NODE  MACHINE  MSGS      GM-BYTES    HIT%   DIR%   INVAL  INFLT  COAL   RETRY  TRIPS  P50(us)   P99(us)   P999(us)  BLK50(us)  SEQ    GAPS  AGE(ms)\n",
     );
     for r in top_rows(agg, now_ns) {
         let machine = r
@@ -342,7 +349,7 @@ pub fn render_top(agg: &ClusterAggregator, now_ns: u64) -> String {
             .map(|a| format!("{:.1}", a as f64 / 1e6))
             .unwrap_or_else(|| "-".to_string());
         out.push_str(&format!(
-            "{:<5} {:<8} {:<9} {:<11} {:<6} {:<6} {:<6} {:<6} {:<6} {:<6} {:<6} {:<9} {:<9} {:<9} {:<6} {:<5} {}\n",
+            "{:<5} {:<8} {:<9} {:<11} {:<6} {:<6} {:<6} {:<6} {:<6} {:<6} {:<6} {:<9} {:<9} {:<9} {:<10} {:<6} {:<5} {}\n",
             r.pe,
             machine,
             r.messages,
@@ -357,6 +364,7 @@ pub fn render_top(agg: &ClusterAggregator, now_ns: u64) -> String {
             fmt_us(r.p50_ns),
             fmt_us(r.p99_ns),
             fmt_us(r.p999_ns),
+            fmt_us(r.blocked_p50_ns),
             r.last_seq,
             r.gaps,
             age
@@ -491,6 +499,7 @@ mod tests {
         reg0.record(MetricKey::pe("gm", "remote_read_ns", 0), 10_000);
         reg0.record(MetricKey::pe("gm", "remote_write_ns", 0), 30_000);
         reg0.record(MetricKey::pe("gm", "batch_ns", 0), 50_000);
+        reg0.record(MetricKey::pe("gm", "blocked_ns", 0), 8_000);
         let mut t0 = DeltaTracker::new(0, true);
         let (seq, d) = t0.delta(&reg0.snapshot(), &[], true).unwrap();
         agg.apply(0, seq, 1_000_000, &d);
@@ -526,6 +535,10 @@ mod tests {
         assert!(r0.p99_ns.unwrap() >= r0.p50_ns.unwrap());
         assert!(r0.p999_ns.unwrap() >= r0.p99_ns.unwrap());
         assert!(r0.p99_ns.unwrap() >= 50_000);
+        // Blocked time is a column of its own, not one more latency.
+        let blocked = r0.blocked_p50_ns.expect("a wait was recorded");
+        assert!((7_000..=8_000).contains(&blocked), "{blocked}");
+        assert!(r0.p50_ns.unwrap() > 8_000);
         assert_eq!(r0.age_ns, Some(4_000_000));
         let r1 = &rows[1];
         assert_eq!(r1.machine, Some(1));
@@ -539,6 +552,7 @@ mod tests {
         assert_eq!(r1.gm_deadline_trips, 0);
         assert_eq!(r1.p50_ns, None);
         assert_eq!(r1.p999_ns, None);
+        assert_eq!(r1.blocked_p50_ns, None);
         assert_eq!(r1.age_ns, Some(1_000_000));
         assert!(rows.iter().all(|r| r.last_seq == 1 && r.gaps == 0));
     }
@@ -559,6 +573,7 @@ mod tests {
         let text = render_top(&agg, 5_000_000);
         assert!(text.starts_with("NODE"));
         assert!(text.contains("P999(us)"));
+        assert!(text.contains("BLK50(us)"));
         assert!(text.contains("HIT%"));
         assert!(text.contains("DIR%"));
         assert!(text.contains("INVAL"));

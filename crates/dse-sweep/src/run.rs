@@ -92,6 +92,10 @@ pub struct RunRecord {
     pub p99_ns: u64,
     /// Merged GM latency p99.9 across PEs (ns; virtual on sim runs).
     pub p999_ns: u64,
+    /// p50 of the time an application spent blocked per GM wait, merged
+    /// across PEs (live runs only; 0 on sim rows): a request's latency
+    /// less this is the requester's own client code.
+    pub blocked_p50_ns: u64,
     /// Causal-blame decomposition of the run's wall clock, summed over
     /// PEs (live runs only; 0 on sim rows). The six columns partition
     /// each PE's app-span wall time, so
@@ -108,8 +112,8 @@ pub struct RunRecord {
 /// CSV header matching [`RunRecord::to_csv_line`].
 pub const CSV_HEADER: &str = "idx,cell,scenario,app,engine,transport,scheduler,platform,procs,\
 gm_window,cache,gm_mode,fault_plan,seed,status,note,wall_ns,virtual_ns,events,gm_ops,\
-gm_request_msgs,retries,p50_ns,p99_ns,p999_ns,blame_compute_ns,blame_serve_ns,blame_net_ns,\
-blame_retry_ns,blame_barrier_ns,blame_lock_ns";
+gm_request_msgs,retries,p50_ns,p99_ns,p999_ns,blocked_p50_ns,blame_compute_ns,blame_serve_ns,\
+blame_net_ns,blame_retry_ns,blame_barrier_ns,blame_lock_ns";
 
 impl RunRecord {
     /// A failure row for a run that produced no metrics.
@@ -140,6 +144,7 @@ impl RunRecord {
             p50_ns: 0,
             p99_ns: 0,
             p999_ns: 0,
+            blocked_p50_ns: 0,
             blame_compute_ns: 0,
             blame_serve_ns: 0,
             blame_net_ns: 0,
@@ -159,7 +164,7 @@ impl RunRecord {
                 "\"gm_window\":{},\"cache\":{},\"gm_mode\":\"{}\",\"fault_plan\":\"{}\",\"seed\":{},",
                 "\"status\":\"{}\",\"note\":\"{}\",\"wall_ns\":{},\"virtual_ns\":{},",
                 "\"events\":{},\"gm_ops\":{},\"gm_request_msgs\":{},\"retries\":{},",
-                "\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},",
+                "\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"blocked_p50_ns\":{},",
                 "\"blame_compute_ns\":{},\"blame_serve_ns\":{},\"blame_net_ns\":{},",
                 "\"blame_retry_ns\":{},\"blame_barrier_ns\":{},\"blame_lock_ns\":{}}}"
             ),
@@ -188,6 +193,7 @@ impl RunRecord {
             self.p50_ns,
             self.p99_ns,
             self.p999_ns,
+            self.blocked_p50_ns,
             self.blame_compute_ns,
             self.blame_serve_ns,
             self.blame_net_ns,
@@ -209,6 +215,7 @@ impl RunRecord {
             c.p50_ns = 0;
             c.p99_ns = 0;
             c.p999_ns = 0;
+            c.blocked_p50_ns = 0;
             c.blame_compute_ns = 0;
             c.blame_serve_ns = 0;
             c.blame_net_ns = 0;
@@ -229,7 +236,7 @@ impl RunRecord {
             }
         };
         format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.idx,
             csv(&self.cell),
             csv(&self.scenario),
@@ -255,6 +262,7 @@ impl RunRecord {
             self.p50_ns,
             self.p99_ns,
             self.p999_ns,
+            self.blocked_p50_ns,
             self.blame_compute_ns,
             self.blame_serve_ns,
             self.blame_net_ns,
@@ -322,6 +330,8 @@ impl RunRecord {
             p50_ns: n("p50_ns")?,
             p99_ns: n("p99_ns")?,
             p999_ns: n("p999_ns")?,
+            // Rows written before the column existed recorded no waits.
+            blocked_p50_ns: n("blocked_p50_ns").unwrap_or(0),
             blame_compute_ns: n("blame_compute_ns")?,
             blame_serve_ns: n("blame_serve_ns")?,
             blame_net_ns: n("blame_net_ns")?,
@@ -332,20 +342,21 @@ impl RunRecord {
     }
 }
 
-/// Merge every `gm/*_ns` latency histogram across PEs and return
-/// `(p50, p99, p99.9)` — the latency columns of the row.
-fn gm_latency_quantiles(metrics: &MetricsSnapshot) -> (u64, u64, u64) {
+/// Merge every `gm/*_ns` operation-latency histogram across PEs and return
+/// `(p50, p99, p99.9)` — the latency columns of the row — and the p50 of
+/// `gm/blocked_ns`, which times waits inside those operations, not
+/// operations, and gets its own column.
+fn gm_latency_quantiles(metrics: &MetricsSnapshot) -> (u64, u64, u64, u64) {
     let mut merged = LogHistogram::new();
+    let mut blocked = LogHistogram::new();
     for (key, hist) in &metrics.histograms {
-        if key.subsystem == "gm" && key.name.ends_with("_ns") {
+        if key.subsystem == "gm" && key.name == "blocked_ns" {
+            blocked.merge(hist);
+        } else if key.subsystem == "gm" && key.name.ends_with("_ns") {
             merged.merge(hist);
         }
     }
-    if merged.count() == 0 {
-        (0, 0, 0)
-    } else {
-        (merged.p50(), merged.p99(), merged.p999())
-    }
+    (merged.p50(), merged.p99(), merged.p999(), blocked.p50())
 }
 
 /// Sum the kernel counters that constitute "GM operations" on the sim
@@ -429,7 +440,7 @@ fn execute_sim(spec: &RunSpec, app: AppKind) -> RunRecord {
         }
     };
     let wall_ns = started.elapsed().as_nanos() as u64;
-    let (p50_ns, p99_ns, p999_ns) = gm_latency_quantiles(&run.metrics);
+    let (p50_ns, p99_ns, p999_ns, _) = gm_latency_quantiles(&run.metrics);
     RunRecord {
         wall_ns,
         virtual_ns: run.report.end_time.as_nanos(),
@@ -515,7 +526,7 @@ fn execute_live(spec: &RunSpec, app: AppKind) -> RunRecord {
     let wall_ns = started.elapsed().as_nanos() as u64;
     match outcome {
         Ok(run) => {
-            let (p50_ns, p99_ns, p999_ns) = gm_latency_quantiles(&run.metrics);
+            let (p50_ns, p99_ns, p999_ns, blocked_p50_ns) = gm_latency_quantiles(&run.metrics);
             let blame = dse_trace::blame(&dse_trace::assemble(&run.trace_spans)).total();
             RunRecord {
                 wall_ns,
@@ -528,6 +539,7 @@ fn execute_live(spec: &RunSpec, app: AppKind) -> RunRecord {
                 p50_ns,
                 p99_ns,
                 p999_ns,
+                blocked_p50_ns,
                 blame_compute_ns: blame.compute_ns,
                 blame_serve_ns: blame.serve_ns,
                 blame_net_ns: blame.net_ns,
@@ -600,6 +612,16 @@ mod tests {
         assert!(parts > 0, "blame columns must be populated on live rows");
         assert!(row.blame_compute_ns > 0);
         assert!(row.p999_ns >= row.p99_ns);
+        // A remote operation includes the wait for its answer, and rows
+        // from before the column existed still parse.
+        assert!(row.blocked_p50_ns > 0 && row.blocked_p50_ns <= row.p999_ns);
+        let line = row.to_json_line();
+        let legacy = line.replace(&format!("\"blocked_p50_ns\":{},", row.blocked_p50_ns), "");
+        assert_ne!(legacy, line);
+        assert_eq!(
+            RunRecord::from_json_line(&legacy).unwrap().blocked_p50_ns,
+            0
+        );
     }
 
     #[test]

@@ -242,6 +242,37 @@ mod tests {
     }
 
     #[test]
+    fn bulk_frames_neither_take_from_the_pool_nor_return_to_it() {
+        let mut cluster = ChannelTransport::cluster(2);
+        let b = cluster.pop().unwrap();
+        let a = cluster.pop().unwrap();
+        a.send(1, &msg(0)).unwrap();
+        b.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+        assert_eq!(a.mux.pool().pooled(), 1);
+        let bulk = Message::GmWriteReq {
+            req: ReqId(1),
+            region: RegionId(1),
+            offset: 0,
+            data: vec![7u8; 64 * 1024].into(),
+        };
+        for _ in 0..3 {
+            a.send(1, &bulk).unwrap();
+            let env = b.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+            assert_eq!(env.msg, bulk);
+            // The one warm small buffer is still there for the next small
+            // frame; the bulk frame went to the decoder and stayed there.
+            assert_eq!(a.mux.pool().pooled(), 1);
+        }
+        a.send(1, &msg(2)).unwrap();
+        assert_eq!(a.mux.pool().pooled(), 0);
+        assert_eq!(
+            b.recv(Some(Duration::from_secs(1))).unwrap().unwrap().seq,
+            4
+        );
+        assert_eq!(a.mux.pool().pooled(), 1);
+    }
+
+    #[test]
     fn timeout_returns_none() {
         let cluster = ChannelTransport::cluster(1);
         let got = cluster[0].recv(Some(Duration::from_millis(10))).unwrap();

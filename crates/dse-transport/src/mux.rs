@@ -10,7 +10,8 @@ use std::time::{Duration, Instant};
 use std::sync::Arc;
 
 use dse_msg::{
-    encode_bye_into, encode_frame_ctx_into, FrameDecoder, FrameEvent, Message, TraceCtx,
+    encode_bye_into, encode_frame_ctx_into, frame_len, is_bulk, FrameDecoder, FrameEvent, Message,
+    TraceCtx,
 };
 
 use crate::{Envelope, TransportError};
@@ -28,8 +29,10 @@ const POOL_MAX_CAP: usize = 64 * 1024;
 ///
 /// Senders [`get`](FramePool::get) a cleared buffer, encode a frame into
 /// it, and hand it to the destination's inbox; the receiver returns it with
-/// [`put`](FramePool::put) once ingested. In steady state every frame hop
-/// reuses a warm buffer and the send path allocates nothing.
+/// [`put`](FramePool::put) once ingested. In steady state every small frame
+/// hop reuses a warm buffer and the send path allocates nothing. Bulk
+/// frames stay outside it: they are encoded at their exact size and the
+/// receiving decoder keeps the buffer.
 #[derive(Default)]
 pub struct FramePool {
     bufs: Mutex<Vec<Vec<u8>>>,
@@ -205,6 +208,18 @@ impl FrameMux {
         &self.pool
     }
 
+    /// The buffer to encode `len` bytes of frames into: a pooled one, or for
+    /// a bulk delivery one of exactly that size — the receiver's decoder
+    /// adopts it, so it never comes back, and growing a pooled buffer for it
+    /// would take that one out of circulation too.
+    fn frame_buf(&self, len: usize) -> Vec<u8> {
+        if is_bulk(len) {
+            Vec::with_capacity(len)
+        } else {
+            self.pool.get()
+        }
+    }
+
     /// Encode `msg` as the next frame for destination `to` and hand it to
     /// `deliver` (returning `false` means the destination dropped it). The
     /// sequence allocator stays locked across delivery: an endpoint may be
@@ -223,7 +238,7 @@ impl FrameMux {
         }
         let mut seqs = self.tx_seq.lock().unwrap_or_else(|e| e.into_inner());
         let seq = seqs[to as usize];
-        let mut frame = self.pool.get();
+        let mut frame = self.frame_buf(frame_len(msg, ctx));
         encode_frame_ctx_into(&mut frame, seq, msg, ctx);
         if !deliver(frame) {
             return Err(TransportError::PeerDropped { peer: to });
@@ -252,7 +267,8 @@ impl FrameMux {
         }
         let mut seqs = self.tx_seq.lock().unwrap_or_else(|e| e.into_inner());
         let mut seq = seqs[to as usize];
-        let mut frame = self.pool.get();
+        let len = msgs.iter().map(|(msg, ctx)| frame_len(msg, *ctx)).sum();
+        let mut frame = self.frame_buf(len);
         for (msg, ctx) in msgs {
             encode_frame_ctx_into(&mut frame, seq, msg, *ctx);
             seq += 1;
@@ -276,12 +292,15 @@ impl FrameMux {
         }
     }
 
-    /// Feed raw frame bytes received from `from`; decoded messages land in
-    /// the ready queue.
-    pub fn ingest(&self, from: u32, bytes: &[u8]) -> Result<(), TransportError> {
+    /// Feed one delivery of frame bytes received from `from`; decoded
+    /// messages land in the ready queue. The buffer goes back to the pool
+    /// unless the decoder kept it.
+    pub fn ingest(&self, from: u32, bytes: Vec<u8>) -> Result<(), TransportError> {
         let mut rx = self.rx.lock().unwrap_or_else(|e| e.into_inner());
         let pr = &mut rx[from as usize];
-        pr.dec.push(bytes);
+        if let Some(spent) = pr.dec.push_owned(bytes) {
+            self.pool.put(spent);
+        }
         loop {
             match pr.dec.next_frame()? {
                 None => break,
@@ -348,10 +367,7 @@ impl FrameMux {
                 }
             };
             match inbox.pop(remaining) {
-                Pop::Item((from, bytes)) => {
-                    self.ingest(from, &bytes)?;
-                    self.pool.put(bytes);
-                }
+                Pop::Item((from, bytes)) => self.ingest(from, bytes)?,
                 Pop::TimedOut => return Ok(None),
                 Pop::Closed => {
                     // Drain anything decoded between the check above and
@@ -379,10 +395,7 @@ impl FrameMux {
                 return Ok(Some(env));
             }
             match inbox.pop(Some(Duration::ZERO)) {
-                Pop::Item((from, bytes)) => {
-                    self.ingest(from, &bytes)?;
-                    self.pool.put(bytes);
-                }
+                Pop::Item((from, bytes)) => self.ingest(from, bytes)?,
                 Pop::TimedOut => return Ok(None),
                 Pop::Closed => {
                     return match self.take_ready() {
