@@ -1,33 +1,35 @@
 //! Aggregation: fold per-run rows into per-cell summaries, render the
-//! text table, write/read the canonical `BENCH_sweep.json` trajectory
-//! file, and diff a sweep against a committed baseline for the CI gate.
+//! text table, and compare a sweep's exact columns with a committed
+//! baseline for the CI gate.
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, Value};
 use crate::run::{RunRecord, RunStatus};
 
-/// Per-cell summary across that cell's seeds.
+/// Per-cell summary across that cell's seeds. Every mean is over the
+/// cell's ok runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSummary {
     /// Cell id (all axes except the seed).
     pub cell: String,
+    /// Whether the cell ran on the simulator.
+    pub sim: bool,
     /// Total runs of the cell.
     pub runs: usize,
     /// Runs that completed normally.
     pub ok: usize,
-    /// Live-engine aborts.
-    pub aborts: usize,
-    /// Runs killed at the deadline.
-    pub timeouts: usize,
-    /// Harness-level failures.
-    pub errors: usize,
+    /// Mean virtual nanoseconds (0 for live cells).
+    pub virtual_ns: f64,
+    /// Mean simulator events (0 for live cells).
+    pub events: f64,
+    /// Thread hand-offs per simulator event (0 for live cells).
+    pub handoffs_per_event: f64,
+    /// Mean GM operations.
+    pub gm_ops: f64,
     /// GM retransmits, summed over all runs.
     pub retries: u64,
-    /// Mean wall-clock nanoseconds over ok runs.
+    /// Mean wall-clock nanoseconds.
     pub wall_ns: f64,
-    /// Mean virtual nanoseconds over ok sim runs (0 for live cells).
-    pub virtual_ns: f64,
     /// Mean simulator events per wall-clock second (sim cells).
     pub events_per_sec: f64,
     /// Mean GM operations per wall-clock second.
@@ -38,6 +40,10 @@ pub struct CellSummary {
     pub p99_ns: f64,
     /// Mean merged GM latency p99.9 (ns) — the SLO tail.
     pub p999_ns: f64,
+    /// Where a live cell's time went: compute, serve, net, barrier and
+    /// lock blame as percent of the summed app-span wall time (what is
+    /// left of 100 is retransmission; all 0 for sim cells).
+    pub blame_pct: [f64; 5],
 }
 
 /// Group rows by cell id and fold each group into its summary, sorted by
@@ -53,41 +59,39 @@ pub fn aggregate(rows: &[RunRecord]) -> Vec<CellSummary> {
         .into_iter()
         .map(|(cell, rows)| {
             let ok: Vec<&&RunRecord> = rows.iter().filter(|r| r.status == RunStatus::Ok).collect();
+            let sum = |f: &dyn Fn(&RunRecord) -> u64| ok.iter().map(|r| f(r)).sum::<u64>() as f64;
+            let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
             let mean = |f: &dyn Fn(&RunRecord) -> f64| -> f64 {
-                if ok.is_empty() {
-                    0.0
-                } else {
-                    ok.iter().map(|r| f(r)).sum::<f64>() / ok.len() as f64
-                }
+                ratio(ok.iter().map(|r| f(r)).sum(), ok.len() as f64)
             };
             let rate = |count: &dyn Fn(&RunRecord) -> u64| -> f64 {
-                mean(&|r| {
-                    let secs = r.wall_ns as f64 / 1e9;
-                    if secs > 0.0 {
-                        count(r) as f64 / secs
-                    } else {
-                        0.0
-                    }
-                })
+                mean(&|r| ratio(count(r) as f64, r.wall_ns as f64 / 1e9))
             };
+            let blame = [
+                sum(&|r| r.blame_compute_ns),
+                sum(&|r| r.blame_serve_ns),
+                sum(&|r| r.blame_net_ns),
+                sum(&|r| r.blame_barrier_ns),
+                sum(&|r| r.blame_lock_ns),
+            ];
+            let app_wall = blame.iter().sum::<f64>() + sum(&|r| r.blame_retry_ns);
             CellSummary {
                 cell: cell.to_string(),
+                sim: rows[0].engine == "sim",
                 runs: rows.len(),
                 ok: ok.len(),
-                aborts: rows.iter().filter(|r| r.status == RunStatus::Abort).count(),
-                timeouts: rows
-                    .iter()
-                    .filter(|r| r.status == RunStatus::Timeout)
-                    .count(),
-                errors: rows.iter().filter(|r| r.status == RunStatus::Error).count(),
+                virtual_ns: mean(&|r| r.virtual_ns as f64),
+                events: mean(&|r| r.events as f64),
+                handoffs_per_event: ratio(sum(&|r| r.handoffs), sum(&|r| r.events)),
+                gm_ops: mean(&|r| r.gm_ops as f64),
                 retries: rows.iter().map(|r| r.retries).sum(),
                 wall_ns: mean(&|r| r.wall_ns as f64),
-                virtual_ns: mean(&|r| r.virtual_ns as f64),
                 events_per_sec: rate(&|r| r.events),
                 gm_ops_per_sec: rate(&|r| r.gm_ops),
                 p50_ns: mean(&|r| r.p50_ns as f64),
                 p99_ns: mean(&|r| r.p99_ns as f64),
                 p999_ns: mean(&|r| r.p999_ns as f64),
+                blame_pct: blame.map(|part| ratio(part * 100.0, app_wall)),
             }
         })
         .collect()
@@ -103,47 +107,80 @@ fn human_rate(v: f64) -> String {
     }
 }
 
-fn human_ms(ns: f64) -> String {
-    format!("{:.1}", ns / 1e6)
+/// The value, or `-` where the column does not apply to the cell's engine.
+fn only(applies: bool, value: String) -> String {
+    if applies {
+        value
+    } else {
+        "-".into()
+    }
 }
 
-/// Render the aggregate table.
+type TableColumn = (&'static str, fn(&CellSummary) -> String);
+
+/// Columns the gate compares (`RunRecord` columns that are exact on the
+/// cell's engine, folded over its seeds).
+const EXACT: &[TableColumn] = &[
+    ("virtual ms", |c| {
+        only(c.sim, format!("{:.1}", c.virtual_ns / 1e6))
+    }),
+    ("events", |c| only(c.sim, format!("{:.0}", c.events))),
+    ("handoffs/event", |c| {
+        only(c.sim, format!("{:.3}", c.handoffs_per_event))
+    }),
+    ("gm_ops", |c| format!("{:.0}", c.gm_ops)),
+    ("retries", |c| c.retries.to_string()),
+];
+
+/// Host-time columns: information, never compared. (The latency
+/// quantiles are virtual, and compared row by row, on sim cells.)
+const INFO: &[TableColumn] = &[
+    ("wall ms", |c| format!("{:.1}", c.wall_ns / 1e6)),
+    ("ev/s", |c| only(c.sim, human_rate(c.events_per_sec))),
+    ("gmop/s", |c| human_rate(c.gm_ops_per_sec)),
+    ("p50 us", |c| format!("{:.1}", c.p50_ns / 1e3)),
+    ("p99 us", |c| format!("{:.1}", c.p99_ns / 1e3)),
+    ("p999 us", |c| format!("{:.1}", c.p999_ns / 1e3)),
+    ("compute%", |c| {
+        only(!c.sim, format!("{:.0}", c.blame_pct[0]))
+    }),
+    ("serve%", |c| only(!c.sim, format!("{:.0}", c.blame_pct[1]))),
+    ("net%", |c| only(!c.sim, format!("{:.0}", c.blame_pct[2]))),
+    ("barrier%", |c| {
+        only(!c.sim, format!("{:.0}", c.blame_pct[3]))
+    }),
+    ("lock%", |c| only(!c.sim, format!("{:.0}", c.blame_pct[4]))),
+];
+
+/// Render the aggregate table: the cell and its run counts, the exact
+/// columns, then the informational ones under an `(info)` rule.
 pub fn render_table(cells: &[CellSummary]) -> String {
-    let header = [
-        "cell", "runs", "ok", "ev/s", "gmop/s", "wall ms", "p50 us", "p99 us", "p999 us", "retry",
-        "bad",
+    let ident: &[TableColumn] = &[
+        ("cell", |c| c.cell.clone()),
+        ("runs", |c| c.runs.to_string()),
+        ("ok", |c| c.ok.to_string()),
     ];
-    let mut table: Vec<[String; 11]> = vec![header.map(String::from)];
+    let groups = [("", ident), ("exact ", EXACT), ("(info) ", INFO)];
+    let columns: Vec<&TableColumn> = groups.iter().flat_map(|(_, cols)| cols.iter()).collect();
+    let mut table: Vec<Vec<String>> =
+        vec![columns.iter().map(|(name, _)| name.to_string()).collect()];
     for c in cells {
-        let bad = c.aborts + c.timeouts + c.errors;
-        table.push([
-            c.cell.clone(),
-            c.runs.to_string(),
-            c.ok.to_string(),
-            human_rate(c.events_per_sec),
-            human_rate(c.gm_ops_per_sec),
-            human_ms(c.wall_ns),
-            format!("{:.1}", c.p50_ns / 1e3),
-            format!("{:.1}", c.p99_ns / 1e3),
-            format!("{:.1}", c.p999_ns / 1e3),
-            c.retries.to_string(),
-            if bad == 0 {
-                "-".into()
-            } else {
-                bad.to_string()
-            },
-        ]);
+        table.push(columns.iter().map(|(_, value)| value(c)).collect());
     }
-    let mut widths = [0usize; 11];
-    for row in &table {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
+    let widths: Vec<usize> = (0..columns.len())
+        .map(|j| table.iter().map(|row| row[j].len()).max().unwrap_or(0))
+        .collect();
+    let mut rule = String::new();
+    let mut first = 0;
+    for (label, cols) in groups {
+        let span = widths[first..first + cols.len()].iter().sum::<usize>() + 2 * (cols.len() - 1);
+        rule.push_str(&format!("{label:-<span$}  "));
+        first += cols.len();
     }
     let mut out = String::new();
     for (i, row) in table.iter().enumerate() {
         let mut line = String::new();
-        for (j, (cell, w)) in row.iter().zip(widths).enumerate() {
+        for (j, (cell, w)) in row.iter().zip(&widths).enumerate() {
             if j == 0 {
                 line.push_str(&format!("{cell:<w$}"));
             } else {
@@ -153,263 +190,63 @@ pub fn render_table(cells: &[CellSummary]) -> String {
         out.push_str(line.trim_end());
         out.push('\n');
         if i == 0 {
-            let total = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-            out.push_str(&"-".repeat(total));
+            out.push_str(rule.trim_end());
             out.push('\n');
         }
     }
     out
 }
 
-/// Current `BENCH_sweep.json` schema tag.
-pub const BENCH_SCHEMA: &str = "dse-sweep/v1";
-
-/// Serialize summaries into the canonical trajectory file: one cell per
-/// line so baseline diffs stay reviewable.
-pub fn to_bench_json(sweep: &str, cells: &[CellSummary]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{}\",\n", BENCH_SCHEMA));
-    out.push_str(&format!("  \"sweep\": \"{}\",\n", json::escape(sweep)));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"cell\": \"{}\", \"runs\": {}, \"ok\": {}, \"aborts\": {}, \
-             \"timeouts\": {}, \"errors\": {}, \"retries\": {}, \"wall_ns\": {}, \
-             \"virtual_ns\": {}, \"events_per_sec\": {}, \"gm_ops_per_sec\": {}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}{sep}\n",
-            json::escape(&c.cell),
-            c.runs,
-            c.ok,
-            c.aborts,
-            c.timeouts,
-            c.errors,
-            c.retries,
-            json::num(c.wall_ns.round()),
-            json::num(c.virtual_ns.round()),
-            json::num((c.events_per_sec * 10.0).round() / 10.0),
-            json::num((c.gm_ops_per_sec * 10.0).round() / 10.0),
-            json::num(c.p50_ns.round()),
-            json::num(c.p99_ns.round()),
-            json::num(c.p999_ns.round()),
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Outcome of comparing a sweep with a baseline.
+#[derive(Debug, Clone)]
+pub struct Verdict {
+    /// One line per finding, then the verdict.
+    pub report: String,
+    /// Whether the sweep matches the baseline and every run is ok.
+    pub pass: bool,
 }
 
-/// Fold several trajectory files into one conservative gating baseline.
-///
-/// Cells on this matrix finish in single-digit milliseconds, so their
-/// wall-clock throughput jitters far more run-to-run than any real
-/// regression ever would. Per cell, the merged baseline keeps the
-/// MINIMUM observed throughput (`events_per_sec`, `gm_ops_per_sec`) —
-/// the floor `--gate` compares against — and the maximum wall/latency
-/// figures, so the gate only trips when a sweep falls below every
-/// healthy run that produced the baseline. Failure counts keep the
-/// worst case too (`ok` is the minimum), so a cell that ever failed
-/// while baselining is not treated as "was clean" by the gate.
-pub fn merge_floor(inputs: &[Vec<CellSummary>]) -> Vec<CellSummary> {
-    let mut merged: BTreeMap<String, CellSummary> = BTreeMap::new();
-    for cells in inputs {
-        for c in cells {
-            match merged.get_mut(&c.cell) {
-                None => {
-                    merged.insert(c.cell.clone(), c.clone());
-                }
-                Some(m) => {
-                    m.ok = m.ok.min(c.ok);
-                    m.aborts = m.aborts.max(c.aborts);
-                    m.timeouts = m.timeouts.max(c.timeouts);
-                    m.errors = m.errors.max(c.errors);
-                    m.retries = m.retries.max(c.retries);
-                    m.events_per_sec = m.events_per_sec.min(c.events_per_sec);
-                    m.gm_ops_per_sec = m.gm_ops_per_sec.min(c.gm_ops_per_sec);
-                    m.wall_ns = m.wall_ns.max(c.wall_ns);
-                    m.virtual_ns = m.virtual_ns.max(c.virtual_ns);
-                    m.p50_ns = m.p50_ns.max(c.p50_ns);
-                    m.p99_ns = m.p99_ns.max(c.p99_ns);
-                    m.p999_ns = m.p999_ns.max(c.p999_ns);
-                }
+/// Compare a sweep with a baseline of canonical rows, matched by
+/// `(cell, seed)`. The gate fails on any run that is not ok and on any
+/// difference in a column that is exact on the row's engine, each
+/// reported as `cell seed column: was → now`. Rows on one side only are
+/// reported and not gated.
+pub fn gate(rows: &[RunRecord], baseline: &[RunRecord]) -> Verdict {
+    let key = |r: &RunRecord| (r.cell.clone(), r.seed);
+    let mut base: BTreeMap<(String, u64), &RunRecord> =
+        baseline.iter().map(|b| (key(b), b)).collect();
+    let mut report = String::new();
+    let (mut failures, mut unmatched) = (0usize, 0usize);
+    for row in rows {
+        let was = base.remove(&key(row));
+        let at = format!("{} seed={}", row.cell, row.seed);
+        if row.status != RunStatus::Ok {
+            failures += 1;
+            report.push_str(&format!("{at} status: {} ({})\n", row.status, row.note));
+        } else if let Some(was) = was {
+            for (column, was, now) in row.exact_diffs(was) {
+                failures += 1;
+                report.push_str(&format!("{at} {column}: {was} → {now}\n"));
             }
-        }
-    }
-    merged.into_values().collect()
-}
-
-/// Merge raw trajectory-file sources with [`merge_floor`] and
-/// re-serialize the result. The sweep name is carried over from the
-/// first input.
-pub fn merge_bench_json(sources: &[String]) -> Result<String, String> {
-    let first = sources.first().ok_or("merge: no input files")?;
-    let name = json::parse(first)?
-        .get("sweep")
-        .and_then(Value::as_str)
-        .unwrap_or("merged")
-        .to_string();
-    let inputs: Vec<Vec<CellSummary>> = sources
-        .iter()
-        .map(|s| parse_bench_json(s))
-        .collect::<Result<_, _>>()?;
-    Ok(to_bench_json(&name, &merge_floor(&inputs)))
-}
-
-/// Parse a trajectory file back into summaries.
-pub fn parse_bench_json(src: &str) -> Result<Vec<CellSummary>, String> {
-    let doc = json::parse(src)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("baseline missing 'schema'")?;
-    if schema != BENCH_SCHEMA {
-        return Err(format!("baseline schema '{schema}' is not {BENCH_SCHEMA}"));
-    }
-    let cells = doc
-        .get("cells")
-        .and_then(Value::as_array)
-        .ok_or("baseline missing 'cells'")?;
-    cells
-        .iter()
-        .map(|c| {
-            let s = |key: &str| -> Result<String, String> {
-                c.get(key)
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("baseline cell missing '{key}'"))
-            };
-            let n = |key: &str| -> Result<f64, String> {
-                c.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("baseline cell missing '{key}'"))
-            };
-            Ok(CellSummary {
-                cell: s("cell")?,
-                runs: n("runs")? as usize,
-                ok: n("ok")? as usize,
-                aborts: n("aborts")? as usize,
-                timeouts: n("timeouts")? as usize,
-                errors: n("errors")? as usize,
-                retries: n("retries")? as u64,
-                wall_ns: n("wall_ns")?,
-                virtual_ns: n("virtual_ns")?,
-                events_per_sec: n("events_per_sec")?,
-                gm_ops_per_sec: n("gm_ops_per_sec")?,
-                p50_ns: n("p50_ns")?,
-                p99_ns: n("p99_ns")?,
-                // Absent in pre-p999 baselines; tolerate so committed
-                // trajectory files stay readable.
-                p999_ns: c.get("p999_ns").and_then(Value::as_f64).unwrap_or(0.0),
-            })
-        })
-        .collect()
-}
-
-/// Outcome of diffing a sweep against a baseline.
-#[derive(Debug, Clone, Default)]
-pub struct DiffReport {
-    /// Human-readable per-cell delta lines.
-    pub lines: Vec<String>,
-    /// Cells that regressed past the gate threshold (empty = gate passes).
-    pub regressions: Vec<String>,
-    /// Cells present now but absent from the baseline (not gated).
-    pub new_cells: usize,
-    /// Baseline cells the sweep no longer runs (not gated).
-    pub missing_cells: usize,
-}
-
-impl DiffReport {
-    /// Render the report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for line in &self.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        if self.new_cells > 0 {
-            out.push_str(&format!(
-                "{} cell(s) have no baseline yet\n",
-                self.new_cells
-            ));
-        }
-        if self.missing_cells > 0 {
-            out.push_str(&format!(
-                "{} baseline cell(s) were not run this sweep\n",
-                self.missing_cells
-            ));
-        }
-        if self.regressions.is_empty() {
-            out.push_str("gate: PASS\n");
         } else {
-            out.push_str(&format!(
-                "gate: FAIL — {} regressed cell(s)\n",
-                self.regressions.len()
-            ));
+            unmatched += 1;
+            report.push_str(&format!("{at}: not in the baseline (not gated)\n"));
         }
-        out
     }
-}
-
-/// Compare a sweep against a baseline. A cell regresses when a
-/// throughput metric (`events_per_sec`, `gm_ops_per_sec`) falls more
-/// than `gate_pct` percent below its baseline value, or when a cell that
-/// was fully healthy in the baseline now has failed runs. Cells without
-/// a baseline counterpart are reported but never gated.
-pub fn diff(current: &[CellSummary], baseline: &[CellSummary], gate_pct: f64) -> DiffReport {
-    let base: BTreeMap<&str, &CellSummary> =
-        baseline.iter().map(|c| (c.cell.as_str(), c)).collect();
-    let cur: BTreeMap<&str, &CellSummary> = current.iter().map(|c| (c.cell.as_str(), c)).collect();
-    let mut report = DiffReport {
-        missing_cells: baseline
-            .iter()
-            .filter(|b| !cur.contains_key(b.cell.as_str()))
-            .count(),
-        ..DiffReport::default()
-    };
-    for c in current {
-        let Some(b) = base.get(c.cell.as_str()) else {
-            report.new_cells += 1;
-            continue;
-        };
-        let mut worst: Option<(String, f64)> = None;
-        for (metric, now, then) in [
-            ("events_per_sec", c.events_per_sec, b.events_per_sec),
-            ("gm_ops_per_sec", c.gm_ops_per_sec, b.gm_ops_per_sec),
-        ] {
-            if then <= 0.0 {
-                continue;
-            }
-            let delta_pct = (now - then) / then * 100.0;
-            if worst.as_ref().is_none_or(|(_, w)| delta_pct < *w) {
-                worst = Some((metric.to_string(), delta_pct));
-            }
-            if delta_pct < -gate_pct {
-                report
-                    .regressions
-                    .push(format!("{}: {metric} {delta_pct:+.1}%", c.cell));
-            }
-        }
-        let newly_failing = b.ok == b.runs && c.ok < c.runs;
-        if newly_failing {
-            report.regressions.push(format!(
-                "{}: {} of {} runs failed (baseline was clean)",
-                c.cell,
-                c.runs - c.ok,
-                c.runs
-            ));
-        }
-        let (metric, delta) = worst.unwrap_or_else(|| ("events_per_sec".into(), 0.0));
-        report.lines.push(format!(
-            "{:<40} {metric} {delta:+7.1}%{}",
-            c.cell,
-            if newly_failing {
-                "  [newly failing]"
-            } else {
-                ""
-            }
+    for b in base.values() {
+        report.push_str(&format!(
+            "{} seed={}: baseline row not run (not gated)\n",
+            b.cell, b.seed
         ));
     }
-    report
+    let compared = rows.len() - unmatched;
+    let pass = failures == 0;
+    report.push_str(&if pass {
+        format!("gate: PASS — {compared} row(s) match the baseline exactly\n")
+    } else {
+        format!("gate: FAIL — {failures} difference(s), {compared} row(s) compared\n")
+    });
+    Verdict { report, pass }
 }
 
 #[cfg(test)]
@@ -430,6 +267,7 @@ mod tests {
                 rec.wall_ns = 2_000_000_000; // 2s
                 rec.virtual_ns = 1_000_000_000;
                 rec.events = 1000 * (rs.idx as u64 + 1);
+                rec.handoffs = rec.events / 4;
                 rec.gm_ops = 500;
                 rec.p50_ns = 1000;
                 rec.p99_ns = 9000;
@@ -448,7 +286,9 @@ mod tests {
         assert_eq!(gauss.runs, 2);
         assert_eq!(gauss.ok, 2);
         // gauss rows are idx 0 and 1: (1000 + 2000)/2 events over 2s each.
+        assert!((gauss.events - 1500.0).abs() < 1e-9);
         assert!((gauss.events_per_sec - 750.0).abs() < 1e-9);
+        assert!((gauss.handoffs_per_event - 0.25).abs() < 1e-9);
         assert!((gauss.gm_ops_per_sec - 250.0).abs() < 1e-9);
         assert!((gauss.wall_ns - 2e9).abs() < 1e-9);
     }
@@ -461,136 +301,81 @@ mod tests {
         rows[1].wall_ns = 0;
         let cells = aggregate(&rows);
         let gauss = cells.iter().find(|c| c.cell.contains("gauss")).unwrap();
-        assert_eq!(gauss.ok, 1);
-        assert_eq!(gauss.timeouts, 1);
+        assert_eq!((gauss.runs, gauss.ok), (2, 1));
         // The rate is the mean over ok runs only.
         assert!((gauss.events_per_sec - 500.0).abs() < 1e-9);
     }
 
     #[test]
-    fn bench_json_roundtrips() {
-        let cells = aggregate(&fixture_rows());
-        let text = to_bench_json("fixture", &cells);
-        let back = parse_bench_json(&text).unwrap();
-        assert_eq!(back.len(), cells.len());
-        for (a, b) in back.iter().zip(&cells) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.runs, b.runs);
-            assert!((a.events_per_sec - b.events_per_sec).abs() < 0.1);
-            assert!((a.p999_ns - b.p999_ns).abs() < 1.0);
-        }
-        assert!(parse_bench_json("{\"schema\": \"other/v9\", \"cells\": []}").is_err());
-        // Pre-p999 baselines (no p999_ns key) still parse, defaulting to 0.
-        let legacy = text.replace(", \"p999_ns\": 12000", "");
-        let back = parse_bench_json(&legacy).unwrap();
-        assert!(back.iter().all(|c| c.p999_ns == 0.0));
-    }
-
-    #[test]
-    fn merge_floor_keeps_worst_case_per_cell() {
-        let cells = aggregate(&fixture_rows());
-        // Second sample: faster throughput, slower tails, one failure.
-        let mut fast = cells.clone();
-        for c in &mut fast {
-            c.events_per_sec *= 2.0;
-            c.gm_ops_per_sec *= 0.5;
-            c.p99_ns *= 3.0;
-        }
-        fast[0].ok -= 1;
-        fast[0].timeouts += 1;
-        let merged = merge_floor(&[cells.clone(), fast]);
-        assert_eq!(merged.len(), cells.len());
-        for (m, orig) in merged.iter().zip(&cells) {
-            assert_eq!(m.cell, orig.cell);
-            // Throughput keeps the slower sample, tails the slower tail.
-            assert!((m.events_per_sec - orig.events_per_sec).abs() < 1e-9);
-            assert!((m.gm_ops_per_sec - orig.gm_ops_per_sec * 0.5).abs() < 1e-9);
-            assert!((m.p99_ns - orig.p99_ns * 3.0).abs() < 1e-9);
-        }
-        // A cell that ever failed is not "clean" in the merged baseline.
-        assert_eq!(merged[0].ok, cells[0].ok - 1);
-        assert_eq!(merged[0].timeouts, 1);
-        // The floor baseline passes the gate against any of its inputs.
-        let report = diff(&cells, &merged, 15.0);
-        assert!(report.regressions.is_empty(), "{:?}", report.regressions);
-    }
-
-    #[test]
-    fn merge_bench_json_unions_cells_and_keeps_name() {
-        let cells = aggregate(&fixture_rows());
-        let a = to_bench_json("full", &cells);
-        // Second file: one overlapping (slower) cell plus one new cell.
-        let mut extra = cells.clone();
-        extra[0].events_per_sec /= 4.0;
-        extra[1].cell = "fx.other.p2".into();
-        let b = to_bench_json("full", &extra);
-        let merged = merge_bench_json(&[a, b]).unwrap();
-        assert!(merged.contains("\"sweep\": \"full\""));
-        let back = parse_bench_json(&merged).unwrap();
-        assert_eq!(back.len(), 3, "union of both files' cells");
-        let floor = back.iter().find(|c| c.cell == cells[0].cell).unwrap();
-        assert!((floor.events_per_sec - cells[0].events_per_sec / 4.0).abs() < 0.1);
-        assert!(merge_bench_json(&[]).is_err());
-        assert!(merge_bench_json(&["not json".into()]).is_err());
-    }
-
-    #[test]
-    fn gate_trips_on_throughput_regression() {
-        let cells = aggregate(&fixture_rows());
-        // Baseline claims 2x the throughput: a 50% regression.
-        let mut baseline = cells.clone();
-        for b in &mut baseline {
-            b.events_per_sec *= 2.0;
-        }
-        let report = diff(&cells, &baseline, 15.0);
-        assert_eq!(report.regressions.len(), 2, "{:?}", report.regressions);
-        assert!(report.render().contains("gate: FAIL"));
-        // Identical data passes any gate.
-        let report = diff(&cells, &cells, 15.0);
-        assert!(report.regressions.is_empty());
-        assert!(report.render().contains("gate: PASS"));
-        // Small noise below the threshold passes.
-        let mut wobble = cells.clone();
-        for c in &mut wobble {
-            c.events_per_sec *= 0.95;
-        }
-        let report = diff(&wobble, &cells, 15.0);
-        assert!(report.regressions.is_empty(), "{:?}", report.regressions);
-    }
-
-    #[test]
-    fn gate_trips_on_newly_failing_cell() {
-        let baseline = aggregate(&fixture_rows());
+    fn blame_shares_are_percent_of_the_app_span_wall() {
         let mut rows = fixture_rows();
-        rows[0].status = RunStatus::Abort;
-        let current = aggregate(&rows);
-        let report = diff(&current, &baseline, 15.0);
+        for row in &mut rows {
+            row.engine = "live".into();
+            row.blame_compute_ns = 600;
+            row.blame_net_ns = 300;
+            row.blame_retry_ns = 100;
+        }
+        let cells = aggregate(&rows);
+        assert!(!cells[0].sim);
+        assert_eq!(cells[0].blame_pct, [60.0, 0.0, 30.0, 0.0, 0.0]);
+        let table = render_table(&cells);
         assert!(
-            report
-                .regressions
-                .iter()
-                .any(|r| r.contains("newly failing") || r.contains("runs failed")),
-            "{:?}",
-            report.regressions
+            table.contains("compute%") && table.contains(" 60 "),
+            "{table}"
         );
     }
 
     #[test]
-    fn unknown_cells_are_reported_not_gated() {
-        let cells = aggregate(&fixture_rows());
-        let report = diff(&cells, &[], 15.0);
-        assert_eq!(report.new_cells, 2);
-        assert!(report.regressions.is_empty());
-        let report = diff(&[], &cells, 15.0);
-        assert_eq!(report.missing_cells, 2);
-        assert!(report.regressions.is_empty());
+    fn gate_compares_exact_columns_and_locates_each_finding() {
+        let rows = fixture_rows();
+        // Columns that do not repeat are not compared.
+        let mut baseline = rows.clone();
+        for b in &mut baseline {
+            b.wall_ns *= 3;
+            b.note = "other".into();
+        }
+        let verdict = gate(&rows, &baseline);
+        assert!(verdict.pass, "{}", verdict.report);
+        assert!(verdict
+            .report
+            .ends_with("gate: PASS — 4 row(s) match the baseline exactly\n"));
+
+        // An exact column off by one, and a run that failed.
+        baseline[2].events -= 1;
+        let mut now = rows.clone();
+        now[0].status = RunStatus::Abort;
+        now[0].note = "peer gone".into();
+        let verdict = gate(&now, &baseline);
+        assert!(!verdict.pass);
+        let (cell, events) = (&rows[2].cell, rows[2].events);
+        let want = format!("{cell} seed=1 events: {} → {events}\n", events - 1);
+        assert!(verdict.report.contains(&want), "{}", verdict.report);
+        let want = format!("{} seed=1 status: abort (peer gone)\n", rows[0].cell);
+        assert!(verdict.report.contains(&want), "{}", verdict.report);
+        assert!(verdict.report.contains("gate: FAIL — 2 difference(s)"));
+
+        // Rows on one side only are reported, not gated.
+        let new_run = gate(&rows, &rows[1..]);
+        assert!(new_run.pass && new_run.report.contains("seed=1: not in the baseline"));
+        let dropped = gate(&rows[1..], &rows);
+        assert!(dropped.pass && dropped.report.contains("seed=1: baseline row not run"));
     }
 
     #[test]
-    fn table_renders_every_cell() {
+    fn table_renders_every_cell_under_its_group() {
         let cells = aggregate(&fixture_rows());
         let table = render_table(&cells);
-        assert!(table.contains("ev/s"));
+        let mut lines = table.lines();
+        let (header, rule) = (lines.next().unwrap(), lines.next().unwrap());
+        // The rule names each group where its first column starts.
+        assert!(
+            header.find(" ok") < rule.find("exact")
+                && rule.find("exact") <= header.find("virtual ms")
+        );
+        assert!(
+            header.find("retries") < rule.find("(info)")
+                && rule.find("(info)") <= header.find("wall ms")
+        );
         for c in &cells {
             assert!(table.contains(&c.cell));
         }

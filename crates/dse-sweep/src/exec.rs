@@ -139,12 +139,7 @@ fn collect_child(spec: &RunSpec, child: Child) -> RunRecord {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let row_line = stdout.lines().rev().find(|l| l.starts_with('{'));
     match row_line.map(RunRecord::from_json_line) {
-        Some(Ok(mut rec)) => {
-            // The child computed the row from its own view of the spec;
-            // trust its metrics but pin identity to the parent's matrix.
-            rec.idx = spec.idx;
-            rec
-        }
+        Some(Ok(rec)) => rec,
         Some(Err(e)) => RunRecord::failed(spec, RunStatus::Error, format!("bad row: {e}")),
         None => {
             let stderr = String::from_utf8_lossy(&out.stderr);

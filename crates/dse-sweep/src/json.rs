@@ -1,10 +1,10 @@
 //! Minimal JSON reader/writer for sweep rows and baseline files.
 //!
-//! The repo has no serde; rows and `BENCH_sweep.json` use a small JSON
-//! subset (objects, arrays, strings, numbers, booleans, null) that this
-//! module parses with a recursive-descent reader. Numbers are kept as
-//! `f64`, which is exact for every counter the sweep emits (all well
-//! below 2^53).
+//! The repo has no serde; rows use a small JSON subset (objects, arrays,
+//! strings, numbers, booleans, null) that this module parses with a
+//! recursive-descent reader. Numbers are kept as `f64`, which is exact
+//! for every counter the sweep emits (all well below 2^53; the 64-bit
+//! `trace_hash` is written as a hex string for that reason).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -86,16 +86,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Render a float the way the sweep writes metrics: integers without a
-/// fraction, everything else with enough digits to round-trip.
-pub fn num(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
 }
 
 /// Parse a JSON document.
@@ -275,12 +265,5 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}trailing").is_err());
         assert!(parse("nope").is_err());
-    }
-
-    #[test]
-    fn num_rendering() {
-        assert_eq!(num(3.0), "3");
-        assert_eq!(num(1234567.0), "1234567");
-        assert_eq!(num(0.5), "0.5");
     }
 }

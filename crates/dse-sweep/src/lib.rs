@@ -8,8 +8,8 @@
 //! processes with hard per-run timeouts, each run streams its `dse-obs`
 //! metrics snapshot into one columnar row ([`run`]), and an aggregation
 //! layer ([`agg`]) folds rows into per-cell summaries, renders the text
-//! table, writes the canonical `BENCH_sweep.json` trajectory file, and
-//! diffs against a committed baseline for the CI regression gate.
+//! table, and compares the columns that repeat exactly with a committed
+//! baseline of canonical rows for the CI regression gate.
 //!
 //! The [`build`] module is shared with `dse-run`, so the CLI and the
 //! sweep harness construct engine configurations identically.
@@ -22,7 +22,7 @@ pub mod run;
 pub mod spec;
 pub mod toml;
 
-pub use agg::{aggregate, diff, parse_bench_json, render_table, to_bench_json, CellSummary};
+pub use agg::{aggregate, gate, render_table, CellSummary};
 pub use build::{AppKind, AppParams, SimSettings};
 pub use run::{execute_run, RunRecord, RunStatus};
 pub use spec::{expand, parse_spec, RunSpec, SweepSpec};

@@ -2,12 +2,10 @@
 //! per-run metrics, and optionally gate on a committed baseline.
 //!
 //! ```sh
-//! dse-sweep --spec bench_results/sweep_smoke.toml --out target/sweep
-//! dse-sweep --spec spec.toml --out out --jobs 4 \
-//!     --baseline bench_results/BENCH_sweep.json --gate 15
-//! dse-sweep --spec spec.toml --list            # print the matrix, run nothing
-//! dse-sweep merge a/BENCH_sweep.json b/BENCH_sweep.json \
-//!     --out bench_results/BENCH_sweep.json     # conservative gate floor
+//! dse-sweep --spec bench_results/sweep_full.toml --out target/sweep
+//! dse-sweep --spec bench_results/sweep_full.toml --out target/sweep \
+//!     --baseline bench_results/BENCH_sweep.jsonl   # exit 1 on any exact difference
+//! dse-sweep --spec spec.toml --list                # print the matrix, run nothing
 //! ```
 //!
 //! The hidden `run-one` mode is the child-process entry the executor
@@ -16,7 +14,8 @@
 
 use std::path::{Path, PathBuf};
 
-use dse_sweep::{agg, build, exec, execute_run, expand, parse_spec, RunStatus};
+use dse_sweep::run::csv_header;
+use dse_sweep::{agg, build, exec, execute_run, expand, parse_spec, RunRecord, RunStatus};
 
 fn usage() -> ! {
     eprintln!(
@@ -24,15 +23,9 @@ fn usage() -> ! {
   --spec FILE       TOML scenario spec (required)
   --out DIR         output directory for rows + aggregates (required unless --list)
   --jobs N          concurrent runs                  (default: one per core)
-  --baseline FILE   BENCH_sweep.json to diff against
-  --gate PCT        exit 1 when a cell's throughput regresses more than
-                    PCT percent below the baseline (requires --baseline)
-  --list            print the expanded run matrix and exit
-
-       dse-sweep merge FILE... [--out FILE]
-  Fold several BENCH_sweep.json files into one conservative baseline:
-  per cell, the minimum observed throughput and the worst failure
-  counts/latencies. Prints to stdout unless --out is given."
+  --baseline FILE   canonical.jsonl of an earlier sweep: exit 1 when a run is
+                    not ok or a column that repeats exactly differs from it
+  --list            print the expanded run matrix and exit"
     );
     std::process::exit(2)
 }
@@ -47,7 +40,6 @@ struct Args {
     out: Option<PathBuf>,
     jobs: usize,
     baseline: Option<PathBuf>,
-    gate: Option<f64>,
     list: bool,
 }
 
@@ -57,7 +49,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         out: None,
         jobs: 0,
         baseline: None,
-        gate: None,
         list: false,
     };
     let mut it = argv.iter();
@@ -75,15 +66,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .map_err(|_| "--jobs: not a number".to_string())?
             }
             "--baseline" => args.baseline = Some(PathBuf::from(val()?)),
-            "--gate" => {
-                let pct: f64 = val()?
-                    .parse()
-                    .map_err(|_| "--gate: not a number".to_string())?;
-                if !(0.0..=100.0).contains(&pct) {
-                    return Err("--gate: percent must be in 0..=100".into());
-                }
-                args.gate = Some(pct);
-            }
             "--list" => args.list = true,
             "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown flag {other}")),
@@ -91,9 +73,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     }
     if args.spec.as_os_str().is_empty() {
         return Err("--spec is required".into());
-    }
-    if args.gate.is_some() && args.baseline.is_none() {
-        return Err("--gate requires --baseline".into());
     }
     if args.out.is_none() && !args.list {
         return Err("--out is required".into());
@@ -105,6 +84,18 @@ fn load_spec(path: &Path) -> dse_sweep::SweepSpec {
     let src = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
     parse_spec(&src).unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())))
+}
+
+/// The rows of a `canonical.jsonl`, read before anything runs so a wrong
+/// file costs no sweep.
+fn load_baseline(path: &Path) -> Vec<RunRecord> {
+    let src = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
+    let row = |(i, line)| {
+        RunRecord::from_json_line(line)
+            .unwrap_or_else(|e| fail(&format!("{}:{}: {e}", path.display(), i + 1)))
+    };
+    src.lines().enumerate().map(row).collect()
 }
 
 /// Hidden child mode: `dse-sweep run-one --spec FILE --index I`.
@@ -135,52 +126,10 @@ fn run_one(argv: &[String]) -> ! {
     std::process::exit(if record.status == RunStatus::Ok { 0 } else { 1 })
 }
 
-/// `dse-sweep merge FILE... [--out FILE]` — fold several trajectory
-/// files into one conservative gating baseline (see
-/// [`agg::merge_floor`]).
-fn merge(argv: &[String]) -> ! {
-    let mut out: Option<PathBuf> = None;
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
-                None => fail("merge: --out needs a value"),
-            },
-            flag if flag.starts_with("--") => fail(&format!("merge: unknown flag {flag}")),
-            file => files.push(PathBuf::from(file)),
-        }
-    }
-    if files.is_empty() {
-        fail("merge: expected at least one BENCH_sweep.json input");
-    }
-    let sources: Vec<String> = files
-        .iter()
-        .map(|p| {
-            std::fs::read_to_string(p)
-                .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", p.display())))
-        })
-        .collect();
-    let merged = agg::merge_bench_json(&sources).unwrap_or_else(|e| fail(&format!("merge: {e}")));
-    match out {
-        Some(path) => {
-            std::fs::write(&path, &merged)
-                .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", path.display())));
-            eprintln!("merged {} file(s) -> {}", files.len(), path.display());
-        }
-        None => print!("{merged}"),
-    }
-    std::process::exit(0)
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("run-one") {
         run_one(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("merge") {
-        merge(&argv[1..]);
     }
     let args = parse_args(&argv).unwrap_or_else(|err| {
         if err != "help" {
@@ -200,6 +149,7 @@ fn main() {
         println!("{} runs", runs.len());
         return;
     }
+    let baseline = args.baseline.as_deref().map(load_baseline);
     let out_dir = args.out.expect("validated");
     std::fs::create_dir_all(&out_dir)
         .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", out_dir.display())));
@@ -207,8 +157,8 @@ fn main() {
     let outs = [
         ("runs.jsonl", "per-run rows (JSONL)"),
         ("runs.csv", "per-run rows (CSV)"),
+        ("canonical.jsonl", "canonical rows (the baseline format)"),
         ("summary.txt", "aggregate table"),
-        ("BENCH_sweep.json", "trajectory file"),
     ];
     let paths: Vec<(String, &str)> = outs
         .iter()
@@ -242,36 +192,29 @@ fn main() {
         );
     });
 
-    let jsonl: String = rows.iter().map(|r| r.to_json_line() + "\n").collect();
-    let csv: String = std::iter::once(dse_sweep::run::CSV_HEADER.to_string())
-        .chain(rows.iter().map(|r| r.to_csv_line()))
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n";
-    let cells = agg::aggregate(&rows);
-    let table = agg::render_table(&cells);
-    let bench = agg::to_bench_json(&spec.name, &cells);
+    let lines = |line: fn(&RunRecord) -> String| -> String {
+        rows.iter().map(|r| line(r) + "\n").collect()
+    };
+    let table = agg::render_table(&agg::aggregate(&rows));
     let write = |name: &str, data: &str| {
         let path = out_path(name);
         std::fs::write(&path, data)
             .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", path.display())));
     };
-    write("runs.jsonl", &jsonl);
-    write("runs.csv", &csv);
+    write("runs.jsonl", &lines(RunRecord::to_json_line));
+    write(
+        "runs.csv",
+        &(csv_header() + "\n" + &lines(RunRecord::to_csv_line)),
+    );
+    write("canonical.jsonl", &lines(RunRecord::canonical_line));
     write("summary.txt", &table);
-    write("BENCH_sweep.json", &bench);
     println!("{table}");
 
     let mut exit = 0;
-    if let Some(baseline_path) = &args.baseline {
-        let src = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", baseline_path.display())));
-        let baseline = agg::parse_bench_json(&src)
-            .unwrap_or_else(|e| fail(&format!("{}: {e}", baseline_path.display())));
-        let gate_pct = args.gate.unwrap_or(f64::INFINITY);
-        let report = agg::diff(&cells, &baseline, gate_pct);
-        print!("{}", report.render());
-        if args.gate.is_some() && !report.regressions.is_empty() {
+    if let Some(baseline) = &baseline {
+        let verdict = agg::gate(&rows, baseline);
+        print!("{}", verdict.report);
+        if !verdict.pass {
             exit = 1;
         }
     }

@@ -13,13 +13,15 @@ use crate::json::{self, Value};
 use crate::spec::RunSpec;
 
 /// Terminal status of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RunStatus {
     /// Completed normally.
     Ok,
     /// The live engine aborted (structured failure report).
     Abort,
     /// The harness failed to execute the run (bad spec, crashed child).
+    /// The default, so a row nobody filled in never reads as a success.
+    #[default]
     Error,
     /// The parent killed the run at its hard deadline.
     Timeout,
@@ -48,78 +50,206 @@ impl RunStatus {
     }
 }
 
-/// One per-run metrics row. Serialized as a single JSONL line (and a CSV
-/// line with the same columns); the aggregate layer groups rows by
-/// `cell` and folds the seeds of each cell into one summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRecord {
-    /// Matrix index.
-    pub idx: usize,
-    /// Cell id (all axes except the seed).
-    pub cell: String,
+impl std::fmt::Display for RunStatus {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// On which engine a column repeats to the bit for the same spec and
+/// seed. The gate compares exactly the columns that are exact on a row's
+/// engine; the canonical form of a row zeroes the others.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exact {
+    /// Host time, or a count that depends on it: information only.
+    Never,
+    /// Exact on simulated rows.
+    Sim,
+    /// Exact on simulated and live rows.
+    Both,
+}
+
+impl Exact {
+    /// Whether the column is exact on a row of `engine`.
+    pub fn on(self, engine: &str) -> bool {
+        match self {
+            Exact::Never => false,
+            Exact::Sim => engine == "sim",
+            Exact::Both => true,
+        }
+    }
+}
+
+/// One entry of the column table ([`COLUMNS`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    /// Key in a JSONL row and title in the CSV header.
+    pub name: &'static str,
+    /// Where the column is exact.
+    pub exact: Exact,
+    /// Whether JSON writes the value as a string.
+    quoted: bool,
+}
+
+/// A column's value type: written with `to_string`, read back here.
+/// `Default` is the value a column takes where it is zeroed.
+trait Field: Sized + Default + ToString {
+    /// Whether JSON writes the value as a string.
+    const QUOTED: bool = false;
+    fn read(v: &Value) -> Option<Self>;
+}
+
+impl Field for u64 {
+    fn read(v: &Value) -> Option<u64> {
+        v.as_u64()
+    }
+}
+
+impl Field for usize {
+    fn read(v: &Value) -> Option<usize> {
+        v.as_u64().map(|n| n as usize)
+    }
+}
+
+impl Field for bool {
+    fn read(v: &Value) -> Option<bool> {
+        v.as_bool()
+    }
+}
+
+impl Field for String {
+    const QUOTED: bool = true;
+    fn read(v: &Value) -> Option<String> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+impl Field for RunStatus {
+    const QUOTED: bool = true;
+    fn read(v: &Value) -> Option<RunStatus> {
+        v.as_str().and_then(RunStatus::parse)
+    }
+}
+
+/// Declares the row: each column once, with its type and where it is
+/// exact. The struct, the column table, the JSONL and CSV writers, the
+/// parser and the canonical form all follow from this list.
+macro_rules! columns {
+    ($( $(#[$doc:meta])* $name:ident: $ty:ty, $exact:ident; )*) => {
+        /// One per-run metrics row. Serialized as a single JSONL line (and
+        /// a CSV line with the same columns); the aggregate layer groups
+        /// rows by `cell` and folds the seeds of each cell into one summary.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct RunRecord {
+            $( $(#[$doc])* pub $name: $ty, )*
+        }
+
+        /// The column table, in row order.
+        pub const COLUMNS: &[Column] = &[
+            $( Column {
+                name: stringify!($name),
+                exact: Exact::$exact,
+                quoted: <$ty as Field>::QUOTED,
+            }, )*
+        ];
+
+        impl RunRecord {
+            /// Every value as text, in [`COLUMNS`] order.
+            fn texts(&self) -> Vec<String> {
+                vec![$( self.$name.to_string(), )*]
+            }
+
+            /// Parse a row back from its JSON line. A row without one of
+            /// the declared columns is an error that names the column.
+            pub fn from_json_line(line: &str) -> Result<RunRecord, String> {
+                let v = json::parse(line)?;
+                Ok(RunRecord {
+                    $( $name: v
+                        .get(stringify!($name))
+                        .and_then(Field::read)
+                        .ok_or(concat!("row has no valid '", stringify!($name), "' column"))?, )*
+                })
+            }
+        }
+    };
+}
+
+columns! {
+    /// Cell id (all axes except the seed). With the seed it names the run:
+    /// a row carries no matrix index, so adding a seed or a scenario to a
+    /// spec moves no baseline row.
+    cell: String, Both;
     /// Axes, echoed for columnar analysis.
-    pub scenario: String,
-    pub app: String,
-    pub engine: String,
-    pub transport: String,
-    pub scheduler: String,
-    pub platform: String,
-    pub procs: usize,
-    pub gm_window: usize,
-    pub cache: bool,
-    pub gm_mode: String,
-    pub fault_plan: String,
-    pub seed: u64,
+    scenario: String, Both;
+    app: String, Both;
+    engine: String, Both;
+    transport: String, Both;
+    scheduler: String, Both;
+    platform: String, Both;
+    procs: usize, Both;
+    gm_window: usize, Both;
+    cache: bool, Both;
+    gm_mode: String, Both;
+    fault_plan: String, Both;
+    seed: u64, Both;
     /// Outcome.
-    pub status: RunStatus,
+    status: RunStatus, Both;
     /// Failure detail (empty on success).
-    pub note: String,
+    note: String, Never;
     /// Host wall-clock nanoseconds for the run.
-    pub wall_ns: u64,
+    wall_ns: u64, Never;
     /// Virtual nanoseconds (sim runs; 0 on live runs).
-    pub virtual_ns: u64,
-    /// Simulator heap events processed (sim runs; 0 on live runs).
-    pub events: u64,
+    virtual_ns: u64, Sim;
+    /// Simulator events processed (sim runs; 0 on live runs).
+    events: u64, Sim;
+    /// Of `events`: wakes that resumed another process's thread, one OS
+    /// context switch each (`SimStats::handoffs`).
+    handoffs: u64, Sim;
+    /// Of `events`: wakes completed in place without going through the
+    /// event heap (`SimStats::inline_wakes`).
+    inline_wakes: u64, Sim;
+    /// Order-sensitive digest of the whole event sequence, 16 hex digits
+    /// (a string: JSON numbers hold 53 bits). Empty on live rows.
+    trace_hash: String, Sim;
+    /// Frames the simulated interconnect carried.
+    net_frames: u64, Sim;
+    /// Collision/backoff rounds on the simulated shared bus.
+    net_collisions: u64, Sim;
     /// Global-memory operations (reads + writes + fetch-adds), all PEs.
-    pub gm_ops: u64,
+    gm_ops: u64, Both;
     /// GM request messages that crossed the wire / simulated network.
-    pub gm_request_msgs: u64,
+    /// On live rows coalescing depends on arrival timing, so the count
+    /// does not repeat.
+    gm_request_msgs: u64, Sim;
     /// GM retransmits (live runs under fault plans).
-    pub retries: u64,
+    retries: u64, Both;
     /// Merged GM latency p50 across PEs (ns; virtual on sim runs).
-    pub p50_ns: u64,
+    p50_ns: u64, Sim;
     /// Merged GM latency p99 across PEs (ns; virtual on sim runs).
-    pub p99_ns: u64,
+    p99_ns: u64, Sim;
     /// Merged GM latency p99.9 across PEs (ns; virtual on sim runs).
-    pub p999_ns: u64,
+    p999_ns: u64, Sim;
     /// p50 of the time an application spent blocked per GM wait, merged
     /// across PEs (live runs only; 0 on sim rows): a request's latency
     /// less this is the requester's own client code.
-    pub blocked_p50_ns: u64,
+    blocked_p50_ns: u64, Never;
     /// Causal-blame decomposition of the run's wall clock, summed over
     /// PEs (live runs only; 0 on sim rows). The six columns partition
     /// each PE's app-span wall time, so
     /// `compute + serve + net + retry + barrier + lock` equals the sum
     /// of per-PE app-span durations.
-    pub blame_compute_ns: u64,
-    pub blame_serve_ns: u64,
-    pub blame_net_ns: u64,
-    pub blame_retry_ns: u64,
-    pub blame_barrier_ns: u64,
-    pub blame_lock_ns: u64,
+    blame_compute_ns: u64, Never;
+    blame_serve_ns: u64, Never;
+    blame_net_ns: u64, Never;
+    blame_retry_ns: u64, Never;
+    blame_barrier_ns: u64, Never;
+    blame_lock_ns: u64, Never;
 }
-
-/// CSV header matching [`RunRecord::to_csv_line`].
-pub const CSV_HEADER: &str = "idx,cell,scenario,app,engine,transport,scheduler,platform,procs,\
-gm_window,cache,gm_mode,fault_plan,seed,status,note,wall_ns,virtual_ns,events,gm_ops,\
-gm_request_msgs,retries,p50_ns,p99_ns,p999_ns,blocked_p50_ns,blame_compute_ns,blame_serve_ns,\
-blame_net_ns,blame_retry_ns,blame_barrier_ns,blame_lock_ns";
 
 impl RunRecord {
     /// A failure row for a run that produced no metrics.
     pub fn failed(spec: &RunSpec, status: RunStatus, note: impl Into<String>) -> RunRecord {
         RunRecord {
-            idx: spec.idx,
             cell: spec.cell_id(),
             scenario: spec.scenario.clone(),
             app: spec.app.clone(),
@@ -135,211 +265,76 @@ impl RunRecord {
             seed: spec.seed,
             status,
             note: note.into(),
-            wall_ns: 0,
-            virtual_ns: 0,
-            events: 0,
-            gm_ops: 0,
-            gm_request_msgs: 0,
-            retries: 0,
-            p50_ns: 0,
-            p99_ns: 0,
-            p999_ns: 0,
-            blocked_p50_ns: 0,
-            blame_compute_ns: 0,
-            blame_serve_ns: 0,
-            blame_net_ns: 0,
-            blame_retry_ns: 0,
-            blame_barrier_ns: 0,
-            blame_lock_ns: 0,
+            ..RunRecord::default()
         }
     }
 
     /// Serialize as one JSON line.
     pub fn to_json_line(&self) -> String {
-        format!(
-            concat!(
-                "{{\"idx\":{},\"cell\":\"{}\",\"scenario\":\"{}\",\"app\":\"{}\",",
-                "\"engine\":\"{}\",\"transport\":\"{}\",\"scheduler\":\"{}\",",
-                "\"platform\":\"{}\",\"procs\":{},",
-                "\"gm_window\":{},\"cache\":{},\"gm_mode\":\"{}\",\"fault_plan\":\"{}\",\"seed\":{},",
-                "\"status\":\"{}\",\"note\":\"{}\",\"wall_ns\":{},\"virtual_ns\":{},",
-                "\"events\":{},\"gm_ops\":{},\"gm_request_msgs\":{},\"retries\":{},",
-                "\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"blocked_p50_ns\":{},",
-                "\"blame_compute_ns\":{},\"blame_serve_ns\":{},\"blame_net_ns\":{},",
-                "\"blame_retry_ns\":{},\"blame_barrier_ns\":{},\"blame_lock_ns\":{}}}"
-            ),
-            self.idx,
-            json::escape(&self.cell),
-            json::escape(&self.scenario),
-            json::escape(&self.app),
-            json::escape(&self.engine),
-            json::escape(&self.transport),
-            json::escape(&self.scheduler),
-            json::escape(&self.platform),
-            self.procs,
-            self.gm_window,
-            self.cache,
-            json::escape(&self.gm_mode),
-            json::escape(&self.fault_plan),
-            self.seed,
-            self.status.name(),
-            json::escape(&self.note),
-            self.wall_ns,
-            self.virtual_ns,
-            self.events,
-            self.gm_ops,
-            self.gm_request_msgs,
-            self.retries,
-            self.p50_ns,
-            self.p99_ns,
-            self.p999_ns,
-            self.blocked_p50_ns,
-            self.blame_compute_ns,
-            self.blame_serve_ns,
-            self.blame_net_ns,
-            self.blame_retry_ns,
-            self.blame_barrier_ns,
-            self.blame_lock_ns,
-        )
+        json_line(self.texts())
     }
 
-    /// The canonical form of the row: every wall-clock-derived field
-    /// zeroed. Two runs of the same sim spec and seed must produce
-    /// byte-identical canonical lines (the determinism test relies on
-    /// this); live rows additionally zero their wall-clock latency
-    /// quantiles and blame columns.
+    /// The canonical form of the row, which is what a baseline holds:
+    /// every column that is not exact on the row's engine zeroed. Two runs
+    /// of the same spec and seed produce byte-identical canonical lines.
     pub fn canonical_line(&self) -> String {
-        let mut c = self.clone();
-        c.wall_ns = 0;
-        if c.engine == "live" {
-            c.p50_ns = 0;
-            c.p99_ns = 0;
-            c.p999_ns = 0;
-            c.blocked_p50_ns = 0;
-            c.blame_compute_ns = 0;
-            c.blame_serve_ns = 0;
-            c.blame_net_ns = 0;
-            c.blame_retry_ns = 0;
-            c.blame_barrier_ns = 0;
-            c.blame_lock_ns = 0;
-        }
-        c.to_json_line()
+        let values = self.texts().into_iter().zip(RunRecord::default().texts());
+        let kept = COLUMNS.iter().zip(values).map(|(col, (text, zero))| {
+            if col.exact.on(&self.engine) {
+                text
+            } else {
+                zero
+            }
+        });
+        json_line(kept.collect())
     }
 
-    /// Serialize as one CSV line (columns per [`CSV_HEADER`]).
+    /// Serialize as one CSV line (columns per [`csv_header`]).
     pub fn to_csv_line(&self) -> String {
-        let csv = |s: &str| {
-            if s.contains(',') || s.contains('"') {
+        let quote = |s: String| {
+            if s.contains([',', '"']) {
                 format!("\"{}\"", s.replace('"', "\"\""))
             } else {
-                s.to_string()
+                s
             }
         };
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.idx,
-            csv(&self.cell),
-            csv(&self.scenario),
-            csv(&self.app),
-            self.engine,
-            self.transport,
-            self.scheduler,
-            self.platform,
-            self.procs,
-            self.gm_window,
-            self.cache,
-            self.gm_mode,
-            csv(&self.fault_plan),
-            self.seed,
-            self.status.name(),
-            csv(&self.note),
-            self.wall_ns,
-            self.virtual_ns,
-            self.events,
-            self.gm_ops,
-            self.gm_request_msgs,
-            self.retries,
-            self.p50_ns,
-            self.p99_ns,
-            self.p999_ns,
-            self.blocked_p50_ns,
-            self.blame_compute_ns,
-            self.blame_serve_ns,
-            self.blame_net_ns,
-            self.blame_retry_ns,
-            self.blame_barrier_ns,
-            self.blame_lock_ns,
-        )
+        let fields: Vec<String> = self.texts().into_iter().map(quote).collect();
+        fields.join(",")
     }
 
-    /// Parse a row back from its JSON line.
-    pub fn from_json_line(line: &str) -> Result<RunRecord, String> {
-        let v = json::parse(line)?;
-        let s = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("row missing string field '{key}'"))
-        };
-        let n = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("row missing numeric field '{key}'"))
-        };
-        let status_name = s("status")?;
-        let engine = s("engine")?;
-        Ok(RunRecord {
-            idx: n("idx")? as usize,
-            cell: s("cell")?,
-            scenario: s("scenario")?,
-            app: s("app")?,
-            transport: s("transport")?,
-            // Rows written before the scheduler axis existed all ran the
-            // thread-per-PE engine; sim rows leave the field empty.
-            scheduler: v
-                .get("scheduler")
-                .and_then(Value::as_str)
-                .unwrap_or(if engine == "live" { "threads" } else { "" })
-                .to_string(),
-            engine,
-            platform: s("platform")?,
-            procs: n("procs")? as usize,
-            gm_window: n("gm_window")? as usize,
-            cache: v
-                .get("cache")
-                .and_then(Value::as_bool)
-                .ok_or("row missing boolean field 'cache'")?,
-            // Rows written before the coherence axis existed default to
-            // write-invalidate, the mode those rows actually ran under.
-            gm_mode: v
-                .get("gm_mode")
-                .and_then(Value::as_str)
-                .unwrap_or("wi")
-                .to_string(),
-            fault_plan: s("fault_plan")?,
-            seed: n("seed")?,
-            status: RunStatus::parse(&status_name)
-                .ok_or_else(|| format!("unknown status '{status_name}'"))?,
-            note: s("note")?,
-            wall_ns: n("wall_ns")?,
-            virtual_ns: n("virtual_ns")?,
-            events: n("events")?,
-            gm_ops: n("gm_ops")?,
-            gm_request_msgs: n("gm_request_msgs")?,
-            retries: n("retries")?,
-            p50_ns: n("p50_ns")?,
-            p99_ns: n("p99_ns")?,
-            p999_ns: n("p999_ns")?,
-            // Rows written before the column existed recorded no waits.
-            blocked_p50_ns: n("blocked_p50_ns").unwrap_or(0),
-            blame_compute_ns: n("blame_compute_ns")?,
-            blame_serve_ns: n("blame_serve_ns")?,
-            blame_net_ns: n("blame_net_ns")?,
-            blame_retry_ns: n("blame_retry_ns")?,
-            blame_barrier_ns: n("blame_barrier_ns")?,
-            blame_lock_ns: n("blame_lock_ns")?,
-        })
+    /// Where this row differs from its `baseline` row in a column that is
+    /// exact on its engine: `(column, was, now)`.
+    pub fn exact_diffs(&self, baseline: &RunRecord) -> Vec<(&'static str, String, String)> {
+        let pairs = baseline.texts().into_iter().zip(self.texts());
+        COLUMNS
+            .iter()
+            .zip(pairs)
+            .filter(|(col, (was, now))| col.exact.on(&self.engine) && was != now)
+            .map(|(col, (was, now))| (col.name, was, now))
+            .collect()
     }
+}
+
+/// One JSON object with `texts` as the values of [`COLUMNS`].
+fn json_line(texts: Vec<String>) -> String {
+    let members: Vec<String> = COLUMNS
+        .iter()
+        .zip(texts)
+        .map(|(col, text)| {
+            if col.quoted {
+                format!("\"{}\":\"{}\"", col.name, json::escape(&text))
+            } else {
+                format!("\"{}\":{text}", col.name)
+            }
+        })
+        .collect();
+    format!("{{{}}}", members.join(","))
+}
+
+/// CSV header matching [`RunRecord::to_csv_line`].
+pub fn csv_header() -> String {
+    let names: Vec<&str> = COLUMNS.iter().map(|col| col.name).collect();
+    names.join(",")
 }
 
 /// Merge every `gm/*_ns` operation-latency histogram across PEs and return
@@ -441,13 +436,16 @@ fn execute_sim(spec: &RunSpec, app: AppKind) -> RunRecord {
     };
     let wall_ns = started.elapsed().as_nanos() as u64;
     let (p50_ns, p99_ns, p999_ns, _) = gm_latency_quantiles(&run.metrics);
+    let stats = &run.report.stats;
     RunRecord {
         wall_ns,
         virtual_ns: run.report.end_time.as_nanos(),
-        events: run
-            .metrics
-            .counter("sim", "events_processed", None)
-            .unwrap_or(0),
+        events: stats.events,
+        handoffs: stats.handoffs,
+        inline_wakes: stats.inline_wakes,
+        trace_hash: format!("{:016x}", run.report.trace_hash),
+        net_frames: run.net_frames,
+        net_collisions: run.net_collisions,
         gm_ops: sim_gm_ops(&run.metrics),
         gm_request_msgs: run
             .metrics
@@ -456,8 +454,6 @@ fn execute_sim(spec: &RunSpec, app: AppKind) -> RunRecord {
         p50_ns,
         p99_ns,
         p999_ns,
-        status: RunStatus::Ok,
-        note: String::new(),
         ..RunRecord::failed(spec, RunStatus::Ok, "")
     }
 }
@@ -530,7 +526,6 @@ fn execute_live(spec: &RunSpec, app: AppKind) -> RunRecord {
             let blame = dse_trace::blame(&dse_trace::assemble(&run.trace_spans)).total();
             RunRecord {
                 wall_ns,
-                events: 0,
                 gm_ops: run.metrics.counter_sum_over_pes("kernel", "gm_ops"),
                 gm_request_msgs: run
                     .metrics
@@ -546,8 +541,6 @@ fn execute_live(spec: &RunSpec, app: AppKind) -> RunRecord {
                 blame_retry_ns: blame.retry_ns,
                 blame_barrier_ns: blame.barrier_ns,
                 blame_lock_ns: blame.lock_ns,
-                status: RunStatus::Ok,
-                note: String::new(),
                 ..RunRecord::failed(spec, RunStatus::Ok, "")
             }
         }
@@ -567,20 +560,25 @@ fn execute_live(spec: &RunSpec, app: AppKind) -> RunRecord {
 mod tests {
     use super::*;
     use crate::spec::{expand, parse_spec};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn first_run(spec: &str) -> RunSpec {
+        expand(&parse_spec(spec).unwrap()).remove(0)
+    }
 
     fn tiny_sim_spec() -> RunSpec {
-        let spec =
-            parse_spec("[[scenario]]\nname = \"t\"\napp = \"matmul\"\nprocs = [2]\nn = 16\n")
-                .unwrap();
-        expand(&spec).remove(0)
+        first_run("[[scenario]]\nname = \"t\"\napp = \"matmul\"\nprocs = [2]\nn = 16\n")
     }
 
     #[test]
     fn sim_run_produces_a_complete_row() {
-        let rs = tiny_sim_spec();
-        let row = execute_run(&rs);
+        let row = execute_run(&tiny_sim_spec());
         assert_eq!(row.status, RunStatus::Ok, "{}", row.note);
-        assert!(row.events > 0, "sim/events_processed must be counted");
+        assert!(row.events > 0 && row.events >= row.handoffs + row.inline_wakes);
+        assert!(row.handoffs > 0);
+        assert_eq!(row.trace_hash.len(), 16);
+        assert!(row.net_frames > 0);
         assert!(row.gm_ops > 0);
         assert!(row.virtual_ns > 0);
         assert!(row.wall_ns > 0);
@@ -589,12 +587,9 @@ mod tests {
 
     #[test]
     fn live_run_produces_gm_ops() {
-        let spec = parse_spec(
+        let row = execute_run(&first_run(
             "[[scenario]]\nname = \"l\"\napp = \"matmul\"\nengine = \"live\"\nprocs = [2]\nn = 16\n",
-        )
-        .unwrap();
-        let rs = expand(&spec).remove(0);
-        let row = execute_run(&rs);
+        ));
         assert_eq!(row.status, RunStatus::Ok, "{}", row.note);
         assert!(
             row.gm_ops > 0,
@@ -603,57 +598,23 @@ mod tests {
         assert_eq!(row.virtual_ns, 0);
         // Live cells always trace, so the blame decomposition is
         // populated and partitions the PEs' app-span wall time.
-        let parts = row.blame_compute_ns
-            + row.blame_serve_ns
-            + row.blame_net_ns
-            + row.blame_retry_ns
-            + row.blame_barrier_ns
-            + row.blame_lock_ns;
-        assert!(parts > 0, "blame columns must be populated on live rows");
         assert!(row.blame_compute_ns > 0);
         assert!(row.p999_ns >= row.p99_ns);
-        // A remote operation includes the wait for its answer, and rows
-        // from before the column existed still parse.
+        // A remote operation includes the wait for its answer.
         assert!(row.blocked_p50_ns > 0 && row.blocked_p50_ns <= row.p999_ns);
-        let line = row.to_json_line();
-        let legacy = line.replace(&format!("\"blocked_p50_ns\":{},", row.blocked_p50_ns), "");
-        assert_ne!(legacy, line);
-        assert_eq!(
-            RunRecord::from_json_line(&legacy).unwrap().blocked_p50_ns,
-            0
-        );
     }
 
     #[test]
-    fn live_tasks_scheduler_row_and_legacy_parse_default() {
-        let spec = parse_spec(
+    fn live_tasks_scheduler_row() {
+        let rs = first_run(
             "[[scenario]]\nname = \"l\"\napp = \"matmul\"\nengine = \"live\"\nprocs = [2]\n\
              n = 16\nscheduler = \"tasks\"\n",
-        )
-        .unwrap();
-        let rs = expand(&spec).remove(0);
+        );
         assert_eq!(rs.cell_id(), "l.matmul.live.channel.tasks.p2");
         let row = execute_run(&rs);
         assert_eq!(row.status, RunStatus::Ok, "{}", row.note);
         assert_eq!(row.scheduler, "tasks");
         assert!(row.gm_ops > 0);
-        // Rows serialized before the scheduler axis existed parse with the
-        // scheduler those rows actually ran under.
-        let legacy = row.to_json_line().replace("\"scheduler\":\"tasks\",", "");
-        let back = RunRecord::from_json_line(&legacy).unwrap();
-        assert_eq!(back.scheduler, "threads");
-    }
-
-    #[test]
-    fn rows_roundtrip_through_json() {
-        let rs = tiny_sim_spec();
-        let row = execute_run(&rs);
-        let back = RunRecord::from_json_line(&row.to_json_line()).unwrap();
-        assert_eq!(back, row);
-        // Canonical form zeroes the wall clock but keeps everything else.
-        let canon = RunRecord::from_json_line(&row.canonical_line()).unwrap();
-        assert_eq!(canon.wall_ns, 0);
-        assert_eq!(canon.events, row.events);
     }
 
     #[test]
@@ -665,12 +626,99 @@ mod tests {
     }
 
     #[test]
-    fn csv_line_has_header_arity() {
-        let rs = tiny_sim_spec();
-        let row = execute_run(&rs);
-        assert_eq!(
-            row.to_csv_line().split(',').count(),
-            CSV_HEADER.split(',').count()
-        );
+    fn a_row_missing_a_column_is_an_error_that_names_it() {
+        let line = RunRecord::failed(&tiny_sim_spec(), RunStatus::Ok, "").to_json_line();
+        for col in COLUMNS {
+            let cut = line.find(&format!("\"{}\":", col.name)).unwrap();
+            let end = line[cut..].find([',', '}']).unwrap() + cut;
+            let without = format!("{}\"x\":0{}", &line[..cut], &line[end..]);
+            let err = RunRecord::from_json_line(&without).unwrap_err();
+            assert!(err.contains(&format!("'{}'", col.name)), "{err}");
+        }
+        let bad = line.replace("\"status\":\"ok\"", "\"status\":\"fine\"");
+        assert!(RunRecord::from_json_line(&bad)
+            .unwrap_err()
+            .contains("'status'"));
+    }
+
+    /// A row with a random value in every column, built from the column
+    /// table alone so a new column is covered without touching the test.
+    fn random_row() -> impl Strategy<Value = RunRecord> {
+        const WORDS: &[&str] = &[
+            "",
+            "plain",
+            "a,b",
+            "q\"uote",
+            "back\\slash",
+            "line\nbreak",
+            "µs",
+        ];
+        vec(any::<u64>(), COLUMNS.len()..COLUMNS.len() + 1).prop_map(|picks| {
+            let zero = RunRecord::default().texts();
+            let members: Vec<String> = COLUMNS
+                .iter()
+                .zip(zero.iter().zip(picks))
+                .map(|(col, (zero, pick))| {
+                    let pick = pick as usize;
+                    let value = match col.name {
+                        "status" => {
+                            format!("\"{}\"", ["ok", "abort", "error", "timeout"][pick % 4])
+                        }
+                        "engine" => format!("\"{}\"", ["sim", "live"][pick % 2]),
+                        _ if col.quoted => {
+                            format!("\"{}\"", json::escape(WORDS[pick % WORDS.len()]))
+                        }
+                        _ if zero == "false" => (pick % 2 == 1).to_string(),
+                        _ => (pick >> 11).to_string(),
+                    };
+                    format!("\"{}\":{value}", col.name)
+                })
+                .collect();
+            RunRecord::from_json_line(&format!("{{{}}}", members.join(","))).unwrap()
+        })
+    }
+
+    /// Fields of a CSV line, honouring quoted fields.
+    fn csv_arity(line: &str) -> usize {
+        let mut quoted = false;
+        let mut fields = 1;
+        for c in line.chars() {
+            match c {
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields += 1,
+                _ => {}
+            }
+        }
+        fields
+    }
+
+    proptest! {
+        #[test]
+        fn rows_roundtrip_through_json(row in random_row()) {
+            let line = row.to_json_line();
+            let back = RunRecord::from_json_line(&line).unwrap();
+            prop_assert_eq!(&back, &row);
+            prop_assert_eq!(back.to_json_line(), line);
+        }
+
+        #[test]
+        fn csv_line_has_header_arity(row in random_row()) {
+            prop_assert_eq!(csv_header().split(',').count(), COLUMNS.len());
+            prop_assert_eq!(csv_arity(&row.to_csv_line()), COLUMNS.len());
+        }
+
+        #[test]
+        fn canonical_zeroes_exactly_the_inexact_columns(row in random_row()) {
+            let canon = RunRecord::from_json_line(&row.canonical_line()).unwrap();
+            let zero = RunRecord::default().texts();
+            for (i, col) in COLUMNS.iter().enumerate() {
+                let kept = col.exact.on(&row.engine);
+                let want = if kept { &row.texts()[i] } else { &zero[i] };
+                prop_assert_eq!(&canon.texts()[i], want, "column {}", col.name);
+            }
+            // What the gate compares is what the canonical form keeps.
+            prop_assert!(row.exact_diffs(&canon).is_empty());
+            prop_assert_eq!(canon.canonical_line(), row.canonical_line());
+        }
     }
 }

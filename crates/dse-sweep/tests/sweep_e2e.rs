@@ -1,11 +1,10 @@
 //! End-to-end tests that drive the real `dse-sweep` binary: outputs,
-//! cross-process determinism of the per-run rows, the regression gate's
-//! exit codes, and the hard per-run timeout.
+//! cross-process determinism of the canonical rows, the exact gate's
+//! exit codes and report, and the hard per-run timeout.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use dse_sweep::agg;
 use dse_sweep::run::RunRecord;
 
 const BIN: &str = env!("CARGO_BIN_EXE_dse-sweep");
@@ -23,7 +22,17 @@ engine = "sim"
 platform = "sunos"
 procs = [2]
 n = 12
+
+[[scenario]]
+name = "l"
+app = "matmul"
+engine = "live"
+procs = [2]
+n = 12
 "#;
+
+const SIM_CELL: &str = "m.matmul.sim.sunos.w0.c0.p2";
+const LIVE_CELL: &str = "l.matmul.live.channel.p2";
 
 /// Fresh scratch directory, unique per test so the suite can run with
 /// any test-thread count.
@@ -47,136 +56,148 @@ fn write_spec(dir: &Path, body: &str) -> PathBuf {
     path
 }
 
-fn read_rows(out_dir: &Path) -> Vec<RunRecord> {
-    let jsonl = std::fs::read_to_string(out_dir.join("runs.jsonl")).unwrap();
+fn read_rows(file: &Path) -> Vec<RunRecord> {
+    let jsonl = std::fs::read_to_string(file).unwrap();
     jsonl
         .lines()
         .map(|l| RunRecord::from_json_line(l).unwrap())
         .collect()
 }
 
+/// Sweep `spec` into `dir/<tag>`, gating on `baseline` when given;
+/// returns the exit code, standard output and the output directory.
+fn run_sweep(
+    dir: &Path,
+    spec: &Path,
+    tag: &str,
+    baseline: Option<&Path>,
+) -> (i32, String, PathBuf) {
+    let out = dir.join(tag);
+    let mut args = vec![
+        "--spec",
+        spec.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ];
+    if let Some(baseline) = baseline {
+        args.extend(["--baseline", baseline.to_str().unwrap()]);
+    }
+    let res = sweep(&args);
+    let code = res.status.code().expect("dse-sweep was not killed");
+    (code, String::from_utf8_lossy(&res.stdout).into_owned(), out)
+}
+
 #[test]
 fn end_to_end_outputs_and_cross_process_determinism() {
     let dir = scratch("outputs");
     let spec = write_spec(&dir, SPEC);
-    let out_a = dir.join("a");
-    let out_b = dir.join("b");
+    let (code, stdout, out_a) = run_sweep(&dir, &spec, "a", None);
+    assert_eq!(code, 0, "{stdout}");
+    let (code, stdout, out_b) = run_sweep(&dir, &spec, "b", None);
+    assert_eq!(code, 0, "{stdout}");
 
-    for out in [&out_a, &out_b] {
-        let res = sweep(&[
-            "--spec",
-            spec.to_str().unwrap(),
-            "--out",
-            out.to_str().unwrap(),
-        ]);
-        assert!(
-            res.status.success(),
-            "sweep failed: {}",
-            String::from_utf8_lossy(&res.stderr)
-        );
-    }
-
-    for name in ["runs.jsonl", "runs.csv", "summary.txt", "BENCH_sweep.json"] {
+    for name in ["runs.jsonl", "runs.csv", "canonical.jsonl", "summary.txt"] {
         assert!(out_a.join(name).exists(), "missing output {name}");
     }
     let csv = std::fs::read_to_string(out_a.join("runs.csv")).unwrap();
-    assert_eq!(csv.lines().count(), 3, "header + one row per run");
+    assert_eq!(csv.lines().count(), 5, "header + one row per run");
 
-    let rows_a = read_rows(&out_a);
-    assert_eq!(rows_a.len(), 2);
-    for row in &rows_a {
+    let rows = read_rows(&out_a.join("runs.jsonl"));
+    assert_eq!(rows.len(), 4);
+    for row in &rows {
         assert_eq!(row.status.name(), "ok", "note: {}", row.note);
-        assert_eq!(row.cell, "m.matmul.sim.sunos.w0.c0.p2");
+        assert!(row.gm_ops > 0, "run recorded no GM ops");
+    }
+    for row in rows.iter().filter(|r| r.cell == SIM_CELL) {
         assert!(row.events > 0, "sim run recorded no events");
-        assert!(row.gm_ops > 0, "sim run recorded no GM ops");
         assert!(row.virtual_ns > 0);
     }
 
-    // Same spec + seed => byte-identical rows modulo wall-clock, even
-    // across separate parent processes.
-    let canon = |rows: &[RunRecord]| -> Vec<String> {
-        rows.iter().map(RunRecord::canonical_line).collect()
-    };
-    assert_eq!(canon(&rows_a), canon(&read_rows(&out_b)));
-
-    // The aggregate trajectory file parses and covers exactly one cell.
-    let bench = std::fs::read_to_string(out_a.join("BENCH_sweep.json")).unwrap();
-    let cells = agg::parse_bench_json(&bench).unwrap();
-    assert_eq!(cells.len(), 1);
-    assert_eq!(cells[0].cell, "m.matmul.sim.sunos.w0.c0.p2");
-    assert_eq!(cells[0].runs, 2);
-    assert_eq!(cells[0].ok, 2);
+    // Same spec + seed => byte-identical canonical rows, even across
+    // separate parent processes.
+    let canon = |out: &Path| std::fs::read_to_string(out.join("canonical.jsonl")).unwrap();
+    assert_eq!(canon(&out_a), canon(&out_b));
+    let lines: Vec<String> = rows.iter().map(|r| r.canonical_line() + "\n").collect();
+    assert_eq!(canon(&out_a), lines.concat());
 }
 
 #[test]
 fn gate_exit_codes_follow_the_baseline() {
     let dir = scratch("gate");
     let spec = write_spec(&dir, SPEC);
-    let out = dir.join("out");
-    let res = sweep(&[
-        "--spec",
-        spec.to_str().unwrap(),
-        "--out",
-        out.to_str().unwrap(),
-    ]);
-    assert!(res.status.success());
+    let (code, stdout, out) = run_sweep(&dir, &spec, "out", None);
+    assert_eq!(code, 0, "{stdout}");
+    let own = out.join("canonical.jsonl");
+    let rows = read_rows(&own);
+    // Gate a second sweep on a doctored copy of the first one's rows.
+    let gate_on = |tag: &str, doctor: &dyn Fn(&mut Vec<RunRecord>)| -> (i32, String) {
+        let mut rows = rows.clone();
+        doctor(&mut rows);
+        let lines: Vec<String> = rows.iter().map(|r| r.to_json_line() + "\n").collect();
+        let baseline = dir.join(format!("{tag}.jsonl"));
+        std::fs::write(&baseline, lines.concat()).unwrap();
+        let (code, stdout, _) = run_sweep(&dir, &spec, tag, Some(&baseline));
+        (code, stdout)
+    };
+    let sim = rows
+        .iter()
+        .position(|r| r.cell == SIM_CELL && r.seed == 2)
+        .unwrap();
+    let live = rows.iter().position(|r| r.cell == LIVE_CELL).unwrap();
 
-    let bench = std::fs::read_to_string(out.join("BENCH_sweep.json")).unwrap();
-    let cells = agg::parse_bench_json(&bench).unwrap();
+    // (i) A sweep matches its own canonical rows from another process.
+    let (code, stdout, _) = run_sweep(&dir, &spec, "own", Some(&own));
+    assert_eq!(code, 0, "{stdout}");
+    assert!(stdout.contains("gate: PASS — 4 row(s)"), "{stdout}");
 
-    // Baseline doctored 100x faster than reality: every cell regresses
-    // far past any gate, so --gate must exit 1.
-    let mut inflated = cells.clone();
-    for c in &mut inflated {
-        c.events_per_sec *= 100.0;
-        c.gm_ops_per_sec *= 100.0;
-    }
-    let fast = dir.join("baseline_fast.json");
-    std::fs::write(&fast, agg::to_bench_json("e2e", &inflated)).unwrap();
-    let res = sweep(&[
-        "--spec",
-        spec.to_str().unwrap(),
-        "--out",
-        dir.join("gate_fail").to_str().unwrap(),
-        "--baseline",
-        fast.to_str().unwrap(),
-        "--gate",
-        "15",
-    ]);
-    assert_eq!(
-        res.status.code(),
-        Some(1),
-        "inflated baseline must trip the gate: {}",
-        String::from_utf8_lossy(&res.stdout)
+    // (ii) One exact column of one row off by one: exit 1, and the report
+    // names the cell, the seed and the column.
+    let (code, stdout) = gate_on("events", &|rows| rows[sim].events += 1);
+    assert_eq!(code, 1, "{stdout}");
+    let events = rows[sim].events;
+    let want = format!("{SIM_CELL} seed=2 events: {} → {events}\n", events + 1);
+    assert!(stdout.contains(&want), "{stdout}");
+    assert!(stdout.contains("gate: FAIL — 1 difference(s)"), "{stdout}");
+
+    let hash = u64::from_str_radix(&rows[sim].trace_hash, 16).unwrap();
+    let off_by_one = format!("{:016x}", hash.wrapping_add(1));
+    let (code, stdout) = gate_on("hash", &|rows| rows[sim].trace_hash = off_by_one.clone());
+    assert_eq!(code, 1, "{stdout}");
+    let want = format!(
+        "{SIM_CELL} seed=2 trace_hash: {off_by_one} → {}\n",
+        rows[sim].trace_hash
     );
-    let report = String::from_utf8_lossy(&res.stdout);
-    assert!(report.contains("gate: FAIL"), "{report}");
+    assert!(stdout.contains(&want), "{stdout}");
 
-    // Baseline doctored 100x slower: no regression is possible, exit 0.
-    let mut deflated = cells;
-    for c in &mut deflated {
-        c.events_per_sec /= 100.0;
-        c.gm_ops_per_sec /= 100.0;
-    }
-    let slow = dir.join("baseline_slow.json");
-    std::fs::write(&slow, agg::to_bench_json("e2e", &deflated)).unwrap();
-    let res = sweep(&[
-        "--spec",
-        spec.to_str().unwrap(),
-        "--out",
-        dir.join("gate_pass").to_str().unwrap(),
-        "--baseline",
-        slow.to_str().unwrap(),
-        "--gate",
-        "15",
-    ]);
-    assert_eq!(
-        res.status.code(),
-        Some(0),
-        "slow baseline must pass the gate: {}",
-        String::from_utf8_lossy(&res.stdout)
+    // (iii) Columns that do not repeat on the row's engine are not compared.
+    let (code, stdout) = gate_on("inexact", &|rows| {
+        rows[sim].wall_ns += 1_000_000;
+        rows[live].wall_ns += 1_000_000;
+        rows[live].p50_ns += 1;
+        rows[live].gm_request_msgs += 1;
+    });
+    assert_eq!(code, 0, "{stdout}");
+
+    // (iv) Rows on one side only are reported, not gated.
+    let (code, stdout) = gate_on("sides", &|rows| {
+        rows[sim].seed = 99;
+    });
+    assert_eq!(code, 0, "{stdout}");
+    assert!(
+        stdout.contains(&format!("{SIM_CELL} seed=2: not in the baseline")),
+        "{stdout}"
     );
-    assert!(String::from_utf8_lossy(&res.stdout).contains("gate: PASS"));
+    assert!(
+        stdout.contains(&format!("{SIM_CELL} seed=99: baseline row not run")),
+        "{stdout}"
+    );
+    assert!(stdout.contains("gate: PASS — 3 row(s)"), "{stdout}");
+
+    // A baseline that is not canonical rows is a usage error, not a pass.
+    let junk = dir.join("junk.jsonl");
+    std::fs::write(&junk, "{\"schema\": \"dse-sweep/v1\"}\n").unwrap();
+    let (code, _, _) = run_sweep(&dir, &spec, "junk", Some(&junk));
+    assert_eq!(code, 2);
 }
 
 #[test]
@@ -200,25 +221,18 @@ procs = [4]
 n = 400
 "#,
     );
-    let out = dir.join("out");
-    let res = sweep(&[
-        "--spec",
-        spec.to_str().unwrap(),
-        "--out",
-        out.to_str().unwrap(),
-    ]);
-    assert!(
-        res.status.success(),
-        "timeouts are recorded, not fatal: {}",
-        String::from_utf8_lossy(&res.stderr)
-    );
-    let rows = read_rows(&out);
+    let (code, stdout, out) = run_sweep(&dir, &spec, "out", None);
+    assert_eq!(code, 0, "timeouts are recorded, not fatal: {stdout}");
+    let rows = read_rows(&out.join("runs.jsonl"));
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].status.name(), "timeout");
-    let bench = std::fs::read_to_string(out.join("BENCH_sweep.json")).unwrap();
-    let cells = agg::parse_bench_json(&bench).unwrap();
-    assert_eq!(cells[0].timeouts, 1);
-    assert_eq!(cells[0].ok, 0);
+
+    // (v) Under the gate a run that is not ok fails the sweep, even
+    // against a baseline that holds the same failure.
+    let (code, stdout, _) = run_sweep(&dir, &spec, "gated", Some(&out.join("canonical.jsonl")));
+    assert_eq!(code, 1, "{stdout}");
+    let want = "g.gauss.sim.sunos.w0.c0.p4 seed=1 status: timeout";
+    assert!(stdout.contains(want), "{stdout}");
 }
 
 #[test]
@@ -229,5 +243,5 @@ fn list_mode_prints_the_matrix_without_running() {
     assert!(res.status.success());
     let stdout = String::from_utf8_lossy(&res.stdout);
     assert!(stdout.contains("m.matmul.sim.sunos.w0.c0.p2"), "{stdout}");
-    assert!(stdout.contains("2 runs"), "{stdout}");
+    assert!(stdout.contains("4 runs"), "{stdout}");
 }
