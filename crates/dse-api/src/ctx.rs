@@ -8,23 +8,26 @@
 //!
 //! Global memory is the shared [`GmClient`]; this file is its simulator
 //! driver: [`SimPort`] charges virtual time, sends through the network
-//! model and keeps the `SpanTable` spans, and the synchronization
-//! primitives wait on the same port.
+//! model, times each request for the latency histograms and stamps the
+//! shared [`RequesterSpans`] with the virtual clock, and the
+//! synchronization primitives wait on the same port.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+use dse_kernel::kernel::{count as count_kernel, SimRequester};
 use dse_kernel::netpath::{charge_local, charge_recv, send_msg};
-use dse_kernel::protocol::{
-    barrier_enter, lock_acquire, lock_release, sharers_to_invalidate, KernelPort,
+use dse_kernel::protocol::{barrier_enter, lock_acquire, lock_release, sharers_to_invalidate};
+use dse_kernel::{
+    ClusterShared, Distribution, GlobalStore, GmMode, HomeSpans, Party, SimKernelPort, SimMsg,
 };
-use dse_kernel::{ClusterShared, Distribution, GlobalStore, GmMode, Party, SimKernelPort, SimMsg};
-use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen};
-use dse_obs::{MetricKey, SpanKind};
+use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
+use dse_obs::{MetricKey, SpanKind, TraceRole, TraceSpanKind};
 use dse_platform::Work;
 use dse_sim::{ProcCtx, ProcId, SimDuration, SimTime};
 
 use crate::gm_client::{GmClient, GmCount, GmHandle, GmPort, GmProtocolError};
+use crate::req_spans::{Arrival, RequesterSpans, SentReq};
 
 /// Barrier ids above this are reserved for the auto-sequenced
 /// [`DseCtx::barrier`]; named barriers must stay below.
@@ -41,14 +44,41 @@ pub struct UserMsg {
     pub data: Vec<u8>,
 }
 
+/// A GM request on the wire, as the process that sent it remembers it.
+struct OpenReq {
+    /// When it was sent: its latency sample is measured from here.
+    open_ns: u64,
+    /// Its root span (traced runs).
+    sent: Option<SentReq>,
+}
+
+/// The latency series (`subsystem`, `name`) an exchange of `kind` samples.
+fn series_of(kind: SpanKind) -> (&'static str, &'static str) {
+    match kind {
+        SpanKind::GmRead => ("gm", "remote_read_ns"),
+        SpanKind::GmWrite => ("gm", "remote_write_ns"),
+        SpanKind::GmBatch => ("gm", "batch_ns"),
+        SpanKind::GmFetchAdd => ("gm", "fetch_add_ns"),
+        SpanKind::Barrier => ("sync", "barrier_wait_ns"),
+        SpanKind::Lock => ("sync", "lock_wait_ns"),
+    }
+}
+
 /// The simulator behind [`GmPort`]: the process's simulation context, the
-/// cluster's shared state, and the messages that arrived while the process
-/// was waiting for something else.
+/// cluster's shared state, the messages that arrived while the process was
+/// waiting for something else, the requests it has on the wire, and its
+/// causal spans.
 struct SimPort<'a> {
     ctx: &'a mut ProcCtx<SimMsg>,
     shared: Arc<ClusterShared>,
     node: NodeId,
-    stash: VecDeque<Message>,
+    stash: VecDeque<(Message, Arrival)>,
+    /// Unanswered GM requests, by request id.
+    open: HashMap<u64, OpenReq>,
+    spans: RequesterSpans,
+    /// Spans of the kernel duty this process does itself, in own-node calls
+    /// into the linked library.
+    home_spans: HomeSpans,
 }
 
 impl SimPort<'_> {
@@ -61,64 +91,113 @@ impl SimPort<'_> {
     }
 
     /// This process acting as its node's kernel: an own-node call into the
-    /// linked library runs the kernel's own coordination functions.
-    fn kernel(&mut self) -> SimKernelPort<'_> {
-        SimKernelPort::new(self.ctx, &self.shared, self.node)
+    /// linked library, carrying the trace context `call`, runs the kernel's
+    /// own coordination functions.
+    fn kernel(&mut self, call: Option<TraceCtx>) -> SimKernelPort<'_> {
+        let (ctx, spans) = (&mut *self.ctx, &mut self.home_spans);
+        SimKernelPort::new(ctx, &self.shared, self.node, spans, call)
     }
 
     /// Send `msg` to simulation process `to_proc` on `to_node`, replies
-    /// addressed to this process. Returns the delivery latency.
-    fn send(&mut self, to_node: NodeId, to_proc: ProcId, msg: &Message) -> SimDuration {
-        let me = self.ctx.id();
-        send_msg(self.ctx, &self.shared, self.node, to_node, to_proc, me, msg)
+    /// addressed to this process.
+    fn send(&mut self, to_node: NodeId, to_proc: ProcId, msg: &Message, trace: Option<TraceCtx>) {
+        let (me, from) = (self.ctx.id(), self.node);
+        send_msg(
+            self.ctx,
+            &self.shared,
+            from,
+            to_node,
+            to_proc,
+            me,
+            msg,
+            trace,
+        );
     }
 
     /// Send `msg` to `node`'s kernel.
-    fn send_kernel(&mut self, node: NodeId, msg: &Message) -> SimDuration {
+    fn send_kernel(&mut self, node: NodeId, msg: &Message, trace: Option<TraceCtx>) {
         let kproc = self.shared.kernel_of(node);
-        self.send(node, kproc, msg)
+        self.send(node, kproc, msg, trace);
     }
 
     /// Receive one runtime message, charging the receive-side software cost.
-    fn recv_runtime(&mut self) -> Message {
+    fn recv_runtime(&mut self) -> (Message, Arrival) {
         let env = self
             .ctx
             .recv()
             .expect("simulation shut down while a process was waiting");
+        let at_ns = env.delivered_at.as_nanos();
         let sm = env.msg;
+        let arrival = Arrival {
+            ctx: sm.ctx,
+            at_ns,
+            wire_bytes: sm.bytes.len() as u64,
+        };
         charge_recv(self.ctx, &self.shared, self.node, sm.bytes.len());
-        Message::decode(&sm.bytes).expect("undecodable runtime message")
+        let msg = Message::decode(&sm.bytes).expect("undecodable runtime message");
+        (msg, arrival)
     }
 
-    fn open_span(&mut self, kind: SpanKind, seq: u64, bytes: u64) {
-        self.shared
-            .spans
-            .open(kind, self.pe(), seq, self.now_ns(), bytes);
-    }
-
-    /// Send a span's request to `node`'s kernel, noting its wire time.
-    fn send_spanned(&mut self, node: NodeId, msg: &Message, kind: SpanKind, seq: u64) {
-        let wire = self.send_kernel(node, msg);
-        self.shared
-            .spans
-            .note_wire(kind, self.pe(), seq, wire.as_nanos());
-    }
-
-    /// Close a span and record its total under `subsystem/metric`.
-    fn close_span(
-        &mut self,
-        kind: SpanKind,
-        seq: u64,
-        subsystem: &'static str,
-        metric: &'static str,
-    ) {
-        let pe = self.pe();
-        if let Some(rec) = self.shared.spans.close(kind, pe, seq, self.now_ns()) {
-            self.shared
-                .metrics
-                .record(MetricKey::pe(subsystem, metric, pe), rec.total_ns());
-            self.shared.flight.span(&rec);
+    /// Put GM request `req` for `home` on the wire and remember it until it
+    /// is answered (the stall watchdog, where one runs, is told too).
+    fn send_open(&mut self, home: NodeId, req: ReqId, msg: &Message, kind: SpanKind) {
+        let open_ns = self.now_ns();
+        let sent = self.spans.request_sent(open_ns, home.0 as u32, req.0);
+        if let Some(inflight) = &self.shared.inflight {
+            inflight.open(kind, self.pe(), req.0, open_ns);
         }
+        self.send_kernel(home, msg, sent.map(|s| s.ctx));
+        self.open.insert(req.0, OpenReq { open_ns, sent });
+    }
+
+    /// An exchange of `kind` begun at `open_ns` completed now: record its
+    /// latency in its series and note it in the flight recorder.
+    fn sample(&self, kind: SpanKind, seq: u64, open_ns: u64) {
+        let (pe, now) = (self.pe(), self.now_ns());
+        let (subsystem, name) = series_of(kind);
+        self.shared
+            .metrics
+            .record(MetricKey::pe(subsystem, name, pe), now - open_ns);
+        self.shared.flight.span_close(kind, pe, seq, open_ns, now);
+    }
+
+    /// One round trip to the coordinator on node 0 — `enter` on the wire,
+    /// or `own_node` when this *is* node 0, which tells whether the call
+    /// was answered on the spot — then block until `granted` accepts the
+    /// answer. Recorded as a `wait` span (a barrier's or a lock's, `seq` the
+    /// barrier id or the lock request) and a latency sample; the answer is
+    /// an acquire point.
+    fn coordinate(
+        &mut self,
+        enter: Message,
+        own_node: impl FnOnce(&mut SimKernelPort<'_>, SimRequester) -> bool,
+        granted: impl FnMut(&Message) -> bool,
+        wait: TraceSpanKind,
+        seq: u64,
+    ) {
+        let kind = match wait {
+            TraceSpanKind::BarrierWait => SpanKind::Barrier,
+            _ => SpanKind::Lock,
+        };
+        let t0 = self.now_ns();
+        let (wait_span, call) = self.spans.wait_begin();
+        let mut answered = false;
+        if self.node == NodeId(0) {
+            // Own-node path into the coordination state.
+            self.charge_local(16);
+            let proc = self.ctx.id();
+            let mut kernel = self.kernel(call);
+            let from = kernel.caller();
+            answered = own_node(&mut kernel, SimRequester { proc, from });
+        } else {
+            self.send_kernel(NodeId(0), &enter, call);
+        }
+        if !answered {
+            self.await_msg(granted);
+        }
+        self.sample(kind, seq, t0);
+        self.spans.wait_end(self.now_ns(), wait, wait_span, t0, seq);
+        self.replica_purge();
     }
 
     /// Coherence action before an own-node store mutation (no-op with the
@@ -141,9 +220,9 @@ impl SimPort<'_> {
             txn = reqs.next();
             self.charge_local(0);
         }
-        let (ctx, shared, node) = (&mut *self.ctx, &*self.shared, self.node);
+        let (shared, node) = (&*self.shared, self.node);
         let holders = sharers_to_invalidate(&shared.cache, rc, (region, offset, len), node, |c| {
-            SimKernelPort::new(ctx, shared, node).count(c)
+            count_kernel(shared, node, c)
         });
         let inv = Message::GmInvalidate {
             req: txn,
@@ -152,7 +231,7 @@ impl SimPort<'_> {
             len: len as u32,
         };
         for &h in &holders {
-            self.send_kernel(h, &inv);
+            self.send_kernel(h, &inv, None);
         }
         for _ in &holders {
             self.await_msg(|m| matches!(m, Message::GmInvalidateAck { req } if *req == txn));
@@ -161,8 +240,6 @@ impl SimPort<'_> {
 }
 
 impl GmPort for SimPort<'_> {
-    type Meta = ();
-
     fn node(&self) -> NodeId {
         self.node
     }
@@ -203,11 +280,9 @@ impl GmPort for SimPort<'_> {
         req: ReqId,
         msg: Message,
         kind: SpanKind,
-        bytes: u64,
         inflight: usize,
     ) {
-        self.open_span(kind, req.0, bytes);
-        self.send_spanned(home, &msg, kind, req.0);
+        self.send_open(home, req, &msg, kind);
         self.shared
             .stats
             .update(self.node, |s| s.gm_request_msgs += 1);
@@ -218,26 +293,42 @@ impl GmPort for SimPort<'_> {
         );
     }
 
-    fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, ()) {
-        if let Some(idx) = self.stash.iter().position(&mut pred) {
-            return (self.stash.remove(idx).unwrap(), ());
+    fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, Arrival) {
+        if let Some(idx) = self.stash.iter().position(|(m, _)| pred(m)) {
+            return self.stash.remove(idx).unwrap();
         }
         loop {
-            let msg = self.recv_runtime();
-            if pred(&msg) {
-                return (msg, ());
+            let got = self.recv_runtime();
+            if pred(&got.0) {
+                return got;
             }
-            self.stash.push_back(msg);
+            self.stash.push_back(got);
         }
     }
 
-    fn request_done(&mut self, req: ReqId, kind: SpanKind, _meta: ()) {
-        let metric = match kind {
-            SpanKind::GmRead => "remote_read_ns",
-            SpanKind::GmWrite => "remote_write_ns",
-            _ => "batch_ns",
+    /// Its latency sample, its flight-recorder line, and its spans.
+    fn request_done(&mut self, req: ReqId, kind: SpanKind, answer: Arrival) {
+        let Some(open) = self.open.remove(&req.0) else {
+            return;
         };
-        self.close_span(kind, req.0, "gm", metric);
+        if let Some(inflight) = &self.shared.inflight {
+            inflight.close(kind, self.pe(), req.0);
+        }
+        self.sample(kind, req.0, open.open_ns);
+        if let Some(sent) = open.sent {
+            self.spans.request_done(self.now_ns(), sent, 0, answer);
+        }
+    }
+
+    fn stamp(&self) -> u64 {
+        self.now_ns()
+    }
+
+    /// A span only: the simulator keeps no `gm/blocked_ns` series (the
+    /// telemetry plane ships every series, so one more would move virtual
+    /// time on watched runs).
+    fn blocked(&mut self, since: u64, seq: u64) {
+        self.spans.blocked(since, self.now_ns(), seq);
     }
 
     fn protocol_error(&mut self, err: GmProtocolError) -> ! {
@@ -317,12 +408,17 @@ impl<'a> DseCtx<'a> {
         pid: GlobalPid,
     ) -> DseCtx<'a> {
         let gm = GmClient::new(shared.config.gm_window);
+        let (pe, tracing) = (pid.node().0 as u32, shared.config.tracing);
+        let spans = RequesterSpans::new(pe, tracing, ctx.now().as_nanos());
         DseCtx {
             port: SimPort {
                 ctx,
                 shared,
                 node: pid.node(),
                 stash: VecDeque::new(),
+                open: HashMap::new(),
+                spans,
+                home_spans: HomeSpans::new(pe, tracing),
             },
             gm,
             rank,
@@ -535,11 +631,12 @@ impl<'a> DseCtx<'a> {
             offset,
             delta,
         };
-        port.open_span(SpanKind::GmFetchAdd, req.0, 8);
-        port.send_spanned(home, &msg, SpanKind::GmFetchAdd, req.0);
-        let (resp, ()) =
+        port.send_open(home, req, &msg, SpanKind::GmFetchAdd);
+        let since = port.stamp();
+        let (resp, answer) =
             port.await_msg(|m| matches!(m, Message::GmFetchAddResp { req: r, .. } if *r == req));
-        port.close_span(SpanKind::GmFetchAdd, req.0, "gm", "fetch_add_ns");
+        port.request_done(req, SpanKind::GmFetchAdd, answer);
+        port.blocked(since, req.0);
         match resp {
             Message::GmFetchAddResp { prev, .. } => prev,
             _ => unreachable!(),
@@ -564,64 +661,59 @@ impl<'a> DseCtx<'a> {
 
     fn barrier_at(&mut self, id: u32) {
         self.gm_fence();
-        let port = &mut self.port;
-        port.open_span(SpanKind::Barrier, id as u64, 0);
-        let mut released = false;
-        if port.node == NodeId(0) {
-            // Own-node path into the coordination state.
-            let party = Party {
-                pid: self.pid,
-                node: port.node,
-                reply_to: port.ctx.id(),
-                req: ReqId(0),
-            };
-            port.charge_local(16);
-            released = barrier_enter(&mut port.kernel(), id, party).is_some();
-        } else {
-            let msg = Message::BarrierEnter {
-                barrier: id,
-                pid: self.pid,
-            };
-            port.send_spanned(NodeId(0), &msg, SpanKind::Barrier, id as u64);
-        }
-        if !released {
-            port.await_msg(
-                |m| matches!(m, Message::BarrierRelease { barrier, .. } if *barrier == id),
-            );
-        }
-        port.close_span(SpanKind::Barrier, id as u64, "sync", "barrier_wait_ns");
-        // Completing a barrier is an acquire point.
-        port.replica_purge();
+        let enter = Message::BarrierEnter {
+            barrier: id,
+            pid: self.pid,
+        };
+        let (pid, node) = (self.pid, self.port.node);
+        // Completing a barrier is an acquire point. The own-node caller
+        // that completes the round proceeds straight through the call.
+        self.port.coordinate(
+            enter,
+            |kernel, reply_to| {
+                let party = Party {
+                    pid,
+                    node,
+                    reply_to,
+                    req: ReqId(0),
+                };
+                barrier_enter(kernel, id, party).is_some()
+            },
+            |m| matches!(m, Message::BarrierRelease { barrier, .. } if *barrier == id),
+            TraceSpanKind::BarrierWait,
+            id as u64,
+        );
     }
 
     /// Acquire a cluster-wide lock (FIFO).
     pub fn lock(&mut self, id: u32) {
         self.gm_fence();
         let req = self.gm.req_ids().next();
-        let port = &mut self.port;
-        port.open_span(SpanKind::Lock, req.0, 0);
-        if port.node == NodeId(0) {
-            let party = Party {
-                pid: self.pid,
-                node: port.node,
-                reply_to: port.ctx.id(),
-                req,
-            };
-            port.charge_local(16);
-            lock_acquire(&mut port.kernel(), id, party);
-        } else {
-            let msg = Message::LockReq {
-                req,
-                lock: id,
-                pid: self.pid,
-            };
-            port.send_spanned(NodeId(0), &msg, SpanKind::Lock, req.0);
-        }
-        port.await_msg(|m| matches!(m, Message::LockGrant { req: r, .. } if *r == req));
-        port.close_span(SpanKind::Lock, req.0, "sync", "lock_wait_ns");
-        // A lock grant is an acquire point: the holder must see
-        // everything released by the previous holder's unlock.
-        port.replica_purge();
+        let enter = Message::LockReq {
+            req,
+            lock: id,
+            pid: self.pid,
+        };
+        let (pid, node) = (self.pid, self.port.node);
+        // A lock grant is an acquire point: the holder must see everything
+        // released by the previous holder's unlock. The grant is a message
+        // even to an own-node caller.
+        self.port.coordinate(
+            enter,
+            |kernel, reply_to| {
+                let party = Party {
+                    pid,
+                    node,
+                    reply_to,
+                    req,
+                };
+                lock_acquire(kernel, id, party);
+                false
+            },
+            |m| matches!(m, Message::LockGrant { req: r, .. } if *r == req),
+            TraceSpanKind::LockWait,
+            req.0,
+        );
     }
 
     /// Release a cluster-wide lock this process holds.
@@ -630,13 +722,13 @@ impl<'a> DseCtx<'a> {
         let port = &mut self.port;
         if port.node == NodeId(0) {
             port.charge_local(16);
-            lock_release(&mut port.kernel(), id, self.pid);
+            lock_release(&mut port.kernel(None), id, self.pid);
         } else {
             let msg = Message::UnlockReq {
                 lock: id,
                 pid: self.pid,
             };
-            port.send_kernel(NodeId(0), &msg);
+            port.send_kernel(NodeId(0), &msg, None);
         }
     }
 
@@ -648,7 +740,7 @@ impl<'a> DseCtx<'a> {
         self.gm_fence();
         let req = self.gm.req_ids().next();
         self.port
-            .send_kernel(pid.node(), &Message::TerminateReq { req, pid });
+            .send_kernel(pid.node(), &Message::TerminateReq { req, pid }, None);
         self.port
             .await_msg(|m| matches!(m, Message::TerminateAck { req: r } if *r == req));
     }
@@ -667,12 +759,12 @@ impl<'a> DseCtx<'a> {
             tag,
             data,
         };
-        self.port.send(to.node(), dest, &msg);
+        self.port.send(to.node(), dest, &msg, None);
     }
 
     /// Receive the next user message, optionally filtered by tag.
     pub fn recv_user(&mut self, want_tag: Option<u32>) -> UserMsg {
-        let (msg, ()) = self.port.await_msg(|m| match m {
+        let (msg, _) = self.port.await_msg(|m| match m {
             Message::UserData { tag, .. } => want_tag.is_none_or(|t| t == *tag),
             _ => false,
         });
@@ -684,7 +776,8 @@ impl<'a> DseCtx<'a> {
 
     // ----- internals --------------------------------------------------------
 
-    /// Called by the harness after the body returns: notify the launcher.
+    /// Called by the harness after the body returns: notify the launcher,
+    /// then park this process's causal spans with the cluster.
     pub fn finish(&mut self) {
         self.gm_fence();
         self.port.shared.mark_exited(self.pid);
@@ -693,6 +786,10 @@ impl<'a> DseCtx<'a> {
             status: 0,
         };
         let launcher = self.port.shared.launcher();
-        self.port.send(NodeId(0), launcher, &msg);
+        self.port.send(NodeId(0), launcher, &msg, None);
+        let port = &mut self.port;
+        let (pe, now, sink) = (port.pe(), port.now_ns(), &port.shared.trace_sink);
+        sink.park(pe, TraceRole::App, port.spans.finish(now));
+        sink.park(pe, TraceRole::Kernel, port.home_spans.take());
     }
 }

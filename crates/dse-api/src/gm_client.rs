@@ -18,6 +18,8 @@ use dse_kernel::GlobalStore;
 use dse_msg::{is_bulk, Bytes, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen};
 use dse_obs::SpanKind;
 
+use crate::req_spans::Arrival;
+
 /// Handle to a split-phase global-memory operation.
 ///
 /// Returned by `gm_read_nb`/`gm_write_nb`; redeem it with `gm_wait` (which
@@ -139,13 +141,10 @@ impl std::error::Error for GmProtocolError {}
 /// Everything engine-specific a [`GmClient`] needs.
 ///
 /// The two implementors are the simulator's port (virtual-time charging,
-/// `SpanTable` spans) and the live engine's (transport, retransmission,
-/// causal spans). The observation hooks default to no-ops.
+/// the network model) and the live engine's (transport, retransmission);
+/// each stamps the shared `RequesterSpans` with its own clock. The
+/// observation hooks default to no-ops.
 pub trait GmPort {
-    /// What the engine knows about a received message beyond its bytes
-    /// (live: the wire trace context and the arrival time).
-    type Meta;
-
     /// The node this client runs on.
     fn node(&self) -> NodeId;
     /// The home-partitioned store: address arithmetic and own-node reads.
@@ -166,15 +165,14 @@ pub trait GmPort {
         req: ReqId,
         msg: Message,
         kind: SpanKind,
-        bytes: u64,
         inflight: usize,
     );
     /// Block for the next message `pred` accepts: serve it from the stash
     /// of earlier arrivals if one is there, else receive, stashing what
     /// `pred` rejects for its own waiter.
-    fn await_msg(&mut self, pred: impl FnMut(&Message) -> bool) -> (Message, Self::Meta);
+    fn await_msg(&mut self, pred: impl FnMut(&Message) -> bool) -> (Message, Arrival);
     /// Request `req` was answered and its result applied.
-    fn request_done(&mut self, req: ReqId, kind: SpanKind, meta: Self::Meta);
+    fn request_done(&mut self, req: ReqId, kind: SpanKind, answer: Arrival);
     /// A peer's response did not fit its request: fail the run.
     fn protocol_error(&mut self, err: GmProtocolError) -> !;
 
@@ -851,7 +849,7 @@ impl GmClient {
     fn send_plain<P: GmPort>(&mut self, port: &mut P, home: NodeId, op: StagedOp) {
         self.window_backpressure(port);
         let req = self.reqs.next();
-        let (msg, kind, bytes, ctl) = match op {
+        let (msg, kind, ctl) = match op {
             StagedOp::Read(c) => {
                 let msg = Message::GmReadReq {
                     req,
@@ -859,7 +857,7 @@ impl GmClient {
                     offset: c.offset,
                     len: c.len as u32,
                 };
-                (msg, SpanKind::GmRead, c.len, InflightReq::Read(c))
+                (msg, SpanKind::GmRead, InflightReq::Read(c))
             }
             StagedOp::Write {
                 region,
@@ -867,17 +865,16 @@ impl GmClient {
                 data,
                 writers,
             } => {
-                let len = data.len();
                 let msg = Message::GmWriteReq {
                     req,
                     region,
                     offset,
                     data: data.into(),
                 };
-                (msg, SpanKind::GmWrite, len, InflightReq::Write(writers))
+                (msg, SpanKind::GmWrite, InflightReq::Write(writers))
             }
         };
-        self.dispatch(port, home, req, msg, kind, bytes, ctl);
+        self.dispatch(port, home, req, msg, kind, ctl);
     }
 
     fn send_batch<P: GmPort>(&mut self, port: &mut P, home: NodeId, staged: Vec<StagedOp>) {
@@ -885,11 +882,9 @@ impl GmClient {
         let req = self.reqs.next();
         let mut ops = Vec::with_capacity(staged.len());
         let mut ctls = Vec::with_capacity(staged.len());
-        let mut bytes = 0;
         for op in staged {
             match op {
                 StagedOp::Read(c) => {
-                    bytes += c.len;
                     ops.push(GmOp::Read {
                         region: c.region,
                         offset: c.offset,
@@ -903,7 +898,6 @@ impl GmClient {
                     data,
                     writers,
                 } => {
-                    bytes += data.len();
                     ctls.push(InflightOp::Write(writers));
                     ops.push(GmOp::Write {
                         region,
@@ -915,11 +909,10 @@ impl GmClient {
         }
         let msg = Message::GmBatchReq { req, ops };
         let ctl = InflightReq::Batch(ctls);
-        self.dispatch(port, home, req, msg, SpanKind::GmBatch, bytes, ctl);
+        self.dispatch(port, home, req, msg, SpanKind::GmBatch, ctl);
     }
 
     /// Put one request on the wire and enter it in the in-flight window.
-    #[allow(clippy::too_many_arguments)]
     fn dispatch<P: GmPort>(
         &mut self,
         port: &mut P,
@@ -927,10 +920,9 @@ impl GmClient {
         req: ReqId,
         msg: Message,
         kind: SpanKind,
-        bytes: usize,
         ctl: InflightReq,
     ) {
-        port.send_request(home, req, msg, kind, bytes as u64, self.inflight.len() + 1);
+        port.send_request(home, req, msg, kind, self.inflight.len() + 1);
         self.inflight.insert(req.0, ctl);
     }
 
@@ -950,8 +942,8 @@ impl GmClient {
 
     /// Consume exactly one GM completion.
     fn drain_one<P: GmPort>(&mut self, port: &mut P) {
-        let (msg, meta) = port.await_msg(is_completion);
-        if let Err(e) = self.process_completion(port, msg, meta) {
+        let (msg, answer) = port.await_msg(is_completion);
+        if let Err(e) = self.process_completion(port, msg, answer) {
             port.protocol_error(e);
         }
     }
@@ -972,7 +964,7 @@ impl GmClient {
         &mut self,
         port: &mut P,
         msg: Message,
-        meta: P::Meta,
+        answer: Arrival,
     ) -> Result<(), GmProtocolError> {
         let (req, kind) = match &msg {
             Message::GmReadResp { req, .. } => (*req, SpanKind::GmRead),
@@ -1011,7 +1003,7 @@ impl GmClient {
             }
             (ctl, other) => return Err(GmProtocolError::new(req, ctl.expects(), other.label())),
         }
-        port.request_done(req, kind, meta);
+        port.request_done(req, kind, answer);
         Ok(())
     }
 
@@ -1099,7 +1091,7 @@ fn split<P: GmPort>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fake_port::FakePort;
+    use crate::fake_port::{FakePort, UNTRACED};
 
     /// Four homes over 4 KiB: node 0 (the client's) homes `[0, 1024)`,
     /// home `h` homes `[1024 h, 1024 (h + 1))`; byte `i` holds `i % 251`.
@@ -1298,9 +1290,12 @@ mod tests {
         c.flush_staged(&mut p);
         let request = p.pending[1].pop_front().unwrap();
         let response = p.serve(request);
-        assert_eq!(c.process_completion(&mut p, response.clone(), ()), Ok(()));
         assert_eq!(
-            c.process_completion(&mut p, response, ()),
+            c.process_completion(&mut p, response.clone(), UNTRACED),
+            Ok(())
+        );
+        assert_eq!(
+            c.process_completion(&mut p, response, UNTRACED),
             Ok(()),
             "duplicate"
         );
@@ -1321,7 +1316,8 @@ mod tests {
         let _b2 = read_nb(&mut c, &mut p, 3100, 8);
         c.flush_staged(&mut p);
 
-        let wrong_kind = c.process_completion(&mut p, Message::GmWriteAck { req: ReqId(0) }, ());
+        let wrong_kind =
+            c.process_completion(&mut p, Message::GmWriteAck { req: ReqId(0) }, UNTRACED);
         let err = wrong_kind.unwrap_err();
         assert_eq!(err.req, 0);
         assert_eq!(err.detail, "expected a read response, got gm_write_ack");
@@ -1334,7 +1330,7 @@ mod tests {
                     req: ReqId(1),
                     data,
                 },
-                (),
+                UNTRACED,
             )
             .unwrap_err();
         assert_eq!(
@@ -1350,7 +1346,7 @@ mod tests {
                     req: ReqId(2),
                     data,
                 },
-                (),
+                UNTRACED,
             )
             .unwrap_err();
         assert_eq!(err.detail, "expected 8 bytes, got 7 bytes");
@@ -1363,7 +1359,7 @@ mod tests {
                     req: ReqId(3),
                     reads,
                 },
-                (),
+                UNTRACED,
             )
             .unwrap_err();
         assert_eq!(err.req, 3);

@@ -11,6 +11,9 @@
 //! * [`GmClient`] — the split-phase global-memory requester (staging,
 //!   coalescing, batching, the in-flight window, handles), defined once and
 //!   driven by both engines through a [`GmPort`];
+//! * [`RequesterSpans`] — the requester side of the causal trace, defined
+//!   once the same way and stamped by each engine's port with its own
+//!   clock;
 //! * [`GmArray`]/[`GmCounter`] — typed views over distributed regions;
 //! * [`collective`] — broadcast/gather/reduce conveniences built from the
 //!   same primitives an application would use by hand.
@@ -39,6 +42,7 @@ mod ctx;
 mod gm_client;
 mod program;
 mod region;
+mod req_spans;
 
 #[cfg(test)]
 #[path = "../tests/support/fake_port.rs"]
@@ -49,6 +53,7 @@ pub use ctx::{DseCtx, UserMsg, AUTO_BARRIER_BASE};
 pub use gm_client::{GmClient, GmCount, GmHandle, GmPort, GmProtocolError};
 pub use program::{DseProgram, RunResult, TelemetrySummary};
 pub use region::{GmArray, GmCounter, GmElem};
+pub use req_spans::{Arrival, RequesterSpans, SentReq};
 
 // Re-export the vocabulary callers need alongside the API.
 pub use dse_kernel::{

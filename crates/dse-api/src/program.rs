@@ -14,8 +14,7 @@ use dse_kernel::netpath::{charge_recv, send_msg};
 use dse_kernel::{ClusterShared, DseConfig, KernelStats, SimMsg, StallReport, TelemetryHook};
 use dse_msg::{Message, NodeId, ReqIdGen};
 use dse_obs::{
-    chrome_trace_json, BusInterval, ChromeTraceInput, ClusterAggregator, MetricKey,
-    MetricsSnapshot, NodeStatus, SpanRecord,
+    BusInterval, ClusterAggregator, MetricKey, MetricsSnapshot, NodeStatus, TraceSpanRec,
 };
 use dse_platform::{ClusterSpec, Platform, PAPER_MACHINES};
 use dse_sim::{ProcCtx, SimDuration, SimReport, Simulator};
@@ -65,8 +64,12 @@ pub struct RunResult {
     /// Observability metrics: named counters, gauges and latency
     /// histograms (includes the per-PE kernel-stats rollup).
     pub metrics: MetricsSnapshot,
-    /// Completed message-level spans (request/response exchanges).
-    pub spans: Vec<SpanRecord>,
+    /// Per-PE causal spans in virtual time, recorded when
+    /// `DseConfig::tracing` is on (empty otherwise), in the live engine's
+    /// `LiveRunResult::trace_spans` shape: `trace_spans[pe]` holds that
+    /// PE's application-process spans followed by its kernel's. Feed to the
+    /// `dse-trace` assembler.
+    pub trace_spans: Vec<Vec<TraceSpanRec>>,
     /// Per-interval shared-bus activity (empty for switched fabrics).
     pub bus_intervals: Vec<BusInterval>,
     /// Telemetry-plane results (`None` unless `DseConfig::telemetry` was
@@ -88,24 +91,6 @@ impl RunResult {
     /// The metrics as CSV.
     pub fn metrics_csv(&self) -> String {
         self.metrics.to_csv()
-    }
-
-    /// The run as a Chrome trace-event JSON document (load in Perfetto):
-    /// per-process timeline tracks (when tracing was enabled), GM-op span
-    /// tracks, and bus-utilization counter tracks.
-    pub fn chrome_trace_json(&self) -> String {
-        let resource_names: Vec<String> = self
-            .report
-            .resources
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        chrome_trace_json(&ChromeTraceInput {
-            trace: self.report.trace.as_ref(),
-            resource_names: &resource_names,
-            spans: &self.spans,
-            bus: &self.bus_intervals,
-        })
     }
 }
 
@@ -298,7 +283,7 @@ impl DseProgram {
             report,
             per_pe_stats,
             metrics,
-            spans: shared.spans.records(),
+            trace_spans: shared.trace_sink.take_streams(nprocs),
             bus_intervals,
             telemetry,
         }
@@ -334,7 +319,7 @@ fn launcher_main(ctx: &mut ProcCtx<SimMsg>, shared: Arc<ClusterShared>, nprocs: 
         let target = NodeId(rank as u16);
         let kproc = shared.kernel_of(target);
         let me = ctx.id();
-        send_msg(ctx, &shared, node0, target, kproc, me, &msg);
+        send_msg(ctx, &shared, node0, target, kproc, me, &msg, None);
     }
     let mut acks = 0;
     let mut exits = 0;
@@ -368,6 +353,7 @@ fn launcher_main(ctx: &mut ProcCtx<SimMsg>, shared: Arc<ClusterShared>, nprocs: 
                 from_node: node0,
                 reply_to: ctx.id(),
                 bytes: shutdown.clone(),
+                ctx: None,
             },
         );
     }

@@ -6,14 +6,18 @@
 //! records the lease; the requester installs on completion, and the same
 //! second read misses there.)
 
-use dse_api::{Distribution, DseConfig, DseProgram, Platform, Work};
+use dse_api::{Distribution, DseConfig, DseProgram, Platform, TelemetryConfig, Work};
 use dse_obs::SpanKind;
 
 const BLOCK: usize = 512;
 
 #[test]
 fn a_second_overlapping_read_hits_before_the_first_is_waited_on() {
-    let config = DseConfig::paper().with_gm_cache(true);
+    // The telemetry plane brings the stall watchdog, whose in-flight set is
+    // where a test can see which requests are still unanswered.
+    let config = DseConfig::paper()
+        .with_gm_cache(true)
+        .with_telemetry(TelemetryConfig::default());
     let r = DseProgram::new(Platform::linux_pentium2())
         .with_config(config)
         .run(3, |ctx| {
@@ -29,14 +33,14 @@ fn a_second_overlapping_read_hits_before_the_first_is_waited_on() {
                 ctx.gm_wait(small);
                 // Long enough for node 2 to have served the block.
                 ctx.compute(Work::flops(50_000_000));
-                let open: Vec<_> = ctx
-                    .shared()
-                    .spans
-                    .open_spans()
-                    .into_iter()
-                    .filter(|s| s.pe == 0 && s.kind == SpanKind::GmRead)
-                    .collect();
-                assert_eq!(open.len(), 1, "the block's answer is still unread");
+                let inflight = ctx.shared().inflight.as_ref();
+                let open = inflight.expect("a watchdog is configured").unanswered();
+                let mine = |&&(_, pe, _, kind): &&_| pe == 0 && kind == SpanKind::GmRead;
+                assert_eq!(
+                    open.iter().filter(mine).count(),
+                    1,
+                    "the block's answer is still unread"
+                );
                 let before = ctx.shared().stats.snapshot_pe(0);
                 let again = ctx.gm_read_nb(region, 2 * BLOCK as u64 + 16, 64);
                 let after = ctx.shared().stats.snapshot_pe(0);

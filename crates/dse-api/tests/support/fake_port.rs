@@ -12,11 +12,18 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use dse_api::{Distribution, GmCount, GmPort, GmProtocolError};
+use dse_api::{Arrival, Distribution, GmCount, GmPort, GmProtocolError};
 use dse_kernel::cache::{blocks_touching, CACHE_BLOCK};
 use dse_kernel::GlobalStore;
 use dse_msg::{GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen};
 use dse_obs::SpanKind;
+
+/// How every answer of the fake homes arrives: no clock, no trace context.
+pub const UNTRACED: Arrival = Arrival {
+    ctx: None,
+    at_ns: 0,
+    wire_bytes: 0,
+};
 
 pub struct FakePort {
     pub node: NodeId,
@@ -142,8 +149,6 @@ impl FakePort {
 }
 
 impl GmPort for FakePort {
-    type Meta = ();
-
     fn node(&self) -> NodeId {
         self.node
     }
@@ -170,7 +175,6 @@ impl GmPort for FakePort {
         _req: ReqId,
         msg: Message,
         _kind: SpanKind,
-        _bytes: u64,
         inflight: usize,
     ) {
         assert_ne!(home, self.node, "an own-node access went on the wire");
@@ -179,7 +183,7 @@ impl GmPort for FakePort {
         self.sent.push((home, msg));
     }
 
-    fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, ()) {
+    fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, Arrival) {
         let busy: Vec<usize> = (0..self.pending.len())
             .filter(|&h| !self.pending[h].is_empty())
             .collect();
@@ -195,10 +199,10 @@ impl GmPort for FakePort {
         let request = self.pending[home].pop_front().unwrap();
         let response = self.serve(request);
         assert!(pred(&response), "the waiter rejected a GM completion");
-        (response, ())
+        (response, UNTRACED)
     }
 
-    fn request_done(&mut self, req: ReqId, kind: SpanKind, _meta: ()) {
+    fn request_done(&mut self, req: ReqId, kind: SpanKind, _answer: Arrival) {
         self.done.push((req.0, kind));
     }
 

@@ -8,6 +8,7 @@
 
 use dse_api::{DseConfig, DseProgram, Platform};
 use dse_apps::gauss_seidel;
+use dse_trace::{assemble, chrome_flow_json_with, EngineTracks};
 
 /// The export bundle of one instrumented run.
 pub struct ObsProbe {
@@ -29,6 +30,9 @@ pub fn observability_probe(platform: &Platform, procs: usize) -> ObsProbe {
     ObsProbe {
         metrics_jsonl: run.metrics_jsonl(),
         metrics_csv: run.metrics_csv(),
-        chrome_trace: run.chrome_trace_json(),
+        chrome_trace: chrome_flow_json_with(
+            &assemble(&run.trace_spans),
+            &EngineTracks::of(&run.report, &run.bus_intervals),
+        ),
     }
 }

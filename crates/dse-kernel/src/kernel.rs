@@ -24,16 +24,25 @@
 //! a read's lease and a write's directory step no longer wait for the copy
 //! charge; the second and later operations of a batch move ahead of the
 //! earlier ones' copy charges.
+//!
+//! **Causal spans** (`DseConfig::tracing`) are the shared [`HomeSpans`],
+//! stamped in virtual time: a message's trace context arrives in its
+//! [`SimMsg`] beside the bytes, a `lock_grant` or `barrier_release` is
+//! stamped with the instant `handle` ran, a `serve` closes at the
+//! `EndService` step, and the answer's context leaves with the `Wire` step.
+//! None of it is an op, a charge or a counter, so a traced run plays back
+//! exactly the events of an untraced one.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use dse_msg::{GlobalPid, Message, NodeId, RegionId};
-use dse_obs::{DeltaTracker, FlightEventKind, MetricKey, SpanKind, TelemetryDelta};
+use dse_msg::{GlobalPid, Message, NodeId, RegionId, TraceCtx};
+use dse_obs::{DeltaTracker, FlightEventKind, MetricKey, TelemetryDelta, TraceRole};
 use dse_sim::{CompCtx, Component, ProcCtx, ProcId, SimDuration, SimTime, Wait, Wakeup};
 
 use crate::cache::CacheStore;
 use crate::config::GmMode;
+use crate::home_spans::{HomeSpans, Origin};
 use crate::netpath::{begin_send, book_wire, send_msg};
 use crate::protocol::{Gates, KernelCount, KernelPort, KernelProtocol};
 use crate::shared::ClusterShared;
@@ -48,25 +57,38 @@ pub type AppBody = Box<dyn FnOnce(&mut ProcCtx<SimMsg>) + Send>;
 /// by the program harness so the kernel stays independent of the API crate.
 pub type AppFactory = Arc<dyn Fn(u32, GlobalPid) -> AppBody + Send + Sync>;
 
+/// Where a simulated kernel's answer goes: the requesting process, and
+/// what its request brought (its node, trace context and arrival time).
+#[derive(Debug, Clone, Copy)]
+pub struct SimRequester {
+    /// Simulation process the answer is delivered to.
+    pub proc: ProcId,
+    /// What the request brought.
+    pub from: Origin,
+}
+
+/// A traced GM request the kernel answered: who asked, the request id and
+/// the size of the answer, kept until [`Op::EndService`] closes its span.
+type ServedGm = (Origin, u64, u64);
+
 /// One step of a kernel component's work, taken when its turn comes.
 enum Op {
     /// Hold this node's CPU.
     Charge(SimDuration),
-    /// The receive charge has ended: hand the message, sent by a process
-    /// on the node, to the protocol.
-    Serve(NodeId, ProcId, Message),
+    /// The receive charge has ended: hand the message to the protocol.
+    Serve(SimRequester, Message),
     /// Bump a counter.
     Count(KernelCount),
-    /// Send the message to a process on the node: the sender-side software
-    /// charge, then [`Op::Wire`].
-    Send(NodeId, ProcId, Message),
+    /// Send the message, with its trace context, to a process on the node:
+    /// the sender-side software charge, then [`Op::Wire`].
+    Send(NodeId, ProcId, Message, Option<TraceCtx>),
     /// The send charge has ended: book the wire and dispatch the bytes.
-    Wire(NodeId, ProcId, Vec<u8>),
+    Wire(NodeId, ProcId, Vec<u8>, Option<TraceCtx>),
     /// The fork charge has ended: start the rank as this process.
     Spawn(u32, GlobalPid),
-    /// The message the node sent, taken up at the time, is served: record
-    /// the service, and the requester span it answered.
-    EndService(SimTime, NodeId, Option<(SpanKind, u64)>),
+    /// The message taken up at the time is served: record the service, and
+    /// the serve span of the traced GM request it was.
+    EndService(SimTime, Option<ServedGm>),
     /// This tick's delta is on the wire: poll the watchdog and re-arm.
     EndTick,
 }
@@ -75,8 +97,9 @@ enum Op {
 enum Exec<'a> {
     /// On a process's own thread, blocking it for each charge.
     Blocking(&'a mut ProcCtx<SimMsg>),
-    /// Recorded, for the kernel component to play back.
-    Recording(&'a mut VecDeque<Op>),
+    /// Recorded at the instant given, for the kernel component to play
+    /// back.
+    Recording(&'a mut VecDeque<Op>, SimTime),
 }
 
 /// The simulator behind [`KernelPort`], acting for `node`: an application
@@ -88,27 +111,56 @@ pub struct SimKernelPort<'a> {
     exec: Exec<'a>,
     shared: &'a ClusterShared,
     node: NodeId,
-    /// The requester span (kind, seq) of the GM request served last.
-    serviced: Option<(SpanKind, u64)>,
+    /// Where this kernel duty's causal spans go.
+    spans: &'a mut HomeSpans,
+    /// What the message (or own-node call) being handled brought.
+    handling: Origin,
+    /// The traced GM request served last.
+    served: Option<ServedGm>,
 }
 
 impl<'a> SimKernelPort<'a> {
-    /// A port for the process behind `ctx`, acting for `node`.
+    /// A port for the process behind `ctx`, acting for `node` in an
+    /// own-node call that carries the trace context `call`; the spans of
+    /// the kernel duty it does go to `spans`.
     pub fn new(
         ctx: &'a mut ProcCtx<SimMsg>,
         shared: &'a ClusterShared,
         node: NodeId,
+        spans: &'a mut HomeSpans,
+        call: Option<TraceCtx>,
     ) -> SimKernelPort<'a> {
+        let handling = Origin {
+            pe: node.0 as u32,
+            ctx: call,
+            at_ns: ctx.now().as_nanos(),
+        };
         SimKernelPort {
             exec: Exec::Blocking(ctx),
             shared,
             node,
-            serviced: None,
+            spans,
+            handling,
+            served: None,
+        }
+    }
+
+    /// What the own-node call this port was made for brought: the caller
+    /// is its own requester.
+    pub fn caller(&self) -> Origin {
+        self.handling
+    }
+
+    fn now_ns(&self) -> u64 {
+        match &self.exec {
+            Exec::Blocking(ctx) => ctx.now().as_nanos(),
+            Exec::Recording(_, now) => now.as_nanos(),
         }
     }
 }
 
-fn count(shared: &ClusterShared, node: NodeId, what: KernelCount) {
+/// Bump `node`'s kernel-stats cell for a protocol counter.
+pub fn count(shared: &ClusterShared, node: NodeId, what: KernelCount) {
     shared.stats.update(node, |s| match what {
         KernelCount::RemoteRead(bytes) => {
             s.gm_remote_reads += 1;
@@ -132,13 +184,13 @@ fn count(shared: &ClusterShared, node: NodeId, what: KernelCount) {
 }
 
 impl KernelPort for SimKernelPort<'_> {
-    type Reply = ProcId;
+    type Reply = SimRequester;
 
-    fn barriers(&self) -> &BarrierCenter {
+    fn barriers(&self) -> &BarrierCenter<SimRequester> {
         &self.shared.barriers
     }
 
-    fn locks(&self) -> &LockCenter {
+    fn locks(&self) -> &LockCenter<SimRequester> {
         &self.shared.locks
     }
 
@@ -146,14 +198,14 @@ impl KernelPort for SimKernelPort<'_> {
         let dur = self.shared.cost(self.node).mem_copy(bytes);
         match &mut self.exec {
             Exec::Blocking(ctx) => ctx.use_resource(self.shared.cpu_of(self.node), dur),
-            Exec::Recording(ops) => ops.push_back(Op::Charge(dur)),
+            Exec::Recording(ops, _) => ops.push_back(Op::Charge(dur)),
         }
     }
 
     fn count(&mut self, what: KernelCount) {
         match &mut self.exec {
             Exec::Blocking(_) => count(self.shared, self.node, what),
-            Exec::Recording(ops) => ops.push_back(Op::Count(what)),
+            Exec::Recording(ops, _) => ops.push_back(Op::Count(what)),
         }
     }
 
@@ -174,32 +226,44 @@ impl KernelPort for SimKernelPort<'_> {
         cache.drop_range(self.node, region, offset, len);
     }
 
-    fn send(&mut self, node: NodeId, to: ProcId, msg: Message) {
-        match &mut self.exec {
-            Exec::Blocking(ctx) => {
-                let me = ctx.id();
-                send_msg(ctx, self.shared, self.node, node, to, me, &msg);
-            }
-            Exec::Recording(ops) => ops.push_back(Op::Send(node, to, msg)),
-        }
+    fn send(&mut self, node: NodeId, to: SimRequester, msg: Message) {
+        let now = self.now_ns();
+        let trace = self.spans.reply_ctx(now, self.handling.ctx, to.from, &msg);
+        self.send_traced(node, to.proc, msg, trace);
     }
 
     fn send_kernel(&mut self, node: NodeId, msg: Message) {
-        self.send(node, self.shared.kernel_of(node), msg);
+        self.send_traced(node, self.shared.kernel_of(node), msg, None);
     }
 
-    fn served(&mut self, _to: ProcId, resp: &Message, _gated: bool) {
-        self.serviced = match resp {
-            Message::GmReadResp { req, .. } => Some((SpanKind::GmRead, req.0)),
-            Message::GmWriteAck { req } => Some((SpanKind::GmWrite, req.0)),
-            Message::GmFetchAddResp { req, .. } => Some((SpanKind::GmFetchAdd, req.0)),
-            Message::GmBatchResp { req, .. } => Some((SpanKind::GmBatch, req.0)),
-            _ => None,
-        };
+    /// The serve span ends where the service does, at the `EndService` step.
+    fn served(&mut self, to: SimRequester, resp: &Message, _gated: bool) {
+        if to.from.ctx.is_some() {
+            let seq = resp.req_id().map_or(0, |r| r.0);
+            self.served = Some((to.from, seq, resp.wire_len() as u64));
+        }
+    }
+
+    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: SimRequester) {
+        let (now, completer) = (self.now_ns(), self.handling);
+        self.spans
+            .barrier_completed(now, completer, barrier, epoch, first.from.at_ns);
     }
 
     fn protocol_error(&mut self, from: NodeId, label: &'static str, detail: &str) {
         panic!("kernel {}: {label} from {from}: {detail}", self.node)
+    }
+}
+
+impl SimKernelPort<'_> {
+    fn send_traced(&mut self, node: NodeId, to: ProcId, msg: Message, trace: Option<TraceCtx>) {
+        match &mut self.exec {
+            Exec::Blocking(ctx) => {
+                let me = ctx.id();
+                send_msg(ctx, self.shared, self.node, node, to, me, &msg, trace);
+            }
+            Exec::Recording(ops, _) => ops.push_back(Op::Send(node, to, msg, trace)),
+        }
     }
 }
 
@@ -220,7 +284,8 @@ pub struct SimKernel {
     node: NodeId,
     shared: Arc<ClusterShared>,
     factory: AppFactory,
-    gates: Gates<ProcId>,
+    gates: Gates<SimRequester>,
+    spans: HomeSpans,
     next_local_pid: u16,
     /// What is left of the message (or tick) in service, in order.
     ops: VecDeque<Op>,
@@ -241,6 +306,7 @@ impl SimKernel {
         });
         SimKernel {
             node,
+            spans: HomeSpans::new(node.0 as u32, shared.config.tracing),
             shared,
             factory,
             gates: Gates::default(),
@@ -250,11 +316,12 @@ impl SimKernel {
         }
     }
 
-    /// Run the protocol on `msg`, which `from` sent and whose receive
+    /// Run the protocol on `msg`, which `reply` sent and whose receive
     /// charge ended at `now`, recording what it asks of the port; then
     /// record what is this driver's own.
-    fn serve(&mut self, now: SimTime, from: NodeId, reply: ProcId, msg: Message) {
+    fn serve(&mut self, now: SimTime, reply: SimRequester, msg: Message) {
         let (shared, node) = (&*self.shared, self.node);
+        let from = NodeId(reply.from.pe as u16);
         let mut protocol = KernelProtocol::resume(
             &shared.store,
             shared.config.gm_cache.then_some(&shared.cache),
@@ -262,13 +329,15 @@ impl SimKernel {
             std::mem::take(&mut self.gates),
         );
         let mut port = SimKernelPort {
-            exec: Exec::Recording(&mut self.ops),
+            exec: Exec::Recording(&mut self.ops, now),
             shared,
             node,
-            serviced: None,
+            spans: &mut self.spans,
+            handling: reply.from,
+            served: None,
         };
         let handed_back = protocol.handle(&mut port, from, reply, msg);
-        let serviced = port.serviced;
+        let served = port.served;
         self.gates = protocol.suspend();
         match handed_back {
             None => {}
@@ -315,16 +384,16 @@ impl SimKernel {
                 self.ops.push_back(Op::Charge(shared.cost(node).fork()));
                 self.ops.push_back(Op::Spawn(rank, pid));
                 let ack = Message::InvokeAck { req, pid };
-                self.ops.push_back(Op::Send(from, reply, ack));
+                self.ops.push_back(Op::Send(from, reply.proc, ack, None));
             }
             Some(Message::TerminateReq { req, pid }) => {
                 shared.mark_terminated(pid);
                 let ack = Message::TerminateAck { req };
-                self.ops.push_back(Op::Send(from, reply, ack));
+                self.ops.push_back(Op::Send(from, reply.proc, ack, None));
             }
             Some(other) => port.protocol_error(from, other.label(), "unexpected message"),
         }
-        self.ops.push_back(Op::EndService(now, from, serviced));
+        self.ops.push_back(Op::EndService(now, served));
     }
 
     /// One telemetry tick: ship this PE's incremental metric delta in-band
@@ -344,7 +413,7 @@ impl SimKernel {
                 payload: d.encode(),
             };
             let to = shared.kernel_of(NodeId(0));
-            self.ops.push_back(Op::Send(NodeId(0), to, msg));
+            self.ops.push_back(Op::Send(NodeId(0), to, msg, None));
         }
         self.ops.push_back(Op::EndTick);
     }
@@ -362,6 +431,9 @@ impl Component<SimMsg> for SimKernel {
             Wakeup::Resumed => {}
             Wakeup::Timer => self.tick(),
             Wakeup::Message(env) => {
+                // A request queued behind an earlier service has been
+                // waiting since it was delivered: its span starts there.
+                let at_ns = env.delivered_at.as_nanos();
                 let sm = env.msg;
                 let msg = Message::decode(&sm.bytes).expect("kernel received undecodable message");
                 if matches!(msg, Message::KernelShutdown) {
@@ -372,6 +444,9 @@ impl Component<SimMsg> for SimKernel {
                     if let Some(t) = self.telemetry.as_mut() {
                         final_flush(now.as_nanos(), &self.shared, node, &mut t.tracker);
                     }
+                    let spans = self.spans.take();
+                    let sink = &self.shared.trace_sink;
+                    sink.park(node.0 as u32, TraceRole::Kernel, spans);
                     return Wait::Finished;
                 }
                 // Async-I/O receive path: signal delivery + protocol
@@ -379,26 +454,35 @@ impl Component<SimMsg> for SimKernel {
                 // co-resident app), then the service proper.
                 let recv = self.shared.cost(node).msg_recv(sm.bytes.len());
                 self.ops.push_back(Op::Charge(recv));
-                self.ops
-                    .push_back(Op::Serve(sm.from_node, sm.reply_to, msg));
+                let from = Origin {
+                    pe: sm.from_node.0 as u32,
+                    ctx: sm.ctx,
+                    at_ns,
+                };
+                let reply = SimRequester {
+                    proc: sm.reply_to,
+                    from,
+                };
+                self.ops.push_back(Op::Serve(reply, msg));
             }
         }
         while let Some(op) = self.ops.pop_front() {
             match op {
                 Op::Charge(dur) => return Wait::Hold(self.shared.cpu_of(node), dur),
-                Op::Serve(from, reply, msg) => self.serve(now, from, reply, msg),
+                Op::Serve(reply, msg) => self.serve(now, reply, msg),
                 Op::Count(what) => count(&self.shared, node, what),
-                Op::Send(to_node, to, msg) => {
+                Op::Send(to_node, to, msg, trace) => {
                     let (bytes, charge) = begin_send(&self.shared, now, node, to_node, &msg);
-                    self.ops.push_front(Op::Wire(to_node, to, bytes));
+                    self.ops.push_front(Op::Wire(to_node, to, bytes, trace));
                     return Wait::Hold(self.shared.cpu_of(node), charge);
                 }
-                Op::Wire(to_node, to, bytes) => {
+                Op::Wire(to_node, to, bytes, trace) => {
                     let latency = book_wire(&self.shared, now, node, to_node, bytes.len());
                     let msg = SimMsg {
                         from_node: node,
                         reply_to: ctx.id(),
                         bytes,
+                        ctx: trace,
                     };
                     ctx.send(to, latency, msg);
                 }
@@ -408,7 +492,7 @@ impl Component<SimMsg> for SimKernel {
                     let app = ctx.spawn(&format!("rank{rank}@{node}"), move |pctx| body(pctx));
                     self.shared.register_app(pid, app);
                 }
-                Op::EndService(start, from, serviced) => {
+                Op::EndService(start, served) => {
                     let service_ns = (now - start).as_nanos();
                     let pe = node.0 as u32;
                     let machine = self.shared.machine_of(node) as u32;
@@ -419,12 +503,8 @@ impl Component<SimMsg> for SimKernel {
                         MetricKey::pe("kernel", "service_ns", pe).on_machine(machine),
                         service_ns,
                     );
-                    // The requester span this service answered, if the
-                    // message was a remote GM request.
-                    if let Some((kind, seq)) = serviced {
-                        self.shared
-                            .spans
-                            .note_service(kind, from.0 as u32, seq, service_ns);
+                    if let Some((from, seq, bytes)) = served {
+                        self.spans.serve(now.as_nanos(), from, 0, seq, bytes);
                     }
                 }
                 Op::EndTick => {
@@ -478,7 +558,11 @@ fn final_flush(now_ns: u64, shared: &ClusterShared, node: NodeId, tracker: &mut 
 /// them, append them to the shared stall report, and capture a one-shot
 /// flight-recorder dump on the first trip.
 fn poll_watchdog(shared: &ClusterShared, wd: &mut StallWatchdog, now_ns: u64) {
-    let reports = wd.check(now_ns, &shared.spans);
+    let inflight = shared
+        .inflight
+        .as_ref()
+        .expect("a watchdog has its in-flight set");
+    let reports = wd.check(now_ns, inflight);
     if reports.is_empty() {
         return;
     }

@@ -35,6 +35,7 @@ pub mod cost;
 pub mod dedup;
 pub mod directory;
 pub mod gmem;
+pub mod home_spans;
 pub mod kernel;
 pub mod netpath;
 pub mod protocol;
@@ -55,6 +56,7 @@ pub use cost::CostModel;
 pub use dedup::{dedup_key, DedupCache};
 pub use directory::{Directory, Sharers};
 pub use gmem::{Distribution, GlobalStore, GmError};
+pub use home_spans::{HomeSpans, Origin};
 pub use kernel::{AppBody, AppFactory, SimKernel, SimKernelPort};
 pub use protocol::{Gates, KernelCount, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 pub use service::{serve_gm, GmServiceHooks, NoHooks, Served};

@@ -14,7 +14,7 @@
 //! *receiver's* machine CPU (protocol receive + SIGIO signal delivery +
 //! context switch — the async-I/O interruption the paper describes).
 
-use dse_msg::{Message, NodeId};
+use dse_msg::{Message, NodeId, TraceCtx};
 use dse_obs::MetricKey;
 use dse_sim::{ProcCtx, ProcId, SimDuration, SimTime};
 
@@ -24,10 +24,8 @@ use crate::simmsg::SimMsg;
 /// Send `msg` from `from_node` to the simulation process `to_proc` living
 /// on `to_node`. Charges the sender-side software cost, books the wire (or
 /// loopback), and dispatches the envelope. `reply_to` names the simulation
-/// process any response should go to.
-///
-/// Returns the delivery latency so callers can attribute wire time to an
-/// open observability span.
+/// process any response should go to; `trace` rides beside the bytes.
+#[allow(clippy::too_many_arguments)]
 pub fn send_msg(
     ctx: &mut ProcCtx<SimMsg>,
     shared: &ClusterShared,
@@ -36,7 +34,8 @@ pub fn send_msg(
     to_proc: ProcId,
     reply_to: ProcId,
     msg: &Message,
-) -> SimDuration {
+    trace: Option<TraceCtx>,
+) {
     let (bytes, charge) = begin_send(shared, ctx.now(), from_node, to_node, msg);
     ctx.use_resource(shared.cpu_of(from_node), charge);
     let latency = book_wire(shared, ctx.now(), from_node, to_node, bytes.len());
@@ -47,9 +46,9 @@ pub fn send_msg(
             from_node,
             reply_to,
             bytes,
+            ctx: trace,
         },
     );
-    latency
 }
 
 /// First half of a send, at the instant the sender starts it: encode

@@ -20,9 +20,10 @@ use crate::cache::CacheStore;
 use crate::config::{DseConfig, NetworkChoice};
 use crate::cost::CostModel;
 use crate::gmem::GlobalStore;
+use crate::kernel::SimRequester;
 use crate::stats::StatsCell;
 use crate::sync::{BarrierCenter, LockCenter};
-use crate::watchdog::StallReport;
+use crate::watchdog::{InFlight, StallReport};
 
 /// Callback invoked on the aggregating kernel each time a full telemetry
 /// epoch lands (its own loopback delta has been applied, meaning every
@@ -46,23 +47,28 @@ pub struct ClusterShared {
     /// `config.gm_cache` is set).
     pub cache: CacheStore,
     /// Barrier coordination (centralized on node 0).
-    pub barriers: BarrierCenter,
+    pub barriers: BarrierCenter<SimRequester>,
     /// Lock coordination (centralized on node 0).
-    pub locks: LockCenter,
+    pub locks: LockCenter<SimRequester>,
     /// The interconnect timing model.
     pub network: Mutex<Network>,
     /// Runtime counters, one cell per processor element.
     pub stats: StatsCell,
     /// Observability: named counters/gauges/latency histograms.
     pub metrics: dse_obs::Registry,
-    /// Observability: message-level request/response spans.
-    pub spans: dse_obs::SpanTable,
+    /// Observability: the causal spans of every process and kernel that has
+    /// finished (empty unless `config.tracing`).
+    pub trace_sink: dse_obs::TraceSink,
     /// Telemetry: the cluster rollup node 0's kernel maintains from in-band
     /// `Telemetry` messages (empty when telemetry is off).
     pub aggregator: Mutex<dse_obs::ClusterAggregator>,
     /// Telemetry: ring of recent bus/span events (disabled ring when
     /// telemetry is off — every record is then a no-op).
     pub flight: dse_obs::FlightRecorder,
+    /// Telemetry: the unanswered GM requests node 0's stall watchdog polls
+    /// (`None` when no watchdog is configured: requesters then keep their
+    /// open requests to themselves).
+    pub inflight: Option<InFlight>,
     /// Telemetry: stall reports collected by node 0's watchdog.
     pub stalls: Mutex<Vec<StallReport>>,
     /// Telemetry: flight-recorder JSONL dump captured when the watchdog
@@ -131,9 +137,10 @@ impl ClusterShared {
             network: Mutex::new(network),
             stats: StatsCell::new(spec.processors),
             metrics: dse_obs::Registry::new(),
-            spans: dse_obs::SpanTable::new(),
+            trace_sink: dse_obs::TraceSink::default(),
             aggregator: Mutex::new(dse_obs::ClusterAggregator::new(spec.processors)),
             flight,
+            inflight: config.telemetry.as_ref().map(|_| InFlight::default()),
             stalls: Mutex::new(Vec::new()),
             flight_dump: Mutex::new(None),
             epoch_hook: Mutex::new(None),

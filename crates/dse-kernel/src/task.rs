@@ -14,9 +14,9 @@
 //! The protocol itself — GM service, the directory step, response gates,
 //! barriers and locks — is the shared [`KernelProtocol`], the same machine
 //! the simulator's kernel runs. This file is its live driver and its live
-//! port: the outbox, the metrics registry, and what only a lossy wire
-//! needs (replay of answered requests, causal spans, exit collection,
-//! abort relay, telemetry emission).
+//! port: the outbox, the metrics registry, the wall clock the shared
+//! [`HomeSpans`] are stamped with, and what only a lossy wire needs (replay
+//! of answered requests, exit collection, abort relay, telemetry emission).
 //!
 //! Because the task never blocks, the live engine's one driver can give a
 //! task a worker of its own (thread-per-PE: the worker waits in its
@@ -33,14 +33,15 @@ use parking_lot::Mutex;
 
 use dse_msg::{Message, NodeId, RegionId, TraceCtx};
 use dse_obs::{
-    derived_span_id, ClusterAggregator, DeltaTracker, FlightEventKind, FlightRecorder, MetricKey,
-    Registry, TelemetryDelta, TraceRecorder, TraceRole, TraceSpanKind, TraceSpanRec,
+    ClusterAggregator, DeltaTracker, FlightEventKind, FlightRecorder, MetricKey, Registry,
+    TelemetryDelta, TraceSpanRec,
 };
 
 use crate::cache::CacheStore;
 use crate::config::{GmMode, DEFAULT_GM_WINDOW};
 use crate::dedup::{dedup_key, DedupCache};
 use crate::gmem::GlobalStore;
+use crate::home_spans::{HomeSpans, Origin};
 use crate::protocol::{KernelCount, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 use crate::sync::{BarrierCenter, LockCenter};
 
@@ -52,31 +53,6 @@ pub mod abort_code {
     pub const TRANSPORT: u32 = 1;
     /// A peer sent the kernel a message its protocol has no place for.
     pub const PROTOCOL: u32 = 2;
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic derived span ids.
-//
-// Spans whose ids both wire endpoints (or two runs of the same seed) must
-// agree on are never minted from a counter — they are derived by hashing
-// ids the endpoints already share. The salt keeps the three derivation
-// families disjoint.
-// ---------------------------------------------------------------------------
-
-/// Serve span for the `replay`-th answer (0 = fresh) to the request whose
-/// root span is `parent`: requester and home compute the same id.
-pub fn serve_span_id(parent: u64, replay: u32) -> u64 {
-    derived_span_id(parent, 1 | ((replay as u64) << 8))
-}
-
-/// Barrier-release span for one `(barrier, epoch)` round.
-pub fn barrier_span_id(barrier: u32, epoch: u32) -> u64 {
-    derived_span_id(((barrier as u64) << 24) ^ epoch as u64, 2)
-}
-
-/// Lock-grant span for the request `req` issued by PE `owner`.
-pub fn lock_span_id(owner: u32, req: u64) -> u64 {
-    derived_span_id(((owner as u64) << 40) ^ req, 3)
 }
 
 /// Answers the serving side remembers per requester: everything one can
@@ -195,27 +171,13 @@ impl KernelEnv<'_> {
 /// Telemetry hook invoked on the aggregating PE's emission ticks.
 pub type WatchHook<'h> = &'h (dyn Fn(&ClusterAggregator, u64) + Send + Sync);
 
-/// Where a live kernel's answer goes: the requesting PE, and what its
-/// request brought — its dedup key if it is one a requester retries, the
-/// wire trace context, and the arrival time, which the answer's span
-/// starts from however long it was queued or gated.
+/// Where a live kernel's answer goes: what the request brought (its PE,
+/// wire trace context and arrival time), and its dedup key if it is one a
+/// requester retries.
 #[derive(Debug, Clone, Copy)]
 struct Requester {
-    pe: u32,
+    from: Origin,
     key: Option<(u32, u64)>,
-    ctx: Option<TraceCtx>,
-    at_ns: u64,
-}
-
-impl Requester {
-    /// The response rides with the serve span (the `replay`-th answer) as
-    /// its parent, so the requester's redemption links back to it.
-    fn response_ctx(&self, replay: u32) -> Option<TraceCtx> {
-        self.ctx.map(|c| TraceCtx {
-            trace: c.trace,
-            parent: serve_span_id(c.parent, replay),
-        })
-    }
 }
 
 /// A protocol counter in the live registry, under the metric names the
@@ -238,8 +200,8 @@ pub fn count_live(metrics: &Registry, pe: u32, what: KernelCount) {
 
 /// The live engine behind [`KernelPort`]: sends queue on the outbox,
 /// counters go to the metrics registry, nothing is charged. On top, what
-/// only a lossy wire needs: the memory of answered requests, the keys of
-/// gated ones, and the causal spans.
+/// only a lossy wire needs: the memory of answered requests and the keys
+/// of gated ones.
 struct LivePort<'a> {
     env: KernelEnv<'a>,
     /// Coordination state lives on PE 0.
@@ -249,14 +211,12 @@ struct LivePort<'a> {
     /// Dedup keys of requests whose response is gated (their retransmits
     /// are dropped, not re-executed).
     pending_gated: HashSet<(u32, u64)>,
-    /// Sender and trace context of the message being handled, and when
-    /// handling began.
-    from: u32,
-    ctx: Option<TraceCtx>,
+    /// What the message being handled brought, and when handling began.
+    handling: Origin,
     began: Instant,
     /// A peer's message the protocol rejected: the run aborts.
     violation: Option<String>,
-    rec: TraceRecorder,
+    spans: HomeSpans,
     outbox: VecDeque<Outbound>,
 }
 
@@ -284,30 +244,13 @@ impl LivePort<'_> {
         }
     }
 
-    /// A span of `c`'s trace, `[start_ns, now]`, child of the span `c` names.
-    fn span(
-        &self,
-        kind: TraceSpanKind,
-        c: TraceCtx,
-        id: u64,
-        start_ns: u64,
-        peer: u32,
-        seq: u64,
-    ) -> TraceSpanRec {
-        let (pe, now) = (self.env.pe, self.env.now_ns());
-        let mut span = TraceSpanRec::new(kind, c.trace, id, c.parent, pe, start_ns, now);
-        (span.peer, span.seq) = (peer, seq);
-        span
-    }
-
     /// Record the serve span of `resp`, the `replay`-th answer (0 = fresh)
-    /// to `to`'s request, from its arrival (nothing on an untraced run).
+    /// to `to`'s request (nothing on an untraced run).
     fn serve_span(&mut self, to: Requester, replay: u32, resp: &Message) {
-        if let Some(c) = to.ctx {
-            let (id, seq) = (serve_span_id(c.parent, replay), to.key.map_or(0, |k| k.1));
-            let mut span = self.span(TraceSpanKind::Serve, c, id, to.at_ns, to.pe, seq);
-            (span.bytes, span.dedup) = (resp.wire_len() as u64, replay > 0);
-            self.rec.push(span);
+        if to.from.ctx.is_some() {
+            let (seq, bytes) = (to.key.map_or(0, |k| k.1), resp.wire_len() as u64);
+            self.spans
+                .serve(self.env.now_ns(), to.from, replay, seq, bytes);
         }
     }
 }
@@ -356,37 +299,17 @@ impl KernelPort for LivePort<'_> {
     }
 
     fn send(&mut self, _node: NodeId, to: Requester, msg: Message) {
-        let ctx = match msg {
-            // Every release of a round rides under the completing enter's
-            // trace, as a child of the round's one release span.
-            Message::BarrierRelease { barrier, epoch } => self.ctx.map(|c| TraceCtx {
-                trace: c.trace,
-                parent: barrier_span_id(barrier, epoch),
-            }),
-            // The grant span starts when the request reached the
-            // coordinator, so it covers the time spent queued.
-            Message::LockGrant { req, .. } => to.ctx.map(|c| {
-                let id = lock_span_id(to.pe, req.0);
-                let span = self.span(TraceSpanKind::LockGrant, c, id, to.at_ns, to.pe, req.0);
-                self.rec.push(span);
-                TraceCtx {
-                    trace: c.trace,
-                    parent: id,
-                }
-            }),
-            _ => {
-                // Only now — not while it was gated — does the answer to a
-                // retriable request become replayable for retransmits.
-                if let Some(key) = to.key {
-                    if !self.pending_gated.is_empty() {
-                        self.pending_gated.remove(&key);
-                    }
-                    self.served_cache.insert(key, msg.clone());
-                }
-                to.response_ctx(0)
+        // Only now — not while it was gated — does the answer to a
+        // retriable request become replayable for retransmits.
+        if let Some(key) = to.key {
+            if !self.pending_gated.is_empty() {
+                self.pending_gated.remove(&key);
             }
-        };
-        self.wire(to.pe, msg, ctx);
+            self.served_cache.insert(key, msg.clone());
+        }
+        let now = self.env.now_ns();
+        let ctx = self.spans.reply_ctx(now, self.handling.ctx, to.from, &msg);
+        self.wire(to.from.pe, msg, ctx);
     }
 
     fn send_kernel(&mut self, node: NodeId, msg: Message) {
@@ -408,22 +331,10 @@ impl KernelPort for LivePort<'_> {
         }
     }
 
-    /// One release span covers the whole round, first enter to completion.
-    /// Its id is derived from (barrier, epoch) so both runs of a seed
-    /// agree; its parent is the completing enter's wait span.
     fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Requester) {
-        if let Some(c) = self.ctx {
-            let (id, seq) = (barrier_span_id(barrier, epoch), barrier as u64);
-            let span = self.span(
-                TraceSpanKind::BarrierRelease,
-                c,
-                id,
-                first.at_ns,
-                self.from,
-                seq,
-            );
-            self.rec.push(span);
-        }
+        let (now, completer) = (self.env.now_ns(), self.handling);
+        self.spans
+            .barrier_completed(now, completer, barrier, epoch, first.from.at_ns);
     }
 
     fn protocol_error(&mut self, from: NodeId, label: &'static str, detail: &str) {
@@ -464,15 +375,14 @@ impl<'a> KernelTask<'a> {
                 locks: LockCenter::new(),
                 served_cache: DedupCache::new(DEDUP_PER_REQUESTER),
                 pending_gated: HashSet::new(),
-                from: pe,
-                ctx: None,
+                handling: Origin {
+                    pe,
+                    ctx: None,
+                    at_ns: 0,
+                },
                 began: Instant::now(),
                 violation: None,
-                rec: if tracing {
-                    TraceRecorder::new(pe, TraceRole::Kernel)
-                } else {
-                    TraceRecorder::disabled(pe, TraceRole::Kernel)
-                },
+                spans: HomeSpans::new(pe, tracing),
                 outbox: VecDeque::new(),
             },
             protocol: KernelProtocol::new(
@@ -515,7 +425,7 @@ impl<'a> KernelTask<'a> {
     /// Tear down: the delta tracker (for the final absolute telemetry
     /// round), the aggregator (watched PE 0 only), and the recorded spans.
     pub fn finish(mut self) -> (DeltaTracker, Option<ClusterAggregator>, Vec<TraceSpanRec>) {
-        (self.tracker, self.agg, self.port.rec.take())
+        (self.tracker, self.agg, self.port.spans.take())
     }
 
     /// Consume one event. Drain the outbox after every call — including
@@ -565,12 +475,16 @@ impl<'a> KernelTask<'a> {
         let env = self.port.env;
         let pe = env.pe;
         let port = &mut self.port;
-        (port.from, port.ctx, port.began) = (from, ctx, Instant::now());
-        let who = Requester {
+        let at_ns = env.now_ns();
+        let arrived = Origin {
             pe: from,
-            key: dedup_key(&msg, from),
             ctx,
-            at_ns: env.now_ns(),
+            at_ns,
+        };
+        (port.handling, port.began) = (arrived, Instant::now());
+        let who = Requester {
+            from: arrived,
+            key: dedup_key(&msg, from),
         };
         env.metrics.incr(MetricKey::pe("kernel", "messages", pe));
         if let Some(key) = who.key {
@@ -585,7 +499,7 @@ impl<'a> KernelTask<'a> {
                 env.metrics
                     .incr(MetricKey::pe("kernel", "gm_dup_requests", pe));
                 port.serve_span(who, replay, &resp);
-                port.wire(from, resp, who.response_ctx(replay));
+                port.wire(from, resp, HomeSpans::response_ctx(ctx, replay));
                 return Progress::Pending;
             }
             if port.pending_gated.contains(&key) {

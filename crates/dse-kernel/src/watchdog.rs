@@ -1,23 +1,60 @@
 //! Stall watchdog: flags GM requests with no response past a deadline.
 //!
 //! The watchdog runs on the aggregating kernel (node 0) as part of the
-//! telemetry plane. Each telemetry tick it polls the [`SpanTable`]'s open
-//! spans and flags any global-memory request (read / write / fetch-add)
-//! that has been open longer than the configured deadline. A span is
-//! flagged at most once: the watchdog remembers `(kind, pe, seq)` keys it
-//! has already reported, so a stuck request produces exactly one
-//! [`StallReport`] even though the watchdog keeps polling.
+//! telemetry plane. Each telemetry tick it polls the [`InFlight`] set —
+//! the unanswered global-memory requests (read / write / fetch-add /
+//! batch) of every requester, which exists only on runs that configure a
+//! watchdog — and flags any that has been open longer than the configured
+//! deadline. A request is flagged at most once: the watchdog remembers the
+//! `(kind, pe, seq)` keys it has already reported, so a stuck request
+//! produces exactly one [`StallReport`] even though the watchdog keeps
+//! polling.
 //!
-//! Barrier and lock spans are deliberately *not* watched: they legitimately
+//! Barrier and lock waits are deliberately *not* watched: they legitimately
 //! stay open for as long as the application makes them (a barrier waits for
 //! the slowest PE), so a deadline on them would only produce noise. GM
 //! requests, by contrast, are bounded by kernel service plus wire time —
 //! one still open past a quarter second of cluster time means a lost
 //! response or a wedged kernel.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-use dse_obs::{SpanKind, SpanTable};
+use parking_lot::Mutex;
+
+use dse_obs::SpanKind;
+
+/// The GM requests put on the wire and not yet answered, by
+/// `(kind, requesting PE, request id)`, with the time each was issued. A
+/// requester enters its request when it sends it and removes it when the
+/// answer arrives; the watchdog is the only reader.
+#[derive(Debug, Default)]
+pub struct InFlight {
+    open: Mutex<HashMap<(SpanKind, u32, u64), u64>>,
+}
+
+impl InFlight {
+    /// `pe` issued request `seq` at `now_ns`.
+    pub fn open(&self, kind: SpanKind, pe: u32, seq: u64, now_ns: u64) {
+        self.open.lock().insert((kind, pe, seq), now_ns);
+    }
+
+    /// `pe`'s request `seq` was answered.
+    pub fn close(&self, kind: SpanKind, pe: u32, seq: u64) {
+        self.open.lock().remove(&(kind, pe, seq));
+    }
+
+    /// The unanswered requests as `(open_ns, pe, seq, kind)`, sorted, so
+    /// iteration order is deterministic.
+    pub fn unanswered(&self) -> Vec<(u64, u32, u64, SpanKind)> {
+        let open = self.open.lock();
+        let mut v: Vec<_> = open
+            .iter()
+            .map(|(&(kind, pe, seq), &open_ns)| (open_ns, pe, seq, kind))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+}
 
 /// One flagged GM request: open past the watchdog deadline with no response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +63,7 @@ pub struct StallReport {
     pub kind: SpanKind,
     /// PE that issued the request.
     pub pe: u32,
-    /// Request sequence number (correlates with the span table / traces).
+    /// Request sequence number (a `gm_req` span's `seq` in the causal trace).
     pub seq: u64,
     /// When the request was issued (engine clock, ns).
     pub open_ns: u64,
@@ -41,7 +78,7 @@ impl StallReport {
     }
 }
 
-/// Polls open spans and reports GM requests stuck past a deadline.
+/// Polls the in-flight set and reports GM requests stuck past a deadline.
 #[derive(Debug)]
 pub struct StallWatchdog {
     deadline_ns: u64,
@@ -82,8 +119,8 @@ impl StallWatchdog {
         self.total_flagged
     }
 
-    /// Currently remembered flag keys — spans flagged and still open.
-    /// Bounded by the number of open GM spans, not run length.
+    /// Currently remembered flag keys — requests flagged and still open.
+    /// Bounded by the number of open GM requests, not run length.
     pub fn flagged_backlog(&self) -> usize {
         self.flagged.len()
     }
@@ -101,37 +138,40 @@ impl StallWatchdog {
         }
     }
 
-    /// Poll the span table at time `now_ns`; returns newly flagged stalls
-    /// (deterministic order: by open time, then PE, then sequence number,
-    /// inherited from [`SpanTable::open_spans`]).
-    pub fn check(&mut self, now_ns: u64, spans: &SpanTable) -> Vec<StallReport> {
-        let opens = spans.open_spans();
-        // Prune memory of spans that have since closed: sequence numbers
-        // are never reused, so a closed span can't be re-flagged, and
-        // keeping its key would grow the set without bound on long runs.
+    /// Poll the in-flight set at time `now_ns`; returns newly flagged
+    /// stalls (deterministic order: by open time, then PE, then sequence
+    /// number, inherited from [`InFlight::unanswered`]).
+    pub fn check(&mut self, now_ns: u64, inflight: &InFlight) -> Vec<StallReport> {
+        let opens = inflight.unanswered();
+        // Prune memory of requests that have since been answered: sequence
+        // numbers are never reused, so an answered request can't be
+        // re-flagged, and keeping its key would grow the set without bound
+        // on long runs.
         if !self.flagged.is_empty() {
-            let still_open: HashSet<(SpanKind, u32, u64)> =
-                opens.iter().map(|o| (o.kind, o.pe, o.seq)).collect();
+            let still_open: HashSet<(SpanKind, u32, u64)> = opens
+                .iter()
+                .map(|&(_, pe, seq, kind)| (kind, pe, seq))
+                .collect();
             self.flagged.retain(|k| still_open.contains(k));
         }
         let mut out = Vec::new();
-        for open in opens {
+        for (open_ns, pe, seq, kind) in opens {
             if !matches!(
-                open.kind,
+                kind,
                 SpanKind::GmRead | SpanKind::GmWrite | SpanKind::GmFetchAdd | SpanKind::GmBatch
             ) {
                 continue;
             }
-            if now_ns.saturating_sub(open.open_ns) <= self.deadline_ns {
+            if now_ns.saturating_sub(open_ns) <= self.deadline_ns {
                 continue;
             }
-            if self.flagged.insert((open.kind, open.pe, open.seq)) {
+            if self.flagged.insert((kind, pe, seq)) {
                 self.total_flagged += 1;
                 out.push(StallReport {
-                    kind: open.kind,
-                    pe: open.pe,
-                    seq: open.seq,
-                    open_ns: open.open_ns,
+                    kind,
+                    pe,
+                    seq,
+                    open_ns,
                     flagged_ns: now_ns,
                 });
             }
@@ -146,16 +186,16 @@ mod tests {
 
     #[test]
     fn flags_overdue_gm_requests_once() {
-        let spans = SpanTable::new();
-        spans.open(SpanKind::GmRead, 2, 7, 1_000, 64);
-        spans.open(SpanKind::GmWrite, 1, 9, 500, 64);
+        let inflight = InFlight::default();
+        inflight.open(SpanKind::GmRead, 2, 7, 1_000);
+        inflight.open(SpanKind::GmWrite, 1, 9, 500);
         let mut wd = StallWatchdog::new(10_000);
 
         // Nothing overdue yet.
-        assert!(wd.check(5_000, &spans).is_empty());
+        assert!(wd.check(5_000, &inflight).is_empty());
 
         // Only the older request is past deadline at t=11_000.
-        let first = wd.check(11_000, &spans);
+        let first = wd.check(11_000, &inflight);
         assert_eq!(first.len(), 1);
         assert_eq!(
             (first[0].kind, first[0].pe, first[0].seq),
@@ -164,62 +204,62 @@ mod tests {
         assert_eq!(first[0].waited_ns(), 10_500);
 
         // Next poll flags the read but never re-reports the write.
-        let second = wd.check(20_000, &spans);
+        let second = wd.check(20_000, &inflight);
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].kind, SpanKind::GmRead);
-        assert!(wd.check(30_000, &spans).is_empty());
+        assert!(wd.check(30_000, &inflight).is_empty());
     }
 
     #[test]
     fn sync_spans_are_not_watched() {
-        let spans = SpanTable::new();
-        spans.open(SpanKind::Barrier, 0, 1, 0, 0);
-        spans.open(SpanKind::Lock, 3, 2, 0, 0);
+        let inflight = InFlight::default();
+        inflight.open(SpanKind::Barrier, 0, 1, 0);
+        inflight.open(SpanKind::Lock, 3, 2, 0);
         let mut wd = StallWatchdog::new(100);
-        assert!(wd.check(1_000_000, &spans).is_empty());
+        assert!(wd.check(1_000_000, &inflight).is_empty());
     }
 
     #[test]
     fn closed_spans_stop_being_candidates() {
-        let spans = SpanTable::new();
-        spans.open(SpanKind::GmFetchAdd, 0, 3, 0, 16);
-        spans.close(SpanKind::GmFetchAdd, 0, 3, 50);
+        let inflight = InFlight::default();
+        inflight.open(SpanKind::GmFetchAdd, 0, 3, 0);
+        inflight.close(SpanKind::GmFetchAdd, 0, 3);
         let mut wd = StallWatchdog::new(10);
-        assert!(wd.check(1_000, &spans).is_empty());
+        assert!(wd.check(1_000, &inflight).is_empty());
     }
 
     #[test]
     fn flag_memory_is_pruned_when_spans_close() {
-        let spans = SpanTable::new();
+        let inflight = InFlight::default();
         let mut wd = StallWatchdog::new(10);
         // A long run of slow requests, each eventually answered: the flag
         // set must not accumulate one entry per request forever.
         for seq in 0..100u64 {
-            spans.open(SpanKind::GmRead, 1, seq, seq * 1_000, 64);
-            let flagged = wd.check(seq * 1_000 + 500_000, &spans);
+            inflight.open(SpanKind::GmRead, 1, seq, seq * 1_000);
+            let flagged = wd.check(seq * 1_000 + 500_000, &inflight);
             assert_eq!(flagged.len(), 1, "request {seq} should flag once");
-            spans.close(SpanKind::GmRead, 1, seq, seq * 1_000 + 600_000);
+            inflight.close(SpanKind::GmRead, 1, seq);
         }
         assert_eq!(wd.total_flagged(), 100);
         // One more poll prunes the last closed span's key.
-        assert!(wd.check(200_000_000, &spans).is_empty());
+        assert!(wd.check(200_000_000, &inflight).is_empty());
         assert_eq!(wd.flagged_backlog(), 0, "closed spans must be pruned");
     }
 
     #[test]
     fn escalation_fires_once_at_threshold() {
-        let spans = SpanTable::new();
+        let inflight = InFlight::default();
         let mut wd = StallWatchdog::new(10).with_escalation(Some(2));
-        spans.open(SpanKind::GmRead, 0, 1, 0, 64);
-        wd.check(1_000, &spans);
+        inflight.open(SpanKind::GmRead, 0, 1, 0);
+        wd.check(1_000, &inflight);
         assert!(!wd.take_escalation(), "below threshold");
-        spans.open(SpanKind::GmWrite, 1, 2, 0, 64);
-        wd.check(2_000, &spans);
+        inflight.open(SpanKind::GmWrite, 1, 2, 0);
+        wd.check(2_000, &inflight);
         assert!(wd.take_escalation(), "threshold crossed");
         assert!(!wd.take_escalation(), "fires only once");
         // Unarmed watchdogs never escalate.
         let mut off = StallWatchdog::new(10);
-        off.check(1_000, &spans);
+        off.check(1_000, &inflight);
         assert!(!off.take_escalation());
     }
 }

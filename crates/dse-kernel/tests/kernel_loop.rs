@@ -52,6 +52,7 @@ fn run_peer(
                     from_node: NodeId(0),
                     reply_to: ctx.id(),
                     bytes: Message::KernelShutdown.encode(),
+                    ctx: None,
                 },
             );
         }
@@ -68,7 +69,7 @@ fn send_and_await(
 ) -> Message {
     let k = shared.kernel_of(to);
     let me = ctx.id();
-    send_msg(ctx, shared, NodeId(0), to, k, me, &msg);
+    send_msg(ctx, shared, NodeId(0), to, k, me, &msg, None);
     let env = ctx.recv().expect("kernel reply");
     Message::decode(&env.msg.bytes).unwrap()
 }
@@ -258,6 +259,7 @@ fn kernels_exit_on_shutdown() {
                     from_node: NodeId(0),
                     reply_to: ctx.id(),
                     bytes: Message::KernelShutdown.encode(),
+                    ctx: None,
                 },
             );
         }
@@ -282,6 +284,7 @@ fn corrupted_wire_bytes_panic_the_kernel() {
                 from_node: NodeId(0),
                 reply_to: ctx.id(),
                 bytes: vec![0xEE, 0xFF, 0x00],
+                ctx: None,
             },
         );
     });
@@ -339,6 +342,7 @@ fn invoke_spawns_and_acks() {
                     from_node: NodeId(0),
                     reply_to: ctx.id(),
                     bytes: Message::KernelShutdown.encode(),
+                    ctx: None,
                 },
             );
         }

@@ -1,7 +1,8 @@
 //! `KernelProtocol` alone, over a recording fake port; then the same
 //! scripted inbound sequence through the simulator's port and the live
-//! port, which must send the same messages to the same peers in the same
-//! order; and the two things the ports differ in on purpose.
+//! port, which must send the same messages, with the same trace context,
+//! to the same peers in the same order and record the same causal spans;
+//! and the two things the ports differ in on purpose.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,8 +16,8 @@ use dse_kernel::{
     KernelCount, KernelEnv, KernelEvent, KernelPort, KernelProtocol, KernelTask, LockCenter,
     Outbound, Party, SimMsg, CACHE_BLOCK, KERNEL_TXN_BASE,
 };
-use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqId};
-use dse_obs::{FlightRecorder, Registry};
+use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, TraceCtx};
+use dse_obs::{FlightRecorder, Registry, TraceSpanKind, TraceSpanRec};
 use dse_platform::{ClusterSpec, Platform};
 use dse_sim::{SimDuration, Simulator};
 
@@ -596,16 +597,33 @@ fn script(region: RegionId) -> Vec<(u16, Message)> {
     ]
 }
 
+/// The trace context the `i`-th scripted message carries: every request a
+/// requester would wait on names a span of node `n`'s trace; an unlock is
+/// sent untraced.
+fn script_ctx(i: usize, n: u16, msg: &Message) -> Option<TraceCtx> {
+    (!matches!(msg, Message::UnlockReq { .. })).then_some(TraceCtx {
+        trace: 1000 * n as u64,
+        parent: 1000 * n as u64 + 1 + i as u64,
+    })
+}
+
+/// What a kernel did under the script: every message it sent, to which
+/// node and with what trace context, and the spans it recorded.
+type Trail = (Vec<(u16, Message, Option<TraceCtx>)>, Vec<TraceSpanRec>);
+
 /// Node 0's simulated kernel under the script; nodes 1 and 2 are one
 /// simulation process each, standing in for both the node's kernel and its
 /// application, which logs what arrives.
-fn sends_through_the_simulator(mode: GmMode) -> Vec<(u16, Message)> {
+fn trail_through_the_simulator(mode: GmMode) -> Trail {
     let spec = ClusterSpec::paper(Platform::linux_pentium2(), 3);
     let mut sim: Simulator<SimMsg> = Simulator::new();
     let cpus = (0..spec.machines_used())
         .map(|m| sim.add_resource(&format!("cpu{m}")))
         .collect();
-    let config = DseConfig::paper().with_gm_cache(true).with_gm_mode(mode);
+    let config = DseConfig::paper()
+        .with_gm_cache(true)
+        .with_gm_mode(mode)
+        .with_tracing(true);
     let shared = Arc::new(ClusterShared::new(spec, config, cpus));
     let region = shared.store.alloc(4 * B, Distribution::OnNode(NodeId(0)));
     let log = Arc::new(Mutex::new(Vec::new()));
@@ -625,20 +643,22 @@ fn sends_through_the_simulator(mode: GmMode) -> Vec<(u16, Message)> {
                         from_node: NodeId(n),
                         reply_to: ctx.id(),
                         bytes: Message::GmInvalidateAck { req }.encode(),
+                        ctx: None,
                     };
                     ctx.send(env.msg.reply_to, SimDuration::from_nanos(1), ack);
                 }
-                log.lock().push((n, msg));
+                log.lock().push((n, msg, env.msg.ctx));
             }
         }));
     }
     shared.set_kernels(procs.clone());
     sim.spawn("script", move |ctx| {
-        for (n, msg) in script(region) {
+        for (i, (n, msg)) in script(region).into_iter().enumerate() {
             let sm = SimMsg {
                 from_node: NodeId(n),
                 reply_to: procs[n as usize],
                 bytes: msg.encode(),
+                ctx: script_ctx(i, n, &msg),
             };
             ctx.send(kernel, SimDuration::from_nanos(1), sm);
             // Long enough for the kernel to finish, acks included.
@@ -648,16 +668,17 @@ fn sends_through_the_simulator(mode: GmMode) -> Vec<(u16, Message)> {
             from_node: NodeId(0),
             reply_to: ctx.id(),
             bytes: Message::KernelShutdown.encode(),
+            ctx: None,
         };
         ctx.send(kernel, SimDuration::from_nanos(1), stop);
     });
     sim.run();
     let log = log.lock().clone();
-    log
+    (log, shared.trace_sink.take_streams(3).remove(0))
 }
 
 /// PE 0's live `KernelTask` under the same script.
-fn sends_through_the_live_task(mode: GmMode) -> Vec<(u16, Message)> {
+fn trail_through_the_live_task(mode: GmMode) -> Trail {
     let store = GlobalStore::new(3);
     let region = store.alloc(4 * B, Distribution::OnNode(NodeId(0)));
     let (metrics, flight) = (Registry::new(), FlightRecorder::with_capacity(4));
@@ -674,38 +695,39 @@ fn sends_through_the_live_task(mode: GmMode) -> Vec<(u16, Message)> {
         engine_t0: Instant::now(),
         run_start: Instant::now(),
     };
-    let mut task = KernelTask::new(env, None, Duration::from_millis(50), false);
+    let mut task = KernelTask::new(env, None, Duration::from_millis(50), true);
     let mut log = Vec::new();
-    let mut inbound: Vec<(u16, Message)> = script(region);
+    let mut inbound: Vec<_> = script(region)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (n, msg))| (n, script_ctx(i, n, &msg), msg))
+        .collect();
     inbound.reverse();
-    while let Some((n, msg)) = inbound.pop() {
-        task.poll(KernelEvent::Message {
-            from: n as u32,
-            msg,
-            ctx: None,
-        });
+    while let Some((n, ctx, msg)) = inbound.pop() {
+        let from = n as u32;
+        task.poll(KernelEvent::Message { from, msg, ctx });
         for out in task.drain_outbox() {
-            let Outbound::Wire { to, msg, .. } = out else {
+            let Outbound::Wire { to, msg, ctx } = out else {
                 panic!("nothing in the script is for PE 0's own application");
             };
             if let Message::GmInvalidate { req, .. } = msg {
-                inbound.push((to as u16, Message::GmInvalidateAck { req }));
+                inbound.push((to as u16, None, Message::GmInvalidateAck { req }));
             }
-            log.push((to as u16, msg));
+            log.push((to as u16, msg, ctx));
         }
     }
-    log
+    (log, task.finish().2)
 }
 
 #[test]
 fn both_ports_send_the_same_messages_in_the_same_order() {
     for mode in [GmMode::WriteInvalidate, GmMode::ReleaseConsistency] {
-        let sim = sends_through_the_simulator(mode);
-        let live = sends_through_the_live_task(mode);
+        let (sim, sim_spans) = trail_through_the_simulator(mode);
+        let (live, live_spans) = trail_through_the_live_task(mode);
         assert_eq!(sim, live, "{mode:?}");
         let gated = sim
             .iter()
-            .filter(|(_, m)| matches!(m, Message::GmInvalidate { .. }))
+            .filter(|(_, m, _)| matches!(m, Message::GmInvalidate { .. }))
             .count();
         match mode {
             // The write and the batch each find node 1's or node 2's
@@ -714,6 +736,30 @@ fn both_ports_send_the_same_messages_in_the_same_order() {
             GmMode::ReleaseConsistency => assert_eq!(gated, 0),
         }
         assert_eq!(sim.len(), 13 - 2 + gated, "one answer each, unlocks none");
+
+        // Everything a waiter gets back names the span that answers it; an
+        // invalidation, kernel to kernel, carries nothing.
+        for (_, msg, ctx) in &sim {
+            let plain = matches!(msg, Message::GmInvalidate { .. });
+            assert_eq!(ctx.is_none(), plain, "{msg:?}");
+        }
+        // One clock is virtual and one is the wall: the spans agree in
+        // everything but their times.
+        let timeless = |spans: &[TraceSpanRec]| -> Vec<TraceSpanRec> {
+            let zero = |s: &TraceSpanRec| TraceSpanRec {
+                start_ns: 0,
+                end_ns: 0,
+                ..*s
+            };
+            spans.iter().map(zero).collect()
+        };
+        assert_eq!(timeless(&sim_spans), timeless(&live_spans), "{mode:?}");
+        assert!(sim_spans.iter().all(|s| s.start_ns <= s.end_ns));
+        let count = |kind| sim_spans.iter().filter(|s| s.kind == kind).count();
+        assert_eq!(count(TraceSpanKind::Serve), 6, "six GM requests");
+        assert_eq!(count(TraceSpanKind::LockGrant), 2);
+        assert_eq!(count(TraceSpanKind::BarrierRelease), 1, "one per round");
+        assert_eq!(sim_spans.len(), 9);
     }
 }
 
@@ -753,6 +799,7 @@ fn the_sim_kernel_serves_two_requesters_on_one_node_with_equal_req_ids() {
                 from_node: NodeId(0),
                 reply_to: ctx.id(),
                 bytes: fadd.encode(),
+                ctx: None,
             };
             ctx.send(kernel, SimDuration::from_nanos(1), sm);
             let env = ctx.recv().expect("each requester gets its own answer");
@@ -771,6 +818,7 @@ fn the_sim_kernel_serves_two_requesters_on_one_node_with_equal_req_ids() {
             from_node: NodeId(0),
             reply_to: ctx.id(),
             bytes: Message::KernelShutdown.encode(),
+            ctx: None,
         };
         ctx.send(kernel, SimDuration::from_nanos(1), stop);
     });

@@ -38,7 +38,7 @@ use dse_kernel::{CacheStore, GmMode, SchedulerKind};
 use dse_msg::{Message, RegionId, TraceCtx};
 use dse_obs::{
     ClusterAggregator, DeltaTracker, FlightRecorder, MetricKey, MetricsSnapshot, Registry,
-    TelemetryDelta, TraceSpanRec,
+    TelemetryDelta, TraceRole, TraceSink, TraceSpanRec,
 };
 use dse_transport::{
     BlockingQueue, ChannelTransport, FaultPlan, FaultyTransport, RetryPolicy, SocketTransport,
@@ -225,10 +225,9 @@ pub struct LiveCluster {
     t0: Instant,
     /// Whether causal tracing is on for this run.
     tracing: bool,
-    /// Per-thread causal span streams, flushed here at thread end (also on
-    /// abort, so the post-mortem trace is complete). Entries are
-    /// `(pe, role, spans)` with role 0 = app thread, 1 = kernel thread.
-    trace_sink: Mutex<Vec<(u32, u8, Vec<TraceSpanRec>)>>,
+    /// Per-thread causal span streams, parked here at thread end (also on
+    /// abort, so the post-mortem trace is complete).
+    trace_sink: TraceSink,
     /// Replica cache + sharing directory (`Some` only for cached runs).
     /// The per-node block maps and the directory live in one shared
     /// structure because the cluster is one address space, but every
@@ -265,7 +264,7 @@ impl LiveCluster {
             retry: cfg.gm_retry,
             t0: Instant::now(),
             tracing: cfg.tracing,
-            trace_sink: Mutex::new(Vec::new()),
+            trace_sink: TraceSink::default(),
             cache: cfg.gm_cache.then(|| CacheStore::new(nprocs)),
             gm_mode: cfg.gm_mode,
             install_guards: (0..nprocs).map(|_| Mutex::new(0)).collect(),
@@ -280,13 +279,6 @@ impl LiveCluster {
     /// same way a dead relay kernel would have.
     fn app_push(&self, pe: u32, msg: Message, ctx: Option<TraceCtx>) {
         let _ = self.app_inboxes[pe as usize].push((msg, ctx));
-    }
-
-    /// Park one thread's causal spans in the cluster sink.
-    fn flush_trace(&self, pe: u32, role: u8, spans: Vec<TraceSpanRec>) {
-        if !spans.is_empty() {
-            self.trace_sink.lock().push((pe, role, spans));
-        }
     }
 
     /// The backing global store (for post-run inspection).
@@ -484,7 +476,7 @@ pub(crate) fn finish_kernel(
     let (tracker, agg, spans) = task.finish();
     // Flush this kernel's causal spans whatever the exit path — an aborted
     // run's post-mortem trace is where they matter most.
-    cluster.flush_trace(pe, 1, spans);
+    cluster.trace_sink.park(pe, TraceRole::Kernel, spans);
     let relay = match exit {
         Ok(None) => None,
         Ok(Some(frame)) => Some(frame),
@@ -818,12 +810,6 @@ where
             elapsed: start.elapsed(),
         });
     }
-    let mut sink = std::mem::take(&mut *cluster.trace_sink.lock());
-    sink.sort_by_key(|(pe, role, _)| (*pe, *role));
-    let mut trace_spans = vec![Vec::new(); nprocs];
-    for (pe, _, spans) in sink {
-        trace_spans[pe as usize].extend(spans);
-    }
     Ok(LiveRunResult {
         elapsed: start.elapsed(),
         nprocs,
@@ -831,7 +817,7 @@ where
         metrics: cluster.metrics.snapshot(),
         telemetry_rollup: rollup,
         flight_jsonl,
-        trace_spans,
+        trace_spans: cluster.trace_sink.take_streams(nprocs),
     })
 }
 

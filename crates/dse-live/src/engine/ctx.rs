@@ -4,8 +4,9 @@
 //! Global memory is the shared [`GmClient`] of `dse-api`; this module is its
 //! live driver. [`LivePort`] is what the engine puts behind [`GmPort`]: the
 //! transport endpoint and app inbox, retransmission of unanswered requests,
-//! the requester-side causal spans, and the replica cache's install-epoch
-//! guard. Barriers, locks and atomics wait on the same port.
+//! the wall clock the shared [`RequesterSpans`] are stamped with, and the
+//! replica cache's install-epoch guard. Barriers, locks and atomics wait on
+//! the same port.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::resume_unwind;
@@ -13,17 +14,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dse_api::{
-    GmClient, GmCount, GmHandle, GmPort, GmProtocolError, ParallelApi, AUTO_BARRIER_BASE,
+    Arrival, GmClient, GmCount, GmHandle, GmPort, GmProtocolError, ParallelApi, RequesterSpans,
+    SentReq, AUTO_BARRIER_BASE,
 };
 use dse_kernel::gmem::GlobalStore;
 use dse_kernel::protocol::sharers_to_invalidate;
 use dse_kernel::task::count_live;
 use dse_kernel::{Distribution, GmMode, DEFAULT_GM_WINDOW};
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
-use dse_obs::{
-    FlightEventKind, MetricKey, Registry, SpanKind, TraceRecorder, TraceRole, TraceSpanKind,
-    TraceSpanRec,
-};
+use dse_obs::{FlightEventKind, MetricKey, Registry, SpanKind, TraceRole, TraceSpanKind};
 use dse_platform::Work;
 use dse_transport::{Pop, Transport};
 
@@ -31,8 +30,7 @@ use super::{AbortUnwind, AppInbox, LiveCluster};
 use crate::error::FailureKind;
 
 /// Bookkeeping for one outstanding GM request: retransmission, the
-/// install-epoch guard, and the root `gm_req` span opened at dispatch and
-/// closed at completion.
+/// install-epoch guard, and its root `gm_req` span.
 struct RetryState {
     /// Home PE the request is addressed to.
     home: u32,
@@ -46,13 +44,10 @@ struct RetryState {
     next_retry: Instant,
     /// When the original send happened (for the deadline report).
     sent_at: Instant,
-    /// Trace context of the original send (`parent` is the root span's
-    /// id); retransmits carry the same one so the home kernel's dedup
-    /// replay stays in the same causal chain. `None` when untraced.
-    ctx: Option<TraceCtx>,
-    /// Dispatch time on the engine clock, the root span's start (0 when
-    /// untraced).
-    start_ns: u64,
+    /// The root span opened at the original send; retransmits carry the
+    /// same context so the home kernel's dedup replay stays in the same
+    /// causal chain. `None` when untraced.
+    sent: Option<SentReq>,
     /// Install-epoch snapshot taken at dispatch: a mismatch at completion
     /// means an invalidation raced the fetch, so the install is skipped.
     epoch: u64,
@@ -69,19 +64,9 @@ fn span_kind_of(msg: &Message) -> SpanKind {
     }
 }
 
-/// What the live engine knows about a message handed to its waiter.
-struct Arrival {
-    /// Trace context the message carried on the wire.
-    ctx: Option<TraceCtx>,
-    /// When the waiter got it, engine clock.
-    at_ns: u64,
-    /// Its encoded size.
-    wire_bytes: u64,
-}
-
 /// The live engine behind [`GmPort`]: the transport endpoint and app inbox,
 /// the messages that arrived while the app was waiting for something else,
-/// retransmission state, and the causal span recorder.
+/// retransmission state, and the process's causal spans.
 struct LivePort {
     rank: u32,
     cluster: Arc<LiveCluster>,
@@ -93,30 +78,13 @@ struct LivePort {
     /// Outstanding requests, keyed by request id; entries are dropped
     /// when the response arrives.
     retry: HashMap<u64, RetryState>,
-    /// Causal span recorder for this app thread.
-    rec: TraceRecorder,
-    /// This PE's trace id (= the app root span's id).
-    trace: u64,
-    /// The app root span every top-level span parents to.
-    app_span: u64,
-    /// When the app thread started, engine clock.
-    app_start_ns: u64,
+    /// Causal spans of this app thread.
+    spans: RequesterSpans,
 }
 
 impl LivePort {
-    /// True when this run records causal spans.
-    fn tracing(&self) -> bool {
-        self.cluster.tracing
-    }
-
     fn me(&self) -> NodeId {
         NodeId(self.rank as u16)
-    }
-
-    /// A span of this PE's trace, `[start_ns, now]`, parented to `parent`.
-    fn span(&self, kind: TraceSpanKind, span: u64, parent: u64, start_ns: u64) -> TraceSpanRec {
-        let end = self.cluster.now_ns();
-        TraceSpanRec::new(kind, self.trace, span, parent, self.rank, start_ns, end)
     }
 
     fn metrics(&self) -> &Registry {
@@ -209,7 +177,8 @@ impl LivePort {
             .collect();
         for key in due {
             let st = self.retry.get_mut(&key).unwrap();
-            let (home, ctx) = (st.home, st.ctx);
+            let (home, sent) = (st.home, st.sent);
+            let ctx = sent.map(|s| s.ctx);
             if st.attempts >= policy.max_attempts {
                 let attempts = st.attempts;
                 let stall = FlightEventKind::Stall {
@@ -239,22 +208,9 @@ impl LivePort {
             // under its own metric. The same trace context rides again so
             // the home's dedup replay stays in the original causal chain.
             self.incr("kernel", "gm_retries");
-            if let Some(c) = ctx {
-                // The backoff that just elapsed is attributable dead time
-                // inside the request's wall clock.
-                let end = self.cluster.now_ns();
-                let mut span = TraceSpanRec::new(
-                    TraceSpanKind::RetryBackoff,
-                    self.trace,
-                    self.rec.next_id(),
-                    c.parent,
-                    self.rank,
-                    end.saturating_sub(elapsed_backoff),
-                    end,
-                );
-                span.peer = home;
-                span.seq = key;
-                self.rec.push(span);
+            if let Some(sent) = sent {
+                let now = self.cluster.now_ns();
+                self.spans.retry_backoff(now, sent, elapsed_backoff);
             }
             self.send_traced(home, &msg, ctx);
         }
@@ -276,16 +232,12 @@ impl LivePort {
     /// issues after serving it is seen as a mismatch at completion.
     fn send_armed(&mut self, req: ReqId, home: u32, msg: Message, traced: bool) {
         let epoch = self.install_epoch();
-        let (ctx, start_ns) = if traced && self.tracing() {
-            let ctx = TraceCtx {
-                trace: self.trace,
-                parent: self.rec.next_id(),
-            };
-            (Some(ctx), self.cluster.now_ns())
+        let sent = if traced {
+            self.spans.request_sent(self.cluster.now_ns(), home, req.0)
         } else {
-            (None, 0)
+            None
         };
-        self.send_traced(home, &msg, ctx);
+        self.send_traced(home, &msg, sent.map(|s| s.ctx));
         let policy = self.cluster.retry;
         let now = Instant::now();
         self.retry.insert(
@@ -297,52 +249,20 @@ impl LivePort {
                 backoff: policy.base_delay,
                 next_retry: now + policy.base_delay,
                 sent_at: now,
-                ctx,
-                start_ns,
+                sent,
                 epoch,
             },
         );
     }
 
-    /// Request `req` was answered: disarm it, close its root `gm_req` span
-    /// and emit the redemption span linking this PE back to the home
-    /// kernel's serve (when the response carried trace context).
+    /// Request `req` was answered: disarm it and close its spans.
     fn disarm(&mut self, req: ReqId, at: Arrival) {
         let Some(st) = self.retry.remove(&req.0) else {
             return;
         };
-        let Some(sent) = st.ctx else {
-            return;
-        };
-        let mut root = self.span(
-            TraceSpanKind::GmReq,
-            sent.parent,
-            self.app_span,
-            st.start_ns,
-        );
-        root.peer = st.home;
-        root.bytes = at.wire_bytes;
-        root.seq = req.0;
-        root.retries = st.attempts - 1;
-        let end = root.end_ns;
-        self.rec.push(root);
-        if let Some(c) = at.ctx {
-            // Parent = the serve span id the home kernel stamped on the
-            // response: the cross-PE link that makes the chain
-            // requester → home → requester.
-            let mut redeem = TraceSpanRec::new(
-                TraceSpanKind::Redeem,
-                self.trace,
-                self.rec.next_id(),
-                c.parent,
-                self.rank,
-                at.at_ns,
-                end,
-            );
-            redeem.peer = st.home;
-            redeem.bytes = at.wire_bytes;
-            redeem.seq = req.0;
-            self.rec.push(redeem);
+        if let Some(sent) = st.sent {
+            let now = self.cluster.now_ns();
+            self.spans.request_done(now, sent, st.attempts - 1, at);
         }
     }
 
@@ -383,8 +303,6 @@ impl LivePort {
 }
 
 impl GmPort for LivePort {
-    type Meta = Arrival;
-
     fn node(&self) -> NodeId {
         self.me()
     }
@@ -420,7 +338,6 @@ impl GmPort for LivePort {
         req: ReqId,
         msg: Message,
         _kind: SpanKind,
-        _bytes: u64,
         inflight: usize,
     ) {
         let home = home.0 as u32;
@@ -487,16 +404,12 @@ impl GmPort for LivePort {
     /// Every blocking wait is a `gm/blocked_ns` sample: what is left of an
     /// operation's latency after it is the requester's own client time.
     fn blocked(&mut self, since: u64, seq: u64) {
+        let now = self.cluster.now_ns();
         self.metrics().record(
             MetricKey::pe("gm", "blocked_ns", self.rank),
-            self.cluster.now_ns().saturating_sub(since),
+            now.saturating_sub(since),
         );
-        if self.tracing() {
-            let id = self.rec.next_id();
-            let mut span = self.span(TraceSpanKind::GmBlock, id, self.app_span, since);
-            span.seq = seq;
-            self.rec.push(span);
-        }
+        self.spans.blocked(since, now, seq);
     }
 
     fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {
@@ -585,15 +498,7 @@ impl LiveCtx {
         transport: Arc<dyn Transport>,
     ) -> LiveCtx {
         let app_rx = Arc::clone(&cluster.app_inboxes[rank as usize]);
-        let mut rec = if cluster.tracing {
-            TraceRecorder::new(rank, TraceRole::App)
-        } else {
-            TraceRecorder::disabled(rank, TraceRole::App)
-        };
-        // The app root span doubles as this PE's trace id: every causal
-        // chain the PE originates shares it.
-        let app_span = rec.next_id();
-        let app_start_ns = cluster.now_ns();
+        let spans = RequesterSpans::new(rank, cluster.tracing, cluster.now_ns());
         LiveCtx {
             rank,
             pid: GlobalPid::new(NodeId(rank as u16), 1),
@@ -604,10 +509,7 @@ impl LiveCtx {
                 app_rx,
                 stash: VecDeque::new(),
                 retry: HashMap::new(),
-                rec,
-                trace: app_span,
-                app_span,
-                app_start_ns,
+                spans,
             },
             gm: GmClient::new(DEFAULT_GM_WINDOW),
             barrier_seq: 0,
@@ -636,23 +538,13 @@ impl LiveCtx {
     ) {
         let port = &mut self.port;
         let t0 = port.cluster.now_ns();
-        let wait_span = port.rec.next_id();
-        let ctx = port.tracing().then_some(TraceCtx {
-            trace: port.trace,
-            parent: wait_span,
-        });
+        let (wait_span, ctx) = port.spans.wait_begin();
         port.send_traced(0, &enter, ctx);
         port.await_msg(granted);
-        if port.tracing() {
-            let mut s = port.span(kind, wait_span, port.app_span, t0);
-            s.peer = 0;
-            s.seq = seq;
-            port.rec.push(s);
-        }
-        port.metrics().record(
-            MetricKey::pe("sync", metric, port.rank),
-            port.cluster.now_ns().saturating_sub(t0),
-        );
+        let now = port.cluster.now_ns();
+        port.spans.wait_end(now, kind, wait_span, t0, seq);
+        port.metrics()
+            .record(MetricKey::pe("sync", metric, port.rank), now - t0);
         port.replica_purge();
     }
 
@@ -668,17 +560,14 @@ impl LiveCtx {
     }
 
     /// Called by the harness however the body ended: close the app root
-    /// span (so the blame table has the PE's wall clock) and park this
-    /// thread's causal spans in the cluster sink — an aborted run still
-    /// yields a usable partial trace.
+    /// span and park this thread's causal spans in the cluster sink — an
+    /// aborted run still yields a usable partial trace.
     pub(super) fn flush_trace(&mut self) {
         let port = &mut self.port;
-        if port.tracing() {
-            let app = port.span(TraceSpanKind::App, port.app_span, 0, port.app_start_ns);
-            port.rec.push(app);
-        }
-        let spans = port.rec.take();
-        port.cluster.flush_trace(self.rank, 0, spans);
+        let spans = port.spans.finish(port.cluster.now_ns());
+        port.cluster
+            .trace_sink
+            .park(self.rank, TraceRole::App, spans);
     }
 }
 
@@ -1086,7 +975,7 @@ mod tests {
             .collect();
         assert!(!reqs.is_empty(), "remote reads must open request spans");
         for rq in &reqs {
-            let serve_id = dse_kernel::task::serve_span_id(rq.span, 0);
+            let serve_id = dse_obs::serve_span_id(rq.span, 0);
             let serve = all
                 .iter()
                 .find(|s| s.kind == TraceSpanKind::Serve && s.span == serve_id)

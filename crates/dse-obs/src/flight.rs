@@ -14,8 +14,41 @@ use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 
-use crate::span::{SpanKind, SpanRecord};
 use crate::util;
+
+/// What operation a request/response exchange covers: the vocabulary of
+/// the flight recorder's `span_close` and `stall` lines and of the stall
+/// watchdog's reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum SpanKind {
+    /// Remote global-memory read.
+    GmRead,
+    /// Remote global-memory write.
+    GmWrite,
+    /// Remote fetch-and-add.
+    GmFetchAdd,
+    /// Coalesced batch of split-phase GM operations (one request message,
+    /// one response for the whole batch).
+    GmBatch,
+    /// Barrier enter-to-release.
+    Barrier,
+    /// Cluster lock acquire.
+    Lock,
+}
+
+impl SpanKind {
+    /// Stable label used in exports.
+    pub fn label(self) -> &'static str {
+        match self {
+            SpanKind::GmRead => "gm_read",
+            SpanKind::GmWrite => "gm_write",
+            SpanKind::GmFetchAdd => "gm_fetch_add",
+            SpanKind::GmBatch => "gm_batch",
+            SpanKind::Barrier => "barrier",
+            SpanKind::Lock => "lock",
+        }
+    }
+}
 
 /// What happened, at the granularity useful for post-mortem debugging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,15 +155,17 @@ impl FlightRecorder {
         });
     }
 
-    /// Convenience hook: record a completed span.
-    pub fn span(&self, rec: &SpanRecord) {
+    /// Convenience hook: `pe`'s request `seq`, open since `open_ns`, was
+    /// answered at `close_ns`.
+    pub fn span_close(&self, kind: SpanKind, pe: u32, seq: u64, open_ns: u64, close_ns: u64) {
+        let total_ns = close_ns.saturating_sub(open_ns);
         self.record(
-            rec.close_ns,
-            rec.pe,
+            close_ns,
+            pe,
             FlightEventKind::SpanClose {
-                kind: rec.kind,
-                seq: rec.seq,
-                total_ns: rec.total_ns(),
+                kind,
+                seq,
+                total_ns,
             },
         );
     }
@@ -292,16 +327,7 @@ mod tests {
                 bytes: 33,
             },
         );
-        f.span(&SpanRecord {
-            kind: SpanKind::GmRead,
-            pe: 2,
-            seq: 9,
-            open_ns: 100,
-            close_ns: 450,
-            wire_ns: 80,
-            service_ns: 20,
-            bytes: 64,
-        });
+        f.span_close(SpanKind::GmRead, 2, 9, 100, 450);
         f.record(
             900,
             2,

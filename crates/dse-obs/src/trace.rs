@@ -19,6 +19,8 @@
 
 use std::fmt::Write as _;
 
+use parking_lot::Mutex;
+
 /// What a causal span measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceSpanKind {
@@ -359,28 +361,38 @@ impl TraceRecorder {
         }
     }
 
-    /// Number of buffered spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
     /// Drain the buffered spans (recorder stays usable).
     pub fn take(&mut self) -> Vec<TraceSpanRec> {
         std::mem::take(&mut self.spans)
     }
+}
 
-    /// Render the buffered spans as JSONL, in push order.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.spans {
-            s.write_jsonl(&mut out);
+/// Where a run's threads park the spans they recorded, when they end
+/// (also on abort, so a post-mortem trace is complete).
+#[derive(Debug, Default)]
+pub struct TraceSink {
+    /// `(pe, role, spans)`.
+    parked: Mutex<Vec<(u32, TraceRole, Vec<TraceSpanRec>)>>,
+}
+
+impl TraceSink {
+    /// Park what the `role` thread of `pe` recorded.
+    pub fn park(&self, pe: u32, role: TraceRole, spans: Vec<TraceSpanRec>) {
+        if !spans.is_empty() {
+            self.parked.lock().push((pe, role, spans));
         }
-        out
+    }
+
+    /// Drain the sink into one stream per PE: the application's spans, then
+    /// the kernel's, each as parked.
+    pub fn take_streams(&self, nprocs: usize) -> Vec<Vec<TraceSpanRec>> {
+        let mut parked = std::mem::take(&mut *self.parked.lock());
+        parked.sort_by_key(|(pe, role, _)| (*pe, *role == TraceRole::Kernel));
+        let mut streams = vec![Vec::new(); nprocs];
+        for (pe, _, spans) in parked {
+            streams[pe as usize].extend(spans);
+        }
+        streams
     }
 }
 
@@ -390,6 +402,14 @@ impl TraceRecorder {
 /// ids never collide with [`TraceRecorder::next_id`] mints.
 pub fn derived_span_id(seed: u64, salt: u64) -> u64 {
     splitmix64(seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15)) | (1 << 63)
+}
+
+/// Serve span for the `replay`-th answer (0 = fresh) to the request whose
+/// root span is `parent`: the home kernel mints it, the requester's
+/// redemption names it as parent, and the assembler recomputes it to link
+/// the two.
+pub fn serve_span_id(parent: u64, replay: u32) -> u64 {
+    derived_span_id(parent, 1 | ((replay as u64) << 8))
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -478,20 +498,25 @@ mod tests {
         assert!(!r.enabled());
         let id = r.next_id();
         r.push(TraceSpanRec::new(TraceSpanKind::Serve, 1, id, 0, 3, 0, 1));
-        assert!(r.is_empty());
-        assert_eq!(r.to_jsonl(), "");
+        assert!(r.take().is_empty());
     }
 
     #[test]
-    fn recorder_jsonl_matches_record_serialization() {
+    fn take_drains_the_recorder_and_the_sink_orders_streams_by_role() {
         let mut r = TraceRecorder::new(2, TraceRole::App);
         let id = r.next_id();
         let rec = TraceSpanRec::new(TraceSpanKind::BarrierWait, 5, id, 0, 2, 100, 900);
         r.push(rec);
-        let mut want = String::new();
-        rec.write_jsonl(&mut want);
-        assert_eq!(r.to_jsonl(), want);
         assert_eq!(r.take(), vec![rec]);
-        assert!(r.is_empty(), "take drains");
+        assert!(r.take().is_empty(), "take drains");
+        // Whichever thread ends first, a PE's stream is app then kernel.
+        let serve = TraceSpanRec::new(TraceSpanKind::Serve, 5, 9, 0, 2, 100, 200);
+        let sink = TraceSink::default();
+        sink.park(2, TraceRole::Kernel, vec![serve]);
+        sink.park(2, TraceRole::App, vec![rec]);
+        sink.park(0, TraceRole::App, Vec::new());
+        let streams = sink.take_streams(3);
+        assert_eq!(streams, [vec![], vec![], vec![rec, serve]]);
+        assert!(sink.take_streams(3).iter().all(Vec::is_empty));
     }
 }

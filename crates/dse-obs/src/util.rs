@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 
 /// Escape `s` into `out` as a JSON string body (no surrounding quotes).
-pub(crate) fn escape_json_into(out: &mut String, s: &str) {
+pub fn escape_json_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -31,7 +31,7 @@ pub(crate) fn json_str(s: &str) -> String {
 /// Format nanoseconds as a microsecond JSON number with exactly three
 /// decimal places (`1234567` -> `"1234.567"`). Pure integer math, so the
 /// output is byte-stable across platforms — required for golden files.
-pub(crate) fn us_from_ns(out: &mut String, ns: u64) {
+pub fn us_from_ns(out: &mut String, ns: u64) {
     let _ = write!(out, "{}.{:03}", ns / 1000, ns % 1000);
 }
 

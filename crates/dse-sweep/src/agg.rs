@@ -40,9 +40,9 @@ pub struct CellSummary {
     pub p99_ns: f64,
     /// Mean merged GM latency p99.9 (ns) — the SLO tail.
     pub p999_ns: f64,
-    /// Where a live cell's time went: compute, serve, net, barrier and
-    /// lock blame as percent of the summed app-span wall time (what is
-    /// left of 100 is retransmission; all 0 for sim cells).
+    /// Where the cell's time went: compute, serve, net, barrier and lock
+    /// blame as percent of the summed app-span time — virtual on sim
+    /// cells, wall on live ones (what is left of 100 is retransmission).
     pub blame_pct: [f64; 5],
 }
 
@@ -133,7 +133,8 @@ const EXACT: &[TableColumn] = &[
 ];
 
 /// Host-time columns: information, never compared. (The latency
-/// quantiles are virtual, and compared row by row, on sim cells.)
+/// quantiles and the blame shares are virtual on sim cells, where the row
+/// columns behind them are compared.)
 const INFO: &[TableColumn] = &[
     ("wall ms", |c| format!("{:.1}", c.wall_ns / 1e6)),
     ("ev/s", |c| only(c.sim, human_rate(c.events_per_sec))),
@@ -141,15 +142,11 @@ const INFO: &[TableColumn] = &[
     ("p50 us", |c| format!("{:.1}", c.p50_ns / 1e3)),
     ("p99 us", |c| format!("{:.1}", c.p99_ns / 1e3)),
     ("p999 us", |c| format!("{:.1}", c.p999_ns / 1e3)),
-    ("compute%", |c| {
-        only(!c.sim, format!("{:.0}", c.blame_pct[0]))
-    }),
-    ("serve%", |c| only(!c.sim, format!("{:.0}", c.blame_pct[1]))),
-    ("net%", |c| only(!c.sim, format!("{:.0}", c.blame_pct[2]))),
-    ("barrier%", |c| {
-        only(!c.sim, format!("{:.0}", c.blame_pct[3]))
-    }),
-    ("lock%", |c| only(!c.sim, format!("{:.0}", c.blame_pct[4]))),
+    ("compute%", |c| format!("{:.0}", c.blame_pct[0])),
+    ("serve%", |c| format!("{:.0}", c.blame_pct[1])),
+    ("net%", |c| format!("{:.0}", c.blame_pct[2])),
+    ("barrier%", |c| format!("{:.0}", c.blame_pct[3])),
+    ("lock%", |c| format!("{:.0}", c.blame_pct[4])),
 ];
 
 /// Render the aggregate table: the cell and its run counts, the exact

@@ -6,7 +6,7 @@ use std::time::Instant;
 use dse_api::{DseProgram, RunResult};
 use dse_apps::{dct, gauss_seidel, gauss_seidel_mp, knights, matmul, othello};
 use dse_live::{LiveCtx, LiveRunResult, LiveRunner};
-use dse_obs::{LogHistogram, MetricsSnapshot};
+use dse_obs::{LogHistogram, MetricsSnapshot, TraceSpanRec};
 
 use crate::build::{self, AppKind, SimSettings};
 use crate::json::{self, Value};
@@ -233,17 +233,17 @@ columns! {
     /// across PEs (live runs only; 0 on sim rows): a request's latency
     /// less this is the requester's own client code.
     blocked_p50_ns: u64, Never;
-    /// Causal-blame decomposition of the run's wall clock, summed over
-    /// PEs (live runs only; 0 on sim rows). The six columns partition
-    /// each PE's app-span wall time, so
-    /// `compute + serve + net + retry + barrier + lock` equals the sum
-    /// of per-PE app-span durations.
-    blame_compute_ns: u64, Never;
-    blame_serve_ns: u64, Never;
-    blame_net_ns: u64, Never;
-    blame_retry_ns: u64, Never;
-    blame_barrier_ns: u64, Never;
-    blame_lock_ns: u64, Never;
+    /// Causal-blame decomposition of the run's clock, summed over PEs:
+    /// virtual time on sim rows, where it repeats to the nanosecond, wall
+    /// time on live rows. The six columns partition each PE's app-span
+    /// time, so `compute + serve + net + retry + barrier + lock` equals
+    /// the sum of per-PE app-span durations.
+    blame_compute_ns: u64, Sim;
+    blame_serve_ns: u64, Sim;
+    blame_net_ns: u64, Sim;
+    blame_retry_ns: u64, Sim;
+    blame_barrier_ns: u64, Sim;
+    blame_lock_ns: u64, Sim;
 }
 
 impl RunRecord {
@@ -393,7 +393,10 @@ fn execute_sim(spec: &RunSpec, app: AppKind) -> RunRecord {
         cache: spec.cache,
         gm_mode: spec.gm_mode.clone(),
         machines: spec.machines,
-        tracing: false,
+        // Always trace, like the live cells: the row's blame columns say
+        // where the cell's virtual time went, and recording moves nothing
+        // else in the row.
+        tracing: true,
         telemetry_ms: None,
         seed: Some(spec.seed),
         gm_window: spec.gm_window,
@@ -454,7 +457,21 @@ fn execute_sim(spec: &RunSpec, app: AppKind) -> RunRecord {
         p50_ns,
         p99_ns,
         p999_ns,
-        ..RunRecord::failed(spec, RunStatus::Ok, "")
+        ..blamed(&run.trace_spans, RunRecord::failed(spec, RunStatus::Ok, ""))
+    }
+}
+
+/// `row` with its blame columns filled from a traced run's spans.
+fn blamed(trace_spans: &[Vec<TraceSpanRec>], row: RunRecord) -> RunRecord {
+    let blame = dse_trace::blame(&dse_trace::assemble(trace_spans)).total();
+    RunRecord {
+        blame_compute_ns: blame.compute_ns,
+        blame_serve_ns: blame.serve_ns,
+        blame_net_ns: blame.net_ns,
+        blame_retry_ns: blame.retry_ns,
+        blame_barrier_ns: blame.barrier_ns,
+        blame_lock_ns: blame.lock_ns,
+        ..row
     }
 }
 
@@ -523,7 +540,6 @@ fn execute_live(spec: &RunSpec, app: AppKind) -> RunRecord {
     match outcome {
         Ok(run) => {
             let (p50_ns, p99_ns, p999_ns, blocked_p50_ns) = gm_latency_quantiles(&run.metrics);
-            let blame = dse_trace::blame(&dse_trace::assemble(&run.trace_spans)).total();
             RunRecord {
                 wall_ns,
                 gm_ops: run.metrics.counter_sum_over_pes("kernel", "gm_ops"),
@@ -535,13 +551,7 @@ fn execute_live(spec: &RunSpec, app: AppKind) -> RunRecord {
                 p99_ns,
                 p999_ns,
                 blocked_p50_ns,
-                blame_compute_ns: blame.compute_ns,
-                blame_serve_ns: blame.serve_ns,
-                blame_net_ns: blame.net_ns,
-                blame_retry_ns: blame.retry_ns,
-                blame_barrier_ns: blame.barrier_ns,
-                blame_lock_ns: blame.lock_ns,
-                ..RunRecord::failed(spec, RunStatus::Ok, "")
+                ..blamed(&run.trace_spans, RunRecord::failed(spec, RunStatus::Ok, ""))
             }
         }
         Err(err) => {
@@ -583,6 +593,10 @@ mod tests {
         assert!(row.virtual_ns > 0);
         assert!(row.wall_ns > 0);
         assert_eq!(row.cell, "t.matmul.sim.sunos.w0.c0.p2");
+        // Sim cells always trace: blame partitions the ranks' virtual time,
+        // and nothing is ever retransmitted on the simulated wire.
+        assert!(row.blame_compute_ns > 0 && row.blame_net_ns > 0);
+        assert_eq!(row.blame_retry_ns, 0);
     }
 
     #[test]

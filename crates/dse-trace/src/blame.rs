@@ -4,14 +4,18 @@
 //! The blame table answers "where did each PE's wall clock go" with an
 //! accounting that sums to exactly 100% by construction: every app
 //! nanosecond is compute unless a recorded wait span covers it, and every
-//! GM-wait nanosecond is net transit unless the home's serve span or the
-//! requester's retry backoff claims it. The critical path answers "which
+//! GM-wait nanosecond is net transit unless a home's serve span covers it
+//! (requests fanned out to several homes are served side by side, so it is
+//! the covered time that counts, not the spans' sum) or the requester's
+//! retry backoff claims it. The critical path answers "which
 //! chain of spans actually bounded the run": starting from the
 //! last-finishing PE it walks backwards through wait spans, hopping PEs
 //! at barriers (to the straggler that held the round) and at GM waits
 //! (through the home kernel's serve span). Both analyses are pure
 //! functions of the trace, so the CI determinism smoke can diff their
-//! rendered output byte-for-byte.
+//! rendered output byte-for-byte, and both read the trace through the
+//! index built when it was assembled: one pass over the spans for the
+//! table, one look at each wait for the path.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -31,7 +35,7 @@ pub struct BlameRow {
     pub wall_ns: u64,
     /// Time not covered by any wait span.
     pub compute_ns: u64,
-    /// GM-wait time covered by home-kernel serve spans for this PE.
+    /// GM-wait time during which a home kernel was serving this PE.
     pub serve_ns: u64,
     /// GM-wait time in flight on the wire (the unexplained remainder).
     pub net_ns: u64,
@@ -111,37 +115,56 @@ impl BlameTable {
 /// Attribute every PE's wall clock across compute / serve / net / retry /
 /// barrier / lock. See [`BlameRow`] for the exact invariant.
 pub fn blame(trace: &ClusterTrace) -> BlameTable {
+    /// What one PE's row is computed from.
+    #[derive(Default, Clone)]
+    struct Waits {
+        barrier: u64,
+        lock: u64,
+        retry: u64,
+        /// When the app was blocked on GM completions.
+        blocks: Vec<(u64, u64)>,
+        /// When some home kernel was serving one of its requests.
+        serves: Vec<(u64, u64)>,
+    }
+    let mut waits = vec![Waits::default(); trace.nprocs];
+    for s in trace.spans() {
+        // A serve counts for the PE it answered, the rest for their own.
+        let pe = match s.kind {
+            TraceSpanKind::Serve => s.peer,
+            _ => s.pe,
+        };
+        let Some(w) = waits.get_mut(pe as usize) else {
+            continue;
+        };
+        // (An interval is never negative, whatever a clock did.)
+        let interval = (s.start_ns, s.end_ns.max(s.start_ns));
+        match s.kind {
+            TraceSpanKind::BarrierWait => w.barrier += s.dur_ns(),
+            TraceSpanKind::LockWait => w.lock += s.dur_ns(),
+            TraceSpanKind::RetryBackoff => w.retry += s.dur_ns(),
+            TraceSpanKind::GmBlock => w.blocks.push(interval),
+            TraceSpanKind::Serve if !s.dedup => w.serves.push(interval),
+            _ => {}
+        }
+    }
     let mut rows = Vec::new();
-    for pe in 0..trace.nprocs as u32 {
+    for (pe, w) in (0..trace.nprocs as u32).zip(waits) {
         let Some(app) = trace.app_span(pe) else {
             continue;
         };
         let wall = app.dur_ns();
-        let sum = |kind: TraceSpanKind| -> u64 {
-            trace
-                .spans
-                .iter()
-                .filter(|s| s.pe == pe && s.kind == kind)
-                .map(|s| s.dur_ns())
-                .sum()
-        };
+        let (blocks, serves) = (union(w.blocks), union(w.serves));
         // Clamp in sequence so the row always accounts for exactly the
         // wall clock even if a clock hiccup over-reports a wait.
-        let barrier = sum(TraceSpanKind::BarrierWait).min(wall);
-        let lock = sum(TraceSpanKind::LockWait).min(wall - barrier);
-        let gm = sum(TraceSpanKind::GmBlock).min(wall - barrier - lock);
+        let barrier = w.barrier.min(wall);
+        let lock = w.lock.min(wall - barrier);
+        let gm = measure(&blocks).min(wall - barrier - lock);
         let compute = wall - barrier - lock - gm;
-        // Inside the GM wait: the home's serve time (spans at other PEs
-        // naming this PE as the requester), then local retry backoff,
+        // Inside the GM wait: the time a home was serving (spans at other
+        // PEs naming this PE as the requester), then local retry backoff,
         // then whatever is left was wire transit + kernel queueing.
-        let serve_raw: u64 = trace
-            .spans
-            .iter()
-            .filter(|s| s.kind == TraceSpanKind::Serve && !s.dedup && s.peer == pe)
-            .map(|s| s.dur_ns())
-            .sum();
-        let serve = serve_raw.min(gm);
-        let retry = sum(TraceSpanKind::RetryBackoff).min(gm - serve);
+        let serve = overlap(&blocks, &serves).min(gm);
+        let retry = w.retry.min(gm - serve);
         let net = gm - serve - retry;
         rows.push(BlameRow {
             pe,
@@ -155,6 +178,38 @@ pub fn blame(trace: &ClusterTrace) -> BlameTable {
         });
     }
     BlameTable { rows }
+}
+
+/// The intervals of `spans` merged into disjoint ones, in time order.
+fn union(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    spans.sort_unstable();
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
+    for (start, end) in spans {
+        match out.last_mut() {
+            Some(last) if start <= last.1 => last.1 = last.1.max(end),
+            _ => out.push((start, end)),
+        }
+    }
+    out
+}
+
+/// Total length of disjoint intervals.
+fn measure(disjoint: &[(u64, u64)]) -> u64 {
+    disjoint.iter().map(|(start, end)| end - start).sum()
+}
+
+/// Time two sets of disjoint, ordered intervals have in common.
+fn overlap(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
+    let (mut i, mut j, mut total) = (0, 0, 0);
+    while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
+        total += x.1.min(y.1).saturating_sub(x.0.max(y.0));
+        if x.1 <= y.1 {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    total
 }
 
 /// One hop of the critical path, chronological.
@@ -238,13 +293,6 @@ impl CriticalPath {
     }
 }
 
-fn is_wait(kind: TraceSpanKind) -> bool {
-    matches!(
-        kind,
-        TraceSpanKind::BarrierWait | TraceSpanKind::LockWait | TraceSpanKind::GmBlock
-    )
-}
-
 /// Walk the critical path of an assembled trace.
 ///
 /// Start from the app span that finished last, then repeatedly: attribute
@@ -253,133 +301,72 @@ fn is_wait(kind: TraceSpanKind) -> bool {
 /// released the round, a GM wait routes through the home kernel's serve
 /// span (net → serve → net), a lock charges the coordinator's grant. Ties
 /// break on `(end, start, span)` so equal traces yield equal paths.
+///
+/// The walk only moves back in time, so each PE's waits are taken off the
+/// end of its list: one the cursor has passed, or that was just explained,
+/// is never looked at again — a zero-length wait, routine on a virtual
+/// clock, is one step like any other.
 pub fn critical_path(trace: &ClusterTrace) -> CriticalPath {
     let mut rev: Vec<PathStep> = Vec::new();
-    let Some(root) = trace
-        .spans
-        .iter()
-        .filter(|s| s.kind == TraceSpanKind::App)
-        .max_by_key(|s| (s.end_ns, s.pe))
-    else {
+    let apps = (0..trace.nprocs as u32).filter_map(|pe| trace.app_span(pe));
+    let Some(root) = apps.max_by_key(|s| (s.end_ns, s.pe)) else {
         return CriticalPath::default();
     };
-    let app_start: HashMap<u32, u64> = trace
-        .spans
-        .iter()
-        .filter(|s| s.kind == TraceSpanKind::App)
-        .map(|s| (s.pe, s.start_ns))
+    let mut waits: Vec<_> = (0..trace.nprocs as u32)
+        .map(|pe| trace.waits_of(pe).rev().peekable())
         .collect();
+    let mut step = |pe, what, start_ns, end_ns, seq| {
+        rev.push(PathStep {
+            pe,
+            what,
+            start_ns,
+            end_ns,
+            seq,
+        })
+    };
     let mut pe = root.pe;
     let mut cursor = root.end_ns;
-    // Bounded: the cursor strictly decreases every iteration.
-    for _ in 0..1_000_000 {
-        let floor = app_start.get(&pe).copied().unwrap_or(0);
-        let wait = trace
-            .spans
-            .iter()
-            .filter(|s| s.pe == pe && is_wait(s.kind) && s.end_ns <= cursor && s.start_ns >= floor)
-            .max_by_key(|s| (s.end_ns, s.start_ns, s.span));
-        let Some(w) = wait else {
-            rev.push(PathStep {
-                pe,
-                what: "compute",
-                start_ns: floor.min(cursor),
-                end_ns: cursor,
-                seq: 0,
-            });
+    loop {
+        let floor = trace.app_span(pe).map_or(0, |a| a.start_ns);
+        let mine = &mut waits[pe as usize];
+        while mine
+            .peek()
+            .is_some_and(|w| w.end_ns > cursor || w.start_ns < floor)
+        {
+            mine.next();
+        }
+        let Some(w) = mine.next() else {
+            step(pe, "compute", floor.min(cursor), cursor, 0);
             break;
         };
         if cursor > w.end_ns {
-            rev.push(PathStep {
-                pe,
-                what: "compute",
-                start_ns: w.end_ns,
-                end_ns: cursor,
-                seq: 0,
-            });
+            step(pe, "compute", w.end_ns, cursor, 0);
         }
+        cursor = w.start_ns;
         match w.kind {
             TraceSpanKind::BarrierWait => {
-                rev.push(PathStep {
-                    pe,
-                    what: "barrier_wait",
-                    start_ns: w.start_ns,
-                    end_ns: w.end_ns,
-                    seq: w.seq,
-                });
+                step(pe, "barrier_wait", w.start_ns, w.end_ns, w.seq);
                 // The round ended when its last waiter arrived: jump to
                 // that PE at its arrival time.
-                let straggler = trace
-                    .spans
-                    .iter()
-                    .filter(|s| s.kind == TraceSpanKind::BarrierWait && s.seq == w.seq)
-                    .max_by_key(|s| (s.start_ns, s.pe, s.span));
-                match straggler {
-                    Some(s2) if s2.pe != pe && s2.start_ns < w.end_ns => {
-                        pe = s2.pe;
-                        cursor = s2.start_ns;
+                if let Some(s2) = trace.straggler_of(w.seq) {
+                    if s2.pe != pe && s2.start_ns < w.end_ns {
+                        (pe, cursor) = (s2.pe, s2.start_ns);
                     }
-                    _ => cursor = w.start_ns,
                 }
             }
-            TraceSpanKind::GmBlock => {
-                // Route the wait through the home's serve span when the
-                // chain linked: net out, serve, net back.
-                let serve = trace
-                    .spans
-                    .iter()
-                    .filter(|s| {
-                        s.kind == TraceSpanKind::Serve
-                            && s.peer == pe
-                            && s.end_ns <= w.end_ns
-                            && s.start_ns >= w.start_ns
-                    })
-                    .max_by_key(|s| (s.end_ns, s.start_ns, s.span));
-                if let Some(sv) = serve {
-                    rev.push(PathStep {
-                        pe,
-                        what: "net",
-                        start_ns: sv.end_ns,
-                        end_ns: w.end_ns,
-                        seq: sv.seq,
-                    });
-                    rev.push(PathStep {
-                        pe: sv.pe,
-                        what: "serve",
-                        start_ns: sv.start_ns,
-                        end_ns: sv.end_ns,
-                        seq: sv.seq,
-                    });
-                    rev.push(PathStep {
-                        pe,
-                        what: "net",
-                        start_ns: w.start_ns,
-                        end_ns: sv.start_ns,
-                        seq: sv.seq,
-                    });
-                } else {
-                    rev.push(PathStep {
-                        pe,
-                        what: "gm_wait",
-                        start_ns: w.start_ns,
-                        end_ns: w.end_ns,
-                        seq: w.seq,
-                    });
+            // Route the wait through the home's serve span when the chain
+            // linked: net out, serve, net back.
+            TraceSpanKind::GmBlock => match trace.serve_inside(pe, w) {
+                Some(sv) => {
+                    step(pe, "net", sv.end_ns, w.end_ns, sv.seq);
+                    step(sv.pe, "serve", sv.start_ns, sv.end_ns, sv.seq);
+                    step(pe, "net", w.start_ns, sv.start_ns, sv.seq);
                 }
-                cursor = w.start_ns;
-            }
-            TraceSpanKind::LockWait => {
-                rev.push(PathStep {
-                    pe,
-                    what: "lock_wait",
-                    start_ns: w.start_ns,
-                    end_ns: w.end_ns,
-                    seq: w.seq,
-                });
-                cursor = w.start_ns;
-            }
-            _ => unreachable!("is_wait covers exactly the wait kinds"),
+                None => step(pe, "gm_wait", w.start_ns, w.end_ns, w.seq),
+            },
+            _ => step(pe, "lock_wait", w.start_ns, w.end_ns, w.seq),
         }
+        let floor = trace.app_span(pe).map_or(0, |a| a.start_ns);
         if cursor <= floor {
             break;
         }
@@ -391,7 +378,8 @@ pub fn critical_path(trace: &ClusterTrace) -> CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{assemble, derived_serve_id};
+    use crate::cluster::assemble;
+    use dse_obs::serve_span_id;
     use dse_obs::TraceSpanRec;
 
     fn rec(
@@ -418,7 +406,7 @@ mod tests {
         let mut blk = rec(TraceSpanKind::GmBlock, 1, 3, 1, 0, 100, 200);
         blk.seq = 5;
         pe0.push(blk);
-        let sid = derived_serve_id(2, 0);
+        let sid = serve_span_id(2, 0);
         let mut rdm = rec(TraceSpanKind::Redeem, 1, 4, sid, 0, 195, 200);
         rdm.seq = 5;
         pe0.push(rdm);
@@ -468,6 +456,24 @@ mod tests {
     }
 
     #[test]
+    fn serve_is_the_time_a_home_was_serving_not_the_sum_of_the_spans() {
+        // PE0 blocks 100..200 on a read fanned out to PEs 1 and 2, which
+        // serve it side by side (120..160 and 140..180); a third serve,
+        // 250..290, answers a split-phase request PE0 never waited for.
+        let mut pe0 = vec![rec(TraceSpanKind::App, 1, 1, 0, 0, 0, 300)];
+        pe0.push(rec(TraceSpanKind::GmBlock, 1, 2, 1, 0, 100, 200));
+        let serve = |id, pe, start, end| {
+            let mut sv = rec(TraceSpanKind::Serve, 1, id, 1, pe, start, end);
+            sv.peer = 0;
+            sv
+        };
+        let pe1 = vec![serve(10, 1, 120, 160), serve(12, 1, 250, 290)];
+        let pe2 = vec![serve(11, 2, 140, 180)];
+        let r0 = blame(&assemble(&[pe0, pe1, pe2])).rows[0];
+        assert_eq!((r0.serve_ns, r0.net_ns, r0.compute_ns), (60, 40, 200));
+    }
+
+    #[test]
     fn critical_path_hops_to_the_straggler_and_through_the_serve() {
         let t = two_pe_trace();
         let p = critical_path(&t);
@@ -484,14 +490,10 @@ mod tests {
         assert_eq!(p.steps[0].dur_ns(), 390);
         // Remove PE1's straggler wait: now PE0 finishes last and its path
         // routes through the GM serve on PE1.
-        let mut spans = t.spans.clone();
+        let mut spans = t.spans().to_vec();
         spans.retain(|s| !(s.kind == TraceSpanKind::BarrierWait && s.pe == 1));
         spans.retain(|s| !(s.kind == TraceSpanKind::App && s.pe == 1));
-        let t2 = ClusterTrace {
-            spans,
-            nprocs: 2,
-            links: t.links,
-        };
+        let t2 = ClusterTrace::build(spans, 2);
         let p2 = critical_path(&t2);
         let labels: Vec<(u32, &str)> = p2.steps.iter().map(|s| (s.pe, s.what)).collect();
         assert_eq!(
@@ -511,6 +513,51 @@ mod tests {
         let rendered = p2.render(10);
         assert!(rendered.contains("critical path"), "{rendered}");
         assert!(rendered.contains("serve"), "{rendered}");
+    }
+
+    /// One PE whose app span is `0..end` and whose GM blocks are `waits`.
+    fn one_pe_trace(end: u64, waits: impl Iterator<Item = (u64, u64)>) -> ClusterTrace {
+        let mut pe0 = vec![rec(TraceSpanKind::App, 1, 1, 0, 0, 0, end)];
+        for (i, (from, to)) in waits.enumerate() {
+            pe0.push(rec(TraceSpanKind::GmBlock, 1, 2 + i as u64, 1, 0, from, to));
+        }
+        assemble(&[pe0])
+    }
+
+    #[test]
+    fn a_zero_length_wait_is_one_step() {
+        // An answer that was already there: the wait begins and ends at
+        // the same instant of a virtual clock. The walk must move past it.
+        let p = critical_path(&one_pe_trace(100, [(50, 50)].into_iter()));
+        let steps: Vec<_> = p
+            .steps
+            .iter()
+            .map(|s| (s.what, s.start_ns, s.end_ns))
+            .collect();
+        assert_eq!(
+            steps,
+            [
+                ("compute", 0, 50),
+                ("gm_wait", 50, 50),
+                ("compute", 50, 100)
+            ]
+        );
+        // Two at one instant are two steps, each taken once.
+        let p = critical_path(&one_pe_trace(100, [(50, 50), (50, 50)].into_iter()));
+        let whats: Vec<_> = p.steps.iter().map(|s| s.what).collect();
+        assert_eq!(whats, ["compute", "gm_wait", "gm_wait", "compute"]);
+    }
+
+    #[test]
+    fn the_path_is_linear_in_the_waits_it_explains() {
+        // n waits of 4 ns, 10 ns apart: compute, then wait and compute n
+        // times over.
+        let n = 50_000u64;
+        let t = one_pe_trace(10 * n + 10, (0..n).map(|i| (10 * i + 3, 10 * i + 7)));
+        let p = critical_path(&t);
+        assert_eq!(p.steps.len() as u64, 2 * n + 1);
+        assert_eq!(p.total_ns(), 10 * n + 10, "the path covers the whole run");
+        assert_eq!(blame(&t).rows[0].net_ns, 4 * n);
     }
 
     #[test]

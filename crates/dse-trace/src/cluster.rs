@@ -1,13 +1,16 @@
 //! Cross-PE trace assembly: merge per-PE causal span streams into one
 //! cluster-wide trace.
 //!
-//! Each PE of a live run writes the spans its two threads recorded
-//! (`dse_obs::TraceRecorder`) as one JSONL stream. Alone, a stream only
-//! shows what *that* PE did; the causality lives in the ids that crossed
-//! the wire in the frame trace-context extension. [`assemble`] merges the
-//! streams, indexes the id graph, and measures how well the run linked up
-//! ([`LinkStats`]); the blame/critical-path analyses and the Chrome flow
-//! export all work on the assembled [`ClusterTrace`].
+//! Each PE of a traced run — live or simulated — yields the spans its
+//! application and its kernel recorded (`dse_obs::TraceRecorder`) as one
+//! stream. Alone, a stream only shows what *that* PE did; the causality
+//! lives in the ids that travelled beside the messages (the frame
+//! trace-context extension live, a field of the simulator's envelope).
+//! [`assemble`] merges the streams, indexes the id graph once, and measures
+//! how well the run linked up ([`LinkStats`]); the blame/critical-path
+//! analyses and the Chrome flow export all work on the assembled
+//! [`ClusterTrace`] through that index, so none of them rescans the trace
+//! per span.
 //!
 //! The assembled span order is a deterministic function of the span set
 //! (sort by `(trace, start, end, pe, span)`), never of arrival order, so
@@ -23,7 +26,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
 
-use dse_obs::{derived_span_id, parse_trace_jsonl, TraceSpanKind, TraceSpanRec};
+use dse_obs::{parse_trace_jsonl, serve_span_id, TraceSpanKind, TraceSpanRec};
 
 /// File name of PE `pe`'s stream inside a trace directory.
 pub fn trace_file_name(pe: u32) -> String {
@@ -105,23 +108,207 @@ impl LinkStats {
     }
 }
 
+/// True for the spans an application thread spends blocked.
+pub(crate) fn is_wait(kind: TraceSpanKind) -> bool {
+    matches!(
+        kind,
+        TraceSpanKind::BarrierWait | TraceSpanKind::LockWait | TraceSpanKind::GmBlock
+    )
+}
+
+/// Positions into a trace's spans, built once when it is assembled. Where
+/// several spans answer one key the first in assembled order is kept.
+#[derive(Debug, Clone, Default)]
+struct Index {
+    /// Root app span of each PE.
+    app: Vec<Option<usize>>,
+    /// Each PE's wait spans, ordered by `(end, start, span)`.
+    waits: Vec<Vec<usize>>,
+    /// The serve spans answering each requester PE, ordered alike.
+    serves: Vec<Vec<usize>>,
+    /// Per barrier `seq`: the wait that began last, by `(start, pe, span)`.
+    stragglers: HashMap<u64, usize>,
+    serve_by_id: HashMap<u64, usize>,
+    redeem_by_parent: HashMap<u64, usize>,
+    release_by_seq: HashMap<u64, usize>,
+    /// Lock grants by `(requesting PE, seq)`: request ids are per process.
+    grant_by_req: HashMap<(u32, u64), usize>,
+}
+
+impl Index {
+    fn build(spans: &[TraceSpanRec], nprocs: usize) -> Index {
+        let mut ix = Index {
+            app: vec![None; nprocs],
+            waits: vec![Vec::new(); nprocs],
+            serves: vec![Vec::new(); nprocs],
+            ..Index::default()
+        };
+        for (i, s) in spans.iter().enumerate() {
+            let pe = s.pe as usize;
+            match s.kind {
+                TraceSpanKind::App => {
+                    ix.app[pe].get_or_insert(i);
+                }
+                TraceSpanKind::Serve => {
+                    ix.serve_by_id.entry(s.span).or_insert(i);
+                    if let Some(for_pe) = ix.serves.get_mut(s.peer as usize) {
+                        for_pe.push(i);
+                    }
+                }
+                TraceSpanKind::Redeem => {
+                    ix.redeem_by_parent.entry(s.parent).or_insert(i);
+                }
+                TraceSpanKind::BarrierRelease => {
+                    ix.release_by_seq.entry(s.seq).or_insert(i);
+                }
+                TraceSpanKind::LockGrant => {
+                    ix.grant_by_req.entry((s.peer, s.seq)).or_insert(i);
+                }
+                TraceSpanKind::BarrierWait => {
+                    let last = ix.stragglers.entry(s.seq).or_insert(i);
+                    let key = |s: &TraceSpanRec| (s.start_ns, s.pe, s.span);
+                    if key(s) >= key(&spans[*last]) {
+                        *last = i;
+                    }
+                }
+                _ => {}
+            }
+            if is_wait(s.kind) {
+                ix.waits[pe].push(i);
+            }
+        }
+        let by_end = |&i: &usize| (spans[i].end_ns, spans[i].start_ns, spans[i].span);
+        for list in ix.waits.iter_mut().chain(ix.serves.iter_mut()) {
+            list.sort_by_key(by_end);
+        }
+        ix
+    }
+}
+
 /// The assembled cluster-wide causal trace.
 #[derive(Debug, Clone)]
 pub struct ClusterTrace {
-    /// Every span of the run, in deterministic assembled order.
-    pub spans: Vec<TraceSpanRec>,
+    /// Every span of the run, in deterministic assembled order (private:
+    /// the index holds positions into it).
+    spans: Vec<TraceSpanRec>,
     /// PEs covered (`max pe + 1`).
     pub nprocs: usize,
     /// Cross-PE linkage coverage.
     pub links: LinkStats,
+    index: Index,
 }
 
 impl ClusterTrace {
+    /// A trace over `spans`, kept in the order given.
+    pub(crate) fn build(spans: Vec<TraceSpanRec>, nprocs: usize) -> ClusterTrace {
+        let index = Index::build(&spans, nprocs);
+        let mut trace = ClusterTrace {
+            spans,
+            nprocs,
+            links: LinkStats::default(),
+            index,
+        };
+        trace.links = trace.link_stats();
+        trace
+    }
+
+    /// Every span of the run, in deterministic assembled order.
+    pub fn spans(&self) -> &[TraceSpanRec] {
+        &self.spans
+    }
+
     /// Root app span of PE `pe`, if the stream recorded one.
     pub fn app_span(&self, pe: u32) -> Option<&TraceSpanRec> {
-        self.spans
+        let at = *self.index.app.get(pe as usize)?;
+        at.map(|i| &self.spans[i])
+    }
+
+    fn first<K: std::hash::Hash + Eq>(
+        &self,
+        by: &HashMap<K, usize>,
+        key: K,
+    ) -> Option<&TraceSpanRec> {
+        by.get(&key).map(|&i| &self.spans[i])
+    }
+
+    /// The serve span answering the request rooted at `req_span`: the
+    /// fresh one, or — the redeem may have linked to a dedup replay
+    /// instead — one of the first few replays, whichever assembled first.
+    pub(crate) fn serve_of(&self, req_span: u64) -> Option<&TraceSpanRec> {
+        let at = (0..4u32)
+            .filter_map(|r| self.index.serve_by_id.get(&serve_span_id(req_span, r)))
+            .min()?;
+        Some(&self.spans[*at])
+    }
+
+    /// The redeem span whose parent is the serve span `serve`.
+    pub(crate) fn redeem_of(&self, serve: u64) -> Option<&TraceSpanRec> {
+        self.first(&self.index.redeem_by_parent, serve)
+    }
+
+    /// The coordinator's release or grant span that answered the barrier or
+    /// lock wait `wait`.
+    pub(crate) fn answer_of(&self, wait: &TraceSpanRec) -> Option<&TraceSpanRec> {
+        match wait.kind {
+            TraceSpanKind::BarrierWait => self.first(&self.index.release_by_seq, wait.seq),
+            TraceSpanKind::LockWait => self.first(&self.index.grant_by_req, (wait.pe, wait.seq)),
+            _ => None,
+        }
+    }
+
+    /// PE `pe`'s wait spans, ordered by `(end, start, span)`.
+    pub(crate) fn waits_of(&self, pe: u32) -> impl DoubleEndedIterator<Item = &TraceSpanRec> {
+        let list = self.index.waits.get(pe as usize);
+        list.into_iter().flatten().map(|&i| &self.spans[i])
+    }
+
+    /// The latest serve span for requester `pe` that lies inside `wait`,
+    /// by `(end, start, span)`.
+    pub(crate) fn serve_inside(&self, pe: u32, wait: &TraceSpanRec) -> Option<&TraceSpanRec> {
+        let list = self.index.serves.get(pe as usize)?;
+        let ended = list.partition_point(|&i| self.spans[i].end_ns <= wait.end_ns);
+        list[..ended]
             .iter()
-            .find(|s| s.kind == TraceSpanKind::App && s.pe == pe)
+            .rev()
+            .map(|&i| &self.spans[i])
+            .take_while(|s| s.end_ns >= wait.start_ns)
+            .find(|s| s.start_ns >= wait.start_ns)
+    }
+
+    /// The wait span of barrier `seq` that began last: the straggler whose
+    /// arrival released the round.
+    pub(crate) fn straggler_of(&self, seq: u64) -> Option<&TraceSpanRec> {
+        self.first(&self.index.stragglers, seq)
+    }
+
+    fn link_stats(&self) -> LinkStats {
+        let mut st = LinkStats::default();
+        for s in &self.spans {
+            match s.kind {
+                TraceSpanKind::GmReq => {
+                    st.gm_reqs += 1;
+                    // The serve id is derivable on this side too. The redeem
+                    // may have linked to a dedup replay of the serve rather
+                    // than the fresh one, so probe the first few indices.
+                    let linked = (0..4u32).any(|r| {
+                        let id = serve_span_id(s.span, r);
+                        self.index.serve_by_id.contains_key(&id)
+                            && self.index.redeem_by_parent.contains_key(&id)
+                    });
+                    st.gm_linked += linked as usize;
+                }
+                TraceSpanKind::BarrierWait => {
+                    st.barrier_waits += 1;
+                    st.barrier_linked += self.answer_of(s).is_some() as usize;
+                }
+                TraceSpanKind::LockWait => {
+                    st.lock_waits += 1;
+                    st.lock_linked += self.answer_of(s).is_some() as usize;
+                }
+                _ => {}
+            }
+        }
+        st
     }
 
     /// Render the assembled trace as one JSONL stream.
@@ -188,12 +375,7 @@ impl ClusterTrace {
             s.start_ns = 0;
             s.end_ns = 1;
         }
-        let links = link_stats(&spans);
-        ClusterTrace {
-            spans,
-            nprocs: self.nprocs,
-            links,
-        }
+        ClusterTrace::build(spans, self.nprocs)
     }
 }
 
@@ -210,62 +392,6 @@ fn canonical_key(s: &TraceSpanRec) -> (u32, usize, u64, u32, u64) {
     (s.pe, kind_idx, s.seq, s.peer, s.span)
 }
 
-fn link_stats(spans: &[TraceSpanRec]) -> LinkStats {
-    let mut st = LinkStats::default();
-    let mut serve_ids: HashMap<u64, ()> = HashMap::new();
-    let mut redeem_parents: HashMap<u64, ()> = HashMap::new();
-    let mut release_seqs: HashMap<u64, ()> = HashMap::new();
-    let mut grant_seqs: HashMap<u64, ()> = HashMap::new();
-    for s in spans {
-        match s.kind {
-            TraceSpanKind::Serve => {
-                serve_ids.insert(s.span, ());
-            }
-            TraceSpanKind::Redeem => {
-                redeem_parents.insert(s.parent, ());
-            }
-            TraceSpanKind::BarrierRelease => {
-                release_seqs.insert(s.seq, ());
-            }
-            TraceSpanKind::LockGrant => {
-                grant_seqs.insert(s.seq, ());
-            }
-            _ => {}
-        }
-    }
-    for s in spans {
-        match s.kind {
-            TraceSpanKind::GmReq => {
-                st.gm_reqs += 1;
-                // The serve id is derivable on this side too. The redeem
-                // may have linked to a dedup replay of the serve rather
-                // than the fresh one, so probe the first few indices.
-                let linked = (0..4u32).any(|r| {
-                    let id = derived_serve_id(s.span, r);
-                    serve_ids.contains_key(&id) && redeem_parents.contains_key(&id)
-                });
-                st.gm_linked += linked as usize;
-            }
-            TraceSpanKind::BarrierWait => {
-                st.barrier_waits += 1;
-                st.barrier_linked += release_seqs.contains_key(&s.seq) as usize;
-            }
-            TraceSpanKind::LockWait => {
-                st.lock_waits += 1;
-                st.lock_linked += grant_seqs.contains_key(&s.seq) as usize;
-            }
-            _ => {}
-        }
-    }
-    st
-}
-
-/// The serve-span id the home kernel derives for replay index `replay` of
-/// the request rooted at `req_span` (mirrors the engine's derivation).
-pub fn derived_serve_id(req_span: u64, replay: u32) -> u64 {
-    derived_span_id(req_span, 1 | ((replay as u64) << 8))
-}
-
 /// Merge per-PE span streams into one [`ClusterTrace`].
 ///
 /// Sort order is `(trace, start_ns, end_ns, pe, span)`: causally related
@@ -277,12 +403,7 @@ pub fn assemble(per_pe: &[Vec<TraceSpanRec>]) -> ClusterTrace {
     let nprocs = per_pe
         .len()
         .max(spans.iter().map(|s| s.pe as usize + 1).max().unwrap_or(0));
-    let links = link_stats(&spans);
-    ClusterTrace {
-        spans,
-        nprocs,
-        links,
-    }
+    ClusterTrace::build(spans, nprocs)
 }
 
 #[cfg(test)]
@@ -298,7 +419,7 @@ mod tests {
         let app = span(TraceSpanKind::App, 100, 100, 0, 0);
         let mut req = span(TraceSpanKind::GmReq, 100, 101, 100, 0);
         req.seq = 7;
-        let sid = derived_serve_id(101, 0);
+        let sid = serve_span_id(101, 0);
         let mut serve = span(TraceSpanKind::Serve, 100, sid, 101, 1);
         serve.peer = 0;
         let mut redeem = span(TraceSpanKind::Redeem, 100, 102, sid, 0);
@@ -344,7 +465,7 @@ mod tests {
             }
         }
         // A dedup replay and a retry span: timing artifacts, dropped.
-        let mut replay = span(TraceSpanKind::Serve, 100, derived_serve_id(101, 1), 101, 1);
+        let mut replay = span(TraceSpanKind::Serve, 100, serve_span_id(101, 1), 101, 1);
         replay.dedup = true;
         replay.peer = 0;
         shifted[1].push(replay);

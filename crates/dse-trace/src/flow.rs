@@ -1,5 +1,6 @@
 //! Chrome trace-event export of an assembled cluster trace, with flow
-//! arrows stitching the causal chains across PE tracks.
+//! arrows stitching the causal chains across PE tracks — the one Chrome
+//! exporter, for both engines.
 //!
 //! Layout: pid 0 carries one track per app thread (`pe0.app`, ...), pid 1
 //! one track per kernel thread (`pe0.kernel`, ...). Every span becomes an
@@ -10,19 +11,30 @@
 //! Load the file in Perfetto and the arrows draw the cross-PE causality
 //! the per-track view hides.
 //!
+//! A simulated run has more to show, and [`EngineTracks`] appends it: pid 2
+//! carries the engine's own timeline, one track per simulated process with
+//! its CPU holds, CPU queueing, receive waits and sleeps (`dse-sim`'s
+//! `TraceRecords`), and pid 3 the shared bus as counter tracks —
+//! utilization, collisions and queue depth per sampling bin.
+//!
 //! Output is deterministic string formatting over the assembled span
 //! order — no floats beyond fixed 3-decimal µs, no hash iteration.
 
 use std::fmt::Write as _;
 
-use dse_obs::TraceSpanKind;
+use dse_obs::{escape_json_into, us_from_ns, BusInterval, TraceSpanKind};
+use dse_sim::{ResourceStats, SimReport, TraceKind, TraceRecords};
 
-use crate::cluster::{derived_serve_id, ClusterTrace};
+use crate::cluster::ClusterTrace;
 
 /// pid of the app-thread tracks.
 pub const PID_APP: u32 = 0;
 /// pid of the kernel-thread tracks.
 pub const PID_KERNEL: u32 = 1;
+/// pid of the simulated-process timeline tracks.
+pub const PID_PROCS: u32 = 2;
+/// pid of the network counter tracks.
+pub const PID_NET: u32 = 3;
 
 fn pid_of(kind: TraceSpanKind) -> u32 {
     match kind {
@@ -30,6 +42,30 @@ fn pid_of(kind: TraceSpanKind) -> u32 {
             PID_KERNEL
         }
         _ => PID_APP,
+    }
+}
+
+/// What only the simulator has to add to a causal trace: its scheduler's
+/// timeline of every process and the bus samples.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineTracks<'a> {
+    /// The engine's per-process timeline.
+    pub timeline: Option<&'a TraceRecords>,
+    /// The resources the timeline names, indexed by `ResourceId::index()`.
+    pub resources: &'a [ResourceStats],
+    /// Bus activity bins (empty for switched fabrics).
+    pub bus: &'a [BusInterval],
+}
+
+impl<'a> EngineTracks<'a> {
+    /// The tracks of a simulated run: its engine report (whose timeline is
+    /// there when the run was traced) and its bus samples.
+    pub fn of(report: &'a SimReport, bus: &'a [BusInterval]) -> EngineTracks<'a> {
+        EngineTracks {
+            timeline: report.trace.as_ref(),
+            resources: &report.resources,
+            bus,
+        }
     }
 }
 
@@ -46,55 +82,68 @@ impl Emitter {
         }
     }
 
-    fn sep(&mut self) {
+    /// Open one event of phase `ph` on `pid`, up to and including its
+    /// quoted `name`.
+    fn open(&mut self, ph: &str, pid: u32, tid: Option<u32>, name: &str) {
         if self.first {
             self.first = false;
         } else {
             self.out.push_str(",\n");
         }
+        let _ = write!(self.out, "{{\"ph\":\"{ph}\",\"pid\":{pid},");
+        if let Some(tid) = tid {
+            let _ = write!(self.out, "\"tid\":{tid},");
+        }
+        self.out.push_str("\"name\":\"");
+        escape_json_into(&mut self.out, name);
+        self.out.push('"');
     }
 
-    fn us(&mut self, ns: u64) {
-        let _ = write!(self.out, "{}.{:03}", ns / 1_000, ns % 1_000);
+    fn ts(&mut self, key: &str, ns: u64) {
+        let _ = write!(self.out, ",\"{key}\":");
+        us_from_ns(&mut self.out, ns);
     }
 
+    /// "X" complete event.
     fn slice(&mut self, pid: u32, tid: u32, name: &str, start_ns: u64, dur_ns: u64) {
-        self.sep();
-        let _ = write!(
-            self.out,
-            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{name}\",\"ts\":"
-        );
-        self.us(start_ns);
-        self.out.push_str(",\"dur\":");
-        self.us(dur_ns);
+        self.open("X", pid, Some(tid), name);
+        self.ts("ts", start_ns);
+        self.ts("dur", dur_ns);
         self.out.push('}');
     }
 
+    /// "i" instant event.
+    fn instant(&mut self, pid: u32, tid: u32, name: &str, ts_ns: u64) {
+        self.open("i", pid, Some(tid), name);
+        self.out.push_str(",\"s\":\"t\"");
+        self.ts("ts", ts_ns);
+        self.out.push('}');
+    }
+
+    /// "C" counter event with one series.
+    fn counter(&mut self, pid: u32, name: &str, series: &str, ts_ns: u64, value: u64) {
+        self.open("C", pid, None, name);
+        self.ts("ts", ts_ns);
+        let _ = write!(self.out, ",\"args\":{{\"{series}\":{value}}}}}");
+    }
+
     /// Flow event: phase "s" (start), "t" (step) or "f" (finish).
-    fn flow(&mut self, ph: char, id: u64, pid: u32, tid: u32, name: &str, ts_ns: u64) {
-        self.sep();
-        let _ = write!(
-            self.out,
-            "{{\"ph\":\"{ph}\",\"cat\":\"causal\",\"id\":{id},\"pid\":{pid},\
-             \"tid\":{tid},\"name\":\"{name}\",\"ts\":"
-        );
-        self.us(ts_ns);
-        if ph == 'f' {
+    fn flow(&mut self, ph: &str, id: u64, pid: u32, tid: u32, name: &str, ts_ns: u64) {
+        self.open(ph, pid, Some(tid), name);
+        let _ = write!(self.out, ",\"cat\":\"causal\",\"id\":{id}");
+        self.ts("ts", ts_ns);
+        if ph == "f" {
             self.out.push_str(",\"bp\":\"e\"");
         }
         self.out.push('}');
     }
 
+    /// "M" metadata: thread or process name.
     fn name_meta(&mut self, which: &str, pid: u32, tid: Option<u32>, name: &str) {
-        self.sep();
-        let _ = write!(self.out, "{{\"ph\":\"M\",\"pid\":{pid},");
-        if let Some(tid) = tid {
-            let _ = write!(self.out, "\"tid\":{tid},");
-        }
-        let _ = write!(
-            self.out,
-            "\"name\":\"{which}\",\"args\":{{\"name\":\"{name}\"}}}}"
-        );
+        self.open("M", pid, tid, which);
+        self.out.push_str(",\"args\":{\"name\":\"");
+        escape_json_into(&mut self.out, name);
+        self.out.push_str("\"}}");
     }
 
     fn finish(mut self) -> String {
@@ -111,6 +160,11 @@ const RETURN_FLOW: u64 = 1 << 62;
 /// Render the assembled trace as Chrome trace-event JSON with causal
 /// flow arrows across PE tracks.
 pub fn chrome_flow_json(trace: &ClusterTrace) -> String {
+    chrome_flow_json_with(trace, &EngineTracks::default())
+}
+
+/// [`chrome_flow_json`], followed by the simulator's own tracks.
+pub fn chrome_flow_json_with(trace: &ClusterTrace, engine: &EngineTracks<'_>) -> String {
     let mut e = Emitter::new();
     e.name_meta("process_name", PID_APP, None, "app threads");
     e.name_meta("process_name", PID_KERNEL, None, "kernel threads");
@@ -126,7 +180,7 @@ pub fn chrome_flow_json(trace: &ClusterTrace) -> String {
 
     // --- Slices: one per span, on its thread's track. ---------------------
     let mut label = String::new();
-    for s in &trace.spans {
+    for s in trace.spans() {
         label.clear();
         label.push_str(s.kind.label());
         if s.dedup {
@@ -142,67 +196,122 @@ pub fn chrome_flow_json(trace: &ClusterTrace) -> String {
     }
 
     // --- GM chains: dispatch -> serve -> redeem. --------------------------
-    for s in &trace.spans {
+    for s in trace.spans() {
         if s.kind != TraceSpanKind::GmReq {
             continue;
         }
-        let serve = trace.spans.iter().find(|v| {
-            v.kind == TraceSpanKind::Serve
-                && (0..4u32).any(|r| v.span == derived_serve_id(s.span, r))
-        });
-        let Some(sv) = serve else { continue };
-        let redeem = trace
-            .spans
-            .iter()
-            .find(|v| v.kind == TraceSpanKind::Redeem && v.parent == sv.span);
-        e.flow('s', s.span, PID_APP, s.pe, "gm", s.start_ns);
-        e.flow('t', s.span, PID_KERNEL, sv.pe, "gm", sv.start_ns);
-        if let Some(rd) = redeem {
-            e.flow('f', s.span, PID_APP, rd.pe, "gm", rd.start_ns);
+        let Some(sv) = trace.serve_of(s.span) else {
+            continue;
+        };
+        e.flow("s", s.span, PID_APP, s.pe, "gm", s.start_ns);
+        e.flow("t", s.span, PID_KERNEL, sv.pe, "gm", sv.start_ns);
+        if let Some(rd) = trace.redeem_of(sv.span) {
+            e.flow("f", s.span, PID_APP, rd.pe, "gm", rd.start_ns);
         }
     }
 
     // --- Barrier and lock rounds: waiter -> coordinator -> waiter. --------
-    for s in &trace.spans {
-        let (coord_kind, name) = match s.kind {
-            TraceSpanKind::BarrierWait => (TraceSpanKind::BarrierRelease, "barrier"),
-            TraceSpanKind::LockWait => (TraceSpanKind::LockGrant, "lock"),
+    for s in trace.spans() {
+        let name = match s.kind {
+            TraceSpanKind::BarrierWait => "barrier",
+            TraceSpanKind::LockWait => "lock",
             _ => continue,
         };
-        let Some(c) = trace
-            .spans
-            .iter()
-            .find(|v| v.kind == coord_kind && v.seq == s.seq)
-        else {
+        let Some(c) = trace.answer_of(s) else {
             continue;
         };
-        e.flow('s', s.span, PID_APP, s.pe, name, s.start_ns);
-        e.flow('f', s.span, PID_KERNEL, c.pe, name, c.start_ns);
+        let back = s.span | RETURN_FLOW;
+        e.flow("s", s.span, PID_APP, s.pe, name, s.start_ns);
+        e.flow("f", s.span, PID_KERNEL, c.pe, name, c.start_ns);
         e.flow(
-            's',
-            s.span | RETURN_FLOW,
+            "s",
+            back,
             PID_KERNEL,
             c.pe,
             name,
             c.end_ns.saturating_sub(1),
         );
-        e.flow(
-            'f',
-            s.span | RETURN_FLOW,
-            PID_APP,
-            s.pe,
-            name,
-            s.end_ns.saturating_sub(1),
-        );
+        e.flow("f", back, PID_APP, s.pe, name, s.end_ns.saturating_sub(1));
     }
 
+    if let Some(timeline) = engine.timeline {
+        process_tracks(&mut e, timeline, engine.resources);
+    }
+    if !engine.bus.is_empty() {
+        bus_tracks(&mut e, engine.bus);
+    }
     e.finish()
+}
+
+/// The engine timeline: one thread per simulated process.
+fn process_tracks(e: &mut Emitter, timeline: &TraceRecords, resources: &[ResourceStats]) {
+    e.name_meta("process_name", PID_PROCS, None, "processes");
+    for (i, name) in timeline.proc_names.iter().enumerate() {
+        e.name_meta("thread_name", PID_PROCS, Some(i as u32), name);
+    }
+    let resource = |i: usize| resources.get(i).map_or("cpu", |r| r.name.as_str());
+    let mut label = String::new();
+    for ev in &timeline.events {
+        let tid = ev.proc.index() as u32;
+        let (what, from, until): (&str, _, _) = match ev.kind {
+            TraceKind::Start { at } => ("start", at, None),
+            TraceKind::Exit { at } => ("exit", at, None),
+            TraceKind::Sent { at, to } => {
+                label.clear();
+                label.push_str("send->");
+                match timeline.proc_names.get(to.index()) {
+                    Some(n) => label.push_str(n),
+                    None => {
+                        let _ = write!(label, "p{}", to.index());
+                    }
+                }
+                (&label, at, None)
+            }
+            TraceKind::ResourceWait { res, from, until } => {
+                label.clear();
+                let _ = write!(label, "wait {}", resource(res.index()));
+                (&label, from, Some(until))
+            }
+            TraceKind::ResourceHold { res, from, until } => {
+                (resource(res.index()), from, Some(until))
+            }
+            TraceKind::RecvWait { from, until } => ("recv", from, Some(until)),
+            TraceKind::Sleep { from, until } => ("sleep", from, Some(until)),
+        };
+        match until {
+            Some(until) => e.slice(
+                PID_PROCS,
+                tid,
+                what,
+                from.as_nanos(),
+                (until - from).as_nanos(),
+            ),
+            None => e.instant(PID_PROCS, tid, what, from.as_nanos()),
+        }
+    }
+}
+
+/// The shared bus: one counter sample per bin and series.
+fn bus_tracks(e: &mut Emitter, bus: &[BusInterval]) {
+    e.name_meta("process_name", PID_NET, None, "network");
+    for b in bus {
+        let pct = b.utilization_pct();
+        e.counter(PID_NET, "bus_utilization", "pct", b.start_ns, pct);
+    }
+    for b in bus.iter().filter(|b| b.collisions > 0) {
+        e.counter(PID_NET, "bus_collisions", "n", b.start_ns, b.collisions);
+    }
+    for b in bus.iter().filter(|b| b.queue_depth_max > 0) {
+        let depth = b.queue_depth_max;
+        e.counter(PID_NET, "bus_queue_depth", "max", b.start_ns, depth);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::assemble;
+    use dse_obs::serve_span_id;
     use dse_obs::TraceSpanRec;
 
     #[test]
@@ -212,7 +321,7 @@ mod tests {
         let app = TraceSpanRec::new(TraceSpanKind::App, 100, 100, 0, 0, 0, 500);
         let mut req = TraceSpanRec::new(TraceSpanKind::GmReq, 100, 101, 100, 0, 10, 60);
         req.seq = 7;
-        let sid = derived_serve_id(101, 0);
+        let sid = serve_span_id(101, 0);
         let mut serve = TraceSpanRec::new(TraceSpanKind::Serve, 100, sid, 101, 1, 25, 40);
         serve.peer = 0;
         serve.seq = 7;
@@ -235,5 +344,93 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         // Deterministic.
         assert_eq!(json, chrome_flow_json(&t));
+    }
+
+    #[test]
+    fn engine_tracks_follow_the_causal_lanes() {
+        use dse_sim::{ProcId, ResourceId, SimTime, TraceEvent};
+        let at = SimTime::from_nanos;
+        let (p0, p1) = (ProcId::from_index(0), ProcId::from_index(1));
+        let cpu = ResourceId::from_index(0);
+        let event = |proc, kind| TraceEvent { proc, kind };
+        let (from, until) = (at(400), at(2_400));
+        let timeline = TraceRecords {
+            proc_names: vec!["kernel0".into(), "rank\"1\"".into()],
+            events: vec![
+                event(p1, TraceKind::Start { at: at(100) }),
+                event(
+                    p1,
+                    TraceKind::ResourceWait {
+                        res: cpu,
+                        from: at(100),
+                        until: from,
+                    },
+                ),
+                event(
+                    p1,
+                    TraceKind::ResourceHold {
+                        res: cpu,
+                        from,
+                        until,
+                    },
+                ),
+                event(
+                    p1,
+                    TraceKind::Sent {
+                        at: at(2_500),
+                        to: p0,
+                    },
+                ),
+                event(
+                    p0,
+                    TraceKind::RecvWait {
+                        from: at(0),
+                        until: at(2_600),
+                    },
+                ),
+                event(p1, TraceKind::Exit { at: at(5_000) }),
+            ],
+        };
+        let bus = [BusInterval {
+            start_ns: 0,
+            width_ns: 1_000_000,
+            busy_ns: 250_000,
+            frames: 3,
+            wire_bytes: 192,
+            collisions: 1,
+            backoff_ns: 50_000,
+            queue_depth_max: 2,
+        }];
+        let app = TraceSpanRec::new(TraceSpanKind::App, 1, 1, 0, 0, 0, 5_000);
+        let t = assemble(&[vec![app]]);
+        let cpus = [ResourceStats {
+            name: "cpu0".into(),
+            ..ResourceStats::default()
+        }];
+        let tracks = EngineTracks {
+            timeline: Some(&timeline),
+            resources: &cpus,
+            bus: &bus,
+        };
+        let json = chrome_flow_json_with(&t, &tracks);
+        // The causal lanes come first and are those of the plain export.
+        let plain = chrome_flow_json(&t);
+        let shared = plain.rfind("\n]").unwrap();
+        assert!(json.starts_with(&plain[..shared]));
+        for want in [
+            "\"pid\":2,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"rank\\\"1\\\"\"}}",
+            "\"ph\":\"i\",\"pid\":2,\"tid\":1,\"name\":\"start\",\"s\":\"t\",\"ts\":0.100}",
+            "\"name\":\"wait cpu0\",\"ts\":0.100,\"dur\":0.300}",
+            "\"name\":\"cpu0\",\"ts\":0.400,\"dur\":2.000}",
+            "\"name\":\"send->kernel0\"",
+            "\"pid\":2,\"tid\":0,\"name\":\"recv\",\"ts\":0.000,\"dur\":2.600}",
+            "\"ph\":\"C\",\"pid\":3,\"name\":\"bus_utilization\",\"ts\":0.000,\"args\":{\"pct\":25}}",
+            "\"name\":\"bus_collisions\",\"ts\":0.000,\"args\":{\"n\":1}}",
+            "\"name\":\"bus_queue_depth\",\"ts\":0.000,\"args\":{\"max\":2}}",
+        ] {
+            assert!(json.contains(want), "missing {want} in\n{json}");
+        }
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json, chrome_flow_json_with(&t, &tracks), "deterministic");
     }
 }

@@ -1,9 +1,12 @@
 //! Where did the time go? — the paper's explanations, measured.
 //!
 //! Runs the DCT workload at fine (4×4) and coarse (32×32) grain with
-//! execution tracing, and prints per-process time breakdowns plus an ASCII
-//! cluster timeline. The fine-grain run drowns in communication wait; the
-//! coarse-grain run computes.
+//! tracing, and prints what the two trace readers say of each run: the
+//! scheduler's per-process time breakdown with an ASCII cluster timeline,
+//! and under it the causal blame table — every rank's virtual time split
+//! into compute, home-kernel service, wire, barrier and lock. The
+//! fine-grain run drowns in communication wait; the coarse-grain run
+//! computes.
 //!
 //! ```sh
 //! cargo run --release --example trace_breakdown
@@ -11,7 +14,7 @@
 
 use dse::apps::dct::{compress_parallel, DctParams};
 use dse::prelude::*;
-use dse_trace::{analyze, gantt};
+use dse_trace::{analyze, assemble, blame, gantt};
 
 fn show(block: usize) {
     let params = DctParams {
@@ -38,6 +41,8 @@ fn show(block: usize) {
         r * 100.0
     );
     println!("{}", gantt(trace, run.report.end_time, 72));
+    println!("blame, virtual time (per rank, % of its own clock):");
+    println!("{}", blame(&assemble(&run.trace_spans)).render());
 }
 
 fn main() {
@@ -46,5 +51,8 @@ fn main() {
     println!("4x4: many tiny tasks, each a fetch-add + image read + result");
     println!("write — the ranks mostly wait on messages (the paper's");
     println!("\"communication frequency\"). 32x32: the same bytes in a few");
-    println!("big tasks — the ranks compute.");
+    println!("big tasks — the ranks compute. The blame table says whom they");
+    println!("wait for: `serve` is a home kernel at work on the rank's request");
+    println!("(queued behind its co-resident rank's compute slices included),");
+    println!("`net` is the request and its answer on the wire.");
 }

@@ -1,10 +1,12 @@
 //! `dse-run` — command-line front end to the DSE reproduction.
 //!
 //! Run any of the paper's workloads on any simulated platform and
-//! configuration, and optionally print the execution-trace breakdown:
+//! configuration, and optionally print where the time went — the
+//! scheduler's per-process breakdown (`--trace`) or the causal blame table
+//! and critical path, in virtual time (`--critical-path`):
 //!
 //! ```sh
-//! dse-run gauss   --platform sunos --procs 4 --n 600
+//! dse-run gauss   --platform sunos --procs 4 --n 600 --critical-path
 //! dse-run dct     --platform linux --procs 8 --block 16 --trace
 //! dse-run othello --platform aix   --procs 6 --depth 7
 //! dse-run knights --platform sunos --procs 12 --jobs 16 --organization legacy
@@ -25,9 +27,10 @@ use std::time::Duration;
 use dse::apps::{dct, gauss_seidel, gauss_seidel_mp, knights, matmul, othello};
 use dse::live::{LiveCtx, LiveRunConfig, LiveRunResult, LiveRunner};
 use dse::prelude::*;
+use dse_obs::TraceSpanRec;
 use dse_sweep::build;
 use dse_sweep::run::RunStatus;
-use dse_trace::{analyze, gantt};
+use dse_trace::{analyze, gantt, EngineTracks};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Args {
@@ -82,19 +85,22 @@ fn usage() -> ! {
   --cache                      enable the GM cache (both engines)
   --gm-mode wi|rc              cache coherence: write-invalidate or
                                release consistency        (default wi)
-  --trace                      print the execution-time breakdown
+  --trace                      simulator: print the scheduler's per-process
+                               time breakdown and timeline
   --metrics-json PATH          write metrics as JSON Lines
   --metrics-csv PATH           write metrics as CSV
-  --trace-json PATH            write a Chrome trace (load in Perfetto)
+  --trace-json PATH            record causal spans, write a Chrome trace with
+                               flow arrows (load in Perfetto)
   --watch                      print the live cluster top view each epoch
   --watch-ms MS                telemetry emission interval    (default 50)
   --watchdog-ms MS             GM stall watchdog deadline     (default 250)
   --flight-json PATH           write the flight-recorder ring (JSONL)
   --fault-plan SPEC            inject deterministic transport faults (live engine)
                                e.g. seed=7,drop=10,dup=5,corrupt=3,delay=20:2,disconnect=2:40
-  --trace-dir DIR              live engine: record causal spans, write per-PE streams,
-                               the assembled cluster trace, blame table and critical path
-  --critical-path              live engine: print the blame table and critical path
+  --trace-dir DIR              record causal spans, write per-PE streams, the
+                               assembled cluster trace, blame table and critical path
+  --critical-path              record causal spans, print the blame table and
+                               critical path (virtual time on the simulator)
 
 or run one cell of a sweep scenario spec (see dse-sweep):
   dse-run --scenario FILE            list the spec's cells
@@ -230,16 +236,6 @@ fn validate_engine_combos(args: &Args) -> Result<(), String> {
                 .into(),
         );
     }
-    if args.engine == "sim" {
-        for f in ["--trace-dir", "--critical-path"] {
-            if explicit(f) {
-                return Err(format!(
-                    "{f} drives the live engine's causal tracing; the simulator's breakdown \
-                     is --trace / --trace-json (add --engine live)"
-                ));
-            }
-        }
-    }
     if args.engine == "live" {
         if args.app == "gauss-mp" {
             return Err(
@@ -249,14 +245,14 @@ fn validate_engine_combos(args: &Args) -> Result<(), String> {
             );
         }
         // Everything that parameterizes the simulated 1999 cluster model is
-        // meaningless when the program runs for real on host threads.
+        // meaningless when the program runs for real on host threads, and
+        // so is the simulator's own scheduling timeline (`--trace`).
         const SIM_ONLY: &[&str] = &[
             "--platform",
             "--machines",
             "--organization",
             "--protocol",
             "--trace",
-            "--trace-json",
             "--watchdog-ms",
         ];
         for f in SIM_ONLY {
@@ -384,7 +380,7 @@ fn run_live_cli(args: &Args) {
         &args.scheduler,
     )
     .expect("transport, fault plan, gm mode and scheduler validated at startup");
-    cfg.tracing = args.trace_dir.is_some() || args.critical_path;
+    cfg.tracing = wants_causal_trace(args);
     println!(
         "# {} on the live engine ({} transport, {} scheduler), {} processors",
         args.app, args.transport, args.scheduler, args.procs
@@ -481,19 +477,27 @@ fn run_live_cli(args: &Args) {
         write(path, "flight recorder", run.flight_jsonl.clone());
     }
     if cfg.tracing {
-        report_causal_trace(args, &run);
+        report_causal_trace(args, &run.trace_spans, &EngineTracks::default());
     }
 }
 
-/// Assemble the run's causal trace, print the blame table (and critical
-/// path under `--critical-path`), and populate `--trace-dir` with the
-/// per-PE streams plus every derived artifact. The canonical files are
-/// what the CI determinism smoke diffs across two runs.
-fn report_causal_trace(args: &Args, run: &LiveRunResult) {
-    let t = dse_trace::assemble(&run.trace_spans);
+/// Whether a flag asked for the run's causal spans.
+fn wants_causal_trace(args: &Args) -> bool {
+    args.trace_dir.is_some() || args.critical_path || args.trace_json.is_some()
+}
+
+/// Assemble a run's causal trace — either engine's — print the blame table
+/// (and critical path under `--critical-path`), write the Chrome trace
+/// `--trace-json` names, and populate `--trace-dir` with the per-PE
+/// streams plus every derived artifact. A simulated run adds `engine`, its
+/// own tracks, to the Chrome traces. The canonical files are what the CI
+/// determinism smoke diffs across two live runs; a simulated run's raw
+/// files repeat to the byte.
+fn report_causal_trace(args: &Args, trace_spans: &[Vec<TraceSpanRec>], engine: &EngineTracks<'_>) {
+    let t = dse_trace::assemble(trace_spans);
     println!(
         "causal trace: {} spans, {}/{} gm chains linked ({:.1}%)",
-        t.spans.len(),
+        t.spans().len(),
         t.links.gm_linked,
         t.links.gm_reqs,
         t.links.gm_link_ratio() * 100.0
@@ -504,17 +508,25 @@ fn report_causal_trace(args: &Args, run: &LiveRunResult) {
     if args.critical_path {
         print!("{}", path.render(40));
     }
+    let chrome = dse_trace::chrome_flow_json_with(&t, engine);
+    if let Some(file) = &args.trace_json {
+        if let Err(e) = std::fs::write(file, &chrome) {
+            eprintln!("cannot write Chrome trace to {file}: {e}");
+            std::process::exit(1);
+        }
+        println!("Chrome trace written to {file}");
+    }
     let Some(dir) = &args.trace_dir else {
         return;
     };
     let dir = std::path::Path::new(dir);
-    if let Err(e) = dse_trace::write_trace_dir(dir, &run.trace_spans) {
+    if let Err(e) = dse_trace::write_trace_dir(dir, trace_spans) {
         eprintln!("cannot write trace streams: {e}");
         std::process::exit(1);
     }
     let canonical = t.canonical();
     let outs: [(&str, String); 5] = [
-        ("cluster.trace.json", dse_trace::chrome_flow_json(&t)),
+        ("cluster.trace.json", chrome),
         ("blame.txt", blame.render()),
         ("critical_path.txt", path.render(usize::MAX)),
         ("canonical.trace.jsonl", canonical.to_jsonl()),
@@ -532,7 +544,7 @@ fn report_causal_trace(args: &Args, run: &LiveRunResult) {
     }
     println!(
         "trace streams + assembly ({} PEs) written to {}",
-        run.trace_spans.len(),
+        trace_spans.len(),
         dir.display()
     );
 }
@@ -583,9 +595,9 @@ fn run_sim_cli(args: &Args) {
         cache: args.cache,
         gm_mode: args.gm_mode.clone(),
         machines: args.machines,
-        // A Chrome trace needs the per-process event timeline, so
-        // --trace-json implies tracing even without the printed breakdown.
-        tracing: args.trace || args.trace_json.is_some(),
+        // One switch records both the scheduler's timeline (--trace, and
+        // the process lanes of a Chrome trace) and the causal spans.
+        tracing: args.trace || wants_causal_trace(args),
         // --watch and --flight-json both need the in-band telemetry plane.
         telemetry_ms: (args.watch || args.flight_json.is_some())
             .then_some((args.watch_ms, args.watchdog_ms)),
@@ -705,8 +717,9 @@ fn run_sim_cli(args: &Args) {
     if let Some(path) = &args.metrics_csv {
         write(path, "metrics (CSV)", run.metrics_csv());
     }
-    if let Some(path) = &args.trace_json {
-        write(path, "Chrome trace", run.chrome_trace_json());
+    if wants_causal_trace(args) {
+        let engine = EngineTracks::of(&run.report, &run.bus_intervals);
+        report_causal_trace(args, &run.trace_spans, &engine);
     }
     if let Some(tel) = &run.telemetry {
         for s in &tel.stalls {
@@ -862,7 +875,6 @@ mod tests {
             "--organization legacy",
             "--protocol udp",
             "--trace",
-            "--trace-json t.json",
             "--watchdog-ms 10",
         ] {
             let a = parse_from(&argv(&format!("gauss --engine live {flags}"))).unwrap();
@@ -942,22 +954,32 @@ mod tests {
     }
 
     #[test]
-    fn trace_dir_flags_parse_and_require_live_engine() {
-        let a = parse_from(&argv(
-            "gauss --engine live --trace-dir traces/g --critical-path",
-        ))
-        .unwrap();
-        assert_eq!(a.trace_dir.as_deref(), Some("traces/g"));
-        assert!(a.critical_path);
-        assert!(validate_engine_combos(&a).is_ok());
-        // --critical-path alone also works (prints without writing).
-        let a = parse_from(&argv("gauss --engine live --critical-path")).unwrap();
-        assert!(validate_engine_combos(&a).is_ok());
-        for flags in ["--trace-dir traces/g", "--critical-path"] {
-            let a = parse_from(&argv(&format!("gauss {flags}"))).unwrap();
-            let err = validate_engine_combos(&a).unwrap_err();
-            assert!(err.contains("add --engine live"), "{flags}: {err}");
+    fn causal_trace_flags_parse_and_work_on_both_engines() {
+        for engine in ["sim", "live"] {
+            let a = parse_from(&argv(&format!(
+                "gauss --engine {engine} --trace-dir traces/g --critical-path --trace-json t.json"
+            )))
+            .unwrap();
+            assert_eq!(a.trace_dir.as_deref(), Some("traces/g"));
+            assert!(a.critical_path);
+            assert!(validate_engine_combos(&a).is_ok(), "{engine}");
+            assert!(wants_causal_trace(&a));
+            // Each alone also asks for the spans (--critical-path prints
+            // without writing).
+            for flags in [
+                "--trace-dir traces/g",
+                "--critical-path",
+                "--trace-json t.json",
+            ] {
+                let a = parse_from(&argv(&format!("gauss --engine {engine} {flags}"))).unwrap();
+                assert!(validate_engine_combos(&a).is_ok(), "{engine} {flags}");
+                assert!(wants_causal_trace(&a), "{engine} {flags}");
+            }
         }
+        // The scheduler's timeline alone records no causal report.
+        assert!(!wants_causal_trace(
+            &parse_from(&argv("gauss --trace")).unwrap()
+        ));
     }
 
     #[test]

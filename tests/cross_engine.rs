@@ -191,3 +191,82 @@ fn gauss_seidel_same_on_unix_sockets() {
     assert_eq!(channel_sol.iters, uds_sol.iters);
     assert_eq!(channel_sol.x, uds_sol.x);
 }
+
+/// A fourth: both engines record one span model, so the *structure* of a
+/// run's causal trace is the program's, not the engine's. On an uncached,
+/// blocking cell the canonical traces hold the same spans per PE and kind.
+#[test]
+fn gauss_seidel_trace_structure_same_on_both_engines() {
+    use dse::obs::TraceSpanKind::{self, *};
+    use std::collections::BTreeMap;
+
+    let params = gauss_seidel::GaussSeidelParams::paper(48);
+    let program =
+        DseProgram::new(Platform::sunos_sparc()).with_config(DseConfig::paper().with_tracing(true));
+    let (sim, _) = gauss_seidel::solve_parallel(&program, 4, params);
+    let live = LiveRunner::new(4)
+        .transport(TransportKind::Channel)
+        .tracing(true)
+        .try_run(|ctx| {
+            gauss_seidel::body(ctx, &params);
+        })
+        .expect("live run completes");
+
+    type Counts = BTreeMap<(u32, TraceSpanKind), usize>;
+    let counts = |trace_spans: &[Vec<dse::obs::TraceSpanRec>]| -> Counts {
+        let canonical = dse_trace::assemble(trace_spans).canonical();
+        let mut counts = Counts::new();
+        for s in canonical.spans() {
+            *counts.entry((s.pe, s.kind)).or_default() += 1;
+        }
+        counts
+    };
+    let (sim_counts, live_counts) = (counts(&sim.trace_spans), counts(&live.trace_spans));
+    let of = |counts: &Counts, pe, kind| counts.get(&(pe, kind)).copied().unwrap_or(0);
+
+    for pe in 0..4 {
+        // Synchronization is the program's: one wait per barrier the rank
+        // entered, on PE 0 one release per round, and no lock taken. Node
+        // 0's application enters a barrier through the linked library on
+        // the simulator and through its own kernel's inbox live, and does
+        // its kernel's duty itself in the first case — the spans are the
+        // same ones either way.
+        for kind in [App, BarrierWait, BarrierRelease, LockWait, LockGrant] {
+            let (s, l) = (of(&sim_counts, pe, kind), of(&live_counts, pe, kind));
+            assert_eq!(s, l, "pe{pe} {kind:?}: sim {s}, live {l}");
+        }
+        assert_eq!(of(&sim_counts, pe, App), 1);
+        assert!(of(&sim_counts, pe, BarrierWait) > 0);
+        let rounds = if pe == 0 {
+            of(&sim_counts, 0, BarrierWait)
+        } else {
+            0
+        };
+        assert_eq!(of(&sim_counts, pe, BarrierRelease), rounds, "pe{pe}");
+
+        // Every request message is one gm_req span, redeemed once where it
+        // was sent; the shared GmClient sends the same ones on both engines.
+        let sent = |counter: Option<u64>| counter.unwrap_or(0) as usize;
+        let sim_sent = sent(sim.metrics.counter("kernel", "gm_request_msgs", Some(pe)));
+        let live_sent = sent(live.metrics.counter("kernel", "gm_request_msgs", Some(pe)));
+        for (counts, sent) in [(&sim_counts, sim_sent), (&live_counts, live_sent)] {
+            assert_eq!(of(counts, pe, GmReq), sent, "pe{pe}");
+            assert_eq!(of(counts, pe, Redeem), sent, "pe{pe}");
+        }
+        assert_eq!(sim_sent, live_sent, "pe{pe}");
+        assert!(sim_sent > 0, "pe{pe} reads its neighbours' rows");
+        assert_eq!(of(&sim_counts, pe, Serve), of(&live_counts, pe, Serve));
+    }
+    // ... and served once at its home.
+    for counts in [&sim_counts, &live_counts] {
+        let total = |kind| (0..4).map(|pe| of(counts, pe, kind)).sum::<usize>();
+        assert_eq!(total(Serve), total(GmReq));
+    }
+    // What the canonical form keeps is the same set of kinds: a blocking
+    // wait per request, nothing retried.
+    assert_eq!(
+        sim_counts.keys().collect::<Vec<_>>(),
+        live_counts.keys().collect::<Vec<_>>()
+    );
+    assert_eq!(sim_counts, live_counts);
+}

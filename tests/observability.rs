@@ -1,13 +1,16 @@
 //! Acceptance tests for the observability subsystem (ISSUE tentpole):
 //! a real Gauss-Seidel run on the paper's SunOS cluster must export
 //! schema-valid metrics JSONL and a Perfetto-loadable Chrome trace, both
-//! byte-identical across runs, and the per-PE stats cells must roll up to
-//! exactly the legacy global [`KernelStats`] totals.
+//! byte-identical across runs, the per-PE stats cells must roll up to
+//! exactly the legacy global [`KernelStats`] totals, and the causal spans
+//! must agree with the counters.
 
 use std::collections::HashMap;
 
 use dse::apps::gauss_seidel;
+use dse::obs::{serve_span_id, TraceSpanKind};
 use dse::prelude::*;
+use dse_trace::{assemble, chrome_flow_json_with, EngineTracks, PID_APP, PID_KERNEL, PID_PROCS};
 
 // ---------------------------------------------------------------------------
 // A minimal JSON parser — enough to validate the exporters without serde.
@@ -298,50 +301,58 @@ fn metrics_jsonl_schema_and_content() {
     );
 }
 
+/// The run's Chrome trace, from the one exporter: causal lanes with flow
+/// arrows, then the simulator's process timeline and bus counters.
+fn chrome_trace(run: &RunResult) -> String {
+    let engine = EngineTracks::of(&run.report, &run.bus_intervals);
+    chrome_flow_json_with(&assemble(&run.trace_spans), &engine)
+}
+
 #[test]
 fn chrome_trace_has_per_process_and_bus_tracks() {
     let run = reference_run();
-    let trace = run.chrome_trace_json();
-    let doc = parse_json(&trace);
+    let doc = parse_json(&chrome_trace(&run));
     let events = doc.get("traceEvents").expect("traceEvents").as_arr();
     assert!(!events.is_empty());
+    let is = |e: &Json, key: &str, want: &str| e.get(key).map(Json::as_str) == Some(want);
+    let on = |e: &Json, pid: u32| e.get("pid").map(Json::as_num) == Some(pid as f64);
+    let tracks = |pid: u32| {
+        let named = |e: &&Json| is(e, "ph", "M") && is(e, "name", "thread_name") && on(e, pid);
+        events.iter().filter(named).count()
+    };
 
-    // One named thread track under pid 0 per simulated process.
+    // One named thread track per simulated process, and an app and a
+    // kernel lane per PE.
     let nprocs_in_trace = run.report.trace.as_ref().unwrap().proc_names.len();
-    let proc_tracks = events
-        .iter()
-        .filter(|e| {
-            e.get("ph").map(Json::as_str) == Some("M")
-                && e.get("name").map(Json::as_str) == Some("thread_name")
-                && e.get("pid").map(Json::as_num) == Some(0.0)
-        })
-        .count();
-    assert_eq!(
-        proc_tracks, nprocs_in_trace,
-        "one track per simulated process"
-    );
+    assert_eq!(tracks(PID_PROCS), nprocs_in_trace, "one per process");
+    assert_eq!((tracks(PID_APP), tracks(PID_KERNEL)), (6, 6));
 
     // A bus-utilization counter track under the network pid.
     let bus_samples = events
         .iter()
-        .filter(|e| {
-            e.get("ph").map(Json::as_str) == Some("C")
-                && e.get("name").map(Json::as_str) == Some("bus_utilization")
-        })
+        .filter(|e| is(e, "ph", "C") && is(e, "name", "bus_utilization"))
         .count();
     assert!(bus_samples > 0, "expected bus_utilization counter samples");
     assert_eq!(bus_samples, run.bus_intervals.len());
 
-    // GM-op span slices under pid 1, at least one per active PE.
-    let span_slices = events
+    // One slice per causal span on the app and kernel lanes, and a flow
+    // arrow out of every GM request.
+    let spans: Vec<_> = run.trace_spans.iter().flatten().collect();
+    let slices = events
         .iter()
-        .filter(|e| {
-            e.get("ph").map(Json::as_str) == Some("X")
-                && e.get("pid").map(Json::as_num) == Some(1.0)
-        })
+        .filter(|e| is(e, "ph", "X") && (on(e, PID_APP) || on(e, PID_KERNEL)))
         .count();
-    assert_eq!(span_slices, run.spans.len());
-    assert!(span_slices > 0, "expected completed GM-op spans");
+    assert_eq!(slices, spans.len());
+    let gm_reqs = spans
+        .iter()
+        .filter(|s| s.kind == TraceSpanKind::GmReq)
+        .count();
+    assert!(gm_reqs > 0, "expected GM request spans");
+    let arrows = events
+        .iter()
+        .filter(|e| is(e, "ph", "s") && is(e, "name", "gm"))
+        .count();
+    assert_eq!(arrows, gm_reqs);
 }
 
 #[test]
@@ -359,8 +370,8 @@ fn exports_are_deterministic_across_runs() {
         "metrics CSV must be byte-identical"
     );
     assert_eq!(
-        a.chrome_trace_json(),
-        b.chrome_trace_json(),
+        chrome_trace(&a),
+        chrome_trace(&b),
         "Chrome trace must be byte-identical"
     );
 }
@@ -368,19 +379,36 @@ fn exports_are_deterministic_across_runs() {
 #[test]
 fn spans_are_consistent_with_stats() {
     let run = reference_run();
-    for s in &run.spans {
-        assert!(s.close_ns >= s.open_ns, "span must close after opening");
-        assert!(
-            s.wire_ns + s.service_ns <= s.total_ns(),
-            "wire + service cannot exceed the span: {s:?}"
-        );
+    let of = |pe: usize, kind| run.trace_spans[pe].iter().filter(move |s| s.kind == kind);
+    let mut requests = 0;
+    for pe in 0..6 {
+        // One gm_req span per request message this PE put on the wire ...
+        let sent = run
+            .metrics
+            .counter("kernel", "gm_request_msgs", Some(pe as u32));
+        let reqs: Vec<_> = of(pe, TraceSpanKind::GmReq).collect();
+        assert_eq!(reqs.len() as u64, sent.unwrap_or(0), "pe{pe}");
+        requests += reqs.len();
+        // ... each answered by exactly one serve span at its home, inside
+        // it, and redeemed once.
+        for req in reqs {
+            let id = serve_span_id(req.span, 0);
+            let mut serves = of(req.peer as usize, TraceSpanKind::Serve).filter(|s| s.span == id);
+            let serve = serves.next().expect("every request is served");
+            assert!(serves.next().is_none(), "once");
+            assert_eq!((serve.peer, serve.seq), (req.pe, req.seq));
+            assert!(
+                req.start_ns <= serve.start_ns
+                    && serve.start_ns <= serve.end_ns
+                    && serve.end_ns <= req.end_ns,
+                "the serve lies inside the request: {req:?} {serve:?}"
+            );
+            let redeems = of(pe, TraceSpanKind::Redeem).filter(|s| s.parent == id);
+            assert_eq!(redeems.count(), 1);
+        }
     }
-    // Every remote read span corresponds to a counted remote read.
-    let remote_reads: u64 = run.per_pe_stats.iter().map(|s| s.gm_remote_reads).sum();
-    let read_spans = run
-        .spans
-        .iter()
-        .filter(|s| s.kind == dse::obs::SpanKind::GmRead)
-        .count() as u64;
-    assert_eq!(read_spans, remote_reads, "one GmRead span per remote read");
+    // One serve span per request served, and none besides.
+    let serves: usize = (0..6).map(|pe| of(pe, TraceSpanKind::Serve).count()).sum();
+    assert_eq!(serves, requests);
+    assert!(requests > 0, "the workload issues remote requests");
 }

@@ -85,11 +85,16 @@ fn lost_gm_response_trips_the_watchdog_and_dumps_the_flight_ring() {
     let program = DseProgram::new(Platform::sunos_sparc()).with_config(config);
     let run = program.run(2, |ctx| {
         if ctx.rank() == 1 {
-            // Forge a GM read whose response never arrives: open the span
-            // by hand, then keep the cluster busy past the deadline.
-            ctx.shared()
-                .spans
-                .open(SpanKind::GmRead, 1, 0xDEAD, ctx.now().as_nanos(), 64);
+            // Forge a GM read whose response never arrives: enter it in the
+            // watchdog's in-flight set by hand, then keep the cluster busy
+            // past the deadline.
+            let inflight = ctx.shared().inflight.as_ref();
+            inflight.expect("a watchdog is configured").open(
+                SpanKind::GmRead,
+                1,
+                0xDEAD,
+                ctx.now().as_nanos(),
+            );
         }
         ctx.compute(Work::flops(10_000_000));
         ctx.barrier();
