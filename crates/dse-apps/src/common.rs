@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use dse_api::{DseCtx, DseProgram, RunResult};
 use parking_lot::Mutex;
 
 /// A slot application bodies use to hand a result back to the harness
@@ -41,6 +42,23 @@ impl<T> Capture<T> {
             .take()
             .expect("Capture never set — did rank 0 finish?")
     }
+}
+
+/// Run `body` as an SPMD program over `nprocs` processes of `program`;
+/// returns the measured run and the value rank 0's body handed back.
+pub fn run_captured<T: Send + 'static>(
+    program: &DseProgram,
+    nprocs: usize,
+    body: impl Fn(&mut DseCtx<'_>) -> Option<T> + Send + Sync + 'static,
+) -> (RunResult, T) {
+    let capture = Capture::new();
+    let cap = capture.clone();
+    let result = program.run(nprocs, move |ctx| {
+        if let Some(value) = body(ctx) {
+            cap.set(value);
+        }
+    });
+    (result, capture.take())
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 
 use dse_api::{Distribution, DseProgram, GmArray, GmCounter, NodeId, ParallelApi, RunResult, Work};
 
-use crate::common::Capture;
+use crate::common::run_captured;
 use crate::image::Image;
 
 /// Quantization step applied to DCT coefficients before the i16 cast.
@@ -290,14 +290,7 @@ pub fn compress_parallel(
     nprocs: usize,
     params: DctParams,
 ) -> (RunResult, Compressed) {
-    let capture: Capture<Compressed> = Capture::new();
-    let cap = capture.clone();
-    let result = program.run(nprocs, move |ctx| {
-        if let Some(out) = body(ctx, &params) {
-            cap.set(out);
-        }
-    });
-    (result, capture.take())
+    run_captured(program, nprocs, move |ctx| body(ctx, &params))
 }
 
 #[cfg(test)]

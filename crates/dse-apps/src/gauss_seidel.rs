@@ -19,7 +19,7 @@ use dse_api::{Distribution, DseProgram, GmArray, GmHandle, NodeId, ParallelApi, 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::Capture;
+use crate::common::run_captured;
 
 /// Problem description.
 #[derive(Debug, Clone, Copy)]
@@ -314,14 +314,7 @@ pub fn solve_parallel_with(
     params: GaussSeidelParams,
     mode: RefreshMode,
 ) -> (RunResult, Solution) {
-    let capture: Capture<Solution> = Capture::new();
-    let cap = capture.clone();
-    let result = program.run(nprocs, move |ctx| {
-        if let Some(sol) = body_with(ctx, &params, mode) {
-            cap.set(sol);
-        }
-    });
-    (result, capture.take())
+    run_captured(program, nprocs, move |ctx| body_with(ctx, &params, mode))
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 
 use dse_api::{DseCtx, DseProgram, RunResult, Work};
 
-use crate::common::Capture;
+use crate::common::run_captured;
 use crate::gauss_seidel::{
     generate_rows, rows_of, sweep_rows, GaussSeidelParams, Solution, CHECK_EVERY,
 };
@@ -136,14 +136,7 @@ pub fn solve_parallel_mp(
     nprocs: usize,
     params: GaussSeidelParams,
 ) -> (RunResult, Solution) {
-    let capture: Capture<Solution> = Capture::new();
-    let cap = capture.clone();
-    let result = program.run(nprocs, move |ctx| {
-        if let Some(sol) = body_mp(ctx, &params) {
-            cap.set(sol);
-        }
-    });
-    (result, capture.take())
+    run_captured(program, nprocs, move |ctx| body_mp(ctx, &params))
 }
 
 #[cfg(test)]

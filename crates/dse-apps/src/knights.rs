@@ -13,7 +13,7 @@
 
 use dse_api::{Distribution, DseProgram, GmArray, GmCounter, NodeId, ParallelApi, RunResult, Work};
 
-use crate::common::Capture;
+use crate::common::run_captured;
 
 /// Charged integer operations per visited search node (move candidate
 /// checks, bookkeeping).
@@ -185,14 +185,7 @@ pub fn count_parallel(
     nprocs: usize,
     params: KnightsParams,
 ) -> (RunResult, u64) {
-    let capture: Capture<u64> = Capture::new();
-    let cap = capture.clone();
-    let result = program.run(nprocs, move |ctx| {
-        if let Some(total) = body(ctx, &params) {
-            cap.set(total);
-        }
-    });
-    (result, capture.take())
+    run_captured(program, nprocs, move |ctx| body(ctx, &params))
 }
 
 #[cfg(test)]

@@ -10,6 +10,9 @@
 //! * [`knights`] — Knight's-Tour enumeration with configurable job
 //!   granularity (§4.4).
 //!
+//! Beside them, two workloads the extensions use: [`matmul`] and
+//! [`table_scan`] (the read-mostly sharing the GM cache is measured on).
+//!
 //! Every parallel implementation performs the *real* computation (results
 //! are asserted against the sequential reference) while charging analytic
 //! work to the simulated platform, so figure timings and answer correctness
@@ -25,5 +28,6 @@ pub mod image;
 pub mod knights;
 pub mod matmul;
 pub mod othello;
+pub mod table_scan;
 
-pub use common::Capture;
+pub use common::{run_captured, Capture};

@@ -12,7 +12,7 @@ use dse_api::{Distribution, DseProgram, GmArray, NodeId, ParallelApi, RunResult,
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::Capture;
+use crate::common::run_captured;
 use crate::gauss_seidel::rows_of;
 
 /// Problem description.
@@ -132,14 +132,7 @@ pub fn multiply_parallel(
     nprocs: usize,
     params: MatmulParams,
 ) -> (RunResult, Vec<f64>) {
-    let capture: Capture<Vec<f64>> = Capture::new();
-    let cap = capture.clone();
-    let result = program.run(nprocs, move |ctx| {
-        if let Some(c) = body(ctx, &params) {
-            cap.set(c);
-        }
-    });
-    (result, capture.take())
+    run_captured(program, nprocs, move |ctx| body(ctx, &params))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use dse_api::{Distribution, DseProgram, GmArray, GmCounter, NodeId, ParallelApi,
 
 use super::board::{apply, legal_moves, midgame, squares, Board};
 use super::search::alphabeta;
-use crate::common::Capture;
+use crate::common::run_captured;
 
 /// Charged integer operations per visited search node (move generation,
 /// flips, evaluation).
@@ -183,14 +183,7 @@ pub fn search_parallel(
     nprocs: usize,
     params: OthelloParams,
 ) -> (RunResult, (u8, i32)) {
-    let capture: Capture<(u8, i32)> = Capture::new();
-    let cap = capture.clone();
-    let result = program.run(nprocs, move |ctx| {
-        if let Some(best) = body(ctx, &params) {
-            cap.set(best);
-        }
-    });
-    (result, capture.take())
+    run_captured(program, nprocs, move |ctx| body(ctx, &params))
 }
 
 #[cfg(test)]

@@ -125,6 +125,31 @@ impl ClusterSpec {
     }
 }
 
+/// Table 1 of the paper, as text: the experiment environments.
+pub fn table1() -> String {
+    let row = |a: &str, b: &str, c: &str| format!("{a:<12} {b:<45} {c:<22}\n");
+    let rows = Platform::all()
+        .into_iter()
+        .map(|p| row(p.id, p.machine, p.os));
+    let body: String = rows.collect();
+    let head = row("Platform", "Machine", "OS");
+    format!("== Table 1: Experiment environments ==\n{head}{body}")
+}
+
+/// Table 2 of the paper, as text: machines used vs requested processors
+/// (the virtual-cluster rule, [`ClusterSpec::table2_rows`]).
+pub fn table2(max_p: usize) -> String {
+    let rows = ClusterSpec::table2_rows(PAPER_MACHINES, max_p).into_iter();
+    let body: String = rows
+        .map(|(p, used, colo)| format!("{p:<12} {used:<16} {colo:<22}\n"))
+        .collect();
+    let head = format!(
+        "{:<12} {:<16} {:<22}\n",
+        "processors", "machines used", "max kernels/machine"
+    );
+    format!("== Table 2: machines vs processors (virtual cluster) ==\n{head}{body}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,6 +19,6 @@ mod cluster;
 mod platform;
 mod work;
 
-pub use cluster::{ClusterSpec, PAPER_MACHINES};
+pub use cluster::{table1, table2, ClusterSpec, PAPER_MACHINES};
 pub use platform::{CpuParams, OsParams, Platform};
 pub use work::Work;

@@ -6,8 +6,14 @@
 //! compute. Keeping the mapping here means a new axis value lands in the
 //! CLI and the sweep harness at the same time — they cannot drift.
 
-use dse_kernel::{DseConfig, GmMode, Organization, SchedulerKind, TelemetryConfig};
-use dse_live::{FaultPlan, LiveRunConfig, TransportKind};
+use dse_api::{DseProgram, ParallelApi, RunResult};
+use dse_apps::{
+    dct, gauss_seidel, gauss_seidel_mp, knights, matmul, othello, run_captured, table_scan, Capture,
+};
+use dse_kernel::{DseConfig, GmMode, NetworkChoice, Organization, SchedulerKind, TelemetryConfig};
+use dse_live::{
+    FaultPlan, LiveCtx, LiveRunConfig, LiveRunResult, LiveRunner, RunError, TransportKind,
+};
 use dse_net::Protocol;
 use dse_platform::Platform;
 use dse_sim::SimDuration;
@@ -21,44 +27,31 @@ pub enum AppKind {
     Othello,
     Matmul,
     Knights,
+    Scan,
 }
 
 impl AppKind {
-    /// Every app, in canonical (usage-string) order.
-    pub const ALL: &'static [AppKind] = &[
-        AppKind::Gauss,
-        AppKind::GaussMp,
-        AppKind::Dct,
-        AppKind::Othello,
-        AppKind::Matmul,
-        AppKind::Knights,
+    /// Every app with its CLI/spec name, in canonical (usage-string) order.
+    const NAMES: &'static [(AppKind, &'static str)] = &[
+        (AppKind::Gauss, "gauss"),
+        (AppKind::GaussMp, "gauss-mp"),
+        (AppKind::Dct, "dct"),
+        (AppKind::Othello, "othello"),
+        (AppKind::Matmul, "matmul"),
+        (AppKind::Knights, "knights"),
+        (AppKind::Scan, "scan"),
     ];
 
     /// Parse a CLI/spec app name.
     pub fn parse(name: &str) -> Result<AppKind, String> {
-        match name {
-            "gauss" => Ok(AppKind::Gauss),
-            "gauss-mp" => Ok(AppKind::GaussMp),
-            "dct" => Ok(AppKind::Dct),
-            "othello" => Ok(AppKind::Othello),
-            "matmul" => Ok(AppKind::Matmul),
-            "knights" => Ok(AppKind::Knights),
-            other => Err(format!(
-                "unknown app '{other}' (expected gauss, gauss-mp, dct, othello, matmul or knights)"
-            )),
-        }
-    }
-
-    /// The canonical name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AppKind::Gauss => "gauss",
-            AppKind::GaussMp => "gauss-mp",
-            AppKind::Dct => "dct",
-            AppKind::Othello => "othello",
-            AppKind::Matmul => "matmul",
-            AppKind::Knights => "knights",
-        }
+        let known = AppKind::NAMES.iter().find(|(_, n)| *n == name);
+        known.map(|(app, _)| *app).ok_or_else(|| {
+            let names: Vec<&str> = AppKind::NAMES.iter().map(|(_, n)| *n).collect();
+            format!(
+                "unknown app '{name}' (expected one of {})",
+                names.join(", ")
+            )
+        })
     }
 
     /// Whether the app runs on the live engine. `gauss-mp` is the explicit
@@ -67,11 +60,142 @@ impl AppKind {
     pub fn live_ok(&self) -> bool {
         !matches!(self, AppKind::GaussMp)
     }
+
+    /// The size parameter the app reads (`n`, `block`, `depth` or `jobs`;
+    /// `scan` has none). A spec multiplies a parameter axis only for the
+    /// apps that read it.
+    pub fn size_axis(&self) -> Option<&'static str> {
+        match self {
+            AppKind::Gauss | AppKind::GaussMp | AppKind::Matmul => Some("n"),
+            AppKind::Dct => Some("block"),
+            AppKind::Othello => Some("depth"),
+            AppKind::Knights => Some("jobs"),
+            AppKind::Scan => None,
+        }
+    }
+
+    /// The engine-independent SPMD body of every app but `gauss-mp`
+    /// (which [`run_sim`] dispatches itself): rank 0 returns the answer.
+    fn body<A: ParallelApi>(&self, ctx: &mut A, p: &AppParams) -> Option<Answer> {
+        match self {
+            AppKind::Gauss | AppKind::GaussMp => {
+                gauss_seidel::body(ctx, &p.gauss()).map(Answer::Gauss)
+            }
+            AppKind::Dct => dct::body(ctx, &p.dct()).map(Answer::Dct),
+            AppKind::Othello => othello::body(ctx, &p.othello()).map(Answer::Othello),
+            AppKind::Matmul => matmul::body(ctx, &p.matmul()).map(Answer::Matmul),
+            AppKind::Knights => knights::body(ctx, &p.knights()).map(Answer::Knights),
+            AppKind::Scan => table_scan::body(ctx).map(Answer::Scan),
+        }
+    }
+
+    /// The sequential reference answer, for the apps whose parallel answer
+    /// must equal it bit for bit. Gauss-Seidel's iterate depends on the
+    /// partition, so it has none: its test is [`Answer::self_check`].
+    pub fn reference(&self, p: &AppParams) -> Option<Answer> {
+        match self {
+            AppKind::Gauss | AppKind::GaussMp => None,
+            AppKind::Dct => Some(Answer::Dct(dct::compress_sequential(&p.dct()))),
+            AppKind::Othello => {
+                let (mv, score, _) = othello::search_sequential(&p.othello());
+                Some(Answer::Othello((mv, score)))
+            }
+            AppKind::Matmul => Some(Answer::Matmul(matmul::multiply_sequential(&p.matmul()))),
+            AppKind::Knights => Some(Answer::Knights(
+                knights::count_sequential(p.knights().board).0,
+            )),
+            AppKind::Scan => Some(Answer::Scan(table_scan::scan_sequential())),
+        }
+    }
+}
+
+/// Rank 0's answer, whichever app produced it.
+#[derive(Debug, Clone)]
+pub enum Answer {
+    /// Gauss-Seidel (either variant): the solution vector.
+    Gauss(gauss_seidel::Solution),
+    /// DCT-II: the kept coefficients.
+    Dct(dct::Compressed),
+    /// Othello: best move and its score.
+    Othello((u8, i32)),
+    /// Matmul: the product matrix.
+    Matmul(Vec<f64>),
+    /// Knight's Tour: the tour count.
+    Knights(u64),
+    /// Table scan: the checksum.
+    Scan(u64),
+}
+
+impl Answer {
+    /// 16 hex digits over the answer's bits (FNV-1a): equal on both
+    /// engines and on every PE count where the reference is sequential.
+    pub fn digest(&self) -> String {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for b in bytes {
+                h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        match self {
+            Answer::Gauss(sol) => sol.x.iter().for_each(|v| eat(&v.to_bits().to_le_bytes())),
+            Answer::Dct(out) => out.coeffs.iter().for_each(|c| eat(&c.to_le_bytes())),
+            Answer::Othello((mv, score)) => {
+                eat(&[*mv]);
+                eat(&score.to_le_bytes());
+            }
+            Answer::Matmul(c) => c.iter().for_each(|v| eat(&v.to_bits().to_le_bytes())),
+            Answer::Knights(n) | Answer::Scan(n) => eat(&n.to_le_bytes()),
+        }
+        format!("{h:016x}")
+    }
+
+    /// The acceptance test an answer carries in itself: a Gauss-Seidel
+    /// solve must have converged.
+    pub fn self_check(&self, p: &AppParams) -> Result<(), String> {
+        match self {
+            Answer::Gauss(sol) if sol.delta > p.gauss().eps => Err(format!(
+                "solver did not converge: delta {:e} > eps {:e} after {} sweeps",
+                sol.delta,
+                p.gauss().eps,
+                sol.iters
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Run `app` on the simulator; returns the measured run and rank 0's
+/// answer.
+pub fn run_sim(
+    program: &DseProgram,
+    app: AppKind,
+    p: AppParams,
+    procs: usize,
+) -> (RunResult, Answer) {
+    run_captured(program, procs, move |ctx| match app {
+        AppKind::GaussMp => gauss_seidel_mp::body_mp(ctx, &p.gauss()).map(Answer::Gauss),
+        _ => app.body(ctx, &p),
+    })
+}
+
+/// Run `app` on the live engine; an aborted run is the structured error.
+pub fn run_live(
+    runner: LiveRunner<'_>,
+    app: AppKind,
+    p: AppParams,
+) -> Result<(LiveRunResult, Answer), RunError> {
+    let capture: Capture<Answer> = Capture::new();
+    let run = runner.try_run(|ctx: &mut LiveCtx| {
+        if let Some(answer) = app.body(ctx, &p) {
+            capture.set(answer);
+        }
+    })?;
+    Ok((run, capture.take()))
 }
 
 /// Application parameters shared by both binaries. Fields that an app
 /// does not use are simply ignored by its dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AppParams {
     /// Gauss-Seidel system dimension / matmul matrix dimension.
     pub n: usize,
@@ -94,6 +218,32 @@ impl Default for AppParams {
             depth: 5,
             jobs: 16,
         }
+    }
+}
+
+impl AppParams {
+    fn gauss(&self) -> gauss_seidel::GaussSeidelParams {
+        gauss_seidel::GaussSeidelParams::paper(self.n)
+    }
+
+    fn dct(&self) -> dct::DctParams {
+        let mut params = dct::DctParams::paper(self.block);
+        if self.size != 0 {
+            params.size = self.size;
+        }
+        params
+    }
+
+    fn othello(&self) -> othello::OthelloParams {
+        othello::OthelloParams::paper(self.depth)
+    }
+
+    fn matmul(&self) -> matmul::MatmulParams {
+        matmul::MatmulParams::single(self.n.min(256))
+    }
+
+    fn knights(&self) -> knights::KnightsParams {
+        knights::KnightsParams::paper(self.jobs)
     }
 }
 
@@ -130,9 +280,25 @@ pub fn check_scheduler(name: &str) -> Result<SchedulerKind, String> {
     SchedulerKind::parse(name).ok_or_else(|| format!("scheduler '{name}' is not threads or tasks"))
 }
 
-/// Resolve a platform preset id.
-pub fn platform_by_id(id: &str) -> Result<Platform, String> {
-    Platform::by_id(id).ok_or_else(|| format!("unknown platform '{id}'"))
+/// Validate an interconnect name: the paper's 10 Mb/s shared-bus
+/// Ethernet, or a switched 100 Mb/s fabric with 5 µs port latency.
+pub fn check_network(name: &str) -> Result<NetworkChoice, String> {
+    match name {
+        "bus10" => Ok(NetworkChoice::SharedBus(10_000_000.0)),
+        "switched100" => Ok(NetworkChoice::Switched(
+            100_000_000.0,
+            SimDuration::from_micros(5),
+        )),
+        other => Err(format!("network '{other}' is not bus10 or switched100")),
+    }
+}
+
+/// Resolve a platform value: one preset id, or a `+`-joined list naming
+/// the preset of each machine of a heterogeneous cluster
+/// (`sunos+linux+sunos+linux` is four machines).
+pub fn platforms(value: &str) -> Result<Vec<Platform>, String> {
+    let by_id = |id: &str| Platform::by_id(id).ok_or_else(|| format!("unknown platform '{id}'"));
+    value.split('+').map(by_id).collect()
 }
 
 /// Map a transport name to its kind, enforcing host support.
@@ -151,25 +317,24 @@ pub fn transport_kind(name: &str) -> Result<TransportKind, String> {
     }
 }
 
-/// Validate a fault-plan spec without building the live config.
-pub fn check_fault_plan(spec: &str) -> Result<FaultPlan, String> {
-    FaultPlan::parse(spec)
-}
-
 /// Everything needed to build a simulated-run configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimSettings {
-    /// Platform preset id (`sunos` | `aix` | `linux`).
+    /// Platform preset id (`sunos` | `aix` | `linux`), or a per-machine
+    /// list of them (see [`platforms`]).
     pub platform: String,
     /// Software organization name.
     pub organization: String,
     /// Protocol-stack name.
     pub protocol: String,
+    /// Interconnect name (`bus10` | `switched100`).
+    pub network: String,
     /// Enable the GM cache.
     pub cache: bool,
     /// GM coherence mode (`wi` | `rc`), meaningful with the cache on.
     pub gm_mode: String,
-    /// Physical machine count.
+    /// Physical machine count (a per-machine platform list brings its
+    /// own).
     pub machines: usize,
     /// Record the execution trace.
     pub tracing: bool,
@@ -187,6 +352,7 @@ impl Default for SimSettings {
             platform: "sunos".into(),
             organization: "linked".into(),
             protocol: "tcp".into(),
+            network: "bus10".into(),
             cache: false,
             gm_mode: "wi".into(),
             machines: 6,
@@ -198,12 +364,14 @@ impl Default for SimSettings {
     }
 }
 
-/// Build the platform and [`DseConfig`] for a simulated run.
-pub fn build_sim(settings: &SimSettings) -> Result<(Platform, DseConfig), String> {
-    let platform = platform_by_id(&settings.platform)?;
+/// Build the configured program for a simulated run; also returns the
+/// platform of machine 0 (the only one, unless `platform` is a list).
+pub fn build_sim(settings: &SimSettings) -> Result<(Platform, DseProgram), String> {
+    let platforms = platforms(&settings.platform)?;
     let mut config = DseConfig::paper()
         .with_gm_cache(settings.cache)
-        .with_gm_mode(check_gm_mode(&settings.gm_mode)?);
+        .with_gm_mode(check_gm_mode(&settings.gm_mode)?)
+        .with_network(check_network(&settings.network)?);
     config.organization = check_organization(&settings.organization)?;
     config.protocol = check_protocol(&settings.protocol)?;
     if let Some((interval_ms, watchdog_ms)) = settings.telemetry_ms {
@@ -219,10 +387,15 @@ pub fn build_sim(settings: &SimSettings) -> Result<(Platform, DseConfig), String
     if settings.gm_window != 0 {
         config = config.with_gm_window(settings.gm_window);
     }
-    config = config
-        .with_machines(settings.machines)
-        .with_tracing(settings.tracing);
-    Ok((platform, config))
+    config = config.with_tracing(settings.tracing);
+    let first = platforms[0].clone();
+    let program = if platforms.len() == 1 {
+        DseProgram::new(first.clone()).with_config(config.with_machines(settings.machines))
+    } else {
+        let machines = platforms.len();
+        DseProgram::heterogeneous(platforms).with_config(config.with_machines(machines))
+    };
+    Ok((first, program))
 }
 
 /// Build the [`LiveRunConfig`] for a live run. When `seed` is given and
@@ -284,8 +457,8 @@ mod tests {
 
     #[test]
     fn app_names_roundtrip() {
-        for app in AppKind::ALL {
-            assert_eq!(AppKind::parse(app.name()).unwrap(), *app);
+        for (app, name) in AppKind::NAMES {
+            assert_eq!(AppKind::parse(name), Ok(*app));
         }
         assert!(AppKind::parse("warp").is_err());
         assert!(!AppKind::GaussMp.live_ok());
@@ -294,10 +467,11 @@ mod tests {
 
     #[test]
     fn sim_settings_build_a_config() {
-        let (platform, config) = build_sim(&SimSettings {
+        let (platform, program) = build_sim(&SimSettings {
             platform: "linux".into(),
             organization: "legacy".into(),
             protocol: "udp".into(),
+            network: "switched100".into(),
             cache: true,
             gm_mode: "rc".into(),
             machines: 4,
@@ -307,15 +481,24 @@ mod tests {
             gm_window: 8,
         })
         .unwrap();
+        let config = program.config();
         assert_eq!(platform.id, "linux");
         assert_eq!(config.organization, Organization::SeparateProcess);
         assert_eq!(config.protocol, Protocol::Udp);
+        assert!(matches!(config.network, NetworkChoice::Switched(bps, _) if bps == 100e6));
         assert!(config.gm_cache && config.tracing);
         assert_eq!(config.gm_mode, GmMode::ReleaseConsistency);
         assert_eq!(config.machines, Some(4));
         assert_eq!(config.seed, 42);
         assert_eq!(config.gm_window, 8);
         assert!(config.telemetry.is_some());
+        // A per-machine platform list is its own machine count.
+        let mixed = SimSettings {
+            platform: "sunos+linux+sunos".into(),
+            ..SimSettings::default()
+        };
+        let machines = build_sim(&mixed).map(|(_, program)| program.config().machines);
+        assert_eq!(machines, Ok(Some(3)));
     }
 
     #[test]
@@ -340,7 +523,37 @@ mod tests {
             ..SimSettings::default()
         };
         assert!(build_sim(&s).unwrap_err().contains("not wi or rc"));
+        let s = SimSettings {
+            network: "token-ring".into(),
+            ..SimSettings::default()
+        };
+        assert!(build_sim(&s)
+            .unwrap_err()
+            .contains("not bus10 or switched100"));
         assert!(transport_kind("pigeon").is_err());
+    }
+
+    #[test]
+    fn answers_digest_and_check_themselves() {
+        let p = AppParams::default();
+        let scan = AppKind::Scan.reference(&p).map(|a| a.digest());
+        assert_eq!(scan.as_ref().map(String::len), Some(16));
+        assert_ne!(scan, Some(Answer::Scan(0).digest()));
+        assert!(AppKind::Gauss.reference(&p).is_none());
+        let solved = |delta| {
+            Answer::Gauss(gauss_seidel::Solution {
+                x: vec![1.0],
+                iters: 3,
+                delta,
+            })
+        };
+        assert!(solved(0.0).self_check(&p).is_ok());
+        let err = solved(1.0).self_check(&p).unwrap_err();
+        assert!(err.contains("did not converge"), "{err}");
+        for (app, _) in AppKind::NAMES {
+            let axis = app.size_axis();
+            assert_eq!(axis.is_none(), *app == AppKind::Scan, "{app:?}");
+        }
     }
 
     #[test]

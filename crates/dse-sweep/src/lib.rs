@@ -9,14 +9,20 @@
 //! metrics snapshot into one columnar row ([`run`]), and an aggregation
 //! layer ([`agg`]) folds rows into per-cell summaries, renders the text
 //! table, and compares the columns that repeat exactly with a committed
-//! baseline of canonical rows for the CI regression gate.
+//! baseline of canonical rows for the CI regression gate. A spec that
+//! declares figures (`bench_results/figures.toml`: Figs. 4–21 and the six
+//! ablations) has its rows pivoted into the figure CSVs ([`figure`]) and
+//! held to the paper's findings ([`checks`]).
 //!
 //! The [`build`] module is shared with `dse-run`, so the CLI and the
-//! sweep harness construct engine configurations identically.
+//! sweep harness construct engine configurations, and dispatch the
+//! applications, identically.
 
 pub mod agg;
 pub mod build;
+pub mod checks;
 pub mod exec;
+pub mod figure;
 pub mod json;
 pub mod run;
 pub mod spec;
@@ -24,5 +30,6 @@ pub mod toml;
 
 pub use agg::{aggregate, gate, render_table, CellSummary};
 pub use build::{AppKind, AppParams, SimSettings};
-pub use run::{execute_run, RunRecord, RunStatus};
-pub use spec::{expand, parse_spec, RunSpec, SweepSpec};
+pub use figure::{pivot, Figure, Series};
+pub use run::{execute_run, References, RunRecord, RunStatus};
+pub use spec::{expand, parse_spec, FigureSpec, RunSpec, SweepSpec};

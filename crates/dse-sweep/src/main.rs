@@ -6,6 +6,8 @@
 //! dse-sweep --spec bench_results/sweep_full.toml --out target/sweep \
 //!     --baseline bench_results/BENCH_sweep.jsonl   # exit 1 on any exact difference
 //! dse-sweep --spec spec.toml --list                # print the matrix, run nothing
+//! dse-sweep --spec bench_results/figures.toml --out target/figures
+//!                  # Figs. 4-21 + ablations: one CSV per `[[figure]]`, then the checks
 //! ```
 //!
 //! The hidden `run-one` mode is the child-process entry the executor
@@ -15,7 +17,10 @@
 use std::path::{Path, PathBuf};
 
 use dse_sweep::run::csv_header;
-use dse_sweep::{agg, build, exec, execute_run, expand, parse_spec, RunRecord, RunStatus};
+use dse_sweep::{
+    agg, build, checks, exec, execute_run, expand, parse_spec, pivot, References, RunRecord,
+    RunSpec, RunStatus, SweepSpec,
+};
 
 fn usage() -> ! {
     eprintln!(
@@ -37,7 +42,7 @@ fn fail(msg: &str) -> ! {
 
 struct Args {
     spec: PathBuf,
-    out: Option<PathBuf>,
+    out: PathBuf,
     jobs: usize,
     baseline: Option<PathBuf>,
     list: bool,
@@ -46,7 +51,7 @@ struct Args {
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         spec: PathBuf::new(),
-        out: None,
+        out: PathBuf::new(),
         jobs: 0,
         baseline: None,
         list: false,
@@ -59,7 +64,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         };
         match flag.as_str() {
             "--spec" => args.spec = PathBuf::from(val()?),
-            "--out" => args.out = Some(PathBuf::from(val()?)),
+            "--out" => args.out = PathBuf::from(val()?),
             "--jobs" => {
                 args.jobs = val()?
                     .parse()
@@ -74,7 +79,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.spec.as_os_str().is_empty() {
         return Err("--spec is required".into());
     }
-    if args.out.is_none() && !args.list {
+    if args.out.as_os_str().is_empty() && !args.list {
         return Err("--out is required".into());
     }
     Ok(args)
@@ -96,6 +101,59 @@ fn load_baseline(path: &Path) -> Vec<RunRecord> {
             .unwrap_or_else(|e| fail(&format!("{}:{}: {e}", path.display(), i + 1)))
     };
     src.lines().enumerate().map(row).collect()
+}
+
+/// The figure half of a sweep: the paper's two tables, one CSV per
+/// declared figure, then the shape checks over the figures and the
+/// mechanism checks over the rows. Returns whether the sweep stands as a
+/// reproduction: false only when the spec declares every one of
+/// Figs. 4–21 and a figure could not be drawn or a check failed (a
+/// partial spec may not exercise every shape, so it only reports).
+fn figures(spec: &SweepSpec, runs: &[RunSpec], rows: &[RunRecord], out_dir: &Path) -> bool {
+    println!("{}", dse_platform::table1());
+    println!("{}", dse_platform::table2(12));
+    let cells: Vec<(&RunSpec, &RunRecord)> = runs.iter().zip(rows).collect();
+    let mut undrawn = 0;
+    let mut shape = Vec::new();
+    for decl in &spec.figures {
+        let path = out_dir.join(format!("{}.csv", decl.id));
+        let drawn = pivot(decl, &cells).and_then(|fig| {
+            std::fs::write(&path, fig.to_csv())
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            Ok(fig)
+        });
+        match drawn {
+            Ok(_) if decl.check.is_empty() => {}
+            Ok(fig) => shape.extend(checks::run_shape_check(&decl.check, &fig)),
+            Err(e) => {
+                undrawn += 1;
+                println!("figure {}: not drawn — {e}", decl.id);
+            }
+        }
+    }
+    let mechanism = checks::mechanism_checks(&cells);
+    let mut sound = undrawn == 0;
+    for (title, list) in [
+        ("Shape checks (paper-reported behaviours)", &shape),
+        ("Mechanism checks (blame shares)", &mechanism),
+    ] {
+        let (text, passed) = checks::render_checks(list);
+        println!(
+            "== {title} ==\n{text}== {passed} / {} checks passed ==",
+            list.len()
+        );
+        sound &= passed == list.len();
+    }
+    let drawn = spec.figures.len() - undrawn;
+    println!("figures: {drawn} CSV(s) in {}", out_dir.display());
+    let every_figure = (4..=21).all(|k| {
+        let ids = [format!("fig{k}"), format!("fig{k}-speedup")];
+        spec.figures.iter().any(|f| ids.contains(&f.id))
+    });
+    if !sound && !every_figure {
+        println!("note: the spec does not declare every one of Figs. 4-21, so this only reports");
+    }
+    sound || !every_figure
 }
 
 /// Hidden child mode: `dse-sweep run-one --spec FILE --index I`.
@@ -150,7 +208,7 @@ fn main() {
         return;
     }
     let baseline = args.baseline.as_deref().map(load_baseline);
-    let out_dir = args.out.expect("validated");
+    let out_dir = args.out;
     std::fs::create_dir_all(&out_dir)
         .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", out_dir.display())));
     let out_path = |name: &str| out_dir.join(name);
@@ -181,7 +239,7 @@ fn main() {
         }
     );
     let mut done = 0usize;
-    let rows = exec::run_matrix(&exe, &args.spec, &runs, args.jobs, |rec| {
+    let mut rows = exec::run_matrix(&exe, &args.spec, &runs, args.jobs, |rec| {
         done += 1;
         eprintln!(
             "[{done}/{total}] {} seed={} {} {:.0}ms",
@@ -191,6 +249,10 @@ fn main() {
             rec.wall_ns as f64 / 1e6
         );
     });
+    let mut references = References::default();
+    for (run, row) in runs.iter().zip(&mut rows) {
+        references.verify(run, row);
+    }
 
     let lines = |line: fn(&RunRecord) -> String| -> String {
         rows.iter().map(|r| line(r) + "\n").collect()
@@ -211,6 +273,9 @@ fn main() {
     println!("{table}");
 
     let mut exit = 0;
+    if !spec.figures.is_empty() && !figures(&spec, &runs, &rows, &out_dir) {
+        exit = 1;
+    }
     if let Some(baseline) = &baseline {
         let verdict = agg::gate(&rows, baseline);
         print!("{}", verdict.report);

@@ -1,14 +1,13 @@
 //! In-process execution of one expanded [`RunSpec`], producing one
 //! columnar [`RunRecord`] row from the run's metrics snapshot.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
-use dse_api::{DseProgram, RunResult};
-use dse_apps::{dct, gauss_seidel, gauss_seidel_mp, knights, matmul, othello};
-use dse_live::{LiveCtx, LiveRunResult, LiveRunner};
+use dse_live::LiveRunner;
 use dse_obs::{LogHistogram, MetricsSnapshot, TraceSpanRec};
 
-use crate::build::{self, AppKind, SimSettings};
+use crate::build::{self, Answer, AppKind, SimSettings};
 use crate::json::{self, Value};
 use crate::spec::RunSpec;
 
@@ -192,14 +191,25 @@ columns! {
     gm_mode: String, Both;
     fault_plan: String, Both;
     seed: u64, Both;
-    /// Outcome.
+    /// Outcome: `ok` means the run completed *and* its answer passed the
+    /// application's acceptance test.
     status: RunStatus, Both;
+    /// Digest of rank 0's answer, 16 hex digits (solution bits, kept
+    /// coefficients, best move + score, tour count, product matrix,
+    /// checksum): the sim and the live row of one cell carry the same one.
+    /// Empty when the run produced no answer.
+    result: String, Both;
     /// Failure detail (empty on success).
     note: String, Never;
     /// Host wall-clock nanoseconds for the run.
     wall_ns: u64, Never;
-    /// Virtual nanoseconds (sim runs; 0 on live runs).
+    /// Virtual nanoseconds until the last event (sim runs; 0 on live
+    /// runs).
     virtual_ns: u64, Sim;
+    /// Virtual nanoseconds of the parallel application as its launcher
+    /// observes them — the execution time the paper's figures plot (sim
+    /// runs; 0 on live runs).
+    elapsed_ns: u64, Sim;
     /// Simulator events processed (sim runs; 0 on live runs).
     events: u64, Sim;
     /// Of `events`: wakes that resumed another process's thread, one OS
@@ -369,27 +379,58 @@ fn sim_gm_ops(metrics: &MetricsSnapshot) -> u64 {
     .sum()
 }
 
+/// Per-PE causal spans of a traced run (`trace_spans[pe]`).
+pub type TraceSpans = Vec<Vec<TraceSpanRec>>;
+
 /// Execute one run in-process and produce its row. Aborted live runs
-/// yield a row with `status = abort`; spec-level failures yield
-/// `status = error`. Timeouts are enforced by the parent process, not
+/// yield a row with `status = abort`; spec-level failures and an answer
+/// that fails the application's own acceptance test yield `status =
+/// error`. Answers that have a sequential reference are compared with it
+/// by [`References`]. Timeouts are enforced by the parent process, not
 /// here.
 pub fn execute_run(spec: &RunSpec) -> RunRecord {
-    let app = match AppKind::parse(&spec.app) {
-        Ok(app) => app,
-        Err(e) => return RunRecord::failed(spec, RunStatus::Error, e),
+    execute_traced(spec).0
+}
+
+/// [`execute_run`], also handing back the run's causal spans (every cell
+/// is traced; empty when the run did not start).
+pub fn execute_traced(spec: &RunSpec) -> (RunRecord, TraceSpans) {
+    let run = AppKind::parse(&spec.app).and_then(|app| {
+        if spec.engine == "sim" {
+            execute_sim(spec, app)
+        } else {
+            execute_live(spec, app)
+        }
+    });
+    run.unwrap_or_else(|e| (RunRecord::failed(spec, RunStatus::Error, e), Vec::new()))
+}
+
+/// The row of a run that produced `answer`: ok unless the answer fails
+/// its own acceptance test, with the blame columns filled from the spans.
+fn answered(spec: &RunSpec, answer: &Answer, trace_spans: &[Vec<TraceSpanRec>]) -> RunRecord {
+    let blame = dse_trace::blame(&dse_trace::assemble(trace_spans)).total();
+    let (status, note) = match answer.self_check(&spec.params) {
+        Ok(()) => (RunStatus::Ok, String::new()),
+        Err(e) => (RunStatus::Error, e),
     };
-    if spec.engine == "sim" {
-        execute_sim(spec, app)
-    } else {
-        execute_live(spec, app)
+    RunRecord {
+        result: answer.digest(),
+        blame_compute_ns: blame.compute_ns,
+        blame_serve_ns: blame.serve_ns,
+        blame_net_ns: blame.net_ns,
+        blame_retry_ns: blame.retry_ns,
+        blame_barrier_ns: blame.barrier_ns,
+        blame_lock_ns: blame.lock_ns,
+        ..RunRecord::failed(spec, status, note)
     }
 }
 
-fn execute_sim(spec: &RunSpec, app: AppKind) -> RunRecord {
-    let settings = SimSettings {
+fn execute_sim(spec: &RunSpec, app: AppKind) -> Result<(RunRecord, TraceSpans), String> {
+    let (_, program) = build::build_sim(&SimSettings {
         platform: spec.platform.clone(),
         organization: spec.organization.clone(),
         protocol: spec.protocol.clone(),
+        network: spec.network.clone(),
         cache: spec.cache,
         gm_mode: spec.gm_mode.clone(),
         machines: spec.machines,
@@ -400,49 +441,16 @@ fn execute_sim(spec: &RunSpec, app: AppKind) -> RunRecord {
         telemetry_ms: None,
         seed: Some(spec.seed),
         gm_window: spec.gm_window,
-    };
-    let (platform, config) = match build::build_sim(&settings) {
-        Ok(v) => v,
-        Err(e) => return RunRecord::failed(spec, RunStatus::Error, e),
-    };
-    let program = DseProgram::new(platform).with_config(config);
-    let p = &spec.params;
+    })?;
     let started = Instant::now();
-    let run: RunResult = match app {
-        AppKind::Gauss => {
-            let params = gauss_seidel::GaussSeidelParams::paper(p.n);
-            gauss_seidel::solve_parallel(&program, spec.procs, params).0
-        }
-        AppKind::GaussMp => {
-            let params = gauss_seidel::GaussSeidelParams::paper(p.n);
-            gauss_seidel_mp::solve_parallel_mp(&program, spec.procs, params).0
-        }
-        AppKind::Dct => {
-            let mut params = dct::DctParams::paper(p.block);
-            if p.size != 0 {
-                params.size = p.size;
-            }
-            dct::compress_parallel(&program, spec.procs, params).0
-        }
-        AppKind::Othello => {
-            let params = othello::OthelloParams::paper(p.depth);
-            othello::search_parallel(&program, spec.procs, params).0
-        }
-        AppKind::Matmul => {
-            let params = matmul::MatmulParams::single(p.n.min(256));
-            matmul::multiply_parallel(&program, spec.procs, params).0
-        }
-        AppKind::Knights => {
-            let params = knights::KnightsParams::paper(p.jobs);
-            knights::count_parallel(&program, spec.procs, params).0
-        }
-    };
+    let (run, answer) = build::run_sim(&program, app, spec.params, spec.procs);
     let wall_ns = started.elapsed().as_nanos() as u64;
     let (p50_ns, p99_ns, p999_ns, _) = gm_latency_quantiles(&run.metrics);
     let stats = &run.report.stats;
-    RunRecord {
+    let row = RunRecord {
         wall_ns,
         virtual_ns: run.report.end_time.as_nanos(),
+        elapsed_ns: run.elapsed.as_nanos(),
         events: stats.events,
         handoffs: stats.handoffs,
         inline_wakes: stats.inline_wakes,
@@ -457,90 +465,37 @@ fn execute_sim(spec: &RunSpec, app: AppKind) -> RunRecord {
         p50_ns,
         p99_ns,
         p999_ns,
-        ..blamed(&run.trace_spans, RunRecord::failed(spec, RunStatus::Ok, ""))
-    }
+        ..answered(spec, &answer, &run.trace_spans)
+    };
+    Ok((row, run.trace_spans))
 }
 
-/// `row` with its blame columns filled from a traced run's spans.
-fn blamed(trace_spans: &[Vec<TraceSpanRec>], row: RunRecord) -> RunRecord {
-    let blame = dse_trace::blame(&dse_trace::assemble(trace_spans)).total();
-    RunRecord {
-        blame_compute_ns: blame.compute_ns,
-        blame_serve_ns: blame.serve_ns,
-        blame_net_ns: blame.net_ns,
-        blame_retry_ns: blame.retry_ns,
-        blame_barrier_ns: blame.barrier_ns,
-        blame_lock_ns: blame.lock_ns,
-        ..row
-    }
-}
-
-fn execute_live(spec: &RunSpec, app: AppKind) -> RunRecord {
+fn execute_live(spec: &RunSpec, app: AppKind) -> Result<(RunRecord, TraceSpans), String> {
     if !app.live_ok() {
-        return RunRecord::failed(
-            spec,
-            RunStatus::Error,
-            format!("app '{}' does not run on the live engine", spec.app),
-        );
+        return Err(format!(
+            "app '{}' does not run on the live engine",
+            spec.app
+        ));
     }
-    let mut cfg = match build::build_live(
+    let mut cfg = build::build_live(
         &spec.transport,
         Some(spec.fault_plan.as_str()),
         Some(spec.seed),
         spec.cache,
         &spec.gm_mode,
         &spec.scheduler,
-    ) {
-        Ok(cfg) => cfg,
-        Err(e) => return RunRecord::failed(spec, RunStatus::Error, e),
-    };
+    )?;
     // Always trace live cells: the row's blame columns decompose the
     // run's wall clock, so every sweep shows *where* a cell's time went.
     cfg.tracing = true;
-    let p = spec.params;
     let runner = LiveRunner::new(spec.procs).config(cfg);
     let started = Instant::now();
-    let outcome: Result<LiveRunResult, _> = match app {
-        AppKind::Gauss => {
-            let params = gauss_seidel::GaussSeidelParams::paper(p.n);
-            runner.try_run(move |ctx: &mut LiveCtx| {
-                gauss_seidel::body(ctx, &params);
-            })
-        }
-        AppKind::Dct => {
-            let mut params = dct::DctParams::paper(p.block);
-            if p.size != 0 {
-                params.size = p.size;
-            }
-            runner.try_run(move |ctx: &mut LiveCtx| {
-                dct::body(ctx, &params);
-            })
-        }
-        AppKind::Othello => {
-            let params = othello::OthelloParams::paper(p.depth);
-            runner.try_run(move |ctx: &mut LiveCtx| {
-                othello::body(ctx, &params);
-            })
-        }
-        AppKind::Matmul => {
-            let params = matmul::MatmulParams::single(p.n.min(256));
-            runner.try_run(move |ctx: &mut LiveCtx| {
-                matmul::body(ctx, &params);
-            })
-        }
-        AppKind::Knights => {
-            let params = knights::KnightsParams::paper(p.jobs);
-            runner.try_run(move |ctx: &mut LiveCtx| {
-                knights::body(ctx, &params);
-            })
-        }
-        AppKind::GaussMp => unreachable!("rejected above"),
-    };
+    let outcome = build::run_live(runner, app, spec.params);
     let wall_ns = started.elapsed().as_nanos() as u64;
-    match outcome {
-        Ok(run) => {
+    Ok(match outcome {
+        Ok((run, answer)) => {
             let (p50_ns, p99_ns, p999_ns, blocked_p50_ns) = gm_latency_quantiles(&run.metrics);
-            RunRecord {
+            let row = RunRecord {
                 wall_ns,
                 gm_ops: run.metrics.counter_sum_over_pes("kernel", "gm_ops"),
                 gm_request_msgs: run
@@ -551,17 +506,48 @@ fn execute_live(spec: &RunSpec, app: AppKind) -> RunRecord {
                 p99_ns,
                 p999_ns,
                 blocked_p50_ns,
-                ..blamed(&run.trace_spans, RunRecord::failed(spec, RunStatus::Ok, ""))
-            }
+                ..answered(spec, &answer, &run.trace_spans)
+            };
+            (row, run.trace_spans)
         }
         Err(err) => {
-            let mut rec = RunRecord::failed(
-                spec,
-                RunStatus::Abort,
-                err.report().lines().next().unwrap_or("aborted").to_string(),
+            let note = err.report().lines().next().unwrap_or("aborted").to_string();
+            let row = RunRecord {
+                wall_ns,
+                ..RunRecord::failed(spec, RunStatus::Abort, note)
+            };
+            (row, Vec::new())
+        }
+    })
+}
+
+/// Sequential reference answers, each computed once however many rows
+/// share it (a figure's curve over 12 processor counts has one).
+#[derive(Debug, Default)]
+pub struct References(HashMap<(String, build::AppParams), Option<String>>);
+
+impl References {
+    /// Hold an ok row to its application's sequential reference: a digest
+    /// that differs makes the row `error`, with both digests in the note.
+    /// Apps without a reference (Gauss-Seidel tests itself) pass through.
+    pub fn verify(&mut self, spec: &RunSpec, row: &mut RunRecord) {
+        if row.status != RunStatus::Ok {
+            return;
+        }
+        let reference = || {
+            let app = AppKind::parse(&spec.app).ok()?;
+            Some(app.reference(&spec.params)?.digest())
+        };
+        let want = self
+            .0
+            .entry((spec.app.clone(), spec.params))
+            .or_insert_with(reference);
+        if let Some(want) = want.as_ref().filter(|want| **want != row.result) {
+            row.status = RunStatus::Error;
+            row.note = format!(
+                "result {} differs from the sequential reference {want}",
+                row.result
             );
-            rec.wall_ns = wall_ns;
-            rec
         }
     }
 }
@@ -629,6 +615,34 @@ mod tests {
         assert_eq!(row.status, RunStatus::Ok, "{}", row.note);
         assert_eq!(row.scheduler, "tasks");
         assert!(row.gm_ops > 0);
+    }
+
+    #[test]
+    fn both_engines_answer_with_the_reference_digest_and_a_wrong_answer_is_an_error() {
+        let sim = tiny_sim_spec();
+        let live = first_run(
+            "[[scenario]]\nname = \"t\"\napp = \"matmul\"\nengine = \"live\"\nprocs = [2]\nn = 16\n",
+        );
+        let want = AppKind::Matmul.reference(&sim.params).map(|a| a.digest());
+        let mut references = References::default();
+        for rs in [&sim, &live] {
+            let mut row = execute_run(rs);
+            references.verify(rs, &mut row);
+            assert_eq!(row.status, RunStatus::Ok, "{}", row.note);
+            assert_eq!(Some(&row.result), want.as_ref(), "{}", rs.engine);
+        }
+        // The launcher's clock stops before the kernels are shut down.
+        let mut row = execute_run(&sim);
+        assert!(row.elapsed_ns > 0 && row.elapsed_ns < row.virtual_ns);
+        row.result = "0".repeat(16);
+        references.verify(&sim, &mut row);
+        assert_eq!(row.status, RunStatus::Error);
+        assert!(row.note.contains("differs from the sequential reference"));
+        // Gauss-Seidel has no sequential reference: its row stands as run.
+        let gauss = first_run("[[scenario]]\nname = \"g\"\nprocs = [2]\nn = 32\n");
+        let mut row = execute_run(&gauss);
+        references.verify(&gauss, &mut row);
+        assert_eq!((row.status, row.result.len()), (RunStatus::Ok, 16));
     }
 
     #[test]

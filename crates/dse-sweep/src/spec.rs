@@ -1,26 +1,34 @@
 //! Scenario specs: the TOML sweep description, its normalized in-memory
 //! form, and the expansion into a flat, deterministic run matrix.
 //!
-//! A spec is a `[sweep]` header plus one or more `[[scenario]]` blocks.
-//! Every scenario field that names an axis (`app`, `engine`, `transport`,
-//! `platform`, `procs`, `gm_window`, `cache`, `gm_mode`, `fault_plan`,
-//! `scheduler`) accepts either a scalar or an array; scalars are
-//! normalized to one-element arrays.
+//! A spec is a `[sweep]` header, one or more `[[scenario]]` blocks and,
+//! optionally, `[[figure]]` blocks that say how rows become the paper's
+//! figures. Every scenario field that names an axis (`app`, `engine`,
+//! `transport`, `scheduler`, `platform`, `machines`, `organization`,
+//! `protocol`, `network`, `procs`, `gm_window`, `cache`, `gm_mode`,
+//! `fault_plan`, and the size parameters `n`, `block`, `depth`, `jobs`)
+//! accepts either a scalar or an array; scalars are normalized to
+//! one-element arrays.
 //! Expansion is the Cartesian product of the axes with the seed list,
 //! ordered exactly as written — the run index is stable, which is what
 //! lets a subprocess re-derive its own `RunSpec` from `(spec file, index)`.
 //!
 //! Engine-specific axes follow the same rules `dse-run` enforces on flags:
-//! `transport`/`fault_plan`/`scheduler` only vary live runs,
-//! `platform`/`gm_window` only vary simulated runs; `cache` and `gm_mode`
-//! apply to both engines.
-//! An axis that does not apply to the engine being expanded is pinned to
+//! `transport`/`fault_plan`/`scheduler` only vary live runs; `platform`,
+//! `machines`, `organization`, `protocol`, `network` and `gm_window` only
+//! vary simulated runs; `cache` and `gm_mode` apply to both engines.
+//! An axis that does not apply to the run being expanded is pinned to
 //! its neutral value rather than multiplied, so a mixed
 //! `engine = ["sim", "live"]` scenario produces no meaningless duplicate
 //! cells. `gm_mode` is likewise pinned to `wi` whenever the cache is off —
-//! the coherence protocol only acts on cached replicas.
+//! the coherence protocol only acts on cached replicas — `machines` is
+//! pinned when `platform` is a per-machine list (which brings its own
+//! count), and a size parameter only multiplies the apps that read it
+//! (`n`: gauss, gauss-mp, matmul; `block`: dct; `depth`: othello; `jobs`:
+//! knights).
 
 use crate::build::{self, AppKind, AppParams};
+use crate::checks;
 use crate::toml::{self, Table, Value};
 
 /// Default per-run hard timeout.
@@ -37,10 +45,14 @@ pub struct SweepSpec {
     pub seeds: Vec<u64>,
     /// Scenario blocks in file order.
     pub scenarios: Vec<Scenario>,
+    /// Figure declarations in file order (may be empty).
+    pub figures: Vec<FigureSpec>,
 }
 
 /// One `[[scenario]]` block, fully normalized (every axis an array, every
-/// scalar filled with its default).
+/// scalar filled with its default: `gauss` on the simulated paper cluster —
+/// four of six SunOS machines, linked library, TCP/IP on the 10 Mb/s bus,
+/// no cache — at `dse-run`'s default sizes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
     /// Scenario name; the leading component of every cell id.
@@ -54,7 +66,8 @@ pub struct Scenario {
     /// Live-engine kernel schedulers, `threads` | `tasks` (axis; ignored
     /// for sim runs).
     pub schedulers: Vec<String>,
-    /// Simulated platform presets (axis; ignored for live runs).
+    /// Simulated platforms: a preset id, or a `+`-joined per-machine list
+    /// of them (axis; ignored for live runs).
     pub platforms: Vec<String>,
     /// PE counts (axis).
     pub procs: Vec<usize>,
@@ -69,44 +82,62 @@ pub struct Scenario {
     pub fault_plans: Vec<String>,
     /// Seed override; empty uses the sweep-level list.
     pub seeds: Vec<u64>,
-    /// Simulated machine count.
-    pub machines: usize,
-    /// Simulated software organization (`linked` | `legacy`).
-    pub organization: String,
-    /// Simulated protocol stack (`tcp` | `udp` | `raw`).
-    pub protocol: String,
+    /// Simulated machine counts (axis, sim only).
+    pub machines: Vec<usize>,
+    /// Simulated software organizations, `linked` | `legacy` (axis, sim
+    /// only).
+    pub organizations: Vec<String>,
+    /// Simulated protocol stacks, `tcp` | `udp` | `raw` (axis, sim only).
+    pub protocols: Vec<String>,
+    /// Simulated interconnects, `bus10` | `switched100` (axis, sim only).
+    pub networks: Vec<String>,
     /// Per-run timeout override; `0` uses the sweep-level value.
     pub timeout_ms: u64,
-    /// Application parameters (shared by every run of the scenario).
-    pub params: AppParams,
+    /// Gauss-Seidel / matmul dimensions (axis for those apps).
+    pub ns: Vec<usize>,
+    /// DCT block sizes (axis for dct).
+    pub blocks: Vec<usize>,
+    /// DCT image size override (`0` keeps the paper's 512).
+    pub size: usize,
+    /// Othello search depths (axis for othello).
+    pub depths: Vec<u32>,
+    /// Knight's-Tour job counts (axis for knights).
+    pub jobs: Vec<usize>,
 }
 
-impl Default for Scenario {
-    fn default() -> Scenario {
-        Scenario {
-            name: "scenario".into(),
-            apps: vec!["gauss".into()],
-            engines: vec!["sim".into()],
-            transports: vec!["channel".into()],
-            schedulers: vec!["threads".into()],
-            platforms: vec!["sunos".into()],
-            procs: vec![4],
-            gm_windows: vec![0],
-            caches: vec![false],
-            gm_modes: vec!["wi".into()],
-            fault_plans: vec![String::new()],
-            seeds: Vec::new(),
-            machines: 6,
-            organization: "linked".into(),
-            protocol: "tcp".into(),
-            timeout_ms: 0,
-            params: AppParams::default(),
-        }
-    }
+/// One `[[figure]]` block: how rows of the sweep become one CSV. The
+/// rows of the scenarios in `from` that pass `filter` are grouped into
+/// one series per distinct value of the `series` axes, each a curve of
+/// execution time (or of `T(1)/T(p)`) over the `x` axis.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FigureSpec {
+    /// Figure id: the CSV is `<id>.csv`.
+    pub id: String,
+    /// Scenarios whose rows the figure reads, in series order.
+    pub from: Vec<String>,
+    /// `(axis, value)` pairs a row must match (`where = ["n=400"]`).
+    pub filter: Vec<(String, String)>,
+    /// The x axis.
+    pub x: String,
+    /// Header of the CSV's x column (defaults to the axis name).
+    pub xlabel: String,
+    /// The axes whose values name a series.
+    pub series: Vec<String>,
+    /// Series label template, one `{}` per series axis (`"N={}"`).
+    pub label: String,
+    /// Explicit series labels in order of appearance; replaces the
+    /// template where the axis values are not the published names.
+    pub labels: Vec<String>,
+    /// Plot `T(x = 1) / T(x)` of each series instead of seconds.
+    pub speedup: bool,
+    /// Name of the shape check run on the figure (`""`: none).
+    pub check: String,
 }
 
 /// One fully-resolved run: a single cell instance at a single seed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Fields that do not apply to the run's engine or app hold their type's
+/// default.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunSpec {
     /// Index in the expanded matrix (stable across re-parses of the spec).
     pub idx: usize,
@@ -116,20 +147,22 @@ pub struct RunSpec {
     pub app: String,
     /// `sim` or `live`.
     pub engine: String,
-    /// Live transport (`""` on sim runs).
+    /// Live transport.
     pub transport: String,
-    /// Live kernel scheduler, `threads` | `tasks` (`""` on sim runs).
+    /// Live kernel scheduler, `threads` | `tasks`.
     pub scheduler: String,
-    /// Simulated platform id (`""` on live runs).
+    /// Simulated platform id or per-machine list.
     pub platform: String,
     /// PE count.
     pub procs: usize,
-    /// Simulated machine count.
+    /// Simulated machine count (`0` under a per-machine platform list).
     pub machines: usize,
     /// Simulated software organization.
     pub organization: String,
     /// Simulated protocol stack.
     pub protocol: String,
+    /// Simulated interconnect.
+    pub network: String,
     /// GM pipeline window (`0` = engine default).
     pub gm_window: usize,
     /// GM cache enabled.
@@ -142,6 +175,10 @@ pub struct RunSpec {
     pub seed: u64,
     /// Application parameters.
     pub params: AppParams,
+    /// Cell-id component of the size parameter, when the scenario sweeps
+    /// it (`.n400`); empty otherwise, which keeps the keys of committed
+    /// baselines (one size per scenario) stable.
+    pub swept: String,
     /// Hard wall-clock timeout for this run.
     pub timeout_ms: u64,
 }
@@ -149,7 +186,9 @@ pub struct RunSpec {
 impl RunSpec {
     /// The cell id: every axis except the seed, joined into a stable
     /// dotted key. Runs of one cell differ only by seed; aggregation and
-    /// baseline diffing group by this id.
+    /// baseline diffing group by this id. Axes added after the first
+    /// baselines suffix the id only at a non-default value, so those
+    /// baselines keep their cell keys.
     pub fn cell_id(&self) -> String {
         let mut variant = if self.engine == "sim" {
             let mut v = format!(
@@ -158,16 +197,21 @@ impl RunSpec {
                 self.gm_window,
                 u8::from(self.cache)
             );
-            if self.organization != "linked" {
-                v.push_str(&format!(".{}", self.organization));
+            if ![0, dse_platform::PAPER_MACHINES].contains(&self.machines) {
+                v.push_str(&format!(".m{}", self.machines));
             }
-            if self.protocol != "tcp" {
-                v.push_str(&format!(".{}", self.protocol));
+            for (value, default) in [
+                (&self.organization, "linked"),
+                (&self.protocol, "tcp"),
+                (&self.network, "bus10"),
+            ] {
+                if value != default {
+                    v.push_str(&format!(".{value}"));
+                }
             }
             v
         } else {
-            // Live ids carry the cache axis only when it is on, so
-            // pre-cache baselines keep their cell keys.
+            // Live ids carry the cache axis only when it is on.
             let mut v = if self.fault_plan.is_empty() {
                 self.transport.clone()
             } else {
@@ -176,8 +220,6 @@ impl RunSpec {
             if self.cache {
                 v.push_str(".c1");
             }
-            // The task scheduler suffixes the id only when selected, so
-            // pre-scheduler baselines keep their cell keys.
             if !self.scheduler.is_empty() && self.scheduler != "threads" {
                 v.push_str(&format!(".{}", self.scheduler));
             }
@@ -188,9 +230,37 @@ impl RunSpec {
             variant.push_str(&format!(".{}", self.gm_mode));
         }
         format!(
-            "{}.{}.{}.{}.p{}",
-            self.scenario, self.app, self.engine, variant, self.procs
+            "{}.{}.{}.{}{}.p{}",
+            self.scenario, self.app, self.engine, variant, self.swept, self.procs
         )
+    }
+
+    /// The run's value on the named axis, as text (what a figure's `x`,
+    /// `series` and `where` keys read); `None` for an unknown axis.
+    pub fn axis(&self, name: &str) -> Option<String> {
+        Some(match name {
+            "scenario" => self.scenario.clone(),
+            "app" => self.app.clone(),
+            "engine" => self.engine.clone(),
+            "transport" => self.transport.clone(),
+            "scheduler" => self.scheduler.clone(),
+            "platform" => self.platform.clone(),
+            "procs" => self.procs.to_string(),
+            "machines" => self.machines.to_string(),
+            "organization" => self.organization.clone(),
+            "protocol" => self.protocol.clone(),
+            "network" => self.network.clone(),
+            "gm_window" => self.gm_window.to_string(),
+            "cache" => self.cache.to_string(),
+            "gm_mode" => self.gm_mode.clone(),
+            "fault_plan" => self.fault_plan.clone(),
+            "seed" => self.seed.to_string(),
+            "n" => self.params.n.to_string(),
+            "block" => self.params.block.to_string(),
+            "depth" => self.params.depth.to_string(),
+            "jobs" => self.params.jobs.to_string(),
+            _ => return None,
+        })
     }
 }
 
@@ -205,148 +275,114 @@ fn sanitize(s: &str) -> String {
 // ---------------------------------------------------------------------------
 // parsing
 
+/// The value at `key` as `read` accepts it (`kind` names what it accepts).
+fn scalar<T>(
+    t: &Table,
+    key: &str,
+    kind: &str,
+    read: impl Fn(&Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let read = |v| read(v).ok_or_else(|| format!("{key}: expected {kind}"));
+    t.get(key).map(read).transpose()
+}
+
+/// A scalar or an array whose every element `read` accepts.
+fn list<T>(
+    t: &Table,
+    key: &str,
+    kind: &str,
+    read: impl Fn(&Value) -> Option<T>,
+) -> Result<Option<Vec<T>>, String> {
+    scalar(t, key, kind, |v| {
+        v.as_list().into_iter().map(&read).collect()
+    })
+}
+
+fn as_string(v: &Value) -> Option<String> {
+    v.as_str().map(str::to_string)
+}
+
+fn as_nat<T: TryFrom<i64>>(v: &Value) -> Option<T> {
+    v.as_int().and_then(|n| T::try_from(n).ok())
+}
+
 fn want_str(t: &Table, key: &str) -> Result<Option<String>, String> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| format!("{key}: expected a string")),
-    }
+    scalar(t, key, "a string", as_string)
 }
 
 fn want_u64(t: &Table, key: &str) -> Result<Option<u64>, String> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(v) => match v.as_int() {
-            Some(n) if n >= 0 => Ok(Some(n as u64)),
-            _ => Err(format!("{key}: expected a non-negative integer")),
-        },
+    scalar(t, key, "a non-negative integer", as_nat)
+}
+
+/// [`list`], as an axis: present means non-empty.
+fn axis<T>(
+    t: &Table,
+    key: &str,
+    kind: &str,
+    read: impl Fn(&Value) -> Option<T>,
+) -> Result<Option<Vec<T>>, String> {
+    match list(t, key, kind, read)? {
+        Some(items) if items.is_empty() => Err(format!("{key}: axis must not be empty")),
+        items => Ok(items),
     }
 }
 
-fn want_usize(t: &Table, key: &str) -> Result<Option<usize>, String> {
-    Ok(want_u64(t, key)?.map(|n| n as usize))
+/// A string axis; absent means the one `default`.
+fn strs_or(t: &Table, key: &str, default: &str) -> Result<Vec<String>, String> {
+    Ok(axis(t, key, "string(s)", as_string)?.unwrap_or_else(|| vec![default.to_string()]))
 }
 
-fn str_list(t: &Table, key: &str) -> Result<Option<Vec<String>>, String> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let items: Option<Vec<String>> = v
-                .as_list()
-                .into_iter()
-                .map(|e| e.as_str().map(str::to_string))
-                .collect();
-            let items = items.ok_or_else(|| format!("{key}: expected string(s)"))?;
-            if items.is_empty() {
-                return Err(format!("{key}: axis must not be empty"));
-            }
-            Ok(Some(items))
-        }
+/// A numeric axis; absent means the one `default`.
+fn nats_or<T: TryFrom<i64>>(t: &Table, key: &str, default: T) -> Result<Vec<T>, String> {
+    Ok(axis(t, key, "non-negative integer(s)", as_nat)?.unwrap_or_else(|| vec![default]))
+}
+
+const SWEEP_KEYS: &str = "name timeout_ms seeds";
+const SCENARIO_KEYS: &str = "name app engine transport scheduler platform procs gm_window cache \
+    gm_mode fault_plan seeds machines organization protocol network timeout_ms n block size depth jobs";
+const FIGURE_KEYS: &str = "id from where x xlabel series label labels value check";
+
+fn reject_unknown(t: &Table, allowed: &str, what: &str) -> Result<(), String> {
+    match t
+        .keys()
+        .find(|key| !allowed.split_whitespace().any(|k| k == *key))
+    {
+        Some(key) => Err(format!("{what}: unknown key '{key}'")),
+        None => Ok(()),
     }
-}
-
-fn usize_list(t: &Table, key: &str) -> Result<Option<Vec<usize>>, String> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let items: Option<Vec<usize>> = v
-                .as_list()
-                .into_iter()
-                .map(|e| e.as_int().filter(|n| *n >= 0).map(|n| n as usize))
-                .collect();
-            let items = items.ok_or_else(|| format!("{key}: expected non-negative integer(s)"))?;
-            if items.is_empty() {
-                return Err(format!("{key}: axis must not be empty"));
-            }
-            Ok(Some(items))
-        }
-    }
-}
-
-fn u64_list(t: &Table, key: &str) -> Result<Option<Vec<u64>>, String> {
-    Ok(usize_list(t, key)?.map(|v| v.into_iter().map(|n| n as u64).collect()))
-}
-
-fn bool_list(t: &Table, key: &str) -> Result<Option<Vec<bool>>, String> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let items: Option<Vec<bool>> = v.as_list().into_iter().map(Value::as_bool).collect();
-            let items = items.ok_or_else(|| format!("{key}: expected boolean(s)"))?;
-            if items.is_empty() {
-                return Err(format!("{key}: axis must not be empty"));
-            }
-            Ok(Some(items))
-        }
-    }
-}
-
-const SWEEP_KEYS: &[&str] = &["name", "timeout_ms", "seeds"];
-const SCENARIO_KEYS: &[&str] = &[
-    "name",
-    "app",
-    "engine",
-    "transport",
-    "scheduler",
-    "platform",
-    "procs",
-    "gm_window",
-    "cache",
-    "gm_mode",
-    "fault_plan",
-    "seeds",
-    "machines",
-    "organization",
-    "protocol",
-    "timeout_ms",
-    "n",
-    "block",
-    "size",
-    "depth",
-    "jobs",
-];
-
-fn reject_unknown(t: &Table, allowed: &[&str], what: &str) -> Result<(), String> {
-    for key in t.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!("{what}: unknown key '{key}'"));
-        }
-    }
-    Ok(())
 }
 
 /// Parse a sweep spec from TOML source. All fields are validated here —
-/// unknown keys, unknown apps/engines/transports/platforms, and empty
-/// axes are errors — so expansion cannot fail later.
+/// unknown keys, unknown apps/engines/transports/platforms, empty axes,
+/// figures that name no scenario or no axis — so expansion cannot fail
+/// later.
 pub fn parse_spec(src: &str) -> Result<SweepSpec, String> {
     let doc = toml::parse(src)?;
-    if let Some(root) = doc.tables.get("") {
-        if !root.is_empty() {
-            return Err(format!(
-                "top-level keys must live under [sweep]: '{}'",
-                root.keys().next().unwrap()
-            ));
-        }
+    if let Some(key) = doc.tables.get("").and_then(|root| root.keys().next()) {
+        return Err(format!("top-level keys must live under [sweep]: '{key}'"));
     }
-    for name in doc.tables.keys() {
-        if !name.is_empty() && name != "sweep" {
-            return Err(format!("unknown table [{name}]"));
-        }
+    if let Some(name) = doc
+        .tables
+        .keys()
+        .find(|name| !name.is_empty() && *name != "sweep")
+    {
+        return Err(format!("unknown table [{name}]"));
     }
-    for name in doc.arrays.keys() {
-        if name != "scenario" {
-            return Err(format!("unknown table array [[{name}]]"));
-        }
+    if let Some(name) = doc
+        .arrays
+        .keys()
+        .find(|name| *name != "scenario" && *name != "figure")
+    {
+        return Err(format!("unknown table array [[{name}]]"));
     }
     let sweep = doc.table("sweep");
     reject_unknown(&sweep, SWEEP_KEYS, "[sweep]")?;
     let mut spec = SweepSpec {
         name: want_str(&sweep, "name")?.unwrap_or_else(|| "sweep".into()),
         timeout_ms: want_u64(&sweep, "timeout_ms")?.unwrap_or(DEFAULT_TIMEOUT_MS),
-        seeds: u64_list(&sweep, "seeds")?.unwrap_or_else(|| vec![1]),
+        seeds: nats_or(&sweep, "seeds", 1)?,
         scenarios: Vec::new(),
+        figures: Vec::new(),
     };
     if spec.timeout_ms == 0 {
         return Err("[sweep] timeout_ms: must be positive".into());
@@ -358,32 +394,30 @@ pub fn parse_spec(src: &str) -> Result<SweepSpec, String> {
     for (i, t) in blocks.iter().enumerate() {
         let what = format!("[[scenario]] #{}", i + 1);
         reject_unknown(t, SCENARIO_KEYS, &what)?;
-        let d = Scenario::default();
+        let sizes = AppParams::default();
         let sc = Scenario {
             name: want_str(t, "name")?.unwrap_or_else(|| format!("s{}", i + 1)),
-            apps: str_list(t, "app")?.unwrap_or(d.apps),
-            engines: str_list(t, "engine")?.unwrap_or(d.engines),
-            transports: str_list(t, "transport")?.unwrap_or(d.transports),
-            schedulers: str_list(t, "scheduler")?.unwrap_or(d.schedulers),
-            platforms: str_list(t, "platform")?.unwrap_or(d.platforms),
-            procs: usize_list(t, "procs")?.unwrap_or(d.procs),
-            gm_windows: usize_list(t, "gm_window")?.unwrap_or(d.gm_windows),
-            caches: bool_list(t, "cache")?.unwrap_or(d.caches),
-            gm_modes: str_list(t, "gm_mode")?.unwrap_or(d.gm_modes),
-            fault_plans: str_list(t, "fault_plan")?.unwrap_or(d.fault_plans),
-            seeds: u64_list(t, "seeds")?.unwrap_or_default(),
-            machines: want_usize(t, "machines")?.unwrap_or(d.machines),
-            organization: want_str(t, "organization")?.unwrap_or(d.organization),
-            protocol: want_str(t, "protocol")?.unwrap_or(d.protocol),
+            apps: strs_or(t, "app", "gauss")?,
+            engines: strs_or(t, "engine", "sim")?,
+            transports: strs_or(t, "transport", "channel")?,
+            schedulers: strs_or(t, "scheduler", "threads")?,
+            platforms: strs_or(t, "platform", "sunos")?,
+            procs: nats_or(t, "procs", 4)?,
+            gm_windows: nats_or(t, "gm_window", 0)?,
+            caches: axis(t, "cache", "boolean(s)", Value::as_bool)?.unwrap_or_else(|| vec![false]),
+            gm_modes: strs_or(t, "gm_mode", "wi")?,
+            fault_plans: strs_or(t, "fault_plan", "")?,
+            seeds: axis(t, "seeds", "non-negative integer(s)", as_nat)?.unwrap_or_default(),
+            machines: nats_or(t, "machines", dse_platform::PAPER_MACHINES)?,
+            organizations: strs_or(t, "organization", "linked")?,
+            protocols: strs_or(t, "protocol", "tcp")?,
+            networks: strs_or(t, "network", "bus10")?,
             timeout_ms: want_u64(t, "timeout_ms")?.unwrap_or(0),
-            params: AppParams {
-                n: want_usize(t, "n")?.unwrap_or(AppParams::default().n),
-                block: want_usize(t, "block")?.unwrap_or(AppParams::default().block),
-                size: want_usize(t, "size")?.unwrap_or(0),
-                depth: want_usize(t, "depth")?.unwrap_or(AppParams::default().depth as usize)
-                    as u32,
-                jobs: want_usize(t, "jobs")?.unwrap_or(AppParams::default().jobs),
-            },
+            ns: nats_or(t, "n", sizes.n)?,
+            blocks: nats_or(t, "block", sizes.block)?,
+            size: want_u64(t, "size")?.map_or(sizes.size, |n| n as usize),
+            depths: nats_or(t, "depth", sizes.depth)?,
+            jobs: nats_or(t, "jobs", sizes.jobs)?,
         };
         if sc.name.is_empty() || sc.name.contains('.') || sc.name.contains(char::is_whitespace) {
             return Err(format!("{what}: bad scenario name '{}'", sc.name));
@@ -391,46 +425,123 @@ pub fn parse_spec(src: &str) -> Result<SweepSpec, String> {
         validate_scenario(&what, &sc)?;
         spec.scenarios.push(sc);
     }
+    for (i, t) in doc.arrays.get("figure").into_iter().flatten().enumerate() {
+        let what = format!("[[figure]] #{}", i + 1);
+        reject_unknown(t, FIGURE_KEYS, &what)?;
+        let fig = parse_figure(t).map_err(|e| format!("{what}: {e}"))?;
+        validate_figure(&fig, &spec.scenarios).map_err(|e| format!("{what} ({}): {e}", fig.id))?;
+        spec.figures.push(fig);
+    }
     Ok(spec)
 }
 
+fn parse_figure(t: &Table) -> Result<FigureSpec, String> {
+    let strings = |key: &str| list(t, key, "string(s)", as_string).map(Option::unwrap_or_default);
+    let filter = strings("where")?
+        .iter()
+        .map(|pair| {
+            let (axis, value) = pair.split_once('=')?;
+            Some((axis.trim().to_string(), value.trim().to_string()))
+        })
+        .collect::<Option<Vec<_>>>()
+        .ok_or("where: expected \"axis=value\" strings")?;
+    let x = want_str(t, "x")?.ok_or("x: the figure needs an x axis")?;
+    let series = strings("series")?;
+    Ok(FigureSpec {
+        id: want_str(t, "id")?.ok_or("id: the figure needs an id")?,
+        from: strings("from")?,
+        filter,
+        xlabel: want_str(t, "xlabel")?.unwrap_or_else(|| x.clone()),
+        x,
+        label: want_str(t, "label")?.unwrap_or_else(|| vec!["{}"; series.len()].join("-")),
+        series,
+        labels: strings("labels")?,
+        speedup: match want_str(t, "value")?.as_deref() {
+            None | Some("secs") => false,
+            Some("speedup") => true,
+            Some(other) => return Err(format!("value '{other}' is not secs or speedup")),
+        },
+        check: want_str(t, "check")?.unwrap_or_default(),
+    })
+}
+
+fn validate_figure(fig: &FigureSpec, scenarios: &[Scenario]) -> Result<(), String> {
+    if fig.id.is_empty() || fig.id.contains(['/', '\\']) {
+        return Err("the id must be a file name".into());
+    }
+    if fig.from.is_empty() || fig.series.is_empty() {
+        return Err("from and series must each name at least one entry".into());
+    }
+    if let Some(name) = fig
+        .from
+        .iter()
+        .find(|name| !scenarios.iter().any(|sc| sc.name == **name))
+    {
+        return Err(format!("from: no scenario '{name}'"));
+    }
+    let axes = std::iter::once(&fig.x)
+        .chain(&fig.series)
+        .chain(fig.filter.iter().map(|(axis, _)| axis));
+    if let Some(axis) = axes
+        .into_iter()
+        .find(|axis| RunSpec::default().axis(axis).is_none())
+    {
+        return Err(format!("'{axis}' is not an axis"));
+    }
+    if fig.labels.is_empty() && fig.label.matches("{}").count() != fig.series.len() {
+        return Err(format!(
+            "label '{}' needs one {{}} per series axis ({})",
+            fig.label,
+            fig.series.len()
+        ));
+    }
+    if !fig.check.is_empty() && checks::shape_check(&fig.check).is_none() {
+        return Err(format!("check '{}' is not a shape check", fig.check));
+    }
+    Ok(())
+}
+
 fn validate_scenario(what: &str, sc: &Scenario) -> Result<(), String> {
+    let at = |e: String| format!("{what}: {e}");
     for app in &sc.apps {
-        let kind = AppKind::parse(app).map_err(|e| format!("{what}: {e}"))?;
+        let kind = AppKind::parse(app).map_err(at)?;
         if sc.engines.iter().any(|e| e == "live") && !kind.live_ok() {
             return Err(format!(
                 "{what}: app '{app}' does not run on the live engine"
             ));
         }
     }
-    for engine in &sc.engines {
-        if engine != "sim" && engine != "live" {
-            return Err(format!("{what}: engine '{engine}' is not sim or live"));
-        }
+    let engine = |e: &str| match e {
+        "sim" | "live" => Ok(()),
+        _ => Err(format!("engine '{e}' is not sim or live")),
+    };
+    let plan = |p: &str| match p {
+        "" => Ok(()),
+        _ => dse_live::FaultPlan::parse(p)
+            .map(drop)
+            .map_err(|e| format!("fault_plan: {e}")),
+    };
+    type Check<'a> = &'a dyn Fn(&str) -> Result<(), String>;
+    let named: [(&[String], Check); 9] = [
+        (&sc.engines, &engine),
+        (&sc.transports, &|v| build::transport_kind(v).map(drop)),
+        (&sc.schedulers, &|v| build::check_scheduler(v).map(drop)),
+        (&sc.platforms, &|v| build::platforms(v).map(drop)),
+        (&sc.gm_modes, &|v| build::check_gm_mode(v).map(drop)),
+        (&sc.fault_plans, &plan),
+        (&sc.organizations, &|v| {
+            build::check_organization(v).map(drop)
+        }),
+        (&sc.protocols, &|v| build::check_protocol(v).map(drop)),
+        (&sc.networks, &|v| build::check_network(v).map(drop)),
+    ];
+    for (values, check) in named {
+        values.iter().try_for_each(|v| check(v)).map_err(at)?;
     }
-    for tr in &sc.transports {
-        build::transport_kind(tr).map_err(|e| format!("{what}: {e}"))?;
-    }
-    for sched in &sc.schedulers {
-        build::check_scheduler(sched).map_err(|e| format!("{what}: {e}"))?;
-    }
-    for p in &sc.platforms {
-        build::platform_by_id(p).map_err(|e| format!("{what}: {e}"))?;
-    }
-    for mode in &sc.gm_modes {
-        build::check_gm_mode(mode).map_err(|e| format!("{what}: {e}"))?;
-    }
-    for plan in &sc.fault_plans {
-        if !plan.is_empty() {
-            build::check_fault_plan(plan).map_err(|e| format!("{what}: fault_plan: {e}"))?;
-        }
-    }
-    build::check_organization(&sc.organization).map_err(|e| format!("{what}: {e}"))?;
-    build::check_protocol(&sc.protocol).map_err(|e| format!("{what}: {e}"))?;
     if sc.procs.contains(&0) {
         return Err(format!("{what}: procs must be positive"));
     }
-    if sc.machines == 0 {
+    if sc.machines.contains(&0) {
         return Err(format!("{what}: machines must be positive"));
     }
     Ok(())
@@ -439,192 +550,100 @@ fn validate_scenario(what: &str, sc: &Scenario) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 // expansion
 
+/// `runs` × one axis, the new axis innermost: each run the axis `applies`
+/// to once per value, the others as they are (pinned, not multiplied).
+fn cross<T: Clone>(
+    runs: Vec<RunSpec>,
+    values: &[T],
+    applies: impl Fn(&RunSpec) -> bool,
+    set: impl Fn(&mut RunSpec, T),
+) -> Vec<RunSpec> {
+    let mut out = Vec::with_capacity(runs.len() * values.len());
+    for run in runs {
+        if !applies(&run) {
+            out.push(run);
+            continue;
+        }
+        for value in values {
+            let mut next = run.clone();
+            set(&mut next, value.clone());
+            out.push(next);
+        }
+    }
+    out
+}
+
 /// Expand a spec into its flat run matrix. The order is deterministic:
-/// scenarios in file order, then app, engine, the engine's variant axes,
-/// procs, and seeds, each innermost-last.
+/// scenarios in file order, then app, engine, the simulated cluster's
+/// axes, the live engine's, cache and coherence mode, the size
+/// parameters, procs, and seeds, each innermost-last.
 pub fn expand(spec: &SweepSpec) -> Vec<RunSpec> {
-    let mut runs = Vec::new();
+    let mut matrix = Vec::new();
     for sc in &spec.scenarios {
+        let sim = |r: &RunSpec| r.engine == "sim";
+        let live = |r: &RunSpec| r.engine == "live";
+        let any = |_: &RunSpec| true;
+        let reads = |axis: &'static str| {
+            move |r: &RunSpec| AppKind::parse(&r.app).is_ok_and(|a| a.size_axis() == Some(axis))
+        };
+        // What a run holds on an axis that does not apply to it: `wi`
+        // (the coherence mode only acts on cached replicas, so `cache =
+        // [false, true]` x `gm_mode = ["wi", "rc"]` is three cells, not
+        // four), and the type's default everywhere else.
+        let runs = vec![RunSpec {
+            scenario: sc.name.clone(),
+            gm_mode: "wi".into(),
+            params: AppParams {
+                size: sc.size,
+                ..AppParams::default()
+            },
+            timeout_ms: match sc.timeout_ms {
+                0 => spec.timeout_ms,
+                ms => ms,
+            },
+            ..RunSpec::default()
+        }];
+        // A size parameter enters the cell id only where the scenario sweeps it.
+        let swept = |values: usize, tag: String| if values > 1 { tag } else { String::new() };
+        let runs = cross(runs, &sc.apps, any, |r, v| r.app = v);
+        let runs = cross(runs, &sc.engines, any, |r, v| r.engine = v);
+        let runs = cross(runs, &sc.platforms, sim, |r, v| r.platform = v);
+        // A per-machine platform list is its own machine count.
+        let counted = |r: &RunSpec| sim(r) && !r.platform.contains('+');
+        let runs = cross(runs, &sc.machines, counted, |r, v| r.machines = v);
+        let runs = cross(runs, &sc.organizations, sim, |r, v| r.organization = v);
+        let runs = cross(runs, &sc.protocols, sim, |r, v| r.protocol = v);
+        let runs = cross(runs, &sc.networks, sim, |r, v| r.network = v);
+        let runs = cross(runs, &sc.gm_windows, sim, |r, v| r.gm_window = v);
+        let runs = cross(runs, &sc.transports, live, |r, v| r.transport = v);
+        let runs = cross(runs, &sc.schedulers, live, |r, v| r.scheduler = v);
+        let runs = cross(runs, &sc.caches, any, |r, v| r.cache = v);
+        let runs = cross(runs, &sc.gm_modes, |r| r.cache, |r, v| r.gm_mode = v);
+        let runs = cross(runs, &sc.fault_plans, live, |r, v| r.fault_plan = v);
+        let runs = cross(runs, &sc.ns, reads("n"), |r, v| {
+            (r.params.n, r.swept) = (v, swept(sc.ns.len(), format!(".n{v}")));
+        });
+        let runs = cross(runs, &sc.blocks, reads("block"), |r, v| {
+            (r.params.block, r.swept) = (v, swept(sc.blocks.len(), format!(".b{v}")));
+        });
+        let runs = cross(runs, &sc.depths, reads("depth"), |r, v| {
+            (r.params.depth, r.swept) = (v, swept(sc.depths.len(), format!(".d{v}")));
+        });
+        let runs = cross(runs, &sc.jobs, reads("jobs"), |r, v| {
+            (r.params.jobs, r.swept) = (v, swept(sc.jobs.len(), format!(".j{v}")));
+        });
+        let runs = cross(runs, &sc.procs, any, |r, v| r.procs = v);
         let seeds = if sc.seeds.is_empty() {
             &spec.seeds
         } else {
             &sc.seeds
         };
-        let timeout_ms = if sc.timeout_ms == 0 {
-            spec.timeout_ms
-        } else {
-            sc.timeout_ms
-        };
-        #[allow(clippy::too_many_arguments)]
-        let push = |app: &str,
-                    engine: &str,
-                    transport: &str,
-                    scheduler: &str,
-                    platform: &str,
-                    gm_window: usize,
-                    cache: bool,
-                    gm_mode: &str,
-                    fault_plan: &str,
-                    procs: usize,
-                    seed: u64,
-                    runs: &mut Vec<RunSpec>| {
-            runs.push(RunSpec {
-                idx: runs.len(),
-                scenario: sc.name.clone(),
-                app: app.to_string(),
-                engine: engine.to_string(),
-                transport: transport.to_string(),
-                scheduler: scheduler.to_string(),
-                platform: platform.to_string(),
-                procs,
-                machines: sc.machines,
-                organization: sc.organization.clone(),
-                protocol: sc.protocol.clone(),
-                gm_window,
-                cache,
-                gm_mode: gm_mode.to_string(),
-                fault_plan: fault_plan.to_string(),
-                seed,
-                params: sc.params,
-                timeout_ms,
-            });
-        };
-        // The coherence mode only acts on cached replicas: with the cache
-        // off it is pinned to `wi` instead of multiplied, so `cache =
-        // [false, true]` x `gm_mode = ["wi", "rc"]` yields three cells,
-        // not four.
-        let modes_for = |cache: bool| -> Vec<&str> {
-            if cache {
-                sc.gm_modes.iter().map(String::as_str).collect()
-            } else {
-                vec!["wi"]
-            }
-        };
-        for app in &sc.apps {
-            for engine in &sc.engines {
-                if engine == "sim" {
-                    for platform in &sc.platforms {
-                        for window in &sc.gm_windows {
-                            for cache in &sc.caches {
-                                for mode in modes_for(*cache) {
-                                    for procs in &sc.procs {
-                                        for seed in seeds {
-                                            push(
-                                                app, engine, "", "", platform, *window, *cache,
-                                                mode, "", *procs, *seed, &mut runs,
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    for transport in &sc.transports {
-                        for scheduler in &sc.schedulers {
-                            for cache in &sc.caches {
-                                for mode in modes_for(*cache) {
-                                    for plan in &sc.fault_plans {
-                                        for procs in &sc.procs {
-                                            for seed in seeds {
-                                                push(
-                                                    app, engine, transport, scheduler, "", 0,
-                                                    *cache, mode, plan, *procs, *seed, &mut runs,
-                                                );
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        for mut run in cross(runs, seeds, any, |r, v| r.seed = v) {
+            run.idx = matrix.len();
+            matrix.push(run);
         }
     }
-    runs
-}
-
-// ---------------------------------------------------------------------------
-// re-serialization
-
-fn toml_str_array(items: &[String]) -> String {
-    let inner: Vec<String> = items
-        .iter()
-        .map(|s| Value::Str(s.clone()).to_toml())
-        .collect();
-    format!("[{}]", inner.join(", "))
-}
-
-impl SweepSpec {
-    /// Serialize back to TOML in fully-normalized form: every axis is an
-    /// explicit array and every default is written out, so
-    /// `parse_spec(spec.to_toml()) == *spec` exactly.
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        out.push_str("[sweep]\n");
-        out.push_str(&format!(
-            "name = {}\n",
-            Value::Str(self.name.clone()).to_toml()
-        ));
-        out.push_str(&format!("timeout_ms = {}\n", self.timeout_ms));
-        let seeds: Vec<usize> = self.seeds.iter().map(|s| *s as usize).collect();
-        out.push_str(&format!("seeds = {}\n", toml_usize_array(&seeds)));
-        for sc in &self.scenarios {
-            out.push_str("\n[[scenario]]\n");
-            out.push_str(&format!(
-                "name = {}\n",
-                Value::Str(sc.name.clone()).to_toml()
-            ));
-            out.push_str(&format!("app = {}\n", toml_str_array(&sc.apps)));
-            out.push_str(&format!("engine = {}\n", toml_str_array(&sc.engines)));
-            out.push_str(&format!("transport = {}\n", toml_str_array(&sc.transports)));
-            out.push_str(&format!("scheduler = {}\n", toml_str_array(&sc.schedulers)));
-            out.push_str(&format!("platform = {}\n", toml_str_array(&sc.platforms)));
-            out.push_str(&format!("procs = {}\n", toml_usize_array(&sc.procs)));
-            out.push_str(&format!(
-                "gm_window = {}\n",
-                toml_usize_array(&sc.gm_windows)
-            ));
-            let caches: Vec<String> = sc.caches.iter().map(|b| b.to_string()).collect();
-            out.push_str(&format!("cache = [{}]\n", caches.join(", ")));
-            out.push_str(&format!("gm_mode = {}\n", toml_str_array(&sc.gm_modes)));
-            out.push_str(&format!(
-                "fault_plan = {}\n",
-                toml_str_array(&sc.fault_plans)
-            ));
-            if !sc.seeds.is_empty() {
-                let seeds: Vec<usize> = sc.seeds.iter().map(|s| *s as usize).collect();
-                out.push_str(&format!("seeds = {}\n", toml_usize_array(&seeds)));
-            }
-            out.push_str(&format!("machines = {}\n", sc.machines));
-            out.push_str(&format!(
-                "organization = {}\n",
-                Value::Str(sc.organization.clone()).to_toml()
-            ));
-            out.push_str(&format!(
-                "protocol = {}\n",
-                Value::Str(sc.protocol.clone()).to_toml()
-            ));
-            if sc.timeout_ms != 0 {
-                out.push_str(&format!("timeout_ms = {}\n", sc.timeout_ms));
-            }
-            let p = &sc.params;
-            out.push_str(&format!("n = {}\n", p.n));
-            out.push_str(&format!("block = {}\n", p.block));
-            if p.size != 0 {
-                out.push_str(&format!("size = {}\n", p.size));
-            }
-            out.push_str(&format!("depth = {}\n", p.depth));
-            out.push_str(&format!("jobs = {}\n", p.jobs));
-        }
-        out
-    }
-}
-
-fn toml_usize_array(items: &[usize]) -> String {
-    let inner: Vec<String> = items.iter().map(|n| n.to_string()).collect();
-    format!("[{}]", inner.join(", "))
+    matrix
 }
 
 #[cfg(test)]
@@ -658,8 +677,10 @@ n = 64
         assert_eq!(sc.engines, vec!["sim", "live"]);
         assert_eq!(sc.gm_windows, vec![0]);
         assert_eq!(sc.caches, vec![false]);
-        assert_eq!(sc.params.n, 64);
-        assert_eq!(sc.machines, 6);
+        assert_eq!(sc.ns, vec![64]);
+        assert_eq!(sc.machines, vec![6]);
+        assert_eq!(sc.networks, vec!["bus10"]);
+        assert!(spec.figures.is_empty());
     }
 
     #[test]
@@ -698,100 +719,63 @@ n = 64
     }
 
     #[test]
-    fn roundtrip_through_toml_is_exact() {
-        let spec = parse_spec(SPEC).unwrap();
-        let back = parse_spec(&spec.to_toml()).unwrap();
-        assert_eq!(back, spec);
-    }
-
-    #[test]
     fn unknown_keys_and_values_rejected() {
-        assert!(parse_spec("[[scenario]]\nfrobnicate = 1")
-            .unwrap_err()
-            .contains("unknown key"));
-        assert!(parse_spec("[[scenario]]\napp = \"warp\"")
-            .unwrap_err()
-            .contains("warp"));
-        assert!(parse_spec("[[scenario]]\nengine = \"warp\"")
-            .unwrap_err()
-            .contains("not sim or live"));
-        assert!(parse_spec("[[scenario]]\nprocs = [0]")
-            .unwrap_err()
-            .contains("positive"));
-        assert!(parse_spec("[sweep]\nseeds = []\n[[scenario]]\n")
-            .unwrap_err()
-            .contains("empty"));
-        assert!(parse_spec("").unwrap_err().contains("no [[scenario]]"));
-        assert!(parse_spec("[typo]\n[[scenario]]\n")
-            .unwrap_err()
-            .contains("unknown table"));
+        for (src, what) in [
+            ("[[scenario]]\nfrobnicate = 1", "unknown key"),
+            ("[[scenario]]\napp = \"warp\"", "warp"),
+            ("[[scenario]]\nengine = \"warp\"", "not sim or live"),
+            ("[[scenario]]\nprocs = [0]", "positive"),
+            ("[sweep]\nseeds = []\n[[scenario]]\n", "empty"),
+            ("", "no [[scenario]]"),
+            ("[typo]\n[[scenario]]\n", "unknown table"),
+        ] {
+            let err = parse_spec(src).unwrap_err();
+            assert!(err.contains(what), "{src}: {err}");
+        }
     }
 
     #[test]
-    fn gm_mode_axis_validates_pins_and_suffixes() {
+    fn gm_mode_axis_validates_pins_and_suffixes() -> Result<(), String> {
         // Unknown modes fail at parse time.
         let err = parse_spec("[[scenario]]\ngm_mode = \"mesi\"").unwrap_err();
         assert!(err.contains("not wi or rc"), "{err}");
         // With the cache off the mode is pinned to wi: 1 (c0, wi) +
         // 2 (c1, wi|rc) = 3 cells, and only non-defaults suffix the id.
-        let spec = parse_spec(
+        let ids = cells(
             "[[scenario]]\nname = \"m\"\napp = \"matmul\"\nprocs = [2]\nn = 16\n\
              cache = [false, true]\ngm_mode = [\"wi\", \"rc\"]\n",
-        )
-        .unwrap();
-        let runs = expand(&spec);
-        let cells: Vec<String> = runs.iter().map(RunSpec::cell_id).collect();
-        assert_eq!(
-            cells,
-            vec![
-                "m.matmul.sim.sunos.w0.c0.p2",
-                "m.matmul.sim.sunos.w0.c1.p2",
-                "m.matmul.sim.sunos.w0.c1.rc.p2",
-            ]
-        );
+        )?;
+        let want = ["w0.c0", "w0.c1", "w0.c1.rc"];
+        assert_eq!(ids, want.map(|v| format!("m.matmul.sim.sunos.{v}.p2")));
         // Live runs carry the axis too, with the same suffix rules.
-        let spec = parse_spec(
+        let ids = cells(
             "[[scenario]]\nname = \"m\"\napp = \"matmul\"\nengine = \"live\"\nprocs = [2]\n\
              n = 16\ncache = true\ngm_mode = [\"wi\", \"rc\"]\n",
-        )
-        .unwrap();
-        let cells: Vec<String> = expand(&spec).iter().map(RunSpec::cell_id).collect();
+        )?;
         assert_eq!(
-            cells,
-            vec![
-                "m.matmul.live.channel.c1.p2",
-                "m.matmul.live.channel.c1.rc.p2"
-            ]
+            ids,
+            ["c1", "c1.rc"].map(|v| format!("m.matmul.live.channel.{v}.p2"))
         );
+        Ok(())
     }
 
     #[test]
-    fn scheduler_axis_validates_pins_and_suffixes() {
+    fn scheduler_axis_validates_pins_and_suffixes() -> Result<(), String> {
         // Unknown schedulers fail at parse time.
         let err = parse_spec("[[scenario]]\nscheduler = \"fibers\"").unwrap_err();
         assert!(err.contains("not threads or tasks"), "{err}");
         // The axis only multiplies live runs; sim cells are unchanged and
         // only the non-default value suffixes the id, so pre-scheduler
         // baseline keys survive.
-        let spec = parse_spec(
+        let runs = expand(&parse_spec(
             "[[scenario]]\nname = \"s\"\napp = \"matmul\"\nengine = [\"sim\", \"live\"]\n\
              procs = [2]\nn = 16\nscheduler = [\"threads\", \"tasks\"]\n",
-        )
-        .unwrap();
-        let runs = expand(&spec);
-        let cells: Vec<String> = runs.iter().map(RunSpec::cell_id).collect();
-        assert_eq!(
-            cells,
-            vec![
-                "s.matmul.sim.sunos.w0.c0.p2",
-                "s.matmul.live.channel.p2",
-                "s.matmul.live.channel.tasks.p2",
-            ]
-        );
-        assert!(runs
-            .iter()
-            .filter(|r| r.engine == "sim")
-            .all(|r| r.scheduler.is_empty()));
+        )?);
+        let ids: Vec<String> = runs.iter().map(RunSpec::cell_id).collect();
+        let want = ["sim.sunos.w0.c0", "live.channel", "live.channel.tasks"];
+        assert_eq!(ids, want.map(|v| format!("s.matmul.{v}.p2")));
+        assert!(runs[0].scheduler.is_empty());
+        Ok(())
     }
 
     #[test]
@@ -802,20 +786,131 @@ n = 64
     }
 
     #[test]
-    fn fault_plan_axis_validated_and_in_cell_id() {
+    fn fault_plan_axis_validated_and_in_cell_id() -> Result<(), String> {
         let err =
             parse_spec("[[scenario]]\nengine = \"live\"\nfault_plan = \"frob=1\"").unwrap_err();
         assert!(err.contains("fault_plan"), "{err}");
-        let spec = parse_spec(
+        let ids = cells(
             "[[scenario]]\nname = \"f\"\nengine = \"live\"\nfault_plan = [\"\", \"seed=7,drop=10\"]",
-        )
-        .unwrap();
-        let runs = expand(&spec);
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].cell_id(), "f.gauss.live.channel.p4");
+        )?;
+        let want = [
+            "f.gauss.live.channel.p4",
+            "f.gauss.live.channel.f-seed-7-drop-10.p4",
+        ];
+        assert_eq!(ids, want);
+        Ok(())
+    }
+
+    fn cells(src: &str) -> Result<Vec<String>, String> {
+        Ok(expand(&parse_spec(src)?)
+            .iter()
+            .map(RunSpec::cell_id)
+            .collect())
+    }
+
+    #[test]
+    fn size_axes_multiply_the_apps_that_read_them_and_suffix_swept_ids() -> Result<(), String> {
+        // `n` varies gauss and matmul, `block` varies dct; neither varies
+        // the other's runs, and a one-value axis leaves the id alone.
+        let ids = cells(
+            "[[scenario]]\nname = \"s\"\napp = [\"gauss\", \"dct\", \"scan\"]\nprocs = 2\n\
+             n = [100, 200]\nblock = [4, 8]\ndepth = [3, 4]\njobs = 16\n",
+        )?;
         assert_eq!(
-            runs[1].cell_id(),
-            "f.gauss.live.channel.f-seed-7-drop-10.p4"
+            ids,
+            vec![
+                "s.gauss.sim.sunos.w0.c0.n100.p2",
+                "s.gauss.sim.sunos.w0.c0.n200.p2",
+                "s.dct.sim.sunos.w0.c0.b4.p2",
+                "s.dct.sim.sunos.w0.c0.b8.p2",
+                "s.scan.sim.sunos.w0.c0.p2",
+            ]
         );
+        let ids = cells(
+            "[[scenario]]\nname = \"s\"\napp = [\"othello\", \"knights\"]\nengine = \"live\"\n\
+             procs = 2\ndepth = [3, 4]\njobs = 8\n",
+        )?;
+        assert_eq!(
+            ids,
+            vec![
+                "s.othello.live.channel.d3.p2",
+                "s.othello.live.channel.d4.p2",
+                "s.knights.live.channel.p2",
+            ]
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn simulated_cluster_axes_validate_multiply_and_suffix() -> Result<(), String> {
+        for (line, what) in [
+            ("network = \"token-ring\"", "not bus10 or switched100"),
+            ("organization = \"flat\"", "not linked or legacy"),
+            ("protocol = [\"tcp\", \"ipx\"]", "not tcp, udp or raw"),
+            ("machines = [6, 0]", "machines must be positive"),
+            ("platform = \"sunos+amiga\"", "unknown platform 'amiga'"),
+        ] {
+            let err = parse_spec(&format!("[[scenario]]\n{line}")).unwrap_err();
+            assert!(err.contains(what), "{err}");
+        }
+        // Only sim runs multiply, and only non-default values suffix the id.
+        let ids = cells(
+            "[[scenario]]\nname = \"c\"\nengine = [\"sim\", \"live\"]\nprocs = 2\n\
+             machines = [6, 12]\norganization = [\"linked\", \"legacy\"]\n\
+             network = \"switched100\"\nprotocol = \"udp\"\n",
+        )?;
+        assert_eq!(
+            ids,
+            vec![
+                "c.gauss.sim.sunos.w0.c0.udp.switched100.p2",
+                "c.gauss.sim.sunos.w0.c0.legacy.udp.switched100.p2",
+                "c.gauss.sim.sunos.w0.c0.m12.udp.switched100.p2",
+                "c.gauss.sim.sunos.w0.c0.m12.legacy.udp.switched100.p2",
+                "c.gauss.live.channel.p2",
+            ]
+        );
+        // A per-machine platform list is its own machine count.
+        let ids = cells(
+            "[[scenario]]\nname = \"h\"\nplatform = [\"aix\", \"sunos+linux\"]\n\
+             machines = [6, 12]\nprocs = 2\n",
+        )?;
+        let want = ["aix.w0.c0", "aix.w0.c0.m12", "sunos+linux.w0.c0"];
+        assert_eq!(ids, want.map(|v| format!("h.gauss.sim.{v}.p2")));
+        Ok(())
+    }
+
+    #[test]
+    fn figure_blocks_parse_with_defaults_and_are_validated() -> Result<(), String> {
+        let scenario = "[[scenario]]\nname = \"g\"\nprocs = [1, 2]\nn = [100, 400]\n";
+        let figure = |body: &str| parse_spec(&format!("{scenario}[[figure]]\nid = \"f\"\n{body}"));
+        let spec = figure(
+            "from = \"g\"\nx = \"procs\"\nseries = [\"n\", \"app\"]\nwhere = [\"platform = sunos\"]\n",
+        )?;
+        let fig = &spec.figures[0];
+        assert_eq!(
+            (fig.xlabel.as_str(), fig.label.as_str()),
+            ("procs", "{}-{}")
+        );
+        assert_eq!(fig.filter, [("platform".to_string(), "sunos".to_string())]);
+        assert!(!fig.speedup && fig.check.is_empty() && fig.labels.is_empty());
+        let drawable = "from = \"g\"\nx = \"procs\"\nseries = \"n\"\n";
+        for (body, what) in [
+            ("from = \"g\"\nseries = \"n\"".into(), "needs an x axis"),
+            ("from = \"g\"\nx = \"procs\"".into(), "from and series"),
+            (drawable.replace("\"g\"", "\"h\""), "no scenario 'h'"),
+            (drawable.replace("procs", "cores"), "'cores' is not an axis"),
+            (format!("{drawable}where = \"sunos\""), "axis=value"),
+            (format!("{drawable}label = \"N\""), "one {} per series axis"),
+            (
+                format!("{drawable}value = \"joules\""),
+                "not secs or speedup",
+            ),
+            (format!("{drawable}check = \"vibes\""), "not a shape check"),
+            (format!("{drawable}y = 1"), "unknown key 'y'"),
+        ] {
+            let err = figure(&body).unwrap_err();
+            assert!(err.contains(what) && err.contains("[[figure]] #1"), "{err}");
+        }
+        Ok(())
     }
 }

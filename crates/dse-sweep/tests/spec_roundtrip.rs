@@ -1,13 +1,58 @@
-//! Property tests for the scenario-spec layer: a normalized spec
-//! survives `to_toml` → `parse_spec` exactly, expansion is deterministic
-//! with dense indices and a predictable cardinality, and the cell id is
-//! a function of every axis except the seed.
+//! Property tests for the scenario-spec layer: a normalized spec, written
+//! out as TOML by the serializer below, parses back exactly; expansion is
+//! deterministic with dense indices and a predictable cardinality; and the
+//! cell id is a function of every axis except the seed.
+
+use std::collections::BTreeSet;
+use std::fmt::Debug;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use dse_sweep::spec::Scenario;
-use dse_sweep::{expand, parse_spec, AppParams, SweepSpec};
+use dse_sweep::{expand, parse_spec, AppKind, SweepSpec};
+
+/// A spec's scenarios as TOML in fully-normalized form: every axis an
+/// explicit array and every default written out, so
+/// `parse_spec(to_toml(spec)) == *spec` exactly. (Only these tests write
+/// specs; people write the real ones. Rust's `Debug` form of strings,
+/// numbers, booleans and vectors of them is their TOML form. Figure blocks
+/// are parsed by `spec.rs`'s unit tests and the two committed specs.)
+fn to_toml(spec: &SweepSpec) -> String {
+    let mut out = format!(
+        "[sweep]\nname = {:?}\ntimeout_ms = {}\nseeds = {:?}\n",
+        spec.name, spec.timeout_ms, spec.seeds
+    );
+    for sc in &spec.scenarios {
+        out.push_str("\n[[scenario]]\n");
+        let mut put = |key: &str, value: &dyn Debug| out.push_str(&format!("{key} = {value:?}\n"));
+        put("name", &sc.name);
+        put("app", &sc.apps);
+        put("engine", &sc.engines);
+        put("transport", &sc.transports);
+        put("scheduler", &sc.schedulers);
+        put("platform", &sc.platforms);
+        put("procs", &sc.procs);
+        put("gm_window", &sc.gm_windows);
+        put("cache", &sc.caches);
+        put("gm_mode", &sc.gm_modes);
+        put("fault_plan", &sc.fault_plans);
+        if !sc.seeds.is_empty() {
+            put("seeds", &sc.seeds);
+        }
+        put("machines", &sc.machines);
+        put("organization", &sc.organizations);
+        put("protocol", &sc.protocols);
+        put("network", &sc.networks);
+        put("timeout_ms", &sc.timeout_ms);
+        put("n", &sc.ns);
+        put("block", &sc.blocks);
+        put("size", &sc.size);
+        put("depth", &sc.depths);
+        put("jobs", &sc.jobs);
+    }
+    out
+}
 
 /// Non-empty subset of `items`, chosen by bitmask so the result is
 /// duplicate-free and keeps the source order.
@@ -23,10 +68,12 @@ fn subset(items: &'static [&'static str]) -> impl Strategy<Value = Vec<String>> 
 
 fn scenario() -> impl Strategy<Value = Scenario> {
     let axes = (
-        subset(&["gauss", "gauss-mp", "dct", "othello", "matmul", "knights"]),
+        subset(&[
+            "gauss", "gauss-mp", "dct", "othello", "matmul", "knights", "scan",
+        ]),
         subset(&["sim", "live"]),
         (subset(&["channel", "tcp"]), subset(&["threads", "tasks"])),
-        subset(&["sunos", "aix", "linux"]),
+        subset(&["sunos", "aix", "linux", "sunos+linux"]),
         vec(1usize..9, 1..3),
         vec(0usize..8, 1..3),
     );
@@ -40,26 +87,26 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             Just(vec![String::new(), "seed=7,drop=10".to_string()]),
         ],
         prop_oneof![Just(Vec::<u64>::new()), vec(1u64..100, 1..3)],
-        1usize..8,
-        prop_oneof![Just("linked".to_string()), Just("legacy".to_string())],
-        prop_oneof![
-            Just("tcp".to_string()),
-            Just("udp".to_string()),
-            Just("raw".to_string()),
-        ],
+        vec(1usize..8, 1..3),
+        subset(&["linked", "legacy"]),
+        (
+            subset(&["tcp", "udp", "raw"]),
+            subset(&["bus10", "switched100"]),
+        ),
     );
     let extras = (
         prop_oneof![Just(0u64), 1u64..5000],
-        1usize..300,
-        1usize..16,
+        vec(1usize..300, 1..3),
+        vec(1usize..16, 1..3),
         prop_oneof![Just(0usize), 16usize..64],
-        1usize..6,
-        1usize..20,
+        vec(1u32..6, 1..3),
+        vec(1usize..20, 1..3),
     );
-    (any::<u64>(), axes, variants, extras).prop_map(|(tag, axes, variants, extras)| {
+    (axes, variants, extras).prop_map(|(axes, variants, extras)| {
         let (mut apps, engines, (transports, schedulers), platforms, procs, gm_windows) = axes;
-        let ((caches, gm_modes), fault_plans, seeds, machines, organization, protocol) = variants;
-        let (timeout_ms, n, block, size, depth, jobs) = extras;
+        let ((caches, gm_modes), fault_plans, seeds, machines, organizations, wire) = variants;
+        let (protocols, networks) = wire;
+        let (timeout_ms, ns, blocks, size, depths, jobs) = extras;
         // gauss-mp is sim-only; keep the generated spec valid.
         if engines.iter().any(|e| e == "live") {
             apps.retain(|a| a != "gauss-mp");
@@ -68,7 +115,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             }
         }
         Scenario {
-            name: format!("sc{}", tag % 1000),
+            name: String::new(),
             apps,
             engines,
             transports,
@@ -81,16 +128,15 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             fault_plans,
             seeds,
             machines,
-            organization,
-            protocol,
+            organizations,
+            protocols,
+            networks,
             timeout_ms,
-            params: AppParams {
-                n,
-                block,
-                size,
-                depth: depth as u32,
-                jobs,
-            },
+            ns,
+            blocks,
+            size,
+            depths,
+            jobs,
         }
     })
 }
@@ -102,11 +148,17 @@ fn sweep_spec() -> impl Strategy<Value = SweepSpec> {
         vec(1u64..1000, 1..4),
         vec(scenario(), 1..4),
     )
-        .prop_map(|(tag, timeout_ms, seeds, scenarios)| SweepSpec {
-            name: format!("sweep{}", tag % 100),
-            timeout_ms,
-            seeds,
-            scenarios,
+        .prop_map(|(tag, timeout_ms, seeds, mut scenarios)| {
+            for (i, sc) in scenarios.iter_mut().enumerate() {
+                sc.name = format!("sc{i}");
+            }
+            SweepSpec {
+                name: format!("sweep{}", tag % 100),
+                timeout_ms,
+                seeds,
+                scenarios,
+                figures: Vec::new(),
+            }
         })
 }
 
@@ -115,11 +167,11 @@ proptest! {
 
     #[test]
     fn toml_roundtrip_is_exact(spec in sweep_spec()) {
-        let toml = spec.to_toml();
+        let toml = to_toml(&spec);
         let back = parse_spec(&toml).map_err(TestCaseError::fail)?;
         prop_assert_eq!(&back, &spec, "spec did not survive round-trip:\n{}", toml);
         // Re-serialization is a fixpoint: normalized in, normalized out.
-        prop_assert_eq!(back.to_toml(), toml);
+        prop_assert_eq!(to_toml(&back), toml);
     }
 
     #[test]
@@ -128,15 +180,16 @@ proptest! {
         prop_assert_eq!(&runs, &expand(&spec));
         // The matrix survives a serialize/parse cycle untouched — this is
         // what lets a child process re-derive its RunSpec from (file, idx).
-        let reparsed = parse_spec(&spec.to_toml()).map_err(TestCaseError::fail)?;
+        let reparsed = parse_spec(&to_toml(&spec)).map_err(TestCaseError::fail)?;
         prop_assert_eq!(&runs, &expand(&reparsed));
         for (i, r) in runs.iter().enumerate() {
             prop_assert_eq!(r.idx, i);
         }
-        // Cardinality: per scenario, sim multiplies platform x window
-        // while live multiplies transport x fault plan; both multiply the
-        // cache/mode pairs (mode pinned to wi when the cache is off) and
-        // then apps x procs x seeds.
+        // Cardinality: per scenario, sim multiplies the simulated cluster's
+        // axes (machines only under a single-preset platform) x window while
+        // live multiplies transport x scheduler x fault plan; both multiply
+        // the cache/mode pairs (mode pinned to wi when the cache is off),
+        // each app its own size axis, and then procs x seeds.
         let mut want = 0usize;
         for sc in &spec.scenarios {
             let seeds = if sc.seeds.is_empty() { spec.seeds.len() } else { sc.seeds.len() };
@@ -145,16 +198,43 @@ proptest! {
                 .iter()
                 .map(|&c| if c { sc.gm_modes.len() } else { 1 })
                 .sum();
+            let sizes: usize = sc
+                .apps
+                .iter()
+                .map(|app| match AppKind::parse(app).unwrap().size_axis() {
+                    Some("n") => sc.ns.len(),
+                    Some("block") => sc.blocks.len(),
+                    Some("depth") => sc.depths.len(),
+                    Some("jobs") => sc.jobs.len(),
+                    _ => 1,
+                })
+                .sum();
             for engine in &sc.engines {
                 let variants = if engine == "sim" {
-                    sc.platforms.len() * sc.gm_windows.len() * cache_modes
+                    let clusters: usize = sc
+                        .platforms
+                        .iter()
+                        .map(|p| if p.contains('+') { 1 } else { sc.machines.len() })
+                        .sum();
+                    clusters
+                        * sc.organizations.len()
+                        * sc.protocols.len()
+                        * sc.networks.len()
+                        * sc.gm_windows.len()
+                        * cache_modes
                 } else {
                     sc.transports.len() * sc.schedulers.len() * sc.fault_plans.len() * cache_modes
                 };
-                want += sc.apps.len() * variants * sc.procs.len() * seeds;
+                want += sizes * variants * sc.procs.len() * seeds;
             }
         }
         prop_assert_eq!(runs.len(), want);
+        // Every axis is in the id: runs that differ anywhere but in `idx`
+        // differ in (cell, seed). (A generated axis may list a value twice.)
+        let ids: BTreeSet<_> = runs.iter().map(|r| (r.cell_id(), r.seed)).collect();
+        let unindexed = |r: &dse_sweep::RunSpec| format!("{:?}", dse_sweep::RunSpec { idx: 0, ..r.clone() });
+        let distinct: BTreeSet<_> = runs.iter().map(unindexed).collect();
+        prop_assert_eq!(ids.len(), distinct.len());
     }
 
     #[test]

@@ -245,3 +245,63 @@ fn list_mode_prints_the_matrix_without_running() {
     assert!(stdout.contains("m.matmul.sim.sunos.w0.c0.p2"), "{stdout}");
     assert!(stdout.contains("4 runs"), "{stdout}");
 }
+
+#[test]
+fn figure_specs_write_csvs_and_fail_the_sweep_only_when_they_declare_every_figure() {
+    let dir = scratch("figures");
+    // One curve, and a shape check that has nothing to look at on it.
+    let figure = |id: &str, rest: &str| {
+        format!(
+            "\n[[figure]]\nid = \"{id}\"\nfrom = \"m\"\nwhere = [\"seed=1\"]\nx = \"procs\"\n\
+             series = \"n\"\n{rest}"
+        )
+    };
+    let speed = figure(
+        "speed",
+        "label = \"N={}\"\nvalue = \"speedup\"\ncheck = \"dct\"\n",
+    );
+    let partial = format!("{SPEC}{speed}").replace("procs = [2]", "procs = [1, 2]");
+    let spec = write_spec(&dir, &partial);
+    let (code, stdout, out) = run_sweep(&dir, &spec, "partial", None);
+    assert_eq!(code, 0, "a partial spec only reports: {stdout}");
+    for line in [
+        "[FAIL] speed: dct shape — no series '4x4'",
+        "== 0 / 1 checks passed ==",
+        "so this only reports",
+        "== Table 2: machines vs processors",
+    ] {
+        assert!(stdout.contains(line), "{line}: {stdout}");
+    }
+    // The curve is the rows' launcher-observed times, T(1) / T(p).
+    let rows = read_rows(&out.join("runs.jsonl"));
+    assert!(rows
+        .iter()
+        .all(|r| r.result.len() == 16 && r.result == rows[0].result));
+    let secs = |procs| {
+        let row = rows
+            .iter()
+            .find(|r| (r.seed, r.engine.as_str(), r.procs) == (1, "sim", procs));
+        row.map_or(f64::NAN, |r| r.elapsed_ns as f64 / 1e9)
+    };
+    let csv = std::fs::read_to_string(out.join("speed.csv")).unwrap();
+    assert_eq!(csv, format!("procs,N=12\n1,1\n2,{}\n", secs(1) / secs(2)));
+
+    // The same spec, declaring Figs. 4-21: the failed check fails the sweep.
+    let every: String = (4..=21).map(|k| figure(&format!("fig{k}"), "")).collect();
+    let spec = write_spec(&dir, &format!("{partial}{every}"));
+    let (code, stdout, out) = run_sweep(&dir, &spec, "complete", None);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stdout.contains("[FAIL] speed: dct shape — "), "{stdout}");
+    assert!(!stdout.contains("only reports"), "{stdout}");
+    assert!(stdout.contains("figures: 19 CSV(s)") && out.join("fig21.csv").exists());
+
+    // A figure that cannot be drawn is named, and is not written.
+    let spec = write_spec(&dir, &partial.replace("seed=1", "seed=9"));
+    let (code, stdout, out) = run_sweep(&dir, &spec, "undrawn", None);
+    assert_eq!(code, 0, "{stdout}");
+    let why = "figure speed: not drawn — no row matches the declaration";
+    assert!(
+        stdout.contains(why) && !out.join("speed.csv").exists(),
+        "{stdout}"
+    );
+}

@@ -21,15 +21,12 @@
 //! dse-run dct   --engine live --transport tcp --watch
 //! ```
 
-use std::sync::Mutex;
 use std::time::Duration;
 
-use dse::apps::{dct, gauss_seidel, gauss_seidel_mp, knights, matmul, othello};
-use dse::live::{LiveCtx, LiveRunConfig, LiveRunResult, LiveRunner};
-use dse::prelude::*;
+use dse::live::LiveRunner;
 use dse_obs::TraceSpanRec;
-use dse_sweep::build;
-use dse_sweep::run::RunStatus;
+use dse_sweep::build::{self, Answer, AppKind, AppParams};
+use dse_sweep::run::{execute_traced, References, RunStatus};
 use dse_trace::{analyze, gantt, EngineTracks};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -65,15 +62,29 @@ struct Args {
     explicit: Vec<String>,
 }
 
+impl Args {
+    /// The application parameters the size flags spell.
+    fn params(&self) -> AppParams {
+        AppParams {
+            n: self.n,
+            block: self.block,
+            depth: self.depth,
+            jobs: self.jobs,
+            ..AppParams::default()
+        }
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage: dse-run <gauss|gauss-mp|dct|othello|knights|matmul> [options]
+        "usage: dse-run <gauss|gauss-mp|dct|othello|knights|matmul|scan> [options]
   --engine sim|live            execution engine           (default sim)
   --transport channel|tcp|uds  live engine wire           (default channel)
   --scheduler threads|tasks    live engine kernel driver: one OS thread
                                per PE, or poll-driven tasks on a worker
                                pool (for many-PE runs)    (default threads)
-  --platform sunos|aix|linux   simulated platform        (default sunos)
+  --platform sunos|aix|linux   simulated platform, or one per machine
+                               joined by '+' (sunos+linux) (default sunos)
   --procs N                    processors 1..12           (default 4)
   --machines N                 physical machines          (default 6)
   --n N                        Gauss-Seidel dimension     (default 400)
@@ -104,7 +115,8 @@ fn usage() -> ! {
 
 or run one cell of a sweep scenario spec (see dse-sweep):
   dse-run --scenario FILE            list the spec's cells
-  dse-run --scenario FILE --cell ID  run every seed of that cell"
+  dse-run --scenario FILE --cell ID  run every seed of that cell (add
+                                     --critical-path for time, blame, path)"
     );
     std::process::exit(2)
 }
@@ -224,7 +236,7 @@ fn validate_engine_combos(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(spec) = &args.fault_plan {
-        build::check_fault_plan(spec).map_err(|e| format!("--fault-plan: {e}"))?;
+        dse::live::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
     }
     if build::check_gm_mode(&args.gm_mode).is_err() {
         return Err(format!("--gm-mode: '{}' is not wi or rc", args.gm_mode));
@@ -295,25 +307,30 @@ fn parse() -> Args {
     })
 }
 
-/// `dse-run --scenario FILE [--cell ID]`: run one named cell of a sweep
-/// spec in-process — every seed of the cell, sequentially — printing the
-/// same per-run rows `dse-sweep` collects. Without `--cell`, list the
-/// spec's cells. Exits 1 if any run fails.
+/// `dse-run --scenario FILE [--cell ID [--critical-path]]`: run one named
+/// cell of a sweep spec in-process — every seed, sequentially — printing
+/// the rows `dse-sweep` collects, each held to its sequential reference.
+/// Every cell is traced, so `--critical-path` costs nothing more: it adds
+/// each run's execution time, blame table and critical path. Without
+/// `--cell`, list the spec's cells. Exits 1 if any run fails.
 fn run_scenario_cli(argv: &[String]) -> ! {
-    let mut file: Option<String> = None;
+    let usage = || -> ! {
+        eprintln!("usage: dse-run --scenario FILE [--cell ID [--critical-path]]");
+        std::process::exit(2)
+    };
+    let mut file = String::new();
     let mut cell: Option<String> = None;
+    // What the trace report reads: the defaults, plus --critical-path.
+    let mut args = parse_from(&["scenario".to_string()]).unwrap_or_else(|_| usage());
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        match (flag.as_str(), it.next()) {
-            ("--scenario", Some(v)) => file = Some(v.clone()),
-            ("--cell", Some(v)) => cell = Some(v.clone()),
-            _ => {
-                eprintln!("usage: dse-run --scenario FILE [--cell ID]");
-                std::process::exit(2);
-            }
+        match flag.as_str() {
+            "--critical-path" => args.critical_path = true,
+            "--scenario" => file = it.next().cloned().unwrap_or_else(|| usage()),
+            "--cell" => cell = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            _ => usage(),
         }
     }
-    let file = file.expect("dispatched on --scenario");
     let src = std::fs::read_to_string(&file).unwrap_or_else(|e| {
         eprintln!("cannot read {file}: {e}");
         std::process::exit(2);
@@ -337,11 +354,19 @@ fn run_scenario_cli(argv: &[String]) -> ! {
         eprintln!("no cell '{cell}' in {file} (try --scenario {file} to list)");
         std::process::exit(2);
     }
+    let mut references = References::default();
     let mut failed = false;
     for rs in selected {
-        let rec = dse_sweep::execute_run(rs);
+        let (mut rec, trace_spans) = execute_traced(rs);
+        references.verify(rs, &mut rec);
         println!("{}", rec.to_json_line());
         failed |= rec.status != RunStatus::Ok;
+        if args.critical_path && !trace_spans.is_empty() {
+            if rs.engine == "sim" {
+                println!("execution time: {} s", rec.elapsed_ns as f64 / 1e9);
+            }
+            report_causal_trace(&args, &trace_spans, &EngineTracks::default());
+        }
     }
     std::process::exit(i32::from(failed))
 }
@@ -360,17 +385,22 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(1);
     }
+    let app = AppKind::parse(&args.app).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     if args.engine == "live" {
-        run_live_cli(&args);
+        run_live_cli(&args, app);
     } else {
-        run_sim_cli(&args);
+        run_sim_cli(&args, app);
     }
 }
 
 /// Run the selected workload on the live engine: real threads, the chosen
 /// transport carrying every remote GM access, results printed exactly like
 /// the simulator's so the two engines are directly comparable.
-fn run_live_cli(args: &Args) {
+fn run_live_cli(args: &Args, app: AppKind) {
+    let params = args.params();
     let mut cfg = build::build_live(
         &args.transport,
         args.fault_plan.as_deref(),
@@ -388,53 +418,28 @@ fn run_live_cli(args: &Args) {
     if let Some(spec) = &args.fault_plan {
         println!("# fault plan: {spec}");
     }
-    let run = match args.app.as_str() {
-        "gauss" => {
-            let params = gauss_seidel::GaussSeidelParams::paper(args.n);
-            let (run, sol) = live_app(args, &cfg, |ctx| gauss_seidel::body(ctx, &params));
-            println!(
-                "solved N={} in {} sweeps, final delta {:.2e}",
-                args.n, sol.iters, sol.delta
-            );
-            run
-        }
-        "dct" => {
-            let params = dct::DctParams::paper(args.block);
-            let (run, out) = live_app(args, &cfg, |ctx| dct::body(ctx, &params));
-            println!(
-                "compressed {}x{} image, {} coefficients kept",
-                params.size,
-                params.size,
-                out.coeffs.len()
-            );
-            run
-        }
-        "othello" => {
-            let params = othello::OthelloParams::paper(args.depth);
-            let (run, (mv, score)) = live_app(args, &cfg, |ctx| othello::body(ctx, &params));
-            println!(
-                "depth {}: best move {}{} score {:+}",
-                args.depth,
-                (b'a' + mv % 8) as char,
-                mv / 8 + 1,
-                score
-            );
-            run
-        }
-        "matmul" => {
-            let params = matmul::MatmulParams::single(args.n.min(256));
-            let (run, c) = live_app(args, &cfg, |ctx| matmul::body(ctx, &params));
-            println!("multiplied {0}x{0} matrices, C[0]={1:.4}", params.n, c[0]);
-            run
-        }
-        "knights" => {
-            let params = knights::KnightsParams::paper(args.jobs);
-            let (run, count) = live_app(args, &cfg, |ctx| knights::body(ctx, &params));
-            println!("counted {count} tours ({} jobs)", args.jobs);
-            run
-        }
-        _ => usage(),
+    let hook = |agg: &dse::obs::ClusterAggregator, now_ns: u64| {
+        println!("-- t={:.1}ms", now_ns as f64 / 1e6);
+        print!("{}", dse::ssi::render_top(agg, now_ns));
     };
+    let mut runner = LiveRunner::new(args.procs).config(cfg.clone());
+    if args.watch {
+        runner = runner.watch(Duration::from_millis(args.watch_ms), &hook);
+    }
+    // An aborted run prints the per-PE failure report, writes the
+    // flight-recorder post-mortem if `--flight-json` asked for one, and
+    // exits with status 1.
+    let (run, answer) = build::run_live(runner, app, params).unwrap_or_else(|err| {
+        eprint!("{}", err.report());
+        if let Some(path) = &args.flight_json {
+            match std::fs::write(path, &err.flight_jsonl) {
+                Ok(()) => eprintln!("flight recorder post-mortem written to {path}"),
+                Err(e) => eprintln!("cannot write flight recorder to {path}: {e}"),
+            }
+        }
+        std::process::exit(1);
+    });
+    println!("{}", describe(app, &params, &answer));
     println!(
         "wall time: {:?}   gm request messages: {}   requests served: {}",
         run.elapsed,
@@ -444,41 +449,49 @@ fn run_live_cli(args: &Args) {
             .counter_sum_over_pes("kernel", "requests_served"),
     );
     if args.cache {
-        let c = |name: &str| run.metrics.counter_sum_over_pes("kernel", name);
-        println!(
-            "directory: {} hits / {} misses / {} leases / {} invals",
-            c("dir_hits"),
-            c("dir_misses"),
-            c("dir_leases"),
-            c("dir_invals"),
-        );
-        if args.gm_mode == "rc" {
-            println!(
-                "rc: {} deferred invalidations / {} acquires",
-                c("rc_deferred_invals"),
-                c("rc_acquires"),
-            );
-        }
+        print_directory(&run.metrics, &args.gm_mode);
     }
-    let write = |path: &str, what: &str, data: String| {
-        if let Err(e) = std::fs::write(path, data) {
-            eprintln!("cannot write {what} to {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("{what} written to {path}");
-    };
     if let Some(path) = &args.metrics_json {
-        write(path, "metrics (JSONL)", run.metrics.to_jsonl());
+        write_out(path, "metrics (JSONL)", run.metrics.to_jsonl());
     }
     if let Some(path) = &args.metrics_csv {
-        write(path, "metrics (CSV)", run.metrics.to_csv());
+        write_out(path, "metrics (CSV)", run.metrics.to_csv());
     }
     if let Some(path) = &args.flight_json {
-        write(path, "flight recorder", run.flight_jsonl.clone());
+        write_out(path, "flight recorder", run.flight_jsonl.clone());
     }
     if cfg.tracing {
         report_causal_trace(args, &run.trace_spans, &EngineTracks::default());
     }
+}
+
+/// The GM cache's directory counters, summed over PEs (either engine's
+/// metrics carry them).
+fn print_directory(metrics: &dse_obs::MetricsSnapshot, gm_mode: &str) {
+    let c = |name: &str| metrics.counter_sum_over_pes("kernel", name);
+    println!(
+        "directory: {} hits / {} misses / {} leases / {} invals",
+        c("dir_hits"),
+        c("dir_misses"),
+        c("dir_leases"),
+        c("dir_invals"),
+    );
+    if gm_mode == "rc" {
+        println!(
+            "rc: {} deferred invalidations / {} acquires",
+            c("rc_deferred_invals"),
+            c("rc_acquires"),
+        );
+    }
+}
+
+/// Write an export the run was asked for; a failure is exit status 1.
+fn write_out(path: &str, what: &str, data: String) {
+    if let Err(e) = std::fs::write(path, data) {
+        eprintln!("cannot write {what} to {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("{what} written to {path}");
 }
 
 /// Whether a flag asked for the run's causal spans.
@@ -549,45 +562,44 @@ fn report_causal_trace(args: &Args, trace_spans: &[Vec<TraceSpanRec>], engine: &
     );
 }
 
-/// Execute one SPMD body on the live engine (watched if `--watch`) and
-/// return the run alongside rank 0's result. An aborted run prints the
-/// per-PE failure report, writes the flight-recorder post-mortem if
-/// `--flight-json` asked for one, and exits with status 1.
-fn live_app<T: Send>(
-    args: &Args,
-    cfg: &LiveRunConfig,
-    body: impl Fn(&mut LiveCtx) -> Option<T> + Send + Sync,
-) -> (LiveRunResult, T) {
-    let slot: Mutex<Option<T>> = Mutex::new(None);
-    let capture = |ctx: &mut LiveCtx| {
-        if let Some(v) = body(ctx) {
-            *slot.lock().unwrap() = Some(v);
-        }
-    };
-    let hook = |agg: &dse::obs::ClusterAggregator, now_ns: u64| {
-        println!("-- t={:.1}ms", now_ns as f64 / 1e6);
-        print!("{}", dse::ssi::render_top(agg, now_ns));
-    };
-    let mut runner = LiveRunner::new(args.procs).config(cfg.clone());
-    if args.watch {
-        runner = runner.watch(Duration::from_millis(args.watch_ms), &hook);
+/// What the run answered, in the words of its application.
+fn describe(app: AppKind, p: &AppParams, answer: &Answer) -> String {
+    match answer {
+        Answer::Gauss(sol) => format!(
+            "solved N={}{} in {} sweeps, final delta {:.2e}",
+            p.n,
+            if app == AppKind::GaussMp {
+                " (message passing)"
+            } else {
+                ""
+            },
+            sol.iters,
+            sol.delta
+        ),
+        Answer::Dct(out) => format!(
+            "compressed {0}x{0} image, {1} coefficients kept",
+            out.size,
+            out.coeffs.len()
+        ),
+        Answer::Othello((mv, score)) => format!(
+            "depth {}: best move {}{} score {:+}",
+            p.depth,
+            (b'a' + mv % 8) as char,
+            mv / 8 + 1,
+            score
+        ),
+        Answer::Matmul(c) => format!(
+            "multiplied {0}x{0} matrices, C[0]={1:.4}",
+            c.len().isqrt(),
+            c[0]
+        ),
+        Answer::Knights(count) => format!("counted {count} tours ({} jobs)", p.jobs),
+        Answer::Scan(sum) => format!("scanned the shared table, checksum {sum}"),
     }
-    let run = runner.try_run(capture);
-    let run = run.unwrap_or_else(|err| {
-        eprint!("{}", err.report());
-        if let Some(path) = &args.flight_json {
-            match std::fs::write(path, &err.flight_jsonl) {
-                Ok(()) => eprintln!("flight recorder post-mortem written to {path}"),
-                Err(e) => eprintln!("cannot write flight recorder to {path}: {e}"),
-            }
-        }
-        std::process::exit(1);
-    });
-    let result = slot.into_inner().unwrap().expect("rank 0 result");
-    (run, result)
 }
 
-fn run_sim_cli(args: &Args) {
+fn run_sim_cli(args: &Args, app: AppKind) {
+    let params = args.params();
     let settings = build::SimSettings {
         platform: args.platform.clone(),
         organization: args.organization.clone(),
@@ -601,14 +613,12 @@ fn run_sim_cli(args: &Args) {
         // --watch and --flight-json both need the in-band telemetry plane.
         telemetry_ms: (args.watch || args.flight_json.is_some())
             .then_some((args.watch_ms, args.watchdog_ms)),
-        seed: None,
-        gm_window: 0,
+        ..build::SimSettings::default()
     };
-    let (platform, config) = build::build_sim(&settings).unwrap_or_else(|e| {
+    let (platform, mut program) = build::build_sim(&settings).unwrap_or_else(|e| {
         eprintln!("{e}");
         usage()
     });
-    let mut program = DseProgram::new(platform.clone()).with_config(config);
     if args.watch {
         program = program.with_epoch_hook(|agg, now_ns| {
             println!("-- t={:.1}ms", now_ns as f64 / 1e6);
@@ -618,64 +628,14 @@ fn run_sim_cli(args: &Args) {
 
     println!(
         "# {} on {} ({}), {} processors / {} machines",
-        args.app, platform.os, platform.machine, args.procs, args.machines
+        args.app,
+        platform.os,
+        platform.machine,
+        args.procs,
+        program.config().machines.unwrap_or(args.machines)
     );
-    let run = match args.app.as_str() {
-        "gauss" => {
-            let params = gauss_seidel::GaussSeidelParams::paper(args.n);
-            let (run, sol) = gauss_seidel::solve_parallel(&program, args.procs, params);
-            println!(
-                "solved N={} in {} sweeps, final delta {:.2e}",
-                args.n, sol.iters, sol.delta
-            );
-            run
-        }
-        "gauss-mp" => {
-            let params = gauss_seidel::GaussSeidelParams::paper(args.n);
-            let (run, sol) = gauss_seidel_mp::solve_parallel_mp(&program, args.procs, params);
-            println!(
-                "solved N={} (message passing) in {} sweeps, final delta {:.2e}",
-                args.n, sol.iters, sol.delta
-            );
-            run
-        }
-        "dct" => {
-            let params = dct::DctParams::paper(args.block);
-            let (run, out) = dct::compress_parallel(&program, args.procs, params);
-            println!(
-                "compressed {}x{} image, {} coefficients kept",
-                params.size,
-                params.size,
-                out.coeffs.len()
-            );
-            run
-        }
-        "othello" => {
-            let params = othello::OthelloParams::paper(args.depth);
-            let (run, (mv, score)) = othello::search_parallel(&program, args.procs, params);
-            println!(
-                "depth {}: best move {}{} score {:+}",
-                args.depth,
-                (b'a' + mv % 8) as char,
-                mv / 8 + 1,
-                score
-            );
-            run
-        }
-        "matmul" => {
-            let params = matmul::MatmulParams::single(args.n.min(256));
-            let (run, c) = matmul::multiply_parallel(&program, args.procs, params);
-            println!("multiplied {0}x{0} matrices, C[0]={1:.4}", params.n, c[0]);
-            run
-        }
-        "knights" => {
-            let params = knights::KnightsParams::paper(args.jobs);
-            let (run, count) = knights::count_parallel(&program, args.procs, params);
-            println!("counted {count} tours ({} jobs)", args.jobs);
-            run
-        }
-        _ => usage(),
-    };
+    let (run, answer) = build::run_sim(&program, app, params, args.procs);
+    println!("{}", describe(app, &params, &answer));
 
     println!(
         "execution time: {}   messages: {}   wire bytes: {}   collisions: {}",
@@ -686,16 +646,7 @@ fn run_sim_cli(args: &Args) {
             "cache: {} hits / {} misses / {} invalidations",
             run.stats.cache_hits, run.stats.cache_misses, run.stats.cache_invalidations
         );
-        println!(
-            "directory: {} hits / {} misses / {} leases / {} invals",
-            run.stats.dir_hits, run.stats.dir_misses, run.stats.dir_leases, run.stats.dir_invals
-        );
-        if args.gm_mode == "rc" {
-            println!(
-                "rc: {} deferred invalidations / {} acquires",
-                run.stats.rc_deferred_invals, run.stats.rc_acquires
-            );
-        }
+        print_directory(&run.metrics, &args.gm_mode);
     }
     if args.trace {
         let trace = run.report.trace.as_ref().expect("tracing enabled");
@@ -704,18 +655,11 @@ fn run_sim_cli(args: &Args) {
         print!("{}", analysis.render());
         println!("{}", gantt(trace, run.report.end_time, 72));
     }
-    let write = |path: &str, what: &str, data: String| {
-        if let Err(e) = std::fs::write(path, data) {
-            eprintln!("cannot write {what} to {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("{what} written to {path}");
-    };
     if let Some(path) = &args.metrics_json {
-        write(path, "metrics (JSONL)", run.metrics_jsonl());
+        write_out(path, "metrics (JSONL)", run.metrics_jsonl());
     }
     if let Some(path) = &args.metrics_csv {
-        write(path, "metrics (CSV)", run.metrics_csv());
+        write_out(path, "metrics (CSV)", run.metrics_csv());
     }
     if wants_causal_trace(args) {
         let engine = EngineTracks::of(&run.report, &run.bus_intervals);
@@ -733,11 +677,8 @@ fn run_sim_cli(args: &Args) {
             );
         }
         if let Some(path) = &args.flight_json {
-            write(
-                path,
-                "flight recorder",
-                tel.flight_jsonl.clone().unwrap_or_default(),
-            );
+            let ring = tel.flight_jsonl.clone().unwrap_or_default();
+            write_out(path, "flight recorder", ring);
         }
     }
 }
