@@ -62,7 +62,7 @@ pub fn reduce_f64(ctx: &mut impl ParallelApi, value: f64, op: impl Fn(f64, f64) 
 /// Sum reduction over one `f64` per rank.
 ///
 /// ```
-/// use dse_api::{collective, DseProgram, Platform};
+/// use dse_api::{collective, DseProgram, ParallelApi, Platform};
 ///
 /// DseProgram::new(Platform::aix_rs6000()).run(4, |ctx| {
 ///     let sum = collective::reduce_sum(ctx, (ctx.rank() + 1) as f64);

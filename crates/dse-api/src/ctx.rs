@@ -1,16 +1,22 @@
-//! `DseCtx` — the parallel application programming interface.
+//! `ApiCtx` — the Parallel API library, and its simulator port.
 //!
-//! Every DSE process body receives a `DseCtx`. Its methods are the paper's
-//! Parallel API library: global-memory access (which transparently becomes
-//! the own-node fast path or request/response messages to home-node
-//! kernels), barriers and locks (coordinated by node 0), point-to-point
-//! user messages, and computation charging.
+//! Every DSE process body receives an [`ApiCtx`]. Its [`ParallelApi`]
+//! implementation is the paper's Parallel API library: global-memory access
+//! (which transparently becomes the own-node fast path or request/response
+//! messages to home-node kernels), barriers and locks (coordinated by node
+//! 0), atomics, and computation charging. It is written once, over a
+//! [`GmPort`]: the context owns the shared [`GmClient`], the sequence
+//! counters and the one body of every operation, and both engines run
+//! exactly that code.
 //!
-//! Global memory is the shared [`GmClient`]; this file is its simulator
-//! driver: [`SimPort`] charges virtual time, sends through the network
-//! model, times each request for the latency histograms and stamps the
-//! shared [`RequesterSpans`] with the virtual clock, and the
-//! synchronization primitives wait on the same port.
+//! [`DseCtx`] is the context over [`SimPort`], the simulator's port, which
+//! this file also holds: it charges virtual time, sends through the network
+//! model, times each request for the latency histograms, stamps the shared
+//! [`RequesterSpans`] with the virtual clock, and on node 0 calls the
+//! coordinator in place. `dse-live` supplies the other port. What `DseCtx`
+//! offers beyond the shared surface (virtual time, point-to-point user
+//! messages, named barriers, cooperative termination) is an inherent
+//! extension of the simulator instantiation only.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -19,18 +25,20 @@ use dse_kernel::kernel::{count as count_kernel, SimRequester};
 use dse_kernel::netpath::{charge_local, charge_recv, send_msg};
 use dse_kernel::protocol::{barrier_enter, lock_acquire, lock_release, sharers_to_invalidate};
 use dse_kernel::{
-    ClusterShared, Distribution, GlobalStore, GmMode, HomeSpans, Party, SimKernelPort, SimMsg,
+    ClusterShared, Distribution, GlobalStore, GmError, GmMode, HomeSpans, Party, SimKernelPort,
+    SimMsg,
 };
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
 use dse_obs::{MetricKey, SpanKind, TraceRole, TraceSpanKind};
 use dse_platform::Work;
 use dse_sim::{ProcCtx, ProcId, SimDuration, SimTime};
 
-use crate::gm_client::{GmClient, GmCount, GmHandle, GmPort, GmProtocolError};
+use crate::api::ParallelApi;
+use crate::gm_client::{latency_series, GmClient, GmCount, GmHandle, GmPort, GmProtocolError};
 use crate::req_spans::{Arrival, RequesterSpans, SentReq};
 
 /// Barrier ids above this are reserved for the auto-sequenced
-/// [`DseCtx::barrier`]; named barriers must stay below.
+/// [`ParallelApi::barrier`]; named barriers must stay below.
 pub const AUTO_BARRIER_BASE: u32 = 0x4000_0000;
 
 /// A received user message.
@@ -52,23 +60,11 @@ struct OpenReq {
     sent: Option<SentReq>,
 }
 
-/// The latency series (`subsystem`, `name`) an exchange of `kind` samples.
-fn series_of(kind: SpanKind) -> (&'static str, &'static str) {
-    match kind {
-        SpanKind::GmRead => ("gm", "remote_read_ns"),
-        SpanKind::GmWrite => ("gm", "remote_write_ns"),
-        SpanKind::GmBatch => ("gm", "batch_ns"),
-        SpanKind::GmFetchAdd => ("gm", "fetch_add_ns"),
-        SpanKind::Barrier => ("sync", "barrier_wait_ns"),
-        SpanKind::Lock => ("sync", "lock_wait_ns"),
-    }
-}
-
 /// The simulator behind [`GmPort`]: the process's simulation context, the
 /// cluster's shared state, the messages that arrived while the process was
 /// waiting for something else, the requests it has on the wire, and its
 /// causal spans.
-struct SimPort<'a> {
+pub struct SimPort<'a> {
     ctx: &'a mut ProcCtx<SimMsg>,
     shared: Arc<ClusterShared>,
     node: NodeId,
@@ -81,7 +77,26 @@ struct SimPort<'a> {
     home_spans: HomeSpans,
 }
 
-impl SimPort<'_> {
+impl<'a> SimPort<'a> {
+    /// The port of process `pid`, running as simulation process `ctx`.
+    pub(crate) fn new(
+        ctx: &'a mut ProcCtx<SimMsg>,
+        shared: Arc<ClusterShared>,
+        pid: GlobalPid,
+    ) -> SimPort<'a> {
+        let (pe, tracing) = (pid.node().0 as u32, shared.config.tracing);
+        let spans = RequesterSpans::new(pe, tracing, ctx.now().as_nanos());
+        SimPort {
+            ctx,
+            shared,
+            node: pid.node(),
+            stash: VecDeque::new(),
+            open: HashMap::new(),
+            spans,
+            home_spans: HomeSpans::new(pe, tracing),
+        }
+    }
+
     fn pe(&self) -> u32 {
         self.node.0 as u32
     }
@@ -154,50 +169,11 @@ impl SimPort<'_> {
     /// latency in its series and note it in the flight recorder.
     fn sample(&self, kind: SpanKind, seq: u64, open_ns: u64) {
         let (pe, now) = (self.pe(), self.now_ns());
-        let (subsystem, name) = series_of(kind);
+        let (subsystem, name) = latency_series(kind);
         self.shared
             .metrics
             .record(MetricKey::pe(subsystem, name, pe), now - open_ns);
         self.shared.flight.span_close(kind, pe, seq, open_ns, now);
-    }
-
-    /// One round trip to the coordinator on node 0 — `enter` on the wire,
-    /// or `own_node` when this *is* node 0, which tells whether the call
-    /// was answered on the spot — then block until `granted` accepts the
-    /// answer. Recorded as a `wait` span (a barrier's or a lock's, `seq` the
-    /// barrier id or the lock request) and a latency sample; the answer is
-    /// an acquire point.
-    fn coordinate(
-        &mut self,
-        enter: Message,
-        own_node: impl FnOnce(&mut SimKernelPort<'_>, SimRequester) -> bool,
-        granted: impl FnMut(&Message) -> bool,
-        wait: TraceSpanKind,
-        seq: u64,
-    ) {
-        let kind = match wait {
-            TraceSpanKind::BarrierWait => SpanKind::Barrier,
-            _ => SpanKind::Lock,
-        };
-        let t0 = self.now_ns();
-        let (wait_span, call) = self.spans.wait_begin();
-        let mut answered = false;
-        if self.node == NodeId(0) {
-            // Own-node path into the coordination state.
-            self.charge_local(16);
-            let proc = self.ctx.id();
-            let mut kernel = self.kernel(call);
-            let from = kernel.caller();
-            answered = own_node(&mut kernel, SimRequester { proc, from });
-        } else {
-            self.send_kernel(NodeId(0), &enter, call);
-        }
-        if !answered {
-            self.await_msg(granted);
-        }
-        self.sample(kind, seq, t0);
-        self.spans.wait_end(self.now_ns(), wait, wait_span, t0, seq);
-        self.replica_purge();
     }
 
     /// Coherence action before an own-node store mutation (no-op with the
@@ -250,6 +226,14 @@ impl GmPort for SimPort<'_> {
 
     fn caching(&self) -> bool {
         self.shared.config.gm_cache
+    }
+
+    fn gm_window(&self) -> usize {
+        self.shared.config.gm_window
+    }
+
+    fn spans(&mut self) -> &mut RequesterSpans {
+        &mut self.spans
     }
 
     fn charge_local(&mut self, bytes: usize) {
@@ -337,6 +321,22 @@ impl GmPort for SimPort<'_> {
         panic!("rank {}: {err}", self.node.0)
     }
 
+    fn bad_access(&self, what: &str, err: GmError) -> ! {
+        panic!("rank {}: {what} failed: {err}", self.node.0)
+    }
+
+    /// A wait on the coordinator is sampled here. An atomic is not: one
+    /// that went on the wire was sampled as a request, and one served
+    /// own-node has no series (the telemetry plane ships every series, so
+    /// one more would move virtual time on watched runs). Nor is there an
+    /// `op_begun`: `KernelStats` counts an operation where it is served,
+    /// own-node or by the home kernel.
+    fn op_done(&mut self, kind: SpanKind, seq: u64, since: u64) {
+        if kind != SpanKind::GmFetchAdd {
+            self.sample(kind, seq, since);
+        }
+    }
+
     fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {
         self.shared.cache.get(self.node, region, block)
     }
@@ -374,21 +374,105 @@ impl GmPort for SimPort<'_> {
         region: RegionId,
         offset: u64,
         data: &[u8],
-    ) -> Vec<ReqId> {
+    ) -> Result<Vec<ReqId>, GmError> {
         self.coherent_local_write(reqs, region, offset, data.len());
         self.charge_local(data.len());
-        self.shared.store.write(region, offset, data).unwrap();
+        self.shared.store.write(region, offset, data)?;
         self.shared.stats.update(self.node, |s| {
             s.gm_local_writes += 1;
             s.gm_bytes_written += data.len() as u64;
         });
-        Vec::new()
+        Ok(Vec::new())
+    }
+
+    /// Like an own-node write: invalidate inline, then mutate the store.
+    fn own_node_fetch_add(
+        &mut self,
+        reqs: &mut ReqIdGen,
+        region: RegionId,
+        offset: u64,
+        delta: i64,
+    ) -> Result<i64, GmError> {
+        self.coherent_local_write(reqs, region, offset, 8);
+        self.charge_local(8);
+        self.shared.stats.update(self.node, |s| s.fetch_adds += 1);
+        self.shared.store.fetch_add(region, offset, delta)
+    }
+
+    /// A request span that is *not* a `gm_request_msgs` count: the home
+    /// kernel counts the fetch-add it serves (DESIGN.md §5h).
+    fn send_atomic(&mut self, home: NodeId, req: ReqId, msg: Message) {
+        self.send_open(home, req, &msg, SpanKind::GmFetchAdd);
+    }
+
+    /// Node 0's process *is* the coordinator's node: it calls the kernel
+    /// library's coordination functions in place (the completing barrier
+    /// caller proceeds straight through; a lock grant is a message even to
+    /// it). Every other node sends the call to node 0's kernel.
+    fn to_coordinator(&mut self, call: Message, ctx: Option<TraceCtx>) -> bool {
+        if self.node != NodeId(0) {
+            self.send_kernel(NodeId(0), &call, ctx);
+            return false;
+        }
+        self.charge_local(16);
+        let (proc, node) = (self.ctx.id(), self.node);
+        let mut kernel = self.kernel(ctx);
+        let reply_to = SimRequester {
+            proc,
+            from: kernel.caller(),
+        };
+        let party = |pid, req| Party {
+            pid,
+            node,
+            reply_to,
+            req,
+        };
+        match call {
+            Message::BarrierEnter { barrier, pid } => {
+                return barrier_enter(&mut kernel, barrier, party(pid, ReqId(0))).is_some();
+            }
+            Message::LockReq { req, lock, pid } => lock_acquire(&mut kernel, lock, party(pid, req)),
+            Message::UnlockReq { lock, pid } => lock_release(&mut kernel, lock, pid),
+            other => unreachable!("{} is not a call to the coordinator", other.label()),
+        }
+        false
+    }
+
+    /// The charge is sliced at the async-I/O preemption quantum: a SIGIO
+    /// for an arriving remote request interrupts application computation
+    /// almost immediately on a real UNIX, so long compute bursts must not
+    /// block the co-resident kernel's short service times in the model.
+    fn compute(&mut self, work: Work) {
+        const SLICE: SimDuration = SimDuration::from_millis(5);
+        let mut remaining = self.shared.cost(self.node).compute(work);
+        let cpu = self.shared.cpu_of(self.node);
+        while remaining > SLICE {
+            self.ctx.use_resource(cpu, SLICE);
+            remaining = remaining - SLICE;
+        }
+        self.ctx.use_resource(cpu, remaining);
+    }
+
+    /// Notify the launcher, then park this process's causal spans with the
+    /// cluster: its own and those of the kernel duty it did itself.
+    fn exit(&mut self, pid: GlobalPid) {
+        self.shared.mark_exited(pid);
+        let launcher = self.shared.launcher();
+        let notice = Message::ExitNotice { pid, status: 0 };
+        self.send(NodeId(0), launcher, &notice, None);
+        let (pe, now, sink) = (self.pe(), self.now_ns(), &self.shared.trace_sink);
+        sink.park(pe, TraceRole::App, self.spans.finish(now));
+        sink.park(pe, TraceRole::Kernel, self.home_spans.take());
     }
 }
 
-/// The per-process API context handed to application bodies.
-pub struct DseCtx<'a> {
-    port: SimPort<'a>,
+/// The per-process API context handed to application bodies: the Parallel
+/// API library, written once over the engine's port `P`.
+pub struct ApiCtx<P> {
+    /// The engine behind the library. Public so that the crate that owns
+    /// `P` reaches its own port's state; the port's fields are that
+    /// crate's.
+    pub port: P,
     /// The split-phase global-memory machinery.
     gm: GmClient,
     rank: u32,
@@ -399,28 +483,16 @@ pub struct DseCtx<'a> {
     scratch: Vec<u8>,
 }
 
-impl<'a> DseCtx<'a> {
-    /// Wrap a simulation process context. Called by the program harness.
-    pub fn new(
-        ctx: &'a mut ProcCtx<SimMsg>,
-        shared: Arc<ClusterShared>,
-        rank: u32,
-        pid: GlobalPid,
-    ) -> DseCtx<'a> {
-        let gm = GmClient::new(shared.config.gm_window);
-        let (pe, tracing) = (pid.node().0 as u32, shared.config.tracing);
-        let spans = RequesterSpans::new(pe, tracing, ctx.now().as_nanos());
-        DseCtx {
-            port: SimPort {
-                ctx,
-                shared,
-                node: pid.node(),
-                stash: VecDeque::new(),
-                open: HashMap::new(),
-                spans,
-                home_spans: HomeSpans::new(pe, tracing),
-            },
-            gm,
+/// The simulator's context: [`ApiCtx`] over the simulator's port.
+pub type DseCtx<'a> = ApiCtx<SimPort<'a>>;
+
+impl<P: GmPort> ApiCtx<P> {
+    /// The context of process `pid`, rank `rank`, over `port`. Called by
+    /// the engine's harness.
+    pub fn new(port: P, rank: u32, pid: GlobalPid) -> ApiCtx<P> {
+        ApiCtx {
+            gm: GmClient::new(port.gm_window()),
+            port,
             rank,
             pid,
             barrier_seq: 0,
@@ -429,16 +501,224 @@ impl<'a> DseCtx<'a> {
         }
     }
 
-    /// This process's rank in `0..nprocs`.
-    pub fn rank(&self) -> u32 {
+    /// Complete all staged and in-flight split-phase work, keeping redeemed
+    /// results claimable. Every blocking synchronization or communication
+    /// primitive fences first, so split-phase operations are always ordered
+    /// before barriers, locks, atomics, sends and exit; with nothing
+    /// outstanding this is free.
+    fn gm_fence(&mut self) {
+        self.gm.fence(&mut self.port)
+    }
+
+    /// One round trip to the coordinator on node 0: hand it `enter`, then
+    /// block until `granted` accepts the answer — unless the call was
+    /// answered on the spot. Recorded as a wait span (a barrier's or a
+    /// lock's, `seq` the barrier id or the lock request) and a latency
+    /// sample; the answer is an acquire point.
+    fn coordinate(
+        &mut self,
+        enter: Message,
+        granted: impl FnMut(&Message) -> bool,
+        kind: SpanKind,
+        seq: u64,
+    ) {
+        let wait = match kind {
+            SpanKind::Barrier => TraceSpanKind::BarrierWait,
+            _ => TraceSpanKind::LockWait,
+        };
+        let port = &mut self.port;
+        let t0 = port.stamp();
+        let (wait_span, call) = port.spans().wait_begin();
+        if !port.to_coordinator(enter, call) {
+            port.await_msg(granted);
+        }
+        let now = port.stamp();
+        port.spans().wait_end(now, wait, wait_span, t0, seq);
+        port.op_done(kind, seq, t0);
+        port.replica_purge();
+    }
+
+    /// [`ParallelApi::barrier`], callable without the trait in scope.
+    pub fn barrier(&mut self) {
+        let id = AUTO_BARRIER_BASE + self.barrier_seq;
+        self.barrier_seq += 1;
+        self.barrier_at(id);
+    }
+
+    fn barrier_at(&mut self, id: u32) {
+        self.gm_fence();
+        let enter = Message::BarrierEnter {
+            barrier: id,
+            pid: self.pid,
+        };
+        // Completing a barrier is an acquire point.
+        self.coordinate(
+            enter,
+            |m| matches!(m, Message::BarrierRelease { barrier, .. } if *barrier == id),
+            SpanKind::Barrier,
+            id as u64,
+        );
+    }
+
+    /// Called by the engine's harness after the body returns: fence, then
+    /// report the exit.
+    pub fn finish(&mut self) {
+        self.gm_fence();
+        self.port.exit(self.pid);
+    }
+}
+
+/// The one implementation of the Parallel API: both engines' contexts are
+/// this type, so each operation below is the body both engines execute.
+impl<P: GmPort> ParallelApi for ApiCtx<P> {
+    fn rank(&self) -> u32 {
         self.rank
     }
 
-    /// Number of parallel processes in the program.
-    pub fn nprocs(&self) -> usize {
-        self.port.shared.nnodes()
+    fn nprocs(&self) -> usize {
+        self.port.store().nnodes()
     }
 
+    fn compute(&mut self, work: Work) {
+        self.port.compute(work)
+    }
+
+    fn gm_alloc(&mut self, len: usize, dist: Distribution) -> RegionId {
+        self.gm_fence();
+        let seq = self.alloc_seq;
+        self.alloc_seq += 1;
+        self.port.charge_local(0);
+        self.port.store().collective_alloc(seq, len, dist)
+    }
+
+    // The blocking entry points are issue-plus-wait over the split-phase
+    // machinery, so both paths share one code path and produce identical
+    // bytes.
+
+    fn gm_read(&mut self, region: RegionId, offset: u64, len: usize) -> Vec<u8> {
+        self.port.op_begun(SpanKind::GmRead);
+        self.gm.read(&mut self.port, region, offset, len)
+    }
+
+    fn gm_write(&mut self, region: RegionId, offset: u64, data: &[u8]) {
+        self.port.op_begun(SpanKind::GmWrite);
+        self.gm.write(&mut self.port, region, offset, data)
+    }
+
+    fn gm_read_into(&mut self, region: RegionId, offset: u64, out: &mut [u8]) {
+        self.port.op_begun(SpanKind::GmRead);
+        self.gm.read_into(&mut self.port, region, offset, out)
+    }
+
+    fn gm_read_nb(&mut self, region: RegionId, offset: u64, len: usize) -> GmHandle {
+        self.port.op_begun(SpanKind::GmRead);
+        self.gm.read_nb(&mut self.port, region, offset, len)
+    }
+
+    fn gm_write_nb(&mut self, region: RegionId, offset: u64, data: &[u8]) -> GmHandle {
+        self.port.op_begun(SpanKind::GmWrite);
+        self.gm.write_nb(&mut self.port, region, offset, data)
+    }
+
+    fn gm_wait(&mut self, handle: GmHandle) -> Option<Vec<u8>> {
+        self.gm.wait(&mut self.port, handle)
+    }
+
+    fn gm_wait_all(&mut self) {
+        self.gm.wait_all(&mut self.port)
+    }
+
+    fn take_scratch(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.scratch)
+    }
+
+    fn put_scratch(&mut self, buf: Vec<u8>) {
+        self.scratch = buf;
+    }
+
+    fn gm_fetch_add(&mut self, region: RegionId, offset: u64, delta: i64) -> i64 {
+        self.gm_fence();
+        let (port, reqs) = (&mut self.port, self.gm.req_ids());
+        port.op_begun(SpanKind::GmFetchAdd);
+        let t0 = port.stamp();
+        let home = port
+            .store()
+            .atomic_cell_home(region, offset)
+            .unwrap_or_else(|e| port.bad_access("gm_fetch_add", e));
+        if port.caching() {
+            // The caller's own copy of the cell's block goes stale too.
+            port.replica_drop(region, offset, 8);
+        }
+        let prev = if home == port.node() {
+            port.own_node_fetch_add(reqs, region, offset, delta)
+                .unwrap_or_else(|e| port.bad_access("gm_fetch_add", e))
+        } else {
+            let req = reqs.next();
+            let msg = Message::GmFetchAddReq {
+                req,
+                region,
+                offset,
+                delta,
+            };
+            port.send_atomic(home, req, msg);
+            let since = port.stamp();
+            let (resp, answer) = port
+                .await_msg(|m| matches!(m, Message::GmFetchAddResp { req: r, .. } if *r == req));
+            port.request_done(req, SpanKind::GmFetchAdd, answer);
+            port.blocked(since, req.0);
+            match resp {
+                Message::GmFetchAddResp { prev, .. } => prev,
+                _ => unreachable!(),
+            }
+        };
+        port.op_done(SpanKind::GmFetchAdd, 0, t0);
+        prev
+    }
+
+    fn barrier(&mut self) {
+        ApiCtx::barrier(self)
+    }
+
+    fn lock(&mut self, id: u32) {
+        self.gm_fence();
+        let req = self.gm.req_ids().next();
+        let enter = Message::LockReq {
+            req,
+            lock: id,
+            pid: self.pid,
+        };
+        // A lock grant is an acquire point: the holder must see everything
+        // released by the previous holder's unlock.
+        self.coordinate(
+            enter,
+            |m| matches!(m, Message::LockGrant { req: r, .. } if *r == req),
+            SpanKind::Lock,
+            req.0,
+        );
+    }
+
+    fn unlock(&mut self, id: u32) {
+        self.gm_fence();
+        let release = Message::UnlockReq {
+            lock: id,
+            pid: self.pid,
+        };
+        self.port.to_coordinator(release, None);
+    }
+
+    // Home memory is write-through and every write acknowledgement is gated
+    // on its invalidations, so a fence is exactly a release.
+    fn gm_release(&mut self) {
+        self.gm_fence();
+    }
+
+    fn gm_acquire(&mut self) {
+        self.gm.acquire(&mut self.port)
+    }
+}
+
+/// What the simulator offers beyond the shared surface.
+impl DseCtx<'_> {
     /// This process's cluster-wide pid.
     pub fn pid(&self) -> GlobalPid {
         self.pid
@@ -471,265 +751,10 @@ impl<'a> DseCtx<'a> {
         self.port.shared.is_terminated(self.pid)
     }
 
-    /// Charge `work` of computation to this node's CPU (FCFS with every
-    /// co-resident kernel and process on the same physical machine).
-    ///
-    /// The charge is sliced at the async-I/O preemption quantum: a SIGIO
-    /// for an arriving remote request interrupts application computation
-    /// almost immediately on a real UNIX, so long compute bursts must not
-    /// block the co-resident kernel's short service times in the model.
-    pub fn compute(&mut self, work: Work) {
-        const SLICE: SimDuration = SimDuration::from_millis(5);
-        let node = self.port.node;
-        let mut remaining = self.port.shared.cost(node).compute(work);
-        let cpu = self.port.shared.cpu_of(node);
-        while remaining > SLICE {
-            self.port.ctx.use_resource(cpu, SLICE);
-            remaining = remaining - SLICE;
-        }
-        self.port.ctx.use_resource(cpu, remaining);
-    }
-
-    // ----- global memory ---------------------------------------------------
-
-    /// Collectively allocate a zero-initialized global-memory region. Every
-    /// rank must call with identical arguments and in the same order.
-    pub fn gm_alloc(&mut self, len: usize, dist: Distribution) -> RegionId {
-        self.gm_fence();
-        let seq = self.alloc_seq;
-        self.alloc_seq += 1;
-        self.port.charge_local(0);
-        let shared = &self.port.shared;
-        shared.collective_alloc(seq, len, || shared.store.alloc(len, dist))
-    }
-
-    /// Read `len` bytes at `offset` from a region. Own-node ranges take the
-    /// linked-library fast path; remote ranges become pipelined
-    /// request/response exchanges with the home kernels.
-    ///
-    /// Implemented as issue-plus-wait over the split-phase machinery (see
-    /// [`DseCtx::gm_read_nb`]), so the blocking and non-blocking paths share
-    /// one code path and produce identical bytes.
-    pub fn gm_read(&mut self, region: RegionId, offset: u64, len: usize) -> Vec<u8> {
-        self.gm.read(&mut self.port, region, offset, len)
-    }
-
-    /// Read `out.len()` bytes at `offset` straight into a caller-provided
-    /// buffer. An entirely own-node range copies without any intermediate
-    /// allocation; anything else falls back to [`DseCtx::gm_read`].
-    pub fn gm_read_into(&mut self, region: RegionId, offset: u64, out: &mut [u8]) {
-        self.gm.read_into(&mut self.port, region, offset, out)
-    }
-
-    /// Begin a split-phase read: returns immediately with a [`GmHandle`];
-    /// redeem it with [`DseCtx::gm_wait`]. Remote segments are *staged*, and
-    /// adjacent or overlapping stages to the same home coalesce into one
-    /// request; staged work reaches the wire when the pipelining window
-    /// fills, a handle is waited on, or a synchronization point fences.
-    pub fn gm_read_nb(&mut self, region: RegionId, offset: u64, len: usize) -> GmHandle {
-        self.gm.read_nb(&mut self.port, region, offset, len)
-    }
-
-    /// Take the context's reusable scratch buffer (element accessors use
-    /// this to avoid a per-call allocation). Return it with
-    /// [`DseCtx::put_scratch`].
-    pub fn take_scratch(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.scratch)
-    }
-
-    /// Return the scratch buffer taken with [`DseCtx::take_scratch`].
-    pub fn put_scratch(&mut self, buf: Vec<u8>) {
-        self.scratch = buf;
-    }
-
-    /// Write bytes at `offset` into a region (pipelined per home node).
-    ///
-    /// Like [`DseCtx::gm_read`], this is issue-plus-wait over the
-    /// split-phase machinery shared with [`DseCtx::gm_write_nb`].
-    pub fn gm_write(&mut self, region: RegionId, offset: u64, data: &[u8]) {
-        self.gm.write(&mut self.port, region, offset, data)
-    }
-
-    /// Begin a split-phase write: returns immediately with a [`GmHandle`].
-    /// Staged writes to touching or overlapping ranges of the same home
-    /// coalesce into one request (later bytes win on overlap), and staged
-    /// operations bound for the same home travel as one batched message.
-    pub fn gm_write_nb(&mut self, region: RegionId, offset: u64, data: &[u8]) -> GmHandle {
-        self.gm.write_nb(&mut self.port, region, offset, data)
-    }
-
-    /// Redeem a split-phase handle: flushes any staged work, then drains
-    /// responses until this handle's operation completes. Reads return
-    /// `Some(bytes)`, writes `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a handle whose result was already discarded by
-    /// [`DseCtx::gm_wait_all`].
-    pub fn gm_wait(&mut self, handle: GmHandle) -> Option<Vec<u8>> {
-        self.gm.wait(&mut self.port, handle)
-    }
-
-    /// Complete every outstanding split-phase operation and *discard* any
-    /// results not yet claimed with [`DseCtx::gm_wait`] (a later `gm_wait`
-    /// on such a handle panics). Use it as a fence after a burst of
-    /// `gm_write_nb` calls whose handles are not individually interesting.
-    pub fn gm_wait_all(&mut self) {
-        self.gm.wait_all(&mut self.port)
-    }
-
-    /// Release-consistency *release*: flush and complete all split-phase GM
-    /// work so this rank's prior writes are globally visible (home memory
-    /// is write-through, so a fence is exactly a release). Barriers,
-    /// `unlock`, atomics and sends already imply it; call it directly only
-    /// around hand-rolled synchronization.
-    pub fn gm_release(&mut self) {
-        self.gm_fence();
-    }
-
-    /// Release-consistency *acquire*: fence, then — under the RC cache mode
-    /// — drop this rank's read replicas and release their directory leases,
-    /// so subsequent reads refetch anything written before the matching
-    /// release. Barriers and `lock` already imply it. Under
-    /// write-invalidate (or with the cache off) this is just a fence.
-    pub fn gm_acquire(&mut self) {
-        self.gm.acquire(&mut self.port)
-    }
-
-    /// Complete all staged and in-flight split-phase work, keeping redeemed
-    /// results claimable. Every blocking synchronization or communication
-    /// primitive fences first, so split-phase operations are always ordered
-    /// before barriers, locks, atomics and sends; with nothing outstanding
-    /// this is free.
-    fn gm_fence(&mut self) {
-        self.gm.fence(&mut self.port)
-    }
-
-    /// Atomic fetch-and-add on an aligned 8-byte cell; returns the previous
-    /// value. The cell's home kernel serializes concurrent updates.
-    pub fn gm_fetch_add(&mut self, region: RegionId, offset: u64, delta: i64) -> i64 {
-        self.gm_fence();
-        let port = &mut self.port;
-        let home = port
-            .shared
-            .store
-            .home_of(region, offset)
-            .unwrap_or_else(|e| panic!("rank {}: fetch_add failed: {e}", self.rank));
-        if home == port.node {
-            if port.caching() {
-                port.replica_drop(region, offset, 8);
-            }
-            port.coherent_local_write(self.gm.req_ids(), region, offset, 8);
-            port.charge_local(8);
-            port.shared.stats.update(port.node, |s| s.fetch_adds += 1);
-            return port.shared.store.fetch_add(region, offset, delta).unwrap();
-        }
-        let req = self.gm.req_ids().next();
-        let msg = Message::GmFetchAddReq {
-            req,
-            region,
-            offset,
-            delta,
-        };
-        port.send_open(home, req, &msg, SpanKind::GmFetchAdd);
-        let since = port.stamp();
-        let (resp, answer) =
-            port.await_msg(|m| matches!(m, Message::GmFetchAddResp { req: r, .. } if *r == req));
-        port.request_done(req, SpanKind::GmFetchAdd, answer);
-        port.blocked(since, req.0);
-        match resp {
-            Message::GmFetchAddResp { prev, .. } => prev,
-            _ => unreachable!(),
-        }
-    }
-
-    // ----- synchronization -------------------------------------------------
-
-    /// Synchronize all ranks. Every rank must call `barrier` the same number
-    /// of times in the same order (auto-sequenced ids).
-    pub fn barrier(&mut self) {
-        let id = AUTO_BARRIER_BASE + self.barrier_seq;
-        self.barrier_seq += 1;
-        self.barrier_at(id);
-    }
-
     /// Synchronize on an explicitly named barrier (`id < AUTO_BARRIER_BASE`).
     pub fn barrier_named(&mut self, id: u32) {
         assert!(id < AUTO_BARRIER_BASE, "named barrier id too large");
         self.barrier_at(id);
-    }
-
-    fn barrier_at(&mut self, id: u32) {
-        self.gm_fence();
-        let enter = Message::BarrierEnter {
-            barrier: id,
-            pid: self.pid,
-        };
-        let (pid, node) = (self.pid, self.port.node);
-        // Completing a barrier is an acquire point. The own-node caller
-        // that completes the round proceeds straight through the call.
-        self.port.coordinate(
-            enter,
-            |kernel, reply_to| {
-                let party = Party {
-                    pid,
-                    node,
-                    reply_to,
-                    req: ReqId(0),
-                };
-                barrier_enter(kernel, id, party).is_some()
-            },
-            |m| matches!(m, Message::BarrierRelease { barrier, .. } if *barrier == id),
-            TraceSpanKind::BarrierWait,
-            id as u64,
-        );
-    }
-
-    /// Acquire a cluster-wide lock (FIFO).
-    pub fn lock(&mut self, id: u32) {
-        self.gm_fence();
-        let req = self.gm.req_ids().next();
-        let enter = Message::LockReq {
-            req,
-            lock: id,
-            pid: self.pid,
-        };
-        let (pid, node) = (self.pid, self.port.node);
-        // A lock grant is an acquire point: the holder must see everything
-        // released by the previous holder's unlock. The grant is a message
-        // even to an own-node caller.
-        self.port.coordinate(
-            enter,
-            |kernel, reply_to| {
-                let party = Party {
-                    pid,
-                    node,
-                    reply_to,
-                    req,
-                };
-                lock_acquire(kernel, id, party);
-                false
-            },
-            |m| matches!(m, Message::LockGrant { req: r, .. } if *r == req),
-            TraceSpanKind::LockWait,
-            req.0,
-        );
-    }
-
-    /// Release a cluster-wide lock this process holds.
-    pub fn unlock(&mut self, id: u32) {
-        self.gm_fence();
-        let port = &mut self.port;
-        if port.node == NodeId(0) {
-            port.charge_local(16);
-            lock_release(&mut port.kernel(None), id, self.pid);
-        } else {
-            let msg = Message::UnlockReq {
-                lock: id,
-                pid: self.pid,
-            };
-            port.send_kernel(NodeId(0), &msg, None);
-        }
     }
 
     /// Request cooperative termination of another process: its
@@ -772,24 +797,5 @@ impl<'a> DseCtx<'a> {
             Message::UserData { from, tag, data } => UserMsg { from, tag, data },
             _ => unreachable!(),
         }
-    }
-
-    // ----- internals --------------------------------------------------------
-
-    /// Called by the harness after the body returns: notify the launcher,
-    /// then park this process's causal spans with the cluster.
-    pub fn finish(&mut self) {
-        self.gm_fence();
-        self.port.shared.mark_exited(self.pid);
-        let msg = Message::ExitNotice {
-            pid: self.pid,
-            status: 0,
-        };
-        let launcher = self.port.shared.launcher();
-        self.port.send(NodeId(0), launcher, &msg, None);
-        let port = &mut self.port;
-        let (pe, now, sink) = (port.pe(), port.now_ns(), &port.shared.trace_sink);
-        sink.park(pe, TraceRole::App, port.spans.finish(now));
-        sink.park(pe, TraceRole::Kernel, port.home_spans.take());
     }
 }

@@ -14,11 +14,14 @@ use std::collections::HashMap;
 use std::fmt;
 
 use dse_kernel::cache::{blocks_inside, CACHE_BLOCK};
-use dse_kernel::GlobalStore;
-use dse_msg::{is_bulk, Bytes, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen};
+use dse_kernel::{GlobalStore, GmError};
+use dse_msg::{
+    is_bulk, Bytes, GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx,
+};
 use dse_obs::SpanKind;
+use dse_platform::Work;
 
-use crate::req_spans::Arrival;
+use crate::req_spans::{Arrival, RequesterSpans};
 
 /// Handle to a split-phase global-memory operation.
 ///
@@ -138,12 +141,27 @@ impl fmt::Display for GmProtocolError {
 
 impl std::error::Error for GmProtocolError {}
 
-/// Everything engine-specific a [`GmClient`] needs.
+/// The latency series (`subsystem`, `name`) an exchange of `kind` samples,
+/// on either engine.
+pub fn latency_series(kind: SpanKind) -> (&'static str, &'static str) {
+    match kind {
+        SpanKind::GmRead => ("gm", "remote_read_ns"),
+        SpanKind::GmWrite => ("gm", "remote_write_ns"),
+        SpanKind::GmBatch => ("gm", "batch_ns"),
+        SpanKind::GmFetchAdd => ("gm", "fetch_add_ns"),
+        SpanKind::Barrier => ("sync", "barrier_wait_ns"),
+        SpanKind::Lock => ("sync", "lock_wait_ns"),
+    }
+}
+
+/// Everything engine-specific the Parallel API library needs: the
+/// [`GmClient`] and the [`ApiCtx`](crate::ApiCtx) above it.
 ///
 /// The two implementors are the simulator's port (virtual-time charging,
 /// the network model) and the live engine's (transport, retransmission);
 /// each stamps the shared `RequesterSpans` with its own clock. The
-/// observation hooks default to no-ops.
+/// observation hooks default to no-ops. DESIGN.md §5m says, hook by hook,
+/// what each engine does and why the two bodies are not one.
 pub trait GmPort {
     /// The node this client runs on.
     fn node(&self) -> NodeId;
@@ -151,6 +169,10 @@ pub trait GmPort {
     fn store(&self) -> &GlobalStore;
     /// Whether the read-replica cache is on for this run.
     fn caching(&self) -> bool;
+    /// How many requests this process may have on the wire at once.
+    fn gm_window(&self) -> usize;
+    /// This process's causal spans.
+    fn spans(&mut self) -> &mut RequesterSpans;
 
     /// Charge an own-node (linked-library) access touching `bytes`.
     fn charge_local(&mut self, bytes: usize);
@@ -175,6 +197,9 @@ pub trait GmPort {
     fn request_done(&mut self, req: ReqId, kind: SpanKind, answer: Arrival);
     /// A peer's response did not fit its request: fail the run.
     fn protocol_error(&mut self, err: GmProtocolError) -> !;
+    /// The application's `what` (an entry point's name) addressed global
+    /// memory wrongly: fail the calling rank, before anything is sent.
+    fn bad_access(&self, what: &str, err: GmError) -> !;
 
     /// An opaque time stamp handed back to [`GmPort::handle_done`] and
     /// [`GmPort::blocked`].
@@ -187,6 +212,12 @@ pub trait GmPort {
     /// The caller blocked on GM completions since `since` (`seq` is the
     /// handle waited on, 0 for a fence or window backpressure).
     fn blocked(&mut self, _since: u64, _seq: u64) {}
+    /// The application called a read, write or atomic entry point (`kind`
+    /// is `GmRead`, `GmWrite` or `GmFetchAdd`).
+    fn op_begun(&mut self, _kind: SpanKind) {}
+    /// A barrier, a lock acquisition or an atomic begun at `since` is over
+    /// (`seq` is the barrier id or the lock request, 0 for an atomic).
+    fn op_done(&mut self, _kind: SpanKind, _seq: u64, _since: u64) {}
 
     /// This node's replica of `block`, if it holds one.
     fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>>;
@@ -213,7 +244,29 @@ pub trait GmPort {
         region: RegionId,
         offset: u64,
         data: &[u8],
-    ) -> Vec<ReqId>;
+    ) -> Result<Vec<ReqId>, GmError>;
+    /// Fetch-and-add on a cell of this node's own partition, with the
+    /// engine's coherence round around it, complete on return.
+    fn own_node_fetch_add(
+        &mut self,
+        reqs: &mut ReqIdGen,
+        region: RegionId,
+        offset: u64,
+        delta: i64,
+    ) -> Result<i64, GmError>;
+    /// Put the atomic `msg` for `home` on the wire: traced, answered and
+    /// reported done like every request, counted the engine's own way.
+    fn send_atomic(&mut self, home: NodeId, req: ReqId, msg: Message);
+
+    /// Hand `call` (a `BarrierEnter`, `LockReq` or `UnlockReq`) to the
+    /// coordinator on node 0, under trace context `ctx`. True when the call
+    /// completed a barrier round in place: no release message will follow.
+    fn to_coordinator(&mut self, call: Message, ctx: Option<TraceCtx>) -> bool;
+    /// Account for `work` of computation the application did.
+    fn compute(&mut self, _work: Work) {}
+    /// Process `pid`'s body returned and its global-memory work is
+    /// complete: tell whoever collects the exits.
+    fn exit(&mut self, pid: GlobalPid);
 }
 
 /// Where a completed read segment's bytes land: `len` bytes at absolute
@@ -639,7 +692,10 @@ impl GmClient {
             let at = (off - offset) as usize;
             let chunk = &data[at..at + rlen];
             if home == port.node() {
-                for req in port.own_node_write(&mut self.reqs, region, off, chunk) {
+                let gates = port
+                    .own_node_write(&mut self.reqs, region, off, chunk)
+                    .unwrap_or_else(|e| port.bad_access("gm_write", e));
+                for req in gates {
                     self.owe_segment(handle);
                     self.inflight
                         .insert(req.0, InflightReq::Write(vec![handle]));
@@ -1085,7 +1141,7 @@ fn split<P: GmPort>(
 ) -> Vec<(NodeId, u64, usize)> {
     port.store()
         .split_by_home(region, offset, len)
-        .unwrap_or_else(|e| panic!("rank {}: {what} failed: {e}", port.node().0))
+        .unwrap_or_else(|e| port.bad_access(what, e))
 }
 
 #[cfg(test)]

@@ -6,11 +6,14 @@
 //!
 //! * [`DseProgram`] — configure a cluster (platform, machine count, runtime
 //!   config) and [`DseProgram::run`] an SPMD body over `p` processors;
-//! * [`DseCtx`] — the per-process API: global-memory access, barriers,
-//!   locks, atomic counters, point-to-point messages, computation charging;
+//! * [`ApiCtx`] — the per-process API, written once over a [`GmPort`]:
+//!   global-memory access, barriers, locks, atomic counters, computation
+//!   charging. [`DseCtx`] is its simulator instantiation (over [`SimPort`]),
+//!   which adds virtual time, point-to-point messages and named barriers;
+//!   `dse_live::LiveCtx` is the live one;
 //! * [`GmClient`] — the split-phase global-memory requester (staging,
 //!   coalescing, batching, the in-flight window, handles), defined once and
-//!   driven by both engines through a [`GmPort`];
+//!   driven by both engines through the same [`GmPort`];
 //! * [`RequesterSpans`] — the requester side of the causal trace, defined
 //!   once the same way and stamped by each engine's port with its own
 //!   clock;
@@ -19,7 +22,7 @@
 //!   same primitives an application would use by hand.
 //!
 //! ```
-//! use dse_api::{collective, DseProgram};
+//! use dse_api::{collective, DseProgram, ParallelApi};
 //! use dse_platform::Platform;
 //!
 //! let result = DseProgram::new(Platform::linux_pentium2()).run(4, |ctx| {
@@ -49,8 +52,8 @@ mod req_spans;
 mod fake_port;
 
 pub use api::ParallelApi;
-pub use ctx::{DseCtx, UserMsg, AUTO_BARRIER_BASE};
-pub use gm_client::{GmClient, GmCount, GmHandle, GmPort, GmProtocolError};
+pub use ctx::{ApiCtx, DseCtx, SimPort, UserMsg, AUTO_BARRIER_BASE};
+pub use gm_client::{latency_series, GmClient, GmCount, GmHandle, GmPort, GmProtocolError};
 pub use program::{DseProgram, RunResult, TelemetrySummary};
 pub use region::{GmArray, GmCounter, GmElem};
 pub use req_spans::{Arrival, RequesterSpans, SentReq};

@@ -19,7 +19,7 @@ use dse_obs::{
 use dse_platform::{ClusterSpec, Platform, PAPER_MACHINES};
 use dse_sim::{ProcCtx, SimDuration, SimReport, Simulator};
 
-use crate::ctx::DseCtx;
+use crate::ctx::{DseCtx, SimPort};
 
 /// Telemetry-plane results of a run (present when `DseConfig::telemetry`
 /// was enabled).
@@ -210,7 +210,7 @@ impl DseProgram {
                 let shared = Arc::clone(&shared);
                 let body = Arc::clone(&body);
                 Box::new(move |pctx: &mut ProcCtx<SimMsg>| {
-                    let mut dctx = DseCtx::new(pctx, shared, rank, pid);
+                    let mut dctx = DseCtx::new(SimPort::new(pctx, shared, pid), rank, pid);
                     body(&mut dctx);
                     dctx.finish();
                 })

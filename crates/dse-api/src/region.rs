@@ -40,7 +40,7 @@ gm_elem_int!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
 /// then any rank can read/write through its own context.
 ///
 /// ```
-/// use dse_api::{Distribution, DseProgram, GmArray, Platform};
+/// use dse_api::{Distribution, DseProgram, GmArray, ParallelApi, Platform};
 ///
 /// DseProgram::new(Platform::linux_pentium2()).run(4, |ctx| {
 ///     let arr = GmArray::<u64>::alloc(ctx, 4, Distribution::Blocked);

@@ -6,7 +6,7 @@
 //! records the lease; the requester installs on completion, and the same
 //! second read misses there.)
 
-use dse_api::{Distribution, DseConfig, DseProgram, Platform, TelemetryConfig, Work};
+use dse_api::{Distribution, DseConfig, DseProgram, ParallelApi, Platform, TelemetryConfig, Work};
 use dse_obs::SpanKind;
 
 const BLOCK: usize = 512;

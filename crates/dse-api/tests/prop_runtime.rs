@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use dse_api::{Distribution, DseConfig, DseProgram, Platform};
+use dse_api::{Distribution, DseConfig, DseProgram, ParallelApi, Platform};
 use dse_msg::NodeId;
 use std::sync::{Arc, Mutex};
 

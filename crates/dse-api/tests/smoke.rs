@@ -1,6 +1,8 @@
 //! End-to-end smoke tests of the simulated DSE runtime.
 
-use dse_api::{collective, Distribution, DseProgram, GmArray, GmCounter, Platform, Work};
+use dse_api::{
+    collective, Distribution, DseProgram, GmArray, GmCounter, ParallelApi, Platform, Work,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

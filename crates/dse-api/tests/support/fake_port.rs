@@ -1,21 +1,24 @@
-//! A recording [`GmPort`] for driving [`GmClient`](dse_api::GmClient) alone.
+//! A recording [`GmPort`] for driving [`GmClient`](dse_api::GmClient), or
+//! the whole [`ApiCtx`](dse_api::ApiCtx), with no engine.
 //!
 //! The "cluster" is one region of a [`GlobalStore`]: the fake is every home
-//! kernel at once. A request put on the wire is queued per home (FIFO, the
-//! ordering a home kernel guarantees); `await_msg` picks a home with work —
-//! which one is the seeded choice that permutes completion order — serves
-//! its oldest request against the store and returns the response. Every
-//! port call is recorded so tests can assert on what the client did.
+//! kernel at once, and the coordinator. A request put on the wire is queued
+//! per home (FIFO, the ordering a home kernel guarantees); `await_msg`
+//! picks a home with work — which one is the seeded choice that permutes
+//! completion order — serves its oldest request against the store and
+//! returns the response. A call to the coordinator is answered from a
+//! script: its release or grant waits in `answers` until it is asked for.
+//! Every port call is recorded so tests can assert on what the library did.
 //!
-//! Shared by the unit tests in `src/gm_client.rs` and the property test in
-//! `tests/prop_gm_client.rs`.
+//! Shared by the unit tests in `src/gm_client.rs`, the property test in
+//! `tests/prop_gm_client.rs` and the API-layer tests in `tests/api_ctx.rs`.
 
 use std::collections::{HashMap, VecDeque};
 
-use dse_api::{Arrival, Distribution, GmCount, GmPort, GmProtocolError};
+use dse_api::{Arrival, Distribution, GmCount, GmPort, GmProtocolError, RequesterSpans};
 use dse_kernel::cache::{blocks_touching, CACHE_BLOCK};
-use dse_kernel::GlobalStore;
-use dse_msg::{GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen};
+use dse_kernel::{GlobalStore, GmError};
+use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
 use dse_obs::SpanKind;
 
 /// How every answer of the fake homes arrives: no clock, no trace context.
@@ -40,7 +43,13 @@ pub struct FakePort {
     pub seed: u64,
     /// Unanswered requests, per home, oldest first.
     pub pending: Vec<VecDeque<Message>>,
-    /// Every request put on the wire, in send order.
+    /// The coordinator's releases and grants, not yet asked for.
+    pub answers: VecDeque<Message>,
+    /// The coordinator completes every barrier round in place (the
+    /// simulator's node 0), so no release message follows an enter.
+    pub barriers_complete_in_place: bool,
+    /// Every message put on the wire, in send order: requests to the homes,
+    /// calls to the coordinator (node 0) and the exit notice.
     pub sent: Vec<(NodeId, Message)>,
     pub counts: Vec<GmCount>,
     pub charged: Vec<usize>,
@@ -53,6 +62,9 @@ pub struct FakePort {
     pub max_inflight: usize,
     pub replicas: HashMap<(RegionId, u64), Vec<u8>>,
     pub purges: usize,
+    /// `(kind, seq)` of every barrier, lock acquisition and atomic done.
+    pub ops_done: Vec<(SpanKind, u64)>,
+    pub spans: RequesterSpans,
 }
 
 impl FakePort {
@@ -73,6 +85,8 @@ impl FakePort {
             forged_read_len: None,
             seed: 1,
             pending: (0..homes).map(|_| VecDeque::new()).collect(),
+            answers: VecDeque::new(),
+            barriers_complete_in_place: false,
             sent: Vec::new(),
             counts: Vec::new(),
             charged: Vec::new(),
@@ -82,6 +96,8 @@ impl FakePort {
             max_inflight: 0,
             replicas: HashMap::new(),
             purges: 0,
+            ops_done: Vec::new(),
+            spans: RequesterSpans::new(0, false, 0),
         }
     }
 
@@ -142,6 +158,15 @@ impl FakePort {
                 }
                 Message::GmBatchResp { req, reads }
             }
+            Message::GmFetchAddReq {
+                req,
+                region,
+                offset,
+                delta,
+            } => Message::GmFetchAddResp {
+                req,
+                prev: self.store.fetch_add(region, offset, delta).unwrap(),
+            },
             Message::GmInvalidate { req, .. } => Message::GmInvalidateAck { req },
             other => panic!("the fake homes cannot serve {}", other.label()),
         }
@@ -159,6 +184,16 @@ impl GmPort for FakePort {
 
     fn caching(&self) -> bool {
         self.caching
+    }
+
+    /// Room for a few staged requests before a flush is forced (tests of
+    /// the client alone build it with a window of their own).
+    fn gm_window(&self) -> usize {
+        4
+    }
+
+    fn spans(&mut self) -> &mut RequesterSpans {
+        &mut self.spans
     }
 
     fn charge_local(&mut self, bytes: usize) {
@@ -184,6 +219,9 @@ impl GmPort for FakePort {
     }
 
     fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, Arrival) {
+        if let Some(idx) = self.answers.iter().position(&mut pred) {
+            return (self.answers.remove(idx).unwrap(), UNTRACED);
+        }
         let busy: Vec<usize> = (0..self.pending.len())
             .filter(|&h| !self.pending[h].is_empty())
             .collect();
@@ -208,6 +246,14 @@ impl GmPort for FakePort {
 
     fn protocol_error(&mut self, err: GmProtocolError) -> ! {
         panic!("{err}")
+    }
+
+    fn bad_access(&self, what: &str, err: GmError) -> ! {
+        panic!("{what} failed: {err}")
+    }
+
+    fn op_done(&mut self, kind: SpanKind, seq: u64, _since: u64) {
+        self.ops_done.push((kind, seq));
     }
 
     fn handle_done(&mut self, _issued: u64, is_read: bool, remote: bool) {
@@ -251,9 +297,9 @@ impl GmPort for FakePort {
         region: RegionId,
         offset: u64,
         data: &[u8],
-    ) -> Vec<ReqId> {
-        self.store.write(region, offset, data).unwrap();
-        (0..self.write_gates)
+    ) -> Result<Vec<ReqId>, GmError> {
+        self.store.write(region, offset, data)?;
+        Ok((0..self.write_gates)
             .map(|_| {
                 let req = reqs.next();
                 // The "holder" is any other node; its ack comes back like
@@ -266,6 +312,45 @@ impl GmPort for FakePort {
                 });
                 req
             })
-            .collect()
+            .collect())
+    }
+
+    fn own_node_fetch_add(
+        &mut self,
+        _reqs: &mut ReqIdGen,
+        region: RegionId,
+        offset: u64,
+        delta: i64,
+    ) -> Result<i64, GmError> {
+        self.store.fetch_add(region, offset, delta)
+    }
+
+    fn send_atomic(&mut self, home: NodeId, _req: ReqId, msg: Message) {
+        assert_ne!(home, self.node, "an own-node atomic went on the wire");
+        self.pending[home.0 as usize].push_back(msg.clone());
+        self.sent.push((home, msg));
+    }
+
+    fn to_coordinator(&mut self, call: Message, _ctx: Option<TraceCtx>) -> bool {
+        let answer = match call {
+            Message::BarrierEnter { barrier, .. } => {
+                Some(Message::BarrierRelease { barrier, epoch: 0 })
+            }
+            Message::LockReq { req, lock, .. } => Some(Message::LockGrant { req, lock }),
+            Message::UnlockReq { .. } => None,
+            ref other => panic!("{} is not a call to the coordinator", other.label()),
+        };
+        let in_place =
+            self.barriers_complete_in_place && matches!(call, Message::BarrierEnter { .. });
+        if !in_place {
+            self.answers.extend(answer);
+        }
+        self.sent.push((NodeId(0), call));
+        in_place
+    }
+
+    fn exit(&mut self, pid: GlobalPid) {
+        self.sent
+            .push((NodeId(0), Message::ExitNotice { pid, status: 0 }));
     }
 }

@@ -13,7 +13,7 @@
 //! pattern differs: one data message per (sender, receiver) pair per
 //! iteration, versus the DSM's request/response pair per fetched slice.
 
-use dse_api::{DseCtx, DseProgram, RunResult, Work};
+use dse_api::{DseCtx, DseProgram, ParallelApi, RunResult, Work};
 
 use crate::common::run_captured;
 use crate::gauss_seidel::{

@@ -97,6 +97,8 @@ struct Region {
 pub struct GlobalStore {
     nnodes: usize,
     regions: Mutex<Vec<Region>>,
+    /// The collective allocations so far, in order: region and size.
+    collective: Mutex<Vec<(RegionId, usize)>>,
 }
 
 impl GlobalStore {
@@ -106,6 +108,7 @@ impl GlobalStore {
         GlobalStore {
             nnodes,
             regions: Mutex::new(Vec::new()),
+            collective: Mutex::new(Vec::new()),
         }
     }
 
@@ -136,6 +139,28 @@ impl GlobalStore {
             dist,
             data: vec![0u8; len],
         });
+        id
+    }
+
+    /// Resolve the `seq`-th collective allocation: the first rank to ask
+    /// allocates and publishes the region; later ranks get the same region
+    /// and must ask for the same size.
+    pub fn collective_alloc(&self, seq: usize, len: usize, dist: Distribution) -> RegionId {
+        let mut table = self.collective.lock();
+        if let Some(&(id, existing_len)) = table.get(seq) {
+            assert_eq!(
+                existing_len, len,
+                "collective allocation #{seq} size mismatch: ranks disagree"
+            );
+            return id;
+        }
+        assert_eq!(
+            table.len(),
+            seq,
+            "collective allocations must occur in the same order on all ranks"
+        );
+        let id = self.alloc(len, dist);
+        table.push((id, len));
         id
     }
 
@@ -208,25 +233,35 @@ impl GlobalStore {
         Ok(())
     }
 
+    /// The home of the atomic cell at `offset`: 8 bytes, aligned, inside the
+    /// region and on one node, so that node's kernel can serialize it.
+    fn atomic_cell(
+        regions: &[Region],
+        nnodes: usize,
+        region: RegionId,
+        offset: u64,
+    ) -> Result<NodeId, GmError> {
+        let r = Self::check(regions, region, offset, 8)?;
+        let home = Self::home_of_inner(r, nnodes, offset);
+        if !offset.is_multiple_of(8) || home != Self::home_of_inner(r, nnodes, offset + 7) {
+            return Err(GmError::BadAtomicCell { region, offset });
+        }
+        Ok(home)
+    }
+
+    /// Home node of the fetch-add cell at `offset`, or why it is not one: a
+    /// requester asks before it puts the cell on the wire.
+    pub fn atomic_cell_home(&self, region: RegionId, offset: u64) -> Result<NodeId, GmError> {
+        Self::atomic_cell(&self.regions.lock(), self.nnodes, region, offset)
+    }
+
     /// Atomic fetch-and-add on an aligned 8-byte little-endian cell.
     pub fn fetch_add(&self, region: RegionId, offset: u64, delta: i64) -> Result<i64, GmError> {
-        if !offset.is_multiple_of(8) {
-            return Err(GmError::BadAtomicCell { region, offset });
-        }
         let mut regions = self.regions.lock();
-        let idx = region.0 as usize;
-        Self::check(&regions, region, offset, 8)?;
-        // The cell must live entirely on one node for the home-node kernel
-        // to serialize it.
-        let home_a = Self::home_of_inner(&regions[idx], self.nnodes, offset);
-        let home_b = Self::home_of_inner(&regions[idx], self.nnodes, offset + 7);
-        if home_a != home_b {
-            return Err(GmError::BadAtomicCell { region, offset });
-        }
-        let o = offset as usize;
-        let cell: [u8; 8] = regions[idx].data[o..o + 8].try_into().unwrap();
-        let prev = i64::from_le_bytes(cell);
-        regions[idx].data[o..o + 8].copy_from_slice(&prev.wrapping_add(delta).to_le_bytes());
+        Self::atomic_cell(&regions, self.nnodes, region, offset)?;
+        let cell = &mut regions[region.0 as usize].data[offset as usize..offset as usize + 8];
+        let prev = i64::from_le_bytes((&*cell).try_into().expect("an 8-byte cell"));
+        cell.copy_from_slice(&prev.wrapping_add(delta).to_le_bytes());
         Ok(prev)
     }
 
@@ -433,6 +468,40 @@ mod tests {
         let gs = GlobalStore::new(2);
         let r = gs.alloc(10, Distribution::Blocked);
         assert!(gs.split_by_home(r, 5, 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn collective_alloc_first_creates_then_reuses() {
+        let gs = GlobalStore::new(2);
+        let a = gs.collective_alloc(0, 100, Distribution::Blocked);
+        let b = gs.collective_alloc(0, 100, Distribution::Blocked);
+        assert_eq!(a, b);
+        assert_eq!(gs.region_count(), 1, "must not create twice");
+    }
+
+    #[test]
+    #[should_panic(expected = "size mismatch")]
+    fn collective_alloc_size_mismatch_detected() {
+        let gs = GlobalStore::new(2);
+        let _ = gs.collective_alloc(0, 100, Distribution::Blocked);
+        let _ = gs.collective_alloc(0, 200, Distribution::Blocked);
+    }
+
+    #[test]
+    fn atomic_cell_home_checks_what_fetch_add_checks() {
+        let gs = GlobalStore::new(2);
+        // 12 bytes: node 0 homes [0, 6), node 1 the rest.
+        let r = gs.alloc(12, Distribution::Blocked);
+        let cells = gs.alloc(32, Distribution::Blocked);
+        assert_eq!(gs.atomic_cell_home(cells, 24), Ok(NodeId(1)));
+        for (region, offset) in [(r, 0), (cells, 3), (cells, 32), (cells, u64::MAX - 3)] {
+            let err = gs.atomic_cell_home(region, offset).unwrap_err();
+            assert_eq!(gs.fetch_add(region, offset, 1), Err(err));
+        }
+        assert!(matches!(
+            gs.atomic_cell_home(cells, 32),
+            Err(GmError::OutOfBounds { .. })
+        ));
     }
 
     #[test]

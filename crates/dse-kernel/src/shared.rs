@@ -92,9 +92,6 @@ pub struct ClusterShared {
     exited: Mutex<Vec<GlobalPid>>,
     /// Cluster-wide name service: symbolic names bound to regions.
     names: Mutex<HashMap<String, dse_msg::RegionId>>,
-    /// Collective-allocation table: the n-th collective alloc call maps to
-    /// the n-th entry (region id plus requested size for sanity checks).
-    collective_allocs: Mutex<Vec<(dse_msg::RegionId, usize)>>,
     /// Measured end-to-end execution time of the parallel application.
     pub elapsed: Mutex<Option<SimDuration>>,
 }
@@ -152,7 +149,6 @@ impl ClusterShared {
             terminated: Mutex::new(Vec::new()),
             exited: Mutex::new(Vec::new()),
             names: Mutex::new(HashMap::new()),
-            collective_allocs: Mutex::new(Vec::new()),
             elapsed: Mutex::new(None),
             costs,
             config,
@@ -271,33 +267,6 @@ impl ClusterShared {
     pub fn epoch_hook(&self) -> Option<TelemetryHook> {
         self.epoch_hook.lock().clone()
     }
-
-    /// Resolve the `seq`-th collective allocation: the first caller runs
-    /// `create` and publishes the result; later callers get the same region
-    /// and must request the same size.
-    pub fn collective_alloc(
-        &self,
-        seq: usize,
-        len: usize,
-        create: impl FnOnce() -> dse_msg::RegionId,
-    ) -> dse_msg::RegionId {
-        let mut table = self.collective_allocs.lock();
-        if let Some(&(id, existing_len)) = table.get(seq) {
-            assert_eq!(
-                existing_len, len,
-                "collective allocation #{seq} size mismatch: ranks disagree"
-            );
-            return id;
-        }
-        assert_eq!(
-            table.len(),
-            seq,
-            "collective allocations must occur in the same order on all ranks"
-        );
-        let id = create();
-        table.push((id, len));
-        id
-    }
 }
 
 #[cfg(test)]
@@ -338,25 +307,5 @@ mod tests {
         assert!(!s.is_terminated(pid));
         s.mark_terminated(pid);
         assert!(s.is_terminated(pid));
-    }
-
-    #[test]
-    fn collective_alloc_first_creates_then_reuses() {
-        let s = shared(2);
-        let a = s.collective_alloc(0, 100, || {
-            s.store.alloc(100, crate::gmem::Distribution::Blocked)
-        });
-        let b = s.collective_alloc(0, 100, || panic!("must not create twice"));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn collective_alloc_size_mismatch_detected() {
-        let s = shared(2);
-        let _ = s.collective_alloc(0, 100, || {
-            s.store.alloc(100, crate::gmem::Distribution::Blocked)
-        });
-        let _ = s.collective_alloc(0, 200, || unreachable!());
     }
 }

@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 use dse_kernel::gmem::GlobalStore;
 use dse_kernel::task::{is_app_bound, KernelEnv, KernelTask, Outbound};
 use dse_kernel::{CacheStore, GmMode, SchedulerKind};
-use dse_msg::{Message, RegionId, TraceCtx};
+use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
 use dse_obs::{
     ClusterAggregator, DeltaTracker, FlightRecorder, MetricKey, MetricsSnapshot, Registry,
     TelemetryDelta, TraceRole, TraceSink, TraceSpanRec,
@@ -50,7 +50,7 @@ use crate::error::{abort_code, FailureKind, FailureRole, PeFailure, RunError};
 mod ctx;
 pub(crate) mod sched;
 
-pub use ctx::LiveCtx;
+pub use ctx::{LiveCtx, LivePort};
 
 /// Which wire carries the live engine's messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,7 +208,6 @@ fn build_transports(
 pub struct LiveCluster {
     nprocs: usize,
     store: GlobalStore,
-    allocs: Mutex<Vec<(RegionId, usize)>>,
     /// Wall-clock observability: the same registry the simulator uses,
     /// fed with `Instant`-measured nanoseconds instead of virtual time.
     metrics: Registry,
@@ -256,7 +255,6 @@ impl LiveCluster {
         LiveCluster {
             nprocs,
             store: GlobalStore::new(nprocs),
-            allocs: Mutex::new(Vec::new()),
             metrics: Registry::new(),
             flight: FlightRecorder::with_capacity(cfg.flight_capacity),
             failures: Mutex::new(Vec::new()),
@@ -724,12 +722,14 @@ where
             let app_transport = Arc::clone(transport);
             let body = &body;
             let app_thread = move || {
-                let mut ctx = LiveCtx::new(pe as u32, app_cluster, app_transport);
+                let port = LivePort::new(pe as u32, app_cluster, app_transport);
+                let pid = GlobalPid::new(NodeId(pe as u16), 1);
+                let mut ctx = LiveCtx::new(port, pe as u32, pid);
                 let out = catch_unwind(AssertUnwindSafe(|| {
                     body(&mut ctx);
                     ctx.finish();
                 }));
-                ctx.flush_trace();
+                ctx.port.flush_trace();
                 if let Err(p) = out {
                     // A genuine app panic aborts the cluster so the
                     // kernels drain out instead of waiting for an

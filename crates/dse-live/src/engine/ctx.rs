@@ -1,12 +1,13 @@
-//! The application-thread half of the live engine: [`LiveCtx`], the
-//! [`ParallelApi`] over the wire.
+//! The application-thread half of the live engine: [`LivePort`], what the
+//! engine puts behind `dse-api`'s [`GmPort`].
 //!
-//! Global memory is the shared [`GmClient`] of `dse-api`; this module is its
-//! live driver. [`LivePort`] is what the engine puts behind [`GmPort`]: the
-//! transport endpoint and app inbox, retransmission of unanswered requests,
-//! the wall clock the shared [`RequesterSpans`] are stamped with, and the
-//! replica cache's install-epoch guard. Barriers, locks and atomics wait on
-//! the same port.
+//! The Parallel API library is not written here: [`LiveCtx`] is `dse-api`'s
+//! [`ApiCtx`] over this port, the same context, `GmClient` and operation
+//! bodies the simulator runs. The port is the wire: the transport endpoint
+//! and app inbox, retransmission of unanswered requests, the wall clock the
+//! shared [`RequesterSpans`] are stamped with, the replica cache's
+//! install-epoch guard, the run's `gm/*` and `sync/*` series, and the
+//! structured failure of the calling rank.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::resume_unwind;
@@ -14,16 +15,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dse_api::{
-    Arrival, GmClient, GmCount, GmHandle, GmPort, GmProtocolError, ParallelApi, RequesterSpans,
-    SentReq, AUTO_BARRIER_BASE,
+    latency_series, ApiCtx, Arrival, GmCount, GmPort, GmProtocolError, RequesterSpans, SentReq,
 };
-use dse_kernel::gmem::GlobalStore;
 use dse_kernel::protocol::sharers_to_invalidate;
 use dse_kernel::task::count_live;
-use dse_kernel::{Distribution, GmMode, DEFAULT_GM_WINDOW};
+use dse_kernel::{GlobalStore, GmError, GmMode, DEFAULT_GM_WINDOW};
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
-use dse_obs::{FlightEventKind, MetricKey, Registry, SpanKind, TraceRole, TraceSpanKind};
-use dse_platform::Work;
+use dse_obs::{FlightEventKind, MetricKey, Registry, SpanKind, TraceRole};
 use dse_transport::{Pop, Transport};
 
 use super::{AbortUnwind, AppInbox, LiveCluster};
@@ -67,7 +65,7 @@ fn span_kind_of(msg: &Message) -> SpanKind {
 /// The live engine behind [`GmPort`]: the transport endpoint and app inbox,
 /// the messages that arrived while the app was waiting for something else,
 /// retransmission state, and the process's causal spans.
-struct LivePort {
+pub struct LivePort {
     rank: u32,
     cluster: Arc<LiveCluster>,
     transport: Arc<dyn Transport>,
@@ -82,7 +80,41 @@ struct LivePort {
     spans: RequesterSpans,
 }
 
+/// Per-process context of the live engine: the Parallel API library of
+/// `dse-api` over a [`LivePort`] — own-node ranges go straight to the store
+/// (the linked-library fast path), remote ranges become staged request
+/// messages that coalesce per home and travel as real wire traffic.
+pub type LiveCtx = ApiCtx<LivePort>;
+
 impl LivePort {
+    pub(super) fn new(
+        rank: u32,
+        cluster: Arc<LiveCluster>,
+        transport: Arc<dyn Transport>,
+    ) -> LivePort {
+        let app_rx = Arc::clone(&cluster.app_inboxes[rank as usize]);
+        let spans = RequesterSpans::new(rank, cluster.tracing, cluster.now_ns());
+        LivePort {
+            rank,
+            cluster,
+            transport,
+            app_rx,
+            stash: VecDeque::new(),
+            retry: HashMap::new(),
+            spans,
+        }
+    }
+
+    /// Called by the harness however the body ended: close the app root
+    /// span and park this thread's causal spans in the cluster sink — an
+    /// aborted run still yields a usable partial trace.
+    pub(super) fn flush_trace(&mut self) {
+        let spans = self.spans.finish(self.cluster.now_ns());
+        self.cluster
+            .trace_sink
+            .park(self.rank, TraceRole::App, spans);
+    }
+
     fn me(&self) -> NodeId {
         NodeId(self.rank as u16)
     }
@@ -94,12 +126,6 @@ impl LivePort {
     fn incr(&self, subsystem: &'static str, name: &'static str) {
         self.metrics()
             .incr(MetricKey::pe(subsystem, name, self.rank));
-    }
-
-    /// Count one application-level GM operation.
-    fn count_op(&self, name: &'static str) {
-        self.incr("gm", name);
-        self.incr("kernel", "gm_ops");
     }
 
     /// Record a first-hand app failure (if it is the first observation),
@@ -315,6 +341,14 @@ impl GmPort for LivePort {
         self.cluster.cache.is_some()
     }
 
+    fn gm_window(&self) -> usize {
+        DEFAULT_GM_WINDOW
+    }
+
+    fn spans(&mut self) -> &mut RequesterSpans {
+        &mut self.spans
+    }
+
     fn charge_local(&mut self, _bytes: usize) {
         // The access already ran for real; nothing to account.
     }
@@ -384,15 +418,22 @@ impl GmPort for LivePort {
         })
     }
 
+    /// A first-hand failure of this rank's application thread.
+    fn bad_access(&self, what: &str, err: GmError) -> ! {
+        self.die(FailureKind::BadAccess {
+            detail: format!("{what} failed: {err}"),
+        })
+    }
+
     fn stamp(&self) -> u64 {
         self.cluster.now_ns()
     }
 
     fn handle_done(&mut self, issued: u64, is_read: bool, remote: bool) {
         let name = match (is_read, remote) {
-            (true, true) => "remote_read_ns",
+            (true, true) => latency_series(SpanKind::GmRead).1,
             (true, false) => "local_read_ns",
-            (false, true) => "remote_write_ns",
+            (false, true) => latency_series(SpanKind::GmWrite).1,
             (false, false) => "local_write_ns",
         };
         self.metrics().record(
@@ -410,6 +451,26 @@ impl GmPort for LivePort {
             now.saturating_sub(since),
         );
         self.spans.blocked(since, now, seq);
+    }
+
+    fn op_begun(&mut self, kind: SpanKind) {
+        let name = match kind {
+            SpanKind::GmRead => "reads",
+            SpanKind::GmWrite => "writes",
+            _ => "fetch_adds",
+        };
+        self.incr("gm", name);
+        self.incr("kernel", "gm_ops");
+    }
+
+    /// Every barrier, lock acquisition and atomic is a sample of its
+    /// series, own-node atomics included.
+    fn op_done(&mut self, kind: SpanKind, _seq: u64, since: u64) {
+        let (subsystem, name) = latency_series(kind);
+        self.metrics().record(
+            MetricKey::pe(subsystem, name, self.rank),
+            self.cluster.now_ns().saturating_sub(since),
+        );
     }
 
     fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {
@@ -468,283 +529,52 @@ impl GmPort for LivePort {
         region: RegionId,
         offset: u64,
         data: &[u8],
-    ) -> Vec<ReqId> {
-        self.cluster.store.write(region, offset, data).unwrap();
-        self.own_write_coherence(reqs, region, offset, data.len())
-    }
-}
-
-/// Per-process context of the live engine: implements [`ParallelApi`] by
-/// driving the shared [`GmClient`] through a `LivePort` — own-node ranges
-/// go straight to the store (the linked-library fast path), remote ranges
-/// become staged request messages that coalesce per home and travel as
-/// real wire traffic.
-pub struct LiveCtx {
-    rank: u32,
-    pid: GlobalPid,
-    port: LivePort,
-    /// The split-phase global-memory machinery.
-    gm: GmClient,
-    barrier_seq: u32,
-    alloc_seq: usize,
-    /// Reusable scratch for element-wise `GmArray` accessors.
-    scratch: Vec<u8>,
-}
-
-impl LiveCtx {
-    pub(super) fn new(
-        rank: u32,
-        cluster: Arc<LiveCluster>,
-        transport: Arc<dyn Transport>,
-    ) -> LiveCtx {
-        let app_rx = Arc::clone(&cluster.app_inboxes[rank as usize]);
-        let spans = RequesterSpans::new(rank, cluster.tracing, cluster.now_ns());
-        LiveCtx {
-            rank,
-            pid: GlobalPid::new(NodeId(rank as u16), 1),
-            port: LivePort {
-                rank,
-                cluster,
-                transport,
-                app_rx,
-                stash: VecDeque::new(),
-                retry: HashMap::new(),
-                spans,
-            },
-            gm: GmClient::new(DEFAULT_GM_WINDOW),
-            barrier_seq: 0,
-            alloc_seq: 0,
-            scratch: Vec::new(),
-        }
+    ) -> Result<Vec<ReqId>, GmError> {
+        self.cluster.store.write(region, offset, data)?;
+        Ok(self.own_write_coherence(reqs, region, offset, data.len()))
     }
 
-    /// Complete all staged and in-flight split-phase work. Every blocking
-    /// synchronization primitive fences first, so split-phase operations are
-    /// always ordered before barriers, locks and atomics.
-    fn gm_fence(&mut self) {
-        self.gm.fence(&mut self.port);
-    }
-
-    /// One round trip to the coordinator on PE 0: send `enter`, block until
-    /// `granted` accepts the answer, and record the wait as a `kind` span
-    /// and a `sync/<metric>` sample. The answer is an acquire point.
-    fn coordinate(
+    /// Store first, like an own-node write; the atomic has no handle to
+    /// gate, so the invalidation round completes here: collect every ack.
+    fn own_node_fetch_add(
         &mut self,
-        enter: Message,
-        granted: impl FnMut(&Message) -> bool,
-        kind: TraceSpanKind,
-        seq: u64,
-        metric: &'static str,
-    ) {
-        let port = &mut self.port;
-        let t0 = port.cluster.now_ns();
-        let (wait_span, ctx) = port.spans.wait_begin();
-        port.send_traced(0, &enter, ctx);
-        port.await_msg(granted);
-        let now = port.cluster.now_ns();
-        port.spans.wait_end(now, kind, wait_span, t0, seq);
-        port.metrics()
-            .record(MetricKey::pe("sync", metric, port.rank), now - t0);
-        port.replica_purge();
-    }
-
-    /// Called by the harness after the body returns: fence, then notify the
-    /// coordinator so it can shut the kernels down once everyone is out.
-    pub(super) fn finish(&mut self) {
-        self.gm_fence();
-        let notice = Message::ExitNotice {
-            pid: self.pid,
-            status: 0,
-        };
-        self.port.send_traced(0, &notice, None);
-    }
-
-    /// Called by the harness however the body ended: close the app root
-    /// span and park this thread's causal spans in the cluster sink — an
-    /// aborted run still yields a usable partial trace.
-    pub(super) fn flush_trace(&mut self) {
-        let port = &mut self.port;
-        let spans = port.spans.finish(port.cluster.now_ns());
-        port.cluster
-            .trace_sink
-            .park(self.rank, TraceRole::App, spans);
-    }
-}
-
-impl ParallelApi for LiveCtx {
-    fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    fn nprocs(&self) -> usize {
-        self.port.cluster.nprocs
-    }
-
-    fn compute(&mut self, _work: Work) {
-        // The computation already ran for real; nothing to account.
-    }
-
-    fn gm_alloc(&mut self, len: usize, dist: Distribution) -> RegionId {
-        self.gm_fence();
-        let seq = self.alloc_seq;
-        self.alloc_seq += 1;
-        let cluster = &self.port.cluster;
-        let mut table = cluster.allocs.lock();
-        if let Some(&(id, existing)) = table.get(seq) {
-            assert_eq!(existing, len, "collective allocation #{seq} size mismatch");
-            return id;
+        reqs: &mut ReqIdGen,
+        region: RegionId,
+        offset: u64,
+        delta: i64,
+    ) -> Result<i64, GmError> {
+        let prev = self.cluster.store.fetch_add(region, offset, delta)?;
+        let mut pending = self.own_write_coherence(reqs, region, offset, 8);
+        while !pending.is_empty() {
+            let (ack, _) = self.await_msg(
+                |m| matches!(m, Message::GmInvalidateAck { req } if pending.contains(req)),
+            );
+            if let Message::GmInvalidateAck { req } = ack {
+                self.retry.remove(&req.0);
+                pending.retain(|r| *r != req);
+            }
         }
-        assert_eq!(table.len(), seq, "collective allocations out of order");
-        let id = cluster.store.alloc(len, dist);
-        table.push((id, len));
-        id
+        Ok(prev)
     }
 
-    fn gm_read(&mut self, region: RegionId, offset: u64, len: usize) -> Vec<u8> {
-        self.port.count_op("reads");
-        self.gm.read(&mut self.port, region, offset, len)
+    /// A request like any other: one `gm_request_msgs`, retry-armed.
+    fn send_atomic(&mut self, home: NodeId, req: ReqId, msg: Message) {
+        self.incr("kernel", "gm_request_msgs");
+        self.send_armed(req, home.0 as u32, msg, true);
     }
 
-    fn gm_write(&mut self, region: RegionId, offset: u64, data: &[u8]) {
-        self.port.count_op("writes");
-        self.gm.write(&mut self.port, region, offset, data)
+    /// The coordinator is PE 0's kernel, for PE 0's application too: every
+    /// call is a message and every answer another.
+    fn to_coordinator(&mut self, call: Message, ctx: Option<TraceCtx>) -> bool {
+        self.send_traced(0, &call, ctx);
+        false
     }
 
-    fn gm_read_into(&mut self, region: RegionId, offset: u64, out: &mut [u8]) {
-        self.port.count_op("reads");
-        self.gm.read_into(&mut self.port, region, offset, out)
-    }
-
-    fn gm_read_nb(&mut self, region: RegionId, offset: u64, len: usize) -> GmHandle {
-        self.port.count_op("reads");
-        self.gm.read_nb(&mut self.port, region, offset, len)
-    }
-
-    fn gm_write_nb(&mut self, region: RegionId, offset: u64, data: &[u8]) -> GmHandle {
-        self.port.count_op("writes");
-        self.gm.write_nb(&mut self.port, region, offset, data)
-    }
-
-    fn gm_wait(&mut self, handle: GmHandle) -> Option<Vec<u8>> {
-        self.gm.wait(&mut self.port, handle)
-    }
-
-    fn gm_wait_all(&mut self) {
-        self.gm.wait_all(&mut self.port)
-    }
-
-    fn take_scratch(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.scratch)
-    }
-
-    fn put_scratch(&mut self, buf: Vec<u8>) {
-        self.scratch = buf;
-    }
-
-    fn gm_fetch_add(&mut self, region: RegionId, offset: u64, delta: i64) -> i64 {
-        self.gm_fence();
-        let port = &mut self.port;
-        port.count_op("fetch_adds");
-        let start = port.cluster.now_ns();
-        let store = &port.cluster.store;
-        let home = store
-            .home_of(region, offset)
-            .unwrap_or_else(|e| panic!("live rank {}: bad GM address: {e}", self.rank));
-        let prev = if home == port.me() {
-            let prev = store
-                .fetch_add(region, offset, delta)
-                .unwrap_or_else(|e| panic!("live rank {}: fetch_add failed: {e}", self.rank));
-            // The invalidation round completes inline: collect every ack.
-            let mut pending = port.own_write_coherence(self.gm.req_ids(), region, offset, 8);
-            while !pending.is_empty() {
-                let (ack, _) = port.await_msg(
-                    |m| matches!(m, Message::GmInvalidateAck { req } if pending.contains(req)),
-                );
-                if let Message::GmInvalidateAck { req } = ack {
-                    port.retry.remove(&req.0);
-                    pending.retain(|r| *r != req);
-                }
-            }
-            prev
-        } else {
-            port.replica_drop(region, offset, 8);
-            let req = self.gm.req_ids().next();
-            port.incr("kernel", "gm_request_msgs");
-            let msg = Message::GmFetchAddReq {
-                req,
-                region,
-                offset,
-                delta,
-            };
-            port.send_armed(req, home.0 as u32, msg, true);
-            let t_block = port.cluster.now_ns();
-            let (resp, at) = port
-                .await_msg(|m| matches!(m, Message::GmFetchAddResp { req: r, .. } if *r == req));
-            port.request_done(req, SpanKind::GmFetchAdd, at);
-            port.blocked(t_block, req.0);
-            match resp {
-                Message::GmFetchAddResp { prev, .. } => prev,
-                _ => unreachable!(),
-            }
-        };
-        port.metrics().record(
-            MetricKey::pe("gm", "fetch_add_ns", self.rank),
-            port.cluster.now_ns().saturating_sub(start),
-        );
-        prev
-    }
-
-    fn barrier(&mut self) {
-        let id = AUTO_BARRIER_BASE + self.barrier_seq;
-        self.barrier_seq += 1;
-        self.gm_fence();
-        let enter = Message::BarrierEnter {
-            barrier: id,
-            pid: self.pid,
-        };
-        self.coordinate(
-            enter,
-            |m| matches!(m, Message::BarrierRelease { barrier, .. } if *barrier == id),
-            TraceSpanKind::BarrierWait,
-            id as u64,
-            "barrier_wait_ns",
-        );
-    }
-
-    fn lock(&mut self, id: u32) {
-        self.gm_fence();
-        let req = self.gm.req_ids().next();
-        let enter = Message::LockReq {
-            req,
-            lock: id,
-            pid: self.pid,
-        };
-        self.coordinate(
-            enter,
-            |m| matches!(m, Message::LockGrant { req: r, .. } if *r == req),
-            TraceSpanKind::LockWait,
-            req.0,
-            "lock_wait_ns",
-        );
-    }
-
-    fn unlock(&mut self, id: u32) {
-        self.gm_fence();
-        let release = Message::UnlockReq {
-            lock: id,
-            pid: self.pid,
-        };
-        self.port.send_traced(0, &release, None);
-    }
-
-    fn gm_release(&mut self) {
-        // Making prior writes globally visible is exactly the fence: every
-        // write ack (gated on its invalidations under WI) has landed.
-        self.gm_fence();
-    }
-
-    fn gm_acquire(&mut self) {
-        self.gm.acquire(&mut self.port);
+    /// Notify the coordinator, which shuts the kernels down once every rank
+    /// is out. The spans are parked by `flush_trace`, which runs
+    /// on every exit path.
+    fn exit(&mut self, pid: GlobalPid) {
+        self.send_traced(0, &Message::ExitNotice { pid, status: 0 }, None);
     }
 }
 
@@ -752,7 +582,8 @@ impl ParallelApi for LiveCtx {
 mod tests {
     use super::*;
     use crate::{FailureRole, FaultPlan, LiveRunConfig, LiveRunner, RetryPolicy, SchedulerKind};
-    use dse_api::{GmArray, GmCounter};
+    use dse_api::{GmArray, GmCounter, ParallelApi};
+    use dse_kernel::Distribution;
 
     #[test]
     fn transient_drops_are_absorbed_by_retry() {

@@ -15,7 +15,7 @@ use dse_transport::TransportError;
 /// Which of a PE's two threads observed the failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureRole {
-    /// The application thread (the rank's body / `LiveCtx`).
+    /// The application thread (the rank's body and the API library under it).
     App,
     /// The kernel thread (the PE's message loop).
     Kernel,
@@ -58,6 +58,13 @@ pub enum FailureKind {
         /// The message's label, its sender and what was wrong with it.
         detail: String,
     },
+    /// The application addressed global memory wrongly (out of range, or an
+    /// atomic cell that is misaligned or split between two homes); nothing
+    /// was sent.
+    BadAccess {
+        /// The entry point and the store's error.
+        detail: String,
+    },
     /// The co-resident kernel thread went away while the app still needed it.
     KernelGone,
     /// The transport mesh could not be constructed at startup.
@@ -82,6 +89,7 @@ impl fmt::Display for FailureKind {
             FailureKind::PeerProtocol { detail } => {
                 write!(f, "peer protocol violation: {detail}")
             }
+            FailureKind::BadAccess { detail } => write!(f, "bad global-memory access: {detail}"),
             FailureKind::KernelGone => write!(f, "kernel thread exited while the app was waiting"),
             FailureKind::Mesh(e) => write!(f, "transport mesh construction failed: {e}"),
         }

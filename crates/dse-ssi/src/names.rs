@@ -28,7 +28,7 @@ pub fn bind_array<T: GmElem>(ctx: &mut DseCtx<'_>, name: &str, arr: &GmArray<T>)
 
 #[cfg(test)]
 mod tests {
-    use dse_api::{Distribution, DseProgram, GmArray, NodeId, Platform};
+    use dse_api::{Distribution, DseProgram, GmArray, NodeId, ParallelApi, Platform};
 
     #[test]
     fn names_resolve_across_ranks() {
