@@ -12,7 +12,8 @@
 //! [`DseCtx`] is the context over [`SimPort`], the simulator's port, which
 //! this file also holds: it charges virtual time, sends through the network
 //! model, times each request for the latency histograms, stamps the shared
-//! [`RequesterSpans`] with the virtual clock, and on node 0 calls the
+//! [`RequesterSpans`] with the virtual clock (adding a `cpu_queue` span
+//! wherever a charge waited for its CPU), and on node 0 calls the
 //! coordinator in place. `dse-live` supplies the other port. What `DseCtx`
 //! offers beyond the shared surface (virtual time, point-to-point user
 //! messages, named barriers, cooperative termination) is an inherent
@@ -22,7 +23,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use dse_kernel::kernel::{count as count_kernel, SimRequester};
-use dse_kernel::netpath::{charge_local, charge_recv, send_msg};
+use dse_kernel::netpath::{hold_cpu, send_msg};
 use dse_kernel::protocol::{barrier_enter, lock_acquire, lock_release, sharers_to_invalidate};
 use dse_kernel::{
     ClusterShared, Distribution, GlobalStore, GmError, GmMode, HomeSpans, Party, SimKernelPort,
@@ -113,11 +114,17 @@ impl<'a> SimPort<'a> {
         SimKernelPort::new(ctx, &self.shared, self.node, spans, call)
     }
 
+    /// Hold this node's CPU for `dur`, recording what was queued for it.
+    fn hold(&mut self, dur: SimDuration) {
+        let (asked, granted) = hold_cpu(self.ctx, &self.shared, self.node, dur);
+        self.spans.cpu_queue(asked, granted);
+    }
+
     /// Send `msg` to simulation process `to_proc` on `to_node`, replies
     /// addressed to this process.
     fn send(&mut self, to_node: NodeId, to_proc: ProcId, msg: &Message, trace: Option<TraceCtx>) {
         let (me, from) = (self.ctx.id(), self.node);
-        send_msg(
+        let (asked, granted) = send_msg(
             self.ctx,
             &self.shared,
             from,
@@ -127,6 +134,7 @@ impl<'a> SimPort<'a> {
             msg,
             trace,
         );
+        self.spans.cpu_queue(asked, granted);
     }
 
     /// Send `msg` to `node`'s kernel.
@@ -135,7 +143,9 @@ impl<'a> SimPort<'a> {
         self.send(node, kproc, msg, trace);
     }
 
-    /// Receive one runtime message, charging the receive-side software cost.
+    /// Receive one runtime message, charging the receive-side software cost
+    /// (protocol receive processing, SIGIO delivery, context switch into
+    /// kernel duty).
     fn recv_runtime(&mut self) -> (Message, Arrival) {
         let env = self
             .ctx
@@ -148,7 +158,7 @@ impl<'a> SimPort<'a> {
             at_ns,
             wire_bytes: sm.bytes.len() as u64,
         };
-        charge_recv(self.ctx, &self.shared, self.node, sm.bytes.len());
+        self.hold(self.shared.cost(self.node).msg_recv(sm.bytes.len()));
         let msg = Message::decode(&sm.bytes).expect("undecodable runtime message");
         (msg, arrival)
     }
@@ -237,7 +247,7 @@ impl GmPort for SimPort<'_> {
     }
 
     fn charge_local(&mut self, bytes: usize) {
-        charge_local(self.ctx, &self.shared, self.node, bytes);
+        self.hold(self.shared.cost(self.node).local_call(bytes));
     }
 
     fn count(&mut self, what: GmCount) {
@@ -445,12 +455,11 @@ impl GmPort for SimPort<'_> {
     fn compute(&mut self, work: Work) {
         const SLICE: SimDuration = SimDuration::from_millis(5);
         let mut remaining = self.shared.cost(self.node).compute(work);
-        let cpu = self.shared.cpu_of(self.node);
         while remaining > SLICE {
-            self.ctx.use_resource(cpu, SLICE);
+            self.hold(SLICE);
             remaining = remaining - SLICE;
         }
-        self.ctx.use_resource(cpu, remaining);
+        self.hold(remaining);
     }
 
     /// Notify the launcher, then park this process's causal spans with the

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use dse_kernel::kernel::{AppFactory, SimKernel};
-use dse_kernel::netpath::{charge_recv, send_msg};
+use dse_kernel::netpath::{hold_cpu, send_msg};
 use dse_kernel::{ClusterShared, DseConfig, KernelStats, SimMsg, StallReport, TelemetryHook};
 use dse_msg::{Message, NodeId, ReqIdGen};
 use dse_obs::{
@@ -192,9 +192,6 @@ impl DseProgram {
         let mut spec = ClusterSpec::with_machines(self.platform.clone(), machines, nprocs);
         spec.machine_platforms = self.machine_platforms.clone();
         let mut sim: Simulator<SimMsg> = Simulator::new();
-        if self.config.tracing {
-            sim.enable_tracing();
-        }
         let cpus = (0..spec.machines_used())
             .map(|m| sim.add_resource(&format!("cpu{m}")))
             .collect();
@@ -331,7 +328,12 @@ fn launcher_main(ctx: &mut ProcCtx<SimMsg>, shared: Arc<ClusterShared>, nprocs: 
             ),
         };
         let sm = env.msg;
-        charge_recv(ctx, &shared, node0, sm.bytes.len());
+        hold_cpu(
+            ctx,
+            &shared,
+            node0,
+            shared.cost(node0).msg_recv(sm.bytes.len()),
+        );
         match Message::decode(&sm.bytes).expect("launcher got undecodable message") {
             Message::InvokeAck { .. } => acks += 1,
             Message::ExitNotice { status, pid } => {

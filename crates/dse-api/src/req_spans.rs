@@ -5,7 +5,9 @@
 //! (dispatch to completion) with the `redeem` span that links it back to
 //! the home kernel's serve, a `gm_block` span per blocking wait, a
 //! `barrier_wait` / `lock_wait` span around each round trip to the
-//! coordinator, and the trace context each of those sends carries. It sits
+//! coordinator, a `cpu_queue` span per CPU charge that had to queue (the
+//! simulator's port only: a live process's queueing is the host's), and the
+//! trace context each of those sends carries. It sits
 //! beside [`GmClient`](crate::GmClient) and, like it, knows no clock: every
 //! call takes `now_ns`, so the live port stamps the wall clock, the
 //! simulator's port virtual time, and the same program yields the same
@@ -137,6 +139,17 @@ impl RequesterSpans {
         }
     }
 
+    /// The process asked for its machine's CPU at `asked_ns` and was
+    /// granted it at `granted_ns`: time on its clock that is neither work
+    /// nor a wait for a message.
+    pub fn cpu_queue(&mut self, asked_ns: u64, granted_ns: u64) {
+        if self.rec.enabled() && granted_ns > asked_ns {
+            let (id, app) = (self.rec.cpu_queue_id(asked_ns, granted_ns), self.app_span);
+            let span = self.span(TraceSpanKind::CpuQueue, id, app, asked_ns, granted_ns);
+            self.rec.push(span);
+        }
+    }
+
     /// Begin a round trip to the coordinator: the id of its wait span, and
     /// the context the enter carries (`None` on an untraced run).
     pub fn wait_begin(&mut self) -> (u64, Option<TraceCtx>) {
@@ -245,11 +258,24 @@ mod tests {
     }
 
     #[test]
+    fn a_charge_that_queued_is_a_span_on_the_apps_own_lane() {
+        let mut r = RequesterSpans::new(3, true, 0);
+        r.cpu_queue(40, 40); // the CPU was free: nothing to say
+        r.cpu_queue(50, 75);
+        let spans = r.finish(100);
+        assert_eq!(spans.len(), 2);
+        let (q, app) = (spans[0], spans[1]);
+        assert_eq!((q.kind, q.parent), (TraceSpanKind::CpuQueue, app.span));
+        assert_eq!((q.start_ns, q.end_ns, q.peer), (50, 75, dse_obs::NO_PEER));
+    }
+
+    #[test]
     fn an_untraced_process_mints_no_context_and_keeps_nothing() {
         let mut r = RequesterSpans::new(0, false, 0);
         assert!(r.request_sent(1, 1, 1).is_none());
         assert_eq!(r.wait_begin().1, None);
         r.blocked(1, 2, 0);
+        r.cpu_queue(2, 3);
         r.wait_end(3, TraceSpanKind::BarrierWait, 1, 2, 4);
         assert!(r.finish(9).is_empty());
     }

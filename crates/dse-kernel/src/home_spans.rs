@@ -2,8 +2,10 @@
 //!
 //! What a kernel records about the requests it answers: the `serve` span of
 //! a GM request, the `lock_grant` span of a lock request, one
-//! `barrier_release` span per barrier round, and the trace context each
-//! answer carries back so the requester can link to them. It sits beside
+//! `barrier_release` span per barrier round, a `cpu_queue` span per CPU
+//! charge that had to queue (the simulated kernel only), and the trace
+//! context each answer carries back so the requester can link to them. It
+//! sits beside
 //! [`KernelProtocol`](crate::protocol::KernelProtocol) and, like it, knows
 //! no clock: every call takes `now_ns`, so the live kernel task stamps the
 //! wall clock, the simulated kernel virtual time, and the same protocol
@@ -13,8 +15,9 @@
 //! Every span id minted here is *derived*: ids both endpoints of an
 //! exchange (or two runs of the same seed) must agree on are never drawn
 //! from a counter — they are hashes of ids the endpoints already share
-//! (`dse_obs::serve_span_id` and the two below). The salt keeps the three
-//! derivation families disjoint.
+//! (`dse_obs::serve_span_id` and the two below), or, for a `cpu_queue`
+//! span, of who queued and when. The salt keeps the derivation families
+//! disjoint.
 
 use dse_msg::{Message, TraceCtx};
 use dse_obs::{
@@ -151,6 +154,24 @@ impl HomeSpans {
         }
     }
 
+    /// The kernel, working on what `serving` sent it, asked for its
+    /// machine's CPU at `asked_ns` and was granted it at `granted_ns`. The
+    /// span names the PE served as its peer, as a serve does, and joins the
+    /// request's trace when it had one.
+    pub fn cpu_queue(&mut self, asked_ns: u64, granted_ns: u64, serving: Origin) {
+        if self.rec.enabled() && granted_ns > asked_ns {
+            let no_trace = TraceCtx {
+                trace: 0,
+                parent: 0,
+            };
+            let c = serving.ctx.unwrap_or(no_trace);
+            let id = self.rec.cpu_queue_id(asked_ns, granted_ns);
+            let mut span = self.span(TraceSpanKind::CpuQueue, c, id, asked_ns, granted_ns);
+            span.peer = serving.pe;
+            self.rec.push(span);
+        }
+    }
+
     /// Drain the recorded spans.
     pub fn take(&mut self) -> Vec<TraceSpanRec> {
         self.rec.take()
@@ -221,6 +242,36 @@ mod tests {
     }
 
     #[test]
+    fn a_charge_that_queued_names_the_pe_it_was_for() {
+        let mut h = HomeSpans::new(1, true);
+        h.cpu_queue(30, 30, from(0, 500, 10)); // the CPU was free
+        h.cpu_queue(30, 55, from(0, 500, 10));
+        let chore = Origin {
+            pe: 2,
+            ctx: None,
+            at_ns: 60,
+        };
+        h.cpu_queue(60, 70, chore);
+        let spans = h.take();
+        let got: Vec<_> = spans
+            .iter()
+            .map(|s| {
+                (
+                    s.kind, s.pe, s.peer, s.trace, s.parent, s.start_ns, s.end_ns,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (TraceSpanKind::CpuQueue, 1, 0, 77, 500, 30, 55),
+                (TraceSpanKind::CpuQueue, 1, 2, 0, 0, 60, 70)
+            ]
+        );
+        assert_ne!(spans[0].span, spans[1].span);
+    }
+
+    #[test]
     fn an_untraced_request_leaves_nothing() {
         let mut h = HomeSpans::new(0, true);
         let plain = Origin {
@@ -236,6 +287,7 @@ mod tests {
         // And a kernel that does not trace keeps nothing of a traced one.
         let mut off = HomeSpans::new(0, false);
         off.serve(9, from(1, 3, 5), 0, 1, 8);
+        off.cpu_queue(5, 9, from(1, 3, 5));
         assert!(off.take().is_empty());
     }
 }

@@ -29,9 +29,11 @@
 //! stamped in virtual time: a message's trace context arrives in its
 //! [`SimMsg`] beside the bytes, a `lock_grant` or `barrier_release` is
 //! stamped with the instant `handle` ran, a `serve` closes at the
-//! `EndService` step, and the answer's context leaves with the `Wire` step.
-//! None of it is an op, a charge or a counter, so a traced run plays back
-//! exactly the events of an untraced one.
+//! `EndService` step, the answer's context leaves with the `Wire` step, and
+//! a hold that was granted later than it was asked for is a `cpu_queue`
+//! span naming the PE whose message is in service, read off the clock when
+//! the hold ends. None of it is an op, a charge or a counter, so a traced
+//! run plays back exactly the events of an untraced one.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -43,7 +45,7 @@ use dse_sim::{CompCtx, Component, ProcCtx, ProcId, SimDuration, SimTime, Wait, W
 use crate::cache::CacheStore;
 use crate::config::GmMode;
 use crate::home_spans::{HomeSpans, Origin};
-use crate::netpath::{begin_send, book_wire, send_msg};
+use crate::netpath::{begin_send, book_wire, hold_cpu, send_msg};
 use crate::protocol::{Gates, KernelCount, KernelPort, KernelProtocol};
 use crate::shared::ClusterShared;
 use crate::simmsg::SimMsg;
@@ -197,7 +199,10 @@ impl KernelPort for SimKernelPort<'_> {
     fn charge_copy(&mut self, bytes: usize) {
         let dur = self.shared.cost(self.node).mem_copy(bytes);
         match &mut self.exec {
-            Exec::Blocking(ctx) => ctx.use_resource(self.shared.cpu_of(self.node), dur),
+            Exec::Blocking(ctx) => {
+                let (asked, granted) = hold_cpu(ctx, self.shared, self.node, dur);
+                self.spans.cpu_queue(asked, granted, self.handling);
+            }
             Exec::Recording(ops, _) => ops.push_back(Op::Charge(dur)),
         }
     }
@@ -260,10 +265,21 @@ impl SimKernelPort<'_> {
         match &mut self.exec {
             Exec::Blocking(ctx) => {
                 let me = ctx.id();
-                send_msg(ctx, self.shared, self.node, node, to, me, &msg, trace);
+                let (asked, granted) =
+                    send_msg(ctx, self.shared, self.node, node, to, me, &msg, trace);
+                self.spans.cpu_queue(asked, granted, self.handling);
             }
             Exec::Recording(ops, _) => ops.push_back(Op::Send(node, to, msg, trace)),
         }
+    }
+}
+
+/// What a kernel's tick "was sent by": nobody, so its own node.
+fn own_duty(node: NodeId, at: SimTime) -> Origin {
+    Origin {
+        pe: node.0 as u32,
+        ctx: None,
+        at_ns: at.as_nanos(),
     }
 }
 
@@ -289,6 +305,10 @@ pub struct SimKernel {
     next_local_pid: u16,
     /// What is left of the message (or tick) in service, in order.
     ops: VecDeque<Op>,
+    /// Who sent the message in service (this node, for a tick).
+    serving: Origin,
+    /// The hold in progress: when it was asked for, and its length.
+    hold: (SimTime, SimDuration),
     /// `None` when `config.telemetry` is off: no timer, zero extra traffic.
     telemetry: Option<Telemetry>,
 }
@@ -312,6 +332,8 @@ impl SimKernel {
             gates: Gates::default(),
             next_local_pid: 1,
             ops: VecDeque::new(),
+            serving: own_duty(node, SimTime::ZERO),
+            hold: (SimTime::ZERO, SimDuration::ZERO),
             telemetry,
         }
     }
@@ -417,6 +439,12 @@ impl SimKernel {
         }
         self.ops.push_back(Op::EndTick);
     }
+
+    /// Ask for this node's CPU at `now`, for `dur`.
+    fn ask_cpu(&mut self, now: SimTime, dur: SimDuration) -> Wait {
+        self.hold = (now, dur);
+        Wait::Hold(self.shared.cpu_of(self.node), dur)
+    }
 }
 
 impl Component<SimMsg> for SimKernel {
@@ -428,8 +456,18 @@ impl Component<SimMsg> for SimKernel {
                     ctx.set_timer(now + t.interval);
                 }
             }
-            Wakeup::Resumed => {}
-            Wakeup::Timer => self.tick(),
+            // The hold ended `dur` after it was granted: the rest of the
+            // time since it was asked for was spent queued for the CPU.
+            Wakeup::Resumed => {
+                let (asked, dur) = self.hold;
+                let granted = now.as_nanos() - dur.as_nanos();
+                self.spans
+                    .cpu_queue(asked.as_nanos(), granted, self.serving);
+            }
+            Wakeup::Timer => {
+                self.serving = own_duty(node, now);
+                self.tick()
+            }
             Wakeup::Message(env) => {
                 // A request queued behind an earlier service has been
                 // waiting since it was delivered: its span starts there.
@@ -463,18 +501,19 @@ impl Component<SimMsg> for SimKernel {
                     proc: sm.reply_to,
                     from,
                 };
+                self.serving = from;
                 self.ops.push_back(Op::Serve(reply, msg));
             }
         }
         while let Some(op) = self.ops.pop_front() {
             match op {
-                Op::Charge(dur) => return Wait::Hold(self.shared.cpu_of(node), dur),
+                Op::Charge(dur) => return self.ask_cpu(now, dur),
                 Op::Serve(reply, msg) => self.serve(now, reply, msg),
                 Op::Count(what) => count(&self.shared, node, what),
                 Op::Send(to_node, to, msg, trace) => {
                     let (bytes, charge) = begin_send(&self.shared, now, node, to_node, &msg);
                     self.ops.push_front(Op::Wire(to_node, to, bytes, trace));
-                    return Wait::Hold(self.shared.cpu_of(node), charge);
+                    return self.ask_cpu(now, charge);
                 }
                 Op::Wire(to_node, to, bytes, trace) => {
                     let latency = book_wire(&self.shared, now, node, to_node, bytes.len());

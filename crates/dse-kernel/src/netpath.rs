@@ -12,7 +12,9 @@
 //!
 //! Every send charges the *sender's* machine CPU, every receive charges the
 //! *receiver's* machine CPU (protocol receive + SIGIO signal delivery +
-//! context switch — the async-I/O interruption the paper describes).
+//! context switch — the async-I/O interruption the paper describes). Every
+//! charge on a process's own clock goes through [`hold_cpu`], which reports
+//! how long the CPU was queued for, for the caller's `cpu_queue` span.
 
 use dse_msg::{Message, NodeId, TraceCtx};
 use dse_obs::MetricKey;
@@ -21,10 +23,27 @@ use dse_sim::{ProcCtx, ProcId, SimDuration, SimTime};
 use crate::shared::ClusterShared;
 use crate::simmsg::SimMsg;
 
+/// Hold `node`'s CPU for `dur` on the calling process's clock. Returns
+/// `(asked_ns, granted_ns)`: when the process asked for the CPU and when it
+/// got it — equal when the CPU was free.
+pub fn hold_cpu(
+    ctx: &mut ProcCtx<SimMsg>,
+    shared: &ClusterShared,
+    node: NodeId,
+    dur: SimDuration,
+) -> (u64, u64) {
+    let asked = ctx.now().as_nanos();
+    ctx.use_resource(shared.cpu_of(node), dur);
+    // (A context released at shutdown does not advance: nothing queued.)
+    let granted = ctx.now().as_nanos().saturating_sub(dur.as_nanos());
+    (asked, granted.max(asked))
+}
+
 /// Send `msg` from `from_node` to the simulation process `to_proc` living
 /// on `to_node`. Charges the sender-side software cost, books the wire (or
 /// loopback), and dispatches the envelope. `reply_to` names the simulation
 /// process any response should go to; `trace` rides beside the bytes.
+/// Returns what [`hold_cpu`] did for the software cost.
 #[allow(clippy::too_many_arguments)]
 pub fn send_msg(
     ctx: &mut ProcCtx<SimMsg>,
@@ -35,9 +54,9 @@ pub fn send_msg(
     reply_to: ProcId,
     msg: &Message,
     trace: Option<TraceCtx>,
-) {
+) -> (u64, u64) {
     let (bytes, charge) = begin_send(shared, ctx.now(), from_node, to_node, msg);
-    ctx.use_resource(shared.cpu_of(from_node), charge);
+    let queued = hold_cpu(ctx, shared, from_node, charge);
     let latency = book_wire(shared, ctx.now(), from_node, to_node, bytes.len());
     ctx.send(
         to_proc,
@@ -49,6 +68,7 @@ pub fn send_msg(
             ctx: trace,
         },
     );
+    queued
 }
 
 /// First half of a send, at the instant the sender starts it: encode
@@ -113,22 +133,4 @@ pub fn book_wire(
         latency.as_nanos(),
     );
     latency
-}
-
-/// Charge the receiver-side software cost for a message of `wire_len`
-/// payload bytes that just arrived at `node` (protocol receive processing,
-/// SIGIO delivery, context switch into kernel duty).
-pub fn charge_recv(
-    ctx: &mut ProcCtx<SimMsg>,
-    shared: &ClusterShared,
-    node: NodeId,
-    wire_len: usize,
-) {
-    ctx.use_resource(shared.cpu_of(node), shared.cost(node).msg_recv(wire_len));
-}
-
-/// Charge the own-node fast path (function call into the linked kernel
-/// library, touching `bytes` of memory).
-pub fn charge_local(ctx: &mut ProcCtx<SimMsg>, shared: &ClusterShared, node: NodeId, bytes: usize) {
-    ctx.use_resource(shared.cpu_of(node), shared.cost(node).local_call(bytes));
 }

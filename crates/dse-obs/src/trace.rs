@@ -44,11 +44,15 @@ pub enum TraceSpanKind {
     LockWait,
     /// The PE0 coordinator granting a cluster lock.
     LockGrant,
+    /// A process or kernel queued for its machine's CPU, request to grant
+    /// (simulator only; `peer` is [`NO_PEER`] on the app's own lane, the
+    /// PE being served on a kernel's).
+    CpuQueue,
 }
 
 impl TraceSpanKind {
     /// Every kind, in serialization order.
-    pub const ALL: [TraceSpanKind; 10] = [
+    pub const ALL: [TraceSpanKind; 11] = [
         TraceSpanKind::App,
         TraceSpanKind::GmReq,
         TraceSpanKind::GmBlock,
@@ -59,6 +63,7 @@ impl TraceSpanKind {
         TraceSpanKind::BarrierRelease,
         TraceSpanKind::LockWait,
         TraceSpanKind::LockGrant,
+        TraceSpanKind::CpuQueue,
     ];
 
     /// Stable wire label, used in the JSONL stream and blame table.
@@ -74,6 +79,7 @@ impl TraceSpanKind {
             TraceSpanKind::BarrierRelease => "barrier_release",
             TraceSpanKind::LockWait => "lock_wait",
             TraceSpanKind::LockGrant => "lock_grant",
+            TraceSpanKind::CpuQueue => "cpu_queue",
         }
     }
 
@@ -347,11 +353,24 @@ impl TraceRecorder {
     /// Mint the next deterministic span id for this thread.
     pub fn next_id(&mut self) -> u64 {
         self.next += 1;
-        let role = match self.role {
-            TraceRole::App => 0u64,
-            TraceRole::Kernel => 1u64,
-        };
-        ((self.pe as u64 + 1) << 40) | (role << 39) | self.next
+        ((self.pe as u64 + 1) << 40) | (self.role_bit() << 39) | self.next
+    }
+
+    fn role_bit(&self) -> u64 {
+        match self.role {
+            TraceRole::App => 0,
+            TraceRole::Kernel => 1,
+        }
+    }
+
+    /// The id of the `cpu_queue` span of this thread asking for its CPU at
+    /// `asked_ns` and getting it at `granted_ns`: derived, not minted, so
+    /// the spans a simulated run shares with a live one carry the same ids
+    /// whether or not anything queued. (A CPU is granted to one holder at
+    /// a time, so the four values never repeat.)
+    pub fn cpu_queue_id(&self, asked_ns: u64, granted_ns: u64) -> u64 {
+        let who = ((self.pe as u64) << 16) | (self.role_bit() << 8) | 4;
+        derived_span_id(asked_ns ^ granted_ns.rotate_left(32), who)
     }
 
     /// Keep a closed span (dropped when disabled).

@@ -17,7 +17,7 @@
 //!
 //! All scheduler state — event heap, per-process slots (state, epoch, inbox,
 //! a one-slot resume mailbox, the thread handle), resource queues,
-//! statistics, trace — lives in one [`Core`] behind one mutex, shared by
+//! statistics — lives in one [`Core`] behind one mutex, shared by
 //! every process context and the thread inside [`Simulator::run`]. Because
 //! exactly one thread runs at a time the mutex is never contended and the
 //! interleaving of core operations is deterministic.
@@ -54,7 +54,7 @@
 //!
 //! Whichever thread pops an event does exactly the bookkeeping any other
 //! would, so the logical event sequence — counters, virtual times, FCFS
-//! grants, trace order and the determinism hash — does not depend on who
+//! grants and the determinism hash — does not depend on who
 //! carried the baton; only the number of OS context switches does.
 //!
 //! Two rules of the hand-off are measured, not stylistic:
@@ -88,7 +88,6 @@ use crate::envelope::{Envelope, RecvResult};
 use crate::ids::{ProcId, ResourceId};
 use crate::stats::{ResourceStats, SimReport, SimStats, TraceHasher};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceKind, TraceRecords};
 
 type ProcFn<M> = Box<dyn FnOnce(&mut ProcCtx<M>) + Send + 'static>;
 
@@ -155,9 +154,7 @@ struct ProcSlot<M: Send + 'static> {
     /// Guards against stale wake events; bumped whenever a wake is scheduled.
     epoch: u64,
     time: SimTime,
-    /// When the process blocked in `recv` (tracing).
-    blocked_since: Option<SimTime>,
-    /// Whether the first scheduling was traced.
+    /// Whether the process has been resumed at least once.
     started: bool,
     inbox: VecDeque<Envelope<M>>,
     /// One-slot resume mailbox: filled under the core lock by whoever
@@ -182,7 +179,6 @@ impl<M: Send + 'static> ProcSlot<M> {
             state: ProcState::Scheduled,
             epoch: 0,
             time: SimTime::ZERO,
-            blocked_since: None,
             started: false,
             inbox: VecDeque::new(),
             mailbox: None,
@@ -220,7 +216,6 @@ struct Core<M: Send + 'static> {
     now: SimTime,
     stats: SimStats,
     hasher: TraceHasher,
-    tracing: Option<Vec<TraceEvent>>,
     resources: Vec<ResourceState>,
     procs: Vec<ProcSlot<M>>,
     /// The thread inside [`Simulator::run`], parked while processes run.
@@ -246,7 +241,6 @@ impl<M: Send + 'static> Core<M> {
             now: SimTime::ZERO,
             stats: SimStats::default(),
             hasher: TraceHasher::new(),
-            tracing: None,
             resources: Vec::new(),
             procs: Vec::new(),
             runner: None,
@@ -254,13 +248,6 @@ impl<M: Send + 'static> Core<M> {
             shutting_down: false,
             panic: None,
             reap: None,
-        }
-    }
-
-    #[inline]
-    fn trace(&mut self, proc: ProcId, kind: TraceKind) {
-        if let Some(t) = self.tracing.as_mut() {
-            t.push(TraceEvent { proc, kind });
         }
     }
 
@@ -327,28 +314,19 @@ impl<M: Send + 'static> Core<M> {
         self.hasher.mix(p.0 as u64);
     }
 
-    /// `p` resumes at `time`: mark it running and trace its start and the
-    /// wait that just ended. Returns whether this is its first resume.
+    /// `p` resumes at `time`: mark it running. Returns whether this is its
+    /// first resume.
     fn note_resumed(&mut self, p: ProcId, time: SimTime) -> bool {
         let slot = &mut self.procs[p.index()];
         slot.state = ProcState::Running;
         slot.time = time;
-        let first = !std::mem::replace(&mut slot.started, true);
-        let waited = slot.blocked_since.take();
-        if self.tracing.is_some() {
-            if first {
-                self.trace(p, TraceKind::Start { at: time });
-            }
-            if let Some(from) = waited {
-                self.trace(p, TraceKind::RecvWait { from, until: time });
-            }
-        }
-        first
+        !std::mem::replace(&mut slot.started, true)
     }
 
-    /// Queue `p` (whose clock reads `yt`) FCFS on `res` for `dur`; returns
-    /// when the hold ends. The grant order is the order of these calls.
-    fn book(&mut self, p: ProcId, res: ResourceId, yt: SimTime, dur: SimDuration) -> SimTime {
+    /// Queue a process whose clock reads `yt` FCFS on `res` for `dur`;
+    /// returns when the hold ends. The grant order is the order of these
+    /// calls.
+    fn book(&mut self, res: ResourceId, yt: SimTime, dur: SimDuration) -> SimTime {
         let r = &mut self.resources[res.index()];
         let start = r.available_at.max(yt);
         r.stats_waited += start - yt;
@@ -356,26 +334,6 @@ impl<M: Send + 'static> Core<M> {
         r.acquisitions += 1;
         let done = start + dur;
         r.available_at = done;
-        if self.tracing.is_some() {
-            if start > yt {
-                self.trace(
-                    p,
-                    TraceKind::ResourceWait {
-                        res,
-                        from: yt,
-                        until: start,
-                    },
-                );
-            }
-            self.trace(
-                p,
-                TraceKind::ResourceHold {
-                    res,
-                    from: start,
-                    until: done,
-                },
-            );
-        }
         done
     }
 
@@ -390,7 +348,6 @@ impl<M: Send + 'static> Core<M> {
             msg,
         };
         self.stats.sends += 1;
-        self.trace(from, TraceKind::Sent { at: now, to });
         self.push_event(delivered_at, Action::Deliver(to, env));
     }
 
@@ -671,12 +628,6 @@ impl<M: Send + 'static> Simulator<M> {
         }
     }
 
-    /// Record an execution trace during the run (see [`TraceRecords`]);
-    /// retrieve it from [`SimReport::trace`].
-    pub fn enable_tracing(&mut self) {
-        self.core.lock().tracing = Some(Vec::new());
-    }
-
     /// Register a FCFS resource (e.g. a machine CPU). Must be called before
     /// [`Simulator::run`].
     pub fn add_resource(&mut self, name: &str) -> ResourceId {
@@ -747,15 +698,9 @@ impl<M: Send + 'static> Simulator<M> {
                 _ => blocked.push(slot.name.clone()),
             }
         }
-        let proc_names = core.procs.iter().map(|s| s.name.clone()).collect();
-        let trace = core
-            .tracing
-            .take()
-            .map(|events| TraceRecords { events, proc_names });
         SimReport {
             end_time: core.now,
             stats: std::mem::take(&mut core.stats),
-            trace,
             resources: core
                 .resources
                 .iter()
@@ -774,8 +719,8 @@ impl<M: Send + 'static> Simulator<M> {
 
     /// Release every process thread that is still parked with `Shutdown`
     /// and join it, one at a time in id order, so the bodies unwind their
-    /// loops one after another and their `Exit` trace events keep that
-    /// order; a component still waiting ends where its slot comes up. Time
+    /// loops one after another; a component still waiting ends where its
+    /// slot comes up. Time
     /// is frozen: a released context short-circuits every call. Idempotent;
     /// called with no process running.
     fn teardown(&self) {
@@ -791,9 +736,7 @@ impl<M: Send + 'static> Simulator<M> {
             let mut core = self.core.lock();
             let slot = &mut core.procs[i];
             if let Some(body) = slot.component.take() {
-                let at = slot.time;
                 slot.state = ProcState::Done;
-                core.trace(ProcId(i as u32), TraceKind::Exit { at });
                 drop(core);
                 drop(body);
                 continue;
@@ -861,7 +804,6 @@ impl<M: Send + 'static> ProcCtx<M> {
     fn exit(&mut self) {
         let i = self.id.index();
         let mut core = self.core.lock();
-        core.trace(self.id, TraceKind::Exit { at: self.now });
         core.procs[i].state = ProcState::Done;
         if core.shutting_down {
             return; // released by teardown, which is joining this thread
@@ -887,14 +829,7 @@ impl<M: Send + 'static> ProcCtx<M> {
             return;
         }
         let until = t.max(self.now);
-        let mut core = self.core.lock();
-        core.trace(
-            self.id,
-            TraceKind::Sleep {
-                from: self.now,
-                until,
-            },
-        );
+        let core = self.core.lock();
         let resume = wait_until(&self.core, core, self.id, self.now, until);
         self.resumed(resume);
     }
@@ -911,7 +846,7 @@ impl<M: Send + 'static> ProcCtx<M> {
         }
         let yt = self.now;
         let mut core = self.core.lock();
-        let done = core.book(self.id, res, yt, dur);
+        let done = core.book(res, yt, dur);
         let resume = wait_until(&self.core, core, self.id, yt, done);
         self.resumed(resume);
     }
@@ -941,7 +876,6 @@ impl<M: Send + 'static> ProcCtx<M> {
         }
         let slot = &mut core.procs[i];
         slot.time = self.now;
-        slot.blocked_since = Some(self.now);
         if let Some(d) = deadline {
             core.push_wake(d.max(self.now), self.id, ResumePayload::Timeout);
         }

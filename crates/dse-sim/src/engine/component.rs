@@ -3,7 +3,7 @@
 //! A component is a state machine in the `resume → Wait` shape. It occupies
 //! a process slot like any other process — same id space, same inbox, same
 //! wake and delivery events in the same `(time, sequence)` positions, same
-//! trace and determinism-hash entries — but its body runs *in place*, on
+//! determinism-hash entries — but its body runs *in place*, on
 //! whichever thread pops its event, under the core lock. Resuming it is a
 //! function call, never a context switch:
 //!
@@ -162,7 +162,7 @@ impl<M: Send + 'static> Core<M> {
             match wait {
                 Wait::Hold(_, dur) if dur.is_zero() => wakeup = Wakeup::Resumed,
                 Wait::Hold(res, dur) => {
-                    let done = self.book(p, res, now, dur);
+                    let done = self.book(res, now, dur);
                     if !self.wake_is_next(done) {
                         self.procs[i].time = now;
                         self.push_wake(done, p, ResumePayload::None);
@@ -181,14 +181,12 @@ impl<M: Send + 'static> Core<M> {
                         wakeup = Wakeup::Message(env);
                     } else {
                         slot.time = now;
-                        slot.blocked_since = Some(now);
                         slot.state = ProcState::Blocked;
                         break;
                     }
                 }
                 Wait::Finished => {
                     slot.state = ProcState::Done;
-                    self.trace(p, TraceKind::Exit { at: now });
                     return;
                 }
             }

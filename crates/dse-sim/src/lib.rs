@@ -27,7 +27,7 @@
 //! thread inside [`Simulator::run`] only starts the first process, sleeps
 //! until the event heap is empty, and releases and joins what is left.
 //! Which thread pops an event never shows in the results: counters,
-//! virtual times, trace order and `trace_hash` are those of a single
+//! virtual times and `trace_hash` are those of a single
 //! scheduler loop. Two measured rules of the hand-off — unpark only after
 //! the lock is released, and join a finished thread before proceeding —
 //! are explained in the engine module's header.
@@ -45,7 +45,6 @@ mod ids;
 mod rng;
 mod stats;
 mod time;
-mod trace;
 
 pub use engine::{CompCtx, Component, ProcCtx, Simulator, Wait, Wakeup};
 pub use envelope::{Envelope, RecvResult};
@@ -53,4 +52,3 @@ pub use ids::{ProcId, ResourceId};
 pub use rng::SimRng;
 pub use stats::{ResourceStats, SimReport, SimStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceKind, TraceRecords};

@@ -1,7 +1,6 @@
 //! Counters and reports produced by a simulation run.
 
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceRecords;
 
 /// Aggregate event-loop counters.
 #[derive(Debug, Clone, Default)]
@@ -73,8 +72,6 @@ pub struct SimReport {
     /// Order-sensitive digest of the whole event sequence; two runs of the
     /// same program with the same seed must produce equal hashes.
     pub trace_hash: u64,
-    /// The execution trace, when tracing was enabled before the run.
-    pub trace: Option<TraceRecords>,
 }
 
 impl SimReport {

@@ -11,18 +11,17 @@ use dse_sim::{
 
 /// Everything about a run that must repeat exactly:
 /// `(events, inline_wakes, sends, delivers, end_time_ns, trace_hash,
-/// digest of the TraceEvent sequence)`.
-type Fingerprint = (u64, u64, u64, u64, u64, u64, u64);
+/// each resource's (busy_ns, waited_ns, acquisitions))`. Hold ends and
+/// deliveries are in `trace_hash`; the resource totals pin the FCFS grant
+/// arithmetic.
+type Fingerprint = (u64, u64, u64, u64, u64, u64, Vec<(u64, u64, u64)>);
 
 fn fingerprint(report: &SimReport) -> Fingerprint {
-    // FNV-1a over the Debug rendering of every trace event, in order.
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let trace = report.trace.as_ref().expect("tracing enabled");
-    for ev in &trace.events {
-        for b in format!("{ev:?}").bytes() {
-            digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    let resources = report
+        .resources
+        .iter()
+        .map(|r| (r.busy.as_nanos(), r.waited.as_nanos(), r.acquisitions))
+        .collect();
     (
         report.stats.events,
         report.stats.inline_wakes,
@@ -30,7 +29,7 @@ fn fingerprint(report: &SimReport) -> Fingerprint {
         report.stats.delivers,
         report.end_time.as_nanos(),
         report.trace_hash,
-        digest,
+        resources,
     )
 }
 
@@ -62,7 +61,6 @@ impl Component<u64> for PassiveEcho {
 /// clients that all compute on one shared CPU.
 fn echo_with_shared_resource(passive: bool) -> SimReport {
     let mut sim: Simulator<u64> = Simulator::new();
-    sim.enable_tracing();
     let cpu = sim.add_resource("cpu");
     let echo = if passive {
         sim.spawn_component("echo", PassiveEcho { cpu, serving: None })
@@ -91,7 +89,6 @@ fn echo_with_shared_resource(passive: bool) -> SimReport {
 /// so stale timeout wakes and exact ties are both in the sequence.
 fn deadline_racing_messages() -> SimReport {
     let mut sim: Simulator<u64> = Simulator::new();
-    sim.enable_tracing();
     let rx = sim.spawn("rx", |ctx| {
         let mut got = 0;
         let mut round = 0u64;
@@ -130,7 +127,6 @@ fn dynamic_spawn_chain() -> SimReport {
         ctx.send(root, ns(50 + depth * 5), depth);
     }
     let mut sim: Simulator<u64> = Simulator::new();
-    sim.enable_tracing();
     sim.spawn("root", |ctx| {
         let root = ctx.id();
         ctx.spawn("link1", move |c| link(c, 1, root));
@@ -155,39 +151,23 @@ fn golden_fingerprints_are_verbatim() {
             120,
             129_090,
             10420655771447748291,
-            14650702719721910930
+            vec![(58_410, 7_303, 120)]
         )
     );
     assert_eq!(
         fingerprint(&deadline_racing_messages()),
-        (
-            129,
-            2,
-            30,
-            30,
-            10_186,
-            16189783924862362001,
-            11086140740517880914
-        )
+        (129, 2, 30, 30, 10_186, 16189783924862362001, vec![])
     );
     assert_eq!(
         fingerprint(&dynamic_spawn_chain()),
-        (
-            50,
-            2,
-            12,
-            12,
-            5_000,
-            9333605721861327002,
-            8418373785180150637
-        )
+        (50, 2, 12, 12, 5_000, 9333605721861327002, vec![])
     );
 }
 
 /// A process without a thread occupies the same slot in the schedule: the
-/// same events at the same times in the same order, down to the trace and
-/// the determinism hash. Only the number of wakes that skip the heap (and
-/// the number of context switches) may differ.
+/// same events at the same times in the same order, down to the resource
+/// totals and the determinism hash. Only the number of wakes that skip the
+/// heap (and the number of context switches) may differ.
 #[test]
 fn a_passive_echo_server_leaves_the_golden_schedule_where_it_is() {
     let threaded = echo_with_shared_resource(false);

@@ -40,10 +40,26 @@ pub struct CellSummary {
     pub p99_ns: f64,
     /// Mean merged GM latency p99.9 (ns) — the SLO tail.
     pub p999_ns: f64,
-    /// Where the cell's time went: compute, serve, net, barrier and lock
-    /// blame as percent of the summed app-span time — virtual on sim
-    /// cells, wall on live ones (what is left of 100 is retransmission).
-    pub blame_pct: [f64; 5],
+    /// Where the cell's time went.
+    pub blame_pct: BlamePct,
+}
+
+/// Blame columns as percent of the summed app-span time — virtual on sim
+/// cells, wall on live ones (what is left of 100 is retransmission).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct BlamePct {
+    /// Holding a CPU outside every wait.
+    pub compute: f64,
+    /// Queued for a CPU (sim cells).
+    pub queue: f64,
+    /// A home kernel serving inside a GM wait.
+    pub serve: f64,
+    /// The rest of the GM waits: on the wire.
+    pub net: f64,
+    /// In barrier rounds.
+    pub barrier: f64,
+    /// Waiting for cluster locks.
+    pub lock: f64,
 }
 
 /// Group rows by cell id and fold each group into its summary, sorted by
@@ -67,14 +83,8 @@ pub fn aggregate(rows: &[RunRecord]) -> Vec<CellSummary> {
             let rate = |count: &dyn Fn(&RunRecord) -> u64| -> f64 {
                 mean(&|r| ratio(count(r) as f64, r.wall_ns as f64 / 1e9))
             };
-            let blame = [
-                sum(&|r| r.blame_compute_ns),
-                sum(&|r| r.blame_serve_ns),
-                sum(&|r| r.blame_net_ns),
-                sum(&|r| r.blame_barrier_ns),
-                sum(&|r| r.blame_lock_ns),
-            ];
-            let app_wall = blame.iter().sum::<f64>() + sum(&|r| r.blame_retry_ns);
+            let app_wall = sum(&|r| r.app_span_ns());
+            let pct = |part: &dyn Fn(&RunRecord) -> u64| ratio(sum(part) * 100.0, app_wall);
             CellSummary {
                 cell: cell.to_string(),
                 sim: rows[0].engine == "sim",
@@ -91,7 +101,14 @@ pub fn aggregate(rows: &[RunRecord]) -> Vec<CellSummary> {
                 p50_ns: mean(&|r| r.p50_ns as f64),
                 p99_ns: mean(&|r| r.p99_ns as f64),
                 p999_ns: mean(&|r| r.p999_ns as f64),
-                blame_pct: blame.map(|part| ratio(part * 100.0, app_wall)),
+                blame_pct: BlamePct {
+                    compute: pct(&|r| r.blame_compute_ns),
+                    queue: pct(&|r| r.blame_cpu_queue_ns),
+                    serve: pct(&|r| r.blame_serve_ns),
+                    net: pct(&|r| r.blame_net_ns),
+                    barrier: pct(&|r| r.blame_barrier_ns),
+                    lock: pct(&|r| r.blame_lock_ns),
+                },
             }
         })
         .collect()
@@ -142,11 +159,14 @@ const INFO: &[TableColumn] = &[
     ("p50 us", |c| format!("{:.1}", c.p50_ns / 1e3)),
     ("p99 us", |c| format!("{:.1}", c.p99_ns / 1e3)),
     ("p999 us", |c| format!("{:.1}", c.p999_ns / 1e3)),
-    ("compute%", |c| format!("{:.0}", c.blame_pct[0])),
-    ("serve%", |c| format!("{:.0}", c.blame_pct[1])),
-    ("net%", |c| format!("{:.0}", c.blame_pct[2])),
-    ("barrier%", |c| format!("{:.0}", c.blame_pct[3])),
-    ("lock%", |c| format!("{:.0}", c.blame_pct[4])),
+    ("compute%", |c| format!("{:.0}", c.blame_pct.compute)),
+    ("queue%", |c| {
+        only(c.sim, format!("{:.0}", c.blame_pct.queue))
+    }),
+    ("serve%", |c| format!("{:.0}", c.blame_pct.serve)),
+    ("net%", |c| format!("{:.0}", c.blame_pct.net)),
+    ("barrier%", |c| format!("{:.0}", c.blame_pct.barrier)),
+    ("lock%", |c| format!("{:.0}", c.blame_pct.lock)),
 ];
 
 /// Render the aggregate table: the cell and its run counts, the exact
@@ -314,7 +334,12 @@ mod tests {
         }
         let cells = aggregate(&rows);
         assert!(!cells[0].sim);
-        assert_eq!(cells[0].blame_pct, [60.0, 0.0, 30.0, 0.0, 0.0]);
+        let want = BlamePct {
+            compute: 60.0,
+            net: 30.0,
+            ..BlamePct::default()
+        };
+        assert_eq!(cells[0].blame_pct, want);
         let table = render_table(&cells);
         assert!(
             table.contains("compute%") && table.contains(" 60 "),

@@ -333,13 +333,7 @@ fn blame_share(
         .iter()
         .find(wanted)
         .ok_or_else(|| format!("no ok row for {app} {size} on sunos at p={procs}"))?;
-    let total = row.blame_compute_ns
-        + row.blame_serve_ns
-        + row.blame_net_ns
-        + row.blame_retry_ns
-        + row.blame_barrier_ns
-        + row.blame_lock_ns;
-    Ok(part(row) as f64 / total.max(1) as f64)
+    Ok(part(row) as f64 / row.app_span_ns().max(1) as f64)
 }
 
 /// The narratives EXPERIMENTS.md reads off the blame table, as
@@ -348,6 +342,7 @@ fn blame_share(
 pub fn mechanism_checks(cells: &[(&RunSpec, &RunRecord)]) -> Vec<Check> {
     let share = |cell, part| blame_share(cells, cell, part);
     let net = |procs| share(("knights", 256, procs), |r| r.blame_net_ns);
+    let queue = |cell| share(cell, |r| r.blame_cpu_queue_ns);
     let pct = |v: f64| format!("{:.1} %", v * 100.0);
     let smaller = |name: &str, a: Result<f64, String>, b: Result<f64, String>| {
         let name = format!("mechanism: {name}");
@@ -368,6 +363,11 @@ pub fn mechanism_checks(cells: &[(&RunSpec, &RunRecord)]) -> Vec<Check> {
             share(("gauss", 900, 12), |r| r.blame_barrier_ns),
         ),
         smaller(
+            "gauss-sunos N=900 cpu_queue share at p=6 is below p=8's and p=12's (ranks share CPUs past 6)",
+            queue(("gauss", 900, 6)),
+            queue(("gauss", 900, 8)).and_then(|a| queue(("gauss", 900, 12)).map(|b| a.min(b))),
+        ),
+        smaller(
             "knights-sunos 256 jobs is not wire-bound (net share < 5 % at p=4 and p=12)",
             net(4).and_then(|a| net(12).map(|b| a.max(b))),
             Ok(0.05),
@@ -376,6 +376,11 @@ pub fn mechanism_checks(cells: &[(&RunSpec, &RunRecord)]) -> Vec<Check> {
             "knights-sunos 256 jobs home-kernel serve share grows from p=4 to p=12",
             share(("knights", 256, 4), |r| r.blame_serve_ns),
             share(("knights", 256, 12), |r| r.blame_serve_ns),
+        ),
+        smaller(
+            "knights-sunos 256 jobs cpu_queue share shrinks from p=4 to p=12 (the wait moves into node 0's inbox)",
+            queue(("knights", 256, 12)),
+            queue(("knights", 256, 4)),
         ),
     ]
 }
@@ -470,9 +475,9 @@ mod tests {
 
     #[test]
     fn mechanism_checks_read_blame_shares_off_the_rows() {
-        // The paper's SunOS cluster; (compute, serve, net, barrier) per
-        // mille of each cell's time.
-        let cell = |app: &str, size: usize, procs: usize, blame: [u64; 4]| {
+        // The paper's SunOS cluster; (compute, cpu_queue, serve, net,
+        // barrier) per mille of each cell's time.
+        let cell = |app: &str, size: usize, procs: usize, blame: [u64; 5]| {
             let run = RunSpec {
                 app: app.into(),
                 platform: "sunos".into(),
@@ -485,9 +490,10 @@ mod tests {
             };
             let row = RunRecord {
                 blame_compute_ns: blame[0],
-                blame_serve_ns: blame[1],
-                blame_net_ns: blame[2],
-                blame_barrier_ns: blame[3],
+                blame_cpu_queue_ns: blame[1],
+                blame_serve_ns: blame[2],
+                blame_net_ns: blame[3],
+                blame_barrier_ns: blame[4],
                 ..RunRecord::failed(&run, RunStatus::Ok, "")
             };
             let mut run = run;
@@ -495,23 +501,25 @@ mod tests {
             (run, row)
         };
         let cells = [
-            cell("gauss", 100, 4, [186, 100, 138, 576]),
-            cell("gauss", 900, 4, [718, 50, 84, 148]),
-            cell("gauss", 900, 6, [600, 50, 75, 275]),
-            cell("gauss", 900, 12, [400, 50, 31, 519]),
-            cell("knights", 256, 4, [595, 388, 17, 0]),
-            cell("knights", 256, 12, [240, 749, 11, 0]),
+            cell("gauss", 100, 4, [186, 0, 100, 138, 576]),
+            cell("gauss", 900, 4, [700, 18, 50, 84, 148]),
+            cell("gauss", 900, 6, [575, 25, 50, 75, 275]),
+            cell("gauss", 900, 8, [250, 150, 50, 150, 400]),
+            cell("gauss", 900, 12, [320, 80, 50, 31, 519]),
+            cell("knights", 256, 4, [557, 203, 208, 17, 15]),
+            cell("knights", 256, 12, [183, 119, 676, 6, 16]),
         ];
         let pairs: Vec<_> = cells.iter().map(|(run, row)| (run, row)).collect();
         let checks = mechanism_checks(&pairs);
-        assert_eq!(checks.len(), 4);
+        assert_eq!(checks.len(), 6);
         assert!(checks.iter().all(|c| c.pass), "{checks:?}");
-        assert!(checks[0].detail.contains("18.6 % vs 71.8 %"), "{checks:?}");
-        // Without the p=12 rows the two growth checks and the wire check
-        // have nothing to compare, and say so.
+        assert!(checks[0].detail.contains("18.6 % vs 70.0 %"), "{checks:?}");
+        assert!(checks[2].detail.contains("2.5 % vs 8.0 %"), "{checks:?}");
+        // Without the rows past p=6 every check but the first has nothing
+        // to compare, and says so.
         let checks = mechanism_checks(&pairs[..3]);
         let failed: Vec<_> = checks.iter().filter(|c| !c.pass).collect();
-        assert_eq!(failed.len(), 3, "{checks:?}");
+        assert_eq!(failed.len(), 5, "{checks:?}");
         let missing = "no ok row for gauss 900 on sunos at p=12";
         assert!(failed[0].detail.contains(missing), "{checks:?}");
     }

@@ -245,10 +245,12 @@ columns! {
     blocked_p50_ns: u64, Never;
     /// Causal-blame decomposition of the run's clock, summed over PEs:
     /// virtual time on sim rows, where it repeats to the nanosecond, wall
-    /// time on live rows. The six columns partition each PE's app-span
-    /// time, so `compute + serve + net + retry + barrier + lock` equals
-    /// the sum of per-PE app-span durations.
+    /// time on live rows. The seven columns partition each PE's app-span
+    /// time, so `compute + cpu_queue + serve + net + retry + barrier +
+    /// lock` equals the sum of per-PE app-span durations (`cpu_queue` is 0
+    /// on live rows, `retry` on sim rows).
     blame_compute_ns: u64, Sim;
+    blame_cpu_queue_ns: u64, Sim;
     blame_serve_ns: u64, Sim;
     blame_net_ns: u64, Sim;
     blame_retry_ns: u64, Sim;
@@ -257,6 +259,17 @@ columns! {
 }
 
 impl RunRecord {
+    /// The summed app-span time the blame columns partition.
+    pub fn app_span_ns(&self) -> u64 {
+        self.blame_compute_ns
+            + self.blame_cpu_queue_ns
+            + self.blame_serve_ns
+            + self.blame_net_ns
+            + self.blame_retry_ns
+            + self.blame_barrier_ns
+            + self.blame_lock_ns
+    }
+
     /// A failure row for a run that produced no metrics.
     pub fn failed(spec: &RunSpec, status: RunStatus, note: impl Into<String>) -> RunRecord {
         RunRecord {
@@ -416,6 +429,7 @@ fn answered(spec: &RunSpec, answer: &Answer, trace_spans: &[Vec<TraceSpanRec>]) 
     RunRecord {
         result: answer.digest(),
         blame_compute_ns: blame.compute_ns,
+        blame_cpu_queue_ns: blame.cpu_queue_ns,
         blame_serve_ns: blame.serve_ns,
         blame_net_ns: blame.net_ns,
         blame_retry_ns: blame.retry_ns,
@@ -599,6 +613,7 @@ mod tests {
         // Live cells always trace, so the blame decomposition is
         // populated and partitions the PEs' app-span wall time.
         assert!(row.blame_compute_ns > 0);
+        assert_eq!(row.blame_cpu_queue_ns, 0, "a live rank's CPU is the host's");
         assert!(row.p999_ns >= row.p99_ns);
         // A remote operation includes the wait for its answer.
         assert!(row.blocked_p50_ns > 0 && row.blocked_p50_ns <= row.p999_ns);

@@ -7,7 +7,9 @@
 //! GM-wait nanosecond is net transit unless a home's serve span covers it
 //! (requests fanned out to several homes are served side by side, so it is
 //! the covered time that counts, not the spans' sum) or the requester's
-//! retry backoff claims it. The critical path answers "which
+//! retry backoff claims it. Time queued for a CPU (`cpu_queue` spans, the
+//! simulator's) is taken out of whichever of compute, serve and net it
+//! fell in and shown on its own. The critical path answers "which
 //! chain of spans actually bounded the run": starting from the
 //! last-finishing PE it walks backwards through wait spans, hopping PEs
 //! at barriers (to the straggler that held the round) and at GM waits
@@ -20,22 +22,28 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use dse_obs::TraceSpanKind;
+use dse_obs::{TraceSpanKind, NO_PEER};
 
 use crate::cluster::ClusterTrace;
 
 /// Where one PE's wall clock went, in nanoseconds.
 ///
-/// Invariant: `compute + serve + net + retry + barrier + lock == wall`.
+/// Invariant:
+/// `compute + cpu_queue + serve + net + retry + barrier + lock == wall`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlameRow {
     /// PE the row describes.
     pub pe: u32,
     /// App-thread lifetime (the root span's duration).
     pub wall_ns: u64,
-    /// Time not covered by any wait span.
+    /// Time not covered by any wait span, holding the CPU.
     pub compute_ns: u64,
-    /// GM-wait time during which a home kernel was serving this PE.
+    /// Time queued for a CPU: the process itself outside every wait, and,
+    /// inside a GM wait, the process on its receive path or a home kernel
+    /// serving it. Always 0 on the live engine, whose CPUs are the host's.
+    pub cpu_queue_ns: u64,
+    /// GM-wait time during which a home kernel was serving this PE and
+    /// nobody was queued.
     pub serve_ns: u64,
     /// GM-wait time in flight on the wire (the unexplained remainder).
     pub net_ns: u64,
@@ -68,6 +76,7 @@ impl BlameTable {
         for r in &self.rows {
             t.wall_ns += r.wall_ns;
             t.compute_ns += r.compute_ns;
+            t.cpu_queue_ns += r.cpu_queue_ns;
             t.serve_ns += r.serve_ns;
             t.net_ns += r.net_ns;
             t.retry_ns += r.retry_ns;
@@ -82,7 +91,7 @@ impl BlameTable {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(
-            "pe    wall_us   compute%    serve%      net%    retry%  barrier%     lock%\n",
+            "pe    wall_us   compute%    queue%    serve%      net%    retry%  barrier%     lock%\n",
         );
         let mut line = |tag: &str, r: &BlameRow| {
             let pct = |v: u64| {
@@ -94,9 +103,10 @@ impl BlameTable {
             };
             let _ = writeln!(
                 out,
-                "{tag:<4}{:>10.1}{:>10.1}{:>10.1}{:>10.1}{:>10.1}{:>10.1}{:>10.1}",
+                "{tag:<4}{:>10.1}{:>10.1}{:>10.1}{:>10.1}{:>10.1}{:>10.1}{:>10.1}{:>10.1}",
                 r.wall_ns as f64 / 1_000.0,
                 pct(r.compute_ns),
+                pct(r.cpu_queue_ns),
                 pct(r.serve_ns),
                 pct(r.net_ns),
                 pct(r.retry_ns),
@@ -112,8 +122,8 @@ impl BlameTable {
     }
 }
 
-/// Attribute every PE's wall clock across compute / serve / net / retry /
-/// barrier / lock. See [`BlameRow`] for the exact invariant.
+/// Attribute every PE's wall clock across compute / CPU queue / serve /
+/// net / retry / barrier / lock. See [`BlameRow`] for the exact invariant.
 pub fn blame(trace: &ClusterTrace) -> BlameTable {
     /// What one PE's row is computed from.
     #[derive(Default, Clone)]
@@ -125,12 +135,20 @@ pub fn blame(trace: &ClusterTrace) -> BlameTable {
         blocks: Vec<(u64, u64)>,
         /// When some home kernel was serving one of its requests.
         serves: Vec<(u64, u64)>,
+        /// When the app was in a barrier or lock wait.
+        syncs: Vec<(u64, u64)>,
+        /// When the app itself was queued for its CPU.
+        own_queue: Vec<(u64, u64)>,
+        /// When a home kernel working for it was queued for its CPU.
+        home_queue: Vec<(u64, u64)>,
     }
     let mut waits = vec![Waits::default(); trace.nprocs];
     for s in trace.spans() {
-        // A serve counts for the PE it answered, the rest for their own.
+        // A serve, or a kernel's queueing, counts for the PE it was for,
+        // the rest for their own.
         let pe = match s.kind {
             TraceSpanKind::Serve => s.peer,
+            TraceSpanKind::CpuQueue if s.peer != NO_PEER => s.peer,
             _ => s.pe,
         };
         let Some(w) = waits.get_mut(pe as usize) else {
@@ -139,8 +157,16 @@ pub fn blame(trace: &ClusterTrace) -> BlameTable {
         // (An interval is never negative, whatever a clock did.)
         let interval = (s.start_ns, s.end_ns.max(s.start_ns));
         match s.kind {
-            TraceSpanKind::BarrierWait => w.barrier += s.dur_ns(),
-            TraceSpanKind::LockWait => w.lock += s.dur_ns(),
+            TraceSpanKind::BarrierWait => {
+                w.barrier += s.dur_ns();
+                w.syncs.push(interval);
+            }
+            TraceSpanKind::LockWait => {
+                w.lock += s.dur_ns();
+                w.syncs.push(interval);
+            }
+            TraceSpanKind::CpuQueue if s.peer == NO_PEER => w.own_queue.push(interval),
+            TraceSpanKind::CpuQueue => w.home_queue.push(interval),
             TraceSpanKind::RetryBackoff => w.retry += s.dur_ns(),
             TraceSpanKind::GmBlock => w.blocks.push(interval),
             TraceSpanKind::Serve if !s.dedup => w.serves.push(interval),
@@ -163,15 +189,29 @@ pub fn blame(trace: &ClusterTrace) -> BlameTable {
         // Inside the GM wait: the time a home was serving (spans at other
         // PEs naming this PE as the requester), then local retry backoff,
         // then whatever is left was wire transit + kernel queueing.
-        let serve = overlap(&blocks, &serves).min(gm);
+        let served = intersect(&blocks, &serves);
+        let serve = measure(&served).min(gm);
         let retry = w.retry.min(gm - serve);
         let net = gm - serve - retry;
+        // Queued for a CPU, each nanosecond once whoever queued. Under a
+        // serve it was the home kernel or the requester's own receive
+        // path, and comes out of serve; in the rest of a GM wait only the
+        // requester's own counts, and comes out of net; outside every wait
+        // the process was queued where it would have computed. (A barrier
+        // or lock wait keeps what was queued inside it.)
+        let own = union(w.own_queue);
+        let any = union([own.as_slice(), &w.home_queue].concat());
+        let q_serve = overlap(&served, &any).min(serve);
+        let q_net = (overlap(&blocks, &own) - overlap(&served, &own)).min(net);
+        let waits = union([blocks, w.syncs].concat());
+        let q_compute = (measure(&own) - overlap(&waits, &own)).min(compute);
         rows.push(BlameRow {
             pe,
             wall_ns: wall,
-            compute_ns: compute,
-            serve_ns: serve,
-            net_ns: net,
+            compute_ns: compute - q_compute,
+            cpu_queue_ns: q_compute + q_serve + q_net,
+            serve_ns: serve - q_serve,
+            net_ns: net - q_net,
             retry_ns: retry,
             barrier_ns: barrier,
             lock_ns: lock,
@@ -198,18 +238,27 @@ fn measure(disjoint: &[(u64, u64)]) -> u64 {
     disjoint.iter().map(|(start, end)| end - start).sum()
 }
 
-/// Time two sets of disjoint, ordered intervals have in common.
-fn overlap(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
-    let (mut i, mut j, mut total) = (0, 0, 0);
+/// What two sets of disjoint, ordered intervals have in common, as such a
+/// set.
+fn intersect(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let (mut i, mut j, mut out) = (0, 0, Vec::new());
     while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
-        total += x.1.min(y.1).saturating_sub(x.0.max(y.0));
+        let (start, end) = (x.0.max(y.0), x.1.min(y.1));
+        if start < end {
+            out.push((start, end));
+        }
         if x.1 <= y.1 {
             i += 1;
         } else {
             j += 1;
         }
     }
-    total
+    out
+}
+
+/// Time two sets of disjoint, ordered intervals have in common.
+fn overlap(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
+    measure(&intersect(a, b))
 }
 
 /// One hop of the critical path, chronological.
@@ -428,18 +477,20 @@ mod tests {
         assemble(&[pe0, pe1])
     }
 
+    /// The columns of `r`, which must add up to its wall clock.
+    fn columns_sum(r: &BlameRow) -> u64 {
+        let waits = r.serve_ns + r.net_ns + r.retry_ns + r.barrier_ns + r.lock_ns;
+        r.compute_ns + r.cpu_queue_ns + waits
+    }
+
     #[test]
     fn blame_accounts_for_every_nanosecond() {
         let t = two_pe_trace();
         let b = blame(&t);
         assert_eq!(b.rows.len(), 2);
         for r in &b.rows {
-            assert_eq!(
-                r.compute_ns + r.serve_ns + r.net_ns + r.retry_ns + r.barrier_ns + r.lock_ns,
-                r.wall_ns,
-                "pe{} must account for its whole wall clock",
-                r.pe
-            );
+            assert_eq!(columns_sum(r), r.wall_ns, "pe{}'s whole wall clock", r.pe);
+            assert_eq!(r.cpu_queue_ns, 0, "a live-shaped trace has no CPU queue");
         }
         let r0 = &b.rows[0];
         assert_eq!(r0.wall_ns, 400);
@@ -471,6 +522,50 @@ mod tests {
         let pe2 = vec![serve(11, 2, 140, 180)];
         let r0 = blame(&assemble(&[pe0, pe1, pe2])).rows[0];
         assert_eq!((r0.serve_ns, r0.net_ns, r0.compute_ns), (60, 40, 200));
+    }
+
+    /// `two_pe_trace` as the simulator records it: PE0 also queued for its
+    /// CPU 20..50 (computing), 120..135 under no serve and 160..180 across
+    /// the serve's end (its receive path, inside the GM wait) and 310..330
+    /// (inside the barrier wait); PE1's kernel queued 125..150 serving
+    /// PE0, and 250..260 doing so when PE0 was not waiting.
+    fn queued_trace() -> ClusterTrace {
+        let mut spans = two_pe_trace().spans().to_vec();
+        let mut id = 100;
+        let mut queue = |pe, peer, start, end| {
+            id += 1;
+            let mut q = rec(TraceSpanKind::CpuQueue, 1, id, 1, pe, start, end);
+            q.peer = peer;
+            spans.push(q);
+        };
+        for (start, end) in [(20, 50), (120, 135), (160, 180), (310, 330)] {
+            queue(0, NO_PEER, start, end);
+        }
+        queue(1, 0, 125, 150);
+        queue(1, 0, 250, 260);
+        ClusterTrace::build(spans, 2)
+    }
+
+    #[test]
+    fn cpu_queue_comes_out_of_where_it_fell_and_rows_still_sum_to_wall() {
+        let (plain, queued) = (blame(&two_pe_trace()), blame(&queued_trace()));
+        for (p, q) in plain.rows.iter().zip(&queued.rows) {
+            assert_eq!(columns_sum(q), q.wall_ns);
+            assert_eq!(
+                (q.barrier_ns, q.lock_ns, q.retry_ns),
+                (p.barrier_ns, p.lock_ns, p.retry_ns)
+            );
+        }
+        let r0 = queued.rows[0];
+        // Compute 200 less 20..50. Serve 130..170 less the kernel's
+        // 130..150 — of which PE0 itself was queued 130..135 too: a union,
+        // counted once — and PE0's own 160..170. Net 100..130 + 170..200
+        // less PE0's own 120..130 and 170..180 — the kernel's 125..130,
+        // before the request arrived, is not PE0's.
+        assert_eq!((r0.compute_ns, r0.serve_ns, r0.net_ns), (170, 10, 40));
+        assert_eq!(r0.cpu_queue_ns, 30 + 30 + 20);
+        assert_eq!(queued.rows[1], plain.rows[1], "PE1's app never queued");
+        assert!(queued.render().contains("queue%"));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! identical runs assemble to identical traces. For byte-level diffing
 //! across *re-executions* — where wall-clock timestamps and response
 //! arrival order differ — [`ClusterTrace::canonical`] strips the
-//! nondeterminism: timestamps collapse to unit durations, replayed serves
-//! and retry spans drop out, and every span id is renumbered in canonical
+//! nondeterminism: timestamps collapse to unit durations, replayed serves,
+//! retry and CPU-queue spans drop out, and every span id is renumbered in canonical
 //! order (redeem-span ids mint in response-arrival order, so raw ids
 //! differ run to run even when the span set does not).
 
@@ -324,8 +324,9 @@ impl ClusterTrace {
     /// causal *structure*, byte-identical across re-executions of the
     /// same program.
     ///
-    /// * replayed serves (`dedup`) and retry-backoff spans are dropped —
-    ///   whether a retransmit happened is timing, not structure;
+    /// * replayed serves (`dedup`), retry-backoff and CPU-queue spans are
+    ///   dropped — whether a retransmit happened, or who found a CPU
+    ///   busy, is timing, not structure;
     /// * `retries` counters reset for the same reason;
     /// * each barrier release re-parents onto its highest-rank waiter
     ///   (the raw parent is whichever enter arrived last);
@@ -337,7 +338,10 @@ impl ClusterTrace {
         let mut spans: Vec<TraceSpanRec> = self
             .spans
             .iter()
-            .filter(|s| !s.dedup && s.kind != TraceSpanKind::RetryBackoff)
+            .filter(|s| {
+                let timing = [TraceSpanKind::RetryBackoff, TraceSpanKind::CpuQueue];
+                !s.dedup && !timing.contains(&s.kind)
+            })
             .copied()
             .collect();
         // Highest-rank waiter per barrier: a release's raw trace/parent/
@@ -464,7 +468,9 @@ mod tests {
                 s.end_ns += 7_000;
             }
         }
-        // A dedup replay and a retry span: timing artifacts, dropped.
+        // A dedup replay, a retry span and a CPU queue: timing artifacts,
+        // dropped.
+        shifted[0].push(span(TraceSpanKind::CpuQueue, 100, 104, 100, 0));
         let mut replay = span(TraceSpanKind::Serve, 100, serve_span_id(101, 1), 101, 1);
         replay.dedup = true;
         replay.peer = 0;

@@ -11,19 +11,18 @@
 //! Load the file in Perfetto and the arrows draw the cross-PE causality
 //! the per-track view hides.
 //!
-//! A simulated run has more to show, and [`EngineTracks`] appends it: pid 2
-//! carries the engine's own timeline, one track per simulated process with
-//! its CPU holds, CPU queueing, receive waits and sleeps (`dse-sim`'s
-//! `TraceRecords`), and pid 3 the shared bus as counter tracks —
-//! utilization, collisions and queue depth per sampling bin.
+//! A `cpu_queue` span (simulated runs) sits on the lane of whoever queued:
+//! the app's own, or the kernel's when it names the PE being served. A
+//! simulated run also has its shared bus to show, appended as counter
+//! tracks on pid 3 — utilization, collisions and queue depth per sampling
+//! bin.
 //!
 //! Output is deterministic string formatting over the assembled span
 //! order — no floats beyond fixed 3-decimal µs, no hash iteration.
 
 use std::fmt::Write as _;
 
-use dse_obs::{escape_json_into, us_from_ns, BusInterval, TraceSpanKind};
-use dse_sim::{ResourceStats, SimReport, TraceKind, TraceRecords};
+use dse_obs::{escape_json_into, us_from_ns, BusInterval, TraceSpanKind, TraceSpanRec, NO_PEER};
 
 use crate::cluster::ClusterTrace;
 
@@ -31,41 +30,16 @@ use crate::cluster::ClusterTrace;
 pub const PID_APP: u32 = 0;
 /// pid of the kernel-thread tracks.
 pub const PID_KERNEL: u32 = 1;
-/// pid of the simulated-process timeline tracks.
-pub const PID_PROCS: u32 = 2;
 /// pid of the network counter tracks.
 pub const PID_NET: u32 = 3;
 
-fn pid_of(kind: TraceSpanKind) -> u32 {
-    match kind {
+fn pid_of(s: &TraceSpanRec) -> u32 {
+    match s.kind {
         TraceSpanKind::Serve | TraceSpanKind::BarrierRelease | TraceSpanKind::LockGrant => {
             PID_KERNEL
         }
+        TraceSpanKind::CpuQueue if s.peer != NO_PEER => PID_KERNEL,
         _ => PID_APP,
-    }
-}
-
-/// What only the simulator has to add to a causal trace: its scheduler's
-/// timeline of every process and the bus samples.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineTracks<'a> {
-    /// The engine's per-process timeline.
-    pub timeline: Option<&'a TraceRecords>,
-    /// The resources the timeline names, indexed by `ResourceId::index()`.
-    pub resources: &'a [ResourceStats],
-    /// Bus activity bins (empty for switched fabrics).
-    pub bus: &'a [BusInterval],
-}
-
-impl<'a> EngineTracks<'a> {
-    /// The tracks of a simulated run: its engine report (whose timeline is
-    /// there when the run was traced) and its bus samples.
-    pub fn of(report: &'a SimReport, bus: &'a [BusInterval]) -> EngineTracks<'a> {
-        EngineTracks {
-            timeline: report.trace.as_ref(),
-            resources: &report.resources,
-            bus,
-        }
     }
 }
 
@@ -112,14 +86,6 @@ impl Emitter {
         self.out.push('}');
     }
 
-    /// "i" instant event.
-    fn instant(&mut self, pid: u32, tid: u32, name: &str, ts_ns: u64) {
-        self.open("i", pid, Some(tid), name);
-        self.out.push_str(",\"s\":\"t\"");
-        self.ts("ts", ts_ns);
-        self.out.push('}');
-    }
-
     /// "C" counter event with one series.
     fn counter(&mut self, pid: u32, name: &str, series: &str, ts_ns: u64, value: u64) {
         self.open("C", pid, None, name);
@@ -160,11 +126,12 @@ const RETURN_FLOW: u64 = 1 << 62;
 /// Render the assembled trace as Chrome trace-event JSON with causal
 /// flow arrows across PE tracks.
 pub fn chrome_flow_json(trace: &ClusterTrace) -> String {
-    chrome_flow_json_with(trace, &EngineTracks::default())
+    chrome_flow_json_with(trace, &[])
 }
 
-/// [`chrome_flow_json`], followed by the simulator's own tracks.
-pub fn chrome_flow_json_with(trace: &ClusterTrace, engine: &EngineTracks<'_>) -> String {
+/// [`chrome_flow_json`], followed by a simulated run's bus counter tracks
+/// (`bus` is empty for a switched fabric, or a live run).
+pub fn chrome_flow_json_with(trace: &ClusterTrace, bus: &[BusInterval]) -> String {
     let mut e = Emitter::new();
     e.name_meta("process_name", PID_APP, None, "app threads");
     e.name_meta("process_name", PID_KERNEL, None, "kernel threads");
@@ -192,7 +159,7 @@ pub fn chrome_flow_json_with(trace: &ClusterTrace, engine: &EngineTracks<'_>) ->
         if s.bytes > 0 {
             let _ = write!(label, " {}B", s.bytes);
         }
-        e.slice(pid_of(s.kind), s.pe, &label, s.start_ns, s.dur_ns());
+        e.slice(pid_of(s), s.pe, &label, s.start_ns, s.dur_ns());
     }
 
     // --- GM chains: dispatch -> serve -> redeem. --------------------------
@@ -234,61 +201,10 @@ pub fn chrome_flow_json_with(trace: &ClusterTrace, engine: &EngineTracks<'_>) ->
         e.flow("f", back, PID_APP, s.pe, name, s.end_ns.saturating_sub(1));
     }
 
-    if let Some(timeline) = engine.timeline {
-        process_tracks(&mut e, timeline, engine.resources);
-    }
-    if !engine.bus.is_empty() {
-        bus_tracks(&mut e, engine.bus);
+    if !bus.is_empty() {
+        bus_tracks(&mut e, bus);
     }
     e.finish()
-}
-
-/// The engine timeline: one thread per simulated process.
-fn process_tracks(e: &mut Emitter, timeline: &TraceRecords, resources: &[ResourceStats]) {
-    e.name_meta("process_name", PID_PROCS, None, "processes");
-    for (i, name) in timeline.proc_names.iter().enumerate() {
-        e.name_meta("thread_name", PID_PROCS, Some(i as u32), name);
-    }
-    let resource = |i: usize| resources.get(i).map_or("cpu", |r| r.name.as_str());
-    let mut label = String::new();
-    for ev in &timeline.events {
-        let tid = ev.proc.index() as u32;
-        let (what, from, until): (&str, _, _) = match ev.kind {
-            TraceKind::Start { at } => ("start", at, None),
-            TraceKind::Exit { at } => ("exit", at, None),
-            TraceKind::Sent { at, to } => {
-                label.clear();
-                label.push_str("send->");
-                match timeline.proc_names.get(to.index()) {
-                    Some(n) => label.push_str(n),
-                    None => {
-                        let _ = write!(label, "p{}", to.index());
-                    }
-                }
-                (&label, at, None)
-            }
-            TraceKind::ResourceWait { res, from, until } => {
-                label.clear();
-                let _ = write!(label, "wait {}", resource(res.index()));
-                (&label, from, Some(until))
-            }
-            TraceKind::ResourceHold { res, from, until } => {
-                (resource(res.index()), from, Some(until))
-            }
-            TraceKind::RecvWait { from, until } => ("recv", from, Some(until)),
-            TraceKind::Sleep { from, until } => ("sleep", from, Some(until)),
-        };
-        match until {
-            Some(until) => e.slice(
-                PID_PROCS,
-                tid,
-                what,
-                from.as_nanos(),
-                (until - from).as_nanos(),
-            ),
-            None => e.instant(PID_PROCS, tid, what, from.as_nanos()),
-        }
-    }
 }
 
 /// The shared bus: one counter sample per bin and series.
@@ -347,50 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_tracks_follow_the_causal_lanes() {
-        use dse_sim::{ProcId, ResourceId, SimTime, TraceEvent};
-        let at = SimTime::from_nanos;
-        let (p0, p1) = (ProcId::from_index(0), ProcId::from_index(1));
-        let cpu = ResourceId::from_index(0);
-        let event = |proc, kind| TraceEvent { proc, kind };
-        let (from, until) = (at(400), at(2_400));
-        let timeline = TraceRecords {
-            proc_names: vec!["kernel0".into(), "rank\"1\"".into()],
-            events: vec![
-                event(p1, TraceKind::Start { at: at(100) }),
-                event(
-                    p1,
-                    TraceKind::ResourceWait {
-                        res: cpu,
-                        from: at(100),
-                        until: from,
-                    },
-                ),
-                event(
-                    p1,
-                    TraceKind::ResourceHold {
-                        res: cpu,
-                        from,
-                        until,
-                    },
-                ),
-                event(
-                    p1,
-                    TraceKind::Sent {
-                        at: at(2_500),
-                        to: p0,
-                    },
-                ),
-                event(
-                    p0,
-                    TraceKind::RecvWait {
-                        from: at(0),
-                        until: at(2_600),
-                    },
-                ),
-                event(p1, TraceKind::Exit { at: at(5_000) }),
-            ],
-        };
+    fn bus_tracks_follow_the_causal_lanes_and_a_queue_sits_where_it_queued() {
         let bus = [BusInterval {
             start_ns: 0,
             width_ns: 1_000_000,
@@ -402,35 +275,26 @@ mod tests {
             queue_depth_max: 2,
         }];
         let app = TraceSpanRec::new(TraceSpanKind::App, 1, 1, 0, 0, 0, 5_000);
-        let t = assemble(&[vec![app]]);
-        let cpus = [ResourceStats {
-            name: "cpu0".into(),
-            ..ResourceStats::default()
-        }];
-        let tracks = EngineTracks {
-            timeline: Some(&timeline),
-            resources: &cpus,
-            bus: &bus,
-        };
-        let json = chrome_flow_json_with(&t, &tracks);
+        let own = TraceSpanRec::new(TraceSpanKind::CpuQueue, 1, 2, 1, 0, 100, 400);
+        let mut home = TraceSpanRec::new(TraceSpanKind::CpuQueue, 1, 3, 1, 1, 500, 700);
+        home.peer = 0;
+        let t = assemble(&[vec![app, own], vec![home]]);
+        let json = chrome_flow_json_with(&t, &bus);
         // The causal lanes come first and are those of the plain export.
         let plain = chrome_flow_json(&t);
         let shared = plain.rfind("\n]").unwrap();
         assert!(json.starts_with(&plain[..shared]));
         for want in [
-            "\"pid\":2,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"rank\\\"1\\\"\"}}",
-            "\"ph\":\"i\",\"pid\":2,\"tid\":1,\"name\":\"start\",\"s\":\"t\",\"ts\":0.100}",
-            "\"name\":\"wait cpu0\",\"ts\":0.100,\"dur\":0.300}",
-            "\"name\":\"cpu0\",\"ts\":0.400,\"dur\":2.000}",
-            "\"name\":\"send->kernel0\"",
-            "\"pid\":2,\"tid\":0,\"name\":\"recv\",\"ts\":0.000,\"dur\":2.600}",
+            "\"ph\":\"X\",\"pid\":0,\"tid\":0,\"name\":\"cpu_queue\",\"ts\":0.100,\"dur\":0.300}",
+            "\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"cpu_queue\",\"ts\":0.500,\"dur\":0.200}",
             "\"ph\":\"C\",\"pid\":3,\"name\":\"bus_utilization\",\"ts\":0.000,\"args\":{\"pct\":25}}",
             "\"name\":\"bus_collisions\",\"ts\":0.000,\"args\":{\"n\":1}}",
             "\"name\":\"bus_queue_depth\",\"ts\":0.000,\"args\":{\"max\":2}}",
         ] {
             assert!(json.contains(want), "missing {want} in\n{json}");
         }
+        assert!(!json.contains("\"pid\":2,"), "there is no process timeline");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json, chrome_flow_json_with(&t, &tracks), "deterministic");
+        assert_eq!(json, chrome_flow_json_with(&t, &bus), "deterministic");
     }
 }

@@ -1,13 +1,12 @@
 //! `dse-run` — command-line front end to the DSE reproduction.
 //!
 //! Run any of the paper's workloads on any simulated platform and
-//! configuration, and optionally print where the time went — the
-//! scheduler's per-process breakdown (`--trace`) or the causal blame table
-//! and critical path, in virtual time (`--critical-path`):
+//! configuration, and optionally print where the time went — the causal
+//! blame table and critical path, in virtual time (`--critical-path`):
 //!
 //! ```sh
 //! dse-run gauss   --platform sunos --procs 4 --n 600 --critical-path
-//! dse-run dct     --platform linux --procs 8 --block 16 --trace
+//! dse-run dct     --platform linux --procs 8 --block 16 --critical-path
 //! dse-run othello --platform aix   --procs 6 --depth 7
 //! dse-run knights --platform sunos --procs 12 --jobs 16 --organization legacy
 //! dse-run gauss-mp --procs 4 --n 400          # message-passing variant
@@ -24,10 +23,9 @@
 use std::time::Duration;
 
 use dse::live::LiveRunner;
-use dse_obs::TraceSpanRec;
+use dse_obs::{BusInterval, TraceSpanRec};
 use dse_sweep::build::{self, Answer, AppKind, AppParams};
 use dse_sweep::run::{execute_traced, References, RunStatus};
-use dse_trace::{analyze, gantt, EngineTracks};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Args {
@@ -45,7 +43,6 @@ struct Args {
     protocol: String,
     cache: bool,
     gm_mode: String,
-    trace: bool,
     machines: usize,
     metrics_json: Option<String>,
     metrics_csv: Option<String>,
@@ -96,8 +93,6 @@ fn usage() -> ! {
   --cache                      enable the GM cache (both engines)
   --gm-mode wi|rc              cache coherence: write-invalidate or
                                release consistency        (default wi)
-  --trace                      simulator: print the scheduler's per-process
-                               time breakdown and timeline
   --metrics-json PATH          write metrics as JSON Lines
   --metrics-csv PATH           write metrics as CSV
   --trace-json PATH            record causal spans, write a Chrome trace with
@@ -140,7 +135,6 @@ fn parse_from(argv: &[String]) -> Result<Args, String> {
         protocol: "tcp".into(),
         cache: false,
         gm_mode: "wi".into(),
-        trace: false,
         machines: 6,
         metrics_json: None,
         metrics_csv: None,
@@ -185,7 +179,6 @@ fn parse_from(argv: &[String]) -> Result<Args, String> {
             "--protocol" => args.protocol = val()?,
             "--cache" => args.cache = true,
             "--gm-mode" => args.gm_mode = val()?,
-            "--trace" => args.trace = true,
             "--metrics-json" => args.metrics_json = Some(val()?),
             "--metrics-csv" => args.metrics_csv = Some(val()?),
             "--trace-json" => args.trace_json = Some(val()?),
@@ -257,14 +250,12 @@ fn validate_engine_combos(args: &Args) -> Result<(), String> {
             );
         }
         // Everything that parameterizes the simulated 1999 cluster model is
-        // meaningless when the program runs for real on host threads, and
-        // so is the simulator's own scheduling timeline (`--trace`).
+        // meaningless when the program runs for real on host threads.
         const SIM_ONLY: &[&str] = &[
             "--platform",
             "--machines",
             "--organization",
             "--protocol",
-            "--trace",
             "--watchdog-ms",
         ];
         for f in SIM_ONLY {
@@ -365,7 +356,7 @@ fn run_scenario_cli(argv: &[String]) -> ! {
             if rs.engine == "sim" {
                 println!("execution time: {} s", rec.elapsed_ns as f64 / 1e9);
             }
-            report_causal_trace(&args, &trace_spans, &EngineTracks::default());
+            report_causal_trace(&args, &trace_spans, &[]);
         }
     }
     std::process::exit(i32::from(failed))
@@ -461,7 +452,7 @@ fn run_live_cli(args: &Args, app: AppKind) {
         write_out(path, "flight recorder", run.flight_jsonl.clone());
     }
     if cfg.tracing {
-        report_causal_trace(args, &run.trace_spans, &EngineTracks::default());
+        report_causal_trace(args, &run.trace_spans, &[]);
     }
 }
 
@@ -502,11 +493,12 @@ fn wants_causal_trace(args: &Args) -> bool {
 /// Assemble a run's causal trace — either engine's — print the blame table
 /// (and critical path under `--critical-path`), write the Chrome trace
 /// `--trace-json` names, and populate `--trace-dir` with the per-PE
-/// streams plus every derived artifact. A simulated run adds `engine`, its
-/// own tracks, to the Chrome traces. The canonical files are what the CI
-/// determinism smoke diffs across two live runs; a simulated run's raw
-/// files repeat to the byte.
-fn report_causal_trace(args: &Args, trace_spans: &[Vec<TraceSpanRec>], engine: &EngineTracks<'_>) {
+/// streams plus every derived artifact. A simulated run adds `bus`, its
+/// bus samples, to the Chrome traces. The path is walked and the Chrome
+/// trace rendered only for a flag that prints or writes them. The canonical
+/// files are what the CI determinism smoke diffs across two live runs; a
+/// simulated run's raw files repeat to the byte.
+fn report_causal_trace(args: &Args, trace_spans: &[Vec<TraceSpanRec>], bus: &[BusInterval]) {
     let t = dse_trace::assemble(trace_spans);
     println!(
         "causal trace: {} spans, {}/{} gm chains linked ({:.1}%)",
@@ -515,24 +507,25 @@ fn report_causal_trace(args: &Args, trace_spans: &[Vec<TraceSpanRec>], engine: &
         t.links.gm_reqs,
         t.links.gm_link_ratio() * 100.0
     );
-    let blame = dse_trace::blame(&t);
-    print!("{}", blame.render());
-    let path = dse_trace::critical_path(&t);
-    if args.critical_path {
+    let blame = dse_trace::blame(&t).render();
+    print!("{blame}");
+    let dir = args.trace_dir.as_deref().map(std::path::Path::new);
+    let path = (args.critical_path || dir.is_some()).then(|| dse_trace::critical_path(&t));
+    if let (true, Some(path)) = (args.critical_path, &path) {
         print!("{}", path.render(40));
     }
-    let chrome = dse_trace::chrome_flow_json_with(&t, engine);
-    if let Some(file) = &args.trace_json {
-        if let Err(e) = std::fs::write(file, &chrome) {
+    let chrome = (args.trace_json.is_some() || dir.is_some())
+        .then(|| dse_trace::chrome_flow_json_with(&t, bus));
+    if let (Some(file), Some(chrome)) = (&args.trace_json, &chrome) {
+        if let Err(e) = std::fs::write(file, chrome) {
             eprintln!("cannot write Chrome trace to {file}: {e}");
             std::process::exit(1);
         }
         println!("Chrome trace written to {file}");
     }
-    let Some(dir) = &args.trace_dir else {
+    let (Some(dir), Some(path), Some(chrome)) = (dir, path, chrome) else {
         return;
     };
-    let dir = std::path::Path::new(dir);
     if let Err(e) = dse_trace::write_trace_dir(dir, trace_spans) {
         eprintln!("cannot write trace streams: {e}");
         std::process::exit(1);
@@ -540,7 +533,7 @@ fn report_causal_trace(args: &Args, trace_spans: &[Vec<TraceSpanRec>], engine: &
     let canonical = t.canonical();
     let outs: [(&str, String); 5] = [
         ("cluster.trace.json", chrome),
-        ("blame.txt", blame.render()),
+        ("blame.txt", blame),
         ("critical_path.txt", path.render(usize::MAX)),
         ("canonical.trace.jsonl", canonical.to_jsonl()),
         (
@@ -607,9 +600,7 @@ fn run_sim_cli(args: &Args, app: AppKind) {
         cache: args.cache,
         gm_mode: args.gm_mode.clone(),
         machines: args.machines,
-        // One switch records both the scheduler's timeline (--trace, and
-        // the process lanes of a Chrome trace) and the causal spans.
-        tracing: args.trace || wants_causal_trace(args),
+        tracing: wants_causal_trace(args),
         // --watch and --flight-json both need the in-band telemetry plane.
         telemetry_ms: (args.watch || args.flight_json.is_some())
             .then_some((args.watch_ms, args.watchdog_ms)),
@@ -648,13 +639,6 @@ fn run_sim_cli(args: &Args, app: AppKind) {
         );
         print_directory(&run.metrics, &args.gm_mode);
     }
-    if args.trace {
-        let trace = run.report.trace.as_ref().expect("tracing enabled");
-        let analysis = analyze(trace, run.report.end_time);
-        println!();
-        print!("{}", analysis.render());
-        println!("{}", gantt(trace, run.report.end_time, 72));
-    }
     if let Some(path) = &args.metrics_json {
         write_out(path, "metrics (JSONL)", run.metrics_jsonl());
     }
@@ -662,8 +646,7 @@ fn run_sim_cli(args: &Args, app: AppKind) {
         write_out(path, "metrics (CSV)", run.metrics_csv());
     }
     if wants_causal_trace(args) {
-        let engine = EngineTracks::of(&run.report, &run.bus_intervals);
-        report_causal_trace(args, &run.trace_spans, &engine);
+        report_causal_trace(args, &run.trace_spans, &run.bus_intervals);
     }
     if let Some(tel) = &run.telemetry {
         for s in &tel.stalls {
@@ -698,7 +681,7 @@ mod tests {
         assert_eq!(a.platform, "sunos");
         assert_eq!(a.procs, 4);
         assert_eq!(a.machines, 6);
-        assert!(!a.cache && !a.trace);
+        assert!(!a.cache);
         assert_eq!(a.metrics_json, None);
         assert_eq!(a.trace_json, None);
     }
@@ -706,7 +689,7 @@ mod tests {
     #[test]
     fn all_flags_parse() {
         let a = parse_from(&argv(
-            "dct --platform linux --procs 8 --machines 4 --n 128 --block 16              --depth 7 --jobs 32 --organization legacy --protocol udp --cache --trace",
+            "dct --platform linux --procs 8 --machines 4 --n 128 --block 16              --depth 7 --jobs 32 --organization legacy --protocol udp --cache",
         ))
         .unwrap();
         assert_eq!(a.platform, "linux");
@@ -718,7 +701,7 @@ mod tests {
         assert_eq!(a.jobs, 32);
         assert_eq!(a.organization, "legacy");
         assert_eq!(a.protocol, "udp");
-        assert!(a.cache && a.trace);
+        assert!(a.cache);
     }
 
     #[test]
@@ -815,7 +798,6 @@ mod tests {
             "--machines 4",
             "--organization legacy",
             "--protocol udp",
-            "--trace",
             "--watchdog-ms 10",
         ] {
             let a = parse_from(&argv(&format!("gauss --engine live {flags}"))).unwrap();
@@ -917,10 +899,8 @@ mod tests {
                 assert!(wants_causal_trace(&a), "{engine} {flags}");
             }
         }
-        // The scheduler's timeline alone records no causal report.
-        assert!(!wants_causal_trace(
-            &parse_from(&argv("gauss --trace")).unwrap()
-        ));
+        // No flag, no spans.
+        assert!(!wants_causal_trace(&parse_from(&argv("gauss")).unwrap()));
     }
 
     #[test]
@@ -936,6 +916,9 @@ mod tests {
     fn unknown_flag_rejected() {
         let err = parse_from(&argv("gauss --frobnicate")).unwrap_err();
         assert!(err.contains("unknown flag --frobnicate"), "{err}");
+        // The simulator scheduler's own timeline is gone, flag and all.
+        let err = parse_from(&argv("gauss --trace")).unwrap_err();
+        assert!(err.contains("unknown flag --trace"), "{err}");
     }
 
     #[test]

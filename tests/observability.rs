@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use dse::apps::gauss_seidel;
 use dse::obs::{serve_span_id, TraceSpanKind};
 use dse::prelude::*;
-use dse_trace::{assemble, chrome_flow_json_with, EngineTracks, PID_APP, PID_KERNEL, PID_PROCS};
+use dse_trace::{assemble, chrome_flow_json_with, PID_APP, PID_KERNEL};
 
 // ---------------------------------------------------------------------------
 // A minimal JSON parser — enough to validate the exporters without serde.
@@ -302,10 +302,9 @@ fn metrics_jsonl_schema_and_content() {
 }
 
 /// The run's Chrome trace, from the one exporter: causal lanes with flow
-/// arrows, then the simulator's process timeline and bus counters.
+/// arrows, then the simulator's bus counters.
 fn chrome_trace(run: &RunResult) -> String {
-    let engine = EngineTracks::of(&run.report, &run.bus_intervals);
-    chrome_flow_json_with(&assemble(&run.trace_spans), &engine)
+    chrome_flow_json_with(&assemble(&run.trace_spans), &run.bus_intervals)
 }
 
 #[test]
@@ -321,10 +320,7 @@ fn chrome_trace_has_per_process_and_bus_tracks() {
         events.iter().filter(named).count()
     };
 
-    // One named thread track per simulated process, and an app and a
-    // kernel lane per PE.
-    let nprocs_in_trace = run.report.trace.as_ref().unwrap().proc_names.len();
-    assert_eq!(tracks(PID_PROCS), nprocs_in_trace, "one per process");
+    // An app and a kernel lane per PE.
     assert_eq!((tracks(PID_APP), tracks(PID_KERNEL)), (6, 6));
 
     // A bus-utilization counter track under the network pid.

@@ -9,8 +9,9 @@
 //!
 //! The simulator is held to more, because its clock is virtual: every chain
 //! links (there is no "≥ 99 %"), recording moves no event, no nanosecond
-//! and no metric, two traced runs agree to the byte, and nothing is ever
-//! retransmitted.
+//! and no metric, two traced runs agree to the byte, nothing is ever
+//! retransmitted — and its `cpu_queue` spans account for every nanosecond
+//! its scheduler made anyone wait for a CPU.
 
 use std::sync::Mutex;
 
@@ -18,6 +19,7 @@ use dse::apps::gauss_seidel::{self, RefreshMode};
 use dse::apps::{dct, knights, matmul, othello};
 use dse::live::{LiveCtx, LiveRunner, TransportKind};
 use dse::obs::{TraceSpanKind, TraceSpanRec};
+use dse::platform::ClusterSpec;
 use dse::prelude::*;
 use dse_trace::{assemble, blame, critical_path};
 
@@ -145,11 +147,13 @@ fn check_trace<T>(name: &str, nprocs: usize, run: &Traced<T>) {
     );
 
     // The blame table partitions each PE's app-span clock exactly:
-    // compute + serve + net + retry + barrier + lock == wall, per PE.
+    // compute + cpu_queue + serve + net + retry + barrier + lock == wall,
+    // per PE.
     let table = blame(&trace);
     assert_eq!(table.rows.len(), nprocs, "{name}: one blame row per PE");
     for row in &table.rows {
         let parts = row.compute_ns
+            + row.cpu_queue_ns
             + row.serve_ns
             + row.net_ns
             + row.retry_ns
@@ -161,8 +165,9 @@ fn check_trace<T>(name: &str, nprocs: usize, run: &Traced<T>) {
             row.pe, row.wall_ns
         );
         assert!(row.wall_ns > 0, "{name}: pe{} app span is empty", row.pe);
-        if run.engine == "sim" {
-            assert_eq!(row.retry_ns, 0, "{name}: nothing is retransmitted");
+        match run.engine {
+            "sim" => assert_eq!(row.retry_ns, 0, "{name}: nothing is retransmitted"),
+            _ => assert_eq!(row.cpu_queue_ns, 0, "{name}: the host's CPUs queue unseen"),
         }
     }
     // The walk ends, and explains no more than the run took.
@@ -230,6 +235,48 @@ fn gauss_traces_link_and_blame_accounts_wall() {
         });
         check_trace(&name, 3, &run);
     }
+}
+
+/// The virtual cluster: 12 ranks and their kernels on 6 CPUs. What the
+/// engine booked as waiting on each CPU (`ResourceStats::waited`) is what
+/// the `cpu_queue` spans of the PEs placed there add up to — every hold of
+/// a rank or a kernel is recorded. Machine 0 also hosts the launcher, which
+/// records no spans, so there the spans may fall short.
+#[test]
+fn cpu_queue_spans_sum_to_what_the_scheduler_made_each_cpu_wait() {
+    let (procs, machines) = (12, 6);
+    let config = DseConfig::paper()
+        .with_tracing(true)
+        .with_machines(machines);
+    let program = DseProgram::new(Platform::sunos_sparc()).with_config(config);
+    let params = gauss_seidel::GaussSeidelParams::paper(48);
+    let (run, _) = gauss_seidel::solve_parallel(&program, procs, params);
+    let place = ClusterSpec::with_machines(Platform::sunos_sparc(), machines, procs).place();
+    let mut queued = vec![0u64; machines];
+    for s in run.trace_spans.iter().flatten() {
+        if s.kind == TraceSpanKind::CpuQueue {
+            queued[place[s.pe as usize]] += s.dur_ns();
+        }
+    }
+    let waited: Vec<u64> = run
+        .report
+        .resources
+        .iter()
+        .map(|r| r.waited.as_nanos())
+        .collect();
+    assert_eq!(waited.len(), machines);
+    assert!(
+        queued[0] > 0 && queued[0] <= waited[0],
+        "{queued:?} {waited:?}"
+    );
+    assert_eq!(queued[1..], waited[1..], "machines without the launcher");
+    assert!(
+        waited[1..].iter().all(|&w| w > 0),
+        "two ranks share each CPU"
+    );
+    // And the table shows it: ranks that share a CPU queue for it.
+    let table = blame(&assemble(&run.trace_spans));
+    assert!(table.rows.iter().all(|r| r.cpu_queue_ns > 0));
 }
 
 #[test]
