@@ -164,26 +164,22 @@ impl<'a> SimPort<'a> {
     }
 
     /// Put GM request `req` for `home` on the wire and remember it until it
-    /// is answered (the stall watchdog, where one runs, is told too).
-    fn send_open(&mut self, home: NodeId, req: ReqId, msg: &Message, kind: SpanKind) {
+    /// is answered.
+    fn send_open(&mut self, home: NodeId, req: ReqId, msg: &Message) {
         let open_ns = self.now_ns();
         let sent = self.spans.request_sent(open_ns, home.0 as u32, req.0);
-        if let Some(inflight) = &self.shared.inflight {
-            inflight.open(kind, self.pe(), req.0, open_ns);
-        }
         self.send_kernel(home, msg, sent.map(|s| s.ctx));
         self.open.insert(req.0, OpenReq { open_ns, sent });
     }
 
     /// An exchange of `kind` begun at `open_ns` completed now: record its
-    /// latency in its series and note it in the flight recorder.
-    fn sample(&self, kind: SpanKind, seq: u64, open_ns: u64) {
-        let (pe, now) = (self.pe(), self.now_ns());
+    /// latency in its series.
+    fn sample(&self, kind: SpanKind, open_ns: u64) {
         let (subsystem, name) = latency_series(kind);
-        self.shared
-            .metrics
-            .record(MetricKey::pe(subsystem, name, pe), now - open_ns);
-        self.shared.flight.span_close(kind, pe, seq, open_ns, now);
+        self.shared.metrics.record(
+            MetricKey::pe(subsystem, name, self.pe()),
+            self.now_ns() - open_ns,
+        );
     }
 
     /// Coherence action before an own-node store mutation (no-op with the
@@ -273,10 +269,10 @@ impl GmPort for SimPort<'_> {
         home: NodeId,
         req: ReqId,
         msg: Message,
-        kind: SpanKind,
+        _kind: SpanKind,
         inflight: usize,
     ) {
-        self.send_open(home, req, &msg, kind);
+        self.send_open(home, req, &msg);
         self.shared
             .stats
             .update(self.node, |s| s.gm_request_msgs += 1);
@@ -300,15 +296,12 @@ impl GmPort for SimPort<'_> {
         }
     }
 
-    /// Its latency sample, its flight-recorder line, and its spans.
+    /// Its latency sample and its spans.
     fn request_done(&mut self, req: ReqId, kind: SpanKind, answer: Arrival) {
         let Some(open) = self.open.remove(&req.0) else {
             return;
         };
-        if let Some(inflight) = &self.shared.inflight {
-            inflight.close(kind, self.pe(), req.0);
-        }
-        self.sample(kind, req.0, open.open_ns);
+        self.sample(kind, open.open_ns);
         if let Some(sent) = open.sent {
             self.spans.request_done(self.now_ns(), sent, 0, answer);
         }
@@ -341,9 +334,9 @@ impl GmPort for SimPort<'_> {
     /// one more would move virtual time on watched runs). Nor is there an
     /// `op_begun`: `KernelStats` counts an operation where it is served,
     /// own-node or by the home kernel.
-    fn op_done(&mut self, kind: SpanKind, seq: u64, since: u64) {
+    fn op_done(&mut self, kind: SpanKind, _seq: u64, since: u64) {
         if kind != SpanKind::GmFetchAdd {
-            self.sample(kind, seq, since);
+            self.sample(kind, since);
         }
     }
 
@@ -412,7 +405,7 @@ impl GmPort for SimPort<'_> {
     /// A request span that is *not* a `gm_request_msgs` count: the home
     /// kernel counts the fetch-add it serves (DESIGN.md §5h).
     fn send_atomic(&mut self, home: NodeId, req: ReqId, msg: Message) {
-        self.send_open(home, req, &msg, SpanKind::GmFetchAdd);
+        self.send_open(home, req, &msg);
     }
 
     /// Node 0's process *is* the coordinator's node: it calls the kernel

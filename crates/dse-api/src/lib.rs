@@ -60,7 +60,7 @@ pub use req_spans::{Arrival, RequesterSpans, SentReq};
 
 // Re-export the vocabulary callers need alongside the API.
 pub use dse_kernel::{
-    Distribution, DseConfig, KernelStats, NetworkChoice, Organization, StallReport, TelemetryConfig,
+    Distribution, DseConfig, KernelStats, NetworkChoice, Organization, TelemetryConfig,
 };
 pub use dse_msg::{GlobalPid, NodeId, RegionId};
 pub use dse_platform::{ClusterSpec, Platform, Work};

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dse_kernel::kernel::{AppFactory, SimKernel};
 use dse_kernel::netpath::{hold_cpu, send_msg};
-use dse_kernel::{ClusterShared, DseConfig, KernelStats, SimMsg, StallReport, TelemetryHook};
+use dse_kernel::{ClusterShared, DseConfig, KernelStats, SimMsg, TelemetryHook};
 use dse_msg::{Message, NodeId, ReqIdGen};
 use dse_obs::{
     BusInterval, ClusterAggregator, MetricKey, MetricsSnapshot, NodeStatus, TraceSpanRec,
@@ -32,12 +32,6 @@ pub struct TelemetrySummary {
     /// Aggregator-side health of every emitting PE (sequence numbers,
     /// gaps, stale drops, last-heard time).
     pub nodes: Vec<NodeStatus>,
-    /// GM requests the stall watchdog flagged (empty on a healthy run).
-    pub stalls: Vec<StallReport>,
-    /// Flight-recorder JSONL dump: the ring captured when the watchdog
-    /// first tripped (post-mortem), or the ring at shutdown on a clean
-    /// run.
-    pub flight_jsonl: Option<String>,
 }
 
 /// Everything a completed run reports.
@@ -261,12 +255,6 @@ impl DseProgram {
             TelemetrySummary {
                 rollup,
                 nodes: agg.nodes().to_vec(),
-                stalls: shared.stalls.lock().clone(),
-                flight_jsonl: shared
-                    .flight_dump
-                    .lock()
-                    .clone()
-                    .or_else(|| Some(shared.flight.to_jsonl())),
             }
         });
         RunResult {

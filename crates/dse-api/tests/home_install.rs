@@ -6,18 +6,13 @@
 //! records the lease; the requester installs on completion, and the same
 //! second read misses there.)
 
-use dse_api::{Distribution, DseConfig, DseProgram, ParallelApi, Platform, TelemetryConfig, Work};
-use dse_obs::SpanKind;
+use dse_api::{Distribution, DseConfig, DseProgram, NodeId, ParallelApi, Platform, Work};
 
 const BLOCK: usize = 512;
 
 #[test]
 fn a_second_overlapping_read_hits_before_the_first_is_waited_on() {
-    // The telemetry plane brings the stall watchdog, whose in-flight set is
-    // where a test can see which requests are still unanswered.
-    let config = DseConfig::paper()
-        .with_gm_cache(true)
-        .with_telemetry(TelemetryConfig::default());
+    let config = DseConfig::paper().with_gm_cache(true);
     let r = DseProgram::new(Platform::linux_pentium2())
         .with_config(config)
         .run(3, |ctx| {
@@ -33,13 +28,13 @@ fn a_second_overlapping_read_hits_before_the_first_is_waited_on() {
                 ctx.gm_wait(small);
                 // Long enough for node 2 to have served the block.
                 ctx.compute(Work::flops(50_000_000));
-                let inflight = ctx.shared().inflight.as_ref();
-                let open = inflight.expect("a watchdog is configured").unanswered();
-                let mine = |&&(_, pe, _, kind): &&_| pe == 0 && kind == SpanKind::GmRead;
-                assert_eq!(
-                    open.iter().filter(mine).count(),
-                    1,
-                    "the block's answer is still unread"
+                // Node 2 has served the block and installed it in node 0's
+                // replica cache, yet rank 0 has not redeemed the handle.
+                let shared = ctx.shared();
+                assert_eq!(shared.stats.snapshot_pe(2).gm_remote_reads, 1);
+                assert!(
+                    shared.cache.get(NodeId(0), region, 2).is_some(),
+                    "the home installed the block before its answer was read"
                 );
                 let before = ctx.shared().stats.snapshot_pe(0);
                 let again = ctx.gm_read_nb(region, 2 * BLOCK as u64 + 16, 64);

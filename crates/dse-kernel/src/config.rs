@@ -110,26 +110,15 @@ impl SchedulerKind {
 /// Telemetry-plane configuration (see `DseConfig::telemetry`).
 ///
 /// When enabled, every kernel periodically ships its metric deltas in-band
-/// (as `Message::Telemetry` traffic) to the aggregating kernel on node 0,
-/// node 0 runs a stall watchdog over the open request spans, and a flight
-/// recorder keeps the most recent bus/span events for post-mortem dumps.
+/// (as `Message::Telemetry` traffic) to the aggregating kernel on node 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryConfig {
     /// How often each kernel emits a metric delta.
     pub interval: SimDuration,
-    /// A GM request with no response for longer than this trips the stall
-    /// watchdog on node 0.
-    pub watchdog_deadline: SimDuration,
-    /// Flight-recorder ring capacity in events (0 disables the recorder).
-    pub flight_capacity: usize,
-    /// Escalate after this many distinct stalls have been flagged over the
-    /// run: the kernel records a `kernel/stall_escalations` metric and
-    /// captures the flight-recorder dump. `None` leaves escalation off.
-    pub escalate_after: Option<u32>,
 }
 
 impl Default for TelemetryConfig {
-    /// 200 ms emission interval, 250 ms watchdog deadline, 256-event ring.
+    /// 200 ms emission interval.
     ///
     /// The interval keeps the telemetry plane's cost (wire bytes plus
     /// per-message protocol CPU on the paper-era platforms) under 3 % of
@@ -139,9 +128,6 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             interval: SimDuration::from_millis(200),
-            watchdog_deadline: SimDuration::from_millis(250),
-            flight_capacity: 256,
-            escalate_after: None,
         }
     }
 }
@@ -150,24 +136,6 @@ impl TelemetryConfig {
     /// Builder-style: set the emission interval.
     pub fn with_interval(mut self, interval: SimDuration) -> Self {
         self.interval = interval;
-        self
-    }
-
-    /// Builder-style: set the stall-watchdog deadline.
-    pub fn with_watchdog_deadline(mut self, deadline: SimDuration) -> Self {
-        self.watchdog_deadline = deadline;
-        self
-    }
-
-    /// Builder-style: set the flight-recorder capacity.
-    pub fn with_flight_capacity(mut self, capacity: usize) -> Self {
-        self.flight_capacity = capacity;
-        self
-    }
-
-    /// Builder-style: arm stall escalation at `after` distinct stalls.
-    pub fn with_escalation(mut self, after: Option<u32>) -> Self {
-        self.escalate_after = after;
         self
     }
 }
@@ -374,10 +342,7 @@ mod tests {
     #[test]
     fn telemetry_defaults_off_and_composes() {
         assert!(DseConfig::default().telemetry.is_none());
-        let t = TelemetryConfig::default()
-            .with_interval(SimDuration::from_millis(5))
-            .with_watchdog_deadline(SimDuration::from_millis(20))
-            .with_flight_capacity(64);
+        let t = TelemetryConfig::default().with_interval(SimDuration::from_millis(5));
         let c = DseConfig::paper().with_telemetry(t.clone());
         assert_eq!(c.telemetry, Some(t));
         assert_eq!(

@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, TraceCtx};
-use dse_obs::{DeltaTracker, FlightEventKind, MetricKey, TelemetryDelta, TraceRole};
+use dse_obs::{DeltaTracker, MetricKey, TelemetryDelta, TraceRole};
 use dse_sim::{CompCtx, Component, ProcCtx, ProcId, SimDuration, SimTime, Wait, Wakeup};
 
 use crate::cache::CacheStore;
@@ -50,7 +50,6 @@ use crate::protocol::{Gates, KernelCount, KernelPort, KernelProtocol};
 use crate::shared::ClusterShared;
 use crate::simmsg::SimMsg;
 use crate::sync::{BarrierCenter, LockCenter};
-use crate::watchdog::StallWatchdog;
 
 /// A ready-to-run application process body (built by the API layer).
 pub type AppBody = Box<dyn FnOnce(&mut ProcCtx<SimMsg>) + Send>;
@@ -91,8 +90,8 @@ enum Op {
     /// The message taken up at the time is served: record the service, and
     /// the serve span of the traced GM request it was.
     EndService(SimTime, Option<ServedGm>),
-    /// This tick's delta is on the wire: poll the watchdog and re-arm.
-    EndTick,
+    /// This tick's delta is on the wire: re-arm if told to.
+    EndTick(bool),
 }
 
 /// How a [`SimKernelPort`] carries out what takes virtual time.
@@ -287,8 +286,6 @@ fn own_duty(node: NodeId, at: SimTime) -> Origin {
 struct Telemetry {
     interval: SimDuration,
     tracker: DeltaTracker,
-    /// Node 0 only.
-    watchdog: Option<StallWatchdog>,
 }
 
 /// The kernel of `node` as a passive simulation component: receive,
@@ -320,9 +317,6 @@ impl SimKernel {
         let telemetry = shared.config.telemetry.as_ref().map(|t| Telemetry {
             interval: t.interval,
             tracker: DeltaTracker::new(node.0 as u32, node == NodeId(0)),
-            watchdog: (node == NodeId(0)).then(|| {
-                StallWatchdog::new(t.watchdog_deadline.as_nanos()).with_escalation(t.escalate_after)
-            }),
         });
         SimKernel {
             node,
@@ -374,14 +368,6 @@ impl SimKernel {
                 let delta = TelemetryDelta::decode(&payload)
                     .unwrap_or_else(|e| panic!("kernel {node}: bad telemetry payload: {e:?}"));
                 let now_ns = now.as_nanos();
-                shared.flight.record(
-                    now_ns,
-                    from_pe,
-                    FlightEventKind::Telemetry {
-                        seq,
-                        absolute: delta.absolute,
-                    },
-                );
                 shared.aggregator.lock().apply(from_pe, seq, now_ns, &delta);
                 shared.metrics.incr(
                     MetricKey::pe("kernel", "telemetry_in", node.0 as u32)
@@ -419,11 +405,11 @@ impl SimKernel {
     }
 
     /// One telemetry tick: ship this PE's incremental metric delta in-band
-    /// to node 0's kernel; once it is on the wire ([`Op::EndTick`]), poll
-    /// the stall watchdog (node 0) and re-arm. Node 0 forces an emission even when
-    /// nothing changed — its own loopback delta is the heartbeat that
-    /// closes each aggregation epoch for the live view.
-    fn tick(&mut self) {
+    /// to node 0's kernel; once it is on the wire ([`Op::EndTick`]), re-arm
+    /// if `rearm`. Node 0 forces an emission even when nothing changed —
+    /// its own loopback delta is the heartbeat that closes each aggregation
+    /// epoch for the live view.
+    fn tick(&mut self, rearm: bool) {
         let (shared, node) = (&*self.shared, self.node);
         let tracker = &mut self.telemetry.as_mut().expect("a tick is armed").tracker;
         let snap = shared.metrics.snapshot();
@@ -437,7 +423,7 @@ impl SimKernel {
             let to = shared.kernel_of(NodeId(0));
             self.ops.push_back(Op::Send(NodeId(0), to, msg, None));
         }
-        self.ops.push_back(Op::EndTick);
+        self.ops.push_back(Op::EndTick(rearm));
     }
 
     /// Ask for this node's CPU at `now`, for `dur`.
@@ -464,9 +450,12 @@ impl Component<SimMsg> for SimKernel {
                 self.spans
                     .cpu_queue(asked.as_nanos(), granted, self.serving);
             }
+            // With nothing but timers queued the program is hung: only
+            // ticks could ever happen again. This tick is the last, so the
+            // queue drains and the run ends as it would without telemetry.
             Wakeup::Timer => {
                 self.serving = own_duty(node, now);
-                self.tick()
+                self.tick(!ctx.only_timers_pending())
             }
             Wakeup::Message(env) => {
                 // A request queued behind an earlier service has been
@@ -511,7 +500,7 @@ impl Component<SimMsg> for SimKernel {
                 Op::Serve(reply, msg) => self.serve(now, reply, msg),
                 Op::Count(what) => count(&self.shared, node, what),
                 Op::Send(to_node, to, msg, trace) => {
-                    let (bytes, charge) = begin_send(&self.shared, now, node, to_node, &msg);
+                    let (bytes, charge) = begin_send(&self.shared, node, &msg);
                     self.ops.push_front(Op::Wire(to_node, to, bytes, trace));
                     return self.ask_cpu(now, charge);
                 }
@@ -546,12 +535,11 @@ impl Component<SimMsg> for SimKernel {
                         self.spans.serve(now.as_nanos(), from, 0, seq, bytes);
                     }
                 }
-                Op::EndTick => {
-                    let t = self.telemetry.as_mut().expect("a tick is armed");
-                    if let Some(wd) = t.watchdog.as_mut() {
-                        poll_watchdog(&self.shared, wd, now.as_nanos());
+                Op::EndTick(rearm) => {
+                    if rearm {
+                        let t = self.telemetry.as_ref().expect("a tick is armed");
+                        ctx.set_timer(now + t.interval);
                     }
-                    ctx.set_timer(now + t.interval);
                 }
             }
         }
@@ -579,58 +567,8 @@ fn final_flush(now_ns: u64, shared: &ClusterShared, node: NodeId, tracker: &mut 
     let extra = synth_counters(shared, node);
     let (seq, d) = tracker.absolute(&snap, &extra);
     let back = TelemetryDelta::decode(&d.encode()).expect("telemetry self-roundtrip");
-    shared.flight.record(
-        now_ns,
-        node.0 as u32,
-        FlightEventKind::Telemetry {
-            seq,
-            absolute: true,
-        },
-    );
     shared
         .aggregator
         .lock()
         .apply(node.0 as u32, seq, now_ns, &back);
-}
-
-/// Node 0's watchdog poll: flag GM requests stuck past the deadline, count
-/// them, append them to the shared stall report, and capture a one-shot
-/// flight-recorder dump on the first trip.
-fn poll_watchdog(shared: &ClusterShared, wd: &mut StallWatchdog, now_ns: u64) {
-    let inflight = shared
-        .inflight
-        .as_ref()
-        .expect("a watchdog has its in-flight set");
-    let reports = wd.check(now_ns, inflight);
-    if reports.is_empty() {
-        return;
-    }
-    for r in &reports {
-        shared
-            .metrics
-            .incr(MetricKey::pe("kernel", "gm_stalls", r.pe));
-        shared.flight.record(
-            now_ns,
-            r.pe,
-            FlightEventKind::Stall {
-                kind: r.kind,
-                seq: r.seq,
-                waited_ns: r.waited_ns(),
-            },
-        );
-    }
-    let mut dump = shared.flight_dump.lock();
-    if dump.is_none() {
-        *dump = Some(shared.flight.to_jsonl());
-    }
-    drop(dump);
-    shared.stalls.lock().extend(reports);
-    // Escalation hook: past the configured stall budget, record the trip
-    // (and refresh the post-mortem dump so it covers the escalating stall).
-    if wd.take_escalation() {
-        shared
-            .metrics
-            .incr(MetricKey::global("kernel", "stall_escalations"));
-        *shared.flight_dump.lock() = Some(shared.flight.to_jsonl());
-    }
 }

@@ -45,7 +45,6 @@ pub mod simmsg;
 pub mod stats;
 pub mod sync;
 pub mod task;
-pub mod watchdog;
 
 pub use cache::{CacheStore, CACHE_BLOCK};
 pub use config::{
@@ -65,4 +64,3 @@ pub use simmsg::SimMsg;
 pub use stats::{KernelStats, StatsCell};
 pub use sync::{BarrierCenter, BarrierOutcome, LockCenter, LockOutcome, Party, UnlockOutcome};
 pub use task::{is_app_bound, KernelEnv, KernelEvent, KernelTask, Outbound, Progress};
-pub use watchdog::{StallReport, StallWatchdog};

@@ -55,7 +55,7 @@ pub fn send_msg(
     msg: &Message,
     trace: Option<TraceCtx>,
 ) -> (u64, u64) {
-    let (bytes, charge) = begin_send(shared, ctx.now(), from_node, to_node, msg);
+    let (bytes, charge) = begin_send(shared, from_node, msg);
     let queued = hold_cpu(ctx, shared, from_node, charge);
     let latency = book_wire(shared, ctx.now(), from_node, to_node, bytes.len());
     ctx.send(
@@ -72,14 +72,12 @@ pub fn send_msg(
 }
 
 /// First half of a send, at the instant the sender starts it: encode
-/// `msg`, count it and note it in the flight recorder. Returns the wire
-/// bytes and the sender software path (syscall + protocol + copy) to charge
-/// to the sender's CPU before [`book_wire`].
+/// `msg` and count it. Returns the wire bytes and the sender software path
+/// (syscall + protocol + copy) to charge to the sender's CPU before
+/// [`book_wire`].
 pub fn begin_send(
     shared: &ClusterShared,
-    now: SimTime,
     from_node: NodeId,
-    to_node: NodeId,
     msg: &Message,
 ) -> (Vec<u8>, SimDuration) {
     let bytes = msg.encode();
@@ -87,15 +85,6 @@ pub fn begin_send(
         s.messages += 1;
         s.message_bytes += bytes.len() as u64;
     });
-    shared.flight.record(
-        now.as_nanos(),
-        from_node.0 as u32,
-        dse_obs::FlightEventKind::Bus {
-            label: msg.label(),
-            to_pe: to_node.0 as u32,
-            bytes: bytes.len() as u64,
-        },
-    );
     let charge = shared.cost(from_node).msg_send(bytes.len());
     (bytes, charge)
 }

@@ -23,7 +23,6 @@ use crate::gmem::GlobalStore;
 use crate::kernel::SimRequester;
 use crate::stats::StatsCell;
 use crate::sync::{BarrierCenter, LockCenter};
-use crate::watchdog::{InFlight, StallReport};
 
 /// Callback invoked on the aggregating kernel each time a full telemetry
 /// epoch lands (its own loopback delta has been applied, meaning every
@@ -62,18 +61,6 @@ pub struct ClusterShared {
     /// Telemetry: the cluster rollup node 0's kernel maintains from in-band
     /// `Telemetry` messages (empty when telemetry is off).
     pub aggregator: Mutex<dse_obs::ClusterAggregator>,
-    /// Telemetry: ring of recent bus/span events (disabled ring when
-    /// telemetry is off — every record is then a no-op).
-    pub flight: dse_obs::FlightRecorder,
-    /// Telemetry: the unanswered GM requests node 0's stall watchdog polls
-    /// (`None` when no watchdog is configured: requesters then keep their
-    /// open requests to themselves).
-    pub inflight: Option<InFlight>,
-    /// Telemetry: stall reports collected by node 0's watchdog.
-    pub stalls: Mutex<Vec<StallReport>>,
-    /// Telemetry: flight-recorder JSONL dump captured when the watchdog
-    /// first tripped (post-mortem bundle).
-    pub flight_dump: Mutex<Option<String>>,
     /// Telemetry: live-view hook invoked per aggregation epoch.
     epoch_hook: Mutex<Option<TelemetryHook>>,
     /// CPU resource of each physical machine, indexed by machine.
@@ -122,10 +109,6 @@ impl ClusterShared {
             }
         };
         let placement = spec.place();
-        let flight = match &config.telemetry {
-            Some(t) => dse_obs::FlightRecorder::with_capacity(t.flight_capacity),
-            None => dse_obs::FlightRecorder::disabled(),
-        };
         ClusterShared {
             store: GlobalStore::new(spec.processors),
             cache: CacheStore::new(spec.processors),
@@ -136,10 +119,6 @@ impl ClusterShared {
             metrics: dse_obs::Registry::new(),
             trace_sink: dse_obs::TraceSink::default(),
             aggregator: Mutex::new(dse_obs::ClusterAggregator::new(spec.processors)),
-            flight,
-            inflight: config.telemetry.as_ref().map(|_| InFlight::default()),
-            stalls: Mutex::new(Vec::new()),
-            flight_dump: Mutex::new(None),
             epoch_hook: Mutex::new(None),
             cpus,
             placement,

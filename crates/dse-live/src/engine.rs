@@ -90,6 +90,10 @@ fn default_gm_retry() -> RetryPolicy {
     }
 }
 
+/// Events the flight recorder keeps for the post-mortem: the last wire
+/// sends and the deadline stall of an aborted run.
+const FLIGHT_CAPACITY: usize = 256;
+
 /// Everything configurable about a live run beyond `nprocs` and the body.
 #[derive(Debug, Clone)]
 pub struct LiveRunConfig {
@@ -100,8 +104,6 @@ pub struct LiveRunConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Retry/deadline budget for outstanding GM requests.
     pub gm_retry: RetryPolicy,
-    /// Flight-recorder ring size (0 disables post-mortem capture).
-    pub flight_capacity: usize,
     /// Causal tracing: when set, every causal hop (GM request → serve →
     /// redemption, barrier and lock rounds) emits trace spans and trace
     /// context rides the wire frames; when clear, the wire format and the
@@ -129,7 +131,6 @@ impl Default for LiveRunConfig {
             kind: TransportKind::Channel,
             fault_plan: None,
             gm_retry: default_gm_retry(),
-            flight_capacity: 256,
             tracing: false,
             gm_cache: false,
             gm_mode: GmMode::WriteInvalidate,
@@ -256,7 +257,7 @@ impl LiveCluster {
             nprocs,
             store: GlobalStore::new(nprocs),
             metrics: Registry::new(),
-            flight: FlightRecorder::with_capacity(cfg.flight_capacity),
+            flight: FlightRecorder::with_capacity(FLIGHT_CAPACITY),
             failures: Mutex::new(Vec::new()),
             abort: AtomicBool::new(false),
             retry: cfg.gm_retry,
@@ -544,7 +545,7 @@ pub struct LiveRunResult {
     /// after a clean run).
     pub telemetry_rollup: Option<MetricsSnapshot>,
     /// Flight-recorder dump at run end (JSONL, oldest event first): the
-    /// last `flight_capacity` wire sends and stalls. On an aborted run the
+    /// last 256 wire sends and stalls. On an aborted run the
     /// equivalent post-mortem dump rides in [`RunError`] instead.
     pub flight_jsonl: String,
     /// Per-PE causal spans recorded when [`LiveRunConfig::tracing`] is on
@@ -602,12 +603,6 @@ impl<'h> LiveRunner<'h> {
     /// Retry/deadline budget for outstanding GM requests.
     pub fn gm_retry(mut self, policy: RetryPolicy) -> Self {
         self.cfg.gm_retry = policy;
-        self
-    }
-
-    /// Flight-recorder ring size (0 disables post-mortem capture).
-    pub fn flight_capacity(mut self, capacity: usize) -> Self {
-        self.cfg.flight_capacity = capacity;
         self
     }
 
@@ -1084,7 +1079,6 @@ mod tests {
             .transport(TransportKind::Tcp)
             .fault_plan(plan.clone())
             .gm_retry(retry)
-            .flight_capacity(99)
             .tracing(true)
             .gm_cache(true)
             .gm_mode(GmMode::ReleaseConsistency)
@@ -1094,7 +1088,6 @@ mod tests {
         assert_eq!(r.cfg.fault_plan, Some(plan));
         assert_eq!(r.cfg.gm_retry.max_attempts, 9);
         assert_eq!(r.cfg.gm_retry.base_delay, Duration::from_millis(3));
-        assert_eq!(r.cfg.flight_capacity, 99);
         assert!(r.cfg.tracing);
         assert!(r.cfg.gm_cache);
         assert_eq!(r.cfg.gm_mode, GmMode::ReleaseConsistency);

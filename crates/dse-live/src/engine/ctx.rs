@@ -641,6 +641,14 @@ mod tests {
                 .any(|f| matches!(f.kind, FailureKind::GmDeadline { attempts: 3, .. })),
             "deadline trip must be first-hand: {err}"
         );
+        // The requester's deadline is the live engine's stall detector: the
+        // post-mortem names the request it gave up on.
+        assert!(
+            err.flight_jsonl
+                .contains("\"type\":\"stall\",\"kind\":\"gm_write\""),
+            "{}",
+            err.flight_jsonl
+        );
     }
 
     #[test]

@@ -34,28 +34,17 @@ use dse_msg::{CodecError, Reader, Writer};
 use crate::hist::LogHistogram;
 use crate::registry::{MetricKey, MetricsSnapshot};
 
-/// Version byte leading every encoded delta.
-///
-/// Version 2 is the compact encoding: LEB128 varints for every integer
-/// and a static string table for the built-in metric names, so the
-/// telemetry plane's bus footprint stays a small fraction of the paper's
-/// 10 Mbps shared Ethernet. Version 3 extends the static name table with
-/// the sweep-harness throughput counters (`sim/events_processed`,
-/// `kernel/gm_ops`); version 4 appends the GM coherence-directory
-/// counters (`dir_hits` … `rc_acquires`). The wire layout is unchanged
-/// across all of them and the table is append-only, so v2/v3 payloads
-/// decode under a v4 reader — only the new indices are out of reach for
-/// an older reader, which is why the version byte moves.
-const FORMAT_VERSION: u8 = 4;
-
-/// Oldest payload version this reader still accepts. Every version in
-/// `MIN_DECODE_VERSION..=FORMAT_VERSION` shares the wire layout; newer
-/// versions only append static-name indices.
-const MIN_DECODE_VERSION: u8 = 2;
+/// Version byte leading every encoded delta: LEB128 varints for every
+/// integer and a static string table for the built-in metric names, so
+/// the telemetry plane's bus footprint stays a small fraction of the
+/// paper's 10 Mbps shared Ethernet. Both ends of the wire are always the
+/// same build and no payload is ever stored, so a reader accepts its own
+/// version only; the byte moves whenever the name table does.
+const FORMAT_VERSION: u8 = 5;
 
 /// Metric names known at build time ship as a one-byte table index; names
 /// outside the table fall back to an inline string (index 0 escape). The
-/// order is wire format — append only, never reorder.
+/// order is wire format: a change to it bumps [`FORMAT_VERSION`].
 const STATIC_NAMES: &[&str] = &[
     // subsystems
     "kernel",
@@ -82,7 +71,6 @@ const STATIC_NAMES: &[&str] = &[
     "requests_served",
     "service_ns",
     "telemetry_in",
-    "gm_stalls",
     // network path
     "lan_msgs",
     "loopback_msgs",
@@ -106,12 +94,11 @@ const STATIC_NAMES: &[&str] = &[
     "gm_deadline_trips",
     "gm_dup_requests",
     "telemetry_corrupt",
-    "stall_escalations",
-    // sweep-harness throughput counters (format v3)
+    // sweep-harness throughput counters
     "sim",
     "events_processed",
     "gm_ops",
-    // GM coherence directory and release consistency (format v4)
+    // GM coherence directory and release consistency
     "dir_hits",
     "dir_misses",
     "dir_leases",
@@ -272,7 +259,7 @@ impl TelemetryDelta {
     pub fn decode(buf: &[u8]) -> Result<TelemetryDelta, CodecError> {
         let mut r = Reader::new(buf);
         let version = r.u8()?;
-        if !(MIN_DECODE_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(CodecError::BadTag(version));
         }
         let absolute = r.u8()? != 0;
@@ -732,21 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn previous_version_still_decodes() {
-        // A v2 payload only ever references the pre-v3 prefix of the static
-        // name table, so rewriting the version byte of a delta built from
-        // v2-era names is exactly the wire bytes a v2 writer would emit.
-        let reg = sample_registry();
-        let mut t = DeltaTracker::new(0, true);
-        let (_, d) = t.delta(&reg.snapshot(), &[], false).unwrap();
-        let mut buf = d.encode();
-        assert_eq!(buf[0], FORMAT_VERSION);
-        buf[0] = 2;
-        let back = TelemetryDelta::decode(&buf).expect("v2 payload must decode");
-        assert_eq!(back, d);
-    }
-
-    #[test]
     fn v3_names_resolve_via_static_table() {
         // The new counters must ride the string table (index form), not the
         // inline-string escape, and round-trip exactly.
@@ -771,29 +743,6 @@ mod tests {
                 "{name} was inline-encoded instead of using the static table"
             );
         }
-    }
-
-    #[test]
-    fn v3_payload_still_decodes() {
-        // A v3 payload only references the pre-v4 prefix of the name
-        // table (the coherence counters did not exist), so a delta built
-        // from v3-era names with its version byte rewritten to 3 is
-        // byte-for-byte what a v3 writer would have emitted.
-        let d = TelemetryDelta {
-            absolute: false,
-            counters: vec![
-                (MetricKey::global("sim", "events_processed"), 41),
-                (MetricKey::pe("kernel", "gm_ops", 2), 17),
-                (MetricKey::pe("kernel", "cache_hits", 1), 5),
-            ],
-            gauges: Vec::new(),
-            hists: Vec::new(),
-        };
-        let mut buf = d.encode();
-        assert_eq!(buf[0], FORMAT_VERSION);
-        buf[0] = 3;
-        let back = TelemetryDelta::decode(&buf).expect("v3 payload must decode");
-        assert_eq!(back, d);
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! Unlike the full span/trace exports (which keep everything), the flight
 //! recorder keeps only the last `capacity` events and is meant to be
-//! dumped *post mortem* — when the stall watchdog trips, the ring holds
-//! the messages and span closures leading up to the stall, exactly the
-//! context needed to diagnose a lost response or a protocol deadlock.
+//! dumped *post mortem* — when a live run aborts, the ring holds the wire
+//! sends leading up to the failure and the `stall` line of a request that
+//! ran out of retries, exactly the context needed to diagnose a lost
+//! response or a protocol deadlock.
 //!
-//! Recording is cheap (one ring push under a mutex) and a recorder built
-//! with [`FlightRecorder::disabled`] is a no-op, so the hooks can stay in
-//! the hot paths unconditionally.
+//! Recording is cheap (one ring push under a mutex) and a recorder with
+//! capacity 0 is a no-op, so the hooks can stay in the hot paths
+//! unconditionally.
 
 use std::collections::VecDeque;
 
@@ -17,8 +18,7 @@ use parking_lot::Mutex;
 use crate::util;
 
 /// What operation a request/response exchange covers: the vocabulary of
-/// the flight recorder's `span_close` and `stall` lines and of the stall
-/// watchdog's reports.
+/// the latency series and of the flight recorder's `stall` line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanKind {
     /// Remote global-memory read.
@@ -62,30 +62,14 @@ pub enum FlightEventKind {
         /// Encoded size in bytes.
         bytes: u64,
     },
-    /// A request/response span completed.
-    SpanClose {
-        /// Operation kind.
-        kind: SpanKind,
-        /// Correlation sequence number.
-        seq: u64,
-        /// End-to-end latency.
-        total_ns: u64,
-    },
-    /// The stall watchdog flagged an open request past its deadline.
+    /// A request ran out of retries past its deadline.
     Stall {
         /// Operation kind of the stalled request.
         kind: SpanKind,
         /// Correlation sequence number.
         seq: u64,
-        /// How long the request had been open when flagged.
+        /// How long the request had been open when it was given up.
         waited_ns: u64,
-    },
-    /// A telemetry delta was applied at the aggregator.
-    Telemetry {
-        /// Emission sequence number.
-        seq: u32,
-        /// Whether it was an absolute (shutdown) delta.
-        absolute: bool,
     },
 }
 
@@ -94,7 +78,7 @@ pub enum FlightEventKind {
 pub struct FlightEvent {
     /// Engine clock (ns) when the event happened.
     pub t_ns: u64,
-    /// PE the event is attributed to (sender / requester / emitter).
+    /// PE the event is attributed to (sender / requester).
     pub pe: u32,
     /// Causal trace id of the in-flight operation (0 = not traced).
     pub trace: u64,
@@ -118,16 +102,6 @@ impl FlightRecorder {
             capacity,
             ring: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
         }
-    }
-
-    /// A disabled recorder: every hook is a no-op.
-    pub fn disabled() -> FlightRecorder {
-        FlightRecorder::with_capacity(0)
-    }
-
-    /// True when events are being kept.
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
     }
 
     /// Record one event, evicting the oldest when full.
@@ -155,39 +129,14 @@ impl FlightRecorder {
         });
     }
 
-    /// Convenience hook: `pe`'s request `seq`, open since `open_ns`, was
-    /// answered at `close_ns`.
-    pub fn span_close(&self, kind: SpanKind, pe: u32, seq: u64, open_ns: u64, close_ns: u64) {
-        let total_ns = close_ns.saturating_sub(open_ns);
-        self.record(
-            close_ns,
-            pe,
-            FlightEventKind::SpanClose {
-                kind,
-                seq,
-                total_ns,
-            },
-        );
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.ring.lock().len()
-    }
-
-    /// True when nothing has been recorded (or the recorder is disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Copy out the ring, oldest first.
     pub fn events(&self) -> Vec<FlightEvent> {
         self.ring.lock().iter().copied().collect()
     }
 
     /// Dump the ring as JSONL, oldest first: one object per event with a
-    /// `"type"` discriminator (`bus`/`span_close`/`stall`/`telemetry`).
-    /// Events recorded with causal ids carry `"trace"`/`"span"` fields.
+    /// `"type"` discriminator (`bus`/`stall`). Events recorded with causal
+    /// ids carry `"trace"`/`"span"` fields.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in self.events() {
@@ -206,16 +155,6 @@ impl FlightRecorder {
                         util::json_str(label)
                     ));
                 }
-                FlightEventKind::SpanClose {
-                    kind,
-                    seq,
-                    total_ns,
-                } => {
-                    out.push_str(&format!(
-                        "\"type\":\"span_close\",\"kind\":{},\"seq\":{seq},\"total_ns\":{total_ns}",
-                        util::json_str(kind.label())
-                    ));
-                }
                 FlightEventKind::Stall {
                     kind,
                     seq,
@@ -224,11 +163,6 @@ impl FlightRecorder {
                     out.push_str(&format!(
                         "\"type\":\"stall\",\"kind\":{},\"seq\":{seq},\"waited_ns\":{waited_ns}",
                         util::json_str(kind.label())
-                    ));
-                }
-                FlightEventKind::Telemetry { seq, absolute } => {
-                    out.push_str(&format!(
-                        "\"type\":\"telemetry\",\"seq\":{seq},\"absolute\":{absolute}"
                     ));
                 }
             }
@@ -242,19 +176,19 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
+    fn bus(bytes: u64) -> FlightEventKind {
+        FlightEventKind::Bus {
+            label: "gm_read_req",
+            to_pe: 1,
+            bytes,
+        }
+    }
+
     #[test]
     fn ring_evicts_oldest() {
         let f = FlightRecorder::with_capacity(3);
         for i in 0..5u64 {
-            f.record(
-                i * 10,
-                0,
-                FlightEventKind::Bus {
-                    label: "gm_read_req",
-                    to_pe: 1,
-                    bytes: i,
-                },
-            );
+            f.record(i * 10, 0, bus(i));
         }
         let ev = f.events();
         assert_eq!(ev.len(), 3);
@@ -264,17 +198,9 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_noop() {
-        let f = FlightRecorder::disabled();
-        assert!(!f.enabled());
-        f.record(
-            1,
-            0,
-            FlightEventKind::Telemetry {
-                seq: 1,
-                absolute: false,
-            },
-        );
-        assert!(f.is_empty());
+        let f = FlightRecorder::with_capacity(0);
+        f.record(1, 0, bus(8));
+        assert!(f.events().is_empty());
         assert_eq!(f.to_jsonl(), "");
     }
 
@@ -292,14 +218,7 @@ mod tests {
                 waited_ns: 90,
             },
         );
-        f.record(
-            200,
-            1,
-            FlightEventKind::Telemetry {
-                seq: 1,
-                absolute: false,
-            },
-        );
+        f.record(200, 1, bus(8));
         let dump = f.to_jsonl();
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -318,16 +237,7 @@ mod tests {
     #[test]
     fn jsonl_covers_every_event_type() {
         let f = FlightRecorder::with_capacity(8);
-        f.record(
-            5,
-            1,
-            FlightEventKind::Bus {
-                label: "telemetry",
-                to_pe: 0,
-                bytes: 33,
-            },
-        );
-        f.span_close(SpanKind::GmRead, 2, 9, 100, 450);
+        f.record(5, 1, bus(33));
         f.record(
             900,
             2,
@@ -337,19 +247,9 @@ mod tests {
                 waited_ns: 800,
             },
         );
-        f.record(
-            950,
-            0,
-            FlightEventKind::Telemetry {
-                seq: 3,
-                absolute: true,
-            },
-        );
         let dump = f.to_jsonl();
-        assert_eq!(dump.lines().count(), 4);
-        assert!(dump.contains("\"type\":\"bus\""));
-        assert!(dump.contains("\"total_ns\":350"));
-        assert!(dump.contains("\"type\":\"stall\""));
-        assert!(dump.contains("\"absolute\":true"));
+        assert_eq!(dump.lines().count(), 2);
+        assert!(dump.contains("\"type\":\"bus\",\"msg\":\"gm_read_req\""));
+        assert!(dump.contains("\"type\":\"stall\",\"kind\":\"gm_write\""));
     }
 }

@@ -14,8 +14,8 @@
 //! * the telemetry plane — [`DeltaTracker`] / [`TelemetryDelta`] /
 //!   [`ClusterAggregator`] ship per-PE metric deltas in-band over the DSE
 //!   message layer and rebuild the cluster rollup at PE0,
-//! * [`FlightRecorder`] — a fixed-size ring of recent bus/span events
-//!   dumped post-mortem when the stall watchdog trips,
+//! * [`FlightRecorder`] — the live engine's fixed-size ring of recent wire
+//!   sends and deadline stalls, dumped post-mortem when a run aborts,
 //! * the causal-trace plane — [`TraceRecorder`] / [`TraceSpanRec`], the one
 //!   message-level span model of both engines: per-PE causal spans
 //!   (request → serve → redeem, barrier and lock rounds) whose ids travel

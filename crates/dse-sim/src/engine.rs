@@ -212,6 +212,9 @@ struct Core<M: Send + 'static> {
     /// scheduling allocates nothing.
     slab: Vec<Option<Action<M>>>,
     free: Vec<u32>,
+    /// Queued events that are not component timers
+    /// ([`CompCtx::only_timers_pending`]).
+    non_timers: usize,
     seq: u64,
     now: SimTime,
     stats: SimStats,
@@ -237,6 +240,7 @@ impl<M: Send + 'static> Core<M> {
             heap: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
+            non_timers: 0,
             seq: 0,
             now: SimTime::ZERO,
             stats: SimStats::default(),
@@ -255,6 +259,7 @@ impl<M: Send + 'static> Core<M> {
         let seq = self.seq;
         self.seq += 1;
         debug_assert!(seq < (1 << (64 - SLOT_BITS)), "schedule sequence overflow");
+        self.non_timers += usize::from(!matches!(action, Action::Timer(..)));
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slab[s as usize] = Some(action);
@@ -368,6 +373,7 @@ impl<M: Send + 'static> Core<M> {
             let slot = (packed & SLOT_MASK) as usize;
             let action = self.slab[slot].take().expect("popped key with empty slot");
             self.free.push(slot as u32);
+            self.non_timers -= usize::from(!matches!(action, Action::Timer(..)));
             self.stats.events += 1;
             debug_assert!(time >= self.now, "event heap out of order");
             self.now = time;

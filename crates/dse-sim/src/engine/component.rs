@@ -100,6 +100,13 @@ impl<M: Send + 'static> CompCtx<'_, M> {
         self.core
             .push_event(at.max(self.now), Action::Timer(self.id, epoch));
     }
+
+    /// True when every queued event is a component timer: no process has a
+    /// wake or a hold pending and no message is in flight, so without
+    /// timers the run would end here.
+    pub fn only_timers_pending(&self) -> bool {
+        self.core.non_timers == 0
+    }
 }
 
 impl<M: Send + 'static> Core<M> {

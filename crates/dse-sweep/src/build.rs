@@ -338,8 +338,8 @@ pub struct SimSettings {
     pub machines: usize,
     /// Record the execution trace.
     pub tracing: bool,
-    /// Enable the in-band telemetry plane: `(interval_ms, watchdog_ms)`.
-    pub telemetry_ms: Option<(u64, u64)>,
+    /// Enable the in-band telemetry plane at this emission interval (ms).
+    pub telemetry_ms: Option<u64>,
     /// Deterministic seed override.
     pub seed: Option<u64>,
     /// GM pipeline window (`0` keeps the engine default).
@@ -374,12 +374,9 @@ pub fn build_sim(settings: &SimSettings) -> Result<(Platform, DseProgram), Strin
         .with_network(check_network(&settings.network)?);
     config.organization = check_organization(&settings.organization)?;
     config.protocol = check_protocol(&settings.protocol)?;
-    if let Some((interval_ms, watchdog_ms)) = settings.telemetry_ms {
-        config.telemetry = Some(
-            TelemetryConfig::default()
-                .with_interval(SimDuration::from_millis(interval_ms))
-                .with_watchdog_deadline(SimDuration::from_millis(watchdog_ms)),
-        );
+    if let Some(interval_ms) = settings.telemetry_ms {
+        let interval = SimDuration::from_millis(interval_ms);
+        config = config.with_telemetry(TelemetryConfig::default().with_interval(interval));
     }
     if let Some(seed) = settings.seed {
         config = config.with_seed(seed);
@@ -476,7 +473,7 @@ mod tests {
             gm_mode: "rc".into(),
             machines: 4,
             tracing: true,
-            telemetry_ms: Some((10, 100)),
+            telemetry_ms: Some(10),
             seed: Some(42),
             gm_window: 8,
         })
@@ -491,7 +488,8 @@ mod tests {
         assert_eq!(config.machines, Some(4));
         assert_eq!(config.seed, 42);
         assert_eq!(config.gm_window, 8);
-        assert!(config.telemetry.is_some());
+        let interval = config.telemetry.as_ref().map(|t| t.interval);
+        assert_eq!(interval, Some(SimDuration::from_millis(10)));
         // A per-machine platform list is its own machine count.
         let mixed = SimSettings {
             platform: "sunos+linux+sunos".into(),

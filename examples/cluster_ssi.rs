@@ -57,9 +57,8 @@ fn main() {
     println!("run completed in simulated {}", result.elapsed);
     if let Some(tel) = &result.telemetry {
         println!(
-            "telemetry: {} nodes finalized, {} stalls",
-            tel.nodes.iter().filter(|n| n.finalized).count(),
-            tel.stalls.len()
+            "telemetry: {} nodes finalized",
+            tel.nodes.iter().filter(|n| n.finalized).count()
         );
     }
 

@@ -49,7 +49,6 @@ struct Args {
     trace_json: Option<String>,
     watch: bool,
     watch_ms: u64,
-    watchdog_ms: u64,
     flight_json: Option<String>,
     fault_plan: Option<String>,
     trace_dir: Option<String>,
@@ -99,8 +98,8 @@ fn usage() -> ! {
                                flow arrows (load in Perfetto)
   --watch                      print the live cluster top view each epoch
   --watch-ms MS                telemetry emission interval    (default 50)
-  --watchdog-ms MS             GM stall watchdog deadline     (default 250)
-  --flight-json PATH           write the flight-recorder ring (JSONL)
+  --flight-json PATH           write the flight-recorder ring, or the
+                               post-mortem of an aborted run (JSONL; live engine)
   --fault-plan SPEC            inject deterministic transport faults (live engine)
                                e.g. seed=7,drop=10,dup=5,corrupt=3,delay=20:2,disconnect=2:40
   --trace-dir DIR              record causal spans, write per-PE streams, the
@@ -141,7 +140,6 @@ fn parse_from(argv: &[String]) -> Result<Args, String> {
         trace_json: None,
         watch: false,
         watch_ms: 50,
-        watchdog_ms: 250,
         flight_json: None,
         fault_plan: None,
         trace_dir: None,
@@ -184,7 +182,6 @@ fn parse_from(argv: &[String]) -> Result<Args, String> {
             "--trace-json" => args.trace_json = Some(val()?),
             "--watch" => args.watch = true,
             "--watch-ms" => args.watch_ms = num(flag, val()?)? as u64,
-            "--watchdog-ms" => args.watchdog_ms = num(flag, val()?)? as u64,
             "--flight-json" => args.flight_json = Some(val()?),
             "--fault-plan" => args.fault_plan = Some(val()?),
             "--trace-dir" => args.trace_dir = Some(val()?),
@@ -228,6 +225,13 @@ fn validate_engine_combos(args: &Args) -> Result<(), String> {
                 .into(),
         );
     }
+    if args.engine == "sim" && explicit("--flight-json") {
+        return Err(
+            "--flight-json writes the live engine's flight recorder; it has no effect with \
+             --engine sim (add --engine live)"
+                .into(),
+        );
+    }
     if let Some(spec) = &args.fault_plan {
         dse::live::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
     }
@@ -251,13 +255,7 @@ fn validate_engine_combos(args: &Args) -> Result<(), String> {
         }
         // Everything that parameterizes the simulated 1999 cluster model is
         // meaningless when the program runs for real on host threads.
-        const SIM_ONLY: &[&str] = &[
-            "--platform",
-            "--machines",
-            "--organization",
-            "--protocol",
-            "--watchdog-ms",
-        ];
+        const SIM_ONLY: &[&str] = &["--platform", "--machines", "--organization", "--protocol"];
         for f in SIM_ONLY {
             if explicit(f) {
                 return Err(format!(
@@ -601,9 +599,7 @@ fn run_sim_cli(args: &Args, app: AppKind) {
         gm_mode: args.gm_mode.clone(),
         machines: args.machines,
         tracing: wants_causal_trace(args),
-        // --watch and --flight-json both need the in-band telemetry plane.
-        telemetry_ms: (args.watch || args.flight_json.is_some())
-            .then_some((args.watch_ms, args.watchdog_ms)),
+        telemetry_ms: args.watch.then_some(args.watch_ms),
         ..build::SimSettings::default()
     };
     let (platform, mut program) = build::build_sim(&settings).unwrap_or_else(|e| {
@@ -647,22 +643,6 @@ fn run_sim_cli(args: &Args, app: AppKind) {
     }
     if wants_causal_trace(args) {
         report_causal_trace(args, &run.trace_spans, &run.bus_intervals);
-    }
-    if let Some(tel) = &run.telemetry {
-        for s in &tel.stalls {
-            println!(
-                "STALL: {:?} from pe {} seq {} waited {:.1}ms past the {}ms deadline",
-                s.kind,
-                s.pe,
-                s.seq,
-                s.waited_ns() as f64 / 1e6,
-                args.watchdog_ms
-            );
-        }
-        if let Some(path) = &args.flight_json {
-            let ring = tel.flight_jsonl.clone().unwrap_or_default();
-            write_out(path, "flight recorder", ring);
-        }
     }
 }
 
@@ -720,15 +700,10 @@ mod tests {
         let a = parse_from(&argv("gauss")).unwrap();
         assert!(!a.watch);
         assert_eq!(a.watch_ms, 50);
-        assert_eq!(a.watchdog_ms, 250);
         assert_eq!(a.flight_json, None);
-        let a = parse_from(&argv(
-            "gauss --watch --watch-ms 5 --watchdog-ms 40 --flight-json f.jsonl",
-        ))
-        .unwrap();
+        let a = parse_from(&argv("gauss --watch --watch-ms 5 --flight-json f.jsonl")).unwrap();
         assert!(a.watch);
         assert_eq!(a.watch_ms, 5);
-        assert_eq!(a.watchdog_ms, 40);
         assert_eq!(a.flight_json.as_deref(), Some("f.jsonl"));
     }
 
@@ -798,7 +773,6 @@ mod tests {
             "--machines 4",
             "--organization legacy",
             "--protocol udp",
-            "--watchdog-ms 10",
         ] {
             let a = parse_from(&argv(&format!("gauss --engine live {flags}"))).unwrap();
             let err = validate_engine_combos(&a).unwrap_err();
@@ -857,6 +831,15 @@ mod tests {
         // wi is the default protocol; stating it without the cache is fine.
         let a = parse_from(&argv("gauss --gm-mode wi")).unwrap();
         assert!(validate_engine_combos(&a).is_ok());
+    }
+
+    #[test]
+    fn flight_json_requires_live_engine() {
+        let a = parse_from(&argv("gauss --engine live --flight-json f.jsonl")).unwrap();
+        assert!(validate_engine_combos(&a).is_ok());
+        let a = parse_from(&argv("gauss --flight-json f.jsonl")).unwrap();
+        let err = validate_engine_combos(&a).unwrap_err();
+        assert!(err.contains("no effect with --engine sim"), "{err}");
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use dse_ssi as ssi;
 pub mod prelude {
     pub use dse_api::{
         collective, Distribution, DseConfig, DseCtx, DseProgram, GmArray, GmCounter, GmHandle,
-        NetworkChoice, Organization, ParallelApi, Platform, RunResult, SimDuration, StallReport,
+        NetworkChoice, Organization, ParallelApi, Platform, RunResult, SimDuration,
         TelemetryConfig, TelemetrySummary, Work,
     };
     pub use dse_live::{GmMode, LiveRunner, SchedulerKind, TransportKind};
