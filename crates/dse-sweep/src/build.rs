@@ -1,10 +1,14 @@
-//! Shared run-construction logic for `dse-run` and `dse-sweep`.
+//! The one front door from a [`RunSpec`] to a run, for `dse-run` and
+//! `dse-sweep` alike.
 //!
-//! Both binaries turn the same user-facing vocabulary (app, engine,
-//! transport, platform, organization, protocol, GM options) into engine
-//! configurations, and both probe output paths before spending minutes of
-//! compute. Keeping the mapping here means a new axis value lands in the
-//! CLI and the sweep harness at the same time — they cannot drift.
+//! A sweep cell and a `dse-run` invocation are the same thing — one
+//! expanded `RunSpec` — and [`launch`] is the only code that turns one
+//! into an engine configuration and runs the application on it. The
+//! value checks the spec parser applies, the app dispatch, the [`Answer`]
+//! and the output-path probe live here too, so a new axis value lands on
+//! the CLI and in the sweep at the same time.
+
+use std::time::Duration;
 
 use dse_api::{DseProgram, ParallelApi, RunResult};
 use dse_apps::{
@@ -15,8 +19,11 @@ use dse_live::{
     FaultPlan, LiveCtx, LiveRunConfig, LiveRunResult, LiveRunner, RunError, TransportKind,
 };
 use dse_net::Protocol;
+use dse_obs::{ClusterAggregator, TraceSpanRec};
 use dse_platform::Platform;
 use dse_sim::SimDuration;
+
+use crate::spec::RunSpec;
 
 /// The runnable applications, by CLI/spec name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +82,7 @@ impl AppKind {
     }
 
     /// The engine-independent SPMD body of every app but `gauss-mp`
-    /// (which [`run_sim`] dispatches itself): rank 0 returns the answer.
+    /// (which [`launch`] dispatches itself): rank 0 returns the answer.
     fn body<A: ParallelApi>(&self, ctx: &mut A, p: &AppParams) -> Option<Answer> {
         match self {
             AppKind::Gauss | AppKind::GaussMp => {
@@ -164,37 +171,149 @@ impl Answer {
     }
 }
 
-/// Run `app` on the simulator; returns the measured run and rank 0's
-/// answer.
-pub fn run_sim(
-    program: &DseProgram,
-    app: AppKind,
-    p: AppParams,
-    procs: usize,
-) -> (RunResult, Answer) {
-    run_captured(program, procs, move |ctx| match app {
+/// What one launched run produced: the engine's own result and rank 0's
+/// answer, or the live engine's structured abort. It lives here, not in
+/// the engine crates, so `RunResult` and `LiveRunResult` keep the form
+/// their direct callers (and the frozen `benchmark/`) compile against.
+#[derive(Debug)]
+pub enum Outcome {
+    /// A completed simulated run.
+    Sim(Box<RunResult>, Answer),
+    /// A completed live run.
+    Live(Box<LiveRunResult>, Answer),
+    /// An aborted live run: the per-PE failure report and the
+    /// flight-recorder post-mortem.
+    Abort(Box<RunError>),
+}
+
+impl Outcome {
+    /// The run's per-PE causal spans (empty when untraced or aborted).
+    pub fn trace_spans(&self) -> &[Vec<TraceSpanRec>] {
+        match self {
+            Outcome::Sim(run, _) => &run.trace_spans,
+            Outcome::Live(run, _) => &run.trace_spans,
+            Outcome::Abort(_) => &[],
+        }
+    }
+}
+
+/// A watched run's telemetry interval in milliseconds and the hook each
+/// aggregation epoch calls (the same hook on both engines).
+pub type Watch = (u64, fn(&ClusterAggregator, u64));
+
+/// Run one expanded cell on its engine: the one path from a [`RunSpec`]
+/// to a run, for the sweep's rows, `dse-run --scenario` and `dse-run
+/// <app>` alike. `tracing` records the causal spans; `watch` turns on the
+/// telemetry plane. An error is a spec the parser did not validate.
+pub fn launch(spec: &RunSpec, tracing: bool, watch: Option<Watch>) -> Result<Outcome, String> {
+    let app = AppKind::parse(&spec.app)?;
+    let p = spec.params;
+    if spec.engine == "live" {
+        if !app.live_ok() {
+            return Err(format!(
+                "app '{}' does not run on the live engine",
+                spec.app
+            ));
+        }
+        let mut runner = LiveRunner::new(spec.procs).config(live_config(spec, tracing)?);
+        if let Some((ms, hook)) = &watch {
+            runner = runner.watch(Duration::from_millis(*ms), hook);
+        }
+        let capture = Capture::new();
+        let run = runner.try_run(|ctx: &mut LiveCtx| {
+            if let Some(answer) = app.body(ctx, &p) {
+                capture.set(answer);
+            }
+        });
+        return Ok(match run {
+            Ok(run) => Outcome::Live(Box::new(run), capture.take()),
+            Err(err) => Outcome::Abort(Box::new(err)),
+        });
+    }
+    let mut program = sim_program(spec, tracing, watch.map(|(ms, _)| ms))?;
+    if let Some((_, hook)) = watch {
+        program = program.with_epoch_hook(hook);
+    }
+    let (run, answer) = run_captured(&program, spec.procs, move |ctx| match app {
         AppKind::GaussMp => gauss_seidel_mp::body_mp(ctx, &p.gauss()).map(Answer::Gauss),
         _ => app.body(ctx, &p),
+    });
+    Ok(Outcome::Sim(Box::new(run), answer))
+}
+
+/// The simulated cluster a cell names, configured: `telemetry_ms` is the
+/// telemetry plane's interval when the run is watched.
+fn sim_program(
+    spec: &RunSpec,
+    tracing: bool,
+    telemetry_ms: Option<u64>,
+) -> Result<DseProgram, String> {
+    let (platforms, machines) = cluster(spec)?;
+    let mut config = DseConfig::paper()
+        .with_gm_cache(spec.cache)
+        .with_gm_mode(check_gm_mode(&spec.gm_mode)?)
+        .with_network(check_network(&spec.network)?)
+        .with_seed(spec.seed)
+        .with_tracing(tracing)
+        .with_machines(machines);
+    config.organization = check_organization(&spec.organization)?;
+    config.protocol = check_protocol(&spec.protocol)?;
+    if spec.gm_window != 0 {
+        config = config.with_gm_window(spec.gm_window);
+    }
+    if let Some(ms) = telemetry_ms {
+        let interval = SimDuration::from_millis(ms);
+        config = config.with_telemetry(TelemetryConfig::default().with_interval(interval));
+    }
+    let program = if let [one] = platforms.as_slice() {
+        DseProgram::new(one.clone())
+    } else {
+        DseProgram::heterogeneous(platforms)
+    };
+    Ok(program.with_config(config))
+}
+
+/// The live engine's configuration for a cell: its wire, kernel pool,
+/// cache, coherence mode and fault plan.
+fn live_config(spec: &RunSpec, tracing: bool) -> Result<LiveRunConfig, String> {
+    Ok(LiveRunConfig {
+        kind: transport_kind(&spec.transport)?,
+        fault_plan: fault_plan(spec)?,
+        tracing,
+        gm_cache: spec.cache,
+        gm_mode: check_gm_mode(&spec.gm_mode)?,
+        scheduler: check_scheduler(&spec.scheduler)?,
+        ..LiveRunConfig::default()
     })
 }
 
-/// Run `app` on the live engine; an aborted run is the structured error.
-pub fn run_live(
-    runner: LiveRunner<'_>,
-    app: AppKind,
-    p: AppParams,
-) -> Result<(LiveRunResult, Answer), RunError> {
-    let capture: Capture<Answer> = Capture::new();
-    let run = runner.try_run(|ctx: &mut LiveCtx| {
-        if let Some(answer) = app.body(ctx, &p) {
-            capture.set(answer);
-        }
-    })?;
-    Ok((run, capture.take()))
+/// A live run's fault plan. A plan without `seed=` takes the run seed —
+/// that is how repetitions of one cell vary a faulty mesh.
+fn fault_plan(spec: &RunSpec) -> Result<Option<FaultPlan>, String> {
+    let plan = match spec.fault_plan.as_str() {
+        "" => return Ok(None),
+        plan if plan.split(',').any(|t| t.trim_start().starts_with("seed=")) => plan.to_string(),
+        plan => format!("seed={},{plan}", spec.seed),
+    };
+    FaultPlan::parse(&plan)
+        .map(Some)
+        .map_err(|e| format!("fault plan: {e}"))
+}
+
+/// A simulated run's machines: the platform of each, and how many there
+/// are (a per-machine platform list is its own count).
+pub fn cluster(spec: &RunSpec) -> Result<(Vec<Platform>, usize), String> {
+    let platforms = platforms(&spec.platform)?;
+    let machines = match platforms.len() {
+        1 => spec.machines,
+        n => n,
+    };
+    Ok((platforms, machines))
 }
 
 /// Application parameters shared by both binaries. Fields that an app
-/// does not use are simply ignored by its dispatch.
+/// does not use are ignored by its dispatch (an expanded run holds 0
+/// there).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AppParams {
     /// Gauss-Seidel system dimension / matmul matrix dimension.
@@ -317,120 +436,6 @@ pub fn transport_kind(name: &str) -> Result<TransportKind, String> {
     }
 }
 
-/// Everything needed to build a simulated-run configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimSettings {
-    /// Platform preset id (`sunos` | `aix` | `linux`), or a per-machine
-    /// list of them (see [`platforms`]).
-    pub platform: String,
-    /// Software organization name.
-    pub organization: String,
-    /// Protocol-stack name.
-    pub protocol: String,
-    /// Interconnect name (`bus10` | `switched100`).
-    pub network: String,
-    /// Enable the GM cache.
-    pub cache: bool,
-    /// GM coherence mode (`wi` | `rc`), meaningful with the cache on.
-    pub gm_mode: String,
-    /// Physical machine count (a per-machine platform list brings its
-    /// own).
-    pub machines: usize,
-    /// Record the execution trace.
-    pub tracing: bool,
-    /// Enable the in-band telemetry plane at this emission interval (ms).
-    pub telemetry_ms: Option<u64>,
-    /// Deterministic seed override.
-    pub seed: Option<u64>,
-    /// GM pipeline window (`0` keeps the engine default).
-    pub gm_window: usize,
-}
-
-impl Default for SimSettings {
-    fn default() -> SimSettings {
-        SimSettings {
-            platform: "sunos".into(),
-            organization: "linked".into(),
-            protocol: "tcp".into(),
-            network: "bus10".into(),
-            cache: false,
-            gm_mode: "wi".into(),
-            machines: 6,
-            tracing: false,
-            telemetry_ms: None,
-            seed: None,
-            gm_window: 0,
-        }
-    }
-}
-
-/// Build the configured program for a simulated run; also returns the
-/// platform of machine 0 (the only one, unless `platform` is a list).
-pub fn build_sim(settings: &SimSettings) -> Result<(Platform, DseProgram), String> {
-    let platforms = platforms(&settings.platform)?;
-    let mut config = DseConfig::paper()
-        .with_gm_cache(settings.cache)
-        .with_gm_mode(check_gm_mode(&settings.gm_mode)?)
-        .with_network(check_network(&settings.network)?);
-    config.organization = check_organization(&settings.organization)?;
-    config.protocol = check_protocol(&settings.protocol)?;
-    if let Some(interval_ms) = settings.telemetry_ms {
-        let interval = SimDuration::from_millis(interval_ms);
-        config = config.with_telemetry(TelemetryConfig::default().with_interval(interval));
-    }
-    if let Some(seed) = settings.seed {
-        config = config.with_seed(seed);
-    }
-    if settings.gm_window != 0 {
-        config = config.with_gm_window(settings.gm_window);
-    }
-    config = config.with_tracing(settings.tracing);
-    let first = platforms[0].clone();
-    let program = if platforms.len() == 1 {
-        DseProgram::new(first.clone()).with_config(config.with_machines(settings.machines))
-    } else {
-        let machines = platforms.len();
-        DseProgram::heterogeneous(platforms).with_config(config.with_machines(machines))
-    };
-    Ok((first, program))
-}
-
-/// Build the [`LiveRunConfig`] for a live run. When `seed` is given and
-/// the fault plan does not pin its own seed, the run seed becomes the
-/// plan seed — that is how sweep repetitions vary a faulty mesh.
-pub fn build_live(
-    transport: &str,
-    fault_plan: Option<&str>,
-    seed: Option<u64>,
-    cache: bool,
-    gm_mode: &str,
-    scheduler: &str,
-) -> Result<LiveRunConfig, String> {
-    let kind = transport_kind(transport)?;
-    let gm_mode = check_gm_mode(gm_mode)?;
-    let scheduler = check_scheduler(scheduler)?;
-    let fault_plan = match fault_plan.filter(|s| !s.is_empty()) {
-        None => None,
-        Some(spec) => {
-            let effective = match seed {
-                Some(seed) if !spec.split(',').any(|t| t.trim_start().starts_with("seed=")) => {
-                    format!("seed={seed},{spec}")
-                }
-                _ => spec.to_string(),
-            };
-            Some(FaultPlan::parse(&effective).map_err(|e| format!("fault plan: {e}"))?)
-        }
-    };
-    Ok(LiveRunConfig {
-        kind,
-        fault_plan,
-        gm_cache: cache,
-        gm_mode,
-        scheduler,
-        ..LiveRunConfig::default()
-    })
-}
-
 /// Probe every requested output path for writability *before* the run, so
 /// a typo'd directory fails in milliseconds instead of after minutes of
 /// compute. The probe opens in append mode: an existing file is left
@@ -462,24 +467,66 @@ mod tests {
         assert!(AppKind::Gauss.live_ok());
     }
 
+    fn cell(src: &str) -> RunSpec {
+        crate::spec::expand(&crate::spec::parse_spec(src).unwrap()).remove(0)
+    }
+
     #[test]
-    fn sim_settings_build_a_config() {
-        let (platform, program) = build_sim(&SimSettings {
-            platform: "linux".into(),
-            organization: "legacy".into(),
-            protocol: "udp".into(),
-            network: "switched100".into(),
-            cache: true,
-            gm_mode: "rc".into(),
-            machines: 4,
-            tracing: true,
-            telemetry_ms: Some(10),
-            seed: Some(42),
-            gm_window: 8,
-        })
-        .unwrap();
+    fn launch_runs_one_cell_on_either_engine() {
+        let sim = cell(
+            "[[scenario]]\napp = \"matmul\"\nplatform = \"linux\"\norganization = \"legacy\"\n\
+             protocol = \"udp\"\nnetwork = \"switched100\"\ncache = true\ngm_mode = \"rc\"\n\
+             machines = 4\ngm_window = 8\nprocs = 2\nn = 16\n",
+        );
+        let want = AppKind::Matmul.reference(&sim.params).map(|a| a.digest());
+        fn quiet(_: &ClusterAggregator, _: u64) {}
+        match launch(&sim, true, Some((1, quiet))) {
+            Ok(Outcome::Sim(run, answer)) => {
+                assert_eq!(run.platform_id, "linux");
+                assert_eq!(run.net_collisions, 0, "a switched fabric never collides");
+                assert!(run.stats.cache_hits + run.stats.cache_misses > 0);
+                assert!(run.telemetry.is_some() && !run.trace_spans.is_empty());
+                assert_eq!(Some(answer.digest()), want);
+            }
+            other => panic!("{other:?}"),
+        }
+        let live = cell(
+            "[[scenario]]\napp = \"matmul\"\nengine = \"live\"\ntransport = \"tcp\"\n\
+             scheduler = \"tasks\"\ncache = true\ngm_mode = \"rc\"\nprocs = 2\nn = 16\n",
+        );
+        match launch(&live, false, None) {
+            Ok(Outcome::Live(run, answer)) => {
+                assert_eq!(run.transport, TransportKind::Tcp);
+                let kernel = |name| run.metrics.counter_sum_over_pes("kernel", name);
+                assert!(kernel("dir_leases") > 0, "the directory served replicas");
+                assert!(kernel("rc_acquires") > 0, "release consistency acquired");
+                assert!(run.trace_spans.iter().all(Vec::is_empty), "untraced");
+                assert_eq!(Some(answer.digest()), want);
+            }
+            other => panic!("{other:?}"),
+        }
+        // A per-machine platform list is its own machine count.
+        let mixed = cell("[[scenario]]\nplatform = \"sunos+linux+sunos\"\n");
+        assert_eq!(cluster(&mixed).map(|(_, machines)| machines), Ok(3));
+        assert_eq!(cluster(&cell("[[scenario]]\nmachines = 4\n")).unwrap().1, 4);
+        // A hand-built spec the parser never saw is an error, not a panic.
+        let bad = RunSpec {
+            app: "warp".into(),
+            ..sim
+        };
+        assert!(launch(&bad, false, None).unwrap_err().contains("warp"));
+        assert!(transport_kind("pigeon").is_err());
+    }
+
+    #[test]
+    fn every_axis_reaches_the_engine_config() -> Result<(), String> {
+        let sim = cell(
+            "[[scenario]]\nplatform = \"linux\"\norganization = \"legacy\"\nprotocol = \"udp\"\n\
+             network = \"switched100\"\ncache = true\ngm_mode = \"rc\"\nmachines = 4\n\
+             gm_window = 8\nseeds = 42\n",
+        );
+        let program = sim_program(&sim, true, Some(10))?;
         let config = program.config();
-        assert_eq!(platform.id, "linux");
         assert_eq!(config.organization, Organization::SeparateProcess);
         assert_eq!(config.protocol, Protocol::Udp);
         assert!(matches!(config.network, NetworkChoice::Switched(bps, _) if bps == 100e6));
@@ -490,45 +537,22 @@ mod tests {
         assert_eq!(config.gm_window, 8);
         let interval = config.telemetry.as_ref().map(|t| t.interval);
         assert_eq!(interval, Some(SimDuration::from_millis(10)));
-        // A per-machine platform list is its own machine count.
-        let mixed = SimSettings {
-            platform: "sunos+linux+sunos".into(),
-            ..SimSettings::default()
-        };
-        let machines = build_sim(&mixed).map(|(_, program)| program.config().machines);
-        assert_eq!(machines, Ok(Some(3)));
-    }
-
-    #[test]
-    fn bad_settings_rejected() {
-        let s = SimSettings {
-            platform: "amiga".into(),
-            ..SimSettings::default()
-        };
-        assert!(build_sim(&s).unwrap_err().contains("unknown platform"));
-        let s = SimSettings {
-            organization: "flat".into(),
-            ..SimSettings::default()
-        };
-        assert!(build_sim(&s).unwrap_err().contains("not linked or legacy"));
-        let s = SimSettings {
-            protocol: "ipx".into(),
-            ..SimSettings::default()
-        };
-        assert!(build_sim(&s).unwrap_err().contains("not tcp, udp or raw"));
-        let s = SimSettings {
-            gm_mode: "mesi".into(),
-            ..SimSettings::default()
-        };
-        assert!(build_sim(&s).unwrap_err().contains("not wi or rc"));
-        let s = SimSettings {
-            network: "token-ring".into(),
-            ..SimSettings::default()
-        };
-        assert!(build_sim(&s)
-            .unwrap_err()
-            .contains("not bus10 or switched100"));
-        assert!(transport_kind("pigeon").is_err());
+        let live = cell(
+            "[[scenario]]\nengine = \"live\"\ntransport = \"tcp\"\nscheduler = \"tasks\"\n\
+             cache = true\ngm_mode = \"rc\"\nfault_plan = \"drop=10\"\nseeds = 7\n",
+        );
+        let cfg = live_config(&live, true)?;
+        assert_eq!(cfg.kind, TransportKind::Tcp);
+        assert_eq!(cfg.scheduler, SchedulerKind::Tasks);
+        assert!(cfg.gm_cache && cfg.tracing);
+        assert_eq!(cfg.gm_mode, GmMode::ReleaseConsistency);
+        assert_eq!(cfg.fault_plan, FaultPlan::parse("seed=7,drop=10").ok());
+        // The defaults: channel, one kernel worker per PE, no cache, no faults.
+        let cfg = live_config(&cell("[[scenario]]\nengine = \"live\"\n"), false)?;
+        let wire = (TransportKind::Channel, SchedulerKind::Threads);
+        assert_eq!((cfg.kind, cfg.scheduler), wire);
+        assert!(!cfg.gm_cache && cfg.fault_plan.is_none());
+        Ok(())
     }
 
     #[test]
@@ -563,40 +587,25 @@ mod tests {
 
     #[test]
     fn live_seed_injected_only_when_plan_has_none() {
-        let cfg = build_live("channel", Some("drop=10"), Some(7), false, "wi", "threads").unwrap();
-        let with_seed = FaultPlan::parse("seed=7,drop=10").unwrap();
-        assert_eq!(cfg.fault_plan, Some(with_seed));
-        let cfg = build_live(
-            "channel",
-            Some("seed=3,drop=10"),
-            Some(7),
-            false,
-            "wi",
-            "threads",
-        )
-        .unwrap();
-        assert_eq!(
-            cfg.fault_plan,
-            Some(FaultPlan::parse("seed=3,drop=10").unwrap())
-        );
-        let cfg = build_live("channel", None, Some(7), false, "wi", "threads").unwrap();
-        assert!(cfg.fault_plan.is_none());
-        let cfg = build_live("tcp", Some(""), None, true, "rc", "threads").unwrap();
-        assert!(cfg.fault_plan.is_none());
-        assert_eq!(cfg.kind, TransportKind::Tcp);
-        assert!(cfg.gm_cache);
-        assert_eq!(cfg.gm_mode, GmMode::ReleaseConsistency);
-        assert!(build_live("tcp", None, None, true, "moesi", "threads").is_err());
+        let plan = |typed: &str| {
+            fault_plan(&RunSpec {
+                fault_plan: typed.into(),
+                seed: 7,
+                ..RunSpec::default()
+            })
+        };
+        let parsed = |s| FaultPlan::parse(s).map(Some);
+        assert_eq!(plan("drop=10"), parsed("seed=7,drop=10"));
+        assert_eq!(plan("seed=3,drop=10"), parsed("seed=3,drop=10"));
+        assert_eq!(plan(""), Ok(None));
+        assert!(plan("frob=1").unwrap_err().starts_with("fault plan:"));
     }
 
     #[test]
-    fn scheduler_names_validate_and_build() {
+    fn scheduler_names_validate() {
         assert_eq!(check_scheduler("threads").unwrap(), SchedulerKind::Threads);
         assert_eq!(check_scheduler("tasks").unwrap(), SchedulerKind::Tasks);
         assert!(check_scheduler("fibers").is_err());
-        let cfg = build_live("channel", None, None, false, "wi", "tasks").unwrap();
-        assert_eq!(cfg.scheduler, SchedulerKind::Tasks);
-        assert!(build_live("channel", None, None, false, "wi", "fibers").is_err());
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! ablations) has its rows pivoted into the figure CSVs ([`figure`]) and
 //! held to the paper's findings ([`checks`]).
 //!
-//! The [`build`] module is shared with `dse-run`, so the CLI and the
-//! sweep harness construct engine configurations, and dispatch the
-//! applications, identically.
+//! `dse-run` is the same machinery at one cell: its flags are the
+//! `[[scenario]]` keys, parsed, validated and expanded by [`spec`] into
+//! one [`RunSpec`], and every run — a sweep row, `dse-run --scenario`,
+//! `dse-run <app>` — goes through [`build::launch`] on either engine.
 
 pub mod agg;
 pub mod build;
@@ -29,7 +30,7 @@ pub mod spec;
 pub mod toml;
 
 pub use agg::{aggregate, gate, render_table, CellSummary};
-pub use build::{AppKind, AppParams, SimSettings};
+pub use build::{launch, AppKind, AppParams, Outcome};
 pub use figure::{pivot, Figure, Series};
 pub use run::{execute_run, References, RunRecord, RunStatus};
-pub use spec::{expand, parse_spec, FigureSpec, RunSpec, SweepSpec};
+pub use spec::{expand, one_cell, parse_spec, FigureSpec, RunSpec, SweepSpec};

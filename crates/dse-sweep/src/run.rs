@@ -4,10 +4,9 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use dse_live::LiveRunner;
-use dse_obs::{LogHistogram, MetricsSnapshot, TraceSpanRec};
+use dse_obs::{LogHistogram, MetricsSnapshot};
 
-use crate::build::{self, Answer, AppKind, SimSettings};
+use crate::build::{self, AppKind, Outcome};
 use crate::json::{self, Value};
 use crate::spec::RunSpec;
 
@@ -392,9 +391,6 @@ fn sim_gm_ops(metrics: &MetricsSnapshot) -> u64 {
     .sum()
 }
 
-/// Per-PE causal spans of a traced run (`trace_spans[pe]`).
-pub type TraceSpans = Vec<Vec<TraceSpanRec>>;
-
 /// Execute one run in-process and produce its row. Aborted live runs
 /// yield a row with `status = abort`; spec-level failures and an answer
 /// that fails the application's own acceptance test yield `status =
@@ -402,32 +398,45 @@ pub type TraceSpans = Vec<Vec<TraceSpanRec>>;
 /// by [`References`]. Timeouts are enforced by the parent process, not
 /// here.
 pub fn execute_run(spec: &RunSpec) -> RunRecord {
-    execute_traced(spec).0
+    let started = Instant::now();
+    // Every cell traces: the blame columns say where its time went, and
+    // recording moves nothing else in the row.
+    match build::launch(spec, true, None) {
+        Ok(outcome) => record(spec, &outcome, started.elapsed().as_nanos() as u64),
+        Err(e) => RunRecord::failed(spec, RunStatus::Error, e),
+    }
 }
 
-/// [`execute_run`], also handing back the run's causal spans (every cell
-/// is traced; empty when the run did not start).
-pub fn execute_traced(spec: &RunSpec) -> (RunRecord, TraceSpans) {
-    let run = AppKind::parse(&spec.app).and_then(|app| {
-        if spec.engine == "sim" {
-            execute_sim(spec, app)
-        } else {
-            execute_live(spec, app)
+/// The row of one launched run, either engine: ok unless the answer fails
+/// its own acceptance test, with the blame columns filled from the spans
+/// and the simulator's exact counters on sim rows.
+pub fn record(spec: &RunSpec, outcome: &Outcome, wall_ns: u64) -> RunRecord {
+    let (metrics, answer) = match outcome {
+        Outcome::Sim(run, answer) => (&run.metrics, answer),
+        Outcome::Live(run, answer) => (&run.metrics, answer),
+        Outcome::Abort(err) => {
+            let note = err.report().lines().next().unwrap_or("aborted").to_string();
+            return RunRecord {
+                wall_ns,
+                ..RunRecord::failed(spec, RunStatus::Abort, note)
+            };
         }
-    });
-    run.unwrap_or_else(|e| (RunRecord::failed(spec, RunStatus::Error, e), Vec::new()))
-}
-
-/// The row of a run that produced `answer`: ok unless the answer fails
-/// its own acceptance test, with the blame columns filled from the spans.
-fn answered(spec: &RunSpec, answer: &Answer, trace_spans: &[Vec<TraceSpanRec>]) -> RunRecord {
-    let blame = dse_trace::blame(&dse_trace::assemble(trace_spans)).total();
+    };
+    let blame = dse_trace::blame(&dse_trace::assemble(outcome.trace_spans())).total();
     let (status, note) = match answer.self_check(&spec.params) {
         Ok(()) => (RunStatus::Ok, String::new()),
         Err(e) => (RunStatus::Error, e),
     };
-    RunRecord {
+    let (p50_ns, p99_ns, p999_ns, blocked_p50_ns) = gm_latency_quantiles(metrics);
+    let kernel = |name| metrics.counter_sum_over_pes("kernel", name);
+    let row = RunRecord {
         result: answer.digest(),
+        wall_ns,
+        gm_request_msgs: kernel("gm_request_msgs"),
+        retries: kernel("gm_retries"),
+        p50_ns,
+        p99_ns,
+        p999_ns,
         blame_compute_ns: blame.compute_ns,
         blame_cpu_queue_ns: blame.cpu_queue_ns,
         blame_serve_ns: blame.serve_ns,
@@ -436,33 +445,16 @@ fn answered(spec: &RunSpec, answer: &Answer, trace_spans: &[Vec<TraceSpanRec>]) 
         blame_barrier_ns: blame.barrier_ns,
         blame_lock_ns: blame.lock_ns,
         ..RunRecord::failed(spec, status, note)
-    }
-}
-
-fn execute_sim(spec: &RunSpec, app: AppKind) -> Result<(RunRecord, TraceSpans), String> {
-    let (_, program) = build::build_sim(&SimSettings {
-        platform: spec.platform.clone(),
-        organization: spec.organization.clone(),
-        protocol: spec.protocol.clone(),
-        network: spec.network.clone(),
-        cache: spec.cache,
-        gm_mode: spec.gm_mode.clone(),
-        machines: spec.machines,
-        // Always trace, like the live cells: the row's blame columns say
-        // where the cell's virtual time went, and recording moves nothing
-        // else in the row.
-        tracing: true,
-        telemetry_ms: None,
-        seed: Some(spec.seed),
-        gm_window: spec.gm_window,
-    })?;
-    let started = Instant::now();
-    let (run, answer) = build::run_sim(&program, app, spec.params, spec.procs);
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    let (p50_ns, p99_ns, p999_ns, _) = gm_latency_quantiles(&run.metrics);
+    };
+    let Outcome::Sim(run, _) = outcome else {
+        return RunRecord {
+            gm_ops: kernel("gm_ops"),
+            blocked_p50_ns,
+            ..row
+        };
+    };
     let stats = &run.report.stats;
-    let row = RunRecord {
-        wall_ns,
+    RunRecord {
         virtual_ns: run.report.end_time.as_nanos(),
         elapsed_ns: run.elapsed.as_nanos(),
         events: stats.events,
@@ -471,68 +463,9 @@ fn execute_sim(spec: &RunSpec, app: AppKind) -> Result<(RunRecord, TraceSpans), 
         trace_hash: format!("{:016x}", run.report.trace_hash),
         net_frames: run.net_frames,
         net_collisions: run.net_collisions,
-        gm_ops: sim_gm_ops(&run.metrics),
-        gm_request_msgs: run
-            .metrics
-            .counter_sum_over_pes("kernel", "gm_request_msgs"),
-        retries: run.metrics.counter_sum_over_pes("kernel", "gm_retries"),
-        p50_ns,
-        p99_ns,
-        p999_ns,
-        ..answered(spec, &answer, &run.trace_spans)
-    };
-    Ok((row, run.trace_spans))
-}
-
-fn execute_live(spec: &RunSpec, app: AppKind) -> Result<(RunRecord, TraceSpans), String> {
-    if !app.live_ok() {
-        return Err(format!(
-            "app '{}' does not run on the live engine",
-            spec.app
-        ));
+        gm_ops: sim_gm_ops(metrics),
+        ..row
     }
-    let mut cfg = build::build_live(
-        &spec.transport,
-        Some(spec.fault_plan.as_str()),
-        Some(spec.seed),
-        spec.cache,
-        &spec.gm_mode,
-        &spec.scheduler,
-    )?;
-    // Always trace live cells: the row's blame columns decompose the
-    // run's wall clock, so every sweep shows *where* a cell's time went.
-    cfg.tracing = true;
-    let runner = LiveRunner::new(spec.procs).config(cfg);
-    let started = Instant::now();
-    let outcome = build::run_live(runner, app, spec.params);
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    Ok(match outcome {
-        Ok((run, answer)) => {
-            let (p50_ns, p99_ns, p999_ns, blocked_p50_ns) = gm_latency_quantiles(&run.metrics);
-            let row = RunRecord {
-                wall_ns,
-                gm_ops: run.metrics.counter_sum_over_pes("kernel", "gm_ops"),
-                gm_request_msgs: run
-                    .metrics
-                    .counter_sum_over_pes("kernel", "gm_request_msgs"),
-                retries: run.metrics.counter_sum_over_pes("kernel", "gm_retries"),
-                p50_ns,
-                p99_ns,
-                p999_ns,
-                blocked_p50_ns,
-                ..answered(spec, &answer, &run.trace_spans)
-            };
-            (row, run.trace_spans)
-        }
-        Err(err) => {
-            let note = err.report().lines().next().unwrap_or("aborted").to_string();
-            let row = RunRecord {
-                wall_ns,
-                ..RunRecord::failed(spec, RunStatus::Abort, note)
-            };
-            (row, Vec::new())
-        }
-    })
 }
 
 /// Sequential reference answers, each computed once however many rows

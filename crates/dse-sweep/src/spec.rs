@@ -13,10 +13,10 @@
 //! ordered exactly as written — the run index is stable, which is what
 //! lets a subprocess re-derive its own `RunSpec` from `(spec file, index)`.
 //!
-//! Engine-specific axes follow the same rules `dse-run` enforces on flags:
-//! `transport`/`fault_plan`/`scheduler` only vary live runs; `platform`,
-//! `machines`, `organization`, `protocol`, `network` and `gm_window` only
-//! vary simulated runs; `cache` and `gm_mode` apply to both engines.
+//! Engine-specific axes: `transport`/`fault_plan`/`scheduler` only vary
+//! live runs; `platform`, `machines`, `organization`, `protocol`,
+//! `network` and `gm_window` only vary simulated runs; `cache` and
+//! `gm_mode` apply to both engines.
 //! An axis that does not apply to the run being expanded is pinned to
 //! its neutral value rather than multiplied, so a mixed
 //! `engine = ["sim", "live"]` scenario produces no meaningless duplicate
@@ -24,8 +24,12 @@
 //! the coherence protocol only acts on cached replicas — `machines` is
 //! pinned when `platform` is a per-machine list (which brings its own
 //! count), and a size parameter only multiplies the apps that read it
-//! (`n`: gauss, gauss-mp, matmul; `block`: dct; `depth`: othello; `jobs`:
-//! knights).
+//! (`n`: gauss, gauss-mp, matmul; `block` and `size`: dct; `depth`:
+//! othello; `jobs`: knights).
+//!
+//! `dse-run <app> --key value ...` is a one-scenario spec at the paper
+//! seed ([`one_cell`]): the same parse, validation and expansion, and a
+//! flag whose value expansion pins away is an error.
 
 use crate::build::{self, AppKind, AppParams};
 use crate::checks;
@@ -257,6 +261,7 @@ impl RunSpec {
             "seed" => self.seed.to_string(),
             "n" => self.params.n.to_string(),
             "block" => self.params.block.to_string(),
+            "size" => self.params.size.to_string(),
             "depth" => self.params.depth.to_string(),
             "jobs" => self.params.jobs.to_string(),
             _ => return None,
@@ -393,37 +398,8 @@ pub fn parse_spec(src: &str) -> Result<SweepSpec, String> {
         .ok_or("spec has no [[scenario]] blocks")?;
     for (i, t) in blocks.iter().enumerate() {
         let what = format!("[[scenario]] #{}", i + 1);
-        reject_unknown(t, SCENARIO_KEYS, &what)?;
-        let sizes = AppParams::default();
-        let sc = Scenario {
-            name: want_str(t, "name")?.unwrap_or_else(|| format!("s{}", i + 1)),
-            apps: strs_or(t, "app", "gauss")?,
-            engines: strs_or(t, "engine", "sim")?,
-            transports: strs_or(t, "transport", "channel")?,
-            schedulers: strs_or(t, "scheduler", "threads")?,
-            platforms: strs_or(t, "platform", "sunos")?,
-            procs: nats_or(t, "procs", 4)?,
-            gm_windows: nats_or(t, "gm_window", 0)?,
-            caches: axis(t, "cache", "boolean(s)", Value::as_bool)?.unwrap_or_else(|| vec![false]),
-            gm_modes: strs_or(t, "gm_mode", "wi")?,
-            fault_plans: strs_or(t, "fault_plan", "")?,
-            seeds: axis(t, "seeds", "non-negative integer(s)", as_nat)?.unwrap_or_default(),
-            machines: nats_or(t, "machines", dse_platform::PAPER_MACHINES)?,
-            organizations: strs_or(t, "organization", "linked")?,
-            protocols: strs_or(t, "protocol", "tcp")?,
-            networks: strs_or(t, "network", "bus10")?,
-            timeout_ms: want_u64(t, "timeout_ms")?.unwrap_or(0),
-            ns: nats_or(t, "n", sizes.n)?,
-            blocks: nats_or(t, "block", sizes.block)?,
-            size: want_u64(t, "size")?.map_or(sizes.size, |n| n as usize),
-            depths: nats_or(t, "depth", sizes.depth)?,
-            jobs: nats_or(t, "jobs", sizes.jobs)?,
-        };
-        if sc.name.is_empty() || sc.name.contains('.') || sc.name.contains(char::is_whitespace) {
-            return Err(format!("{what}: bad scenario name '{}'", sc.name));
-        }
-        validate_scenario(&what, &sc)?;
-        spec.scenarios.push(sc);
+        spec.scenarios
+            .push(parse_scenario(t, &what, format!("s{}", i + 1))?);
     }
     for (i, t) in doc.arrays.get("figure").into_iter().flatten().enumerate() {
         let what = format!("[[figure]] #{}", i + 1);
@@ -433,6 +409,60 @@ pub fn parse_spec(src: &str) -> Result<SweepSpec, String> {
         spec.figures.push(fig);
     }
     Ok(spec)
+}
+
+/// The one run a table of scalar `[[scenario]]` keys describes at `seed`:
+/// the same parse, validation and expansion as a spec's scenario block,
+/// which pins every key that does not apply to the run. This is
+/// `dse-run`'s front door, where each flag is one key.
+pub fn one_cell(t: &Table, seed: u64) -> Result<RunSpec, String> {
+    let spec = SweepSpec {
+        name: "dse-run".into(),
+        timeout_ms: DEFAULT_TIMEOUT_MS,
+        seeds: vec![seed],
+        scenarios: vec![parse_scenario(t, "dse-run", "run".into())?],
+        figures: Vec::new(),
+    };
+    match expand(&spec).as_slice() {
+        [run] => Ok(run.clone()),
+        runs => Err(format!("the keys describe {} runs, not one", runs.len())),
+    }
+}
+
+/// Parse and validate one `[[scenario]]` table: `what` names it in
+/// errors, `name` is its name when it gives none.
+fn parse_scenario(t: &Table, what: &str, name: String) -> Result<Scenario, String> {
+    reject_unknown(t, SCENARIO_KEYS, what)?;
+    let sizes = AppParams::default();
+    let sc = Scenario {
+        name: want_str(t, "name")?.unwrap_or(name),
+        apps: strs_or(t, "app", "gauss")?,
+        engines: strs_or(t, "engine", "sim")?,
+        transports: strs_or(t, "transport", "channel")?,
+        schedulers: strs_or(t, "scheduler", "threads")?,
+        platforms: strs_or(t, "platform", "sunos")?,
+        procs: nats_or(t, "procs", 4)?,
+        gm_windows: nats_or(t, "gm_window", 0)?,
+        caches: axis(t, "cache", "boolean(s)", Value::as_bool)?.unwrap_or_else(|| vec![false]),
+        gm_modes: strs_or(t, "gm_mode", "wi")?,
+        fault_plans: strs_or(t, "fault_plan", "")?,
+        seeds: axis(t, "seeds", "non-negative integer(s)", as_nat)?.unwrap_or_default(),
+        machines: nats_or(t, "machines", dse_platform::PAPER_MACHINES)?,
+        organizations: strs_or(t, "organization", "linked")?,
+        protocols: strs_or(t, "protocol", "tcp")?,
+        networks: strs_or(t, "network", "bus10")?,
+        timeout_ms: want_u64(t, "timeout_ms")?.unwrap_or(0),
+        ns: nats_or(t, "n", sizes.n)?,
+        blocks: nats_or(t, "block", sizes.block)?,
+        size: want_u64(t, "size")?.map_or(sizes.size, |n| n as usize),
+        depths: nats_or(t, "depth", sizes.depth)?,
+        jobs: nats_or(t, "jobs", sizes.jobs)?,
+    };
+    if sc.name.is_empty() || sc.name.contains('.') || sc.name.contains(char::is_whitespace) {
+        return Err(format!("{what}: bad scenario name '{}'", sc.name));
+    }
+    validate_scenario(what, &sc)?;
+    Ok(sc)
 }
 
 fn parse_figure(t: &Table) -> Result<FigureSpec, String> {
@@ -538,11 +568,20 @@ fn validate_scenario(what: &str, sc: &Scenario) -> Result<(), String> {
     for (values, check) in named {
         values.iter().try_for_each(|v| check(v)).map_err(at)?;
     }
-    if sc.procs.contains(&0) {
-        return Err(format!("{what}: procs must be positive"));
+    let zero = [
+        ("procs", sc.procs.contains(&0)),
+        ("machines", sc.machines.contains(&0)),
+        ("n", sc.ns.contains(&0)),
+        ("block", sc.blocks.contains(&0)),
+        ("depth", sc.depths.contains(&0)),
+        ("jobs", sc.jobs.contains(&0)),
+    ];
+    if let Some((key, _)) = zero.iter().find(|(_, zero)| *zero) {
+        return Err(format!("{what}: {key} must be positive"));
     }
-    if sc.machines.contains(&0) {
-        return Err(format!("{what}: machines must be positive"));
+    // A PE is a `NodeId`, a u16, on both engines.
+    if sc.procs.iter().any(|&p| p > usize::from(u16::MAX)) {
+        return Err(format!("{what}: procs must be at most {}", u16::MAX));
     }
     Ok(())
 }
@@ -589,13 +628,17 @@ pub fn expand(spec: &SweepSpec) -> Vec<RunSpec> {
         // What a run holds on an axis that does not apply to it: `wi`
         // (the coherence mode only acts on cached replicas, so `cache =
         // [false, true]` x `gm_mode = ["wi", "rc"]` is three cells, not
-        // four), and the type's default everywhere else.
+        // four), 0 for a size the app does not read (no size is 0), and
+        // the type's default everywhere else.
         let runs = vec![RunSpec {
             scenario: sc.name.clone(),
             gm_mode: "wi".into(),
             params: AppParams {
-                size: sc.size,
-                ..AppParams::default()
+                n: 0,
+                block: 0,
+                size: 0,
+                depth: 0,
+                jobs: 0,
             },
             timeout_ms: match sc.timeout_ms {
                 0 => spec.timeout_ms,
@@ -623,8 +666,10 @@ pub fn expand(spec: &SweepSpec) -> Vec<RunSpec> {
         let runs = cross(runs, &sc.ns, reads("n"), |r, v| {
             (r.params.n, r.swept) = (v, swept(sc.ns.len(), format!(".n{v}")));
         });
+        // The image size is read with the block size, by dct alone.
         let runs = cross(runs, &sc.blocks, reads("block"), |r, v| {
-            (r.params.block, r.swept) = (v, swept(sc.blocks.len(), format!(".b{v}")));
+            (r.params.block, r.params.size) = (v, sc.size);
+            r.swept = swept(sc.blocks.len(), format!(".b{v}"));
         });
         let runs = cross(runs, &sc.depths, reads("depth"), |r, v| {
             (r.params.depth, r.swept) = (v, swept(sc.depths.len(), format!(".d{v}")));
@@ -725,6 +770,8 @@ n = 64
             ("[[scenario]]\napp = \"warp\"", "warp"),
             ("[[scenario]]\nengine = \"warp\"", "not sim or live"),
             ("[[scenario]]\nprocs = [0]", "positive"),
+            ("[[scenario]]\nprocs = [4, 70000]", "at most 65535"),
+            ("[[scenario]]\nblock = [8, 0]", "block must be positive"),
             ("[sweep]\nseeds = []\n[[scenario]]\n", "empty"),
             ("", "no [[scenario]]"),
             ("[typo]\n[[scenario]]\n", "unknown table"),
@@ -732,6 +779,38 @@ n = 64
             let err = parse_spec(src).unwrap_err();
             assert!(err.contains(what), "{src}: {err}");
         }
+    }
+
+    #[test]
+    fn one_cell_is_one_pinned_run_at_the_given_seed() -> Result<(), String> {
+        let keys = |pairs: &[(&str, Value)]| -> Table {
+            pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect()
+        };
+        let dct = one_cell(
+            &keys(&[
+                ("app", Value::Str("dct".into())),
+                ("size", Value::Int(128)),
+                ("transport", Value::Str("tcp".into())),
+            ]),
+            9,
+        )?;
+        assert_eq!((dct.seed, dct.params.size, dct.procs), (9, 128, 4));
+        // Pinned: no wire on the simulator, no N for dct, and gauss reads
+        // no image size.
+        assert_eq!(dct.axis("transport").as_deref(), Some(""));
+        assert_eq!(dct.axis("n").as_deref(), Some("0"));
+        let gauss = one_cell(&keys(&[("size", Value::Int(128))]), 9)?;
+        assert_eq!(gauss.axis("size").as_deref(), Some("0"));
+        // The same validation as a spec's block, and one run only.
+        let err = one_cell(&keys(&[("procs", Value::Int(0))]), 9).unwrap_err();
+        assert!(err.contains("procs must be positive"), "{err}");
+        let two = Value::Array(vec![Value::Int(2), Value::Int(4)]);
+        let err = one_cell(&keys(&[("procs", two)]), 9).unwrap_err();
+        assert!(err.contains("2 runs, not one"), "{err}");
+        Ok(())
     }
 
     #[test]

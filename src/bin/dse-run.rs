@@ -19,79 +19,78 @@
 //! dse-run gauss --engine live --procs 4 --n 200
 //! dse-run dct   --engine live --transport tcp --watch
 //! ```
+//!
+//! A run is a one-cell sweep spec. Every flag but the output flags is a
+//! `[[scenario]]` key (`--gm-mode` is `gm_mode`) holding one value, and the
+//! flags go through `dse-sweep`'s scenario parse, validation and expansion
+//! at the paper seed. A flag whose value the expansion pins away — a
+//! live-engine key on the simulator, a simulated-cluster key on the live
+//! engine, `--gm-mode rc` without `--cache`, a size the app does not read
+//! — is an error that names it. The run itself goes through
+//! `dse_sweep::launch`, the path every sweep row takes.
 
-use std::time::Duration;
+use std::time::Instant;
 
-use dse::live::LiveRunner;
-use dse_obs::{BusInterval, TraceSpanRec};
-use dse_sweep::build::{self, Answer, AppKind, AppParams};
-use dse_sweep::run::{execute_traced, References, RunStatus};
+use dse::kernel::DseConfig;
+use dse_obs::{BusInterval, ClusterAggregator, TraceSpanRec};
+use dse_sweep::build::{self, Answer, Outcome};
+use dse_sweep::run::{record, References, RunStatus};
+use dse_sweep::toml::{Table, Value};
+use dse_sweep::RunSpec;
 
-#[derive(Debug, Clone, PartialEq)]
-struct Args {
-    app: String,
-    engine: String,
-    transport: String,
-    scheduler: String,
-    platform: String,
-    procs: usize,
-    n: usize,
-    block: usize,
-    depth: u32,
-    jobs: usize,
-    organization: String,
-    protocol: String,
-    cache: bool,
-    gm_mode: String,
-    machines: usize,
+/// The output flags: what to print and write besides the run itself.
+#[derive(Debug, Default)]
+struct Outputs {
     metrics_json: Option<String>,
     metrics_csv: Option<String>,
     trace_json: Option<String>,
-    watch: bool,
-    watch_ms: u64,
     flight_json: Option<String>,
-    fault_plan: Option<String>,
     trace_dir: Option<String>,
     critical_path: bool,
-    /// Flags the user actually typed, for meaningless-combination checks
-    /// (a default value is fine; an explicit contradiction is an error).
-    explicit: Vec<String>,
+    /// `--watch`'s telemetry interval in milliseconds.
+    watch: Option<u64>,
 }
 
-impl Args {
-    /// The application parameters the size flags spell.
-    fn params(&self) -> AppParams {
-        AppParams {
-            n: self.n,
-            block: self.block,
-            depth: self.depth,
-            jobs: self.jobs,
-            ..AppParams::default()
-        }
+impl Outputs {
+    /// Whether a flag asked for the run's causal spans.
+    fn wants_trace(&self) -> bool {
+        self.trace_dir.is_some() || self.critical_path || self.trace_json.is_some()
     }
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: dse-run <gauss|gauss-mp|dct|othello|knights|matmul|scan> [options]
+
+A run is a one-cell sweep spec at the paper seed: each option but the
+outputs is a [[scenario]] key (see dse-sweep; --gm-mode is gm_mode) with one
+value. An option the run pins to another value is an error: a live-engine
+key with the simulator, a cluster key with the live engine, --gm-mode
+without --cache, a size the app does not read.
   --engine sim|live            execution engine           (default sim)
-  --transport channel|tcp|uds  live engine wire           (default channel)
-  --scheduler threads|tasks    live engine kernel driver: one OS thread
-                               per PE, or poll-driven tasks on a worker
-                               pool (for many-PE runs)    (default threads)
-  --platform sunos|aix|linux   simulated platform, or one per machine
-                               joined by '+' (sunos+linux) (default sunos)
-  --procs N                    processors 1..12           (default 4)
-  --machines N                 physical machines          (default 6)
-  --n N                        Gauss-Seidel dimension     (default 400)
-  --block B                    DCT block size             (default 8)
-  --depth D                    Othello search depth       (default 5)
-  --jobs J                     Knight's-Tour job count    (default 16)
-  --organization linked|legacy software organization     (default linked)
-  --protocol tcp|udp|raw       protocol stack             (default tcp)
+  --procs N                    processors 1..65535        (default 4)
   --cache                      enable the GM cache (both engines)
   --gm-mode wi|rc              cache coherence: write-invalidate or
                                release consistency        (default wi)
+  --transport channel|tcp|uds  live engine wire           (default channel)
+  --scheduler threads|tasks    live engine kernel workers: one per PE, or
+                               a pool for many-PE runs    (default threads)
+  --fault-plan SPEC            inject deterministic transport faults (live
+                               engine; without seed= the run seed is used)
+                               e.g. seed=7,drop=10,dup=5,corrupt=3,delay=20:2,disconnect=2:40
+  --platform sunos|aix|linux   simulated platform, or one per machine
+                               joined by '+' (sunos+linux) (default sunos)
+  --machines N                 physical machines          (default 6)
+  --organization linked|legacy software organization     (default linked)
+  --protocol tcp|udp|raw       protocol stack             (default tcp)
+  --network bus10|switched100  interconnect               (default bus10)
+  --gm-window W                split-phase GM window      (default 0: engine's)
+  --n N                        gauss, gauss-mp, matmul dimension (default 400)
+  --block B                    dct block size             (default 8)
+  --size S                     dct image size             (default 0: 512)
+  --depth D                    othello search depth       (default 5)
+  --jobs J                     knights job count          (default 16)
+outputs:
   --metrics-json PATH          write metrics as JSON Lines
   --metrics-csv PATH           write metrics as CSV
   --trace-json PATH            record causal spans, write a Chrome trace with
@@ -100,8 +99,6 @@ fn usage() -> ! {
   --watch-ms MS                telemetry emission interval    (default 50)
   --flight-json PATH           write the flight-recorder ring, or the
                                post-mortem of an aborted run (JSONL; live engine)
-  --fault-plan SPEC            inject deterministic transport faults (live engine)
-                               e.g. seed=7,drop=10,dup=5,corrupt=3,delay=20:2,disconnect=2:40
   --trace-dir DIR              record causal spans, write per-PE streams, the
                                assembled cluster trace, blame table and critical path
   --critical-path              record causal spans, print the blame table and
@@ -110,211 +107,128 @@ fn usage() -> ! {
 or run one cell of a sweep scenario spec (see dse-sweep):
   dse-run --scenario FILE            list the spec's cells
   dse-run --scenario FILE --cell ID  run every seed of that cell (add
-                                     --critical-path for time, blame, path)"
+                                     --critical-path for blame and path)"
     );
     std::process::exit(2)
 }
 
-/// Parse a full argument vector (without the program name). Returns a
-/// descriptive error for unknown flags, missing values, or bad numbers so
-/// the caller — and the unit tests — can check rejection behaviour.
-fn parse_from(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        app: String::new(),
-        engine: "sim".into(),
-        transport: "channel".into(),
-        scheduler: "threads".into(),
-        platform: "sunos".into(),
-        procs: 4,
-        n: 400,
-        block: 8,
-        depth: 5,
-        jobs: 16,
-        organization: "linked".into(),
-        protocol: "tcp".into(),
-        cache: false,
-        gm_mode: "wi".into(),
-        machines: 6,
-        metrics_json: None,
-        metrics_csv: None,
-        trace_json: None,
-        watch: false,
-        watch_ms: 50,
-        flight_json: None,
-        fault_plan: None,
-        trace_dir: None,
-        critical_path: false,
-        explicit: Vec::new(),
-    };
+/// Parse a full argument vector (without the program name) into the one
+/// run it describes and the outputs it asks for. Returns a descriptive
+/// error for unknown flags, missing values, bad values and flags the run
+/// pins, so the caller — and the unit tests — can check rejection.
+fn parse_from(argv: &[String]) -> Result<(RunSpec, Outputs), String> {
     let mut it = argv.iter();
-    args.app = it.next().ok_or("missing application name")?.clone();
-    if args.app == "--help" || args.app == "-h" {
+    let app = it.next().ok_or("missing application name")?;
+    if app == "--help" || app == "-h" {
         return Err("help".into());
     }
+    let mut keys = Table::from([("app".to_string(), Value::Str(app.clone()))]);
+    let mut outs = Outputs::default();
+    let (mut watch, mut watch_ms) = (false, "50".to_string());
     while let Some(flag) = it.next() {
-        args.explicit.push(flag.clone());
-        let mut val = || -> Result<String, String> {
+        let mut val = || {
             it.next()
-                .map(|s| s.to_string())
+                .cloned()
                 .ok_or_else(|| format!("flag {flag} needs a value"))
         };
-        let num = |flag: &str, v: String| -> Result<usize, String> {
-            v.parse()
-                .map_err(|_| format!("flag {flag}: '{v}' is not a number"))
-        };
         match flag.as_str() {
-            "--engine" => args.engine = val()?,
-            "--transport" => args.transport = val()?,
-            "--scheduler" => args.scheduler = val()?,
-            "--platform" => args.platform = val()?,
-            "--procs" => args.procs = num(flag, val()?)?,
-            "--machines" => args.machines = num(flag, val()?)?,
-            "--n" => args.n = num(flag, val()?)?,
-            "--block" => args.block = num(flag, val()?)?,
-            "--depth" => args.depth = num(flag, val()?)? as u32,
-            "--jobs" => args.jobs = num(flag, val()?)?,
-            "--organization" => args.organization = val()?,
-            "--protocol" => args.protocol = val()?,
-            "--cache" => args.cache = true,
-            "--gm-mode" => args.gm_mode = val()?,
-            "--metrics-json" => args.metrics_json = Some(val()?),
-            "--metrics-csv" => args.metrics_csv = Some(val()?),
-            "--trace-json" => args.trace_json = Some(val()?),
-            "--watch" => args.watch = true,
-            "--watch-ms" => args.watch_ms = num(flag, val()?)? as u64,
-            "--flight-json" => args.flight_json = Some(val()?),
-            "--fault-plan" => args.fault_plan = Some(val()?),
-            "--trace-dir" => args.trace_dir = Some(val()?),
-            "--critical-path" => args.critical_path = true,
+            "--metrics-json" => outs.metrics_json = Some(val()?),
+            "--metrics-csv" => outs.metrics_csv = Some(val()?),
+            "--trace-json" => outs.trace_json = Some(val()?),
+            "--flight-json" => outs.flight_json = Some(val()?),
+            "--trace-dir" => outs.trace_dir = Some(val()?),
+            "--critical-path" => outs.critical_path = true,
+            "--watch" => watch = true,
+            "--watch-ms" => watch_ms = val()?,
             "--help" | "-h" => return Err("help".into()),
-            other => return Err(format!("unknown flag {other}")),
+            _ => {
+                // Every axis a run holds is a flag, spelled with dashes,
+                // except the positional app and what a one-cell spec
+                // fixes itself.
+                let key = match flag.strip_prefix("--") {
+                    Some(name) if !name.contains('_') => name.replace('-', "_"),
+                    _ => return Err(format!("unknown flag {flag}")),
+                };
+                let axis = RunSpec::default().axis(&key).is_some();
+                if !axis || ["scenario", "app", "seed"].contains(&key.as_str()) {
+                    return Err(format!("unknown flag {flag}"));
+                }
+                // `--cache` is bare; a value that reads as an integer is one.
+                let value = match key.as_str() {
+                    "cache" => Value::Bool(true),
+                    _ => val().map(|v| v.parse().map_or(Value::Str(v), Value::Int))?,
+                };
+                keys.insert(key, value);
+            }
         }
     }
-    Ok(args)
-}
-
-/// Reject argument combinations that silently mean nothing. Defaults are
-/// always fine; only flags the user explicitly typed can contradict the
-/// chosen engine.
-fn validate_engine_combos(args: &Args) -> Result<(), String> {
-    match args.engine.as_str() {
-        "sim" | "live" => {}
-        other => return Err(format!("--engine: '{other}' is not sim or live")),
+    match watch_ms.parse() {
+        Ok(0) | Err(_) => return Err(format!("--watch-ms: '{watch_ms}' is not a positive number")),
+        Ok(ms) => outs.watch = watch.then_some(ms),
     }
-    build::transport_kind(&args.transport).map_err(|e| format!("--{e}"))?;
-    let explicit = |f: &str| args.explicit.iter().any(|e| e == f);
-    if args.engine == "sim" && explicit("--transport") {
-        return Err(
-            "--transport chooses the live engine's wire; it has no effect with --engine sim \
-             (add --engine live)"
-                .into(),
-        );
+    let run = dse_sweep::one_cell(&keys, DseConfig::paper().seed)?;
+    for (key, value) in &keys {
+        let typed = match value {
+            Value::Str(s) => s.clone(),
+            Value::Int(n) => n.to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Array(_) => unreachable!("a flag holds one value"),
+        };
+        let held = run.axis(key).unwrap_or_default();
+        if held != typed {
+            return Err(format!(
+                "--{} {typed} has no effect on a {} run with --engine {} and {} \
+                 (the run holds {key} = '{held}')",
+                key.replace('_', "-"),
+                run.app,
+                run.engine,
+                if run.cache { "--cache" } else { "no --cache" },
+            ));
+        }
     }
-    build::check_scheduler(&args.scheduler).map_err(|e| format!("--{e}"))?;
-    if args.engine == "sim" && explicit("--scheduler") {
-        return Err(
-            "--scheduler picks the live engine's kernel driver; it has no effect with \
-             --engine sim (add --engine live)"
-                .into(),
-        );
-    }
-    if args.engine == "sim" && explicit("--fault-plan") {
-        return Err(
-            "--fault-plan injects faults into the live engine's transport; it has no effect \
-             with --engine sim (add --engine live)"
-                .into(),
-        );
-    }
-    if args.engine == "sim" && explicit("--flight-json") {
+    if run.engine == "sim" && outs.flight_json.is_some() {
         return Err(
             "--flight-json writes the live engine's flight recorder; it has no effect with \
              --engine sim (add --engine live)"
                 .into(),
         );
     }
-    if let Some(spec) = &args.fault_plan {
-        dse::live::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
-    }
-    if build::check_gm_mode(&args.gm_mode).is_err() {
-        return Err(format!("--gm-mode: '{}' is not wi or rc", args.gm_mode));
-    }
-    if args.gm_mode == "rc" && !args.cache {
-        return Err(
-            "--gm-mode rc relaxes the GM cache's coherence protocol; it has no effect \
-             without --cache"
-                .into(),
-        );
-    }
-    if args.engine == "live" {
-        if args.app == "gauss-mp" {
-            return Err(
-                "gauss-mp is the explicit message-passing variant built on the simulator's \
-                 user-message mailboxes; it does not run on the live engine (use gauss)"
-                    .into(),
-            );
-        }
-        // Everything that parameterizes the simulated 1999 cluster model is
-        // meaningless when the program runs for real on host threads.
-        const SIM_ONLY: &[&str] = &["--platform", "--machines", "--organization", "--protocol"];
-        for f in SIM_ONLY {
-            if explicit(f) {
-                return Err(format!(
-                    "{f} configures the simulated cluster model and has no meaning with \
-                     --engine live"
-                ));
-            }
-        }
-        if args.procs == 0 {
-            return Err("--procs: the live engine needs at least one processor".into());
-        }
-    }
-    Ok(())
+    Ok((run, outs))
 }
 
 /// Probe every requested output path for writability *before* the run
 /// (shared with `dse-sweep`; see [`build::validate_out_paths`]).
-fn validate_out_paths(args: &Args) -> Result<(), String> {
-    let outs = [
-        (&args.metrics_json, "metrics (JSONL)"),
-        (&args.metrics_csv, "metrics (CSV)"),
-        (&args.trace_json, "Chrome trace"),
-        (&args.flight_json, "flight recorder"),
+fn validate_out_paths(outs: &Outputs) -> Result<(), String> {
+    let paths = [
+        (&outs.metrics_json, "metrics (JSONL)"),
+        (&outs.metrics_csv, "metrics (CSV)"),
+        (&outs.trace_json, "Chrome trace"),
+        (&outs.flight_json, "flight recorder"),
     ];
     build::validate_out_paths(
-        outs.iter()
+        paths
+            .iter()
             .filter_map(|(path, what)| path.as_deref().map(|p| (p, *what))),
     )
 }
 
-fn parse() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    parse_from(&argv).unwrap_or_else(|err| {
-        if err != "help" {
-            eprintln!("{err}");
-        }
-        usage()
-    })
-}
-
 /// `dse-run --scenario FILE [--cell ID [--critical-path]]`: run one named
 /// cell of a sweep spec in-process — every seed, sequentially — printing
-/// the rows `dse-sweep` collects, each held to its sequential reference.
-/// Every cell is traced, so `--critical-path` costs nothing more: it adds
-/// each run's execution time, blame table and critical path. Without
-/// `--cell`, list the spec's cells. Exits 1 if any run fails.
+/// what each run printed as `dse-run <app>` and then the row `dse-sweep`
+/// collects, held to its sequential reference. Every cell is traced, so
+/// `--critical-path` costs nothing more: it adds each run's blame table
+/// and critical path. Without `--cell`, list the spec's cells. Exits 1 if
+/// any run fails.
 fn run_scenario_cli(argv: &[String]) -> ! {
     let usage = || -> ! {
         eprintln!("usage: dse-run --scenario FILE [--cell ID [--critical-path]]");
         std::process::exit(2)
     };
-    let mut file = String::new();
-    let mut cell: Option<String> = None;
-    // What the trace report reads: the defaults, plus --critical-path.
-    let mut args = parse_from(&["scenario".to_string()]).unwrap_or_else(|_| usage());
+    let (mut file, mut cell, mut outs) = (String::new(), None, Outputs::default());
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--critical-path" => args.critical_path = true,
+            "--critical-path" => outs.critical_path = true,
             "--scenario" => file = it.next().cloned().unwrap_or_else(|| usage()),
             "--cell" => cell = Some(it.next().cloned().unwrap_or_else(|| usage())),
             _ => usage(),
@@ -346,16 +260,13 @@ fn run_scenario_cli(argv: &[String]) -> ! {
     let mut references = References::default();
     let mut failed = false;
     for rs in selected {
-        let (mut rec, trace_spans) = execute_traced(rs);
-        references.verify(rs, &mut rec);
-        println!("{}", rec.to_json_line());
-        failed |= rec.status != RunStatus::Ok;
-        if args.critical_path && !trace_spans.is_empty() {
-            if rs.engine == "sim" {
-                println!("execution time: {} s", rec.elapsed_ns as f64 / 1e9);
-            }
-            report_causal_trace(&args, &trace_spans, &[]);
-        }
+        let started = Instant::now();
+        let outcome = start(rs, true, &outs);
+        let mut row = record(rs, &outcome, started.elapsed().as_nanos() as u64);
+        references.verify(rs, &mut row);
+        report(rs, &outcome, &outs);
+        println!("{}", row.to_json_line());
+        failed |= row.status != RunStatus::Ok;
     }
     std::process::exit(i32::from(failed))
 }
@@ -365,93 +276,125 @@ fn main() {
     if argv.first().map(String::as_str) == Some("--scenario") {
         run_scenario_cli(&argv);
     }
-    let args = parse();
-    if let Err(e) = validate_engine_combos(&args) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    if let Err(e) = validate_out_paths(&args) {
+    let (run, outs) = parse_from(&argv).unwrap_or_else(|err| {
+        if err != "help" {
+            eprintln!("{err}");
+        }
+        usage()
+    });
+    if let Err(e) = validate_out_paths(&outs) {
         eprintln!("{e}");
         std::process::exit(1);
     }
-    let app = AppKind::parse(&args.app).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage()
-    });
-    if args.engine == "live" {
-        run_live_cli(&args, app);
-    } else {
-        run_sim_cli(&args, app);
+    let outcome = start(&run, outs.wants_trace(), &outs);
+    if !report(&run, &outcome, &outs) {
+        std::process::exit(1);
     }
 }
 
-/// Run the selected workload on the live engine: real threads, the chosen
-/// transport carrying every remote GM access, results printed exactly like
-/// the simulator's so the two engines are directly comparable.
-fn run_live_cli(args: &Args, app: AppKind) {
-    let params = args.params();
-    let mut cfg = build::build_live(
-        &args.transport,
-        args.fault_plan.as_deref(),
-        None,
-        args.cache,
-        &args.gm_mode,
-        &args.scheduler,
-    )
-    .expect("transport, fault plan, gm mode and scheduler validated at startup");
-    cfg.tracing = wants_causal_trace(args);
-    println!(
-        "# {} on the live engine ({} transport, {} scheduler), {} processors",
-        args.app, args.transport, args.scheduler, args.procs
-    );
-    if let Some(spec) = &args.fault_plan {
-        println!("# fault plan: {spec}");
-    }
-    let hook = |agg: &dse::obs::ClusterAggregator, now_ns: u64| {
-        println!("-- t={:.1}ms", now_ns as f64 / 1e6);
-        print!("{}", dse::ssi::render_top(agg, now_ns));
-    };
-    let mut runner = LiveRunner::new(args.procs).config(cfg.clone());
-    if args.watch {
-        runner = runner.watch(Duration::from_millis(args.watch_ms), &hook);
-    }
-    // An aborted run prints the per-PE failure report, writes the
-    // flight-recorder post-mortem if `--flight-json` asked for one, and
-    // exits with status 1.
-    let (run, answer) = build::run_live(runner, app, params).unwrap_or_else(|err| {
-        eprint!("{}", err.report());
-        if let Some(path) = &args.flight_json {
-            match std::fs::write(path, &err.flight_jsonl) {
-                Ok(()) => eprintln!("flight recorder post-mortem written to {path}"),
-                Err(e) => eprintln!("cannot write flight recorder to {path}: {e}"),
-            }
-        }
-        std::process::exit(1);
+/// Print the run's heading, then launch it — under `--watch`, with the
+/// cluster top view printed each telemetry epoch.
+fn start(rs: &RunSpec, tracing: bool, outs: &Outputs) -> Outcome {
+    let launched = heading(rs).and_then(|heading| {
+        println!("{heading}");
+        let watch = outs.watch.map(|ms| -> build::Watch { (ms, top) });
+        build::launch(rs, tracing, watch)
     });
-    println!("{}", describe(app, &params, &answer));
-    println!(
-        "wall time: {:?}   gm request messages: {}   requests served: {}",
-        run.elapsed,
-        run.metrics
-            .counter_sum_over_pes("kernel", "gm_request_msgs"),
-        run.metrics
-            .counter_sum_over_pes("kernel", "requests_served"),
-    );
-    if args.cache {
-        print_directory(&run.metrics, &args.gm_mode);
+    launched.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// What runs where: the engine, and the simulated cluster or the live
+/// engine's wire, scheduler and fault plan.
+fn heading(rs: &RunSpec) -> Result<String, String> {
+    if rs.engine == "live" {
+        let mut heading = format!(
+            "# {} on the live engine ({} transport, {} scheduler), {} processors",
+            rs.app, rs.transport, rs.scheduler, rs.procs
+        );
+        if !rs.fault_plan.is_empty() {
+            heading += &format!("\n# fault plan: {}", rs.fault_plan);
+        }
+        return Ok(heading);
     }
-    if let Some(path) = &args.metrics_json {
-        write_out(path, "metrics (JSONL)", run.metrics.to_jsonl());
+    let (platforms, machines) = build::cluster(rs)?;
+    Ok(format!(
+        "# {} on {} ({}), {} processors / {} machines",
+        rs.app, platforms[0].os, platforms[0].machine, rs.procs, machines
+    ))
+}
+
+/// The `--watch` epoch hook, the same on both engines.
+fn top(agg: &ClusterAggregator, now_ns: u64) {
+    println!("-- t={:.1}ms", now_ns as f64 / 1e6);
+    print!("{}", dse::ssi::render_top(agg, now_ns));
+}
+
+/// Print what the run answered and what it cost, and write the exports
+/// the flags ask for: one printer for both engines. An aborted live run
+/// prints its per-PE failure report, writes the flight-recorder
+/// post-mortem if `--flight-json` asked for one, and returns false.
+fn report(rs: &RunSpec, outcome: &Outcome, outs: &Outputs) -> bool {
+    let (metrics, answer, cost, bus) = match outcome {
+        Outcome::Sim(run, answer) => (
+            &run.metrics,
+            answer,
+            format!(
+                "execution time: {}   messages: {}   wire bytes: {}   collisions: {}",
+                run.elapsed, run.stats.messages, run.net_wire_bytes, run.net_collisions
+            ),
+            &run.bus_intervals[..],
+        ),
+        Outcome::Live(run, answer) => (
+            &run.metrics,
+            answer,
+            format!(
+                "wall time: {:?}   gm request messages: {}   requests served: {}",
+                run.elapsed,
+                run.metrics
+                    .counter_sum_over_pes("kernel", "gm_request_msgs"),
+                run.metrics
+                    .counter_sum_over_pes("kernel", "requests_served"),
+            ),
+            &[][..],
+        ),
+        Outcome::Abort(err) => {
+            eprint!("{}", err.report());
+            if let Some(path) = &outs.flight_json {
+                match std::fs::write(path, &err.flight_jsonl) {
+                    Ok(()) => eprintln!("flight recorder post-mortem written to {path}"),
+                    Err(e) => eprintln!("cannot write flight recorder to {path}: {e}"),
+                }
+            }
+            return false;
+        }
+    };
+    println!("{}", describe(rs, answer));
+    println!("{cost}");
+    if rs.cache {
+        if let Outcome::Sim(run, _) = outcome {
+            println!(
+                "cache: {} hits / {} misses / {} invalidations",
+                run.stats.cache_hits, run.stats.cache_misses, run.stats.cache_invalidations
+            );
+        }
+        print_directory(metrics, &rs.gm_mode);
     }
-    if let Some(path) = &args.metrics_csv {
-        write_out(path, "metrics (CSV)", run.metrics.to_csv());
+    if let Some(path) = &outs.metrics_json {
+        write_out(path, "metrics (JSONL)", metrics.to_jsonl());
     }
-    if let Some(path) = &args.flight_json {
+    if let Some(path) = &outs.metrics_csv {
+        write_out(path, "metrics (CSV)", metrics.to_csv());
+    }
+    if let (Some(path), Outcome::Live(run, _)) = (&outs.flight_json, outcome) {
         write_out(path, "flight recorder", run.flight_jsonl.clone());
     }
-    if cfg.tracing {
-        report_causal_trace(args, &run.trace_spans, &[]);
+    if outs.wants_trace() {
+        report_causal_trace(outs, outcome.trace_spans(), bus);
     }
+    true
 }
 
 /// The GM cache's directory counters, summed over PEs (either engine's
@@ -483,11 +426,6 @@ fn write_out(path: &str, what: &str, data: String) {
     println!("{what} written to {path}");
 }
 
-/// Whether a flag asked for the run's causal spans.
-fn wants_causal_trace(args: &Args) -> bool {
-    args.trace_dir.is_some() || args.critical_path || args.trace_json.is_some()
-}
-
 /// Assemble a run's causal trace — either engine's — print the blame table
 /// (and critical path under `--critical-path`), write the Chrome trace
 /// `--trace-json` names, and populate `--trace-dir` with the per-PE
@@ -496,7 +434,7 @@ fn wants_causal_trace(args: &Args) -> bool {
 /// trace rendered only for a flag that prints or writes them. The canonical
 /// files are what the CI determinism smoke diffs across two live runs; a
 /// simulated run's raw files repeat to the byte.
-fn report_causal_trace(args: &Args, trace_spans: &[Vec<TraceSpanRec>], bus: &[BusInterval]) {
+fn report_causal_trace(outs: &Outputs, trace_spans: &[Vec<TraceSpanRec>], bus: &[BusInterval]) {
     let t = dse_trace::assemble(trace_spans);
     println!(
         "causal trace: {} spans, {}/{} gm chains linked ({:.1}%)",
@@ -507,14 +445,14 @@ fn report_causal_trace(args: &Args, trace_spans: &[Vec<TraceSpanRec>], bus: &[Bu
     );
     let blame = dse_trace::blame(&t).render();
     print!("{blame}");
-    let dir = args.trace_dir.as_deref().map(std::path::Path::new);
-    let path = (args.critical_path || dir.is_some()).then(|| dse_trace::critical_path(&t));
-    if let (true, Some(path)) = (args.critical_path, &path) {
+    let dir = outs.trace_dir.as_deref().map(std::path::Path::new);
+    let path = (outs.critical_path || dir.is_some()).then(|| dse_trace::critical_path(&t));
+    if let (true, Some(path)) = (outs.critical_path, &path) {
         print!("{}", path.render(40));
     }
-    let chrome = (args.trace_json.is_some() || dir.is_some())
+    let chrome = (outs.trace_json.is_some() || dir.is_some())
         .then(|| dse_trace::chrome_flow_json_with(&t, bus));
-    if let (Some(file), Some(chrome)) = (&args.trace_json, &chrome) {
+    if let (Some(file), Some(chrome)) = (&outs.trace_json, &chrome) {
         if let Err(e) = std::fs::write(file, chrome) {
             eprintln!("cannot write Chrome trace to {file}: {e}");
             std::process::exit(1);
@@ -554,12 +492,13 @@ fn report_causal_trace(args: &Args, trace_spans: &[Vec<TraceSpanRec>], bus: &[Bu
 }
 
 /// What the run answered, in the words of its application.
-fn describe(app: AppKind, p: &AppParams, answer: &Answer) -> String {
+fn describe(rs: &RunSpec, answer: &Answer) -> String {
+    let p = &rs.params;
     match answer {
         Answer::Gauss(sol) => format!(
             "solved N={}{} in {} sweeps, final delta {:.2e}",
             p.n,
-            if app == AppKind::GaussMp {
+            if rs.app == "gauss-mp" {
                 " (message passing)"
             } else {
                 ""
@@ -589,122 +528,111 @@ fn describe(app: AppKind, p: &AppParams, answer: &Answer) -> String {
     }
 }
 
-fn run_sim_cli(args: &Args, app: AppKind) {
-    let params = args.params();
-    let settings = build::SimSettings {
-        platform: args.platform.clone(),
-        organization: args.organization.clone(),
-        protocol: args.protocol.clone(),
-        cache: args.cache,
-        gm_mode: args.gm_mode.clone(),
-        machines: args.machines,
-        tracing: wants_causal_trace(args),
-        telemetry_ms: args.watch.then_some(args.watch_ms),
-        ..build::SimSettings::default()
-    };
-    let (platform, mut program) = build::build_sim(&settings).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage()
-    });
-    if args.watch {
-        program = program.with_epoch_hook(|agg, now_ns| {
-            println!("-- t={:.1}ms", now_ns as f64 / 1e6);
-            print!("{}", dse::ssi::render_top(agg, now_ns));
-        });
-    }
-
-    println!(
-        "# {} on {} ({}), {} processors / {} machines",
-        args.app,
-        platform.os,
-        platform.machine,
-        args.procs,
-        program.config().machines.unwrap_or(args.machines)
-    );
-    let (run, answer) = build::run_sim(&program, app, params, args.procs);
-    println!("{}", describe(app, &params, &answer));
-
-    println!(
-        "execution time: {}   messages: {}   wire bytes: {}   collisions: {}",
-        run.elapsed, run.stats.messages, run.net_wire_bytes, run.net_collisions
-    );
-    if args.cache {
-        println!(
-            "cache: {} hits / {} misses / {} invalidations",
-            run.stats.cache_hits, run.stats.cache_misses, run.stats.cache_invalidations
-        );
-        print_directory(&run.metrics, &args.gm_mode);
-    }
-    if let Some(path) = &args.metrics_json {
-        write_out(path, "metrics (JSONL)", run.metrics_jsonl());
-    }
-    if let Some(path) = &args.metrics_csv {
-        write_out(path, "metrics (CSV)", run.metrics_csv());
-    }
-    if wants_causal_trace(args) {
-        report_causal_trace(args, &run.trace_spans, &run.bus_intervals);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn argv(s: &str) -> Vec<String> {
-        s.split_whitespace().map(String::from).collect()
+    fn parse(s: &str) -> Result<(RunSpec, Outputs), String> {
+        parse_from(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    fn run(s: &str) -> RunSpec {
+        parse(s).unwrap().0
+    }
+
+    fn outs(s: &str) -> Outputs {
+        parse(s).unwrap().1
+    }
+
+    fn err(s: &str) -> String {
+        parse(s).unwrap_err()
+    }
+
+    /// The pinned-flag error for `flag`.
+    fn pinned(s: &str, flag: &str) {
+        let err = err(s);
+        assert!(
+            err.starts_with(&format!("{flag} ")) && err.contains("has no effect on a"),
+            "{s}: {err}"
+        );
     }
 
     #[test]
     fn defaults_fill_in() {
-        let a = parse_from(&argv("gauss")).unwrap();
+        let (a, o) = parse("gauss").unwrap();
         assert_eq!(a.app, "gauss");
+        assert_eq!(a.engine, "sim");
         assert_eq!(a.platform, "sunos");
         assert_eq!(a.procs, 4);
         assert_eq!(a.machines, 6);
+        assert_eq!(a.params.n, 400);
         assert!(!a.cache);
-        assert_eq!(a.metrics_json, None);
-        assert_eq!(a.trace_json, None);
+        assert_eq!(a.gm_mode, "wi");
+        // The seed figures.toml pins, so a figure point and its CLI run agree.
+        assert_eq!(a.seed, DseConfig::paper().seed);
+        assert_eq!(a.seed, 6_166_937);
+        assert_eq!(o.metrics_json, None);
+        assert_eq!(o.trace_json, None);
     }
 
     #[test]
     fn all_flags_parse() {
-        let a = parse_from(&argv(
-            "dct --platform linux --procs 8 --machines 4 --n 128 --block 16              --depth 7 --jobs 32 --organization legacy --protocol udp --cache",
-        ))
-        .unwrap();
+        let a = run(
+            "dct --platform linux --procs 8 --machines 4 --block 16 --size 128 \
+             --organization legacy --protocol udp --network switched100 --gm-window 8 --cache",
+        );
         assert_eq!(a.platform, "linux");
         assert_eq!(a.procs, 8);
         assert_eq!(a.machines, 4);
-        assert_eq!(a.n, 128);
-        assert_eq!(a.block, 16);
-        assert_eq!(a.depth, 7);
-        assert_eq!(a.jobs, 32);
+        assert_eq!((a.params.block, a.params.size), (16, 128));
         assert_eq!(a.organization, "legacy");
         assert_eq!(a.protocol, "udp");
+        assert_eq!(a.network, "switched100");
+        assert_eq!(a.gm_window, 8);
         assert!(a.cache);
+        let a = run("othello --depth 7");
+        assert_eq!(a.params.depth, 7);
+        let a = run("knights --jobs 32");
+        assert_eq!(a.params.jobs, 32);
+        let a = run("matmul --n 128");
+        assert_eq!(a.params.n, 128);
+        // A size the app does not read is pinned like any other key.
+        pinned("dct --n 64", "--n");
+        // Even at another app's default: the run holds no N at all.
+        pinned("dct --n 400", "--n");
+        pinned("gauss --block 8", "--block");
+        pinned("gauss --size 128", "--size");
+        pinned("knights --depth 7", "--depth");
+        pinned("knights --depth 5", "--depth");
+        // A per-machine platform list is its own machine count.
+        pinned("gauss --platform sunos+linux --machines 4", "--machines");
     }
 
     #[test]
     fn observability_flags_parse() {
-        let a = parse_from(&argv(
-            "gauss --metrics-json m.jsonl --metrics-csv m.csv --trace-json t.json",
-        ))
-        .unwrap();
-        assert_eq!(a.metrics_json.as_deref(), Some("m.jsonl"));
-        assert_eq!(a.metrics_csv.as_deref(), Some("m.csv"));
-        assert_eq!(a.trace_json.as_deref(), Some("t.json"));
+        let o = outs("gauss --metrics-json m.jsonl --metrics-csv m.csv --trace-json t.json");
+        assert_eq!(o.metrics_json.as_deref(), Some("m.jsonl"));
+        assert_eq!(o.metrics_csv.as_deref(), Some("m.csv"));
+        assert_eq!(o.trace_json.as_deref(), Some("t.json"));
     }
 
     #[test]
     fn watch_flags_parse_with_defaults() {
-        let a = parse_from(&argv("gauss")).unwrap();
-        assert!(!a.watch);
-        assert_eq!(a.watch_ms, 50);
-        assert_eq!(a.flight_json, None);
-        let a = parse_from(&argv("gauss --watch --watch-ms 5 --flight-json f.jsonl")).unwrap();
-        assert!(a.watch);
-        assert_eq!(a.watch_ms, 5);
-        assert_eq!(a.flight_json.as_deref(), Some("f.jsonl"));
+        let o = outs("gauss");
+        assert_eq!(o.watch, None);
+        assert_eq!(o.flight_json, None);
+        assert_eq!(outs("gauss --watch").watch, Some(50));
+        let o = outs("gauss --engine live --watch --watch-ms 5 --flight-json f.jsonl");
+        assert_eq!(o.watch, Some(5));
+        assert_eq!(o.flight_json.as_deref(), Some("f.jsonl"));
+        // A zero interval would tick forever: rejected, watched or not.
+        for s in [
+            "gauss --watch --watch-ms 0",
+            "gauss --watch-ms 0",
+            "gauss --watch-ms x",
+        ] {
+            assert!(err(s).contains("not a positive number"), "{s}");
+        }
     }
 
     #[test]
@@ -713,163 +641,137 @@ mod tests {
             .join("target")
             .join("dse-run-validate-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut a = parse_from(&argv("gauss")).unwrap();
-        assert!(validate_out_paths(&a).is_ok(), "no paths: nothing to probe");
-        a.metrics_json = Some(dir.join("m.jsonl").to_string_lossy().into_owned());
-        assert!(validate_out_paths(&a).is_ok());
+        let mut o = Outputs::default();
+        assert!(validate_out_paths(&o).is_ok(), "no paths: nothing to probe");
+        o.metrics_json = Some(dir.join("m.jsonl").to_string_lossy().into_owned());
+        assert!(validate_out_paths(&o).is_ok());
         // The probe must not clobber existing content before the run.
         let existing = dir.join("keep.csv");
         std::fs::write(&existing, "old").unwrap();
-        a.metrics_csv = Some(existing.to_string_lossy().into_owned());
-        assert!(validate_out_paths(&a).is_ok());
+        o.metrics_csv = Some(existing.to_string_lossy().into_owned());
+        assert!(validate_out_paths(&o).is_ok());
         assert_eq!(std::fs::read_to_string(&existing).unwrap(), "old");
         // A missing parent directory is rejected with a clear message.
-        a.flight_json = Some(
+        o.flight_json = Some(
             dir.join("no-such-dir")
                 .join("f.jsonl")
                 .to_string_lossy()
                 .into_owned(),
         );
-        let err = validate_out_paths(&a).unwrap_err();
+        let err = validate_out_paths(&o).unwrap_err();
         assert!(err.contains("cannot write flight recorder"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn engine_and_transport_flags_parse() {
-        let a = parse_from(&argv("gauss")).unwrap();
+        let a = run("gauss");
         assert_eq!(a.engine, "sim");
-        assert_eq!(a.transport, "channel");
-        let a = parse_from(&argv("gauss --engine live --transport tcp")).unwrap();
+        assert_eq!(a.transport, "", "a simulated run holds no wire");
+        let a = run("gauss --engine live");
+        assert_eq!((a.transport.as_str(), a.platform.as_str()), ("channel", ""));
+        let a = run("gauss --engine live --transport tcp");
         assert_eq!(a.engine, "live");
         assert_eq!(a.transport, "tcp");
-        assert!(validate_engine_combos(&a).is_ok());
     }
 
     #[test]
     fn bad_engine_or_transport_rejected() {
-        let a = parse_from(&argv("gauss --engine warp")).unwrap();
-        let err = validate_engine_combos(&a).unwrap_err();
-        assert!(err.contains("not sim or live"), "{err}");
-        let a = parse_from(&argv("gauss --engine live --transport pigeon")).unwrap();
-        let err = validate_engine_combos(&a).unwrap_err();
-        assert!(err.contains("not channel, tcp or uds"), "{err}");
+        let e = err("gauss --engine warp");
+        assert!(e.contains("not sim or live"), "{e}");
+        let e = err("gauss --engine live --transport pigeon");
+        assert!(e.contains("not channel, tcp or uds"), "{e}");
     }
 
     #[test]
     fn transport_with_sim_engine_rejected() {
-        let a = parse_from(&argv("gauss --transport tcp")).unwrap();
-        let err = validate_engine_combos(&a).unwrap_err();
-        assert!(err.contains("no effect with --engine sim"), "{err}");
-        // The default transport value is fine — only the explicit flag errs.
-        let a = parse_from(&argv("gauss")).unwrap();
-        assert!(validate_engine_combos(&a).is_ok());
+        pinned("gauss --transport tcp", "--transport");
+        // Even at the live engine's default: the flag means nothing here.
+        pinned("gauss --transport channel", "--transport");
+        assert!(parse("gauss").is_ok());
     }
 
     #[test]
     fn sim_model_flags_with_live_engine_rejected() {
-        for flags in [
-            "--platform linux",
-            "--machines 4",
-            "--organization legacy",
-            "--protocol udp",
+        for (flag, value) in [
+            ("--platform", "linux"),
+            ("--machines", "4"),
+            ("--organization", "legacy"),
+            ("--protocol", "udp"),
+            ("--network", "switched100"),
+            ("--gm-window", "8"),
         ] {
-            let a = parse_from(&argv(&format!("gauss --engine live {flags}"))).unwrap();
-            let err = validate_engine_combos(&a).unwrap_err();
-            assert!(
-                err.contains("no meaning with --engine live"),
-                "{flags}: {err}"
-            );
+            pinned(&format!("gauss --engine live {flag} {value}"), flag);
         }
         // Observability outputs, the watch view, the flight recorder and the
         // GM cache all work on the live engine.
-        let a = parse_from(&argv(
+        assert!(parse(
             "gauss --engine live --watch --watch-ms 10 --metrics-json m.jsonl --metrics-csv m.csv \
              --flight-json f.jsonl --cache",
-        ))
-        .unwrap();
-        assert!(validate_engine_combos(&a).is_ok());
+        )
+        .is_ok());
     }
 
     #[test]
     fn scheduler_flag_parses_and_requires_live_engine() {
-        let a = parse_from(&argv("gauss")).unwrap();
-        assert_eq!(a.scheduler, "threads");
-        let a = parse_from(&argv("gauss --engine live --scheduler tasks")).unwrap();
-        assert_eq!(a.scheduler, "tasks");
-        assert!(validate_engine_combos(&a).is_ok());
-        let a = parse_from(&argv("gauss --scheduler tasks")).unwrap();
-        let err = validate_engine_combos(&a).unwrap_err();
-        assert!(err.contains("no effect with --engine sim"), "{err}");
-        let a = parse_from(&argv("gauss --engine live --scheduler fibers")).unwrap();
-        let err = validate_engine_combos(&a).unwrap_err();
-        assert!(err.contains("not threads or tasks"), "{err}");
+        assert_eq!(run("gauss --engine live").scheduler, "threads");
+        assert_eq!(
+            run("gauss --engine live --scheduler tasks").scheduler,
+            "tasks"
+        );
+        pinned("gauss --scheduler tasks", "--scheduler");
+        let e = err("gauss --engine live --scheduler fibers");
+        assert!(e.contains("not threads or tasks"), "{e}");
     }
 
     #[test]
     fn gm_mode_parses_and_validates() {
-        let a = parse_from(&argv("gauss")).unwrap();
-        assert_eq!(a.gm_mode, "wi");
+        assert_eq!(run("gauss").gm_mode, "wi");
         for engine in ["sim", "live"] {
-            let a = parse_from(&argv(&format!(
-                "gauss --engine {engine} --cache --gm-mode rc"
-            )))
-            .unwrap();
-            assert_eq!(a.gm_mode, "rc");
-            assert!(validate_engine_combos(&a).is_ok(), "{engine}");
+            let a = run(&format!("gauss --engine {engine} --cache --gm-mode rc"));
+            assert_eq!(a.gm_mode, "rc", "{engine}");
         }
-        let a = parse_from(&argv("gauss --cache --gm-mode mesi")).unwrap();
-        let err = validate_engine_combos(&a).unwrap_err();
-        assert!(err.contains("not wi or rc"), "{err}");
+        let e = err("gauss --cache --gm-mode mesi");
+        assert!(e.contains("not wi or rc"), "{e}");
     }
 
     #[test]
     fn gm_mode_rc_without_cache_rejected() {
-        let a = parse_from(&argv("gauss --gm-mode rc")).unwrap();
-        let err = validate_engine_combos(&a).unwrap_err();
-        assert!(err.contains("without --cache"), "{err}");
+        pinned("gauss --gm-mode rc", "--gm-mode");
+        assert!(err("gauss --gm-mode rc").contains("no --cache"));
         // wi is the default protocol; stating it without the cache is fine.
-        let a = parse_from(&argv("gauss --gm-mode wi")).unwrap();
-        assert!(validate_engine_combos(&a).is_ok());
+        assert!(parse("gauss --gm-mode wi").is_ok());
     }
 
     #[test]
     fn flight_json_requires_live_engine() {
-        let a = parse_from(&argv("gauss --engine live --flight-json f.jsonl")).unwrap();
-        assert!(validate_engine_combos(&a).is_ok());
-        let a = parse_from(&argv("gauss --flight-json f.jsonl")).unwrap();
-        let err = validate_engine_combos(&a).unwrap_err();
-        assert!(err.contains("no effect with --engine sim"), "{err}");
+        assert!(parse("gauss --engine live --flight-json f.jsonl").is_ok());
+        let e = err("gauss --flight-json f.jsonl");
+        assert!(e.contains("no effect with --engine sim"), "{e}");
     }
 
     #[test]
     fn fault_plan_parses_and_requires_live_engine() {
-        let a = parse_from(&argv("gauss --engine live --fault-plan seed=7,drop=10")).unwrap();
-        assert_eq!(a.fault_plan.as_deref(), Some("seed=7,drop=10"));
-        assert!(validate_engine_combos(&a).is_ok());
-        let a = parse_from(&argv("gauss --fault-plan seed=7,drop=10")).unwrap();
-        let err = validate_engine_combos(&a).unwrap_err();
-        assert!(err.contains("no effect with --engine sim"), "{err}");
+        let a = run("gauss --engine live --fault-plan seed=7,drop=10");
+        assert_eq!(a.fault_plan, "seed=7,drop=10");
+        pinned("gauss --fault-plan seed=7,drop=10", "--fault-plan");
     }
 
     #[test]
     fn bad_fault_plan_spec_rejected() {
-        let a = parse_from(&argv("gauss --engine live --fault-plan frob=1")).unwrap();
-        let err = validate_engine_combos(&a).unwrap_err();
-        assert!(err.starts_with("--fault-plan:"), "{err}");
+        let e = err("gauss --engine live --fault-plan frob=1");
+        assert!(e.contains("fault_plan:"), "{e}");
     }
 
     #[test]
     fn causal_trace_flags_parse_and_work_on_both_engines() {
         for engine in ["sim", "live"] {
-            let a = parse_from(&argv(&format!(
+            let o = outs(&format!(
                 "gauss --engine {engine} --trace-dir traces/g --critical-path --trace-json t.json"
-            )))
-            .unwrap();
-            assert_eq!(a.trace_dir.as_deref(), Some("traces/g"));
-            assert!(a.critical_path);
-            assert!(validate_engine_combos(&a).is_ok(), "{engine}");
-            assert!(wants_causal_trace(&a));
+            ));
+            assert_eq!(o.trace_dir.as_deref(), Some("traces/g"));
+            assert!(o.critical_path);
+            assert!(o.wants_trace());
             // Each alone also asks for the spans (--critical-path prints
             // without writing).
             for flags in [
@@ -877,48 +779,61 @@ mod tests {
                 "--critical-path",
                 "--trace-json t.json",
             ] {
-                let a = parse_from(&argv(&format!("gauss --engine {engine} {flags}"))).unwrap();
-                assert!(validate_engine_combos(&a).is_ok(), "{engine} {flags}");
-                assert!(wants_causal_trace(&a), "{engine} {flags}");
+                let o = outs(&format!("gauss --engine {engine} {flags}"));
+                assert!(o.wants_trace(), "{engine} {flags}");
             }
         }
         // No flag, no spans.
-        assert!(!wants_causal_trace(&parse_from(&argv("gauss")).unwrap()));
+        assert!(!outs("gauss").wants_trace());
     }
 
     #[test]
     fn gauss_mp_on_live_engine_rejected() {
-        let a = parse_from(&argv("gauss-mp --engine live")).unwrap();
-        let err = validate_engine_combos(&a).unwrap_err();
-        assert!(err.contains("does not run on the live engine"), "{err}");
-        let a = parse_from(&argv("gauss-mp")).unwrap();
-        assert!(validate_engine_combos(&a).is_ok());
+        let e = err("gauss-mp --engine live");
+        assert!(e.contains("does not run on the live engine"), "{e}");
+        assert!(parse("gauss-mp").is_ok());
     }
 
     #[test]
     fn unknown_flag_rejected() {
-        let err = parse_from(&argv("gauss --frobnicate")).unwrap_err();
-        assert!(err.contains("unknown flag --frobnicate"), "{err}");
-        // The simulator scheduler's own timeline is gone, flag and all.
-        let err = parse_from(&argv("gauss --trace")).unwrap_err();
-        assert!(err.contains("unknown flag --trace"), "{err}");
+        // The simulator scheduler's own timeline is gone, flag and all; the
+        // spec keys a one-cell run fixes itself are not flags either.
+        for flag in [
+            "--frobnicate",
+            "--trace",
+            "--app",
+            "--seed",
+            "--seeds",
+            "--name",
+            // A key is spelled with dashes only.
+            "--gm_mode",
+            "--fault_plan",
+        ] {
+            let e = err(&format!("gauss {flag} 1"));
+            assert!(e.contains(&format!("unknown flag {flag}")), "{e}");
+        }
     }
 
     #[test]
     fn missing_value_rejected() {
-        let err = parse_from(&argv("gauss --metrics-json")).unwrap_err();
-        assert!(err.contains("needs a value"), "{err}");
+        for s in ["gauss --metrics-json", "gauss --procs"] {
+            assert!(err(s).contains("needs a value"), "{s}");
+        }
     }
 
     #[test]
     fn bad_number_rejected() {
-        let err = parse_from(&argv("gauss --procs many")).unwrap_err();
-        assert!(err.contains("not a number"), "{err}");
+        let e = err("gauss --procs many");
+        assert!(e.contains("procs: expected non-negative integer"), "{e}");
+        // The spec's own bounds, which the old hand-written checks lacked.
+        assert!(err("gauss --procs 0").contains("procs must be positive"));
+        assert!(err("gauss --machines 0").contains("machines must be positive"));
+        assert!(err("gauss --procs 70000").contains("at most 65535"));
     }
 
     #[test]
     fn missing_app_rejected() {
-        let err = parse_from(&[]).unwrap_err();
-        assert!(err.contains("missing application"), "{err}");
+        assert!(err("").contains("missing application"));
+        assert!(err("warp").contains("unknown app 'warp'"));
     }
 }
