@@ -412,7 +412,7 @@ impl SimKernel {
     fn tick(&mut self, rearm: bool) {
         let (shared, node) = (&*self.shared, self.node);
         let tracker = &mut self.telemetry.as_mut().expect("a tick is armed").tracker;
-        let snap = shared.metrics.snapshot();
+        let snap = tracker.snapshot(&shared.metrics);
         let extra = synth_counters(shared, node);
         if let Some((seq, d)) = tracker.delta(&snap, &extra, node == NodeId(0)) {
             let msg = Message::Telemetry {
@@ -563,7 +563,7 @@ fn synth_counters(shared: &ClusterShared, node: NodeId) -> Vec<(MetricKey, u64)>
 /// crosses the exact encode/decode path the wire uses, so the rollup stays
 /// a pure product of the in-band codec.
 fn final_flush(now_ns: u64, shared: &ClusterShared, node: NodeId, tracker: &mut DeltaTracker) {
-    let snap = shared.metrics.snapshot();
+    let snap = tracker.snapshot(&shared.metrics);
     let extra = synth_counters(shared, node);
     let (seq, d) = tracker.absolute(&snap, &extra);
     let back = TelemetryDelta::decode(&d.encode()).expect("telemetry self-roundtrip");

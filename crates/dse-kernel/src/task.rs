@@ -451,7 +451,7 @@ impl<'a> KernelTask<'a> {
         if let Some((interval, hook)) = self.watch {
             if self.last_emit.elapsed() >= interval {
                 self.last_emit = Instant::now();
-                let snap = env.metrics.snapshot();
+                let snap = self.tracker.snapshot(env.metrics);
                 // PE 0 forces an empty heartbeat so the aggregator's
                 // staleness clock keeps advancing on an idle cluster.
                 if let Some((seq, d)) = self.tracker.delta(&snap, &[], pe == 0) {
@@ -533,6 +533,17 @@ impl<'a> KernelTask<'a> {
                         port.wire(q, Message::KernelShutdown, None);
                     }
                 }
+            }
+            // A delta speaks only for the PE that sent it: the aggregator
+            // grows its node table up to the PE a delta names, so one that
+            // names another PE is dropped here, charged to no sequence.
+            Some(Message::Telemetry { pe: src, .. }) if src != from => {
+                eprintln!(
+                    "live kernel PE {pe}: dropping telemetry from PE {from} \
+                     that claims to be PE {src}"
+                );
+                env.metrics
+                    .incr(MetricKey::pe("kernel", "telemetry_corrupt", pe));
             }
             Some(Message::Telemetry {
                 pe: src,

@@ -652,6 +652,40 @@ mod tests {
     }
 
     #[test]
+    fn telemetry_that_names_another_pe_is_dropped() {
+        // PE 1 hands PE 0's aggregator a delta that claims to come from PE
+        // u32::MAX: applied, it would size the node table for 4 billion PEs.
+        let nodes = std::sync::atomic::AtomicUsize::new(0);
+        let hook = |agg: &dse_obs::ClusterAggregator, _now_ns: u64| {
+            nodes.store(agg.nodes().len(), std::sync::atomic::Ordering::SeqCst);
+        };
+        let r = LiveRunner::new(2)
+            .watch(Duration::from_millis(1), &hook)
+            .run(|ctx| {
+                if ctx.rank() == 1 {
+                    let forged = Message::Telemetry {
+                        pe: u32::MAX,
+                        seq: 1,
+                        payload: dse_obs::TelemetryDelta::default().encode(),
+                    };
+                    // Sent ahead of the barrier on the same wire, so PE 0's
+                    // kernel handles it before the run can end.
+                    assert!(ctx.port.transport.send(0, &forged).is_ok());
+                }
+                ctx.barrier();
+            });
+        assert_eq!(
+            nodes.into_inner(),
+            2,
+            "the aggregator grew past the run's PEs"
+        );
+        assert_eq!(
+            r.metrics.counter("kernel", "telemetry_corrupt", Some(0)),
+            Some(1)
+        );
+    }
+
+    #[test]
     fn split_phase_batches_on_the_wire() {
         // Two non-adjacent writes to the same remote home must coalesce
         // into one GmBatchReq: exactly one request message for both.

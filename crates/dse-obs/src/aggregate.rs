@@ -32,7 +32,7 @@ use std::sync::{Mutex, OnceLock};
 use dse_msg::{CodecError, Reader, Writer};
 
 use crate::hist::LogHistogram;
-use crate::registry::{MetricKey, MetricsSnapshot};
+use crate::registry::{MetricKey, MetricsSnapshot, Registry};
 
 /// Version byte leading every encoded delta: LEB128 varints for every
 /// integer and a static string table for the built-in metric names, so
@@ -383,6 +383,12 @@ impl DeltaTracker {
         self.seq
     }
 
+    /// The registry series this tracker ships, and no others: what to pass
+    /// to [`DeltaTracker::delta`] and [`DeltaTracker::absolute`] on a tick.
+    pub fn snapshot(&self, registry: &Registry) -> MetricsSnapshot {
+        registry.snapshot_pe(self.pe, self.include_global)
+    }
+
     fn relevant(&self, k: &MetricKey) -> bool {
         k.pe == Some(self.pe) || (self.include_global && k.pe.is_none())
     }
@@ -685,7 +691,6 @@ impl ClusterAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
 
     fn sample_registry() -> Registry {
         let r = Registry::new();
@@ -791,6 +796,32 @@ mod tests {
         let (_, d0) = t0.delta(&snap, &[], false).unwrap();
         assert_eq!(d0.gauges.len(), 1);
         assert!(d0.counters.iter().all(|(k, _)| k.pe == Some(0)));
+    }
+
+    #[test]
+    fn own_pe_snapshot_ships_the_same_bytes_as_the_whole_registry() {
+        let reg = sample_registry();
+        // PE 65 shares PE 1's shard; neither may ship the other's series.
+        reg.add(MetricKey::pe("net", "lan_msgs", 65), 2);
+        reg.record(MetricKey::pe("gm", "remote_read_ns", 65), 40);
+        let pes = [0, 1, 65];
+        let mut whole: Vec<_> = pes.iter().map(|&p| DeltaTracker::new(p, p == 0)).collect();
+        let mut own: Vec<_> = pes.iter().map(|&p| DeltaTracker::new(p, p == 0)).collect();
+        for round in 0..2u64 {
+            let snap = reg.snapshot();
+            for (w, o) in whole.iter_mut().zip(&mut own) {
+                let a = w.delta(&snap, &[], true).map(|(s, d)| (s, d.encode()));
+                let b = o
+                    .delta(&o.snapshot(&reg), &[], true)
+                    .map(|(s, d)| (s, d.encode()));
+                assert_eq!(a, b, "PE {} round {round}", w.pe());
+                let (a, b) = (w.absolute(&snap, &[]), o.absolute(&o.snapshot(&reg), &[]));
+                assert_eq!(a.1.encode(), b.1.encode(), "PE {} round {round}", w.pe());
+            }
+            reg.add(MetricKey::pe("net", "lan_msgs", 1).on_machine(1), round + 1);
+            reg.record(MetricKey::pe("gm", "remote_read_ns", 65), 7);
+            reg.set_gauge(MetricKey::global("net", "queue_depth_max"), 20 + round);
+        }
     }
 
     #[test]

@@ -3,6 +3,11 @@
 //! Keys are `Copy` pairs of `&'static str` so hot-path updates never
 //! allocate; storage is `BTreeMap` so snapshots and exports iterate in a
 //! deterministic order regardless of insertion history.
+//!
+//! Every PE's kernel and application thread update the one registry of a
+//! run, so it is sharded by PE: an update locks only the shard its key
+//! lives in, and a snapshot merges the shards back into one key-sorted
+//! copy.
 
 use std::collections::BTreeMap;
 
@@ -55,8 +60,15 @@ impl MetricKey {
     }
 }
 
+/// Shards of per-PE series: PE `pe`'s series live in shard `pe % SHARDS`.
+/// Fixed rather than sized per run: `Registry::new` takes no PE count, an
+/// unused shard allocates nothing, and two PEs share a lock only when they
+/// are a multiple of 64 apart.
+const SHARDS: usize = 64;
+
+/// The series of one shard.
 #[derive(Debug, Default)]
-struct RegistryInner {
+struct Shard {
     counters: BTreeMap<MetricKey, u64>,
     gauges: BTreeMap<MetricKey, u64>,
     histograms: BTreeMap<MetricKey, LogHistogram>,
@@ -67,9 +79,19 @@ struct RegistryInner {
 /// Works identically under the simulator (virtual-time samples) and the
 /// live engine (wall-clock samples): values are plain `u64`s and the
 /// registry never looks at a clock itself.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Registry {
-    inner: Mutex<RegistryInner>,
+    /// `SHARDS` per-PE shards, then one for the cluster-global series. A
+    /// key lives in exactly one shard, so merging them loses nothing.
+    shards: Box<[Mutex<Shard>]>,
+}
+
+impl Default for Registry {
+    fn default() -> Registry {
+        Registry {
+            shards: (0..=SHARDS).map(|_| Mutex::default()).collect(),
+        }
+    }
 }
 
 impl Registry {
@@ -78,10 +100,15 @@ impl Registry {
         Registry::default()
     }
 
+    /// The shard holding `pe`'s series (`None`: the global ones).
+    fn shard(&self, pe: Option<u32>) -> &Mutex<Shard> {
+        &self.shards[pe.map_or(SHARDS, |pe| pe as usize % SHARDS)]
+    }
+
     /// Add `delta` to a counter (creating it at zero).
     pub fn add(&self, key: MetricKey, delta: u64) {
-        let mut inner = self.inner.lock();
-        *inner.counters.entry(key).or_insert(0) += delta;
+        let mut shard = self.shard(key.pe).lock();
+        *shard.counters.entry(key).or_insert(0) += delta;
     }
 
     /// Increment a counter by one.
@@ -91,36 +118,69 @@ impl Registry {
 
     /// Set a gauge to `value` (last write wins).
     pub fn set_gauge(&self, key: MetricKey, value: u64) {
-        let mut inner = self.inner.lock();
-        inner.gauges.insert(key, value);
+        self.shard(key.pe).lock().gauges.insert(key, value);
     }
 
     /// Raise a gauge to `value` if it is below it (high-water mark).
     pub fn gauge_max(&self, key: MetricKey, value: u64) {
-        let mut inner = self.inner.lock();
-        let g = inner.gauges.entry(key).or_insert(0);
+        let mut shard = self.shard(key.pe).lock();
+        let g = shard.gauges.entry(key).or_insert(0);
         *g = (*g).max(value);
     }
 
     /// Record one sample into a histogram (creating it empty).
     pub fn record(&self, key: MetricKey, value: u64) {
-        let mut inner = self.inner.lock();
-        inner.histograms.entry(key).or_default().record(value);
+        let mut shard = self.shard(key.pe).lock();
+        shard.histograms.entry(key).or_default().record(value);
     }
 
-    /// Copy out everything, sorted by key.
+    /// Copy out everything, sorted by key. Shards are copied one at a time,
+    /// so a snapshot taken while other threads update is exact per PE, not
+    /// across PEs.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
-        MetricsSnapshot {
-            counters: inner.counters.iter().map(|(k, v)| (*k, *v)).collect(),
-            gauges: inner.gauges.iter().map(|(k, v)| (*k, *v)).collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, h)| (*k, h.clone()))
-                .collect(),
-        }
+        merge(self.shards.iter(), |_| true)
     }
+
+    /// Copy out `pe`'s series only, plus the cluster-global ones when
+    /// `include_global` is set, sorted by key: what one PE's telemetry
+    /// tracker ships, without copying every other PE's series.
+    pub fn snapshot_pe(&self, pe: u32, include_global: bool) -> MetricsSnapshot {
+        let global = include_global.then(|| self.shard(None));
+        merge(std::iter::once(self.shard(Some(pe))).chain(global), |k| {
+            k.pe.is_none_or(|p| p == pe)
+        })
+    }
+}
+
+/// The series of `shards` that `keep` accepts, as one key-sorted snapshot.
+fn merge<'a>(
+    shards: impl Iterator<Item = &'a Mutex<Shard>>,
+    keep: impl Fn(&MetricKey) -> bool,
+) -> MetricsSnapshot {
+    let mut s = MetricsSnapshot::default();
+    for shard in shards {
+        let shard = shard.lock();
+        pick(&mut s.counters, &shard.counters, &keep);
+        pick(&mut s.gauges, &shard.gauges, &keep);
+        pick(&mut s.histograms, &shard.histograms, &keep);
+    }
+    s.counters.sort_unstable_by_key(|(k, _)| *k);
+    s.gauges.sort_unstable_by_key(|(k, _)| *k);
+    s.histograms.sort_unstable_by_key(|(k, _)| *k);
+    s
+}
+
+/// Append the series of `from` that `keep` accepts to `into`.
+fn pick<V: Clone>(
+    into: &mut Vec<(MetricKey, V)>,
+    from: &BTreeMap<MetricKey, V>,
+    keep: &impl Fn(&MetricKey) -> bool,
+) {
+    into.extend(
+        from.iter()
+            .filter(|(k, _)| keep(k))
+            .map(|(k, v)| (*k, v.clone())),
+    );
 }
 
 /// An owned, ordered copy of a [`Registry`] at one point in time.
