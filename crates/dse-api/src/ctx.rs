@@ -22,12 +22,12 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use dse_kernel::kernel::{count as count_kernel, SimRequester};
+use dse_kernel::kernel::SimRequester;
 use dse_kernel::netpath::{hold_cpu, send_msg};
 use dse_kernel::protocol::{barrier_enter, lock_acquire, lock_release, sharers_to_invalidate};
 use dse_kernel::{
-    ClusterShared, Distribution, GlobalStore, GmError, GmMode, HomeSpans, Party, SimKernelPort,
-    SimMsg,
+    ClusterShared, Distribution, GlobalStore, GmCount, GmError, GmMode, HomeSpans, Party,
+    SimKernelPort, SimMsg,
 };
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
 use dse_obs::{MetricKey, SpanKind, TraceRole, TraceSpanKind};
@@ -35,7 +35,7 @@ use dse_platform::Work;
 use dse_sim::{ProcCtx, ProcId, SimDuration, SimTime};
 
 use crate::api::ParallelApi;
-use crate::gm_client::{latency_series, GmClient, GmCount, GmHandle, GmPort, GmProtocolError};
+use crate::gm_client::{latency_series, GmClient, GmHandle, GmPort, GmProtocolError};
 use crate::req_spans::{Arrival, RequesterSpans, SentReq};
 
 /// Barrier ids above this are reserved for the auto-sequenced
@@ -204,7 +204,7 @@ impl<'a> SimPort<'a> {
         }
         let (shared, node) = (&*self.shared, self.node);
         let holders = sharers_to_invalidate(&shared.cache, rc, (region, offset, len), node, |c| {
-            count_kernel(shared, node, c)
+            shared.counters(node).count(c)
         });
         let inv = Message::GmInvalidate {
             req: txn,
@@ -247,21 +247,7 @@ impl GmPort for SimPort<'_> {
     }
 
     fn count(&mut self, what: GmCount) {
-        self.shared.stats.update(self.node, |s| match what {
-            GmCount::LocalRead(bytes) => {
-                s.gm_local_reads += 1;
-                s.gm_bytes_read += bytes as u64;
-            }
-            GmCount::ReplicaHit => {
-                s.cache_hits += 1;
-                s.dir_hits += 1;
-            }
-            GmCount::ReplicaMiss => {
-                s.cache_misses += 1;
-                s.dir_misses += 1;
-            }
-            GmCount::Coalesced => s.gm_coalesced += 1,
-        });
+        self.shared.counters(self.node).count(what);
     }
 
     fn send_request(
@@ -273,9 +259,7 @@ impl GmPort for SimPort<'_> {
         inflight: usize,
     ) {
         self.send_open(home, req, &msg);
-        self.shared
-            .stats
-            .update(self.node, |s| s.gm_request_msgs += 1);
+        self.count(GmCount::RequestMsg);
         let machine = self.shared.machine_of(self.node) as u32;
         self.shared.metrics.gauge_max(
             MetricKey::pe("kernel", "gm_inflight", self.pe()).on_machine(machine),
@@ -332,8 +316,8 @@ impl GmPort for SimPort<'_> {
     /// that went on the wire was sampled as a request, and one served
     /// own-node has no series (the telemetry plane ships every series, so
     /// one more would move virtual time on watched runs). Nor is there an
-    /// `op_begun`: `KernelStats` counts an operation where it is served,
-    /// own-node or by the home kernel.
+    /// `op_begun`: the `kernel/*` counters count an operation where it is
+    /// served, own-node or by the home kernel.
     fn op_done(&mut self, kind: SpanKind, _seq: u64, since: u64) {
         if kind != SpanKind::GmFetchAdd {
             self.sample(kind, since);
@@ -365,7 +349,7 @@ impl GmPort for SimPort<'_> {
         if self.shared.config.gm_cache && self.shared.config.gm_mode == GmMode::ReleaseConsistency {
             self.charge_local(0);
             self.shared.cache.purge_node(self.node);
-            self.shared.stats.update(self.node, |s| s.rc_acquires += 1);
+            self.count(GmCount::RcAcquire);
         }
     }
 
@@ -381,10 +365,6 @@ impl GmPort for SimPort<'_> {
         self.coherent_local_write(reqs, region, offset, data.len());
         self.charge_local(data.len());
         self.shared.store.write(region, offset, data)?;
-        self.shared.stats.update(self.node, |s| {
-            s.gm_local_writes += 1;
-            s.gm_bytes_written += data.len() as u64;
-        });
         Ok(Vec::new())
     }
 
@@ -398,7 +378,6 @@ impl GmPort for SimPort<'_> {
     ) -> Result<i64, GmError> {
         self.coherent_local_write(reqs, region, offset, 8);
         self.charge_local(8);
-        self.shared.stats.update(self.node, |s| s.fetch_adds += 1);
         self.shared.store.fetch_add(region, offset, delta)
     }
 
@@ -652,8 +631,11 @@ impl<P: GmPort> ParallelApi for ApiCtx<P> {
             port.replica_drop(region, offset, 8);
         }
         let prev = if home == port.node() {
-            port.own_node_fetch_add(reqs, region, offset, delta)
-                .unwrap_or_else(|e| port.bad_access("gm_fetch_add", e))
+            let prev = port
+                .own_node_fetch_add(reqs, region, offset, delta)
+                .unwrap_or_else(|e| port.bad_access("gm_fetch_add", e));
+            port.count(GmCount::LocalFetchAdd);
+            prev
         } else {
             let req = reqs.next();
             let msg = Message::GmFetchAddReq {

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use dse_kernel::cache::{blocks_inside, CACHE_BLOCK};
-use dse_kernel::{GlobalStore, GmError};
+use dse_kernel::{GlobalStore, GmCount, GmError};
 use dse_msg::{
     is_bulk, Bytes, GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx,
 };
@@ -101,20 +101,6 @@ impl ReadBuf {
             ReadBuf::Shared(b) => b.into_vec(),
         }
     }
-}
-
-/// A counter the client bumps through [`GmPort::count`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GmCount {
-    /// An own-node read of this many bytes.
-    LocalRead(usize),
-    /// A read (or part of one) served from an installed replica.
-    ReplicaHit,
-    /// A cacheable block that had to be fetched from its home.
-    ReplicaMiss,
-    /// A segment merged into an already staged one instead of becoming a
-    /// request of its own.
-    Coalesced,
 }
 
 /// A response a peer sent that does not fit the request it answers.
@@ -237,7 +223,7 @@ pub trait GmPort {
     /// Apply a write to this node's own partition, with the engine's
     /// coherence round around it. Returns the ids of the requests whose
     /// acknowledgements gate the writing handle (none when the round
-    /// already completed inline).
+    /// already completed inline). The client counts the write.
     fn own_node_write(
         &mut self,
         reqs: &mut ReqIdGen,
@@ -246,7 +232,8 @@ pub trait GmPort {
         data: &[u8],
     ) -> Result<Vec<ReqId>, GmError>;
     /// Fetch-and-add on a cell of this node's own partition, with the
-    /// engine's coherence round around it, complete on return.
+    /// engine's coherence round around it, complete on return. The context
+    /// counts the atomic.
     fn own_node_fetch_add(
         &mut self,
         reqs: &mut ReqIdGen,
@@ -695,6 +682,7 @@ impl GmClient {
                 let gates = port
                     .own_node_write(&mut self.reqs, region, off, chunk)
                     .unwrap_or_else(|e| port.bad_access("gm_write", e));
+                port.count(GmCount::LocalWrite(rlen));
                 for req in gates {
                     self.owe_segment(handle);
                     self.inflight

@@ -53,14 +53,14 @@ mod fake_port;
 
 pub use api::ParallelApi;
 pub use ctx::{ApiCtx, DseCtx, SimPort, UserMsg, AUTO_BARRIER_BASE};
-pub use gm_client::{latency_series, GmClient, GmCount, GmHandle, GmPort, GmProtocolError};
+pub use gm_client::{latency_series, GmClient, GmHandle, GmPort, GmProtocolError};
 pub use program::{DseProgram, RunResult, TelemetrySummary};
 pub use region::{GmArray, GmCounter, GmElem};
 pub use req_spans::{Arrival, RequesterSpans, SentReq};
 
 // Re-export the vocabulary callers need alongside the API.
 pub use dse_kernel::{
-    Distribution, DseConfig, KernelStats, NetworkChoice, Organization, TelemetryConfig,
+    Distribution, DseConfig, GmCount, NetworkChoice, Organization, TelemetryConfig,
 };
 pub use dse_msg::{GlobalPid, NodeId, RegionId};
 pub use dse_platform::{ClusterSpec, Platform, Work};

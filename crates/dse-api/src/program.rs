@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dse_kernel::kernel::{AppFactory, SimKernel};
 use dse_kernel::netpath::{hold_cpu, send_msg};
-use dse_kernel::{ClusterShared, DseConfig, KernelStats, SimMsg, TelemetryHook};
+use dse_kernel::{ClusterShared, DseConfig, SimMsg, TelemetryHook};
 use dse_msg::{Message, NodeId, ReqIdGen};
 use dse_obs::{
     BusInterval, ClusterAggregator, MetricKey, MetricsSnapshot, NodeStatus, TraceSpanRec,
@@ -43,8 +43,6 @@ pub struct RunResult {
     pub nprocs: usize,
     /// Platform id (`"sunos"`, `"aix"`, `"linux"`).
     pub platform_id: &'static str,
-    /// Runtime activity counters.
-    pub stats: KernelStats,
     /// Frames the interconnect carried.
     pub net_frames: u64,
     /// Wire bytes the interconnect carried (headers included).
@@ -53,10 +51,8 @@ pub struct RunResult {
     pub net_collisions: u64,
     /// The engine's report (trace hash, resource usage, completions).
     pub report: SimReport,
-    /// Runtime counters per processor element, indexed by node id.
-    pub per_pe_stats: Vec<KernelStats>,
     /// Observability metrics: named counters, gauges and latency
-    /// histograms (includes the per-PE kernel-stats rollup).
+    /// histograms, the per-PE `kernel/*` counters among them.
     pub metrics: MetricsSnapshot,
     /// Per-PE causal spans in virtual time, recorded when
     /// `DseConfig::tracing` is on (empty otherwise), in the live engine's
@@ -237,9 +233,7 @@ impl DseProgram {
                 net.bus_intervals(),
             )
         };
-        let per_pe_stats = shared.stats.per_pe();
         let mut metrics = shared.metrics.snapshot();
-        metrics.absorb_counters(per_pe_counter_rollup(&shared, &per_pe_stats));
         // The event-loop total lives host-side in the simulator, outside any
         // PE's delta tracker, so it is absorbed into both the direct snapshot
         // and the telemetry rollup — keeping the two byte-identical.
@@ -261,31 +255,16 @@ impl DseProgram {
             elapsed,
             nprocs,
             platform_id: shared.spec.platform.id,
-            stats: shared.stats.snapshot(),
             net_frames,
             net_wire_bytes,
             net_collisions,
             report,
-            per_pe_stats,
             metrics,
             trace_spans: shared.trace_sink.take_streams(nprocs),
             bus_intervals,
             telemetry,
         }
     }
-}
-
-/// Flatten each PE's [`KernelStats`] into named metric counters (subsystem
-/// `kernel`), tagging every series with the PE's machine. Delegates to
-/// [`KernelStats::as_metric_counters`] — the same mapping the telemetry
-/// plane ships in-band, which is what makes the two rollups identical.
-fn per_pe_counter_rollup(shared: &ClusterShared, per_pe: &[KernelStats]) -> Vec<(MetricKey, u64)> {
-    let mut out = Vec::new();
-    for (pe, ks) in per_pe.iter().enumerate() {
-        let machine = shared.machine_of(NodeId(pe as u16)) as u32;
-        out.extend(ks.as_metric_counters(pe as u32, machine));
-    }
-    out
 }
 
 /// The launcher: invoke every rank, await acknowledgements and exits,

@@ -6,6 +6,8 @@
 //! records the lease; the requester installs on completion, and the same
 //! second read misses there.)
 
+use std::sync::Arc;
+
 use dse_api::{Distribution, DseConfig, DseProgram, NodeId, ParallelApi, Platform, Work};
 
 const BLOCK: usize = 512;
@@ -30,18 +32,20 @@ fn a_second_overlapping_read_hits_before_the_first_is_waited_on() {
                 ctx.compute(Work::flops(50_000_000));
                 // Node 2 has served the block and installed it in node 0's
                 // replica cache, yet rank 0 has not redeemed the handle.
-                let shared = ctx.shared();
-                assert_eq!(shared.stats.snapshot_pe(2).gm_remote_reads, 1);
+                let shared = Arc::clone(ctx.shared());
+                let counter =
+                    |pe, name| shared.metrics.snapshot().counter("kernel", name, Some(pe));
+                assert_eq!(counter(2, "gm_remote_reads"), Some(1));
                 assert!(
                     shared.cache.get(NodeId(0), region, 2).is_some(),
                     "the home installed the block before its answer was read"
                 );
-                let before = ctx.shared().stats.snapshot_pe(0);
+                let node0 = || (counter(0, "cache_hits"), counter(0, "gm_request_msgs"));
+                let (hits, requests) = node0();
                 let again = ctx.gm_read_nb(region, 2 * BLOCK as u64 + 16, 64);
-                let after = ctx.shared().stats.snapshot_pe(0);
                 assert_eq!(
-                    (after.cache_hits, after.gm_request_msgs),
-                    (before.cache_hits + 1, before.gm_request_msgs),
+                    node0(),
+                    (hits.map(|h| h + 1), requests),
                     "served from the replica the home installed: no request"
                 );
                 assert_eq!(ctx.gm_wait(again), Some(vec![0; 64]));
@@ -49,5 +53,5 @@ fn a_second_overlapping_read_hits_before_the_first_is_waited_on() {
             }
             ctx.barrier();
         });
-    assert_eq!(r.stats.cache_hits, 1);
+    assert_eq!(r.metrics.counter_sum_over_pes("kernel", "cache_hits"), 1);
 }

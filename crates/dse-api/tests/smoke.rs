@@ -44,7 +44,10 @@ fn barrier_synchronizes_all_ranks() {
         ctx.barrier();
     });
     assert_eq!(hits.load(Ordering::SeqCst), 4);
-    assert_eq!(r.stats.barrier_epochs, 2);
+    assert_eq!(
+        r.metrics.counter_sum_over_pes("kernel", "barrier_epochs"),
+        2
+    );
 }
 
 #[test]
@@ -62,8 +65,9 @@ fn gm_array_blocked_read_write() {
             assert_eq!(*v, i as f64);
         }
     });
-    assert!(r.stats.gm_remote_reads > 0, "remote traffic expected");
-    assert!(r.stats.gm_local_writes > 0, "local fast path expected");
+    let kernel = |name| r.metrics.counter_sum_over_pes("kernel", name);
+    assert!(kernel("gm_remote_reads") > 0, "remote traffic expected");
+    assert!(kernel("gm_local_writes") > 0, "local fast path expected");
 }
 
 #[test]

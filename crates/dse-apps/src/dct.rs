@@ -383,8 +383,9 @@ mod tests {
         let program = DseProgram::new(Platform::aix_rs6000());
         let (run, par) = compress_parallel(&program, 3, params);
         assert_eq!(par, seq);
-        assert!(run.stats.fetch_adds > 0, "task counter unused?");
-        assert!(run.stats.gm_remote_reads > 0, "expected DSM image fetches");
+        let kernel = |name| run.metrics.counter_sum_over_pes("kernel", name);
+        assert!(kernel("fetch_adds") > 0, "task counter unused?");
+        assert!(kernel("gm_remote_reads") > 0, "expected DSM image fetches");
     }
 
     #[test]

@@ -156,8 +156,9 @@ mod tests {
         assert!(residual(&sys, &sol.x) < 1e-6);
         // No global-memory traffic at all in the MP version (the barrier
         // and the user messages are the only runtime services used).
-        assert_eq!(run.stats.gm_remote_reads, 0);
-        assert_eq!(run.stats.gm_remote_writes, 0);
+        let kernel = |name| run.metrics.counter_sum_over_pes("kernel", name);
+        assert_eq!(kernel("gm_remote_reads"), 0);
+        assert_eq!(kernel("gm_remote_writes"), 0);
     }
 
     #[test]

@@ -179,7 +179,7 @@ mod tests {
             tc.elapsed,
             tp.elapsed
         );
-        assert!(tc.stats.cache_hits > 0);
+        assert!(tc.metrics.counter_sum_over_pes("kernel", "cache_hits") > 0);
     }
 
     #[test]

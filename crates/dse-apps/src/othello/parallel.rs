@@ -223,7 +223,8 @@ mod tests {
         let program = DseProgram::new(Platform::linux_pentium2());
         let (run, (pmv, pv)) = search_parallel(&program, 3, params);
         assert_eq!((pmv, pv), (mv, v));
-        assert!(run.stats.fetch_adds as usize >= make_tasks(params.position(), 4).len());
+        let fetch_adds = run.metrics.counter_sum_over_pes("kernel", "fetch_adds");
+        assert!(fetch_adds as usize >= make_tasks(params.position(), 4).len());
     }
 
     #[test]

@@ -44,9 +44,10 @@ use dse_sim::{CompCtx, Component, ProcCtx, ProcId, SimDuration, SimTime, Wait, W
 
 use crate::cache::CacheStore;
 use crate::config::GmMode;
+use crate::counters::KernelCount;
 use crate::home_spans::{HomeSpans, Origin};
 use crate::netpath::{begin_send, book_wire, hold_cpu, send_msg};
-use crate::protocol::{Gates, KernelCount, KernelPort, KernelProtocol};
+use crate::protocol::{Gates, KernelPort, KernelProtocol};
 use crate::shared::ClusterShared;
 use crate::simmsg::SimMsg;
 use crate::sync::{BarrierCenter, LockCenter};
@@ -160,30 +161,6 @@ impl<'a> SimKernelPort<'a> {
     }
 }
 
-/// Bump `node`'s kernel-stats cell for a protocol counter.
-pub fn count(shared: &ClusterShared, node: NodeId, what: KernelCount) {
-    shared.stats.update(node, |s| match what {
-        KernelCount::RemoteRead(bytes) => {
-            s.gm_remote_reads += 1;
-            s.gm_bytes_read += bytes as u64;
-        }
-        KernelCount::RemoteWrite(bytes) => {
-            s.gm_remote_writes += 1;
-            s.gm_bytes_written += bytes as u64;
-        }
-        KernelCount::FetchAdd => s.fetch_adds += 1,
-        KernelCount::DirLeases(n) => s.dir_leases += n,
-        KernelCount::DirInval => s.dir_invals += 1,
-        KernelCount::RcDeferred => s.rc_deferred_invals += 1,
-        KernelCount::InvalidationRound(holders) => {
-            s.invalidation_rounds += 1;
-            s.cache_invalidations += holders as u64;
-        }
-        KernelCount::BarrierEpoch => s.barrier_epochs += 1,
-        KernelCount::LockGrant => s.lock_grants += 1,
-    });
-}
-
 impl KernelPort for SimKernelPort<'_> {
     type Reply = SimRequester;
 
@@ -208,7 +185,7 @@ impl KernelPort for SimKernelPort<'_> {
 
     fn count(&mut self, what: KernelCount) {
         match &mut self.exec {
-            Exec::Blocking(_) => count(self.shared, self.node, what),
+            Exec::Blocking(_) => self.shared.counters(self.node).count(what),
             Exec::Recording(ops, _) => ops.push_back(Op::Count(what)),
         }
     }
@@ -413,8 +390,7 @@ impl SimKernel {
         let (shared, node) = (&*self.shared, self.node);
         let tracker = &mut self.telemetry.as_mut().expect("a tick is armed").tracker;
         let snap = tracker.snapshot(&shared.metrics);
-        let extra = synth_counters(shared, node);
-        if let Some((seq, d)) = tracker.delta(&snap, &extra, node == NodeId(0)) {
+        if let Some((seq, d)) = tracker.delta(&snap, node == NodeId(0)) {
             let msg = Message::Telemetry {
                 pe: tracker.pe(),
                 seq,
@@ -498,7 +474,7 @@ impl Component<SimMsg> for SimKernel {
             match op {
                 Op::Charge(dur) => return self.ask_cpu(now, dur),
                 Op::Serve(reply, msg) => self.serve(now, reply, msg),
-                Op::Count(what) => count(&self.shared, node, what),
+                Op::Count(what) => self.shared.counters(node).count(what),
                 Op::Send(to_node, to, msg, trace) => {
                     let (bytes, charge) = begin_send(&self.shared, node, &msg);
                     self.ops.push_front(Op::Wire(to_node, to, bytes, trace));
@@ -515,7 +491,7 @@ impl Component<SimMsg> for SimKernel {
                     ctx.send(to, latency, msg);
                 }
                 Op::Spawn(rank, pid) => {
-                    self.shared.stats.update(node, |s| s.invokes += 1);
+                    self.shared.counters(node).count(KernelCount::Invoke);
                     let body = (self.factory)(rank, pid);
                     let app = ctx.spawn(&format!("rank{rank}@{node}"), move |pctx| body(pctx));
                     self.shared.register_app(pid, app);
@@ -547,16 +523,6 @@ impl Component<SimMsg> for SimKernel {
     }
 }
 
-/// This node's synthesized extra counters: its kernel-stats cell flattened
-/// into metric series (the part of the per-PE rollup not kept in the
-/// registry).
-fn synth_counters(shared: &ClusterShared, node: NodeId) -> Vec<(MetricKey, u64)> {
-    shared
-        .stats
-        .snapshot_pe(node.index())
-        .as_metric_counters(node.0 as u32, shared.machine_of(node) as u32)
-}
-
 /// Shutdown flush: apply this PE's absolute state straight to the
 /// aggregator. The wire cannot carry it (the aggregating kernel exits on
 /// the same shutdown wave and late messages would be dropped), but it still
@@ -564,8 +530,7 @@ fn synth_counters(shared: &ClusterShared, node: NodeId) -> Vec<(MetricKey, u64)>
 /// a pure product of the in-band codec.
 fn final_flush(now_ns: u64, shared: &ClusterShared, node: NodeId, tracker: &mut DeltaTracker) {
     let snap = tracker.snapshot(&shared.metrics);
-    let extra = synth_counters(shared, node);
-    let (seq, d) = tracker.absolute(&snap, &extra);
+    let (seq, d) = tracker.absolute(&snap);
     let back = TelemetryDelta::decode(&d.encode()).expect("telemetry self-roundtrip");
     shared
         .aggregator

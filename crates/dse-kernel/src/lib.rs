@@ -7,7 +7,8 @@
 //! * the **serving-side protocol** ([`protocol`] — GM request service with
 //!   the home's directory step, response gates, barrier and lock fan-out:
 //!   one state machine behind a [`KernelPort`], driven by both engines'
-//!   kernels),
+//!   kernels) and its **counters** ([`counters`] — one mapping from what
+//!   either engine's ports count to the `kernel/*` metric series),
 //! * the **parallel process management module** and the simulated kernel
 //!   ([`kernel`] — a passive simulation component, no thread of its own:
 //!   invocation, termination, telemetry; the simulator's port), and the
@@ -32,6 +33,7 @@
 pub mod cache;
 pub mod config;
 pub mod cost;
+pub mod counters;
 pub mod dedup;
 pub mod directory;
 pub mod gmem;
@@ -42,7 +44,6 @@ pub mod protocol;
 pub mod service;
 pub mod shared;
 pub mod simmsg;
-pub mod stats;
 pub mod sync;
 pub mod task;
 
@@ -52,15 +53,15 @@ pub use config::{
     DEFAULT_GM_WINDOW,
 };
 pub use cost::CostModel;
+pub use counters::{Count, GmCount, KernelCount, PeCounters, KERNEL_COUNTERS};
 pub use dedup::{dedup_key, DedupCache};
 pub use directory::{Directory, Sharers};
 pub use gmem::{Distribution, GlobalStore, GmError};
 pub use home_spans::{HomeSpans, Origin};
 pub use kernel::{AppBody, AppFactory, SimKernel, SimKernelPort};
-pub use protocol::{Gates, KernelCount, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
+pub use protocol::{Gates, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 pub use service::{serve_gm, GmServiceHooks, NoHooks, Served};
 pub use shared::{ClusterShared, TelemetryHook};
 pub use simmsg::SimMsg;
-pub use stats::{KernelStats, StatsCell};
 pub use sync::{BarrierCenter, BarrierOutcome, LockCenter, LockOutcome, Party, UnlockOutcome};
 pub use task::{is_app_bound, KernelEnv, KernelEvent, KernelTask, Outbound, Progress};

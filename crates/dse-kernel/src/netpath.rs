@@ -20,6 +20,7 @@ use dse_msg::{Message, NodeId, TraceCtx};
 use dse_obs::MetricKey;
 use dse_sim::{ProcCtx, ProcId, SimDuration, SimTime};
 
+use crate::counters::KernelCount;
 use crate::shared::ClusterShared;
 use crate::simmsg::SimMsg;
 
@@ -81,10 +82,9 @@ pub fn begin_send(
     msg: &Message,
 ) -> (Vec<u8>, SimDuration) {
     let bytes = msg.encode();
-    shared.stats.update(from_node, |s| {
-        s.messages += 1;
-        s.message_bytes += bytes.len() as u64;
-    });
+    shared
+        .counters(from_node)
+        .count(KernelCount::Sent(bytes.len()));
     let charge = shared.cost(from_node).msg_send(bytes.len());
     (bytes, charge)
 }

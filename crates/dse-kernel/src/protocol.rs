@@ -23,6 +23,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId};
 
 use crate::cache::{blocks_inside, CacheStore, CACHE_BLOCK};
+use crate::counters::KernelCount;
 use crate::gmem::GlobalStore;
 use crate::service::{serve_gm, GmServiceHooks, Served};
 use crate::sync::{BarrierCenter, BarrierOutcome, LockCenter, LockOutcome, Party, UnlockOutcome};
@@ -32,29 +33,6 @@ use crate::sync::{BarrierCenter, BarrierOutcome, LockCenter, LockOutcome, Party,
 /// bit belongs to a home kernel's response gate, anything else to an app's
 /// own-node invalidation round.
 pub const KERNEL_TXN_BASE: u64 = 1 << 63;
-
-/// A counter the protocol bumps through [`KernelPort::count`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelCount {
-    /// A remote read of this many bytes was served.
-    RemoteRead(usize),
-    /// A remote write of this many bytes was served.
-    RemoteWrite(usize),
-    /// A remote fetch-add was served.
-    FetchAdd,
-    /// This many blocks were leased to a reader that did not hold them.
-    DirLeases(u64),
-    /// A `GmInvalidate` addressed to this node was applied.
-    DirInval,
-    /// Release consistency left the sharers of a written range in place.
-    RcDeferred,
-    /// Write-invalidate found this many sharers of a written range.
-    InvalidationRound(usize),
-    /// A barrier round completed.
-    BarrierEpoch,
-    /// A lock was granted (at once, or handed over by a release).
-    LockGrant,
-}
 
 /// Everything engine-specific a [`KernelProtocol`] needs: the simulator's
 /// `SimKernelPort` (virtual-time charges, the network model) and the live

@@ -19,9 +19,9 @@ use dse_sim::{ProcId, ResourceId, SimDuration};
 use crate::cache::CacheStore;
 use crate::config::{DseConfig, NetworkChoice};
 use crate::cost::CostModel;
+use crate::counters::PeCounters;
 use crate::gmem::GlobalStore;
 use crate::kernel::SimRequester;
-use crate::stats::StatsCell;
 use crate::sync::{BarrierCenter, LockCenter};
 
 /// Callback invoked on the aggregating kernel each time a full telemetry
@@ -51,9 +51,8 @@ pub struct ClusterShared {
     pub locks: LockCenter<SimRequester>,
     /// The interconnect timing model.
     pub network: Mutex<Network>,
-    /// Runtime counters, one cell per processor element.
-    pub stats: StatsCell,
-    /// Observability: named counters/gauges/latency histograms.
+    /// Observability: named counters/gauges/latency histograms, the
+    /// protocol's `kernel/*` counters among them ([`ClusterShared::counters`]).
     pub metrics: dse_obs::Registry,
     /// Observability: the causal spans of every process and kernel that has
     /// finished (empty unless `config.tracing`).
@@ -109,13 +108,12 @@ impl ClusterShared {
             }
         };
         let placement = spec.place();
-        ClusterShared {
+        let shared = ClusterShared {
             store: GlobalStore::new(spec.processors),
             cache: CacheStore::new(spec.processors),
             barriers: BarrierCenter::new(spec.processors),
             locks: LockCenter::new(),
             network: Mutex::new(network),
-            stats: StatsCell::new(spec.processors),
             metrics: dse_obs::Registry::new(),
             trace_sink: dse_obs::TraceSink::default(),
             aggregator: Mutex::new(dse_obs::ClusterAggregator::new(spec.processors)),
@@ -132,7 +130,11 @@ impl ClusterShared {
             costs,
             config,
             spec,
+        };
+        for n in 0..shared.nnodes() {
+            shared.counters(NodeId(n as u16)).register();
         }
+        shared
     }
 
     /// Number of processor elements (== parallel processes).
@@ -153,6 +155,12 @@ impl ClusterShared {
     /// Cost model of the machine hosting a node.
     pub fn cost(&self, node: NodeId) -> &CostModel {
         &self.costs[self.machine_of(node)]
+    }
+
+    /// The `kernel/*` counters of a node, tagged with its machine.
+    pub fn counters(&self, node: NodeId) -> PeCounters<'_> {
+        let machine = self.machine_of(node) as u32;
+        PeCounters::new(&self.metrics, node.0 as u32, Some(machine))
     }
 
     /// True if two nodes share a physical machine (loopback path).

@@ -39,10 +39,11 @@ use dse_obs::{
 
 use crate::cache::CacheStore;
 use crate::config::{GmMode, DEFAULT_GM_WINDOW};
+use crate::counters::{KernelCount, PeCounters};
 use crate::dedup::{dedup_key, DedupCache};
 use crate::gmem::GlobalStore;
 use crate::home_spans::{HomeSpans, Origin};
-use crate::protocol::{KernelCount, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
+use crate::protocol::{KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 use crate::sync::{BarrierCenter, LockCenter};
 
 /// `Abort` frame `code` values used by the kernel and the live engine.
@@ -180,24 +181,6 @@ struct Requester {
     key: Option<(u32, u64)>,
 }
 
-/// A protocol counter in the live registry, under the metric names the
-/// simulator's kernel emits, so one `dse-top` view serves both engines.
-pub fn count_live(metrics: &Registry, pe: u32, what: KernelCount) {
-    let (name, n) = match what {
-        KernelCount::RemoteRead(bytes) => ("gm_bytes_read", bytes as u64),
-        KernelCount::RemoteWrite(bytes) => ("gm_bytes_written", bytes as u64),
-        KernelCount::DirLeases(n) => ("dir_leases", n),
-        KernelCount::DirInval => ("dir_invals", 1),
-        KernelCount::RcDeferred => ("rc_deferred_invals", 1),
-        KernelCount::InvalidationRound(holders) => {
-            metrics.incr(MetricKey::pe("kernel", "invalidation_rounds", pe));
-            ("cache_invalidations", holders as u64)
-        }
-        KernelCount::FetchAdd | KernelCount::BarrierEpoch | KernelCount::LockGrant => return,
-    };
-    metrics.add(MetricKey::pe("kernel", name, pe), n);
-}
-
 /// The live engine behind [`KernelPort`]: sends queue on the outbox,
 /// counters go to the metrics registry, nothing is charged. On top, what
 /// only a lossy wire needs: the memory of answered requests and the keys
@@ -271,7 +254,7 @@ impl KernelPort for LivePort<'_> {
     }
 
     fn count(&mut self, what: KernelCount) {
-        count_live(self.env.metrics, self.env.pe, what);
+        PeCounters::new(self.env.metrics, self.env.pe, None).count(what);
     }
 
     /// Only the home-side half of the lease: the data travels in the
@@ -454,7 +437,7 @@ impl<'a> KernelTask<'a> {
                 let snap = self.tracker.snapshot(env.metrics);
                 // PE 0 forces an empty heartbeat so the aggregator's
                 // staleness clock keeps advancing on an idle cluster.
-                if let Some((seq, d)) = self.tracker.delta(&snap, &[], pe == 0) {
+                if let Some((seq, d)) = self.tracker.delta(&snap, pe == 0) {
                     self.port.outbox.push_back(Outbound::WireBestEffort {
                         to: 0,
                         msg: Message::Telemetry {

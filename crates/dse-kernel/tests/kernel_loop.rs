@@ -116,9 +116,10 @@ fn remote_read_write_roundtrip() {
             );
         },
     );
-    let stats = shared.stats.snapshot();
-    assert_eq!(stats.gm_remote_reads, 1);
-    assert_eq!(stats.gm_remote_writes, 1);
+    let metrics = shared.metrics.snapshot();
+    let served = |name| metrics.counter_sum_over_pes("kernel", name);
+    assert_eq!(served("gm_remote_reads"), 1);
+    assert_eq!(served("gm_remote_writes"), 1);
 }
 
 #[test]

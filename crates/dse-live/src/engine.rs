@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 
 use dse_kernel::gmem::GlobalStore;
 use dse_kernel::task::{is_app_bound, KernelEnv, KernelTask, Outbound};
-use dse_kernel::{CacheStore, GmMode, SchedulerKind};
+use dse_kernel::{CacheStore, GmMode, PeCounters, SchedulerKind};
 use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
 use dse_obs::{
     ClusterAggregator, DeltaTracker, FlightRecorder, MetricKey, MetricsSnapshot, Registry,
@@ -253,10 +253,14 @@ type AppInbox = Arc<BlockingQueue<(Message, Option<TraceCtx>)>>;
 
 impl LiveCluster {
     fn with_config(nprocs: usize, cfg: &LiveRunConfig) -> LiveCluster {
+        let metrics = Registry::new();
+        for pe in 0..nprocs as u32 {
+            PeCounters::new(&metrics, pe, None).register();
+        }
         LiveCluster {
             nprocs,
             store: GlobalStore::new(nprocs),
-            metrics: Registry::new(),
+            metrics,
             flight: FlightRecorder::with_capacity(FLIGHT_CAPACITY),
             failures: Mutex::new(Vec::new()),
             abort: AtomicBool::new(false),
@@ -788,7 +792,7 @@ where
             let snap = cluster.metrics.snapshot();
             let now_ns = start.elapsed().as_nanos() as u64;
             for t in trackers.iter_mut() {
-                let (seq, d) = t.absolute(&snap, &[]);
+                let (seq, d) = t.absolute(&snap);
                 let back = TelemetryDelta::decode(&d.encode()).expect("telemetry self-roundtrip");
                 agg.apply(t.pe(), seq, now_ns, &back);
             }

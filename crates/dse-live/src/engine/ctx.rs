@@ -14,12 +14,9 @@ use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dse_api::{
-    latency_series, ApiCtx, Arrival, GmCount, GmPort, GmProtocolError, RequesterSpans, SentReq,
-};
+use dse_api::{latency_series, ApiCtx, Arrival, GmPort, GmProtocolError, RequesterSpans, SentReq};
 use dse_kernel::protocol::sharers_to_invalidate;
-use dse_kernel::task::count_live;
-use dse_kernel::{GlobalStore, GmError, GmMode, DEFAULT_GM_WINDOW};
+use dse_kernel::{GlobalStore, GmCount, GmError, GmMode, PeCounters, DEFAULT_GM_WINDOW};
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
 use dse_obs::{FlightEventKind, MetricKey, Registry, SpanKind, TraceRole};
 use dse_transport::{Pop, Transport};
@@ -121,6 +118,11 @@ impl LivePort {
 
     fn metrics(&self) -> &Registry {
         &self.cluster.metrics
+    }
+
+    /// This rank's `kernel/*` counters.
+    fn counters(&self) -> PeCounters<'_> {
+        PeCounters::new(self.metrics(), self.rank, None)
     }
 
     fn incr(&self, subsystem: &'static str, name: &'static str) {
@@ -309,7 +311,7 @@ impl LivePort {
         };
         let rc = cluster.gm_mode == GmMode::ReleaseConsistency;
         let holders = sharers_to_invalidate(cs, rc, (region, offset, len), self.me(), |c| {
-            count_live(&cluster.metrics, self.rank, c)
+            self.counters().count(c)
         });
         holders
             .into_iter()
@@ -354,16 +356,7 @@ impl GmPort for LivePort {
     }
 
     fn count(&mut self, what: GmCount) {
-        let names: &[&'static str] = match what {
-            // Own-node reads show up as `gm/local_read_ns` samples.
-            GmCount::LocalRead(_) => &[],
-            GmCount::ReplicaHit => &["cache_hits", "dir_hits"],
-            GmCount::ReplicaMiss => &["cache_misses", "dir_misses"],
-            GmCount::Coalesced => &["gm_coalesced"],
-        };
-        for name in names {
-            self.incr("kernel", name);
-        }
+        self.counters().count(what);
     }
 
     fn send_request(
@@ -375,7 +368,7 @@ impl GmPort for LivePort {
         inflight: usize,
     ) {
         let home = home.0 as u32;
-        self.incr("kernel", "gm_request_msgs");
+        self.count(GmCount::RequestMsg);
         self.send_armed(req, home, msg, true);
         self.metrics().gauge_max(
             MetricKey::pe("kernel", "gm_inflight", self.rank),
@@ -515,7 +508,7 @@ impl GmPort for LivePort {
                 *epoch += 1;
                 cs.purge_node(self.me());
                 drop(epoch);
-                self.incr("kernel", "rc_acquires");
+                self.count(GmCount::RcAcquire);
             }
         }
     }
@@ -559,7 +552,7 @@ impl GmPort for LivePort {
 
     /// A request like any other: one `gm_request_msgs`, retry-armed.
     fn send_atomic(&mut self, home: NodeId, req: ReqId, msg: Message) {
-        self.incr("kernel", "gm_request_msgs");
+        self.count(GmCount::RequestMsg);
         self.send_armed(req, home.0 as u32, msg, true);
     }
 

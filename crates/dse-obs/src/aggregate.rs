@@ -31,7 +31,7 @@ use std::sync::{Mutex, OnceLock};
 
 use dse_msg::{CodecError, Reader, Writer};
 
-use crate::hist::LogHistogram;
+use crate::hist::{LogHistogram, LAST_BUCKET};
 use crate::registry::{MetricKey, MetricsSnapshot, Registry};
 
 /// Version byte leading every encoded delta: LEB128 varints for every
@@ -51,7 +51,7 @@ const STATIC_NAMES: &[&str] = &[
     "gm",
     "net",
     "sync",
-    // kernel-stats rollup counters (declaration order of `KernelStats`)
+    // the protocol's `kernel/*` counters (dse-kernel's `KERNEL_COUNTERS`)
     "gm_local_reads",
     "gm_remote_reads",
     "gm_local_writes",
@@ -82,7 +82,7 @@ const STATIC_NAMES: &[&str] = &[
     // synchronization waits
     "barrier_wait_ns",
     "lock_wait_ns",
-    // split-phase GM pipeline (KernelStats declaration order continued)
+    // split-phase GM pipeline (`KERNEL_COUNTERS` continued)
     "gm_request_msgs",
     "gm_coalesced",
     "invalidation_rounds",
@@ -107,21 +107,41 @@ const STATIC_NAMES: &[&str] = &[
     "rc_acquires",
 ];
 
-/// Intern a decoded metric-name string so it can live in a
-/// [`MetricKey`]'s `&'static str` fields. The pool is deduplicated, and the
-/// set of metric names in a run is small and fixed, so the leak is bounded.
-fn intern(s: &str) -> &'static str {
+/// How many distinct inline metric names one process accepts from
+/// telemetry frames. Each is leaked to live in a [`MetricKey`]; a run uses
+/// a few dozen names outside the static name table, so a frame that would
+/// take the pool past this bound is corrupt.
+pub const MAX_INLINE_NAMES: usize = 256;
+
+/// Longest inline metric name a frame may carry.
+const MAX_NAME_LEN: usize = 64;
+
+/// Whether `s` is an ASCII identifier short enough to be a metric name.
+fn is_metric_name(s: &[u8]) -> bool {
+    let ident = |c: &u8| c.is_ascii_alphanumeric() || *c == b'_';
+    s.len() <= MAX_NAME_LEN
+        && s.first().is_some_and(|c| !c.is_ascii_digit() && ident(c))
+        && s.iter().all(ident)
+}
+
+/// Intern a decoded metric name so it can live in a [`MetricKey`]'s
+/// `&'static str` fields, or `None` when it is new and the pool already
+/// holds [`MAX_INLINE_NAMES`].
+fn intern(s: &str) -> Option<&'static str> {
     static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
     let mut pool = POOL
         .get_or_init(|| Mutex::new(BTreeSet::new()))
         .lock()
         .expect("intern pool poisoned");
     if let Some(&hit) = pool.get(s) {
-        return hit;
+        return Some(hit);
+    }
+    if pool.len() >= MAX_INLINE_NAMES {
+        return None;
     }
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
     pool.insert(leaked);
-    leaked
+    Some(leaked)
 }
 
 fn write_str(w: &mut Writer, s: &str) {
@@ -155,9 +175,13 @@ fn read_str(r: &mut Reader) -> Result<&'static str, CodecError> {
     }
     let raw = r.bytes()?;
     let len = raw.len() as u64;
-    // Metric names are ASCII identifiers; anything else is a corrupt frame.
-    let s = String::from_utf8(raw).map_err(|_| CodecError::BadLength(len))?;
-    Ok(intern(&s))
+    // Metric names are short ASCII identifiers, and the pool is bounded:
+    // anything else, or a new name the full pool has no room for, is a
+    // corrupt frame.
+    match std::str::from_utf8(&raw) {
+        Ok(s) if is_metric_name(&raw) => intern(s).ok_or(CodecError::BadLength(len)),
+        _ => Err(CodecError::BadLength(len)),
+    }
 }
 
 fn read_opt_u32(r: &mut Reader) -> Result<Option<u32>, CodecError> {
@@ -282,8 +306,13 @@ impl TelemetryDelta {
             let nb = r.uvar()? as usize;
             let mut buckets = Vec::with_capacity(nb.min(1024));
             for _ in 0..nb {
-                let i = u32::try_from(r.uvar()?).map_err(|_| CodecError::BadLength(u64::MAX))?;
-                buckets.push((i, r.uvar()?));
+                // No sample lands above the last bucket; a larger index
+                // would make the aggregator grow the histogram to fit it.
+                let i = r.uvar()?;
+                if i > LAST_BUCKET as u64 {
+                    return Err(CodecError::BadLength(i));
+                }
+                buckets.push((i as u32, r.uvar()?));
             }
             hists.push((
                 k,
@@ -393,30 +422,22 @@ impl DeltaTracker {
         k.pe == Some(self.pe) || (self.include_global && k.pe.is_none())
     }
 
-    /// The tracker's filtered view of the registry snapshot, with the
-    /// synthesized `extra` counters folded in (duplicates accumulate, the
-    /// same way `MetricsSnapshot::absorb_counters` merges them).
+    /// The tracker's filtered view of the registry snapshot.
     #[allow(clippy::type_complexity)]
     fn view(
         &self,
         snap: &MetricsSnapshot,
-        extra: &[(MetricKey, u64)],
     ) -> (
         BTreeMap<MetricKey, u64>,
         BTreeMap<MetricKey, u64>,
         BTreeMap<MetricKey, LogHistogram>,
     ) {
-        let mut counters: BTreeMap<MetricKey, u64> = snap
+        let counters = snap
             .counters
             .iter()
             .filter(|(k, _)| self.relevant(k))
             .copied()
             .collect();
-        for (k, v) in extra {
-            if self.relevant(k) {
-                *counters.entry(*k).or_insert(0) += v;
-            }
-        }
         let gauges = snap
             .gauges
             .iter()
@@ -436,16 +457,10 @@ impl DeltaTracker {
     ///
     /// Returns `None` (and leaves the baseline untouched) when nothing
     /// changed and `force` is false; `force` emits an empty heartbeat so
-    /// the aggregator's staleness clock still advances. `extra` carries
-    /// counters synthesized outside the registry (the per-PE kernel-stats
-    /// rollup). On emission the sequence number increments.
-    pub fn delta(
-        &mut self,
-        snap: &MetricsSnapshot,
-        extra: &[(MetricKey, u64)],
-        force: bool,
-    ) -> Option<(u32, TelemetryDelta)> {
-        let (counters, gauges, hists) = self.view(snap, extra);
+    /// the aggregator's staleness clock still advances. On emission the
+    /// sequence number increments.
+    pub fn delta(&mut self, snap: &MetricsSnapshot, force: bool) -> Option<(u32, TelemetryDelta)> {
+        let (counters, gauges, hists) = self.view(snap);
         let mut d = TelemetryDelta::default();
         for (k, v) in &counters {
             let base = self.counters.get(k).copied().unwrap_or(0);
@@ -474,15 +489,11 @@ impl DeltaTracker {
     }
 
     /// Compute a full-state (absolute) emission: every relevant series at
-    /// its current value, including zero-valued synthesized counters.
+    /// its current value, zero-valued counters included.
     /// Applied at the aggregator it *replaces* state per key, so it heals
     /// any lost incremental deltas; each kernel ships one at shutdown.
-    pub fn absolute(
-        &mut self,
-        snap: &MetricsSnapshot,
-        extra: &[(MetricKey, u64)],
-    ) -> (u32, TelemetryDelta) {
-        let (counters, gauges, hists) = self.view(snap, extra);
+    pub fn absolute(&mut self, snap: &MetricsSnapshot) -> (u32, TelemetryDelta) {
+        let (counters, gauges, hists) = self.view(snap);
         let d = TelemetryDelta {
             absolute: true,
             counters: counters.iter().map(|(k, v)| (*k, *v)).collect(),
@@ -706,7 +717,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         let reg = sample_registry();
         let mut t = DeltaTracker::new(1, false);
-        let (seq, d) = t.delta(&reg.snapshot(), &[], false).unwrap();
+        let (seq, d) = t.delta(&reg.snapshot(), false).unwrap();
         assert_eq!(seq, 1);
         assert!(!d.is_empty());
         let back = TelemetryDelta::decode(&d.encode()).unwrap();
@@ -717,7 +728,7 @@ mod tests {
     fn unknown_version_rejected() {
         let reg = sample_registry();
         let mut t = DeltaTracker::new(0, true);
-        let (_, d) = t.delta(&reg.snapshot(), &[], false).unwrap();
+        let (_, d) = t.delta(&reg.snapshot(), false).unwrap();
         let mut buf = d.encode();
         buf[0] = 9;
         assert_eq!(TelemetryDelta::decode(&buf), Err(CodecError::BadTag(9)));
@@ -784,16 +795,57 @@ mod tests {
         }
     }
 
+    /// A frame carrying one histogram whose one bucket has index `index`.
+    fn one_bucket(index: u32) -> Vec<u8> {
+        let hist = HistDelta {
+            buckets: vec![(index, 1)],
+            count: 1,
+            sum: 1,
+            min: 1,
+            max: 1,
+        };
+        TelemetryDelta {
+            hists: vec![(MetricKey::pe("gm", "remote_read_ns", 0), hist)],
+            ..TelemetryDelta::default()
+        }
+        .encode()
+    }
+
+    #[test]
+    fn a_bucket_index_no_sample_can_have_is_a_corrupt_frame() {
+        assert!(TelemetryDelta::decode(&one_bucket(LAST_BUCKET as u32)).is_ok());
+        assert_eq!(
+            TelemetryDelta::decode(&one_bucket(4_000_000_000)),
+            Err(CodecError::BadLength(4_000_000_000))
+        );
+    }
+
+    #[test]
+    fn an_inline_name_must_be_a_short_ascii_identifier() {
+        let frame = |name: &'static str| {
+            TelemetryDelta {
+                counters: vec![(MetricKey::pe("kernel", name, 0), 1)],
+                ..TelemetryDelta::default()
+            }
+            .encode()
+        };
+        assert!(TelemetryDelta::decode(&frame("_inline_name_9")).is_ok());
+        let long: &'static str = Box::leak("n".repeat(65).into_boxed_str());
+        for bad in ["", "9lives", "two words", "dot.ted", "caf\u{e9}", long] {
+            assert!(TelemetryDelta::decode(&frame(bad)).is_err(), "{bad:?}");
+        }
+    }
+
     #[test]
     fn tracker_filters_by_pe_and_global_flag() {
         let reg = sample_registry();
         let snap = reg.snapshot();
         let mut t1 = DeltaTracker::new(1, false);
-        let (_, d1) = t1.delta(&snap, &[], false).unwrap();
+        let (_, d1) = t1.delta(&snap, false).unwrap();
         assert!(d1.counters.iter().all(|(k, _)| k.pe == Some(1)));
         assert!(d1.gauges.is_empty(), "globals belong to the aggregator PE");
         let mut t0 = DeltaTracker::new(0, true);
-        let (_, d0) = t0.delta(&snap, &[], false).unwrap();
+        let (_, d0) = t0.delta(&snap, false).unwrap();
         assert_eq!(d0.gauges.len(), 1);
         assert!(d0.counters.iter().all(|(k, _)| k.pe == Some(0)));
     }
@@ -810,12 +862,12 @@ mod tests {
         for round in 0..2u64 {
             let snap = reg.snapshot();
             for (w, o) in whole.iter_mut().zip(&mut own) {
-                let a = w.delta(&snap, &[], true).map(|(s, d)| (s, d.encode()));
+                let a = w.delta(&snap, true).map(|(s, d)| (s, d.encode()));
                 let b = o
-                    .delta(&o.snapshot(&reg), &[], true)
+                    .delta(&o.snapshot(&reg), true)
                     .map(|(s, d)| (s, d.encode()));
                 assert_eq!(a, b, "PE {} round {round}", w.pe());
-                let (a, b) = (w.absolute(&snap, &[]), o.absolute(&o.snapshot(&reg), &[]));
+                let (a, b) = (w.absolute(&snap), o.absolute(&o.snapshot(&reg)));
                 assert_eq!(a.1.encode(), b.1.encode(), "PE {} round {round}", w.pe());
             }
             reg.add(MetricKey::pe("net", "lan_msgs", 1).on_machine(1), round + 1);
@@ -832,7 +884,7 @@ mod tests {
         let tick = |trackers: &mut Vec<DeltaTracker>, agg: &mut ClusterAggregator, now| {
             let snap = reg.snapshot();
             for t in trackers.iter_mut() {
-                if let Some((seq, d)) = t.delta(&snap, &[], false) {
+                if let Some((seq, d)) = t.delta(&snap, false) {
                     let wire = d.encode();
                     let back = TelemetryDelta::decode(&wire).unwrap();
                     agg.apply(t.pe(), seq, now, &back);
@@ -854,23 +906,20 @@ mod tests {
     fn quiet_tracker_skips_unless_forced() {
         let reg = sample_registry();
         let mut t = DeltaTracker::new(1, false);
-        assert!(t.delta(&reg.snapshot(), &[], false).is_some());
-        assert!(t.delta(&reg.snapshot(), &[], false).is_none());
-        let (seq, d) = t.delta(&reg.snapshot(), &[], true).unwrap();
+        assert!(t.delta(&reg.snapshot(), false).is_some());
+        assert!(t.delta(&reg.snapshot(), false).is_none());
+        let (seq, d) = t.delta(&reg.snapshot(), true).unwrap();
         assert_eq!(seq, 2);
         assert!(d.is_empty(), "forced heartbeat is empty");
     }
 
     #[test]
-    fn extra_counters_merge_like_absorb() {
+    fn absolute_keeps_zero_counters() {
         let reg = Registry::new();
-        reg.add(MetricKey::pe("kernel", "messages", 0), 2);
-        let extra = [
-            (MetricKey::pe("kernel", "messages", 0), 3),
-            (MetricKey::pe("kernel", "invokes", 0), 0),
-        ];
+        reg.add(MetricKey::pe("kernel", "messages", 0), 5);
+        reg.add(MetricKey::pe("kernel", "invokes", 0), 0);
         let mut t = DeltaTracker::new(0, true);
-        let (seq, d) = t.absolute(&reg.snapshot(), &extra);
+        let (seq, d) = t.absolute(&reg.snapshot());
         assert_eq!(seq, 1);
         assert!(d.absolute);
         let find = |name: &str| {
@@ -935,14 +984,14 @@ mod tests {
         let reg = sample_registry();
         let mut t = DeltaTracker::new(1, false);
         let mut agg = ClusterAggregator::new(2);
-        let (s1, d1) = t.delta(&reg.snapshot(), &[], false).unwrap();
+        let (s1, d1) = t.delta(&reg.snapshot(), false).unwrap();
         agg.apply(1, s1, 10, &d1);
         // A second incremental is emitted but lost on the wire.
         reg.add(MetricKey::pe("net", "lan_msgs", 1).on_machine(1), 9);
-        let _lost = t.delta(&reg.snapshot(), &[], false).unwrap();
+        let _lost = t.delta(&reg.snapshot(), false).unwrap();
         // Shutdown flush: absolute state repairs the aggregator exactly.
         reg.record(MetricKey::pe("gm", "remote_read_ns", 1), 7);
-        let (s3, d3) = t.absolute(&reg.snapshot(), &[]);
+        let (s3, d3) = t.absolute(&reg.snapshot());
         let back = TelemetryDelta::decode(&d3.encode()).unwrap();
         agg.apply(1, s3, 30, &back);
         let roll = agg.rollup();

@@ -16,7 +16,7 @@ const FIRST_OCTAVE: u32 = SUB_BITS + 1;
 
 /// Index of the bucket containing `v`.
 #[inline]
-fn bucket_index(v: u64) -> usize {
+const fn bucket_index(v: u64) -> usize {
     if v < EXACT {
         return v as usize;
     }
@@ -25,6 +25,9 @@ fn bucket_index(v: u64) -> usize {
     let sub = ((v >> shift) & ((1 << SUB_BITS) - 1)) as usize;
     EXACT as usize + ((msb - FIRST_OCTAVE) as usize) * (1 << SUB_BITS) + sub
 }
+
+/// The highest bucket index any sample can have (495).
+pub(crate) const LAST_BUCKET: usize = bucket_index(u64::MAX);
 
 /// Inclusive upper bound of bucket `i` (monotone in `i`).
 #[inline]

@@ -40,7 +40,9 @@ mod registry;
 mod trace;
 mod util;
 
-pub use aggregate::{ClusterAggregator, DeltaTracker, HistDelta, NodeStatus, TelemetryDelta};
+pub use aggregate::{
+    ClusterAggregator, DeltaTracker, HistDelta, NodeStatus, TelemetryDelta, MAX_INLINE_NAMES,
+};
 pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, SpanKind};
 pub use hist::LogHistogram;
 pub use interval::{BusInterval, BusSampler, DEFAULT_BIN_NS};

@@ -228,8 +228,9 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// Append extra counters (e.g. a per-PE kernel-stats rollup) keeping
-    /// the snapshot sorted and deterministic. Duplicate keys accumulate.
+    /// Append extra counters kept outside the registry (e.g. the
+    /// simulator's event-loop total) keeping the snapshot sorted and
+    /// deterministic. Duplicate keys accumulate.
     pub fn absorb_counters(&mut self, extra: impl IntoIterator<Item = (MetricKey, u64)>) {
         let mut map: BTreeMap<MetricKey, u64> = self.counters.iter().copied().collect();
         for (k, v) in extra {

@@ -103,14 +103,16 @@ impl<'a> ClusterView<'a> {
         self.ps().into_iter().find(|e| e.pid == pid)
     }
 
-    /// Cluster-wide node table.
+    /// Cluster-wide node table; its traffic columns are the nodes'
+    /// `kernel/*` counters in the run's metrics registry.
     pub fn nodes(&self) -> Vec<NodeInfo> {
         let ps = self.ps();
         (0..self.shared.nnodes())
             .map(|n| {
                 let node = NodeId(n as u16);
                 let machine = self.shared.machine_of(node);
-                let ks = self.shared.stats.snapshot_pe(n);
+                let snap = self.shared.metrics.snapshot_pe(n as u32, false);
+                let c = |name| snap.counter("kernel", name, Some(n as u32)).unwrap_or(0);
                 NodeInfo {
                     node,
                     machine,
@@ -119,9 +121,9 @@ impl<'a> ClusterView<'a> {
                         .iter()
                         .filter(|e| e.node == node && e.state == ProcState::Running)
                         .count(),
-                    messages: ks.messages,
-                    gm_bytes: ks.gm_bytes_read + ks.gm_bytes_written,
-                    gm_remote_ops: ks.gm_remote_reads + ks.gm_remote_writes,
+                    messages: c("messages"),
+                    gm_bytes: c("gm_bytes_read") + c("gm_bytes_written"),
+                    gm_remote_ops: c("gm_remote_reads") + c("gm_remote_writes"),
                 }
             })
             .collect()
@@ -376,7 +378,7 @@ pub fn render_top(agg: &ClusterAggregator, now_ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dse_kernel::DseConfig;
+    use dse_kernel::{DseConfig, KernelCount};
     use dse_platform::{ClusterSpec, Platform};
     use dse_sim::{ProcId, ResourceId};
 
@@ -428,17 +430,17 @@ mod tests {
     #[test]
     fn node_table_reflects_per_pe_traffic() {
         let s = shared(3);
-        s.stats.update(NodeId(1), |ks| {
-            ks.messages = 7;
-            ks.gm_bytes_read = 100;
-            ks.gm_bytes_written = 20;
-            ks.gm_remote_reads = 4;
-        });
+        let pe1 = s.counters(NodeId(1));
+        for _ in 0..7 {
+            pe1.count(KernelCount::Sent(16));
+        }
+        pe1.count(KernelCount::RemoteRead(100));
+        pe1.count(KernelCount::RemoteWrite(20));
         let view = ClusterView::new(&s);
         let nodes = view.nodes();
         assert_eq!(nodes[1].messages, 7);
         assert_eq!(nodes[1].gm_bytes, 120);
-        assert_eq!(nodes[1].gm_remote_ops, 4);
+        assert_eq!(nodes[1].gm_remote_ops, 2);
         assert_eq!(nodes[0].messages, 0);
         let text = view.nodes_text();
         assert!(text.contains("GM-BYTES"));
@@ -501,13 +503,13 @@ mod tests {
         reg0.record(MetricKey::pe("gm", "batch_ns", 0), 50_000);
         reg0.record(MetricKey::pe("gm", "blocked_ns", 0), 8_000);
         let mut t0 = DeltaTracker::new(0, true);
-        let (seq, d) = t0.delta(&reg0.snapshot(), &[], true).unwrap();
+        let (seq, d) = t0.delta(&reg0.snapshot(), true).unwrap();
         agg.apply(0, seq, 1_000_000, &d);
 
         let reg1 = Registry::new();
         reg1.add(MetricKey::pe("kernel", "messages", 1).on_machine(1), 5);
         let mut t1 = DeltaTracker::new(1, false);
-        let (seq, d) = t1.delta(&reg1.snapshot(), &[], true).unwrap();
+        let (seq, d) = t1.delta(&reg1.snapshot(), true).unwrap();
         agg.apply(1, seq, 4_000_000, &d);
         agg
     }

@@ -484,7 +484,8 @@ mod tests {
             Ok(Outcome::Sim(run, answer)) => {
                 assert_eq!(run.platform_id, "linux");
                 assert_eq!(run.net_collisions, 0, "a switched fabric never collides");
-                assert!(run.stats.cache_hits + run.stats.cache_misses > 0);
+                let kernel = |name| run.metrics.counter_sum_over_pes("kernel", name);
+                assert!(kernel("cache_hits") + kernel("cache_misses") > 0);
                 assert!(run.telemetry.is_some() && !run.trace_spans.is_empty());
                 assert_eq!(Some(answer.digest()), want);
             }

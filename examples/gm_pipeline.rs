@@ -27,6 +27,11 @@ use std::sync::{Arc, Mutex};
 use dse::apps::gauss_seidel::{self, GaussSeidelParams, RefreshMode};
 use dse::prelude::*;
 
+/// A run's cluster-wide total of the `kernel/<name>` counter.
+fn kernel(run: &RunResult, name: &str) -> u64 {
+    run.metrics.counter_sum_over_pes("kernel", name)
+}
+
 struct ModeResult {
     label: &'static str,
     elapsed_ns: u64,
@@ -47,8 +52,8 @@ fn run_mode(program: &DseProgram, procs: usize, mode: RefreshMode) -> ModeResult
             RefreshMode::RowPipelined => "row-pipelined",
         },
         elapsed_ns: run.elapsed.as_nanos(),
-        gm_request_msgs: run.stats.gm_request_msgs,
-        gm_coalesced: run.stats.gm_coalesced,
+        gm_request_msgs: kernel(&run, "gm_request_msgs"),
+        gm_coalesced: kernel(&run, "gm_coalesced"),
         net_frames: run.net_frames,
         x: sol.x,
     }
@@ -117,11 +122,11 @@ fn run_coherence(label: &'static str, procs: usize, config: DseConfig) -> Cohere
     CoherenceResult {
         label,
         elapsed_ns: run.elapsed.as_nanos(),
-        gm_request_msgs: run.stats.gm_request_msgs,
-        invalidation_rounds: run.stats.invalidation_rounds,
-        dir_hits: run.stats.dir_hits,
-        dir_invals: run.stats.dir_invals,
-        rc_deferred_invals: run.stats.rc_deferred_invals,
+        gm_request_msgs: kernel(&run, "gm_request_msgs"),
+        invalidation_rounds: kernel(&run, "invalidation_rounds"),
+        dir_hits: kernel(&run, "dir_hits"),
+        dir_invals: kernel(&run, "dir_invals"),
+        rc_deferred_invals: kernel(&run, "rc_deferred_invals"),
         checksum,
     }
 }

@@ -41,7 +41,9 @@ fn main() {
         });
         println!(
             "  p={p:>2}: simulated time {}  (messages: {}, wire bytes: {})",
-            result.elapsed, result.stats.messages, result.net_wire_bytes
+            result.elapsed,
+            result.metrics.counter_sum_over_pes("kernel", "messages"),
+            result.net_wire_bytes
         );
     }
 

@@ -343,7 +343,10 @@ fn report(rs: &RunSpec, outcome: &Outcome, outs: &Outputs) -> bool {
             answer,
             format!(
                 "execution time: {}   messages: {}   wire bytes: {}   collisions: {}",
-                run.elapsed, run.stats.messages, run.net_wire_bytes, run.net_collisions
+                run.elapsed,
+                run.metrics.counter_sum_over_pes("kernel", "messages"),
+                run.net_wire_bytes,
+                run.net_collisions
             ),
             &run.bus_intervals[..],
         ),
@@ -374,13 +377,7 @@ fn report(rs: &RunSpec, outcome: &Outcome, outs: &Outputs) -> bool {
     println!("{}", describe(rs, answer));
     println!("{cost}");
     if rs.cache {
-        if let Outcome::Sim(run, _) = outcome {
-            println!(
-                "cache: {} hits / {} misses / {} invalidations",
-                run.stats.cache_hits, run.stats.cache_misses, run.stats.cache_invalidations
-            );
-        }
-        print_directory(metrics, &rs.gm_mode);
+        print_cache(metrics, &rs.gm_mode);
     }
     if let Some(path) = &outs.metrics_json {
         write_out(path, "metrics (JSONL)", metrics.to_jsonl());
@@ -397,10 +394,16 @@ fn report(rs: &RunSpec, outcome: &Outcome, outs: &Outputs) -> bool {
     true
 }
 
-/// The GM cache's directory counters, summed over PEs (either engine's
-/// metrics carry them).
-fn print_directory(metrics: &dse_obs::MetricsSnapshot, gm_mode: &str) {
+/// The GM cache's counters and its directory's, summed over PEs (either
+/// engine's metrics carry them).
+fn print_cache(metrics: &dse_obs::MetricsSnapshot, gm_mode: &str) {
     let c = |name: &str| metrics.counter_sum_over_pes("kernel", name);
+    println!(
+        "cache: {} hits / {} misses / {} invalidations",
+        c("cache_hits"),
+        c("cache_misses"),
+        c("cache_invalidations"),
+    );
     println!(
         "directory: {} hits / {} misses / {} leases / {} invals",
         c("dir_hits"),

@@ -270,3 +270,108 @@ fn gauss_seidel_trace_structure_same_on_both_engines() {
     );
     assert_eq!(sim_counts, live_counts);
 }
+
+/// A fifth: both engines count into one store through one mapping, so on
+/// an uncached cell every PE's global-memory and barrier counters are the
+/// program's, not the engine's.
+#[test]
+fn gauss_seidel_counts_the_same_on_both_engines() {
+    let params = gauss_seidel::GaussSeidelParams::paper(48);
+    let program = DseProgram::new(Platform::sunos_sparc());
+    let (sim, _) = gauss_seidel::solve_parallel(&program, 4, params);
+    let live = LiveRunner::new(4)
+        .transport(TransportKind::Channel)
+        .run(|ctx| {
+            gauss_seidel::body(ctx, &params);
+        });
+    for pe in 0..4 {
+        for name in [
+            "gm_local_reads",
+            "gm_remote_reads",
+            "gm_local_writes",
+            "gm_remote_writes",
+            "gm_bytes_read",
+            "gm_bytes_written",
+            "barrier_epochs",
+        ] {
+            let sim_n = sim.metrics.counter("kernel", name, Some(pe));
+            let live_n = live.metrics.counter("kernel", name, Some(pe));
+            assert_eq!(sim_n, live_n, "pe{pe} {name}");
+        }
+    }
+    let total = |name| sim.metrics.counter_sum_over_pes("kernel", name);
+    assert!(total("gm_local_reads") > 0 && total("gm_remote_reads") > 0);
+    assert!(total("gm_local_writes") > 0 && total("barrier_epochs") > 0);
+}
+
+/// The synchronization counters of every app, as cluster totals. The apps
+/// that use atomics hand out jobs through a shared counter, so which rank
+/// takes which job, and with it most per-PE counts, depends on timing: only
+/// totals are the program's. (No app takes a lock; both engines must say
+/// so.)
+#[test]
+fn every_app_counts_the_same_synchronization_on_both_engines() {
+    use dse::apps::matmul;
+    use dse::obs::MetricsSnapshot;
+
+    fn totals(metrics: &MetricsSnapshot) -> [u64; 3] {
+        ["fetch_adds", "barrier_epochs", "lock_grants"]
+            .map(|name| metrics.counter_sum_over_pes("kernel", name))
+    }
+    fn live(nprocs: usize, body: impl Fn(&mut dse::live::LiveCtx) + Send + Sync) -> [u64; 3] {
+        totals(&LiveRunner::new(nprocs).run(body).metrics)
+    }
+    let program = DseProgram::new(Platform::sunos_sparc());
+
+    let gs = gauss_seidel::GaussSeidelParams::paper(48);
+    let (sim, _) = gauss_seidel::solve_parallel(&program, 3, gs);
+    let gauss = live(3, |ctx| {
+        gauss_seidel::body(ctx, &gs);
+    });
+    assert_eq!(totals(&sim.metrics), gauss, "gauss");
+
+    let dp = dct::DctParams {
+        size: 64,
+        block: 8,
+        keep: 0.25,
+        seed: 3,
+    };
+    let (sim, _) = dct::compress_parallel(&program, 4, dp);
+    assert_eq!(
+        totals(&sim.metrics),
+        live(4, |ctx| {
+            dct::body(ctx, &dp);
+        }),
+        "dct"
+    );
+
+    let op = othello::OthelloParams::paper(3);
+    let (sim, _) = othello::search_parallel(&program, 3, op);
+    assert_eq!(
+        totals(&sim.metrics),
+        live(3, |ctx| {
+            othello::body(ctx, &op);
+        }),
+        "othello"
+    );
+
+    let kp = knights::KnightsParams::paper(16);
+    let (sim, _) = knights::count_parallel(&program, 4, kp);
+    let knights = live(4, |ctx| {
+        knights::body(ctx, &kp);
+    });
+    assert_eq!(totals(&sim.metrics), knights, "knights");
+
+    let mp = matmul::MatmulParams::single(16);
+    let (sim, _) = matmul::multiply_parallel(&program, 3, mp);
+    assert_eq!(
+        totals(&sim.metrics),
+        live(3, |ctx| {
+            matmul::body(ctx, &mp);
+        }),
+        "matmul"
+    );
+
+    assert!(gauss[1] > 0, "gauss synchronizes with barriers");
+    assert!(knights[0] > 0, "knights takes jobs with fetch-adds");
+}

@@ -162,8 +162,9 @@ fn run_result_accounting_is_consistent() {
     let (run, _) = dct::compress_parallel(&program, 4, params);
     assert_eq!(run.nprocs, 4);
     assert_eq!(run.platform_id, "sunos");
-    assert!(run.stats.invokes == 4);
-    assert!(run.stats.messages > 0);
+    let kernel = |name| run.metrics.counter_sum_over_pes("kernel", name);
+    assert_eq!(kernel("invokes"), 4);
+    assert!(kernel("messages") > 0);
     assert!(run.net_wire_bytes > 0);
     assert!(run.net_frames > 0);
     // Every parallel process completed and the kernels drained.

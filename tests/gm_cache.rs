@@ -29,12 +29,9 @@ fn repeated_remote_reads_hit_after_first_touch() {
             }
             ctx.barrier();
         });
-    assert!(
-        result.stats.cache_hits > result.stats.cache_misses,
-        "hits {} misses {}",
-        result.stats.cache_hits,
-        result.stats.cache_misses
-    );
+    let kernel = |name| result.metrics.counter_sum_over_pes("kernel", name);
+    let (hits, misses) = (kernel("cache_hits"), kernel("cache_misses"));
+    assert!(hits > misses, "hits {hits} misses {misses}");
 }
 
 #[test]

@@ -98,6 +98,12 @@ macro_rules! direct_and_shimmed {
     }};
 }
 
+/// The GM request messages a run put on the wire.
+fn requests(run: &RunResult) -> u64 {
+    run.metrics
+        .counter_sum_over_pes("kernel", "gm_request_msgs")
+}
+
 #[test]
 fn gauss_seidel_split_phase_is_bit_identical() {
     let ((drun, dsol), (srun, ssol)) =
@@ -108,7 +114,7 @@ fn gauss_seidel_split_phase_is_bit_identical() {
     // Same requests on the wire; only the send instants (and hence bus
     // contention) may shift, so elapsed times are close but not asserted
     // equal.
-    assert_eq!(drun.stats.gm_request_msgs, srun.stats.gm_request_msgs);
+    assert_eq!(requests(&drun), requests(&srun));
     assert_eq!(drun.net_wire_bytes, srun.net_wire_bytes);
 }
 
@@ -123,7 +129,7 @@ fn dct_split_phase_is_bit_identical() {
     let ((drun, dout), (srun, sout)) = direct_and_shimmed!(3, dct::body, params);
     assert_eq!(dout.coeffs, sout.coeffs);
     assert_eq!(dout.kept, sout.kept);
-    assert_eq!(drun.stats.gm_request_msgs, srun.stats.gm_request_msgs);
+    assert_eq!(requests(&drun), requests(&srun));
     assert_eq!(drun.net_wire_bytes, srun.net_wire_bytes);
 }
 
@@ -132,7 +138,7 @@ fn othello_split_phase_is_bit_identical() {
     let ((drun, dres), (srun, sres)) =
         direct_and_shimmed!(3, othello::body, OthelloParams::paper(3));
     assert_eq!(dres, sres, "(move, score) must match");
-    assert_eq!(drun.stats.gm_request_msgs, srun.stats.gm_request_msgs);
+    assert_eq!(requests(&drun), requests(&srun));
     assert_eq!(drun.net_wire_bytes, srun.net_wire_bytes);
 }
 
@@ -141,7 +147,7 @@ fn knights_split_phase_is_bit_identical() {
     let ((drun, dcount), (srun, scount)) =
         direct_and_shimmed!(3, knights::body, KnightsParams::paper(8));
     assert_eq!(dcount, scount, "tour counts must match");
-    assert_eq!(drun.stats.gm_request_msgs, srun.stats.gm_request_msgs);
+    assert_eq!(requests(&drun), requests(&srun));
     assert_eq!(drun.net_wire_bytes, srun.net_wire_bytes);
 }
 
@@ -232,14 +238,16 @@ fn coalesced_writes_cost_one_invalidation_round_per_merged_request() {
         }
         ctx.barrier();
     });
+    let kernel = |name| run.metrics.counter_sum_over_pes("kernel", name);
     assert_eq!(
-        run.stats.invalidation_rounds, ROUNDS,
+        kernel("invalidation_rounds"),
+        ROUNDS,
         "one invalidation round per merged write request"
     );
     // Each round merges 4 adjacent writes into one segment: 3 coalesces.
+    let coalesced = kernel("gm_coalesced");
     assert!(
-        run.stats.gm_coalesced >= 3 * ROUNDS,
-        "adjacent split-phase writes must coalesce (got {})",
-        run.stats.gm_coalesced
+        coalesced >= 3 * ROUNDS,
+        "adjacent split-phase writes must coalesce (got {coalesced})"
     );
 }
