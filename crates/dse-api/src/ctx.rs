@@ -11,13 +11,12 @@
 //!
 //! [`DseCtx`] is the context over [`SimPort`], the simulator's port, which
 //! this file also holds: it charges virtual time, sends through the network
-//! model, times each request for the latency histograms, stamps the shared
-//! [`RequesterSpans`] with the virtual clock (adding a `cpu_queue` span
-//! wherever a charge waited for its CPU), and on node 0 calls the
-//! coordinator in place. `dse-live` supplies the other port. What `DseCtx`
-//! offers beyond the shared surface (virtual time, point-to-point user
-//! messages, named barriers, cooperative termination) is an inherent
-//! extension of the simulator instantiation only.
+//! model, stamps the shared [`RequesterSpans`] with the virtual clock
+//! (adding a `cpu_queue` span wherever a charge waited for its CPU), and on
+//! node 0 calls the coordinator in place. `dse-live` supplies the other
+//! port. What `DseCtx` offers beyond the shared surface (virtual time,
+//! point-to-point user messages, named barriers, cooperative termination)
+//! is an inherent extension of the simulator instantiation only.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -27,15 +26,15 @@ use dse_kernel::netpath::{hold_cpu, send_msg};
 use dse_kernel::protocol::{barrier_enter, lock_acquire, lock_release, sharers_to_invalidate};
 use dse_kernel::{
     ClusterShared, Distribution, GlobalStore, GmCount, GmError, GmMode, HomeSpans, Party,
-    SimKernelPort, SimMsg,
+    PeCounters, SimKernelPort, SimMsg,
 };
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
-use dse_obs::{MetricKey, SpanKind, TraceRole, TraceSpanKind};
+use dse_obs::{SpanKind, TraceRole, TraceSpanKind};
 use dse_platform::Work;
 use dse_sim::{ProcCtx, ProcId, SimDuration, SimTime};
 
 use crate::api::ParallelApi;
-use crate::gm_client::{latency_series, GmClient, GmHandle, GmPort, GmProtocolError};
+use crate::gm_client::{blocked, sample, GmClient, GmHandle, GmPort, GmProtocolError};
 use crate::req_spans::{Arrival, RequesterSpans, SentReq};
 
 /// Barrier ids above this are reserved for the auto-sequenced
@@ -53,25 +52,17 @@ pub struct UserMsg {
     pub data: Vec<u8>,
 }
 
-/// A GM request on the wire, as the process that sent it remembers it.
-struct OpenReq {
-    /// When it was sent: its latency sample is measured from here.
-    open_ns: u64,
-    /// Its root span (traced runs).
-    sent: Option<SentReq>,
-}
-
 /// The simulator behind [`GmPort`]: the process's simulation context, the
 /// cluster's shared state, the messages that arrived while the process was
-/// waiting for something else, the requests it has on the wire, and its
-/// causal spans.
+/// waiting for something else, the root spans of the requests it has on
+/// the wire, and its causal spans.
 pub struct SimPort<'a> {
     ctx: &'a mut ProcCtx<SimMsg>,
     shared: Arc<ClusterShared>,
     node: NodeId,
     stash: VecDeque<(Message, Arrival)>,
-    /// Unanswered GM requests, by request id.
-    open: HashMap<u64, OpenReq>,
+    /// Root spans of unanswered GM requests, by request id (traced runs).
+    open: HashMap<u64, SentReq>,
     spans: RequesterSpans,
     /// Spans of the kernel duty this process does itself, in own-node calls
     /// into the linked library.
@@ -100,10 +91,6 @@ impl<'a> SimPort<'a> {
 
     fn pe(&self) -> u32 {
         self.node.0 as u32
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.ctx.now().as_nanos()
     }
 
     /// This process acting as its node's kernel: an own-node call into the
@@ -163,23 +150,14 @@ impl<'a> SimPort<'a> {
         (msg, arrival)
     }
 
-    /// Put GM request `req` for `home` on the wire and remember it until it
-    /// is answered.
+    /// Put GM request `req` for `home` on the wire, remembering its root
+    /// span until it is answered.
     fn send_open(&mut self, home: NodeId, req: ReqId, msg: &Message) {
-        let open_ns = self.now_ns();
-        let sent = self.spans.request_sent(open_ns, home.0 as u32, req.0);
+        let sent = self.spans.request_sent(self.now_ns(), home.0 as u32, req.0);
         self.send_kernel(home, msg, sent.map(|s| s.ctx));
-        self.open.insert(req.0, OpenReq { open_ns, sent });
-    }
-
-    /// An exchange of `kind` begun at `open_ns` completed now: record its
-    /// latency in its series.
-    fn sample(&self, kind: SpanKind, open_ns: u64) {
-        let (subsystem, name) = latency_series(kind);
-        self.shared.metrics.record(
-            MetricKey::pe(subsystem, name, self.pe()),
-            self.now_ns() - open_ns,
-        );
+        if let Some(sent) = sent {
+            self.open.insert(req.0, sent);
+        }
     }
 
     /// Coherence action before an own-node store mutation (no-op with the
@@ -242,29 +220,20 @@ impl GmPort for SimPort<'_> {
         &mut self.spans
     }
 
+    fn now_ns(&self) -> u64 {
+        self.ctx.now().as_nanos()
+    }
+
+    fn counters(&self) -> PeCounters<'_> {
+        self.shared.counters(self.node)
+    }
+
     fn charge_local(&mut self, bytes: usize) {
         self.hold(self.shared.cost(self.node).local_call(bytes));
     }
 
-    fn count(&mut self, what: GmCount) {
-        self.shared.counters(self.node).count(what);
-    }
-
-    fn send_request(
-        &mut self,
-        home: NodeId,
-        req: ReqId,
-        msg: Message,
-        _kind: SpanKind,
-        inflight: usize,
-    ) {
+    fn send_request(&mut self, home: NodeId, req: ReqId, msg: Message) {
         self.send_open(home, req, &msg);
-        self.count(GmCount::RequestMsg);
-        let machine = self.shared.machine_of(self.node) as u32;
-        self.shared.metrics.gauge_max(
-            MetricKey::pe("kernel", "gm_inflight", self.pe()).on_machine(machine),
-            inflight as u64,
-        );
     }
 
     fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, Arrival) {
@@ -280,26 +249,10 @@ impl GmPort for SimPort<'_> {
         }
     }
 
-    /// Its latency sample and its spans.
-    fn request_done(&mut self, req: ReqId, kind: SpanKind, answer: Arrival) {
-        let Some(open) = self.open.remove(&req.0) else {
-            return;
-        };
-        self.sample(kind, open.open_ns);
-        if let Some(sent) = open.sent {
+    fn request_done(&mut self, req: ReqId, answer: Arrival) {
+        if let Some(sent) = self.open.remove(&req.0) {
             self.spans.request_done(self.now_ns(), sent, 0, answer);
         }
-    }
-
-    fn stamp(&self) -> u64 {
-        self.now_ns()
-    }
-
-    /// A span only: the simulator keeps no `gm/blocked_ns` series (the
-    /// telemetry plane ships every series, so one more would move virtual
-    /// time on watched runs).
-    fn blocked(&mut self, since: u64, seq: u64) {
-        self.spans.blocked(since, self.now_ns(), seq);
     }
 
     fn protocol_error(&mut self, err: GmProtocolError) -> ! {
@@ -310,18 +263,6 @@ impl GmPort for SimPort<'_> {
 
     fn bad_access(&self, what: &str, err: GmError) -> ! {
         panic!("rank {}: {what} failed: {err}", self.node.0)
-    }
-
-    /// A wait on the coordinator is sampled here. An atomic is not: one
-    /// that went on the wire was sampled as a request, and one served
-    /// own-node has no series (the telemetry plane ships every series, so
-    /// one more would move virtual time on watched runs). Nor is there an
-    /// `op_begun`: the `kernel/*` counters count an operation where it is
-    /// served, own-node or by the home kernel.
-    fn op_done(&mut self, kind: SpanKind, _seq: u64, since: u64) {
-        if kind != SpanKind::GmFetchAdd {
-            self.sample(kind, since);
-        }
     }
 
     fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {
@@ -349,7 +290,7 @@ impl GmPort for SimPort<'_> {
         if self.shared.config.gm_cache && self.shared.config.gm_mode == GmMode::ReleaseConsistency {
             self.charge_local(0);
             self.shared.cache.purge_node(self.node);
-            self.count(GmCount::RcAcquire);
+            self.counters().count(GmCount::RcAcquire);
         }
     }
 
@@ -494,8 +435,8 @@ impl<P: GmPort> ApiCtx<P> {
     /// One round trip to the coordinator on node 0: hand it `enter`, then
     /// block until `granted` accepts the answer — unless the call was
     /// answered on the spot. Recorded as a wait span (a barrier's or a
-    /// lock's, `seq` the barrier id or the lock request) and a latency
-    /// sample; the answer is an acquire point.
+    /// lock's, `seq` the barrier id or the lock request) and a sample of
+    /// the `sync/*_wait_ns` series; the answer is an acquire point.
     fn coordinate(
         &mut self,
         enter: Message,
@@ -508,14 +449,14 @@ impl<P: GmPort> ApiCtx<P> {
             _ => TraceSpanKind::LockWait,
         };
         let port = &mut self.port;
-        let t0 = port.stamp();
+        let t0 = port.now_ns();
         let (wait_span, call) = port.spans().wait_begin();
         if !port.to_coordinator(enter, call) {
             port.await_msg(granted);
         }
-        let now = port.stamp();
+        let now = port.now_ns();
         port.spans().wait_end(now, wait, wait_span, t0, seq);
-        port.op_done(kind, seq, t0);
+        sample(port, kind, t0);
         port.replica_purge();
     }
 
@@ -574,30 +515,30 @@ impl<P: GmPort> ParallelApi for ApiCtx<P> {
 
     // The blocking entry points are issue-plus-wait over the split-phase
     // machinery, so both paths share one code path and produce identical
-    // bytes.
+    // bytes. Every read, write and atomic entry point is one `kernel/gm_ops`.
 
     fn gm_read(&mut self, region: RegionId, offset: u64, len: usize) -> Vec<u8> {
-        self.port.op_begun(SpanKind::GmRead);
+        self.port.counters().count(GmCount::Op);
         self.gm.read(&mut self.port, region, offset, len)
     }
 
     fn gm_write(&mut self, region: RegionId, offset: u64, data: &[u8]) {
-        self.port.op_begun(SpanKind::GmWrite);
+        self.port.counters().count(GmCount::Op);
         self.gm.write(&mut self.port, region, offset, data)
     }
 
     fn gm_read_into(&mut self, region: RegionId, offset: u64, out: &mut [u8]) {
-        self.port.op_begun(SpanKind::GmRead);
+        self.port.counters().count(GmCount::Op);
         self.gm.read_into(&mut self.port, region, offset, out)
     }
 
     fn gm_read_nb(&mut self, region: RegionId, offset: u64, len: usize) -> GmHandle {
-        self.port.op_begun(SpanKind::GmRead);
+        self.port.counters().count(GmCount::Op);
         self.gm.read_nb(&mut self.port, region, offset, len)
     }
 
     fn gm_write_nb(&mut self, region: RegionId, offset: u64, data: &[u8]) -> GmHandle {
-        self.port.op_begun(SpanKind::GmWrite);
+        self.port.counters().count(GmCount::Op);
         self.gm.write_nb(&mut self.port, region, offset, data)
     }
 
@@ -620,8 +561,7 @@ impl<P: GmPort> ParallelApi for ApiCtx<P> {
     fn gm_fetch_add(&mut self, region: RegionId, offset: u64, delta: i64) -> i64 {
         self.gm_fence();
         let (port, reqs) = (&mut self.port, self.gm.req_ids());
-        port.op_begun(SpanKind::GmFetchAdd);
-        let t0 = port.stamp();
+        port.counters().count(GmCount::Op);
         let home = port
             .store()
             .atomic_cell_home(region, offset)
@@ -634,7 +574,7 @@ impl<P: GmPort> ParallelApi for ApiCtx<P> {
             let prev = port
                 .own_node_fetch_add(reqs, region, offset, delta)
                 .unwrap_or_else(|e| port.bad_access("gm_fetch_add", e));
-            port.count(GmCount::LocalFetchAdd);
+            port.counters().count(GmCount::LocalFetchAdd);
             prev
         } else {
             let req = reqs.next();
@@ -644,18 +584,19 @@ impl<P: GmPort> ParallelApi for ApiCtx<P> {
                 offset,
                 delta,
             };
+            let sent = port.now_ns();
             port.send_atomic(home, req, msg);
-            let since = port.stamp();
+            let since = port.now_ns();
             let (resp, answer) = port
                 .await_msg(|m| matches!(m, Message::GmFetchAddResp { req: r, .. } if *r == req));
-            port.request_done(req, SpanKind::GmFetchAdd, answer);
-            port.blocked(since, req.0);
+            sample(port, SpanKind::GmFetchAdd, sent);
+            port.request_done(req, answer);
+            blocked(port, since, req.0);
             match resp {
                 Message::GmFetchAddResp { prev, .. } => prev,
                 _ => unreachable!(),
             }
         };
-        port.op_done(SpanKind::GmFetchAdd, 0, t0);
         prev
     }
 

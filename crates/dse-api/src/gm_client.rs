@@ -5,16 +5,18 @@
 //! into per-home segments, stages and coalesces them, batches them per
 //! home, keeps the in-flight window, matches responses to requests and
 //! fills the waiting handles (the rules are DESIGN.md §5d). It links
-//! unchanged into both engines: nothing in here knows a clock, a transport,
-//! the simulator or a thread. Everything engine-specific goes through one
-//! [`GmPort`], a generic parameter, so every call is statically dispatched
-//! (§5m lists what each engine does behind it).
+//! unchanged into both engines: nothing in here knows a transport, the
+//! simulator or a thread, and the one clock it reads is the port's. It
+//! counts and samples every requester-side series itself, once for both
+//! engines. Everything engine-specific goes through one [`GmPort`], a
+//! generic parameter, so every call is statically dispatched (§5m lists
+//! what each engine does behind it).
 
 use std::collections::HashMap;
 use std::fmt;
 
 use dse_kernel::cache::{blocks_inside, CACHE_BLOCK};
-use dse_kernel::{GlobalStore, GmCount, GmError};
+use dse_kernel::{GlobalStore, GmCount, GmError, PeCounters};
 use dse_msg::{
     is_bulk, Bytes, GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx,
 };
@@ -127,27 +129,15 @@ impl fmt::Display for GmProtocolError {
 
 impl std::error::Error for GmProtocolError {}
 
-/// The latency series (`subsystem`, `name`) an exchange of `kind` samples,
-/// on either engine.
-pub fn latency_series(kind: SpanKind) -> (&'static str, &'static str) {
-    match kind {
-        SpanKind::GmRead => ("gm", "remote_read_ns"),
-        SpanKind::GmWrite => ("gm", "remote_write_ns"),
-        SpanKind::GmBatch => ("gm", "batch_ns"),
-        SpanKind::GmFetchAdd => ("gm", "fetch_add_ns"),
-        SpanKind::Barrier => ("sync", "barrier_wait_ns"),
-        SpanKind::Lock => ("sync", "lock_wait_ns"),
-    }
-}
-
 /// Everything engine-specific the Parallel API library needs: the
 /// [`GmClient`] and the [`ApiCtx`](crate::ApiCtx) above it.
 ///
 /// The two implementors are the simulator's port (virtual-time charging,
 /// the network model) and the live engine's (transport, retransmission);
-/// each stamps the shared `RequesterSpans` with its own clock. The
-/// observation hooks default to no-ops. DESIGN.md §5m says, hook by hook,
-/// what each engine does and why the two bodies are not one.
+/// each hands over its own clock and its PE's series, and the library
+/// records every count, sample and span against them. DESIGN.md §5m says,
+/// method by method, what each engine does and why the two bodies are not
+/// one.
 pub trait GmPort {
     /// The node this client runs on.
     fn node(&self) -> NodeId;
@@ -159,51 +149,27 @@ pub trait GmPort {
     fn gm_window(&self) -> usize;
     /// This process's causal spans.
     fn spans(&mut self) -> &mut RequesterSpans;
+    /// The engine's clock, in nanoseconds.
+    fn now_ns(&self) -> u64;
+    /// This PE's series in the run's registry.
+    fn counters(&self) -> PeCounters<'_>;
 
     /// Charge an own-node (linked-library) access touching `bytes`.
     fn charge_local(&mut self, bytes: usize);
-    /// Bump a GM counter.
-    fn count(&mut self, what: GmCount);
 
-    /// Put request `req` for `home` on the wire and account for it
-    /// (`inflight` is the in-flight count including this request).
-    fn send_request(
-        &mut self,
-        home: NodeId,
-        req: ReqId,
-        msg: Message,
-        kind: SpanKind,
-        inflight: usize,
-    );
+    /// Put request `req` for `home` on the wire (the client counts it).
+    fn send_request(&mut self, home: NodeId, req: ReqId, msg: Message);
     /// Block for the next message `pred` accepts: serve it from the stash
     /// of earlier arrivals if one is there, else receive, stashing what
     /// `pred` rejects for its own waiter.
     fn await_msg(&mut self, pred: impl FnMut(&Message) -> bool) -> (Message, Arrival);
     /// Request `req` was answered and its result applied.
-    fn request_done(&mut self, req: ReqId, kind: SpanKind, answer: Arrival);
+    fn request_done(&mut self, req: ReqId, answer: Arrival);
     /// A peer's response did not fit its request: fail the run.
     fn protocol_error(&mut self, err: GmProtocolError) -> !;
     /// The application's `what` (an entry point's name) addressed global
     /// memory wrongly: fail the calling rank, before anything is sent.
     fn bad_access(&self, what: &str, err: GmError) -> !;
-
-    /// An opaque time stamp handed back to [`GmPort::handle_done`] and
-    /// [`GmPort::blocked`].
-    fn stamp(&self) -> u64 {
-        0
-    }
-    /// A handle issued at `issued` finished; `remote` tells whether any of
-    /// its segments left the node.
-    fn handle_done(&mut self, _issued: u64, _is_read: bool, _remote: bool) {}
-    /// The caller blocked on GM completions since `since` (`seq` is the
-    /// handle waited on, 0 for a fence or window backpressure).
-    fn blocked(&mut self, _since: u64, _seq: u64) {}
-    /// The application called a read, write or atomic entry point (`kind`
-    /// is `GmRead`, `GmWrite` or `GmFetchAdd`).
-    fn op_begun(&mut self, _kind: SpanKind) {}
-    /// A barrier, a lock acquisition or an atomic begun at `since` is over
-    /// (`seq` is the barrier id or the lock request, 0 for an atomic).
-    fn op_done(&mut self, _kind: SpanKind, _seq: u64, _since: u64) {}
 
     /// This node's replica of `block`, if it holds one.
     fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>>;
@@ -326,10 +292,6 @@ struct HandleState {
     len: usize,
     /// Read result under assembly (`None` for writes).
     buf: Option<ReadBuf>,
-    /// [`GmPort::stamp`] at issue.
-    issued: u64,
-    /// Whether any segment left the node.
-    remote: bool,
 }
 
 /// One contiguous span a cached read still has to fetch.
@@ -376,8 +338,9 @@ pub struct GmClient {
     completed: HashMap<u64, Option<ReadBuf>>,
     /// Staged (coalescable) segments, in program order.
     staged: Vec<StagedSeg>,
-    /// Requests on the wire, by correlation id.
-    inflight: HashMap<u64, InflightReq>,
+    /// Requests on the wire, by correlation id, with the time each was
+    /// sent (none for the acknowledgements an own-node write waits for).
+    inflight: HashMap<u64, (InflightReq, Option<u64>)>,
 }
 
 impl GmClient {
@@ -433,11 +396,9 @@ impl GmClient {
     ) {
         let runs = split(port, "gm_read", region, offset, out.len());
         if runs.len() == 1 && runs[0].0 == port.node() {
-            let issued = port.stamp();
             own_node_read(port, region, offset, out.len(), |src| {
                 out.copy_from_slice(src)
             });
-            port.handle_done(issued, true, false);
             return;
         }
         let h = self.issue_read(port, runs, region, offset, out.len(), true);
@@ -501,11 +462,11 @@ impl GmClient {
         );
         self.flush_staged(port);
         if !self.completed.contains_key(&id) {
-            let since = port.stamp();
+            let since = port.now_ns();
             while !self.completed.contains_key(&id) {
                 self.drain_one(port);
             }
-            port.blocked(since, id);
+            blocked(port, since, id);
         }
         self.completed.remove(&id).unwrap()
     }
@@ -524,11 +485,11 @@ impl GmClient {
         if self.inflight.is_empty() {
             return;
         }
-        let since = port.stamp();
+        let since = port.now_ns();
         while !self.inflight.is_empty() {
             self.drain_one(port);
         }
-        port.blocked(since, 0);
+        blocked(port, since, 0);
     }
 
     /// Release-consistency acquire: fence, then drop this node's replicas.
@@ -543,7 +504,7 @@ impl GmClient {
     /// or a write (`None`). It is in place *before* any segment is staged
     /// because window backpressure may deliver completions for this very
     /// handle mid-issue.
-    fn new_handle<P: GmPort>(&mut self, port: &P, read: Option<usize>) -> u64 {
+    fn new_handle(&mut self, read: Option<usize>) -> u64 {
         self.next_handle += 1;
         self.handles.insert(
             self.next_handle,
@@ -551,8 +512,6 @@ impl GmClient {
                 remaining: 1,
                 len: read.unwrap_or(0),
                 buf: read.map(|_| ReadBuf::Owned(Vec::new())),
-                issued: port.stamp(),
-                remote: false,
             },
         );
         self.next_handle
@@ -579,7 +538,7 @@ impl GmClient {
         eager: bool,
     ) -> GmHandle {
         let caching = port.caching();
-        let handle = self.new_handle(port, Some(len));
+        let handle = self.new_handle(Some(len));
         for (home, off, rlen) in runs {
             let at = (off - offset) as usize;
             if home == port.node() {
@@ -595,7 +554,7 @@ impl GmClient {
                 }
             }
         }
-        self.release_issuance_token(port, handle)
+        self.release_issuance_token(handle)
     }
 
     /// One remote run of a read at `base` with the replica cache on: serve
@@ -641,7 +600,7 @@ impl GmClient {
                         fetches.extend(cur.take());
                     }
                     None => {
-                        port.count(GmCount::ReplicaMiss);
+                        port.counters().count(GmCount::ReplicaMiss);
                         Fetch::grow(&mut cur, b * bsz, (b + 1) * bsz, Some(b));
                     }
                 }
@@ -657,7 +616,7 @@ impl GmClient {
     /// A replica hit: a library call plus a copy, no wire.
     fn replica_hit<P: GmPort>(&mut self, port: &mut P, handle: u64, at: usize, bytes: &[u8]) {
         port.charge_local(bytes.len());
-        port.count(GmCount::ReplicaHit);
+        port.counters().count(GmCount::ReplicaHit);
         self.place(handle, at, bytes);
     }
 
@@ -674,7 +633,7 @@ impl GmClient {
             // A writer's own copies of the written range go stale too.
             port.replica_drop(region, offset, data.len());
         }
-        let handle = self.new_handle(port, None);
+        let handle = self.new_handle(None);
         for (home, off, rlen) in runs {
             let at = (off - offset) as usize;
             let chunk = &data[at..at + rlen];
@@ -682,30 +641,28 @@ impl GmClient {
                 let gates = port
                     .own_node_write(&mut self.reqs, region, off, chunk)
                     .unwrap_or_else(|e| port.bad_access("gm_write", e));
-                port.count(GmCount::LocalWrite(rlen));
+                port.counters().count(GmCount::LocalWrite(rlen));
                 for req in gates {
                     self.owe_segment(handle);
-                    self.inflight
-                        .insert(req.0, InflightReq::Write(vec![handle]));
+                    let gate = InflightReq::Write(vec![handle]);
+                    self.inflight.insert(req.0, (gate, None));
                 }
             } else {
                 self.stage_write(port, home, region, off, chunk, handle, eager);
             }
         }
-        self.release_issuance_token(port, handle)
+        self.release_issuance_token(handle)
     }
 
     /// One more segment that leaves the node is owed to `handle`.
     fn owe_segment(&mut self, handle: u64) {
-        let st = self.handles.get_mut(&handle).unwrap();
-        st.remaining += 1;
-        st.remote = true;
+        self.handles.get_mut(&handle).unwrap().remaining += 1;
     }
 
     /// Release the token held while staging: if every segment already
     /// completed (or none was needed), the handle is born ready.
-    fn release_issuance_token<P: GmPort>(&mut self, port: &mut P, handle: u64) -> GmHandle {
-        match self.segment_done(port, handle) {
+    fn release_issuance_token(&mut self, handle: u64) -> GmHandle {
+        match self.segment_done(handle) {
             Some(buf) => GmHandle(HandleInner::Ready(buf)),
             None => GmHandle(HandleInner::Queued(handle)),
         }
@@ -713,7 +670,7 @@ impl GmClient {
 
     /// One unit owed to `handle` is done; yields its result if that was
     /// the last one.
-    fn segment_done<P: GmPort>(&mut self, port: &mut P, handle: u64) -> Option<Option<ReadBuf>> {
+    fn segment_done(&mut self, handle: u64) -> Option<Option<ReadBuf>> {
         let st = self
             .handles
             .get_mut(&handle)
@@ -724,7 +681,6 @@ impl GmClient {
         }
         let st = self.handles.remove(&handle).unwrap();
         debug_assert_eq!(st.buf.as_ref().map_or(0, |b| b.as_slice().len()), st.len);
-        port.handle_done(st.issued, st.buf.is_some(), st.remote);
         Some(st.buf)
     }
 
@@ -789,7 +745,7 @@ impl GmClient {
                     }
                 }
                 c.dests.push(dest);
-                port.count(GmCount::Coalesced);
+                port.counters().count(GmCount::Coalesced);
             }
             _ => {
                 let dests = vec![dest];
@@ -848,7 +804,7 @@ impl GmClient {
                     *offset = new_start;
                 }
                 writers.push(handle);
-                port.count(GmCount::Coalesced);
+                port.counters().count(GmCount::Coalesced);
             }
             _ => {
                 let writers = vec![handle];
@@ -893,7 +849,7 @@ impl GmClient {
     fn send_plain<P: GmPort>(&mut self, port: &mut P, home: NodeId, op: StagedOp) {
         self.window_backpressure(port);
         let req = self.reqs.next();
-        let (msg, kind, ctl) = match op {
+        let (msg, ctl) = match op {
             StagedOp::Read(c) => {
                 let msg = Message::GmReadReq {
                     req,
@@ -901,7 +857,7 @@ impl GmClient {
                     offset: c.offset,
                     len: c.len as u32,
                 };
-                (msg, SpanKind::GmRead, InflightReq::Read(c))
+                (msg, InflightReq::Read(c))
             }
             StagedOp::Write {
                 region,
@@ -915,10 +871,10 @@ impl GmClient {
                     offset,
                     data: data.into(),
                 };
-                (msg, SpanKind::GmWrite, InflightReq::Write(writers))
+                (msg, InflightReq::Write(writers))
             }
         };
-        self.dispatch(port, home, req, msg, kind, ctl);
+        self.dispatch(port, home, req, msg, ctl);
     }
 
     fn send_batch<P: GmPort>(&mut self, port: &mut P, home: NodeId, staged: Vec<StagedOp>) {
@@ -953,7 +909,7 @@ impl GmClient {
         }
         let msg = Message::GmBatchReq { req, ops };
         let ctl = InflightReq::Batch(ctls);
-        self.dispatch(port, home, req, msg, SpanKind::GmBatch, ctl);
+        self.dispatch(port, home, req, msg, ctl);
     }
 
     /// Put one request on the wire and enter it in the in-flight window.
@@ -963,11 +919,15 @@ impl GmClient {
         home: NodeId,
         req: ReqId,
         msg: Message,
-        kind: SpanKind,
         ctl: InflightReq,
     ) {
-        port.send_request(home, req, msg, kind, self.inflight.len() + 1);
-        self.inflight.insert(req.0, ctl);
+        let sent = port.now_ns();
+        port.send_request(home, req, msg);
+        let inflight = self.inflight.len() as u64 + 1;
+        let counters = port.counters();
+        counters.count(GmCount::RequestMsg);
+        counters.gauge_max("gm_inflight", inflight);
+        self.inflight.insert(req.0, (ctl, Some(sent)));
     }
 
     /// Block until another request fits in the pipelining window.
@@ -975,11 +935,11 @@ impl GmClient {
         if self.inflight.len() < self.window {
             return;
         }
-        let since = port.stamp();
+        let since = port.now_ns();
         while self.inflight.len() >= self.window {
             self.drain_one(port);
         }
-        port.blocked(since, 0);
+        blocked(port, since, 0);
     }
 
     // ----- completion ----------------------------------------------------------
@@ -1018,7 +978,7 @@ impl GmClient {
             Message::GmBatchResp { req, .. } => (*req, SpanKind::GmBatch),
             other => panic!("{} is not a GM completion", other.label()),
         };
-        let Some(ctl) = self.inflight.remove(&req.0) else {
+        let Some((ctl, sent)) = self.inflight.remove(&req.0) else {
             return Ok(());
         };
         match (ctl, msg) {
@@ -1028,7 +988,7 @@ impl GmClient {
             (
                 InflightReq::Write(w),
                 Message::GmWriteAck { .. } | Message::GmInvalidateAck { .. },
-            ) => self.complete_write(port, w),
+            ) => self.complete_write(w),
             (InflightReq::Batch(ops), Message::GmBatchResp { reads, .. }) => {
                 let got = reads.len();
                 let mut reads = reads.into_iter();
@@ -1041,13 +1001,16 @@ impl GmClient {
                             })?;
                             self.complete_read(port, req, c, data)?
                         }
-                        InflightOp::Write(c) => self.complete_write(port, c),
+                        InflightOp::Write(c) => self.complete_write(c),
                     }
                 }
             }
             (ctl, other) => return Err(GmProtocolError::new(req, ctl.expects(), other.label())),
         }
-        port.request_done(req, kind, answer);
+        if let Some(sent) = sent {
+            sample(port, kind, sent);
+        }
+        port.request_done(req, answer);
         Ok(())
     }
 
@@ -1089,16 +1052,16 @@ impl GmClient {
             } else {
                 buf.place(st.len, d.buf_off, &data[src..src + d.len]);
             }
-            if let Some(buf) = self.segment_done(port, d.handle) {
+            if let Some(buf) = self.segment_done(d.handle) {
                 self.completed.insert(d.handle, buf);
             }
         }
         Ok(())
     }
 
-    fn complete_write<P: GmPort>(&mut self, port: &mut P, writers: Vec<u64>) {
+    fn complete_write(&mut self, writers: Vec<u64>) {
         for w in writers {
-            if let Some(result) = self.segment_done(port, w) {
+            if let Some(result) = self.segment_done(w) {
                 self.completed.insert(w, result);
             }
         }
@@ -1116,7 +1079,32 @@ fn own_node_read<P: GmPort>(
 ) {
     port.charge_local(len);
     port.store().read_with(region, offset, len, sink).unwrap();
-    port.count(GmCount::LocalRead(len));
+    port.counters().count(GmCount::LocalRead(len));
+}
+
+/// An exchange of `kind` begun at `since` is over: a sample of its series,
+/// the one mapping from an exchange to its series on both engines.
+pub(crate) fn sample<P: GmPort>(port: &P, kind: SpanKind, since: u64) {
+    let (subsystem, name) = match kind {
+        SpanKind::GmRead => ("gm", "remote_read_ns"),
+        SpanKind::GmWrite => ("gm", "remote_write_ns"),
+        SpanKind::GmBatch => ("gm", "batch_ns"),
+        SpanKind::GmFetchAdd => ("gm", "fetch_add_ns"),
+        SpanKind::Barrier => ("sync", "barrier_wait_ns"),
+        SpanKind::Lock => ("sync", "lock_wait_ns"),
+    };
+    let ns = port.now_ns().saturating_sub(since);
+    port.counters().record(subsystem, name, ns);
+}
+
+/// The caller blocked on GM completions since `since` (`seq` is the handle
+/// or the atomic waited on, 0 for a fence or window backpressure): a
+/// `gm/blocked_ns` sample, and its span.
+pub(crate) fn blocked<P: GmPort>(port: &mut P, since: u64, seq: u64) {
+    let now = port.now_ns();
+    port.counters()
+        .record("gm", "blocked_ns", now.saturating_sub(since));
+    port.spans().blocked(since, now, seq);
 }
 
 /// Split `[offset, offset + len)` of `region` into per-home runs.
@@ -1136,6 +1124,7 @@ fn split<P: GmPort>(
 mod tests {
     use super::*;
     use crate::fake_port::{FakePort, UNTRACED};
+    use dse_obs::TraceSpanKind;
 
     /// Four homes over 4 KiB: node 0 (the client's) homes `[0, 1024)`,
     /// home `h` homes `[1024 h, 1024 (h + 1))`; byte `i` holds `i % 251`.
@@ -1181,9 +1170,9 @@ mod tests {
                 }
             )
         ));
-        assert_eq!(p.counts, [GmCount::Coalesced, GmCount::Coalesced]);
-        assert_eq!(p.done, [(0, SpanKind::GmRead)]);
-        assert_eq!(p.handles_done.len(), 3);
+        assert_eq!(p.counter("gm_coalesced"), 2);
+        assert_eq!(p.done.len(), 1);
+        assert_eq!(p.samples("gm", "remote_read_ns"), 1, "one per request");
     }
 
     #[test]
@@ -1291,7 +1280,10 @@ mod tests {
         assert_eq!(c.wait(&mut p, r1), Some(expected(3072, 8)));
         assert_eq!(c.wait(&mut p, w), None);
         assert_eq!(c.wait(&mut p, r2), Some(vec![9; 8]));
-        assert_eq!(p.blocked, [0], "only the fence blocked");
+        assert_eq!(p.samples("gm", "batch_ns"), 1);
+        assert_eq!(p.samples("gm", "blocked_ns"), 1);
+        let blocked = p.span_seqs(TraceSpanKind::GmBlock);
+        assert_eq!(blocked, [0], "only the fence blocked");
     }
 
     #[test]
@@ -1302,13 +1294,10 @@ mod tests {
         let region = p.region;
         assert_eq!(c.read(&mut p, region, 0, 4096), expected(0, 4096));
         assert_eq!(p.sent.len(), 3);
-        assert_eq!(p.max_inflight, 2);
-        assert_eq!(
-            p.handles_done,
-            [(true, true, 3)],
-            "the handle finished once, after its last segment was issued"
-        );
-        assert_eq!(p.counts, [GmCount::LocalRead(1024)]);
+        assert_eq!(p.gauge("gm_inflight"), 2);
+        assert_eq!(p.samples("gm", "remote_read_ns"), 3);
+        assert_eq!(p.counter("gm_local_reads"), 1);
+        assert_eq!(p.counter("gm_bytes_read"), 1024);
         assert_eq!((c.inflight(), p.unanswered()), (0, 0));
     }
 
@@ -1344,6 +1333,7 @@ mod tests {
             "duplicate"
         );
         assert_eq!(p.done.len(), 1, "the duplicate completed nothing");
+        assert_eq!(p.samples("gm", "remote_read_ns"), 1);
         assert_eq!(c.wait(&mut p, h), Some(expected(1024, 8)));
     }
 
@@ -1437,8 +1427,13 @@ mod tests {
         let w = write_nb(&mut c, &mut p, 0, &[7; 4]);
         assert!(matches!(w.0, HandleInner::Ready(None)));
         assert!(p.sent.is_empty());
-        assert_eq!(p.handles_done.len(), 3);
-        assert!(p.handles_done.iter().all(|&(_, remote, _)| !remote));
+        assert_eq!(p.counter("gm_local_reads"), 2);
+        assert_eq!(p.counter("gm_local_writes"), 1);
+        assert_eq!(
+            p.samples("gm", "remote_read_ns"),
+            0,
+            "own-node is no request"
+        );
 
         // A block-covering remote read installs its block ...
         assert_eq!(c.read(&mut p, region, 1024, 600), expected(1024, 600));
@@ -1451,8 +1446,7 @@ mod tests {
         assert_eq!(c.wait(&mut p, h), Some(expected(1024, 512)));
         assert_eq!(c.read(&mut p, region, 1100, 8), expected(1100, 8));
         assert_eq!(p.sent.len(), sent, "replica hits stay off the wire");
-        let hits = p.counts.iter().filter(|&&c| c == GmCount::ReplicaHit);
-        assert_eq!(hits.count(), 2);
+        assert_eq!(p.counter("cache_hits"), 2);
         // A write drops the writer's own replica of the range.
         c.write(&mut p, region, 1030, &[1; 4]);
         assert!(!p.replicas.contains_key(&(region, 2)));
@@ -1473,7 +1467,12 @@ mod tests {
             "the store write is not deferred"
         );
         assert_eq!(c.wait(&mut p, w), None);
-        assert_eq!(p.handles_done, [(false, true, 0)]);
+        assert_eq!(
+            p.samples("gm", "remote_write_ns"),
+            0,
+            "a gate is no request"
+        );
+        assert_eq!(p.span_seqs(TraceSpanKind::GmBlock), [1]);
         assert_eq!(c.inflight(), 0);
     }
 }

@@ -8,7 +8,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dse_api::{ApiCtx, Distribution, GlobalPid, NodeId, ParallelApi, AUTO_BARRIER_BASE};
 use dse_msg::Message;
-use dse_obs::SpanKind;
+use dse_obs::TraceSpanKind;
 
 #[path = "support/fake_port.rs"]
 mod fake_port;
@@ -80,19 +80,28 @@ fn every_synchronizing_operation_fences_staged_work_first() {
         let _read = c.gm_read_nb(region, 2048, 16);
         assert!(c.port.sent.is_empty(), "{name}: split-phase work is staged");
         op(&mut c);
+        let blocked = c.port.span_seqs(TraceSpanKind::GmBlock);
         let port = &c.port;
         let own = port.sent.iter().position(|(_, m)| !is_gm_request(m));
         assert_eq!(own.is_some(), sends, "{name}: {:?}", port.sent);
         let staged = own.unwrap_or(port.sent.len());
         assert_eq!(staged, 2, "{name}: both staged requests go first");
         assert_eq!(port.unanswered(), 0, "{name}: and are answered");
-        for &(_, _, sent_when_done) in &port.handles_done {
-            assert_eq!(
-                sent_when_done, staged,
-                "{name}: a handle finished after the operation's own message"
-            );
-        }
-        assert_eq!(port.handles_done.len(), 2, "{name}");
+        // The first two completions are the staged requests; each was done
+        // before the operation's own message went out.
+        assert!(port.done.len() >= staged, "{name}: {:?}", port.done);
+        assert!(
+            port.done[..staged].iter().all(|&sent| sent == staged),
+            "{name}: a staged request finished after the operation's own message: {:?}",
+            port.done
+        );
+        let answered = port.samples("gm", "remote_read_ns") + port.samples("gm", "remote_write_ns");
+        assert_eq!(answered, 2, "{name}");
+        assert_eq!(
+            blocked.first(),
+            Some(&0),
+            "{name}: the fence is the first wait"
+        );
         assert_eq!(&port.contents()[1024..1040], &[7; 16], "{name}");
     }
 }
@@ -117,11 +126,9 @@ fn auto_barrier_ids_count_up_from_the_base() {
         .collect();
     let want: Vec<u32> = (0..3).map(|i| AUTO_BARRIER_BASE + i).collect();
     assert_eq!(entered, want);
-    let done: Vec<_> = want
-        .iter()
-        .map(|&b| (SpanKind::Barrier, b as u64))
-        .collect();
-    assert_eq!(c.port.ops_done, done);
+    let waited = c.port.span_seqs(TraceSpanKind::BarrierWait);
+    assert!(waited.into_iter().eq(want.iter().map(|&b| u64::from(b))));
+    assert_eq!(c.port.samples("sync", "barrier_wait_ns"), 3);
     assert!(c.port.answers.is_empty(), "every release was consumed");
 }
 
@@ -139,7 +146,7 @@ fn a_release_and_a_grant_are_acquire_points_and_an_unlock_is_not() {
         Message::LockReq { req, lock: 9, .. } => req.0,
         other => panic!("unexpected {}", other.label()),
     };
-    assert_eq!(c.port.ops_done[1], (SpanKind::Lock, lock_req));
+    assert_eq!(c.port.span_seqs(TraceSpanKind::LockWait), [lock_req]);
     assert!(matches!(
         c.port.sent[2].1,
         Message::UnlockReq { lock: 9, .. }
@@ -149,7 +156,8 @@ fn a_release_and_a_grant_are_acquire_points_and_an_unlock_is_not() {
     c.port.barriers_complete_in_place = true;
     c.barrier();
     assert_eq!(c.port.purges, 3);
-    assert_eq!(c.port.ops_done.len(), 3);
+    assert_eq!(c.port.samples("sync", "barrier_wait_ns"), 2);
+    assert_eq!(c.port.samples("sync", "lock_wait_ns"), 1);
 }
 
 #[test]
@@ -162,13 +170,14 @@ fn fetch_add_returns_the_previous_value_own_node_and_remote() {
         let cell = &c.port.contents()[offset as usize..offset as usize + 8];
         assert_eq!(i64::from_le_bytes(cell.try_into().unwrap()), 3);
     }
-    // Only the remote cell went on the wire, and each call is one sample.
+    // Only the remote cell went on the wire, and only it is sampled; every
+    // call is one operation.
     assert_eq!(c.port.sent.len(), 2);
-    assert_eq!(
-        c.port.done,
-        [(0, SpanKind::GmFetchAdd), (1, SpanKind::GmFetchAdd)]
-    );
-    assert_eq!(c.port.ops_done, [(SpanKind::GmFetchAdd, 0); 4]);
+    assert_eq!(c.port.done.len(), 2);
+    assert_eq!(c.port.samples("gm", "fetch_add_ns"), 2);
+    assert_eq!(c.port.span_seqs(TraceSpanKind::GmBlock), [0, 1]);
+    assert_eq!(c.port.counter("gm_ops"), 4);
+    assert_eq!(c.port.counter("fetch_adds"), 2, "own-node ones count here");
 }
 
 #[test]

@@ -128,8 +128,8 @@ fn run_script(ops: Vec<Op>, seed: u64, window: usize, caching: bool, write_gates
             Op::Fence => client.fence(&mut port),
             Op::Acquire => client.acquire(&mut port),
         }
-        assert!(port.max_inflight <= window, "window overrun");
     }
+    assert!(port.gauge("gm_inflight") <= window as u64, "window overrun");
     for (h, want) in outstanding {
         assert_eq!(
             client.wait(&mut port, h),

@@ -8,18 +8,24 @@
 //! completion order — serves its oldest request against the store and
 //! returns the response. A call to the coordinator is answered from a
 //! script: its release or grant waits in `answers` until it is asked for.
-//! Every port call is recorded so tests can assert on what the library did.
+//! Tests assert on what the library did through what went on the wire, the
+//! port's registry (every count and sample the library records) and its
+//! spans. The clock advances one nanosecond per reading.
 //!
 //! Shared by the unit tests in `src/gm_client.rs`, the property test in
-//! `tests/prop_gm_client.rs` and the API-layer tests in `tests/api_ctx.rs`.
+//! `tests/prop_gm_client.rs` and the API-layer tests in `tests/api_ctx.rs`;
+//! each reads a different part of what it records.
 
+#![allow(dead_code)]
+
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 
-use dse_api::{Arrival, Distribution, GmCount, GmPort, GmProtocolError, RequesterSpans};
+use dse_api::{Arrival, Distribution, GmPort, GmProtocolError, RequesterSpans};
 use dse_kernel::cache::{blocks_touching, CACHE_BLOCK};
-use dse_kernel::{GlobalStore, GmError};
+use dse_kernel::{GlobalStore, GmError, PeCounters};
 use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
-use dse_obs::SpanKind;
+use dse_obs::{Registry, TraceSpanKind};
 
 /// How every answer of the fake homes arrives: no clock, no trace context.
 pub const UNTRACED: Arrival = Arrival {
@@ -51,20 +57,15 @@ pub struct FakePort {
     /// Every message put on the wire, in send order: requests to the homes,
     /// calls to the coordinator (node 0) and the exit notice.
     pub sent: Vec<(NodeId, Message)>,
-    pub counts: Vec<GmCount>,
-    pub charged: Vec<usize>,
-    /// `(req, kind)` of every request reported done.
-    pub done: Vec<(u64, SpanKind)>,
-    /// `(is_read, remote, requests sent when it finished)` per handle.
-    pub handles_done: Vec<(bool, bool, usize)>,
-    /// `seq` of every blocking wait.
-    pub blocked: Vec<u64>,
-    pub max_inflight: usize,
+    /// Each request reported done, as how many messages had been sent by
+    /// then.
+    pub done: Vec<usize>,
     pub replicas: HashMap<(RegionId, u64), Vec<u8>>,
     pub purges: usize,
-    /// `(kind, seq)` of every barrier, lock acquisition and atomic done.
-    pub ops_done: Vec<(SpanKind, u64)>,
+    /// Where the library counts and samples.
+    pub metrics: Registry,
     pub spans: RequesterSpans,
+    clock: Cell<u64>,
 }
 
 impl FakePort {
@@ -88,17 +89,49 @@ impl FakePort {
             answers: VecDeque::new(),
             barriers_complete_in_place: false,
             sent: Vec::new(),
-            counts: Vec::new(),
-            charged: Vec::new(),
             done: Vec::new(),
-            handles_done: Vec::new(),
-            blocked: Vec::new(),
-            max_inflight: 0,
             replicas: HashMap::new(),
             purges: 0,
-            ops_done: Vec::new(),
-            spans: RequesterSpans::new(0, false, 0),
+            metrics: Registry::new(),
+            spans: RequesterSpans::new(0, true, 0),
+            clock: Cell::new(0),
         }
+    }
+
+    /// This port's `kernel/name` counter.
+    pub fn counter(&self, name: &str) -> u64 {
+        let pe = Some(self.node.0 as u32);
+        self.metrics
+            .snapshot()
+            .counter("kernel", name, pe)
+            .unwrap_or(0)
+    }
+
+    /// This port's `kernel/name` gauge.
+    pub fn gauge(&self, name: &str) -> u64 {
+        let pe = Some(self.node.0 as u32);
+        self.metrics
+            .snapshot()
+            .gauge("kernel", name, pe)
+            .unwrap_or(0)
+    }
+
+    /// How many samples this port's `subsystem/name` histogram holds.
+    pub fn samples(&self, subsystem: &str, name: &str) -> u64 {
+        let pe = Some(self.node.0 as u32);
+        let snap = self.metrics.snapshot();
+        snap.histogram(subsystem, name, pe).map_or(0, |h| h.count())
+    }
+
+    /// The `seq` of every `kind` span recorded so far, in order (drains
+    /// the spans).
+    pub fn span_seqs(&mut self, kind: TraceSpanKind) -> Vec<u64> {
+        let spans = self.spans.finish(0);
+        spans
+            .iter()
+            .filter(|s| s.kind == kind)
+            .map(|s| s.seq)
+            .collect()
     }
 
     /// The whole region as the homes hold it now.
@@ -196,24 +229,19 @@ impl GmPort for FakePort {
         &mut self.spans
     }
 
-    fn charge_local(&mut self, bytes: usize) {
-        self.charged.push(bytes);
+    fn now_ns(&self) -> u64 {
+        self.clock.set(self.clock.get() + 1);
+        self.clock.get()
     }
 
-    fn count(&mut self, what: GmCount) {
-        self.counts.push(what);
+    fn counters(&self) -> PeCounters<'_> {
+        PeCounters::new(&self.metrics, self.node.0 as u32, None)
     }
 
-    fn send_request(
-        &mut self,
-        home: NodeId,
-        _req: ReqId,
-        msg: Message,
-        _kind: SpanKind,
-        inflight: usize,
-    ) {
+    fn charge_local(&mut self, _bytes: usize) {}
+
+    fn send_request(&mut self, home: NodeId, _req: ReqId, msg: Message) {
         assert_ne!(home, self.node, "an own-node access went on the wire");
-        self.max_inflight = self.max_inflight.max(inflight);
         self.pending[home.0 as usize].push_back(msg.clone());
         self.sent.push((home, msg));
     }
@@ -240,8 +268,8 @@ impl GmPort for FakePort {
         (response, UNTRACED)
     }
 
-    fn request_done(&mut self, req: ReqId, kind: SpanKind, _answer: Arrival) {
-        self.done.push((req.0, kind));
+    fn request_done(&mut self, _req: ReqId, _answer: Arrival) {
+        self.done.push(self.sent.len());
     }
 
     fn protocol_error(&mut self, err: GmProtocolError) -> ! {
@@ -250,18 +278,6 @@ impl GmPort for FakePort {
 
     fn bad_access(&self, what: &str, err: GmError) -> ! {
         panic!("{what} failed: {err}")
-    }
-
-    fn op_done(&mut self, kind: SpanKind, seq: u64, _since: u64) {
-        self.ops_done.push((kind, seq));
-    }
-
-    fn handle_done(&mut self, _issued: u64, is_read: bool, remote: bool) {
-        self.handles_done.push((is_read, remote, self.sent.len()));
-    }
-
-    fn blocked(&mut self, _since: u64, seq: u64) {
-        self.blocked.push(seq);
     }
 
     fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {

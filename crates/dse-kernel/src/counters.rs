@@ -1,14 +1,15 @@
-//! The protocol's counters: what the ports of both engines count, and the
-//! one mapping from a count to the `kernel/*` series of the run's metrics
-//! registry (DESIGN.md §5m/§5n).
+//! The protocol's counters: what both engines count, and the one mapping
+//! from a count to the `kernel/*` series of the run's metrics registry
+//! (DESIGN.md §5m/§5n).
 //!
-//! There is one store. Each engine's ports hand a [`KernelCount`] (the
-//! serving side) or a [`GmCount`] (the requester side) to the counting PE's
+//! There is one store. The serving side's ports hand a [`KernelCount`], and
+//! the requester's shared client code a [`GmCount`], to the counting PE's
 //! [`PeCounters`], which adds it to that PE's series in the run's
-//! `dse_obs::Registry`. Every name of [`KERNEL_COUNTERS`] is registered at
-//! zero for every PE when a cluster is built, so an export, a telemetry
-//! flush and the SSI node table list all of them whether the run moved
-//! them or not.
+//! `dse_obs::Registry`; the client records its latency samples and its
+//! in-flight gauge through the same handle. Every name of
+//! [`KERNEL_COUNTERS`] is registered at zero for every PE when a cluster is
+//! built, so an export, a telemetry flush and the SSI node table list all
+//! of them whether the run moved them or not.
 
 use dse_obs::{MetricKey, Registry};
 
@@ -17,7 +18,7 @@ use dse_obs::{MetricKey, Registry};
 /// model's `messages`, `message_bytes`) and `Invoke` (the launcher's
 /// `invokes`); the live kernel's own `messages` counts the frames it
 /// handled.
-pub const KERNEL_COUNTERS: [&str; 24] = [
+pub const KERNEL_COUNTERS: [&str; 25] = [
     "gm_local_reads",
     "gm_remote_reads",
     "gm_local_writes",
@@ -42,6 +43,7 @@ pub const KERNEL_COUNTERS: [&str; 24] = [
     "dir_invals",
     "rc_deferred_invals",
     "rc_acquires",
+    "gm_ops",
 ];
 
 /// A counter the serving side bumps: the protocol through
@@ -73,9 +75,11 @@ pub enum KernelCount {
     Invoke,
 }
 
-/// A counter the requester side bumps through `GmPort::count`.
+/// A counter the requester side bumps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GmCount {
+    /// The application called a read, write or fetch-add entry point.
+    Op,
     /// An own-node read of this many bytes.
     LocalRead(usize),
     /// An own-node write of this many bytes.
@@ -135,6 +139,7 @@ impl Count for KernelCount {
 impl Count for GmCount {
     fn each(self, mut add: impl FnMut(&'static str, u64)) {
         match self {
+            GmCount::Op => add("gm_ops", 1),
             GmCount::LocalRead(bytes) => {
                 add("gm_local_reads", 1);
                 add("gm_bytes_read", bytes as u64);
@@ -159,8 +164,10 @@ impl Count for GmCount {
     }
 }
 
-/// One PE's `kernel/*` counters in a run's registry. The simulator's series
-/// carry the machine hosting the PE; the live engine's carry none.
+/// One PE's series in a run's registry: its `kernel/*` counters and gauges,
+/// and the requester's latency histograms. The simulator's `kernel/*`
+/// series carry the machine hosting the PE; a histogram, and every series
+/// of the live engine, carries none.
 #[derive(Clone, Copy)]
 pub struct PeCounters<'a> {
     metrics: &'a Registry,
@@ -195,6 +202,17 @@ impl<'a> PeCounters<'a> {
     /// Add `what` to the counters it moves.
     pub fn count(self, what: impl Count) {
         what.each(|name, n| self.metrics.add(self.key(name), n));
+    }
+
+    /// Raise the `kernel/name` gauge to `value` if it is below.
+    pub fn gauge_max(self, name: &'static str, value: u64) {
+        self.metrics.gauge_max(self.key(name), value);
+    }
+
+    /// Add a sample of `value` to the `subsystem/name` histogram.
+    pub fn record(self, subsystem: &'static str, name: &'static str, value: u64) {
+        self.metrics
+            .record(MetricKey::pe(subsystem, name, self.pe), value);
     }
 }
 
@@ -266,6 +284,7 @@ mod tests {
         check(moved(G::Coalesced), &[("gm_coalesced", 1)]);
         check(moved(G::RequestMsg), &[("gm_request_msgs", 1)]);
         check(moved(G::RcAcquire), &[("rc_acquires", 1)]);
+        check(moved(G::Op), &[("gm_ops", 1)]);
         // Between them the counts move every listed name, and no other.
         seen.sort_unstable();
         seen.dedup();
@@ -280,9 +299,14 @@ mod tests {
         let pe = PeCounters::new(&reg, 2, Some(1));
         pe.register();
         pe.count(G::LocalRead(8));
+        pe.gauge_max("gm_inflight", 3);
+        pe.record("gm", "blocked_ns", 5);
         let snap = reg.snapshot();
         assert_eq!(snap.counters.len(), KERNEL_COUNTERS.len());
         assert!(snap.counters.iter().all(|(k, _)| k.machine == Some(1)));
+        assert!(snap.gauges.iter().all(|(k, _)| k.machine == Some(1)));
+        let (key, hist) = &snap.histograms[0];
+        assert_eq!((key.pe, key.machine, hist.count()), (Some(2), None, 1));
         assert_eq!(snap.counter("kernel", "gm_bytes_read", Some(2)), Some(8));
         assert_eq!(snap.counter("kernel", "invokes", Some(2)), Some(0));
     }

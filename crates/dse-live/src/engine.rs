@@ -863,7 +863,7 @@ mod tests {
             ctx.barrier();
             let _ = arr.read(ctx, 0, 3);
         });
-        assert!(r.metrics.counter("gm", "writes", Some(0)).unwrap_or(0) >= 1);
+        assert!(r.metrics.counter("kernel", "gm_ops", Some(0)).unwrap_or(0) >= 2);
         let h = r
             .metrics
             .histogram("sync", "barrier_wait_ns", Some(1))

@@ -5,20 +5,19 @@
 //! [`ApiCtx`] over this port, the same context, `GmClient` and operation
 //! bodies the simulator runs. The port is the wire: the transport endpoint
 //! and app inbox, retransmission of unanswered requests, the wall clock the
-//! shared [`RequesterSpans`] are stamped with, the replica cache's
-//! install-epoch guard, the run's `gm/*` and `sync/*` series, and the
-//! structured failure of the calling rank.
+//! shared library stamps its spans and samples with, the replica cache's
+//! install-epoch guard, and the structured failure of the calling rank.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dse_api::{latency_series, ApiCtx, Arrival, GmPort, GmProtocolError, RequesterSpans, SentReq};
+use dse_api::{ApiCtx, Arrival, GmPort, GmProtocolError, RequesterSpans, SentReq};
 use dse_kernel::protocol::sharers_to_invalidate;
 use dse_kernel::{GlobalStore, GmCount, GmError, GmMode, PeCounters, DEFAULT_GM_WINDOW};
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
-use dse_obs::{FlightEventKind, MetricKey, Registry, SpanKind, TraceRole};
+use dse_obs::{FlightEventKind, MetricKey, SpanKind, TraceRole};
 use dse_transport::{Pop, Transport};
 
 use super::{AbortUnwind, AppInbox, LiveCluster};
@@ -116,20 +115,6 @@ impl LivePort {
         NodeId(self.rank as u16)
     }
 
-    fn metrics(&self) -> &Registry {
-        &self.cluster.metrics
-    }
-
-    /// This rank's `kernel/*` counters.
-    fn counters(&self) -> PeCounters<'_> {
-        PeCounters::new(self.metrics(), self.rank, None)
-    }
-
-    fn incr(&self, subsystem: &'static str, name: &'static str) {
-        self.metrics()
-            .incr(MetricKey::pe(subsystem, name, self.rank));
-    }
-
     /// Record a first-hand app failure (if it is the first observation),
     /// latch the cluster abort, and unwind this app thread without
     /// tripping the panic hook.
@@ -214,7 +199,9 @@ impl LivePort {
                     seq: key,
                     waited_ns: st.sent_at.elapsed().as_nanos() as u64,
                 };
-                self.incr("kernel", "gm_deadline_trips");
+                self.cluster
+                    .metrics
+                    .incr(MetricKey::pe("kernel", "gm_deadline_trips", self.rank));
                 let (trace, span) = ctx.map_or((0, 0), |c| (c.trace, c.parent));
                 let now_ns = self.cluster.now_ns();
                 self.cluster
@@ -235,7 +222,9 @@ impl LivePort {
             // (wire accounting keeps its exact counts); the retry shows up
             // under its own metric. The same trace context rides again so
             // the home's dedup replay stays in the original causal chain.
-            self.incr("kernel", "gm_retries");
+            self.cluster
+                .metrics
+                .incr(MetricKey::pe("kernel", "gm_retries", self.rank));
             if let Some(sent) = sent {
                 let now = self.cluster.now_ns();
                 self.spans.retry_backoff(now, sent, elapsed_backoff);
@@ -351,34 +340,26 @@ impl GmPort for LivePort {
         &mut self.spans
     }
 
+    fn now_ns(&self) -> u64 {
+        self.cluster.now_ns()
+    }
+
+    fn counters(&self) -> PeCounters<'_> {
+        PeCounters::new(&self.cluster.metrics, self.rank, None)
+    }
+
     fn charge_local(&mut self, _bytes: usize) {
         // The access already ran for real; nothing to account.
     }
 
-    fn count(&mut self, what: GmCount) {
-        self.counters().count(what);
-    }
-
-    fn send_request(
-        &mut self,
-        home: NodeId,
-        req: ReqId,
-        msg: Message,
-        _kind: SpanKind,
-        inflight: usize,
-    ) {
-        let home = home.0 as u32;
-        self.count(GmCount::RequestMsg);
-        self.send_armed(req, home, msg, true);
-        self.metrics().gauge_max(
-            MetricKey::pe("kernel", "gm_inflight", self.rank),
-            inflight as u64,
-        );
+    fn send_request(&mut self, home: NodeId, req: ReqId, msg: Message) {
+        self.send_armed(req, home.0 as u32, msg, true);
     }
 
     fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, Arrival) {
-        let (msg, ctx) = match self.stash.iter().position(|(m, _)| pred(m)) {
-            Some(idx) => self.stash.remove(idx).unwrap(),
+        let stashed = self.stash.iter().position(|(m, _)| pred(m));
+        let (msg, ctx) = match stashed.and_then(|idx| self.stash.remove(idx)) {
+            Some(got) => got,
             None => loop {
                 // With nothing to retransmit (barrier and lock traffic is
                 // never retried: it is not idempotent and the fault plan
@@ -400,7 +381,7 @@ impl GmPort for LivePort {
         (msg, arrival)
     }
 
-    fn request_done(&mut self, req: ReqId, _kind: SpanKind, at: Arrival) {
+    fn request_done(&mut self, req: ReqId, at: Arrival) {
         self.disarm(req, at);
     }
 
@@ -416,54 +397,6 @@ impl GmPort for LivePort {
         self.die(FailureKind::BadAccess {
             detail: format!("{what} failed: {err}"),
         })
-    }
-
-    fn stamp(&self) -> u64 {
-        self.cluster.now_ns()
-    }
-
-    fn handle_done(&mut self, issued: u64, is_read: bool, remote: bool) {
-        let name = match (is_read, remote) {
-            (true, true) => latency_series(SpanKind::GmRead).1,
-            (true, false) => "local_read_ns",
-            (false, true) => latency_series(SpanKind::GmWrite).1,
-            (false, false) => "local_write_ns",
-        };
-        self.metrics().record(
-            MetricKey::pe("gm", name, self.rank),
-            self.cluster.now_ns().saturating_sub(issued),
-        );
-    }
-
-    /// Every blocking wait is a `gm/blocked_ns` sample: what is left of an
-    /// operation's latency after it is the requester's own client time.
-    fn blocked(&mut self, since: u64, seq: u64) {
-        let now = self.cluster.now_ns();
-        self.metrics().record(
-            MetricKey::pe("gm", "blocked_ns", self.rank),
-            now.saturating_sub(since),
-        );
-        self.spans.blocked(since, now, seq);
-    }
-
-    fn op_begun(&mut self, kind: SpanKind) {
-        let name = match kind {
-            SpanKind::GmRead => "reads",
-            SpanKind::GmWrite => "writes",
-            _ => "fetch_adds",
-        };
-        self.incr("gm", name);
-        self.incr("kernel", "gm_ops");
-    }
-
-    /// Every barrier, lock acquisition and atomic is a sample of its
-    /// series, own-node atomics included.
-    fn op_done(&mut self, kind: SpanKind, _seq: u64, since: u64) {
-        let (subsystem, name) = latency_series(kind);
-        self.metrics().record(
-            MetricKey::pe(subsystem, name, self.rank),
-            self.cluster.now_ns().saturating_sub(since),
-        );
     }
 
     fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {
@@ -508,7 +441,7 @@ impl GmPort for LivePort {
                 *epoch += 1;
                 cs.purge_node(self.me());
                 drop(epoch);
-                self.count(GmCount::RcAcquire);
+                self.counters().count(GmCount::RcAcquire);
             }
         }
     }
@@ -552,7 +485,7 @@ impl GmPort for LivePort {
 
     /// A request like any other: one `gm_request_msgs`, retry-armed.
     fn send_atomic(&mut self, home: NodeId, req: ReqId, msg: Message) {
-        self.count(GmCount::RequestMsg);
+        self.counters().count(GmCount::RequestMsg);
         self.send_armed(req, home.0 as u32, msg, true);
     }
 

@@ -224,7 +224,9 @@ columns! {
     net_frames: u64, Sim;
     /// Collision/backoff rounds on the simulated shared bus.
     net_collisions: u64, Sim;
-    /// Global-memory operations (reads + writes + fetch-adds), all PEs.
+    /// Global-memory operations, all PEs: one per read, write or
+    /// fetch-add entry-point call (`kernel/gm_ops`), counted by the shared
+    /// client on both engines.
     gm_ops: u64, Both;
     /// GM request messages that crossed the wire / simulated network.
     /// On live rows coalescing depends on arrival timing, so the count
@@ -239,9 +241,9 @@ columns! {
     /// Merged GM latency p99.9 across PEs (ns; virtual on sim runs).
     p999_ns: u64, Sim;
     /// p50 of the time an application spent blocked per GM wait, merged
-    /// across PEs (live runs only; 0 on sim rows): a request's latency
-    /// less this is the requester's own client code.
-    blocked_p50_ns: u64, Never;
+    /// across PEs (ns; virtual on sim runs): a request's latency less this
+    /// is the requester's own client code.
+    blocked_p50_ns: u64, Sim;
     /// Causal-blame decomposition of the run's clock, summed over PEs:
     /// virtual time on sim rows, where it repeats to the nanosecond, wall
     /// time on live rows. The seven columns partition each PE's app-span
@@ -376,21 +378,6 @@ fn gm_latency_quantiles(metrics: &MetricsSnapshot) -> (u64, u64, u64, u64) {
     (merged.p50(), merged.p99(), merged.p999(), blocked.p50())
 }
 
-/// Sum the kernel counters that constitute "GM operations" on the sim
-/// engine, where reads/writes are split by locality.
-fn sim_gm_ops(metrics: &MetricsSnapshot) -> u64 {
-    [
-        "gm_local_reads",
-        "gm_remote_reads",
-        "gm_local_writes",
-        "gm_remote_writes",
-        "fetch_adds",
-    ]
-    .iter()
-    .map(|name| metrics.counter_sum_over_pes("kernel", name))
-    .sum()
-}
-
 /// Execute one run in-process and produce its row. Aborted live runs
 /// yield a row with `status = abort`; spec-level failures and an answer
 /// that fails the application's own acceptance test yield `status =
@@ -432,11 +419,13 @@ pub fn record(spec: &RunSpec, outcome: &Outcome, wall_ns: u64) -> RunRecord {
     let row = RunRecord {
         result: answer.digest(),
         wall_ns,
+        gm_ops: kernel("gm_ops"),
         gm_request_msgs: kernel("gm_request_msgs"),
         retries: kernel("gm_retries"),
         p50_ns,
         p99_ns,
         p999_ns,
+        blocked_p50_ns,
         blame_compute_ns: blame.compute_ns,
         blame_cpu_queue_ns: blame.cpu_queue_ns,
         blame_serve_ns: blame.serve_ns,
@@ -447,11 +436,7 @@ pub fn record(spec: &RunSpec, outcome: &Outcome, wall_ns: u64) -> RunRecord {
         ..RunRecord::failed(spec, status, note)
     };
     let Outcome::Sim(run, _) = outcome else {
-        return RunRecord {
-            gm_ops: kernel("gm_ops"),
-            blocked_p50_ns,
-            ..row
-        };
+        return row;
     };
     let stats = &run.report.stats;
     RunRecord {
@@ -463,7 +448,6 @@ pub fn record(spec: &RunSpec, outcome: &Outcome, wall_ns: u64) -> RunRecord {
         trace_hash: format!("{:016x}", run.report.trace_hash),
         net_frames: run.net_frames,
         net_collisions: run.net_collisions,
-        gm_ops: sim_gm_ops(metrics),
         ..row
     }
 }

@@ -375,3 +375,93 @@ fn every_app_counts_the_same_synchronization_on_both_engines() {
     assert!(gauss[1] > 0, "gauss synchronizes with barriers");
     assert!(knights[0] > 0, "knights takes jobs with fetch-adds");
 }
+
+/// A sixth: the requester's series are recorded once, in the shared client,
+/// against each engine's clock, so both engines keep the same series with
+/// one sample per request, atomic on the wire and barrier wait, and one
+/// `kernel/gm_ops` per entry-point call. Gauss-Seidel uncached blocks on
+/// every refresh and is compared PE by PE. DCT hands out strips of an image
+/// node 0 holds with fetch-adds, so which rank takes which strip is timing:
+/// its totals are compared, and per PE the samples must be one per request.
+#[test]
+fn requester_series_are_the_same_on_both_engines() {
+    use dse::obs::MetricsSnapshot;
+    use std::collections::BTreeMap;
+
+    const NPROCS: usize = 4;
+    /// The `gm/*` and `sync/*` histograms of PE `pe` (all PEs for `None`),
+    /// with their sample counts, and its `kernel/gm_ops`.
+    fn series(metrics: &MetricsSnapshot, pe: Option<u32>) -> BTreeMap<&str, u64> {
+        let mut out = BTreeMap::new();
+        for (k, h) in &metrics.histograms {
+            if pe.is_none_or(|pe| k.pe == Some(pe)) && matches!(k.subsystem, "gm" | "sync") {
+                *out.entry(k.name).or_default() += h.count();
+            }
+        }
+        out.insert(
+            "gm_ops",
+            match pe {
+                Some(pe) => metrics.counter("kernel", "gm_ops", Some(pe)).unwrap_or(0),
+                None => metrics.counter_sum_over_pes("kernel", "gm_ops"),
+            },
+        );
+        out
+    }
+    let program = DseProgram::new(Platform::sunos_sparc());
+
+    let gs = gauss_seidel::GaussSeidelParams::paper(48);
+    let (sim, _) = gauss_seidel::solve_parallel(&program, NPROCS, gs);
+    let live = LiveRunner::new(NPROCS).run(|ctx| {
+        gauss_seidel::body(ctx, &gs);
+    });
+    for pe in 0..NPROCS as u32 {
+        let (s, l) = (
+            series(&sim.metrics, Some(pe)),
+            series(&live.metrics, Some(pe)),
+        );
+        assert!(
+            s["blocked_ns"] > 0 && s["remote_read_ns"] > 0,
+            "pe{pe}: {s:?}"
+        );
+        assert_eq!(s.keys().collect::<Vec<_>>(), l.keys().collect::<Vec<_>>());
+        for name in ["remote_read_ns", "barrier_wait_ns", "gm_ops"] {
+            assert_eq!(s[name], l[name], "gauss pe{pe} {name}");
+        }
+    }
+
+    let dp = dct::DctParams {
+        size: 64,
+        block: 8,
+        keep: 0.25,
+        seed: 3,
+    };
+    let (sim, _) = dct::compress_parallel(&program, NPROCS, dp);
+    let live = LiveRunner::new(NPROCS).run(|ctx| {
+        dct::body(ctx, &dp);
+    });
+    for metrics in [&sim.metrics, &live.metrics] {
+        // Node 0's own accesses and atomics are no requests.
+        let own = series(metrics, Some(0));
+        assert!(["remote_read_ns", "remote_write_ns", "fetch_add_ns"]
+            .iter()
+            .all(|name| !own.contains_key(name)));
+        for pe in 1..NPROCS as u32 {
+            // Per strip taken: one fetch-add, one read, one write, each on
+            // the wire; then the fetch-add that finds none left.
+            let s = series(metrics, Some(pe));
+            let at = |name| s.get(name).copied().unwrap_or(0);
+            assert_eq!(
+                at("fetch_add_ns"),
+                at("remote_read_ns") + 1,
+                "pe{pe}: {s:?}"
+            );
+            assert_eq!(at("remote_write_ns"), at("remote_read_ns"), "pe{pe}: {s:?}");
+            assert_eq!(at("gm_ops"), 3 * at("remote_read_ns") + 1, "pe{pe}: {s:?}");
+            assert!(at("blocked_ns") >= at("fetch_add_ns"), "pe{pe}: {s:?}");
+        }
+    }
+    let (s, l) = (series(&sim.metrics, None), series(&live.metrics, None));
+    for name in ["gm_ops", "barrier_wait_ns"] {
+        assert_eq!(s[name], l[name], "dct {name}");
+    }
+}
