@@ -18,7 +18,7 @@
 //! point-to-point user messages, named barriers, cooperative termination)
 //! is an inherent extension of the simulator instantiation only.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dse_kernel::kernel::SimRequester;
@@ -34,8 +34,8 @@ use dse_platform::Work;
 use dse_sim::{ProcCtx, ProcId, SimDuration, SimTime};
 
 use crate::api::ParallelApi;
-use crate::gm_client::{blocked, sample, GmClient, GmHandle, GmPort, GmProtocolError};
-use crate::req_spans::{Arrival, RequesterSpans, SentReq};
+use crate::gm_client::{sample, GmClient, GmHandle, GmPort, GmProtocolError};
+use crate::req_spans::{Arrival, RequesterSpans};
 
 /// Barrier ids above this are reserved for the auto-sequenced
 /// [`ParallelApi::barrier`]; named barriers must stay below.
@@ -54,15 +54,12 @@ pub struct UserMsg {
 
 /// The simulator behind [`GmPort`]: the process's simulation context, the
 /// cluster's shared state, the messages that arrived while the process was
-/// waiting for something else, the root spans of the requests it has on
-/// the wire, and its causal spans.
+/// waiting for something else, and its causal spans.
 pub struct SimPort<'a> {
     ctx: &'a mut ProcCtx<SimMsg>,
     shared: Arc<ClusterShared>,
     node: NodeId,
     stash: VecDeque<(Message, Arrival)>,
-    /// Root spans of unanswered GM requests, by request id (traced runs).
-    open: HashMap<u64, SentReq>,
     spans: RequesterSpans,
     /// Spans of the kernel duty this process does itself, in own-node calls
     /// into the linked library.
@@ -83,7 +80,6 @@ impl<'a> SimPort<'a> {
             shared,
             node: pid.node(),
             stash: VecDeque::new(),
-            open: HashMap::new(),
             spans,
             home_spans: HomeSpans::new(pe, tracing),
         }
@@ -150,16 +146,6 @@ impl<'a> SimPort<'a> {
         (msg, arrival)
     }
 
-    /// Put GM request `req` for `home` on the wire, remembering its root
-    /// span until it is answered.
-    fn send_open(&mut self, home: NodeId, req: ReqId, msg: &Message) {
-        let sent = self.spans.request_sent(self.now_ns(), home.0 as u32, req.0);
-        self.send_kernel(home, msg, sent.map(|s| s.ctx));
-        if let Some(sent) = sent {
-            self.open.insert(req.0, sent);
-        }
-    }
-
     /// Coherence action before an own-node store mutation (no-op with the
     /// cache off): the home's own directory step, then — the local-write
     /// half of write-invalidate — a `GmInvalidate` to every sharer it
@@ -193,8 +179,9 @@ impl<'a> SimPort<'a> {
         for &h in &holders {
             self.send_kernel(h, &inv, None);
         }
+        let acked = |m: &Message| matches!(m, Message::GmInvalidateAck { req } if *req == txn);
         for _ in &holders {
-            self.await_msg(|m| matches!(m, Message::GmInvalidateAck { req } if *req == txn));
+            self.await_msg(acked, None);
         }
     }
 }
@@ -232,26 +219,25 @@ impl GmPort for SimPort<'_> {
         self.hold(self.shared.cost(self.node).local_call(bytes));
     }
 
-    fn send_request(&mut self, home: NodeId, req: ReqId, msg: Message) {
-        self.send_open(home, req, &msg);
+    fn send_request(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>) {
+        self.send_kernel(home, msg, ctx);
     }
 
-    fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, Arrival) {
+    /// The network model loses nothing, so no wait is given a deadline.
+    fn await_msg(
+        &mut self,
+        mut pred: impl FnMut(&Message) -> bool,
+        _deadline: Option<u64>,
+    ) -> Option<(Message, Arrival)> {
         if let Some(idx) = self.stash.iter().position(|(m, _)| pred(m)) {
-            return self.stash.remove(idx).unwrap();
+            return self.stash.remove(idx);
         }
         loop {
             let got = self.recv_runtime();
             if pred(&got.0) {
-                return got;
+                return Some(got);
             }
             self.stash.push_back(got);
-        }
-    }
-
-    fn request_done(&mut self, req: ReqId, answer: Arrival) {
-        if let Some(sent) = self.open.remove(&req.0) {
-            self.spans.request_done(self.now_ns(), sent, 0, answer);
         }
     }
 
@@ -271,7 +257,7 @@ impl GmPort for SimPort<'_> {
 
     fn replica_install<'d>(
         &mut self,
-        _req: ReqId,
+        _epoch: u64,
         region: RegionId,
         blocks: impl Iterator<Item = (u64, &'d [u8])>,
     ) {
@@ -294,15 +280,15 @@ impl GmPort for SimPort<'_> {
         }
     }
 
-    /// The invalidation round runs inline, *before* the store write, so no
-    /// acknowledgement is left to gate the handle.
+    /// The invalidation round runs inline, *before* the store write, so
+    /// nothing is left for the client to invalidate.
     fn own_node_write(
         &mut self,
         reqs: &mut ReqIdGen,
         region: RegionId,
         offset: u64,
         data: &[u8],
-    ) -> Result<Vec<ReqId>, GmError> {
+    ) -> Result<Vec<NodeId>, GmError> {
         self.coherent_local_write(reqs, region, offset, data.len());
         self.charge_local(data.len());
         self.shared.store.write(region, offset, data)?;
@@ -316,16 +302,17 @@ impl GmPort for SimPort<'_> {
         region: RegionId,
         offset: u64,
         delta: i64,
-    ) -> Result<i64, GmError> {
+    ) -> Result<(i64, Vec<NodeId>), GmError> {
         self.coherent_local_write(reqs, region, offset, 8);
         self.charge_local(8);
-        self.shared.store.fetch_add(region, offset, delta)
+        let prev = self.shared.store.fetch_add(region, offset, delta)?;
+        Ok((prev, Vec::new()))
     }
 
-    /// A request span that is *not* a `gm_request_msgs` count: the home
-    /// kernel counts the fetch-add it serves (DESIGN.md §5h).
-    fn send_atomic(&mut self, home: NodeId, req: ReqId, msg: Message) {
-        self.send_open(home, req, &msg);
+    /// A request that is *not* a `gm_request_msgs` count: the home kernel
+    /// counts the fetch-add it serves (DESIGN.md §5h).
+    fn send_atomic(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>) {
+        self.send_kernel(home, msg, ctx);
     }
 
     /// Node 0's process *is* the coordinator's node: it calls the kernel
@@ -452,7 +439,7 @@ impl<P: GmPort> ApiCtx<P> {
         let t0 = port.now_ns();
         let (wait_span, call) = port.spans().wait_begin();
         if !port.to_coordinator(enter, call) {
-            port.await_msg(granted);
+            port.await_msg(granted, None);
         }
         let now = port.now_ns();
         port.spans().wait_end(now, wait, wait_span, t0, seq);
@@ -560,44 +547,8 @@ impl<P: GmPort> ParallelApi for ApiCtx<P> {
 
     fn gm_fetch_add(&mut self, region: RegionId, offset: u64, delta: i64) -> i64 {
         self.gm_fence();
-        let (port, reqs) = (&mut self.port, self.gm.req_ids());
-        port.counters().count(GmCount::Op);
-        let home = port
-            .store()
-            .atomic_cell_home(region, offset)
-            .unwrap_or_else(|e| port.bad_access("gm_fetch_add", e));
-        if port.caching() {
-            // The caller's own copy of the cell's block goes stale too.
-            port.replica_drop(region, offset, 8);
-        }
-        let prev = if home == port.node() {
-            let prev = port
-                .own_node_fetch_add(reqs, region, offset, delta)
-                .unwrap_or_else(|e| port.bad_access("gm_fetch_add", e));
-            port.counters().count(GmCount::LocalFetchAdd);
-            prev
-        } else {
-            let req = reqs.next();
-            let msg = Message::GmFetchAddReq {
-                req,
-                region,
-                offset,
-                delta,
-            };
-            let sent = port.now_ns();
-            port.send_atomic(home, req, msg);
-            let since = port.now_ns();
-            let (resp, answer) = port
-                .await_msg(|m| matches!(m, Message::GmFetchAddResp { req: r, .. } if *r == req));
-            sample(port, SpanKind::GmFetchAdd, sent);
-            port.request_done(req, answer);
-            blocked(port, since, req.0);
-            match resp {
-                Message::GmFetchAddResp { prev, .. } => prev,
-                _ => unreachable!(),
-            }
-        };
-        prev
+        self.port.counters().count(GmCount::Op);
+        self.gm.fetch_add(&mut self.port, region, offset, delta)
     }
 
     fn barrier(&mut self) {
@@ -691,8 +642,8 @@ impl DseCtx<'_> {
         let req = self.gm.req_ids().next();
         self.port
             .send_kernel(pid.node(), &Message::TerminateReq { req, pid }, None);
-        self.port
-            .await_msg(|m| matches!(m, Message::TerminateAck { req: r } if *r == req));
+        let acked = |m: &Message| matches!(m, Message::TerminateAck { req: r } if *r == req);
+        self.port.await_msg(acked, None);
     }
 
     // ----- point-to-point messages ------------------------------------------
@@ -714,12 +665,12 @@ impl DseCtx<'_> {
 
     /// Receive the next user message, optionally filtered by tag.
     pub fn recv_user(&mut self, want_tag: Option<u32>) -> UserMsg {
-        let (msg, _) = self.port.await_msg(|m| match m {
+        let wanted = |m: &Message| match m {
             Message::UserData { tag, .. } => want_tag.is_none_or(|t| t == *tag),
             _ => false,
-        });
-        match msg {
-            Message::UserData { from, tag, data } => UserMsg { from, tag, data },
+        };
+        match self.port.await_msg(wanted, None) {
+            Some((Message::UserData { from, tag, data }, _)) => UserMsg { from, tag, data },
             _ => unreachable!(),
         }
     }

@@ -4,13 +4,16 @@
 //! module" and "response message analysis module": it splits a byte range
 //! into per-home segments, stages and coalesces them, batches them per
 //! home, keeps the in-flight window, matches responses to requests and
-//! fills the waiting handles (the rules are DESIGN.md §5d). It links
-//! unchanged into both engines: nothing in here knows a transport, the
-//! simulator or a thread, and the one clock it reads is the port's. It
-//! counts and samples every requester-side series itself, once for both
-//! engines. Everything engine-specific goes through one [`GmPort`], a
-//! generic parameter, so every call is statically dispatched (§5m lists
-//! what each engine does behind it).
+//! fills the waiting handles (the rules are DESIGN.md §5d). Its in-flight
+//! table is the one record of a request on either engine: root span, send
+//! time, install epoch and, where the port's wire can lose a message, the
+//! retransmission schedule and deadline (§5f). It links unchanged into both
+//! engines: nothing in here knows a transport, the simulator or a thread,
+//! and the one clock it reads is the port's. It counts and samples every
+//! requester-side series itself, once for both engines. Everything
+//! engine-specific goes through one [`GmPort`], a generic parameter, so
+//! every call is statically dispatched (§5m lists what each engine does
+//! behind it).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -22,8 +25,9 @@ use dse_msg::{
 };
 use dse_obs::SpanKind;
 use dse_platform::Work;
+use dse_transport::RetryPolicy;
 
-use crate::req_spans::{Arrival, RequesterSpans};
+use crate::req_spans::{Arrival, RequesterSpans, SentReq};
 
 /// Handle to a split-phase global-memory operation.
 ///
@@ -129,15 +133,32 @@ impl fmt::Display for GmProtocolError {
 
 impl std::error::Error for GmProtocolError {}
 
+/// A request the client gave up on: what [`GmPort::gm_deadline`] is told.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Unanswered {
+    /// Its correlation id.
+    pub req: ReqId,
+    /// The node it was sent to.
+    pub home: NodeId,
+    /// How many times it was sent, the first send included.
+    pub attempts: u32,
+    /// The exchange it began.
+    pub kind: SpanKind,
+    /// How long ago it was first sent, engine clock.
+    pub waited_ns: u64,
+    /// The trace context every send of it carried.
+    pub ctx: Option<TraceCtx>,
+}
+
 /// Everything engine-specific the Parallel API library needs: the
 /// [`GmClient`] and the [`ApiCtx`](crate::ApiCtx) above it.
 ///
 /// The two implementors are the simulator's port (virtual-time charging,
-/// the network model) and the live engine's (transport, retransmission);
-/// each hands over its own clock and its PE's series, and the library
-/// records every count, sample and span against them. DESIGN.md §5m says,
-/// method by method, what each engine does and why the two bodies are not
-/// one.
+/// the network model) and the live engine's (transport, a wire that can
+/// lose a message); each hands over its own clock and its PE's series, and
+/// the library records every count, sample and span against them and keeps
+/// every request's state. DESIGN.md §5m says, method by method, what each
+/// engine does and why the two bodies are not one.
 pub trait GmPort {
     /// The node this client runs on.
     fn node(&self) -> NodeId;
@@ -147,6 +168,12 @@ pub trait GmPort {
     fn caching(&self) -> bool;
     /// How many requests this process may have on the wire at once.
     fn gm_window(&self) -> usize;
+    /// How the client retransmits a request that goes unanswered, when this
+    /// port's wire can lose a message. By default it never does, as the
+    /// simulator's network model never does.
+    fn retry_policy(&self) -> Option<RetryPolicy> {
+        None
+    }
     /// This process's causal spans.
     fn spans(&mut self) -> &mut RequesterSpans;
     /// The engine's clock, in nanoseconds.
@@ -157,14 +184,25 @@ pub trait GmPort {
     /// Charge an own-node (linked-library) access touching `bytes`.
     fn charge_local(&mut self, bytes: usize);
 
-    /// Put request `req` for `home` on the wire (the client counts it).
-    fn send_request(&mut self, home: NodeId, req: ReqId, msg: Message);
+    /// Put a request for `home` on the wire, carrying trace context `ctx`:
+    /// a first send, a retransmit or an invalidation (the client counts
+    /// what it counts).
+    fn send_request(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>);
     /// Block for the next message `pred` accepts: serve it from the stash
     /// of earlier arrivals if one is there, else receive, stashing what
-    /// `pred` rejects for its own waiter.
-    fn await_msg(&mut self, pred: impl FnMut(&Message) -> bool) -> (Message, Arrival);
-    /// Request `req` was answered and its result applied.
-    fn request_done(&mut self, req: ReqId, answer: Arrival);
+    /// `pred` rejects for its own waiter. With a `deadline` (engine clock),
+    /// give up once it has passed and nothing `pred` accepts is there:
+    /// `None`, the only way it returns `None`.
+    fn await_msg(
+        &mut self,
+        pred: impl FnMut(&Message) -> bool,
+        deadline: Option<u64>,
+    ) -> Option<(Message, Arrival)>;
+    /// A request went unanswered through every send the retry policy
+    /// allows: fail the run. Only a port with a retry policy is told.
+    fn gm_deadline(&mut self, lost: Unanswered) -> ! {
+        unreachable!("{lost:?} without a retry policy")
+    }
     /// A peer's response did not fit its request: fail the run.
     fn protocol_error(&mut self, err: GmProtocolError) -> !;
     /// The application's `what` (an entry point's name) addressed global
@@ -173,10 +211,18 @@ pub trait GmPort {
 
     /// This node's replica of `block`, if it holds one.
     fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>>;
-    /// Install the blocks request `req` fetched (block id, block bytes).
+    /// This node's install epoch now; the client keeps it with each request
+    /// it sends, for [`GmPort::replica_install`]. By default it never moves:
+    /// in virtual time nothing races an install.
+    fn install_epoch(&self) -> u64 {
+        0
+    }
+    /// Install the blocks a request fetched (block id, block bytes), unless
+    /// the install epoch moved from `epoch`, its value when the request was
+    /// sent: then an invalidation raced the fetch.
     fn replica_install<'d>(
         &mut self,
-        req: ReqId,
+        epoch: u64,
         region: RegionId,
         blocks: impl Iterator<Item = (u64, &'d [u8])>,
     );
@@ -187,29 +233,30 @@ pub trait GmPort {
     fn replica_purge(&mut self);
 
     /// Apply a write to this node's own partition, with the engine's
-    /// coherence round around it. Returns the ids of the requests whose
-    /// acknowledgements gate the writing handle (none when the round
-    /// already completed inline). The client counts the write.
+    /// coherence round around it. Returns the nodes whose replicas the
+    /// client must still invalidate, each acknowledgement gating the
+    /// writing handle (none when the round completed inline). The client
+    /// counts the write.
     fn own_node_write(
         &mut self,
         reqs: &mut ReqIdGen,
         region: RegionId,
         offset: u64,
         data: &[u8],
-    ) -> Result<Vec<ReqId>, GmError>;
+    ) -> Result<Vec<NodeId>, GmError>;
     /// Fetch-and-add on a cell of this node's own partition, with the
-    /// engine's coherence round around it, complete on return. The context
-    /// counts the atomic.
+    /// engine's coherence round around it: the previous value, and the
+    /// nodes to invalidate as for a write. The client counts the atomic.
     fn own_node_fetch_add(
         &mut self,
         reqs: &mut ReqIdGen,
         region: RegionId,
         offset: u64,
         delta: i64,
-    ) -> Result<i64, GmError>;
-    /// Put the atomic `msg` for `home` on the wire: traced, answered and
-    /// reported done like every request, counted the engine's own way.
-    fn send_atomic(&mut self, home: NodeId, req: ReqId, msg: Message);
+    ) -> Result<(i64, Vec<NodeId>), GmError>;
+    /// Put the atomic request `msg` for `home` on the wire like
+    /// [`GmPort::send_request`], counted the engine's own way.
+    fn send_atomic(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>);
 
     /// Hand `call` (a `BarrierEnter`, `LockReq` or `UnlockReq`) to the
     /// coordinator on node 0, under trace context `ctx`. True when the call
@@ -260,12 +307,14 @@ enum StagedOp {
     },
 }
 
-/// An issued request awaiting its response, keyed by correlation id.
-/// A write is remembered by the handles it completes.
+/// What an issued request's answer completes. A write — or an invalidation
+/// an own-node mutation sent — is remembered by the handles it completes.
 enum InflightReq {
     Read(ReadCtl),
     Write(Vec<u64>),
     Batch(Vec<InflightOp>),
+    /// A fetch-and-add: its answer is the atomic's result.
+    FetchAdd,
 }
 
 enum InflightOp {
@@ -279,8 +328,46 @@ impl InflightReq {
             InflightReq::Read(_) => "a read response",
             InflightReq::Write(_) => "a write or invalidation acknowledgement",
             InflightReq::Batch(_) => "a batch response",
+            InflightReq::FetchAdd => "a fetch-add response",
         }
     }
+
+    /// The exchange it is: the series its answer is a sample of.
+    fn kind(&self) -> SpanKind {
+        match self {
+            InflightReq::Read(_) => SpanKind::GmRead,
+            InflightReq::Write(_) => SpanKind::GmWrite,
+            InflightReq::Batch(_) => SpanKind::GmBatch,
+            InflightReq::FetchAdd => SpanKind::GmFetchAdd,
+        }
+    }
+}
+
+/// A request on the wire: the one record of it, on either engine.
+struct Outstanding {
+    ctl: InflightReq,
+    /// When it was first sent, engine clock.
+    sent_ns: u64,
+    /// Its root `gm_req` span (traced runs; never for an invalidation).
+    span: Option<SentReq>,
+    /// The port's install epoch when it was sent.
+    epoch: u64,
+    /// How to send it again, when the port's wire can lose it.
+    retry: Option<Retry>,
+}
+
+/// A request's retransmission schedule.
+struct Retry {
+    home: NodeId,
+    /// The request as first sent.
+    msg: Message,
+    /// Sends so far, the first included.
+    attempts: u32,
+    /// The current backoff step: it doubles per retransmit, up to the
+    /// policy's cap.
+    backoff_ns: u64,
+    /// When the next retransmit is due, engine clock.
+    due_ns: u64,
 }
 
 /// A split-phase handle's outstanding work.
@@ -323,6 +410,7 @@ fn is_completion(msg: &Message) -> bool {
             | Message::GmWriteAck { .. }
             | Message::GmBatchResp { .. }
             | Message::GmInvalidateAck { .. }
+            | Message::GmFetchAddResp { .. }
     )
 }
 
@@ -338,9 +426,11 @@ pub struct GmClient {
     completed: HashMap<u64, Option<ReadBuf>>,
     /// Staged (coalescable) segments, in program order.
     staged: Vec<StagedSeg>,
-    /// Requests on the wire, by correlation id, with the time each was
-    /// sent (none for the acknowledgements an own-node write waits for).
-    inflight: HashMap<u64, (InflightReq, Option<u64>)>,
+    /// Requests on the wire, by correlation id.
+    inflight: HashMap<u64, Outstanding>,
+    /// The previous value a wire atomic's answer carried, until
+    /// [`GmClient::fetch_add`] takes it.
+    fetched: Option<i64>,
 }
 
 impl GmClient {
@@ -354,11 +444,13 @@ impl GmClient {
             completed: HashMap::new(),
             staged: Vec::new(),
             inflight: HashMap::new(),
+            fetched: None,
         }
     }
 
     /// The process's request-id generator (the engine's own requests —
-    /// atomics, locks, invalidations — draw from the same sequence).
+    /// locks, terminations, the simulator's invalidation rounds — draw from
+    /// the same sequence).
     pub fn req_ids(&mut self) -> &mut ReqIdGen {
         &mut self.reqs
     }
@@ -461,14 +553,7 @@ impl GmClient {
             port.node().0
         );
         self.flush_staged(port);
-        if !self.completed.contains_key(&id) {
-            let since = port.now_ns();
-            while !self.completed.contains_key(&id) {
-                self.drain_one(port);
-            }
-            blocked(port, since, id);
-        }
-        self.completed.remove(&id).unwrap()
+        self.block_until(port, id, |c| c.completed.remove(&id))
     }
 
     /// Complete everything outstanding and *discard* results not yet
@@ -482,20 +567,82 @@ impl GmClient {
     /// claimable. With nothing outstanding this is free.
     pub fn fence<P: GmPort>(&mut self, port: &mut P) {
         self.flush_staged(port);
-        if self.inflight.is_empty() {
-            return;
-        }
-        let since = port.now_ns();
-        while !self.inflight.is_empty() {
-            self.drain_one(port);
-        }
-        blocked(port, since, 0);
+        self.block_until(port, 0, |c| c.inflight.is_empty().then_some(()));
     }
 
     /// Release-consistency acquire: fence, then drop this node's replicas.
     pub fn acquire<P: GmPort>(&mut self, port: &mut P) {
         self.fence(port);
         port.replica_purge();
+    }
+
+    /// Fetch-and-add `delta` on the 8-byte cell at `offset` of `region`:
+    /// the previous value. Call it with nothing in flight. A remote cell is
+    /// one request, waited for at once; an own-node one is a library call,
+    /// and the invalidations it leaves are collected before this returns,
+    /// since an atomic has no handle to gate.
+    pub fn fetch_add<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        region: RegionId,
+        offset: u64,
+        delta: i64,
+    ) -> i64 {
+        let home = port
+            .store()
+            .atomic_cell_home(region, offset)
+            .unwrap_or_else(|e| port.bad_access("gm_fetch_add", e));
+        if port.caching() {
+            // The caller's own copy of the cell's block goes stale too.
+            port.replica_drop(region, offset, 8);
+        }
+        if home == port.node() {
+            let (prev, holders) = port
+                .own_node_fetch_add(&mut self.reqs, region, offset, delta)
+                .unwrap_or_else(|e| port.bad_access("gm_fetch_add", e));
+            port.counters().count(GmCount::LocalFetchAdd);
+            self.invalidate(port, holders, region, offset, 8, None);
+            while !self.inflight.is_empty() {
+                self.drain_one(port);
+            }
+            return prev;
+        }
+        let req = self.reqs.next();
+        let msg = Message::GmFetchAddReq {
+            req,
+            region,
+            offset,
+            delta,
+        };
+        self.send(port, home, req, msg, InflightReq::FetchAdd);
+        self.block_until(port, req.0, |c| c.fetched.take())
+    }
+
+    /// Drain completions until `done` yields: a blocking wait, one
+    /// `gm/blocked_ns` sample and `gm_block` span (`seq` is the handle or the
+    /// atomic waited on, 0 for a fence or window backpressure). Free when
+    /// `done` yields at once.
+    fn block_until<P: GmPort, T>(
+        &mut self,
+        port: &mut P,
+        seq: u64,
+        mut done: impl FnMut(&mut Self) -> Option<T>,
+    ) -> T {
+        if let Some(got) = done(self) {
+            return got;
+        }
+        let since = port.now_ns();
+        let got = loop {
+            self.drain_one(port);
+            if let Some(got) = done(self) {
+                break got;
+            }
+        };
+        let now = port.now_ns();
+        port.counters()
+            .record("gm", "blocked_ns", now.saturating_sub(since));
+        port.spans().blocked(since, now, seq);
+        got
     }
 
     // ----- issue -------------------------------------------------------------
@@ -638,15 +785,11 @@ impl GmClient {
             let at = (off - offset) as usize;
             let chunk = &data[at..at + rlen];
             if home == port.node() {
-                let gates = port
+                let holders = port
                     .own_node_write(&mut self.reqs, region, off, chunk)
                     .unwrap_or_else(|e| port.bad_access("gm_write", e));
                 port.counters().count(GmCount::LocalWrite(rlen));
-                for req in gates {
-                    self.owe_segment(handle);
-                    let gate = InflightReq::Write(vec![handle]);
-                    self.inflight.insert(req.0, (gate, None));
-                }
+                self.invalidate(port, holders, region, off, rlen, Some(handle));
             } else {
                 self.stage_write(port, home, region, off, chunk, handle, eager);
             }
@@ -874,7 +1017,7 @@ impl GmClient {
                 (msg, InflightReq::Write(writers))
             }
         };
-        self.dispatch(port, home, req, msg, ctl);
+        self.send(port, home, req, msg, ctl);
     }
 
     fn send_batch<P: GmPort>(&mut self, port: &mut P, home: NodeId, staged: Vec<StagedOp>) {
@@ -908,12 +1051,45 @@ impl GmClient {
             }
         }
         let msg = Message::GmBatchReq { req, ops };
-        let ctl = InflightReq::Batch(ctls);
-        self.dispatch(port, home, req, msg, ctl);
+        self.send(port, home, req, msg, InflightReq::Batch(ctls));
     }
 
-    /// Put one request on the wire and enter it in the in-flight window.
-    fn dispatch<P: GmPort>(
+    /// Invalidate `[offset, offset + len)` of `region` at each of
+    /// `holders`, whose replicas an own-node mutation made stale: one
+    /// `GmInvalidate` each, whose acknowledgement `handle` (if any) waits
+    /// for.
+    fn invalidate<P: GmPort>(
+        &mut self,
+        port: &mut P,
+        holders: Vec<NodeId>,
+        region: RegionId,
+        offset: u64,
+        len: usize,
+        handle: Option<u64>,
+    ) {
+        for holder in holders {
+            let req = self.reqs.next();
+            let msg = Message::GmInvalidate {
+                req,
+                region,
+                offset,
+                len: len as u32,
+            };
+            if let Some(h) = handle {
+                self.owe_segment(h);
+            }
+            let gate = InflightReq::Write(handle.into_iter().collect());
+            self.send(port, holder, req, msg, gate);
+        }
+    }
+
+    /// Put request `req` for `home` on the wire and enter it in the
+    /// in-flight table with its root span, the port's install epoch and,
+    /// when the port's wire can lose it, its retransmission schedule. An
+    /// invalidation is no request of the application's: it has no span and
+    /// no latency sample. A staged read, write or batch enters the window's
+    /// high-water mark and is one `gm_request_msgs`.
+    fn send<P: GmPort>(
         &mut self,
         port: &mut P,
         home: NodeId,
@@ -921,39 +1097,110 @@ impl GmClient {
         msg: Message,
         ctl: InflightReq,
     ) {
-        let sent = port.now_ns();
-        port.send_request(home, req, msg);
-        let inflight = self.inflight.len() as u64 + 1;
-        let counters = port.counters();
-        counters.count(GmCount::RequestMsg);
-        counters.gauge_max("gm_inflight", inflight);
-        self.inflight.insert(req.0, (ctl, Some(sent)));
+        let epoch = port.install_epoch();
+        let sent_ns = port.now_ns();
+        let span = match msg {
+            Message::GmInvalidate { .. } => None,
+            _ => port.spans().request_sent(sent_ns, home.0 as u32, req.0),
+        };
+        let ctx = span.map(|s| s.ctx);
+        let staged = matches!(ctl, InflightReq::Read(_) | InflightReq::Batch(_))
+            || matches!(msg, Message::GmWriteReq { .. });
+        match ctl {
+            InflightReq::FetchAdd => port.send_atomic(home, &msg, ctx),
+            _ => port.send_request(home, &msg, ctx),
+        }
+        let retry = port.retry_policy().map(|policy| {
+            let backoff_ns = policy.base_delay.as_nanos() as u64;
+            let due_ns = sent_ns + backoff_ns;
+            Retry {
+                home,
+                msg,
+                attempts: 1,
+                backoff_ns,
+                due_ns,
+            }
+        });
+        let sent = Outstanding {
+            ctl,
+            sent_ns,
+            span,
+            epoch,
+            retry,
+        };
+        self.inflight.insert(req.0, sent);
+        if staged {
+            let counters = port.counters();
+            counters.count(GmCount::RequestMsg);
+            counters.gauge_max("gm_inflight", self.inflight.len() as u64);
+        }
     }
 
     /// Block until another request fits in the pipelining window.
     fn window_backpressure<P: GmPort>(&mut self, port: &mut P) {
-        if self.inflight.len() < self.window {
-            return;
-        }
-        let since = port.now_ns();
-        while self.inflight.len() >= self.window {
-            self.drain_one(port);
-        }
-        blocked(port, since, 0);
+        let window = self.window;
+        self.block_until(port, 0, |c| (c.inflight.len() < window).then_some(()));
     }
 
     // ----- completion ----------------------------------------------------------
 
-    /// Consume exactly one GM completion.
+    /// Consume exactly one GM completion. Where the port's wire can lose a
+    /// message, the wait gives up at the earliest retransmit due, and what
+    /// is due is sent again before it resumes.
     fn drain_one<P: GmPort>(&mut self, port: &mut P) {
-        let (msg, answer) = port.await_msg(is_completion);
-        if let Err(e) = self.process_completion(port, msg, answer) {
-            port.protocol_error(e);
+        loop {
+            let due = port.retry_policy().and_then(|_| {
+                let armed = self.inflight.values().filter_map(|o| o.retry.as_ref());
+                armed.map(|r| r.due_ns).min()
+            });
+            if let Some((msg, answer)) = port.await_msg(is_completion, due) {
+                if let Err(e) = self.process_completion(port, msg, answer) {
+                    port.protocol_error(e);
+                }
+                return;
+            }
+            self.retransmit_due(port);
+        }
+    }
+
+    /// The deadline passed: send every request whose retransmit is due
+    /// again, under the trace context it first carried, or give up on one
+    /// already sent as often as the policy allows.
+    fn retransmit_due<P: GmPort>(&mut self, port: &mut P) {
+        let Some(policy) = port.retry_policy() else {
+            return;
+        };
+        let now = port.now_ns();
+        for (&req, sent) in &mut self.inflight {
+            let Some(r) = sent.retry.as_mut().filter(|r| r.due_ns <= now) else {
+                continue;
+            };
+            let ctx = sent.span.map(|s| s.ctx);
+            if r.attempts >= policy.max_attempts {
+                port.gm_deadline(Unanswered {
+                    req: ReqId(req),
+                    home: r.home,
+                    attempts: r.attempts,
+                    kind: sent.ctl.kind(),
+                    waited_ns: now.saturating_sub(sent.sent_ns),
+                    ctx,
+                });
+            }
+            let waited_ns = r.backoff_ns;
+            r.attempts += 1;
+            r.backoff_ns = (2 * r.backoff_ns).min(policy.max_delay.as_nanos() as u64);
+            r.due_ns = now + r.backoff_ns;
+            // A retransmit, not a new request: `gm_request_msgs` stays put.
+            port.counters().count(GmCount::Retry);
+            if let Some(span) = sent.span {
+                port.spans().retry_backoff(now, span, waited_ns);
+            }
+            port.send_request(r.home, &r.msg, ctx);
         }
     }
 
     /// Apply one GM completion (`GmReadResp`, `GmWriteAck`, `GmBatchResp`,
-    /// `GmInvalidateAck`) to the request it answers.
+    /// `GmInvalidateAck`, `GmFetchAddResp`) to the request it answers.
     ///
     /// A response whose correlation id is not in flight is a duplicate
     /// delivery (fault injection, or a retransmit crossing the original
@@ -963,27 +1210,26 @@ impl GmClient {
     ///
     /// # Panics
     ///
-    /// Panics if `msg` is not one of the four completion messages.
+    /// Panics if `msg` is not one of the five completion messages.
     pub fn process_completion<P: GmPort>(
         &mut self,
         port: &mut P,
         msg: Message,
         answer: Arrival,
     ) -> Result<(), GmProtocolError> {
-        let (req, kind) = match &msg {
-            Message::GmReadResp { req, .. } => (*req, SpanKind::GmRead),
-            Message::GmWriteAck { req } | Message::GmInvalidateAck { req } => {
-                (*req, SpanKind::GmWrite)
-            }
-            Message::GmBatchResp { req, .. } => (*req, SpanKind::GmBatch),
-            other => panic!("{} is not a GM completion", other.label()),
+        let req = match msg.req_id() {
+            Some(req) if is_completion(&msg) => req,
+            _ => panic!("{} is not a GM completion", msg.label()),
         };
-        let Some((ctl, sent)) = self.inflight.remove(&req.0) else {
+        let Some(sent) = self.inflight.remove(&req.0) else {
             return Ok(());
         };
-        match (ctl, msg) {
+        let (kind, epoch) = (sent.ctl.kind(), sent.epoch);
+        // An invalidation round's acknowledgement is no latency sample.
+        let sampled = !matches!(msg, Message::GmInvalidateAck { .. });
+        match (sent.ctl, msg) {
             (InflightReq::Read(c), Message::GmReadResp { data, .. }) => {
-                self.complete_read(port, req, c, data)?
+                self.complete_read(port, req, epoch, c, data)?
             }
             (
                 InflightReq::Write(w),
@@ -999,23 +1245,31 @@ impl GmClient {
                                 let got = format!("{got} results");
                                 GmProtocolError::new(req, "a result per batched read", got)
                             })?;
-                            self.complete_read(port, req, c, data)?
+                            self.complete_read(port, req, epoch, c, data)?
                         }
                         InflightOp::Write(c) => self.complete_write(c),
                     }
                 }
             }
+            (InflightReq::FetchAdd, Message::GmFetchAddResp { prev, .. }) => {
+                self.fetched = Some(prev)
+            }
             (ctl, other) => return Err(GmProtocolError::new(req, ctl.expects(), other.label())),
         }
-        if let Some(sent) = sent {
-            sample(port, kind, sent);
+        if sampled {
+            sample(port, kind, sent.sent_ns);
         }
-        port.request_done(req, answer);
+        if let Some(span) = sent.span {
+            let retries = sent.retry.map_or(0, |r| r.attempts - 1);
+            let now = port.now_ns();
+            port.spans().request_done(now, span, retries, answer);
+        }
         Ok(())
     }
 
     /// Distribute one completed read request's bytes to every destination
-    /// handle, installing any cache blocks the request fetched. A handle
+    /// handle, installing any cache blocks the request fetched (unless the
+    /// install epoch moved from `epoch`, its value at dispatch). A handle
     /// the response covers whole keeps a view of a bulk payload instead of
     /// copying it; anything smaller is copied, so a few bytes never keep a
     /// large response alive.
@@ -1023,6 +1277,7 @@ impl GmClient {
         &mut self,
         port: &mut P,
         req: ReqId,
+        epoch: u64,
         ctl: ReadCtl,
         data: Bytes,
     ) -> Result<(), GmProtocolError> {
@@ -1038,7 +1293,7 @@ impl GmClient {
                 let lo = (b * CACHE_BLOCK as u64 - ctl.offset) as usize;
                 (b, &data[lo..lo + CACHE_BLOCK])
             });
-            port.replica_install(req, ctl.region, blocks);
+            port.replica_install(epoch, ctl.region, blocks);
         }
         for d in ctl.dests {
             let src = (d.abs_off - ctl.offset) as usize;
@@ -1097,16 +1352,6 @@ pub(crate) fn sample<P: GmPort>(port: &P, kind: SpanKind, since: u64) {
     port.counters().record(subsystem, name, ns);
 }
 
-/// The caller blocked on GM completions since `since` (`seq` is the handle
-/// or the atomic waited on, 0 for a fence or window backpressure): a
-/// `gm/blocked_ns` sample, and its span.
-pub(crate) fn blocked<P: GmPort>(port: &mut P, since: u64, seq: u64) {
-    let now = port.now_ns();
-    port.counters()
-        .record("gm", "blocked_ns", now.saturating_sub(since));
-    port.spans().blocked(since, now, seq);
-}
-
 /// Split `[offset, offset + len)` of `region` into per-home runs.
 fn split<P: GmPort>(
     port: &P,
@@ -1125,6 +1370,7 @@ mod tests {
     use super::*;
     use crate::fake_port::{FakePort, UNTRACED};
     use dse_obs::TraceSpanKind;
+    use std::time::Duration;
 
     /// Four homes over 4 KiB: node 0 (the client's) homes `[0, 1024)`,
     /// home `h` homes `[1024 h, 1024 (h + 1))`; byte `i` holds `i % 251`.
@@ -1332,9 +1578,10 @@ mod tests {
             Ok(()),
             "duplicate"
         );
-        assert_eq!(p.done.len(), 1, "the duplicate completed nothing");
         assert_eq!(p.samples("gm", "remote_read_ns"), 1);
         assert_eq!(c.wait(&mut p, h), Some(expected(1024, 8)));
+        let closed = p.span_seqs(TraceSpanKind::GmReq);
+        assert_eq!(closed, [0], "the duplicate completed nothing");
     }
 
     #[test]
@@ -1455,6 +1702,17 @@ mod tests {
     }
 
     #[test]
+    fn an_install_an_invalidation_raced_is_skipped() {
+        let (mut c, mut p) = (GmClient::new(32), port());
+        p.caching = true;
+        let h = read_nb(&mut c, &mut p, 1024, 512);
+        c.flush_staged(&mut p);
+        p.epoch += 1; // an invalidation lands while the fetch is out
+        assert_eq!(c.wait(&mut p, h), Some(expected(1024, 512)));
+        assert!(p.replicas.is_empty(), "the fetched bytes may be stale");
+    }
+
+    #[test]
     fn acks_returned_by_the_coherence_hook_gate_the_writing_handle() {
         let (mut c, mut p) = (GmClient::new(32), port());
         p.write_gates = 2;
@@ -1466,13 +1724,101 @@ mod tests {
             [5; 8],
             "the store write is not deferred"
         );
+        assert!(p
+            .sent
+            .iter()
+            .all(|(_, m)| matches!(m, Message::GmInvalidate { len: 8, .. })));
         assert_eq!(c.wait(&mut p, w), None);
         assert_eq!(
             p.samples("gm", "remote_write_ns"),
             0,
             "a gate is no request"
         );
+        assert_eq!(p.counter("gm_request_msgs"), 0);
         assert_eq!(p.span_seqs(TraceSpanKind::GmBlock), [1]);
         assert_eq!(c.inflight(), 0);
+    }
+
+    /// [`port`] over a wire that loses messages: a request goes out at most
+    /// three times, 10 ns apart at first.
+    fn lossy_port() -> FakePort {
+        let mut p = port();
+        p.retry = Some(RetryPolicy {
+            max_attempts: 3,
+            base_delay: Duration::from_nanos(10),
+            max_delay: Duration::from_nanos(40),
+        });
+        p
+    }
+
+    #[test]
+    fn a_lost_answer_is_retransmitted_under_the_original_context() {
+        let (mut c, mut p) = (GmClient::new(32), lossy_port());
+        p.drop_answer.insert(0);
+        let region = p.region;
+        assert_eq!(c.read(&mut p, region, 1024, 8), expected(1024, 8));
+        assert_eq!(p.sent.len(), 2, "the request, then its retransmit");
+        assert_eq!(p.sent[0], p.sent[1]);
+        assert!(p.ctxs[0].is_some());
+        assert_eq!(p.ctxs[0], p.ctxs[1], "the retransmit carries the context");
+        assert_eq!(p.counter("gm_retries"), 1);
+        assert_eq!(
+            p.counter("gm_request_msgs"),
+            1,
+            "a retransmit is no request"
+        );
+        assert_eq!(p.samples("gm", "remote_read_ns"), 1);
+        let spans = p.spans.finish(0);
+        let of = |kind| spans.iter().filter(move |s| s.kind == kind);
+        let reqs: Vec<_> = of(TraceSpanKind::GmReq).collect();
+        assert_eq!((reqs.len(), reqs[0].retries), (1, 1));
+        let backoffs: Vec<_> = of(TraceSpanKind::RetryBackoff).collect();
+        assert_eq!(backoffs.len(), 1);
+        assert_eq!(backoffs[0].parent, reqs[0].span);
+    }
+
+    #[test]
+    fn a_home_that_never_answers_gets_every_attempt_then_the_deadline_trips() {
+        let (mut c, mut p) = (GmClient::new(32), lossy_port());
+        p.silent.push(NodeId(2));
+        let region = p.region;
+        let tripped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.write(&mut p, region, 2048, &[1; 8]);
+        }));
+        assert!(tripped.is_err(), "the fake's deadline hook panics");
+        assert!(p.sent.iter().all(|(home, _)| *home == NodeId(2)));
+        assert_eq!(p.sent.len(), 3, "max_attempts sends, no more");
+        let lost = p.gave_up.expect("the deadline hook fired");
+        assert_eq!(
+            (lost.req, lost.home, lost.attempts),
+            (ReqId(0), NodeId(2), 3)
+        );
+        assert_eq!((lost.kind, lost.ctx), (SpanKind::GmWrite, p.ctxs[0]));
+        assert_eq!(p.counter("gm_retries"), 2);
+    }
+
+    #[test]
+    fn a_late_duplicate_answer_is_ignored() {
+        let (mut c, mut p) = (GmClient::new(32), lossy_port());
+        p.dup_answer.insert(0);
+        let region = p.region;
+        assert_eq!(c.read(&mut p, region, 1024, 8), expected(1024, 8));
+        // The copy of answer 0 arrives while request 1 is waited for.
+        assert_eq!(c.read(&mut p, region, 2048, 8), expected(2048, 8));
+        assert_eq!(p.done.len(), 3, "three answers handed over");
+        assert_eq!(p.samples("gm", "remote_read_ns"), 2, "two applied");
+        assert_eq!(p.counter("gm_retries"), 0);
+    }
+
+    #[test]
+    fn a_wire_atomic_is_retransmitted_and_applied_once() {
+        let (mut c, mut p) = (GmClient::new(32), lossy_port());
+        p.drop_answer.insert(0);
+        let region = p.region;
+        let before = c.fetch_add(&mut p, region, 2048, 5);
+        assert_eq!(c.fetch_add(&mut p, region, 2048, 1), before + 5);
+        assert_eq!(p.counter("gm_retries"), 1);
+        assert_eq!(p.samples("gm", "fetch_add_ns"), 2);
+        assert_eq!(p.span_seqs(TraceSpanKind::GmBlock), [0, 1]);
     }
 }

@@ -53,7 +53,7 @@ mod fake_port;
 
 pub use api::ParallelApi;
 pub use ctx::{ApiCtx, DseCtx, SimPort, UserMsg, AUTO_BARRIER_BASE};
-pub use gm_client::{GmClient, GmHandle, GmPort, GmProtocolError};
+pub use gm_client::{GmClient, GmHandle, GmPort, GmProtocolError, Unanswered};
 pub use program::{DseProgram, RunResult, TelemetrySummary};
 pub use region::{GmArray, GmCounter, GmElem};
 pub use req_spans::{Arrival, RequesterSpans, SentReq};

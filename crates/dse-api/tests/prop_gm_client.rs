@@ -5,11 +5,17 @@
 //! small enough to backpressure, always equal a flat mirror. Reads come in
 //! two sizes, so a handle may be a few bytes copied out of a response, a
 //! view of a bulk response that covers it, or assembled from several homes,
-//! the own node and replica hits: the bytes are the store's either way.
+//! the own node and replica hits: the bytes are the store's either way. Over
+//! a lossy wire (seeded drops and duplicates of answers, the client
+//! retransmitting) every handle still redeems the mirror's bytes, and each
+//! request's answer is applied once.
+
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use dse_api::{GmClient, GmHandle};
+use dse_transport::RetryPolicy;
 
 #[path = "support/fake_port.rs"]
 mod fake_port;
@@ -69,11 +75,28 @@ fn span(off: u16, len: usize) -> (usize, usize) {
     (off, len.min(LEN - off))
 }
 
-fn run_script(ops: Vec<Op>, seed: u64, window: usize, caching: bool, write_gates: usize) {
+fn run_script(
+    ops: Vec<Op>,
+    seed: u64,
+    window: usize,
+    caching: bool,
+    write_gates: usize,
+    lossy: bool,
+) {
     let mut port = FakePort::new(4, LEN, |i| (i % 251) as u8);
     port.seed = seed;
     port.caching = caching;
     port.write_gates = write_gates;
+    if lossy {
+        // One answer in four lost and one in four delivered twice; with 64
+        // sends allowed, giving up is not a case this test meets.
+        port.retry = Some(RetryPolicy {
+            max_attempts: 64,
+            base_delay: Duration::from_nanos(16),
+            max_delay: Duration::from_nanos(1024),
+        });
+        (port.drop_one_in, port.dup_one_in) = (4, 4);
+    }
     let region = port.region;
     let mut client = GmClient::new(window);
     let mut mirror: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
@@ -140,6 +163,13 @@ fn run_script(ops: Vec<Op>, seed: u64, window: usize, caching: bool, write_gates
     client.fence(&mut port);
     assert_eq!(client.inflight(), 0);
     assert_eq!(port.unanswered(), 0);
+    // One latency sample per request: no answer, first or duplicate, was
+    // applied twice.
+    let applied: u64 = ["remote_read_ns", "remote_write_ns", "batch_ns"]
+        .iter()
+        .map(|name| port.samples("gm", name))
+        .sum();
+    assert_eq!(applied, port.counter("gm_request_msgs"));
     assert_eq!(
         port.contents(),
         mirror,
@@ -159,8 +189,9 @@ proptest! {
         window in 1usize..6,
         caching in any::<bool>(),
         write_gates in 0usize..3,
+        lossy in any::<bool>(),
     ) {
-        run_script(ops, seed, window, caching, write_gates);
+        run_script(ops, seed, window, caching, write_gates, lossy);
     }
 
     /// A home that answers a read with the wrong number of bytes fails the

@@ -6,11 +6,19 @@
 //! per home (FIFO, the ordering a home kernel guarantees); `await_msg`
 //! picks a home with work — which one is the seeded choice that permutes
 //! completion order — serves its oldest request against the store and
-//! returns the response. A call to the coordinator is answered from a
-//! script: its release or grant waits in `answers` until it is asked for.
-//! Tests assert on what the library did through what went on the wire, the
-//! port's registry (every count and sample the library records) and its
-//! spans. The clock advances one nanosecond per reading.
+//! hands the client the response. A call to the coordinator is answered
+//! from a script: its release or grant waits in `answers` until it is asked
+//! for. Tests assert on what the library did through what went on the
+//! wire, the port's registry (every count and sample the library records)
+//! and its spans. The clock advances one nanosecond per reading.
+//!
+//! Given a retry policy, the wire may lose: a loss script drops or
+//! duplicates the first answer to a listed request, seeded rates drop or
+//! duplicate any answer, and a silent home answers nothing. A duplicate
+//! arrives before anything else the next time the client waits. The homes
+//! then answer a retransmit from a replay cache, as a live home does, so
+//! nothing is served twice; and a wait with nothing left to hand over gives
+//! up at the client's deadline, the clock jumping to it.
 //!
 //! Shared by the unit tests in `src/gm_client.rs`, the property test in
 //! `tests/prop_gm_client.rs` and the API-layer tests in `tests/api_ctx.rs`;
@@ -19,13 +27,14 @@
 #![allow(dead_code)]
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
-use dse_api::{Arrival, Distribution, GmPort, GmProtocolError, RequesterSpans};
+use dse_api::{Arrival, Distribution, GmPort, GmProtocolError, RequesterSpans, Unanswered};
 use dse_kernel::cache::{blocks_touching, CACHE_BLOCK};
 use dse_kernel::{GlobalStore, GmError, PeCounters};
-use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
+use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqIdGen, TraceCtx};
 use dse_obs::{Registry, TraceSpanKind};
+use dse_transport::RetryPolicy;
 
 /// How every answer of the fake homes arrives: no clock, no trace context.
 pub const UNTRACED: Arrival = Arrival {
@@ -39,13 +48,16 @@ pub struct FakePort {
     pub store: GlobalStore,
     pub region: RegionId,
     pub caching: bool,
-    /// Acknowledgements that gate each own-node write (the live engine's
-    /// shape of the coherence hook; 0 = the simulator's inline round).
+    /// The install epoch; a test moves it to stand for an invalidation.
+    pub epoch: u64,
+    /// Invalidations each own-node write leaves for the client to send, to
+    /// node 1 (the live engine's shape of the coherence hook; 0 = the
+    /// simulator's inline round).
     pub write_gates: usize,
     /// A misbehaving home: every read is answered with this many bytes,
     /// whatever was asked for.
     pub forged_read_len: Option<usize>,
-    /// Seed of the completion-order choice.
+    /// Seed of the completion-order choice and of the seeded losses.
     pub seed: u64,
     /// Unanswered requests, per home, oldest first.
     pub pending: Vec<VecDeque<Message>>,
@@ -54,12 +66,33 @@ pub struct FakePort {
     /// The coordinator completes every barrier round in place (the
     /// simulator's node 0), so no release message follows an enter.
     pub barriers_complete_in_place: bool,
+    /// The retry policy handed to the client (`None`: a wire that loses
+    /// nothing, which the loss script below must leave alone).
+    pub retry: Option<RetryPolicy>,
+    /// Requests whose first answer the wire drops.
+    pub drop_answer: HashSet<u64>,
+    /// Requests whose first answer the wire delivers twice.
+    pub dup_answer: HashSet<u64>,
+    /// Drop one answer in this many (0: none), by the seed.
+    pub drop_one_in: u64,
+    /// Duplicate one answer in this many (0: none), by the seed.
+    pub dup_one_in: u64,
+    /// Homes that answer nothing.
+    pub silent: Vec<NodeId>,
+    /// Duplicated answers on their way.
+    pub late: VecDeque<Message>,
+    /// What the homes answered, by request id, for a retransmit.
+    replies: HashMap<u64, Message>,
     /// Every message put on the wire, in send order: requests to the homes,
     /// calls to the coordinator (node 0) and the exit notice.
     pub sent: Vec<(NodeId, Message)>,
-    /// Each request reported done, as how many messages had been sent by
-    /// then.
+    /// The trace context each message of `sent` carried.
+    pub ctxs: Vec<Option<TraceCtx>>,
+    /// Each answer handed to the client, as how many messages had been sent
+    /// by then.
     pub done: Vec<usize>,
+    /// What the deadline hook was told, once it fired.
+    pub gave_up: Option<Unanswered>,
     pub replicas: HashMap<(RegionId, u64), Vec<u8>>,
     pub purges: usize,
     /// Where the library counts and samples.
@@ -82,14 +115,25 @@ impl FakePort {
             store,
             region,
             caching: false,
+            epoch: 0,
             write_gates: 0,
             forged_read_len: None,
             seed: 1,
             pending: (0..homes).map(|_| VecDeque::new()).collect(),
             answers: VecDeque::new(),
             barriers_complete_in_place: false,
+            retry: None,
+            drop_answer: HashSet::new(),
+            dup_answer: HashSet::new(),
+            drop_one_in: 0,
+            dup_one_in: 0,
+            silent: Vec::new(),
+            late: VecDeque::new(),
+            replies: HashMap::new(),
             sent: Vec::new(),
+            ctxs: Vec::new(),
             done: Vec::new(),
+            gave_up: None,
             replicas: HashMap::new(),
             purges: 0,
             metrics: Registry::new(),
@@ -204,6 +248,71 @@ impl FakePort {
             other => panic!("the fake homes cannot serve {}", other.label()),
         }
     }
+
+    /// The next seeded draw.
+    fn roll(&mut self) -> u64 {
+        self.seed = self
+            .seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.seed >> 33
+    }
+
+    /// Whether a seeded draw hits a one-in-`n` chance (never for 0, which
+    /// draws nothing).
+    fn one_in(&mut self, n: u64) -> bool {
+        n != 0 && self.roll().is_multiple_of(n)
+    }
+
+    /// Put `msg` for `to` on the record of the wire.
+    fn record(&mut self, to: NodeId, msg: Message, ctx: Option<TraceCtx>) {
+        self.sent.push((to, msg));
+        self.ctxs.push(ctx);
+    }
+
+    /// A home's answer to `request`: over a wire that loses, served once
+    /// and replayed to a retransmit.
+    fn answer(&mut self, request: Message) -> Message {
+        if self.retry.is_none() {
+            return self.serve(request);
+        }
+        let req = request.req_id().expect("a request carries its id").0;
+        if let Some(reply) = self.replies.get(&req) {
+            return reply.clone();
+        }
+        let reply = self.serve(request);
+        self.replies.insert(req, reply.clone());
+        reply
+    }
+
+    /// The next answer to reach the client: a duplicate on its way, or a
+    /// home's answer to its oldest request, unless the wire drops it.
+    /// `None` when nothing can arrive.
+    fn next_answer(&mut self) -> Option<Message> {
+        if let Some(copy) = self.late.pop_front() {
+            return Some(copy);
+        }
+        loop {
+            let busy: Vec<usize> = (0..self.pending.len())
+                .filter(|&h| !self.pending[h].is_empty())
+                .filter(|&h| !self.silent.contains(&NodeId(h as u16)))
+                .collect();
+            if busy.is_empty() {
+                return None;
+            }
+            let home = busy[self.roll() as usize % busy.len()];
+            let request = self.pending[home].pop_front().unwrap();
+            let answer = self.answer(request);
+            let req = answer.req_id().expect("an answer carries its id").0;
+            if self.drop_answer.remove(&req) || self.one_in(self.drop_one_in) {
+                continue;
+            }
+            if self.dup_answer.remove(&req) || self.one_in(self.dup_one_in) {
+                self.late.push_back(answer.clone());
+            }
+            return Some(answer);
+        }
+    }
 }
 
 impl GmPort for FakePort {
@@ -225,6 +334,10 @@ impl GmPort for FakePort {
         4
     }
 
+    fn retry_policy(&self) -> Option<RetryPolicy> {
+        self.retry
+    }
+
     fn spans(&mut self) -> &mut RequesterSpans {
         &mut self.spans
     }
@@ -240,36 +353,37 @@ impl GmPort for FakePort {
 
     fn charge_local(&mut self, _bytes: usize) {}
 
-    fn send_request(&mut self, home: NodeId, _req: ReqId, msg: Message) {
+    fn send_request(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>) {
         assert_ne!(home, self.node, "an own-node access went on the wire");
         self.pending[home.0 as usize].push_back(msg.clone());
-        self.sent.push((home, msg));
+        self.record(home, msg.clone(), ctx);
     }
 
-    fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, Arrival) {
+    fn await_msg(
+        &mut self,
+        mut pred: impl FnMut(&Message) -> bool,
+        deadline: Option<u64>,
+    ) -> Option<(Message, Arrival)> {
         if let Some(idx) = self.answers.iter().position(&mut pred) {
-            return (self.answers.remove(idx).unwrap(), UNTRACED);
+            return Some((self.answers.remove(idx).unwrap(), UNTRACED));
         }
-        let busy: Vec<usize> = (0..self.pending.len())
-            .filter(|&h| !self.pending[h].is_empty())
-            .collect();
-        assert!(
-            !busy.is_empty(),
-            "blocked with nothing in flight: the client would wait forever"
-        );
-        self.seed = self
-            .seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let home = busy[(self.seed >> 33) as usize % busy.len()];
-        let request = self.pending[home].pop_front().unwrap();
-        let response = self.serve(request);
-        assert!(pred(&response), "the waiter rejected a GM completion");
-        (response, UNTRACED)
+        let Some(answer) = self.next_answer() else {
+            let deadline =
+                deadline.expect("blocked with nothing in flight: the client would wait forever");
+            self.clock.set(self.clock.get().max(deadline));
+            return None;
+        };
+        assert!(pred(&answer), "the waiter rejected a GM completion");
+        self.done.push(self.sent.len());
+        Some((answer, UNTRACED))
     }
 
-    fn request_done(&mut self, _req: ReqId, _answer: Arrival) {
-        self.done.push(self.sent.len());
+    fn gm_deadline(&mut self, lost: Unanswered) -> ! {
+        self.gave_up = Some(lost);
+        panic!(
+            "request {} to node {} unanswered after {} sends",
+            lost.req.0, lost.home.0, lost.attempts
+        )
     }
 
     fn protocol_error(&mut self, err: GmProtocolError) -> ! {
@@ -284,12 +398,19 @@ impl GmPort for FakePort {
         self.replicas.get(&(region, block)).cloned()
     }
 
+    fn install_epoch(&self) -> u64 {
+        self.epoch
+    }
+
     fn replica_install<'d>(
         &mut self,
-        _req: ReqId,
+        epoch: u64,
         region: RegionId,
         blocks: impl Iterator<Item = (u64, &'d [u8])>,
     ) {
+        if epoch != self.epoch {
+            return;
+        }
         for (b, data) in blocks {
             assert_eq!(data.len(), CACHE_BLOCK);
             self.replicas.insert((region, b), data.to_vec());
@@ -309,26 +430,13 @@ impl GmPort for FakePort {
 
     fn own_node_write(
         &mut self,
-        reqs: &mut ReqIdGen,
+        _reqs: &mut ReqIdGen,
         region: RegionId,
         offset: u64,
         data: &[u8],
-    ) -> Result<Vec<ReqId>, GmError> {
+    ) -> Result<Vec<NodeId>, GmError> {
         self.store.write(region, offset, data)?;
-        Ok((0..self.write_gates)
-            .map(|_| {
-                let req = reqs.next();
-                // The "holder" is any other node; its ack comes back like
-                // every other completion.
-                self.pending[1].push_back(Message::GmInvalidate {
-                    req,
-                    region,
-                    offset,
-                    len: data.len() as u32,
-                });
-                req
-            })
-            .collect())
+        Ok(vec![NodeId(1); self.write_gates])
     }
 
     fn own_node_fetch_add(
@@ -337,17 +445,15 @@ impl GmPort for FakePort {
         region: RegionId,
         offset: u64,
         delta: i64,
-    ) -> Result<i64, GmError> {
-        self.store.fetch_add(region, offset, delta)
+    ) -> Result<(i64, Vec<NodeId>), GmError> {
+        Ok((self.store.fetch_add(region, offset, delta)?, Vec::new()))
     }
 
-    fn send_atomic(&mut self, home: NodeId, _req: ReqId, msg: Message) {
-        assert_ne!(home, self.node, "an own-node atomic went on the wire");
-        self.pending[home.0 as usize].push_back(msg.clone());
-        self.sent.push((home, msg));
+    fn send_atomic(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>) {
+        self.send_request(home, msg, ctx);
     }
 
-    fn to_coordinator(&mut self, call: Message, _ctx: Option<TraceCtx>) -> bool {
+    fn to_coordinator(&mut self, call: Message, ctx: Option<TraceCtx>) -> bool {
         let answer = match call {
             Message::BarrierEnter { barrier, .. } => {
                 Some(Message::BarrierRelease { barrier, epoch: 0 })
@@ -361,12 +467,11 @@ impl GmPort for FakePort {
         if !in_place {
             self.answers.extend(answer);
         }
-        self.sent.push((NodeId(0), call));
+        self.record(NodeId(0), call, ctx);
         in_place
     }
 
     fn exit(&mut self, pid: GlobalPid) {
-        self.sent
-            .push((NodeId(0), Message::ExitNotice { pid, status: 0 }));
+        self.record(NodeId(0), Message::ExitNotice { pid, status: 0 }, None);
     }
 }

@@ -97,6 +97,9 @@ pub enum GmCount {
     RequestMsg,
     /// Release consistency dropped this node's replicas at an acquire point.
     RcAcquire,
+    /// A request went on the wire again. `gm_retries` is not one of
+    /// [`KERNEL_COUNTERS`]: only a wire that loses messages moves it.
+    Retry,
 }
 
 /// A count either side hands over: the counters it moves, and by how much.
@@ -160,6 +163,7 @@ impl Count for GmCount {
             GmCount::Coalesced => add("gm_coalesced", 1),
             GmCount::RequestMsg => add("gm_request_msgs", 1),
             GmCount::RcAcquire => add("rc_acquires", 1),
+            GmCount::Retry => add("gm_retries", 1),
         }
     }
 }
@@ -285,7 +289,9 @@ mod tests {
         check(moved(G::RequestMsg), &[("gm_request_msgs", 1)]);
         check(moved(G::RcAcquire), &[("rc_acquires", 1)]);
         check(moved(G::Op), &[("gm_ops", 1)]);
-        // Between them the counts move every listed name, and no other.
+        // Between them the counts move every listed name, and no other
+        // but the retransmit count.
+        assert_eq!(moved(G::Retry), [("gm_retries", 1)]);
         seen.sort_unstable();
         seen.dedup();
         let mut list = KERNEL_COUNTERS.to_vec();

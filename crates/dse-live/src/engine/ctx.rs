@@ -3,64 +3,30 @@
 //!
 //! The Parallel API library is not written here: [`LiveCtx`] is `dse-api`'s
 //! [`ApiCtx`] over this port, the same context, `GmClient` and operation
-//! bodies the simulator runs. The port is the wire: the transport endpoint
-//! and app inbox, retransmission of unanswered requests, the wall clock the
-//! shared library stamps its spans and samples with, the replica cache's
+//! bodies the simulator runs, retransmission and the request deadline
+//! included. The port is the wire: the transport endpoint and app inbox, a
+//! wait that gives up at the client's deadline, the wall clock the shared
+//! library stamps its spans and samples with, the replica cache's
 //! install-epoch guard, and the structured failure of the calling rank.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::resume_unwind;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use dse_api::{ApiCtx, Arrival, GmPort, GmProtocolError, RequesterSpans, SentReq};
+use dse_api::{ApiCtx, Arrival, GmPort, GmProtocolError, RequesterSpans, Unanswered};
 use dse_kernel::protocol::sharers_to_invalidate;
 use dse_kernel::{GlobalStore, GmCount, GmError, GmMode, PeCounters, DEFAULT_GM_WINDOW};
-use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
-use dse_obs::{FlightEventKind, MetricKey, SpanKind, TraceRole};
-use dse_transport::{Pop, Transport};
+use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqIdGen, TraceCtx};
+use dse_obs::{FlightEventKind, MetricKey, TraceRole};
+use dse_transport::{Pop, RetryPolicy, Transport};
 
 use super::{AbortUnwind, AppInbox, LiveCluster};
 use crate::error::FailureKind;
 
-/// Bookkeeping for one outstanding GM request: retransmission, the
-/// install-epoch guard, and its root `gm_req` span.
-struct RetryState {
-    /// Home PE the request is addressed to.
-    home: u32,
-    /// The encoded-identical request, kept for retransmission.
-    msg: Message,
-    /// Send attempts so far (initial send counts as the first).
-    attempts: u32,
-    /// Current backoff step (doubles per retry, capped by the policy).
-    backoff: Duration,
-    /// When the next retransmit is due.
-    next_retry: Instant,
-    /// When the original send happened (for the deadline report).
-    sent_at: Instant,
-    /// The root span opened at the original send; retransmits carry the
-    /// same context so the home kernel's dedup replay stays in the same
-    /// causal chain. `None` when untraced.
-    sent: Option<SentReq>,
-    /// Install-epoch snapshot taken at dispatch: a mismatch at completion
-    /// means an invalidation raced the fetch, so the install is skipped.
-    epoch: u64,
-}
-
-/// The span kind a retransmitted request would have opened (for the
-/// flight-recorder stall event on a deadline trip).
-fn span_kind_of(msg: &Message) -> SpanKind {
-    match msg {
-        Message::GmWriteReq { .. } => SpanKind::GmWrite,
-        Message::GmFetchAddReq { .. } => SpanKind::GmFetchAdd,
-        Message::GmBatchReq { .. } => SpanKind::GmBatch,
-        _ => SpanKind::GmRead,
-    }
-}
-
 /// The live engine behind [`GmPort`]: the transport endpoint and app inbox,
 /// the messages that arrived while the app was waiting for something else,
-/// retransmission state, and the process's causal spans.
+/// and the process's causal spans.
 pub struct LivePort {
     rank: u32,
     cluster: Arc<LiveCluster>,
@@ -69,9 +35,6 @@ pub struct LivePort {
     /// Messages (with their wire trace context) that arrived while
     /// awaiting something else.
     stash: VecDeque<(Message, Option<TraceCtx>)>,
-    /// Outstanding requests, keyed by request id; entries are dropped
-    /// when the response arrives.
-    retry: HashMap<u64, RetryState>,
     /// Causal spans of this app thread.
     spans: RequesterSpans,
 }
@@ -96,7 +59,6 @@ impl LivePort {
             transport,
             app_rx,
             stash: VecDeque::new(),
-            retry: HashMap::new(),
             spans,
         }
     }
@@ -142,180 +104,17 @@ impl LivePort {
         }
     }
 
-    /// Receive the next message from our app inbox (fed by the local
-    /// kernel and, on direct-delivery transports, by remote kernels).
-    ///
-    /// A `None` timeout blocks until a message arrives — safe only where
-    /// an eventual wakeup is guaranteed (the kernel pushes the `Abort`
-    /// frame and then closes the inbox when the run dies). A `Some`
-    /// timeout returns `None` on expiry so the caller can service
-    /// retransmission deadlines.
-    fn recv_app(&mut self, timeout: Option<Duration>) -> Option<(Message, Option<TraceCtx>)> {
-        let got = match self.app_rx.pop(timeout) {
-            Pop::Item(m) => m,
-            Pop::TimedOut => return None,
-            Pop::Closed => self.die(FailureKind::KernelGone),
-        };
-        if matches!(got.0, Message::Abort { .. }) {
-            // The run is aborting; this thread is a casualty, not a
-            // cause — unwind without recording a failure.
-            resume_unwind(Box::new(AbortUnwind));
-        }
-        Some(got)
-    }
-
-    /// How long a completion wait may block before retransmission
-    /// deadlines need servicing.
-    fn retry_tick(&self) -> Duration {
-        let now = Instant::now();
-        self.retry
-            .values()
-            .map(|s| s.next_retry.saturating_duration_since(now))
-            .min()
-            .unwrap_or(Duration::from_millis(100))
-            .clamp(Duration::from_millis(1), Duration::from_millis(100))
-    }
-
-    /// Retransmit overdue GM requests; trip the deadline once one has
-    /// exhausted its attempt budget. Called whenever a completion wait
-    /// times out.
-    fn service_retries(&mut self) {
-        let now = Instant::now();
-        let policy = self.cluster.retry;
-        let due: Vec<u64> = self
-            .retry
-            .iter()
-            .filter(|(_, s)| s.next_retry <= now)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in due {
-            let st = self.retry.get_mut(&key).unwrap();
-            let (home, sent) = (st.home, st.sent);
-            let ctx = sent.map(|s| s.ctx);
-            if st.attempts >= policy.max_attempts {
-                let attempts = st.attempts;
-                let stall = FlightEventKind::Stall {
-                    kind: span_kind_of(&st.msg),
-                    seq: key,
-                    waited_ns: st.sent_at.elapsed().as_nanos() as u64,
-                };
-                self.cluster
-                    .metrics
-                    .incr(MetricKey::pe("kernel", "gm_deadline_trips", self.rank));
-                let (trace, span) = ctx.map_or((0, 0), |c| (c.trace, c.parent));
-                let now_ns = self.cluster.now_ns();
-                self.cluster
-                    .flight
-                    .record_traced(now_ns, self.rank, trace, span, stall);
-                self.die(FailureKind::GmDeadline {
-                    req: key,
-                    home,
-                    attempts,
-                });
-            }
-            let elapsed_backoff = st.backoff.as_nanos() as u64;
-            st.attempts += 1;
-            st.backoff = (st.backoff * 2).min(policy.max_delay);
-            st.next_retry = now + st.backoff;
-            let msg = st.msg.clone();
-            // A retransmit, not a new request: `gm_request_msgs` stays put
-            // (wire accounting keeps its exact counts); the retry shows up
-            // under its own metric. The same trace context rides again so
-            // the home's dedup replay stays in the original causal chain.
-            self.cluster
-                .metrics
-                .incr(MetricKey::pe("kernel", "gm_retries", self.rank));
-            if let Some(sent) = sent {
-                let now = self.cluster.now_ns();
-                self.spans.retry_backoff(now, sent, elapsed_backoff);
-            }
-            self.send_traced(home, &msg, ctx);
-        }
-    }
-
-    /// This PE's install epoch now (0 on uncached runs, which install
-    /// nothing).
-    fn install_epoch(&self) -> u64 {
-        match self.cluster.cache {
-            Some(_) => *self.cluster.install_guards[self.rank as usize].lock(),
-            None => 0,
-        }
-    }
-
-    /// Send request `req` to `home` and arm its retransmission. A `traced`
-    /// request on a run that records spans opens its root `gm_req` span,
-    /// whose id rides the wire as the trace context's parent. The install
-    /// epoch is snapshotted *before* the send, so an invalidation the home
-    /// issues after serving it is seen as a mismatch at completion.
-    fn send_armed(&mut self, req: ReqId, home: u32, msg: Message, traced: bool) {
-        let epoch = self.install_epoch();
-        let sent = if traced {
-            self.spans.request_sent(self.cluster.now_ns(), home, req.0)
-        } else {
-            None
-        };
-        self.send_traced(home, &msg, sent.map(|s| s.ctx));
-        let policy = self.cluster.retry;
-        let now = Instant::now();
-        self.retry.insert(
-            req.0,
-            RetryState {
-                home,
-                msg,
-                attempts: 1,
-                backoff: policy.base_delay,
-                next_retry: now + policy.base_delay,
-                sent_at: now,
-                sent,
-                epoch,
-            },
-        );
-    }
-
-    /// Request `req` was answered: disarm it and close its spans.
-    fn disarm(&mut self, req: ReqId, at: Arrival) {
-        let Some(st) = self.retry.remove(&req.0) else {
-            return;
-        };
-        if let Some(sent) = st.sent {
-            let now = self.cluster.now_ns();
-            self.spans.request_done(now, sent, st.attempts - 1, at);
-        }
-    }
-
-    /// Coherence actions for a write applied directly to this PE's own
-    /// home partition: the home's own directory step, then a retry-armed
-    /// `GmInvalidate` to every sharer it names. Returns the ids whose acks
-    /// the caller must collect.
-    fn own_write_coherence(
-        &mut self,
-        reqs: &mut ReqIdGen,
-        region: RegionId,
-        offset: u64,
-        len: usize,
-    ) -> Vec<ReqId> {
-        let cluster = Arc::clone(&self.cluster);
-        let Some(cs) = cluster.cache.as_ref() else {
+    /// The home's own directory step for a write to `[offset, offset +
+    /// len)` of this PE's own partition: the sharers whose replicas it made
+    /// stale.
+    fn holders(&self, region: RegionId, offset: u64, len: usize) -> Vec<NodeId> {
+        let Some(cs) = self.cluster.cache.as_ref() else {
             return Vec::new();
         };
-        let rc = cluster.gm_mode == GmMode::ReleaseConsistency;
-        let holders = sharers_to_invalidate(cs, rc, (region, offset, len), self.me(), |c| {
+        let rc = self.cluster.gm_mode == GmMode::ReleaseConsistency;
+        sharers_to_invalidate(cs, rc, (region, offset, len), self.me(), |c| {
             self.counters().count(c)
-        });
-        holders
-            .into_iter()
-            .map(|h| {
-                let req = reqs.next();
-                let msg = Message::GmInvalidate {
-                    req,
-                    region,
-                    offset,
-                    len: len as u32,
-                };
-                self.send_armed(req, h.0 as u32, msg, false);
-                req
-            })
-            .collect()
+        })
     }
 }
 
@@ -336,6 +135,11 @@ impl GmPort for LivePort {
         DEFAULT_GM_WINDOW
     }
 
+    /// The fault plan may drop a request or its answer.
+    fn retry_policy(&self) -> Option<RetryPolicy> {
+        Some(self.cluster.retry)
+    }
+
     fn spans(&mut self) -> &mut RequesterSpans {
         &mut self.spans
     }
@@ -352,25 +156,41 @@ impl GmPort for LivePort {
         // The access already ran for real; nothing to account.
     }
 
-    fn send_request(&mut self, home: NodeId, req: ReqId, msg: Message) {
-        self.send_armed(req, home.0 as u32, msg, true);
+    fn send_request(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>) {
+        self.send_traced(home.0 as u32, msg, ctx);
     }
 
-    fn await_msg(&mut self, mut pred: impl FnMut(&Message) -> bool) -> (Message, Arrival) {
+    /// Receives from the app inbox (fed by the local kernel and, on
+    /// direct-delivery transports, by remote kernels). Barrier and lock
+    /// traffic is never retransmitted (it is not idempotent, and the fault
+    /// plan leaves control messages unharmed), so its waits come without a
+    /// deadline and block untimed: the kernel pushes the `Abort` frame and
+    /// then closes the inbox when the run dies.
+    fn await_msg(
+        &mut self,
+        mut pred: impl FnMut(&Message) -> bool,
+        deadline: Option<u64>,
+    ) -> Option<(Message, Arrival)> {
         let stashed = self.stash.iter().position(|(m, _)| pred(m));
         let (msg, ctx) = match stashed.and_then(|idx| self.stash.remove(idx)) {
             Some(got) => got,
             None => loop {
-                // With nothing to retransmit (barrier and lock traffic is
-                // never retried: it is not idempotent and the fault plan
-                // leaves control messages unharmed) the wait may block: an
-                // abort wakes it via the forwarded frame.
-                let tick = (!self.retry.is_empty()).then(|| self.retry_tick());
-                match self.recv_app(tick) {
-                    None => self.service_retries(),
-                    Some(got) if pred(&got.0) => break got,
-                    Some(other) => self.stash.push_back(other),
+                let now = self.cluster.now_ns();
+                let timeout = deadline.map(|d| Duration::from_nanos(d.saturating_sub(now)));
+                let got = match self.app_rx.pop(timeout) {
+                    Pop::Item(got) => got,
+                    Pop::TimedOut => return None,
+                    Pop::Closed => self.die(FailureKind::KernelGone),
+                };
+                if matches!(got.0, Message::Abort { .. }) {
+                    // The run is aborting; this thread is a casualty, not a
+                    // cause — unwind without recording a failure.
+                    resume_unwind(Box::new(AbortUnwind));
                 }
+                if pred(&got.0) {
+                    break got;
+                }
+                self.stash.push_back(got);
             },
         };
         let arrival = Arrival {
@@ -378,11 +198,31 @@ impl GmPort for LivePort {
             at_ns: self.cluster.now_ns(),
             wire_bytes: msg.wire_len() as u64,
         };
-        (msg, arrival)
+        Some((msg, arrival))
     }
 
-    fn request_done(&mut self, req: ReqId, at: Arrival) {
-        self.disarm(req, at);
+    /// The requester's deadline is the live engine's one stall detector:
+    /// count the trip, leave the request it gave up on in the post-mortem,
+    /// and fail the rank.
+    fn gm_deadline(&mut self, lost: Unanswered) -> ! {
+        self.cluster
+            .metrics
+            .incr(MetricKey::pe("kernel", "gm_deadline_trips", self.rank));
+        let (trace, span) = lost.ctx.map_or((0, 0), |c| (c.trace, c.parent));
+        let stall = FlightEventKind::Stall {
+            kind: lost.kind,
+            seq: lost.req.0,
+            waited_ns: lost.waited_ns,
+        };
+        let now_ns = self.cluster.now_ns();
+        self.cluster
+            .flight
+            .record_traced(now_ns, self.rank, trace, span, stall);
+        self.die(FailureKind::GmDeadline {
+            req: lost.req.0,
+            home: lost.home.0 as u32,
+            attempts: lost.attempts,
+        })
     }
 
     fn protocol_error(&mut self, err: GmProtocolError) -> ! {
@@ -403,22 +243,29 @@ impl GmPort for LivePort {
         self.cluster.cache.as_ref()?.get(self.me(), region, block)
     }
 
+    /// 0 on uncached runs, which install nothing.
+    fn install_epoch(&self) -> u64 {
+        match self.cluster.cache {
+            Some(_) => *self.cluster.install_guards[self.rank as usize].lock(),
+            None => 0,
+        }
+    }
+
     /// Requester-side half of the lease the home granted at serve time:
     /// install the fully fetched blocks, unless an invalidation has landed
     /// since dispatch (epoch mismatch) — then the bytes may already be
     /// stale and the lease stays data-less.
     fn replica_install<'d>(
         &mut self,
-        req: ReqId,
+        epoch: u64,
         region: RegionId,
         blocks: impl Iterator<Item = (u64, &'d [u8])>,
     ) {
         let Some(cs) = self.cluster.cache.as_ref() else {
             return;
         };
-        let dispatched = self.retry.get(&req.0).map(|s| s.epoch);
         let guard = self.cluster.install_guards[self.rank as usize].lock();
-        if Some(*guard) == dispatched {
+        if *guard == epoch {
             for (b, data) in blocks {
                 cs.install_data(self.me(), region, b, data.to_vec());
             }
@@ -448,45 +295,34 @@ impl GmPort for LivePort {
 
     /// The store write comes *first*: any replica leased after it already
     /// holds the new bytes, and every lease granted before it is in the
-    /// holder set the round invalidates. The acks gate the writing handle.
+    /// holder set the client invalidates.
     fn own_node_write(
         &mut self,
-        reqs: &mut ReqIdGen,
+        _reqs: &mut ReqIdGen,
         region: RegionId,
         offset: u64,
         data: &[u8],
-    ) -> Result<Vec<ReqId>, GmError> {
+    ) -> Result<Vec<NodeId>, GmError> {
         self.cluster.store.write(region, offset, data)?;
-        Ok(self.own_write_coherence(reqs, region, offset, data.len()))
+        Ok(self.holders(region, offset, data.len()))
     }
 
-    /// Store first, like an own-node write; the atomic has no handle to
-    /// gate, so the invalidation round completes here: collect every ack.
+    /// Store first, like an own-node write.
     fn own_node_fetch_add(
         &mut self,
-        reqs: &mut ReqIdGen,
+        _reqs: &mut ReqIdGen,
         region: RegionId,
         offset: u64,
         delta: i64,
-    ) -> Result<i64, GmError> {
+    ) -> Result<(i64, Vec<NodeId>), GmError> {
         let prev = self.cluster.store.fetch_add(region, offset, delta)?;
-        let mut pending = self.own_write_coherence(reqs, region, offset, 8);
-        while !pending.is_empty() {
-            let (ack, _) = self.await_msg(
-                |m| matches!(m, Message::GmInvalidateAck { req } if pending.contains(req)),
-            );
-            if let Message::GmInvalidateAck { req } = ack {
-                self.retry.remove(&req.0);
-                pending.retain(|r| *r != req);
-            }
-        }
-        Ok(prev)
+        Ok((prev, self.holders(region, offset, 8)))
     }
 
-    /// A request like any other: one `gm_request_msgs`, retry-armed.
-    fn send_atomic(&mut self, home: NodeId, req: ReqId, msg: Message) {
+    /// A request like any other: one `gm_request_msgs`.
+    fn send_atomic(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>) {
         self.counters().count(GmCount::RequestMsg);
-        self.send_armed(req, home.0 as u32, msg, true);
+        self.send_traced(home.0 as u32, msg, ctx);
     }
 
     /// The coordinator is PE 0's kernel, for PE 0's application too: every
@@ -510,6 +346,7 @@ mod tests {
     use crate::{FailureRole, FaultPlan, LiveRunConfig, LiveRunner, RetryPolicy, SchedulerKind};
     use dse_api::{GmArray, GmCounter, ParallelApi};
     use dse_kernel::Distribution;
+    use dse_msg::ReqId;
 
     #[test]
     fn transient_drops_are_absorbed_by_retry() {

@@ -53,7 +53,17 @@ fn try_capture<T: Send>(
     nprocs: usize,
     body: impl Fn(&mut LiveCtx) -> Option<T> + Send + Sync,
 ) -> Result<T, RunError> {
-    let mut runner = LiveRunner::new(nprocs).transport(kind);
+    try_capture_on(LiveRunner::new(nprocs), kind, plan, body)
+}
+
+/// [`try_capture`] on a runner configured beyond its PE count.
+fn try_capture_on<T: Send>(
+    runner: LiveRunner,
+    kind: TransportKind,
+    plan: Option<&str>,
+    body: impl Fn(&mut LiveCtx) -> Option<T> + Send + Sync,
+) -> Result<T, RunError> {
+    let mut runner = runner.transport(kind);
     if let Some(s) = plan {
         runner = runner.fault_plan(FaultPlan::parse(s).expect("test plan parses"));
     }
@@ -74,7 +84,16 @@ fn recoverable_matrix<T: Send + PartialEq + std::fmt::Debug>(
     nprocs: usize,
     body: impl Fn(&mut LiveCtx) -> Option<T> + Send + Sync,
 ) {
-    let baseline = try_capture(TransportKind::Channel, None, nprocs, &body)
+    recoverable_matrix_on(label, || LiveRunner::new(nprocs), body)
+}
+
+/// [`recoverable_matrix`] on runners `runner` configures.
+fn recoverable_matrix_on<T: Send + PartialEq + std::fmt::Debug>(
+    label: &str,
+    runner: impl Fn() -> LiveRunner<'static>,
+    body: impl Fn(&mut LiveCtx) -> Option<T> + Send + Sync,
+) {
+    let baseline = try_capture_on(runner(), TransportKind::Channel, None, &body)
         .unwrap_or_else(|e| panic!("{label} clean baseline failed:\n{e}"));
     let plans = [
         "seed=11,drop=40",
@@ -83,7 +102,7 @@ fn recoverable_matrix<T: Send + PartialEq + std::fmt::Debug>(
     ];
     for kind in [TransportKind::Channel, TransportKind::Tcp] {
         for plan in plans {
-            let faulted = try_capture(kind, Some(plan), nprocs, &body).unwrap_or_else(|e| {
+            let faulted = try_capture_on(runner(), kind, Some(plan), &body).unwrap_or_else(|e| {
                 panic!("{label} on {kind:?} under `{plan}` should recover, but aborted:\n{e}")
             });
             assert_eq!(
@@ -99,6 +118,21 @@ fn gauss_seidel_absorbs_recoverable_faults() {
     with_timeout("gauss", || {
         let params = gauss_seidel::GaussSeidelParams::paper(24);
         recoverable_matrix("gauss", 3, |ctx| {
+            gauss_seidel::body(ctx, &params).map(|s| (s.iters, s.x))
+        });
+    });
+}
+
+/// The replica cache under the same faults, write-invalidate: a
+/// retransmitted read must not install bytes an invalidation raced (the
+/// install-epoch check), a home replays a leased read's answer from its
+/// dedup cache, and own-node writes retransmit their invalidations.
+#[test]
+fn cached_gauss_seidel_absorbs_recoverable_faults() {
+    with_timeout("cached gauss", || {
+        let params = gauss_seidel::GaussSeidelParams::paper(24);
+        let cached = || LiveRunner::new(3).gm_cache(true);
+        recoverable_matrix_on("cached gauss", cached, |ctx| {
             gauss_seidel::body(ctx, &params).map(|s| (s.iters, s.x))
         });
     });
