@@ -8,10 +8,8 @@ use std::time::Duration;
 
 use dse_msg::{Message, TraceCtx};
 
-use crate::mux::{BlockingQueue, FrameMux, FramePool};
+use crate::mux::{hand_over, FrameMux, FramePool, Inbox};
 use crate::{Envelope, Transport, TransportError};
-
-type Inbox = Arc<BlockingQueue<(u32, Vec<u8>)>>;
 
 /// In-process MPSC channel transport. Build a whole cluster with
 /// [`ChannelTransport::cluster`]; endpoint `i` of the returned vector
@@ -25,11 +23,7 @@ pub struct ChannelTransport {
 impl ChannelTransport {
     /// Create `npes` connected endpoints.
     pub fn cluster(npes: u32) -> Vec<ChannelTransport> {
-        let inboxes: Arc<Vec<Inbox>> = Arc::new(
-            (0..npes)
-                .map(|_| Arc::new(BlockingQueue::default()))
-                .collect(),
-        );
+        let inboxes: Arc<Vec<Inbox>> = Arc::new((0..npes).map(|_| Inbox::default()).collect());
         // One frame pool for the whole cluster: a receiver returns spent
         // buffers into circulation for every sender.
         let pool = Arc::new(FramePool::default());
@@ -46,18 +40,12 @@ impl ChannelTransport {
         &self.inboxes[self.mux.pe() as usize]
     }
 
-    fn send_impl(
-        &self,
-        to: u32,
-        msg: &Message,
-        ctx: Option<TraceCtx>,
-    ) -> Result<(), TransportError> {
+    /// Push encoded frames into `to`'s inbox, unless this endpoint aborted.
+    fn deliver(&self, to: u32, frames: &mut Vec<u8>) -> Result<(), TransportError> {
         if self.aborted.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
-        self.mux.send_frame(to, msg, ctx, |frame| {
-            self.inboxes[to as usize].push((self.mux.pe(), frame))
-        })
+        hand_over(&self.inboxes[to as usize], self.mux.pe(), to, frames)
     }
 }
 
@@ -71,11 +59,13 @@ impl Transport for ChannelTransport {
     }
 
     fn send(&self, to: u32, msg: &Message) -> Result<(), TransportError> {
-        self.send_impl(to, msg, None)
+        self.mux
+            .send_frame(to, msg, None, |frame| self.deliver(to, frame))
     }
 
     fn send_ctx(&self, to: u32, msg: &Message, ctx: TraceCtx) -> Result<(), TransportError> {
-        self.send_impl(to, msg, Some(ctx))
+        self.mux
+            .send_frame(to, msg, Some(ctx), |frame| self.deliver(to, frame))
     }
 
     fn send_batch(
@@ -83,15 +73,11 @@ impl Transport for ChannelTransport {
         to: u32,
         msgs: &[(Message, Option<TraceCtx>)],
     ) -> Result<(), TransportError> {
-        if self.aborted.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
         // One pooled buffer, one queue push (one lock + one wakeup) for the
         // whole run — the receiver's streaming decoder splits it back into
         // frames.
-        self.mux.send_frames(to, msgs, |frames| {
-            self.inboxes[to as usize].push((self.mux.pe(), frames))
-        })
+        self.mux
+            .send_frames(to, msgs, |frames| self.deliver(to, frames))
     }
 
     fn recv(&self, timeout: Option<Duration>) -> Result<Option<Envelope>, TransportError> {
@@ -99,28 +85,21 @@ impl Transport for ChannelTransport {
     }
 
     fn poll_recv(&self) -> Result<Option<Envelope>, TransportError> {
-        // The trait default (zero-timeout recv) would never ingest queued
-        // frames here — recv_via's deadline check precedes the inbox pop.
         self.mux.poll_via(self.inbox())
     }
 
     fn shutdown(&self) {
         // Announce Bye to every peer, then close our own inbox so a
         // blocked `recv` wakes with `Closed` once drained.
-        for to in 0..self.mux.npes() {
-            if to != self.mux.pe() {
-                self.mux.send_bye(to, |bye| {
-                    self.inboxes[to as usize].push((self.mux.pe(), bye))
-                });
-            }
-        }
+        self.mux.send_byes(|to, bye| self.deliver(to, bye));
         self.inbox().close();
     }
 
     fn abort(&self) {
         // Die without the Bye handshake: close our inbox (local recv drains
-        // then reports `Closed`) and refuse further sends. Peers discover
-        // the death when their next send to us returns `PeerDropped`.
+        // then reports `Closed`) and refuse further sends, a late shutdown's
+        // `Bye`s included. Peers discover the death when their next send to
+        // us returns `PeerDropped`.
         self.aborted.store(true, Ordering::Release);
         self.inbox().close();
     }
@@ -145,28 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_between_two_pes() {
-        let mut cluster = ChannelTransport::cluster(2);
-        let b = cluster.pop().unwrap();
-        let a = cluster.pop().unwrap();
-        a.send(1, &msg(7)).unwrap();
-        let env = b.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-        assert_eq!(env.from, 0);
-        assert_eq!(env.seq, 0);
-        assert_eq!(env.msg, msg(7));
-    }
-
-    #[test]
-    fn self_send_loops_back_through_the_codec() {
-        let cluster = ChannelTransport::cluster(1);
-        let a = &cluster[0];
-        a.send(0, &msg(3)).unwrap();
-        let env = a.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-        assert_eq!(env.from, 0);
-        assert_eq!(env.msg, msg(3));
-    }
-
-    #[test]
     fn sequence_numbers_count_per_destination() {
         let cluster = ChannelTransport::cluster(3);
         cluster[0].send(1, &msg(0)).unwrap();
@@ -185,44 +142,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!((e1.seq, e2.seq, e3.seq), (0, 1, 0));
-    }
-
-    #[test]
-    fn send_ctx_delivers_trace_context() {
-        let mut cluster = ChannelTransport::cluster(2);
-        let b = cluster.pop().unwrap();
-        let a = cluster.pop().unwrap();
-        let ctx = TraceCtx {
-            trace: 77,
-            parent: 88,
-        };
-        a.send_ctx(1, &msg(1), ctx).unwrap();
-        a.send(1, &msg(2)).unwrap();
-        let e1 = b.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-        let e2 = b.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-        assert_eq!(e1.ctx, Some(ctx));
-        assert_eq!((e1.seq, e2.seq), (0, 1)); // one seq space for both kinds
-        assert_eq!(e2.ctx, None);
-    }
-
-    #[test]
-    fn poll_recv_pops_queued_frames_without_waiting() {
-        let mut cluster = ChannelTransport::cluster(2);
-        let b = cluster.pop().unwrap();
-        let a = cluster.pop().unwrap();
-        assert_eq!(b.poll_recv().unwrap(), None);
-        a.send(1, &msg(1)).unwrap();
-        a.send(1, &msg(2)).unwrap();
-        // Both frames are queued but undecoded: poll must ingest them.
-        let e1 = b.poll_recv().unwrap().unwrap();
-        let e2 = b.poll_recv().unwrap().unwrap();
-        assert_eq!((e1.msg, e2.msg), (msg(1), msg(2)));
-        assert_eq!(b.poll_recv().unwrap(), None);
-        // Drain-then-closed, same as recv.
-        a.send(1, &msg(3)).unwrap();
-        b.shutdown();
-        assert_eq!(b.poll_recv().unwrap().unwrap().msg, msg(3));
-        assert_eq!(b.poll_recv(), Err(TransportError::Closed));
     }
 
     #[test]

@@ -40,6 +40,12 @@ pub enum TransportError {
         /// The final error, stringified.
         last: String,
     },
+    /// A mesh peer's hello named a rank that may not connect here: out of
+    /// range, not above ours, or already connected.
+    BadHello {
+        /// The rank the hello carried.
+        rank: u32,
+    },
     /// The endpoint has been shut down.
     Closed,
 }
@@ -69,6 +75,9 @@ impl fmt::Display for TransportError {
                 f,
                 "connect to peer {peer} failed after {attempts} attempts: {last}"
             ),
+            TransportError::BadHello { rank } => {
+                write!(f, "mesh hello from rank {rank}, which may not connect here")
+            }
             TransportError::Closed => write!(f, "transport closed"),
         }
     }

@@ -14,13 +14,16 @@
 //!   Even between threads of one process, every message is encoded, framed,
 //!   sequence-checked, and decoded, so the wire path is always exercised.
 //! * [`SocketTransport`] — real byte streams: framed TCP or Unix-domain
-//!   sockets with connect retry under bounded exponential backoff, per-peer
-//!   reader threads, and a `Bye` clean-shutdown handshake (an EOF without
-//!   `Bye` is reported as a dropped peer).
+//!   sockets with connect retry under bounded exponential backoff, one
+//!   poller thread per endpoint pumping bytes from every connection, and a
+//!   `Bye` clean-shutdown handshake (an EOF without `Bye` is reported as a
+//!   dropped peer).
 //!
-//! Both backends share frame format and discipline (see `dse_msg::frame`):
-//! length-prefixed frames, per-(sender → receiver) sequence numbers
-//! verified on receipt, streaming reassembly via `FrameDecoder`.
+//! Both backends share frame format (see `dse_msg::frame`) and discipline,
+//! one `FrameMux` per endpoint (`mux.rs`): length-prefixed frames,
+//! per-(sender → receiver) sequence numbers verified on receipt, streaming
+//! reassembly via `FrameDecoder` on the receiving thread. A backend only
+//! says how bytes reach a peer's inbox.
 
 #![warn(missing_docs)]
 
@@ -69,22 +72,17 @@ pub trait Transport: Send + Sync {
     /// Send `msg` to PE `to` (sending to self is allowed and loops back).
     fn send(&self, to: u32, msg: &Message) -> Result<(), TransportError>;
 
-    /// Send `msg` with a causal trace context riding the same frame. All
-    /// shipped backends propagate the context; the default implementation
-    /// drops it (for minimal external impls) and otherwise behaves exactly
-    /// like [`send`](Transport::send).
-    fn send_ctx(&self, to: u32, msg: &Message, ctx: TraceCtx) -> Result<(), TransportError> {
-        let _ = ctx;
-        self.send(to, msg)
-    }
+    /// Send `msg` with a causal trace context riding the same frame,
+    /// otherwise exactly like [`send`](Transport::send).
+    fn send_ctx(&self, to: u32, msg: &Message, ctx: TraceCtx) -> Result<(), TransportError>;
 
     /// Send several messages to one peer as a single batch, in order.
     ///
-    /// The default sends each message individually. Backends that write to
-    /// a real byte stream override this to coalesce the frames into one
-    /// write — one syscall instead of one per message (Nagle-for-GM at the
-    /// frame layer, but driven by the caller's natural batch boundary, so
-    /// it adds no delay). Sequence numbers are allocated per frame exactly
+    /// The default sends each message individually. Both backends override
+    /// this to coalesce the frames into one delivery — one write or one
+    /// inbox push instead of one per message (Nagle-for-GM at the frame
+    /// layer, but driven by the caller's natural batch boundary, so it adds
+    /// no delay). Sequence numbers are allocated per frame exactly
     /// as with individual sends, so receivers cannot tell the difference.
     fn send_batch(
         &self,
@@ -108,12 +106,8 @@ pub trait Transport: Send + Sync {
     /// `Ok(None)` immediately, never waiting. This is the readiness path a
     /// worker holding several kernels sweeps — it must be cheap when idle
     /// and must deliver any message a blocking [`recv`](Transport::recv)
-    /// would have found ready. The default delegates to a zero-timeout `recv`, which
-    /// is correct for backends whose zero-timeout `recv` still pops an
-    /// available item (backends where it does not must override this).
-    fn poll_recv(&self) -> Result<Option<Envelope>, TransportError> {
-        self.recv(Some(Duration::ZERO))
-    }
+    /// would have found ready.
+    fn poll_recv(&self) -> Result<Option<Envelope>, TransportError>;
 
     /// Announce clean shutdown to all peers (`Bye` handshake) and release
     /// the endpoint. After this, `recv` drains already-delivered messages
@@ -123,11 +117,10 @@ pub trait Transport: Send + Sync {
     /// Kill the endpoint *without* the clean-shutdown handshake, as if the
     /// process died mid-run: no `Bye` is sent, local `recv` reports
     /// [`TransportError::Closed`] once drained, and peers observe the
-    /// failure on their next interaction ([`TransportError::PeerDropped`]).
-    /// Backends without a distinct abrupt path fall back to `shutdown`.
-    fn abort(&self) {
-        self.shutdown();
-    }
+    /// failure on their next interaction ([`TransportError::PeerDropped`]):
+    /// a channel peer when it next sends, a socket peer when it next
+    /// receives.
+    fn abort(&self);
 
     /// Short backend name for diagnostics ("channel", "tcp", "uds").
     fn kind(&self) -> &'static str;

@@ -1,7 +1,10 @@
-//! Plumbing of the in-process backend: a blocking frame queue per PE and a
-//! demultiplexer that reassembles/sequence-checks frames from each sender.
-//! [`crate::ChannelTransport`] delivers *encoded frame bytes* into these
-//! queues, so the wire codec is exercised even when no socket is involved.
+//! The frame discipline of both backends. An endpoint is an [`Inbox`] of
+//! `(from, delivery)` items plus a [`FrameMux`]: the mux numbers and
+//! encodes every frame it sends, and reassembles, sequence-checks and
+//! decodes every delivery its endpoint's receiving thread pops. A channel
+//! endpoint's inbox is filled by its peers' sends; a socket endpoint's by
+//! a poller thread that pumps bytes from each connection. Either way only
+//! encoded bytes move, so the wire codec runs even when no socket does.
 
 use std::collections::VecDeque;
 #[cfg(test)]
@@ -13,10 +16,40 @@ use std::sync::Arc;
 
 use dse_msg::{
     encode_bye_into, encode_frame_ctx_into, frame_len, is_bulk, FrameDecoder, FrameEvent, Message,
-    TraceCtx,
+    TraceCtx, FRAME_HEADER_LEN,
 };
 
 use crate::{Envelope, TransportError};
+
+/// One delivery into an endpoint's inbox from one sender.
+pub(crate) enum Inbound {
+    /// Frame bytes in stream order: whole frames from a channel peer or a
+    /// loopback send, whatever one read returned on a socket.
+    Bytes(Vec<u8>),
+    /// The sender's stream ended.
+    Eof,
+    /// Reading the sender's stream failed.
+    Failed(String),
+}
+
+/// An endpoint's inbox: deliveries tagged with their sender, in arrival
+/// order.
+pub(crate) type Inbox = BlockingQueue<(u32, Inbound)>;
+
+/// Hand encoded `frames` from `from` to the endpoint behind `inbox`, buffer
+/// and all: a channel send, or a socket endpoint's send to itself.
+pub(crate) fn hand_over(
+    inbox: &Inbox,
+    from: u32,
+    to: u32,
+    frames: &mut Vec<u8>,
+) -> Result<(), TransportError> {
+    if inbox.push((from, Inbound::Bytes(std::mem::take(frames)))) {
+        Ok(())
+    } else {
+        Err(TransportError::PeerDropped { peer: to })
+    }
+}
 
 /// Cap on buffers retained by a [`FramePool`]; beyond this, returned
 /// buffers are simply dropped.
@@ -27,22 +60,31 @@ const POOL_MAX_BUFS: usize = 64;
 /// high-water policy).
 const POOL_MAX_CAP: usize = 64 * 1024;
 
-/// A free-list of frame encode buffers shared by a cluster's endpoints.
+/// A free-list of frame buffers shared by an endpoint's senders and its
+/// receiving thread (a channel cluster shares one across all endpoints).
 ///
 /// Senders [`get`](FramePool::get) a cleared buffer, encode a frame into
-/// it, and hand it to the destination's inbox; the receiver returns it with
-/// [`put`](FramePool::put) once ingested. In steady state every small frame
-/// hop reuses a warm buffer and the send path allocates nothing. Bulk
-/// frames stay outside it: they are encoded at their exact size and the
-/// receiving decoder keeps the buffer.
+/// it, and hand it to the destination's inbox; a socket's poller takes one
+/// per read. The receiver returns it with [`put`](FramePool::put) once
+/// ingested. In steady state every small frame hop reuses a warm buffer
+/// and the send path allocates nothing. Bulk deliveries stay outside it:
+/// they get a buffer of their exact size and the receiving decoder keeps
+/// it.
 #[derive(Default)]
 pub struct FramePool {
     bufs: Mutex<Vec<Vec<u8>>>,
 }
 
 impl FramePool {
-    /// Take a cleared buffer from the pool (or a fresh one when empty).
-    pub fn get(&self) -> Vec<u8> {
+    /// The buffer to put `len` bytes of frames into: a cleared pooled one
+    /// (or a fresh one when empty), or for a bulk delivery one of exactly
+    /// that size — the receiver's decoder adopts it, so it never comes
+    /// back, and growing a pooled buffer for it would take that one out of
+    /// circulation too.
+    pub fn get(&self, len: usize) -> Vec<u8> {
+        if is_bulk(len) {
+            return Vec::with_capacity(len);
+        }
         self.bufs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -88,8 +130,8 @@ struct QueueInner<T> {
 }
 
 /// An unbounded MPSC queue with timed blocking pop — the one blocking
-/// primitive of the live engine (channel endpoint inboxes, app inboxes, the
-/// socket event queue). Items already queued remain poppable after `close`
+/// primitive of the live engine (endpoint inboxes of every transport, app
+/// inboxes). Items already queued remain poppable after `close`
 /// (drain-then-closed semantics), so a clean shutdown never discards
 /// delivered frames.
 ///
@@ -200,42 +242,92 @@ impl<T> BlockingQueue<T> {
     }
 }
 
+/// Send side for one destination: its next sequence number and the buffer
+/// its frames are encoded into. A delivery that keeps the buffer (a socket
+/// write) leaves it warm for the next frame; one that hands it on (an
+/// inbox push) leaves it empty, and the next frame takes one from the pool.
+#[derive(Default)]
+struct PeerTx {
+    next_seq: u64,
+    buf: Vec<u8>,
+}
+
+/// Receive side for one sender.
+#[derive(Default)]
 struct PeerRx {
     dec: FrameDecoder,
     next_seq: u64,
+    /// The sender said `Bye`: its stream may now end quietly.
     bye: bool,
+    /// Nothing more is taken from this sender: its stream ended, or it
+    /// broke the discipline (a sequence gap or an undecodable frame).
+    stopped: bool,
 }
 
-/// Receive-side demux: per-sender frame reassembly and sequence checking
-/// over a single inbox of `(from, frame-bytes)` deliveries, plus the
-/// per-destination send sequence counters.
+impl PeerRx {
+    /// Decode every complete frame buffered from `from` into `ready`.
+    fn decode(
+        &mut self,
+        from: u32,
+        ready: &mut VecDeque<Result<Envelope, TransportError>>,
+    ) -> Result<(), TransportError> {
+        while let Some(event) = self.dec.next_frame()? {
+            let (seq, env) = match event {
+                FrameEvent::Bye { seq } => (seq, None),
+                FrameEvent::Msg { seq, msg, ctx } => (
+                    seq,
+                    Some(Envelope {
+                        from,
+                        seq,
+                        msg,
+                        ctx,
+                    }),
+                ),
+            };
+            if seq != self.next_seq {
+                return Err(TransportError::SequenceGap {
+                    peer: from,
+                    expected: self.next_seq,
+                    got: seq,
+                });
+            }
+            self.next_seq += 1;
+            match env {
+                Some(env) => ready.push_back(Ok(env)),
+                None => self.bye = true,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The frame discipline of one endpoint: per-destination sequence
+/// allocation and encoding on the send side; per-sender reassembly,
+/// sequence checking and decoding of the endpoint's inbox deliveries on
+/// the receive side.
 pub struct FrameMux {
     pe: u32,
     npes: u32,
-    tx_seq: Mutex<Vec<u64>>,
+    /// One lock per destination, held across delivery (see `send_with`),
+    /// so no lock shared by two destinations is held across a socket write.
+    tx: Vec<Mutex<PeerTx>>,
     rx: Mutex<Vec<PeerRx>>,
-    ready: Mutex<VecDeque<Envelope>>,
+    /// Decoded messages, and the one error that stopped a sender, in the
+    /// order its frames arrived.
+    ready: Mutex<VecDeque<Result<Envelope, TransportError>>>,
     pool: Arc<FramePool>,
 }
 
 impl FrameMux {
-    /// A mux whose encode buffers come from (and return to) `pool`. Cluster
-    /// constructors share one pool so a buffer sent by PE a and ingested by
-    /// PE b goes back into circulation for any sender.
+    /// A mux whose frame buffers come from (and return to) `pool`. The
+    /// channel cluster shares one pool so a buffer sent by PE a and
+    /// ingested by PE b goes back into circulation for any sender.
     pub fn with_pool(pe: u32, npes: u32, pool: Arc<FramePool>) -> Self {
         FrameMux {
             pe,
             npes,
-            tx_seq: Mutex::new(vec![0; npes as usize]),
-            rx: Mutex::new(
-                (0..npes)
-                    .map(|_| PeerRx {
-                        dec: FrameDecoder::new(),
-                        next_seq: 0,
-                        bye: false,
-                    })
-                    .collect(),
-            ),
+            tx: (0..npes).map(|_| Mutex::default()).collect(),
+            rx: Mutex::new((0..npes).map(|_| PeerRx::default()).collect()),
             ready: Mutex::new(VecDeque::new()),
             pool,
         }
@@ -255,175 +347,176 @@ impl FrameMux {
         &self.pool
     }
 
-    /// The buffer to encode `len` bytes of frames into: a pooled one, or for
-    /// a bulk delivery one of exactly that size — the receiver's decoder
-    /// adopts it, so it never comes back, and growing a pooled buffer for it
-    /// would take that one out of circulation too.
-    fn frame_buf(&self, len: usize) -> Vec<u8> {
-        if is_bulk(len) {
-            Vec::with_capacity(len)
-        } else {
-            self.pool.get()
+    /// Encode frames for `to` and hand them to `deliver`. `encode` writes
+    /// `len` bytes of frames numbered from the destination's next sequence
+    /// number and returns the number after them, which is kept only if the
+    /// delivery succeeds. The destination's lock stays held across
+    /// delivery: an endpoint may be shared by several sending threads, and
+    /// allocating the number in one step but delivering in another would
+    /// let two frames reach the same destination out of sequence order.
+    fn send_with(
+        &self,
+        to: u32,
+        len: usize,
+        encode: impl FnOnce(&mut Vec<u8>, u64) -> u64,
+        deliver: impl FnOnce(&mut Vec<u8>) -> Result<(), TransportError>,
+    ) -> Result<(), TransportError> {
+        let slot = self
+            .tx
+            .get(to as usize)
+            .ok_or(TransportError::NoSuchPeer { peer: to })?;
+        let mut tx = slot.lock().unwrap_or_else(|e| e.into_inner());
+        let PeerTx { next_seq, buf } = &mut *tx;
+        if buf.capacity() == 0 {
+            *buf = self.pool.get(len);
         }
+        buf.clear();
+        let next = encode(buf, *next_seq);
+        deliver(buf)?;
+        *next_seq = next;
+        Ok(())
     }
 
     /// Encode `msg` as the next frame for destination `to` and hand it to
-    /// `deliver` (returning `false` means the destination dropped it). The
-    /// sequence allocator stays locked across delivery: an endpoint may be
-    /// shared by several sending threads, and allocating the number in one
-    /// step but delivering in another would let two frames reach the same
-    /// destination out of sequence order.
+    /// `deliver`, which writes it or takes the buffer.
     pub fn send_frame(
         &self,
         to: u32,
         msg: &Message,
         ctx: Option<TraceCtx>,
-        deliver: impl FnOnce(Vec<u8>) -> bool,
+        deliver: impl FnOnce(&mut Vec<u8>) -> Result<(), TransportError>,
     ) -> Result<(), TransportError> {
-        if to >= self.npes {
-            return Err(TransportError::NoSuchPeer { peer: to });
-        }
-        let mut seqs = self.tx_seq.lock().unwrap_or_else(|e| e.into_inner());
-        let seq = seqs[to as usize];
-        let mut frame = self.frame_buf(frame_len(msg, ctx));
-        encode_frame_ctx_into(&mut frame, seq, msg, ctx);
-        if !deliver(frame) {
-            return Err(TransportError::PeerDropped { peer: to });
-        }
-        seqs[to as usize] += 1;
-        Ok(())
+        let encode = |buf: &mut Vec<u8>, seq| {
+            encode_frame_ctx_into(buf, seq, msg, ctx);
+            seq + 1
+        };
+        self.send_with(to, frame_len(msg, ctx), encode, deliver)
     }
 
-    /// Encode a run of messages as consecutive frames for `to` into a
-    /// single pooled buffer and hand it to `deliver` in one delivery. The
-    /// receive side's frame decoder is a streaming reassembler, so one
-    /// multi-frame buffer is indistinguishable from back-to-back single
-    /// frames — but the queue (or socket) is touched once instead of once
-    /// per message.
+    /// Encode a run of messages as consecutive frames for `to` into one
+    /// buffer and hand it to `deliver` in one delivery. The receive side's
+    /// frame decoder is a streaming reassembler, so one multi-frame buffer
+    /// is indistinguishable from back-to-back single frames — but the queue
+    /// (or socket) is touched once instead of once per message.
     pub fn send_frames(
         &self,
         to: u32,
         msgs: &[(Message, Option<TraceCtx>)],
-        deliver: impl FnOnce(Vec<u8>) -> bool,
+        deliver: impl FnOnce(&mut Vec<u8>) -> Result<(), TransportError>,
     ) -> Result<(), TransportError> {
-        if to >= self.npes {
-            return Err(TransportError::NoSuchPeer { peer: to });
-        }
         if msgs.is_empty() {
             return Ok(());
         }
-        let mut seqs = self.tx_seq.lock().unwrap_or_else(|e| e.into_inner());
-        let mut seq = seqs[to as usize];
         let len = msgs.iter().map(|(msg, ctx)| frame_len(msg, *ctx)).sum();
-        let mut frame = self.frame_buf(len);
-        for (msg, ctx) in msgs {
-            encode_frame_ctx_into(&mut frame, seq, msg, *ctx);
-            seq += 1;
-        }
-        if !deliver(frame) {
-            return Err(TransportError::PeerDropped { peer: to });
-        }
-        seqs[to as usize] = seq;
-        Ok(())
+        let encode = |buf: &mut Vec<u8>, mut seq| {
+            for (msg, ctx) in msgs {
+                encode_frame_ctx_into(buf, seq, msg, *ctx);
+                seq += 1;
+            }
+            seq
+        };
+        self.send_with(to, len, encode, deliver)
     }
 
-    /// Encode the `Bye` frame for destination `to` and hand it to `deliver`
-    /// (same locking discipline as [`FrameMux::send_frame`]).
-    pub fn send_bye(&self, to: u32, deliver: impl FnOnce(Vec<u8>) -> bool) {
-        let mut seqs = self.tx_seq.lock().unwrap_or_else(|e| e.into_inner());
-        let seq = seqs[to as usize];
-        let mut frame = self.pool.get();
-        encode_bye_into(&mut frame, seq);
-        if deliver(frame) {
-            seqs[to as usize] += 1;
+    /// The send side of the clean-shutdown handshake: a `Bye` to every
+    /// other PE, numbered in its sequence like any frame, through
+    /// `deliver(to, frame)`. A destination that cannot take it is skipped.
+    pub fn send_byes(
+        &self,
+        mut deliver: impl FnMut(u32, &mut Vec<u8>) -> Result<(), TransportError>,
+    ) {
+        for to in (0..self.npes).filter(|&to| to != self.pe) {
+            let encode = |buf: &mut Vec<u8>, seq| {
+                encode_bye_into(buf, seq);
+                seq + 1
+            };
+            let _ = self.send_with(to, FRAME_HEADER_LEN, encode, |bye| deliver(to, bye));
         }
     }
 
-    /// Feed one delivery of frame bytes received from `from`; decoded
-    /// messages land in the ready queue. The buffer goes back to the pool
-    /// unless the decoder kept it.
-    pub fn ingest(&self, from: u32, bytes: Vec<u8>) -> Result<(), TransportError> {
+    /// Take one delivery from `from`. Frame bytes are reassembled,
+    /// sequence-checked and decoded into the ready queue, and the buffer
+    /// goes back to the pool unless the decoder kept it. The end of the
+    /// sender's stream is quiet after its `Bye` and
+    /// [`TransportError::PeerDropped`] before it (a cut mid-frame too); a
+    /// failed read is [`TransportError::Io`]. A sequence gap or an
+    /// undecodable frame keeps its own error. Each of these is reported
+    /// once, after the messages that arrived before it, and nothing more is
+    /// taken from that sender.
+    fn ingest(&self, from: u32, inbound: Inbound) {
         let mut rx = self.rx.lock().unwrap_or_else(|e| e.into_inner());
         let pr = &mut rx[from as usize];
-        if let Some(spent) = pr.dec.push_owned(bytes) {
-            self.pool.put(spent);
+        if pr.stopped {
+            if let Inbound::Bytes(spent) = inbound {
+                self.pool.put(spent);
+            }
+            return;
         }
-        loop {
-            match pr.dec.next_frame()? {
-                None => break,
-                Some(FrameEvent::Bye { seq }) => {
-                    Self::check_seq(from, &mut pr.next_seq, seq)?;
-                    pr.bye = true;
+        let mut ready = self.ready.lock().unwrap_or_else(|e| e.into_inner());
+        let failure = match inbound {
+            Inbound::Bytes(bytes) => {
+                if let Some(spent) = pr.dec.push_owned(bytes) {
+                    self.pool.put(spent);
                 }
-                Some(FrameEvent::Msg { seq, msg, ctx }) => {
-                    Self::check_seq(from, &mut pr.next_seq, seq)?;
-                    self.ready
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push_back(Envelope {
-                            from,
-                            seq,
-                            msg,
-                            ctx,
-                        });
+                match pr.decode(from, &mut ready) {
+                    Ok(()) => return,
+                    Err(e) => Some(e),
                 }
             }
-        }
-        Ok(())
+            Inbound::Eof => (!pr.bye).then_some(TransportError::PeerDropped { peer: from }),
+            Inbound::Failed(e) => (!pr.bye).then_some(TransportError::Io(e)),
+        };
+        pr.stopped = true;
+        ready.extend(failure.map(Err));
     }
 
-    fn check_seq(from: u32, next: &mut u64, got: u64) -> Result<(), TransportError> {
-        if got != *next {
-            return Err(TransportError::SequenceGap {
-                peer: from,
-                expected: *next,
-                got,
-            });
-        }
-        *next += 1;
-        Ok(())
-    }
-
-    /// Pop one decoded envelope, if any.
-    pub fn take_ready(&self) -> Option<Envelope> {
+    /// Pop one decoded envelope or sender error, if any.
+    fn take_ready(&self) -> Option<Result<Envelope, TransportError>> {
         self.ready
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .pop_front()
     }
 
+    /// Pop one delivery from `inbox`, waiting up to `wait`, and ingest it.
+    /// `None` means look at the ready queue again; otherwise the receive
+    /// ends with what is returned.
+    fn pull(
+        &self,
+        inbox: &Inbox,
+        wait: Option<Duration>,
+    ) -> Option<Result<Option<Envelope>, TransportError>> {
+        match inbox.pop(wait) {
+            Pop::Item((from, inbound)) => {
+                self.ingest(from, inbound);
+                None
+            }
+            Pop::TimedOut => Some(Ok(None)),
+            Pop::Closed => Some(Err(TransportError::Closed)),
+        }
+    }
+
     /// Drive the inbox until an envelope is ready or the timeout elapses.
+    /// A closed inbox still yields what it held, then `Closed`.
     pub fn recv_via(
         &self,
-        inbox: &BlockingQueue<(u32, Vec<u8>)>,
+        inbox: &Inbox,
         timeout: Option<Duration>,
     ) -> Result<Option<Envelope>, TransportError> {
         let deadline = timeout.map(|t| Instant::now() + t);
         loop {
-            if let Some(env) = self.take_ready() {
-                return Ok(Some(env));
+            if let Some(ready) = self.take_ready() {
+                return ready.map(Some);
             }
             let remaining = match deadline {
                 None => None,
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Ok(None);
-                    }
-                    Some(d - now)
-                }
+                Some(d) => match d.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return Ok(None),
+                },
             };
-            match inbox.pop(remaining) {
-                Pop::Item((from, bytes)) => self.ingest(from, bytes)?,
-                Pop::TimedOut => return Ok(None),
-                Pop::Closed => {
-                    // Drain anything decoded between the check above and
-                    // the close, then report closure.
-                    return match self.take_ready() {
-                        Some(env) => Ok(Some(env)),
-                        None => Err(TransportError::Closed),
-                    };
-                }
+            if let Some(done) = self.pull(inbox, remaining) {
+                return done;
             }
         }
     }
@@ -433,23 +526,13 @@ impl FrameMux {
     /// (`recv_via` with a zero timeout is *not* equivalent — its deadline
     /// check fires before the inbox pop, so queued-but-undecoded frames
     /// would never be ingested.)
-    pub fn poll_via(
-        &self,
-        inbox: &BlockingQueue<(u32, Vec<u8>)>,
-    ) -> Result<Option<Envelope>, TransportError> {
+    pub fn poll_via(&self, inbox: &Inbox) -> Result<Option<Envelope>, TransportError> {
         loop {
-            if let Some(env) = self.take_ready() {
-                return Ok(Some(env));
+            if let Some(ready) = self.take_ready() {
+                return ready.map(Some);
             }
-            match inbox.pop(Some(Duration::ZERO)) {
-                Pop::Item((from, bytes)) => self.ingest(from, bytes)?,
-                Pop::TimedOut => return Ok(None),
-                Pop::Closed => {
-                    return match self.take_ready() {
-                        Some(env) => Ok(Some(env)),
-                        None => Err(TransportError::Closed),
-                    };
-                }
+            if let Some(done) = self.pull(inbox, Some(Duration::ZERO)) {
+                return done;
             }
         }
     }

@@ -1,37 +1,43 @@
-//! Framed socket backend: real byte streams between PEs, over TCP or Unix
-//! domain sockets.
+//! Socket backend: real byte streams between PEs, over TCP or Unix domain
+//! sockets, under the same frame discipline as the channel ([`FrameMux`]).
 //!
 //! Mesh construction: every PE binds a listener; PE `p` dials every peer
 //! `q < p` (with retry under bounded exponential backoff, since peers come
 //! up in arbitrary order) and accepts connections from every `q > p`. The
 //! dialer identifies itself with a 4-byte little-endian hello carrying its
-//! rank. The receive path is readiness-driven: one poller thread per
-//! *endpoint* (not per connection) sweeps every peer connection in
-//! nonblocking mode, reassembles frames with `FrameDecoder`, and feeds a
-//! single event queue — so an endpoint costs O(1) threads however many
-//! peers it has. Nonblocking is a property of the shared fd, so the write
-//! half absorbs `WouldBlock` itself (see `write_all_nb`).
+//! rank, and each higher rank must say hello exactly once.
+//!
+//! An endpoint is what a channel endpoint is: an inbox of `(from, bytes)`
+//! deliveries plus a `FrameMux`. Sends are the mux's, delivered by a write
+//! on the peer's connection (or, to itself, by a push into its own inbox).
+//! The receive path is one poller thread per *endpoint* (not per
+//! connection): a byte pump that sweeps every peer connection in
+//! nonblocking mode and pushes what it reads, then a notice when a stream
+//! ends or a read fails, into the inbox. Reassembly, sequence checks and
+//! decoding happen in the mux on the receiving thread. Nonblocking is a
+//! property of the shared fd, so the write half absorbs `WouldBlock`
+//! itself (see `write_all_nb`).
 //!
 //! Shutdown is a handshake: `shutdown` sends a `Bye` frame on every
-//! connection and closes the write half. A reader that sees `Bye` (or EOF
-//! after we initiated shutdown) ends quietly; an EOF *without* `Bye` is
-//! reported to the consumer as [`TransportError::PeerDropped`], and a cut
-//! mid-frame is just as visible — the partial frame never decodes.
+//! connection and closes the write half. A stream that ends after the
+//! peer's `Bye`, or after we began closing, ends quietly; one that ends
+//! without it is reported to the consumer as
+//! [`TransportError::PeerDropped`], and a cut mid-frame is just as visible
+//! — the partial frame never decodes.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use dse_msg::{encode_bye, encode_frame_ctx_into, FrameDecoder, FrameEvent, Message, TraceCtx};
+use dse_msg::{Message, TraceCtx};
 
-use crate::mux::{BlockingQueue, Pop};
+use crate::mux::{hand_over, FrameMux, FramePool, Inbound, Inbox};
 use crate::{Envelope, Transport, TransportError};
 
 /// Bounded exponential backoff for mesh dialing.
@@ -56,6 +62,7 @@ impl Default for RetryPolicy {
 }
 
 /// A duplex stream, TCP or Unix.
+#[derive(Debug)]
 enum Conn {
     Tcp(TcpStream),
     #[cfg(unix)]
@@ -71,33 +78,12 @@ impl Conn {
         }
     }
 
-    fn shutdown_both(&self) {
-        match self {
-            Conn::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
+    fn shutdown(&self, how: Shutdown) {
+        let _ = match self {
+            Conn::Tcp(s) => s.shutdown(how),
             #[cfg(unix)]
-            Conn::Uds(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-
-    /// Half-close: FIN the write side but keep reading, so a polite
-    /// shutdown still drains whatever the peer has in flight (its reader
-    /// thread exits on the peer's own `Bye`). A full close here could turn
-    /// a late-arriving frame into a connection reset that destroys our
-    /// already-queued `Bye` before the peer reads it.
-    fn shutdown_write(&self) {
-        match self {
-            Conn::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Write);
-            }
-            #[cfg(unix)]
-            Conn::Uds(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Write);
-            }
-        }
+            Conn::Uds(s) => s.shutdown(how),
+        };
     }
 
     fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
@@ -163,80 +149,97 @@ impl Write for Conn {
     }
 }
 
-struct PeerTx {
-    conn: Conn,
-    next_seq: u64,
-    // Per-peer encode buffer, reused across sends: steady-state sends
-    // encode into warm capacity and allocate nothing. Batched sends stack
-    // several frames here before the single write.
-    scratch: Vec<u8>,
+/// Where a PE's mesh listener is dialed: a loopback TCP port or a socket
+/// file. One [`dial`] and one [`join_mesh`] serve both.
+trait PeerAddr: Sync {
+    type Listener: Send;
+    fn connect(&self) -> std::io::Result<Conn>;
+    fn accept(listener: &Self::Listener) -> std::io::Result<Conn>;
+}
+
+impl PeerAddr for SocketAddr {
+    type Listener = TcpListener;
+    fn connect(&self) -> std::io::Result<Conn> {
+        TcpStream::connect(self).map(Conn::Tcp)
+    }
+    fn accept(listener: &TcpListener) -> std::io::Result<Conn> {
+        listener.accept().map(|(s, _)| Conn::Tcp(s))
+    }
+}
+
+#[cfg(unix)]
+impl PeerAddr for PathBuf {
+    type Listener = UnixListener;
+    fn connect(&self) -> std::io::Result<Conn> {
+        UnixStream::connect(self).map(Conn::Uds)
+    }
+    fn accept(listener: &UnixListener) -> std::io::Result<Conn> {
+        listener.accept().map(|(s, _)| Conn::Uds(s))
+    }
+}
+
+/// Connect to `peer` at `addr`, retrying under `retry`'s bounded
+/// exponential backoff.
+fn dial(addr: &impl PeerAddr, peer: u32, retry: &RetryPolicy) -> Result<Conn, TransportError> {
+    let mut delay = retry.base_delay;
+    let mut last = String::new();
+    for attempt in 0..retry.max_attempts {
+        match addr.connect() {
+            Ok(conn) => return Ok(conn),
+            Err(e) => last = e.to_string(),
+        }
+        if attempt + 1 < retry.max_attempts {
+            thread::sleep(delay);
+            delay = (delay * 2).min(retry.max_delay);
+        }
+    }
+    Err(TransportError::ConnectFailed {
+        peer,
+        attempts: retry.max_attempts,
+        last,
+    })
+}
+
+/// PE `pe`'s side of the mesh over `addrs` (one per PE): dial every lower
+/// rank and say hello, then accept every higher rank and read its hello.
+/// The listener is a loopback port or file any local process can dial, so
+/// a hello must name a rank in `pe + 1..npes` not yet connected; anything
+/// else is [`TransportError::BadHello`].
+fn join_mesh<A: PeerAddr>(
+    pe: u32,
+    listener: &A::Listener,
+    addrs: &[A],
+    retry: &RetryPolicy,
+) -> Result<Vec<(u32, Conn)>, TransportError> {
+    let npes = addrs.len() as u32;
+    let mut conns = Vec::new();
+    for (q, addr) in (0..pe).zip(addrs) {
+        let mut conn = dial(addr, q, retry)?;
+        conn.write_all(&pe.to_le_bytes())?;
+        conns.push((q, conn));
+    }
+    for _ in pe + 1..npes {
+        let mut conn = A::accept(listener)?;
+        let mut hello = [0u8; 4];
+        conn.read_exact(&mut hello)?;
+        let q = u32::from_le_bytes(hello);
+        if q <= pe || q >= npes || conns.iter().any(|(r, _)| *r == q) {
+            return Err(TransportError::BadHello { rank: q });
+        }
+        conns.push((q, conn));
+    }
+    Ok(conns)
 }
 
 /// Socket-backed transport endpoint. Build whole in-process clusters with
 /// [`SocketTransport::tcp_cluster`] / [`SocketTransport::uds_cluster`].
 pub struct SocketTransport {
-    pe: u32,
-    npes: u32,
     kind: &'static str,
-    // Writer side per peer; None at our own index.
-    peers: Vec<Mutex<Option<PeerTx>>>,
-    // Loopback: self-sends decode locally, same discipline as the wire.
-    // The Vec is the reused loopback encode buffer.
-    self_rx: Mutex<(FrameDecoder, u64, Vec<u8>)>,
-    events: Arc<BlockingQueue<Result<Envelope, TransportError>>>,
-    closing: Arc<AtomicBool>,
-}
-
-fn dial_tcp(addr: SocketAddr, peer: u32, retry: &RetryPolicy) -> Result<TcpStream, TransportError> {
-    let mut delay = retry.base_delay;
-    let mut last = String::new();
-    for attempt in 0..retry.max_attempts {
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) => last = e.to_string(),
-        }
-        if attempt + 1 < retry.max_attempts {
-            thread::sleep(delay);
-            delay = (delay * 2).min(retry.max_delay);
-        }
-    }
-    Err(TransportError::ConnectFailed {
-        peer,
-        attempts: retry.max_attempts,
-        last,
-    })
-}
-
-#[cfg(unix)]
-fn dial_uds(path: &Path, peer: u32, retry: &RetryPolicy) -> Result<UnixStream, TransportError> {
-    let mut delay = retry.base_delay;
-    let mut last = String::new();
-    for attempt in 0..retry.max_attempts {
-        match UnixStream::connect(path) {
-            Ok(s) => return Ok(s),
-            Err(e) => last = e.to_string(),
-        }
-        if attempt + 1 < retry.max_attempts {
-            thread::sleep(delay);
-            delay = (delay * 2).min(retry.max_delay);
-        }
-    }
-    Err(TransportError::ConnectFailed {
-        peer,
-        attempts: retry.max_attempts,
-        last,
-    })
-}
-
-fn read_hello(conn: &mut Conn) -> Result<u32, TransportError> {
-    let mut b = [0u8; 4];
-    conn.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn write_hello(conn: &mut Conn, pe: u32) -> Result<(), TransportError> {
-    conn.write_all(&pe.to_le_bytes())?;
-    Ok(())
+    mux: FrameMux,
+    inbox: Arc<Inbox>,
+    /// Writer side per peer; None at our own index and once a peer's
+    /// connection is closed or broken.
+    peers: Vec<Mutex<Option<Conn>>>,
 }
 
 impl SocketTransport {
@@ -250,10 +253,7 @@ impl SocketTransport {
             .iter()
             .map(TcpListener::local_addr)
             .collect::<Result<_, _>>()?;
-        let retry = RetryPolicy::default();
-        Self::build_mesh(npes, "tcp", listeners, move |pe, listener| {
-            Self::tcp_mesh_one(pe, listener, &addrs, &retry)
-        })
+        Self::build_mesh("tcp", listeners, &addrs)
     }
 
     /// Build an `npes`-endpoint Unix-domain-socket mesh with socket files
@@ -270,24 +270,22 @@ impl SocketTransport {
                 UnixListener::bind(p)
             })
             .collect::<Result<_, _>>()?;
-        let retry = RetryPolicy::default();
-        Self::build_mesh(npes, "uds", listeners, move |pe, listener| {
-            Self::uds_mesh_one(pe, listener, &paths, &retry)
-        })
+        Self::build_mesh("uds", listeners, &paths)
     }
 
-    fn build_mesh<L: Send + 'static>(
-        npes: u32,
+    fn build_mesh<A: PeerAddr>(
         kind: &'static str,
-        listeners: Vec<L>,
-        connect: impl Fn(u32, L) -> Result<Vec<(u32, Conn)>, TransportError> + Sync,
+        listeners: Vec<A::Listener>,
+        addrs: &[A],
     ) -> Result<Vec<SocketTransport>, TransportError> {
+        let retry = &RetryPolicy::default();
         let results: Vec<Result<Vec<(u32, Conn)>, TransportError>> = thread::scope(|s| {
-            let connect = &connect;
             let handles: Vec<_> = listeners
                 .into_iter()
                 .enumerate()
-                .map(|(pe, listener)| s.spawn(move || connect(pe as u32, listener)))
+                .map(|(pe, listener)| {
+                    s.spawn(move || join_mesh(pe as u32, &listener, addrs, retry))
+                })
                 .collect();
             handles
                 .into_iter()
@@ -301,55 +299,8 @@ impl SocketTransport {
         results
             .into_iter()
             .enumerate()
-            .map(|(pe, conns)| Self::from_conns(pe as u32, npes, kind, conns?))
+            .map(|(pe, conns)| Self::from_conns(pe as u32, addrs.len() as u32, kind, conns?))
             .collect()
-    }
-
-    fn tcp_mesh_one(
-        pe: u32,
-        listener: TcpListener,
-        addrs: &[SocketAddr],
-        retry: &RetryPolicy,
-    ) -> Result<Vec<(u32, Conn)>, TransportError> {
-        let npes = addrs.len() as u32;
-        let mut conns = Vec::new();
-        // Dial lower ranks, identifying ourselves.
-        for q in 0..pe {
-            let mut conn = Conn::Tcp(dial_tcp(addrs[q as usize], q, retry)?);
-            write_hello(&mut conn, pe)?;
-            conns.push((q, conn));
-        }
-        // Accept higher ranks; they say hello.
-        for _ in pe + 1..npes {
-            let (stream, _) = listener.accept()?;
-            let mut conn = Conn::Tcp(stream);
-            let q = read_hello(&mut conn)?;
-            conns.push((q, conn));
-        }
-        Ok(conns)
-    }
-
-    #[cfg(unix)]
-    fn uds_mesh_one(
-        pe: u32,
-        listener: UnixListener,
-        paths: &[PathBuf],
-        retry: &RetryPolicy,
-    ) -> Result<Vec<(u32, Conn)>, TransportError> {
-        let npes = paths.len() as u32;
-        let mut conns = Vec::new();
-        for q in 0..pe {
-            let mut conn = Conn::Uds(dial_uds(&paths[q as usize], q, retry)?);
-            write_hello(&mut conn, pe)?;
-            conns.push((q, conn));
-        }
-        for _ in pe + 1..npes {
-            let (stream, _) = listener.accept()?;
-            let mut conn = Conn::Uds(stream);
-            let q = read_hello(&mut conn)?;
-            conns.push((q, conn));
-        }
-        Ok(conns)
     }
 
     fn from_conns(
@@ -358,216 +309,88 @@ impl SocketTransport {
         kind: &'static str,
         conns: Vec<(u32, Conn)>,
     ) -> Result<SocketTransport, TransportError> {
-        let events: Arc<BlockingQueue<Result<Envelope, TransportError>>> =
-            Arc::new(BlockingQueue::default());
-        let closing = Arc::new(AtomicBool::new(false));
-        let mut peers: Vec<Mutex<Option<PeerTx>>> = (0..npes).map(|_| Mutex::new(None)).collect();
-        let mut pollers: Vec<PollerConn> = Vec::new();
+        let pool = Arc::new(FramePool::default());
+        let inbox = Arc::new(Inbox::default());
+        let mut peers: Vec<Mutex<Option<Conn>>> = (0..npes).map(|_| Mutex::new(None)).collect();
+        let mut readers = Vec::with_capacity(conns.len());
         for (q, conn) in conns {
             let reader = conn.try_clone()?;
-            // The mesh/hello exchange above ran blocking; from here on the
-            // fd is nonblocking for the poller sweep (writes compensate via
+            // The mesh/hello exchange ran blocking; from here on the fd is
+            // nonblocking for the poller sweep (writes compensate via
             // `write_all_nb`).
             reader.set_nonblocking(true)?;
-            *peers[q as usize]
-                .get_mut()
-                .unwrap_or_else(|e| e.into_inner()) = Some(PeerTx {
-                conn,
-                next_seq: 0,
-                scratch: Vec::new(),
-            });
-            pollers.push(PollerConn {
-                from: q,
-                conn: reader,
-                dec: FrameDecoder::new(),
-                next_seq: 0,
-                done: false,
-                clean: false,
-            });
+            readers.push((q, reader));
+            let slot = peers
+                .get_mut(q as usize)
+                .ok_or(TransportError::NoSuchPeer { peer: q })?;
+            *slot.get_mut().unwrap_or_else(|e| e.into_inner()) = Some(conn);
         }
-        if !pollers.is_empty() {
-            let events = Arc::clone(&events);
-            let closing = Arc::clone(&closing);
+        if !readers.is_empty() {
+            let (inbox, pool) = (Arc::clone(&inbox), Arc::clone(&pool));
             thread::Builder::new()
                 .name(format!("dse-poll-{pe}"))
-                .spawn(move || poller_loop(pollers, events, closing))
+                .spawn(move || pump(readers, &inbox, &pool))
                 .map_err(|e| TransportError::Io(format!("spawn poller thread: {e}")))?;
         }
         Ok(SocketTransport {
-            pe,
-            npes,
             kind,
+            mux: FrameMux::with_pool(pe, npes, pool),
+            inbox,
             peers,
-            self_rx: Mutex::new((FrameDecoder::new(), 0, Vec::new())),
-            events,
-            closing,
         })
     }
 
-    fn send_impl(
-        &self,
-        to: u32,
-        msg: &Message,
-        ctx: Option<TraceCtx>,
-    ) -> Result<(), TransportError> {
-        if to >= self.npes {
-            return Err(TransportError::NoSuchPeer { peer: to });
+    /// Deliver encoded frames to `to`: one write on its connection, or to
+    /// ourselves a push into our own inbox. A failed write closes the
+    /// connection, so later sends to `to` report the dropped peer.
+    fn deliver(&self, to: u32, frames: &mut Vec<u8>) -> Result<(), TransportError> {
+        if to == self.mux.pe() {
+            return hand_over(&self.inbox, to, to, frames);
         }
-        if to == self.pe {
-            // Own-node fast path still runs the frame codec end to end.
-            let mut g = self.self_rx.lock().unwrap_or_else(|e| e.into_inner());
-            let (dec, seq, scratch) = &mut *g;
-            scratch.clear();
-            encode_frame_ctx_into(scratch, *seq, msg, ctx);
-            dec.push(scratch);
-            *seq += 1;
-            while let Some(ev) = dec.next_frame()? {
-                if let FrameEvent::Msg { seq, msg, ctx } = ev {
-                    self.events.push(Ok(Envelope {
-                        from: self.pe,
-                        seq,
-                        msg,
-                        ctx,
-                    }));
-                }
-            }
-            return Ok(());
-        }
-        let mut g = self.peers[to as usize]
+        let mut peer = self.peers[to as usize]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let peer = g.as_mut().ok_or(TransportError::PeerDropped { peer: to })?;
-        peer.scratch.clear();
-        encode_frame_ctx_into(&mut peer.scratch, peer.next_seq, msg, ctx);
-        peer.next_seq += 1;
-        let PeerTx { conn, scratch, .. } = peer;
-        if let Err(e) = write_all_nb(conn, scratch) {
-            conn.shutdown_both();
-            *g = None;
-            return Err(TransportError::Io(e.to_string()));
-        }
-        Ok(())
-    }
-
-    /// Batched remote send: every frame is encoded back-to-back into the
-    /// peer's scratch buffer and shipped with a single write.
-    fn send_batch_impl(
-        &self,
-        to: u32,
-        msgs: &[(Message, Option<TraceCtx>)],
-    ) -> Result<(), TransportError> {
-        let mut g = self.peers[to as usize]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let peer = g.as_mut().ok_or(TransportError::PeerDropped { peer: to })?;
-        peer.scratch.clear();
-        for (msg, ctx) in msgs {
-            encode_frame_ctx_into(&mut peer.scratch, peer.next_seq, msg, *ctx);
-            peer.next_seq += 1;
-        }
-        let PeerTx { conn, scratch, .. } = peer;
-        if let Err(e) = write_all_nb(conn, scratch) {
-            conn.shutdown_both();
-            *g = None;
-            return Err(TransportError::Io(e.to_string()));
+        let conn = peer
+            .as_mut()
+            .ok_or(TransportError::PeerDropped { peer: to })?;
+        if let Err(e) = write_all_nb(conn, frames) {
+            conn.shutdown(Shutdown::Both);
+            *peer = None;
+            return Err(e.into());
         }
         Ok(())
     }
 }
 
-/// Receive state of one inbound connection in the poller sweep.
-struct PollerConn {
-    from: u32,
-    conn: Conn,
-    dec: FrameDecoder,
-    next_seq: u64,
-    /// This connection is finished (Bye, EOF, or error); skip it.
-    done: bool,
-    /// The peer said `Bye` — a later EOF is a polite close, not a drop.
-    clean: bool,
-}
-
-/// The endpoint's single receive thread: a readiness sweep over every peer
-/// connection in nonblocking mode — the epoll-style replacement for one
-/// reader thread per connection. Frames decode into the shared event queue
-/// under the same discipline as before (sequence check per sender, `Bye`
-/// ends a connection quietly, EOF without `Bye` is a dropped peer); the
-/// sweep sleeps briefly only when a full pass over the live connections
-/// made no progress, and the thread exits when every connection is done.
-fn poller_loop(
-    mut conns: Vec<PollerConn>,
-    events: Arc<BlockingQueue<Result<Envelope, TransportError>>>,
-    closing: Arc<AtomicBool>,
-) {
+/// The endpoint's one receive thread, a byte pump: it sweeps every peer
+/// connection in nonblocking mode and pushes what each read returned into
+/// the inbox, tagged with the sender, and a notice when a stream ends or a
+/// read fails (after which it drops that connection). It sleeps briefly
+/// only when a full pass read nothing, and exits when every stream has
+/// ended. (`poll(2)` would replace that sleep here; see DESIGN §5l.)
+fn pump(mut conns: Vec<(u32, Conn)>, inbox: &Inbox, pool: &FramePool) {
     use std::io::ErrorKind;
     let mut buf = [0u8; 64 * 1024];
-    loop {
+    while !conns.is_empty() {
         let mut progress = false;
-        let mut live = 0usize;
-        for pc in conns.iter_mut() {
-            if pc.done {
-                continue;
-            }
-            live += 1;
-            match pc.conn.read(&mut buf) {
-                Ok(0) => {
-                    // EOF. Clean if the peer said Bye (or we initiated
-                    // shutdown ourselves); a cut mid-frame or a silent
-                    // close is a dropped peer.
-                    pc.done = true;
-                    if !pc.clean && !closing.load(Ordering::SeqCst) {
-                        events.push(Err(TransportError::PeerDropped { peer: pc.from }));
-                    }
-                }
+        conns.retain_mut(|(from, conn)| {
+            let end = match conn.read(&mut buf) {
+                Ok(0) => Inbound::Eof,
                 Ok(n) => {
                     progress = true;
-                    pc.dec.push(&buf[..n]);
-                    loop {
-                        match pc.dec.next_frame() {
-                            Ok(None) => break,
-                            Ok(Some(FrameEvent::Bye { .. })) => {
-                                pc.clean = true;
-                                pc.done = true;
-                                break;
-                            }
-                            Ok(Some(FrameEvent::Msg { seq, msg, ctx })) => {
-                                if seq != pc.next_seq {
-                                    events.push(Err(TransportError::SequenceGap {
-                                        peer: pc.from,
-                                        expected: pc.next_seq,
-                                        got: seq,
-                                    }));
-                                    pc.done = true;
-                                    break;
-                                }
-                                pc.next_seq += 1;
-                                events.push(Ok(Envelope {
-                                    from: pc.from,
-                                    seq,
-                                    msg,
-                                    ctx,
-                                }));
-                            }
-                            Err(e) => {
-                                events.push(Err(TransportError::Codec(e)));
-                                pc.done = true;
-                                break;
-                            }
-                        }
-                    }
+                    let mut bytes = pool.get(n);
+                    bytes.extend_from_slice(&buf[..n]);
+                    inbox.push((*from, Inbound::Bytes(bytes)));
+                    return true;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) if closing.load(Ordering::SeqCst) => pc.done = true,
-                Err(e) => {
-                    events.push(Err(TransportError::Io(e.to_string())));
-                    pc.done = true;
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                    return true
                 }
-            }
-        }
-        if live == 0 {
-            return;
-        }
+                Err(e) => Inbound::Failed(e.to_string()),
+            };
+            inbox.push((*from, end));
+            false
+        });
         if !progress {
             thread::sleep(Duration::from_micros(500));
         }
@@ -576,78 +399,74 @@ fn poller_loop(
 
 impl Transport for SocketTransport {
     fn pe(&self) -> u32 {
-        self.pe
+        self.mux.pe()
     }
 
     fn npes(&self) -> u32 {
-        self.npes
+        self.mux.npes()
     }
 
     fn send(&self, to: u32, msg: &Message) -> Result<(), TransportError> {
-        self.send_impl(to, msg, None)
+        self.mux
+            .send_frame(to, msg, None, |frame| self.deliver(to, frame))
     }
 
     fn send_ctx(&self, to: u32, msg: &Message, ctx: TraceCtx) -> Result<(), TransportError> {
-        self.send_impl(to, msg, Some(ctx))
+        self.mux
+            .send_frame(to, msg, Some(ctx), |frame| self.deliver(to, frame))
     }
 
+    /// One write for the whole run: every frame is encoded back-to-back
+    /// into the destination's buffer.
     fn send_batch(
         &self,
         to: u32,
         msgs: &[(Message, Option<TraceCtx>)],
     ) -> Result<(), TransportError> {
-        if to >= self.npes {
-            return Err(TransportError::NoSuchPeer { peer: to });
-        }
-        if to == self.pe {
-            // Loopback has no syscall to coalesce; deliver one by one.
-            for (msg, ctx) in msgs {
-                self.send_impl(to, msg, *ctx)?;
-            }
-            return Ok(());
-        }
-        self.send_batch_impl(to, msgs)
+        self.mux
+            .send_frames(to, msgs, |frames| self.deliver(to, frames))
     }
 
     fn recv(&self, timeout: Option<Duration>) -> Result<Option<Envelope>, TransportError> {
-        match self.events.pop(timeout) {
-            Pop::Item(Ok(env)) => Ok(Some(env)),
-            Pop::Item(Err(e)) => Err(e),
-            Pop::TimedOut => Ok(None),
-            Pop::Closed => Err(TransportError::Closed),
-        }
+        self.mux.recv_via(&self.inbox, timeout)
+    }
+
+    fn poll_recv(&self) -> Result<Option<Envelope>, TransportError> {
+        self.mux.poll_via(&self.inbox)
     }
 
     fn shutdown(&self) {
-        self.closing.store(true, Ordering::SeqCst);
-        for (q, peer) in self.peers.iter().enumerate() {
-            if q as u32 == self.pe {
-                continue;
-            }
-            let mut g = peer.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(p) = g.as_mut() {
-                let _ = write_all_nb(&mut p.conn, &encode_bye(p.next_seq));
-                let _ = p.conn.flush();
-                p.conn.shutdown_write();
-            }
-            *g = None;
-        }
-        self.events.close();
+        // The inbox closes first, so a stream that ends from here on is
+        // one we are ending: its notice is refused, not reported.
+        self.inbox.close();
+        self.mux.send_byes(|to, bye| {
+            let conn = self.peers[to as usize]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .take();
+            let mut conn = conn.ok_or(TransportError::PeerDropped { peer: to })?;
+            write_all_nb(&mut conn, bye)?;
+            // Half-close: FIN the write side but keep reading, so the
+            // poller still drains whatever the peer has in flight until
+            // its own `Bye` and EOF. A full close here could turn a
+            // late-arriving frame into a connection reset that destroys
+            // our already-queued `Bye` before the peer reads it.
+            conn.shutdown(Shutdown::Write);
+            Ok(())
+        });
     }
 
     /// Kill every connection *without* the `Bye` handshake — as if the
     /// process died. Peers observe [`TransportError::PeerDropped`]. This is
     /// the fault-injection entry point used by transport fault tests.
     fn abort(&self) {
-        self.closing.store(true, Ordering::SeqCst);
+        self.inbox.close();
         for peer in &self.peers {
-            let mut g = peer.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(p) = g.as_mut() {
-                p.conn.shutdown_both();
+            let conn = peer.lock().unwrap_or_else(|e| e.into_inner()).take();
+            if let Some(conn) = conn {
+                conn.shutdown(Shutdown::Both);
             }
-            *g = None;
         }
-        self.events.close();
     }
 
     fn kind(&self) -> &'static str {
@@ -656,18 +475,18 @@ impl Transport for SocketTransport {
 }
 
 impl Drop for SocketTransport {
+    /// A dropped endpoint says `Bye` unless it already shut down or
+    /// aborted, in which case no connection is left to say it on.
     fn drop(&mut self) {
-        if !self.closing.load(Ordering::SeqCst) {
-            self.shutdown();
-        }
+        self.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dse_msg::{RegionId, ReqId};
-    use std::sync::atomic::AtomicU64;
+    use dse_msg::{encode_bye, encode_frame, encode_frame_ctx, CodecError, RegionId, ReqId};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
 
     fn msg(i: u64) -> Message {
@@ -717,89 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_send_is_indistinguishable_on_the_receiver() {
-        let cluster = SocketTransport::tcp_cluster(2).unwrap();
-        let ctx = TraceCtx {
-            trace: 10,
-            parent: 20,
-        };
-        let batch: Vec<(Message, Option<TraceCtx>)> = vec![
-            (msg(0), None),
-            (msg(1), Some(ctx)),
-            (msg(2), None),
-            (msg(3), None),
-        ];
-        cluster[0].send_batch(1, &batch).unwrap();
-        cluster[0].send(1, &msg(4)).unwrap(); // seq continues after the batch
-        for i in 0..5u64 {
-            let env = cluster[1]
-                .recv(Some(Duration::from_secs(5)))
-                .unwrap()
-                .unwrap();
-            assert_eq!(env.seq, i);
-            assert_eq!(env.msg, msg(i));
-            assert_eq!(env.ctx, if i == 1 { Some(ctx) } else { None });
-        }
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn uds_mesh_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("dse-uds-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cluster = SocketTransport::uds_cluster(2, &dir).unwrap();
-        cluster[1].send(0, &msg(5)).unwrap();
-        let env = cluster[0]
-            .recv(Some(Duration::from_secs(5)))
-            .unwrap()
-            .unwrap();
-        assert_eq!(env.from, 1);
-        assert_eq!(env.msg, msg(5));
-        drop(cluster);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tcp_send_ctx_delivers_trace_context_and_loops_back() {
-        let cluster = SocketTransport::tcp_cluster(2).unwrap();
-        let ctx = TraceCtx {
-            trace: 5,
-            parent: 6,
-        };
-        cluster[0].send_ctx(1, &msg(1), ctx).unwrap();
-        cluster[0].send_ctx(0, &msg(2), ctx).unwrap(); // self path
-        let remote = cluster[1]
-            .recv(Some(Duration::from_secs(5)))
-            .unwrap()
-            .unwrap();
-        assert_eq!(remote.ctx, Some(ctx));
-        let local = cluster[0]
-            .recv(Some(Duration::from_secs(5)))
-            .unwrap()
-            .unwrap();
-        assert_eq!(local.from, 0);
-        assert_eq!(local.ctx, Some(ctx));
-    }
-
-    #[test]
-    fn poll_recv_sees_delivered_frames() {
-        let cluster = SocketTransport::tcp_cluster(2).unwrap();
-        assert_eq!(cluster[1].poll_recv().unwrap(), None);
-        cluster[0].send(1, &msg(9)).unwrap();
-        // Delivery crosses a real socket; spin until the poller lands it.
-        let t0 = Instant::now();
-        let env = loop {
-            if let Some(env) = cluster[1].poll_recv().unwrap() {
-                break env;
-            }
-            assert!(t0.elapsed() < Duration::from_secs(5), "frame never arrived");
-            thread::sleep(Duration::from_millis(1));
-        };
-        assert_eq!(env.msg, msg(9));
-        assert_eq!(cluster[1].poll_recv().unwrap(), None);
-    }
-
-    #[test]
     fn peer_drop_without_bye_is_reported() {
         let mut cluster = SocketTransport::tcp_cluster(2).unwrap();
         let b = cluster.pop().unwrap();
@@ -811,17 +547,117 @@ mod tests {
         }
     }
 
+    /// PE 0 of a 2-PE endpoint whose one connection, to PE 1, is the far
+    /// end of the returned raw stream: a test writes PE 1's bytes itself.
+    fn wrapped() -> (TcpStream, SocketTransport) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (end, _) = listener.accept().unwrap();
+        let t = SocketTransport::from_conns(0, 2, "tcp", vec![(1, Conn::Tcp(end))]).unwrap();
+        (raw, t)
+    }
+
+    fn recv(t: &SocketTransport) -> Result<Option<Envelope>, TransportError> {
+        t.recv(Some(Duration::from_secs(5)))
+    }
+
     #[test]
-    fn clean_shutdown_is_silent() {
-        let mut cluster = SocketTransport::tcp_cluster(2).unwrap();
-        let b = cluster.pop().unwrap();
-        let a = cluster.pop().unwrap();
-        b.send(0, &msg(1)).unwrap();
-        b.shutdown(); // polite exit: Bye precedes the close
-        let env = a.recv(Some(Duration::from_secs(5))).unwrap().unwrap();
-        assert_eq!(env.msg, msg(1));
-        // After the Bye, quiet — not an error.
-        assert!(a.recv(Some(Duration::from_millis(100))).unwrap().is_none());
+    fn a_sequence_gap_is_reported_after_the_frames_before_it() {
+        let (mut raw, t) = wrapped();
+        let wire: Vec<u8> = [0, 2, 3]
+            .into_iter()
+            .flat_map(|seq| encode_frame(seq, &msg(seq)))
+            .collect();
+        raw.write_all(&wire).unwrap();
+        assert_eq!(recv(&t).unwrap().unwrap().msg, msg(0));
+        let gap = TransportError::SequenceGap {
+            peer: 1,
+            expected: 1,
+            got: 2,
+        };
+        assert_eq!(recv(&t), Err(gap));
+        // Nothing more is delivered from that peer, its EOF included.
+        drop(raw);
+        assert_eq!(t.recv(Some(Duration::from_millis(50))), Ok(None));
+    }
+
+    #[test]
+    fn an_undecodable_frame_is_a_codec_error() {
+        let (mut raw, t) = wrapped();
+        let mut frame = encode_frame(0, &msg(0));
+        frame[4] = 9; // the kind byte: no such frame kind
+        raw.write_all(&frame).unwrap();
+        assert_eq!(recv(&t), Err(TransportError::Codec(CodecError::BadTag(9))));
+    }
+
+    #[test]
+    fn a_connection_cut_mid_frame_is_a_dropped_peer() {
+        let (mut raw, t) = wrapped();
+        let frame = encode_frame(0, &msg(0));
+        raw.write_all(&frame[..frame.len() / 2]).unwrap();
+        drop(raw);
+        assert_eq!(recv(&t), Err(TransportError::PeerDropped { peer: 1 }));
+    }
+
+    #[test]
+    fn the_wire_carries_exactly_the_encoded_frames_then_bye() {
+        let (mut raw, t) = wrapped();
+        let ctx = TraceCtx {
+            trace: 3,
+            parent: 4,
+        };
+        t.send(1, &msg(0)).unwrap();
+        t.send_ctx(1, &msg(1), ctx).unwrap();
+        t.send_batch(1, &[(msg(2), Some(ctx)), (msg(3), None)])
+            .unwrap();
+        t.send(1, &msg(4)).unwrap();
+        t.shutdown();
+        let mut wire = Vec::new();
+        raw.read_to_end(&mut wire).unwrap();
+        let ctxs = [None, Some(ctx), Some(ctx), None, None];
+        let mut expected: Vec<u8> = (0..5u64)
+            .flat_map(|seq| encode_frame_ctx(seq, &msg(seq), ctxs[seq as usize]))
+            .collect();
+        expected.extend(encode_bye(5));
+        assert_eq!(wire, expected);
+    }
+
+    /// PE 0 of an `npes`-PE TCP mesh joins with raw streams in the higher
+    /// ranks' places, each saying one of `hellos`.
+    fn join_with_hellos(npes: u32, hellos: &[u32]) -> Result<SocketTransport, TransportError> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![listener.local_addr().unwrap(); npes as usize];
+        let _dialers: Vec<TcpStream> = hellos
+            .iter()
+            .map(|hello| {
+                let mut s = TcpStream::connect(addrs[0]).unwrap();
+                s.write_all(&hello.to_le_bytes()).unwrap();
+                s
+            })
+            .collect();
+        join_mesh(0, &listener, &addrs, &RetryPolicy::default())
+            .and_then(|conns| SocketTransport::from_conns(0, npes, "tcp", conns))
+    }
+
+    #[test]
+    fn a_hello_out_of_range_is_an_error() {
+        assert!(matches!(
+            join_with_hellos(2, &[999]),
+            Err(TransportError::BadHello { rank: 999 })
+        ));
+    }
+
+    #[test]
+    fn a_hello_that_repeats_a_rank_or_names_ours_is_an_error() {
+        assert!(matches!(
+            join_with_hellos(3, &[1, 1]),
+            Err(TransportError::BadHello { rank: 1 })
+        ));
+        assert!(matches!(
+            join_with_hellos(2, &[0]),
+            Err(TransportError::BadHello { rank: 0 })
+        ));
+        assert!(join_with_hellos(3, &[2, 1]).is_ok());
     }
 
     #[test]
@@ -845,7 +681,7 @@ mod tests {
             acc.store(1, Ordering::SeqCst);
         });
         let t0 = Instant::now();
-        let stream = dial_tcp(addr, 0, &retry).unwrap();
+        let stream = dial(&addr, 0, &retry).unwrap();
         assert!(
             t0.elapsed() >= Duration::from_millis(40),
             "no backoff happened"
@@ -865,7 +701,7 @@ mod tests {
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(4),
         };
-        match dial_tcp(addr, 7, &retry) {
+        match dial(&addr, 7, &retry) {
             Err(TransportError::ConnectFailed {
                 peer: 7,
                 attempts: 3,
