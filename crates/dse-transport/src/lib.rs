@@ -15,9 +15,9 @@
 //!   sequence-checked, and decoded, so the wire path is always exercised.
 //! * [`SocketTransport`] — real byte streams: framed TCP or Unix-domain
 //!   sockets with connect retry under bounded exponential backoff, one
-//!   poller thread per endpoint pumping bytes from every connection, and a
-//!   `Bye` clean-shutdown handshake (an EOF without `Bye` is reported as a
-//!   dropped peer).
+//!   pump thread per endpoint that waits in `poll(2)` on every connection
+//!   and pumps the bytes that arrive, and a `Bye` clean-shutdown handshake
+//!   (an EOF without `Bye` is reported as a dropped peer).
 //!
 //! Both backends share frame format (see `dse_msg::frame`) and discipline,
 //! one `FrameMux` per endpoint (`mux.rs`): length-prefixed frames,
@@ -31,6 +31,7 @@ mod channel;
 mod error;
 mod fault;
 mod mux;
+mod poll;
 mod socket;
 
 use std::time::Duration;

@@ -3,7 +3,7 @@
 //! encodes every frame it sends, and reassembles, sequence-checks and
 //! decodes every delivery its endpoint's receiving thread pops. A channel
 //! endpoint's inbox is filled by its peers' sends; a socket endpoint's by
-//! a poller thread that pumps bytes from each connection. Either way only
+//! a pump thread that moves bytes from each connection. Either way only
 //! encoded bytes move, so the wire codec runs even when no socket does.
 
 use std::collections::VecDeque;
@@ -64,12 +64,12 @@ const POOL_MAX_CAP: usize = 64 * 1024;
 /// receiving thread (a channel cluster shares one across all endpoints).
 ///
 /// Senders [`get`](FramePool::get) a cleared buffer, encode a frame into
-/// it, and hand it to the destination's inbox; a socket's poller takes one
+/// it, and hand it to the destination's inbox; a socket's pump takes one
 /// per read. The receiver returns it with [`put`](FramePool::put) once
 /// ingested. In steady state every small frame hop reuses a warm buffer
 /// and the send path allocates nothing. Bulk deliveries stay outside it:
-/// they get a buffer of their exact size and the receiving decoder keeps
-/// it.
+/// a sender gets a buffer of their exact size, and the receiving decoder
+/// keeps any bulk-sized delivery, a socket read's pooled buffer included.
 #[derive(Default)]
 pub struct FramePool {
     bufs: Mutex<Vec<Vec<u8>>>,

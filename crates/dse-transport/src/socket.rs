@@ -5,18 +5,22 @@
 //! `q < p` (with retry under bounded exponential backoff, since peers come
 //! up in arbitrary order) and accepts connections from every `q > p`. The
 //! dialer identifies itself with a 4-byte little-endian hello carrying its
-//! rank, and each higher rank must say hello exactly once.
+//! rank, and each higher rank must say hello exactly once. TCP streams set
+//! `TCP_NODELAY`: every delivery is already one write of whole frames, and
+//! Nagle's algorithm would hold a second small write back until the first
+//! is acknowledged.
 //!
 //! An endpoint is what a channel endpoint is: an inbox of `(from, bytes)`
 //! deliveries plus a `FrameMux`. Sends are the mux's, delivered by a write
 //! on the peer's connection (or, to itself, by a push into its own inbox).
-//! The receive path is one poller thread per *endpoint* (not per
-//! connection): a byte pump that sweeps every peer connection in
-//! nonblocking mode and pushes what it reads, then a notice when a stream
-//! ends or a read fails, into the inbox. Reassembly, sequence checks and
-//! decoding happen in the mux on the receiving thread. Nonblocking is a
-//! property of the shared fd, so the write half absorbs `WouldBlock`
-//! itself (see `write_all_nb`).
+//! The receive path is one pump thread per *endpoint* (not per
+//! connection): it blocks in `poll(2)` until a connection is readable,
+//! reads what each ready one holds straight into a pooled buffer and
+//! pushes it, then a notice when a stream ends or a read fails, into the
+//! inbox. Reassembly, sequence checks and decoding happen in the mux on
+//! the receiving thread. The fds are nonblocking, a property the write
+//! half shares, so a writer that finds the send buffer full waits for
+//! writability the same way (see `write_all_nb`).
 //!
 //! Shutdown is a handshake: `shutdown` sends a `Bye` frame on every
 //! connection and closes the write half. A stream that ends after the
@@ -27,6 +31,7 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
@@ -38,7 +43,12 @@ use std::time::Duration;
 use dse_msg::{Message, TraceCtx};
 
 use crate::mux::{hand_over, FrameMux, FramePool, Inbound, Inbox};
+use crate::poll::{wait_one, PollSet, POLLIN, POLLOUT};
 use crate::{Envelope, Transport, TransportError};
+
+/// Most bytes one read hands the inbox, so that one busy peer cannot
+/// starve the others: the pump moves on and comes back on its next pass.
+const READ_MAX: u64 = 64 * 1024;
 
 /// Bounded exponential backoff for mesh dialing.
 #[derive(Debug, Clone, Copy)]
@@ -93,13 +103,45 @@ impl Conn {
             Conn::Uds(s) => s.set_nonblocking(nb),
         }
     }
+
+    /// Send small writes at once (TCP only; a Unix stream has no Nagle).
+    fn set_nodelay(&self) -> std::io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.set_nodelay(true),
+            #[cfg(unix)]
+            Conn::Uds(_) => Ok(()),
+        }
+    }
+
+    /// Append what the stream holds, up to [`READ_MAX`] bytes, to `buf`,
+    /// reading until the stream would block, ends or reaches the bound.
+    /// The bytes read stay in `buf` when an error ends the read. The
+    /// stream itself reads into `buf`'s spare capacity (not through
+    /// `Conn`'s `Read`), so no other buffer is filled and copied out of.
+    fn read_available(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+        match self {
+            Conn::Tcp(s) => s.take(READ_MAX).read_to_end(buf),
+            #[cfg(unix)]
+            Conn::Uds(s) => s.take(READ_MAX).read_to_end(buf),
+        }
+    }
 }
 
-/// `write_all` over a nonblocking stream. The poller needs the fd
-/// nonblocking for its readiness sweep, and nonblocking is a property of
-/// the fd shared by both clones — so the write half must absorb
-/// `WouldBlock` (kernel send buffer full, e.g. mid-way through a 1 MiB
-/// frame) by retrying after a short sleep instead of failing the send.
+impl AsRawFd for Conn {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Conn::Tcp(s) => s.as_raw_fd(),
+            #[cfg(unix)]
+            Conn::Uds(s) => s.as_raw_fd(),
+        }
+    }
+}
+
+/// `write_all` over a nonblocking stream. The pump needs the fd
+/// nonblocking, and nonblocking is a property of the fd shared by both
+/// clones — so the write half absorbs `WouldBlock` (kernel send buffer
+/// full, e.g. mid-way through a 1 MiB frame) by waiting until the stream
+/// is writable again instead of failing the send.
 fn write_all_nb(conn: &mut Conn, mut buf: &[u8]) -> std::io::Result<()> {
     use std::io::ErrorKind;
     while !buf.is_empty() {
@@ -111,9 +153,7 @@ fn write_all_nb(conn: &mut Conn, mut buf: &[u8]) -> std::io::Result<()> {
                 ))
             }
             Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(100));
-            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => wait_one(conn.as_raw_fd(), POLLOUT)?,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -215,11 +255,13 @@ fn join_mesh<A: PeerAddr>(
     let mut conns = Vec::new();
     for (q, addr) in (0..pe).zip(addrs) {
         let mut conn = dial(addr, q, retry)?;
+        conn.set_nodelay()?;
         conn.write_all(&pe.to_le_bytes())?;
         conns.push((q, conn));
     }
     for _ in pe + 1..npes {
         let mut conn = A::accept(listener)?;
+        conn.set_nodelay()?;
         let mut hello = [0u8; 4];
         conn.read_exact(&mut hello)?;
         let q = u32::from_le_bytes(hello);
@@ -240,6 +282,9 @@ pub struct SocketTransport {
     /// Writer side per peer; None at our own index and once a peer's
     /// connection is closed or broken.
     peers: Vec<Mutex<Option<Conn>>>,
+    /// Passes the pump has made (see [`Pump`]).
+    #[cfg(test)]
+    passes: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl SocketTransport {
@@ -316,8 +361,8 @@ impl SocketTransport {
         for (q, conn) in conns {
             let reader = conn.try_clone()?;
             // The mesh/hello exchange ran blocking; from here on the fd is
-            // nonblocking for the poller sweep (writes compensate via
-            // `write_all_nb`).
+            // nonblocking, so the pump reads only what is there (writes
+            // compensate via `write_all_nb`).
             reader.set_nonblocking(true)?;
             readers.push((q, reader));
             let slot = peers
@@ -325,18 +370,28 @@ impl SocketTransport {
                 .ok_or(TransportError::NoSuchPeer { peer: q })?;
             *slot.get_mut().unwrap_or_else(|e| e.into_inner()) = Some(conn);
         }
+        #[cfg(test)]
+        let passes = Arc::default();
         if !readers.is_empty() {
-            let (inbox, pool) = (Arc::clone(&inbox), Arc::clone(&pool));
+            let pump = Pump {
+                conns: readers,
+                inbox: Arc::clone(&inbox),
+                pool: Arc::clone(&pool),
+                #[cfg(test)]
+                passes: Arc::clone(&passes),
+            };
             thread::Builder::new()
                 .name(format!("dse-poll-{pe}"))
-                .spawn(move || pump(readers, &inbox, &pool))
-                .map_err(|e| TransportError::Io(format!("spawn poller thread: {e}")))?;
+                .spawn(move || pump.run())
+                .map_err(|e| TransportError::Io(format!("spawn pump thread: {e}")))?;
         }
         Ok(SocketTransport {
             kind,
             mux: FrameMux::with_pool(pe, npes, pool),
             inbox,
             peers,
+            #[cfg(test)]
+            passes,
         })
     }
 
@@ -362,39 +417,62 @@ impl SocketTransport {
     }
 }
 
-/// The endpoint's one receive thread, a byte pump: it sweeps every peer
-/// connection in nonblocking mode and pushes what each read returned into
-/// the inbox, tagged with the sender, and a notice when a stream ends or a
-/// read fails (after which it drops that connection). It sleeps briefly
-/// only when a full pass read nothing, and exits when every stream has
-/// ended. (`poll(2)` would replace that sleep here; see DESIGN §5l.)
-fn pump(mut conns: Vec<(u32, Conn)>, inbox: &Inbox, pool: &FramePool) {
-    use std::io::ErrorKind;
-    let mut buf = [0u8; 64 * 1024];
-    while !conns.is_empty() {
-        let mut progress = false;
-        conns.retain_mut(|(from, conn)| {
-            let end = match conn.read(&mut buf) {
-                Ok(0) => Inbound::Eof,
-                Ok(n) => {
-                    progress = true;
-                    let mut bytes = pool.get(n);
-                    bytes.extend_from_slice(&buf[..n]);
-                    inbox.push((*from, Inbound::Bytes(bytes)));
-                    return true;
+/// The endpoint's one receive thread, a byte pump. It blocks in `poll(2)`
+/// until a connection is readable, has ended or has failed; reads what
+/// each ready one holds into a pooled buffer and pushes it into the inbox,
+/// tagged with the sender; then pushes a notice if the stream ended or the
+/// read failed, and drops that connection. It exits when every stream has
+/// ended.
+struct Pump {
+    conns: Vec<(u32, Conn)>,
+    inbox: Arc<Inbox>,
+    pool: Arc<FramePool>,
+    /// Returns from the readiness wait.
+    #[cfg(test)]
+    passes: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl Pump {
+    fn run(mut self) {
+        let mut set = PollSet::default();
+        while !self.conns.is_empty() {
+            let fds = self.conns.iter().map(|(_, conn)| conn.as_raw_fd());
+            if let Err(e) = set.wait(fds, POLLIN) {
+                for (from, _) in self.conns {
+                    self.inbox.push((from, Inbound::Failed(e.to_string())));
                 }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
-                    return true
-                }
-                Err(e) => Inbound::Failed(e.to_string()),
-            };
-            inbox.push((*from, end));
-            false
-        });
-        if !progress {
-            thread::sleep(Duration::from_micros(500));
+                return;
+            }
+            #[cfg(test)]
+            self.passes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let mut ready = set.ready();
+            self.conns.retain_mut(|(from, conn)| {
+                ready.next() != Some(true) || drain(*from, conn, &self.inbox, &self.pool)
+            });
         }
     }
+}
+
+/// Deliver what `from`'s ready connection holds into `inbox`; whether the
+/// connection is still open.
+fn drain(from: u32, conn: &mut Conn, inbox: &Inbox, pool: &FramePool) -> bool {
+    let mut bytes = pool.get(0);
+    let end = match conn.read_available(&mut bytes) {
+        // The bound, not the end of the stream: more may be waiting.
+        Ok(n) if n as u64 == READ_MAX => None,
+        Ok(_) => Some(Inbound::Eof),
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
+        Err(e) => Some(Inbound::Failed(e.to_string())),
+    };
+    if bytes.is_empty() {
+        pool.put(bytes);
+    } else {
+        inbox.push((from, Inbound::Bytes(bytes)));
+    }
+    let Some(end) = end else { return true };
+    inbox.push((from, end));
+    false
 }
 
 impl Transport for SocketTransport {
@@ -447,7 +525,7 @@ impl Transport for SocketTransport {
             let mut conn = conn.ok_or(TransportError::PeerDropped { peer: to })?;
             write_all_nb(&mut conn, bye)?;
             // Half-close: FIN the write side but keep reading, so the
-            // poller still drains whatever the peer has in flight until
+            // pump still drains whatever the peer has in flight until
             // its own `Bye` and EOF. A full close here could turn a
             // late-arriving frame into a connection reset that destroys
             // our already-queued `Bye` before the peer reads it.
@@ -545,6 +623,70 @@ mod tests {
             Err(TransportError::PeerDropped { peer: 1 }) => {}
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_tcp_mesh_connection_sets_nodelay_at_both_ends() -> Result<(), TransportError> {
+        for t in SocketTransport::tcp_cluster(3)? {
+            let conns: Vec<_> = t.peers.iter().map(|p| p.lock()).collect();
+            let conns = conns.iter().flatten().flat_map(|c| c.as_ref());
+            let nodelay = conns
+                .map(|conn| match conn {
+                    Conn::Tcp(s) => s.nodelay(),
+                    #[cfg(unix)]
+                    Conn::Uds(_) => Ok(false),
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            assert_eq!(nodelay, [true, true]);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn an_idle_pump_waits_instead_of_sweeping() -> Result<(), TransportError> {
+        let cluster = SocketTransport::tcp_cluster(2)?;
+        thread::sleep(Duration::from_millis(100));
+        for t in &cluster {
+            let passes = t.passes.load(Ordering::Relaxed);
+            assert!(
+                passes <= 3,
+                "{passes} passes in 100 ms with nothing to read"
+            );
+        }
+        Ok(())
+    }
+
+    /// `abort` shuts the peer's connection down, which ends the stream its
+    /// pump is waiting on: the drop is reported within a second, not after
+    /// a receive timeout.
+    fn abort_wakes_the_peer(cluster: &[SocketTransport]) {
+        let [a, b] = cluster else {
+            panic!("a 2-PE cluster")
+        };
+        let t0 = Instant::now();
+        b.abort();
+        assert_eq!(
+            a.recv(Some(Duration::from_secs(5))),
+            Err(TransportError::PeerDropped { peer: 1 })
+        );
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn an_abort_wakes_the_peers_pump_promptly_tcp() -> Result<(), TransportError> {
+        abort_wakes_the_peer(&SocketTransport::tcp_cluster(2)?);
+        Ok(())
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_abort_wakes_the_peers_pump_promptly_uds() -> Result<(), TransportError> {
+        let dir = std::env::temp_dir().join(format!("dse-sock-abort-{}", std::process::id()));
+        std::fs::create_dir_all(&dir)?;
+        let cluster = SocketTransport::uds_cluster(2, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        abort_wakes_the_peer(&cluster?);
+        Ok(())
     }
 
     /// PE 0 of a 2-PE endpoint whose one connection, to PE 1, is the far

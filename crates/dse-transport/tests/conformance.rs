@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dse_msg::{Message, RegionId, ReqId, TraceCtx};
 use dse_transport::{ChannelTransport, Envelope, SocketTransport, Transport, TransportError};
@@ -160,6 +160,35 @@ fn silent_after_bye(c: &Cluster) {
     assert_eq!(c[0].recv(Some(Duration::from_millis(100))), Ok(None));
 }
 
+/// A round trip costs what the transport costs, with no timer floor
+/// under it: the median of 200 unpinned ping-pongs between two endpoints
+/// is below 250 µs. (A receive path that slept 500 µs whenever it found
+/// nothing to read paid about two of those sleeps per round trip.)
+fn no_timer_floor(c: &Cluster) {
+    const ROUNDS: u64 = 200;
+    let mut rtts = Vec::new();
+    thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..ROUNDS {
+                let env = c[1].recv(WAIT).unwrap().unwrap();
+                c[1].send(0, &env.msg).unwrap();
+            }
+        });
+        for i in 0..ROUNDS {
+            let t0 = Instant::now();
+            c[0].send(1, &msg(i)).unwrap();
+            assert_eq!(c[0].recv(WAIT).unwrap().unwrap().msg, msg(i));
+            rtts.push(t0.elapsed());
+        }
+    });
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_micros(250),
+        "median round trip {median:?}"
+    );
+}
+
 macro_rules! conformance {
     ($backend:ident, $cluster:ident) => {
         mod $backend {
@@ -188,6 +217,11 @@ macro_rules! conformance {
             #[test]
             fn silent_after_bye() {
                 super::silent_after_bye(&cluster("bye"));
+            }
+
+            #[test]
+            fn no_timer_floor() {
+                super::no_timer_floor(&cluster("floor"));
             }
         }
     };
