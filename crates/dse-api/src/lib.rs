@@ -53,8 +53,9 @@ mod fake_port;
 
 pub use api::ParallelApi;
 pub use ctx::{ApiCtx, DseCtx, SimPort, UserMsg, AUTO_BARRIER_BASE};
+pub use dse_kernel::TelemetrySummary;
 pub use gm_client::{GmClient, GmHandle, GmPort, GmProtocolError, Unanswered};
-pub use program::{DseProgram, RunResult, TelemetrySummary};
+pub use program::{DseProgram, RunResult};
 pub use region::{GmArray, GmCounter, GmElem};
 pub use req_spans::{Arrival, RequesterSpans, SentReq};
 

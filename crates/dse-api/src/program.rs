@@ -11,28 +11,13 @@ use std::sync::Arc;
 
 use dse_kernel::kernel::{AppFactory, SimKernel};
 use dse_kernel::netpath::{hold_cpu, send_msg};
-use dse_kernel::{ClusterShared, DseConfig, SimMsg, TelemetryHook};
+use dse_kernel::{ClusterShared, DseConfig, SimMsg, TelemetryHook, TelemetrySummary};
 use dse_msg::{Message, NodeId, ReqIdGen};
-use dse_obs::{
-    BusInterval, ClusterAggregator, MetricKey, MetricsSnapshot, NodeStatus, TraceSpanRec,
-};
+use dse_obs::{BusInterval, ClusterAggregator, MetricKey, MetricsSnapshot, TraceSpanRec};
 use dse_platform::{ClusterSpec, Platform, PAPER_MACHINES};
 use dse_sim::{ProcCtx, SimDuration, SimReport, Simulator};
 
 use crate::ctx::{DseCtx, SimPort};
-
-/// Telemetry-plane results of a run (present when `DseConfig::telemetry`
-/// was enabled).
-#[derive(Debug, Clone)]
-pub struct TelemetrySummary {
-    /// The cluster rollup node 0's kernel rebuilt purely from in-band
-    /// `Telemetry` deltas. On a clean shutdown it matches
-    /// [`RunResult::metrics`] byte-for-byte.
-    pub rollup: MetricsSnapshot,
-    /// Aggregator-side health of every emitting PE (sequence numbers,
-    /// gaps, stale drops, last-heard time).
-    pub nodes: Vec<NodeStatus>,
-}
 
 /// Everything a completed run reports.
 #[derive(Debug, Clone)]
@@ -142,11 +127,11 @@ impl DseProgram {
         self
     }
 
-    /// Install a live-view hook, invoked on node 0's kernel each time a
-    /// telemetry aggregation epoch completes (node 0's own loopback delta
-    /// has been applied). Only fires when `DseConfig::telemetry` is
-    /// enabled. The hook receives the aggregator and the virtual clock in
-    /// nanoseconds.
+    /// Install a live-view hook, invoked each time a telemetry aggregation
+    /// epoch completes (node 0's own loopback delta has been applied) and
+    /// once more when the last kernel's shutdown flush has. Only fires when
+    /// `DseConfig::telemetry` is enabled. The hook receives the aggregator
+    /// and the virtual clock in nanoseconds.
     pub fn with_epoch_hook<F>(mut self, hook: F) -> DseProgram
     where
         F: Fn(&ClusterAggregator, u64) + Send + Sync + 'static,
@@ -185,10 +170,9 @@ impl DseProgram {
         let cpus = (0..spec.machines_used())
             .map(|m| sim.add_resource(&format!("cpu{m}")))
             .collect();
-        let shared = Arc::new(ClusterShared::new(spec, self.config.clone(), cpus));
-        if let Some(hook) = &self.telemetry_hook {
-            shared.set_epoch_hook(Arc::clone(hook));
-        }
+        let mut shared = ClusterShared::new(spec, self.config.clone(), cpus);
+        shared.epoch_hook = self.telemetry_hook.clone();
+        let shared = Arc::new(shared);
 
         let body = Arc::new(body);
         let factory: AppFactory = {
@@ -243,13 +227,11 @@ impl DseProgram {
         )];
         metrics.absorb_counters(engine_counters.iter().cloned());
         let telemetry = shared.config.telemetry.as_ref().map(|_| {
-            let agg = shared.aggregator.lock();
-            let mut rollup = agg.rollup();
-            rollup.absorb_counters(engine_counters.iter().cloned());
-            TelemetrySummary {
-                rollup,
-                nodes: agg.nodes().to_vec(),
-            }
+            let mut summary = TelemetrySummary::of(&shared.aggregator);
+            summary
+                .rollup
+                .absorb_counters(engine_counters.iter().cloned());
+            summary
         });
         RunResult {
             elapsed,

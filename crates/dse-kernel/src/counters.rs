@@ -47,8 +47,9 @@ pub const KERNEL_COUNTERS: [&str; 25] = [
 ];
 
 /// A counter the serving side bumps: the protocol through
-/// [`KernelPort::count`](crate::KernelPort::count), and the simulator's
-/// kernel driver for what only it models (`Sent`, `Invoke`).
+/// [`KernelPort::count`](crate::KernelPort::count), the simulator's
+/// kernel driver for what only it models (`Sent`, `Invoke`), and the
+/// telemetry plane's ingest (`TelemetryIn`, `TelemetryCorrupt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelCount {
     /// A remote read of this many bytes was served.
@@ -73,6 +74,12 @@ pub enum KernelCount {
     Sent(usize),
     /// A parallel process was started (simulator).
     Invoke,
+    /// A telemetry delta was applied at the aggregator. Neither telemetry
+    /// count is one of [`KERNEL_COUNTERS`]: only a watched run moves them.
+    TelemetryIn,
+    /// A telemetry delta named another PE than its sender, or did not
+    /// decode, and was dropped.
+    TelemetryCorrupt,
 }
 
 /// A counter the requester side bumps.
@@ -135,6 +142,8 @@ impl Count for KernelCount {
                 add("message_bytes", bytes as u64);
             }
             KernelCount::Invoke => add("invokes", 1),
+            KernelCount::TelemetryIn => add("telemetry_in", 1),
+            KernelCount::TelemetryCorrupt => add("telemetry_corrupt", 1),
         }
     }
 }
@@ -290,8 +299,10 @@ mod tests {
         check(moved(G::RcAcquire), &[("rc_acquires", 1)]);
         check(moved(G::Op), &[("gm_ops", 1)]);
         // Between them the counts move every listed name, and no other
-        // but the retransmit count.
+        // but the retransmit and telemetry counts.
         assert_eq!(moved(G::Retry), [("gm_retries", 1)]);
+        assert_eq!(moved(K::TelemetryIn), [("telemetry_in", 1)]);
+        assert_eq!(moved(K::TelemetryCorrupt), [("telemetry_corrupt", 1)]);
         seen.sort_unstable();
         seen.dedup();
         let mut list = KERNEL_COUNTERS.to_vec();

@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, TraceCtx};
-use dse_obs::{DeltaTracker, MetricKey, TelemetryDelta, TraceRole};
+use dse_obs::{MetricKey, TraceRole};
 use dse_sim::{CompCtx, Component, ProcCtx, ProcId, SimDuration, SimTime, Wait, Wakeup};
 
 use crate::cache::CacheStore;
@@ -48,9 +48,10 @@ use crate::counters::KernelCount;
 use crate::home_spans::{HomeSpans, Origin};
 use crate::netpath::{begin_send, book_wire, hold_cpu, send_msg};
 use crate::protocol::{Gates, KernelPort, KernelProtocol};
-use crate::shared::ClusterShared;
+use crate::shared::{ClusterShared, TelemetryHook};
 use crate::simmsg::SimMsg;
 use crate::sync::{BarrierCenter, LockCenter};
+use crate::telemetry::Telemetry;
 
 /// A ready-to-run application process body (built by the API layer).
 pub type AppBody = Box<dyn FnOnce(&mut ProcCtx<SimMsg>) + Send>;
@@ -259,17 +260,12 @@ fn own_duty(node: NodeId, at: SimTime) -> Origin {
     }
 }
 
-/// The telemetry plane of one kernel (`DseConfig::telemetry`).
-struct Telemetry {
-    interval: SimDuration,
-    tracker: DeltaTracker,
-}
-
 /// The kernel of `node` as a passive simulation component: receive,
 /// decode, charge the receive path, hand the message to the shared
-/// [`KernelProtocol`]; process management and the telemetry plane are this
-/// driver's own. Serves until a `KernelShutdown` arrives (or the simulation
-/// drains).
+/// [`KernelProtocol`]; process management and the pacing of telemetry
+/// ticks are this driver's own, the rest of the plane is the shared
+/// [`Telemetry`]. Serves until a `KernelShutdown` arrives (or the
+/// simulation drains).
 pub struct SimKernel {
     node: NodeId,
     shared: Arc<ClusterShared>,
@@ -284,17 +280,15 @@ pub struct SimKernel {
     /// The hold in progress: when it was asked for, and its length.
     hold: (SimTime, SimDuration),
     /// `None` when `config.telemetry` is off: no timer, zero extra traffic.
-    telemetry: Option<Telemetry>,
+    telemetry: Option<Telemetry<TelemetryHook>>,
 }
 
 impl SimKernel {
     /// The kernel of `node`; `factory` builds the processes it is asked to
     /// invoke.
     pub fn new(node: NodeId, shared: Arc<ClusterShared>, factory: AppFactory) -> SimKernel {
-        let telemetry = shared.config.telemetry.as_ref().map(|t| Telemetry {
-            interval: t.interval,
-            tracker: DeltaTracker::new(node.0 as u32, node == NodeId(0)),
-        });
+        let on = shared.config.telemetry.is_some();
+        let telemetry = on.then(|| Telemetry::new(node.0 as u32, shared.epoch_hook.clone()));
         SimKernel {
             node,
             spans: HomeSpans::new(node.0 as u32, shared.config.tracing),
@@ -336,28 +330,11 @@ impl SimKernel {
             None => {}
             // Telemetry deltas are control-plane traffic: they pay the
             // receive cost like any message but are not "requests served".
-            Some(Message::Telemetry {
-                pe: from_pe,
-                seq,
-                payload,
-            }) => {
-                debug_assert_eq!(node, NodeId(0), "telemetry must reach the aggregating node");
-                let delta = TelemetryDelta::decode(&payload)
-                    .unwrap_or_else(|e| panic!("kernel {node}: bad telemetry payload: {e:?}"));
-                let now_ns = now.as_nanos();
-                shared.aggregator.lock().apply(from_pe, seq, now_ns, &delta);
-                shared.metrics.incr(
-                    MetricKey::pe("kernel", "telemetry_in", node.0 as u32)
-                        .on_machine(shared.machine_of(node) as u32),
-                );
-                // Node 0's own loopback delta closes an aggregation epoch:
-                // it was emitted last in the round, so every older delta
-                // has been applied — tell the live view.
-                if from_pe == node.0 as u32 {
-                    if let Some(hook) = shared.epoch_hook() {
-                        let agg = shared.aggregator.lock();
-                        hook(&agg, now_ns);
-                    }
+            Some(msg @ Message::Telemetry { .. }) => {
+                if let Some(t) = &self.telemetry {
+                    let counters = shared.counters(node);
+                    let now_ns = now.as_nanos();
+                    t.ingest(&shared.aggregator, counters, reply.from.pe, msg, now_ns);
                 }
                 return;
             }
@@ -383,23 +360,25 @@ impl SimKernel {
 
     /// One telemetry tick: ship this PE's incremental metric delta in-band
     /// to node 0's kernel; once it is on the wire ([`Op::EndTick`]), re-arm
-    /// if `rearm`. Node 0 forces an emission even when nothing changed —
-    /// its own loopback delta is the heartbeat that closes each aggregation
-    /// epoch for the live view.
+    /// if `rearm`.
     fn tick(&mut self, rearm: bool) {
-        let (shared, node) = (&*self.shared, self.node);
-        let tracker = &mut self.telemetry.as_mut().expect("a tick is armed").tracker;
-        let snap = tracker.snapshot(&shared.metrics);
-        if let Some((seq, d)) = tracker.delta(&snap, node == NodeId(0)) {
-            let msg = Message::Telemetry {
-                pe: tracker.pe(),
-                seq,
-                payload: d.encode(),
-            };
+        let shared = &*self.shared;
+        let delta = self
+            .telemetry
+            .as_mut()
+            .and_then(|t| t.delta(&shared.metrics));
+        if let Some(msg) = delta {
             let to = shared.kernel_of(NodeId(0));
             self.ops.push_back(Op::Send(NodeId(0), to, msg, None));
         }
         self.ops.push_back(Op::EndTick(rearm));
+    }
+
+    /// Arm the telemetry timer to fire one interval after `now`.
+    fn arm(&self, ctx: &mut CompCtx<'_, SimMsg>, now: SimTime) {
+        if let Some(t) = &self.shared.config.telemetry {
+            ctx.set_timer(now + t.interval);
+        }
     }
 
     /// Ask for this node's CPU at `now`, for `dur`.
@@ -413,11 +392,7 @@ impl Component<SimMsg> for SimKernel {
     fn resume(&mut self, ctx: &mut CompCtx<'_, SimMsg>, wakeup: Wakeup<SimMsg>) -> Wait {
         let (node, now) = (self.node, ctx.now());
         match wakeup {
-            Wakeup::Start => {
-                if let Some(t) = &self.telemetry {
-                    ctx.set_timer(now + t.interval);
-                }
-            }
+            Wakeup::Start => self.arm(ctx, now),
             // The hold ended `dur` after it was granted: the rest of the
             // time since it was asked for was spent queued for the CPU.
             Wakeup::Resumed => {
@@ -440,12 +415,13 @@ impl Component<SimMsg> for SimKernel {
                 let sm = env.msg;
                 let msg = Message::decode(&sm.bytes).expect("kernel received undecodable message");
                 if matches!(msg, Message::KernelShutdown) {
-                    // Ship the final absolute state before exiting, so the
+                    // Land the final absolute state before exiting, so the
                     // cluster rollup at the aggregator matches the direct
                     // end-of-run rollup exactly even if incremental deltas
                     // were still in flight.
                     if let Some(t) = self.telemetry.as_mut() {
-                        final_flush(now.as_nanos(), &self.shared, node, &mut t.tracker);
+                        let shared = &*self.shared;
+                        t.flush(&shared.aggregator, &shared.metrics, now.as_nanos());
                     }
                     let spans = self.spans.take();
                     let sink = &self.shared.trace_sink;
@@ -513,27 +489,11 @@ impl Component<SimMsg> for SimKernel {
                 }
                 Op::EndTick(rearm) => {
                     if rearm {
-                        let t = self.telemetry.as_ref().expect("a tick is armed");
-                        ctx.set_timer(now + t.interval);
+                        self.arm(ctx, now);
                     }
                 }
             }
         }
         Wait::Message
     }
-}
-
-/// Shutdown flush: apply this PE's absolute state straight to the
-/// aggregator. The wire cannot carry it (the aggregating kernel exits on
-/// the same shutdown wave and late messages would be dropped), but it still
-/// crosses the exact encode/decode path the wire uses, so the rollup stays
-/// a pure product of the in-band codec.
-fn final_flush(now_ns: u64, shared: &ClusterShared, node: NodeId, tracker: &mut DeltaTracker) {
-    let snap = tracker.snapshot(&shared.metrics);
-    let (seq, d) = tracker.absolute(&snap);
-    let back = TelemetryDelta::decode(&d.encode()).expect("telemetry self-roundtrip");
-    shared
-        .aggregator
-        .lock()
-        .apply(node.0 as u32, seq, now_ns, &back);
 }

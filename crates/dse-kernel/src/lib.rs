@@ -11,9 +11,11 @@
 //!   either engine's ports count to the `kernel/*` metric series),
 //! * the **parallel process management module** and the simulated kernel
 //!   ([`kernel`] — a passive simulation component, no thread of its own:
-//!   invocation, termination, telemetry; the simulator's port), and the
-//!   live engine's kernel ([`task`] — the sans-IO `KernelTask` and the live
-//!   port),
+//!   invocation, termination, telemetry ticks; the simulator's port), and
+//!   the live engine's kernel ([`task`] — the sans-IO `KernelTask` and the
+//!   live port), both feeding one in-band **telemetry plane**
+//!   ([`telemetry`] — tick deltas, ingest on PE 0, shutdown flush, one
+//!   aggregator per run),
 //! * the **global memory management module** ([`gmem`] — home-partitioned
 //!   regions, reads/writes/atomics),
 //! * the **message exchange mechanism** ([`netpath`] + [`simmsg`] — own-node
@@ -46,6 +48,7 @@ pub mod shared;
 pub mod simmsg;
 pub mod sync;
 pub mod task;
+pub mod telemetry;
 
 pub use cache::{CacheStore, CACHE_BLOCK};
 pub use config::{
@@ -64,4 +67,5 @@ pub use service::{serve_gm, GmServiceHooks, NoHooks, Served};
 pub use shared::{ClusterShared, TelemetryHook};
 pub use simmsg::SimMsg;
 pub use sync::{BarrierCenter, BarrierOutcome, LockCenter, LockOutcome, Party, UnlockOutcome};
-pub use task::{is_app_bound, KernelEnv, KernelEvent, KernelTask, Outbound, Progress};
+pub use task::{is_app_bound, KernelEnv, KernelEvent, KernelTask, Outbound, Progress, Watch};
+pub use telemetry::{EpochHook, Telemetry, TelemetrySummary};

@@ -3,8 +3,7 @@
 //! Data-wise this is one address space (we are a simulator); *cost*-wise
 //! every access to it is priced and charged to the right machine's CPU by
 //! the code that touches it. Only one simulation thread runs at a time, so
-//! the internal locks never contend — they exist to satisfy `Sync` and to
-//! serve the live engine, which shares this type.
+//! the internal locks never contend — they exist to satisfy `Sync`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,12 +22,11 @@ use crate::counters::PeCounters;
 use crate::gmem::GlobalStore;
 use crate::kernel::SimRequester;
 use crate::sync::{BarrierCenter, LockCenter};
+use crate::telemetry::{self, EpochHook};
 
-/// Callback invoked on the aggregating kernel each time a full telemetry
-/// epoch lands (its own loopback delta has been applied, meaning every
-/// older delta from other PEs has too). Receives the aggregator and the
-/// engine clock in nanoseconds. Used by `--watch`-style live views.
-pub type TelemetryHook = Arc<dyn Fn(&dse_obs::ClusterAggregator, u64) + Send + Sync>;
+/// The installed epoch hook (when it fires: [`crate::telemetry`]). Used by
+/// `--watch`-style live views.
+pub type TelemetryHook = Arc<EpochHook<'static>>;
 
 /// Shared state of one cluster run.
 pub struct ClusterShared {
@@ -57,11 +55,13 @@ pub struct ClusterShared {
     /// Observability: the causal spans of every process and kernel that has
     /// finished (empty unless `config.tracing`).
     pub trace_sink: dse_obs::TraceSink,
-    /// Telemetry: the cluster rollup node 0's kernel maintains from in-band
-    /// `Telemetry` messages (empty when telemetry is off).
+    /// Telemetry: the run's one aggregator, fed by node 0's kernel from
+    /// in-band `Telemetry` messages and by every kernel's shutdown flush
+    /// (empty when telemetry is off).
     pub aggregator: Mutex<dse_obs::ClusterAggregator>,
-    /// Telemetry: live-view hook invoked per aggregation epoch.
-    epoch_hook: Mutex<Option<TelemetryHook>>,
+    /// Telemetry: the epoch hook each kernel's plane fires (harness setup,
+    /// before the kernels are built).
+    pub epoch_hook: Option<TelemetryHook>,
     /// CPU resource of each physical machine, indexed by machine.
     pub cpus: Vec<ResourceId>,
     /// Node → machine placement (from [`ClusterSpec::place`]).
@@ -116,8 +116,8 @@ impl ClusterShared {
             network: Mutex::new(network),
             metrics: dse_obs::Registry::new(),
             trace_sink: dse_obs::TraceSink::default(),
-            aggregator: Mutex::new(dse_obs::ClusterAggregator::new(spec.processors)),
-            epoch_hook: Mutex::new(None),
+            aggregator: telemetry::aggregator(spec.processors),
+            epoch_hook: None,
             cpus,
             placement,
             kernels: Mutex::new(Vec::new()),
@@ -242,17 +242,6 @@ impl ClusterShared {
     /// Look up a cluster-wide symbolic name.
     pub fn lookup_name(&self, name: &str) -> Option<dse_msg::RegionId> {
         self.names.lock().get(name).copied()
-    }
-
-    /// Install the telemetry epoch hook (harness setup; replaces any
-    /// previous hook).
-    pub fn set_epoch_hook(&self, hook: TelemetryHook) {
-        *self.epoch_hook.lock() = Some(hook);
-    }
-
-    /// The installed telemetry epoch hook, if any.
-    pub fn epoch_hook(&self) -> Option<TelemetryHook> {
-        self.epoch_hook.lock().clone()
     }
 }
 

@@ -16,7 +16,8 @@
 //! the simulator's kernel runs. This file is its live driver and its live
 //! port: the outbox, the metrics registry, the wall clock the shared
 //! [`HomeSpans`] are stamped with, and what only a lossy wire needs (replay
-//! of answered requests, exit collection, abort relay, telemetry emission).
+//! of answered requests, exit collection, abort relay). The telemetry plane
+//! is the shared [`Telemetry`]; only its emission pacing is this file's.
 //!
 //! Because the task never blocks, the live engine's one driver can give a
 //! task a worker of its own (thread-per-PE: the worker waits in its
@@ -33,8 +34,7 @@ use parking_lot::Mutex;
 
 use dse_msg::{Message, NodeId, RegionId, TraceCtx};
 use dse_obs::{
-    ClusterAggregator, DeltaTracker, FlightEventKind, FlightRecorder, MetricKey, Registry,
-    TelemetryDelta, TraceSpanRec,
+    ClusterAggregator, FlightEventKind, FlightRecorder, MetricKey, Registry, TraceSpanRec,
 };
 
 use crate::cache::CacheStore;
@@ -45,6 +45,7 @@ use crate::gmem::GlobalStore;
 use crate::home_spans::{HomeSpans, Origin};
 use crate::protocol::{KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 use crate::sync::{BarrierCenter, LockCenter};
+use crate::telemetry::{EpochHook, Telemetry};
 
 /// `Abort` frame `code` values used by the kernel and the live engine.
 pub mod abort_code {
@@ -119,7 +120,7 @@ pub enum Outbound {
     },
     /// A best-effort wire send (telemetry deltas: the aggregating PE may
     /// already be gone during shutdown; a lost delta is healed by the
-    /// final absolute round).
+    /// sender's shutdown flush).
     WireBestEffort {
         /// Destination PE.
         to: u32,
@@ -167,10 +168,23 @@ impl KernelEnv<'_> {
     fn now_ns(&self) -> u64 {
         self.engine_t0.elapsed().as_nanos() as u64
     }
+
+    /// The run clock the telemetry plane is stamped with.
+    fn run_ns(&self) -> u64 {
+        self.run_start.elapsed().as_nanos() as u64
+    }
 }
 
-/// Telemetry hook invoked on the aggregating PE's emission ticks.
-pub type WatchHook<'h> = &'h (dyn Fn(&ClusterAggregator, u64) + Send + Sync);
+/// A watched run's telemetry plane as one kernel task sees it.
+#[derive(Clone, Copy)]
+pub struct Watch<'a> {
+    /// How often the task ships its PE's delta to PE 0.
+    pub interval: Duration,
+    /// The epoch hook (when it fires: [`crate::telemetry`]).
+    pub hook: &'a EpochHook<'a>,
+    /// The run's one aggregator.
+    pub aggregator: &'a Mutex<ClusterAggregator>,
+}
 
 /// Where a live kernel's answer goes: what the request brought (its PE,
 /// wire trace context and arrival time), and its dedup key if it is one a
@@ -333,20 +347,19 @@ pub struct KernelTask<'a> {
     protocol: KernelProtocol<'a, Requester>,
     exited: usize,
     last_emit: Instant,
-    watch: Option<(Duration, WatchHook<'a>)>,
+    /// `None` on an unwatched run: no emission, and deltas are not heard.
+    watch: Option<(Watch<'a>, Telemetry<&'a EpochHook<'a>>)>,
     /// Bound on the driver's wait between events.
     tick: Duration,
-    tracker: DeltaTracker,
-    agg: Option<ClusterAggregator>,
 }
 
 impl<'a> KernelTask<'a> {
     /// A fresh kernel task over `env`. `watch` enables telemetry emission
-    /// every interval (and aggregation + hook invocation on PE 0); `tick`
+    /// every interval, ingest on PE 0 and the shutdown flush; `tick`
     /// bounds the driver's idle wait; `tracing` records causal spans.
     pub fn new(
         env: KernelEnv<'a>,
-        watch: Option<(Duration, WatchHook<'a>)>,
+        watch: Option<Watch<'a>>,
         tick: Duration,
         tracing: bool,
     ) -> KernelTask<'a> {
@@ -375,10 +388,8 @@ impl<'a> KernelTask<'a> {
             ),
             exited: 0,
             last_emit: Instant::now(),
-            watch,
+            watch: watch.map(|w| (w, Telemetry::new(pe, Some(w.hook)))),
             tick,
-            tracker: DeltaTracker::new(pe, pe == 0),
-            agg: (pe == 0 && watch.is_some()).then(|| ClusterAggregator::new(env.nprocs)),
         }
     }
 
@@ -387,7 +398,10 @@ impl<'a> KernelTask<'a> {
     /// heartbeat).
     pub fn timeout(&self) -> Duration {
         match &self.watch {
-            Some((iv, _)) => iv.saturating_sub(self.last_emit.elapsed()).min(self.tick),
+            Some((w, _)) => w
+                .interval
+                .saturating_sub(self.last_emit.elapsed())
+                .min(self.tick),
             None => self.tick,
         }
     }
@@ -405,10 +419,9 @@ impl<'a> KernelTask<'a> {
         self.port.outbox.drain(..)
     }
 
-    /// Tear down: the delta tracker (for the final absolute telemetry
-    /// round), the aggregator (watched PE 0 only), and the recorded spans.
-    pub fn finish(mut self) -> (DeltaTracker, Option<ClusterAggregator>, Vec<TraceSpanRec>) {
-        (self.tracker, self.agg, self.port.spans.take())
+    /// Tear down: the recorded spans.
+    pub fn finish(mut self) -> Vec<TraceSpanRec> {
+        self.port.spans.take()
     }
 
     /// Consume one event. Drain the outbox after every call — including
@@ -429,27 +442,14 @@ impl<'a> KernelTask<'a> {
     }
 
     fn emit_if_due(&mut self) {
-        let env = self.port.env;
-        let pe = env.pe;
-        if let Some((interval, hook)) = self.watch {
-            if self.last_emit.elapsed() >= interval {
-                self.last_emit = Instant::now();
-                let snap = self.tracker.snapshot(env.metrics);
-                // PE 0 forces an empty heartbeat so the aggregator's
-                // staleness clock keeps advancing on an idle cluster.
-                if let Some((seq, d)) = self.tracker.delta(&snap, pe == 0) {
-                    self.port.outbox.push_back(Outbound::WireBestEffort {
-                        to: 0,
-                        msg: Message::Telemetry {
-                            pe,
-                            seq,
-                            payload: d.encode(),
-                        },
-                    });
-                }
-                if let Some(agg) = self.agg.as_ref() {
-                    hook(agg, env.run_start.elapsed().as_nanos() as u64);
-                }
+        let Some((watch, telemetry)) = &mut self.watch else {
+            return;
+        };
+        if self.last_emit.elapsed() >= watch.interval {
+            self.last_emit = Instant::now();
+            if let Some(msg) = telemetry.delta(self.port.env.metrics) {
+                let outbox = &mut self.port.outbox;
+                outbox.push_back(Outbound::WireBestEffort { to: 0, msg });
             }
         }
     }
@@ -517,39 +517,10 @@ impl<'a> KernelTask<'a> {
                     }
                 }
             }
-            // A delta speaks only for the PE that sent it: the aggregator
-            // grows its node table up to the PE a delta names, so one that
-            // names another PE is dropped here, charged to no sequence.
-            Some(Message::Telemetry { pe: src, .. }) if src != from => {
-                eprintln!(
-                    "live kernel PE {pe}: dropping telemetry from PE {from} \
-                     that claims to be PE {src}"
-                );
-                env.metrics
-                    .incr(MetricKey::pe("kernel", "telemetry_corrupt", pe));
-            }
-            Some(Message::Telemetry {
-                pe: src,
-                seq,
-                payload,
-            }) => {
-                if let Some(agg) = self.agg.as_mut() {
-                    let now_ns = env.run_start.elapsed().as_nanos() as u64;
-                    match TelemetryDelta::decode(&payload) {
-                        Ok(delta) => agg.apply(src, seq, now_ns, &delta),
-                        Err(e) => {
-                            // A corrupt delta is dropped and accounted
-                            // as a sequence gap — the telemetry plane
-                            // degrades, the run does not.
-                            eprintln!(
-                                "live kernel PE {pe}: dropping corrupt telemetry \
-                                 delta from PE {src} (seq {seq}): {e}"
-                            );
-                            env.metrics
-                                .incr(MetricKey::pe("kernel", "telemetry_corrupt", pe));
-                            agg.note_corrupt(src, seq, now_ns);
-                        }
-                    }
+            Some(msg @ Message::Telemetry { .. }) => {
+                if let Some((watch, telemetry)) = &self.watch {
+                    let counters = PeCounters::new(env.metrics, pe, None);
+                    telemetry.ingest(watch.aggregator, counters, from, msg, env.run_ns());
                 }
             }
             Some(frame @ Message::Abort { .. }) => return Progress::Aborted(frame),
@@ -567,12 +538,14 @@ impl<'a> KernelTask<'a> {
                 detail: detail.into_bytes(),
             });
         }
-        self.emit_if_due();
         if shutdown {
-            Progress::Clean
-        } else {
-            Progress::Pending
+            if let Some((watch, telemetry)) = &mut self.watch {
+                telemetry.flush(watch.aggregator, env.metrics, env.run_ns());
+            }
+            return Progress::Clean;
         }
+        self.emit_if_due();
+        Progress::Pending
     }
 }
 

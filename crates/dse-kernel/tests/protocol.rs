@@ -716,7 +716,7 @@ fn trail_through_the_live_task(mode: GmMode) -> Trail {
             log.push((to as u16, msg, ctx));
         }
     }
-    (log, task.finish().2)
+    (log, task.finish())
 }
 
 #[test]

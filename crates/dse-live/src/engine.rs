@@ -15,9 +15,10 @@
 //!   consumer of the PE's transport endpoint. It services incoming GM
 //!   requests against the global store, forwards responses to its own
 //!   application thread, and (on PE 0) runs the cluster coordinator:
-//!   barriers, locks, exit collection, and the telemetry aggregator behind
-//!   `--watch`. [`SchedulerKind`] sizes the pool: one worker per PE, or
-//!   one per core with many kernels sharing a worker.
+//!   barriers, locks, exit collection, and the ingest of the telemetry
+//!   plane behind `--watch` (`dse_kernel::telemetry`). [`SchedulerKind`]
+//!   sizes the pool: one worker per PE, or one per core with many kernels
+//!   sharing a worker.
 //!
 //! The transport is chosen per run ([`TransportKind`]): an in-process
 //! channel mesh, a framed TCP-over-loopback mesh, or Unix domain sockets —
@@ -34,11 +35,13 @@ use parking_lot::Mutex;
 
 use dse_kernel::gmem::GlobalStore;
 use dse_kernel::task::{is_app_bound, KernelEnv, KernelTask, Outbound};
-use dse_kernel::{CacheStore, GmMode, PeCounters, SchedulerKind};
+use dse_kernel::{
+    telemetry, CacheStore, EpochHook, GmMode, PeCounters, SchedulerKind, TelemetrySummary, Watch,
+};
 use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
 use dse_obs::{
-    ClusterAggregator, DeltaTracker, FlightRecorder, MetricKey, MetricsSnapshot, Registry,
-    TelemetryDelta, TraceRole, TraceSink, TraceSpanRec,
+    ClusterAggregator, FlightRecorder, MetricKey, MetricsSnapshot, Registry, TraceRole, TraceSink,
+    TraceSpanRec,
 };
 use dse_transport::{
     BlockingQueue, ChannelTransport, FaultPlan, FaultyTransport, RetryPolicy, SocketTransport,
@@ -212,6 +215,8 @@ pub struct LiveCluster {
     /// Wall-clock observability: the same registry the simulator uses,
     /// fed with `Instant`-measured nanoseconds instead of virtual time.
     metrics: Registry,
+    /// The telemetry plane's one aggregator (`Some` only for watched runs).
+    aggregator: Option<Mutex<ClusterAggregator>>,
     /// Post-mortem ring of recent wire sends and stalls.
     flight: FlightRecorder,
     /// First-hand failure observations, in discovery order.
@@ -252,7 +257,7 @@ pub struct LiveCluster {
 type AppInbox = Arc<BlockingQueue<(Message, Option<TraceCtx>)>>;
 
 impl LiveCluster {
-    fn with_config(nprocs: usize, cfg: &LiveRunConfig) -> LiveCluster {
+    fn with_config(nprocs: usize, cfg: &LiveRunConfig, watched: bool) -> LiveCluster {
         let metrics = Registry::new();
         for pe in 0..nprocs as u32 {
             PeCounters::new(&metrics, pe, None).register();
@@ -261,6 +266,7 @@ impl LiveCluster {
             nprocs,
             store: GlobalStore::new(nprocs),
             metrics,
+            aggregator: watched.then(|| telemetry::aggregator(nprocs)),
             flight: FlightRecorder::with_capacity(FLIGHT_CAPACITY),
             failures: Mutex::new(Vec::new()),
             abort: AtomicBool::new(false),
@@ -345,9 +351,20 @@ impl LiveCluster {
 // put a task's outputs on the wire and to tear a kernel down.
 // ---------------------------------------------------------------------------
 
-type WatchSpec<'h> = (Duration, dse_kernel::task::WatchHook<'h>);
+type WatchSpec<'h> = (Duration, &'h EpochHook<'h>);
 
 impl LiveCluster {
+    /// A watched run's telemetry plane: `spec`'s interval and hook, and
+    /// this cluster's aggregator.
+    fn watch<'a>(&'a self, spec: Option<WatchSpec<'a>>) -> Option<Watch<'a>> {
+        let ((interval, hook), aggregator) = spec.zip(self.aggregator.as_ref())?;
+        Some(Watch {
+            interval,
+            hook,
+            aggregator,
+        })
+    }
+
     /// The shared-state view one PE's kernel task serves against.
     fn kernel_env<'a>(&'a self, pe: u32, start: Instant) -> KernelEnv<'a> {
         KernelEnv {
@@ -475,8 +492,8 @@ pub(crate) fn finish_kernel(
     transport: &dyn Transport,
     task: KernelTask<'_>,
     exit: Result<Option<Message>, FailureKind>,
-) -> (DeltaTracker, Option<ClusterAggregator>) {
-    let (tracker, agg, spans) = task.finish();
+) {
+    let spans = task.finish();
     // Flush this kernel's causal spans whatever the exit path — an aborted
     // run's post-mortem trace is where they matter most.
     cluster.trace_sink.park(pe, TraceRole::Kernel, spans);
@@ -519,7 +536,6 @@ pub(crate) fn finish_kernel(
     // abort frame above included) drain first, then receives report
     // closure.
     cluster.app_inboxes[pe as usize].close();
-    (tracker, agg)
 }
 
 // ---------------------------------------------------------------------------
@@ -544,10 +560,11 @@ pub struct LiveRunResult {
     /// stats, and wall-clock latency histograms (same schema as the
     /// simulator's).
     pub metrics: MetricsSnapshot,
-    /// The rollup the telemetry plane rebuilt from the deltas that rode the
-    /// transport to PE 0 (`Some` only for watched runs; matches `metrics`
-    /// after a clean run).
-    pub telemetry_rollup: Option<MetricsSnapshot>,
+    /// Telemetry-plane results (`Some` only for watched runs): the rollup
+    /// rebuilt from the deltas that rode the transport to PE 0 and the
+    /// kernels' shutdown flushes (it matches `metrics` after a clean run),
+    /// and every PE's emission health.
+    pub telemetry: Option<TelemetrySummary>,
     /// Flight-recorder dump at run end (JSONL, oldest event first): the
     /// last 256 wire sends and stalls. On an aborted run the
     /// equivalent post-mortem dump rides in [`RunError`] instead.
@@ -644,20 +661,17 @@ impl<'h> LiveRunner<'h> {
         self
     }
 
-    /// Watch the run: each PE's kernel thread ships incremental telemetry
-    /// deltas *over the transport* to PE 0 every `interval`; PE 0's kernel
-    /// applies them to a [`ClusterAggregator`] and invokes `hook` with the
-    /// aggregator and the elapsed wall clock in nanoseconds on each of its
-    /// own ticks. The hook signature matches the simulator's epoch hook,
-    /// so one rendering function (e.g. `dse_ssi::view::render_top`) serves
-    /// both engines. After the kernels shut down, a final absolute round
-    /// heals any deltas lost in the shutdown race and the resulting rollup
-    /// lands in [`LiveRunResult::telemetry_rollup`].
-    pub fn watch(
-        mut self,
-        interval: Duration,
-        hook: &'h (dyn Fn(&ClusterAggregator, u64) + Send + Sync),
-    ) -> Self {
+    /// Watch the run: each PE's kernel ships incremental telemetry deltas
+    /// *over the transport* to PE 0 every `interval`; PE 0's kernel applies
+    /// them to the run's [`ClusterAggregator`] and invokes `hook` with the
+    /// aggregator and the elapsed wall clock in nanoseconds each time its
+    /// own delta lands. The hook and the rules are the simulator's
+    /// (`dse_kernel::telemetry`), so one rendering function (e.g.
+    /// `dse_ssi::view::render_top`) serves both engines. At shutdown every
+    /// kernel flushes its PE's absolute state, healing deltas lost on the
+    /// way; the last flush fires the hook once more, and the result lands
+    /// in [`LiveRunResult::telemetry`].
+    pub fn watch(mut self, interval: Duration, hook: &'h EpochHook<'h>) -> Self {
         self.watch = Some((interval, hook));
         self
     }
@@ -694,7 +708,7 @@ where
     F: Fn(&mut LiveCtx) + Send + Sync,
 {
     assert!(nprocs > 0);
-    let cluster = Arc::new(LiveCluster::with_config(nprocs, &cfg));
+    let cluster = Arc::new(LiveCluster::with_config(nprocs, &cfg, watch.is_some()));
     let start = Instant::now();
     // The guard outlives the scope below: socket files are removed however
     // the run ends, including an unwinding abort.
@@ -713,7 +727,7 @@ where
                 })
             }
         };
-    let rollup = std::thread::scope(|scope| {
+    let telemetry = std::thread::scope(|scope| {
         let mut app_handles = Vec::with_capacity(nprocs);
         let abort = &cluster.abort;
         for (pe, transport) in transports.iter().enumerate() {
@@ -754,21 +768,12 @@ where
         }
         // Kernels first: they stop only after a clean shutdown handshake
         // or a cluster abort, either of which also unblocks the apps.
-        let mut trackers = Vec::with_capacity(nprocs);
-        let mut agg = None;
-        let mut propagate = None;
-        match sched::run_kernels(&cluster, cfg.scheduler, &transports, watch, start) {
-            Ok(results) => {
-                for (tracker, a) in results {
-                    trackers.push(tracker);
-                    agg = agg.or(a);
-                }
-            }
-            // A kernel *bug* (transport failures return structured errors,
-            // they never unwind): the pool has latched the abort and
-            // drained; re-panic once the app threads are down too.
-            Err(p) => propagate = Some(p),
-        }
+        let watch = cluster.watch(watch);
+        // A kernel *bug* (transport failures return structured errors, they
+        // never unwind): the pool has latched the abort and drained;
+        // re-panic once the app threads are down too.
+        let mut propagate =
+            sched::run_kernels(&cluster, cfg.scheduler, &transports, watch, start).err();
         for h in app_handles {
             if let Err(p) = h.join() {
                 if !p.is::<AbortUnwind>() {
@@ -780,25 +785,11 @@ where
             resume_unwind(p);
         }
         if cluster.aborting() {
-            // No rollup for an aborted run: the registry is mid-flight
+            // No telemetry for an aborted run: the registry is mid-flight
             // and the caller gets the failure report instead.
             return None;
         }
-        // Final absolute telemetry round: reproduce the registry exactly
-        // through the same encode/decode codec the wire used, healing any
-        // deltas the shutdown race dropped.
-        watch.map(|(_, hook)| {
-            let mut agg = agg.expect("watched run must produce an aggregator");
-            let snap = cluster.metrics.snapshot();
-            let now_ns = start.elapsed().as_nanos() as u64;
-            for t in trackers.iter_mut() {
-                let (seq, d) = t.absolute(&snap);
-                let back = TelemetryDelta::decode(&d.encode()).expect("telemetry self-roundtrip");
-                agg.apply(t.pe(), seq, now_ns, &back);
-            }
-            hook(&agg, now_ns);
-            agg.rollup()
-        })
+        cluster.aggregator.as_ref().map(TelemetrySummary::of)
     });
     let failures = std::mem::take(&mut *cluster.failures.lock());
     let flight_jsonl = cluster.flight.to_jsonl();
@@ -814,7 +805,7 @@ where
         nprocs,
         transport: cfg.kind,
         metrics: cluster.metrics.snapshot(),
-        telemetry_rollup: rollup,
+        telemetry,
         flight_jsonl,
         trace_spans: cluster.trace_sink.take_streams(nprocs),
     })
@@ -906,7 +897,7 @@ mod tests {
                 let _ = arr.read(ctx, 0, 3);
             });
         assert!(epochs.load(Ordering::SeqCst) >= 1, "hook never fired");
-        let rollup = r.telemetry_rollup.expect("watched run produces a rollup");
+        let rollup = r.telemetry.expect("watched run produces a rollup").rollup;
         assert_eq!(
             rollup.to_jsonl(),
             r.metrics.to_jsonl(),
@@ -917,7 +908,7 @@ mod tests {
     #[test]
     fn unwatched_run_has_no_rollup() {
         let r = LiveRunner::new(2).run(|ctx| ctx.barrier());
-        assert!(r.telemetry_rollup.is_none());
+        assert!(r.telemetry.is_none());
     }
 
     #[test]
@@ -1120,7 +1111,7 @@ mod tests {
         // The final absolute round always fires the hook at least once and
         // produces a rollup that matches the registry.
         assert!(ticks.load(Ordering::Relaxed) >= 1);
-        let rollup = r.telemetry_rollup.expect("watched run yields a rollup");
+        let rollup = r.telemetry.expect("watched run yields a rollup").rollup;
         assert_eq!(
             rollup.counter_sum_over_pes("kernel", "requests_served"),
             r.metrics.counter_sum_over_pes("kernel", "requests_served")

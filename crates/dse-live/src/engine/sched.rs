@@ -29,12 +29,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use dse_kernel::task::{abort_code, KernelEvent, KernelTask, Progress};
-use dse_kernel::SchedulerKind;
+use dse_kernel::{SchedulerKind, Watch};
 use dse_msg::Message;
-use dse_obs::{ClusterAggregator, DeltaTracker};
 use dse_transport::{Envelope, Transport};
 
-use super::{finish_kernel, flush_outbox, LiveCluster, WatchSpec};
+use super::{finish_kernel, flush_outbox, LiveCluster};
 use crate::error::FailureKind;
 
 /// Bound on a task's wait between events: an idle kernel still sees a
@@ -58,10 +57,6 @@ const SPIN_SWEEPS: u32 = 50;
 /// kernel tick.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
-/// What each kernel hands back at teardown: its telemetry delta tracker
-/// and, for a watched PE 0, the cluster aggregator.
-type KernelOutput = (DeltaTracker, Option<ClusterAggregator>);
-
 /// One kernel task being driven by a worker.
 struct Slot<'a> {
     pe: u32,
@@ -78,7 +73,7 @@ impl<'a> Slot<'a> {
         cluster: &'a LiveCluster,
         pe: u32,
         transport: &'a dyn Transport,
-        watch: Option<WatchSpec<'a>>,
+        watch: Option<Watch<'a>>,
         start: Instant,
     ) -> Slot<'a> {
         let task = KernelTask::new(
@@ -119,19 +114,18 @@ pub(crate) fn app_stack(kind: SchedulerKind) -> Option<usize> {
 }
 
 /// Drive the kernel of every PE (`transports[pe]` is its endpoint) to
-/// completion on the worker pool. Returns the per-PE `(tracker,
-/// aggregator)` results in rank order, or the first panic payload once
+/// completion on the worker pool. Returns the first panic payload once
 /// the whole cluster has drained.
 pub(crate) fn run_kernels(
     cluster: &LiveCluster,
     kind: SchedulerKind,
     transports: &[Arc<dyn Transport>],
-    watch: Option<WatchSpec<'_>>,
+    watch: Option<Watch<'_>>,
     start: Instant,
-) -> Result<Vec<KernelOutput>, Box<dyn Any + Send>> {
+) -> Result<(), Box<dyn Any + Send>> {
     let host = || thread::available_parallelism().map_or(4, |n| n.get());
     let nworkers = worker_count(kind, transports.len(), host);
-    let joined: Vec<Result<Vec<(u32, KernelOutput)>, _>> = thread::scope(|s| {
+    let joined: Vec<thread::Result<()>> = thread::scope(|s| {
         let handles: Vec<_> = (0..nworkers)
             .map(|w| {
                 // Static round-robin partition: contiguous ranks land on
@@ -143,22 +137,11 @@ pub(crate) fn run_kernels(
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
-    let mut out = Vec::new();
-    let mut propagate: Option<Box<dyn Any + Send>> = None;
-    for r in joined {
-        match r {
-            Ok(items) => out.extend(items),
-            Err(p) => {
-                cluster.abort.store(true, Ordering::Release);
-                propagate.get_or_insert(p);
-            }
-        }
+    let first_panic = joined.into_iter().find_map(Result::err);
+    if first_panic.is_some() {
+        cluster.abort.store(true, Ordering::Release);
     }
-    if let Some(p) = propagate {
-        return Err(p);
-    }
-    out.sort_by_key(|(pe, _)| *pe);
-    Ok(out.into_iter().map(|(_, output)| output).collect())
+    first_panic.map_or(Ok(()), Err)
 }
 
 /// How long a worker may wait inside `slots[i]`'s transport for its next
@@ -180,9 +163,9 @@ fn worker_loop<'e>(
     cluster: &'e LiveCluster,
     transports: &'e [Arc<dyn Transport>],
     part: impl Iterator<Item = usize>,
-    watch: Option<WatchSpec<'e>>,
+    watch: Option<Watch<'e>>,
     start: Instant,
-) -> Vec<(u32, KernelOutput)> {
+) {
     let mut slots: Vec<Slot<'e>> = part
         .map(|pe| Slot::new(cluster, pe as u32, transports[pe].as_ref(), watch, start))
         .collect();
@@ -224,18 +207,13 @@ fn worker_loop<'e>(
             }
         }
     }
-    let results = slots
-        .into_iter()
-        .map(|slot| {
-            let exit = slot.exit.expect("loop exits only when every slot has");
-            let output = finish_kernel(slot.pe, cluster, slot.transport, slot.task, exit);
-            (slot.pe, output)
-        })
-        .collect();
+    for slot in slots {
+        let exit = slot.exit.expect("loop exits only when every slot has");
+        finish_kernel(slot.pe, cluster, slot.transport, slot.task, exit);
+    }
     if let Some(p) = panic_payload {
         resume_unwind(p);
     }
-    results
 }
 
 /// One visit to one live task: abort latch first, then its messages and
@@ -348,8 +326,8 @@ mod tests {
 
     #[test]
     fn a_kernel_alone_waits_for_its_timeout_and_sharing_kernels_poll() {
-        let cluster = LiveCluster::with_config(2, &LiveRunConfig::default());
-        let hook = |_: &ClusterAggregator, _: u64| {};
+        let cluster = LiveCluster::with_config(2, &LiveRunConfig::default(), true);
+        let hook = |_: &dse_obs::ClusterAggregator, _: u64| {};
         let interval = Duration::from_millis(10);
         let start = Instant::now();
         let mesh = ChannelTransport::cluster(2);
@@ -363,7 +341,7 @@ mod tests {
         assert_eq!(recv_wait(&alone, 0), Some(KERNEL_TICK));
         // The wait is the task's, not the constant: a telemetry emission
         // due sooner shortens it.
-        let watched = partition(1, Some((interval, &hook as _)));
+        let watched = partition(1, cluster.watch(Some((interval, &hook as _))));
         assert!(recv_wait(&watched, 0).expect("one kernel waits") <= interval);
 
         let mut shared = partition(2, None);

@@ -3,14 +3,16 @@
 //! The tentpole claim: PE0's aggregator, fed *only* by `Telemetry`
 //! messages shipped over the same simulated network as every other
 //! runtime message, reconstructs the direct registry snapshot exactly.
-//! Plus: the epoch hook drives the live top view, and the plane never
-//! keeps a hung program alive — its ticks stop once nothing but ticks is
-//! left, so the run ends as it does with telemetry off.
+//! Plus: the epoch hook drives the live top view, the plane never keeps a
+//! hung program alive — its ticks stop once nothing but ticks is left, so
+//! the run ends as it does with telemetry off — and the live engine's plane
+//! is the same one, with the same result and the same hook rule.
 
 use dse::apps::gauss_seidel::{self, GaussSeidelParams};
+use dse::obs::MetricsSnapshot;
 use dse::prelude::*;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -73,6 +75,70 @@ fn epoch_hook_feeds_the_live_top_view() {
     let text = last.lock().unwrap().clone();
     assert!(text.starts_with("NODE"), "{text}");
     assert_eq!(text.lines().count(), 4, "header + one row per PE:\n{text}");
+}
+
+/// Epoch-hook calls seen, and whether the last one saw every PE finalized.
+#[derive(Default)]
+struct HookLog {
+    calls: AtomicUsize,
+    last_saw_all_final: AtomicBool,
+}
+
+impl HookLog {
+    fn note(&self, agg: &dse::obs::ClusterAggregator) {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        let all = agg.nodes().iter().all(|n| n.finalized);
+        self.last_saw_all_final.store(all, Ordering::SeqCst);
+    }
+
+    /// What both engines promise of a clean watched run's plane.
+    fn check(&self, engine: &str, metrics: &MetricsSnapshot, tel: &TelemetrySummary) {
+        assert_eq!(tel.rollup.to_jsonl(), metrics.to_jsonl(), "{engine}");
+        assert!(
+            tel.nodes.iter().all(|n| n.finalized),
+            "{engine}: {:?}",
+            tel.nodes
+        );
+        let heard = tel.rollup.counter("kernel", "telemetry_in", Some(0));
+        assert!(heard.unwrap_or(0) > 0, "{engine}: PE 0 applied no delta");
+        assert!(
+            self.calls.load(Ordering::SeqCst) > 0,
+            "{engine}: no hook call"
+        );
+        assert!(
+            self.last_saw_all_final.load(Ordering::SeqCst),
+            "{engine}: the last hook call came before the final flush"
+        );
+    }
+}
+
+#[test]
+fn both_engines_run_one_plane() {
+    let params = GaussSeidelParams::paper(80);
+    let sim_log = Arc::new(HookLog::default());
+    let log = Arc::clone(&sim_log);
+    let program = DseProgram::new(Platform::sunos_sparc())
+        .with_config(telemetry_config(2))
+        .with_epoch_hook(move |agg, _| log.note(agg));
+    let (run, _) = gauss_seidel::solve_parallel(&program, 3, params);
+    let tel = run.telemetry.as_ref().expect("telemetry enabled");
+    sim_log.check("sim", &run.metrics, tel);
+
+    // Live deltas are best-effort, so gaps are allowed; the flushes heal.
+    // A wall-clock solve of this size can end inside one interval, before
+    // any kernel has emitted, so each rank stays up for a few intervals
+    // after it: PE 0 then has in-band deltas to apply before shutdown.
+    let live_log = HookLog::default();
+    let hook = |agg: &dse::obs::ClusterAggregator, _: u64| live_log.note(agg);
+    let run = LiveRunner::new(3)
+        .transport(TransportKind::Channel)
+        .watch(Duration::from_millis(2), &hook)
+        .run(|ctx| {
+            gauss_seidel::body(ctx, &params);
+            std::thread::sleep(Duration::from_millis(10));
+        });
+    let tel = run.telemetry.as_ref().expect("watched run");
+    live_log.check("live", &run.metrics, tel);
 }
 
 /// Run a 2-rank program whose rank 0 waits for a user message nobody
