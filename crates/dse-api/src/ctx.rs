@@ -21,7 +21,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use dse_kernel::kernel::SimRequester;
 use dse_kernel::netpath::{hold_cpu, send_msg};
 use dse_kernel::protocol::{barrier_enter, lock_acquire, lock_release, sharers_to_invalidate};
 use dse_kernel::{
@@ -325,12 +324,9 @@ impl GmPort for SimPort<'_> {
             return false;
         }
         self.charge_local(16);
-        let (proc, node) = (self.ctx.id(), self.node);
+        let node = self.node;
         let mut kernel = self.kernel(ctx);
-        let reply_to = SimRequester {
-            proc,
-            from: kernel.caller(),
-        };
+        let reply_to = kernel.caller();
         let party = |pid, req| Party {
             pid,
             node,

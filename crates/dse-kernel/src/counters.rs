@@ -217,6 +217,13 @@ impl<'a> PeCounters<'a> {
         what.each(|name, n| self.metrics.add(self.key(name), n));
     }
 
+    /// One message served in `service_ns`: a `kernel/requests_served` and
+    /// a `kernel/service_ns` sample, both on the PE's machine if it has one.
+    pub fn served(self, service_ns: u64) {
+        self.metrics.incr(self.key("requests_served"));
+        self.metrics.record(self.key("service_ns"), service_ns);
+    }
+
     /// Raise the `kernel/name` gauge to `value` if it is below.
     pub fn gauge_max(self, name: &'static str, value: u64) {
         self.metrics.gauge_max(self.key(name), value);

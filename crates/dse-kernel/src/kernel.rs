@@ -1,5 +1,6 @@
-//! The simulated DSE kernel: the simulator's driver of [`KernelProtocol`]
-//! and its [`KernelPort`].
+//! The simulated DSE kernel: the simulator's [`Host`] of the one kernel
+//! driver, the component that plays the driver's outbox back in virtual
+//! time, and the blocking port of own-node library calls.
 //!
 //! One kernel serves per node. Under the new organization it is a library
 //! linked into the application's process, entered when async I/O signals a
@@ -9,48 +10,44 @@
 //! thread pops its event, with its service time charged to the node's
 //! machine CPU — kernel work steals CPU from the co-resident application.
 //!
-//! **Record, then play back.** [`KernelProtocol::handle`] is straight-line
-//! code whose port calls used to block the kernel's own thread. The
-//! component instead runs `handle` once, at the instant the receive charge
-//! ends, against a recording [`SimKernelPort`]: every copy charge, counter
-//! and send becomes an `Op`, and the ops are played back one event at a
-//! time — each CPU booking and each wire booking made at the virtual
-//! instant, and in the `(time, sequence)` position, the blocking port made
-//! it (DESIGN §5n, charge-order rule). What does not go through the port's
-//! deferred calls takes effect when `handle` runs: the store operations of
-//! a request, a read's lease, a write's directory step, a barrier entry, a
-//! lock request. For a single-operation request whose first port call is
-//! its copy charge that is the instant they always took effect, except that
-//! a read's lease and a write's directory step no longer wait for the copy
-//! charge; the second and later operations of a batch move ahead of the
-//! earlier ones' copy charges.
+//! **Record, then play back.** The component decodes a message, books its
+//! receive charge, and at the instant that charge ends hands the message to
+//! the node's [`KernelTask`] — the live engine's driver, over [`SimHost`].
+//! The task runs the protocol straight through and queues what it asks of
+//! the world on its outbox; the component plays that back one step per
+//! resume — each CPU booking and each wire booking made at the virtual
+//! instant, and in the `(time, sequence)` position, a blocking port would
+//! have made it (DESIGN §5n, charge-order rule), and each count when the
+//! charges before it have ended. What does not go through the outbox takes
+//! effect when the task runs: the store operations of a request, a read's
+//! lease, a write's directory step, a barrier entry, a lock request.
 //!
-//! **Causal spans** (`DseConfig::tracing`) are the shared [`HomeSpans`],
+//! **Causal spans** (`DseConfig::tracing`) are the task's [`HomeSpans`],
 //! stamped in virtual time: a message's trace context arrives in its
-//! [`SimMsg`] beside the bytes, a `lock_grant` or `barrier_release` is
-//! stamped with the instant `handle` ran, a `serve` closes at the
-//! `EndService` step, the answer's context leaves with the `Wire` step, and
-//! a hold that was granted later than it was asked for is a `cpu_queue`
-//! span naming the PE whose message is in service, read off the clock when
-//! the hold ends. None of it is an op, a charge or a counter, so a traced
-//! run plays back exactly the events of an untraced one.
+//! [`SimMsg`] beside the bytes, and a hold that was granted later than it
+//! was asked for is a `cpu_queue` span naming the PE whose message is in
+//! service, read off the clock when the hold ends. None of it is a step, a
+//! charge or a counter, so a traced run plays back exactly the events of an
+//! untraced one.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, TraceCtx};
-use dse_obs::{MetricKey, TraceRole};
+use dse_obs::{ClusterAggregator, Registry, TraceRole};
 use dse_sim::{CompCtx, Component, ProcCtx, ProcId, SimDuration, SimTime, Wait, Wakeup};
 
 use crate::cache::CacheStore;
 use crate::config::GmMode;
-use crate::counters::KernelCount;
+use crate::counters::{KernelCount, PeCounters};
 use crate::home_spans::{HomeSpans, Origin};
 use crate::netpath::{begin_send, book_wire, hold_cpu, send_msg};
 use crate::protocol::{Gates, KernelPort, KernelProtocol};
 use crate::shared::{ClusterShared, TelemetryHook};
 use crate::simmsg::SimMsg;
 use crate::sync::{BarrierCenter, LockCenter};
+use crate::task::{Host, KernelTask, Outbound, Progress, Requester};
 use crate::telemetry::Telemetry;
 
 /// A ready-to-run application process body (built by the API layer).
@@ -60,66 +57,18 @@ pub type AppBody = Box<dyn FnOnce(&mut ProcCtx<SimMsg>) + Send>;
 /// by the program harness so the kernel stays independent of the API crate.
 pub type AppFactory = Arc<dyn Fn(u32, GlobalPid) -> AppBody + Send + Sync>;
 
-/// Where a simulated kernel's answer goes: the requesting process, and
-/// what its request brought (its node, trace context and arrival time).
-#[derive(Debug, Clone, Copy)]
-pub struct SimRequester {
-    /// Simulation process the answer is delivered to.
-    pub proc: ProcId,
-    /// What the request brought.
-    pub from: Origin,
-}
-
-/// A traced GM request the kernel answered: who asked, the request id and
-/// the size of the answer, kept until [`Op::EndService`] closes its span.
-type ServedGm = (Origin, u64, u64);
-
-/// One step of a kernel component's work, taken when its turn comes.
-enum Op {
-    /// Hold this node's CPU.
-    Charge(SimDuration),
-    /// The receive charge has ended: hand the message to the protocol.
-    Serve(SimRequester, Message),
-    /// Bump a counter.
-    Count(KernelCount),
-    /// Send the message, with its trace context, to a process on the node:
-    /// the sender-side software charge, then [`Op::Wire`].
-    Send(NodeId, ProcId, Message, Option<TraceCtx>),
-    /// The send charge has ended: book the wire and dispatch the bytes.
-    Wire(NodeId, ProcId, Vec<u8>, Option<TraceCtx>),
-    /// The fork charge has ended: start the rank as this process.
-    Spawn(u32, GlobalPid),
-    /// The message taken up at the time is served: record the service, and
-    /// the serve span of the traced GM request it was.
-    EndService(SimTime, Option<ServedGm>),
-    /// This tick's delta is on the wire: re-arm if told to.
-    EndTick(bool),
-}
-
-/// How a [`SimKernelPort`] carries out what takes virtual time.
-enum Exec<'a> {
-    /// On a process's own thread, blocking it for each charge.
-    Blocking(&'a mut ProcCtx<SimMsg>),
-    /// Recorded at the instant given, for the kernel component to play
-    /// back.
-    Recording(&'a mut VecDeque<Op>, SimTime),
-}
-
-/// The simulator behind [`KernelPort`], acting for `node`: an application
-/// process in an own-node call into the linked library, whose charges land
-/// on the node's CPU and block the process for their duration and whose
-/// sends are charged, then booked on the wire; or the node's kernel
-/// component, for which the same calls are recorded (module docs).
+/// The simulator behind [`KernelPort`] for an application process in an
+/// own-node call into the linked library, acting for `node`: its charges
+/// land on the node's CPU and block the process for their duration, and
+/// its sends are charged, then booked on the wire.
 pub struct SimKernelPort<'a> {
-    exec: Exec<'a>,
+    ctx: &'a mut ProcCtx<SimMsg>,
     shared: &'a ClusterShared,
     node: NodeId,
     /// Where this kernel duty's causal spans go.
     spans: &'a mut HomeSpans,
-    /// What the message (or own-node call) being handled brought.
+    /// What the own-node call brought.
     handling: Origin,
-    /// The traced GM request served last.
-    served: Option<ServedGm>,
 }
 
 impl<'a> SimKernelPort<'a> {
@@ -139,60 +88,52 @@ impl<'a> SimKernelPort<'a> {
             at_ns: ctx.now().as_nanos(),
         };
         SimKernelPort {
-            exec: Exec::Blocking(ctx),
+            ctx,
             shared,
             node,
             spans,
             handling,
-            served: None,
         }
     }
 
-    /// What the own-node call this port was made for brought: the caller
-    /// is its own requester.
-    pub fn caller(&self) -> Origin {
-        self.handling
+    /// The caller as a requester: its answers come back to its process.
+    pub fn caller(&self) -> Requester {
+        Requester {
+            from: self.handling,
+            proc: Some(self.ctx.id()),
+            key: None,
+        }
     }
 
-    fn now_ns(&self) -> u64 {
-        match &self.exec {
-            Exec::Blocking(ctx) => ctx.now().as_nanos(),
-            Exec::Recording(_, now) => now.as_nanos(),
-        }
+    fn send_traced(&mut self, node: NodeId, to: ProcId, msg: Message, trace: Option<TraceCtx>) {
+        let me = self.ctx.id();
+        let (asked, granted) =
+            send_msg(self.ctx, self.shared, self.node, node, to, me, &msg, trace);
+        self.spans.cpu_queue(asked, granted, self.handling);
     }
 }
 
 impl KernelPort for SimKernelPort<'_> {
-    type Reply = SimRequester;
+    type Reply = Requester;
 
-    fn barriers(&self) -> &BarrierCenter<SimRequester> {
+    fn barriers(&self) -> &BarrierCenter<Requester> {
         &self.shared.barriers
     }
 
-    fn locks(&self) -> &LockCenter<SimRequester> {
+    fn locks(&self) -> &LockCenter<Requester> {
         &self.shared.locks
     }
 
     fn charge_copy(&mut self, bytes: usize) {
         let dur = self.shared.cost(self.node).mem_copy(bytes);
-        match &mut self.exec {
-            Exec::Blocking(ctx) => {
-                let (asked, granted) = hold_cpu(ctx, self.shared, self.node, dur);
-                self.spans.cpu_queue(asked, granted, self.handling);
-            }
-            Exec::Recording(ops, _) => ops.push_back(Op::Charge(dur)),
-        }
+        let (asked, granted) = hold_cpu(self.ctx, self.shared, self.node, dur);
+        self.spans.cpu_queue(asked, granted, self.handling);
     }
 
     fn count(&mut self, what: KernelCount) {
-        match &mut self.exec {
-            Exec::Blocking(_) => self.shared.counters(self.node).count(what),
-            Exec::Recording(ops, _) => ops.push_back(Op::Count(what)),
-        }
+        self.shared.counters(self.node).count(what);
     }
 
-    /// The home installs the data in the requester's cache itself: one
-    /// address space, and the requester hits it from this moment on.
     fn lease(
         &mut self,
         cache: &CacheStore,
@@ -208,189 +149,189 @@ impl KernelPort for SimKernelPort<'_> {
         cache.drop_range(self.node, region, offset, len);
     }
 
-    fn send(&mut self, node: NodeId, to: SimRequester, msg: Message) {
-        let now = self.now_ns();
+    fn send(&mut self, node: NodeId, to: Requester, msg: Message) {
+        let now = self.ctx.now().as_nanos();
         let trace = self.spans.reply_ctx(now, self.handling.ctx, to.from, &msg);
-        self.send_traced(node, to.proc, msg, trace);
+        let proc = to.proc.unwrap_or_else(|| self.shared.kernel_of(node));
+        self.send_traced(node, proc, msg, trace);
     }
 
     fn send_kernel(&mut self, node: NodeId, msg: Message) {
         self.send_traced(node, self.shared.kernel_of(node), msg, None);
     }
 
-    /// The serve span ends where the service does, at the `EndService` step.
-    fn served(&mut self, to: SimRequester, resp: &Message, _gated: bool) {
-        if to.from.ctx.is_some() {
-            let seq = resp.req_id().map_or(0, |r| r.0);
-            self.served = Some((to.from, seq, resp.wire_len() as u64));
-        }
-    }
-
-    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: SimRequester) {
-        let (now, completer) = (self.now_ns(), self.handling);
+    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Requester) {
+        let (now, completer) = (self.ctx.now().as_nanos(), self.handling);
         self.spans
             .barrier_completed(now, completer, barrier, epoch, first.from.at_ns);
     }
 
-    fn protocol_error(&mut self, from: NodeId, label: &'static str, detail: &str) {
-        panic!("kernel {}: {label} from {from}: {detail}", self.node)
+    fn protocol_error(&mut self, _: NodeId, label: &'static str, _: &str) {
+        unreachable!("an own-node call hands the protocol no peer message ({label})")
     }
 }
 
-impl SimKernelPort<'_> {
-    fn send_traced(&mut self, node: NodeId, to: ProcId, msg: Message, trace: Option<TraceCtx>) {
-        match &mut self.exec {
-            Exec::Blocking(ctx) => {
-                let me = ctx.id();
-                let (asked, granted) =
-                    send_msg(ctx, self.shared, self.node, node, to, me, &msg, trace);
-                self.spans.cpu_queue(asked, granted, self.handling);
-            }
-            Exec::Recording(ops, _) => ops.push_back(Op::Send(node, to, msg, trace)),
-        }
+/// The simulator's [`Host`]: node `node` of the shared cluster at virtual
+/// time `now` (the component moves it on every resume). Barrier and lock
+/// state lives in [`ClusterShared`], where node 0's own process coordinates
+/// in place; a lease installs the block in the requester's cache at once
+/// (one address space); a copy costs the machine's `mem_copy`; ticks are
+/// paced by the component's timer alone.
+pub struct SimHost {
+    shared: Arc<ClusterShared>,
+    node: NodeId,
+    now: SimTime,
+}
+
+impl Host for SimHost {
+    type Hook = TelemetryHook;
+
+    fn pe(&self) -> u32 {
+        self.node.0 as u32
+    }
+
+    fn nprocs(&self) -> usize {
+        self.shared.nnodes()
+    }
+
+    fn protocol(&self, gates: Gates<Requester>) -> KernelProtocol<'_, Requester> {
+        let (s, config) = (&*self.shared, &self.shared.config);
+        let rc = config.gm_mode == GmMode::ReleaseConsistency;
+        KernelProtocol::resume(&s.store, config.gm_cache.then_some(&s.cache), rc, gates)
+    }
+
+    fn barriers(&self) -> &BarrierCenter<Requester> {
+        &self.shared.barriers
+    }
+
+    fn locks(&self) -> &LockCenter<Requester> {
+        &self.shared.locks
+    }
+
+    fn lease(
+        &self,
+        cache: &CacheStore,
+        holder: NodeId,
+        region: RegionId,
+        block: u64,
+        data: &[u8],
+    ) -> bool {
+        cache.install(holder, region, block, data.to_vec())
+    }
+
+    fn copy_charge(&self, bytes: usize) -> SimDuration {
+        self.shared.cost(self.node).mem_copy(bytes)
+    }
+
+    fn metrics(&self) -> &Registry {
+        &self.shared.metrics
+    }
+
+    fn counters(&self) -> PeCounters<'_> {
+        self.shared.counters(self.node)
+    }
+
+    fn aggregator(&self) -> Option<&Mutex<ClusterAggregator>> {
+        Some(&self.shared.aggregator)
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.now.as_nanos()
     }
 }
 
-/// What a kernel's tick "was sent by": nobody, so its own node.
-fn own_duty(node: NodeId, at: SimTime) -> Origin {
-    Origin {
-        pe: node.0 as u32,
-        ctx: None,
-        at_ns: at.as_nanos(),
-    }
+/// What the hold in progress ends in.
+enum Then {
+    /// The receive charge: hand the message to the task.
+    Serve(Origin, ProcId, Message),
+    /// The send charge: book the wire and dispatch the bytes.
+    Wire(NodeId, ProcId, Vec<u8>, Option<TraceCtx>),
+    /// The fork charge: start the rank as this process.
+    Spawn(u32, GlobalPid),
 }
 
 /// The kernel of `node` as a passive simulation component: receive,
-/// decode, charge the receive path, hand the message to the shared
-/// [`KernelProtocol`]; process management and the pacing of telemetry
-/// ticks are this driver's own, the rest of the plane is the shared
-/// [`Telemetry`]. Serves until a `KernelShutdown` arrives (or the
-/// simulation drains).
+/// decode, charge the receive path, hand the message to the node's
+/// [`KernelTask`], and play its outbox back; the pacing of telemetry ticks
+/// is the component's timer. Serves until a `KernelShutdown` arrives (or
+/// the simulation drains).
 pub struct SimKernel {
-    node: NodeId,
-    shared: Arc<ClusterShared>,
+    task: KernelTask<SimHost>,
     factory: AppFactory,
-    gates: Gates<SimRequester>,
-    spans: HomeSpans,
-    next_local_pid: u16,
-    /// What is left of the message (or tick) in service, in order.
-    ops: VecDeque<Op>,
     /// Who sent the message in service (this node, for a tick).
     serving: Origin,
-    /// The hold in progress: when it was asked for, and its length.
+    /// The hold in progress: when it was asked for, its length, and what
+    /// it ends in.
     hold: (SimTime, SimDuration),
-    /// `None` when `config.telemetry` is off: no timer, zero extra traffic.
-    telemetry: Option<Telemetry<TelemetryHook>>,
+    then: Option<Then>,
+    /// Re-arm the timer once this tick's delta is on the wire.
+    rearm: bool,
 }
 
 impl SimKernel {
     /// The kernel of `node`; `factory` builds the processes it is asked to
     /// invoke.
     pub fn new(node: NodeId, shared: Arc<ClusterShared>, factory: AppFactory) -> SimKernel {
+        let pe = node.0 as u32;
         let on = shared.config.telemetry.is_some();
-        let telemetry = on.then(|| Telemetry::new(node.0 as u32, shared.epoch_hook.clone()));
+        let telemetry = on.then(|| Telemetry::new(pe, shared.epoch_hook.clone()));
+        let tracing = shared.config.tracing;
+        let now = SimTime::ZERO;
+        let host = SimHost { shared, node, now };
         SimKernel {
-            node,
-            spans: HomeSpans::new(node.0 as u32, shared.config.tracing),
-            shared,
+            task: KernelTask::hosted(host, telemetry, tracing, None),
             factory,
-            gates: Gates::default(),
-            next_local_pid: 1,
-            ops: VecDeque::new(),
-            serving: own_duty(node, SimTime::ZERO),
-            hold: (SimTime::ZERO, SimDuration::ZERO),
-            telemetry,
+            serving: own_duty(pe, now),
+            hold: (now, SimDuration::ZERO),
+            then: None,
+            rearm: false,
         }
     }
 
-    /// Run the protocol on `msg`, which `reply` sent and whose receive
-    /// charge ended at `now`, recording what it asks of the port; then
-    /// record what is this driver's own.
-    fn serve(&mut self, now: SimTime, reply: SimRequester, msg: Message) {
-        let (shared, node) = (&*self.shared, self.node);
-        let from = NodeId(reply.from.pe as u16);
-        let mut protocol = KernelProtocol::resume(
-            &shared.store,
-            shared.config.gm_cache.then_some(&shared.cache),
-            shared.config.gm_mode == GmMode::ReleaseConsistency,
-            std::mem::take(&mut self.gates),
-        );
-        let mut port = SimKernelPort {
-            exec: Exec::Recording(&mut self.ops, now),
-            shared,
-            node,
-            spans: &mut self.spans,
-            handling: reply.from,
-            served: None,
-        };
-        let handed_back = protocol.handle(&mut port, from, reply, msg);
-        let served = port.served;
-        self.gates = protocol.suspend();
-        match handed_back {
-            None => {}
-            // Telemetry deltas are control-plane traffic: they pay the
-            // receive cost like any message but are not "requests served".
-            Some(msg @ Message::Telemetry { .. }) => {
-                if let Some(t) = &self.telemetry {
-                    let counters = shared.counters(node);
-                    let now_ns = now.as_nanos();
-                    t.ingest(&shared.aggregator, counters, reply.from.pe, msg, now_ns);
-                }
-                return;
-            }
-            Some(Message::InvokeReq { req, rank, .. }) => {
-                // Parallel process creation: fork-scale cost, then the new
-                // process begins on this node.
-                let pid = GlobalPid::new(node, self.next_local_pid);
-                self.next_local_pid += 1;
-                self.ops.push_back(Op::Charge(shared.cost(node).fork()));
-                self.ops.push_back(Op::Spawn(rank, pid));
-                let ack = Message::InvokeAck { req, pid };
-                self.ops.push_back(Op::Send(from, reply.proc, ack, None));
-            }
-            Some(Message::TerminateReq { req, pid }) => {
-                shared.mark_terminated(pid);
-                let ack = Message::TerminateAck { req };
-                self.ops.push_back(Op::Send(from, reply.proc, ack, None));
-            }
-            Some(other) => port.protocol_error(from, other.label(), "unexpected message"),
-        }
-        self.ops.push_back(Op::EndService(now, served));
-    }
-
-    /// One telemetry tick: ship this PE's incremental metric delta in-band
-    /// to node 0's kernel; once it is on the wire ([`Op::EndTick`]), re-arm
-    /// if `rearm`.
-    fn tick(&mut self, rearm: bool) {
-        let shared = &*self.shared;
-        let delta = self
-            .telemetry
-            .as_mut()
-            .and_then(|t| t.delta(&shared.metrics));
-        if let Some(msg) = delta {
-            let to = shared.kernel_of(NodeId(0));
-            self.ops.push_back(Op::Send(NodeId(0), to, msg, None));
-        }
-        self.ops.push_back(Op::EndTick(rearm));
+    fn shared(&self) -> &ClusterShared {
+        &self.task.host().shared
     }
 
     /// Arm the telemetry timer to fire one interval after `now`.
     fn arm(&self, ctx: &mut CompCtx<'_, SimMsg>, now: SimTime) {
-        if let Some(t) = &self.shared.config.telemetry {
+        if let Some(t) = &self.shared().config.telemetry {
             ctx.set_timer(now + t.interval);
         }
     }
 
-    /// Ask for this node's CPU at `now`, for `dur`.
-    fn ask_cpu(&mut self, now: SimTime, dur: SimDuration) -> Wait {
-        self.hold = (now, dur);
-        Wait::Hold(self.shared.cpu_of(self.node), dur)
+    /// Ask for this node's CPU at `now`, for `dur`, then do `then`.
+    fn ask_cpu(&mut self, now: SimTime, dur: SimDuration, then: Option<Then>) -> Wait {
+        (self.hold, self.then) = ((now, dur), then);
+        let cpu = self.shared().cpu_of(self.task.host().node);
+        Wait::Hold(cpu, dur)
+    }
+
+    /// Hand `msg` to the task. A message the protocol has no place for is
+    /// a simulator bug — every peer is the simulator itself — so the
+    /// abort's detail is a panic here.
+    fn deliver(&mut self, from: Origin, proc: ProcId, msg: Message) {
+        let progress = self.task.deliver(from, Some(proc), msg);
+        if let Progress::Aborted(Message::Abort { detail, .. }) = progress {
+            let node = self.task.host().node;
+            panic!("kernel {node}: {}", String::from_utf8_lossy(&detail))
+        }
+    }
+}
+
+/// What a kernel's tick "was sent by": nobody, so its own node.
+fn own_duty(pe: u32, at: SimTime) -> Origin {
+    Origin {
+        pe,
+        ctx: None,
+        at_ns: at.as_nanos(),
     }
 }
 
 impl Component<SimMsg> for SimKernel {
     fn resume(&mut self, ctx: &mut CompCtx<'_, SimMsg>, wakeup: Wakeup<SimMsg>) -> Wait {
-        let (node, now) = (self.node, ctx.now());
+        let now = ctx.now();
+        self.task.host_mut().now = now;
+        let node = self.task.host().node;
         match wakeup {
             Wakeup::Start => self.arm(ctx, now),
             // The hold ended `dur` after it was granted: the rest of the
@@ -398,101 +339,96 @@ impl Component<SimMsg> for SimKernel {
             Wakeup::Resumed => {
                 let (asked, dur) = self.hold;
                 let granted = now.as_nanos() - dur.as_nanos();
-                self.spans
-                    .cpu_queue(asked.as_nanos(), granted, self.serving);
+                let serving = self.serving;
+                self.task
+                    .spans()
+                    .cpu_queue(asked.as_nanos(), granted, serving);
+                match self.then.take() {
+                    Some(Then::Serve(from, proc, msg)) => self.deliver(from, proc, msg),
+                    Some(Then::Wire(to_node, to, bytes, trace)) => {
+                        let latency = book_wire(self.shared(), now, node, to_node, bytes.len());
+                        let reply_to = ctx.id();
+                        ctx.send(
+                            to,
+                            latency,
+                            SimMsg {
+                                from_node: node,
+                                reply_to,
+                                bytes,
+                                ctx: trace,
+                            },
+                        );
+                    }
+                    Some(Then::Spawn(rank, pid)) => {
+                        let shared = self.shared();
+                        shared.counters(node).count(KernelCount::Invoke);
+                        let body = (self.factory)(rank, pid);
+                        let app = ctx.spawn(&format!("rank{rank}@{node}"), move |pctx| body(pctx));
+                        shared.register_app(pid, app);
+                    }
+                    None => {}
+                }
             }
             // With nothing but timers queued the program is hung: only
             // ticks could ever happen again. This tick is the last, so the
             // queue drains and the run ends as it would without telemetry.
             Wakeup::Timer => {
-                self.serving = own_duty(node, now);
-                self.tick(!ctx.only_timers_pending())
+                self.serving = own_duty(node.0 as u32, now);
+                self.rearm = !ctx.only_timers_pending();
+                self.task.tick();
             }
             Wakeup::Message(env) => {
+                let sm = env.msg;
+                // Every sender in the simulator encodes a `Message`: bytes
+                // that do not decode are a simulator bug, not input.
+                let msg = Message::decode(&sm.bytes).expect("kernel received undecodable message");
                 // A request queued behind an earlier service has been
                 // waiting since it was delivered: its span starts there.
                 let at_ns = env.delivered_at.as_nanos();
-                let sm = env.msg;
-                let msg = Message::decode(&sm.bytes).expect("kernel received undecodable message");
+                let from = Origin {
+                    pe: sm.from_node.0 as u32,
+                    ctx: sm.ctx,
+                    at_ns,
+                };
+                // Shutdown is taken without a receive charge.
                 if matches!(msg, Message::KernelShutdown) {
-                    // Land the final absolute state before exiting, so the
-                    // cluster rollup at the aggregator matches the direct
-                    // end-of-run rollup exactly even if incremental deltas
-                    // were still in flight.
-                    if let Some(t) = self.telemetry.as_mut() {
-                        let shared = &*self.shared;
-                        t.flush(&shared.aggregator, &shared.metrics, now.as_nanos());
-                    }
-                    let spans = self.spans.take();
-                    let sink = &self.shared.trace_sink;
+                    self.deliver(from, sm.reply_to, msg);
+                    let spans = self.task.spans().take();
+                    let sink = &self.shared().trace_sink;
                     sink.park(node.0 as u32, TraceRole::Kernel, spans);
                     return Wait::Finished;
                 }
                 // Async-I/O receive path: signal delivery + protocol
                 // processing on this node's CPU (stealing time from the
                 // co-resident app), then the service proper.
-                let recv = self.shared.cost(node).msg_recv(sm.bytes.len());
-                self.ops.push_back(Op::Charge(recv));
-                let from = Origin {
-                    pe: sm.from_node.0 as u32,
-                    ctx: sm.ctx,
-                    at_ns,
-                };
-                let reply = SimRequester {
-                    proc: sm.reply_to,
-                    from,
-                };
+                let recv = self.shared().cost(node).msg_recv(sm.bytes.len());
                 self.serving = from;
-                self.ops.push_back(Op::Serve(reply, msg));
+                return self.ask_cpu(now, recv, Some(Then::Serve(from, sm.reply_to, msg)));
             }
         }
-        while let Some(op) = self.ops.pop_front() {
-            match op {
-                Op::Charge(dur) => return self.ask_cpu(now, dur),
-                Op::Serve(reply, msg) => self.serve(now, reply, msg),
-                Op::Count(what) => self.shared.counters(node).count(what),
-                Op::Send(to_node, to, msg, trace) => {
-                    let (bytes, charge) = begin_send(&self.shared, node, &msg);
-                    self.ops.push_front(Op::Wire(to_node, to, bytes, trace));
-                    return self.ask_cpu(now, charge);
+        while let Some(out) = self.task.pop() {
+            let (to, proc, msg, trace) = match out {
+                Outbound::Charge(dur) => return self.ask_cpu(now, dur, None),
+                Outbound::Spawn { rank, pid } => {
+                    let fork = self.shared().cost(node).fork();
+                    return self.ask_cpu(now, fork, Some(Then::Spawn(rank, pid)));
                 }
-                Op::Wire(to_node, to, bytes, trace) => {
-                    let latency = book_wire(&self.shared, now, node, to_node, bytes.len());
-                    let msg = SimMsg {
-                        from_node: node,
-                        reply_to: ctx.id(),
-                        bytes,
-                        ctx: trace,
-                    };
-                    ctx.send(to, latency, msg);
+                Outbound::Terminate(pid) => {
+                    self.shared().mark_terminated(pid);
+                    continue;
                 }
-                Op::Spawn(rank, pid) => {
-                    self.shared.counters(node).count(KernelCount::Invoke);
-                    let body = (self.factory)(rank, pid);
-                    let app = ctx.spawn(&format!("rank{rank}@{node}"), move |pctx| body(pctx));
-                    self.shared.register_app(pid, app);
-                }
-                Op::EndService(start, served) => {
-                    let service_ns = (now - start).as_nanos();
-                    let pe = node.0 as u32;
-                    let machine = self.shared.machine_of(node) as u32;
-                    self.shared
-                        .metrics
-                        .incr(MetricKey::pe("kernel", "requests_served", pe).on_machine(machine));
-                    self.shared.metrics.record(
-                        MetricKey::pe("kernel", "service_ns", pe).on_machine(machine),
-                        service_ns,
-                    );
-                    if let Some((from, seq, bytes)) = served {
-                        self.spans.serve(now.as_nanos(), from, 0, seq, bytes);
-                    }
-                }
-                Op::EndTick(rearm) => {
-                    if rearm {
-                        self.arm(ctx, now);
-                    }
-                }
-            }
+                Outbound::Wire { to, proc, msg, ctx } => (to, proc, msg, ctx),
+                Outbound::WireBestEffort { to, msg } => (to, None, msg, None),
+                Outbound::App { msg, .. } => unreachable!("a simulated kernel got {}", msg.label()),
+            };
+            let to_node = NodeId(to as u16);
+            let shared = self.shared();
+            let to = proc.unwrap_or_else(|| shared.kernel_of(to_node));
+            let (bytes, charge) = begin_send(shared, node, &msg);
+            return self.ask_cpu(now, charge, Some(Then::Wire(to_node, to, bytes, trace)));
+        }
+        if std::mem::take(&mut self.rearm) {
+            self.arm(ctx, now);
         }
         Wait::Message
     }

@@ -61,11 +61,14 @@ pub use dedup::{dedup_key, DedupCache};
 pub use directory::{Directory, Sharers};
 pub use gmem::{Distribution, GlobalStore, GmError};
 pub use home_spans::{HomeSpans, Origin};
-pub use kernel::{AppBody, AppFactory, SimKernel, SimKernelPort};
+pub use kernel::{AppBody, AppFactory, SimHost, SimKernel, SimKernelPort};
 pub use protocol::{Gates, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 pub use service::{serve_gm, GmServiceHooks, NoHooks, Served};
 pub use shared::{ClusterShared, TelemetryHook};
 pub use simmsg::SimMsg;
 pub use sync::{BarrierCenter, BarrierOutcome, LockCenter, LockOutcome, Party, UnlockOutcome};
-pub use task::{is_app_bound, KernelEnv, KernelEvent, KernelTask, Outbound, Progress, Watch};
+pub use task::{
+    is_app_bound, Host, KernelEnv, KernelEvent, KernelTask, Live, Outbound, Progress, Requester,
+    Watch,
+};
 pub use telemetry::{EpochHook, Telemetry, TelemetrySummary};

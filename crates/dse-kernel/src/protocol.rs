@@ -11,10 +11,10 @@
 //! is behind one [`KernelPort`], a generic parameter, so every call is
 //! statically dispatched (DESIGN.md §5n).
 //!
-//! **Charge order.** A port call takes effect when it is made — the
-//! simulator's port blocks in it while the node's CPU is charged, and books
-//! the wire when the charge ends — so the calls come in the order the work
-//! happens: after each store operation of a request, in request order, its
+//! **Charge order.** A port call takes effect in the order it is made —
+//! the simulator plays each charge, count and send back in call order,
+//! holding the node's CPU for a charge and booking the wire when a send's
+//! charge ends — so the calls come in the order the work happens: after each store operation of a request, in request order, its
 //! copy charge, its counters, then its directory step with one send per
 //! sharer; the response (or its gate) follows the last operation.
 
@@ -34,11 +34,13 @@ use crate::sync::{BarrierCenter, BarrierOutcome, LockCenter, LockOutcome, Party,
 /// own-node invalidation round.
 pub const KERNEL_TXN_BASE: u64 = 1 << 63;
 
-/// Everything engine-specific a [`KernelProtocol`] needs: the simulator's
-/// `SimKernelPort` (virtual-time charges, the network model) and the live
-/// port inside `KernelTask` (outbox, metrics registry, and what only a
-/// lossy wire needs). Two differences between the engines are deliberate,
-/// and are the ports', not the machine's:
+/// Everything engine-specific a [`KernelProtocol`] needs. There are two:
+/// the port of the one kernel driver, `KernelTask`, which queues what it is
+/// asked on the task's outbox and takes the rest from the engine's `Host`;
+/// and the simulator's blocking `SimKernelPort`, for the own-node library
+/// calls an application process makes on its own clock. Two differences
+/// between the engines are deliberate, and are the hosts', not the
+/// machine's:
 ///
 /// * **Where a leased block's data goes** ([`KernelPort::lease`]). The
 ///   simulator's home installs it in the requester's replica cache at serve
@@ -46,11 +48,15 @@ pub const KERNEL_TXN_BASE: u64 = 1 << 63;
 ///   on completion under its install epoch. A read issued after the home
 ///   served an earlier overlapping one, but before that one is waited on,
 ///   therefore hits in the simulator and misses live.
-/// * **Request dedup** is the live port's alone, keyed `(from PE, req)`:
-///   only a lossy wire retransmits. The machine has no such step, and the
-///   simulator must not reach one — a simulated node may host several
-///   requesting processes, each with its own id generator, and equal
-///   `(node, req)` pairs from two of them are distinct requests.
+/// * **Where barrier and lock state lives** ([`KernelPort::barriers`]). The
+///   simulator keeps it in the cluster's shared state, where node 0's own
+///   process coordinates in place; the live kernel keeps its own.
+///
+/// Request dedup, keyed `(from PE, req)`, is the driver's, armed only by
+/// the live constructor: only a lossy wire retransmits. The simulator must
+/// not reach it — a simulated node may host several requesting processes,
+/// each with its own id generator, and equal `(node, req)` pairs from two
+/// of them are distinct requests.
 pub trait KernelPort {
     /// Where an answer goes besides the node (simulator: the requesting
     /// process; live: the PE and what its request carried on the wire).
@@ -86,15 +92,16 @@ pub trait KernelPort {
     fn send_kernel(&mut self, node: NodeId, msg: Message);
 
     /// The GM message `to` sent was executed and `resp` answers it; it is
-    /// sent next, or — `gated` — once the sharers have acknowledged.
-    fn served(&mut self, to: Self::Reply, resp: &Message, gated: bool);
+    /// sent next, or — `gated` — once the sharers have acknowledged. (The
+    /// own-node port serves no GM message.)
+    fn served(&mut self, _to: Self::Reply, _resp: &Message, _gated: bool) {}
     /// A barrier round completed and its earlier waiters were released;
     /// `first` entered it first.
     fn barrier_completed(&mut self, _barrier: u32, _epoch: u32, _first: Self::Reply) {}
 
-    /// `from` sent a message (`label`) the protocol has no place for. The
-    /// simulator panics — every peer is the simulator itself, so this is a
-    /// bug, not input; the live engine aborts the run.
+    /// `from` sent a message (`label`) the protocol has no place for: the
+    /// driver aborts the run (on the simulator, whose every peer is the
+    /// simulator itself, the abort is a panic).
     fn protocol_error(&mut self, from: NodeId, label: &'static str, detail: &str);
 }
 

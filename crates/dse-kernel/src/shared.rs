@@ -20,8 +20,8 @@ use crate::config::{DseConfig, NetworkChoice};
 use crate::cost::CostModel;
 use crate::counters::PeCounters;
 use crate::gmem::GlobalStore;
-use crate::kernel::SimRequester;
 use crate::sync::{BarrierCenter, LockCenter};
+use crate::task::Requester;
 use crate::telemetry::{self, EpochHook};
 
 /// The installed epoch hook (when it fires: [`crate::telemetry`]). Used by
@@ -44,9 +44,9 @@ pub struct ClusterShared {
     /// `config.gm_cache` is set).
     pub cache: CacheStore,
     /// Barrier coordination (centralized on node 0).
-    pub barriers: BarrierCenter<SimRequester>,
+    pub barriers: BarrierCenter<Requester>,
     /// Lock coordination (centralized on node 0).
-    pub locks: LockCenter<SimRequester>,
+    pub locks: LockCenter<Requester>,
     /// The interconnect timing model.
     pub network: Mutex<Network>,
     /// Observability: named counters/gauges/latency histograms, the

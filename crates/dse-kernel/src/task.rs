@@ -1,41 +1,45 @@
-//! The resumable kernel state machine: one PE's message loop as a sans-IO
-//! task.
+//! The kernel driver, defined once: one PE's message loop as a sans-IO
+//! task, on either engine.
 //!
-//! [`KernelTask`] is the live engine's kernel loop with the blocking
-//! receive factored out: instead of owning a transport and sleeping in
-//! `recv`, the task consumes one [`KernelEvent`] per [`KernelTask::poll`]
-//! call — a decoded message, a housekeeping tick, or the cluster abort
-//! latch — and reports [`Progress`]. Everything it wants to say to the
-//! world accumulates in an outbox of [`Outbound`] items the driver drains
-//! after each poll: wire sends (the driver maps transport errors to
-//! failures), best-effort telemetry sends, and forwards to the co-resident
-//! application thread.
+//! [`KernelTask`] consumes one event per call — a decoded message
+//! ([`KernelTask::poll`], or [`KernelTask::deliver`] with the answer's
+//! simulation process), a telemetry tick ([`KernelTask::tick`]), or the
+//! cluster abort latch — and reports [`Progress`]. Everything a handled
+//! message asks of the world queues in order on its outbox, and the engine
+//! plays it back item by item with [`KernelTask::pop`]: wire sends (the
+//! live engine maps transport errors to failures), best-effort telemetry
+//! sends, forwards to the co-resident application thread, CPU charges,
+//! process starts and terminations. The outbox also holds the driver's own
+//! steps — each counter bump and the end of each service — which `pop`
+//! settles on the engine's clock as it passes them, so on the simulator a
+//! count lands at the virtual instant the charges before it have ended.
 //!
-//! The protocol itself — GM service, the directory step, response gates,
-//! barriers and locks — is the shared [`KernelProtocol`], the same machine
-//! the simulator's kernel runs. This file is its live driver and its live
-//! port: the outbox, the metrics registry, the wall clock the shared
-//! [`HomeSpans`] are stamped with, and what only a lossy wire needs (replay
-//! of answered requests, exit collection, abort relay). The telemetry plane
-//! is the shared [`Telemetry`]; only its emission pacing is this file's.
+//! The serving protocol is the shared [`KernelProtocol`]; this file is its
+//! one driver and its one port. Besides the protocol, the driver is the
+//! paper's process-management module (`InvokeReq`, `TerminateReq`), exit
+//! collection and the shutdown fan-out, the `Abort` relay, app-mail
+//! routing, the ingest and shutdown flush of the shared [`Telemetry`]
+//! plane, and — armed only by [`KernelTask::new`], whose requesters retry —
+//! replay of answered requests. What still differs per engine is a
+//! [`Host`]: where barrier and lock state lives, what a lease does, the
+//! clocks, the cost of a copy, and the pacing of telemetry ticks. The live
+//! engine's host is [`Live`]; the simulator's is in [`crate::kernel`].
 //!
 //! Because the task never blocks, the live engine's one driver can give a
 //! task a worker of its own (thread-per-PE: the worker waits in its
-//! transport) or let a few workers multiplex thousands of them — the
-//! *same* protocol logic either way, which is why results do not depend on
-//! the pool's size. The recv tick and the watch-interval telemetry
-//! emission are timer state: [`KernelTask::timeout`] tells the driver how
-//! long it may wait before the task wants a [`KernelEvent::Tick`].
+//! transport) or let a few workers multiplex thousands of them, and the
+//! simulator can resume it in place from a passive component.
 
 use std::collections::{HashSet, VecDeque};
+use std::mem;
+use std::ops::Deref;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use dse_msg::{Message, NodeId, RegionId, TraceCtx};
-use dse_obs::{
-    ClusterAggregator, FlightEventKind, FlightRecorder, MetricKey, Registry, TraceSpanRec,
-};
+use dse_msg::{GlobalPid, Message, NodeId, RegionId, TraceCtx};
+use dse_obs::{ClusterAggregator, FlightRecorder, MetricKey, Registry, TraceSpanRec};
+use dse_sim::{ProcId, SimDuration};
 
 use crate::cache::CacheStore;
 use crate::config::{GmMode, DEFAULT_GM_WINDOW};
@@ -43,7 +47,7 @@ use crate::counters::{KernelCount, PeCounters};
 use crate::dedup::{dedup_key, DedupCache};
 use crate::gmem::GlobalStore;
 use crate::home_spans::{HomeSpans, Origin};
-use crate::protocol::{KernelPort, KernelProtocol, KERNEL_TXN_BASE};
+use crate::protocol::{Gates, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 use crate::sync::{BarrierCenter, LockCenter};
 use crate::telemetry::{EpochHook, Telemetry};
 
@@ -98,29 +102,31 @@ pub enum KernelEvent {
 pub enum Progress {
     /// Keep feeding events.
     Pending,
-    /// Normal shutdown: every rank's ExitNotice reached the coordinator
-    /// and `KernelShutdown` came back.
+    /// Normal shutdown: `KernelShutdown` arrived.
     Clean,
     /// The run is aborting; the payload is the `Abort` frame to relay
     /// (PE 0 re-broadcasts it to the cluster).
     Aborted(Message),
 }
 
-/// One queued output of a poll step, drained by the driver in order.
+/// One queued output of a poll step, played back by the engine in order.
 pub enum Outbound {
     /// A wire send whose failure fails the kernel (the driver maps the
     /// transport error and stops draining).
     Wire {
         /// Destination PE.
         to: u32,
+        /// The simulation process the message is for (the simulator only;
+        /// `None`: the destination's kernel).
+        proc: Option<ProcId>,
         /// The message.
         msg: Message,
         /// Trace context to ride the frame.
         ctx: Option<TraceCtx>,
     },
-    /// A best-effort wire send (telemetry deltas: the aggregating PE may
-    /// already be gone during shutdown; a lost delta is healed by the
-    /// sender's shutdown flush).
+    /// A best-effort wire send to a kernel (telemetry deltas: the
+    /// aggregating PE may already be gone during shutdown; a lost delta is
+    /// healed by the sender's shutdown flush).
     WireBestEffort {
         /// Destination PE.
         to: u32,
@@ -135,11 +141,107 @@ pub enum Outbound {
         /// Trace context that rode the frame.
         ctx: Option<TraceCtx>,
     },
+    /// Hold this node's CPU (never queued for a zero charge, so never on
+    /// the live engine).
+    Charge(SimDuration),
+    /// Start rank `rank` as process `pid` on this node, after the fork
+    /// charge (the simulator; the live launcher starts its own threads).
+    Spawn {
+        /// The rank to run.
+        rank: u32,
+        /// Its global pid.
+        pid: GlobalPid,
+    },
+    /// Ask process `pid` to terminate cooperatively (the simulator).
+    Terminate(GlobalPid),
 }
 
-/// The shared run state one kernel task serves against. All references
-/// point into the live engine's cluster structure; the task copies them
-/// out so borrows never tangle with the task's own mutable state.
+/// A GM request the kernel answered on a traced run: who asked, the
+/// request id and the size of the answer, kept for its serve span.
+type ServedGm = (Origin, u64, u64);
+
+/// An outbox entry: an output for the engine, or one of the driver's own
+/// steps, which [`KernelTask::pop`] settles.
+enum Step {
+    Out(Outbound),
+    Count(KernelCount),
+    /// The message taken up at this instant (engine clock) is served: one
+    /// `requests_served`, one `service_ns` sample, and the serve span of
+    /// the traced GM request it was.
+    EndService(u64, Option<ServedGm>),
+}
+
+/// Where a kernel's answer goes: what the request brought (its PE, trace
+/// context and arrival time), the simulation process that waits for it
+/// (the simulator only), and its dedup key if it is one a requester
+/// retries.
+#[derive(Debug, Clone, Copy)]
+pub struct Requester {
+    /// What the request brought.
+    pub from: Origin,
+    /// The simulation process the answer is delivered to.
+    pub proc: Option<ProcId>,
+    /// `(from PE, req)` when the task replays answers.
+    pub key: Option<(u32, u64)>,
+}
+
+/// What an engine lends the kernel driver: the node's state, its clocks,
+/// the rows of [`KernelPort`] that differ on purpose (DESIGN §5n), and the
+/// pacing of telemetry ticks. The driver has no other branch on the engine.
+pub trait Host {
+    /// The epoch hook's handle.
+    type Hook: Deref<Target: Fn(&ClusterAggregator, u64)>;
+
+    /// This node's PE.
+    fn pe(&self) -> u32;
+    /// Cluster size.
+    fn nprocs(&self) -> usize;
+    /// The protocol over this node's store and cache, with `gates` open.
+    fn protocol(&self, gates: Gates<Requester>) -> KernelProtocol<'_, Requester>;
+    /// Barrier coordination state of this node.
+    fn barriers(&self) -> &BarrierCenter<Requester>;
+    /// Lock coordination state of this node.
+    fn locks(&self) -> &LockCenter<Requester>;
+    /// [`KernelPort::lease`].
+    fn lease(
+        &self,
+        cache: &CacheStore,
+        holder: NodeId,
+        region: RegionId,
+        block: u64,
+        data: &[u8],
+    ) -> bool;
+    /// [`KernelPort::drop_replicas`].
+    fn drop_replicas(&self, cache: &CacheStore, region: RegionId, offset: u64, len: usize) {
+        cache.drop_range(NodeId(self.pe() as u16), region, offset, len);
+    }
+    /// What copying `bytes` costs this node's CPU: nothing where the copy
+    /// runs for real.
+    fn copy_charge(&self, _bytes: usize) -> SimDuration {
+        SimDuration::ZERO
+    }
+    /// The run's metrics registry.
+    fn metrics(&self) -> &Registry;
+    /// This node's `kernel/*` series.
+    fn counters(&self) -> PeCounters<'_>;
+    /// The run's aggregator, on a run with a telemetry plane.
+    fn aggregator(&self) -> Option<&Mutex<ClusterAggregator>>;
+    /// The engine clock spans are stamped with, in nanoseconds.
+    fn now_ns(&self) -> u64;
+    /// The clock the telemetry plane is stamped with, in nanoseconds.
+    fn telemetry_ns(&self) -> u64 {
+        self.now_ns()
+    }
+    /// Whether a telemetry tick is due after a handled message; true moves
+    /// the pacing on to the next one. Without pacing of its own, a host's
+    /// ticks come from its engine alone.
+    fn tick_due(&mut self) -> bool {
+        false
+    }
+}
+
+/// The shared run state one live kernel task serves against. All
+/// references point into the live engine's cluster structure.
 #[derive(Clone, Copy)]
 pub struct KernelEnv<'a> {
     /// This task's PE.
@@ -150,7 +252,8 @@ pub struct KernelEnv<'a> {
     pub store: &'a GlobalStore,
     /// Wall-clock metrics registry.
     pub metrics: &'a Registry,
-    /// Post-mortem ring of recent wire sends and stalls.
+    /// Post-mortem ring of recent wire sends and stalls (the engine
+    /// records into it as it plays the outbox back).
     pub flight: &'a FlightRecorder,
     /// Replica cache + sharing directory (`None` on uncached runs).
     pub cache: Option<&'a CacheStore>,
@@ -164,17 +267,6 @@ pub struct KernelEnv<'a> {
     pub run_start: Instant,
 }
 
-impl KernelEnv<'_> {
-    fn now_ns(&self) -> u64 {
-        self.engine_t0.elapsed().as_nanos() as u64
-    }
-
-    /// The run clock the telemetry plane is stamped with.
-    fn run_ns(&self) -> u64 {
-        self.run_start.elapsed().as_nanos() as u64
-    }
-}
-
 /// A watched run's telemetry plane as one kernel task sees it.
 #[derive(Clone, Copy)]
 pub struct Watch<'a> {
@@ -186,74 +278,34 @@ pub struct Watch<'a> {
     pub aggregator: &'a Mutex<ClusterAggregator>,
 }
 
-/// Where a live kernel's answer goes: what the request brought (its PE,
-/// wire trace context and arrival time), and its dedup key if it is one a
-/// requester retries.
-#[derive(Debug, Clone, Copy)]
-struct Requester {
-    from: Origin,
-    key: Option<(u32, u64)>,
-}
-
-/// The live engine behind [`KernelPort`]: sends queue on the outbox,
-/// counters go to the metrics registry, nothing is charged. On top, what
-/// only a lossy wire needs: the memory of answered requests and the keys
-/// of gated ones.
-struct LivePort<'a> {
+/// The live engine's [`Host`]: the cluster's shared state, the wall clock,
+/// this PE's own coordination state, and emission paced against the last
+/// emission.
+pub struct Live<'a> {
     env: KernelEnv<'a>,
-    /// Coordination state lives on PE 0.
     barriers: BarrierCenter<Requester>,
     locks: LockCenter<Requester>,
-    served_cache: DedupCache,
-    /// Dedup keys of requests whose response is gated (their retransmits
-    /// are dropped, not re-executed).
-    pending_gated: HashSet<(u32, u64)>,
-    /// What the message being handled brought, and when handling began.
-    handling: Origin,
-    began: Instant,
-    /// A peer's message the protocol rejected: the run aborts.
-    violation: Option<String>,
-    spans: HomeSpans,
-    outbox: VecDeque<Outbound>,
+    watch: Option<Watch<'a>>,
+    last_emit: Instant,
+    /// Bound on the driver's wait between events.
+    tick: Duration,
 }
 
-impl LivePort<'_> {
-    fn wire(&mut self, to: u32, msg: Message, ctx: Option<TraceCtx>) {
-        self.env.flight.record(
-            self.env.now_ns(),
-            self.env.pe,
-            FlightEventKind::Bus {
-                label: msg.label(),
-                to_pe: to,
-                bytes: msg.wire_len() as u64,
-            },
-        );
-        if to == self.env.pe && is_app_bound(&msg) {
-            // A response addressed to our own application thread. Sending
-            // it over the transport would only loop it back to this very
-            // kernel (encode → own inbox → wake → decode → reclassify as
-            // app-bound) one poll later; hand it to the app directly
-            // instead. Kernel-bound self-traffic (e.g. invalidation acks)
-            // still rides the wire so its handling order is unchanged.
-            self.outbox.push_back(Outbound::App { msg, ctx });
-        } else {
-            self.outbox.push_back(Outbound::Wire { to, msg, ctx });
-        }
+impl<'a> Host for Live<'a> {
+    type Hook = &'a EpochHook<'a>;
+
+    fn pe(&self) -> u32 {
+        self.env.pe
     }
 
-    /// Record the serve span of `resp`, the `replay`-th answer (0 = fresh)
-    /// to `to`'s request (nothing on an untraced run).
-    fn serve_span(&mut self, to: Requester, replay: u32, resp: &Message) {
-        if to.from.ctx.is_some() {
-            let (seq, bytes) = (to.key.map_or(0, |k| k.1), resp.wire_len() as u64);
-            self.spans
-                .serve(self.env.now_ns(), to.from, replay, seq, bytes);
-        }
+    fn nprocs(&self) -> usize {
+        self.env.nprocs
     }
-}
 
-impl KernelPort for LivePort<'_> {
-    type Reply = Requester;
+    fn protocol(&self, gates: Gates<Requester>) -> KernelProtocol<'_, Requester> {
+        let rc = self.env.gm_mode == GmMode::ReleaseConsistency;
+        KernelProtocol::resume(self.env.store, self.env.cache, rc, gates)
+    }
 
     fn barriers(&self) -> &BarrierCenter<Requester> {
         &self.barriers
@@ -263,146 +315,218 @@ impl KernelPort for LivePort<'_> {
         &self.locks
     }
 
-    fn charge_copy(&mut self, _bytes: usize) {
-        // The copy already ran for real; nothing to account.
-    }
-
-    fn count(&mut self, what: KernelCount) {
-        PeCounters::new(self.env.metrics, self.env.pe, None).count(what);
-    }
-
     /// Only the home-side half of the lease: the data travels in the
     /// response and the requester installs it on completion, under its
     /// install epoch.
+    fn lease(
+        &self,
+        cache: &CacheStore,
+        holder: NodeId,
+        region: RegionId,
+        block: u64,
+        _: &[u8],
+    ) -> bool {
+        cache.grant(holder, region, block)
+    }
+
+    /// Epoch first, then the drop, both under the guard: an app-side
+    /// install that checked the epoch before this bump is either already in
+    /// the map (the drop removes it) or will re-check and skip.
+    fn drop_replicas(&self, cache: &CacheStore, region: RegionId, offset: u64, len: usize) {
+        let mut epoch = self.env.install_guard.lock();
+        *epoch += 1;
+        cache.drop_range(NodeId(self.env.pe as u16), region, offset, len);
+    }
+
+    fn metrics(&self) -> &Registry {
+        self.env.metrics
+    }
+
+    fn counters(&self) -> PeCounters<'_> {
+        PeCounters::new(self.env.metrics, self.env.pe, None)
+    }
+
+    fn aggregator(&self) -> Option<&Mutex<ClusterAggregator>> {
+        self.watch.map(|w| w.aggregator)
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.env.engine_t0.elapsed().as_nanos() as u64
+    }
+
+    fn telemetry_ns(&self) -> u64 {
+        self.env.run_start.elapsed().as_nanos() as u64
+    }
+
+    fn tick_due(&mut self) -> bool {
+        let due = self
+            .watch
+            .is_some_and(|w| self.last_emit.elapsed() >= w.interval);
+        if due {
+            self.last_emit = Instant::now();
+        }
+        due
+    }
+}
+
+/// The driver's state behind [`KernelPort`]: the outbox, the spans, the
+/// memory of answered requests and what the message in hand brought.
+struct State {
+    outbox: VecDeque<Step>,
+    spans: HomeSpans,
+    /// Armed only where requesters retry.
+    dedup: Option<DedupCache>,
+    /// Dedup keys of requests whose response is gated (their retransmits
+    /// are dropped, not re-executed).
+    pending_gated: HashSet<(u32, u64)>,
+    /// What the message being handled brought.
+    handling: Origin,
+    /// The traced GM request the message in hand was.
+    served: Option<ServedGm>,
+    /// A peer's message the protocol rejected: the run aborts.
+    violation: Option<String>,
+}
+
+impl State {
+    fn out(&mut self, out: Outbound) {
+        self.outbox.push_back(Step::Out(out));
+    }
+
+    fn wire(&mut self, to: NodeId, proc: Option<ProcId>, msg: Message, ctx: Option<TraceCtx>) {
+        let to = to.0 as u32;
+        self.out(Outbound::Wire { to, proc, msg, ctx });
+    }
+}
+
+/// The one [`KernelPort`]: the host's rows, over the driver's state.
+struct Port<'t, H> {
+    host: &'t H,
+    st: &'t mut State,
+}
+
+impl<H: Host> KernelPort for Port<'_, H> {
+    type Reply = Requester;
+
+    fn barriers(&self) -> &BarrierCenter<Requester> {
+        self.host.barriers()
+    }
+
+    fn locks(&self) -> &LockCenter<Requester> {
+        self.host.locks()
+    }
+
+    fn charge_copy(&mut self, bytes: usize) {
+        let dur = self.host.copy_charge(bytes);
+        if !dur.is_zero() {
+            self.st.out(Outbound::Charge(dur));
+        }
+    }
+
+    fn count(&mut self, what: KernelCount) {
+        self.st.outbox.push_back(Step::Count(what));
+    }
+
     fn lease(
         &mut self,
         cache: &CacheStore,
         holder: NodeId,
         region: RegionId,
         block: u64,
-        _data: &[u8],
+        data: &[u8],
     ) -> bool {
-        cache.grant(holder, region, block)
+        self.host.lease(cache, holder, region, block, data)
     }
 
     fn drop_replicas(&mut self, cache: &CacheStore, region: RegionId, offset: u64, len: usize) {
-        // Epoch first, then the drop, both under the guard: an app-side
-        // install that checked the epoch before this bump is either
-        // already in the map (the drop removes it) or will re-check and
-        // skip.
-        let mut epoch = self.env.install_guard.lock();
-        *epoch += 1;
-        cache.drop_range(NodeId(self.env.pe as u16), region, offset, len);
+        self.host.drop_replicas(cache, region, offset, len);
     }
 
-    fn send(&mut self, _node: NodeId, to: Requester, msg: Message) {
+    fn send(&mut self, node: NodeId, to: Requester, msg: Message) {
         // Only now — not while it was gated — does the answer to a
         // retriable request become replayable for retransmits.
-        if let Some(key) = to.key {
-            if !self.pending_gated.is_empty() {
-                self.pending_gated.remove(&key);
-            }
-            self.served_cache.insert(key, msg.clone());
+        if let (Some(key), Some(cache)) = (to.key, &mut self.st.dedup) {
+            self.st.pending_gated.remove(&key);
+            cache.insert(key, msg.clone());
         }
-        let now = self.env.now_ns();
-        let ctx = self.spans.reply_ctx(now, self.handling.ctx, to.from, &msg);
-        self.wire(to.from.pe, msg, ctx);
+        let now = self.host.now_ns();
+        let handling = self.st.handling.ctx;
+        let ctx = self.st.spans.reply_ctx(now, handling, to.from, &msg);
+        self.st.wire(node, to.proc, msg, ctx);
     }
 
     fn send_kernel(&mut self, node: NodeId, msg: Message) {
-        self.wire(node.0 as u32, msg, None);
+        self.st.wire(node, None, msg, None);
     }
 
+    /// The serve span ends where the service does, at its end step.
     fn served(&mut self, to: Requester, resp: &Message, gated: bool) {
-        let pe = self.env.pe;
-        self.env
-            .metrics
-            .incr(MetricKey::pe("kernel", "requests_served", pe));
-        self.env.metrics.record(
-            MetricKey::pe("kernel", "service_ns", pe),
-            self.began.elapsed().as_nanos() as u64,
-        );
-        self.serve_span(to, 0, resp);
+        if to.from.ctx.is_some() {
+            let seq = resp.req_id().map_or(0, |r| r.0);
+            self.st.served = Some((to.from, seq, resp.wire_len() as u64));
+        }
         if let (true, Some(key)) = (gated, to.key) {
-            self.pending_gated.insert(key);
+            self.st.pending_gated.insert(key);
         }
     }
 
     fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Requester) {
-        let (now, completer) = (self.env.now_ns(), self.handling);
-        self.spans
+        let (now, completer) = (self.host.now_ns(), self.st.handling);
+        self.st
+            .spans
             .barrier_completed(now, completer, barrier, epoch, first.from.at_ns);
     }
 
     fn protocol_error(&mut self, from: NodeId, label: &'static str, detail: &str) {
-        self.violation
+        self.st
+            .violation
             .get_or_insert_with(|| format!("{label} from PE {}: {detail}", from.0));
     }
 }
 
-/// One PE's kernel as a resumable state machine. See the module docs for
-/// the event/driver contract; see the live engine's `sched` for the driver.
-pub struct KernelTask<'a> {
-    port: LivePort<'a>,
-    protocol: KernelProtocol<'a, Requester>,
+/// One PE's kernel as a resumable state machine over the engine's `H`. See
+/// the module docs for the event/outbox contract.
+pub struct KernelTask<H: Host> {
+    host: H,
+    st: State,
+    gates: Gates<Requester>,
+    /// `None` without a telemetry plane: no emission, deltas not heard.
+    telemetry: Option<Telemetry<H::Hook>>,
     exited: usize,
-    last_emit: Instant,
-    /// `None` on an unwatched run: no emission, and deltas are not heard.
-    watch: Option<(Watch<'a>, Telemetry<&'a EpochHook<'a>>)>,
-    /// Bound on the driver's wait between events.
-    tick: Duration,
+    next_local_pid: u16,
 }
 
-impl<'a> KernelTask<'a> {
-    /// A fresh kernel task over `env`. `watch` enables telemetry emission
-    /// every interval, ingest on PE 0 and the shutdown flush; `tick`
-    /// bounds the driver's idle wait; `tracing` records causal spans.
+impl<'a> KernelTask<Live<'a>> {
+    /// A live kernel task over `env`, replaying answers to retransmitted
+    /// requests. `watch` enables telemetry emission every interval, ingest
+    /// on PE 0 and the shutdown flush; `tick` bounds the driver's idle
+    /// wait; `tracing` records causal spans.
     pub fn new(
         env: KernelEnv<'a>,
         watch: Option<Watch<'a>>,
         tick: Duration,
         tracing: bool,
-    ) -> KernelTask<'a> {
-        let pe = env.pe;
-        KernelTask {
-            port: LivePort {
-                env,
-                barriers: BarrierCenter::new(env.nprocs),
-                locks: LockCenter::new(),
-                served_cache: DedupCache::new(DEDUP_PER_REQUESTER),
-                pending_gated: HashSet::new(),
-                handling: Origin {
-                    pe,
-                    ctx: None,
-                    at_ns: 0,
-                },
-                began: Instant::now(),
-                violation: None,
-                spans: HomeSpans::new(pe, tracing),
-                outbox: VecDeque::new(),
-            },
-            protocol: KernelProtocol::new(
-                env.store,
-                env.cache,
-                env.gm_mode == GmMode::ReleaseConsistency,
-            ),
-            exited: 0,
+    ) -> KernelTask<Live<'a>> {
+        let host = Live {
+            env,
+            barriers: BarrierCenter::new(env.nprocs),
+            locks: LockCenter::new(),
+            watch,
             last_emit: Instant::now(),
-            watch: watch.map(|w| (w, Telemetry::new(pe, Some(w.hook)))),
             tick,
-        }
+        };
+        let telemetry = watch.map(|w| Telemetry::new(env.pe, Some(w.hook)));
+        let dedup = DedupCache::new(DEDUP_PER_REQUESTER);
+        KernelTask::hosted(host, telemetry, tracing, Some(dedup))
     }
 
     /// How long the driver may wait for the next event before the task
     /// wants a [`KernelEvent::Tick`] (telemetry emission and the idle
     /// heartbeat).
     pub fn timeout(&self) -> Duration {
-        match &self.watch {
-            Some((w, _)) => w
-                .interval
-                .saturating_sub(self.last_emit.elapsed())
-                .min(self.tick),
-            None => self.tick,
+        let h = &self.host;
+        match h.watch {
+            Some(w) => w.interval.saturating_sub(h.last_emit.elapsed()).min(h.tick),
+            None => h.tick,
         }
     }
 
@@ -411,17 +535,82 @@ impl<'a> KernelTask<'a> {
     pub fn deadline(&self) -> Instant {
         Instant::now() + self.timeout()
     }
+}
 
-    /// Drain queued outputs in order. Dropping the iterator early (e.g. on
-    /// the first failed send) discards the rest: the kernel aborts on its
-    /// first failed send.
-    pub fn drain_outbox(&mut self) -> std::collections::vec_deque::Drain<'_, Outbound> {
-        self.port.outbox.drain(..)
+impl<H: Host> KernelTask<H> {
+    /// A kernel task over `host`, with its share of the telemetry plane;
+    /// `dedup` arms replay of answered requests.
+    pub fn hosted(
+        host: H,
+        telemetry: Option<Telemetry<H::Hook>>,
+        tracing: bool,
+        dedup: Option<DedupCache>,
+    ) -> KernelTask<H> {
+        let pe = host.pe();
+        KernelTask {
+            st: State {
+                outbox: VecDeque::new(),
+                spans: HomeSpans::new(pe, tracing),
+                dedup,
+                pending_gated: HashSet::new(),
+                handling: Origin {
+                    pe,
+                    ctx: None,
+                    at_ns: 0,
+                },
+                served: None,
+                violation: None,
+            },
+            host,
+            gates: Gates::default(),
+            telemetry,
+            exited: 0,
+            next_local_pid: 1,
+        }
+    }
+
+    /// The engine's host.
+    pub fn host(&self) -> &H {
+        &self.host
+    }
+
+    /// The engine's host, to move its clock.
+    pub fn host_mut(&mut self) -> &mut H {
+        &mut self.host
+    }
+
+    /// The causal spans recorded so far.
+    pub fn spans(&mut self) -> &mut HomeSpans {
+        &mut self.st.spans
+    }
+
+    /// The next output to play, settling the driver's own steps before it
+    /// on the host's clock; `None` once the outbox is empty.
+    pub fn pop(&mut self) -> Option<Outbound> {
+        loop {
+            match self.st.outbox.pop_front()? {
+                Step::Out(out) => return Some(out),
+                Step::Count(what) => self.host.counters().count(what),
+                Step::EndService(start_ns, served) => {
+                    let now = self.host.now_ns();
+                    self.host.counters().served(now - start_ns);
+                    if let Some((from, seq, bytes)) = served {
+                        self.st.spans.serve(now, from, 0, seq, bytes);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Play the whole outbox back in order ([`KernelTask::pop`] until
+    /// empty); what a dropped iterator did not reach stays queued.
+    pub fn drain_outbox(&mut self) -> impl Iterator<Item = Outbound> + '_ {
+        std::iter::from_fn(|| self.pop())
     }
 
     /// Tear down: the recorded spans.
     pub fn finish(mut self) -> Vec<TraceSpanRec> {
-        self.port.spans.take()
+        self.st.spans.take()
     }
 
     /// Consume one event. Drain the outbox after every call — including
@@ -429,63 +618,68 @@ impl<'a> KernelTask<'a> {
     pub fn poll(&mut self, event: KernelEvent) -> Progress {
         match event {
             KernelEvent::AbortLatch => Progress::Aborted(Message::Abort {
-                source: self.port.env.pe,
+                source: self.host.pe(),
                 code: abort_code::GENERIC,
                 detail: b"cluster abort latch".to_vec(),
             }),
             KernelEvent::Tick => {
-                self.emit_if_due();
+                if self.host.tick_due() {
+                    self.tick();
+                }
                 Progress::Pending
             }
-            KernelEvent::Message { from, msg, ctx } => self.handle_message(from, msg, ctx),
-        }
-    }
-
-    fn emit_if_due(&mut self) {
-        let Some((watch, telemetry)) = &mut self.watch else {
-            return;
-        };
-        if self.last_emit.elapsed() >= watch.interval {
-            self.last_emit = Instant::now();
-            if let Some(msg) = telemetry.delta(self.port.env.metrics) {
-                let outbox = &mut self.port.outbox;
-                outbox.push_back(Outbound::WireBestEffort { to: 0, msg });
+            KernelEvent::Message { from, msg, ctx } => {
+                let at_ns = self.host.now_ns();
+                self.deliver(
+                    Origin {
+                        pe: from,
+                        ctx,
+                        at_ns,
+                    },
+                    None,
+                    msg,
+                )
             }
         }
     }
 
-    fn handle_message(&mut self, from: u32, msg: Message, ctx: Option<TraceCtx>) -> Progress {
-        let env = self.port.env;
-        let pe = env.pe;
-        let port = &mut self.port;
-        let at_ns = env.now_ns();
-        let arrived = Origin {
-            pe: from,
-            ctx,
-            at_ns,
+    /// One telemetry tick: this PE's delta, if it has one, on its way to
+    /// PE 0's kernel.
+    pub fn tick(&mut self) {
+        let metrics = self.host.metrics();
+        if let Some(msg) = self.telemetry.as_mut().and_then(|t| t.delta(metrics)) {
+            self.st.out(Outbound::WireBestEffort { to: 0, msg });
+        }
+    }
+
+    /// Handle `msg`, which `from` brought and whose answer goes to `proc`.
+    pub fn deliver(&mut self, from: Origin, proc: Option<ProcId>, msg: Message) -> Progress {
+        let (pe, node, start_ns) = (self.host.pe(), NodeId(from.pe as u16), self.host.now_ns());
+        let mut port = Port {
+            host: &self.host,
+            st: &mut self.st,
         };
-        (port.handling, port.began) = (arrived, Instant::now());
-        let who = Requester {
-            from: arrived,
-            key: dedup_key(&msg, from),
-        };
-        env.metrics.incr(MetricKey::pe("kernel", "messages", pe));
-        if let Some(key) = who.key {
-            if let Some((resp, replay)) = port.served_cache.replay(key) {
+        port.st.handling = from;
+        let key = port.st.dedup.as_ref().and(dedup_key(&msg, from.pe));
+        let who = Requester { from, proc, key };
+        if let Some(key) = key {
+            if let Some((resp, replay)) = port.st.dedup.as_mut().and_then(|c| c.replay(key)) {
                 // Retransmit of a request we already served: replay the
                 // cached response rather than re-executing it (a second
                 // fetch-add would change the answer). Not a fresh serve,
-                // so `requests_served` stays put and neither does the
-                // emission clock get a look. The replay is its own serve
-                // span (dedup-flagged), derived from the same root as the
-                // original serve.
-                env.metrics
-                    .incr(MetricKey::pe("kernel", "gm_dup_requests", pe));
-                port.serve_span(who, replay, &resp);
-                port.wire(from, resp, HomeSpans::response_ctx(ctx, replay));
+                // so it ends no service and the emission clock gets no
+                // look. The replay is its own serve span (dedup-flagged),
+                // derived from the same root as the original serve.
+                let dup = MetricKey::pe("kernel", "gm_dup_requests", pe);
+                self.host.metrics().incr(dup);
+                let seq = resp.req_id().map_or(0, |r| r.0);
+                let bytes = resp.wire_len() as u64;
+                port.st.spans.serve(start_ns, from, replay, seq, bytes);
+                let ctx = HomeSpans::response_ctx(from.ctx, replay);
+                port.st.wire(node, proc, resp, ctx);
                 return Progress::Pending;
             }
-            if port.pending_gated.contains(&key) {
+            if port.st.pending_gated.contains(&key) {
                 // Retransmit of a write still gated on invalidation acks:
                 // drop it. The response becomes replayable the moment the
                 // gate opens; re-executing now would leak an ungated ack
@@ -493,43 +687,62 @@ impl<'a> KernelTask<'a> {
                 return Progress::Pending;
             }
         }
-        // The app thread shares this kernel's inbox: the acks of its own
+        // The app thread shares a live kernel's inbox: the acks of its own
         // invalidation rounds (ids below the kernel range) are its mail,
         // like every response and wakeup, and the wire trace context
         // travels along so it can link its redemption span to the remote
         // serve. Delivery is best-effort.
         let app_ack =
             matches!(msg, Message::GmInvalidateAck { req } if req.0 & KERNEL_TXN_BASE == 0);
+        let mut end = Some(start_ns);
         let rest = if app_ack || is_app_bound(&msg) {
-            port.outbox.push_back(Outbound::App { msg, ctx });
+            port.st.out(Outbound::App { msg, ctx: from.ctx });
+            end = None;
             None
         } else {
-            self.protocol.handle(port, NodeId(from as u16), who, msg)
+            let mut protocol = self.host.protocol(mem::take(&mut self.gates));
+            let rest = protocol.handle(&mut port, node, who, msg);
+            self.gates = protocol.suspend();
+            rest
         };
         let mut shutdown = false;
         match rest {
             None => {}
+            Some(Message::InvokeReq { req, rank, .. }) => {
+                // Parallel process creation: the new process begins on
+                // this node once the fork is charged.
+                let pid = GlobalPid::new(NodeId(pe as u16), self.next_local_pid);
+                self.next_local_pid += 1;
+                port.st.out(Outbound::Spawn { rank, pid });
+                port.send(node, who, Message::InvokeAck { req, pid });
+            }
+            Some(Message::TerminateReq { req, pid }) => {
+                port.st.out(Outbound::Terminate(pid));
+                port.send(node, who, Message::TerminateAck { req });
+            }
             Some(Message::ExitNotice { .. }) => {
                 self.exited += 1;
-                if self.exited == env.nprocs {
-                    for q in 0..env.nprocs as u32 {
-                        port.wire(q, Message::KernelShutdown, None);
+                let n = self.host.nprocs();
+                if self.exited == n {
+                    for q in 0..n as u16 {
+                        port.send_kernel(NodeId(q), Message::KernelShutdown);
                     }
                 }
             }
+            // Telemetry deltas are control-plane traffic: they pay the
+            // receive cost like any message but are not "requests served".
             Some(msg @ Message::Telemetry { .. }) => {
-                if let Some((watch, telemetry)) = &self.watch {
-                    let counters = PeCounters::new(env.metrics, pe, None);
-                    telemetry.ingest(watch.aggregator, counters, from, msg, env.run_ns());
+                end = None;
+                if let (Some(t), Some(agg)) = (&self.telemetry, self.host.aggregator()) {
+                    let now = self.host.telemetry_ns();
+                    t.ingest(agg, self.host.counters(), from.pe, msg, now);
                 }
             }
             Some(frame @ Message::Abort { .. }) => return Progress::Aborted(frame),
             Some(Message::KernelShutdown) => shutdown = true,
-            Some(other) => {
-                port.protocol_error(NodeId(from as u16), other.label(), "unexpected message")
-            }
+            Some(other) => port.protocol_error(node, other.label(), "unexpected message"),
         }
-        if let Some(detail) = port.violation.take() {
+        if let Some(detail) = port.st.violation.take() {
             // Peer input must not take the kernel down with a panic: the
             // run aborts, and the driver reports this first-hand.
             return Progress::Aborted(Message::Abort {
@@ -539,12 +752,20 @@ impl<'a> KernelTask<'a> {
             });
         }
         if shutdown {
-            if let Some((watch, telemetry)) = &mut self.watch {
-                telemetry.flush(watch.aggregator, env.metrics, env.run_ns());
+            // Land the final absolute state, so the cluster rollup matches
+            // the end-of-run registry even if deltas were still in flight.
+            if let (Some(t), Some(agg)) = (&mut self.telemetry, self.host.aggregator()) {
+                t.flush(agg, self.host.metrics(), self.host.telemetry_ns());
             }
             return Progress::Clean;
         }
-        self.emit_if_due();
+        if let Some(start) = end {
+            let served = port.st.served.take();
+            port.st.outbox.push_back(Step::EndService(start, served));
+        }
+        if self.host.tick_due() {
+            self.tick();
+        }
         Progress::Pending
     }
 }
@@ -568,7 +789,7 @@ mod tests {
         pe: u32,
         nprocs: usize,
         fx: &'a (GlobalStore, Registry, FlightRecorder, Mutex<u64>),
-    ) -> KernelTask<'a> {
+    ) -> KernelTask<Live<'a>> {
         let env = KernelEnv {
             pe,
             nprocs,
@@ -603,10 +824,11 @@ mod tests {
         assert!(matches!(prog, Progress::Pending));
         let out: Vec<_> = t.drain_outbox().collect();
         assert_eq!(out.len(), 1);
-        // The requester is our own PE, so the response short-circuits the
-        // wire loopback and goes straight to the application side.
+        // The requester is our own PE: the live engine hands the response
+        // to the application side as it plays the send back.
         match &out[0] {
-            Outbound::App {
+            Outbound::Wire {
+                to: 0,
                 msg: Message::GmReadResp { data, .. },
                 ..
             } => assert_eq!(data.as_slice(), &7u64.to_le_bytes()),
@@ -629,8 +851,7 @@ mod tests {
         t.poll(enter(1));
         assert_eq!(t.drain_outbox().count(), 0, "incomplete round must wait");
         t.poll(enter(0));
-        // Remote parties get wire releases; our own party's release skips
-        // the self-loopback and goes straight to the local app.
+        // Every party gets a release, our own one included.
         let releases: Vec<u32> = t
             .drain_outbox()
             .map(|o| match o {
@@ -639,10 +860,6 @@ mod tests {
                     msg: Message::BarrierRelease { barrier: 9, .. },
                     ..
                 } => to,
-                Outbound::App {
-                    msg: Message::BarrierRelease { barrier: 9, .. },
-                    ..
-                } => 0,
                 _ => panic!("expected only barrier releases"),
             })
             .collect();
@@ -687,8 +904,8 @@ mod tests {
         let prevs: Vec<i64> = t
             .drain_outbox()
             .map(|o| match o {
-                // Self-addressed responses route directly to the local app.
-                Outbound::App {
+                Outbound::Wire {
+                    to: 0,
                     msg: Message::GmFetchAddResp { prev, .. },
                     ..
                 } => prev,

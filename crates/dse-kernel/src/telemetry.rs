@@ -67,7 +67,7 @@ pub struct Telemetry<H> {
     hook: Option<H>,
 }
 
-impl<'h, H: Deref<Target = EpochHook<'h>>> Telemetry<H> {
+impl<H: Deref<Target: Fn(&ClusterAggregator, u64)>> Telemetry<H> {
     /// The plane of PE `pe`'s kernel. PE 0's tracker also ships the
     /// cluster-global series.
     pub fn new(pe: u32, hook: Option<H>) -> Telemetry<H> {

@@ -611,10 +611,27 @@ fn script_ctx(i: usize, n: u16, msg: &Message) -> Option<TraceCtx> {
 /// node and with what trace context, and the spans it recorded.
 type Trail = (Vec<(u16, Message, Option<TraceCtx>)>, Vec<TraceSpanRec>);
 
+/// What a kernel counted under the script: its `requests_served` and the
+/// number of its `service_ns` samples.
+type Services = (u64, u64);
+
+/// PE 0's `requests_served` and `service_ns` sample count in `metrics`.
+fn services(metrics: &Registry) -> Services {
+    let snap = metrics.snapshot();
+    let served = snap.counter("kernel", "requests_served", Some(0));
+    let samples = snap.histogram("kernel", "service_ns", Some(0));
+    (served.unwrap_or(0), samples.map_or(0, |h| h.count()))
+}
+
 /// Node 0's simulated kernel under the script; nodes 1 and 2 are one
 /// simulation process each, standing in for both the node's kernel and its
 /// application, which logs what arrives.
 fn trail_through_the_simulator(mode: GmMode) -> Trail {
+    run_through_the_simulator(mode).0
+}
+
+/// [`trail_through_the_simulator`], and what the kernel counted.
+fn run_through_the_simulator(mode: GmMode) -> (Trail, Services) {
     let spec = ClusterSpec::paper(Platform::linux_pentium2(), 3);
     let mut sim: Simulator<SimMsg> = Simulator::new();
     let cpus = (0..spec.machines_used())
@@ -674,11 +691,17 @@ fn trail_through_the_simulator(mode: GmMode) -> Trail {
     });
     sim.run();
     let log = log.lock().clone();
-    (log, shared.trace_sink.take_streams(3).remove(0))
+    let spans = shared.trace_sink.take_streams(3).remove(0);
+    ((log, spans), services(&shared.metrics))
 }
 
 /// PE 0's live `KernelTask` under the same script.
 fn trail_through_the_live_task(mode: GmMode) -> Trail {
+    run_through_the_live_task(mode).0
+}
+
+/// [`trail_through_the_live_task`], and what the task counted.
+fn run_through_the_live_task(mode: GmMode) -> (Trail, Services) {
     let store = GlobalStore::new(3);
     let region = store.alloc(4 * B, Distribution::OnNode(NodeId(0)));
     let (metrics, flight) = (Registry::new(), FlightRecorder::with_capacity(4));
@@ -707,7 +730,7 @@ fn trail_through_the_live_task(mode: GmMode) -> Trail {
         let from = n as u32;
         task.poll(KernelEvent::Message { from, msg, ctx });
         for out in task.drain_outbox() {
-            let Outbound::Wire { to, msg, ctx } = out else {
+            let Outbound::Wire { to, msg, ctx, .. } = out else {
                 panic!("nothing in the script is for PE 0's own application");
             };
             if let Message::GmInvalidate { req, .. } = msg {
@@ -716,7 +739,7 @@ fn trail_through_the_live_task(mode: GmMode) -> Trail {
             log.push((to as u16, msg, ctx));
         }
     }
-    (log, task.finish())
+    ((log, task.finish()), services(&metrics))
 }
 
 #[test]
@@ -761,6 +784,86 @@ fn both_ports_send_the_same_messages_in_the_same_order() {
         assert_eq!(count(TraceSpanKind::BarrierRelease), 1, "one per round");
         assert_eq!(sim_spans.len(), 9);
     }
+}
+
+/// One driver, one count: both engines end a service at every message the
+/// kernel handles — GM requests, barrier and lock traffic, gate acks — and
+/// record the same serve spans.
+#[test]
+fn both_engines_count_every_handled_message_as_one_service() {
+    for mode in [GmMode::WriteInvalidate, GmMode::ReleaseConsistency] {
+        let ((sim, sim_spans), sim_served) = run_through_the_simulator(mode);
+        let ((_, live_spans), live_served) = run_through_the_live_task(mode);
+        let acks = sim
+            .iter()
+            .filter(|(_, m, _)| matches!(m, Message::GmInvalidate { .. }))
+            .count() as u64;
+        assert_eq!(sim_served, (13 + acks, 13 + acks), "{mode:?}");
+        assert_eq!(live_served, sim_served, "{mode:?}");
+        let serves = |spans: &[TraceSpanRec]| -> Vec<(u64, u32, u64, u64)> {
+            let key = |s: &TraceSpanRec| (s.span, s.peer, s.seq, s.bytes);
+            let serve = |s: &&TraceSpanRec| s.kind == TraceSpanKind::Serve;
+            spans.iter().filter(serve).map(key).collect()
+        };
+        assert_eq!(serves(&sim_spans).len(), 6, "{mode:?}");
+        assert_eq!(serves(&sim_spans), serves(&live_spans), "{mode:?}");
+    }
+}
+
+/// A peer message the protocol has no place for aborts the live task with
+/// a `PROTOCOL` frame; the simulated kernel, whose peers are the simulator
+/// itself, panics with the same detail.
+fn assert_sim_kernel_panics(msg: Message, names: &str) {
+    let spec = ClusterSpec::paper(Platform::linux_pentium2(), 2);
+    let mut sim: Simulator<SimMsg> = Simulator::new();
+    let cpus = (0..spec.machines_used())
+        .map(|m| sim.add_resource(&format!("cpu{m}")))
+        .collect();
+    let shared = Arc::new(ClusterShared::new(spec, DseConfig::paper(), cpus));
+    let region = shared.store.alloc(8, Distribution::OnNode(NodeId(0)));
+    let factory: AppFactory = Arc::new(|_, _| Box::new(|_ctx| {}));
+    let kernel = sim.spawn_component(
+        "kernel0",
+        SimKernel::new(NodeId(0), Arc::clone(&shared), factory),
+    );
+    shared.set_kernels(vec![kernel, kernel]);
+    sim.spawn("node1", move |ctx| {
+        for msg in [read(1, region, 0, 8), msg] {
+            let sm = SimMsg {
+                from_node: NodeId(1),
+                reply_to: ctx.id(),
+                bytes: msg.encode(),
+                ctx: None,
+            };
+            ctx.send(kernel, SimDuration::from_nanos(1), sm);
+            ctx.sleep(SimDuration::from_millis(50));
+        }
+    });
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+    let payload = run.expect_err("a message the protocol has no place for must stop the run");
+    let text = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    let detail = format!("{names} from PE 1: ");
+    assert!(text.contains(&detail), "{text}");
+}
+
+#[test]
+fn the_sim_kernel_panics_on_an_unexpected_message_with_the_live_detail() {
+    let ack = Message::InvokeAck {
+        req: ReqId(3),
+        pid: GlobalPid::new(NodeId(1), 1),
+    };
+    assert_sim_kernel_panics(ack, "invoke_ack");
+}
+
+#[test]
+fn the_sim_kernel_panics_on_an_ack_for_a_gate_never_opened() {
+    let ack = Message::GmInvalidateAck {
+        req: ReqId(KERNEL_TXN_BASE | 41),
+    };
+    assert_sim_kernel_panics(ack, "gm_invalidate_ack");
 }
 
 // ---------------------------------------------------------------------------

@@ -34,14 +34,14 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use dse_kernel::gmem::GlobalStore;
-use dse_kernel::task::{is_app_bound, KernelEnv, KernelTask, Outbound};
+use dse_kernel::task::{is_app_bound, KernelEnv, KernelTask, Live, Outbound};
 use dse_kernel::{
     telemetry, CacheStore, EpochHook, GmMode, PeCounters, SchedulerKind, TelemetrySummary, Watch,
 };
 use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
 use dse_obs::{
-    ClusterAggregator, FlightRecorder, MetricKey, MetricsSnapshot, Registry, TraceRole, TraceSink,
-    TraceSpanRec,
+    ClusterAggregator, FlightEventKind, FlightRecorder, MetricKey, MetricsSnapshot, Registry,
+    TraceRole, TraceSink, TraceSpanRec,
 };
 use dse_transport::{
     BlockingQueue, ChannelTransport, FaultPlan, FaultyTransport, RetryPolicy, SocketTransport,
@@ -411,27 +411,30 @@ fn ship_wire_batch(
     res.map_err(FailureKind::Transport)
 }
 
-/// Drain a task's outbox onto the wire / the app inboxes. A failed
-/// [`Outbound::Wire`] send stops the drain (discarding the rest: the kernel
-/// aborts on its first failed send) and fails the kernel; best-effort items
-/// never fail.
+/// Play a task's outbox back onto the wire / the app inboxes. Each wire
+/// send goes into the flight recorder first. A failed [`Outbound::Wire`]
+/// send stops the drain and fails the kernel (the kernel aborts on its
+/// first failed send); best-effort items never fail. Charges, process
+/// starts and terminations are the simulator's and play as nothing.
 ///
 /// Consecutive [`Outbound::Wire`] items for the same destination are
 /// grouped into one [`Transport::send_batch`] call, preserving order —
 /// a batch is flushed before any send to a different destination or any
 /// non-wire item, so the observable delivery order is unchanged.
 ///
-/// On the lossless in-process channel transport, app-bound wire messages
-/// (read responses, write acks, barrier releases, lock grants) are pushed
-/// straight into the destination's app inbox instead: the receiving
-/// kernel would only have decoded and forwarded them, so the direct push
-/// saves that relay wakeup. The requester-side install-epoch guard
-/// already covers the one ordering this drops (a response racing an
-/// invalidation to the same PE), and faulty/socket transports keep the
-/// full wire path so loss, delay, and retransmission behavior are
-/// untouched.
+/// An app-bound message for this PE's own application goes straight to
+/// its inbox: over the transport it would only loop back to this kernel
+/// and be forwarded. On the lossless in-process channel transport,
+/// app-bound wire messages for other PEs (read responses, write acks,
+/// barrier releases, lock grants) are pushed straight into the
+/// destination's app inbox too: the receiving kernel would only have
+/// decoded and forwarded them, so the direct push saves that relay
+/// wakeup. The requester-side install-epoch guard already covers the one
+/// ordering this drops (a response racing an invalidation to the same PE),
+/// and faulty/socket transports keep the full wire path so loss, delay,
+/// and retransmission behavior are untouched.
 pub(crate) fn flush_outbox(
-    task: &mut KernelTask<'_>,
+    task: &mut KernelTask<Live<'_>>,
     transport: &dyn Transport,
     cluster: &LiveCluster,
     pe: u32,
@@ -441,9 +444,26 @@ pub(crate) fn flush_outbox(
         let batch = &mut *cell.borrow_mut();
         batch.clear();
         let mut batch_to: Option<u32> = None;
-        for out in task.drain_outbox() {
+        while let Some(out) = task.pop() {
+            if let Outbound::Wire { to, msg, .. } = &out {
+                let label = msg.label();
+                let (to_pe, bytes) = (*to, msg.wire_len() as u64);
+                let at = cluster.t0.elapsed().as_nanos() as u64;
+                let kind = FlightEventKind::Bus {
+                    label,
+                    to_pe,
+                    bytes,
+                };
+                cluster.flight.record(at, pe, kind);
+            }
             match out {
-                Outbound::Wire { to, msg, ctx } if direct && is_app_bound(&msg) => {
+                Outbound::Wire { to, msg, ctx, .. } if to == pe && is_app_bound(&msg) => {
+                    if let Some(prev) = batch_to.take() {
+                        ship_wire_batch(transport, prev, batch)?;
+                    }
+                    cluster.app_push(pe, msg, ctx);
+                }
+                Outbound::Wire { to, msg, ctx, .. } if direct && is_app_bound(&msg) => {
                     if let Some(prev) = batch_to.take() {
                         ship_wire_batch(transport, prev, batch)?;
                     }
@@ -452,7 +472,7 @@ pub(crate) fn flush_outbox(
                         .incr(MetricKey::pe("kernel", "app_direct_msgs", pe));
                     cluster.app_push(to, msg, ctx);
                 }
-                Outbound::Wire { to, msg, ctx } => {
+                Outbound::Wire { to, msg, ctx, .. } => {
                     if batch_to != Some(to) {
                         if let Some(prev) = batch_to.take() {
                             ship_wire_batch(transport, prev, batch)?;
@@ -473,6 +493,7 @@ pub(crate) fn flush_outbox(
                     }
                     cluster.app_push(pe, msg, ctx);
                 }
+                Outbound::Charge(_) | Outbound::Spawn { .. } | Outbound::Terminate(_) => {}
             }
         }
         if let Some(to) = batch_to {
@@ -490,7 +511,7 @@ pub(crate) fn finish_kernel(
     pe: u32,
     cluster: &LiveCluster,
     transport: &dyn Transport,
-    task: KernelTask<'_>,
+    task: KernelTask<Live<'_>>,
     exit: Result<Option<Message>, FailureKind>,
 ) {
     let spans = task.finish();

@@ -28,9 +28,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dse_kernel::task::{abort_code, KernelEvent, KernelTask, Progress};
+use dse_kernel::task::{abort_code, KernelEvent, KernelTask, Live, Progress};
 use dse_kernel::{SchedulerKind, Watch};
 use dse_msg::Message;
+use dse_obs::MetricKey;
 use dse_transport::{Envelope, Transport};
 
 use super::{finish_kernel, flush_outbox, LiveCluster};
@@ -61,7 +62,7 @@ const IDLE_SLEEP: Duration = Duration::from_micros(200);
 struct Slot<'a> {
     pe: u32,
     transport: &'a dyn Transport,
-    task: KernelTask<'a>,
+    task: KernelTask<Live<'a>>,
     /// When the task next wants a `Tick`.
     deadline: Instant,
     /// Set once the task is finished (clean, aborted, or failed).
@@ -279,6 +280,10 @@ fn message(env: Envelope) -> KernelEvent {
 /// Feed one event and flush the outbox. Returns true when the slot
 /// reached a terminal state.
 fn drive(cluster: &LiveCluster, slot: &mut Slot<'_>, event: KernelEvent) -> bool {
+    if let KernelEvent::Message { .. } = event {
+        let key = MetricKey::pe("kernel", "messages", slot.pe);
+        cluster.metrics.incr(key);
+    }
     let prog = slot.task.poll(event);
     if let Err(e) = flush_outbox(&mut slot.task, slot.transport, cluster, slot.pe) {
         slot.exit = Some(Err(e));
