@@ -266,6 +266,8 @@ pub struct SimKernel {
     then: Option<Then>,
     /// Re-arm the timer once this tick's delta is on the wire.
     rearm: bool,
+    /// When the timer is due.
+    due: SimTime,
 }
 
 impl SimKernel {
@@ -285,6 +287,7 @@ impl SimKernel {
             hold: (now, SimDuration::ZERO),
             then: None,
             rearm: false,
+            due: now,
         }
     }
 
@@ -292,10 +295,13 @@ impl SimKernel {
         &self.task.host().shared
     }
 
-    /// Arm the telemetry timer to fire one interval after `now`.
-    fn arm(&self, ctx: &mut CompCtx<'_, SimMsg>, now: SimTime) {
+    /// Arm the telemetry timer to fire one interval after it last came
+    /// due, or one interval after `now` if that has passed.
+    fn arm(&mut self, ctx: &mut CompCtx<'_, SimMsg>, now: SimTime) {
         if let Some(t) = &self.shared().config.telemetry {
-            ctx.set_timer(now + t.interval);
+            let next = self.due + t.interval;
+            self.due = if next > now { next } else { now + t.interval };
+            ctx.set_timer(self.due);
         }
     }
 

@@ -101,11 +101,14 @@ impl<M: Send + 'static> CompCtx<'_, M> {
             .push_event(at.max(self.now), Action::Timer(self.id, epoch));
     }
 
-    /// True when every queued event is a component timer: no process has a
-    /// wake or a hold pending and no message is in flight, so without
-    /// timers the run would end here.
+    /// True when every queued event is a component timer and this
+    /// component has no message queued: no process has a wake or a hold
+    /// pending, no message is in flight and none waits in an inbox, so
+    /// without timers the run would end here. (A message in a component's
+    /// inbox is not an event: the component takes it up when it next
+    /// waits, and only its own inbox can hold one while it runs a timer.)
     pub fn only_timers_pending(&self) -> bool {
-        self.core.non_timers == 0
+        self.core.non_timers == 0 && self.core.procs[self.id.index()].inbox.is_empty()
     }
 }
 

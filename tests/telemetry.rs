@@ -58,6 +58,22 @@ fn telemetry_off_leaves_run_result_untouched() {
     assert_eq!(run.metrics.counter("kernel", "telemetry_in", Some(0)), None);
 }
 
+/// Node 0's heartbeat keeps pace with the others' while its kernel has a
+/// backlog. A tick that comes due while every application waits on node 0
+/// finds node 0's inbox full, which is work still to do, not a hung
+/// program; and a tick taken late, behind a service, does not push the
+/// next one back.
+#[test]
+fn node_zero_keeps_ticking_while_its_inbox_has_a_backlog() {
+    let program = DseProgram::new(Platform::sunos_sparc()).with_config(telemetry_config(5));
+    let (run, _) = gauss_seidel::solve_parallel(&program, 3, GaussSeidelParams::paper(80));
+    let nodes = run.telemetry.expect("telemetry enabled").nodes;
+    let seq = |pe: usize| nodes[pe].last_seq;
+    for pe in 1..nodes.len() {
+        assert!(seq(0) + 1 >= seq(pe), "{nodes:#?}");
+    }
+}
+
 #[test]
 fn epoch_hook_feeds_the_live_top_view() {
     let epochs = Arc::new(AtomicUsize::new(0));
