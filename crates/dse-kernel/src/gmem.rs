@@ -260,7 +260,9 @@ impl GlobalStore {
         let mut regions = self.regions.lock();
         Self::atomic_cell(&regions, self.nnodes, region, offset)?;
         let cell = &mut regions[region.0 as usize].data[offset as usize..offset as usize + 8];
-        let prev = i64::from_le_bytes((&*cell).try_into().expect("an 8-byte cell"));
+        let mut bytes = [0; 8];
+        bytes.copy_from_slice(cell);
+        let prev = i64::from_le_bytes(bytes);
         cell.copy_from_slice(&prev.wrapping_add(delta).to_le_bytes());
         Ok(prev)
     }

@@ -186,6 +186,8 @@ impl ClusterShared {
 
     /// The launcher's simulation process.
     pub fn launcher(&self) -> ProcId {
+        // The harness sets it before the simulation runs, and only a
+        // process of the run asks.
         self.launcher.lock().expect("launcher not set")
     }
 
