@@ -47,7 +47,7 @@ pub const KERNEL_COUNTERS: [&str; 25] = [
 ];
 
 /// A counter the serving side bumps: the protocol through
-/// [`KernelPort::count`](crate::KernelPort::count), the simulator's
+/// [`Coordinator::count`](crate::Coordinator::count), the simulator's
 /// kernel driver for what only it models (`Sent`, `Invoke`), and the
 /// telemetry plane's ingest (`TelemetryIn`, `TelemetryCorrupt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -42,8 +42,8 @@ use crate::cache::CacheStore;
 use crate::config::GmMode;
 use crate::counters::{KernelCount, PeCounters};
 use crate::home_spans::{HomeSpans, Origin};
-use crate::netpath::{begin_send, book_wire, hold_cpu, send_msg};
-use crate::protocol::{Gates, KernelPort, KernelProtocol};
+use crate::netpath::{begin_send, book_wire, send_msg};
+use crate::protocol::{Coordinator, Gates, KernelProtocol};
 use crate::shared::{ClusterShared, TelemetryHook};
 use crate::simmsg::SimMsg;
 use crate::sync::{BarrierCenter, LockCenter};
@@ -57,10 +57,10 @@ pub type AppBody = Box<dyn FnOnce(&mut ProcCtx<SimMsg>) + Send>;
 /// by the program harness so the kernel stays independent of the API crate.
 pub type AppFactory = Arc<dyn Fn(u32, GlobalPid) -> AppBody + Send + Sync>;
 
-/// The simulator behind [`KernelPort`] for an application process in an
-/// own-node call into the linked library, acting for `node`: its charges
-/// land on the node's CPU and block the process for their duration, and
-/// its sends are charged, then booked on the wire.
+/// The simulator behind [`Coordinator`] for an application process in an
+/// own-node call into the linked library, acting for `node`: its sends
+/// are charged on the node's CPU, blocking the process, then booked on
+/// the wire.
 pub struct SimKernelPort<'a> {
     ctx: &'a mut ProcCtx<SimMsg>,
     shared: &'a ClusterShared,
@@ -113,7 +113,7 @@ impl<'a> SimKernelPort<'a> {
     }
 }
 
-impl KernelPort for SimKernelPort<'_> {
+impl Coordinator for SimKernelPort<'_> {
     type Reply = Requester;
 
     fn barriers(&self) -> &BarrierCenter<Requester> {
@@ -124,29 +124,8 @@ impl KernelPort for SimKernelPort<'_> {
         &self.shared.locks
     }
 
-    fn charge_copy(&mut self, bytes: usize) {
-        let dur = self.shared.cost(self.node).mem_copy(bytes);
-        let (asked, granted) = hold_cpu(self.ctx, self.shared, self.node, dur);
-        self.spans.cpu_queue(asked, granted, self.handling);
-    }
-
     fn count(&mut self, what: KernelCount) {
         self.shared.counters(self.node).count(what);
-    }
-
-    fn lease(
-        &mut self,
-        cache: &CacheStore,
-        holder: NodeId,
-        region: RegionId,
-        block: u64,
-        data: &[u8],
-    ) -> bool {
-        cache.install(holder, region, block, data.to_vec())
-    }
-
-    fn drop_replicas(&mut self, cache: &CacheStore, region: RegionId, offset: u64, len: usize) {
-        cache.drop_range(self.node, region, offset, len);
     }
 
     fn send(&mut self, node: NodeId, to: Requester, msg: Message) {
@@ -156,18 +135,10 @@ impl KernelPort for SimKernelPort<'_> {
         self.send_traced(node, proc, msg, trace);
     }
 
-    fn send_kernel(&mut self, node: NodeId, msg: Message) {
-        self.send_traced(node, self.shared.kernel_of(node), msg, None);
-    }
-
     fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Requester) {
         let (now, completer) = (self.ctx.now().as_nanos(), self.handling);
         self.spans
             .barrier_completed(now, completer, barrier, epoch, first.from.at_ns);
-    }
-
-    fn protocol_error(&mut self, _: NodeId, label: &'static str, _: &str) {
-        unreachable!("an own-node call hands the protocol no peer message ({label})")
     }
 }
 
@@ -316,7 +287,8 @@ impl SimKernel {
     /// a simulator bug — every peer is the simulator itself — so the
     /// abort's detail is a panic here.
     fn deliver(&mut self, from: Origin, proc: ProcId, msg: Message) {
-        let progress = self.task.deliver(from, Some(proc), msg);
+        let now = self.task.host().now.as_nanos();
+        let progress = self.task.deliver(from, Some(proc), msg, now);
         if let Progress::Aborted(Message::Abort { detail, .. }) = progress {
             let node = self.task.host().node;
             panic!("kernel {node}: {}", String::from_utf8_lossy(&detail))

@@ -9,11 +9,13 @@
 //!   one state machine behind a [`KernelPort`], driven by both engines'
 //!   kernels) and its **counters** ([`counters`] — one mapping from what
 //!   either engine's ports count to the `kernel/*` metric series),
-//! * the **parallel process management module** and the simulated kernel
-//!   ([`kernel`] — a passive simulation component, no thread of its own:
-//!   invocation, termination, telemetry ticks; the simulator's port), and
-//!   the live engine's kernel ([`task`] — the sans-IO `KernelTask` and the
-//!   live port), both feeding one in-band **telemetry plane**
+//! * the one **kernel driver** with the **parallel process management
+//!   module** ([`task`] — the sans-IO `KernelTask` over an engine's
+//!   `Host`: invocation, termination, exit collection, dedup replay; the
+//!   live engine's host), run on the simulator by a passive simulation
+//!   component with no thread of its own that plays its outbox back in
+//!   virtual time ([`kernel`] — with the simulator's host and the blocking
+//!   port of own-node calls), feeding one in-band **telemetry plane**
 //!   ([`telemetry`] — tick deltas, ingest on PE 0, shutdown flush, one
 //!   aggregator per run),
 //! * the **global memory management module** ([`gmem`] — home-partitioned
@@ -62,7 +64,7 @@ pub use directory::{Directory, Sharers};
 pub use gmem::{Distribution, GlobalStore, GmError};
 pub use home_spans::{HomeSpans, Origin};
 pub use kernel::{AppBody, AppFactory, SimHost, SimKernel, SimKernelPort};
-pub use protocol::{Gates, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
+pub use protocol::{Coordinator, Gates, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 pub use service::{serve_gm, GmServiceHooks, NoHooks, Served};
 pub use shared::{ClusterShared, TelemetryHook};
 pub use simmsg::SimMsg;

@@ -48,7 +48,7 @@ pub const KERNEL_TXN_BASE: u64 = 1 << 63;
 ///   on completion under its install epoch. A read issued after the home
 ///   served an earlier overlapping one, but before that one is waited on,
 ///   therefore hits in the simulator and misses live.
-/// * **Where barrier and lock state lives** ([`KernelPort::barriers`]). The
+/// * **Where barrier and lock state lives** ([`Coordinator::barriers`]). The
 ///   simulator keeps it in the cluster's shared state, where node 0's own
 ///   process coordinates in place; the live kernel keeps its own.
 ///
@@ -57,21 +57,10 @@ pub const KERNEL_TXN_BASE: u64 = 1 << 63;
 /// not reach it — a simulated node may host several requesting processes,
 /// each with its own id generator, and equal `(node, req)` pairs from two
 /// of them are distinct requests.
-pub trait KernelPort {
-    /// Where an answer goes besides the node (simulator: the requesting
-    /// process; live: the PE and what its request carried on the wire).
-    type Reply: Copy;
-
-    /// Barrier coordination state of this node.
-    fn barriers(&self) -> &BarrierCenter<Self::Reply>;
-    /// Lock coordination state of this node.
-    fn locks(&self) -> &LockCenter<Self::Reply>;
-
+pub trait KernelPort: Coordinator {
     /// Charge this node for copying `bytes` between a message and the
     /// store, now.
     fn charge_copy(&mut self, bytes: usize);
-    /// Bump a counter.
-    fn count(&mut self, what: KernelCount);
 
     /// Lease `block` (whose bytes are `data`) to `holder`. Returns true
     /// when `holder` was not already a sharer.
@@ -86,23 +75,40 @@ pub trait KernelPort {
     /// Drop this node's replicas of every block the range touches.
     fn drop_replicas(&mut self, cache: &CacheStore, region: RegionId, offset: u64, len: usize);
 
-    /// Send `msg` to the requester `to` on `node`, now.
-    fn send(&mut self, node: NodeId, to: Self::Reply, msg: Message);
     /// Send `msg` to `node`'s kernel, now.
     fn send_kernel(&mut self, node: NodeId, msg: Message);
 
     /// The GM message `to` sent was executed and `resp` answers it; it is
-    /// sent next, or — `gated` — once the sharers have acknowledged. (The
-    /// own-node port serves no GM message.)
-    fn served(&mut self, _to: Self::Reply, _resp: &Message, _gated: bool) {}
-    /// A barrier round completed and its earlier waiters were released;
-    /// `first` entered it first.
-    fn barrier_completed(&mut self, _barrier: u32, _epoch: u32, _first: Self::Reply) {}
+    /// sent next, or — `gated` — once the sharers have acknowledged.
+    fn served(&mut self, to: Self::Reply, resp: &Message, gated: bool);
 
     /// `from` sent a message (`label`) the protocol has no place for: the
     /// driver aborts the run (on the simulator, whose every peer is the
     /// simulator itself, the abort is a panic).
     fn protocol_error(&mut self, from: NodeId, label: &'static str, detail: &str);
+}
+
+/// The part of a [`KernelPort`] barrier and lock coordination uses
+/// ([`barrier_enter`], [`lock_acquire`], [`lock_release`]) — all an
+/// own-node library call asks of its node's kernel.
+pub trait Coordinator {
+    /// Where an answer goes besides the node (simulator: the requesting
+    /// process; live: the PE and what its request carried on the wire).
+    type Reply: Copy;
+
+    /// Barrier coordination state of this node.
+    fn barriers(&self) -> &BarrierCenter<Self::Reply>;
+    /// Lock coordination state of this node.
+    fn locks(&self) -> &LockCenter<Self::Reply>;
+
+    /// Bump a counter.
+    fn count(&mut self, what: KernelCount);
+    /// Send `msg` to the requester `to` on `node`, now.
+    fn send(&mut self, node: NodeId, to: Self::Reply, msg: Message);
+
+    /// A barrier round completed and its earlier waiters were released;
+    /// `first` entered it first.
+    fn barrier_completed(&mut self, _barrier: u32, _epoch: u32, _first: Self::Reply) {}
 }
 
 /// A response withheld until every sharer of what its request wrote has
@@ -361,7 +367,7 @@ impl<P: KernelPort> GmServiceHooks for ServeHooks<'_, P> {
 /// epoch: the caller decides whether `party` itself proceeds directly (the
 /// own-node library call) or needs its own release message (a remote
 /// enter).
-pub fn barrier_enter<P: KernelPort>(
+pub fn barrier_enter<P: Coordinator>(
     port: &mut P,
     barrier: u32,
     party: Party<P::Reply>,
@@ -386,7 +392,7 @@ pub fn barrier_enter<P: KernelPort>(
 
 /// Request `lock` on behalf of `party`; sends the grant if it was free,
 /// queues the party (first come, first served) otherwise.
-pub fn lock_acquire<P: KernelPort>(port: &mut P, lock: u32, party: Party<P::Reply>) {
+pub fn lock_acquire<P: Coordinator>(port: &mut P, lock: u32, party: Party<P::Reply>) {
     if let LockOutcome::Granted = port.locks().acquire(lock, party) {
         grant(port, lock, party);
     }
@@ -394,13 +400,13 @@ pub fn lock_acquire<P: KernelPort>(port: &mut P, lock: u32, party: Party<P::Repl
 
 /// Release `lock`, which `pid` holds; ownership passes to the longest
 /// waiting party, if any.
-pub fn lock_release<P: KernelPort>(port: &mut P, lock: u32, pid: GlobalPid) {
+pub fn lock_release<P: Coordinator>(port: &mut P, lock: u32, pid: GlobalPid) {
     if let UnlockOutcome::Granted(next) = port.locks().release(lock, pid) {
         grant(port, lock, next);
     }
 }
 
-fn grant<P: KernelPort>(port: &mut P, lock: u32, to: Party<P::Reply>) {
+fn grant<P: Coordinator>(port: &mut P, lock: u32, to: Party<P::Reply>) {
     port.count(KernelCount::LockGrant);
     let req = to.req;
     port.send(to.node, to.reply_to, Message::LockGrant { req, lock });

@@ -47,7 +47,7 @@ use crate::counters::{KernelCount, PeCounters};
 use crate::dedup::{dedup_key, DedupCache};
 use crate::gmem::GlobalStore;
 use crate::home_spans::{HomeSpans, Origin};
-use crate::protocol::{Gates, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
+use crate::protocol::{Coordinator, Gates, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 use crate::sync::{BarrierCenter, LockCenter};
 use crate::telemetry::{EpochHook, Telemetry};
 
@@ -404,7 +404,7 @@ struct Port<'t, H> {
     st: &'t mut State,
 }
 
-impl<H: Host> KernelPort for Port<'_, H> {
+impl<H: Host> Coordinator for Port<'_, H> {
     type Reply = Requester;
 
     fn barriers(&self) -> &BarrierCenter<Requester> {
@@ -415,15 +415,39 @@ impl<H: Host> KernelPort for Port<'_, H> {
         self.host.locks()
     }
 
+    fn count(&mut self, what: KernelCount) {
+        self.st.outbox.push_back(Step::Count(what));
+    }
+
+    fn send(&mut self, node: NodeId, to: Requester, msg: Message) {
+        // Only now — not while it was gated — does the answer to a
+        // retriable request become replayable for retransmits.
+        if let (Some(key), Some(cache)) = (to.key, &mut self.st.dedup) {
+            if !self.st.pending_gated.is_empty() {
+                self.st.pending_gated.remove(&key);
+            }
+            cache.insert(key, msg.clone());
+        }
+        let now = self.host.now_ns();
+        let handling = self.st.handling.ctx;
+        let ctx = self.st.spans.reply_ctx(now, handling, to.from, &msg);
+        self.st.wire(node, to.proc, msg, ctx);
+    }
+
+    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Requester) {
+        let (now, completer) = (self.host.now_ns(), self.st.handling);
+        self.st
+            .spans
+            .barrier_completed(now, completer, barrier, epoch, first.from.at_ns);
+    }
+}
+
+impl<H: Host> KernelPort for Port<'_, H> {
     fn charge_copy(&mut self, bytes: usize) {
         let dur = self.host.copy_charge(bytes);
         if !dur.is_zero() {
             self.st.out(Outbound::Charge(dur));
         }
-    }
-
-    fn count(&mut self, what: KernelCount) {
-        self.st.outbox.push_back(Step::Count(what));
     }
 
     fn lease(
@@ -441,19 +465,6 @@ impl<H: Host> KernelPort for Port<'_, H> {
         self.host.drop_replicas(cache, region, offset, len);
     }
 
-    fn send(&mut self, node: NodeId, to: Requester, msg: Message) {
-        // Only now — not while it was gated — does the answer to a
-        // retriable request become replayable for retransmits.
-        if let (Some(key), Some(cache)) = (to.key, &mut self.st.dedup) {
-            self.st.pending_gated.remove(&key);
-            cache.insert(key, msg.clone());
-        }
-        let now = self.host.now_ns();
-        let handling = self.st.handling.ctx;
-        let ctx = self.st.spans.reply_ctx(now, handling, to.from, &msg);
-        self.st.wire(node, to.proc, msg, ctx);
-    }
-
     fn send_kernel(&mut self, node: NodeId, msg: Message) {
         self.st.wire(node, None, msg, None);
     }
@@ -467,13 +478,6 @@ impl<H: Host> KernelPort for Port<'_, H> {
         if let (true, Some(key)) = (gated, to.key) {
             self.st.pending_gated.insert(key);
         }
-    }
-
-    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Requester) {
-        let (now, completer) = (self.host.now_ns(), self.st.handling);
-        self.st
-            .spans
-            .barrier_completed(now, completer, barrier, epoch, first.from.at_ns);
     }
 
     fn protocol_error(&mut self, from: NodeId, label: &'static str, detail: &str) {
@@ -630,15 +634,12 @@ impl<H: Host> KernelTask<H> {
             }
             KernelEvent::Message { from, msg, ctx } => {
                 let at_ns = self.host.now_ns();
-                self.deliver(
-                    Origin {
-                        pe: from,
-                        ctx,
-                        at_ns,
-                    },
-                    None,
-                    msg,
-                )
+                let from = Origin {
+                    pe: from,
+                    ctx,
+                    at_ns,
+                };
+                self.deliver(from, None, msg, at_ns)
             }
         }
     }
@@ -652,9 +653,16 @@ impl<H: Host> KernelTask<H> {
         }
     }
 
-    /// Handle `msg`, which `from` brought and whose answer goes to `proc`.
-    pub fn deliver(&mut self, from: Origin, proc: Option<ProcId>, msg: Message) -> Progress {
-        let (pe, node, start_ns) = (self.host.pe(), NodeId(from.pe as u16), self.host.now_ns());
+    /// Handle `msg`, which `from` brought and whose answer goes to `proc`,
+    /// taken up at `start_ns` on the host's clock.
+    pub fn deliver(
+        &mut self,
+        from: Origin,
+        proc: Option<ProcId>,
+        msg: Message,
+        start_ns: u64,
+    ) -> Progress {
+        let (pe, node) = (self.host.pe(), NodeId(from.pe as u16));
         let mut port = Port {
             host: &self.host,
             st: &mut self.st,

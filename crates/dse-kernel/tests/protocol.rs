@@ -12,9 +12,9 @@ use parking_lot::Mutex;
 use dse_kernel::kernel::{AppFactory, SimKernel};
 use dse_kernel::protocol::{lock_acquire, lock_release};
 use dse_kernel::{
-    BarrierCenter, CacheStore, ClusterShared, Distribution, DseConfig, GlobalStore, GmMode,
-    KernelCount, KernelEnv, KernelEvent, KernelPort, KernelProtocol, KernelTask, LockCenter,
-    Outbound, Party, SimMsg, CACHE_BLOCK, KERNEL_TXN_BASE,
+    BarrierCenter, CacheStore, ClusterShared, Coordinator, Distribution, DseConfig, GlobalStore,
+    GmMode, KernelCount, KernelEnv, KernelEvent, KernelPort, KernelProtocol, KernelTask,
+    LockCenter, Outbound, Party, SimMsg, CACHE_BLOCK, KERNEL_TXN_BASE,
 };
 use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, TraceCtx};
 use dse_obs::{FlightRecorder, Registry, TraceSpanKind, TraceSpanRec};
@@ -78,7 +78,7 @@ impl FakePort {
     }
 }
 
-impl KernelPort for FakePort {
+impl Coordinator for FakePort {
     type Reply = u32;
 
     fn barriers(&self) -> &BarrierCenter<u32> {
@@ -87,11 +87,21 @@ impl KernelPort for FakePort {
     fn locks(&self) -> &LockCenter<u32> {
         &self.locks
     }
-    fn charge_copy(&mut self, bytes: usize) {
-        self.calls.push(Call::Charge(bytes));
-    }
     fn count(&mut self, what: KernelCount) {
         self.calls.push(Call::Count(what));
+    }
+    fn send(&mut self, node: NodeId, to: u32, msg: Message) {
+        self.calls.push(Call::Send(node, to, msg));
+    }
+    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: u32) {
+        self.calls
+            .push(Call::BarrierCompleted(barrier, epoch, first));
+    }
+}
+
+impl KernelPort for FakePort {
+    fn charge_copy(&mut self, bytes: usize) {
+        self.calls.push(Call::Charge(bytes));
     }
     fn lease(
         &mut self,
@@ -108,18 +118,11 @@ impl KernelPort for FakePort {
     fn drop_replicas(&mut self, _: &CacheStore, _: RegionId, offset: u64, len: usize) {
         self.calls.push(Call::Drop(offset, len));
     }
-    fn send(&mut self, node: NodeId, to: u32, msg: Message) {
-        self.calls.push(Call::Send(node, to, msg));
-    }
     fn send_kernel(&mut self, node: NodeId, msg: Message) {
         self.calls.push(Call::SendKernel(node, msg));
     }
     fn served(&mut self, to: u32, resp: &Message, gated: bool) {
         self.calls.push(Call::Served(to, resp.label(), gated));
-    }
-    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: u32) {
-        self.calls
-            .push(Call::BarrierCompleted(barrier, epoch, first));
     }
     fn protocol_error(&mut self, from: NodeId, label: &'static str, _detail: &str) {
         self.calls.push(Call::Error(from, label));

@@ -49,7 +49,19 @@ fn main() {
             served
         );
         assert!(reqs > 0, "{}: no GM request crossed the wire", kind.name());
-        assert_eq!(reqs, served, "{}: requests lost in flight", kind.name());
+        // A kernel serves every message it handles: each GM request, each
+        // barrier entry (one per wait) and each rank's exit notice.
+        let waits: u64 = (0..4)
+            .filter_map(|pe| run.metrics.histogram("sync", "barrier_wait_ns", Some(pe)))
+            .map(|h| h.count())
+            .sum();
+        let exits = 4;
+        assert_eq!(
+            reqs + waits + exits,
+            served,
+            "{}: requests lost in flight",
+            kind.name()
+        );
         match &reference {
             None => reference = Some(sol),
             Some(first) => {
