@@ -22,10 +22,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dse_kernel::netpath::{hold_cpu, send_msg};
-use dse_kernel::protocol::{barrier_enter, lock_acquire, lock_release, sharers_to_invalidate};
+use dse_kernel::protocol::{coordinate, sharers_to_invalidate};
 use dse_kernel::{
-    ClusterShared, Distribution, GlobalStore, GmCount, GmError, GmMode, HomeSpans, Party,
-    PeCounters, SimKernelPort, SimMsg,
+    ClusterShared, Distribution, GlobalStore, GmCount, GmError, GmMode, HomeSpans, PeCounters,
+    SimKernelPort, SimMsg,
 };
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
 use dse_obs::{SpanKind, TraceRole, TraceSpanKind};
@@ -327,21 +327,10 @@ impl GmPort for SimPort<'_> {
         let node = self.node;
         let mut kernel = self.kernel(ctx);
         let reply_to = kernel.caller();
-        let party = |pid, req| Party {
-            pid,
-            node,
-            reply_to,
-            req,
-        };
-        match call {
-            Message::BarrierEnter { barrier, pid } => {
-                return barrier_enter(&mut kernel, barrier, party(pid, ReqId(0))).is_some();
-            }
-            Message::LockReq { req, lock, pid } => lock_acquire(&mut kernel, lock, party(pid, req)),
-            Message::UnlockReq { lock, pid } => lock_release(&mut kernel, lock, pid),
-            other => unreachable!("{} is not a call to the coordinator", other.label()),
+        match coordinate(&mut kernel, node, reply_to, call) {
+            Ok(release) => release.is_some(),
+            Err(other) => unreachable!("{} is not a call to the coordinator", other.label()),
         }
-        false
     }
 
     /// The charge is sliced at the async-I/O preemption quantum: a SIGIO

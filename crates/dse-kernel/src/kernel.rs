@@ -396,6 +396,7 @@ impl Component<SimMsg> for SimKernel {
                     continue;
                 }
                 Outbound::Wire { to, proc, msg, ctx } => (to, proc, msg, ctx),
+                Outbound::Replay { to, msg, ctx } => (to, None, msg, ctx),
                 Outbound::WireBestEffort { to, msg } => (to, None, msg, None),
                 Outbound::App { msg, .. } => unreachable!("a simulated kernel got {}", msg.label()),
             };

@@ -34,23 +34,30 @@ use crate::sync::{BarrierCenter, BarrierOutcome, LockCenter, LockOutcome, Party,
 /// own-node invalidation round.
 pub const KERNEL_TXN_BASE: u64 = 1 << 63;
 
-/// Everything engine-specific a [`KernelProtocol`] needs. There are two:
+/// Everything engine-specific a [`KernelProtocol`] needs. There is one:
 /// the port of the one kernel driver, `KernelTask`, which queues what it is
-/// asked on the task's outbox and takes the rest from the engine's `Host`;
-/// and the simulator's blocking `SimKernelPort`, for the own-node library
-/// calls an application process makes on its own clock. Two differences
-/// between the engines are deliberate, and are the hosts', not the
-/// machine's:
+/// asked on the task's outbox and takes the rest from the engine's `Host`.
+/// A coordination call made in place needs only the [`Coordinator`] half,
+/// which each engine implements once more for its callers: the
+/// simulator's blocking `SimKernelPort` on node 0's process clock, and the
+/// live engine's port on the calling application thread.
 ///
-/// * **Where a leased block's data goes** ([`KernelPort::lease`]). The
-///   simulator's home installs it in the requester's replica cache at serve
-///   time; the live home only records the lease, and the requester installs
-///   on completion under its install epoch. A read issued after the home
-///   served an earlier overlapping one, but before that one is waited on,
-///   therefore hits in the simulator and misses live.
-/// * **Where barrier and lock state lives** ([`Coordinator::barriers`]). The
-///   simulator keeps it in the cluster's shared state, where node 0's own
-///   process coordinates in place; the live kernel keeps its own.
+/// **Barrier and lock state is one per run on both engines**
+/// ([`Coordinator::barriers`]): the simulator's `ClusterShared` and the
+/// live `LiveCluster` each hold it once, and node 0's kernel serves the
+/// calls that arrive as messages from the same state the callers in place
+/// use. Node 0's own process always calls in place; on the live in-process
+/// channel with no fault plan every PE does, because answers reach its
+/// applications directly there.
+///
+/// One difference between the engines is deliberate, and is the hosts',
+/// not the machine's: **where a leased block's data goes**
+/// ([`KernelPort::lease`]). The simulator's home installs it in the
+/// requester's replica cache at serve time; the live home only records the
+/// lease, and the requester installs on completion under its install
+/// epoch. A read issued after the home served an earlier overlapping one,
+/// but before that one is waited on, therefore hits in the simulator and
+/// misses live.
 ///
 /// Request dedup, keyed `(from PE, req)`, is the driver's, armed only by
 /// the live constructor: only a lossy wire retransmits. The simulator must
@@ -89,16 +96,16 @@ pub trait KernelPort: Coordinator {
 }
 
 /// The part of a [`KernelPort`] barrier and lock coordination uses
-/// ([`barrier_enter`], [`lock_acquire`], [`lock_release`]) — all an
-/// own-node library call asks of its node's kernel.
+/// ([`coordinate`], [`barrier_enter`], [`lock_acquire`], [`lock_release`])
+/// — all a coordination call made in place asks of the kernel library.
 pub trait Coordinator {
     /// Where an answer goes besides the node (simulator: the requesting
     /// process; live: the PE and what its request carried on the wire).
     type Reply: Copy;
 
-    /// Barrier coordination state of this node.
+    /// The run's barrier coordination state.
     fn barriers(&self) -> &BarrierCenter<Self::Reply>;
-    /// Lock coordination state of this node.
+    /// The run's lock coordination state.
     fn locks(&self) -> &LockCenter<Self::Reply>;
 
     /// Bump a counter.
@@ -199,12 +206,6 @@ impl<'a, R: Copy> KernelProtocol<'a, R> {
         };
         let served = serve_gm(self.store, msg, &mut hooks);
         let acks = hooks.acks;
-        let party = |pid, req| Party {
-            pid,
-            node: from,
-            reply_to: reply,
-            req,
-        };
         match served {
             Served::Response(resp) => {
                 port.served(reply, &resp, acks > 0);
@@ -235,19 +236,14 @@ impl<'a, R: Copy> KernelProtocol<'a, R> {
                     &format!("no response is gated on transaction {:#x}", req.0),
                 ),
             },
-            Served::NotGm(Message::BarrierEnter { barrier, pid }) => {
-                if let Some(epoch) = barrier_enter(port, barrier, party(pid, ReqId(0))) {
-                    // A remote completer is itself blocked awaiting a
-                    // release (unlike the own-node path, which proceeds
-                    // straight through the library call).
-                    port.send(from, reply, Message::BarrierRelease { barrier, epoch });
-                }
-            }
-            Served::NotGm(Message::LockReq { req, lock, pid }) => {
-                lock_acquire(port, lock, party(pid, req))
-            }
-            Served::NotGm(Message::UnlockReq { lock, pid }) => lock_release(port, lock, pid),
-            Served::NotGm(other) => return Some(other),
+            Served::NotGm(other) => match coordinate(port, from, reply, other) {
+                // A remote completer is itself blocked awaiting a release
+                // (unlike a caller in place, which proceeds straight
+                // through the library call).
+                Ok(Some(release)) => port.send(from, reply, release),
+                Ok(None) => {}
+                Err(other) => return Some(other),
+            },
         }
         None
     }
@@ -360,6 +356,36 @@ impl<P: KernelPort> GmServiceHooks for ServeHooks<'_, P> {
             self.port.count(KernelCount::DirInval);
         }
     }
+}
+
+/// Run the coordination call `call` — a `BarrierEnter`, `LockReq` or
+/// `UnlockReq` that `node` made, its answers going to `reply` — on the
+/// port's barrier and lock state. Returns the `BarrierRelease` of the round
+/// the call completed, which the caller does not get from the round: a
+/// caller in place proceeds straight through, a remote enterer is sent it.
+/// Any other message comes back as the error.
+pub fn coordinate<P: Coordinator>(
+    port: &mut P,
+    node: NodeId,
+    reply: P::Reply,
+    call: Message,
+) -> Result<Option<Message>, Message> {
+    let party = |pid, req| Party {
+        pid,
+        node,
+        reply_to: reply,
+        req,
+    };
+    match call {
+        Message::BarrierEnter { barrier, pid } => {
+            let epoch = barrier_enter(port, barrier, party(pid, ReqId(0)));
+            return Ok(epoch.map(|epoch| Message::BarrierRelease { barrier, epoch }));
+        }
+        Message::LockReq { req, lock, pid } => lock_acquire(port, lock, party(pid, req)),
+        Message::UnlockReq { lock, pid } => lock_release(port, lock, pid),
+        other => return Err(other),
+    }
+    Ok(None)
 }
 
 /// Enter `barrier` on behalf of `party` and, if that completed the round,

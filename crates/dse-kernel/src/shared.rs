@@ -43,9 +43,10 @@ pub struct ClusterShared {
     /// The optional read-replicating cache (only consulted when
     /// `config.gm_cache` is set).
     pub cache: CacheStore,
-    /// Barrier coordination (centralized on node 0).
+    /// Barrier coordination: the run's one state, served by node 0's
+    /// kernel and driven in place by node 0's process.
     pub barriers: BarrierCenter<Requester>,
-    /// Lock coordination (centralized on node 0).
+    /// Lock coordination: the run's one state, like `barriers`.
     pub locks: LockCenter<Requester>,
     /// The interconnect timing model.
     pub network: Mutex<Network>,

@@ -1,11 +1,12 @@
 //! Cluster-wide synchronization: barriers and locks.
 //!
-//! Coordination is centralized on node 0's kernel (the DSE coordinator).
-//! These types hold the *state machines*; the kernel loop and the API layer
-//! drive them and pay the messaging costs. A barrier over `p` processes
-//! costs `p-1` enter messages plus `p-1` release messages on the wire —
-//! which is exactly why fine-grained synchronization hurts on the paper's
-//! bus Ethernet.
+//! Coordination is centralized: one state per run (the DSE coordinator),
+//! which node 0's kernel serves for the calls that arrive as messages and
+//! a caller in place drives directly. These types hold the *state
+//! machines*; the kernel loop and the API layer drive them and pay the
+//! messaging costs. A barrier over `p` processes costs `p-1` enter
+//! messages plus `p-1` release messages on the wire — which is exactly why
+//! fine-grained synchronization hurts on the paper's bus Ethernet.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -52,7 +53,7 @@ struct BarrierState<R> {
     waiters: Vec<Party<R>>,
 }
 
-/// Barrier coordination state (lives on node 0).
+/// Barrier coordination state (one per run).
 pub struct BarrierCenter<R = ProcId> {
     nprocs: usize,
     inner: Mutex<HashMap<u32, BarrierState<R>>>,
@@ -121,7 +122,7 @@ struct LockState<R> {
     queue: VecDeque<Party<R>>,
 }
 
-/// Lock coordination state (lives on node 0).
+/// Lock coordination state (one per run).
 pub struct LockCenter<R = ProcId> {
     inner: Mutex<HashMap<u32, LockState<R>>>,
 }

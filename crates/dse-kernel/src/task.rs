@@ -21,9 +21,10 @@
 //! routing, the ingest and shutdown flush of the shared [`Telemetry`]
 //! plane, and — armed only by [`KernelTask::new`], whose requesters retry —
 //! replay of answered requests. What still differs per engine is a
-//! [`Host`]: where barrier and lock state lives, what a lease does, the
-//! clocks, the cost of a copy, and the pacing of telemetry ticks. The live
-//! engine's host is [`Live`]; the simulator's is in [`crate::kernel`].
+//! [`Host`]: which structure lends the run's one barrier and lock state,
+//! what a lease does, the clocks, the cost of a copy, and the pacing of
+//! telemetry ticks. The live engine's host is [`Live`]; the simulator's is
+//! in [`crate::kernel`].
 //!
 //! Because the task never blocks, the live engine's one driver can give a
 //! task a worker of its own (thread-per-PE: the worker waits in its
@@ -124,6 +125,19 @@ pub enum Outbound {
         /// Trace context to ride the frame.
         ctx: Option<TraceCtx>,
     },
+    /// A replayed answer to a retransmitted request: a wire send like
+    /// [`Outbound::Wire`], but best-effort. Its requester may have taken
+    /// the first answer and left — its kernel shut down — while the
+    /// retransmit or duplicate was still on the way; one that is still
+    /// waiting and never gets the replay retransmits again.
+    Replay {
+        /// Destination PE.
+        to: u32,
+        /// The cached answer.
+        msg: Message,
+        /// Trace context to ride the frame.
+        ctx: Option<TraceCtx>,
+    },
     /// A best-effort wire send to a kernel (telemetry deltas: the
     /// aggregating PE may already be gone during shutdown; a lost delta is
     /// healed by the sender's shutdown flush).
@@ -198,9 +212,9 @@ pub trait Host {
     fn nprocs(&self) -> usize;
     /// The protocol over this node's store and cache, with `gates` open.
     fn protocol(&self, gates: Gates<Requester>) -> KernelProtocol<'_, Requester>;
-    /// Barrier coordination state of this node.
+    /// The run's barrier coordination state.
     fn barriers(&self) -> &BarrierCenter<Requester>;
-    /// Lock coordination state of this node.
+    /// The run's lock coordination state.
     fn locks(&self) -> &LockCenter<Requester>;
     /// [`KernelPort::lease`].
     fn lease(
@@ -278,13 +292,20 @@ pub struct Watch<'a> {
     pub aggregator: &'a Mutex<ClusterAggregator>,
 }
 
+/// Barrier and lock state a live task serves from.
+enum Centres<'a> {
+    /// The run's one, which the PEs that coordinate in place share.
+    Run(&'a BarrierCenter<Requester>, &'a LockCenter<Requester>),
+    /// The task's own: a task built alone, outside a run.
+    Own(BarrierCenter<Requester>, LockCenter<Requester>),
+}
+
 /// The live engine's [`Host`]: the cluster's shared state, the wall clock,
-/// this PE's own coordination state, and emission paced against the last
+/// the run's barrier and lock state, and emission paced against the last
 /// emission.
 pub struct Live<'a> {
     env: KernelEnv<'a>,
-    barriers: BarrierCenter<Requester>,
-    locks: LockCenter<Requester>,
+    centres: Centres<'a>,
     watch: Option<Watch<'a>>,
     last_emit: Instant,
     /// Bound on the driver's wait between events.
@@ -308,11 +329,17 @@ impl<'a> Host for Live<'a> {
     }
 
     fn barriers(&self) -> &BarrierCenter<Requester> {
-        &self.barriers
+        match &self.centres {
+            Centres::Run(barriers, _) => barriers,
+            Centres::Own(barriers, _) => barriers,
+        }
     }
 
     fn locks(&self) -> &LockCenter<Requester> {
-        &self.locks
+        match &self.centres {
+            Centres::Run(_, locks) => locks,
+            Centres::Own(_, locks) => locks,
+        }
     }
 
     /// Only the home-side half of the lease: the data travels in the
@@ -503,7 +530,9 @@ impl<'a> KernelTask<Live<'a>> {
     /// A live kernel task over `env`, replaying answers to retransmitted
     /// requests. `watch` enables telemetry emission every interval, ingest
     /// on PE 0 and the shutdown flush; `tick` bounds the driver's idle
-    /// wait; `tracing` records causal spans.
+    /// wait; `tracing` records causal spans. The task coordinates barriers
+    /// and locks on state of its own until [`KernelTask::sharing`] hands it
+    /// the run's.
     pub fn new(
         env: KernelEnv<'a>,
         watch: Option<Watch<'a>>,
@@ -512,8 +541,7 @@ impl<'a> KernelTask<Live<'a>> {
     ) -> KernelTask<Live<'a>> {
         let host = Live {
             env,
-            barriers: BarrierCenter::new(env.nprocs),
-            locks: LockCenter::new(),
+            centres: Centres::Own(BarrierCenter::new(env.nprocs), LockCenter::new()),
             watch,
             last_emit: Instant::now(),
             tick,
@@ -521,6 +549,17 @@ impl<'a> KernelTask<Live<'a>> {
         let telemetry = watch.map(|w| Telemetry::new(env.pe, Some(w.hook)));
         let dedup = DedupCache::new(DEDUP_PER_REQUESTER);
         KernelTask::hosted(host, telemetry, tracing, Some(dedup))
+    }
+
+    /// Coordinate on the run's one barrier and lock state, the one the
+    /// PEs that call the coordinator in place share with this task.
+    pub fn sharing(
+        mut self,
+        barriers: &'a BarrierCenter<Requester>,
+        locks: &'a LockCenter<Requester>,
+    ) -> KernelTask<Live<'a>> {
+        self.host.centres = Centres::Run(barriers, locks);
+        self
     }
 
     /// How long the driver may wait for the next event before the task
@@ -684,7 +723,8 @@ impl<H: Host> KernelTask<H> {
                 let bytes = resp.wire_len() as u64;
                 port.st.spans.serve(start_ns, from, replay, seq, bytes);
                 let ctx = HomeSpans::response_ctx(from.ctx, replay);
-                port.st.wire(node, proc, resp, ctx);
+                let to = from.pe;
+                port.st.out(Outbound::Replay { to, msg: resp, ctx });
                 return Progress::Pending;
             }
             if port.st.pending_gated.contains(&key) {
@@ -916,6 +956,11 @@ mod tests {
                     to: 0,
                     msg: Message::GmFetchAddResp { prev, .. },
                     ..
+                }
+                | Outbound::Replay {
+                    to: 0,
+                    msg: Message::GmFetchAddResp { prev, .. },
+                    ..
                 } => prev,
                 _ => panic!("expected fetch-add responses"),
             })
@@ -957,6 +1002,11 @@ mod tests {
             .drain_outbox()
             .filter_map(|o| match o {
                 Outbound::Wire {
+                    to: 1,
+                    msg: Message::GmFetchAddResp { prev, .. },
+                    ..
+                }
+                | Outbound::Replay {
                     to: 1,
                     msg: Message::GmFetchAddResp { prev, .. },
                     ..

@@ -14,11 +14,16 @@
 //!   [`KernelTask`] driven by a worker of the pool in [`sched`] — the sole
 //!   consumer of the PE's transport endpoint. It services incoming GM
 //!   requests against the global store, forwards responses to its own
-//!   application thread, and (on PE 0) runs the cluster coordinator:
-//!   barriers, locks, exit collection, and the ingest of the telemetry
+//!   application thread, and (on PE 0) serves the barrier and lock calls
+//!   that arrive over a wire, collects exits and ingests the telemetry
 //!   plane behind `--watch` (`dse_kernel::telemetry`). [`SchedulerKind`]
 //!   sizes the pool: one worker per PE, or one per core with many kernels
 //!   sharing a worker.
+//!
+//! Barrier and lock state is the run's one ([`LiveCluster`]): PE 0's
+//! application, and on the lossless in-process channel every PE's, calls
+//! the coordinator in place as a library call, and PE 0's kernel serves
+//! everyone else's messages from the same state.
 //!
 //! The transport is chosen per run ([`TransportKind`]): an in-process
 //! channel mesh, a framed TCP-over-loopback mesh, or Unix domain sockets —
@@ -34,9 +39,10 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use dse_kernel::gmem::GlobalStore;
-use dse_kernel::task::{is_app_bound, KernelEnv, KernelTask, Live, Outbound};
+use dse_kernel::task::{is_app_bound, KernelEnv, KernelTask, Live, Outbound, Requester};
 use dse_kernel::{
-    telemetry, CacheStore, EpochHook, GmMode, PeCounters, SchedulerKind, TelemetrySummary, Watch,
+    telemetry, BarrierCenter, CacheStore, EpochHook, GmMode, LockCenter, PeCounters, SchedulerKind,
+    TelemetrySummary, Watch,
 };
 use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
 use dse_obs::{
@@ -205,13 +211,24 @@ fn build_transports(
     Ok((endpoints, guard))
 }
 
-/// Shared state of a live run: the home-partitioned global store and the
-/// wall-clock metrics registry. Partition ownership is enforced by routing
-/// — a rank only touches bytes homed elsewhere through request messages to
-/// the home PE's kernel thread, never directly.
+/// Shared state of a live run: the home-partitioned global store, the
+/// run's one barrier and lock state, and the wall-clock metrics registry.
+/// Partition ownership is enforced by routing — a rank only touches bytes
+/// homed elsewhere through request messages to the home PE's kernel
+/// thread, never directly.
 pub struct LiveCluster {
     nprocs: usize,
     store: GlobalStore,
+    /// Barrier coordination: the run's one state, served by PE 0's kernel
+    /// for the calls that arrive over a wire and driven in place by the
+    /// PEs that call the coordinator themselves ([`LiveCluster::in_place`]).
+    barriers: BarrierCenter<Requester>,
+    /// Lock coordination, like `barriers`.
+    locks: LockCenter<Requester>,
+    /// The in-process channel with no fault plan: nothing between two PEs
+    /// can be lost, so a kernel pushes app-bound answers straight into the
+    /// destination's app inbox, and every PE coordinates in place.
+    direct: bool,
     /// Wall-clock observability: the same registry the simulator uses,
     /// fed with `Instant`-measured nanoseconds instead of virtual time.
     metrics: Registry,
@@ -247,9 +264,9 @@ pub struct LiveCluster {
     /// a late install.
     install_guards: Vec<Mutex<u64>>,
     /// Per-PE application-thread inboxes. The co-resident kernel is the
-    /// usual producer; on lossless in-process transports remote kernels
-    /// push app-bound responses here directly, skipping the relay hop
-    /// through the destination's kernel.
+    /// usual producer; on a direct run remote kernels, and other PEs'
+    /// coordination calls in place, push app-bound messages here directly,
+    /// skipping the relay hop through the destination's kernel.
     app_inboxes: Vec<AppInbox>,
 }
 
@@ -265,6 +282,9 @@ impl LiveCluster {
         LiveCluster {
             nprocs,
             store: GlobalStore::new(nprocs),
+            barriers: BarrierCenter::new(nprocs),
+            locks: LockCenter::new(),
+            direct: cfg.kind == TransportKind::Channel && cfg.fault_plan.is_none(),
             metrics,
             aggregator: watched.then(|| telemetry::aggregator(nprocs)),
             flight: FlightRecorder::with_capacity(FLIGHT_CAPACITY),
@@ -307,6 +327,31 @@ impl LiveCluster {
 
     fn now_ns(&self) -> u64 {
         self.t0.elapsed().as_nanos() as u64
+    }
+
+    /// Whether `pe`'s application calls the coordinator in place, on the
+    /// run's state, rather than sending the call to PE 0's kernel: PE 0's
+    /// always (it is the coordinator's node, as on the simulator), every
+    /// PE's on a direct run.
+    fn in_place(&self, pe: u32) -> bool {
+        pe == 0 || self.direct
+    }
+
+    /// The kernel's delivery rule for a message `pe` sends to `to`: true
+    /// when it goes straight into `to`'s app inbox instead of onto the
+    /// wire. That is an app-bound message for `pe`'s own application —
+    /// over the wire it would only loop back and be forwarded — and, on a
+    /// direct run, one for any PE's application (counted as
+    /// `kernel/app_direct_msgs`).
+    fn to_app_inbox(&self, pe: u32, to: u32, msg: &Message) -> bool {
+        if !is_app_bound(msg) || (to != pe && !self.direct) {
+            return false;
+        }
+        if to != pe {
+            self.metrics
+                .incr(MetricKey::pe("kernel", "app_direct_msgs", pe));
+        }
+        true
     }
 
     fn aborting(&self) -> bool {
@@ -383,7 +428,7 @@ impl LiveCluster {
 }
 
 thread_local! {
-    /// Reused per-driver-thread accumulator for [`flush_outbox`]'s
+    /// Reused per-thread accumulator for [`play_outbound`]'s
     /// per-destination wire batches — warm capacity, no per-flush
     /// allocation.
     static WIRE_BATCH: std::cell::RefCell<Vec<(Message, Option<TraceCtx>)>> =
@@ -400,10 +445,7 @@ fn ship_wire_batch(
 ) -> Result<(), FailureKind> {
     let res = if batch.len() == 1 {
         let (msg, ctx) = &batch[0];
-        match ctx {
-            Some(c) => transport.send_ctx(to, msg, *c),
-            None => transport.send(to, msg),
-        }
+        send_one(transport, to, msg, *ctx)
     } else {
         transport.send_batch(to, batch)
     };
@@ -411,41 +453,65 @@ fn ship_wire_batch(
     res.map_err(FailureKind::Transport)
 }
 
-/// Play a task's outbox back onto the wire / the app inboxes. Each wire
-/// send goes into the flight recorder first. A failed [`Outbound::Wire`]
-/// send stops the drain and fails the kernel (the kernel aborts on its
-/// first failed send); best-effort items never fail. Charges, process
-/// starts and terminations are the simulator's and play as nothing.
-///
-/// Consecutive [`Outbound::Wire`] items for the same destination are
-/// grouped into one [`Transport::send_batch`] call, preserving order —
-/// a batch is flushed before any send to a different destination or any
-/// non-wire item, so the observable delivery order is unchanged.
-///
-/// An app-bound message for this PE's own application goes straight to
-/// its inbox: over the transport it would only loop back to this kernel
-/// and be forwarded. On the lossless in-process channel transport,
-/// app-bound wire messages for other PEs (read responses, write acks,
-/// barrier releases, lock grants) are pushed straight into the
-/// destination's app inbox too: the receiving kernel would only have
-/// decoded and forwarded them, so the direct push saves that relay
-/// wakeup. The requester-side install-epoch guard already covers the one
-/// ordering this drops (a response racing an invalidation to the same PE),
-/// and faulty/socket transports keep the full wire path so loss, delay,
-/// and retransmission behavior are untouched.
+fn send_one(
+    transport: &dyn Transport,
+    to: u32,
+    msg: &Message,
+    ctx: Option<TraceCtx>,
+) -> Result<(), TransportError> {
+    match ctx {
+        Some(c) => transport.send_ctx(to, msg, c),
+        None => transport.send(to, msg),
+    }
+}
+
+/// Play a task's outbox back onto the wire / the app inboxes
+/// ([`play_outbound`]).
 pub(crate) fn flush_outbox(
     task: &mut KernelTask<Live<'_>>,
     transport: &dyn Transport,
     cluster: &LiveCluster,
     pe: u32,
 ) -> Result<(), FailureKind> {
-    let direct = transport.kind() == "channel";
+    play_outbound(std::iter::from_fn(|| task.pop()), transport, cluster, pe)
+}
+
+/// Play what `pe` sends — a kernel task's outbox, or the answers of a
+/// coordination call made in place — onto `pe`'s endpoint and the app
+/// inboxes. Each wire send and replay goes into the flight recorder first.
+/// A failed [`Outbound::Wire`] send stops the play and fails the sender
+/// (the kernel aborts on its first failed send); best-effort items and
+/// replays never fail.
+/// Charges, process starts and terminations are the simulator's and play
+/// as nothing.
+///
+/// Consecutive [`Outbound::Wire`] items for the same destination are
+/// grouped into one [`Transport::send_batch`] call, preserving order —
+/// a batch is flushed before any send to a different destination or any
+/// non-wire item, so the observable delivery order is unchanged.
+///
+/// An app-bound wire message goes by the delivery rule
+/// ([`LiveCluster::to_app_inbox`]): for `pe`'s own application, and on a
+/// direct run for any PE's (read responses, write acks, barrier releases,
+/// lock grants), it is pushed straight into the destination's app inbox —
+/// the receiving kernel would only have decoded and forwarded it, so the
+/// push saves that relay wake-up. The requester-side install-epoch guard
+/// already covers the one ordering this drops (a response racing an
+/// invalidation to the same PE), and socket and fault-injected transports
+/// keep the full wire path so loss, delay, and retransmission behavior
+/// are untouched.
+fn play_outbound(
+    outbound: impl Iterator<Item = Outbound>,
+    transport: &dyn Transport,
+    cluster: &LiveCluster,
+    pe: u32,
+) -> Result<(), FailureKind> {
     WIRE_BATCH.with(|cell| {
         let batch = &mut *cell.borrow_mut();
         batch.clear();
         let mut batch_to: Option<u32> = None;
-        while let Some(out) = task.pop() {
-            if let Outbound::Wire { to, msg, .. } = &out {
+        for out in outbound {
+            if let Outbound::Wire { to, msg, .. } | Outbound::Replay { to, msg, .. } = &out {
                 let label = msg.label();
                 let (to_pe, bytes) = (*to, msg.wire_len() as u64);
                 let at = cluster.t0.elapsed().as_nanos() as u64;
@@ -457,19 +523,12 @@ pub(crate) fn flush_outbox(
                 cluster.flight.record(at, pe, kind);
             }
             match out {
-                Outbound::Wire { to, msg, ctx, .. } if to == pe && is_app_bound(&msg) => {
+                Outbound::Wire { to, msg, ctx, .. } | Outbound::Replay { to, msg, ctx }
+                    if cluster.to_app_inbox(pe, to, &msg) =>
+                {
                     if let Some(prev) = batch_to.take() {
                         ship_wire_batch(transport, prev, batch)?;
                     }
-                    cluster.app_push(pe, msg, ctx);
-                }
-                Outbound::Wire { to, msg, ctx, .. } if direct && is_app_bound(&msg) => {
-                    if let Some(prev) = batch_to.take() {
-                        ship_wire_batch(transport, prev, batch)?;
-                    }
-                    cluster
-                        .metrics
-                        .incr(MetricKey::pe("kernel", "app_direct_msgs", pe));
                     cluster.app_push(to, msg, ctx);
                 }
                 Outbound::Wire { to, msg, ctx, .. } => {
@@ -480,6 +539,12 @@ pub(crate) fn flush_outbox(
                         batch_to = Some(to);
                     }
                     batch.push((msg, ctx));
+                }
+                Outbound::Replay { to, msg, ctx } => {
+                    if let Some(prev) = batch_to.take() {
+                        ship_wire_batch(transport, prev, batch)?;
+                    }
+                    let _ = send_one(transport, to, &msg, ctx);
                 }
                 Outbound::WireBestEffort { to, msg } => {
                     if let Some(prev) = batch_to.take() {
@@ -944,16 +1009,61 @@ mod tests {
 
     #[test]
     fn live_locks_are_mutually_exclusive() {
-        let inside = AtomicU64::new(0);
-        LiveRunner::new(6).run(|ctx| {
-            for _ in 0..50 {
-                ctx.lock(3);
-                let v = inside.fetch_add(1, Ordering::SeqCst);
-                assert_eq!(v, 0, "two threads inside the critical section");
-                inside.fetch_sub(1, Ordering::SeqCst);
-                ctx.unlock(3);
+        // On TCP, PE 0's calls in place and the others' messages to its
+        // kernel share one lock state.
+        for kind in [TransportKind::Channel, TransportKind::Tcp] {
+            let inside = AtomicU64::new(0);
+            LiveRunner::new(6).transport(kind).run(|ctx| {
+                for _ in 0..50 {
+                    ctx.lock(3);
+                    let v = inside.fetch_add(1, Ordering::SeqCst);
+                    assert_eq!(v, 0, "{kind:?}: two threads inside the critical section");
+                    inside.fetch_sub(1, Ordering::SeqCst);
+                    ctx.unlock(3);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn coordination_reaches_pe0s_kernel_only_over_a_wire() {
+        const ROUNDS: u64 = 100;
+        const SECTIONS: u64 = 50;
+        for kind in BOTH_POOLS {
+            for transport in [TransportKind::Channel, TransportKind::Tcp] {
+                let r = LiveRunner::new(4)
+                    .transport(transport)
+                    .scheduler(kind)
+                    .run(|ctx| {
+                        for _ in 0..ROUNDS {
+                            ctx.barrier();
+                        }
+                        for _ in 0..SECTIONS {
+                            ctx.lock(1);
+                            ctx.unlock(1);
+                        }
+                    });
+                let m = &r.metrics;
+                let count = |name, pe| m.counter("kernel", name, Some(pe)).unwrap_or(0);
+                // Besides coordination, PE 0's kernel hears the four exit
+                // notices and its own shutdown: the body moves no memory.
+                // Over a wire, PEs 1-3 each send one enter per round and a
+                // request and an unlock per section; PE 0's application and,
+                // on the channel, every PE's call the coordinator in place.
+                let wired = match transport {
+                    TransportKind::Channel => 0,
+                    _ => 3 * (ROUNDS + 2 * SECTIONS),
+                };
+                let label = format!("{kind:?} on {transport:?}");
+                assert_eq!(count("messages", 0), 4 + 1 + wired, "{label}");
+                assert_eq!(count("barrier_epochs", 0), ROUNDS, "{label}");
+                assert_eq!(count("lock_grants", 0), 4 * SECTIONS, "{label}");
+                for pe in 1..4 {
+                    assert_eq!(count("barrier_epochs", pe), 0, "{label}");
+                    assert_eq!(count("lock_grants", pe), 0, "{label}");
+                }
             }
-        });
+        }
     }
 
     const BOTH_POOLS: [SchedulerKind; 2] = [SchedulerKind::Threads, SchedulerKind::Tasks];
@@ -968,8 +1078,9 @@ mod tests {
 
     #[test]
     fn live_unlock_unheld_panics() {
-        // A panic inside a kernel poll: the pool latches the abort, drains
-        // PE 0's neighbours and re-raises the kernel's own payload.
+        // PE 0 unlocks in place: the panic is its application thread's,
+        // which latches the abort, and the harness re-raises its payload
+        // once the pool has drained.
         for kind in BOTH_POOLS {
             let payload = catch_unwind(|| {
                 LiveRunner::new(oversubscribed(1))
@@ -983,6 +1094,31 @@ mod tests {
             .expect_err("unlocking an unheld lock must panic");
             let msg = payload.downcast_ref::<String>().expect("panic message");
             assert!(msg.contains("release of unknown lock 9"), "{kind:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn unlock_unheld_over_a_wire_panics_in_pe0s_kernel() {
+        // PE 1's unlock reaches PE 0's kernel as a message: the panic is
+        // inside a kernel poll, and the pool latches the abort, drains PE
+        // 0's neighbours and re-raises the kernel's own payload.
+        for kind in BOTH_POOLS {
+            let payload = catch_unwind(|| {
+                LiveRunner::new(oversubscribed(2))
+                    .transport(TransportKind::Tcp)
+                    .scheduler(kind)
+                    .run(|ctx| {
+                        if ctx.rank() == 1 {
+                            ctx.unlock(9);
+                        }
+                    });
+            })
+            .expect_err("unlocking an unheld lock must panic");
+            let msg = payload.downcast_ref::<String>();
+            assert!(
+                msg.is_some_and(|m| m.contains("release of unknown lock 9")),
+                "{kind:?}: {msg:?}"
+            );
         }
     }
 

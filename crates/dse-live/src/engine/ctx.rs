@@ -15,13 +15,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dse_api::{ApiCtx, Arrival, GmPort, GmProtocolError, RequesterSpans, Unanswered};
-use dse_kernel::protocol::sharers_to_invalidate;
-use dse_kernel::{GlobalStore, GmCount, GmError, GmMode, PeCounters, DEFAULT_GM_WINDOW};
+use dse_kernel::protocol::{coordinate, sharers_to_invalidate};
+use dse_kernel::task::{Outbound, Requester};
+use dse_kernel::{
+    BarrierCenter, Coordinator, GlobalStore, GmCount, GmError, GmMode, HomeSpans, KernelCount,
+    LockCenter, Origin, PeCounters, DEFAULT_GM_WINDOW,
+};
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqIdGen, TraceCtx};
 use dse_obs::{FlightEventKind, MetricKey, TraceRole};
 use dse_transport::{Pop, RetryPolicy, Transport};
 
-use super::{AbortUnwind, AppInbox, LiveCluster};
+use super::{play_outbound, AbortUnwind, AppInbox, LiveCluster};
 use crate::error::FailureKind;
 
 /// The live engine behind [`GmPort`]: the transport endpoint and app inbox,
@@ -37,6 +41,57 @@ pub struct LivePort {
     stash: VecDeque<(Message, Option<TraceCtx>)>,
     /// Causal spans of this app thread.
     spans: RequesterSpans,
+    /// PE 0's kernel spans of the coordination calls this thread made in
+    /// place (barrier releases, lock grants).
+    coord_spans: HomeSpans,
+    /// The answers of the call in place, before they are played.
+    coord_out: Vec<Outbound>,
+}
+
+/// The live engine behind [`Coordinator`] for a coordination call an
+/// application thread makes in place: the run's one barrier and lock
+/// state, PE 0's counters and spans (the coordinator's, whichever thread
+/// runs it), and the answers queued for the kernel's delivery rule.
+struct InPlace<'p> {
+    cluster: &'p LiveCluster,
+    spans: &'p mut HomeSpans,
+    out: &'p mut Vec<Outbound>,
+    /// What the call brought.
+    handling: Origin,
+}
+
+impl Coordinator for InPlace<'_> {
+    type Reply = Requester;
+
+    fn barriers(&self) -> &BarrierCenter<Requester> {
+        &self.cluster.barriers
+    }
+
+    fn locks(&self) -> &LockCenter<Requester> {
+        &self.cluster.locks
+    }
+
+    fn count(&mut self, what: KernelCount) {
+        PeCounters::new(&self.cluster.metrics, 0, None).count(what);
+    }
+
+    fn send(&mut self, node: NodeId, to: Requester, msg: Message) {
+        let now = self.cluster.now_ns();
+        let ctx = self.spans.reply_ctx(now, self.handling.ctx, to.from, &msg);
+        let to = node.0 as u32;
+        self.out.push(Outbound::Wire {
+            to,
+            proc: None,
+            msg,
+            ctx,
+        });
+    }
+
+    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Requester) {
+        let now = self.cluster.now_ns();
+        self.spans
+            .barrier_completed(now, self.handling, barrier, epoch, first.from.at_ns);
+    }
 }
 
 /// Per-process context of the live engine: the Parallel API library of
@@ -53,6 +108,7 @@ impl LivePort {
     ) -> LivePort {
         let app_rx = Arc::clone(&cluster.app_inboxes[rank as usize]);
         let spans = RequesterSpans::new(rank, cluster.tracing, cluster.now_ns());
+        let coord_spans = HomeSpans::new(0, cluster.tracing);
         LivePort {
             rank,
             cluster,
@@ -60,17 +116,20 @@ impl LivePort {
             app_rx,
             stash: VecDeque::new(),
             spans,
+            coord_spans,
+            coord_out: Vec::new(),
         }
     }
 
     /// Called by the harness however the body ended: close the app root
     /// span and park this thread's causal spans in the cluster sink — an
-    /// aborted run still yields a usable partial trace.
+    /// aborted run still yields a usable partial trace. What it did in
+    /// place for the coordinator is PE 0's kernel's.
     pub(super) fn flush_trace(&mut self) {
         let spans = self.spans.finish(self.cluster.now_ns());
-        self.cluster
-            .trace_sink
-            .park(self.rank, TraceRole::App, spans);
+        let sink = &self.cluster.trace_sink;
+        sink.park(self.rank, TraceRole::App, spans);
+        sink.park(0, TraceRole::Kernel, self.coord_spans.take());
     }
 
     fn me(&self) -> NodeId {
@@ -160,12 +219,13 @@ impl GmPort for LivePort {
         self.send_traced(home.0 as u32, msg, ctx);
     }
 
-    /// Receives from the app inbox (fed by the local kernel and, on
-    /// direct-delivery transports, by remote kernels). Barrier and lock
-    /// traffic is never retransmitted (it is not idempotent, and the fault
-    /// plan leaves control messages unharmed), so its waits come without a
-    /// deadline and block untimed: the kernel pushes the `Abort` frame and
-    /// then closes the inbox when the run dies.
+    /// Receives from the app inbox (fed by the local kernel and, on a
+    /// direct run, by remote kernels and other PEs' coordination calls in
+    /// place). Barrier and lock traffic is never retransmitted (it is not
+    /// idempotent, and the fault plan leaves control messages unharmed), so
+    /// its waits come without a deadline and block untimed: the kernel
+    /// pushes the `Abort` frame and then closes the inbox when the run
+    /// dies.
     fn await_msg(
         &mut self,
         mut pred: impl FnMut(&Message) -> bool,
@@ -325,11 +385,42 @@ impl GmPort for LivePort {
         self.send_traced(home.0 as u32, msg, ctx);
     }
 
-    /// The coordinator is PE 0's kernel, for PE 0's application too: every
-    /// call is a message and every answer another.
+    /// PE 0's application, and on a direct run every PE's, runs the call
+    /// in place on the run's state: the completing barrier caller proceeds
+    /// straight through, and the answers go out by the kernel's delivery
+    /// rule (a lock grant is a message even to the caller). Any other PE
+    /// sends the call to PE 0's kernel, which serves it from the same
+    /// state.
     fn to_coordinator(&mut self, call: Message, ctx: Option<TraceCtx>) -> bool {
-        self.send_traced(0, &call, ctx);
-        false
+        if !self.cluster.in_place(self.rank) {
+            self.send_traced(0, &call, ctx);
+            return false;
+        }
+        let handling = Origin {
+            pe: self.rank,
+            ctx,
+            at_ns: self.cluster.now_ns(),
+        };
+        let mut port = InPlace {
+            cluster: &self.cluster,
+            spans: &mut self.coord_spans,
+            out: &mut self.coord_out,
+            handling,
+        };
+        let reply = Requester {
+            from: handling,
+            proc: None,
+            key: None,
+        };
+        let completed = match coordinate(&mut port, NodeId(self.rank as u16), reply, call) {
+            Ok(release) => release.is_some(),
+            Err(other) => unreachable!("{} is not a call to the coordinator", other.label()),
+        };
+        let (cluster, transport) = (&*self.cluster, &*self.transport);
+        if let Err(kind) = play_outbound(self.coord_out.drain(..), transport, cluster, self.rank) {
+            self.die(kind);
+        }
+        completed
     }
 
     /// Notify the coordinator, which shuts the kernels down once every rank
@@ -372,6 +463,34 @@ mod tests {
             })
             .expect("drops and dups are recoverable faults");
         assert_eq!(r.nprocs, 3);
+    }
+
+    #[test]
+    fn a_fault_plan_on_the_channel_reaches_the_answers() {
+        // A fault plan perturbs every wire message it may, answers
+        // included: on a faulty channel no answer skips the wire, so a
+        // lost one is retransmitted and replayed from the home's memory.
+        let plan = FaultPlan {
+            seed: 11,
+            drop_permille: 40,
+            ..FaultPlan::default()
+        };
+        let r = LiveRunner::new(2).fault_plan(plan).run(|ctx| {
+            let arr = GmArray::<u64>::alloc(ctx, 16, Distribution::Blocked);
+            // Elements of the other PE's half: every access is remote.
+            let theirs = 8 * (1 - ctx.rank() as usize);
+            for i in 0..800 {
+                arr.set(ctx, theirs + i % 8, i as u64);
+            }
+            ctx.barrier();
+        });
+        let m = &r.metrics;
+        assert!(m.counter_sum_over_pes("kernel", "gm_retries") > 0);
+        assert!(
+            m.counter_sum_over_pes("kernel", "gm_dup_requests") > 0,
+            "no answer was lost and replayed"
+        );
+        assert_eq!(m.counter_sum_over_pes("kernel", "app_direct_msgs"), 0);
     }
 
     #[test]

@@ -82,7 +82,8 @@ impl<'a> Slot<'a> {
             watch,
             KERNEL_TICK,
             cluster.tracing,
-        );
+        )
+        .sharing(&cluster.barriers, &cluster.locks);
         Slot {
             pe,
             transport,

@@ -50,8 +50,14 @@ fn main() {
         );
         assert!(reqs > 0, "{}: no GM request crossed the wire", kind.name());
         // A kernel serves every message it handles: each GM request, each
-        // barrier entry (one per wait) and each rank's exit notice.
-        let waits: u64 = (0..4)
+        // barrier entry that reaches PE 0's kernel over a wire (one per
+        // wait of PEs 1-3 on TCP; on the channel every PE enters in place)
+        // and each rank's exit notice.
+        let wired = match kind {
+            TransportKind::Channel => 0..0,
+            _ => 1..4,
+        };
+        let waits: u64 = wired
             .filter_map(|pe| run.metrics.histogram("sync", "barrier_wait_ns", Some(pe)))
             .map(|h| h.count())
             .sum();
