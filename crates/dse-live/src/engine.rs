@@ -21,9 +21,9 @@
 //!   sharing a worker.
 //!
 //! Barrier and lock state is the run's one ([`LiveCluster`]): PE 0's
-//! application, and on the lossless in-process channel every PE's, calls
-//! the coordinator in place as a library call, and PE 0's kernel serves
-//! everyone else's messages from the same state.
+//! application, and on the in-process channel with no fault plan every
+//! PE's, calls the coordinator in place as a library call, and PE 0's
+//! kernel serves everyone else's messages from the same state.
 //!
 //! The transport is chosen per run ([`TransportKind`]): an in-process
 //! channel mesh, a framed TCP-over-loopback mesh, or Unix domain sockets —
