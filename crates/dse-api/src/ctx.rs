@@ -22,10 +22,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dse_kernel::netpath::{hold_cpu, send_msg};
-use dse_kernel::protocol::{coordinate, sharers_to_invalidate};
+use dse_kernel::protocol::sharers_to_invalidate;
 use dse_kernel::{
-    ClusterShared, Distribution, GlobalStore, GmCount, GmError, GmMode, HomeSpans, PeCounters,
-    SimKernelPort, SimMsg,
+    ClusterShared, Distribution, GlobalStore, GmCount, GmError, GmMode, InPlace, Origin, Outbound,
+    PeCounters, SimHost, SimMsg,
 };
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
 use dse_obs::{SpanKind, TraceRole, TraceSpanKind};
@@ -60,9 +60,12 @@ pub struct SimPort<'a> {
     node: NodeId,
     stash: VecDeque<(Message, Arrival)>,
     spans: RequesterSpans,
-    /// Spans of the kernel duty this process does itself, in own-node calls
-    /// into the linked library.
-    home_spans: HomeSpans,
+    /// The node's kernel as this process's own calls into the linked
+    /// library find it.
+    home: SimHost,
+    /// The in-place step of those calls; its spans are the kernel duty the
+    /// process does itself.
+    coord: InPlace,
 }
 
 impl<'a> SimPort<'a> {
@@ -76,24 +79,17 @@ impl<'a> SimPort<'a> {
         let spans = RequesterSpans::new(pe, tracing, ctx.now().as_nanos());
         SimPort {
             ctx,
-            shared,
             node: pid.node(),
             stash: VecDeque::new(),
             spans,
-            home_spans: HomeSpans::new(pe, tracing),
+            home: SimHost::new(Arc::clone(&shared), pid.node()),
+            coord: InPlace::new(pe, tracing),
+            shared,
         }
     }
 
     fn pe(&self) -> u32 {
         self.node.0 as u32
-    }
-
-    /// This process acting as its node's kernel: an own-node call into the
-    /// linked library, carrying the trace context `call`, runs the kernel's
-    /// own coordination functions.
-    fn kernel(&mut self, call: Option<TraceCtx>) -> SimKernelPort<'_> {
-        let (ctx, spans) = (&mut *self.ctx, &mut self.home_spans);
-        SimKernelPort::new(ctx, &self.shared, self.node, spans, call)
     }
 
     /// Hold this node's CPU for `dur`, recording what was queued for it.
@@ -324,12 +320,22 @@ impl GmPort for SimPort<'_> {
             return false;
         }
         self.charge_local(16);
-        let node = self.node;
-        let mut kernel = self.kernel(ctx);
-        let reply_to = kernel.caller();
-        match coordinate(&mut kernel, node, reply_to, call) {
-            Ok(release) => release.is_some(),
-            Err(other) => unreachable!("{} is not a call to the coordinator", other.label()),
+        let (me, at_ns) = (self.ctx.id(), self.now_ns());
+        let from = Origin { pe: 0, ctx, at_ns };
+        self.home.now = self.ctx.now();
+        let completed = self.coord.coordinate(&self.home, from, Some(me), call);
+        // Each answer is sent as the node's kernel would send it, charged
+        // on this process's clock.
+        loop {
+            self.home.now = self.ctx.now();
+            let Some(Outbound::Wire { to, proc, msg, ctx }) = self.coord.pop(&self.home) else {
+                return completed;
+            };
+            let to = NodeId(to as u16);
+            let proc = proc.unwrap_or_else(|| self.shared.kernel_of(to));
+            let shared = &self.shared;
+            let (asked, granted) = send_msg(self.ctx, shared, self.node, to, proc, me, &msg, ctx);
+            self.coord.spans().cpu_queue(asked, granted, from);
         }
     }
 
@@ -356,7 +362,7 @@ impl GmPort for SimPort<'_> {
         self.send(NodeId(0), launcher, &notice, None);
         let (pe, now, sink) = (self.pe(), self.now_ns(), &self.shared.trace_sink);
         sink.park(pe, TraceRole::App, self.spans.finish(now));
-        sink.park(pe, TraceRole::Kernel, self.home_spans.take());
+        sink.park(pe, TraceRole::Kernel, self.coord.spans().take());
     }
 }
 

@@ -14,10 +14,9 @@
 use dse_obs::{MetricKey, Registry};
 
 /// The `kernel/*` counters every PE has on either engine, registered at
-/// zero when a cluster is built. Only the simulator counts `Sent` (the wire
-/// model's `messages`, `message_bytes`) and `Invoke` (the launcher's
-/// `invokes`); the live kernel's own `messages` counts the frames it
-/// handled.
+/// zero when a cluster is built. `messages` and `message_bytes` are the
+/// runtime messages a node sent (`Sent`) on both engines; only the
+/// simulator counts `Invoke` (the launcher's `invokes`).
 pub const KERNEL_COUNTERS: [&str; 25] = [
     "gm_local_reads",
     "gm_remote_reads",
@@ -47,9 +46,9 @@ pub const KERNEL_COUNTERS: [&str; 25] = [
 ];
 
 /// A counter the serving side bumps: the protocol through
-/// [`Coordinator::count`](crate::Coordinator::count), the simulator's
-/// kernel driver for what only it models (`Sent`, `Invoke`), and the
-/// telemetry plane's ingest (`TelemetryIn`, `TelemetryCorrupt`).
+/// [`KernelPort::count`](crate::KernelPort::count), each engine's send
+/// path (`Sent`), the simulator's launcher (`Invoke`), and the telemetry
+/// plane's ingest (`TelemetryIn`, `TelemetryCorrupt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelCount {
     /// A remote read of this many bytes was served.
@@ -70,7 +69,7 @@ pub enum KernelCount {
     BarrierEpoch,
     /// A lock was granted (at once, or handed over by a release).
     LockGrant,
-    /// A runtime message of this many encoded bytes was sent (simulator).
+    /// A runtime message of this many encoded bytes was sent.
     Sent(usize),
     /// A parallel process was started (simulator).
     Invoke,

@@ -1,6 +1,8 @@
 //! The simulated DSE kernel: the simulator's [`Host`] of the one kernel
-//! driver, the component that plays the driver's outbox back in virtual
-//! time, and the blocking port of own-node library calls.
+//! driver, and the component that plays the driver's outbox back in
+//! virtual time. (Node 0's own process runs the driver's in-place step,
+//! `task::InPlace`, on a host of its own and plays the answers on its own
+//! clock.)
 //!
 //! One kernel serves per node. Under the new organization it is a library
 //! linked into the application's process, entered when async I/O signals a
@@ -22,7 +24,7 @@
 //! effect when the task runs: the store operations of a request, a read's
 //! lease, a write's directory step, a barrier entry, a lock request.
 //!
-//! **Causal spans** (`DseConfig::tracing`) are the task's [`HomeSpans`],
+//! **Causal spans** (`DseConfig::tracing`) are the task's [`HomeSpans`](crate::HomeSpans),
 //! stamped in virtual time: a message's trace context arrives in its
 //! [`SimMsg`] beside the bytes, and a hold that was granted later than it
 //! was asked for is a `cpu_queue` span naming the PE whose message is in
@@ -41,9 +43,9 @@ use dse_sim::{CompCtx, Component, ProcCtx, ProcId, SimDuration, SimTime, Wait, W
 use crate::cache::CacheStore;
 use crate::config::GmMode;
 use crate::counters::{KernelCount, PeCounters};
-use crate::home_spans::{HomeSpans, Origin};
-use crate::netpath::{begin_send, book_wire, send_msg};
-use crate::protocol::{Coordinator, Gates, KernelProtocol};
+use crate::home_spans::Origin;
+use crate::netpath::{begin_send, book_wire};
+use crate::protocol::{Gates, KernelProtocol};
 use crate::shared::{ClusterShared, TelemetryHook};
 use crate::simmsg::SimMsg;
 use crate::sync::{BarrierCenter, LockCenter};
@@ -57,91 +59,6 @@ pub type AppBody = Box<dyn FnOnce(&mut ProcCtx<SimMsg>) + Send>;
 /// by the program harness so the kernel stays independent of the API crate.
 pub type AppFactory = Arc<dyn Fn(u32, GlobalPid) -> AppBody + Send + Sync>;
 
-/// The simulator behind [`Coordinator`] for an application process in an
-/// own-node call into the linked library, acting for `node`: its sends
-/// are charged on the node's CPU, blocking the process, then booked on
-/// the wire.
-pub struct SimKernelPort<'a> {
-    ctx: &'a mut ProcCtx<SimMsg>,
-    shared: &'a ClusterShared,
-    node: NodeId,
-    /// Where this kernel duty's causal spans go.
-    spans: &'a mut HomeSpans,
-    /// What the own-node call brought.
-    handling: Origin,
-}
-
-impl<'a> SimKernelPort<'a> {
-    /// A port for the process behind `ctx`, acting for `node` in an
-    /// own-node call that carries the trace context `call`; the spans of
-    /// the kernel duty it does go to `spans`.
-    pub fn new(
-        ctx: &'a mut ProcCtx<SimMsg>,
-        shared: &'a ClusterShared,
-        node: NodeId,
-        spans: &'a mut HomeSpans,
-        call: Option<TraceCtx>,
-    ) -> SimKernelPort<'a> {
-        let handling = Origin {
-            pe: node.0 as u32,
-            ctx: call,
-            at_ns: ctx.now().as_nanos(),
-        };
-        SimKernelPort {
-            ctx,
-            shared,
-            node,
-            spans,
-            handling,
-        }
-    }
-
-    /// The caller as a requester: its answers come back to its process.
-    pub fn caller(&self) -> Requester {
-        Requester {
-            from: self.handling,
-            proc: Some(self.ctx.id()),
-            key: None,
-        }
-    }
-
-    fn send_traced(&mut self, node: NodeId, to: ProcId, msg: Message, trace: Option<TraceCtx>) {
-        let me = self.ctx.id();
-        let (asked, granted) =
-            send_msg(self.ctx, self.shared, self.node, node, to, me, &msg, trace);
-        self.spans.cpu_queue(asked, granted, self.handling);
-    }
-}
-
-impl Coordinator for SimKernelPort<'_> {
-    type Reply = Requester;
-
-    fn barriers(&self) -> &BarrierCenter<Requester> {
-        &self.shared.barriers
-    }
-
-    fn locks(&self) -> &LockCenter<Requester> {
-        &self.shared.locks
-    }
-
-    fn count(&mut self, what: KernelCount) {
-        self.shared.counters(self.node).count(what);
-    }
-
-    fn send(&mut self, node: NodeId, to: Requester, msg: Message) {
-        let now = self.ctx.now().as_nanos();
-        let trace = self.spans.reply_ctx(now, self.handling.ctx, to.from, &msg);
-        let proc = to.proc.unwrap_or_else(|| self.shared.kernel_of(node));
-        self.send_traced(node, proc, msg, trace);
-    }
-
-    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Requester) {
-        let (now, completer) = (self.ctx.now().as_nanos(), self.handling);
-        self.spans
-            .barrier_completed(now, completer, barrier, epoch, first.from.at_ns);
-    }
-}
-
 /// The simulator's [`Host`]: node `node` of the shared cluster at virtual
 /// time `now` (the component moves it on every resume). Barrier and lock
 /// state lives in [`ClusterShared`], where node 0's own process coordinates
@@ -151,7 +68,16 @@ impl Coordinator for SimKernelPort<'_> {
 pub struct SimHost {
     shared: Arc<ClusterShared>,
     node: NodeId,
-    now: SimTime,
+    /// The virtual time the host's clock reads; its driver moves it.
+    pub now: SimTime,
+}
+
+impl SimHost {
+    /// Node `node` of `shared`, at time zero.
+    pub fn new(shared: Arc<ClusterShared>, node: NodeId) -> SimHost {
+        let now = SimTime::ZERO;
+        SimHost { shared, node, now }
+    }
 }
 
 impl Host for SimHost {
@@ -250,9 +176,8 @@ impl SimKernel {
         let telemetry = on.then(|| Telemetry::new(pe, shared.epoch_hook.clone()));
         let tracing = shared.config.tracing;
         let now = SimTime::ZERO;
-        let host = SimHost { shared, node, now };
         SimKernel {
-            task: KernelTask::hosted(host, telemetry, tracing, None),
+            task: KernelTask::hosted(SimHost::new(shared, node), telemetry, tracing, None),
             factory,
             serving: own_duty(pe, now),
             hold: (now, SimDuration::ZERO),

@@ -37,13 +37,11 @@ pub const KERNEL_TXN_BASE: u64 = 1 << 63;
 /// Everything engine-specific a [`KernelProtocol`] needs. There is one:
 /// the port of the one kernel driver, `KernelTask`, which queues what it is
 /// asked on the task's outbox and takes the rest from the engine's `Host`.
-/// A coordination call made in place needs only the [`Coordinator`] half,
-/// which each engine implements once more for its callers: the
-/// simulator's blocking `SimKernelPort` on node 0's process clock, and the
-/// live engine's port on the calling application thread.
+/// A coordination call made in place is one step of the same port
+/// (`task::InPlace`), whose outbox the caller plays itself.
 ///
 /// **Barrier and lock state is one per run on both engines**
-/// ([`Coordinator::barriers`]): the simulator's `ClusterShared` and the
+/// ([`KernelPort::barriers`]): the simulator's `ClusterShared` and the
 /// live `LiveCluster` each hold it once, and node 0's kernel serves the
 /// calls that arrive as messages from the same state the callers in place
 /// use. Node 0's own process always calls in place; on the live in-process
@@ -64,7 +62,19 @@ pub const KERNEL_TXN_BASE: u64 = 1 << 63;
 /// not reach it — a simulated node may host several requesting processes,
 /// each with its own id generator, and equal `(node, req)` pairs from two
 /// of them are distinct requests.
-pub trait KernelPort: Coordinator {
+pub trait KernelPort {
+    /// Where an answer goes besides the node (simulator: the requesting
+    /// process; live: the PE and what its request carried on the wire).
+    type Reply: Copy;
+
+    /// The run's barrier coordination state.
+    fn barriers(&self) -> &BarrierCenter<Self::Reply>;
+    /// The run's lock coordination state.
+    fn locks(&self) -> &LockCenter<Self::Reply>;
+
+    /// Bump a counter.
+    fn count(&mut self, what: KernelCount);
+
     /// Charge this node for copying `bytes` between a message and the
     /// store, now.
     fn charge_copy(&mut self, bytes: usize);
@@ -82,6 +92,8 @@ pub trait KernelPort: Coordinator {
     /// Drop this node's replicas of every block the range touches.
     fn drop_replicas(&mut self, cache: &CacheStore, region: RegionId, offset: u64, len: usize);
 
+    /// Send `msg` to the requester `to` on `node`, now.
+    fn send(&mut self, node: NodeId, to: Self::Reply, msg: Message);
     /// Send `msg` to `node`'s kernel, now.
     fn send_kernel(&mut self, node: NodeId, msg: Message);
 
@@ -89,33 +101,14 @@ pub trait KernelPort: Coordinator {
     /// sent next, or — `gated` — once the sharers have acknowledged.
     fn served(&mut self, to: Self::Reply, resp: &Message, gated: bool);
 
+    /// A barrier round completed and its earlier waiters were released;
+    /// `first` entered it first.
+    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Self::Reply);
+
     /// `from` sent a message (`label`) the protocol has no place for: the
     /// driver aborts the run (on the simulator, whose every peer is the
     /// simulator itself, the abort is a panic).
     fn protocol_error(&mut self, from: NodeId, label: &'static str, detail: &str);
-}
-
-/// The part of a [`KernelPort`] barrier and lock coordination uses
-/// ([`coordinate`], [`barrier_enter`], [`lock_acquire`], [`lock_release`])
-/// — all a coordination call made in place asks of the kernel library.
-pub trait Coordinator {
-    /// Where an answer goes besides the node (simulator: the requesting
-    /// process; live: the PE and what its request carried on the wire).
-    type Reply: Copy;
-
-    /// The run's barrier coordination state.
-    fn barriers(&self) -> &BarrierCenter<Self::Reply>;
-    /// The run's lock coordination state.
-    fn locks(&self) -> &LockCenter<Self::Reply>;
-
-    /// Bump a counter.
-    fn count(&mut self, what: KernelCount);
-    /// Send `msg` to the requester `to` on `node`, now.
-    fn send(&mut self, node: NodeId, to: Self::Reply, msg: Message);
-
-    /// A barrier round completed and its earlier waiters were released;
-    /// `first` entered it first.
-    fn barrier_completed(&mut self, _barrier: u32, _epoch: u32, _first: Self::Reply) {}
 }
 
 /// A response withheld until every sharer of what its request wrote has
@@ -364,7 +357,7 @@ impl<P: KernelPort> GmServiceHooks for ServeHooks<'_, P> {
 /// the call completed, which the caller does not get from the round: a
 /// caller in place proceeds straight through, a remote enterer is sent it.
 /// Any other message comes back as the error.
-pub fn coordinate<P: Coordinator>(
+pub fn coordinate<P: KernelPort>(
     port: &mut P,
     node: NodeId,
     reply: P::Reply,
@@ -393,7 +386,7 @@ pub fn coordinate<P: Coordinator>(
 /// epoch: the caller decides whether `party` itself proceeds directly (the
 /// own-node library call) or needs its own release message (a remote
 /// enter).
-pub fn barrier_enter<P: Coordinator>(
+pub fn barrier_enter<P: KernelPort>(
     port: &mut P,
     barrier: u32,
     party: Party<P::Reply>,
@@ -418,7 +411,7 @@ pub fn barrier_enter<P: Coordinator>(
 
 /// Request `lock` on behalf of `party`; sends the grant if it was free,
 /// queues the party (first come, first served) otherwise.
-pub fn lock_acquire<P: Coordinator>(port: &mut P, lock: u32, party: Party<P::Reply>) {
+pub fn lock_acquire<P: KernelPort>(port: &mut P, lock: u32, party: Party<P::Reply>) {
     if let LockOutcome::Granted = port.locks().acquire(lock, party) {
         grant(port, lock, party);
     }
@@ -426,13 +419,13 @@ pub fn lock_acquire<P: Coordinator>(port: &mut P, lock: u32, party: Party<P::Rep
 
 /// Release `lock`, which `pid` holds; ownership passes to the longest
 /// waiting party, if any.
-pub fn lock_release<P: Coordinator>(port: &mut P, lock: u32, pid: GlobalPid) {
+pub fn lock_release<P: KernelPort>(port: &mut P, lock: u32, pid: GlobalPid) {
     if let UnlockOutcome::Granted(next) = port.locks().release(lock, pid) {
         grant(port, lock, next);
     }
 }
 
-fn grant<P: Coordinator>(port: &mut P, lock: u32, to: Party<P::Reply>) {
+fn grant<P: KernelPort>(port: &mut P, lock: u32, to: Party<P::Reply>) {
     port.count(KernelCount::LockGrant);
     let req = to.req;
     port.send(to.node, to.reply_to, Message::LockGrant { req, lock });

@@ -15,12 +15,15 @@
 //! count lands at the virtual instant the charges before it have ended.
 //!
 //! The serving protocol is the shared [`KernelProtocol`]; this file is its
-//! one driver and its one port. Besides the protocol, the driver is the
-//! paper's process-management module (`InvokeReq`, `TerminateReq`), exit
-//! collection and the shutdown fan-out, the `Abort` relay, app-mail
-//! routing, the ingest and shutdown flush of the shared [`Telemetry`]
-//! plane, and — armed only by [`KernelTask::new`], whose requesters retry —
-//! replay of answered requests. What still differs per engine is a
+//! one driver and its one port. A coordination call made in place is one
+//! step of that port on the coordinator's behalf ([`InPlace`]), whose
+//! outbox the caller plays as its engine plays a task's. Besides the
+//! protocol, the driver is the paper's process-management module
+//! (`InvokeReq`, `TerminateReq`), exit collection and the shutdown
+//! fan-out, the `Abort` relay, app-mail routing, the ingest and shutdown
+//! flush of the shared [`Telemetry`] plane, and — armed only by
+//! [`KernelTask::new`], whose requesters retry — replay of answered
+//! requests. What still differs per engine is a
 //! [`Host`]: which structure lends the run's one barrier and lock state,
 //! what a lease does, the clocks, the cost of a copy, and the pacing of
 //! telemetry ticks. The live engine's host is [`Live`]; the simulator's is
@@ -48,7 +51,7 @@ use crate::counters::{KernelCount, PeCounters};
 use crate::dedup::{dedup_key, DedupCache};
 use crate::gmem::GlobalStore;
 use crate::home_spans::{HomeSpans, Origin};
-use crate::protocol::{Coordinator, Gates, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
+use crate::protocol::{coordinate, Gates, KernelPort, KernelProtocol, KERNEL_TXN_BASE};
 use crate::sync::{BarrierCenter, LockCenter};
 use crate::telemetry::{EpochHook, Telemetry};
 
@@ -183,6 +186,9 @@ enum Step {
     /// `requests_served`, one `service_ns` sample, and the serve span of
     /// the traced GM request it was.
     EndService(u64, Option<ServedGm>),
+    /// A round completed in place ends here: `(completer, barrier, epoch,
+    /// first enter's arrival)`.
+    Released(Origin, u32, u32, u64),
 }
 
 /// Where a kernel's answer goes: what the request brought (its PE, trace
@@ -312,6 +318,25 @@ pub struct Live<'a> {
     tick: Duration,
 }
 
+impl<'a> Live<'a> {
+    /// A host over `env` that coordinates on the run's `barriers` and
+    /// `locks` and paces nothing: the host of a coordination call made in
+    /// place ([`InPlace`]).
+    pub fn sharing(
+        env: KernelEnv<'a>,
+        barriers: &'a BarrierCenter<Requester>,
+        locks: &'a LockCenter<Requester>,
+    ) -> Live<'a> {
+        Live {
+            env,
+            centres: Centres::Run(barriers, locks),
+            watch: None,
+            last_emit: env.run_start,
+            tick: Duration::ZERO,
+        }
+    }
+}
+
 impl<'a> Host for Live<'a> {
     type Hook = &'a EpochHook<'a>;
 
@@ -412,9 +437,50 @@ struct State {
     served: Option<ServedGm>,
     /// A peer's message the protocol rejected: the run aborts.
     violation: Option<String>,
+    /// The caller plays this outbox before it proceeds ([`InPlace`]).
+    in_place: bool,
 }
 
 impl State {
+    fn new(pe: u32, tracing: bool, dedup: Option<DedupCache>, in_place: bool) -> State {
+        State {
+            outbox: VecDeque::new(),
+            spans: HomeSpans::new(pe, tracing),
+            dedup,
+            pending_gated: HashSet::new(),
+            handling: Origin {
+                pe,
+                ctx: None,
+                at_ns: 0,
+            },
+            served: None,
+            violation: None,
+            in_place,
+        }
+    }
+
+    /// The next output to play, settling the driver's own steps before it
+    /// on `host`'s clock; `None` once the outbox is empty.
+    fn pop(&mut self, host: &impl Host) -> Option<Outbound> {
+        loop {
+            match self.outbox.pop_front()? {
+                Step::Out(out) => return Some(out),
+                Step::Count(what) => host.counters().count(what),
+                Step::EndService(start_ns, served) => {
+                    let now = host.now_ns();
+                    host.counters().served(now - start_ns);
+                    if let Some((from, seq, bytes)) = served {
+                        self.spans.serve(now, from, 0, seq, bytes);
+                    }
+                }
+                Step::Released(completer, barrier, epoch, first_at) => {
+                    let now = host.now_ns();
+                    (self.spans).barrier_completed(now, completer, barrier, epoch, first_at);
+                }
+            }
+        }
+    }
+
     fn out(&mut self, out: Outbound) {
         self.outbox.push_back(Step::Out(out));
     }
@@ -431,7 +497,7 @@ struct Port<'t, H> {
     st: &'t mut State,
 }
 
-impl<H: Host> Coordinator for Port<'_, H> {
+impl<H: Host> KernelPort for Port<'_, H> {
     type Reply = Requester;
 
     fn barriers(&self) -> &BarrierCenter<Requester> {
@@ -461,15 +527,20 @@ impl<H: Host> Coordinator for Port<'_, H> {
         self.st.wire(node, to.proc, msg, ctx);
     }
 
+    /// A caller in place plays the releases before it proceeds, so its
+    /// round ends once they are out (on the simulator, once their sends
+    /// were charged to it); the driver's ends now.
     fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Requester) {
-        let (now, completer) = (self.host.now_ns(), self.st.handling);
-        self.st
-            .spans
-            .barrier_completed(now, completer, barrier, epoch, first.from.at_ns);
+        let (completer, first_at) = (self.st.handling, first.from.at_ns);
+        if self.st.in_place {
+            let round = Step::Released(completer, barrier, epoch, first_at);
+            self.st.outbox.push_back(round);
+        } else {
+            let now = self.host.now_ns();
+            (self.st.spans).barrier_completed(now, completer, barrier, epoch, first_at);
+        }
     }
-}
 
-impl<H: Host> KernelPort for Port<'_, H> {
     fn charge_copy(&mut self, bytes: usize) {
         let dur = self.host.copy_charge(bytes);
         if !dur.is_zero() {
@@ -589,21 +660,8 @@ impl<H: Host> KernelTask<H> {
         tracing: bool,
         dedup: Option<DedupCache>,
     ) -> KernelTask<H> {
-        let pe = host.pe();
         KernelTask {
-            st: State {
-                outbox: VecDeque::new(),
-                spans: HomeSpans::new(pe, tracing),
-                dedup,
-                pending_gated: HashSet::new(),
-                handling: Origin {
-                    pe,
-                    ctx: None,
-                    at_ns: 0,
-                },
-                served: None,
-                violation: None,
-            },
+            st: State::new(host.pe(), tracing, dedup, false),
             host,
             gates: Gates::default(),
             telemetry,
@@ -630,19 +688,7 @@ impl<H: Host> KernelTask<H> {
     /// The next output to play, settling the driver's own steps before it
     /// on the host's clock; `None` once the outbox is empty.
     pub fn pop(&mut self) -> Option<Outbound> {
-        loop {
-            match self.st.outbox.pop_front()? {
-                Step::Out(out) => return Some(out),
-                Step::Count(what) => self.host.counters().count(what),
-                Step::EndService(start_ns, served) => {
-                    let now = self.host.now_ns();
-                    self.host.counters().served(now - start_ns);
-                    if let Some((from, seq, bytes)) = served {
-                        self.st.spans.serve(now, from, 0, seq, bytes);
-                    }
-                }
-            }
-        }
+        self.st.pop(&self.host)
     }
 
     /// Play the whole outbox back in order ([`KernelTask::pop`] until
@@ -815,6 +861,66 @@ impl<H: Host> KernelTask<H> {
             self.tick();
         }
         Progress::Pending
+    }
+}
+
+/// A coordination call made in place: one step of the driver's port on
+/// the coordinator's behalf ([`InPlace::coordinate`]), whose outbox the
+/// caller then plays as its engine plays a task's ([`InPlace::pop`]). It
+/// runs on a host lent per call — a live caller cannot hold a borrow of its
+/// own cluster — so the run's barrier and lock state is the host's, and so
+/// are the counters: the coordinator's PE's, whichever PE calls. A caller
+/// keeps one across calls, so the outbox keeps its capacity; the spans are
+/// the coordinator's kernel's.
+pub struct InPlace {
+    st: State,
+}
+
+impl InPlace {
+    /// The in-place step of PE `pe`'s kernel; `tracing` records its spans.
+    pub fn new(pe: u32, tracing: bool) -> InPlace {
+        InPlace {
+            st: State::new(pe, tracing, None, true),
+        }
+    }
+
+    /// Run `call` — a `BarrierEnter`, `LockReq` or `UnlockReq` that `from`
+    /// brought, its answers for the process `proc` (the simulator only) —
+    /// on `host`. Answers are never replayed: a call in place is not
+    /// retransmitted. Returns whether the call completed a barrier round,
+    /// which its caller proceeds straight through.
+    pub fn coordinate<H: Host>(
+        &mut self,
+        host: &H,
+        from: Origin,
+        proc: Option<ProcId>,
+        call: Message,
+    ) -> bool {
+        self.st.handling = from;
+        let reply = Requester {
+            from,
+            proc,
+            key: None,
+        };
+        let mut port = Port {
+            host,
+            st: &mut self.st,
+        };
+        match coordinate(&mut port, NodeId(from.pe as u16), reply, call) {
+            Ok(release) => release.is_some(),
+            Err(other) => unreachable!("{} is not a call to the coordinator", other.label()),
+        }
+    }
+
+    /// The next answer to play, settling counts and the round's span
+    /// before it on `host`'s clock.
+    pub fn pop<H: Host>(&mut self, host: &H) -> Option<Outbound> {
+        self.st.pop(host)
+    }
+
+    /// The causal spans recorded so far.
+    pub fn spans(&mut self) -> &mut HomeSpans {
+        &mut self.st.spans
     }
 }
 

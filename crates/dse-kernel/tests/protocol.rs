@@ -2,19 +2,21 @@
 //! scripted inbound sequence through the simulator's port and the live
 //! port, which must send the same messages, with the same trace context,
 //! to the same peers in the same order and record the same causal spans;
-//! and the two things the ports differ in on purpose.
+//! and the two things the ports differ in on purpose. Last, one
+//! coordination script through the in-place step and through the driver.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use dse_kernel::home_spans::barrier_span_id;
 use dse_kernel::kernel::{AppFactory, SimKernel};
 use dse_kernel::protocol::{lock_acquire, lock_release};
 use dse_kernel::{
-    BarrierCenter, CacheStore, ClusterShared, Coordinator, Distribution, DseConfig, GlobalStore,
-    GmMode, KernelCount, KernelEnv, KernelEvent, KernelPort, KernelProtocol, KernelTask,
-    LockCenter, Outbound, Party, SimMsg, CACHE_BLOCK, KERNEL_TXN_BASE,
+    BarrierCenter, CacheStore, ClusterShared, Distribution, DseConfig, GlobalStore, GmMode,
+    InPlace, KernelCount, KernelEnv, KernelEvent, KernelPort, KernelProtocol, KernelTask, Live,
+    LockCenter, Origin, Outbound, Party, SimMsg, CACHE_BLOCK, KERNEL_COUNTERS, KERNEL_TXN_BASE,
 };
 use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, TraceCtx};
 use dse_obs::{FlightRecorder, Registry, TraceSpanKind, TraceSpanRec};
@@ -78,7 +80,7 @@ impl FakePort {
     }
 }
 
-impl Coordinator for FakePort {
+impl KernelPort for FakePort {
     type Reply = u32;
 
     fn barriers(&self) -> &BarrierCenter<u32> {
@@ -97,9 +99,6 @@ impl Coordinator for FakePort {
         self.calls
             .push(Call::BarrierCompleted(barrier, epoch, first));
     }
-}
-
-impl KernelPort for FakePort {
     fn charge_copy(&mut self, bytes: usize) {
         self.calls.push(Call::Charge(bytes));
     }
@@ -811,6 +810,150 @@ fn both_engines_count_every_handled_message_as_one_service() {
         assert_eq!(serves(&sim_spans).len(), 6, "{mode:?}");
         assert_eq!(serves(&sim_spans), serves(&live_spans), "{mode:?}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// A call in place is a step of the same port.
+// ---------------------------------------------------------------------------
+
+/// A 4-party barrier round, then a lock handed from PE 1 to PE 2: who
+/// calls, what, and with which trace context (an unlock is untraced).
+fn coordination_script() -> Vec<(u32, Message, Option<TraceCtx>)> {
+    let traced = |pe: u32, i: u64| {
+        Some(TraceCtx {
+            trace: 10 + pe as u64,
+            parent: 100 * pe as u64 + i,
+        })
+    };
+    let enter = |pe: u32| Message::BarrierEnter {
+        barrier: 1,
+        pid: pid(pe as u16),
+    };
+    let req = |pe: u32| Message::LockReq {
+        req: ReqId(7),
+        lock: 3,
+        pid: pid(pe as u16),
+    };
+    let unlock = |pe: u32| Message::UnlockReq {
+        lock: 3,
+        pid: pid(pe as u16),
+    };
+    vec![
+        (2, enter(2), traced(2, 1)),
+        (0, enter(0), traced(0, 1)),
+        (3, enter(3), traced(3, 1)),
+        (1, enter(1), traced(1, 1)),
+        (1, req(1), traced(1, 2)),
+        (2, req(2), traced(2, 2)),
+        (1, unlock(1), None),
+        (2, unlock(2), None),
+    ]
+}
+
+/// What one path sent, to whom and with what trace context; PE 0's
+/// `kernel/*` counters; and the spans, without their times.
+type Played = (
+    Vec<(u32, Message, Option<TraceCtx>)>,
+    Vec<(&'static str, u64)>,
+    Vec<TraceSpanRec>,
+);
+
+/// PE 0's `kernel/*` counters in `metrics`.
+fn pe0_counters(metrics: &Registry) -> Vec<(&'static str, u64)> {
+    let snap = metrics.snapshot();
+    let count = |name| snap.counter("kernel", name, Some(0)).unwrap_or(0);
+    KERNEL_COUNTERS
+        .iter()
+        .map(|&name| (name, count(name)))
+        .collect()
+}
+
+fn timeless(spans: Vec<TraceSpanRec>) -> Vec<TraceSpanRec> {
+    let zero = |s: TraceSpanRec| TraceSpanRec {
+        start_ns: 0,
+        end_ns: 0,
+        ..s
+    };
+    spans.into_iter().map(zero).collect()
+}
+
+/// The script through one path: PE 0's kernel task, polled with each call
+/// as a message, or the in-place step every caller runs on the same host.
+fn play_coordination(in_place: bool) -> Played {
+    let store = GlobalStore::new(4);
+    let (metrics, flight, guard) = (
+        Registry::new(),
+        FlightRecorder::with_capacity(4),
+        Mutex::new(0),
+    );
+    let env = KernelEnv {
+        pe: 0,
+        nprocs: 4,
+        store: &store,
+        metrics: &metrics,
+        flight: &flight,
+        cache: None,
+        gm_mode: GmMode::WriteInvalidate,
+        install_guard: &guard,
+        engine_t0: Instant::now(),
+        run_start: Instant::now(),
+    };
+    let (barriers, locks) = (BarrierCenter::new(4), LockCenter::new());
+    let mut sent = Vec::new();
+    let wire = |out| match out {
+        Outbound::Wire { to, msg, ctx, .. } => (to, msg, ctx),
+        _ => panic!("coordination only sends"),
+    };
+    let spans = if in_place {
+        let host = Live::sharing(env, &barriers, &locks);
+        let mut step = InPlace::new(0, true);
+        for (pe, call, ctx) in coordination_script() {
+            let from = Origin { pe, ctx, at_ns: 0 };
+            let completed = step.coordinate(&host, from, None, call);
+            sent.extend(std::iter::from_fn(|| step.pop(&host)).map(wire));
+            if completed {
+                // The one difference: a caller in place proceeds straight
+                // through, where a message that completed the round is
+                // answered with its own release, under the round's span.
+                let ctx = ctx.map(|c| TraceCtx {
+                    trace: c.trace,
+                    parent: barrier_span_id(1, 0),
+                });
+                let release = Message::BarrierRelease {
+                    barrier: 1,
+                    epoch: 0,
+                };
+                sent.push((pe, release, ctx));
+            }
+        }
+        step.spans().take()
+    } else {
+        let tick = Duration::from_millis(50);
+        let mut task = KernelTask::new(env, None, tick, true).sharing(&barriers, &locks);
+        for (from, msg, ctx) in coordination_script() {
+            task.poll(KernelEvent::Message { from, msg, ctx });
+            sent.extend(task.drain_outbox().map(wire));
+        }
+        task.finish()
+    };
+    (sent, pe0_counters(&metrics), timeless(spans))
+}
+
+#[test]
+fn a_call_in_place_sends_what_the_driver_sends() {
+    let (in_place, in_place_counts, in_place_spans) = play_coordination(true);
+    let (driver, driver_counts, driver_spans) = play_coordination(false);
+    assert_eq!(in_place, driver);
+    assert_eq!(in_place_counts, driver_counts);
+    assert_eq!(in_place_spans, driver_spans);
+    // Three earlier enterers and the completer released, two grants.
+    let to: Vec<u32> = driver.iter().map(|(to, _, _)| *to).collect();
+    assert_eq!(to, [2, 0, 3, 1, 1, 2]);
+    let count = |name| driver_counts.iter().find(|c| c.0 == name).unwrap().1;
+    assert_eq!((count("barrier_epochs"), count("lock_grants")), (1, 2));
+    let kinds: Vec<_> = driver_spans.iter().map(|s| s.kind).collect();
+    use TraceSpanKind::{BarrierRelease, LockGrant};
+    assert_eq!(kinds, [BarrierRelease, LockGrant, LockGrant]);
 }
 
 /// A peer message the protocol has no place for aborts the live task with

@@ -41,8 +41,8 @@ use parking_lot::Mutex;
 use dse_kernel::gmem::GlobalStore;
 use dse_kernel::task::{is_app_bound, KernelEnv, KernelTask, Live, Outbound, Requester};
 use dse_kernel::{
-    telemetry, BarrierCenter, CacheStore, EpochHook, GmMode, LockCenter, PeCounters, SchedulerKind,
-    TelemetrySummary, Watch,
+    telemetry, BarrierCenter, CacheStore, EpochHook, GmMode, KernelCount, LockCenter, PeCounters,
+    SchedulerKind, TelemetrySummary, Watch,
 };
 use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
 use dse_obs::{
@@ -370,11 +370,13 @@ impl LiveCluster {
         });
     }
 
-    /// Record an app thread's failure only if it is the *first*
-    /// observation: once the cluster is already aborting, an app dying at
-    /// its next blocking point is a casualty of the abort, not a cause.
-    fn note_app_failure(&self, pe: u32, kind: FailureKind) {
-        if !self.abort.swap(true, Ordering::AcqRel) {
+    /// Record an app thread's failure if it is the *first* observation, or
+    /// if the thread saw it `first_hand` — a send it began before any abort
+    /// was latched, whoever latched since: once the cluster is already
+    /// aborting, an app dying at its next blocking point is a casualty of
+    /// the abort, not a cause.
+    fn note_app_failure(&self, pe: u32, kind: FailureKind, first_hand: bool) {
+        if !self.abort.swap(true, Ordering::AcqRel) || first_hand {
             self.failures.lock().push(PeFailure {
                 pe,
                 role: FailureRole::App,
@@ -408,6 +410,12 @@ impl LiveCluster {
             hook,
             aggregator,
         })
+    }
+
+    /// PE 0's kernel as the host of a coordination call made in place: the
+    /// run's barrier and lock state, PE 0's counters and the engine clock.
+    fn coordinator(&self) -> Live<'_> {
+        Live::sharing(self.kernel_env(0, self.t0), &self.barriers, &self.locks)
     }
 
     /// The shared-state view one PE's kernel task serves against.
@@ -465,20 +473,12 @@ fn send_one(
     }
 }
 
-/// Play a task's outbox back onto the wire / the app inboxes
-/// ([`play_outbound`]).
-pub(crate) fn flush_outbox(
-    task: &mut KernelTask<Live<'_>>,
-    transport: &dyn Transport,
-    cluster: &LiveCluster,
-    pe: u32,
-) -> Result<(), FailureKind> {
-    play_outbound(std::iter::from_fn(|| task.pop()), transport, cluster, pe)
-}
-
 /// Play what `pe` sends — a kernel task's outbox, or the answers of a
 /// coordination call made in place — onto `pe`'s endpoint and the app
 /// inboxes. Each wire send and replay goes into the flight recorder first.
+/// Every message sent, to a wire or straight to an app inbox, is one of
+/// `pe`'s `kernel/messages`, as on the simulator; a forward to `pe`'s own
+/// application is not a send.
 /// A failed [`Outbound::Wire`] send stops the play and fails the sender
 /// (the kernel aborts on its first failed send); best-effort items and
 /// replays never fail.
@@ -506,6 +506,7 @@ fn play_outbound(
     cluster: &LiveCluster,
     pe: u32,
 ) -> Result<(), FailureKind> {
+    let sent = PeCounters::new(&cluster.metrics, pe, None);
     WIRE_BATCH.with(|cell| {
         let batch = &mut *cell.borrow_mut();
         batch.clear();
@@ -514,6 +515,7 @@ fn play_outbound(
             if let Outbound::Wire { to, msg, .. } | Outbound::Replay { to, msg, .. } = &out {
                 let label = msg.label();
                 let (to_pe, bytes) = (*to, msg.wire_len() as u64);
+                sent.count(KernelCount::Sent(bytes as usize));
                 let at = cluster.t0.elapsed().as_nanos() as u64;
                 let kind = FlightEventKind::Bus {
                     label,
@@ -547,6 +549,7 @@ fn play_outbound(
                     let _ = send_one(transport, to, &msg, ctx);
                 }
                 Outbound::WireBestEffort { to, msg } => {
+                    sent.count(KernelCount::Sent(msg.wire_len()));
                     if let Some(prev) = batch_to.take() {
                         ship_wire_batch(transport, prev, batch)?;
                     }
@@ -1045,17 +1048,33 @@ mod tests {
                     });
                 let m = &r.metrics;
                 let count = |name, pe| m.counter("kernel", name, Some(pe)).unwrap_or(0);
-                // Besides coordination, PE 0's kernel hears the four exit
-                // notices and its own shutdown: the body moves no memory.
-                // Over a wire, PEs 1-3 each send one enter per round and a
-                // request and an unlock per section; PE 0's application and,
-                // on the channel, every PE's call the coordinator in place.
-                let wired = match transport {
-                    TransportKind::Channel => 0,
-                    _ => 3 * (ROUNDS + 2 * SECTIONS),
-                };
                 let label = format!("{kind:?} on {transport:?}");
-                assert_eq!(count("messages", 0), 4 + 1 + wired, "{label}");
+                // `messages` is what a PE sent; the body moves no memory.
+                // Every run sends four exit notices (one per application,
+                // to PE 0's kernel), PE 0's kernel's four shutdowns, one
+                // grant per lock section, 4 * SECTIONS, and per round a
+                // release to each of the three earlier enterers. A call in
+                // place counts on its caller: on the channel every PE's
+                // call is in place, so only the total is the program's,
+                // 8 + 4 * SECTIONS + 3 * ROUNDS = 508.
+                let answers = 4 * SECTIONS + 3 * ROUNDS;
+                if transport == TransportKind::Channel {
+                    let total = m.counter_sum_over_pes("kernel", "messages");
+                    assert_eq!(total, 8 + answers, "{label}");
+                } else {
+                    // Over a wire, PEs 1-3 each send one enter per round
+                    // and a request and an unlock per section, and their
+                    // exit notice: ROUNDS + 2 * SECTIONS + 1 = 201. PE 0
+                    // sends every answer, plus the completer's own release
+                    // in a round a wired enter completed (none to 100 of
+                    // them), its exit notice and the shutdowns.
+                    for pe in 1..4 {
+                        assert_eq!(count("messages", pe), ROUNDS + 2 * SECTIONS + 1);
+                    }
+                    let pe0 = count("messages", 0);
+                    let sent = 5 + answers..=5 + answers + ROUNDS;
+                    assert!(sent.contains(&pe0), "{label}: PE 0 sent {pe0}");
+                }
                 assert_eq!(count("barrier_epochs", 0), ROUNDS, "{label}");
                 assert_eq!(count("lock_grants", 0), 4 * SECTIONS, "{label}");
                 for pe in 1..4 {

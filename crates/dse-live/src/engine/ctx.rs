@@ -15,11 +15,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dse_api::{ApiCtx, Arrival, GmPort, GmProtocolError, RequesterSpans, Unanswered};
-use dse_kernel::protocol::{coordinate, sharers_to_invalidate};
-use dse_kernel::task::{Outbound, Requester};
+use dse_kernel::protocol::sharers_to_invalidate;
 use dse_kernel::{
-    BarrierCenter, Coordinator, GlobalStore, GmCount, GmError, GmMode, HomeSpans, KernelCount,
-    LockCenter, Origin, PeCounters, DEFAULT_GM_WINDOW,
+    GlobalStore, GmCount, GmError, GmMode, InPlace, KernelCount, Origin, PeCounters,
+    DEFAULT_GM_WINDOW,
 };
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqIdGen, TraceCtx};
 use dse_obs::{FlightEventKind, MetricKey, TraceRole};
@@ -41,57 +40,9 @@ pub struct LivePort {
     stash: VecDeque<(Message, Option<TraceCtx>)>,
     /// Causal spans of this app thread.
     spans: RequesterSpans,
-    /// PE 0's kernel spans of the coordination calls this thread made in
-    /// place (barrier releases, lock grants).
-    coord_spans: HomeSpans,
-    /// The answers of the call in place, before they are played.
-    coord_out: Vec<Outbound>,
-}
-
-/// The live engine behind [`Coordinator`] for a coordination call an
-/// application thread makes in place: the run's one barrier and lock
-/// state, PE 0's counters and spans (the coordinator's, whichever thread
-/// runs it), and the answers queued for the kernel's delivery rule.
-struct InPlace<'p> {
-    cluster: &'p LiveCluster,
-    spans: &'p mut HomeSpans,
-    out: &'p mut Vec<Outbound>,
-    /// What the call brought.
-    handling: Origin,
-}
-
-impl Coordinator for InPlace<'_> {
-    type Reply = Requester;
-
-    fn barriers(&self) -> &BarrierCenter<Requester> {
-        &self.cluster.barriers
-    }
-
-    fn locks(&self) -> &LockCenter<Requester> {
-        &self.cluster.locks
-    }
-
-    fn count(&mut self, what: KernelCount) {
-        PeCounters::new(&self.cluster.metrics, 0, None).count(what);
-    }
-
-    fn send(&mut self, node: NodeId, to: Requester, msg: Message) {
-        let now = self.cluster.now_ns();
-        let ctx = self.spans.reply_ctx(now, self.handling.ctx, to.from, &msg);
-        let to = node.0 as u32;
-        self.out.push(Outbound::Wire {
-            to,
-            proc: None,
-            msg,
-            ctx,
-        });
-    }
-
-    fn barrier_completed(&mut self, barrier: u32, epoch: u32, first: Requester) {
-        let now = self.cluster.now_ns();
-        self.spans
-            .barrier_completed(now, self.handling, barrier, epoch, first.from.at_ns);
-    }
+    /// The in-place step of the coordination calls this thread makes
+    /// (their spans are PE 0's kernel's).
+    coord: InPlace,
 }
 
 /// Per-process context of the live engine: the Parallel API library of
@@ -108,16 +59,14 @@ impl LivePort {
     ) -> LivePort {
         let app_rx = Arc::clone(&cluster.app_inboxes[rank as usize]);
         let spans = RequesterSpans::new(rank, cluster.tracing, cluster.now_ns());
-        let coord_spans = HomeSpans::new(0, cluster.tracing);
         LivePort {
             rank,
+            coord: InPlace::new(0, cluster.tracing),
             cluster,
             transport,
             app_rx,
             stash: VecDeque::new(),
             spans,
-            coord_spans,
-            coord_out: Vec::new(),
         }
     }
 
@@ -129,7 +78,7 @@ impl LivePort {
         let spans = self.spans.finish(self.cluster.now_ns());
         let sink = &self.cluster.trace_sink;
         sink.park(self.rank, TraceRole::App, spans);
-        sink.park(0, TraceRole::Kernel, self.coord_spans.take());
+        sink.park(0, TraceRole::Kernel, self.coord.spans().take());
     }
 
     fn me(&self) -> NodeId {
@@ -140,11 +89,19 @@ impl LivePort {
     /// latch the cluster abort, and unwind this app thread without
     /// tripping the panic hook.
     fn die(&self, kind: FailureKind) -> ! {
-        self.cluster.note_app_failure(self.rank, kind);
+        self.fail(kind, false)
+    }
+
+    /// Fail this rank: record `kind` (see [`LiveCluster::note_app_failure`])
+    /// and unwind.
+    fn fail(&self, kind: FailureKind, first_hand: bool) -> ! {
+        self.cluster.note_app_failure(self.rank, kind, first_hand);
         resume_unwind(Box::new(AbortUnwind))
     }
 
+    /// Send `msg` to `to`'s kernel: one of this PE's `kernel/messages`.
     fn send_traced(&self, to: u32, msg: &Message, ctx: Option<TraceCtx>) {
+        self.counters().count(KernelCount::Sent(msg.wire_len()));
         self.cluster.flight.record(
             self.cluster.now_ns(),
             self.rank,
@@ -154,12 +111,16 @@ impl LivePort {
                 bytes: msg.wire_len() as u64,
             },
         );
+        // A send begun on a healthy run that fails saw the failure itself:
+        // a severed endpoint's report must not lose to a kernel that saw
+        // its stream end and latched first.
+        let first_hand = !self.cluster.aborting();
         let sent = match ctx {
             Some(c) => self.transport.send_ctx(to, msg, c),
             None => self.transport.send(to, msg),
         };
         if let Err(e) = sent {
-            self.die(FailureKind::Transport(e));
+            self.fail(FailureKind::Transport(e), first_hand);
         }
     }
 
@@ -396,29 +357,14 @@ impl GmPort for LivePort {
             self.send_traced(0, &call, ctx);
             return false;
         }
-        let handling = Origin {
-            pe: self.rank,
-            ctx,
-            at_ns: self.cluster.now_ns(),
-        };
-        let mut port = InPlace {
-            cluster: &self.cluster,
-            spans: &mut self.coord_spans,
-            out: &mut self.coord_out,
-            handling,
-        };
-        let reply = Requester {
-            from: handling,
-            proc: None,
-            key: None,
-        };
-        let completed = match coordinate(&mut port, NodeId(self.rank as u16), reply, call) {
-            Ok(release) => release.is_some(),
-            Err(other) => unreachable!("{} is not a call to the coordinator", other.label()),
-        };
         let (cluster, transport) = (&*self.cluster, &*self.transport);
-        if let Err(kind) = play_outbound(self.coord_out.drain(..), transport, cluster, self.rank) {
-            self.die(kind);
+        let (host, first_hand) = (cluster.coordinator(), !cluster.aborting());
+        let (pe, at_ns) = (self.rank, cluster.now_ns());
+        let from = Origin { pe, ctx, at_ns };
+        let completed = self.coord.coordinate(&host, from, None, call);
+        let answers = std::iter::from_fn(|| self.coord.pop(&host));
+        if let Err(kind) = play_outbound(answers, transport, cluster, self.rank) {
+            self.fail(kind, first_hand);
         }
         completed
     }
@@ -434,7 +380,73 @@ impl GmPort for LivePort {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PeFailure;
     use crate::{FailureRole, FaultPlan, LiveRunConfig, LiveRunner, RetryPolicy, SchedulerKind};
+    use dse_transport::{Envelope, TransportError};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// PE 2's endpoint of a 3-PE run, severed: every send fails, and the
+    /// first one loses the race to report it — PE 0's kernel sees the
+    /// stream end and latches the abort while the send is still failing.
+    struct Severed(Arc<LiveCluster>);
+
+    impl Transport for Severed {
+        fn pe(&self) -> u32 {
+            2
+        }
+        fn npes(&self) -> u32 {
+            3
+        }
+        fn send(&self, _: u32, _: &Message) -> Result<(), TransportError> {
+            if !self.0.aborting() {
+                let dropped = TransportError::PeerDropped { peer: 2 };
+                self.0
+                    .note_kernel_failure(0, FailureKind::Transport(dropped));
+            }
+            Err(TransportError::Closed)
+        }
+        fn send_ctx(&self, to: u32, msg: &Message, _: TraceCtx) -> Result<(), TransportError> {
+            self.send(to, msg)
+        }
+        fn recv(&self, _: Option<Duration>) -> Result<Option<Envelope>, TransportError> {
+            Err(TransportError::Closed)
+        }
+        fn poll_recv(&self) -> Result<Option<Envelope>, TransportError> {
+            Err(TransportError::Closed)
+        }
+        fn shutdown(&self) {}
+        fn abort(&self) {}
+        fn kind(&self) -> &'static str {
+            "severed"
+        }
+    }
+
+    #[test]
+    fn a_severed_send_is_reported_first_hand_whoever_latched() {
+        let cluster = Arc::new(LiveCluster::with_config(
+            3,
+            &LiveRunConfig::default(),
+            false,
+        ));
+        let severed = Arc::new(Severed(Arc::clone(&cluster)));
+        let port = LivePort::new(2, Arc::clone(&cluster), severed);
+        let exit = Message::ExitNotice {
+            pid: GlobalPid::new(NodeId(2), 0),
+            status: 0,
+        };
+        let send = || catch_unwind(AssertUnwindSafe(|| port.send_traced(0, &exit, None)));
+        let severed_app = |c: &LiveCluster| {
+            let failures = c.failures.lock();
+            let app = |f: &&PeFailure| (f.pe, f.role) == (2, FailureRole::App);
+            failures.iter().filter(app).count()
+        };
+        assert!(send().is_err(), "the severed send unwinds its rank");
+        assert!(cluster.aborting());
+        assert_eq!(severed_app(&cluster), 1, "{:?}", *cluster.failures.lock());
+        // A send begun once the abort is latched is a casualty, not a cause.
+        assert!(send().is_err());
+        assert_eq!(severed_app(&cluster), 1, "{:?}", *cluster.failures.lock());
+    }
     use dse_api::{GmArray, GmCounter, ParallelApi};
     use dse_kernel::Distribution;
     use dse_msg::ReqId;

@@ -15,7 +15,7 @@
 //!
 //! [`SchedulerKind`] only sizes the pool ([`worker_count`]): one worker
 //! per PE, or one per core so a process can host thousands of PEs. The
-//! state machine, `flush_outbox` and the `finish_kernel` teardown are the
+//! state machine, `play_outbound` and the `finish_kernel` teardown are the
 //! same either way, which is why program results do not depend on it.
 //!
 //! App bodies remain blocking closures on dedicated threads
@@ -31,10 +31,9 @@ use std::time::{Duration, Instant};
 use dse_kernel::task::{abort_code, KernelEvent, KernelTask, Live, Progress};
 use dse_kernel::{SchedulerKind, Watch};
 use dse_msg::Message;
-use dse_obs::MetricKey;
 use dse_transport::{Envelope, Transport};
 
-use super::{finish_kernel, flush_outbox, LiveCluster};
+use super::{finish_kernel, play_outbound, LiveCluster};
 use crate::error::FailureKind;
 
 /// Bound on a task's wait between events: an idle kernel still sees a
@@ -281,12 +280,8 @@ fn message(env: Envelope) -> KernelEvent {
 /// Feed one event and flush the outbox. Returns true when the slot
 /// reached a terminal state.
 fn drive(cluster: &LiveCluster, slot: &mut Slot<'_>, event: KernelEvent) -> bool {
-    if let KernelEvent::Message { .. } = event {
-        let key = MetricKey::pe("kernel", "messages", slot.pe);
-        cluster.metrics.incr(key);
-    }
     let prog = slot.task.poll(event);
-    if let Err(e) = flush_outbox(&mut slot.task, slot.transport, cluster, slot.pe) {
+    if let Err(e) = play_outbound(slot.task.drain_outbox(), slot.transport, cluster, slot.pe) {
         slot.exit = Some(Err(e));
         return true;
     }
