@@ -22,18 +22,17 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dse_kernel::netpath::{hold_cpu, send_msg};
-use dse_kernel::protocol::sharers_to_invalidate;
 use dse_kernel::{
-    ClusterShared, Distribution, GlobalStore, GmCount, GmError, GmMode, InPlace, Origin, Outbound,
-    PeCounters, SimHost, SimMsg,
+    CacheStore, ClusterShared, Distribution, GlobalStore, GmCount, GmError, GmMode, InPlace,
+    Origin, Outbound, PeCounters, SimHost, SimMsg,
 };
-use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
+use dse_msg::{GlobalPid, Message, NodeId, RegionId, TraceCtx};
 use dse_obs::{SpanKind, TraceRole, TraceSpanKind};
 use dse_platform::Work;
 use dse_sim::{ProcCtx, ProcId, SimDuration, SimTime};
 
 use crate::api::ParallelApi;
-use crate::gm_client::{sample, GmClient, GmHandle, GmPort, GmProtocolError};
+use crate::gm_client::{acquire_point, sample, GmClient, GmHandle, GmPort, GmProtocolError};
 use crate::req_spans::{Arrival, RequesterSpans};
 
 /// Barrier ids above this are reserved for the auto-sequenced
@@ -140,45 +139,6 @@ impl<'a> SimPort<'a> {
         let msg = Message::decode(&sm.bytes).expect("undecodable runtime message");
         (msg, arrival)
     }
-
-    /// Coherence action before an own-node store mutation (no-op with the
-    /// cache off): the home's own directory step, then — the local-write
-    /// half of write-invalidate — a `GmInvalidate` to every sharer it
-    /// names, and a wait for their acknowledgements.
-    fn coherent_local_write(
-        &mut self,
-        reqs: &mut ReqIdGen,
-        region: RegionId,
-        offset: u64,
-        len: usize,
-    ) {
-        if !self.shared.config.gm_cache {
-            return;
-        }
-        let rc = self.shared.config.gm_mode == GmMode::ReleaseConsistency;
-        let mut txn = ReqId(0);
-        if !rc {
-            txn = reqs.next();
-            self.charge_local(0);
-        }
-        let (shared, node) = (&*self.shared, self.node);
-        let holders = sharers_to_invalidate(&shared.cache, rc, (region, offset, len), node, |c| {
-            shared.counters(node).count(c)
-        });
-        let inv = Message::GmInvalidate {
-            req: txn,
-            region,
-            offset,
-            len: len as u32,
-        };
-        for &h in &holders {
-            self.send_kernel(h, &inv, None);
-        }
-        let acked = |m: &Message| matches!(m, Message::GmInvalidateAck { req } if *req == txn);
-        for _ in &holders {
-            self.await_msg(acked, None);
-        }
-    }
 }
 
 impl GmPort for SimPort<'_> {
@@ -190,8 +150,12 @@ impl GmPort for SimPort<'_> {
         &self.shared.store
     }
 
-    fn caching(&self) -> bool {
-        self.shared.config.gm_cache
+    fn cache(&self) -> Option<&CacheStore> {
+        self.shared.config.gm_cache.then_some(&self.shared.cache)
+    }
+
+    fn gm_mode(&self) -> GmMode {
+        self.shared.config.gm_mode
     }
 
     fn gm_window(&self) -> usize {
@@ -244,70 +208,6 @@ impl GmPort for SimPort<'_> {
 
     fn bad_access(&self, what: &str, err: GmError) -> ! {
         panic!("rank {}: {what} failed: {err}", self.node.0)
-    }
-
-    fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {
-        self.shared.cache.get(self.node, region, block)
-    }
-
-    fn replica_install<'d>(
-        &mut self,
-        _epoch: u64,
-        region: RegionId,
-        blocks: impl Iterator<Item = (u64, &'d [u8])>,
-    ) {
-        for (b, data) in blocks {
-            self.shared
-                .cache
-                .install(self.node, region, b, data.to_vec());
-        }
-    }
-
-    fn replica_drop(&mut self, region: RegionId, offset: u64, len: usize) {
-        self.shared.cache.drop_range(self.node, region, offset, len);
-    }
-
-    fn replica_purge(&mut self) {
-        if self.shared.config.gm_cache && self.shared.config.gm_mode == GmMode::ReleaseConsistency {
-            self.charge_local(0);
-            self.shared.cache.purge_node(self.node);
-            self.counters().count(GmCount::RcAcquire);
-        }
-    }
-
-    /// The invalidation round runs inline, *before* the store write, so
-    /// nothing is left for the client to invalidate.
-    fn own_node_write(
-        &mut self,
-        reqs: &mut ReqIdGen,
-        region: RegionId,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<Vec<NodeId>, GmError> {
-        self.coherent_local_write(reqs, region, offset, data.len());
-        self.charge_local(data.len());
-        self.shared.store.write(region, offset, data)?;
-        Ok(Vec::new())
-    }
-
-    /// Like an own-node write: invalidate inline, then mutate the store.
-    fn own_node_fetch_add(
-        &mut self,
-        reqs: &mut ReqIdGen,
-        region: RegionId,
-        offset: u64,
-        delta: i64,
-    ) -> Result<(i64, Vec<NodeId>), GmError> {
-        self.coherent_local_write(reqs, region, offset, 8);
-        self.charge_local(8);
-        let prev = self.shared.store.fetch_add(region, offset, delta)?;
-        Ok((prev, Vec::new()))
-    }
-
-    /// A request that is *not* a `gm_request_msgs` count: the home kernel
-    /// counts the fetch-add it serves (DESIGN.md §5h).
-    fn send_atomic(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>) {
-        self.send_kernel(home, msg, ctx);
     }
 
     /// Node 0's process *is* the coordinator's node: it calls the kernel
@@ -435,7 +335,7 @@ impl<P: GmPort> ApiCtx<P> {
         let now = port.now_ns();
         port.spans().wait_end(now, wait, wait_span, t0, seq);
         sample(port, kind, t0);
-        port.replica_purge();
+        acquire_point(port);
     }
 
     /// [`ParallelApi::barrier`], callable without the trait in scope.

@@ -19,7 +19,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 use dse_kernel::cache::{blocks_inside, CACHE_BLOCK};
-use dse_kernel::{GlobalStore, GmCount, GmError, PeCounters};
+use dse_kernel::protocol::sharers_to_invalidate;
+use dse_kernel::{CacheStore, GlobalStore, GmCount, GmError, GmMode, PeCounters};
 use dse_msg::{
     is_bulk, Bytes, GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx,
 };
@@ -155,17 +156,20 @@ pub struct Unanswered {
 ///
 /// The two implementors are the simulator's port (virtual-time charging,
 /// the network model) and the live engine's (transport, a wire that can
-/// lose a message); each hands over its own clock and its PE's series, and
-/// the library records every count, sample and span against them and keeps
-/// every request's state. DESIGN.md §5m says, method by method, what each
-/// engine does and why the two bodies are not one.
+/// lose a message); each hands over its own clock, its charges, its wire
+/// and its PE's series, and the library records every count, sample and
+/// span against them, keeps every request's state and runs every
+/// coherence step itself (DESIGN.md §5m).
 pub trait GmPort {
     /// The node this client runs on.
     fn node(&self) -> NodeId;
-    /// The home-partitioned store: address arithmetic and own-node reads.
+    /// The home-partitioned store: address arithmetic and own-node access.
     fn store(&self) -> &GlobalStore;
-    /// Whether the read-replica cache is on for this run.
-    fn caching(&self) -> bool;
+    /// The run's replica caches and sharing directory, when the read-replica
+    /// cache is on.
+    fn cache(&self) -> Option<&CacheStore>;
+    /// The coherence protocol of a cached run.
+    fn gm_mode(&self) -> GmMode;
     /// How many requests this process may have on the wire at once.
     fn gm_window(&self) -> usize;
     /// How the client retransmits a request that goes unanswered, when this
@@ -208,55 +212,6 @@ pub trait GmPort {
     /// The application's `what` (an entry point's name) addressed global
     /// memory wrongly: fail the calling rank, before anything is sent.
     fn bad_access(&self, what: &str, err: GmError) -> !;
-
-    /// This node's replica of `block`, if it holds one.
-    fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>>;
-    /// This node's install epoch now; the client keeps it with each request
-    /// it sends, for [`GmPort::replica_install`]. By default it never moves:
-    /// in virtual time nothing races an install.
-    fn install_epoch(&self) -> u64 {
-        0
-    }
-    /// Install the blocks a request fetched (block id, block bytes), unless
-    /// the install epoch moved from `epoch`, its value when the request was
-    /// sent: then an invalidation raced the fetch.
-    fn replica_install<'d>(
-        &mut self,
-        epoch: u64,
-        region: RegionId,
-        blocks: impl Iterator<Item = (u64, &'d [u8])>,
-    );
-    /// Drop this node's replicas of every block the range touches.
-    fn replica_drop(&mut self, region: RegionId, offset: u64, len: usize);
-    /// Acquire point: drop every replica this node holds (a no-op outside
-    /// the release-consistency mode).
-    fn replica_purge(&mut self);
-
-    /// Apply a write to this node's own partition, with the engine's
-    /// coherence round around it. Returns the nodes whose replicas the
-    /// client must still invalidate, each acknowledgement gating the
-    /// writing handle (none when the round completed inline). The client
-    /// counts the write.
-    fn own_node_write(
-        &mut self,
-        reqs: &mut ReqIdGen,
-        region: RegionId,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<Vec<NodeId>, GmError>;
-    /// Fetch-and-add on a cell of this node's own partition, with the
-    /// engine's coherence round around it: the previous value, and the
-    /// nodes to invalidate as for a write. The client counts the atomic.
-    fn own_node_fetch_add(
-        &mut self,
-        reqs: &mut ReqIdGen,
-        region: RegionId,
-        offset: u64,
-        delta: i64,
-    ) -> Result<(i64, Vec<NodeId>), GmError>;
-    /// Put the atomic request `msg` for `home` on the wire like
-    /// [`GmPort::send_request`], counted the engine's own way.
-    fn send_atomic(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>);
 
     /// Hand `call` (a `BarrierEnter`, `LockReq` or `UnlockReq`) to the
     /// coordinator on node 0, under trace context `ctx`. True when the call
@@ -350,7 +305,7 @@ struct Outstanding {
     sent_ns: u64,
     /// Its root `gm_req` span (traced runs; never for an invalidation).
     span: Option<SentReq>,
-    /// The port's install epoch when it was sent.
+    /// This node's install epoch when it was sent.
     epoch: u64,
     /// How to send it again, when the port's wire can lose it.
     retry: Option<Retry>,
@@ -449,8 +404,7 @@ impl GmClient {
     }
 
     /// The process's request-id generator (the engine's own requests —
-    /// locks, terminations, the simulator's invalidation rounds — draw from
-    /// the same sequence).
+    /// locks, terminations — draw from the same sequence).
     pub fn req_ids(&mut self) -> &mut ReqIdGen {
         &mut self.reqs
     }
@@ -573,14 +527,15 @@ impl GmClient {
     /// Release-consistency acquire: fence, then drop this node's replicas.
     pub fn acquire<P: GmPort>(&mut self, port: &mut P) {
         self.fence(port);
-        port.replica_purge();
+        acquire_point(port);
     }
 
     /// Fetch-and-add `delta` on the 8-byte cell at `offset` of `region`:
     /// the previous value. Call it with nothing in flight. A remote cell is
-    /// one request, waited for at once; an own-node one is a library call,
-    /// and the invalidations it leaves are collected before this returns,
-    /// since an atomic has no handle to gate.
+    /// one request, waited for at once; an own-node one is a library call
+    /// that mutates the store first, like an own-node write, and the
+    /// invalidations it sends are collected before this returns, since an
+    /// atomic has no handle to gate.
     pub fn fetch_add<P: GmPort>(
         &mut self,
         port: &mut P,
@@ -592,16 +547,16 @@ impl GmClient {
             .store()
             .atomic_cell_home(region, offset)
             .unwrap_or_else(|e| port.bad_access("gm_fetch_add", e));
-        if port.caching() {
-            // The caller's own copy of the cell's block goes stale too.
-            port.replica_drop(region, offset, 8);
-        }
+        // The caller's own copy of the cell's block goes stale too.
+        drop_own_replicas(port, region, offset, 8);
         if home == port.node() {
-            let (prev, holders) = port
-                .own_node_fetch_add(&mut self.reqs, region, offset, delta)
+            port.charge_local(8);
+            let prev = port
+                .store()
+                .fetch_add(region, offset, delta)
                 .unwrap_or_else(|e| port.bad_access("gm_fetch_add", e));
             port.counters().count(GmCount::LocalFetchAdd);
-            self.invalidate(port, holders, region, offset, 8, None);
+            self.invalidate_sharers(port, region, offset, 8, None);
             while !self.inflight.is_empty() {
                 self.drain_one(port);
             }
@@ -684,7 +639,7 @@ impl GmClient {
         len: usize,
         eager: bool,
     ) -> GmHandle {
-        let caching = port.caching();
+        let caching = port.cache().is_some();
         let handle = self.new_handle(Some(len));
         for (home, off, rlen) in runs {
             let at = (off - offset) as usize;
@@ -727,7 +682,7 @@ impl GmClient {
             // read, as long as it lies inside one block.
             let b = off / bsz;
             let replica = (end <= (b + 1) * bsz)
-                .then(|| port.replica_get(region, b))
+                .then(|| replica(port, region, b))
                 .flatten();
             match replica {
                 Some(data) => {
@@ -741,7 +696,7 @@ impl GmClient {
                 Fetch::grow(&mut cur, off, full.start * bsz, None);
             }
             for b in full.clone() {
-                match port.replica_get(region, b) {
+                match replica(port, region, b) {
                     Some(data) => {
                         self.replica_hit(port, handle, (b * bsz - base) as usize, &data);
                         fetches.extend(cur.take());
@@ -776,20 +731,22 @@ impl GmClient {
         eager: bool,
     ) -> GmHandle {
         let runs = split(port, "gm_write", region, offset, data.len());
-        if port.caching() {
-            // A writer's own copies of the written range go stale too.
-            port.replica_drop(region, offset, data.len());
-        }
+        // A writer's own copies of the written range go stale too.
+        drop_own_replicas(port, region, offset, data.len());
         let handle = self.new_handle(None);
         for (home, off, rlen) in runs {
             let at = (off - offset) as usize;
             let chunk = &data[at..at + rlen];
             if home == port.node() {
-                let holders = port
-                    .own_node_write(&mut self.reqs, region, off, chunk)
+                // The store first: a lease granted after the write carries
+                // the new bytes, and every one granted before it is among
+                // the sharers the write then invalidates.
+                port.charge_local(rlen);
+                port.store()
+                    .write(region, off, chunk)
                     .unwrap_or_else(|e| port.bad_access("gm_write", e));
                 port.counters().count(GmCount::LocalWrite(rlen));
-                self.invalidate(port, holders, region, off, rlen, Some(handle));
+                self.invalidate_sharers(port, region, off, rlen, Some(handle));
             } else {
                 self.stage_write(port, home, region, off, chunk, handle, eager);
             }
@@ -1054,19 +1011,32 @@ impl GmClient {
         self.send(port, home, req, msg, InflightReq::Batch(ctls));
     }
 
-    /// Invalidate `[offset, offset + len)` of `region` at each of
-    /// `holders`, whose replicas an own-node mutation made stale: one
-    /// `GmInvalidate` each, whose acknowledgement `handle` (if any) waits
-    /// for.
-    fn invalidate<P: GmPort>(
+    /// The home's directory step for an own-node mutation of `[offset,
+    /// offset + len)` of `region`, which this node runs itself: one
+    /// `GmInvalidate` to each sharer it names, whose acknowledgement
+    /// `handle` (if any) waits for. Nothing without the cache.
+    fn invalidate_sharers<P: GmPort>(
         &mut self,
         port: &mut P,
-        holders: Vec<NodeId>,
         region: RegionId,
         offset: u64,
         len: usize,
         handle: Option<u64>,
     ) {
+        if port.cache().is_none() {
+            return;
+        }
+        let rc = port.gm_mode() == GmMode::ReleaseConsistency;
+        if !rc {
+            // Taking the sharers is a library call of its own.
+            port.charge_local(0);
+        }
+        let Some(cache) = port.cache() else {
+            return;
+        };
+        let range = (region, offset, len);
+        let holders =
+            sharers_to_invalidate(cache, rc, range, port.node(), |c| port.counters().count(c));
         for holder in holders {
             let req = self.reqs.next();
             let msg = Message::GmInvalidate {
@@ -1084,11 +1054,12 @@ impl GmClient {
     }
 
     /// Put request `req` for `home` on the wire and enter it in the
-    /// in-flight table with its root span, the port's install epoch and,
+    /// in-flight table with its root span, this node's install epoch and,
     /// when the port's wire can lose it, its retransmission schedule. An
     /// invalidation is no request of the application's: it has no span and
-    /// no latency sample. A staged read, write or batch enters the window's
-    /// high-water mark and is one `gm_request_msgs`.
+    /// no latency sample. Every other request — a read, write, batch or
+    /// fetch-add — enters the window's high-water mark and is one
+    /// `gm_request_msgs`.
     fn send<P: GmPort>(
         &mut self,
         port: &mut P,
@@ -1097,19 +1068,15 @@ impl GmClient {
         msg: Message,
         ctl: InflightReq,
     ) {
-        let epoch = port.install_epoch();
+        let epoch = port.cache().map_or(0, |c| c.epoch(port.node()));
         let sent_ns = port.now_ns();
-        let span = match msg {
-            Message::GmInvalidate { .. } => None,
-            _ => port.spans().request_sent(sent_ns, home.0 as u32, req.0),
+        let app_request = !matches!(msg, Message::GmInvalidate { .. });
+        let span = match app_request {
+            true => port.spans().request_sent(sent_ns, home.0 as u32, req.0),
+            false => None,
         };
         let ctx = span.map(|s| s.ctx);
-        let staged = matches!(ctl, InflightReq::Read(_) | InflightReq::Batch(_))
-            || matches!(msg, Message::GmWriteReq { .. });
-        match ctl {
-            InflightReq::FetchAdd => port.send_atomic(home, &msg, ctx),
-            _ => port.send_request(home, &msg, ctx),
-        }
+        port.send_request(home, &msg, ctx);
         let retry = port.retry_policy().map(|policy| {
             let backoff_ns = policy.base_delay.as_nanos() as u64;
             let due_ns = sent_ns + backoff_ns;
@@ -1129,7 +1096,7 @@ impl GmClient {
             retry,
         };
         self.inflight.insert(req.0, sent);
-        if staged {
+        if app_request {
             let counters = port.counters();
             counters.count(GmCount::RequestMsg);
             counters.gauge_max("gm_inflight", self.inflight.len() as u64);
@@ -1288,12 +1255,12 @@ impl GmClient {
             );
             return Err(GmProtocolError::new(req, want, got));
         }
-        if !ctl.install.is_empty() {
+        if let (false, Some(cache)) = (ctl.install.is_empty(), port.cache()) {
             let blocks = ctl.install.iter().map(|&b| {
                 let lo = (b * CACHE_BLOCK as u64 - ctl.offset) as usize;
                 (b, &data[lo..lo + CACHE_BLOCK])
             });
-            port.replica_install(epoch, ctl.region, blocks);
+            cache.install_data(port.node(), epoch, ctl.region, blocks);
         }
         for d in ctl.dests {
             let src = (d.abs_off - ctl.offset) as usize;
@@ -1335,6 +1302,31 @@ fn own_node_read<P: GmPort>(
     port.charge_local(len);
     port.store().read_with(region, offset, len, sink).unwrap();
     port.counters().count(GmCount::LocalRead(len));
+}
+
+/// This node's replica of `block`, if the cache is on and holds one.
+fn replica<P: GmPort>(port: &P, region: RegionId, block: u64) -> Option<Vec<u8>> {
+    port.cache()?.get(port.node(), region, block)
+}
+
+/// Drop this node's replicas of every block the range touches.
+fn drop_own_replicas<P: GmPort>(port: &P, region: RegionId, offset: u64, len: usize) {
+    if let Some(cache) = port.cache() {
+        cache.drop_range(port.node(), region, offset, len);
+    }
+}
+
+/// An acquire point: under release consistency, drop every replica this
+/// node holds (a library call, no wire traffic); write-invalidate keeps
+/// replicas exact, so there it does nothing.
+pub(crate) fn acquire_point<P: GmPort>(port: &mut P) {
+    if port.cache().is_some() && port.gm_mode() == GmMode::ReleaseConsistency {
+        port.charge_local(0);
+        if let Some(cache) = port.cache() {
+            cache.purge_node(port.node());
+        }
+        port.counters().count(GmCount::RcAcquire);
+    }
 }
 
 /// An exchange of `kind` begun at `since` is over: a sample of its series,
@@ -1685,7 +1677,7 @@ mod tests {
         // A block-covering remote read installs its block ...
         assert_eq!(c.read(&mut p, region, 1024, 600), expected(1024, 600));
         assert_eq!(p.sent.len(), 1);
-        assert!(p.replicas.contains_key(&(region, 2)));
+        assert!(p.replica(2).is_some());
         // ... which then serves whole-block and sub-block reads alone.
         let sent = p.sent.len();
         let h = read_nb(&mut c, &mut p, 1024, 512);
@@ -1696,9 +1688,16 @@ mod tests {
         assert_eq!(p.counter("cache_hits"), 2);
         // A write drops the writer's own replica of the range.
         c.write(&mut p, region, 1030, &[1; 4]);
-        assert!(!p.replicas.contains_key(&(region, 2)));
+        assert!(p.replica(2).is_none());
+        // Under release consistency an acquire drops every replica.
+        assert_eq!(c.read(&mut p, region, 1536, 512), expected(1536, 512));
         c.acquire(&mut p);
-        assert_eq!(p.purges, 1);
+        assert_eq!(p.counter("rc_acquires"), 0, "write-invalidate");
+        assert!(p.replica(3).is_some());
+        p.mode = GmMode::ReleaseConsistency;
+        c.acquire(&mut p);
+        assert_eq!(p.counter("rc_acquires"), 1);
+        assert!(p.replica(3).is_none());
     }
 
     #[test]
@@ -1707,15 +1706,18 @@ mod tests {
         p.caching = true;
         let h = read_nb(&mut c, &mut p, 1024, 512);
         c.flush_staged(&mut p);
-        p.epoch += 1; // an invalidation lands while the fetch is out
+        // An invalidation lands while the fetch is out.
+        let (node, region) = (p.node, p.region);
+        p.cache.drop_range(node, region, 1024, 512);
         assert_eq!(c.wait(&mut p, h), Some(expected(1024, 512)));
-        assert!(p.replicas.is_empty(), "the fetched bytes may be stale");
+        assert!(p.replica(2).is_none(), "the fetched bytes may be stale");
+        assert_eq!(p.cache.cached_blocks(node), 0);
     }
 
     #[test]
-    fn acks_returned_by_the_coherence_hook_gate_the_writing_handle() {
+    fn an_own_node_write_mutates_first_and_its_sharers_acks_gate_the_handle() {
         let (mut c, mut p) = (GmClient::new(32), port());
-        p.write_gates = 2;
+        p.share_own_blocks(2);
         let w = write_nb(&mut c, &mut p, 8, &[5; 8]);
         assert!(matches!(w.0, HandleInner::Queued(_)));
         assert_eq!(c.inflight(), 2);
@@ -1728,6 +1730,9 @@ mod tests {
             .sent
             .iter()
             .all(|(_, m)| matches!(m, Message::GmInvalidate { len: 8, .. })));
+        let holders: Vec<NodeId> = p.sent.iter().map(|(to, _)| *to).collect();
+        assert_eq!(holders, [NodeId(1), NodeId(2)]);
+        assert_eq!(p.counter("invalidation_rounds"), 1);
         assert_eq!(c.wait(&mut p, w), None);
         assert_eq!(
             p.samples("gm", "remote_write_ns"),
@@ -1736,6 +1741,24 @@ mod tests {
         );
         assert_eq!(p.counter("gm_request_msgs"), 0);
         assert_eq!(p.span_seqs(TraceSpanKind::GmBlock), [1]);
+        assert_eq!(c.inflight(), 0);
+        // The write took the leases: the next one to the block is free.
+        let w = write_nb(&mut c, &mut p, 16, &[6; 8]);
+        assert!(matches!(w.0, HandleInner::Ready(None)));
+        // An own-node fetch-add is a write too: a sharer's ack is collected
+        // before it returns.
+        p.share_own_blocks(1);
+        let region = p.region;
+        let before = p.sent.len();
+        let mut cell = [0u8; 8];
+        cell.copy_from_slice(&p.contents()[24..32]);
+        let prev = i64::from_le_bytes(cell);
+        assert_eq!(c.fetch_add(&mut p, region, 24, 3), prev);
+        assert_eq!(p.contents()[24..32], (prev + 3).to_le_bytes());
+        assert!(matches!(
+            p.sent[before..],
+            [(NodeId(1), Message::GmInvalidate { .. })]
+        ));
         assert_eq!(c.inflight(), 0);
     }
 

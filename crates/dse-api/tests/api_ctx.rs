@@ -7,6 +7,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dse_api::{ApiCtx, Distribution, GlobalPid, NodeId, ParallelApi, AUTO_BARRIER_BASE};
+use dse_kernel::GmMode;
 use dse_msg::Message;
 use dse_obs::TraceSpanKind;
 
@@ -135,12 +136,14 @@ fn auto_barrier_ids_count_up_from_the_base() {
 #[test]
 fn a_release_and_a_grant_are_acquire_points_and_an_unlock_is_not() {
     let mut c = ctx();
+    (c.port.caching, c.port.mode) = (true, GmMode::ReleaseConsistency);
+    let acquires = |c: &ApiCtx<FakePort>| c.port.counter("rc_acquires");
     c.barrier();
-    assert_eq!(c.port.purges, 1, "barrier release");
+    assert_eq!(acquires(&c), 1, "barrier release");
     c.lock(9);
-    assert_eq!(c.port.purges, 2, "lock grant");
+    assert_eq!(acquires(&c), 2, "lock grant");
     c.unlock(9);
-    assert_eq!(c.port.purges, 2, "unlock only releases");
+    assert_eq!(acquires(&c), 2, "unlock only releases");
     assert!(c.port.answers.is_empty());
     let lock_req = match &c.port.sent[1].1 {
         Message::LockReq { req, lock: 9, .. } => req.0,
@@ -155,7 +158,7 @@ fn a_release_and_a_grant_are_acquire_points_and_an_unlock_is_not() {
     // acquire point as one a release message ends, and waits for nothing.
     c.port.barriers_complete_in_place = true;
     c.barrier();
-    assert_eq!(c.port.purges, 3);
+    assert_eq!(acquires(&c), 3);
     assert_eq!(c.port.samples("sync", "barrier_wait_ns"), 2);
     assert_eq!(c.port.samples("sync", "lock_wait_ns"), 1);
 }

@@ -75,18 +75,12 @@ fn span(off: u16, len: usize) -> (usize, usize) {
     (off, len.min(LEN - off))
 }
 
-fn run_script(
-    ops: Vec<Op>,
-    seed: u64,
-    window: usize,
-    caching: bool,
-    write_gates: usize,
-    lossy: bool,
-) {
+fn run_script(ops: Vec<Op>, seed: u64, window: usize, caching: bool, sharers: u16, lossy: bool) {
     let mut port = FakePort::new(4, LEN, |i| (i % 251) as u8);
     port.seed = seed;
-    port.caching = caching;
-    port.write_gates = write_gates;
+    if caching {
+        port.share_own_blocks(sharers);
+    }
     if lossy {
         // One answer in four lost and one in four delivered twice; with 64
         // sends allowed, giving up is not a case this test meets.
@@ -188,10 +182,10 @@ proptest! {
         seed in any::<u64>(),
         window in 1usize..6,
         caching in any::<bool>(),
-        write_gates in 0usize..3,
+        sharers in 0u16..3,
         lossy in any::<bool>(),
     ) {
-        run_script(ops, seed, window, caching, write_gates, lossy);
+        run_script(ops, seed, window, caching, sharers, lossy);
     }
 
     /// A home that answers a read with the wrong number of bytes fails the

@@ -30,9 +30,9 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use dse_api::{Arrival, Distribution, GmPort, GmProtocolError, RequesterSpans, Unanswered};
-use dse_kernel::cache::{blocks_touching, CACHE_BLOCK};
-use dse_kernel::{GlobalStore, GmError, PeCounters};
-use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqIdGen, TraceCtx};
+use dse_kernel::cache::CACHE_BLOCK;
+use dse_kernel::{CacheStore, GlobalStore, GmError, GmMode, PeCounters};
+use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, TraceCtx};
 use dse_obs::{Registry, TraceSpanKind};
 use dse_transport::RetryPolicy;
 
@@ -47,13 +47,13 @@ pub struct FakePort {
     pub node: NodeId,
     pub store: GlobalStore,
     pub region: RegionId,
+    /// Whether the client sees [`FakePort::cache`].
     pub caching: bool,
-    /// The install epoch; a test moves it to stand for an invalidation.
-    pub epoch: u64,
-    /// Invalidations each own-node write leaves for the client to send, to
-    /// node 1 (the live engine's shape of the coherence hook; 0 = the
-    /// simulator's inline round).
-    pub write_gates: usize,
+    /// The coherence protocol of a cached run.
+    pub mode: GmMode,
+    /// Every node's replicas and the sharing directory. The fake homes
+    /// record no leases: a test grants the ones it needs.
+    pub cache: CacheStore,
     /// A misbehaving home: every read is answered with this many bytes,
     /// whatever was asked for.
     pub forged_read_len: Option<usize>,
@@ -93,8 +93,6 @@ pub struct FakePort {
     pub done: Vec<usize>,
     /// What the deadline hook was told, once it fired.
     pub gave_up: Option<Unanswered>,
-    pub replicas: HashMap<(RegionId, u64), Vec<u8>>,
-    pub purges: usize,
     /// Where the library counts and samples.
     pub metrics: Registry,
     pub spans: RequesterSpans,
@@ -115,8 +113,8 @@ impl FakePort {
             store,
             region,
             caching: false,
-            epoch: 0,
-            write_gates: 0,
+            mode: GmMode::WriteInvalidate,
+            cache: CacheStore::new(homes),
             forged_read_len: None,
             seed: 1,
             pending: (0..homes).map(|_| VecDeque::new()).collect(),
@@ -134,8 +132,6 @@ impl FakePort {
             ctxs: Vec::new(),
             done: Vec::new(),
             gave_up: None,
-            replicas: HashMap::new(),
-            purges: 0,
             metrics: Registry::new(),
             spans: RequesterSpans::new(0, true, 0),
             clock: Cell::new(0),
@@ -182,6 +178,25 @@ impl FakePort {
     pub fn contents(&self) -> Vec<u8> {
         let len = self.store.region_len(self.region).unwrap();
         self.store.read(self.region, 0, len).unwrap()
+    }
+
+    /// Turn the cache on and lease every block node 0 homes to nodes
+    /// `1..=holders`, so that an own-node write is gated on that many
+    /// invalidations (once per block: the write takes the leases).
+    pub fn share_own_blocks(&mut self, holders: u16) {
+        self.caching = true;
+        let len = self.store.region_len(self.region).unwrap();
+        let own = len.div_ceil(self.pending.len());
+        for b in 0..own.div_ceil(CACHE_BLOCK) as u64 {
+            for h in 1..=holders {
+                self.cache.grant(NodeId(h), self.region, b);
+            }
+        }
+    }
+
+    /// This node's replica of `block`, if it holds one.
+    pub fn replica(&self, block: u64) -> Option<Vec<u8>> {
+        self.cache.get(self.node, self.region, block)
     }
 
     /// Requests queued at the homes and not yet answered.
@@ -324,8 +339,12 @@ impl GmPort for FakePort {
         &self.store
     }
 
-    fn caching(&self) -> bool {
-        self.caching
+    fn cache(&self) -> Option<&CacheStore> {
+        self.caching.then_some(&self.cache)
+    }
+
+    fn gm_mode(&self) -> GmMode {
+        self.mode
     }
 
     /// Room for a few staged requests before a flush is forced (tests of
@@ -392,65 +411,6 @@ impl GmPort for FakePort {
 
     fn bad_access(&self, what: &str, err: GmError) -> ! {
         panic!("{what} failed: {err}")
-    }
-
-    fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {
-        self.replicas.get(&(region, block)).cloned()
-    }
-
-    fn install_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn replica_install<'d>(
-        &mut self,
-        epoch: u64,
-        region: RegionId,
-        blocks: impl Iterator<Item = (u64, &'d [u8])>,
-    ) {
-        if epoch != self.epoch {
-            return;
-        }
-        for (b, data) in blocks {
-            assert_eq!(data.len(), CACHE_BLOCK);
-            self.replicas.insert((region, b), data.to_vec());
-        }
-    }
-
-    fn replica_drop(&mut self, region: RegionId, offset: u64, len: usize) {
-        for b in blocks_touching(offset, len) {
-            self.replicas.remove(&(region, b));
-        }
-    }
-
-    fn replica_purge(&mut self) {
-        self.purges += 1;
-        self.replicas.clear();
-    }
-
-    fn own_node_write(
-        &mut self,
-        _reqs: &mut ReqIdGen,
-        region: RegionId,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<Vec<NodeId>, GmError> {
-        self.store.write(region, offset, data)?;
-        Ok(vec![NodeId(1); self.write_gates])
-    }
-
-    fn own_node_fetch_add(
-        &mut self,
-        _reqs: &mut ReqIdGen,
-        region: RegionId,
-        offset: u64,
-        delta: i64,
-    ) -> Result<(i64, Vec<NodeId>), GmError> {
-        Ok((self.store.fetch_add(region, offset, delta)?, Vec::new()))
-    }
-
-    fn send_atomic(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>) {
-        self.send_request(home, msg, ctx);
     }
 
     fn to_coordinator(&mut self, call: Message, ctx: Option<TraceCtx>) -> bool {

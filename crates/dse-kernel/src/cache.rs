@@ -52,11 +52,27 @@ pub fn blocks_inside(offset: u64, len: usize) -> std::ops::Range<u64> {
     first..last.max(first)
 }
 
+/// One node's replicas and its install epoch, under one lock: every drop
+/// moves the epoch in the same step that removes the blocks.
+#[derive(Default)]
+struct NodeCache {
+    blocks: HashMap<BlockKey, Vec<u8>>,
+    /// How many drops this node's replicas have seen.
+    epoch: u64,
+}
+
 /// Per-node block caches (one map per node, all living in the shared state
-/// because the simulator is one address space; the per-node separation is
-/// what the costs are charged against).
+/// because both engines run a cluster in one address space; the per-node
+/// separation is what the costs are charged against).
+///
+/// **A lease has two halves.** The home records the reader as a sharer when
+/// it serves the read ([`CacheStore::grant`]); the requester installs the
+/// bytes when it takes the answer ([`CacheStore::install_data`]), and only if
+/// its node's install epoch has not moved since it sent the request. An
+/// invalidation that lands between the two therefore can never be undone
+/// by a late install, on either engine.
 pub struct CacheStore {
-    nodes: Vec<Mutex<HashMap<BlockKey, Vec<u8>>>>,
+    nodes: Vec<Mutex<NodeCache>>,
     /// Directory: which nodes hold a copy of each block. Lives with the
     /// data homes conceptually; centralized here because both engines run
     /// in one address space.
@@ -67,7 +83,7 @@ impl CacheStore {
     /// Caches for `nnodes` nodes.
     pub fn new(nnodes: usize) -> CacheStore {
         CacheStore {
-            nodes: (0..nnodes).map(|_| Mutex::new(HashMap::new())).collect(),
+            nodes: (0..nnodes).map(|_| Mutex::default()).collect(),
             directory: Directory::new(),
         }
     }
@@ -76,45 +92,55 @@ impl CacheStore {
     pub fn get(&self, node: NodeId, region: RegionId, block: u64) -> Option<Vec<u8>> {
         self.nodes[node.index()]
             .lock()
+            .blocks
             .get(&(region, block))
             .cloned()
     }
 
-    /// Install a block copy at `node` and register it in the directory.
-    /// Returns true when this created a fresh directory lease (as opposed
-    /// to refreshing a copy the directory already knew about).
-    pub fn install(&self, node: NodeId, region: RegionId, block: u64, data: Vec<u8>) -> bool {
-        debug_assert_eq!(data.len(), CACHE_BLOCK);
-        self.nodes[node.index()]
-            .lock()
-            .insert((region, block), data);
-        self.directory.grant(region, block, node)
-    }
-
-    /// Register `node` in the directory for `block` without installing
-    /// data — the home-side half of a lease grant when the data travels to
-    /// the requester separately (live engine). Returns true on a fresh
-    /// lease.
+    /// Register `node` in the directory for `block`: the home's half of a
+    /// lease, recorded when it serves the read. Returns true on a fresh
+    /// lease (as opposed to one the directory already knew about).
     pub fn grant(&self, node: NodeId, region: RegionId, block: u64) -> bool {
         self.directory.grant(region, block, node)
     }
 
-    /// Install block data at `node` without touching the directory — the
-    /// requester-side half of a live-engine lease whose directory entry the
-    /// home already recorded at serve time.
-    pub fn install_data(&self, node: NodeId, region: RegionId, block: u64, data: Vec<u8>) {
-        debug_assert_eq!(data.len(), CACHE_BLOCK);
-        self.nodes[node.index()]
-            .lock()
-            .insert((region, block), data);
+    /// `node`'s install epoch now: a requester keeps it with each read it
+    /// sends, for [`CacheStore::install_data`].
+    pub fn epoch(&self, node: NodeId) -> u64 {
+        self.nodes[node.index()].lock().epoch
+    }
+
+    /// The requester's half of a lease: install the fetched `blocks` (block
+    /// id, block bytes) at `node`, unless its install epoch moved from
+    /// `epoch`, its value when the read was sent — then an invalidation
+    /// raced the fetch and the bytes may be stale. Returns whether it
+    /// installed.
+    pub fn install_data<'d>(
+        &self,
+        node: NodeId,
+        epoch: u64,
+        region: RegionId,
+        blocks: impl Iterator<Item = (u64, &'d [u8])>,
+    ) -> bool {
+        let mut cache = self.nodes[node.index()].lock();
+        if cache.epoch != epoch {
+            return false;
+        }
+        for (b, data) in blocks {
+            debug_assert_eq!(data.len(), CACHE_BLOCK);
+            cache.blocks.insert((region, b), data.to_vec());
+        }
+        true
     }
 
     /// Drop `node`'s copies of all blocks intersecting the range (the
-    /// holder-side action of a `GmInvalidate`).
+    /// holder-side action of a `GmInvalidate`, and a writer's own copies),
+    /// moving its install epoch.
     pub fn drop_range(&self, node: NodeId, region: RegionId, offset: u64, len: usize) {
-        let mut map = self.nodes[node.index()].lock();
+        let mut cache = self.nodes[node.index()].lock();
+        cache.epoch += 1;
         for b in blocks_touching(offset, len) {
-            map.remove(&(region, b));
+            cache.blocks.remove(&(region, b));
         }
     }
 
@@ -149,9 +175,10 @@ impl CacheStore {
     /// the number of replicas dropped.
     pub fn purge_node(&self, node: NodeId) -> usize {
         let dropped = {
-            let mut map = self.nodes[node.index()].lock();
-            let n = map.len();
-            map.clear();
+            let mut cache = self.nodes[node.index()].lock();
+            cache.epoch += 1;
+            let n = cache.blocks.len();
+            cache.blocks.clear();
             n
         };
         self.directory.release_node(node);
@@ -160,7 +187,7 @@ impl CacheStore {
 
     /// Number of blocks currently cached at `node` (for tests/stats).
     pub fn cached_blocks(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].lock().len()
+        self.nodes[node.index()].lock().blocks.len()
     }
 
     /// The backing sharing directory (diagnostics and property tests).
@@ -174,6 +201,15 @@ mod tests {
     use super::*;
 
     const B: u64 = CACHE_BLOCK as u64;
+
+    /// Both halves of a lease of `block` to `node`, its bytes all `byte`:
+    /// whether the directory's half was fresh.
+    fn lease_to(cs: &CacheStore, node: NodeId, r: RegionId, block: u64, byte: u8) -> bool {
+        let data = vec![byte; CACHE_BLOCK];
+        let epoch = cs.epoch(node);
+        assert!(cs.install_data(node, epoch, r, std::iter::once((block, &data[..]))));
+        cs.grant(node, r, block)
+    }
 
     #[test]
     fn block_ranges() {
@@ -196,7 +232,7 @@ mod tests {
     fn install_get_drop() {
         let cs = CacheStore::new(2);
         let r = RegionId(1);
-        cs.install(NodeId(0), r, 3, vec![7; CACHE_BLOCK]);
+        lease_to(&cs, NodeId(0), r, 3, 7);
         assert_eq!(cs.get(NodeId(0), r, 3).unwrap()[0], 7);
         assert!(cs.get(NodeId(1), r, 3).is_none());
         cs.drop_range(NodeId(0), r, 3 * B, CACHE_BLOCK);
@@ -204,12 +240,27 @@ mod tests {
     }
 
     #[test]
+    fn a_drop_between_send_and_install_refuses_the_install() {
+        let cs = CacheStore::new(2);
+        let r = RegionId(0);
+        let data = vec![1; CACHE_BLOCK];
+        let sent = cs.epoch(NodeId(1));
+        cs.drop_range(NodeId(1), r, 0, 8);
+        assert!(!cs.install_data(NodeId(1), sent, r, std::iter::once((0, &data[..]))));
+        assert!(cs.get(NodeId(1), r, 0).is_none());
+        let sent = cs.epoch(NodeId(1));
+        cs.purge_node(NodeId(1));
+        assert!(!cs.install_data(NodeId(1), sent, r, std::iter::once((0, &data[..]))));
+        assert_eq!(cs.epoch(NodeId(0)), 0, "another node's epoch stays put");
+    }
+
+    #[test]
     fn directory_tracks_and_clears_holders() {
         let cs = CacheStore::new(3);
         let r = RegionId(0);
-        cs.install(NodeId(1), r, 0, vec![0; CACHE_BLOCK]);
-        cs.install(NodeId(2), r, 0, vec![0; CACHE_BLOCK]);
-        cs.install(NodeId(2), r, 1, vec![0; CACHE_BLOCK]);
+        lease_to(&cs, NodeId(1), r, 0, 0);
+        lease_to(&cs, NodeId(2), r, 0, 0);
+        lease_to(&cs, NodeId(2), r, 1, 0);
         // A write over blocks 0..2, from node 1's perspective.
         let holders = cs.take_holders(r, 0, 2 * CACHE_BLOCK, NodeId(1));
         assert_eq!(holders, vec![NodeId(2)]);
@@ -221,9 +272,9 @@ mod tests {
     fn purge_node_releases_replicas_and_leases() {
         let cs = CacheStore::new(2);
         let r = RegionId(0);
-        assert!(cs.install(NodeId(0), r, 0, vec![0; CACHE_BLOCK]), "lease");
-        assert!(!cs.install(NodeId(0), r, 0, vec![1; CACHE_BLOCK]));
-        cs.install(NodeId(1), r, 0, vec![0; CACHE_BLOCK]);
+        assert!(lease_to(&cs, NodeId(0), r, 0, 0), "lease");
+        assert!(!lease_to(&cs, NodeId(0), r, 0, 1));
+        lease_to(&cs, NodeId(1), r, 0, 0);
         assert_eq!(cs.purge_node(NodeId(0)), 1);
         assert!(cs.get(NodeId(0), r, 0).is_none());
         // Node 0's lease is gone from the directory; node 1's survives.
@@ -249,8 +300,8 @@ mod tests {
     fn take_holders_dedups_across_blocks() {
         let cs = CacheStore::new(2);
         let r = RegionId(0);
-        cs.install(NodeId(1), r, 0, vec![0; CACHE_BLOCK]);
-        cs.install(NodeId(1), r, 1, vec![0; CACHE_BLOCK]);
+        lease_to(&cs, NodeId(1), r, 0, 0);
+        lease_to(&cs, NodeId(1), r, 1, 0);
         let holders = cs.take_holders(r, 0, 2 * CACHE_BLOCK, NodeId(0));
         assert_eq!(holders, vec![NodeId(1)]);
     }

@@ -211,9 +211,12 @@ impl<'a> PeCounters<'a> {
         }
     }
 
-    /// Add `what` to the counters it moves.
+    /// Add `what` to the counters it moves, under one lock of the PE's
+    /// registry shard.
     pub fn count(self, what: impl Count) {
-        what.each(|name, n| self.metrics.add(self.key(name), n));
+        (self.metrics).add_each(Some(self.pe), |add| {
+            what.each(|name, n| add(self.key(name), n))
+        });
     }
 
     /// One message served in `service_ns`: a `kernel/requests_served` and

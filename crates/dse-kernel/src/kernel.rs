@@ -36,11 +36,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dse_msg::{GlobalPid, Message, NodeId, RegionId, TraceCtx};
+use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
 use dse_obs::{ClusterAggregator, Registry, TraceRole};
 use dse_sim::{CompCtx, Component, ProcCtx, ProcId, SimDuration, SimTime, Wait, Wakeup};
 
-use crate::cache::CacheStore;
 use crate::config::GmMode;
 use crate::counters::{KernelCount, PeCounters};
 use crate::home_spans::Origin;
@@ -62,9 +61,8 @@ pub type AppFactory = Arc<dyn Fn(u32, GlobalPid) -> AppBody + Send + Sync>;
 /// The simulator's [`Host`]: node `node` of the shared cluster at virtual
 /// time `now` (the component moves it on every resume). Barrier and lock
 /// state lives in [`ClusterShared`], where node 0's own process coordinates
-/// in place; a lease installs the block in the requester's cache at once
-/// (one address space); a copy costs the machine's `mem_copy`; ticks are
-/// paced by the component's timer alone.
+/// in place; a copy costs the machine's `mem_copy`; ticks are paced by the
+/// component's timer alone.
 pub struct SimHost {
     shared: Arc<ClusterShared>,
     node: NodeId,
@@ -94,7 +92,8 @@ impl Host for SimHost {
     fn protocol(&self, gates: Gates<Requester>) -> KernelProtocol<'_, Requester> {
         let (s, config) = (&*self.shared, &self.shared.config);
         let rc = config.gm_mode == GmMode::ReleaseConsistency;
-        KernelProtocol::resume(&s.store, config.gm_cache.then_some(&s.cache), rc, gates)
+        let cache = config.gm_cache.then_some(&s.cache);
+        KernelProtocol::resume(self.node, &s.store, cache, rc, gates)
     }
 
     fn barriers(&self) -> &BarrierCenter<Requester> {
@@ -103,17 +102,6 @@ impl Host for SimHost {
 
     fn locks(&self) -> &LockCenter<Requester> {
         &self.shared.locks
-    }
-
-    fn lease(
-        &self,
-        cache: &CacheStore,
-        holder: NodeId,
-        region: RegionId,
-        block: u64,
-        data: &[u8],
-    ) -> bool {
-        cache.install(holder, region, block, data.to_vec())
     }
 
     fn copy_charge(&self, bytes: usize) -> SimDuration {

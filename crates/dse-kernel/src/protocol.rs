@@ -22,7 +22,7 @@ use std::collections::hash_map::{Entry, HashMap};
 
 use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId};
 
-use crate::cache::{blocks_inside, CacheStore, CACHE_BLOCK};
+use crate::cache::{blocks_inside, CacheStore};
 use crate::counters::KernelCount;
 use crate::gmem::GlobalStore;
 use crate::service::{serve_gm, GmServiceHooks, Served};
@@ -48,14 +48,10 @@ pub const KERNEL_TXN_BASE: u64 = 1 << 63;
 /// channel with no fault plan every PE does, because answers reach its
 /// applications directly there.
 ///
-/// One difference between the engines is deliberate, and is the hosts',
-/// not the machine's: **where a leased block's data goes**
-/// ([`KernelPort::lease`]). The simulator's home installs it in the
-/// requester's replica cache at serve time; the live home only records the
-/// lease, and the requester installs on completion under its install
-/// epoch. A read issued after the home served an earlier overlapping one,
-/// but before that one is waited on, therefore hits in the simulator and
-/// misses live.
+/// A lease is recorded the same way on both engines: the home registers
+/// the reader as a sharer at serve time, and the requester installs the
+/// bytes on completion, under its node's install epoch
+/// ([`CacheStore::install_data`]).
 ///
 /// Request dedup, keyed `(from PE, req)`, is the driver's, armed only by
 /// the live constructor: only a lossy wire retransmits. The simulator must
@@ -78,19 +74,6 @@ pub trait KernelPort {
     /// Charge this node for copying `bytes` between a message and the
     /// store, now.
     fn charge_copy(&mut self, bytes: usize);
-
-    /// Lease `block` (whose bytes are `data`) to `holder`. Returns true
-    /// when `holder` was not already a sharer.
-    fn lease(
-        &mut self,
-        cache: &CacheStore,
-        holder: NodeId,
-        region: RegionId,
-        block: u64,
-        data: &[u8],
-    ) -> bool;
-    /// Drop this node's replicas of every block the range touches.
-    fn drop_replicas(&mut self, cache: &CacheStore, region: RegionId, offset: u64, len: usize);
 
     /// Send `msg` to the requester `to` on `node`, now.
     fn send(&mut self, node: NodeId, to: Self::Reply, msg: Message);
@@ -141,6 +124,8 @@ impl<R> Default for Gates<R> {
 
 /// One node's serving-side protocol state.
 pub struct KernelProtocol<'a, R> {
+    /// The node it serves.
+    node: NodeId,
     store: &'a GlobalStore,
     /// Replica cache and sharing directory (`None` on uncached runs).
     cache: Option<&'a CacheStore>,
@@ -150,21 +135,28 @@ pub struct KernelProtocol<'a, R> {
 }
 
 impl<'a, R: Copy> KernelProtocol<'a, R> {
-    /// The protocol of a node serving `store`, with `cache` when the run
+    /// The protocol of `node`, serving `store`, with `cache` when the run
     /// replicates reads and `rc` selecting release consistency.
-    pub fn new(store: &'a GlobalStore, cache: Option<&'a CacheStore>, rc: bool) -> Self {
-        Self::resume(store, cache, rc, Gates::default())
+    pub fn new(
+        node: NodeId,
+        store: &'a GlobalStore,
+        cache: Option<&'a CacheStore>,
+        rc: bool,
+    ) -> Self {
+        Self::resume(node, store, cache, rc, Gates::default())
     }
 
     /// [`KernelProtocol::new`], picking up the gates an earlier instance
     /// left open.
     pub fn resume(
+        node: NodeId,
         store: &'a GlobalStore,
         cache: Option<&'a CacheStore>,
         rc: bool,
         gates: Gates<R>,
     ) -> Self {
         KernelProtocol {
+            node,
             store,
             cache,
             rc,
@@ -191,6 +183,7 @@ impl<'a, R: Copy> KernelProtocol<'a, R> {
         let txn = KERNEL_TXN_BASE | self.gates.next_txn;
         let mut hooks = ServeHooks {
             port,
+            node: self.node,
             cache: self.cache,
             rc: self.rc,
             requester: from,
@@ -247,6 +240,8 @@ impl<'a, R: Copy> KernelProtocol<'a, R> {
 /// the next one executes.
 struct ServeHooks<'p, P> {
     port: &'p mut P,
+    /// The node serving.
+    node: NodeId,
     cache: Option<&'p CacheStore>,
     rc: bool,
     requester: NodeId,
@@ -316,14 +311,9 @@ impl<P: KernelPort> GmServiceHooks for ServeHooks<'_, P> {
         if let Some(cache) = self.cache {
             // The reader keeps every block fully inside the response;
             // record it as a sharer of exactly those.
-            let mut fresh = 0;
-            for b in blocks_inside(offset, data.len()) {
-                let lo = (b * CACHE_BLOCK as u64 - offset) as usize;
-                let block = &data[lo..lo + CACHE_BLOCK];
-                if self.port.lease(cache, self.requester, region, b, block) {
-                    fresh += 1;
-                }
-            }
+            let fresh = blocks_inside(offset, data.len())
+                .filter(|&b| cache.grant(self.requester, region, b))
+                .count() as u64;
             if fresh > 0 {
                 self.port.count(KernelCount::DirLeases(fresh));
             }
@@ -345,7 +335,7 @@ impl<P: KernelPort> GmServiceHooks for ServeHooks<'_, P> {
         // The holder side: drop this node's stale replicas before the ack
         // goes back to the writer's home.
         if let Some(cache) = self.cache {
-            self.port.drop_replicas(cache, region, offset, len);
+            cache.drop_range(self.node, region, offset, len);
             self.port.count(KernelCount::DirInval);
         }
     }

@@ -23,11 +23,10 @@
 //! fan-out, the `Abort` relay, app-mail routing, the ingest and shutdown
 //! flush of the shared [`Telemetry`] plane, and — armed only by
 //! [`KernelTask::new`], whose requesters retry — replay of answered
-//! requests. What still differs per engine is a
-//! [`Host`]: which structure lends the run's one barrier and lock state,
-//! what a lease does, the clocks, the cost of a copy, and the pacing of
-//! telemetry ticks. The live engine's host is [`Live`]; the simulator's is
-//! in [`crate::kernel`].
+//! requests. What still differs per engine is a [`Host`]: which structure
+//! lends the run's one barrier and lock state, the clocks, the cost of a
+//! copy, and the pacing of telemetry ticks. The live engine's host is
+//! [`Live`]; the simulator's is in [`crate::kernel`].
 //!
 //! Because the task never blocks, the live engine's one driver can give a
 //! task a worker of its own (thread-per-PE: the worker waits in its
@@ -41,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use dse_msg::{GlobalPid, Message, NodeId, RegionId, TraceCtx};
+use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
 use dse_obs::{ClusterAggregator, FlightRecorder, MetricKey, Registry, TraceSpanRec};
 use dse_sim::{ProcId, SimDuration};
 
@@ -205,9 +204,10 @@ pub struct Requester {
     pub key: Option<(u32, u64)>,
 }
 
-/// What an engine lends the kernel driver: the node's state, its clocks,
-/// the rows of [`KernelPort`] that differ on purpose (DESIGN §5n), and the
-/// pacing of telemetry ticks. The driver has no other branch on the engine.
+/// What an engine lends the kernel driver: the node's state, where the
+/// run's barrier and lock state lives, its clocks, the cost of a copy, and
+/// the pacing of telemetry ticks (DESIGN §5n). The driver has no other
+/// branch on the engine, and the protocol none at all.
 pub trait Host {
     /// The epoch hook's handle.
     type Hook: Deref<Target: Fn(&ClusterAggregator, u64)>;
@@ -222,19 +222,6 @@ pub trait Host {
     fn barriers(&self) -> &BarrierCenter<Requester>;
     /// The run's lock coordination state.
     fn locks(&self) -> &LockCenter<Requester>;
-    /// [`KernelPort::lease`].
-    fn lease(
-        &self,
-        cache: &CacheStore,
-        holder: NodeId,
-        region: RegionId,
-        block: u64,
-        data: &[u8],
-    ) -> bool;
-    /// [`KernelPort::drop_replicas`].
-    fn drop_replicas(&self, cache: &CacheStore, region: RegionId, offset: u64, len: usize) {
-        cache.drop_range(NodeId(self.pe() as u16), region, offset, len);
-    }
     /// What copying `bytes` costs this node's CPU: nothing where the copy
     /// runs for real.
     fn copy_charge(&self, _bytes: usize) -> SimDuration {
@@ -279,7 +266,9 @@ pub struct KernelEnv<'a> {
     pub cache: Option<&'a CacheStore>,
     /// Coherence protocol for cached runs.
     pub gm_mode: GmMode,
-    /// This PE's install guard (epoch of applied invalidations).
+    /// Read by nothing: a node's install epoch lives in its
+    /// [`CacheStore`], under the lock of its replicas. Kept only so that
+    /// code which builds this struct by its fields still compiles.
     pub install_guard: &'a Mutex<u64>,
     /// Engine clock origin for flight/span timestamps.
     pub engine_t0: Instant,
@@ -350,7 +339,8 @@ impl<'a> Host for Live<'a> {
 
     fn protocol(&self, gates: Gates<Requester>) -> KernelProtocol<'_, Requester> {
         let rc = self.env.gm_mode == GmMode::ReleaseConsistency;
-        KernelProtocol::resume(self.env.store, self.env.cache, rc, gates)
+        let node = NodeId(self.env.pe as u16);
+        KernelProtocol::resume(node, self.env.store, self.env.cache, rc, gates)
     }
 
     fn barriers(&self) -> &BarrierCenter<Requester> {
@@ -365,29 +355,6 @@ impl<'a> Host for Live<'a> {
             Centres::Run(_, locks) => locks,
             Centres::Own(_, locks) => locks,
         }
-    }
-
-    /// Only the home-side half of the lease: the data travels in the
-    /// response and the requester installs it on completion, under its
-    /// install epoch.
-    fn lease(
-        &self,
-        cache: &CacheStore,
-        holder: NodeId,
-        region: RegionId,
-        block: u64,
-        _: &[u8],
-    ) -> bool {
-        cache.grant(holder, region, block)
-    }
-
-    /// Epoch first, then the drop, both under the guard: an app-side
-    /// install that checked the epoch before this bump is either already in
-    /// the map (the drop removes it) or will re-check and skip.
-    fn drop_replicas(&self, cache: &CacheStore, region: RegionId, offset: u64, len: usize) {
-        let mut epoch = self.env.install_guard.lock();
-        *epoch += 1;
-        cache.drop_range(NodeId(self.env.pe as u16), region, offset, len);
     }
 
     fn metrics(&self) -> &Registry {
@@ -546,21 +513,6 @@ impl<H: Host> KernelPort for Port<'_, H> {
         if !dur.is_zero() {
             self.st.out(Outbound::Charge(dur));
         }
-    }
-
-    fn lease(
-        &mut self,
-        cache: &CacheStore,
-        holder: NodeId,
-        region: RegionId,
-        block: u64,
-        data: &[u8],
-    ) -> bool {
-        self.host.lease(cache, holder, region, block, data)
-    }
-
-    fn drop_replicas(&mut self, cache: &CacheStore, region: RegionId, offset: u64, len: usize) {
-        self.host.drop_replicas(cache, region, offset, len);
     }
 
     fn send_kernel(&mut self, node: NodeId, msg: Message) {

@@ -159,7 +159,7 @@ fn remote_fetch_add_serializes() {
 
 #[test]
 fn write_with_cached_holder_defers_ack_until_invalidated() {
-    // With the cache on: read once (installing a copy at node 0), then
+    // With the cache on: read once (leasing block 0 to node 0), then
     // write from node 0's peer... the holder here must be a *different*
     // node than the writer for an invalidation to occur. We stage node 0
     // as holder and write on behalf of node 0 — no invalidation — then
@@ -185,7 +185,11 @@ fn write_with_cached_holder_defers_ack_until_invalidated() {
                 },
             );
             assert!(matches!(r, Message::GmReadResp { .. }));
-            assert!(shared.cache.get(NodeId(0), RegionId(0), 0).is_some());
+            // The home records the lease; the data is the requester's to
+            // install on completion.
+            let holders = shared.cache.peek_holders(RegionId(0), 0, 512, NodeId(9));
+            assert_eq!(holders, [NodeId(0)]);
+            assert!(shared.cache.get(NodeId(0), RegionId(0), 0).is_none());
             // A write from node *1*'s perspective would exclude itself; we
             // are node 0's peer, so write as node 0 — the kernel excludes
             // node 0 and finds no other holder: immediate ack.
@@ -223,9 +227,9 @@ fn invalidate_request_drops_blocks_and_acks() {
             let r = shared.store.alloc(1024, Distribution::OnNode(NodeId(0)));
             assert_eq!(r, RegionId(0));
             // Pretend node 1 cached block 0.
-            shared
-                .cache
-                .install(NodeId(1), RegionId(0), 0, vec![1; 512]);
+            let block = [1u8; 512];
+            let blocks = std::iter::once((0, &block[..]));
+            assert!(shared.cache.install_data(NodeId(1), 0, RegionId(0), blocks));
         },
         |ctx, shared| {
             assert_eq!(shared.cache.cached_blocks(NodeId(1)), 1);

@@ -154,7 +154,7 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..50),
     ) {
         // Drive a CacheStore the way the write-invalidate protocol does:
-        // grants install data, takes are followed by holder-side drops,
+        // a grant, then the reader's install; takes are followed by holder-side drops,
         // release-node purges. Afterwards every cached block must still be
         // covered by a directory lease (the "directory never loses a live
         // replica" safety property: a write invalidates every real copy).
@@ -163,7 +163,10 @@ proptest! {
         for op in ops {
             match op {
                 Op::Grant { node, block } => {
-                    cs.install(NodeId(node), r, block, vec![node as u8; CACHE_BLOCK]);
+                    let (node, data) = (NodeId(node), [node as u8; CACHE_BLOCK]);
+                    cs.grant(node, r, block);
+                    let epoch = cs.epoch(node);
+                    cs.install_data(node, epoch, r, std::iter::once((block, &data[..])));
                 }
                 Op::Take { node, block, span } => {
                     let offset = block * CACHE_BLOCK as u64;

@@ -2,7 +2,7 @@
 //! scripted inbound sequence through the simulator's port and the live
 //! port, which must send the same messages, with the same trace context,
 //! to the same peers in the same order and record the same causal spans;
-//! and the two things the ports differ in on purpose. Last, one
+//! and the one thing the ports differ in on purpose. Last, one
 //! coordination script through the in-place step and through the driver.
 
 use std::sync::Arc;
@@ -30,8 +30,6 @@ const B: usize = CACHE_BLOCK;
 enum Call {
     Charge(usize),
     Count(KernelCount),
-    Lease(NodeId, u64),
-    Drop(u64, usize),
     /// To the requester `(node, reply token)`.
     Send(NodeId, u32, Message),
     SendKernel(NodeId, Message),
@@ -102,21 +100,6 @@ impl KernelPort for FakePort {
     fn charge_copy(&mut self, bytes: usize) {
         self.calls.push(Call::Charge(bytes));
     }
-    fn lease(
-        &mut self,
-        cache: &CacheStore,
-        holder: NodeId,
-        region: RegionId,
-        block: u64,
-        data: &[u8],
-    ) -> bool {
-        assert_eq!(data.len(), B, "a lease covers one whole block");
-        self.calls.push(Call::Lease(holder, block));
-        cache.grant(holder, region, block)
-    }
-    fn drop_replicas(&mut self, _: &CacheStore, _: RegionId, offset: u64, len: usize) {
-        self.calls.push(Call::Drop(offset, len));
-    }
     fn send_kernel(&mut self, node: NodeId, msg: Message) {
         self.calls.push(Call::SendKernel(node, msg));
     }
@@ -184,7 +167,7 @@ fn ack(txn: u64) -> Message {
 #[test]
 fn wi_write_with_two_sharers_waits_for_both_acks() {
     let (store, cache, r) = home(4);
-    let mut p = KernelProtocol::new(&store, Some(&cache), false);
+    let mut p = KernelProtocol::new(NodeId(0), &store, Some(&cache), false);
     let mut port = FakePort::new(1);
     for n in [1, 2] {
         assert!(feed(&mut p, &mut port, n, read(1, r, 0, B as u32)).is_none());
@@ -224,7 +207,7 @@ fn wi_write_with_two_sharers_waits_for_both_acks() {
 #[test]
 fn a_batch_that_wrote_two_shared_ranges_has_one_gate_and_one_response() {
     let (store, cache, r) = home(3);
-    let mut p = KernelProtocol::new(&store, Some(&cache), false);
+    let mut p = KernelProtocol::new(NodeId(0), &store, Some(&cache), false);
     let mut port = FakePort::new(1);
     feed(&mut p, &mut port, 1, read(1, r, 0, B as u32));
     feed(&mut p, &mut port, 1, read(2, r, 2 * B as u64, B as u32));
@@ -287,7 +270,7 @@ fn a_batch_that_wrote_two_shared_ranges_has_one_gate_and_one_response() {
 #[test]
 fn release_consistency_counts_the_deferral_and_answers_at_once() {
     let (store, cache, r) = home(3);
-    let mut p = KernelProtocol::new(&store, Some(&cache), true);
+    let mut p = KernelProtocol::new(NodeId(0), &store, Some(&cache), true);
     let mut port = FakePort::new(1);
     feed(&mut p, &mut port, 1, read(1, r, 0, B as u32));
     port.calls.clear();
@@ -309,36 +292,42 @@ fn release_consistency_counts_the_deferral_and_answers_at_once() {
 #[test]
 fn a_read_leases_exactly_the_whole_blocks_it_covers() {
     let (store, cache, r) = home(2);
-    let mut p = KernelProtocol::new(&store, Some(&cache), false);
+    let mut p = KernelProtocol::new(NodeId(0), &store, Some(&cache), false);
     let mut port = FakePort::new(1);
     // Two and a half blocks from the start of block 1.
     let len = 2 * B + B / 2;
     feed(&mut p, &mut port, 1, read(1, r, B as u64, len as u32));
     assert_eq!(
-        port.calls[..5],
+        port.calls[..3],
         [
             Call::Charge(len),
             Call::Count(KernelCount::RemoteRead(len)),
-            Call::Lease(NodeId(1), 1),
-            Call::Lease(NodeId(1), 2),
             Call::Count(KernelCount::DirLeases(2)),
         ]
     );
+    // The home records the reader as a sharer of blocks 1 and 2 only, and
+    // installs nothing: the reader installs on completion.
+    let sharers = |b: u64| cache.peek_holders(r, b * B as u64, B, NodeId(0));
+    let held: Vec<_> = (0..4).map(sharers).collect();
+    assert_eq!(held, [vec![], vec![NodeId(1)], vec![NodeId(1)], vec![]]);
+    assert_eq!(cache.cached_blocks(NodeId(1)), 0);
     // Leased again, nothing is fresh.
     port.calls.clear();
     feed(&mut p, &mut port, 1, read(2, r, B as u64, len as u32));
     assert_eq!(port.counted(KernelCount::DirLeases(2)), 0);
     // Without a cache there is no directory step at all.
-    let mut plain = KernelProtocol::new(&store, None, false);
+    let (store, cache, r) = home(2);
+    let mut plain = KernelProtocol::new(NodeId(0), &store, None, false);
     port.calls.clear();
     feed(&mut plain, &mut port, 1, read(3, r, B as u64, len as u32));
-    assert!(!port.calls.iter().any(|c| matches!(c, Call::Lease(..))));
+    assert_eq!(port.calls.len(), 4, "charge, count, served, send");
+    assert!(cache.peek_holders(r, 0, 4 * B, NodeId(0)).is_empty());
 }
 
 #[test]
 fn fetch_add_gates_like_an_eight_byte_write() {
     let (store, cache, r) = home(3);
-    let mut p = KernelProtocol::new(&store, Some(&cache), false);
+    let mut p = KernelProtocol::new(NodeId(0), &store, Some(&cache), false);
     let mut port = FakePort::new(1);
     feed(&mut p, &mut port, 1, read(1, r, B as u64, B as u32));
     port.calls.clear();
@@ -370,10 +359,14 @@ fn fetch_add_gates_like_an_eight_byte_write() {
 }
 
 #[test]
-fn an_invalidate_drops_this_nodes_replicas_and_acks() {
+fn an_invalidate_drops_this_nodes_replicas_moves_its_epoch_and_acks() {
     let (store, cache, r) = home(2);
-    let mut p = KernelProtocol::new(&store, Some(&cache), false);
+    let mut p = KernelProtocol::new(NodeId(0), &store, Some(&cache), false);
     let mut port = FakePort::new(1);
+    let block = [0u8; B];
+    for b in 0..2 {
+        cache.install_data(NodeId(0), 0, r, std::iter::once((b, &block[..])));
+    }
     let inv = Message::GmInvalidate {
         req: ReqId(77),
         region: r,
@@ -384,12 +377,16 @@ fn an_invalidate_drops_this_nodes_replicas_and_acks() {
     assert_eq!(
         port.calls,
         [
-            Call::Drop(8, 16),
             Call::Count(KernelCount::DirInval),
             Call::Served(101, "gm_invalidate_ack", false),
             Call::Send(NodeId(1), 101, ack(77)),
         ]
     );
+    // Block 0 is gone, block 1 kept, and a fetch sent before the drop no
+    // longer installs.
+    assert_eq!(cache.cached_blocks(NodeId(0)), 1);
+    assert!(cache.get(NodeId(0), r, 1).is_some());
+    assert_eq!(cache.epoch(NodeId(0)), 1);
 }
 
 fn pid(n: u16) -> GlobalPid {
@@ -399,7 +396,7 @@ fn pid(n: u16) -> GlobalPid {
 #[test]
 fn a_barrier_releases_earlier_waiters_in_arrival_order_then_the_completer() {
     let (store, _, _) = home(4);
-    let mut p = KernelProtocol::new(&store, None, false);
+    let mut p = KernelProtocol::new(NodeId(0), &store, None, false);
     let mut port = FakePort::new(4);
     for epoch in 0..2 {
         for n in [2, 0, 3] {
@@ -434,7 +431,7 @@ fn a_barrier_releases_earlier_waiters_in_arrival_order_then_the_completer() {
 #[test]
 fn the_lock_queue_is_fifo_across_releases() {
     let (store, _, _) = home(4);
-    let mut p = KernelProtocol::new(&store, None, false);
+    let mut p = KernelProtocol::new(NodeId(0), &store, None, false);
     let mut port = FakePort::new(4);
     let lock_req = |n: u16| Message::LockReq {
         req: ReqId(n as u64 * 10),
@@ -487,7 +484,7 @@ fn the_lock_queue_is_fifo_across_releases() {
 #[test]
 fn what_is_not_the_protocols_comes_back_untouched() {
     let (store, _, _) = home(1);
-    let mut p = KernelProtocol::new(&store, None, false);
+    let mut p = KernelProtocol::new(NodeId(0), &store, None, false);
     let mut port = FakePort::new(1);
     for msg in [
         Message::KernelShutdown,
@@ -1013,7 +1010,7 @@ fn the_sim_kernel_panics_on_an_ack_for_a_gate_never_opened() {
 }
 
 // ---------------------------------------------------------------------------
-// The two deliberate differences (the simulator's side of each).
+// The one deliberate difference (the simulator's side of it).
 // ---------------------------------------------------------------------------
 
 /// Dedup is the live port's and the simulator cannot reach it: two

@@ -103,6 +103,10 @@ fn default_gm_retry() -> RetryPolicy {
 /// sends and the deadline stall of an aborted run.
 const FLIGHT_CAPACITY: usize = 256;
 
+/// What every [`KernelEnv`] carries as its `install_guard`, which nothing
+/// reads: a node's install epoch lives in the run's `CacheStore`.
+static UNREAD_INSTALL_GUARD: Mutex<u64> = Mutex::new(0);
+
 /// Everything configurable about a live run beyond `nprocs` and the body.
 #[derive(Debug, Clone)]
 pub struct LiveRunConfig {
@@ -257,12 +261,6 @@ pub struct LiveCluster {
     cache: Option<CacheStore>,
     /// Coherence protocol for cached runs.
     gm_mode: GmMode,
-    /// Per-PE install guards: the epoch counts invalidations applied
-    /// against that PE's replicas. A read snapshot the epoch at dispatch
-    /// and installs its blocks on completion only if the epoch is
-    /// unchanged, so an invalidation racing a fetch can never be undone by
-    /// a late install.
-    install_guards: Vec<Mutex<u64>>,
     /// Per-PE application-thread inboxes. The co-resident kernel is the
     /// usual producer; on a direct run remote kernels, and other PEs'
     /// coordination calls in place, push app-bound messages here directly,
@@ -296,7 +294,6 @@ impl LiveCluster {
             trace_sink: TraceSink::default(),
             cache: cfg.gm_cache.then(|| CacheStore::new(nprocs)),
             gm_mode: cfg.gm_mode,
-            install_guards: (0..nprocs).map(|_| Mutex::new(0)).collect(),
             app_inboxes: (0..nprocs)
                 .map(|_| Arc::new(BlockingQueue::default()))
                 .collect(),
@@ -428,7 +425,7 @@ impl LiveCluster {
             flight: &self.flight,
             cache: self.cache.as_ref(),
             gm_mode: self.gm_mode,
-            install_guard: &self.install_guards[pe as usize],
+            install_guard: &UNREAD_INSTALL_GUARD,
             engine_t0: self.t0,
             run_start: start,
         }

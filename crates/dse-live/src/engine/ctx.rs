@@ -6,8 +6,8 @@
 //! bodies the simulator runs, retransmission and the request deadline
 //! included. The port is the wire: the transport endpoint and app inbox, a
 //! wait that gives up at the client's deadline, the wall clock the shared
-//! library stamps its spans and samples with, the replica cache's
-//! install-epoch guard, and the structured failure of the calling rank.
+//! library stamps its spans and samples with, and the structured failure
+//! of the calling rank.
 
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
@@ -15,12 +15,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dse_api::{ApiCtx, Arrival, GmPort, GmProtocolError, RequesterSpans, Unanswered};
-use dse_kernel::protocol::sharers_to_invalidate;
 use dse_kernel::{
-    GlobalStore, GmCount, GmError, GmMode, InPlace, KernelCount, Origin, PeCounters,
+    CacheStore, GlobalStore, GmError, GmMode, InPlace, KernelCount, Origin, PeCounters,
     DEFAULT_GM_WINDOW,
 };
-use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqIdGen, TraceCtx};
+use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
 use dse_obs::{FlightEventKind, MetricKey, TraceRole};
 use dse_transport::{Pop, RetryPolicy, Transport};
 
@@ -123,19 +122,6 @@ impl LivePort {
             self.fail(FailureKind::Transport(e), first_hand);
         }
     }
-
-    /// The home's own directory step for a write to `[offset, offset +
-    /// len)` of this PE's own partition: the sharers whose replicas it made
-    /// stale.
-    fn holders(&self, region: RegionId, offset: u64, len: usize) -> Vec<NodeId> {
-        let Some(cs) = self.cluster.cache.as_ref() else {
-            return Vec::new();
-        };
-        let rc = self.cluster.gm_mode == GmMode::ReleaseConsistency;
-        sharers_to_invalidate(cs, rc, (region, offset, len), self.me(), |c| {
-            self.counters().count(c)
-        })
-    }
 }
 
 impl GmPort for LivePort {
@@ -147,8 +133,12 @@ impl GmPort for LivePort {
         &self.cluster.store
     }
 
-    fn caching(&self) -> bool {
-        self.cluster.cache.is_some()
+    fn cache(&self) -> Option<&CacheStore> {
+        self.cluster.cache.as_ref()
+    }
+
+    fn gm_mode(&self) -> GmMode {
+        self.cluster.gm_mode
     }
 
     fn gm_window(&self) -> usize {
@@ -258,92 +248,6 @@ impl GmPort for LivePort {
         self.die(FailureKind::BadAccess {
             detail: format!("{what} failed: {err}"),
         })
-    }
-
-    fn replica_get(&mut self, region: RegionId, block: u64) -> Option<Vec<u8>> {
-        self.cluster.cache.as_ref()?.get(self.me(), region, block)
-    }
-
-    /// 0 on uncached runs, which install nothing.
-    fn install_epoch(&self) -> u64 {
-        match self.cluster.cache {
-            Some(_) => *self.cluster.install_guards[self.rank as usize].lock(),
-            None => 0,
-        }
-    }
-
-    /// Requester-side half of the lease the home granted at serve time:
-    /// install the fully fetched blocks, unless an invalidation has landed
-    /// since dispatch (epoch mismatch) — then the bytes may already be
-    /// stale and the lease stays data-less.
-    fn replica_install<'d>(
-        &mut self,
-        epoch: u64,
-        region: RegionId,
-        blocks: impl Iterator<Item = (u64, &'d [u8])>,
-    ) {
-        let Some(cs) = self.cluster.cache.as_ref() else {
-            return;
-        };
-        let guard = self.cluster.install_guards[self.rank as usize].lock();
-        if *guard == epoch {
-            for (b, data) in blocks {
-                cs.install_data(self.me(), region, b, data.to_vec());
-            }
-        }
-    }
-
-    fn replica_drop(&mut self, region: RegionId, offset: u64, len: usize) {
-        if let Some(cs) = self.cluster.cache.as_ref() {
-            cs.drop_range(self.me(), region, offset, len);
-        }
-    }
-
-    /// Self-invalidation costs zero wire traffic — the whole point of
-    /// deferring the write-side invalidations. No-op under
-    /// write-invalidate, where the protocol keeps replicas exact.
-    fn replica_purge(&mut self) {
-        if let Some(cs) = self.cluster.cache.as_ref() {
-            if self.cluster.gm_mode == GmMode::ReleaseConsistency {
-                let mut epoch = self.cluster.install_guards[self.rank as usize].lock();
-                *epoch += 1;
-                cs.purge_node(self.me());
-                drop(epoch);
-                self.counters().count(GmCount::RcAcquire);
-            }
-        }
-    }
-
-    /// The store write comes *first*: any replica leased after it already
-    /// holds the new bytes, and every lease granted before it is in the
-    /// holder set the client invalidates.
-    fn own_node_write(
-        &mut self,
-        _reqs: &mut ReqIdGen,
-        region: RegionId,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<Vec<NodeId>, GmError> {
-        self.cluster.store.write(region, offset, data)?;
-        Ok(self.holders(region, offset, data.len()))
-    }
-
-    /// Store first, like an own-node write.
-    fn own_node_fetch_add(
-        &mut self,
-        _reqs: &mut ReqIdGen,
-        region: RegionId,
-        offset: u64,
-        delta: i64,
-    ) -> Result<(i64, Vec<NodeId>), GmError> {
-        let prev = self.cluster.store.fetch_add(region, offset, delta)?;
-        Ok((prev, self.holders(region, offset, 8)))
-    }
-
-    /// A request like any other: one `gm_request_msgs`.
-    fn send_atomic(&mut self, home: NodeId, msg: &Message, ctx: Option<TraceCtx>) {
-        self.counters().count(GmCount::RequestMsg);
-        self.send_traced(home.0 as u32, msg, ctx);
     }
 
     /// PE 0's application, and on a direct run every PE's, runs the call

@@ -111,6 +111,17 @@ impl Registry {
         *shard.counters.entry(key).or_insert(0) += delta;
     }
 
+    /// Add to several counters of `pe`'s series (`None`: the global ones)
+    /// under one lock of their shard: `each` hands `add` every key and
+    /// delta, and every key must be one of `pe`'s.
+    pub fn add_each(&self, pe: Option<u32>, each: impl FnOnce(&mut dyn FnMut(MetricKey, u64))) {
+        let mut shard = self.shard(pe).lock();
+        each(&mut |key, delta| {
+            debug_assert_eq!(key.pe, pe, "a key of another shard");
+            *shard.counters.entry(key).or_insert(0) += delta;
+        });
+    }
+
     /// Increment a counter by one.
     pub fn incr(&self, key: MetricKey) {
         self.add(key, 1);

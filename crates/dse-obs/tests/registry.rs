@@ -1,7 +1,8 @@
 //! The sharded registry against a plain model: any mix of updates over
 //! global series and PEs past the shard count snapshots to exactly the
 //! key-sorted maps a single `BTreeMap` per kind would hold, and concurrent
-//! updates to PEs that share shards lose nothing.
+//! updates to PEs that share shards lose nothing. Several adds under one
+//! lock (`add_each`) are the same adds one by one.
 
 use std::collections::BTreeMap;
 use std::sync::Barrier;
@@ -18,6 +19,8 @@ const NAMES: [(&str, &str); 3] = [
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Add(MetricKey, u64),
+    /// Two adds to the key under one lock: the delta, then one.
+    AddEach(MetricKey, u64),
     Incr(MetricKey),
     SetGauge(MetricKey, u64),
     GaugeMax(MetricKey, u64),
@@ -41,8 +44,9 @@ fn arb_key() -> impl Strategy<Value = MetricKey> {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u32..5, arb_key(), 0u64..100_000).prop_map(|(kind, key, v)| match kind {
+    (0u32..6, arb_key(), 0u64..100_000).prop_map(|(kind, key, v)| match kind {
         0 => Op::Add(key, v),
+        5 => Op::AddEach(key, v),
         1 => Op::Incr(key),
         2 => Op::SetGauge(key, v),
         3 => Op::GaugeMax(key, v),
@@ -61,6 +65,7 @@ impl Model {
     fn apply(&mut self, op: Op) {
         match op {
             Op::Add(k, v) => *self.counters.entry(k).or_insert(0) += v,
+            Op::AddEach(k, v) => *self.counters.entry(k).or_insert(0) += v + 1,
             Op::Incr(k) => *self.counters.entry(k).or_insert(0) += 1,
             Op::SetGauge(k, v) => {
                 self.gauges.insert(k, v);
@@ -89,6 +94,10 @@ impl Model {
 fn apply(reg: &Registry, op: Op) {
     match op {
         Op::Add(k, v) => reg.add(k, v),
+        Op::AddEach(k, v) => reg.add_each(k.pe, |add| {
+            add(k, v);
+            add(k, 1);
+        }),
         Op::Incr(k) => reg.incr(k),
         Op::SetGauge(k, v) => reg.set_gauge(k, v),
         Op::GaugeMax(k, v) => reg.gauge_max(k, v),

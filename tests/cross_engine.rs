@@ -304,6 +304,32 @@ fn gauss_seidel_counts_the_same_on_both_engines() {
     assert!(total("gm_local_writes") > 0 && total("barrier_epochs") > 0);
 }
 
+/// A remote fetch-add is a request like any other on both engines: one
+/// `gm_request_msgs` on the PE that sent it, one `fetch_adds` at its home.
+#[test]
+fn a_remote_fetch_add_is_one_request_on_both_engines() {
+    fn body(ctx: &mut impl ParallelApi) {
+        // One cell per PE: PE 1 adds to PE 0's.
+        let cell = ctx.gm_alloc(16, Distribution::Blocked);
+        ctx.barrier();
+        if ctx.rank() == 1 {
+            assert_eq!(ctx.gm_fetch_add(cell, 0, 5), 0);
+        }
+        ctx.barrier();
+    }
+    let sim = DseProgram::new(Platform::sunos_sparc()).run(2, |ctx| body(ctx));
+    let live = LiveRunner::new(2).run(body);
+    for pe in 0..2 {
+        for name in ["gm_request_msgs", "fetch_adds"] {
+            let sim_n = sim.metrics.counter("kernel", name, Some(pe));
+            let live_n = live.metrics.counter("kernel", name, Some(pe));
+            let want = (pe == 1 && name == "gm_request_msgs") || (pe == 0 && name == "fetch_adds");
+            assert_eq!(sim_n, Some(want as u64), "pe{pe} {name}");
+            assert_eq!(sim_n, live_n, "pe{pe} {name}");
+        }
+    }
+}
+
 /// The synchronization counters of every app, as cluster totals. The apps
 /// that use atomics hand out jobs through a shared counter, so which rank
 /// takes which job, and with it most per-PE counts, depends on timing: only

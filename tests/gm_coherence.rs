@@ -127,3 +127,54 @@ fn live_cache_and_modes_preserve_dct() {
         assert_eq!(sim_out, out, "{mode:?}");
     }
 }
+
+/// Rank 1 caches block 0 (homed on node 0); then rank 0 writes its first
+/// eight bytes after `flops` of computation while rank 2 reads the block.
+/// Rank 2's read after the next barrier must see the write whichever way
+/// the write and the read's lease interleave: a lease granted before the
+/// store write puts rank 2 among the sharers the write invalidates, and one
+/// granted after it carries the new bytes. Rank 2 returns what it read.
+fn write_races_a_lease(ctx: &mut impl ParallelApi, flops: u64) -> Option<Vec<u8>> {
+    const BLOCK: usize = 512;
+    let region = ctx.gm_alloc(3 * BLOCK, Distribution::BlockedBy { chunk: BLOCK });
+    ctx.barrier();
+    if ctx.rank() == 1 {
+        ctx.gm_read(region, 0, BLOCK);
+    }
+    ctx.barrier();
+    match ctx.rank() {
+        0 => {
+            ctx.compute(Work::flops(flops));
+            ctx.gm_write(region, 0, &[7; 8]);
+        }
+        2 => {
+            ctx.gm_read(region, 0, BLOCK);
+        }
+        _ => {}
+    }
+    ctx.barrier();
+    (ctx.rank() == 2).then(|| ctx.gm_read(region, 0, 2))
+}
+
+#[test]
+fn an_own_node_write_racing_a_lease_is_seen_after_the_barrier_on_both_engines() {
+    for flops in [0, 1_000, 5_000] {
+        let slot = std::sync::Arc::new(Mutex::new(None));
+        let out = std::sync::Arc::clone(&slot);
+        DseProgram::new(Platform::linux_pentium2())
+            .with_config(config(GmMode::WriteInvalidate))
+            .run(3, move |ctx| {
+                if let Some(v) = write_races_a_lease(ctx, flops) {
+                    *out.lock().unwrap() = Some(v);
+                }
+            });
+        let sim = slot.lock().unwrap().take();
+        assert_eq!(sim, Some(vec![7, 7]), "simulator, {flops} flops");
+        for _ in 0..4 {
+            let live = live_cached(GmMode::WriteInvalidate, 3, |ctx| {
+                write_races_a_lease(ctx, flops)
+            });
+            assert_eq!(live, [7, 7], "live, {flops} flops");
+        }
+    }
+}

@@ -307,9 +307,9 @@ fn one_live_kernel_driver() {
 
 /// The serving side of the kernel lives once, in dse-kernel's protocol.rs:
 /// the one caller of `serve_gm`, the one response gate, and the one
-/// directory decision (`take_holders` is allowed at most three callers: the
-/// machine and an own-node write port per engine). A second of any is a
-/// second kernel protocol.
+/// directory decision (`take_holders` has one caller,
+/// `sharers_to_invalidate`, which the home kernel and the client's own-node
+/// write both call). A second of any is a second kernel protocol.
 #[test]
 fn one_kernel_protocol() {
     let lines = code(&crate_srcs(&[]));
@@ -335,10 +335,10 @@ fn one_kernel_protocol() {
         ));
     }
     let takes = calls(&lines, "take_holders");
-    if takes.len() > 3 {
+    if takes.len() != 1 {
         let at = listing(&takes);
         problems.push(format!(
-            "take_holders( is called from more than three places:\n{at}"
+            "take_holders( must have exactly one call site:\n{at}"
         ));
     }
     verdict(problems);
@@ -1016,5 +1016,30 @@ fn one_in_place_step() {
             "{h}\n  a second in-place port is back: run task::InPlace and play its outbox"
         ));
     }
+    verdict(problems);
+}
+
+/// The engines differ only in clock, charge and wire: where a leased
+/// block's data goes, the order of an own-node write or atomic and how a
+/// fetch-add is counted are one rule in the shared client and kernel code.
+/// The ports' coherence hooks, the simulator's inline invalidation round,
+/// the home-side install and the live engine's per-PE install guards are
+/// gone for good: a node's install epoch lives in its `CacheStore`.
+#[test]
+fn the_engines_differ_only_in_clock_charge_and_wire() {
+    let gone = [
+        ("fn send_atomic", true),
+        ("fn own_node_write", true),
+        ("fn own_node_fetch_add", true),
+        ("fn install_epoch", true),
+        ("fn lease(", false),
+        ("fn drop_replicas", true),
+        ("coherent_local_write", false),
+        ("install_guards", false),
+    ];
+    let problems = named(&crate_srcs(&[]), &gone)
+        .into_iter()
+        .map(|h| format!("{h}\n  an engine-specific coherence body is back: it is the client's or the protocol's"))
+        .collect();
     verdict(problems);
 }
