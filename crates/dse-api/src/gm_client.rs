@@ -20,7 +20,7 @@ use std::fmt;
 
 use dse_kernel::cache::{blocks_inside, CACHE_BLOCK};
 use dse_kernel::protocol::sharers_to_invalidate;
-use dse_kernel::{CacheStore, GlobalStore, GmCount, GmError, GmMode, PeCounters};
+use dse_kernel::{CacheStore, GlobalStore, GmCount, GmError, GmMode, PeCounters, Sample};
 use dse_msg::{
     is_bulk, Bytes, GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx,
 };
@@ -595,7 +595,7 @@ impl GmClient {
         };
         let now = port.now_ns();
         port.counters()
-            .record("gm", "blocked_ns", now.saturating_sub(since));
+            .record(Sample::Blocked, now.saturating_sub(since));
         port.spans().blocked(since, now, seq);
         got
     }
@@ -1099,7 +1099,7 @@ impl GmClient {
         if app_request {
             let counters = port.counters();
             counters.count(GmCount::RequestMsg);
-            counters.gauge_max("gm_inflight", self.inflight.len() as u64);
+            counters.inflight(self.inflight.len() as u64);
         }
     }
 
@@ -1332,16 +1332,16 @@ pub(crate) fn acquire_point<P: GmPort>(port: &mut P) {
 /// An exchange of `kind` begun at `since` is over: a sample of its series,
 /// the one mapping from an exchange to its series on both engines.
 pub(crate) fn sample<P: GmPort>(port: &P, kind: SpanKind, since: u64) {
-    let (subsystem, name) = match kind {
-        SpanKind::GmRead => ("gm", "remote_read_ns"),
-        SpanKind::GmWrite => ("gm", "remote_write_ns"),
-        SpanKind::GmBatch => ("gm", "batch_ns"),
-        SpanKind::GmFetchAdd => ("gm", "fetch_add_ns"),
-        SpanKind::Barrier => ("sync", "barrier_wait_ns"),
-        SpanKind::Lock => ("sync", "lock_wait_ns"),
+    let series = match kind {
+        SpanKind::GmRead => Sample::RemoteRead,
+        SpanKind::GmWrite => Sample::RemoteWrite,
+        SpanKind::GmBatch => Sample::Batch,
+        SpanKind::GmFetchAdd => Sample::FetchAdd,
+        SpanKind::Barrier => Sample::BarrierWait,
+        SpanKind::Lock => Sample::LockWait,
     };
     let ns = port.now_ns().saturating_sub(since);
-    port.counters().record(subsystem, name, ns);
+    port.counters().record(series, ns);
 }
 
 /// Split `[offset, offset + len)` of `region` into per-home runs.

@@ -6,49 +6,201 @@
 //! the requester's shared client code a [`GmCount`], to the counting PE's
 //! [`PeCounters`], which adds it to that PE's series in the run's
 //! `dse_obs::Registry`; the client records its latency samples and its
-//! in-flight gauge through the same handle. Every name of
+//! in-flight gauge through the same handle. Each of these series is a slot
+//! of `LAYOUT`, given to a PE when it is registered and indexed by the
+//! count's variant, so a count is one atomic add. Every name of
 //! [`KERNEL_COUNTERS`] is registered at zero for every PE when a cluster is
 //! built, so an export, a telemetry flush and the SSI node table list all
 //! of them whether the run moved them or not.
 
-use dse_obs::{MetricKey, Registry};
+use dse_obs::{MetricKey, PeSlots, Registry, SlotLayout, SlotSeries};
 
 /// The `kernel/*` counters every PE has on either engine, registered at
 /// zero when a cluster is built. `messages` and `message_bytes` are the
 /// runtime messages a node sent (`Sent`) on both engines; only the
 /// simulator counts `Invoke` (the launcher's `invokes`).
-pub const KERNEL_COUNTERS: [&str; 25] = [
-    "gm_local_reads",
-    "gm_remote_reads",
-    "gm_local_writes",
-    "gm_remote_writes",
-    "gm_bytes_read",
-    "gm_bytes_written",
-    "fetch_adds",
-    "messages",
-    "message_bytes",
-    "barrier_epochs",
-    "lock_grants",
-    "invokes",
-    "cache_hits",
-    "cache_misses",
-    "cache_invalidations",
-    "gm_request_msgs",
-    "gm_coalesced",
-    "invalidation_rounds",
-    "dir_hits",
-    "dir_misses",
-    "dir_leases",
-    "dir_invals",
-    "rc_deferred_invals",
-    "rc_acquires",
-    "gm_ops",
+pub const KERNEL_COUNTERS: [&str; 25] = {
+    let mut names = [""; 25];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = COUNTERS[i].name;
+        i += 1;
+    }
+    names
+};
+
+/// A `kernel/*` counter a PE keeps in a slot: the [`KERNEL_COUNTERS`] in
+/// their order, then the ones only some runs move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// `gm_local_reads`.
+    GmLocalReads,
+    /// `gm_remote_reads`.
+    GmRemoteReads,
+    /// `gm_local_writes`.
+    GmLocalWrites,
+    /// `gm_remote_writes`.
+    GmRemoteWrites,
+    /// `gm_bytes_read`.
+    GmBytesRead,
+    /// `gm_bytes_written`.
+    GmBytesWritten,
+    /// `fetch_adds`.
+    FetchAdds,
+    /// `messages`.
+    Messages,
+    /// `message_bytes`.
+    MessageBytes,
+    /// `barrier_epochs`.
+    BarrierEpochs,
+    /// `lock_grants`.
+    LockGrants,
+    /// `invokes`.
+    Invokes,
+    /// `cache_hits`.
+    CacheHits,
+    /// `cache_misses`.
+    CacheMisses,
+    /// `cache_invalidations`.
+    CacheInvalidations,
+    /// `gm_request_msgs`.
+    GmRequestMsgs,
+    /// `gm_coalesced`.
+    GmCoalesced,
+    /// `invalidation_rounds`.
+    InvalidationRounds,
+    /// `dir_hits`.
+    DirHits,
+    /// `dir_misses`.
+    DirMisses,
+    /// `dir_leases`.
+    DirLeases,
+    /// `dir_invals`.
+    DirInvals,
+    /// `rc_deferred_invals`.
+    RcDeferredInvals,
+    /// `rc_acquires`.
+    RcAcquires,
+    /// `gm_ops`.
+    GmOps,
+    /// `requests_served`.
+    RequestsServed,
+    /// `app_direct_msgs`.
+    AppDirectMsgs,
+    /// `gm_dup_requests`.
+    GmDupRequests,
+    /// `gm_deadline_trips`.
+    GmDeadlineTrips,
+    /// `gm_retries`.
+    GmRetries,
+    /// `telemetry_in`.
+    TelemetryIn,
+    /// `telemetry_corrupt`.
+    TelemetryCorrupt,
+}
+
+/// A per-operation histogram a PE keeps in a slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sample {
+    /// `gm/remote_read_ns`.
+    RemoteRead,
+    /// `gm/remote_write_ns`.
+    RemoteWrite,
+    /// `gm/fetch_add_ns`.
+    FetchAdd,
+    /// `gm/batch_ns`.
+    Batch,
+    /// `gm/blocked_ns`.
+    Blocked,
+    /// `sync/barrier_wait_ns`.
+    BarrierWait,
+    /// `sync/lock_wait_ns`.
+    LockWait,
+    /// `kernel/service_ns`.
+    Service,
+}
+
+/// A `kernel/*` series, on the PE's machine.
+const fn kernel(name: &'static str) -> SlotSeries {
+    SlotSeries {
+        subsystem: "kernel",
+        name,
+        on_machine: true,
+    }
+}
+
+/// A requester's series, on no machine.
+const fn requester(subsystem: &'static str, name: &'static str) -> SlotSeries {
+    SlotSeries {
+        subsystem,
+        name,
+        on_machine: false,
+    }
+}
+
+/// The series of [`Counter`], by variant.
+const COUNTERS: [SlotSeries; 32] = [
+    kernel("gm_local_reads"),
+    kernel("gm_remote_reads"),
+    kernel("gm_local_writes"),
+    kernel("gm_remote_writes"),
+    kernel("gm_bytes_read"),
+    kernel("gm_bytes_written"),
+    kernel("fetch_adds"),
+    kernel("messages"),
+    kernel("message_bytes"),
+    kernel("barrier_epochs"),
+    kernel("lock_grants"),
+    kernel("invokes"),
+    kernel("cache_hits"),
+    kernel("cache_misses"),
+    kernel("cache_invalidations"),
+    kernel("gm_request_msgs"),
+    kernel("gm_coalesced"),
+    kernel("invalidation_rounds"),
+    kernel("dir_hits"),
+    kernel("dir_misses"),
+    kernel("dir_leases"),
+    kernel("dir_invals"),
+    kernel("rc_deferred_invals"),
+    kernel("rc_acquires"),
+    kernel("gm_ops"),
+    kernel("requests_served"),
+    kernel("app_direct_msgs"),
+    kernel("gm_dup_requests"),
+    kernel("gm_deadline_trips"),
+    kernel("gm_retries"),
+    kernel("telemetry_in"),
+    kernel("telemetry_corrupt"),
 ];
+
+/// The one gauge: the requester's in-flight high-water mark.
+const INFLIGHT: [SlotSeries; 1] = [kernel("gm_inflight")];
+
+/// The series of [`Sample`], by variant.
+const SAMPLES: [SlotSeries; 8] = [
+    requester("gm", "remote_read_ns"),
+    requester("gm", "remote_write_ns"),
+    requester("gm", "fetch_add_ns"),
+    requester("gm", "batch_ns"),
+    requester("gm", "blocked_ns"),
+    requester("sync", "barrier_wait_ns"),
+    requester("sync", "lock_wait_ns"),
+    kernel("service_ns"),
+];
+
+/// What every PE of a cluster keeps in slots of its own.
+static LAYOUT: SlotLayout = SlotLayout {
+    counters: &COUNTERS,
+    gauges: &INFLIGHT,
+    histograms: &SAMPLES,
+};
 
 /// A counter the serving side bumps: the protocol through
 /// [`KernelPort::count`](crate::KernelPort::count), each engine's send
-/// path (`Sent`), the simulator's launcher (`Invoke`), and the telemetry
-/// plane's ingest (`TelemetryIn`, `TelemetryCorrupt`).
+/// path (`Sent`, `AppDirect`), the driver (`DupRequest`), the simulator's
+/// launcher (`Invoke`), and the telemetry plane's ingest (`TelemetryIn`,
+/// `TelemetryCorrupt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelCount {
     /// A remote read of this many bytes was served.
@@ -71,6 +223,12 @@ pub enum KernelCount {
     LockGrant,
     /// A runtime message of this many encoded bytes was sent.
     Sent(usize),
+    /// A message for another PE's application went straight into its
+    /// inbox (live direct run). Not one of [`KERNEL_COUNTERS`].
+    AppDirect,
+    /// A retransmitted request was answered from the dedup cache. Not one
+    /// of [`KERNEL_COUNTERS`].
+    DupRequest,
     /// A parallel process was started (simulator).
     Invoke,
     /// A telemetry delta was applied at the aggregator. Neither telemetry
@@ -106,135 +264,165 @@ pub enum GmCount {
     /// A request went on the wire again. `gm_retries` is not one of
     /// [`KERNEL_COUNTERS`]: only a wire that loses messages moves it.
     Retry,
+    /// A request ran out of retries past its deadline (live). Not one of
+    /// [`KERNEL_COUNTERS`].
+    DeadlineTrip,
 }
 
 /// A count either side hands over: the counters it moves, and by how much.
 pub trait Count: Copy {
-    /// Call `add` with each `kernel/*` counter this count moves and the
-    /// amount it moves it by.
-    fn each(self, add: impl FnMut(&'static str, u64));
+    /// Call `add` with each counter this count moves and the amount it
+    /// moves it by.
+    fn each(self, add: impl FnMut(Counter, u64));
 }
 
 impl Count for KernelCount {
-    fn each(self, mut add: impl FnMut(&'static str, u64)) {
+    fn each(self, mut add: impl FnMut(Counter, u64)) {
+        use Counter as C;
         match self {
             KernelCount::RemoteRead(bytes) => {
-                add("gm_remote_reads", 1);
-                add("gm_bytes_read", bytes as u64);
+                add(C::GmRemoteReads, 1);
+                add(C::GmBytesRead, bytes as u64);
             }
             KernelCount::RemoteWrite(bytes) => {
-                add("gm_remote_writes", 1);
-                add("gm_bytes_written", bytes as u64);
+                add(C::GmRemoteWrites, 1);
+                add(C::GmBytesWritten, bytes as u64);
             }
-            KernelCount::FetchAdd => add("fetch_adds", 1),
-            KernelCount::DirLeases(n) => add("dir_leases", n),
-            KernelCount::DirInval => add("dir_invals", 1),
-            KernelCount::RcDeferred => add("rc_deferred_invals", 1),
+            KernelCount::FetchAdd => add(C::FetchAdds, 1),
+            KernelCount::DirLeases(n) => add(C::DirLeases, n),
+            KernelCount::DirInval => add(C::DirInvals, 1),
+            KernelCount::RcDeferred => add(C::RcDeferredInvals, 1),
             KernelCount::InvalidationRound(holders) => {
-                add("invalidation_rounds", 1);
-                add("cache_invalidations", holders as u64);
+                add(C::InvalidationRounds, 1);
+                add(C::CacheInvalidations, holders as u64);
             }
-            KernelCount::BarrierEpoch => add("barrier_epochs", 1),
-            KernelCount::LockGrant => add("lock_grants", 1),
+            KernelCount::BarrierEpoch => add(C::BarrierEpochs, 1),
+            KernelCount::LockGrant => add(C::LockGrants, 1),
             KernelCount::Sent(bytes) => {
-                add("messages", 1);
-                add("message_bytes", bytes as u64);
+                add(C::Messages, 1);
+                add(C::MessageBytes, bytes as u64);
             }
-            KernelCount::Invoke => add("invokes", 1),
-            KernelCount::TelemetryIn => add("telemetry_in", 1),
-            KernelCount::TelemetryCorrupt => add("telemetry_corrupt", 1),
+            KernelCount::AppDirect => add(C::AppDirectMsgs, 1),
+            KernelCount::DupRequest => add(C::GmDupRequests, 1),
+            KernelCount::Invoke => add(C::Invokes, 1),
+            KernelCount::TelemetryIn => add(C::TelemetryIn, 1),
+            KernelCount::TelemetryCorrupt => add(C::TelemetryCorrupt, 1),
         }
     }
 }
 
 impl Count for GmCount {
-    fn each(self, mut add: impl FnMut(&'static str, u64)) {
+    fn each(self, mut add: impl FnMut(Counter, u64)) {
+        use Counter as C;
         match self {
-            GmCount::Op => add("gm_ops", 1),
+            GmCount::Op => add(C::GmOps, 1),
             GmCount::LocalRead(bytes) => {
-                add("gm_local_reads", 1);
-                add("gm_bytes_read", bytes as u64);
+                add(C::GmLocalReads, 1);
+                add(C::GmBytesRead, bytes as u64);
             }
             GmCount::LocalWrite(bytes) => {
-                add("gm_local_writes", 1);
-                add("gm_bytes_written", bytes as u64);
+                add(C::GmLocalWrites, 1);
+                add(C::GmBytesWritten, bytes as u64);
             }
-            GmCount::LocalFetchAdd => add("fetch_adds", 1),
+            GmCount::LocalFetchAdd => add(C::FetchAdds, 1),
             GmCount::ReplicaHit => {
-                add("cache_hits", 1);
-                add("dir_hits", 1);
+                add(C::CacheHits, 1);
+                add(C::DirHits, 1);
             }
             GmCount::ReplicaMiss => {
-                add("cache_misses", 1);
-                add("dir_misses", 1);
+                add(C::CacheMisses, 1);
+                add(C::DirMisses, 1);
             }
-            GmCount::Coalesced => add("gm_coalesced", 1),
-            GmCount::RequestMsg => add("gm_request_msgs", 1),
-            GmCount::RcAcquire => add("rc_acquires", 1),
-            GmCount::Retry => add("gm_retries", 1),
+            GmCount::Coalesced => add(C::GmCoalesced, 1),
+            GmCount::RequestMsg => add(C::GmRequestMsgs, 1),
+            GmCount::RcAcquire => add(C::RcAcquires, 1),
+            GmCount::Retry => add(C::GmRetries, 1),
+            GmCount::DeadlineTrip => add(C::GmDeadlineTrips, 1),
         }
     }
 }
 
-/// One PE's series in a run's registry: its `kernel/*` counters and gauges,
-/// and the requester's latency histograms. The simulator's `kernel/*`
-/// series carry the machine hosting the PE; a histogram, and every series
-/// of the live engine, carries none.
+/// One PE's series in a run's registry: its `kernel/*` counters and gauge,
+/// and its per-operation histograms. A registered PE's are its slots,
+/// resolved when the handle is made; a PE of a registry no cluster built
+/// (a kernel task run alone) counts through the registry's map, to the same
+/// keys. The `kernel/*` series of a PE registered on a machine carry it;
+/// the requester's `gm/*` and `sync/*` histograms carry none.
 #[derive(Clone, Copy)]
 pub struct PeCounters<'a> {
     metrics: &'a Registry,
     pe: u32,
     machine: Option<u32>,
+    slots: Option<&'a PeSlots>,
 }
 
 impl<'a> PeCounters<'a> {
     /// PE `pe`'s counters in `metrics`, tagged with `machine` if given.
     pub fn new(metrics: &'a Registry, pe: u32, machine: Option<u32>) -> PeCounters<'a> {
+        let slots = metrics.slots(pe);
+        debug_assert!(slots.is_none_or(|s| s.machine() == machine));
         PeCounters {
             metrics,
             pe,
             machine,
+            slots,
         }
     }
 
-    fn key(self, name: &'static str) -> MetricKey {
+    /// The key of `series` on this PE, for a registry that gave it no slots.
+    fn key(self, series: &SlotSeries) -> MetricKey {
         MetricKey {
-            machine: self.machine,
-            ..MetricKey::pe("kernel", name, self.pe)
+            machine: self.machine.filter(|_| series.on_machine),
+            ..MetricKey::pe(series.subsystem, series.name, self.pe)
         }
     }
 
-    /// Register every name of [`KERNEL_COUNTERS`] at zero.
+    /// Give the PE its slots and register every name of
+    /// [`KERNEL_COUNTERS`] at zero.
     pub fn register(self) {
-        for name in KERNEL_COUNTERS {
-            self.metrics.add(self.key(name), 0);
+        let slots = self.metrics.register_pe(self.pe, self.machine, &LAYOUT);
+        let pe = PeCounters { slots, ..self };
+        for i in 0..KERNEL_COUNTERS.len() {
+            pe.add(i, 0);
         }
     }
 
-    /// Add `what` to the counters it moves, under one lock of the PE's
-    /// registry shard.
+    /// Add `n` to counter `i` of [`COUNTERS`].
+    fn add(self, i: usize, n: u64) {
+        match self.slots {
+            Some(slots) => slots.add(i, n),
+            None => self.metrics.add(self.key(&COUNTERS[i]), n),
+        }
+    }
+
+    /// Add `what` to the counters it moves.
     pub fn count(self, what: impl Count) {
-        (self.metrics).add_each(Some(self.pe), |add| {
-            what.each(|name, n| add(self.key(name), n))
-        });
+        what.each(|c, n| self.add(c as usize, n));
     }
 
     /// One message served in `service_ns`: a `kernel/requests_served` and
-    /// a `kernel/service_ns` sample, both on the PE's machine if it has one.
+    /// a `kernel/service_ns` sample.
     pub fn served(self, service_ns: u64) {
-        self.metrics.incr(self.key("requests_served"));
-        self.metrics.record(self.key("service_ns"), service_ns);
+        self.add(Counter::RequestsServed as usize, 1);
+        self.record(Sample::Service, service_ns);
     }
 
-    /// Raise the `kernel/name` gauge to `value` if it is below.
-    pub fn gauge_max(self, name: &'static str, value: u64) {
-        self.metrics.gauge_max(self.key(name), value);
+    /// Raise the `kernel/gm_inflight` gauge to `value` if it is below.
+    pub fn inflight(self, value: u64) {
+        match self.slots {
+            Some(slots) => slots.gauge_max(0, value),
+            None => self.metrics.gauge_max(self.key(&INFLIGHT[0]), value),
+        }
     }
 
-    /// Add a sample of `value` to the `subsystem/name` histogram.
-    pub fn record(self, subsystem: &'static str, name: &'static str, value: u64) {
-        self.metrics
-            .record(MetricKey::pe(subsystem, name, self.pe), value);
+    /// Add a sample of `value` to `what`'s histogram.
+    pub fn record(self, what: Sample, value: u64) {
+        match self.slots {
+            Some(slots) => slots.record(what as usize, value),
+            None => self
+                .metrics
+                .record(self.key(&SAMPLES[what as usize]), value),
+        }
     }
 }
 
@@ -308,8 +496,11 @@ mod tests {
         check(moved(G::RcAcquire), &[("rc_acquires", 1)]);
         check(moved(G::Op), &[("gm_ops", 1)]);
         // Between them the counts move every listed name, and no other
-        // but the retransmit and telemetry counts.
+        // but the retransmit, direct-delivery and telemetry counts.
         assert_eq!(moved(G::Retry), [("gm_retries", 1)]);
+        assert_eq!(moved(G::DeadlineTrip), [("gm_deadline_trips", 1)]);
+        assert_eq!(moved(K::AppDirect), [("app_direct_msgs", 1)]);
+        assert_eq!(moved(K::DupRequest), [("gm_dup_requests", 1)]);
         assert_eq!(moved(K::TelemetryIn), [("telemetry_in", 1)]);
         assert_eq!(moved(K::TelemetryCorrupt), [("telemetry_corrupt", 1)]);
         seen.sort_unstable();
@@ -322,18 +513,36 @@ mod tests {
     #[test]
     fn registration_lists_every_name_at_zero_on_the_pes_machine() {
         let reg = Registry::new();
+        PeCounters::new(&reg, 2, Some(1)).register();
         let pe = PeCounters::new(&reg, 2, Some(1));
-        pe.register();
         pe.count(G::LocalRead(8));
-        pe.gauge_max("gm_inflight", 3);
-        pe.record("gm", "blocked_ns", 5);
+        pe.inflight(3);
+        pe.record(Sample::Blocked, 5);
+        pe.served(7);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), KERNEL_COUNTERS.len());
+        assert_eq!(snap.counters.len(), KERNEL_COUNTERS.len() + 1);
         assert!(snap.counters.iter().all(|(k, _)| k.machine == Some(1)));
         assert!(snap.gauges.iter().all(|(k, _)| k.machine == Some(1)));
-        let (key, hist) = &snap.histograms[0];
-        assert_eq!((key.pe, key.machine, hist.count()), (Some(2), None, 1));
+        let hists: Vec<_> = snap
+            .histograms
+            .iter()
+            .map(|(k, h)| (k.name, k.machine, h.count()))
+            .collect();
+        assert_eq!(hists, [("blocked_ns", None, 1), ("service_ns", Some(1), 1)]);
         assert_eq!(snap.counter("kernel", "gm_bytes_read", Some(2)), Some(8));
         assert_eq!(snap.counter("kernel", "invokes", Some(2)), Some(0));
+        assert_eq!(snap.counter("kernel", "requests_served", Some(2)), Some(1));
+        // The same counts through a registry that gave the PE no slots land
+        // on the same keys.
+        let map = Registry::new();
+        for name in KERNEL_COUNTERS {
+            map.add(MetricKey::pe("kernel", name, 2).on_machine(1), 0);
+        }
+        let pe = PeCounters::new(&map, 2, Some(1));
+        pe.count(G::LocalRead(8));
+        pe.inflight(3);
+        pe.record(Sample::Blocked, 5);
+        pe.served(7);
+        assert_eq!(map.snapshot(), snap);
     }
 }

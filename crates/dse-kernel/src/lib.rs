@@ -58,7 +58,7 @@ pub use config::{
     DEFAULT_GM_WINDOW,
 };
 pub use cost::CostModel;
-pub use counters::{Count, GmCount, KernelCount, PeCounters, KERNEL_COUNTERS};
+pub use counters::{Count, Counter, GmCount, KernelCount, PeCounters, Sample, KERNEL_COUNTERS};
 pub use dedup::{dedup_key, DedupCache};
 pub use directory::{Directory, Sharers};
 pub use gmem::{Distribution, GlobalStore, GmError};

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
-use dse_obs::{ClusterAggregator, FlightRecorder, MetricKey, Registry, TraceSpanRec};
+use dse_obs::{ClusterAggregator, FlightRecorder, Registry, TraceSpanRec};
 use dse_sim::{ProcId, SimDuration};
 
 use crate::cache::CacheStore;
@@ -715,8 +715,7 @@ impl<H: Host> KernelTask<H> {
                 // so it ends no service and the emission clock gets no
                 // look. The replay is its own serve span (dedup-flagged),
                 // derived from the same root as the original serve.
-                let dup = MetricKey::pe("kernel", "gm_dup_requests", pe);
-                self.host.metrics().incr(dup);
+                self.host.counters().count(KernelCount::DupRequest);
                 let seq = resp.req_id().map_or(0, |r| r.0);
                 let bytes = resp.wire_len() as u64;
                 port.st.spans.serve(start_ns, from, replay, seq, bytes);

@@ -46,8 +46,8 @@ use dse_kernel::{
 };
 use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
 use dse_obs::{
-    ClusterAggregator, FlightEventKind, FlightRecorder, MetricKey, MetricsSnapshot, Registry,
-    TraceRole, TraceSink, TraceSpanRec,
+    ClusterAggregator, FlightEventKind, FlightRecorder, MetricsSnapshot, Registry, TraceRole,
+    TraceSink, TraceSpanRec,
 };
 use dse_transport::{
     BlockingQueue, ChannelTransport, FaultPlan, FaultyTransport, RetryPolicy, SocketTransport,
@@ -345,8 +345,7 @@ impl LiveCluster {
             return false;
         }
         if to != pe {
-            self.metrics
-                .incr(MetricKey::pe("kernel", "app_direct_msgs", pe));
+            PeCounters::new(&self.metrics, pe, None).count(KernelCount::AppDirect);
         }
         true
     }

@@ -16,11 +16,11 @@ use std::time::Duration;
 
 use dse_api::{ApiCtx, Arrival, GmPort, GmProtocolError, RequesterSpans, Unanswered};
 use dse_kernel::{
-    CacheStore, GlobalStore, GmError, GmMode, InPlace, KernelCount, Origin, PeCounters,
+    CacheStore, GlobalStore, GmCount, GmError, GmMode, InPlace, KernelCount, Origin, PeCounters,
     DEFAULT_GM_WINDOW,
 };
 use dse_msg::{GlobalPid, Message, NodeId, TraceCtx};
-use dse_obs::{FlightEventKind, MetricKey, TraceRole};
+use dse_obs::{FlightEventKind, TraceRole};
 use dse_transport::{Pop, RetryPolicy, Transport};
 
 use super::{play_outbound, AbortUnwind, AppInbox, LiveCluster};
@@ -216,9 +216,7 @@ impl GmPort for LivePort {
     /// count the trip, leave the request it gave up on in the post-mortem,
     /// and fail the rank.
     fn gm_deadline(&mut self, lost: Unanswered) -> ! {
-        self.cluster
-            .metrics
-            .incr(MetricKey::pe("kernel", "gm_deadline_trips", self.rank));
+        self.counters().count(GmCount::DeadlineTrip);
         let (trace, span) = lost.ctx.map_or((0, 0), |c| (c.trace, c.parent));
         let stall = FlightEventKind::Stall {
             kind: lost.kind,

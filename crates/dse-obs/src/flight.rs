@@ -7,11 +7,12 @@
 //! ran out of retries, exactly the context needed to diagnose a lost
 //! response or a protocol deadlock.
 //!
-//! Recording is cheap (one ring push under a mutex) and a recorder with
-//! capacity 0 is a no-op, so the hooks can stay in the hot paths
-//! unconditionally.
+//! Recording is cheap and shares no lock between writers: an event takes a
+//! sequence number from an atomic head and is stored in the slot that
+//! number picks, under that slot's own mutex. A recorder with capacity 0 is
+//! a no-op, so the hooks can stay in the hot paths unconditionally.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -91,16 +92,21 @@ pub struct FlightEvent {
 /// Fixed-capacity ring buffer of recent [`FlightEvent`]s.
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
-    capacity: usize,
-    ring: Mutex<VecDeque<FlightEvent>>,
+    /// Sequence number of the next event: event `n` goes to slot
+    /// `n % slots.len()`.
+    head: AtomicU64,
+    slots: Box<[Slot]>,
 }
+
+/// The newest event a slot was given, with its sequence number.
+type Slot = Mutex<Option<(u64, FlightEvent)>>;
 
 impl FlightRecorder {
     /// A recorder keeping the last `capacity` events (0 disables it).
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            capacity,
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
+            head: AtomicU64::new(0),
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
         }
     }
 
@@ -113,25 +119,31 @@ impl FlightRecorder {
     /// operation in flight (0/0 when the operation is untraced), so a
     /// post-mortem dump can be joined against the assembled cluster trace.
     pub fn record_traced(&self, t_ns: u64, pe: u32, trace: u64, span: u64, kind: FlightEventKind) {
-        if self.capacity == 0 {
+        if self.slots.is_empty() {
             return;
         }
-        let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
+        let n = self.head.fetch_add(1, Ordering::Relaxed);
+        let mut slot = self.slots[(n % self.slots.len() as u64) as usize].lock();
+        // A writer `capacity` events behind that reaches the slot late
+        // must not overwrite the newer event.
+        if slot.is_none_or(|(held, _)| held < n) {
+            let event = FlightEvent {
+                t_ns,
+                pe,
+                trace,
+                span,
+                kind,
+            };
+            *slot = Some((n, event));
         }
-        ring.push_back(FlightEvent {
-            t_ns,
-            pe,
-            trace,
-            span,
-            kind,
-        });
     }
 
     /// Copy out the ring, oldest first.
     pub fn events(&self) -> Vec<FlightEvent> {
-        self.ring.lock().iter().copied().collect()
+        let mut held: Vec<(u64, FlightEvent)> =
+            self.slots.iter().filter_map(|s| *s.lock()).collect();
+        held.sort_unstable_by_key(|(n, _)| *n);
+        held.into_iter().map(|(_, e)| e).collect()
     }
 
     /// Dump the ring as JSONL, oldest first: one object per event with a
@@ -251,5 +263,59 @@ mod tests {
         assert_eq!(dump.lines().count(), 2);
         assert!(dump.contains("\"type\":\"bus\",\"msg\":\"gm_read_req\""));
         assert!(dump.contains("\"type\":\"stall\",\"kind\":\"gm_write\""));
+    }
+
+    #[test]
+    fn concurrent_writers_leave_the_last_events_untorn_and_in_order() {
+        const THREADS: u32 = 8;
+        const EACH: u64 = 10_000;
+        let f = FlightRecorder::with_capacity(256);
+        // Every field of an event is a function of its writer and index,
+        // so a torn event shows as a mismatch.
+        let event = |t: u32, i: u64| {
+            let kind = FlightEventKind::Bus {
+                label: "gm_read_req",
+                to_pe: t + 100,
+                bytes: i * 3,
+            };
+            (i, t, u64::from(t) << 32 | i, i ^ 0x5555, kind)
+        };
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let f = &f;
+                s.spawn(move || {
+                    for i in 0..EACH {
+                        let (t_ns, pe, trace, span, kind) = event(t, i);
+                        f.record_traced(t_ns, pe, trace, span, kind);
+                    }
+                });
+            }
+        });
+        let got = f.events();
+        assert_eq!(got.len(), 256);
+        for e in &got {
+            let (t_ns, pe, trace, span, kind) = event(e.pe, e.t_ns);
+            assert_eq!(
+                (e.t_ns, e.pe, e.trace, e.span, e.kind),
+                (t_ns, pe, trace, span, kind)
+            );
+        }
+        // The ring holds the last 256 events of the run, so each writer's
+        // share is its own last events, in the order it wrote them.
+        for t in 0..THREADS {
+            let mine: Vec<u64> = got.iter().filter(|e| e.pe == t).map(|e| e.t_ns).collect();
+            let want: Vec<u64> = (EACH - mine.len() as u64..EACH).collect();
+            assert_eq!(mine, want, "writer {t}");
+        }
+    }
+
+    #[test]
+    fn a_single_writer_keeps_its_order_across_wraps() {
+        let f = FlightRecorder::with_capacity(7);
+        for i in 0..100u64 {
+            f.record(i, 0, bus(i));
+        }
+        let t: Vec<u64> = f.events().iter().map(|e| e.t_ns).collect();
+        assert_eq!(t, (93..100).collect::<Vec<_>>());
     }
 }

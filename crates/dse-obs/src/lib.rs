@@ -47,7 +47,7 @@ pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, SpanKind};
 pub use hist::LogHistogram;
 pub use interval::{BusInterval, BusSampler, DEFAULT_BIN_NS};
 pub use jsonl::{metrics_csv, metrics_jsonl};
-pub use registry::{MetricKey, MetricsSnapshot, Registry};
+pub use registry::{MetricKey, MetricsSnapshot, PeSlots, Registry, SlotLayout, SlotSeries};
 pub use trace::{
     derived_span_id, parse_trace_jsonl, serve_span_id, TraceRecorder, TraceRole, TraceSink,
     TraceSpanKind, TraceSpanRec, NO_PEER,

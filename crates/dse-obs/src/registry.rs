@@ -5,11 +5,15 @@
 //! deterministic order regardless of insertion history.
 //!
 //! Every PE's kernel and application thread update the one registry of a
-//! run, so it is sharded by PE: an update locks only the shard its key
-//! lives in, and a snapshot merges the shards back into one key-sorted
-//! copy.
+//! run. A registered PE's per-operation series (a [`SlotLayout`] named at
+//! registration) live in slots of its own, resolved once: a count is one
+//! relaxed atomic add. Every other series is a map entry, sharded by PE so
+//! an update locks only the shard its key lives in. A snapshot folds the
+//! slots and the shards back into one key-sorted copy.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
@@ -74,6 +78,252 @@ struct Shard {
     histograms: BTreeMap<MetricKey, LogHistogram>,
 }
 
+/// A series every registered PE keeps in a slot of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotSeries {
+    /// Emitting subsystem.
+    pub subsystem: &'static str,
+    /// Metric name.
+    pub name: &'static str,
+    /// Whether the series carries the machine its PE was registered on.
+    pub on_machine: bool,
+}
+
+/// The series a registered PE keeps in slots, one list per kind: a slot's
+/// index is its series' position in its list. A list holds at most 64
+/// series, each (subsystem, name) once.
+#[derive(Debug)]
+pub struct SlotLayout {
+    /// Counter series.
+    pub counters: &'static [SlotSeries],
+    /// Gauge series.
+    pub gauges: &'static [SlotSeries],
+    /// Histogram series.
+    pub histograms: &'static [SlotSeries],
+}
+
+/// One registered PE's slots: a count is one relaxed atomic add, a gauge
+/// one atomic `fetch_max`, a sample one lock of that histogram's own
+/// mutex. Nothing here is shared with another PE.
+#[derive(Debug)]
+pub struct PeSlots {
+    pe: u32,
+    machine: Option<u32>,
+    /// Bit `i`: counter `i` exists (registered at zero, or written).
+    counters_present: AtomicU64,
+    /// Bit `i`: gauge `i` exists.
+    gauges_present: AtomicU64,
+    counters: Box<[AtomicU64]>,
+    gauges: Box<[AtomicU64]>,
+    histograms: Box<[Mutex<LogHistogram>]>,
+}
+
+/// Mark slot `i` of `present` as existing (the store is skipped once it is).
+/// Relaxed throughout: a slot holds a statistic and publishes no other
+/// data, so a snapshot racing an update may only miss that update.
+fn mark(present: &AtomicU64, i: usize) {
+    let bit = 1 << i;
+    if present.load(Relaxed) & bit == 0 {
+        present.fetch_or(bit, Relaxed);
+    }
+}
+
+impl PeSlots {
+    fn new(pe: u32, machine: Option<u32>, layout: &SlotLayout) -> PeSlots {
+        let atomics = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
+        PeSlots {
+            pe,
+            machine,
+            counters_present: AtomicU64::new(0),
+            gauges_present: AtomicU64::new(0),
+            counters: atomics(layout.counters.len()),
+            gauges: atomics(layout.gauges.len()),
+            histograms: (0..layout.histograms.len())
+                .map(|_| Mutex::default())
+                .collect(),
+        }
+    }
+
+    /// The machine the PE was registered on.
+    pub fn machine(&self) -> Option<u32> {
+        self.machine
+    }
+
+    /// Add `delta` to counter `i` (creating it at zero).
+    pub fn add(&self, i: usize, delta: u64) {
+        mark(&self.counters_present, i);
+        self.counters[i].fetch_add(delta, Relaxed);
+    }
+
+    /// Raise gauge `i` to `value` if it is below it.
+    pub fn gauge_max(&self, i: usize, value: u64) {
+        mark(&self.gauges_present, i);
+        self.gauges[i].fetch_max(value, Relaxed);
+    }
+
+    /// Set gauge `i` to `value`.
+    fn set_gauge(&self, i: usize, value: u64) {
+        mark(&self.gauges_present, i);
+        self.gauges[i].store(value, Relaxed);
+    }
+
+    /// Record one sample into histogram `i`.
+    pub fn record(&self, i: usize, value: u64) {
+        self.histograms[i].lock().record(value);
+    }
+
+    /// Counter `i`, if it exists.
+    fn counter(&self, i: usize) -> Option<u64> {
+        let present = self.counters_present.load(Relaxed) & 1 << i != 0;
+        present.then(|| self.counters[i].load(Relaxed))
+    }
+
+    /// Gauge `i`, if it exists.
+    fn gauge(&self, i: usize) -> Option<u64> {
+        let present = self.gauges_present.load(Relaxed) & 1 << i != 0;
+        present.then(|| self.gauges[i].load(Relaxed))
+    }
+
+    /// A copy of histogram `i`, if it has a sample.
+    fn histogram(&self, i: usize) -> Option<LogHistogram> {
+        let h = self.histograms[i].lock();
+        (h.count() > 0).then(|| h.clone())
+    }
+
+    /// The key of `series` on this PE.
+    fn key(&self, series: &SlotSeries) -> MetricKey {
+        MetricKey {
+            machine: self.machine.filter(|_| series.on_machine),
+            ..MetricKey::pe(series.subsystem, series.name, self.pe)
+        }
+    }
+}
+
+/// PEs per chunk of the slot table, and chunks: PEs `0..CHUNK * CHUNK` can
+/// be registered; a PE past them keeps its series in the map.
+const CHUNK: usize = 256;
+
+/// The slots of a registry's registered PEs, made at the first
+/// registration.
+#[derive(Debug)]
+struct Slots {
+    layout: &'static SlotLayout,
+    /// Each kind's slot indices (counters, gauges, histograms), in key
+    /// order.
+    order: [Box<[usize]>; 3],
+    /// PE `pe`'s slots are `chunks[pe / CHUNK][pe % CHUNK]`; a chunk is
+    /// allocated when its first PE registers.
+    chunks: Box<[OnceLock<Chunk>]>,
+}
+
+/// `CHUNK` PEs' slots, each made when its PE registers.
+type Chunk = Box<[OnceLock<Box<PeSlots>>]>;
+
+impl Slots {
+    fn new(layout: &'static SlotLayout) -> Slots {
+        let order = |list: &[SlotSeries]| -> Box<[usize]> {
+            assert!(list.len() <= 64, "more than 64 slots of one kind");
+            let mut order: Vec<usize> = (0..list.len()).collect();
+            order.sort_by_key(|&i| (list[i].subsystem, list[i].name));
+            order.into()
+        };
+        Slots {
+            layout,
+            order: [
+                order(layout.counters),
+                order(layout.gauges),
+                order(layout.histograms),
+            ],
+            chunks: (0..CHUNK).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    fn cell(&self, pe: u32) -> Option<&OnceLock<Box<PeSlots>>> {
+        let pe = pe as usize;
+        let chunk = self.chunks.get(pe / CHUNK)?;
+        let chunk = chunk.get_or_init(|| (0..CHUNK).map(|_| OnceLock::new()).collect());
+        Some(&chunk[pe % CHUNK])
+    }
+
+    fn get(&self, pe: u32) -> Option<&PeSlots> {
+        let pe = pe as usize;
+        let chunk = self.chunks.get(pe / CHUNK)?.get()?;
+        chunk[pe % CHUNK].get().map(|s| &**s)
+    }
+
+    /// Every registered PE's slots, in PE order.
+    fn registered(&self) -> Vec<&PeSlots> {
+        let chunks = self.chunks.iter().filter_map(OnceLock::get);
+        chunks
+            .flat_map(|c| c.iter().filter_map(|s| s.get().map(|s| &**s)))
+            .collect()
+    }
+
+    /// The slot `key` lives in on `slots`, if it is one: its index in the
+    /// `kind`'s list (0 counters, 1 gauges, 2 histograms).
+    fn find(&self, slots: &PeSlots, kind: usize, key: &MetricKey) -> Option<usize> {
+        let list = self.lists()[kind];
+        let at = self.order[kind]
+            .binary_search_by(|&i| {
+                (list[i].subsystem, list[i].name).cmp(&(key.subsystem, key.name))
+            })
+            .ok()?;
+        let i = self.order[kind][at];
+        (slots.key(&list[i]) == *key).then_some(i)
+    }
+
+    fn lists(&self) -> [&'static [SlotSeries]; 3] {
+        let l = self.layout;
+        [l.counters, l.gauges, l.histograms]
+    }
+
+    /// The series of `kind` that `pes` (in PE order) hold, in key order:
+    /// series by series, PE by PE.
+    fn entries<V>(
+        &self,
+        kind: usize,
+        pes: &[&PeSlots],
+        value: impl Fn(&PeSlots, usize) -> Option<V>,
+    ) -> Vec<(MetricKey, V)> {
+        let list = self.lists()[kind];
+        let mut out = Vec::new();
+        for &i in self.order[kind].iter() {
+            for p in pes {
+                if let Some(v) = value(p, i) {
+                    out.push((p.key(&list[i]), v));
+                }
+            }
+        }
+        out
+    }
+
+    /// Fold the slots of `pes` (in PE order) into `s`, each kind in one
+    /// merge with the map's sorted series.
+    fn fold_into(&self, s: &mut MetricsSnapshot, pes: &[&PeSlots]) {
+        merge_sorted(&mut s.counters, self.entries(0, pes, PeSlots::counter));
+        merge_sorted(&mut s.gauges, self.entries(1, pes, PeSlots::gauge));
+        merge_sorted(&mut s.histograms, self.entries(2, pes, PeSlots::histogram));
+    }
+}
+
+/// Merge the key-sorted `from` into the key-sorted `into`; no key is in
+/// both.
+fn merge_sorted<V>(into: &mut Vec<(MetricKey, V)>, from: Vec<(MetricKey, V)>) {
+    if from.is_empty() {
+        return;
+    }
+    let mut a = std::mem::take(into).into_iter().peekable();
+    let mut b = from.into_iter().peekable();
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        let next = if x.0 < y.0 { a.next() } else { b.next() };
+        out.extend(next);
+    }
+    out.extend(a);
+    out.extend(b);
+    *into = out;
+}
+
 /// Thread-safe metrics registry shared by every kernel/PE in a run.
 ///
 /// Works identically under the simulator (virtual-time samples) and the
@@ -84,12 +334,15 @@ pub struct Registry {
     /// `SHARDS` per-PE shards, then one for the cluster-global series. A
     /// key lives in exactly one shard, so merging them loses nothing.
     shards: Box<[Mutex<Shard>]>,
+    /// The registered PEs' slots; a key with a slot is in no shard.
+    slots: OnceLock<Slots>,
 }
 
 impl Default for Registry {
     fn default() -> Registry {
         Registry {
             shards: (0..=SHARDS).map(|_| Mutex::default()).collect(),
+            slots: OnceLock::new(),
         }
     }
 }
@@ -105,21 +358,61 @@ impl Registry {
         &self.shards[pe.map_or(SHARDS, |pe| pe as usize % SHARDS)]
     }
 
+    /// Give PE `pe` a slot for each series of `layout`, tagged with
+    /// `machine`; series of `pe` the map already holds move into their
+    /// slots. Every registration in one registry names the same layout.
+    /// Returns the PE's slots (its first registration's, if it had one), or
+    /// `None` for a PE past the slot table, whose series stay in the map.
+    pub fn register_pe(
+        &self,
+        pe: u32,
+        machine: Option<u32>,
+        layout: &'static SlotLayout,
+    ) -> Option<&PeSlots> {
+        let slots = self.slots.get_or_init(|| Slots::new(layout));
+        assert!(std::ptr::eq(slots.layout, layout), "a second slot layout");
+        let cell = slots.cell(pe)?;
+        // Under the shard lock, so no update of `pe`'s series through the
+        // map lands between the adoption below and the slots' arrival.
+        let mut shard = self.shard(Some(pe)).lock();
+        if let Some(old) = cell.get() {
+            return Some(old);
+        }
+        let new = &**cell.get_or_init(|| Box::new(PeSlots::new(pe, machine, layout)));
+        let slot = |kind, k: &MetricKey| slots.find(new, kind, k);
+        shard
+            .counters
+            .retain(|k, v| slot(0, k).map(|i| new.add(i, *v)).is_none());
+        shard
+            .gauges
+            .retain(|k, v| slot(1, k).map(|i| new.set_gauge(i, *v)).is_none());
+        shard.histograms.retain(|k, h| {
+            let to = slot(2, k).map(|i| new.histograms[i].lock().merge(h));
+            to.is_none()
+        });
+        Some(new)
+    }
+
+    /// `pe`'s slots, if it is registered.
+    pub fn slots(&self, pe: u32) -> Option<&PeSlots> {
+        self.slots.get()?.get(pe)
+    }
+
+    /// The slot of `key` (of `kind`: 0 counters, 1 gauges, 2 histograms),
+    /// if its PE is registered and it is one of the layout's series.
+    fn slot(&self, kind: usize, key: &MetricKey) -> Option<(&PeSlots, usize)> {
+        let slots = self.slots.get()?;
+        let pe = slots.get(key.pe?)?;
+        Some((pe, slots.find(pe, kind, key)?))
+    }
+
     /// Add `delta` to a counter (creating it at zero).
     pub fn add(&self, key: MetricKey, delta: u64) {
         let mut shard = self.shard(key.pe).lock();
-        *shard.counters.entry(key).or_insert(0) += delta;
-    }
-
-    /// Add to several counters of `pe`'s series (`None`: the global ones)
-    /// under one lock of their shard: `each` hands `add` every key and
-    /// delta, and every key must be one of `pe`'s.
-    pub fn add_each(&self, pe: Option<u32>, each: impl FnOnce(&mut dyn FnMut(MetricKey, u64))) {
-        let mut shard = self.shard(pe).lock();
-        each(&mut |key, delta| {
-            debug_assert_eq!(key.pe, pe, "a key of another shard");
-            *shard.counters.entry(key).or_insert(0) += delta;
-        });
+        match self.slot(0, &key) {
+            Some((pe, i)) => pe.add(i, delta),
+            None => *shard.counters.entry(key).or_insert(0) += delta,
+        }
     }
 
     /// Increment a counter by one.
@@ -129,27 +422,45 @@ impl Registry {
 
     /// Set a gauge to `value` (last write wins).
     pub fn set_gauge(&self, key: MetricKey, value: u64) {
-        self.shard(key.pe).lock().gauges.insert(key, value);
+        let mut shard = self.shard(key.pe).lock();
+        match self.slot(1, &key) {
+            Some((pe, i)) => pe.set_gauge(i, value),
+            None => {
+                shard.gauges.insert(key, value);
+            }
+        }
     }
 
     /// Raise a gauge to `value` if it is below it (high-water mark).
     pub fn gauge_max(&self, key: MetricKey, value: u64) {
         let mut shard = self.shard(key.pe).lock();
-        let g = shard.gauges.entry(key).or_insert(0);
-        *g = (*g).max(value);
+        match self.slot(1, &key) {
+            Some((pe, i)) => pe.gauge_max(i, value),
+            None => {
+                let g = shard.gauges.entry(key).or_insert(0);
+                *g = (*g).max(value);
+            }
+        }
     }
 
     /// Record one sample into a histogram (creating it empty).
     pub fn record(&self, key: MetricKey, value: u64) {
         let mut shard = self.shard(key.pe).lock();
-        shard.histograms.entry(key).or_default().record(value);
+        match self.slot(2, &key) {
+            Some((pe, i)) => pe.record(i, value),
+            None => shard.histograms.entry(key).or_default().record(value),
+        }
     }
 
-    /// Copy out everything, sorted by key. Shards are copied one at a time,
-    /// so a snapshot taken while other threads update is exact per PE, not
-    /// across PEs.
+    /// Copy out everything, sorted by key. Shards and slots are copied one
+    /// at a time, so a snapshot taken while other threads update is exact
+    /// per series, not across series.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        merge(self.shards.iter(), |_| true)
+        let mut s = merge(self.shards.iter(), |_| true);
+        if let Some(slots) = self.slots.get() {
+            slots.fold_into(&mut s, &slots.registered());
+        }
+        s
     }
 
     /// Copy out `pe`'s series only, plus the cluster-global ones when
@@ -157,9 +468,13 @@ impl Registry {
     /// tracker ships, without copying every other PE's series.
     pub fn snapshot_pe(&self, pe: u32, include_global: bool) -> MetricsSnapshot {
         let global = include_global.then(|| self.shard(None));
-        merge(std::iter::once(self.shard(Some(pe))).chain(global), |k| {
+        let mut s = merge(std::iter::once(self.shard(Some(pe))).chain(global), |k| {
             k.pe.is_none_or(|p| p == pe)
-        })
+        });
+        if let Some((slots, own)) = self.slots.get().and_then(|s| Some((s, s.get(pe)?))) {
+            slots.fold_into(&mut s, &[own]);
+        }
+        s
     }
 }
 

@@ -659,9 +659,10 @@ fn one_front_door() {
 }
 
 /// Both engines count into the metrics registry through one mapping
-/// (dse-kernel's counters.rs). The simulator's per-PE stats struct, its
-/// cells, its end-of-run and per-tick flattenings and the live engine's own
-/// count mapping are gone for good.
+/// (dse-kernel's counters.rs), which is also the only code that builds a
+/// `kernel/*` key. The simulator's per-PE stats struct, its cells, its
+/// end-of-run and per-tick flattenings and the live engine's own count
+/// mapping are gone for good.
 #[test]
 fn one_counter_store() {
     let names = [
@@ -674,7 +675,20 @@ fn one_counter_store() {
     ];
     let hits = named(&sources_tests_examples(), &names.map(|n| (n, false)));
     let msg = "a second counter store is back: count through PeCounters into the registry";
-    verdict(hits.into_iter().map(|h| format!("{h}\n  {msg}")).collect());
+    let mut problems: Vec<String> = hits.into_iter().map(|h| format!("{h}\n  {msg}")).collect();
+    let mut srcs = crate_srcs(&[]);
+    srcs.extend(dirs(&["src", "examples"]));
+    for l in code(&srcs) {
+        if l.text.contains("MetricKey::pe(\"kernel\"")
+            && l.path != "crates/dse-kernel/src/counters.rs"
+        {
+            problems.push(format!(
+                "{}\n  a kernel/* key built outside counters.rs: count through PeCounters",
+                l.at()
+            ));
+        }
+    }
+    verdict(problems);
 }
 
 /// The requester's counts, samples and gauge are recorded once, in dse-api's
